@@ -3,9 +3,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eda_bench::{median_seconds, scaling_threads};
-use eda_logic::{map_aig, map_aig_threaded, map_naive, Aig, MapGoal};
+use eda_logic::{map_aig, map_naive, optimize_aig, Aig, MapGoal, DEFAULT_REWRITE_PASSES};
 use eda_netlist::{generate, Library};
 use std::hint::black_box;
+use std::time::Instant;
 
 fn bench_map(c: &mut Criterion) {
     let design = generate::random_logic(generate::RandomLogicConfig {
@@ -24,12 +25,14 @@ fn bench_map(c: &mut Criterion) {
     {
         let lib_ref = lib.clone();
         group.bench_with_input(BenchmarkId::from_parameter(name), &lib_ref, |b, l| {
-            b.iter(|| black_box(map_aig(&aig, &bnd, l.clone(), MapGoal::Area).unwrap().area_um2))
+            b.iter(|| {
+                black_box(map_aig(&aig, &bnd, l.clone(), MapGoal::Area, 1).unwrap().area_um2)
+            })
         });
     }
     group.bench_function("generic_delay", |b| {
         b.iter(|| {
-            black_box(map_aig(&aig, &bnd, Library::generic(), MapGoal::Delay).unwrap().delay_ps)
+            black_box(map_aig(&aig, &bnd, Library::generic(), MapGoal::Delay, 1).unwrap().delay_ps)
         })
     });
     group.finish();
@@ -40,12 +43,14 @@ fn bench_xor_rich(c: &mut Criterion) {
     let (aig, bnd) = Aig::from_netlist(&parity).unwrap();
     let mut group = c.benchmark_group("map_parity64");
     group.bench_function("cmos", |b| {
-        b.iter(|| black_box(map_aig(&aig, &bnd, Library::generic(), MapGoal::Area).unwrap().cells))
+        b.iter(|| {
+            black_box(map_aig(&aig, &bnd, Library::generic(), MapGoal::Area, 1).unwrap().cells)
+        })
     });
     group.bench_function("polarity", |b| {
         b.iter(|| {
             black_box(
-                map_aig(&aig, &bnd, Library::controlled_polarity(), MapGoal::Area)
+                map_aig(&aig, &bnd, Library::controlled_polarity(), MapGoal::Area, 1)
                     .unwrap()
                     .cells,
             )
@@ -56,7 +61,7 @@ fn bench_xor_rich(c: &mut Criterion) {
 
 /// Thread-scaling row for `scripts/bench_flow.sh`: cut-based mapping with
 /// library tabulation, cut enumeration, and match selection fanned out in
-/// topological waves (`map_aig_threaded`), reported as the projected wall
+/// topological waves, reported as the projected wall
 /// clock of the busiest worker — the same convention as the other kernels.
 fn bench_map_scaling(_c: &mut Criterion) {
     let design = generate::random_logic(generate::RandomLogicConfig {
@@ -68,14 +73,33 @@ fn bench_map_scaling(_c: &mut Criterion) {
     let (aig, bnd) = Aig::from_netlist(&design).unwrap();
     for threads in scaling_threads() {
         let s = median_seconds(5, || {
-            map_aig_threaded(&aig, &bnd, Library::generic(), MapGoal::Area, threads)
+            map_aig(&aig, &bnd, Library::generic(), MapGoal::Area, threads)
                 .unwrap()
-                .1
+                .par
                 .projected_wall_s()
         });
         println!("BENCHLINE map_par/{threads} {s:.9e}");
     }
 }
 
-criterion_group!(benches, bench_map, bench_xor_rich, bench_map_scaling);
+/// The hierarchical mapper on the optimized 10⁴ mesh: serial wall clock plus
+/// the two work counts that scale it. `map:claim` must stay at one visit per
+/// realized gate — it was 102× that when every block walked its full cone.
+fn bench_map_scale(_c: &mut Criterion) {
+    let design = generate::scale_mesh(10_000, 1).unwrap();
+    let (aig, bnd) = Aig::from_netlist(&design).unwrap();
+    let (opt, _) = optimize_aig(&aig, DEFAULT_REWRITE_PASSES, None);
+    let map = || map_aig(&opt, &bnd, Library::generic(), MapGoal::Area, 1).unwrap();
+    let s = median_seconds(5, || {
+        let t = Instant::now();
+        black_box(map().cells);
+        t.elapsed().as_secs_f64()
+    });
+    let m = map();
+    println!("BENCHLINE map/mesh10k {s:.9e}");
+    println!("BENCHLINE map:cuts/mesh10k {}", m.cuts_enumerated);
+    println!("BENCHLINE map:claim/mesh10k {}", m.cone_visits);
+}
+
+criterion_group!(benches, bench_map, bench_xor_rich, bench_map_scaling, bench_map_scale);
 criterion_main!(benches);

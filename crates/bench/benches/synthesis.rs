@@ -2,11 +2,17 @@
 //! runtime and the underlying AIG optimization passes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use eda_logic::{optimize_aig, synthesize, Aig, MapGoal, SynthesisEffort};
+use eda_bench::median_seconds;
+use eda_logic::{
+    optimize_aig, synthesize, Aig, MapGoal, SynthesisEffort, SynthesisOptions,
+    DEFAULT_REWRITE_PASSES,
+};
 use eda_netlist::{generate, Library};
 use std::hint::black_box;
+use std::time::Instant;
 
 fn bench_synthesis(c: &mut Criterion) {
+    let opts = SynthesisOptions::default();
     let mut group = c.benchmark_group("synthesis");
     for gates in [200usize, 500, 1000] {
         let design = generate::random_logic(generate::RandomLogicConfig {
@@ -23,6 +29,7 @@ fn bench_synthesis(c: &mut Criterion) {
                         Library::nand_inv_2006(),
                         SynthesisEffort::Baseline2006,
                         MapGoal::Area,
+                        &opts,
                     )
                     .unwrap()
                     .area_um2,
@@ -32,9 +39,15 @@ fn bench_synthesis(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("advanced2016", gates), &design, |b, d| {
             b.iter(|| {
                 black_box(
-                    synthesize(d, Library::generic(), SynthesisEffort::Advanced2016, MapGoal::Area)
-                        .unwrap()
-                        .area_um2,
+                    synthesize(
+                        d,
+                        Library::generic(),
+                        SynthesisEffort::Advanced2016,
+                        MapGoal::Area,
+                        &opts,
+                    )
+                    .unwrap()
+                    .area_um2,
                 )
             })
         });
@@ -53,9 +66,24 @@ fn bench_aig_passes(c: &mut Criterion) {
     let mut group = c.benchmark_group("aig");
     group.bench_function("balance", |b| b.iter(|| black_box(aig.balance().num_ands())));
     group.bench_function("rewrite", |b| b.iter(|| black_box(aig.rewrite().num_ands())));
-    group.bench_function("optimize_script", |b| b.iter(|| black_box(optimize_aig(&aig).num_ands())));
+    group.bench_function("optimize_script", |b| {
+        b.iter(|| black_box(optimize_aig(&aig, DEFAULT_REWRITE_PASSES, None).0.num_ands()))
+    });
     group.finish();
 }
 
-criterion_group!(benches, bench_synthesis, bench_aig_passes);
+/// One `Aig::rewrite` pass over the 10⁴ mesh: the cut kernel plus the
+/// ISOP-cost table at the size where synthesis starts to own the flow wall.
+fn bench_rewrite_scale(_c: &mut Criterion) {
+    let design = generate::scale_mesh(10_000, 1).unwrap();
+    let (aig, _) = Aig::from_netlist(&design).unwrap();
+    let s = median_seconds(5, || {
+        let t = Instant::now();
+        black_box(aig.rewrite().num_ands());
+        t.elapsed().as_secs_f64()
+    });
+    println!("BENCHLINE rewrite/mesh10k {s:.9e}");
+}
+
+criterion_group!(benches, bench_synthesis, bench_aig_passes, bench_rewrite_scale);
 criterion_main!(benches);

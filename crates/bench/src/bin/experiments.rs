@@ -75,7 +75,7 @@ use eda_dft::{
     scan_wirelength, AtpgConfig, CombView, TestAccess,
 };
 use eda_litho::{required_masks, run_opc, Layout, OpcConfig, OpticalModel};
-use eda_logic::{synthesize, MapGoal, SynthesisEffort};
+use eda_logic::{synthesize, MapGoal, SynthesisEffort, SynthesisOptions};
 use eda_netlist::{generate, Library, Netlist};
 use eda_place::{
     anneal, place_global, place_hierarchical, place_parallel, plan_buffers, AnnealConfig,
@@ -1611,12 +1611,14 @@ fn b1() -> CliResult {
         liberty::parse_liberty(&as_liberty)?,
         SynthesisEffort::Advanced2016,
         MapGoal::Area,
+        &SynthesisOptions::default(),
     )?;
     let b = synthesize(
         &design,
         liberty::parse_clf(&as_clf)?,
         SynthesisEffort::Advanced2016,
         MapGoal::Area,
+        &SynthesisOptions::default(),
     )?;
     let ec = check_equivalence(&design, &a.netlist, &[], &[], 1 << 20)?;
     println!(
@@ -1690,14 +1692,16 @@ fn c2() -> CliResult {
         ),
     ];
     println!("{:>12} {:>12} {:>14} {:>8}", "design", "CMOS um2", "polarity um2", "gain");
+    let opts = SynthesisOptions::default();
     for (name, d) in &designs {
         let cmos =
-            synthesize(d, Library::generic(), SynthesisEffort::Advanced2016, MapGoal::Area)?;
+            synthesize(d, Library::generic(), SynthesisEffort::Advanced2016, MapGoal::Area, &opts)?;
         let pol = synthesize(
             d,
             Library::controlled_polarity(),
             SynthesisEffort::Advanced2016,
             MapGoal::Area,
+            &opts,
         )?;
         println!(
             "{:>12} {:>12.1} {:>14.1} {:>7.1}%",
@@ -1733,15 +1737,17 @@ fn c3() -> CliResult {
         "design", "2006 um2", "2016 um2", "area", "2006 ps", "2016 ps", "perf"
     );
     let (mut a06, mut a16, mut p06, mut p16, mut w06, mut w16) = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0);
+    let opts = SynthesisOptions::default();
     for (name, d) in &designs {
         let base = synthesize(
             d,
             Library::nand_inv_2006(),
             SynthesisEffort::Baseline2006,
             MapGoal::Area,
+            &opts,
         )?;
         let adv =
-            synthesize(d, Library::generic(), SynthesisEffort::Advanced2016, MapGoal::Area)?;
+            synthesize(d, Library::generic(), SynthesisEffort::Advanced2016, MapGoal::Area, &opts)?;
         let tb = TimingAnalysis::run(&base.netlist, &TimingConfig::default())?;
         let ta = TimingAnalysis::run(&adv.netlist, &TimingConfig::default())?;
         let act = ActivityConfig::default();

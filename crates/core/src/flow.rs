@@ -33,7 +33,7 @@ use crate::store::{FlowStore, Lookup, QorRow, StageRow, Store, Table};
 use crate::telemetry::{SpanKind, Telemetry};
 use eda_dft::{fault_list, fault_sim_threaded, insert_scan, random_patterns, reorder_chains, scan_wirelength, CombView};
 use eda_litho::{decompose, run_opc_stats, Layout, OpcConfig, OpticalModel};
-use eda_logic::{check_equivalence, synthesize_threaded_memo, EcVerdict};
+use eda_logic::{check_equivalence, synthesize, EcVerdict, SynthesisOptions};
 use eda_netlist::memo::fnv1a;
 use eda_netlist::{Netlist, NetlistStats, SubstageMemo};
 use eda_place::{anneal, place_global, place_multilevel, plan_buffers, synthesize_clock_tree, AnnealConfig, CtsConfig, Die, GlobalConfig, MultilevelConfig, ParallelConfig};
@@ -346,19 +346,19 @@ pub(crate) fn run_flow_shared(
     if st.cursor < 1 {
         let stage = "1_synthesis";
         let (netlist, verified, par) = sup.run_stage(stage, |ctx: StageCtx<'_>| {
-            let (synth, par) = synthesize_threaded_memo(
-                design,
-                lib.clone(),
-                cfg.synthesis,
-                cfg.map_goal,
-                cfg.threads,
-                cfg.aig_rewrite_passes,
-                sub.as_ref().map(|s| s as &dyn SubstageMemo),
-            )
-            .map_err(StageFailure::Synthesis)?;
+            let opts = SynthesisOptions {
+                threads: cfg.threads,
+                rewrite_passes: cfg.aig_rewrite_passes,
+                memo: sub.as_ref().map(|s| s as &dyn SubstageMemo),
+            };
+            let synth = synthesize(design, lib.clone(), cfg.synthesis, cfg.map_goal, &opts)
+                .map_err(StageFailure::Synthesis)?;
+            let par = synth.par;
             ctx.tel.count("synth.aig_nodes_before", synth.aig_nodes_before as u64);
             ctx.tel.count("synth.aig_nodes_after", synth.aig_nodes_after as u64);
             ctx.tel.count("synth.cells", synth.cells as u64);
+            ctx.tel.count("synth.cone_visits", synth.cone_visits);
+            ctx.tel.count("synth.cuts_enumerated", synth.cuts_enumerated);
             for pass in &synth.passes {
                 let span = ctx.tel.span(SpanKind::Kernel, &format!("aig:{}", pass.name));
                 span.tag("nodes_before", pass.nodes_before);

@@ -6,10 +6,13 @@
 //! representation from which both conventional CMOS mapping and
 //! functionality-enhanced-device mapping proceed.
 
+use crate::cuts::{CutSet, K};
 use crate::isop::{isop, sop_aig_cost};
 use crate::tt::TruthTable;
+use eda_netlist::memo::Fnv1a;
 use eda_netlist::{CellFunction, NetDriver, Netlist};
 use std::collections::HashMap;
+use std::fmt::Write;
 
 /// A literal: an AIG node with an optional complement flag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -46,7 +49,7 @@ impl std::ops::Not for Lit {
 
 /// One AIG node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AigNode {
+pub(crate) enum AigNode {
     /// The constant node (index 0).
     Const,
     /// Primary input number `usize`.
@@ -482,84 +485,32 @@ impl Aig {
     /// resynthesizes each chosen cone from its truth table via ISOP, and
     /// rebuilds. Usually reduces AND count substantially on redundant logic.
     pub fn rewrite(&self) -> Aig {
-        const K: usize = 4;
-        const MAX_CUTS: usize = 8;
-
-        #[derive(Clone)]
-        struct Cut {
-            leaves: Vec<u32>,
-            tt: TruthTable,
-        }
-
         let n_nodes = self.nodes.len();
         let refs = self.refcounts();
-        let mut cuts: Vec<Vec<Cut>> = vec![Vec::new(); n_nodes];
+        let cuts = CutSet::enumerate(&self.nodes);
+        let mut cone_costs = IsopCosts::new();
         // Choice per AND node: None = direct AND of children, Some(k) = cut k.
         let mut choice: Vec<Option<usize>> = vec![None; n_nodes];
         let mut flow: Vec<f64> = vec![0.0; n_nodes];
 
         for i in 0..n_nodes {
-            match self.nodes[i] {
-                AigNode::Const => {
-                    cuts[i].push(Cut { leaves: vec![i as u32], tt: TruthTable::var(K, 0) });
-                    flow[i] = 0.0;
+            let AigNode::And(a, b) = self.nodes[i] else { continue };
+            // Cost of direct construction.
+            let mut best = 1.0 + flow[a.node()] + flow[b.node()];
+            for (k, c) in cuts.of(i).iter().enumerate() {
+                // Skips the trivial cut (k = 0) along with any other
+                // single-leaf cut.
+                if c.leaves().len() < 2 {
+                    continue;
                 }
-                AigNode::Pi(_) => {
-                    cuts[i].push(Cut { leaves: vec![i as u32], tt: TruthTable::var(K, 0) });
-                    flow[i] = 0.0;
-                }
-                AigNode::And(a, b) => {
-                    let mut merged: Vec<Cut> = Vec::new();
-                    for ca in &cuts[a.node()] {
-                        for cb in &cuts[b.node()] {
-                            let mut leaves: Vec<u32> = ca.leaves.clone();
-                            for &l in &cb.leaves {
-                                if !leaves.contains(&l) {
-                                    leaves.push(l);
-                                }
-                            }
-                            if leaves.len() > K {
-                                continue;
-                            }
-                            leaves.sort_unstable();
-                            if merged.iter().any(|c| c.leaves == leaves) {
-                                continue;
-                            }
-                            // Recompute child functions on the merged leaves.
-                            let ta = Self::cut_tt_on(&ca.leaves, &ca.tt, &leaves);
-                            let tb = Self::cut_tt_on(&cb.leaves, &cb.tt, &leaves);
-                            let fa = if a.is_complemented() { ta.not() } else { ta };
-                            let fb = if b.is_complemented() { tb.not() } else { tb };
-                            merged.push(Cut { leaves, tt: fa.and(&fb) });
-                        }
-                    }
-                    merged.sort_by_key(|c| c.leaves.len());
-                    merged.truncate(MAX_CUTS - 1);
-                    // Cost of direct construction.
-                    let direct = 1.0 + flow[a.node()] + flow[b.node()];
-                    let mut best = direct;
-                    let mut best_choice = None;
-                    for (k, c) in merged.iter().enumerate() {
-                        if c.leaves.len() < 2 {
-                            continue;
-                        }
-                        let cover = isop(&c.tt, &c.tt);
-                        let cone_cost = sop_aig_cost(&cover) as f64;
-                        let leaf_flow: f64 = c.leaves.iter().map(|&l| flow[l as usize]).sum();
-                        let cost = cone_cost + leaf_flow;
-                        if cost < best {
-                            best = cost;
-                            best_choice = Some(k);
-                        }
-                    }
-                    choice[i] = best_choice;
-                    flow[i] = best / (refs[i].max(1) as f64);
-                    // Trivial cut for parents.
-                    merged.insert(0, Cut { leaves: vec![i as u32], tt: TruthTable::var(K, 0) });
-                    merged.truncate(MAX_CUTS);
-                    cuts[i] = merged;
+                let leaf_flow: f64 = c.leaves().iter().map(|&l| flow[l as usize]).sum();
+                let cost = cone_costs.of(c.tt) as f64 + leaf_flow;
+                if cost < best {
+                    best = cost;
+                    choice[i] = Some(k);
                 }
             }
+            flow[i] = best / (refs[i].max(1) as f64);
         }
 
         // Required set from POs.
@@ -577,12 +528,7 @@ impl Aig {
                         stack.push(a.node());
                         stack.push(b.node());
                     }
-                    Some(k) => {
-                        // +1: account for the trivial cut inserted at front.
-                        for &l in &cuts[n][k + 1].leaves {
-                            stack.push(l as usize);
-                        }
-                    }
+                    Some(k) => stack.extend(cuts.of(n)[k].leaves().iter().map(|&l| l as usize)),
                 },
             }
         }
@@ -605,14 +551,14 @@ impl Aig {
                             out.and(ma, mb)
                         }
                         Some(k) => {
-                            let cut = &cuts[i][k + 1];
-                            let cover = isop(&cut.tt, &cut.tt);
-                            let leaf_lits: Vec<Lit> =
-                                cut.leaves.iter().map(|&l| map[l as usize]).collect();
+                            let cut = &cuts.of(i)[k];
+                            let f = TruthTable::from_bits(K, cut.tt as u64);
+                            let cover = isop(&f, &f);
                             let mut terms: Vec<Lit> = Vec::with_capacity(cover.len());
                             for cube in cover.cubes() {
                                 let mut lits = Vec::new();
-                                for (v, &leaf) in leaf_lits.iter().enumerate() {
+                                for (v, &l) in cut.leaves().iter().enumerate() {
+                                    let leaf = map[l as usize];
                                     match cube.literal(v) {
                                         0b01 => lits.push(leaf),
                                         0b10 => lits.push(!leaf),
@@ -634,35 +580,14 @@ impl Aig {
         out
     }
 
-    /// Re-expresses a cut function computed over `old_leaves` on the
-    /// positions of `new_leaves` (a superset).
-    fn cut_tt_on(old_leaves: &[u32], tt: &TruthTable, new_leaves: &[u32]) -> TruthTable {
-        const K: usize = 4;
-        // Build permutation: variable i of the old tt is old_leaves[i], which
-        // sits at position p in new_leaves.
-        let mut out = TruthTable::zero(K);
-        for row in 0..(1usize << K) {
-            // Assignment of new leaves -> assignment of old vars.
-            let mut old_row = 0usize;
-            for (i, &ol) in old_leaves.iter().enumerate() {
-                let p = new_leaves.iter().position(|&nl| nl == ol).expect("superset");
-                if row >> p & 1 == 1 {
-                    old_row |= 1 << i;
-                }
-            }
-            if tt.bits() >> old_row & 1 == 1 {
-                out = TruthTable::from_bits(K, out.bits() | (1u64 << row));
-            }
-        }
-        out
-    }
-
     /// Stable 64-bit content digest of the exact graph structure (nodes,
     /// strash-canonical AND operands, PI names, PO bindings). Two AIGs with
     /// equal digests are structurally identical, so a memoized pass result
     /// keyed on its input digest replays bit-identically.
     pub fn digest(&self) -> u64 {
-        eda_netlist::memo::fnv1a(self.to_store_text().bytes())
+        let mut h = Fnv1a::new();
+        self.write_store_text(&mut h).expect("hashing never fails");
+        h.finish()
     }
 
     /// Serializes the graph to the line-oriented store text used by the
@@ -670,29 +595,34 @@ impl Aig {
     /// rows). [`Aig::from_store_text`] restores the identical structure.
     pub fn to_store_text(&self) -> String {
         let mut out = String::with_capacity(16 * self.nodes.len() + 64);
-        out.push_str(&format!(
-            "aig v1 {} {} {}\n",
-            self.nodes.len(),
-            self.pi_names.len(),
-            self.pos.len()
-        ));
+        self.write_store_text(&mut out).expect("writing to a String never fails");
+        out
+    }
+
+    /// The one definition of the store text: [`Aig::to_store_text`] collects
+    /// it, [`Aig::digest`] hashes it as it streams by.
+    fn write_store_text(&self, out: &mut impl Write) -> std::fmt::Result {
+        writeln!(out, "aig v1 {} {} {}", self.nodes.len(), self.pi_names.len(), self.pos.len())?;
         for n in &self.nodes {
             match *n {
-                AigNode::Const => out.push_str("n c\n"),
-                AigNode::Pi(k) => out.push_str(&format!("n i {k}\n")),
-                AigNode::And(a, b) => out.push_str(&format!("n a {} {}\n", a.0, b.0)),
+                AigNode::Const => out.write_str("n c\n")?,
+                AigNode::Pi(k) => writeln!(out, "n i {k}")?,
+                AigNode::And(a, b) => writeln!(out, "n a {} {}", a.0, b.0)?,
             }
         }
         for name in &self.pi_names {
-            out.push_str(&format!("p {}\n", store_escape(name)));
+            out.write_str("p ")?;
+            write_store_escaped(out, name)?;
+            out.write_char('\n')?;
         }
         for (name, l) in &self.pos {
-            out.push_str(&format!("o {} {}\n", store_escape(name), l.0));
+            out.write_str("o ")?;
+            write_store_escaped(out, name)?;
+            writeln!(out, " {}", l.0)?;
         }
         // Explicit terminator so a truncated tail can never parse as a
         // complete (shorter) graph.
-        out.push_str("end\n");
-        out
+        out.write_str("end\n")
     }
 
     /// Parses the store text written by [`Aig::to_store_text`], rebuilding
@@ -755,42 +685,51 @@ impl Aig {
         Some(g)
     }
 
-    /// Per-node iterator access for mappers: `(index, is_and, children)`.
-    pub(crate) fn raw_nodes(&self) -> Vec<RawNode> {
-        self.nodes
-            .iter()
-            .map(|n| match *n {
-                AigNode::Const => RawNode::Const,
-                AigNode::Pi(k) => RawNode::Pi(k),
-                AigNode::And(a, b) => RawNode::And(a, b),
-            })
-            .collect()
+    /// The node array, in topological order, for sibling modules (the cut
+    /// kernel and the technology mapper).
+    pub(crate) fn nodes(&self) -> &[AigNode] {
+        &self.nodes
     }
 }
 
-/// Read-only node view for sibling modules (the technology mapper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RawNode {
-    Const,
-    Pi(usize),
-    And(Lit, Lit),
+/// ISOP structural cost of every 4-input function a rewrite pass meets,
+/// filled on first use: one [`isop`] per distinct function instead of one per
+/// candidate cut.
+struct IsopCosts(Vec<u8>);
+
+impl IsopCosts {
+    /// No cover of a 4-input function reaches this many AIG nodes.
+    const UNSET: u8 = u8::MAX;
+
+    fn new() -> IsopCosts {
+        IsopCosts(vec![Self::UNSET; 1 << (1 << K)])
+    }
+
+    /// `sop_aig_cost(&isop(f, f))` for the function with truth table `tt`.
+    fn of(&mut self, tt: u16) -> u32 {
+        let slot = &mut self.0[tt as usize];
+        if *slot == Self::UNSET {
+            let f = TruthTable::from_bits(K, tt as u64);
+            *slot = sop_aig_cost(&isop(&f, &f)) as u8;
+        }
+        *slot as u32
+    }
 }
 
-/// %-escapes spaces, `%` and control bytes so names stay single-token on a
-/// space-split store line.
-fn store_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Writes `s` with spaces, `%` and control bytes %-escaped, so names stay
+/// single-token on a space-split store line.
+fn write_store_escaped(out: &mut impl Write, s: &str) -> std::fmt::Result {
     for b in s.bytes() {
         if b == b' ' || b == b'%' || b < 0x20 || b == 0x7f {
-            out.push_str(&format!("%{b:02x}"));
+            write!(out, "%{b:02x}")?;
         } else {
-            out.push(b as char);
+            out.write_char(b as char)?;
         }
     }
-    out
+    Ok(())
 }
 
-/// Inverse of [`store_escape`]; `None` on malformed escapes or non-UTF-8.
+/// Inverse of [`write_store_escaped`]; `None` on malformed escapes or non-UTF-8.
 fn store_unescape(s: &str) -> Option<String> {
     let bytes = s.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
@@ -1000,6 +939,37 @@ mod tests {
         }
         // Trailing garbage is rejected too.
         assert!(Aig::from_store_text(&format!("{text}junk\n")).is_none());
+    }
+
+    #[test]
+    fn digests_are_pinned_and_equal_the_hashed_store_text() {
+        // Values recorded before `digest` stopped materialising the text:
+        // sub-stage store keys derive from them and must not move.
+        let pinned = [
+            (generate::switch_fabric(4, 3).unwrap(), 0xb926_fdf7_4b6f_2fa0u64),
+            (generate::array_multiplier(8).unwrap(), 0xea93_69bb_85cf_bddf),
+        ];
+        for (design, want) in pinned {
+            let (aig, _) = Aig::from_netlist(&design).unwrap();
+            assert_eq!(aig.digest(), want, "{}", design.name());
+            assert_eq!(aig.digest(), eda_netlist::memo::fnv1a(aig.to_store_text().bytes()));
+        }
+        let mut hostile = Aig::new();
+        let a = hostile.add_pi("a b%c\nd\u{e9}");
+        hostile.add_po("y z%", !a);
+        assert_eq!(hostile.digest(), eda_netlist::memo::fnv1a(hostile.to_store_text().bytes()));
+    }
+
+    #[test]
+    fn isop_cost_table_matches_isop_for_every_function() {
+        let mut costs = IsopCosts::new();
+        for tt in 0..=u16::MAX {
+            let f = TruthTable::from_bits(K, tt as u64);
+            let want = sop_aig_cost(&isop(&f, &f));
+            assert!(want < IsopCosts::UNSET as u32);
+            assert_eq!(costs.of(tt), want, "tt {tt:04x}");
+            assert_eq!(costs.of(tt), want, "tt {tt:04x}, cached");
+        }
     }
 
     #[test]

@@ -1,0 +1,365 @@
+//! The K=4 cut kernel shared by AIG rewriting and technology mapping.
+//!
+//! A cut is up to four sorted leaf nodes plus the 16-bit truth table of the
+//! root over those leaves (variable `i` = leaf `i`; the table never depends
+//! on variables at or above the leaf count). Cuts live by value in one flat
+//! arena with a `(start, count)` span per node — no per-cut heap allocation —
+//! and every node keeps its trivial cut first, followed by at most
+//! `MAX_CUTS - 1` merged cuts.
+//!
+//! The enumeration order is part of the QoR contract: child cut lists are
+//! crossed left-outer / right-inner, a merged leaf set is kept only on its
+//! first appearance, and the survivors are stably ordered by leaf count before
+//! truncation. Both consumers break cost ties by position in this list, so
+//! changing the order changes mapped netlists.
+
+use crate::aig::{AigNode, Lit};
+use eda_par::ParStats;
+
+/// Maximum leaves per cut.
+pub(crate) const K: usize = 4;
+/// Maximum cuts kept per node, the trivial cut included.
+pub(crate) const MAX_CUTS: usize = 8;
+
+/// Truth table of variable `v` over four inputs.
+const VAR: [u16; K] = [0xAAAA, 0xCCCC, 0xF0F0, 0xFF00];
+
+/// One K-feasible cut: sorted leaves and the root's function over them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Cut {
+    /// Sorted leaf nodes; entries at `len..` are zero.
+    leaves: [u32; K],
+    len: u8,
+    /// Root function over the leaves (variable `i` = `leaves[i]`).
+    pub(crate) tt: u16,
+}
+
+impl Cut {
+    const EMPTY: Cut = Cut { leaves: [0; K], len: 0, tt: 0 };
+
+    /// The cut `{node}`, under which the node is its own variable 0.
+    fn trivial(node: usize) -> Cut {
+        Cut { leaves: [node as u32, 0, 0, 0], len: 1, tt: VAR[0] }
+    }
+
+    /// The leaf nodes, ascending.
+    pub(crate) fn leaves(&self) -> &[u32] {
+        &self.leaves[..self.len as usize]
+    }
+}
+
+/// The cuts of one node, by value: what [`CutSet::node_cuts`] hands back from
+/// a worker before the arena takes them.
+#[derive(Clone, Copy)]
+pub(crate) struct CutList {
+    cuts: [Cut; MAX_CUTS],
+    len: u8,
+}
+
+impl CutList {
+    fn push(&mut self, cut: Cut) {
+        self.cuts[self.len as usize] = cut;
+        self.len += 1;
+    }
+}
+
+/// Exchanges variables `i < j` of a 4-input truth table.
+fn swap_vars(tt: u16, i: usize, j: usize) -> u16 {
+    // Rows with x_i = 1, x_j = 0 trade places with their x_i = 0, x_j = 1
+    // partners, which sit `shift` rows higher.
+    let mask = VAR[i] & !VAR[j];
+    let shift = (1 << j) - (1 << i);
+    (tt & !(mask | mask << shift)) | (tt & mask) << shift | (tt >> shift) & mask
+}
+
+/// Re-expresses `tt`, a function of variables `0..pos.len()`, with variable
+/// `i` moved to position `pos[i]`. `pos` is strictly increasing (both leaf
+/// lists are sorted), so moving the highest variable first always lands on a
+/// position the function does not yet depend on and one swap per variable
+/// suffices.
+fn expand(mut tt: u16, pos: &[u8]) -> u16 {
+    for (i, &p) in pos.iter().enumerate().rev() {
+        if p as usize != i {
+            tt = swap_vars(tt, i, p as usize);
+        }
+    }
+    tt
+}
+
+/// Sorted union of two cuts' leaves with each input leaf's position in it,
+/// or `None` when the union exceeds [`K`] leaves.
+fn union(a: &Cut, b: &Cut) -> Option<(Cut, [u8; K], [u8; K])> {
+    let (la, lb) = (a.leaves(), b.leaves());
+    let mut out = Cut::EMPTY;
+    let (mut pa, mut pb) = ([0u8; K], [0u8; K]);
+    let (mut i, mut j, mut n) = (0, 0, 0);
+    while i < la.len() || j < lb.len() {
+        if n == K {
+            return None;
+        }
+        let take_a = j == lb.len() || (i < la.len() && la[i] <= lb[j]);
+        let take_b = i == la.len() || (j < lb.len() && lb[j] <= la[i]);
+        out.leaves[n] = if take_a { la[i] } else { lb[j] };
+        if take_a {
+            pa[i] = n as u8;
+            i += 1;
+        }
+        if take_b {
+            pb[j] = n as u8;
+            j += 1;
+        }
+        n += 1;
+    }
+    out.len = n as u8;
+    Some((out, pa, pb))
+}
+
+/// Every node's cut list in one flat arena.
+pub(crate) struct CutSet {
+    cuts: Vec<Cut>,
+    /// `(start, count)` into `cuts` per node.
+    span: Vec<(u32, u8)>,
+}
+
+impl CutSet {
+    fn with_nodes(n: usize) -> CutSet {
+        CutSet { cuts: Vec::with_capacity(n * (MAX_CUTS - 2)), span: vec![(0, 0); n] }
+    }
+
+    fn store(&mut self, node: usize, list: &CutList) {
+        self.span[node] = (self.cuts.len() as u32, list.len);
+        self.cuts.extend_from_slice(&list.cuts[..list.len as usize]);
+    }
+
+    /// The cuts of `node`: its trivial cut, then the merged cuts by
+    /// ascending leaf count.
+    pub(crate) fn of(&self, node: usize) -> &[Cut] {
+        let (start, count) = self.span[node];
+        &self.cuts[start as usize..start as usize + count as usize]
+    }
+
+    /// Total cuts stored, trivial cuts included.
+    pub(crate) fn total(&self) -> usize {
+        self.cuts.len()
+    }
+
+    /// Computes the cut list of node `i` from the stored lists of its
+    /// fanins. Pure in `i` given the lower levels of the arena, so the nodes
+    /// of one topological wave can run on any worker in any order.
+    fn node_cuts(&self, nodes: &[AigNode], i: usize) -> CutList {
+        let mut list = CutList { cuts: [Cut::EMPTY; MAX_CUTS], len: 0 };
+        // The trivial cut lets parents treat this node as a leaf.
+        list.push(Cut::trivial(i));
+        let AigNode::And(a, b) = nodes[i] else { return list };
+        let mut merged = [Cut::EMPTY; MAX_CUTS * MAX_CUTS];
+        let mut n = 0;
+        let phase = |l: Lit, tt: u16| if l.is_complemented() { !tt } else { tt };
+        for ca in self.of(a.node()) {
+            for cb in self.of(b.node()) {
+                let Some((mut cut, pa, pb)) = union(ca, cb) else { continue };
+                if merged[..n].iter().any(|c| c.len == cut.len && c.leaves == cut.leaves) {
+                    continue;
+                }
+                let ta = expand(ca.tt, &pa[..ca.len as usize]);
+                let tb = expand(cb.tt, &pb[..cb.len as usize]);
+                cut.tt = phase(a, ta) & phase(b, tb);
+                merged[n] = cut;
+                n += 1;
+            }
+        }
+        // Stable order by leaf count, truncated to the per-node budget.
+        for size in 1..=K as u8 {
+            for cut in merged[..n].iter().filter(|c| c.len == size) {
+                if list.len as usize == MAX_CUTS {
+                    return list;
+                }
+                list.push(*cut);
+            }
+        }
+        list
+    }
+
+    /// Enumerates every node's cuts in index (= topological) order.
+    pub(crate) fn enumerate(nodes: &[AigNode]) -> CutSet {
+        let mut set = CutSet::with_nodes(nodes.len());
+        for i in 0..nodes.len() {
+            let list = set.node_cuts(nodes, i);
+            set.store(i, &list);
+        }
+        set
+    }
+
+    /// [`CutSet::enumerate`] wave by wave: within a logic level every node's
+    /// cut list depends only on finished lower levels, so each wave fans out
+    /// across `threads` workers and is stored back in wave order — the same
+    /// lists at any thread count.
+    pub(crate) fn enumerate_waves(
+        nodes: &[AigNode],
+        waves: &[Vec<usize>],
+        threads: usize,
+        par: &mut ParStats,
+    ) -> CutSet {
+        let mut set = CutSet::with_nodes(nodes.len());
+        for wave in waves {
+            let (lists, stats) =
+                eda_par::par_map_stats(threads, wave, |_, &i| set.node_cuts(nodes, i));
+            par.absorb(&stats);
+            for (&i, list) in wave.iter().zip(&lists) {
+                set.store(i, list);
+            }
+        }
+        set
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::aig::Aig;
+    use eda_netlist::generate;
+
+    /// The row-by-row definition [`expand`] must equal: output row `r` reads
+    /// the input row whose bit `i` is bit `pos[i]` of `r`.
+    fn expand_reference(tt: u16, pos: &[u8]) -> u16 {
+        let mut out = 0u16;
+        for row in 0..(1usize << K) {
+            let mut old_row = 0usize;
+            for (i, &p) in pos.iter().enumerate() {
+                if row >> p & 1 == 1 {
+                    old_row |= 1 << i;
+                }
+            }
+            if tt >> old_row & 1 == 1 {
+                out |= 1 << row;
+            }
+        }
+        out
+    }
+
+    /// Every strictly increasing position list into four slots, i.e. every
+    /// sorted leaf subset of a 4-leaf superset.
+    fn position_lists() -> Vec<Vec<u8>> {
+        (0u8..16).map(|m| (0..K as u8).filter(|&p| m >> p & 1 == 1).collect()).collect()
+    }
+
+    #[test]
+    fn expansion_equals_the_reference_for_every_function_of_every_subset() {
+        for pos in position_lists() {
+            // Functions of `pos.len()` variables, extended over four: all of
+            // them for up to three variables, every 4-variable function too.
+            let rows = 1u32 << pos.len();
+            for f in 0..(1u32 << rows) {
+                let mut tt = f as u16;
+                let mut width = rows;
+                while width < 16 {
+                    tt |= tt << width;
+                    width *= 2;
+                }
+                assert_eq!(expand(tt, &pos), expand_reference(tt, &pos), "tt {tt:04x} pos {pos:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn union_is_the_sorted_set_union_with_positions() {
+        // Every pair of 1..=4-leaf subsets of eight nodes (node ids offset so
+        // a real leaf never collides with the zero padding).
+        let subsets: Vec<Cut> = (1u32..256)
+            .filter(|m| m.count_ones() <= K as u32)
+            .map(|m| {
+                let mut c = Cut { len: m.count_ones() as u8, ..Cut::EMPTY };
+                for (i, l) in (0..8).filter(|l| m >> l & 1 == 1).enumerate() {
+                    c.leaves[i] = 10 + l;
+                }
+                c
+            })
+            .collect();
+        for ca in &subsets {
+            for cb in &subsets {
+                let mut want: Vec<u32> = ca.leaves().iter().chain(cb.leaves()).copied().collect();
+                want.sort_unstable();
+                want.dedup();
+                match union(ca, cb) {
+                    None => assert!(want.len() > K),
+                    Some((u, pa, pb)) => {
+                        assert_eq!(u.leaves(), &want[..]);
+                        assert!(u.leaves[want.len()..].iter().all(|&l| l == 0), "zero padding");
+                        for (i, &l) in ca.leaves().iter().enumerate() {
+                            assert_eq!(u.leaves[pa[i] as usize], l);
+                        }
+                        for (j, &l) in cb.leaves().iter().enumerate() {
+                            assert_eq!(u.leaves[pb[j] as usize], l);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Each cut's truth table is the root's function of its leaves on every
+    /// assignment the graph can produce: simulate 64 random patterns and look
+    /// each lane's leaf values up in the table. (Lanes, not free leaf
+    /// variables — one leaf may sit in another's cone, and the table is only
+    /// meaningful on consistent leaf values.)
+    #[test]
+    fn cut_truth_tables_match_simulation() {
+        let n = generate::random_logic(generate::RandomLogicConfig {
+            gates: 200,
+            flop_fraction: 0.0,
+            seed: 4,
+            ..Default::default()
+        })
+        .unwrap();
+        let (aig, _) = Aig::from_netlist(&n).unwrap();
+        let nodes = aig.nodes();
+        let mut val = vec![0u64; nodes.len()];
+        for (i, node) in nodes.iter().enumerate() {
+            let lit = |l: Lit| val[l.node()] ^ if l.is_complemented() { !0 } else { 0 };
+            val[i] = match *node {
+                AigNode::Const => 0,
+                AigNode::Pi(k) => 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(k as u64 + 1).rotate_left(k as u32),
+                AigNode::And(a, b) => lit(a) & lit(b),
+            };
+        }
+        let set = CutSet::enumerate(nodes);
+        for i in 0..nodes.len() {
+            let cuts = set.of(i);
+            assert_eq!(cuts[0], Cut::trivial(i));
+            assert!(cuts.len() <= MAX_CUTS);
+            assert!(cuts[1..].windows(2).all(|w| w[0].len <= w[1].len), "sorted by size");
+            for cut in cuts {
+                assert!(cut.leaves().windows(2).all(|w| w[0] < w[1]), "leaves strictly ascending");
+                for lane in 0..64 {
+                    let row = cut
+                        .leaves()
+                        .iter()
+                        .enumerate()
+                        .fold(0, |row, (v, &l)| row | (val[l as usize] >> lane & 1) << v);
+                    assert_eq!(
+                        u64::from(cut.tt >> row & 1),
+                        val[i] >> lane & 1,
+                        "node {i} cut {:?} lane {lane}",
+                        cut.leaves()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn wave_enumeration_equals_index_order_at_any_thread_count() {
+        let n = generate::array_multiplier(6).unwrap();
+        let (aig, _) = Aig::from_netlist(&n).unwrap();
+        let nodes = aig.nodes();
+        let serial = CutSet::enumerate(nodes);
+        let waves = crate::map::level_waves(nodes);
+        for threads in [1usize, 2, 4] {
+            let mut par = ParStats::empty();
+            let waved = CutSet::enumerate_waves(nodes, &waves, threads, &mut par);
+            assert_eq!(waved.total(), serial.total());
+            for i in 0..nodes.len() {
+                assert_eq!(waved.of(i), serial.of(i), "node {i} at {threads} threads");
+            }
+        }
+    }
+}

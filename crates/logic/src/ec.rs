@@ -311,7 +311,7 @@ fn simulate_fallback(
 mod tests {
     use super::*;
     use crate::map::MapGoal;
-    use crate::synth::{synthesize, SynthesisEffort};
+    use crate::synth::{synthesize, SynthesisEffort, SynthesisOptions};
     use eda_netlist::{generate, Library};
 
     const LIMIT: usize = 1 << 20;
@@ -320,7 +320,7 @@ mod tests {
     fn synthesis_formally_verified() {
         let d = generate::ripple_carry_adder(8).unwrap();
         let adv =
-            synthesize(&d, Library::generic(), SynthesisEffort::Advanced2016, MapGoal::Area)
+            synthesize(&d, Library::generic(), SynthesisEffort::Advanced2016, MapGoal::Area, &SynthesisOptions::default())
                 .unwrap();
         let verdict = check_equivalence(&d, &adv.netlist, &[], &[], LIMIT).unwrap();
         assert_eq!(verdict, EcVerdict::Equivalent);
@@ -380,7 +380,7 @@ mod tests {
     fn sequential_next_state_checked() {
         let d = generate::switch_fabric(3, 2).unwrap();
         let adv =
-            synthesize(&d, Library::generic(), SynthesisEffort::Advanced2016, MapGoal::Area)
+            synthesize(&d, Library::generic(), SynthesisEffort::Advanced2016, MapGoal::Area, &SynthesisOptions::default())
                 .unwrap();
         assert_eq!(
             check_equivalence(&d, &adv.netlist, &[], &[], LIMIT).unwrap(),
@@ -392,7 +392,7 @@ mod tests {
     fn tiny_budget_falls_back_to_simulation() {
         let d = generate::parity_tree(8).unwrap();
         let adv =
-            synthesize(&d, Library::generic(), SynthesisEffort::Advanced2016, MapGoal::Area)
+            synthesize(&d, Library::generic(), SynthesisEffort::Advanced2016, MapGoal::Area, &SynthesisOptions::default())
                 .unwrap();
         // 32-node budget is hopeless for BDDs; 8 inputs are enumerable.
         let verdict = check_equivalence(&d, &adv.netlist, &[], &[], 32).unwrap();

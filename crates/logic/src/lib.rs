@@ -11,13 +11,13 @@
 //! # Examples
 //!
 //! ```
-//! use eda_logic::{synthesize, MapGoal, SynthesisEffort};
+//! use eda_logic::{synthesize, MapGoal, SynthesisEffort, SynthesisOptions};
 //! use eda_netlist::{generate, Library};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let design = generate::parity_tree(16)?;
-//! let out = synthesize(&design, Library::generic(),
-//!                      SynthesisEffort::Advanced2016, MapGoal::Area)?;
+//! let out = synthesize(&design, Library::generic(), SynthesisEffort::Advanced2016,
+//!                      MapGoal::Area, &SynthesisOptions::default())?;
 //! assert!(out.area_um2 > 0.0);
 //! # Ok(())
 //! # }
@@ -26,6 +26,7 @@
 pub mod aig;
 pub mod bdd;
 pub mod cube;
+mod cuts;
 pub mod ec;
 pub mod espresso;
 pub mod isop;
@@ -40,11 +41,10 @@ pub use ec::{check_equivalence, EcError, EcVerdict};
 pub use cube::{Cover, Cube};
 pub use espresso::MinimizeOutcome;
 pub use isop::isop;
-pub use map::{map_aig, map_aig_threaded, map_naive, MapError, MapGoal, MapOutcome};
+pub use map::{map_aig, map_naive, MapError, MapGoal, MapOutcome};
 pub use npn::{npn_canon, npn_equivalent, NpnCanon};
 pub use synth::{
-    optimize_aig, optimize_aig_scripted, optimize_aig_traced, synthesize, synthesize_threaded,
-    synthesize_threaded_memo, AigPass, SynthesisEffort, SynthesisError, SynthesisOutcome,
-    AIG_MEMO_KINDS, DEFAULT_REWRITE_PASSES,
+    optimize_aig, synthesize, AigPass, SynthesisEffort, SynthesisError, SynthesisOptions,
+    SynthesisOutcome, AIG_MEMO_KINDS, DEFAULT_REWRITE_PASSES,
 };
 pub use tt::TruthTable;

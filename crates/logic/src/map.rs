@@ -11,11 +11,11 @@
 //! permutations *and* input complementations, and both output phases of every
 //! node are costed, so inverters appear only where they pay for themselves.
 
-use crate::aig::{Aig, Lit, RawNode, SeqBoundary};
-use crate::tt::TruthTable;
+use crate::aig::{Aig, AigNode, Lit, SeqBoundary};
+use crate::cuts::{CutSet, K};
 use eda_netlist::{CellFunction, CellId, InstId, Library, NetId, Netlist, NetlistError};
 use eda_par::ParStats;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Mapping objective.
@@ -63,22 +63,22 @@ impl From<NetlistError> for MapError {
     }
 }
 
-const K: usize = 4;
-const MAX_CUTS: usize = 8;
-
 /// A library pattern: a cell plus the pin assignment realizing a truth table.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Pattern {
     cell: CellId,
+    arity: u8,
     /// `perm[i]` = cut-leaf position feeding cell pin `i`.
-    perm: Vec<usize>,
+    perm: [u8; K],
     /// `neg[i]` = pin `i` reads the complemented leaf.
-    neg: Vec<bool>,
+    neg: [bool; K],
 }
 
 struct PatternTable {
-    /// 4-var truth-table bits (over cut leaves) → patterns realizing it.
-    by_tt: HashMap<u64, Vec<Pattern>>,
+    /// Per 4-input truth table (over cut leaves): 1 + the index into
+    /// `groups` of the patterns realizing it, 0 when no cell does.
+    slot: Vec<u16>,
+    groups: Vec<Vec<Pattern>>,
     inv: CellId,
     inv_area: f64,
     inv_delay: f64,
@@ -129,43 +129,63 @@ impl PatternTable {
             let arity = def.function.num_inputs();
             // First (perm, mask) hit wins per truth table — the same
             // one-pattern-per-cell rule the serial loop enforced globally.
-            let mut seen: Vec<u64> = Vec::new();
-            let mut found: Vec<(u64, Pattern)> = Vec::new();
+            let mut found: Vec<(u16, Pattern)> = Vec::new();
             for perm in permutations(arity) {
                 for mask in 0..(1u32 << arity) {
-                    let neg: Vec<bool> = (0..arity).map(|i| mask >> i & 1 == 1).collect();
+                    let mut pat =
+                        Pattern { cell: id, arity: arity as u8, perm: [0; K], neg: [false; K] };
+                    for (pin, &leaf) in perm.iter().enumerate() {
+                        pat.perm[pin] = leaf as u8;
+                        pat.neg[pin] = mask >> pin & 1 == 1;
+                    }
                     // Truth table over cut-leaf variables: pin i reads leaf
                     // perm[i] xor neg[i].
-                    let mut bits = 0u64;
+                    let mut bits = 0u16;
                     for row in 0..(1usize << K) {
                         let pins: Vec<bool> =
-                            (0..arity).map(|i| (row >> perm[i] & 1 == 1) ^ neg[i]).collect();
+                            (0..arity).map(|i| (row >> perm[i] & 1 == 1) ^ pat.neg[i]).collect();
                         if def.function.eval(&pins) {
                             bits |= 1 << row;
                         }
                     }
-                    if seen.contains(&bits) {
-                        continue;
+                    if !found.iter().any(|&(b, _)| b == bits) {
+                        found.push((bits, pat));
                     }
-                    seen.push(bits);
-                    found.push((bits, Pattern { cell: id, perm: perm.clone(), neg }));
                 }
             }
             found
         });
         par.absorb(&stats);
-        let mut by_tt: HashMap<u64, Vec<Pattern>> = HashMap::new();
-        for list in lists {
-            for (bits, pat) in list {
-                let entry = by_tt.entry(bits).or_default();
-                // Bound the alternatives per function.
-                if entry.len() >= 6 {
-                    continue;
-                }
-                entry.push(pat);
+        let mut slot = vec![0u16; 1 << (1 << K)];
+        let mut groups: Vec<Vec<Pattern>> = Vec::new();
+        for (bits, pat) in lists.into_iter().flatten() {
+            let at = &mut slot[bits as usize];
+            if *at == 0 {
+                groups.push(Vec::new());
+                *at = u16::try_from(groups.len())
+                    .map_err(|_| MapError::Internal("library realizes too many functions"))?;
+            }
+            // Bound the alternatives per function.
+            let group = &mut groups[*at as usize - 1];
+            if group.len() < 6 {
+                group.push(pat);
             }
         }
-        Ok(PatternTable { by_tt, inv, inv_area: inv_def.area_um2, inv_delay: inv_def.delay_ps })
+        Ok(PatternTable {
+            slot,
+            groups,
+            inv,
+            inv_area: inv_def.area_um2,
+            inv_delay: inv_def.delay_ps,
+        })
+    }
+
+    /// The patterns realizing the 4-input function `tt`, in library order.
+    fn patterns(&self, tt: u16) -> &[Pattern] {
+        match self.slot[tt as usize] {
+            0 => &[],
+            at => &self.groups[at as usize - 1],
+        }
     }
 }
 
@@ -180,15 +200,19 @@ pub struct MapOutcome {
     pub delay_ps: f64,
     /// Number of mapped combinational cell instances.
     pub cells: usize,
+    /// Every parallel dispatch of the run, accumulated for telemetry and
+    /// speedup projection (`chunks == 0` for [`map_naive`], which has none).
+    pub par: ParStats,
+    /// `(node, phase)` keys the netlist-construction walk expanded. Each
+    /// becomes exactly one gate, so this equals the mapped cell count less
+    /// tie cells; a larger number means cones are being re-walked.
+    pub cone_visits: u64,
+    /// Cuts the kernel kept over all nodes, trivial cuts included.
+    pub cuts_enumerated: u64,
 }
 
-#[derive(Clone)]
-struct MapCut {
-    leaves: Vec<u32>,
-    tt: TruthTable,
-}
-
-#[derive(Clone)]
+/// The chosen realization of one `(node, phase)`.
+#[derive(Clone, Copy)]
 struct Best {
     cost: f64,
     arrival: f64,
@@ -196,40 +220,29 @@ struct Best {
     /// (or a PI / constant).
     cell: Option<CellId>,
     via_inverter: bool,
-    /// `(leaf node, phase)` per cell pin, in pin order.
-    leaf_phases: Vec<(u32, bool)>,
+    arity: u8,
+    /// `(leaf node, phase)` per cell pin, in pin order; `arity` are in use.
+    leaf_phases: [(u32, bool); K],
 }
 
 impl Best {
-    fn unset() -> Best {
-        Best {
-            cost: f64::INFINITY,
-            arrival: f64::INFINITY,
-            cell: None,
-            via_inverter: false,
-            leaf_phases: Vec::new(),
-        }
+    const UNSET: Best = Best {
+        cost: f64::INFINITY,
+        arrival: f64::INFINITY,
+        cell: None,
+        via_inverter: false,
+        arity: 0,
+        leaf_phases: [(0, false); K],
+    };
+
+    fn leaves(&self) -> &[(u32, bool)] {
+        &self.leaf_phases[..self.arity as usize]
     }
 }
 
-fn tt_on(old_leaves: &[u32], tt: &TruthTable, new_leaves: &[u32]) -> Result<TruthTable, MapError> {
-    let mut out = 0u64;
-    for row in 0..(1usize << K) {
-        let mut old_row = 0usize;
-        for (i, &ol) in old_leaves.iter().enumerate() {
-            let p = new_leaves
-                .iter()
-                .position(|&nl| nl == ol)
-                .ok_or(MapError::Internal("merged cut leaves are not a superset"))?;
-            if row >> p & 1 == 1 {
-                old_row |= 1 << i;
-            }
-        }
-        if tt.bits() >> old_row & 1 == 1 {
-            out |= 1 << row;
-        }
-    }
-    Ok(TruthTable::from_bits(K, out))
+/// `(node << 1) | phase`: the identity of one realizable signal.
+fn key_of(node: u32, phase: bool) -> u32 {
+    node << 1 | phase as u32
 }
 
 /// Groups node indices into topological waves by logic level (constants and
@@ -237,11 +250,11 @@ fn tt_on(old_leaves: &[u32], tt: &TruthTable, new_leaves: &[u32]) -> Result<Trut
 /// match selection read only nodes of strictly lower level, so every wave is
 /// an independent unit of parallel work; within a wave, indices stay in
 /// ascending order so results are written back deterministically.
-fn level_waves(nodes: &[RawNode]) -> Vec<Vec<usize>> {
+pub(crate) fn level_waves(nodes: &[AigNode]) -> Vec<Vec<usize>> {
     let mut level = vec![0usize; nodes.len()];
     let mut waves: Vec<Vec<usize>> = Vec::new();
     for (i, node) in nodes.iter().enumerate() {
-        if let RawNode::And(a, b) = node {
+        if let AigNode::And(a, b) = node {
             level[i] = 1 + level[a.node()].max(level[b.node()]);
         }
         if waves.len() <= level[i] {
@@ -252,78 +265,13 @@ fn level_waves(nodes: &[RawNode]) -> Vec<Vec<usize>> {
     waves
 }
 
-/// Cut list of one node, reading only the (already final) cut lists of its
-/// fanins. Pure in `i` given `nodes` and the lower levels of `cuts`, so
-/// nodes of one wave can run on any worker without affecting the result.
-fn cuts_for_node(nodes: &[RawNode], cuts: &[Vec<MapCut>], i: usize) -> Result<Vec<MapCut>, MapError> {
-    match nodes[i] {
-        RawNode::Const | RawNode::Pi(_) => {
-            Ok(vec![MapCut { leaves: vec![i as u32], tt: TruthTable::var(K, 0) }])
-        }
-        RawNode::And(a, b) => {
-            let mut merged: Vec<MapCut> = Vec::new();
-            for ca in &cuts[a.node()] {
-                for cb in &cuts[b.node()] {
-                    let mut leaves = ca.leaves.clone();
-                    for &l in &cb.leaves {
-                        if !leaves.contains(&l) {
-                            leaves.push(l);
-                        }
-                    }
-                    if leaves.len() > K {
-                        continue;
-                    }
-                    leaves.sort_unstable();
-                    if merged.iter().any(|c| c.leaves == leaves) {
-                        continue;
-                    }
-                    let ta = tt_on(&ca.leaves, &ca.tt, &leaves)?;
-                    let tb = tt_on(&cb.leaves, &cb.tt, &leaves)?;
-                    let fa = if a.is_complemented() { ta.not() } else { ta };
-                    let fb = if b.is_complemented() { tb.not() } else { tb };
-                    merged.push(MapCut { leaves, tt: fa.and(&fb) });
-                }
-            }
-            merged.sort_by_key(|c| c.leaves.len());
-            merged.truncate(MAX_CUTS - 1);
-            // The trivial cut lets parents treat this node as a leaf. It
-            // is self-referential for this node's own matching, so the DP
-            // naturally rejects it (the leaf's best cost is still ∞).
-            merged.insert(0, MapCut { leaves: vec![i as u32], tt: TruthTable::var(K, 0) });
-            Ok(merged)
-        }
-    }
-}
-
-/// Enumerates K-feasible cuts wave-by-wave: within a level every node's cut
-/// list depends only on finished lower levels, so the wave fans out across
-/// `threads` workers and lands back in index order — bit-identical at any
-/// thread count.
-fn enumerate_cuts(
-    nodes: &[RawNode],
-    waves: &[Vec<usize>],
-    threads: usize,
-    par: &mut ParStats,
-) -> Result<Vec<Vec<MapCut>>, MapError> {
-    let mut cuts: Vec<Vec<MapCut>> = vec![Vec::new(); nodes.len()];
-    for wave in waves {
-        let (results, stats) =
-            eda_par::par_map_stats(threads, wave, |_, &i| cuts_for_node(nodes, &cuts, i));
-        par.absorb(&stats);
-        for (&i, r) in wave.iter().zip(results) {
-            cuts[i] = r?;
-        }
-    }
-    Ok(cuts)
-}
-
 /// Best matches for both phases of one node, reading only `best` entries of
 /// strictly lower levels (cut leaves live in the node's fanin cone). Pure in
 /// `i`, so one wave's nodes can be matched on any worker in any order.
 #[allow(clippy::too_many_arguments)]
 fn match_node(
-    nodes: &[RawNode],
-    cuts: &[Vec<MapCut>],
+    nodes: &[AigNode],
+    cuts: &CutSet,
     best: &[[Best; 2]],
     refs: &[u32],
     table: &PatternTable,
@@ -332,43 +280,42 @@ fn match_node(
     i: usize,
 ) -> [Best; 2] {
     match nodes[i] {
-        RawNode::Const => [
-            Best { cost: 0.0, arrival: 0.0, ..Best::unset() },
-            Best { cost: 0.0, arrival: 0.0, ..Best::unset() },
-        ],
-        RawNode::Pi(_) => [
-            Best { cost: 0.0, arrival: 0.0, ..Best::unset() },
+        AigNode::Const => [Best { cost: 0.0, arrival: 0.0, ..Best::UNSET }; 2],
+        AigNode::Pi(_) => [
+            Best { cost: 0.0, arrival: 0.0, ..Best::UNSET },
             Best {
                 cost: table.inv_area,
                 arrival: table.inv_delay,
                 via_inverter: true,
-                ..Best::unset()
+                ..Best::UNSET
             },
         ],
-        RawNode::And(..) => {
+        AigNode::And(..) => {
             let mut out: [Best; 2] = std::array::from_fn(|ph| {
-                let mut b = Best::unset();
-                for cut in &cuts[i] {
+                let mut b = Best::UNSET;
+                for cut in cuts.of(i) {
                     // The trivial self-cut would let phase 1 "match" an
                     // inverter fed by phase 0 of the same node, creating
-                    // a realization cycle with the via-inverter path.
-                    if cut.leaves == [i as u32] {
+                    // a realization cycle with the via-inverter path. It
+                    // is self-referential for plain matching too (the
+                    // leaf's best cost is still ∞).
+                    if cut.leaves() == [i as u32] {
                         continue;
                     }
-                    let want = if ph == 0 { cut.tt } else { cut.tt.not() };
-                    let Some(pats) = table.by_tt.get(&want.bits()) else { continue };
-                    for pat in pats {
+                    let want = if ph == 0 { cut.tt } else { !cut.tt };
+                    for pat in table.patterns(want) {
+                        let arity = pat.arity as usize;
                         // Every pin must address an existing leaf.
-                        if pat.perm.iter().any(|&p| p >= cut.leaves.len()) {
+                        if pat.perm[..arity].iter().any(|&p| p as usize >= cut.leaves().len()) {
                             continue;
                         }
                         let def = lib.cell(pat.cell);
                         let mut cost = def.area_um2;
                         let mut arr: f64 = 0.0;
-                        let mut leaf_phases = Vec::with_capacity(pat.perm.len());
+                        let mut leaf_phases = [(0u32, false); K];
                         let mut feasible = true;
-                        for (pin, &lp) in pat.perm.iter().enumerate() {
-                            let leaf = cut.leaves[lp] as usize;
+                        for (pin, slot) in leaf_phases[..arity].iter_mut().enumerate() {
+                            let leaf = cut.leaves()[pat.perm[pin] as usize] as usize;
                             let phase = pat.neg[pin];
                             let lb = &best[leaf][phase as usize];
                             if !lb.cost.is_finite() {
@@ -377,7 +324,7 @@ fn match_node(
                             }
                             cost += lb.cost / refs[leaf].max(1) as f64;
                             arr = arr.max(lb.arrival);
-                            leaf_phases.push((leaf as u32, phase));
+                            *slot = (leaf as u32, phase);
                         }
                         if !feasible {
                             continue;
@@ -397,6 +344,7 @@ fn match_node(
                                 arrival,
                                 cell: Some(pat.cell),
                                 via_inverter: false,
+                                arity: pat.arity,
                                 leaf_phases,
                             };
                         }
@@ -406,7 +354,7 @@ fn match_node(
             });
             // Consider realizing each phase by inverting the other.
             for ph in 0..2 {
-                let other = out[1 - ph].clone();
+                let other = out[1 - ph];
                 if !other.cost.is_finite() || other.via_inverter {
                     continue;
                 }
@@ -417,13 +365,7 @@ fn match_node(
                     MapGoal::Delay => arrival < out[ph].arrival,
                 };
                 if better {
-                    out[ph] = Best {
-                        cost,
-                        arrival,
-                        cell: None,
-                        via_inverter: true,
-                        leaf_phases: Vec::new(),
-                    };
+                    out[ph] = Best { cost, arrival, via_inverter: true, ..Best::UNSET };
                 }
             }
             debug_assert!(
@@ -431,6 +373,86 @@ fn match_node(
                 "node {i} unmappable"
             );
             out
+        }
+    }
+}
+
+/// The first-owner claim walk over the chosen matches: one serial pass over
+/// all output cones, in realization order, on one shared `seen` bitmap.
+///
+/// [`ClaimWalk::claim`] appends the not-yet-claimed `(node, phase)` keys of a
+/// root's cone in post-order (children before the gates that read them) and
+/// stops at any key an earlier root claimed. That prune loses nothing: a
+/// key is claimed together with its whole closure, so everything below a
+/// claimed key is claimed too, and removing those already-claimed subtrees
+/// from a post-order leaves the order of the remaining keys untouched. Each
+/// root therefore gets exactly the list "full closure of the root, minus
+/// everything earlier roots own", at a total cost of one visit per distinct
+/// key instead of one per (root, key in its closure) pair.
+///
+/// Iterative on an explicit stack: the cone of a deep chain is as deep as
+/// the chain, and worker threads run on 2 MiB stacks.
+struct ClaimWalk<'a> {
+    nodes: &'a [AigNode],
+    best: &'a [[Best; 2]],
+    /// One flag per key: claimed by this or an earlier root.
+    seen: Vec<bool>,
+    /// `(key, next child to enter)` per open AND key.
+    stack: Vec<(u32, u8)>,
+    /// Gate keys expanded so far (AND keys and inverted PIs; ties excluded).
+    visits: u64,
+}
+
+impl<'a> ClaimWalk<'a> {
+    fn new(nodes: &'a [AigNode], best: &'a [[Best; 2]]) -> ClaimWalk<'a> {
+        ClaimWalk { nodes, best, seen: vec![false; 2 * nodes.len()], stack: Vec::new(), visits: 0 }
+    }
+
+    /// Claims the unclaimed part of `root`'s cone into `order`. Positive PI
+    /// references are boundary nets and never claimed; constants are claimed
+    /// (as shared tie cells) only when `ties` is set — hierarchical blocks
+    /// create their ties locally instead.
+    fn claim(&mut self, root: Lit, ties: bool, order: &mut Vec<u32>) {
+        self.enter(key_of(root.node() as u32, root.is_complemented()), ties, order);
+        while let Some(top) = self.stack.last_mut() {
+            let (key, next) = *top;
+            top.1 += 1;
+            let b = &self.best[(key >> 1) as usize][(key & 1) as usize];
+            let child = if b.via_inverter {
+                (next == 0).then_some(key ^ 1)
+            } else {
+                b.leaves().get(next as usize).map(|&(leaf, phase)| key_of(leaf, phase))
+            };
+            match child {
+                Some(child) => self.enter(child, ties, order),
+                None => {
+                    self.stack.pop();
+                    order.push(key);
+                }
+            }
+        }
+    }
+
+    fn enter(&mut self, key: u32, ties: bool, order: &mut Vec<u32>) {
+        let node = self.nodes[(key >> 1) as usize];
+        let claimable = match node {
+            AigNode::Const => ties,
+            AigNode::Pi(_) => key & 1 == 1,
+            AigNode::And(..) => true,
+        };
+        if !claimable || std::mem::replace(&mut self.seen[key as usize], true) {
+            return;
+        }
+        match node {
+            AigNode::Const => order.push(key),
+            AigNode::Pi(_) => {
+                self.visits += 1;
+                order.push(key);
+            }
+            AigNode::And(..) => {
+                self.visits += 1;
+                self.stack.push((key, 0));
+            }
         }
     }
 }
@@ -462,59 +484,10 @@ enum SpecRef {
     Foreign(u32),
 }
 
-/// The `(node, phase)` closure a block's PO cones realize, as
-/// `(node << 1) | phase` keys in canonical (post-order DFS) creation order,
-/// so children always precede the gates that read them.
-///
-/// A pure function of the AIG and the chosen matches — never of the thread
-/// count — which makes the per-block fan-out bit-identical to serial.
-fn cone_keys(nodes: &[RawNode], best: &[[Best; 2]], pos: &[Lit]) -> Vec<u32> {
-    fn visit(
-        nodes: &[RawNode],
-        best: &[[Best; 2]],
-        seen: &mut HashSet<u32>,
-        order: &mut Vec<u32>,
-        node: u32,
-        phase: bool,
-    ) {
-        let key = (node << 1) | phase as u32;
-        match nodes[node as usize] {
-            // Ties are block-local (created on demand per fragment), and
-            // positive PI references are boundary nets: neither is claimable.
-            RawNode::Const => {}
-            RawNode::Pi(_) => {
-                if phase && seen.insert(key) {
-                    order.push(key);
-                }
-            }
-            RawNode::And(..) => {
-                if !seen.insert(key) {
-                    return;
-                }
-                let b = &best[node as usize][phase as usize];
-                if b.via_inverter {
-                    visit(nodes, best, seen, order, node, !phase);
-                } else {
-                    for &(leaf, ph) in &b.leaf_phases {
-                        visit(nodes, best, seen, order, leaf, ph);
-                    }
-                }
-                order.push(key);
-            }
-        }
-    }
-    let mut seen = HashSet::new();
-    let mut order = Vec::new();
-    for lit in pos {
-        visit(nodes, best, &mut seen, &mut order, lit.node() as u32, lit.is_complemented());
-    }
-    order
-}
-
 /// A fragment gate's reference to `(node, phase)`: a boundary net, a tie, an
 /// earlier gate of this fragment, or a gate owned by an earlier block.
 fn fragment_ref(
-    nodes: &[RawNode],
+    nodes: &[AigNode],
     bi: usize,
     specs: &mut Vec<GateSpec>,
     ties: &mut [Option<u32>; 2],
@@ -523,7 +496,7 @@ fn fragment_ref(
     phase: bool,
 ) -> SpecRef {
     match nodes[node as usize] {
-        RawNode::Const => {
+        AigNode::Const => {
             let idx = phase as usize;
             let at = *ties[idx].get_or_insert_with(|| {
                 specs.push(GateSpec {
@@ -536,9 +509,9 @@ fn fragment_ref(
             });
             SpecRef::Local(at)
         }
-        RawNode::Pi(k) if !phase => SpecRef::Pi(k),
+        AigNode::Pi(k) if !phase => SpecRef::Pi(k),
         _ => {
-            let key = (node << 1) | phase as u32;
+            let key = key_of(node, phase);
             match local.get(&key) {
                 Some(&i) => SpecRef::Local(i),
                 None => SpecRef::Foreign(key),
@@ -553,7 +526,7 @@ fn fragment_ref(
 ///
 /// Returns the fragment plus one [`SpecRef`] per block PO (its D-input).
 fn build_fragment(
-    nodes: &[RawNode],
+    nodes: &[AigNode],
     best: &[[Best; 2]],
     bi: usize,
     owned: &[u32],
@@ -565,14 +538,14 @@ fn build_fragment(
     for &key in owned {
         let (node, phase) = (key >> 1, key & 1 == 1);
         let spec = match nodes[node as usize] {
-            RawNode::Const => return Err(MapError::Internal("const node claimed by a block")),
-            RawNode::Pi(k) => GateSpec {
+            AigNode::Const => return Err(MapError::Internal("const node claimed by a block")),
+            AigNode::Pi(k) => GateSpec {
                 key: Some(key),
                 name: format!("u_b{bi}_i{}", specs.len()),
                 kind: SpecKind::Inv,
                 ins: vec![SpecRef::Pi(k)],
             },
-            RawNode::And(..) => {
+            AigNode::And(..) => {
                 let b = &best[node as usize][phase as usize];
                 if b.via_inverter {
                     let src = fragment_ref(nodes, bi, &mut specs, &mut ties, &local, node, !phase);
@@ -585,7 +558,7 @@ fn build_fragment(
                 } else {
                     let cell = b.cell.ok_or(MapError::Internal("direct match lost its cell"))?;
                     let ins = b
-                        .leaf_phases
+                        .leaves()
                         .iter()
                         .map(|&(leaf, ph)| {
                             fragment_ref(nodes, bi, &mut specs, &mut ties, &local, leaf, ph)
@@ -620,34 +593,116 @@ fn build_fragment(
     Ok((specs, po_refs))
 }
 
-/// Resolves a [`SpecRef`] against the nets spliced in so far.
-fn resolve_ref(
-    r: &SpecRef,
-    local_nets: &[NetId],
-    net_of_key: &HashMap<u32, NetId>,
-    pi_nets: &[NetId],
-    flop_q_nets: &[NetId],
-    real_pis: usize,
-) -> Result<NetId, MapError> {
-    Ok(match *r {
-        SpecRef::Pi(k) => {
-            if k < real_pis {
-                pi_nets[k]
-            } else {
-                flop_q_nets[k - real_pis]
-            }
-        }
-        SpecRef::Local(i) => local_nets[i as usize],
-        SpecRef::Foreign(key) => *net_of_key
-            .get(&key)
-            .ok_or(MapError::Internal("foreign block reference realized out of order"))?,
-    })
+/// The nets of everything realized so far: boundary nets for positive PI
+/// references, one slot per `(node, phase)` key for gates and shared ties.
+struct Nets<'a> {
+    nodes: &'a [AigNode],
+    pi_nets: &'a [NetId],
+    flop_q_nets: &'a [NetId],
+    of_key: Vec<Option<NetId>>,
 }
 
-/// Maps an AIG onto `lib` with phase-complete cut matching.
+impl Nets<'_> {
+    fn of_pi(&self, k: usize) -> NetId {
+        if k < self.pi_nets.len() {
+            self.pi_nets[k]
+        } else {
+            self.flop_q_nets[k - self.pi_nets.len()]
+        }
+    }
+
+    /// The net carrying `key`, which must have been realized already.
+    fn of(&self, key: u32) -> Result<NetId, MapError> {
+        match self.nodes[(key >> 1) as usize] {
+            AigNode::Pi(k) if key & 1 == 0 => Ok(self.of_pi(k)),
+            _ => self.of_key[key as usize]
+                .ok_or(MapError::Internal("gate input realized out of order")),
+        }
+    }
+
+    /// Resolves a fragment's [`SpecRef`] against the nets spliced in so far.
+    fn of_ref(&self, r: &SpecRef, local_nets: &[NetId]) -> Result<NetId, MapError> {
+        match *r {
+            SpecRef::Pi(k) => Ok(self.of_pi(k)),
+            SpecRef::Local(i) => Ok(local_nets[i as usize]),
+            SpecRef::Foreign(key) => self.of(key),
+        }
+    }
+}
+
+/// Enumerates cuts and selects the best match for both phases of every node,
+/// wave by wave across `threads` workers. Returns the matches plus the number
+/// of cuts the kernel kept.
+fn choose_matches(
+    nodes: &[AigNode],
+    table: &PatternTable,
+    lib: &Library,
+    goal: MapGoal,
+    threads: usize,
+    par: &mut ParStats,
+) -> (Vec<[Best; 2]>, u64) {
+    let waves = level_waves(nodes);
+    let cuts = CutSet::enumerate_waves(nodes, &waves, threads, par);
+    let mut refs = vec![1u32; nodes.len()];
+    for node in nodes {
+        if let AigNode::And(a, b) = node {
+            refs[a.node()] += 1;
+            refs[b.node()] += 1;
+        }
+    }
+    let mut best: Vec<[Best; 2]> = vec![[Best::UNSET; 2]; nodes.len()];
+    for wave in &waves {
+        let (results, stats) = eda_par::par_map_stats(threads, wave, |_, &i| {
+            match_node(nodes, &cuts, &best, &refs, table, lib, goal, i)
+        });
+        par.absorb(&stats);
+        for (&i, r) in wave.iter().zip(results) {
+            best[i] = r;
+        }
+    }
+    (best, cuts.total() as u64)
+}
+
+/// Splits a hierarchical design's output cones into per-block groups and a
+/// tail, as indices into the AIG's POs: labelled flop D-cones by block, in
+/// first-appearance order over the flop boundary; unlabelled flop cones and
+/// real POs last, so shared logic is claimed by a block rather than by an
+/// anonymous cone.
+fn group_outputs(boundary: &SeqBoundary) -> (Vec<(&str, Vec<usize>)>, Vec<usize>) {
+    let mut blocks: Vec<(&str, Vec<usize>)> = Vec::new();
+    let mut index_of: HashMap<&str, usize> = HashMap::new();
+    let mut tail = Vec::new();
+    for (fi, fb) in boundary.flops.iter().enumerate() {
+        let poi = boundary.real_pos + fi;
+        match fb.block.as_deref() {
+            Some(b) => {
+                let bi = *index_of.entry(b).or_insert_with(|| {
+                    blocks.push((b, Vec::new()));
+                    blocks.len() - 1
+                });
+                blocks[bi].1.push(poi);
+            }
+            None => tail.push(poi),
+        }
+    }
+    tail.extend(0..boundary.real_pos);
+    (blocks, tail)
+}
+
+/// Maps an AIG onto `lib` with phase-complete cut matching, the hot phases —
+/// library tabulation, cut enumeration, and match selection — fanned out
+/// across `threads` workers via `eda-par` (`0` = all cores, `1` = serial).
 ///
-/// Serial convenience wrapper over [`map_aig_threaded`]; the result is
-/// bit-identical to the threaded path at any worker count.
+/// Cut enumeration and matching parallelize by **topological wave**: all
+/// nodes of one logic level are independent given the finished levels below
+/// them, so each wave is one deterministic dispatch and the result is
+/// bit-identical for any `threads`. Netlist construction starts with one
+/// serial [`ClaimWalk`] that hands every `(node, phase)` to the first output
+/// cone that needs it; on hierarchical designs each block's claimed gates are
+/// then built as a detached fragment in parallel ([`build_fragment`]) and
+/// spliced in fixed block order, so the output is bit-identical at any worker
+/// count. [`MapOutcome::par`] accumulates every dispatch for telemetry and
+/// speedup projection.
 ///
 /// Flops recorded in `boundary` are re-inserted using the library's DFF.
 ///
@@ -660,34 +715,8 @@ pub fn map_aig(
     boundary: &SeqBoundary,
     lib: Arc<Library>,
     goal: MapGoal,
-) -> Result<MapOutcome, MapError> {
-    map_aig_threaded(aig, boundary, lib, goal, 1).map(|(m, _)| m)
-}
-
-/// [`map_aig`] with the hot phases — library tabulation, cut enumeration,
-/// and match selection — fanned out across `threads` workers via `eda-par`.
-///
-/// Cut enumeration and matching parallelize by **topological wave**: all
-/// nodes of one logic level are independent given the finished levels below
-/// them, so each wave is one deterministic dispatch and the result is
-/// bit-identical for any `threads` (`0` = all cores). On hierarchical
-/// designs netlist reconstruction fans out too: each block's cone closure
-/// and gate fragment are built in parallel ([`cone_keys`],
-/// [`build_fragment`]) and folded in fixed block order, so the output is
-/// bit-identical at any worker count; flat designs keep the serial memoized
-/// walk byte-for-byte. The returned [`ParStats`] accumulates every dispatch
-/// for telemetry and speedup projection.
-///
-/// # Errors
-///
-/// Same contract as [`map_aig`].
-pub fn map_aig_threaded(
-    aig: &Aig,
-    boundary: &SeqBoundary,
-    lib: Arc<Library>,
-    goal: MapGoal,
     threads: usize,
-) -> Result<(MapOutcome, ParStats), MapError> {
+) -> Result<MapOutcome, MapError> {
     if lib.find_function(CellFunction::Nand(2)).is_none()
         && lib.find_function(CellFunction::And(2)).is_none()
     {
@@ -695,29 +724,9 @@ pub fn map_aig_threaded(
     }
     let mut par = ParStats::empty();
     let table = PatternTable::build(&lib, threads, &mut par)?;
-    let nodes = aig.raw_nodes();
+    let nodes = aig.nodes();
     let n = nodes.len();
-    let waves = level_waves(&nodes);
-    let cuts = enumerate_cuts(&nodes, &waves, threads, &mut par)?;
-
-    let mut refs = vec![1u32; n];
-    for node in &nodes {
-        if let RawNode::And(a, b) = node {
-            refs[a.node()] += 1;
-            refs[b.node()] += 1;
-        }
-    }
-
-    let mut best: Vec<[Best; 2]> = vec![[Best::unset(), Best::unset()]; n];
-    for wave in &waves {
-        let (results, stats) = eda_par::par_map_stats(threads, wave, |_, &i| {
-            match_node(&nodes, &cuts, &best, &refs, &table, &lib, goal, i)
-        });
-        par.absorb(&stats);
-        for (&i, r) in wave.iter().zip(results) {
-            best[i] = r;
-        }
-    }
+    let (best, cuts_enumerated) = choose_matches(nodes, &table, &lib, goal, threads, &mut par);
 
     // ---- construct the mapped netlist ----
     let mut out = Netlist::with_library("mapped", lib.clone());
@@ -730,161 +739,56 @@ pub fn map_aig_threaded(
     for fb in &boundary.flops {
         flop_q_nets.push(out.add_net(format!("{}__q", fb.name)));
     }
+    let mut nets =
+        Nets { nodes, pi_nets: &pi_nets, flop_q_nets: &flop_q_nets, of_key: vec![None; 2 * n] };
+    let mut walk = ClaimWalk::new(nodes, &best);
 
-    struct Realizer<'a> {
-        nodes: &'a [RawNode],
-        best: &'a [[Best; 2]],
-        table: &'a PatternTable,
-        pi_nets: &'a [NetId],
-        flop_q_nets: &'a [NetId],
-        real_pis: usize,
-        memo: HashMap<(u32, bool), NetId>,
-        ties: [Option<NetId>; 2],
-        counter: usize,
-    }
-
-    impl Realizer<'_> {
-        fn net_of_pi(&self, k: usize) -> NetId {
-            if k < self.real_pis {
-                self.pi_nets[k]
-            } else {
-                self.flop_q_nets[k - self.real_pis]
-            }
-        }
-
-        fn tie(&mut self, out: &mut Netlist, phase: bool) -> Result<NetId, MapError> {
-            let idx = phase as usize;
-            if let Some(nn) = self.ties[idx] {
-                return Ok(nn);
-            }
-            let f = if phase { CellFunction::Const1 } else { CellFunction::Const0 };
-            let nn = out.add_gate_fn(format!("u_tie{idx}"), f, &[]).map_err(MapError::Netlist)?;
-            self.ties[idx] = Some(nn);
-            Ok(nn)
-        }
-
-        fn realize(
-            &mut self,
-            out: &mut Netlist,
-            node: u32,
-            phase: bool,
-        ) -> Result<NetId, MapError> {
-            if let Some(&net) = self.memo.get(&(node, phase)) {
-                return Ok(net);
-            }
-            let net = match self.nodes[node as usize] {
-                RawNode::Const => self.tie(out, phase)?,
-                RawNode::Pi(k) => {
-                    if !phase {
-                        self.net_of_pi(k)
-                    } else {
-                        let base = self.net_of_pi(k);
-                        self.counter += 1;
-                        out.add_gate(format!("u_inv{}", self.counter), self.table.inv, &[base])
-                            .map_err(MapError::Netlist)?
-                    }
-                }
-                RawNode::And(..) => {
-                    let b = self.best[node as usize][phase as usize].clone();
-                    if b.via_inverter {
-                        let src = self.realize(out, node, !phase)?;
-                        self.counter += 1;
-                        out.add_gate(format!("u_inv{}", self.counter), self.table.inv, &[src])
-                            .map_err(MapError::Netlist)?
-                    } else {
-                        let cell =
-                            b.cell.ok_or(MapError::Internal("direct match lost its cell"))?;
-                        let mut ins = Vec::with_capacity(b.leaf_phases.len());
-                        for &(leaf, ph) in &b.leaf_phases {
-                            ins.push(self.realize(out, leaf, ph)?);
-                        }
-                        self.counter += 1;
-                        out.add_gate(format!("u_c{}", self.counter), cell, &ins)
-                            .map_err(MapError::Netlist)?
-                    }
-                }
-            };
-            self.memo.insert((node, phase), net);
-            Ok(net)
-        }
-    }
-
-    // Realize the chosen matches as library gates. Flat designs keep the
-    // historical serial walk, byte-identical to before. Hierarchical designs
-    // fan out per block: each block's cone closure (phase A) and gate
-    // fragment (phase C) are computed in parallel and folded in fixed block
-    // order by two cheap serial passes (claiming, B; splicing, D), so the
-    // mapped netlist is bit-identical at any thread count. Logic shared
-    // between blocks stays with the first block that needs it — the same
-    // deterministic first-owner rule the serial walk used — and every gate a
-    // block realizes carries that block's label.
+    // Realize the chosen matches as library gates. Hierarchical designs go
+    // block by block: the claim walk (serial, block order) decides which
+    // block owns which gate, each block's fragment is built in parallel, and
+    // a serial pass splices the fragments in block order, so the mapped
+    // netlist is bit-identical at any thread count. Logic shared between
+    // blocks stays with the first block that needs it, and every gate a
+    // block realizes carries that block's label. Whatever is left — all of
+    // a flat design — is realized by the tail walk below.
     let hierarchical = boundary.flops.iter().any(|fb| fb.block.is_some());
     let mut po_nets: Vec<Option<NetId>> = vec![None; aig.pos().len()];
-    let mut memo: HashMap<(u32, bool), NetId> = HashMap::new();
     let tail: Vec<usize> = if hierarchical {
-        // Group labelled flop POs by block, in first-appearance order over
-        // the flop boundary. Unlabelled cones and real POs go last so shared
-        // logic is claimed by a block rather than by an anonymous cone.
-        let mut blocks: Vec<(&str, Vec<usize>)> = Vec::new();
-        let mut index_of: HashMap<&str, usize> = HashMap::new();
-        let mut tail = Vec::new();
-        for (fi, fb) in boundary.flops.iter().enumerate() {
-            let poi = boundary.real_pos + fi;
-            match fb.block.as_deref() {
-                Some(b) => {
-                    let bi = *index_of.entry(b).or_insert_with(|| {
-                        blocks.push((b, Vec::new()));
-                        blocks.len() - 1
-                    });
-                    blocks[bi].1.push(poi);
-                }
-                None => tail.push(poi),
-            }
-        }
-        tail.extend(0..boundary.real_pos);
+        let (blocks, tail) = group_outputs(boundary);
 
-        // Phase A (parallel): per-block (node, phase) closures in canonical
-        // creation order.
+        // Phase A (serial): first-owner claiming in block order.
         let lits: Vec<Vec<Lit>> = blocks
             .iter()
             .map(|(_, pois)| pois.iter().map(|&poi| aig.pos()[poi].1).collect())
             .collect();
-        let (cones, stats) =
-            eda_par::par_tasks_stats(threads, &lits, |_, pos| cone_keys(&nodes, &best, pos));
-        par.absorb(&stats);
-
-        // Phase B (serial): first-owner claiming in block order.
-        let mut claimed: HashSet<u32> = HashSet::new();
-        let owned: Vec<Vec<u32>> = cones
-            .into_iter()
-            .map(|cone| cone.into_iter().filter(|&k| claimed.insert(k)).collect())
+        let owned: Vec<Vec<u32>> = lits
+            .iter()
+            .map(|roots| {
+                let mut order = Vec::new();
+                for &root in roots {
+                    walk.claim(root, false, &mut order);
+                }
+                order
+            })
             .collect();
 
-        // Phase C (parallel): realize each block's owned gates as a detached
+        // Phase B (parallel): realize each block's owned gates as a detached
         // fragment with block-scoped names and symbolic input references.
         let jobs: Vec<usize> = (0..blocks.len()).collect();
         let (frags, stats) = eda_par::par_tasks_stats(threads, &jobs, |_, &bi| {
-            build_fragment(&nodes, &best, bi, &owned[bi], &lits[bi])
+            build_fragment(nodes, &best, bi, &owned[bi], &lits[bi])
         });
         par.absorb(&stats);
 
-        // Phase D (serial): splice fragments in block order. Foreign refs
+        // Phase C (serial): splice fragments in block order. Foreign refs
         // always point at an earlier block, so one pass resolves everything.
-        let mut net_of_key: HashMap<u32, NetId> = HashMap::new();
         for ((bname, pois), frag) in blocks.iter().zip(frags) {
             let (specs, po_refs) = frag?;
             let mut local_nets: Vec<NetId> = Vec::with_capacity(specs.len());
             for spec in specs {
                 let mut ins = Vec::with_capacity(spec.ins.len());
                 for r in &spec.ins {
-                    ins.push(resolve_ref(
-                        r,
-                        &local_nets,
-                        &net_of_key,
-                        &pi_nets,
-                        &flop_q_nets,
-                        boundary.real_pis,
-                    )?);
+                    ins.push(nets.of_ref(r, &local_nets)?);
                 }
                 let net = match spec.kind {
                     SpecKind::Tie(phase) => {
@@ -900,45 +804,61 @@ pub fn map_aig_threaded(
                 };
                 out.assign_block(InstId::from_index(out.num_instances() - 1), bname);
                 if let Some(key) = spec.key {
-                    net_of_key.insert(key, net);
+                    nets.of_key[key as usize] = Some(net);
                 }
                 local_nets.push(net);
             }
             for (&poi, r) in pois.iter().zip(&po_refs) {
-                po_nets[poi] = Some(resolve_ref(
-                    r,
-                    &local_nets,
-                    &net_of_key,
-                    &pi_nets,
-                    &flop_q_nets,
-                    boundary.real_pis,
-                )?);
+                po_nets[poi] = Some(nets.of_ref(r, &local_nets)?);
             }
         }
-        // Seed the tail walk with every block-realized net so unlabelled
-        // cones reuse block logic instead of duplicating it.
-        memo = net_of_key.into_iter().map(|(k, n)| ((k >> 1, k & 1 == 1), n)).collect();
         tail
     } else {
         (0..aig.pos().len()).collect()
     };
 
-    let mut realizer = Realizer {
-        nodes: &nodes,
-        best: &best,
-        table: &table,
-        pi_nets: &pi_nets,
-        flop_q_nets: &flop_q_nets,
-        real_pis: boundary.real_pis,
-        memo,
-        ties: [None, None],
-        counter: 0,
-    };
-    for poi in tail {
-        let (_, lit) = &aig.pos()[poi];
-        po_nets[poi] =
-            Some(realizer.realize(&mut out, lit.node() as u32, lit.is_complemented())?);
+    // The tail: claim what the blocks left over (everything, on a flat
+    // design) and realize it in claim order, ties shared netlist-wide.
+    let mut order = Vec::new();
+    for &poi in &tail {
+        walk.claim(aig.pos()[poi].1, true, &mut order);
     }
+    let mut counter = 0usize;
+    let mut ins: Vec<NetId> = Vec::with_capacity(K);
+    for &key in &order {
+        let (node, phase) = ((key >> 1) as usize, key & 1 == 1);
+        let net = match nodes[node] {
+            AigNode::Const => {
+                let f = if phase { CellFunction::Const1 } else { CellFunction::Const0 };
+                out.add_gate_fn(format!("u_tie{}", phase as usize), f, &[])
+            }
+            AigNode::Pi(k) => {
+                counter += 1;
+                out.add_gate(format!("u_inv{counter}"), table.inv, &[nets.of_pi(k)])
+            }
+            AigNode::And(..) => {
+                let b = &best[node][phase as usize];
+                counter += 1;
+                if b.via_inverter {
+                    out.add_gate(format!("u_inv{counter}"), table.inv, &[nets.of(key ^ 1)?])
+                } else {
+                    let cell = b.cell.ok_or(MapError::Internal("direct match lost its cell"))?;
+                    ins.clear();
+                    for &(leaf, ph) in b.leaves() {
+                        ins.push(nets.of(key_of(leaf, ph))?);
+                    }
+                    out.add_gate(format!("u_c{counter}"), cell, &ins)
+                }
+            }
+        }
+        .map_err(MapError::Netlist)?;
+        nets.of_key[key as usize] = Some(net);
+    }
+    for &poi in &tail {
+        let lit = aig.pos()[poi].1;
+        po_nets[poi] = Some(nets.of(key_of(lit.node() as u32, lit.is_complemented()))?);
+    }
+
     let po_nets: Vec<NetId> = po_nets
         .into_iter()
         .map(|n| n.ok_or(MapError::Internal("primary output cone never realized")))
@@ -950,7 +870,7 @@ pub fn map_aig_threaded(
         let dff = lib.find_function(CellFunction::Dff).ok_or(MapError::MissingFlop)?;
         for (fi, fb) in boundary.flops.iter().enumerate() {
             let d = po_nets[boundary.real_pos + fi];
-            let ck = realizer.net_of_pi(fb.clock_pi);
+            let ck = nets.of_pi(fb.clock_pi);
             out.add_gate_with_output(fb.name.clone(), dff, &[d, ck], flop_q_nets[fi])?;
             if let Some(b) = fb.block.as_deref() {
                 out.assign_block(InstId::from_index(out.num_instances() - 1), b);
@@ -968,7 +888,15 @@ pub fn map_aig_threaded(
         .iter()
         .map(|(_, l)| best[l.node()][l.is_complemented() as usize].arrival)
         .fold(0.0f64, f64::max);
-    Ok((MapOutcome { netlist: out, area_um2: area, delay_ps: delay, cells }, par))
+    Ok(MapOutcome {
+        netlist: out,
+        area_um2: area,
+        delay_ps: delay,
+        cells,
+        par,
+        cone_visits: walk.visits,
+        cuts_enumerated,
+    })
 }
 
 /// The 2006-era baseline: structural per-node decomposition into NAND2 + INV,
@@ -984,7 +912,7 @@ pub fn map_naive(
 ) -> Result<MapOutcome, MapError> {
     let inv = lib.find_function(CellFunction::Inv).ok_or(MapError::MissingInverter)?;
     let nand = lib.find_function(CellFunction::Nand(2)).ok_or(MapError::MissingAnd2)?;
-    let nodes = aig.raw_nodes();
+    let nodes = aig.nodes();
     let mut out = Netlist::with_library("mapped_naive", lib.clone());
     let mut pi_nets: Vec<NetId> = Vec::new();
     for name in aig.pi_names().iter().take(boundary.real_pis) {
@@ -1025,9 +953,9 @@ pub fn map_naive(
 
     for i in 0..nodes.len() {
         match nodes[i] {
-            RawNode::Const => {}
-            RawNode::Pi(k) => pos_net[i] = Some(net_of_pi(k, &pi_nets, &flop_q_nets)),
-            RawNode::And(a, b) => {
+            AigNode::Const => {}
+            AigNode::Pi(k) => pos_net[i] = Some(net_of_pi(k, &pi_nets, &flop_q_nets)),
+            AigNode::And(a, b) => {
                 let fetch = |lit: crate::aig::Lit,
                                  out: &mut Netlist,
                                  pos_net: &mut [Option<NetId>],
@@ -1036,7 +964,7 @@ pub fn map_naive(
                                  ties: &mut [Option<NetId>; 2]|
                  -> Result<NetId, MapError> {
                     let node = lit.node();
-                    if matches!(nodes[node], RawNode::Const) {
+                    if matches!(nodes[node], AigNode::Const) {
                         return tie_net(out, ties, lit.is_complemented());
                     }
                     let pos = pos_net[node]
@@ -1072,7 +1000,7 @@ pub fn map_naive(
     let mut po_nets = Vec::new();
     for (_, lit) in aig.pos() {
         let node = lit.node();
-        let net = if matches!(nodes[node], RawNode::Const) {
+        let net = if matches!(nodes[node], AigNode::Const) {
             tie_net(&mut out, &mut ties, lit.is_complemented())?
         } else if !lit.is_complemented() {
             pos_net[node].ok_or(MapError::Internal("primary output driver never mapped"))?
@@ -1111,14 +1039,22 @@ pub fn map_naive(
         .count();
     let lib_ref = out.library();
     let delay = aig.depth() as f64 * (lib_ref.cell(nand).delay_ps + lib_ref.cell(inv).delay_ps);
-    Ok(MapOutcome { netlist: out, area_um2: area, delay_ps: delay, cells })
+    Ok(MapOutcome {
+        netlist: out,
+        area_um2: area,
+        delay_ps: delay,
+        cells,
+        par: ParStats::empty(),
+        cone_visits: 0,
+        cuts_enumerated: 0,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aig::Aig;
     use eda_netlist::generate;
+    use std::collections::HashSet;
 
     fn check_equiv(original: &Netlist, mapped: &Netlist) {
         let k = original.primary_inputs().len();
@@ -1137,7 +1073,7 @@ mod tests {
     fn area_map_preserves_adder() {
         let n = generate::ripple_carry_adder(8).unwrap();
         let (aig, bnd) = Aig::from_netlist(&n).unwrap();
-        let m = map_aig(&aig, &bnd, Library::generic(), MapGoal::Area).unwrap();
+        let m = map_aig(&aig, &bnd, Library::generic(), MapGoal::Area, 1).unwrap();
         m.netlist.validate().unwrap();
         check_equiv(&n, &m.netlist);
     }
@@ -1146,7 +1082,7 @@ mod tests {
     fn delay_map_preserves_parity() {
         let n = generate::parity_tree(16).unwrap();
         let (aig, bnd) = Aig::from_netlist(&n).unwrap();
-        let m = map_aig(&aig, &bnd, Library::generic(), MapGoal::Delay).unwrap();
+        let m = map_aig(&aig, &bnd, Library::generic(), MapGoal::Delay, 1).unwrap();
         m.netlist.validate().unwrap();
         check_equiv(&n, &m.netlist);
     }
@@ -1155,7 +1091,7 @@ mod tests {
     fn map_handles_sequential() {
         let n = generate::switch_fabric(3, 2).unwrap();
         let (aig, bnd) = Aig::from_netlist(&n).unwrap();
-        let m = map_aig(&aig, &bnd, Library::generic(), MapGoal::Area).unwrap();
+        let m = map_aig(&aig, &bnd, Library::generic(), MapGoal::Area, 1).unwrap();
         m.netlist.validate().unwrap();
         assert_eq!(m.netlist.flops().len(), n.flops().len());
         check_equiv(&n, &m.netlist);
@@ -1170,7 +1106,7 @@ mod tests {
         })
         .unwrap();
         let (aig, bnd) = Aig::from_netlist(&n).unwrap();
-        let m = map_aig(&aig, &bnd, Library::nand_inv_2006(), MapGoal::Area).unwrap();
+        let m = map_aig(&aig, &bnd, Library::nand_inv_2006(), MapGoal::Area, 1).unwrap();
         m.netlist.validate().unwrap();
         check_equiv(&n, &m.netlist);
     }
@@ -1187,7 +1123,7 @@ mod tests {
         let naive = map_naive(&aig, &bnd, Library::nand_inv_2006()).unwrap();
         naive.netlist.validate().unwrap();
         check_equiv(&n, &naive.netlist);
-        let advanced = map_aig(&aig.rewrite(), &bnd, Library::generic(), MapGoal::Area).unwrap();
+        let advanced = map_aig(&aig.rewrite(), &bnd, Library::generic(), MapGoal::Area, 1).unwrap();
         check_equiv(&n, &advanced.netlist);
         assert!(
             advanced.area_um2 < naive.area_um2,
@@ -1205,7 +1141,7 @@ mod tests {
         let x = g.xor(a, b);
         g.add_po("y", x);
         let bnd = SeqBoundary { real_pis: 2, real_pos: 1, flops: vec![] };
-        let m = map_aig(&g, &bnd, Library::generic(), MapGoal::Area).unwrap();
+        let m = map_aig(&g, &bnd, Library::generic(), MapGoal::Area, 1).unwrap();
         assert_eq!(m.cells, 1, "one XOR2 cell suffices");
         let pats = vec![0xF0F0u64, 0xCCCC];
         let (mo, _) = m.netlist.simulate64(&pats, &[]);
@@ -1216,8 +1152,8 @@ mod tests {
     fn polarity_library_wins_on_parity() {
         let n = generate::parity_tree(16).unwrap();
         let (aig, bnd) = Aig::from_netlist(&n).unwrap();
-        let cmos = map_aig(&aig, &bnd, Library::generic(), MapGoal::Area).unwrap();
-        let pol = map_aig(&aig, &bnd, Library::controlled_polarity(), MapGoal::Area).unwrap();
+        let cmos = map_aig(&aig, &bnd, Library::generic(), MapGoal::Area, 1).unwrap();
+        let pol = map_aig(&aig, &bnd, Library::controlled_polarity(), MapGoal::Area, 1).unwrap();
         check_equiv(&n, &pol.netlist);
         assert!(
             pol.area_um2 < cmos.area_um2,
@@ -1237,10 +1173,9 @@ mod tests {
         .unwrap();
         let (aig, bnd) = Aig::from_netlist(&n).unwrap();
         for goal in [MapGoal::Area, MapGoal::Delay] {
-            let serial = map_aig(&aig, &bnd, Library::generic(), goal).unwrap();
+            let serial = map_aig(&aig, &bnd, Library::generic(), goal, 1).unwrap();
             for threads in [2usize, 4, 8] {
-                let (t, stats) =
-                    map_aig_threaded(&aig, &bnd, Library::generic(), goal, threads).unwrap();
+                let t = map_aig(&aig, &bnd, Library::generic(), goal, threads).unwrap();
                 assert_eq!(
                     serial.area_um2.to_bits(),
                     t.area_um2.to_bits(),
@@ -1248,7 +1183,7 @@ mod tests {
                 );
                 assert_eq!(serial.delay_ps.to_bits(), t.delay_ps.to_bits());
                 assert_eq!(serial.cells, t.cells);
-                assert!(stats.chunks > 0, "the threaded path must dispatch work");
+                assert!(t.par.chunks > 0, "the threaded path must dispatch work");
                 check_equiv(&n, &t.netlist);
             }
         }
@@ -1256,7 +1191,7 @@ mod tests {
 
     #[test]
     fn hierarchical_block_realization_is_thread_invariant() {
-        // The per-block fan-out (cone_keys / build_fragment) must produce the
+        // The per-block fan-out (claim walk / build_fragment) must produce the
         // exact same netlist — instance names, cells, wiring, block labels —
         // at every worker count, and stay functionally equivalent.
         let n = generate::mesh_fabric(3, 3, 25, 4, 7).unwrap();
@@ -1271,8 +1206,7 @@ mod tests {
                 })
                 .collect()
         };
-        let (serial, _) =
-            map_aig_threaded(&aig, &bnd, Library::generic(), MapGoal::Area, 1).unwrap();
+        let serial = map_aig(&aig, &bnd, Library::generic(), MapGoal::Area, 1).unwrap();
         serial.netlist.validate().unwrap();
         check_equiv(&n, &serial.netlist);
         let want = fingerprint(&serial);
@@ -1281,12 +1215,150 @@ mod tests {
         let labelled = want.iter().filter(|(_, _, b)| b.is_some()).count();
         assert!(labelled * 2 > want.len(), "block cones dominate a mesh netlist");
         for threads in [2usize, 4, 8] {
-            let (t, _) =
-                map_aig_threaded(&aig, &bnd, Library::generic(), MapGoal::Area, threads).unwrap();
+            let t = map_aig(&aig, &bnd, Library::generic(), MapGoal::Area, threads).unwrap();
             assert_eq!(want, fingerprint(&t), "netlist must be bit-identical at {threads} threads");
             assert_eq!(serial.area_um2.to_bits(), t.area_um2.to_bits());
             assert_eq!(serial.delay_ps.to_bits(), t.delay_ps.to_bits());
         }
+    }
+
+    /// The definition the claim walk replaced: each block walks the *full*
+    /// closure of its cones with a private visited set (recursive post-order
+    /// DFS), then a serial first-owner filter in block order drops what an
+    /// earlier block already holds.
+    fn owned_by_full_closure_then_filter(
+        nodes: &[AigNode],
+        best: &[[Best; 2]],
+        roots: &[Vec<Lit>],
+    ) -> Vec<Vec<u32>> {
+        fn visit(
+            nodes: &[AigNode],
+            best: &[[Best; 2]],
+            seen: &mut HashSet<u32>,
+            order: &mut Vec<u32>,
+            node: u32,
+            phase: bool,
+        ) {
+            let key = key_of(node, phase);
+            match nodes[node as usize] {
+                AigNode::Const => {}
+                AigNode::Pi(_) => {
+                    if phase && seen.insert(key) {
+                        order.push(key);
+                    }
+                }
+                AigNode::And(..) => {
+                    if !seen.insert(key) {
+                        return;
+                    }
+                    let b = &best[node as usize][phase as usize];
+                    if b.via_inverter {
+                        visit(nodes, best, seen, order, node, !phase);
+                    } else {
+                        for &(leaf, ph) in b.leaves() {
+                            visit(nodes, best, seen, order, leaf, ph);
+                        }
+                    }
+                    order.push(key);
+                }
+            }
+        }
+        let mut claimed: HashSet<u32> = HashSet::new();
+        roots
+            .iter()
+            .map(|lits| {
+                let (mut seen, mut cone) = (HashSet::new(), Vec::new());
+                for l in lits {
+                    visit(nodes, best, &mut seen, &mut cone, l.node() as u32, l.is_complemented());
+                }
+                cone.into_iter().filter(|&k| claimed.insert(k)).collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn claim_walk_equals_full_closure_then_first_owner_filter() {
+        for design in [
+            generate::scale_mesh(2_000, 1).unwrap(),
+            generate::mesh_fabric(3, 3, 25, 4, 7).unwrap(),
+        ] {
+            let (aig, bnd) = Aig::from_netlist(&design).unwrap();
+            let lib = Library::generic();
+            let mut par = ParStats::empty();
+            let table = PatternTable::build(&lib, 1, &mut par).unwrap();
+            let nodes = aig.nodes();
+            let (best, _) = choose_matches(nodes, &table, &lib, MapGoal::Area, 1, &mut par);
+            let (blocks, tail) = group_outputs(&bnd);
+            assert!(blocks.len() > 1, "hierarchical design");
+            // Blocks first, the tail cones as one last pseudo-block.
+            let mut roots: Vec<Vec<Lit>> = blocks
+                .iter()
+                .map(|(_, pois)| pois.iter().map(|&poi| aig.pos()[poi].1).collect())
+                .collect();
+            roots.push(tail.iter().map(|&poi| aig.pos()[poi].1).collect());
+
+            let mut walk = ClaimWalk::new(nodes, &best);
+            let owned: Vec<Vec<u32>> = roots
+                .iter()
+                .map(|lits| {
+                    let mut order = Vec::new();
+                    for &l in lits {
+                        walk.claim(l, false, &mut order);
+                    }
+                    order
+                })
+                .collect();
+            assert_eq!(owned, owned_by_full_closure_then_filter(nodes, &best, &roots));
+
+            // Every key has exactly one owner and one visit, and a gate's
+            // inputs are realized before the gate in splice order.
+            let all: Vec<u32> = owned.iter().flatten().copied().collect();
+            assert_eq!(walk.visits, all.len() as u64, "one visit per realized key");
+            let mut at: HashMap<u32, usize> = HashMap::new();
+            for (i, &key) in all.iter().enumerate() {
+                assert!(at.insert(key, i).is_none(), "key {key} owned twice");
+            }
+            for (i, &key) in all.iter().enumerate() {
+                let b = &best[(key >> 1) as usize][(key & 1) as usize];
+                let inputs: Vec<u32> = match nodes[(key >> 1) as usize] {
+                    AigNode::And(..) if b.via_inverter => vec![key ^ 1],
+                    AigNode::And(..) => b.leaves().iter().map(|&(l, ph)| key_of(l, ph)).collect(),
+                    _ => Vec::new(),
+                };
+                for input in inputs {
+                    let boundary_net =
+                        matches!(nodes[(input >> 1) as usize], AigNode::Pi(_)) && input & 1 == 0;
+                    assert!(boundary_net || at[&input] < i, "key {key} precedes its input {input}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn deep_chain_maps_on_a_small_stack() {
+        // Cone depth equals chain depth; the claim walk and realization must
+        // not recurse. 256 KiB is an eighth of a worker thread's stack.
+        const DEPTH: usize = 100_000;
+        let run = || {
+            let mut g = Aig::new();
+            let mut acc = g.add_pi("x0");
+            for i in 1..=DEPTH {
+                let x = g.add_pi(format!("x{i}"));
+                acc = g.xor(acc, x);
+            }
+            g.add_po("y", acc);
+            let bnd = SeqBoundary { real_pis: DEPTH + 1, real_pos: 1, flops: vec![] };
+            let m = map_aig(&g, &bnd, Library::generic(), MapGoal::Area, 1).unwrap();
+            (m.cells, m.cone_visits)
+        };
+        let (cells, visits) = std::thread::Builder::new()
+            .stack_size(256 << 10)
+            .spawn(run)
+            .unwrap()
+            .join()
+            .expect("mapping a deep chain must not overflow the stack");
+        assert!(cells >= DEPTH, "at least one cell per chain link, got {cells}");
+        assert_eq!(visits, cells as u64, "one visit per realized gate");
     }
 
     #[test]
@@ -1304,7 +1376,7 @@ mod tests {
         let g = Aig::new();
         let bnd = SeqBoundary { real_pis: 0, real_pos: 0, flops: vec![] };
         assert!(matches!(
-            map_aig(&g, &bnd, Arc::new(l), MapGoal::Area),
+            map_aig(&g, &bnd, Arc::new(l), MapGoal::Area, 1),
             Err(MapError::MissingInverter)
         ));
     }
@@ -1316,7 +1388,7 @@ mod tests {
         let f = g.and(a, !a); // constant false
         g.add_po("y", f);
         let bnd = SeqBoundary { real_pis: 1, real_pos: 1, flops: vec![] };
-        let m = map_aig(&g, &bnd, Library::generic(), MapGoal::Area).unwrap();
+        let m = map_aig(&g, &bnd, Library::generic(), MapGoal::Area, 1).unwrap();
         let (o, _) = m.netlist.simulate64(&[0xFFFF], &[]);
         assert_eq!(o, vec![0]);
     }

@@ -11,7 +11,7 @@
 //!   library (area or delay goal).
 
 use crate::aig::{Aig, AigError};
-use crate::map::{map_aig_threaded, map_naive, MapError, MapGoal, MapOutcome};
+use crate::map::{map_aig, map_naive, MapError, MapGoal};
 use eda_netlist::memo::fnv1a;
 use eda_netlist::{Library, Netlist, SubstageMemo};
 use eda_par::ParStats;
@@ -79,6 +79,34 @@ pub struct SynthesisOutcome {
     /// Per-pass AIG optimization trace (empty for the 2006 baseline, which
     /// maps the raw AIG).
     pub passes: Vec<AigPass>,
+    /// The mapper's parallel dispatches, for telemetry and speedup
+    /// projection. The 2006 baseline has no parallel kernel (`chunks == 0`).
+    pub par: ParStats,
+    /// The mapper's [`MapOutcome::cone_visits`](crate::MapOutcome::cone_visits).
+    pub cone_visits: u64,
+    /// The mapper's [`MapOutcome::cuts_enumerated`](crate::MapOutcome::cuts_enumerated).
+    pub cuts_enumerated: u64,
+}
+
+/// How a synthesis run executes, beyond what it optimizes for. None of the
+/// three changes what a given `rewrite_passes` produces: the outcome is
+/// bit-identical at any thread count and with or without a memo.
+#[derive(Clone, Copy)]
+pub struct SynthesisOptions<'a> {
+    /// Mapping-kernel workers (`0` = all cores, `1` = serial).
+    pub threads: usize,
+    /// Bound on the rewrite fixpoint iteration of the advanced script.
+    pub rewrite_passes: usize,
+    /// Persistent sub-stage store each AIG pass may replay from — a hit is
+    /// bit-identical to the recompute it stands in for.
+    pub memo: Option<&'a dyn SubstageMemo>,
+}
+
+impl Default for SynthesisOptions<'_> {
+    /// Serial, [`DEFAULT_REWRITE_PASSES`], no memo.
+    fn default() -> Self {
+        SynthesisOptions { threads: 1, rewrite_passes: DEFAULT_REWRITE_PASSES, memo: None }
+    }
 }
 
 /// Synthesizes `input` onto `lib` at the given effort and goal.
@@ -92,22 +120,25 @@ pub struct SynthesisOutcome {
 /// # Examples
 ///
 /// ```
-/// use eda_logic::{synthesize, MapGoal, SynthesisEffort};
+/// use eda_logic::{synthesize, MapGoal, SynthesisEffort, SynthesisOptions};
 /// use eda_netlist::{generate, Library};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let design = generate::ripple_carry_adder(8)?;
+/// let opts = SynthesisOptions::default();
 /// let baseline = synthesize(
 ///     &design,
 ///     Library::nand_inv_2006(),
 ///     SynthesisEffort::Baseline2006,
 ///     MapGoal::Area,
+///     &opts,
 /// )?;
 /// let advanced = synthesize(
 ///     &design,
 ///     Library::generic(),
 ///     SynthesisEffort::Advanced2016,
 ///     MapGoal::Area,
+///     &SynthesisOptions { threads: 2, ..opts },
 /// )?;
 /// assert!(advanced.area_um2 < baseline.area_um2);
 /// # Ok(())
@@ -118,76 +149,33 @@ pub fn synthesize(
     lib: Arc<Library>,
     effort: SynthesisEffort,
     goal: MapGoal,
+    opts: &SynthesisOptions<'_>,
 ) -> Result<SynthesisOutcome, SynthesisError> {
-    synthesize_threaded(input, lib, effort, goal, 1).map(|(out, _)| out)
-}
-
-/// [`synthesize`] with the mapping kernel fanned out across `threads`
-/// workers (`0` = all cores) via [`map_aig_threaded`].
-///
-/// The outcome is bit-identical to [`synthesize`] at any thread count; the
-/// returned [`ParStats`] records the mapper's parallel dispatches for
-/// telemetry and speedup projection. The 2006 baseline has no parallel
-/// kernel, so its stats are empty (`chunks == 0`).
-///
-/// # Errors
-///
-/// Same contract as [`synthesize`].
-pub fn synthesize_threaded(
-    input: &Netlist,
-    lib: Arc<Library>,
-    effort: SynthesisEffort,
-    goal: MapGoal,
-    threads: usize,
-) -> Result<(SynthesisOutcome, ParStats), SynthesisError> {
-    synthesize_threaded_memo(input, lib, effort, goal, threads, DEFAULT_REWRITE_PASSES, None)
-}
-
-/// [`synthesize_threaded`] with the optimization script parameterized:
-/// `rewrite_passes` bounds the rewrite fixpoint (the default script uses
-/// [`DEFAULT_REWRITE_PASSES`]), and `memo` lets each AIG pass replay from a
-/// persistent sub-stage store — a memo hit is bit-identical to the
-/// recompute it stands in for, so the outcome depends only on the inputs
-/// and `rewrite_passes`, never on cache state.
-///
-/// # Errors
-///
-/// Same contract as [`synthesize`].
-pub fn synthesize_threaded_memo(
-    input: &Netlist,
-    lib: Arc<Library>,
-    effort: SynthesisEffort,
-    goal: MapGoal,
-    threads: usize,
-    rewrite_passes: usize,
-    memo: Option<&dyn SubstageMemo>,
-) -> Result<(SynthesisOutcome, ParStats), SynthesisError> {
     let (aig, boundary) = Aig::from_netlist(input)?;
     let before = aig.num_ands();
-    let (optimized, outcome, passes, par): (Aig, MapOutcome, Vec<AigPass>, ParStats) =
-        match effort {
-            SynthesisEffort::Baseline2006 => {
-                let m = map_naive(&aig, &boundary, lib)?;
-                (aig, m, Vec::new(), ParStats::empty())
-            }
-            SynthesisEffort::Advanced2016 => {
-                let (opt, passes) = optimize_aig_scripted(&aig, rewrite_passes, memo);
-                let (m, par) = map_aig_threaded(&opt, &boundary, lib, goal, threads)?;
-                (opt, m, passes, par)
-            }
-        };
-    Ok((
-        SynthesisOutcome {
-            netlist: outcome.netlist,
-            aig_nodes_before: before,
-            aig_nodes_after: optimized.num_ands(),
-            area_um2: outcome.area_um2,
-            delay_ps: outcome.delay_ps,
-            cells: outcome.cells,
-            passes,
-        },
-        par,
-    ))
+    let (optimized, outcome, passes) = match effort {
+        SynthesisEffort::Baseline2006 => {
+            let m = map_naive(&aig, &boundary, lib)?;
+            (aig, m, Vec::new())
+        }
+        SynthesisEffort::Advanced2016 => {
+            let (opt, passes) = optimize_aig(&aig, opts.rewrite_passes, opts.memo);
+            let m = map_aig(&opt, &boundary, lib, goal, opts.threads)?;
+            (opt, m, passes)
+        }
+    };
+    Ok(SynthesisOutcome {
+        netlist: outcome.netlist,
+        aig_nodes_before: before,
+        aig_nodes_after: optimized.num_ands(),
+        area_um2: outcome.area_um2,
+        delay_ps: outcome.delay_ps,
+        cells: outcome.cells,
+        passes,
+        par: outcome.par,
+        cone_visits: outcome.cone_visits,
+        cuts_enumerated: outcome.cuts_enumerated,
+    })
 }
 
 /// One pass of the AIG optimization script, as recorded for QoR provenance:
@@ -205,19 +193,6 @@ pub struct AigPass {
     pub kept: bool,
 }
 
-/// The advanced-flow AIG script: `balance; rewrite*; balance`, keeping each
-/// pass only if it does not regress node count.
-pub fn optimize_aig(aig: &Aig) -> Aig {
-    optimize_aig_traced(aig).0
-}
-
-/// [`optimize_aig`] plus a per-pass provenance trace. The optimized AIG is
-/// bit-identical to `optimize_aig`'s; the trace is a pure function of the
-/// input.
-pub fn optimize_aig_traced(aig: &Aig) -> (Aig, Vec<AigPass>) {
-    optimize_aig_scripted(aig, DEFAULT_REWRITE_PASSES, None)
-}
-
 /// The memo kinds the optimization script stores pass results under: the
 /// opening balance, the bounded rewrite fixpoint, and the closing balance.
 /// Each entry is keyed on the FNV of `"<kind>|<input aig digest>"`, so a
@@ -225,12 +200,16 @@ pub fn optimize_aig_traced(aig: &Aig) -> (Aig, Vec<AigPass>) {
 /// script lengths.
 pub const AIG_MEMO_KINDS: [&str; 3] = ["aig.balpre", "aig.rw", "aig.balpost"];
 
-/// [`optimize_aig_traced`] with a parameterized rewrite bound and an
-/// optional per-pass memo. Every pass first consults the memo keyed on its
-/// input digest; a hit replays the recorded keep/break decision and result
-/// graph, a miss computes and stores. Results are bit-identical with or
-/// without the memo.
-pub fn optimize_aig_scripted(
+/// The advanced-flow AIG script: `balance; rewrite*; balance` with the
+/// rewrite fixpoint bounded by `rewrite_passes` (the default script uses
+/// [`DEFAULT_REWRITE_PASSES`]), keeping each pass only if it does not
+/// regress node count. Returns the optimized graph plus a per-pass
+/// provenance trace; both are pure functions of the input and the bound.
+///
+/// With a `memo`, every pass first consults it keyed on its input digest; a
+/// hit replays the recorded keep/break decision and result graph, a miss
+/// computes and stores. Results are bit-identical with or without the memo.
+pub fn optimize_aig(
     aig: &Aig,
     rewrite_passes: usize,
     memo: Option<&dyn SubstageMemo>,
@@ -238,17 +217,8 @@ pub fn optimize_aig_scripted(
     let mut passes = Vec::with_capacity(rewrite_passes + 2);
     let mut cur = aig.clone();
 
-    let (pass, next) = load_pass(memo, "aig.balpre", &cur).unwrap_or_else(|| {
-        let cand = cur.balance();
-        let kept = !(cand.num_ands() > cur.num_ands() && cand.depth() >= cur.depth());
-        let pass = AigPass {
-            name: "balance",
-            nodes_before: cur.num_ands(),
-            nodes_after: cand.num_ands(),
-            kept,
-        };
-        store_pass(memo, "aig.balpre", &cur, &pass, kept.then_some(&cand));
-        (pass, kept.then_some(cand))
+    let (pass, next) = run_pass(memo, "aig.balpre", "balance", &cur, Aig::balance, |cur, cand| {
+        !(cand.num_ands() > cur.num_ands() && cand.depth() >= cur.depth())
     });
     passes.push(pass);
     if let Some(n) = next {
@@ -257,37 +227,18 @@ pub fn optimize_aig_scripted(
 
     // Rewrite to a fixpoint (bounded), keeping only non-regressing passes.
     for _ in 0..rewrite_passes {
-        let (pass, next) = load_pass(memo, "aig.rw", &cur).unwrap_or_else(|| {
-            let cand = cur.rewrite();
-            let kept = cand.num_ands() < cur.num_ands();
-            let pass = AigPass {
-                name: "rewrite",
-                nodes_before: cur.num_ands(),
-                nodes_after: cand.num_ands(),
-                kept,
-            };
-            store_pass(memo, "aig.rw", &cur, &pass, kept.then_some(&cand));
-            (pass, kept.then_some(cand))
+        let (pass, next) = run_pass(memo, "aig.rw", "rewrite", &cur, Aig::rewrite, |cur, cand| {
+            cand.num_ands() < cur.num_ands()
         });
-        let kept = pass.kept;
         passes.push(pass);
         match next {
-            Some(n) if kept => cur = n,
-            _ => break,
+            Some(n) => cur = n,
+            None => break,
         }
     }
 
-    let (pass, next) = load_pass(memo, "aig.balpost", &cur).unwrap_or_else(|| {
-        let cand = cur.balance();
-        let kept = cand.num_ands() <= cur.num_ands() || cand.depth() < cur.depth();
-        let pass = AigPass {
-            name: "balance",
-            nodes_before: cur.num_ands(),
-            nodes_after: cand.num_ands(),
-            kept,
-        };
-        store_pass(memo, "aig.balpost", &cur, &pass, kept.then_some(&cand));
-        (pass, kept.then_some(cand))
+    let (pass, next) = run_pass(memo, "aig.balpost", "balance", &cur, Aig::balance, |cur, cand| {
+        cand.num_ands() <= cur.num_ands() || cand.depth() < cur.depth()
     });
     passes.push(pass);
     if let Some(n) = next {
@@ -296,20 +247,38 @@ pub fn optimize_aig_scripted(
     (cur, passes)
 }
 
-/// Memo key for one script pass: FNV of the kind joined with the input
-/// graph's content digest.
-fn pass_key(kind: &str, input: &Aig) -> u64 {
-    fnv1a(format!("{kind}|{:016x}", input.digest()).bytes())
-}
-
-/// Loads and validates one memoized pass result. `None` means miss or
-/// malformed payload — the caller recomputes either way.
-fn load_pass(
+/// One script pass over `cur`: replays the memoized result for this input
+/// when there is one, otherwise computes `transform(cur)`, keeps it if
+/// `keep(cur, candidate)`, and records the outcome. Returns the pass record
+/// and the kept result. The input is digested once per pass, and only when
+/// a memo is bound.
+fn run_pass(
     memo: Option<&dyn SubstageMemo>,
     kind: &str,
-    input: &Aig,
-) -> Option<(AigPass, Option<Aig>)> {
-    let payload = memo?.load(kind, pass_key(kind, input))?;
+    name: &'static str,
+    cur: &Aig,
+    transform: impl FnOnce(&Aig) -> Aig,
+    keep: impl FnOnce(&Aig, &Aig) -> bool,
+) -> (AigPass, Option<Aig>) {
+    // Memo key: FNV of the kind joined with the input graph's digest.
+    let memo = memo.map(|m| (m, fnv1a(format!("{kind}|{:016x}", cur.digest()).bytes())));
+    if let Some(hit) = memo.and_then(|(m, key)| load_pass(&m.load(kind, key)?)) {
+        return hit;
+    }
+    let cand = transform(cur);
+    let kept = keep(cur, &cand);
+    let pass =
+        AigPass { name, nodes_before: cur.num_ands(), nodes_after: cand.num_ands(), kept };
+    let result = kept.then_some(cand);
+    if let Some((m, key)) = memo {
+        m.store(kind, key, &pass_payload(&pass, result.as_ref()));
+    }
+    (pass, result)
+}
+
+/// Parses and validates one memoized pass payload. `None` means malformed —
+/// the caller recomputes, as on a miss.
+fn load_pass(payload: &str) -> Option<(AigPass, Option<Aig>)> {
     let (head, rest) = payload.split_once('\n')?;
     let mut f = head.split(' ');
     if f.next()? != "aigpass" || f.next()? != "v1" {
@@ -331,35 +300,32 @@ fn load_pass(
     Some((AigPass { name, nodes_before, nodes_after, kept }, body))
 }
 
-/// Stores one pass result under the memo: a one-line header (pass meta +
-/// keep decision) followed by the result graph when the pass was kept.
-fn store_pass(
-    memo: Option<&dyn SubstageMemo>,
-    kind: &str,
-    input: &Aig,
-    pass: &AigPass,
-    result: Option<&Aig>,
-) {
-    if let Some(m) = memo {
-        let mut payload = format!(
-            "aigpass v1 {} {} {} {} {}\n",
-            pass.name,
-            pass.nodes_before,
-            pass.nodes_after,
-            pass.kept as u8,
-            result.is_some() as u8
-        );
-        if let Some(r) = result {
-            payload.push_str(&r.to_store_text());
-        }
-        m.store(kind, pass_key(kind, input), &payload);
+/// The memo payload of one pass result: a one-line header (pass meta + keep
+/// decision) followed by the result graph when the pass was kept.
+fn pass_payload(pass: &AigPass, result: Option<&Aig>) -> String {
+    let mut payload = format!(
+        "aigpass v1 {} {} {} {} {}\n",
+        pass.name,
+        pass.nodes_before,
+        pass.nodes_after,
+        pass.kept as u8,
+        result.is_some() as u8
+    );
+    if let Some(r) = result {
+        payload.push_str(&r.to_store_text());
     }
+    payload
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use eda_netlist::generate;
+
+    fn advanced(d: &Netlist, goal: MapGoal) -> SynthesisOutcome {
+        let opts = SynthesisOptions::default();
+        synthesize(d, Library::generic(), SynthesisEffort::Advanced2016, goal, &opts).unwrap()
+    }
 
     fn check_equiv(a: &Netlist, b: &Netlist) {
         let k = a.primary_inputs().len();
@@ -386,6 +352,7 @@ mod tests {
             })
             .unwrap(),
         ];
+        let opts = SynthesisOptions::default();
         let mut total_base = 0.0;
         let mut total_adv = 0.0;
         for d in &designs {
@@ -394,11 +361,10 @@ mod tests {
                 Library::nand_inv_2006(),
                 SynthesisEffort::Baseline2006,
                 MapGoal::Area,
+                &opts,
             )
             .unwrap();
-            let adv =
-                synthesize(d, Library::generic(), SynthesisEffort::Advanced2016, MapGoal::Area)
-                    .unwrap();
+            let adv = advanced(d, MapGoal::Area);
             check_equiv(d, &base.netlist);
             check_equiv(d, &adv.netlist);
             total_base += base.area_um2;
@@ -419,7 +385,7 @@ mod tests {
         })
         .unwrap();
         let (aig, _) = Aig::from_netlist(&d).unwrap();
-        let opt = optimize_aig(&aig);
+        let (opt, _) = optimize_aig(&aig, DEFAULT_REWRITE_PASSES, None);
         assert!(opt.num_ands() <= aig.num_ands() + aig.num_ands() / 10);
         let pats: Vec<u64> =
             (0..aig.num_pis()).map(|i| 0xCBF2_9CE4_8422_2325u64.rotate_left(i as u32)).collect();
@@ -429,12 +395,8 @@ mod tests {
     #[test]
     fn delay_goal_shortens_critical_path() {
         let d = generate::ripple_carry_adder(16).unwrap();
-        let area =
-            synthesize(&d, Library::generic(), SynthesisEffort::Advanced2016, MapGoal::Area)
-                .unwrap();
-        let delay =
-            synthesize(&d, Library::generic(), SynthesisEffort::Advanced2016, MapGoal::Delay)
-                .unwrap();
+        let area = advanced(&d, MapGoal::Area);
+        let delay = advanced(&d, MapGoal::Delay);
         check_equiv(&d, &delay.netlist);
         assert!(delay.delay_ps <= area.delay_ps, "delay mapping must not be slower");
     }
@@ -473,11 +435,11 @@ mod tests {
     fn memoized_script_replays_bit_identically() {
         let d = generate::switch_fabric(3, 3).unwrap();
         let (aig, _) = Aig::from_netlist(&d).unwrap();
-        let (plain, plain_passes) = optimize_aig_scripted(&aig, DEFAULT_REWRITE_PASSES, None);
+        let (plain, plain_passes) = optimize_aig(&aig, DEFAULT_REWRITE_PASSES, None);
 
         let memo = CountingMemo::new();
         let (cold, cold_passes) =
-            optimize_aig_scripted(&aig, DEFAULT_REWRITE_PASSES, Some(&memo));
+            optimize_aig(&aig, DEFAULT_REWRITE_PASSES, Some(&memo));
         assert_eq!(cold.digest(), plain.digest(), "memo writes must not perturb the script");
         assert_eq!(cold_passes, plain_passes);
         assert_eq!(memo.hits.get(), 0);
@@ -485,7 +447,7 @@ mod tests {
         assert_eq!(cold_misses, cold_passes.len());
 
         let (warm, warm_passes) =
-            optimize_aig_scripted(&aig, DEFAULT_REWRITE_PASSES, Some(&memo));
+            optimize_aig(&aig, DEFAULT_REWRITE_PASSES, Some(&memo));
         assert_eq!(warm.digest(), plain.digest(), "warm replay is bit-identical");
         assert_eq!(warm_passes, plain_passes);
         assert_eq!(memo.hits.get(), cold_passes.len(), "every pass replays");
@@ -497,14 +459,14 @@ mod tests {
         let d = generate::switch_fabric(3, 3).unwrap();
         let (aig, _) = Aig::from_netlist(&d).unwrap();
         let memo = CountingMemo::new();
-        let (_, full_passes) = optimize_aig_scripted(&aig, DEFAULT_REWRITE_PASSES, Some(&memo));
+        let (_, full_passes) = optimize_aig(&aig, DEFAULT_REWRITE_PASSES, Some(&memo));
         memo.hits.set(0);
 
         // One fewer rewrite pass: everything the edit does not touch — the
         // opening balance and the surviving rewrite prefix — hits.
         let shorter = DEFAULT_REWRITE_PASSES - 1;
-        let (edited, edited_passes) = optimize_aig_scripted(&aig, shorter, Some(&memo));
-        let (ref_edited, ref_passes) = optimize_aig_scripted(&aig, shorter, None);
+        let (edited, edited_passes) = optimize_aig(&aig, shorter, Some(&memo));
+        let (ref_edited, ref_passes) = optimize_aig(&aig, shorter, None);
         assert_eq!(edited.digest(), ref_edited.digest(), "memo never changes QoR");
         assert_eq!(edited_passes, ref_passes);
         assert!(memo.hits.get() >= 1, "the edit must warm-replay at least one pass");
@@ -512,10 +474,39 @@ mod tests {
     }
 
     #[test]
+    fn rewrite_and_mapped_netlist_are_pinned_at_every_thread_count() {
+        // Recorded at the commit before the shared cut kernel and the serial
+        // claim walk replaced the two private enumerators and the per-block
+        // cone closures: the rewritten graph and the mapped netlist text must
+        // not move by a byte, flat or hierarchical, at any thread count.
+        let pinned = [
+            (generate::switch_fabric(4, 3).unwrap(), 0xb926_fdf7_4b6f_2fa0u64, 0x48bc_cd27_0ecd_b5cbu64),
+            (generate::array_multiplier(8).unwrap(), 0x1c6f_9971_3761_d53b, 0x9b7a_9074_84e3_fd8e),
+            (generate::scale_mesh(2_000, 1).unwrap(), 0x2d2b_d6bd_0b60_1949, 0xcea9_77af_cc35_3dd3),
+        ];
+        for (design, rewritten, mapped) in pinned {
+            let (aig, _) = Aig::from_netlist(&design).unwrap();
+            assert_eq!(aig.rewrite().digest(), rewritten, "{} rewrite", design.name());
+            for threads in [1usize, 2, 4] {
+                let opts = SynthesisOptions { threads, ..Default::default() };
+                let out = synthesize(
+                    &design,
+                    Library::generic(),
+                    SynthesisEffort::Advanced2016,
+                    MapGoal::Area,
+                    &opts,
+                )
+                .unwrap();
+                let text = eda_netlist::codec::to_text(&out.netlist);
+                assert_eq!(fnv1a(text.bytes()), mapped, "{} at {threads} threads", design.name());
+            }
+        }
+    }
+
+    #[test]
     fn sequential_designs_synthesize() {
         let d = generate::switch_fabric(4, 3).unwrap();
-        let adv = synthesize(&d, Library::generic(), SynthesisEffort::Advanced2016, MapGoal::Area)
-            .unwrap();
+        let adv = advanced(&d, MapGoal::Area);
         assert_eq!(adv.netlist.flops().len(), d.flops().len());
         check_equiv(&d, &adv.netlist);
     }

@@ -14,7 +14,7 @@
 //! custom library is rejected with [`CodecError::UnknownLibrary`].
 
 use crate::cell::Library;
-use crate::netlist::{InstId, Instance, Net, NetDriver, NetId, Netlist};
+use crate::netlist::{BlockTable, InstId, Instance, Net, NetDriver, NetId, Netlist};
 use std::collections::HashMap;
 
 /// Errors from [`from_text`].
@@ -88,8 +88,8 @@ pub fn to_text(n: &Netlist) -> String {
     out.push_str("eda-netlist v1\n");
     out.push_str(&format!("design {}\n", escape(&n.name)));
     out.push_str(&format!("library {}\n", escape(n.library.name())));
-    out.push_str(&format!("blocks {}\n", n.block_names.len()));
-    for b in &n.block_names {
+    out.push_str(&format!("blocks {}\n", n.block_names().len()));
+    for b in n.block_names() {
         out.push_str(&format!("b {}\n", escape(b)));
     }
     out.push_str(&format!("nets {}\n", n.nets.len()));
@@ -264,7 +264,8 @@ pub fn from_text(text: &str) -> Result<Netlist, CodecError> {
         outputs.push((po_name, NetId(net as u32)));
     }
 
-    let netlist = Netlist { name, library, instances, nets, inputs, outputs, block_names, net_by_name };
+    let blocks = BlockTable::from_names(block_names);
+    let netlist = Netlist { name, library, instances, nets, inputs, outputs, blocks, net_by_name };
 
     // Bounds sanity so later index accesses cannot panic on corrupt input.
     let n_nets = netlist.nets.len();
@@ -346,7 +347,7 @@ mod tests {
         assert_eq!(a.nets, b.nets);
         assert_eq!(a.inputs, b.inputs);
         assert_eq!(a.outputs, b.outputs);
-        assert_eq!(a.block_names, b.block_names);
+        assert_eq!(a.block_names(), b.block_names());
         assert_eq!(a.net_by_name, b.net_by_name);
     }
 
@@ -363,6 +364,22 @@ mod tests {
             // And the round trip is a fixed point.
             assert_eq!(to_text(&back), text);
         }
+    }
+
+    #[test]
+    fn decoded_netlist_keeps_assigning_into_its_block_order() {
+        // The name → index map is rebuilt on decode: an existing block keeps
+        // its index, a new one appends, exactly as on the original.
+        let design = generate::mesh_fabric(2, 2, 30, 3, 5).unwrap();
+        let mut back = from_text(&to_text(&design)).unwrap();
+        let names = design.block_names().to_vec();
+        assert!(names.len() >= 4, "one block per tile");
+        let inst = InstId::from_index(0);
+        back.assign_block(inst, &names[2]);
+        assert_eq!(back.instance(inst).block(), Some(2));
+        back.assign_block(inst, "fresh_block");
+        assert_eq!(back.instance(inst).block(), Some(names.len() as u32));
+        assert_eq!(back.block_names()[..names.len()], names[..]);
     }
 
     #[test]

@@ -181,8 +181,40 @@ pub struct Netlist {
     pub(crate) nets: Vec<Net>,
     pub(crate) inputs: Vec<NetId>,
     pub(crate) outputs: Vec<(String, NetId)>,
-    pub(crate) block_names: Vec<String>,
+    pub(crate) blocks: BlockTable,
     pub(crate) net_by_name: HashMap<String, NetId>,
+}
+
+/// Hierarchy block names in creation order — a block's index is its
+/// position — with a name → index map beside them, so labelling an instance
+/// costs one hash lookup instead of a scan over every block name.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct BlockTable {
+    names: Vec<String>,
+    index: HashMap<String, u32>,
+}
+
+impl BlockTable {
+    /// Adopts a decoded name list as is; a repeated name resolves to its
+    /// first position.
+    pub(crate) fn from_names(names: Vec<String>) -> BlockTable {
+        let mut index = HashMap::with_capacity(names.len());
+        for (i, name) in names.iter().enumerate() {
+            index.entry(name.clone()).or_insert(i as u32);
+        }
+        BlockTable { names, index }
+    }
+
+    /// Index of `name`, appending it as a new block on first use.
+    fn intern(&mut self, name: &str) -> u32 {
+        if let Some(&idx) = self.index.get(name) {
+            return idx;
+        }
+        let idx = self.names.len() as u32;
+        self.names.push(name.to_string());
+        self.index.insert(name.to_string(), idx);
+        idx
+    }
 }
 
 impl Netlist {
@@ -200,7 +232,7 @@ impl Netlist {
             nets: Vec::new(),
             inputs: Vec::new(),
             outputs: Vec::new(),
-            block_names: Vec::new(),
+            blocks: BlockTable::default(),
             net_by_name: HashMap::new(),
         }
     }
@@ -347,19 +379,12 @@ impl Netlist {
     /// Assigns an instance to a named hierarchy block, creating the block on
     /// first use.
     pub fn assign_block(&mut self, inst: InstId, block_name: &str) {
-        let idx = match self.block_names.iter().position(|b| b == block_name) {
-            Some(i) => i as u32,
-            None => {
-                self.block_names.push(block_name.to_string());
-                (self.block_names.len() - 1) as u32
-            }
-        };
-        self.instances[inst.index()].block = Some(idx);
+        self.instances[inst.index()].block = Some(self.blocks.intern(block_name));
     }
 
     /// Names of all hierarchy blocks.
     pub fn block_names(&self) -> &[String] {
-        &self.block_names
+        &self.blocks.names
     }
 
     /// All instances with ids.

@@ -23,7 +23,7 @@
 
 use crate::cell::{CellId, Library};
 use crate::codec::{escape, unescape};
-use crate::netlist::{InstId, Instance, Net, NetDriver, NetId, Netlist};
+use crate::netlist::{BlockTable, InstId, Instance, Net, NetDriver, NetId, Netlist};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -164,7 +164,7 @@ impl SoaNetlist {
         SoaNetlist {
             name: n.name.clone(),
             library: n.library.clone(),
-            block_names: n.block_names.clone(),
+            block_names: n.block_names().to_vec(),
             names,
             net_name_end,
             inst_name_end,
@@ -233,7 +233,7 @@ impl SoaNetlist {
             nets,
             inputs: self.pi_net.iter().map(|&n| NetId(n)).collect(),
             outputs,
-            block_names: self.block_names.clone(),
+            blocks: BlockTable::from_names(self.block_names.clone()),
             net_by_name,
         }
     }
@@ -556,7 +556,7 @@ mod tests {
             assert_eq!(design.nets, back.nets);
             assert_eq!(design.inputs, back.inputs);
             assert_eq!(design.outputs, back.outputs);
-            assert_eq!(design.block_names, back.block_names);
+            assert_eq!(design.block_names(), back.block_names());
             assert_eq!(design.net_by_name, back.net_by_name);
         }
     }

@@ -8,7 +8,9 @@
 //! cargo run --example library_dualism
 //! ```
 
-use eda::logic::{check_equivalence, synthesize, EcVerdict, MapGoal, SynthesisEffort};
+use eda::logic::{
+    check_equivalence, synthesize, EcVerdict, MapGoal, SynthesisEffort, SynthesisOptions,
+};
 use eda::netlist::{generate, liberty, Library};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -34,8 +36,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let design = generate::alu(4)?;
     let lib_a = liberty::parse_liberty(&as_liberty)?;
     let lib_b = liberty::parse_clf(&as_clf)?;
-    let out_a = synthesize(&design, lib_a, SynthesisEffort::Advanced2016, MapGoal::Area)?;
-    let out_b = synthesize(&design, lib_b, SynthesisEffort::Advanced2016, MapGoal::Area)?;
+    let out_a = synthesize(&design, lib_a, SynthesisEffort::Advanced2016, MapGoal::Area, &SynthesisOptions::default())?;
+    let out_b = synthesize(&design, lib_b, SynthesisEffort::Advanced2016, MapGoal::Area, &SynthesisOptions::default())?;
     println!(
         "synthesis from either delivery: {:.1} um2 vs {:.1} um2",
         out_a.area_um2, out_b.area_um2

@@ -3,7 +3,7 @@
 //! bit-parallel co-simulation across transformation pipelines.
 
 use eda::dft::insert_scan;
-use eda::logic::{synthesize, MapGoal, SynthesisEffort};
+use eda::logic::{synthesize, MapGoal, SynthesisEffort, SynthesisOptions};
 use eda::netlist::{generate, verilog, Library, Netlist};
 use eda::power::{implement, insert_clock_gating, PowerDomain, PowerIntent};
 
@@ -36,7 +36,7 @@ fn synthesis_pipeline_preserves_function() {
         })
         .unwrap();
         let adv =
-            synthesize(&d, Library::generic(), SynthesisEffort::Advanced2016, MapGoal::Area)
+            synthesize(&d, Library::generic(), SynthesisEffort::Advanced2016, MapGoal::Area, &SynthesisOptions::default())
                 .unwrap();
         equivalent(&d, &adv.netlist, 0, 0);
         let base = synthesize(
@@ -44,6 +44,7 @@ fn synthesis_pipeline_preserves_function() {
             Library::nand_inv_2006(),
             SynthesisEffort::Baseline2006,
             MapGoal::Area,
+            &SynthesisOptions::default(),
         )
         .unwrap();
         equivalent(&d, &base.netlist, 0, 0);
@@ -54,7 +55,7 @@ fn synthesis_pipeline_preserves_function() {
 fn synthesis_then_scan_then_gating_chain() {
     let d = generate::switch_fabric(3, 3).unwrap();
     let synth =
-        synthesize(&d, Library::generic(), SynthesisEffort::Advanced2016, MapGoal::Area).unwrap();
+        synthesize(&d, Library::generic(), SynthesisEffort::Advanced2016, MapGoal::Area, &SynthesisOptions::default()).unwrap();
     equivalent(&d, &synth.netlist, 0, 0);
     // Clock gating adds enable PIs (high = transparent).
     let gated = insert_clock_gating(&synth.netlist, 4).unwrap();
@@ -68,7 +69,7 @@ fn synthesis_then_scan_then_gating_chain() {
 fn verilog_roundtrip_after_synthesis() {
     let d = generate::array_multiplier(4).unwrap();
     let synth =
-        synthesize(&d, Library::generic(), SynthesisEffort::Advanced2016, MapGoal::Delay).unwrap();
+        synthesize(&d, Library::generic(), SynthesisEffort::Advanced2016, MapGoal::Delay, &SynthesisOptions::default()).unwrap();
     let text = verilog::write_verilog(&synth.netlist);
     let parsed = verilog::parse_verilog(&text, synth.netlist.library().clone()).unwrap();
     equivalent(&synth.netlist, &parsed, 0, 0);
@@ -95,7 +96,7 @@ fn formal_ec_verifies_transformation_chain() {
     // with tied-low scan controls.
     let d = generate::switch_fabric(3, 2).unwrap();
     let synth =
-        synthesize(&d, Library::generic(), SynthesisEffort::Advanced2016, MapGoal::Area).unwrap();
+        synthesize(&d, Library::generic(), SynthesisEffort::Advanced2016, MapGoal::Area, &SynthesisOptions::default()).unwrap();
     assert_eq!(
         check_equivalence(&d, &synth.netlist, &[], &[], 1 << 20).unwrap(),
         EcVerdict::Equivalent
@@ -158,6 +159,7 @@ fn polarity_library_mapping_is_equivalent() {
         Library::controlled_polarity(),
         SynthesisEffort::Advanced2016,
         MapGoal::Area,
+        &SynthesisOptions::default(),
     )
     .unwrap();
     equivalent(&d, &pol.netlist, 0, 0);

@@ -13,7 +13,8 @@ use eda::core::{
     read_peak_rss_bytes, run_flow, Fault, FaultPlan, FlowConfig, FlowReport, Metric, SpanKind,
     STAGES,
 };
-use eda::netlist::{generate, Netlist};
+use eda::logic::{synthesize, SynthesisOptions};
+use eda::netlist::{generate, CellFunction, Netlist};
 use eda::tech::Node;
 use std::path::PathBuf;
 
@@ -35,6 +36,14 @@ fn scratch_dir(tag: &str) -> PathBuf {
 
 fn cleanup(d: &PathBuf) {
     let _ = std::fs::remove_dir_all(d);
+}
+
+/// A telemetry counter of `report`, 0 when it was never bumped.
+fn counter(report: &FlowReport, name: &str) -> u64 {
+    match report.telemetry.metrics.get(name) {
+        Some(Metric::Counter(n)) => *n,
+        _ => 0,
+    }
 }
 
 fn run_tier(design: &Netlist, instances: usize, threads: usize) -> FlowReport {
@@ -115,6 +124,32 @@ fn mini_scale_tier_is_bit_identical_and_bounded() {
         );
     }
     assert_rss_profile(&serial, 512, "mini serial");
+    assert_claim_walk_is_linear(&design, &serial);
+}
+
+/// The mapper's claim walk expands each `(node, phase)` once: its visit count
+/// equals the number of gates synthesis realized, counted here from the
+/// mapped netlist itself (every combinational cell except ties). When each
+/// block walked the full closure of its cones the ratio was 102 on the 50k
+/// mesh; a count cannot drift with the host the way a timing bound does.
+fn assert_claim_walk_is_linear(design: &Netlist, report: &FlowReport) {
+    let cfg = FlowConfig::scale_2016(Node::N28, MINI);
+    let opts = SynthesisOptions { rewrite_passes: cfg.aig_rewrite_passes, ..Default::default() };
+    let synth = synthesize(design, cfg.library.library(), cfg.synthesis, cfg.map_goal, &opts)
+        .expect("mini mesh synthesizes");
+    let lib = synth.netlist.library();
+    let gates = synth
+        .netlist
+        .instances()
+        .filter(|(_, i)| {
+            let f = lib.cell(i.cell()).function;
+            !f.is_sequential() && !matches!(f, CellFunction::Const0 | CellFunction::Const1)
+        })
+        .count() as u64;
+    assert!(gates > MINI as u64 / 2, "mini mesh maps to thousands of gates, got {gates}");
+    assert_eq!(counter(report, "synth.cone_visits"), gates, "claim walk re-walked shared cones");
+    assert_eq!(counter(report, "synth.cuts_enumerated"), synth.cuts_enumerated);
+    assert!(synth.cuts_enumerated >= gates, "at least one cut per realized gate");
 }
 
 /// RSS telemetry is wall-clock-section-only: two runs whose RSS samples
@@ -197,10 +232,6 @@ fn stress_tier_100k_warm_cache_replays_bit_identically() {
     cfg.cache_dir = Some(dir.clone());
     let cold = run_flow(&design, &cfg).expect("cold scale flow");
     let warm = run_flow(&design, &cfg).expect("warm scale flow");
-    let counter = |r: &FlowReport, name: &str| match r.telemetry.metrics.get(name) {
-        Some(Metric::Counter(n)) => *n,
-        _ => 0,
-    };
     assert_eq!(counter(&warm, "cache.errors"), 0, "warm replay hit corrupt entries");
     assert!(
         counter(&warm, "cache.hits") > counter(&cold, "cache.hits"),
