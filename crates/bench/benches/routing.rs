@@ -7,9 +7,10 @@ use eda_netlist::generate;
 use eda_place::{place_global, Die, GlobalConfig};
 use eda_route::{
     astar, lee_bfs, mikami_tabuchi, route, route_stats, GCell, RouteAlgorithm, RouteConfig,
-    RoutingGrid, RuleDeck,
+    RoutingGrid, RuleDeck, SearchScratch, SearchWindow,
 };
 use std::hint::black_box;
+use std::time::Instant;
 
 fn bench_full_route(c: &mut Criterion) {
     let design = generate::random_logic(generate::RandomLogicConfig {
@@ -77,5 +78,77 @@ fn bench_route_scaling(_c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_full_route, bench_single_connection, bench_route_scaling);
+/// Wall-clock rows for the two search kernels in the regimes the flow
+/// benchmark puts them in (seconds per search, on a reused scratch as the
+/// router runs them), and for one whole dense route including the
+/// supervisor's coarse-grid retry (seconds for both routes).
+fn bench_search_kernels(_c: &mut Criterion) {
+    // The coarse-grid retry: every edge at 40x capacity with six rounds of
+    // history, so a step costs hundreds of quantised units while a search
+    // expands a few dozen cells.
+    let mut grid = RoutingGrid::new(16, 16, &RuleDeck::simple(3));
+    for y in 0..16 {
+        for x in 0..15 {
+            grid.add_usage(GCell::new(x, y), GCell::new(x + 1, y), 40 * grid.cap_h as i32);
+            grid.add_usage(GCell::new(y, x), GCell::new(y, x + 1), 40 * grid.cap_v as i32);
+        }
+    }
+    for _ in 0..6 {
+        grid.bump_history();
+    }
+    let pairs: Vec<(GCell, GCell)> = (0..256u32)
+        .map(|i| (GCell::new(i % 16, i / 16), GCell::new((i * 7 + 3) % 16, (i * 5 + 11) % 16)))
+        .collect();
+    let win = SearchWindow::full(&grid);
+    let mut scratch = SearchScratch::new();
+    let s = median_seconds(9, || {
+        let t = Instant::now();
+        for &(src, dst) in &pairs {
+            black_box(scratch.astar_in(&grid, src, dst, 1.0, win));
+        }
+        t.elapsed().as_secs_f64() / pairs.len() as f64
+    });
+    println!("BENCHLINE astar/saturated16 {s:.9e}");
+
+    // A wall of full edges with one gap between the pins: no level-0 probe
+    // crosses, the level-1 probe through the gap does.
+    let mut grid = RoutingGrid::new(48, 48, &RuleDeck::simple(6));
+    for y in (0..48).filter(|&y| y != 20) {
+        grid.add_usage(GCell::new(23, y), GCell::new(24, y), grid.cap_h as i32);
+    }
+    let (src, dst) = (GCell::new(5, 10), GCell::new(40, 30));
+    let win = SearchWindow::full(&grid);
+    assert!(scratch.mikami_tabuchi_in(&grid, src, dst, 1, win).is_none(), "level 0 is blocked");
+    assert!(scratch.mikami_tabuchi_in(&grid, src, dst, 2, win).is_some(), "level 1 crosses");
+    let s = median_seconds(9, || {
+        let t = Instant::now();
+        for _ in 0..200 {
+            black_box(scratch.mikami_tabuchi_in(&grid, src, dst, 12, win));
+        }
+        t.elapsed().as_secs_f64() / 200.0
+    });
+    println!("BENCHLINE linesearch/level1_congested {s:.9e}");
+
+    // `flowd_pairs`' fabric on the dense 32-cell grid, then on the 16-cell
+    // grid the supervisor retries on when rip-up ends with overflow.
+    let design = generate::switch_fabric(8, 16).unwrap();
+    let die = Die::for_netlist(&design, 0.7);
+    let placement = place_global(&design, die, &GlobalConfig::default());
+    let dense = RouteConfig::default();
+    let s = median_seconds(3, || {
+        let t = Instant::now();
+        black_box(route(&design, &placement, &dense).overflow);
+        black_box(route(&design, &placement, &dense.coarsened()).overflow);
+        t.elapsed().as_secs_f64()
+    });
+    println!("BENCHLINE route/fabric8x16_dense {s:.9e}");
+}
+
+criterion_group!(
+    benches,
+    bench_full_route,
+    bench_single_connection,
+    bench_route_scaling,
+    bench_search_kernels
+);
 criterion_main!(benches);

@@ -68,6 +68,48 @@ pub trait DemandGrid: Sync {
     fn step_cost(&self, a: GCell, b: GCell) -> f64;
     /// Whether the edge between adjacent cells is at or over capacity.
     fn is_full(&self, a: GCell, b: GCell) -> bool;
+    /// The maximal run of cells through `origin` along one axis that can be
+    /// walked without crossing a full edge, clipped to `min..=max` on the
+    /// varying coordinate (x when `horizontal`, else y, with `min <= origin
+    /// <= max` inside the grid). Returns the inclusive `(lo, hi)` — a
+    /// line-search probe. Always equal to [`free_run_by_edge`]; views
+    /// override it only to scan their own storage instead of paying
+    /// [`DemandGrid::is_full`]'s per-edge addressing.
+    fn free_run(&self, origin: GCell, horizontal: bool, min: u32, max: u32) -> (u32, u32) {
+        free_run_by_edge(self, origin, horizontal, min, max)
+    }
+}
+
+/// [`DemandGrid::free_run`] by asking [`DemandGrid::is_full`] about every
+/// edge — the definition the overriding scans are tested against.
+pub fn free_run_by_edge<G: DemandGrid + ?Sized>(
+    grid: &G,
+    origin: GCell,
+    horizontal: bool,
+    min: u32,
+    max: u32,
+) -> (u32, u32) {
+    if horizontal {
+        let cell = |x| GCell::new(x, origin.y);
+        free_run_scan(origin.x, min, max, |x| grid.is_full(cell(x), cell(x + 1)))
+    } else {
+        let cell = |y| GCell::new(origin.x, y);
+        free_run_scan(origin.y, min, max, |y| grid.is_full(cell(y), cell(y + 1)))
+    }
+}
+
+/// The probe walk behind every [`DemandGrid::free_run`]: from coordinate
+/// `at`, extend down to `min` and up to `max` until `full(v)` — the edge
+/// from coordinate `v` to `v + 1` — blocks.
+pub(crate) fn free_run_scan(at: u32, min: u32, max: u32, full: impl Fn(u32) -> bool) -> (u32, u32) {
+    let (mut lo, mut hi) = (at, at);
+    while lo > min && !full(lo - 1) {
+        lo -= 1;
+    }
+    while hi < max && !full(hi) {
+        hi += 1;
+    }
+    (lo, hi)
 }
 
 /// The routing grid with per-edge usage tracking and PathFinder-style
@@ -120,6 +162,18 @@ impl RoutingGrid {
 
     fn v_index(&self, x: u32, y: u32) -> usize {
         (y * self.width + x) as usize
+    }
+
+    /// Usage of row `y`'s horizontal edges: entry `x` is the edge from
+    /// `(x, y)` to `(x+1, y)`.
+    pub(crate) fn usage_h_row(&self, y: u32) -> &[u32] {
+        &self.usage_h[self.h_index(0, y)..][..(self.width - 1) as usize]
+    }
+
+    /// Usage of all vertical edges: entry `y * width + x` is the edge from
+    /// `(x, y)` to `(x, y+1)`.
+    pub(crate) fn usage_v_all(&self) -> &[u32] {
+        &self.usage_v
     }
 
     /// Usage of the horizontal edge from `(x, y)` to `(x+1, y)`.
@@ -245,6 +299,16 @@ impl DemandGrid for RoutingGrid {
 
     fn is_full(&self, a: GCell, b: GCell) -> bool {
         RoutingGrid::is_full(self, a, b)
+    }
+
+    fn free_run(&self, origin: GCell, horizontal: bool, min: u32, max: u32) -> (u32, u32) {
+        if horizontal {
+            let row = self.usage_h_row(origin.y);
+            free_run_scan(origin.x, min, max, |x| row[x as usize] >= self.cap_h)
+        } else {
+            let (col, w) = (origin.x as usize, self.width as usize);
+            free_run_scan(origin.y, min, max, |y| self.usage_v[y as usize * w + col] >= self.cap_v)
+        }
     }
 }
 

@@ -26,9 +26,12 @@
 pub mod grid;
 pub mod linesearch;
 pub mod maze;
+#[cfg(test)]
+mod reference;
 pub mod region;
 pub mod router;
 pub mod rules;
+pub mod scratch;
 
 pub use grid::{DemandGrid, GCell, RoutingGrid};
 pub use region::{OverlayGrid, RegionMap, RegionScheduler, RegionTask};
@@ -39,3 +42,4 @@ pub use router::{
     ROUTE_NET_KIND, ROUTE_OUTCOME_KIND,
 };
 pub use rules::RuleDeck;
+pub use scratch::SearchScratch;

@@ -1,7 +1,10 @@
-//! Maze routing: Lee's breadth-first wavefront and congestion-aware A*
-//! over a monotone bucket (Dial) queue.
+//! Maze routing: Lee's breadth-first wavefront and congestion-aware A*,
+//! both on a reusable [`MazeScratch`].
 
 use crate::grid::{neighbours4, DemandGrid, GCell, RoutingGrid};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::mem::size_of;
 
 /// A routed 2-pin path (sequence of adjacent g-cells).
 pub type Path = Vec<GCell>;
@@ -73,8 +76,8 @@ impl SearchWindow {
         self.y1 - self.y0 + 1
     }
 
-    /// Window area in g-cells — the scratch a windowed search allocates.
-    pub fn cells(&self) -> usize {
+    /// Window area in g-cells — the scratch a windowed search needs.
+    pub fn area(&self) -> usize {
         self.width() as usize * self.height() as usize
     }
 
@@ -88,6 +91,12 @@ impl SearchWindow {
         debug_assert!(self.contains(c));
         ((c.y - self.y0) * self.width() + (c.x - self.x0)) as usize
     }
+
+    /// The cell at a window-local index — inverse of
+    /// [`SearchWindow::local_index`].
+    pub(crate) fn cell_at(&self, local: u32) -> GCell {
+        GCell::new(self.x0 + local % self.width(), self.y0 + local / self.width())
+    }
 }
 
 /// Lee's algorithm: uniform-cost BFS ignoring congestion weights (the
@@ -97,102 +106,23 @@ pub fn lee_bfs(grid: &RoutingGrid, src: GCell, dst: GCell) -> Option<(Path, Sear
     lee_bfs_in(grid, src, dst, SearchWindow::full(grid))
 }
 
-/// [`lee_bfs`] restricted to a [`SearchWindow`]: scratch arrays are sized
-/// to the window and the wavefront never leaves it. With
-/// [`SearchWindow::full`] this is exactly the classic search. The grid has
-/// no hard obstacles, so any window containing both pins always yields a
-/// path — a window only trades detour room for memory.
+/// [`lee_bfs`] restricted to a [`SearchWindow`]: the wavefront never leaves
+/// the window. With [`SearchWindow::full`] this is exactly the classic
+/// search. The grid has no hard obstacles, so any window containing both
+/// pins always yields a path — a window only trades detour room for memory.
+/// One-shot form of [`SearchScratch::lee_bfs_in`](crate::SearchScratch::lee_bfs_in).
 pub fn lee_bfs_in<G: DemandGrid>(
     grid: &G,
     src: GCell,
     dst: GCell,
     win: SearchWindow,
 ) -> Option<(Path, SearchStats)> {
-    debug_assert!(win.contains(src) && win.contains(dst));
-    if src == dst {
-        return Some((vec![src], SearchStats { expanded: 0, scratch_cells: 0 }));
-    }
-    let idx = |c: GCell| win.local_index(c);
-    let scratch = win.cells();
-    let mut prev: Vec<Option<GCell>> = vec![None; scratch];
-    let mut visited = vec![false; scratch];
-    visited[idx(src)] = true;
-    let mut queue = std::collections::VecDeque::new();
-    queue.push_back(src);
-    let mut expanded = 0usize;
-    while let Some(c) = queue.pop_front() {
-        expanded += 1;
-        if c == dst {
-            break;
-        }
-        for n in neighbours4(grid.width(), grid.height(), c) {
-            if win.contains(n) && !visited[idx(n)] {
-                visited[idx(n)] = true;
-                prev[idx(n)] = Some(c);
-                queue.push_back(n);
-            }
-        }
-    }
-    if !visited[idx(dst)] {
-        return None;
-    }
-    let mut path = vec![dst];
-    let mut cur = dst;
-    while let Some(p) = prev[idx(cur)] {
-        path.push(p);
-        cur = p;
-    }
-    path.reverse();
-    Some((path, SearchStats { expanded, scratch_cells: scratch }))
-}
-
-/// Fixed-point scale for quantized search costs: [`RoutingGrid::step_cost`]
-/// is at least 1.0, so every quantized edge weighs at least `DIAL_SCALE` and
-/// the `DIAL_SCALE × manhattan` heuristic stays consistent — the frontier's
-/// f-value never decreases, which is what lets a monotone bucket queue
-/// replace a comparison heap.
-const DIAL_SCALE: f64 = 64.0;
-
-/// Dial's bucket queue: entries land in the bucket of their (quantized)
-/// f-value and a cursor sweeps the buckets in order. With a consistent
-/// heuristic the cursor never moves backwards, so push and pop are O(1) —
-/// no comparisons, no sift-up/down, and far better cache behavior than a
-/// binary heap on the router's hot path.
-struct BucketQueue {
-    buckets: Vec<Vec<(u64, GCell)>>,
-    cursor: usize,
-}
-
-impl BucketQueue {
-    fn new() -> BucketQueue {
-        BucketQueue { buckets: Vec::new(), cursor: 0 }
-    }
-
-    fn push(&mut self, f: u64, g: u64, cell: GCell) {
-        let i = f as usize;
-        if i >= self.buckets.len() {
-            self.buckets.resize_with(i + 1, Vec::new);
-        }
-        self.buckets[i].push((g, cell));
-        // Monotonicity safety net: a consistent heuristic never needs this,
-        // but a rewind beats a silently skipped entry if it ever breaks.
-        self.cursor = self.cursor.min(i);
-    }
-
-    fn pop(&mut self) -> Option<(u64, GCell)> {
-        while self.cursor < self.buckets.len() {
-            if let Some(e) = self.buckets[self.cursor].pop() {
-                return Some(e);
-            }
-            self.cursor += 1;
-        }
-        None
-    }
+    MazeScratch::default().lee_bfs(grid, src, dst, win)
 }
 
 /// Congestion-aware A*: edge costs from [`RoutingGrid::step_cost`] plus a
 /// via (bend) penalty, with Manhattan-distance admissible heuristic. Costs
-/// are quantized to 1/64ths onto a Dial bucket queue.
+/// are quantized to 1/64ths.
 pub fn astar(
     grid: &RoutingGrid,
     src: GCell,
@@ -202,11 +132,11 @@ pub fn astar(
     astar_in(grid, src, dst, via_cost, SearchWindow::full(grid))
 }
 
-/// [`astar`] restricted to a [`SearchWindow`]: `best_g`/`prev` are sized to
-/// the window and expansion never leaves it. With [`SearchWindow::full`]
-/// this is exactly the classic search; with a bounded window the route may
-/// accept congestion it cannot detour around, which rip-up negotiation then
-/// repairs.
+/// [`astar`] restricted to a [`SearchWindow`]: expansion never leaves it.
+/// With [`SearchWindow::full`] this is exactly the classic search; with a
+/// bounded window the route may accept congestion it cannot detour around,
+/// which rip-up negotiation then repairs. One-shot form of
+/// [`SearchScratch::astar_in`](crate::SearchScratch::astar_in).
 pub fn astar_in<G: DemandGrid>(
     grid: &G,
     src: GCell,
@@ -214,64 +144,186 @@ pub fn astar_in<G: DemandGrid>(
     via_cost: f64,
     win: SearchWindow,
 ) -> Option<(Path, SearchStats)> {
-    debug_assert!(win.contains(src) && win.contains(dst));
-    if src == dst {
-        return Some((vec![src], SearchStats { expanded: 0, scratch_cells: 0 }));
+    MazeScratch::default().astar(grid, src, dst, via_cost, win)
+}
+
+/// Fixed-point scale for quantized search costs: [`RoutingGrid::step_cost`]
+/// is at least 1.0, so every quantized edge weighs at least `COST_SCALE` and
+/// the `COST_SCALE × manhattan` heuristic never overestimates.
+const COST_SCALE: f64 = 64.0;
+
+/// `best_g` of a cell the running search has not reached.
+const UNREACHED: u64 = u64::MAX;
+/// `prev` of the source cell.
+const NO_PREV: u32 = u32::MAX;
+
+/// One A* open-list entry: `(Reverse(f), push number, window-local cell)`.
+/// The order contract — rip-up trajectories and every QoR golden depend on
+/// it — is *smallest `f` first, and among equal `f` the entry pushed last*
+/// (what a Dial bucket popped from its tail does). On the max-heap that is
+/// exactly this tuple's derived order; push numbers are unique, so the cell
+/// index never decides. `g` is not stored: it is `f − h(cell)`.
+type Open = (Reverse<u64>, u32, u32);
+
+/// Reusable per-cell state of the maze searches, indexed by window-local
+/// cell. Sized to the largest window searched so far and reset by walking
+/// the cells the search reached, so a search costs what it touches — not
+/// what its window or its edge costs could hold.
+#[derive(Default)]
+pub(crate) struct MazeScratch {
+    /// Best known cost from the source; [`UNREACHED`] everywhere between
+    /// searches.
+    best_g: Vec<u64>,
+    /// Predecessor of every reached cell ([`NO_PREV`] for the source);
+    /// stale wherever `best_g` is [`UNREACHED`].
+    prev: Vec<u32>,
+    /// Cells reached by the running search in first-reach order: the reset
+    /// list, and Lee's FIFO wavefront.
+    reached: Vec<u32>,
+    open: BinaryHeap<Open>,
+    path: Vec<GCell>,
+}
+
+impl MazeScratch {
+    /// Bytes of heap this scratch holds.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.best_g.capacity() * size_of::<u64>()
+            + (self.prev.capacity() + self.reached.capacity()) * size_of::<u32>()
+            + self.open.capacity() * size_of::<Open>()
+            + self.path.capacity() * size_of::<GCell>()
     }
-    let n = win.cells();
-    let idx = |c: GCell| win.local_index(c);
-    let quant = |c: f64| (c * DIAL_SCALE).round() as u64;
-    let h = |c: GCell| c.manhattan(&dst) as u64 * DIAL_SCALE as u64;
-    let mut best_g = vec![u64::MAX; n];
-    // prev stores the previous cell for path reconstruction.
-    let mut prev: Vec<Option<GCell>> = vec![None; n];
-    let mut queue = BucketQueue::new();
-    best_g[idx(src)] = 0;
-    queue.push(h(src), 0, src);
-    let mut expanded = 0usize;
-    while let Some((g, cell)) = queue.pop() {
-        if g > best_g[idx(cell)] {
-            continue;
+
+    /// Grows the per-cell arrays to cover `win`; returns its area.
+    fn begin(&mut self, win: SearchWindow) -> usize {
+        let n = win.area();
+        assert!(n < NO_PREV as usize, "window of {n} cells overflows u32 cell indices");
+        if self.best_g.len() < n {
+            self.best_g.resize(n, UNREACHED);
+            self.prev.resize(n, NO_PREV);
         }
-        expanded += 1;
-        if cell == dst {
-            break;
+        debug_assert!(self.reached.is_empty() && self.open.is_empty());
+        debug_assert!(self.best_g.iter().all(|&g| g == UNREACHED), "previous search not reset");
+        n
+    }
+
+    fn reach(&mut self, cell: u32, g: u64, from: u32) {
+        if self.best_g[cell as usize] == UNREACHED {
+            self.reached.push(cell);
         }
-        let came_from = prev[idx(cell)];
-        for nb in neighbours4(grid.width(), grid.height(), cell) {
-            if !win.contains(nb) {
-                continue;
+        self.best_g[cell as usize] = g;
+        self.prev[cell as usize] = from;
+    }
+
+    /// Walks `prev` back from `dst` (if it was reached), resets the scratch
+    /// for the next search, and returns the path with exact capacity.
+    fn finish(&mut self, win: SearchWindow, dst: u32) -> Option<Path> {
+        let found = self.best_g[dst as usize] != UNREACHED;
+        if found {
+            self.path.clear();
+            let mut cur = dst;
+            while cur != NO_PREV {
+                self.path.push(win.cell_at(cur));
+                cur = self.prev[cur as usize];
             }
-            let mut cost = grid.step_cost(cell, nb);
-            // Bend penalty: direction change relative to the incoming edge.
-            if let Some(p) = came_from {
-                let straight = (p.x == nb.x) || (p.y == nb.y);
-                if !straight {
-                    cost += via_cost;
+            self.path.reverse();
+        }
+        for cell in self.reached.drain(..) {
+            self.best_g[cell as usize] = UNREACHED;
+        }
+        self.open.clear();
+        found.then(|| self.path.to_vec())
+    }
+
+    /// See [`lee_bfs_in`].
+    pub(crate) fn lee_bfs<G: DemandGrid>(
+        &mut self,
+        grid: &G,
+        src: GCell,
+        dst: GCell,
+        win: SearchWindow,
+    ) -> Option<(Path, SearchStats)> {
+        debug_assert!(win.contains(src) && win.contains(dst));
+        if src == dst {
+            return Some((vec![src], SearchStats { expanded: 0, scratch_cells: 0 }));
+        }
+        let scratch_cells = self.begin(win);
+        let dst = win.local_index(dst) as u32;
+        self.reach(win.local_index(src) as u32, 0, NO_PREV);
+        // `reached` is the FIFO; cells popped so far == cells expanded.
+        let mut expanded = 0usize;
+        while let Some(&cell) = self.reached.get(expanded) {
+            expanded += 1;
+            if cell == dst {
+                break;
+            }
+            for n in neighbours4(grid.width(), grid.height(), win.cell_at(cell)) {
+                if win.contains(n) && self.best_g[win.local_index(n)] == UNREACHED {
+                    self.reach(win.local_index(n) as u32, 0, cell);
                 }
             }
-            let ng = g + quant(cost);
-            if ng < best_g[idx(nb)] {
-                best_g[idx(nb)] = ng;
-                prev[idx(nb)] = Some(cell);
-                queue.push(ng + h(nb), ng, nb);
+        }
+        let path = self.finish(win, dst)?;
+        Some((path, SearchStats { expanded, scratch_cells }))
+    }
+
+    /// See [`astar_in`].
+    pub(crate) fn astar<G: DemandGrid>(
+        &mut self,
+        grid: &G,
+        src: GCell,
+        dst: GCell,
+        via_cost: f64,
+        win: SearchWindow,
+    ) -> Option<(Path, SearchStats)> {
+        debug_assert!(win.contains(src) && win.contains(dst));
+        if src == dst {
+            return Some((vec![src], SearchStats { expanded: 0, scratch_cells: 0 }));
+        }
+        let scratch_cells = self.begin(win);
+        let quant = |c: f64| (c * COST_SCALE).round() as u64;
+        let h = |c: GCell| c.manhattan(&dst) as u64 * COST_SCALE as u64;
+        let dst = win.local_index(dst) as u32;
+        let start = win.local_index(src) as u32;
+        self.reach(start, 0, NO_PREV);
+        let mut pushes = 0u32;
+        self.open.push((Reverse(h(src)), pushes, start));
+        let mut expanded = 0usize;
+        while let Some((Reverse(f), _, at)) = self.open.pop() {
+            let cell = win.cell_at(at);
+            let g = f - h(cell);
+            if g > self.best_g[at as usize] {
+                continue;
+            }
+            expanded += 1;
+            if at == dst {
+                break;
+            }
+            let came_from = self.prev[at as usize];
+            let came_from = (came_from != NO_PREV).then(|| win.cell_at(came_from));
+            for nb in neighbours4(grid.width(), grid.height(), cell) {
+                if !win.contains(nb) {
+                    continue;
+                }
+                let mut cost = grid.step_cost(cell, nb);
+                // Bend penalty: direction change relative to the incoming edge.
+                if let Some(p) = came_from {
+                    let straight = (p.x == nb.x) || (p.y == nb.y);
+                    if !straight {
+                        cost += via_cost;
+                    }
+                }
+                let ng = g + quant(cost);
+                let to = win.local_index(nb) as u32;
+                if ng < self.best_g[to as usize] {
+                    self.reach(to, ng, at);
+                    pushes = pushes.checked_add(1).expect("fewer than 2^32 pushes per search");
+                    self.open.push((Reverse(ng + h(nb)), pushes, to));
+                }
             }
         }
+        let path = self.finish(win, dst)?;
+        Some((path, SearchStats { expanded, scratch_cells }))
     }
-    if best_g[idx(dst)] == u64::MAX {
-        return None;
-    }
-    let mut path = vec![dst];
-    let mut cur = dst;
-    while let Some(p) = prev[idx(cur)] {
-        path.push(p);
-        cur = p;
-        if cur == src {
-            break;
-        }
-    }
-    path.reverse();
-    Some((path, SearchStats { expanded, scratch_cells: n }))
 }
 
 /// Number of bends in a path (proxy for via count in the 2-D model).
@@ -400,7 +452,7 @@ mod tests {
             assert_eq!(path[0], src);
             assert_eq!(*path.last().unwrap(), dst);
             assert!(path.iter().all(|&c| win.contains(c)), "path stays inside the window");
-            assert_eq!(stats.scratch_cells, win.cells());
+            assert_eq!(stats.scratch_cells, win.area());
             assert!(stats.scratch_cells < (g.width * g.height) as usize);
             // Shortest path is still found: the window contains the bbox.
             assert_eq!(path.len() as u32, src.manhattan(&dst) + 1);
@@ -412,7 +464,7 @@ mod tests {
         let g = grid();
         let win = SearchWindow::around(GCell::new(0, 0), GCell::new(15, 15), 9, &g);
         assert_eq!(win, SearchWindow::full(&g));
-        assert_eq!(win.cells(), 256);
+        assert_eq!(win.area(), 256);
         assert!(win.contains(GCell::new(0, 15)));
         assert_eq!(win.local_index(GCell::new(0, 0)), 0);
         assert_eq!(win.local_index(GCell::new(15, 15)), 255);

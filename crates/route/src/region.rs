@@ -50,7 +50,7 @@
 //! window is a pure function of the connection — so the subtraction
 //! always fits the overlay rectangle.)
 
-use crate::grid::{step_cost_from, DemandGrid, GCell, RoutingGrid};
+use crate::grid::{free_run_by_edge, free_run_scan, step_cost_from, DemandGrid, GCell, RoutingGrid};
 use crate::maze::{Path, SearchWindow};
 
 /// A fixed tiling of the routing grid into square regions (clipped at the
@@ -201,9 +201,7 @@ impl<'a> OverlayGrid<'a> {
     /// negative in a legal schedule (a subtracted path was committed in the
     /// base first); the clamp keeps a corrupted schedule from wrapping.
     fn local_usage(&self, usage: u32, a: GCell, b: GCell) -> u32 {
-        let v = usage as i64 + self.delta(a, b) as i64;
-        debug_assert!(v >= 0, "overlay drove edge usage negative");
-        v.max(0) as u32
+        plus_delta(usage, self.delta(a, b))
     }
 
     fn apply(&mut self, path: &Path, sign: i32) {
@@ -236,6 +234,13 @@ impl<'a> OverlayGrid<'a> {
     }
 }
 
+/// Committed usage plus an overlay delta, clamped at zero.
+fn plus_delta(usage: u32, delta: i32) -> u32 {
+    let v = usage as i64 + delta as i64;
+    debug_assert!(v >= 0, "overlay drove edge usage negative");
+    v.max(0) as u32
+}
+
 impl DemandGrid for OverlayGrid<'_> {
     fn width(&self) -> u32 {
         self.base.width
@@ -253,6 +258,32 @@ impl DemandGrid for OverlayGrid<'_> {
     fn is_full(&self, a: GCell, b: GCell) -> bool {
         let (usage, cap, _) = self.base.edge_parts(a, b);
         self.local_usage(usage, a, b) >= cap
+    }
+
+    /// A probe that stays inside the rectangle — every probe of an
+    /// interior connection, whose window the rectangle contains — adds the
+    /// delta row to the usage row directly; the rectangle test of
+    /// [`OverlayGrid::delta`] is paid once per probe instead of once per
+    /// edge. A probe that can leave the rectangle asks edge by edge.
+    fn free_run(&self, origin: GCell, horizontal: bool, min: u32, max: u32) -> (u32, u32) {
+        let inside = |c: GCell| c.x >= self.x0 && c.x <= self.x1 && c.y >= self.y0 && c.y <= self.y1;
+        if horizontal && inside(GCell::new(min, origin.y)) && inside(GCell::new(max, origin.y)) {
+            let usage = self.base.usage_h_row(origin.y);
+            let row = ((origin.y - self.y0) * (self.rw - 1)) as usize;
+            let delta = &self.dh[row..][..(self.rw - 1) as usize];
+            free_run_scan(origin.x, min, max, |x| {
+                plus_delta(usage[x as usize], delta[(x - self.x0) as usize]) >= self.base.cap_h
+            })
+        } else if !horizontal && inside(GCell::new(origin.x, min)) && inside(GCell::new(origin.x, max)) {
+            let (usage, w) = (self.base.usage_v_all(), self.base.width as usize);
+            let (col, rw) = ((origin.x - self.x0) as usize, self.rw as usize);
+            free_run_scan(origin.y, min, max, |y| {
+                let d = self.dv[(y - self.y0) as usize * rw + col];
+                plus_delta(usage[y as usize * w + origin.x as usize], d) >= self.base.cap_v
+            })
+        } else {
+            free_run_by_edge(self, origin, horizontal, min, max)
+        }
     }
 }
 

@@ -2,10 +2,11 @@
 //! PathFinder-style negotiated rip-up and re-route.
 
 use crate::grid::{DemandGrid, GCell, RoutingGrid};
-use crate::linesearch::{mikami_tabuchi, mikami_tabuchi_in};
-use crate::maze::{astar_in, count_bends, lee_bfs_in, Path, SearchWindow};
+use crate::linesearch::probe_window;
+use crate::maze::{count_bends, Path, SearchWindow};
 use crate::region::{OverlayGrid, RegionMap, RegionScheduler, RegionTask};
 use crate::rules::RuleDeck;
+use crate::scratch::{ScratchPool, SearchScratch};
 use eda_place::Placement;
 use eda_netlist::memo::fnv1a;
 use eda_netlist::{Netlist, SubstageMemo};
@@ -179,33 +180,33 @@ fn decompose(
 
 /// Prim MST on Manhattan distance over one net's deduplicated pin list — a
 /// pure function of the pins, which is what makes per-net memoization sound.
+///
+/// O(pins²): every out-of-tree pin `j` carries its nearest in-tree pin as
+/// the key `(distance, i)`, refreshed against each pin as it joins the
+/// tree. Each step takes the smallest `(distance, i, j)`, which is the pair
+/// a scan of all in-tree × out-of-tree pairs in index order with a strict
+/// `<` would stop at — the emitted sequence is part of the `route.net` memo
+/// payload and of `route_outcome_key`, so ties must not move.
 fn prim_pairs(pins: &[GCell]) -> Vec<TwoPin> {
-    let mut pairs = Vec::new();
     if pins.len() < 2 {
-        return pairs;
+        return Vec::new();
     }
     let fanout = pins.len() as u32;
+    let mut pairs = Vec::with_capacity(pins.len() - 1);
     let mut in_tree = vec![false; pins.len()];
     in_tree[0] = true;
+    let mut nearest: Vec<(u32, usize)> = pins.iter().map(|p| (pins[0].manhattan(p), 0)).collect();
     for _ in 1..pins.len() {
-        let mut best: Option<(usize, usize, u32)> = None;
-        for (i, &a) in pins.iter().enumerate() {
-            if !in_tree[i] {
-                continue;
-            }
-            for (j, &b) in pins.iter().enumerate() {
-                if in_tree[j] {
-                    continue;
-                }
-                let d = a.manhattan(&b);
-                if best.is_none_or(|(_, _, bd)| d < bd) {
-                    best = Some((i, j, d));
-                }
-            }
-        }
-        let (i, j, _) = best.expect("tree incomplete implies a remaining pin");
+        let (_, i, j) = (0..pins.len())
+            .filter(|&j| !in_tree[j])
+            .map(|j| (nearest[j].0, nearest[j].1, j))
+            .min()
+            .expect("tree incomplete implies a remaining pin");
         in_tree[j] = true;
         pairs.push(TwoPin { src: pins[i], dst: pins[j], fanout });
+        for (k, key) in nearest.iter_mut().enumerate() {
+            *key = (*key).min((pins[j].manhattan(&pins[k]), j));
+        }
     }
     pairs
 }
@@ -329,30 +330,30 @@ fn route_one_in<G: DemandGrid>(
     tp: &TwoPin,
     win: SearchWindow,
     cfg: &RouteConfig,
+    scratch: &mut SearchScratch,
 ) -> (Path, bool, u64, u64) {
+    let via_cost = cfg.deck.via_cost;
     match cfg.algorithm {
         RouteAlgorithm::LeeBfs => {
-            let (p, s) = lee_bfs_in(grid, tp.src, tp.dst, win).expect("grid is connected");
+            let (p, s) = scratch.lee_bfs_in(grid, tp.src, tp.dst, win).expect("grid is connected");
             (p, false, s.expanded as u64, s.scratch_cells as u64)
         }
         RouteAlgorithm::AStar => {
             let (p, s) =
-                astar_in(grid, tp.src, tp.dst, cfg.deck.via_cost, win).expect("grid is connected");
+                scratch.astar_in(grid, tp.src, tp.dst, via_cost, win).expect("grid is connected");
             (p, false, s.expanded as u64, s.scratch_cells as u64)
         }
         RouteAlgorithm::LineSearch => {
             // Windowed mode clips the probes to the same bounded window
             // the maze fallback searches; margin 0 keeps the classic
             // connection-extent window.
-            let probe = if cfg.window_margin > 0 {
-                mikami_tabuchi_in(grid, tp.src, tp.dst, 12, win)
-            } else {
-                mikami_tabuchi(grid, tp.src, tp.dst, 12)
-            };
-            match probe {
+            let probe_win =
+                if cfg.window_margin > 0 { win } else { probe_window(grid, tp.src, tp.dst) };
+            match scratch.mikami_tabuchi_in(grid, tp.src, tp.dst, 12, probe_win) {
                 Some((p, s)) => (p, false, s.expanded as u64, s.scratch_cells as u64),
                 None => {
-                    let (p, s) = astar_in(grid, tp.src, tp.dst, cfg.deck.via_cost, win)
+                    let (p, s) = scratch
+                        .astar_in(grid, tp.src, tp.dst, via_cost, win)
                         .expect("grid is connected");
                     (p, true, s.expanded as u64, s.scratch_cells as u64)
                 }
@@ -567,6 +568,9 @@ fn route_decomposed(
         stats.absorb(&decompose_stats);
         return route_region(grid, decomposed, cfg, start, stats);
     }
+    // Search scratch lives exactly as long as this route call: one per
+    // concurrently routing batch member, reused across batches and rounds.
+    let pool = ScratchPool::default();
     let mut pairs = decomposed;
     // Long connections first (they need the straightest resources).
     pairs.sort_by_key(|p| std::cmp::Reverse(p.src.manhattan(&p.dst)));
@@ -587,7 +591,7 @@ fn route_decomposed(
         } else {
             SearchWindow::full(grid)
         };
-        route_one_in(grid, tp, win, cfg)
+        pool.with(|scratch| route_one_in(grid, tp, win, cfg, scratch))
     };
 
     // Peels the first greedy batch of pairwise bbox-disjoint connections
@@ -740,6 +744,7 @@ fn run_wave_pass(
     map: RegionMap,
     cfg: &RouteConfig,
     paths: &mut [Option<Path>],
+    pool: &ScratchPool,
     stats: &mut eda_par::ParStats,
     tally: &mut WaveTally,
 ) {
@@ -841,7 +846,7 @@ fn run_wave_pass(
             // Immutable view for the workers; old paths are only swapped
             // out in the canonical commit loop after the dispatch returns.
             let paths: &[Option<Path>] = paths;
-            eda_par::par_tasks_stats_at(cfg.threads, o, &jobs, |_, task| match **task {
+            let run_task = |task: &RegionTask, scratch: &mut SearchScratch| match *task {
                 RegionTask::Interior { region, start, len } => {
                     let mut overlay = OverlayGrid::new(grid, map.rect(region));
                     let run = &sched.queue(region)[start as usize..(start + len) as usize];
@@ -853,7 +858,8 @@ fn run_wave_pass(
                         if let Some(old) = &paths[pair] {
                             overlay.uncommit(old);
                         }
-                        let r = route_one_in(&overlay, &pairs[pair], windows[item as usize], cfg);
+                        let win = windows[item as usize];
+                        let r = route_one_in(&overlay, &pairs[pair], win, cfg, scratch);
                         overlay.commit(&r.0);
                         out.push((item, r));
                     }
@@ -865,12 +871,17 @@ fn run_wave_pass(
                     let r = if let Some(old) = &paths[pair] {
                         let mut overlay = OverlayGrid::new(grid, (win.x0, win.y0, win.x1, win.y1));
                         overlay.uncommit(old);
-                        route_one_in(&overlay, &pairs[pair], win, cfg)
+                        route_one_in(&overlay, &pairs[pair], win, cfg, scratch)
                     } else {
-                        route_one_in(grid, &pairs[pair], win, cfg)
+                        route_one_in(grid, &pairs[pair], win, cfg, scratch)
                     };
                     vec![(item, r)]
                 }
+            };
+            // One scratch checkout per task: an interior run amortises it
+            // over every connection of the run.
+            eda_par::par_tasks_stats_at(cfg.threads, o, &jobs, |_, task| {
+                pool.with(|scratch| run_task(task, scratch))
             })
         };
         stats.absorb(&s);
@@ -931,7 +942,10 @@ fn route_region(
 
     let mut paths: Vec<Option<Path>> = vec![None; pairs.len()];
     let mut tally = WaveTally::default();
-    run_wave_pass(&mut grid, &pairs, &order, map, cfg, &mut paths, &mut stats, &mut tally);
+    // Search scratch lives exactly as long as this route call: one per
+    // concurrently running wave task, reused across waves and rounds.
+    let pool = ScratchPool::default();
+    run_wave_pass(&mut grid, &pairs, &order, map, cfg, &mut paths, &pool, &mut stats, &mut tally);
 
     let negotiate = cfg.algorithm != RouteAlgorithm::LeeBfs;
     let mut iterations = 1usize;
@@ -959,18 +973,14 @@ fn route_region(
                         .is_some_and(|p| p.windows(2).any(|e| grid.is_overflowed(e[0], e[1])))
                 })
                 .collect();
-            run_wave_pass(&mut grid, &pairs, &victims, map, cfg, &mut paths, &mut stats, &mut tally);
+            run_wave_pass(
+                &mut grid, &pairs, &victims, map, cfg, &mut paths, &pool, &mut stats, &mut tally,
+            );
             ripup_overflow.push(grid.total_overflow());
         }
     }
 
     let vias: u64 = paths.iter().flatten().map(|p| count_bends(p) as u64).sum();
-    if std::env::var_os("EDA_ROUTE_DEBUG").is_some() {
-        eprintln!(
-            "route_region debug: waves={} local={} seam={} ripup_overflow={:?} busy_s={:?}",
-            tally.waves, tally.local_commits, tally.seam_conflicts, ripup_overflow, stats.busy_s
-        );
-    }
     let outcome = RouteOutcome {
         wirelength: grid.total_usage(),
         vias,
@@ -1073,6 +1083,71 @@ mod tests {
         assert_eq!(a.local_commits, b.local_commits);
         assert_eq!(a.seam_conflicts, b.seam_conflicts);
         assert_eq!(a.negotiation_waves, b.negotiation_waves);
+    }
+
+    /// Prim by exhaustive rescan: every step scans all in-tree × out-of-tree
+    /// pairs in index order and keeps the first strictly smaller distance.
+    /// O(pins³); the tie-break oracle for `prim_pairs`.
+    fn prim_pairs_by_rescan(pins: &[GCell]) -> Vec<(GCell, GCell)> {
+        let mut pairs = Vec::new();
+        if pins.len() < 2 {
+            return pairs;
+        }
+        let mut in_tree = vec![false; pins.len()];
+        in_tree[0] = true;
+        for _ in 1..pins.len() {
+            let mut best: Option<(usize, usize, u32)> = None;
+            for (i, &a) in pins.iter().enumerate() {
+                if !in_tree[i] {
+                    continue;
+                }
+                for (j, &b) in pins.iter().enumerate() {
+                    if in_tree[j] {
+                        continue;
+                    }
+                    let d = a.manhattan(&b);
+                    if best.is_none_or(|(_, _, bd)| d < bd) {
+                        best = Some((i, j, d));
+                    }
+                }
+            }
+            let (i, j, _) = best.expect("tree incomplete implies a remaining pin");
+            in_tree[j] = true;
+            pairs.push((pins[i], pins[j]));
+        }
+        pairs
+    }
+
+    #[test]
+    fn prim_emits_the_rescan_order_on_tie_heavy_nets() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(16);
+        for case in 0..300 {
+            // Pins packed into a few columns and rows: most distances tie.
+            let span = 2 + case % 7;
+            let mut pins: Vec<GCell> = (0..rng.gen_range(0..40))
+                .map(|_| GCell::new(rng.gen_range(0..span), rng.gen_range(0..span)))
+                .collect();
+            pins.sort_unstable();
+            pins.dedup();
+            let pairs = prim_pairs(&pins);
+            let got: Vec<(GCell, GCell)> = pairs.iter().map(|tp| (tp.src, tp.dst)).collect();
+            assert_eq!(got, prim_pairs_by_rescan(&pins), "{pins:?}");
+            assert!(pairs.iter().all(|tp| tp.fanout == pins.len() as u32));
+        }
+    }
+
+    #[test]
+    fn prim_decomposes_a_3000_pin_net_within_a_second() {
+        // An un-buffered enable/reset net: 3 000 distinct g-cells.
+        let pins: Vec<GCell> = (0..3_000u32).map(|i| GCell::new(i / 40, i % 40)).collect();
+        // This thread's CPU seconds, so a loaded test host cannot fail it.
+        let t0 = eda_par::thread_cpu_seconds();
+        let pairs = prim_pairs(&pins);
+        let took = eda_par::thread_cpu_seconds() - t0;
+        assert_eq!(pairs.len(), 2_999);
+        assert!(pairs.iter().all(|tp| tp.src.manhattan(&tp.dst) == 1), "a full block spans at unit cost");
+        assert!(took < 1.0, "3 000-pin Prim took {took:.2} s");
     }
 
     #[test]
