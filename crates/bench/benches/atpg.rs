@@ -62,9 +62,9 @@ fn bench_compression(c: &mut Criterion) {
     });
 }
 
-/// Thread-scaling row for `scripts/bench_flow.sh`: projected wall seconds of
-/// the parallel fault simulator at `EDA_BENCH_THREADS` workers, from
-/// per-worker CPU clocks (bit-identical coverage at any thread count).
+/// Thread-scaling row, a labelled PROJECTION (busiest worker's CPU seconds,
+/// not a wall clock): the parallel fault simulator at `EDA_BENCH_THREADS`
+/// workers (bit-identical coverage at any thread count).
 fn bench_fault_sim_scaling(_c: &mut Criterion) {
     let design = generate::random_logic(generate::RandomLogicConfig {
         gates: 600,

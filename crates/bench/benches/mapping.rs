@@ -59,10 +59,9 @@ fn bench_xor_rich(c: &mut Criterion) {
     group.finish();
 }
 
-/// Thread-scaling row for `scripts/bench_flow.sh`: cut-based mapping with
-/// library tabulation, cut enumeration, and match selection fanned out in
-/// topological waves, reported as the projected wall
-/// clock of the busiest worker — the same convention as the other kernels.
+/// Thread-scaling row, a labelled PROJECTION (busiest worker's CPU seconds,
+/// not a wall clock): cut-based mapping with library tabulation, cut
+/// enumeration, and match selection fanned out in topological waves.
 fn bench_map_scaling(_c: &mut Criterion) {
     let design = generate::random_logic(generate::RandomLogicConfig {
         gates: 600,

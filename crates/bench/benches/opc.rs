@@ -44,9 +44,9 @@ fn bench_opc(c: &mut Criterion) {
     group.finish();
 }
 
-/// Thread-scaling row for `scripts/bench_flow.sh`: projected wall seconds of
-/// a full OPC run (convolutions + fragment corrections) at
-/// `EDA_BENCH_THREADS` workers.
+/// Thread-scaling row, a labelled PROJECTION (busiest worker's CPU seconds,
+/// not a wall clock): a full OPC run (convolutions + fragment corrections)
+/// at `EDA_BENCH_THREADS` workers.
 fn bench_opc_scaling(_c: &mut Criterion) {
     let model = OpticalModel::default();
     let (target, extent) = grating(110.0, 24);

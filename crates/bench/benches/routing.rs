@@ -57,9 +57,11 @@ fn bench_single_connection(c: &mut Criterion) {
     group.finish();
 }
 
-/// Thread-scaling row for `scripts/bench_flow.sh`: projected wall seconds of
-/// the batched initial routing pass at `EDA_BENCH_THREADS` workers (rip-up
-/// stays serial, so this row is Amdahl-bound by design).
+/// Thread-scaling row, a labelled PROJECTION: the busiest worker's CPU
+/// seconds per dispatch (`ParStats::projected_wall_s`), not a wall clock —
+/// measured walls live in `benchmark/`. Routed on the partitioned wave
+/// schedule (`window_margin: 8, region_size: 16`), the only configuration
+/// where `threads` matters: a dense route is one serial task per pass.
 fn bench_route_scaling(_c: &mut Criterion) {
     let design = generate::random_logic(generate::RandomLogicConfig {
         gates: 800,
@@ -70,7 +72,13 @@ fn bench_route_scaling(_c: &mut Criterion) {
     let die = Die::for_netlist(&design, 0.7);
     let placement = place_global(&design, die, &GlobalConfig::default());
     for threads in scaling_threads() {
-        let cfg = RouteConfig { grid_cells: 48, threads, ..Default::default() };
+        let cfg = RouteConfig {
+            grid_cells: 48,
+            threads,
+            window_margin: 8,
+            region_size: 16,
+            ..Default::default()
+        };
         let s = median_seconds(5, || {
             route_stats(&design, &placement, &cfg).1.projected_wall_s()
         });
@@ -80,10 +88,10 @@ fn bench_route_scaling(_c: &mut Criterion) {
 
 /// Wall-clock rows for the two search kernels in the regimes the flow
 /// benchmark puts them in (seconds per search, on a reused scratch as the
-/// router runs them), and for one whole dense route including the
-/// supervisor's coarse-grid retry (seconds for both routes).
+/// router runs them), and for `flowd_pairs`' fabric routed dense on the
+/// flow's 32-cell grid and on a saturated 16-cell one (seconds for both).
 fn bench_search_kernels(_c: &mut Criterion) {
-    // The coarse-grid retry: every edge at 40x capacity with six rounds of
+    // The saturated regime: every edge at 40x capacity with six rounds of
     // history, so a step costs hundreds of quantised units while a search
     // expands a few dozen cells.
     let mut grid = RoutingGrid::new(16, 16, &RuleDeck::simple(3));
@@ -129,16 +137,17 @@ fn bench_search_kernels(_c: &mut Criterion) {
     });
     println!("BENCHLINE linesearch/level1_congested {s:.9e}");
 
-    // `flowd_pairs`' fabric on the dense 32-cell grid, then on the 16-cell
-    // grid the supervisor retries on when rip-up ends with overflow.
+    // `flowd_pairs`' fabric on the dense 32-cell grid, then on a 16-cell
+    // grid with a quarter of the capacity: seven rounds at ~4 000 overflow.
     let design = generate::switch_fabric(8, 16).unwrap();
     let die = Die::for_netlist(&design, 0.7);
     let placement = place_global(&design, die, &GlobalConfig::default());
     let dense = RouteConfig::default();
+    let coarse = RouteConfig { grid_cells: 16, ..Default::default() };
     let s = median_seconds(3, || {
         let t = Instant::now();
         black_box(route(&design, &placement, &dense).overflow);
-        black_box(route(&design, &placement, &dense.coarsened()).overflow);
+        black_box(route(&design, &placement, &coarse).overflow);
         t.elapsed().as_secs_f64()
     });
     println!("BENCHLINE route/fabric8x16_dense {s:.9e}");

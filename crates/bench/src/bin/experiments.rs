@@ -30,8 +30,8 @@
 //!   bit-identical QoR.
 //! * `scale` — the scale-tier stress harness: a `--instances` mesh fabric
 //!   through the memory-lean flow at 1 and `--threads` workers, printing
-//!   SCALELINE/SCALESTAGE rows (SoA-vs-dense netlist heap, windowed-vs-dense
-//!   routing scratch, per-stage wall + peak RSS, QoR bit-identity) and
+//!   SCALELINE/SCALESTAGE rows (windowed-vs-dense routing scratch,
+//!   per-stage wall + peak RSS, QoR bit-identity) and
 //!   failing if any memory bar, the bit-identity check, or an optional
 //!   `--rss-budget-mb` is missed.
 //! * `trace OUT.json` — run the smoke flow once and write its telemetry
@@ -48,9 +48,9 @@
 //! global budget for every parallel kernel — and, under `serve`, the
 //! worker/kernel split; `0` = all cores), `--store PATH` /
 //! `--store-max-bytes N` (the persistent flow store: stage + sub-stage
-//! cache and QoR provenance, DESIGN.md §14; the deprecated `--cache-dir
-//! DIR` maps to `DIR/flow.store`), `--inject SPEC` (deterministic fault
-//! plan: `smoke`, `random:N`, or `stage=fail|timeout|degrade[@invocation]`),
+//! cache and QoR provenance, DESIGN.md §14), `--inject SPEC` (deterministic
+//! fault plan: `smoke`, `random:N`, or
+//! `stage=fail|timeout|degrade[@invocation]`),
 //! `--batch N` / `--workers W` (serve pool shape), and the `query` filters
 //! (`--design`, `--stage`, `--metric`, `--last`).
 //!
@@ -116,8 +116,7 @@ fn threads() -> usize {
     THREADS.load(Ordering::Relaxed)
 }
 
-/// Flow-store configuration from `--store` / `--cache-dir`, set once before
-/// any claim runs.
+/// Flow-store configuration from `--store`, set once before any claim runs.
 static STORE: OnceLock<StoreConfig> = OnceLock::new();
 
 /// Applies the global flow store (when given) to a flow config, so every
@@ -161,9 +160,6 @@ struct Options {
     /// `--threads N`: global budget for every parallel kernel (and, under
     /// `serve`, the worker/kernel split). `0` = all cores.
     threads: usize,
-    /// `--cache-dir DIR`: **deprecated** directory spelling of the flow
-    /// store; behaves as `--store DIR/flow.store` when `--store` is absent.
-    cache_dir: Option<String>,
     /// `--store PATH`: the persistent flow store file (stage + sub-stage
     /// cache and QoR provenance, DESIGN.md §14).
     store: Option<String>,
@@ -218,7 +214,6 @@ impl Default for Options {
     fn default() -> Options {
         Options {
             threads: 0,
-            cache_dir: None,
             store: None,
             store_max_bytes: 0,
             design: None,
@@ -271,11 +266,10 @@ SUBCOMMANDS:
                        OUT.metrics.json, and OUT.folded
     scale              generate a --instances mesh fabric, run the
                        scale-tier flow serially and at --threads workers,
-                       and print SCALELINE/SCALESTAGE rows (SoA vs dense
-                       netlist heap, routing window vs dense grid cells,
-                       per-stage wall + peak RSS, QoR bit-identity); exits
-                       nonzero if any memory bar, the bit-identity check,
-                       or --rss-budget-mb fails
+                       and print SCALELINE/SCALESTAGE rows (routing window
+                       vs dense grid cells, per-stage wall + peak RSS, QoR
+                       bit-identity); exits nonzero if the memory bar, the
+                       bit-identity check, or --rss-budget-mb fails
     daemon VERB        long-lived flow daemon over a Unix socket:
                          serve      bind --socket and serve until drained
                                     (shutdown frame or SIGTERM); exits 0
@@ -322,9 +316,6 @@ OPTIONS (shared by every subcommand):
     -h, --help         this text
 
 DEPRECATED (kept for compatibility, prefer the replacements):
-    --cache-dir DIR    ->  --store DIR/flow.store (the old loose-directory
-                           cache is now one store file; the directory
-                           spelling maps to a default-sized store there)
     --incremental      ->  experiments incremental
     --trace OUT.json   ->  experiments trace OUT.json
     --inject SPEC      ->  experiments run --inject SPEC
@@ -372,10 +363,6 @@ fn parse_args() -> Result<(Command, Options), CliError> {
                     Some(take("--inject (try `--inject smoke`)", args.next())?);
             }
             _ if a.starts_with("--inject=") => opts.inject = Some(value_of("--inject=")),
-            "--cache-dir" => opts.cache_dir = Some(take("--cache-dir", args.next())?),
-            _ if a.starts_with("--cache-dir=") => {
-                opts.cache_dir = Some(value_of("--cache-dir="));
-            }
             "--store" => opts.store = Some(take("--store", args.next())?),
             _ if a.starts_with("--store=") => opts.store = Some(value_of("--store=")),
             "--store-max-bytes" => {
@@ -484,15 +471,10 @@ fn parse_args() -> Result<(Command, Options), CliError> {
     Ok((cmd, opts))
 }
 
-/// Resolves the flow store the CLI should run against: `--store PATH`
-/// (with `--store-max-bytes` applied) wins; the deprecated `--cache-dir DIR`
-/// maps to a default store at `DIR/flow.store`; otherwise `None`.
+/// The flow store the CLI should run against: `--store PATH` with
+/// `--store-max-bytes` applied, or `None`.
 fn store_config(opts: &Options) -> Option<StoreConfig> {
-    let base = match (&opts.store, &opts.cache_dir) {
-        (Some(path), _) => StoreConfig::at(path),
-        (None, Some(dir)) => StoreConfig::at(PathBuf::from(dir).join("flow.store")),
-        (None, None) => return None,
-    };
+    let base = StoreConfig::at(opts.store.as_ref()?);
     Some(if opts.store_max_bytes > 0 {
         base.with_max_bytes(opts.store_max_bytes)
     } else {
@@ -584,8 +566,6 @@ fn run_claims(opts: &Options) -> CliResult {
                 if opts.store_max_bytes > 0 {
                     cmd.arg(format!("--store-max-bytes={}", opts.store_max_bytes));
                 }
-            } else if let Some(dir) = &opts.cache_dir {
-                cmd.arg(format!("--cache-dir={dir}"));
             }
             let c = cmd
                 .arg(id)
@@ -612,8 +592,8 @@ fn run_claims(opts: &Options) -> CliResult {
 
 /// `incremental`: cold + warm + edited smoke flow against the flow store.
 ///
-/// Runs the smoke flow twice against `--store` (or the deprecated
-/// `--cache-dir`, or a fresh temp store), prints both wall clocks, the
+/// Runs the smoke flow twice against `--store` (or a fresh temp store),
+/// prints both wall clocks, the
 /// fraction of stages replayed from the store, and the QoR comparison; then
 /// re-runs with one AIG rewrite pass dropped — the sub-stage memo must
 /// replay at least one per-pass entry even though the synthesis stage entry
@@ -678,7 +658,6 @@ fn incremental_demo(opts: &Options) -> CliResult {
     let edit_s = t.elapsed().as_secs_f64();
     let mut uncached = edited.clone();
     uncached.store = None;
-    uncached.cache_dir = None;
     let reference = run_flow(&design, &uncached)
         .map_err(|e| CliError(format!("uncached reference run failed: {e}")))?;
     let sub_hits = counter(&edit, "cache.substage_hits");
@@ -690,8 +669,8 @@ fn incremental_demo(opts: &Options) -> CliResult {
          {sub_hits} sub-stage hits / {sub_misses} misses, QoR vs uncached: {edit_same})"
     );
 
-    // Machine-readable rows for scripts/bench_flow.sh and scripts/check.sh.
-    // The `cold_*` rows describe the first run of THIS invocation — against
+    // Machine-readable rows for scripts/check.sh. The `cold_*` rows
+    // describe the first run of THIS invocation — against
     // a pre-filled store it hits too, and against a damaged one it reports
     // the unreadable entries it recomputed.
     println!("INCRLINE cold_s {cold_s:.6}");
@@ -745,9 +724,7 @@ fn incremental_demo(opts: &Options) -> CliResult {
 ///   with `--stage`,
 /// * a trailing `QUERYLINE rows <n>` count either way.
 fn query_demo(opts: &Options) -> CliResult {
-    let sc = store_config(opts).ok_or(CliError(
-        "query needs --store PATH (or the deprecated --cache-dir DIR)".into(),
-    ))?;
+    let sc = store_config(opts).ok_or(CliError("query needs --store PATH".into()))?;
     let store = FlowStore::open(&sc).map_err(|e| CliError(format!("cannot open store: {e}")))?;
     let q = QorQuery {
         design: opts.design.clone(),
@@ -831,15 +808,15 @@ fn query_demo(opts: &Options) -> CliResult {
     Ok(())
 }
 
-/// `scale`: the 10⁵-tier stress harness behind BENCH_scale.json and the
-/// check.sh mini-scale gate.
+/// `scale`: the 10⁵-tier stress harness behind the check.sh mini-scale
+/// gate (measured wall clocks at scale live in `benchmark/`).
 ///
-/// Generates a [`generate::scale_mesh`] fabric at `--instances`, prints the
-/// SoA-vs-dense netlist heap bar, then runs [`FlowConfig::scale_2016`] once
-/// serially and once at `--threads` workers. Emits machine-readable rows:
+/// Generates a [`generate::scale_mesh`] fabric at `--instances`, then runs
+/// [`FlowConfig::scale_2016`] once serially and once at `--threads`
+/// workers. Emits machine-readable rows:
 ///
-/// * `SCALELINE <key> <value>` — totals: instance/net counts, heap bytes,
-///   routing window peak vs dense grid cells, region-router counters,
+/// * `SCALELINE <key> <value>` — totals: instance/net counts, routing
+///   window peak vs dense grid cells, wave-schedule counters,
 ///   serial/parallel wall clocks, peak RSS, QoR bit-identity.
 /// * `SCALESTAGE <stage> <wall_s> <rss_mb>` — per stage, from the serial
 ///   run's telemetry. The process is fresh at that point, so the RSS column
@@ -856,30 +833,21 @@ fn query_demo(opts: &Options) -> CliResult {
 /// route stage the same way. All of these are labelled projections: they
 /// are reported, never gated (a faster serial kernel *lowers* the ratio).
 ///
-/// Exits nonzero when the SoA heap is not below the dense pointer-graph
-/// baseline, when the positive window margin fails to keep routing scratch
-/// below the dense grid, when the two runs' QoR differs in any bit, or when
+/// Exits nonzero when the positive window margin fails to keep routing
+/// scratch below the dense grid, when the two runs' QoR differs in any bit,
+/// or when
 /// `--rss-budget-mb` is set and peak RSS exceeds it.
 fn scale_demo(opts: &Options) -> CliResult {
     use eda_core::{Metric, SpanKind, STAGES};
-    use eda_netlist::{dense_heap_bytes, SoaNetlist};
 
     let par_threads = if opts.threads == 0 { 4 } else { opts.threads };
     let t = Instant::now();
     let design = generate::scale_mesh(opts.instances, 3)?;
     let gen_s = t.elapsed().as_secs_f64();
-    let soa_bytes = SoaNetlist::from_netlist(&design).heap_bytes();
-    let dense_bytes = dense_heap_bytes(&design);
     println!(
         "=== scale tier: {} instances, {} nets (generated in {gen_s:.2}s) ===",
         design.num_instances(),
         design.num_nets()
-    );
-    println!(
-        "netlist heap: SoA {:.1} MB vs dense {:.1} MB ({:.0}% of dense)",
-        soa_bytes as f64 / 1e6,
-        dense_bytes as f64 / 1e6,
-        100.0 * soa_bytes as f64 / dense_bytes as f64
     );
 
     let mut cfg = with_cache(FlowConfig::scale_2016(Node::N28, opts.instances));
@@ -974,8 +942,6 @@ fn scale_demo(opts: &Options) -> CliResult {
     println!("SCALELINE instances {}", design.num_instances());
     println!("SCALELINE nets {}", design.num_nets());
     println!("SCALELINE generate_s {gen_s:.6}");
-    println!("SCALELINE soa_heap_bytes {soa_bytes}");
-    println!("SCALELINE dense_heap_bytes {dense_bytes}");
     println!("SCALELINE window_peak_cells {window_peak:.0}");
     println!("SCALELINE dense_grid_cells {dense_cells:.0}");
     let counter = |name: &str| -> u64 {
@@ -1013,11 +979,6 @@ fn scale_demo(opts: &Options) -> CliResult {
             "scale flow reported {}/{} stages",
             serial.stage_status.len(),
             STAGES.len()
-        )));
-    }
-    if soa_bytes >= dense_bytes {
-        return Err(CliError(format!(
-            "SoA heap ({soa_bytes} B) must stay below the dense baseline ({dense_bytes} B)"
         )));
     }
     if window_peak <= 0.0 || dense_cells <= 0.0 || window_peak >= dense_cells {
@@ -1159,7 +1120,7 @@ fn serve_demo(opts: &Options) -> CliResult {
         report.cross_hit_rate() * 100.0,
         report.steals
     );
-    // Machine-readable rows for scripts/bench_flow.sh and scripts/check.sh.
+    // Machine-readable rows for scripts/check.sh.
     println!("SERVLINE batch {batch}");
     println!("SERVLINE distinct {distinct}");
     println!("SERVLINE workers {}", report.workers);
@@ -2047,7 +2008,8 @@ fn c9() -> CliResult {
         );
     }
 
-    // Routing: bbox-disjoint nets batched across workers (rip-up serial).
+    // Routing on the partitioned wave schedule — the configuration where
+    // `threads` matters (dense routes are serial by construction).
     let route_design = generate::random_logic(generate::RandomLogicConfig {
         gates: 800,
         seed: 9,
@@ -2056,7 +2018,13 @@ fn c9() -> CliResult {
     let rdie = Die::for_netlist(&route_design, 0.7);
     let rplace = place_global(&route_design, rdie, &GlobalConfig::default());
     for threads in [1usize, 2, 4, 8] {
-        let cfg = RouteConfig { grid_cells: 48, threads, ..Default::default() };
+        let cfg = RouteConfig {
+            grid_cells: 48,
+            threads,
+            window_margin: 8,
+            region_size: 16,
+            ..Default::default()
+        };
         let (out, stats) = route_stats(&route_design, &rplace, &cfg);
         let wall = stats.projected_wall_s();
         if threads == 1 {

@@ -123,8 +123,11 @@ pub(crate) fn stage_fp(stage: &str, design: &Netlist, cfg: &FlowConfig) -> u64 {
         // the common part) and the routed state.
         "6_cts" | "8_litho" => {}
         "6_sta" => key.push_str(&format!("|{:016x}", cfg.clock_mhz.to_bits())),
+        // The schedule revision keeps a store written by an older router
+        // from replaying that router's results under this one.
         "7_route" => key.push_str(&format!(
-            "|{:?}|{}|{}|{}|{}|{}",
+            "|rev{}|{:?}|{}|{}|{}|{}|{}",
+            eda_route::SCHEDULE_REV,
             cfg.router,
             cfg.layers,
             cfg.ripup_iterations,
@@ -318,6 +321,42 @@ mod tests {
         let other = generate::ripple_carry_adder(8).unwrap();
         assert_ne!(stage_fp("1_synthesis", &design, &base), stage_fp("1_synthesis", &other, &base));
         assert_eq!(stage_fp("4_place", &design, &base), stage_fp("4_place", &other, &base));
+    }
+
+    /// The `7_route` fingerprint as the batched-schedule revision computed
+    /// it: no schedule revision field.
+    fn route_stage_fp_rev1(cfg: &FlowConfig) -> u64 {
+        fnv(format!(
+            "7_route|{:?}|{}|{:?}|{}|{}|{}|{}|{}",
+            cfg.node,
+            cfg.seed,
+            cfg.router,
+            cfg.layers,
+            cfg.ripup_iterations,
+            cfg.route_grid_cells,
+            cfg.route_window_margin,
+            cfg.route_region_size,
+        )
+        .bytes())
+    }
+
+    #[test]
+    fn route_entries_of_the_batched_revision_are_never_addressed() {
+        let design = generate::ripple_carry_adder(4).unwrap();
+        for cfg in [
+            FlowConfig::advanced_2016(Node::N28),
+            FlowConfig::basic_2006(Node::N90),
+            FlowConfig::scale_2016(Node::N28, 10_000),
+        ] {
+            let old = route_stage_fp_rev1(&cfg);
+            assert_ne!(stage_fp("7_route", &design, &cfg), old, "{}", cfg.name);
+            // Same pre-stage state, old fingerprint: a different address.
+            let h = state_hash(&sample_state());
+            assert_ne!(
+                entry_key("7_route", stage_fp("7_route", &design, &cfg), h),
+                entry_key("7_route", old, h)
+            );
+        }
     }
 
     #[test]

@@ -77,7 +77,7 @@ pub(crate) enum LoadError {
 /// FNV-1a-style fingerprint of every QoR-relevant config field plus the
 /// design identity. Excludes fields that cannot change the result:
 /// `name`, `threads` (bit-identical by the eda-par contract),
-/// `checkpoint_dir`, `resume`, `cache_dir`, `store`, `fault_plan`,
+/// `checkpoint_dir`, `resume`, `store`, `fault_plan`,
 /// `budgets`, and `deadline_s`.
 pub(crate) fn fingerprint(design: &Netlist, cfg: &FlowConfig) -> u64 {
     let decap_bits = cfg

@@ -101,29 +101,29 @@ pub struct FlowConfig {
     /// Rip-up and re-route iterations.
     pub ripup_iterations: usize,
     /// G-cells per side of the routing grid (the resolution congestion is
-    /// negotiated at). Larger designs want finer grids; the supervisor's
-    /// coarsening recovery still halves from here.
+    /// negotiated at). Larger designs want finer grids.
     pub route_grid_cells: u32,
-    /// Bounded-memory routing window: `0` (the default) lets every maze
-    /// search materialize the full grid, the classic behaviour. When
-    /// positive, each search is confined to its connection's bounding box
-    /// expanded by this many g-cells — per-search scratch becomes
-    /// proportional to the connection instead of the grid area, which is
-    /// how the scale tier routes without a dense grid. QoR-relevant (it
-    /// changes detour room), so it folds into the config fingerprint; still
-    /// bit-identical at any thread count.
+    /// Routing search bound: `0` (the default) lets every maze search
+    /// materialize the full grid. When positive, each search is confined to
+    /// its connection's bounding box expanded by this many g-cells —
+    /// per-search scratch becomes proportional to the connection instead of
+    /// the grid area, which is how the scale tier routes without a dense
+    /// grid — and rip-up takes only paths on strictly overflowed edges as
+    /// victims instead of every path on an at-capacity edge. QoR-relevant
+    /// (detour room and victim rule), so it folds into the config
+    /// fingerprint; still bit-identical at any thread count.
     pub route_window_margin: u32,
-    /// Region side length for the region-partitioned router: `0` (the
-    /// default) keeps the legacy globally-batched passes; when positive
-    /// (requires a positive [`route_window_margin`](Self::route_window_margin)),
-    /// the routing grid is tiled into regions this many g-cells on a side
-    /// and workers search-and-commit region-interior connections against
-    /// private overlays, negotiating only seam-crossing connections — the
-    /// near-linear scaling mode of the scale tier. QoR-relevant (region
-    /// mode orders connections congestion-aware and rips up in canonical
-    /// order), so it folds into the config fingerprint; the partition is
-    /// a pure function of grid dims and this knob, so outcomes stay
-    /// bit-identical at any thread count *and* any region size.
+    /// Partition shape of the router's wave schedule: `0` (the default) is
+    /// one region covering the grid, i.e. the canonical order routed
+    /// serially. When positive (requires a positive
+    /// [`route_window_margin`](Self::route_window_margin) — full-grid
+    /// windows overlap every region), the grid is tiled into regions this
+    /// many g-cells on a side and workers search-and-commit region-interior
+    /// connections against private overlays, negotiating only seam-crossing
+    /// connections — the parallel mode of the scale tier. Shapes
+    /// parallelism, never QoR: outcomes are bit-identical at any region
+    /// size *and* any thread count (only the partition diagnostics in the
+    /// telemetry move, which is why it stays in the config fingerprint).
     pub route_region_size: u32,
     /// Scan insertion (None = no DFT).
     pub scan: Option<ScanOptions>,
@@ -137,8 +137,8 @@ pub struct FlowConfig {
     /// RNG seed for all stochastic stages.
     pub seed: u64,
     /// Worker threads for every parallel kernel — partitioned placement,
-    /// batched routing, fault simulation (`0` = all available cores). The
-    /// deterministic parallel layer (`eda-par`) guarantees every QoR output
+    /// wave-scheduled routing, fault simulation (`0` = all available
+    /// cores). The deterministic parallel layer (`eda-par`) guarantees every QoR output
     /// is bit-identical for any value of this knob — including the
     /// deterministic section of [`FlowReport::telemetry`], which records
     /// worker counts and wall clocks only in its separate `wall` section.
@@ -159,14 +159,6 @@ pub struct FlowConfig {
     /// to an uninterrupted run. A fingerprint mismatch is a hard error; a
     /// missing checkpoint silently falls back to a fresh run.
     pub resume: bool,
-    /// **Deprecated shim** — directory form of the flow store location.
-    /// `Some(dir)` behaves as a [`store`](Self::store) of
-    /// `StoreConfig::at(dir.join("flow.store"))` with default size and
-    /// eviction; an explicit `store` wins when both are set (see
-    /// [`effective_store`](Self::effective_store)). Kept so struct-literal
-    /// and builder call sites from the directory-cache era keep compiling;
-    /// new code should set `store`.
-    pub cache_dir: Option<PathBuf>,
     /// The persistent flow store (`None` = no caching, no provenance).
     /// One schema'd append-friendly file holding the content-addressed
     /// stage cache (keyed by `(stage kind, per-stage config fingerprint,
@@ -236,7 +228,6 @@ impl Default for FlowConfig {
             threads: 0,
             checkpoint_dir: None,
             resume: false,
-            cache_dir: None,
             store: None,
             fault_plan: None,
             budgets: StageBudgets::default(),
@@ -305,14 +296,14 @@ impl std::error::Error for ConfigError {}
 /// # Examples
 ///
 /// ```
-/// use eda_core::{ConfigError, FlowConfig};
+/// use eda_core::{ConfigError, FlowConfig, StoreConfig};
 /// use eda_tech::Node;
 ///
 /// let cfg = FlowConfig::builder()
 ///     .name("nightly")
 ///     .node(Node::N10)
 ///     .threads(4)
-///     .cache_dir("/tmp/eda-cache")
+///     .store(StoreConfig::at("/tmp/eda/flow.store"))
 ///     .build()?;
 /// assert_eq!(cfg.layers, Node::N10.spec().typical_metal_layers);
 ///
@@ -408,8 +399,8 @@ impl FlowConfigBuilder {
         self
     }
 
-    /// Region side length for the region-partitioned router (`0` = legacy
-    /// batched passes); requires a positive window margin.
+    /// Region side length of the router's wave schedule (`0` = one region,
+    /// serial); a positive size requires a positive window margin.
     pub fn route_region_size(mut self, size: u32) -> Self {
         self.cfg.route_region_size = size;
         self
@@ -461,17 +452,6 @@ impl FlowConfigBuilder {
     /// Resume from an existing checkpoint in the checkpoint directory.
     pub fn resume(mut self, resume: bool) -> Self {
         self.cfg.resume = resume;
-        self
-    }
-
-    /// Directory form of the flow store location.
-    ///
-    /// Deprecated shim: equivalent to
-    /// `.store(StoreConfig::at(dir.join("flow.store")))` with default size
-    /// and eviction. Prefer [`store`](Self::store), which also exposes
-    /// `max_bytes`, the eviction policy, and the provenance switch.
-    pub fn cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.cfg.cache_dir = Some(dir.into());
         self
     }
 
@@ -537,16 +517,6 @@ impl FlowConfig {
         FlowConfigBuilder { cfg: FlowConfig::default(), layers: None }
     }
 
-    /// Resolves the flow-store configuration this flow should run with: an
-    /// explicit [`store`](Self::store) wins, otherwise the deprecated
-    /// [`cache_dir`](Self::cache_dir) shim maps to a default-sized store at
-    /// `<cache_dir>/flow.store`, otherwise `None` (no caching).
-    pub fn effective_store(&self) -> Option<StoreConfig> {
-        self.store.clone().or_else(|| {
-            self.cache_dir.as_ref().map(|dir| StoreConfig::at(dir.join("flow.store")))
-        })
-    }
-
     /// The decade-old baseline: naive synthesis onto the poor library, BFS
     /// routing without negotiation, no design-for-power, no placement-aware
     /// scan.
@@ -602,9 +572,9 @@ impl FlowConfig {
     /// grid. Per-edge track capacity is a constant of the rule deck, so
     /// total capacity grows as `grid²` while demand (tile-local wirelength
     /// measured in g-cells) grows as `grid·√instances`: holding the grid
-    /// fixed would saturate it, and *coarsening* — the dense flow's escape
-    /// hatch — concentrates the same wires onto fewer edges and makes scale
-    /// congestion strictly worse. Scaling the grid side as √instances keeps
+    /// fixed would saturate it, and *coarsening* concentrates the same wires
+    /// onto fewer edges and makes congestion strictly worse. Scaling the
+    /// grid side as √instances keeps
     /// edge utilization roughly constant from 10⁴ to 10⁶.
     pub fn scale_2016(node: Node, instances: usize) -> FlowConfig {
         // ~3.25·√n: with this family of meshes the constant pins steady-state

@@ -100,10 +100,6 @@ pub struct DaemonConfig {
     /// Shared flow store handed to every request: stage + sub-stage cache
     /// plus the QoR provenance tables the `query` frame reads.
     pub store: Option<StoreConfig>,
-    /// Deprecated shim: shared stage-cache directory. When `store` is
-    /// `None`, maps to a store at `<cache_dir>/flow.store` with default
-    /// settings; an explicit `store` wins. Prefer `store`.
-    pub cache_dir: Option<PathBuf>,
     /// Checkpoint directory handed to every request, so in-flight work is
     /// resumable after a drain. Concurrent requests cannot clobber each
     /// other here: checkpoint files are namespaced by config fingerprint.
@@ -125,18 +121,9 @@ impl DaemonConfig {
             threads: 0,
             queue_high_water: 8,
             store: None,
-            cache_dir: None,
             checkpoint_dir: None,
             handle_sigterm: false,
         }
-    }
-
-    /// The store this daemon actually uses: an explicit `store` wins, a
-    /// bare `cache_dir` maps to `<dir>/flow.store` with default settings.
-    pub fn effective_store(&self) -> Option<StoreConfig> {
-        self.store
-            .clone()
-            .or_else(|| self.cache_dir.as_ref().map(|dir| StoreConfig::at(dir.join("flow.store"))))
     }
 }
 
@@ -296,8 +283,6 @@ impl StatCounters {
 struct Shared {
     cfg: DaemonConfig,
     kernel_threads: usize,
-    /// The effective store config handed to every admitted request.
-    store_cfg: Option<StoreConfig>,
     /// The store, opened once at bind and shared by workers (cache) and
     /// reader threads (queries). `None` when no store is configured or the
     /// open failed; requests then resolve per-run and degrade to uncached.
@@ -342,12 +327,10 @@ impl Daemon {
         let budget = resolve_threads(cfg.threads);
         let workers = if cfg.workers == 0 { (budget / 2).max(1) } else { cfg.workers };
         let kernel_threads = kernel_share(budget, workers);
-        let store_cfg = cfg.effective_store();
-        let store = store_cfg.as_ref().and_then(|sc| FlowStore::open(sc).ok().map(Arc::new));
+        let store = cfg.store.as_ref().and_then(|sc| FlowStore::open(sc).ok().map(Arc::new));
         let shared = Arc::new(Shared {
             cfg: DaemonConfig { workers, ..cfg },
             kernel_threads,
-            store_cfg,
             store,
             state: Mutex::new(DispatchState { queue: VecDeque::new(), running: 0 }),
             cv: Condvar::new(),
@@ -646,7 +629,7 @@ fn handle_submit(shared: &Arc<Shared>, conn: &Arc<ConnWriter>, spec: SubmitSpec)
     let config = match flow_config_for(
         &spec,
         shared.kernel_threads,
-        shared.store_cfg.as_ref(),
+        shared.cfg.store.as_ref(),
         shared.cfg.checkpoint_dir.as_deref(),
     ) {
         Ok(c) => c,

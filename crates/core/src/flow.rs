@@ -11,8 +11,8 @@
 //! * an inconclusive equivalence check escalates the simulation budget once
 //!   (2²² nodes), then records `Degraded` instead of silently reporting
 //!   "not verified";
-//! * routing that still overflows after its rip-up budget retries once on a
-//!   coarser grid and keeps the better result, degrading to partial routes;
+//! * routing that still overflows after its rip-up budget degrades to
+//!   partial routes (no escalation: a coarser grid has less capacity);
 //! * a decomposition that stays illegal or an OPC pass that misses its EPE
 //!   target retries with a doubled stitch budget and a halved OPC gain;
 //! * an IR-drop solve that stalls at the iteration cap retries with a
@@ -270,8 +270,7 @@ pub fn run_flow_observed(
 /// [`run_flow_observed`] with an optionally pre-opened flow store. The
 /// server and daemon open the store once and pass the same `Arc` to every
 /// worker, so concurrent requests share one index instead of each re-opening
-/// (and re-scanning) the file; `None` resolves the store from
-/// [`FlowConfig::effective_store`] per run.
+/// (and re-scanning) the file; `None` opens [`FlowConfig::store`] per run.
 pub(crate) fn run_flow_shared(
     design: &Netlist,
     cfg: &FlowConfig,
@@ -314,7 +313,7 @@ pub(crate) fn run_flow_shared(
         None
     } else {
         shared_store.or_else(|| {
-            cfg.effective_store().and_then(|sc| match FlowStore::open(&sc) {
+            cfg.store.as_ref().and_then(|sc| match FlowStore::open(sc) {
                 Ok(s) => Some(Arc::new(s)),
                 Err(_) => {
                     tel.count("cache.open_errors", 1);
@@ -636,10 +635,11 @@ pub(crate) fn run_flow_shared(
         } else {
             RuleDeck::simple(cfg.layers)
         };
-        // Recovery: if negotiated rip-up exhausts its budget with overflow
-        // remaining, retry once on a coarser grid (pooling capacity across
-        // more tracks) and keep whichever result overflows less.
-        let mut first: Option<(eda_route::RouteOutcome, eda_par::ParStats)> = None;
+        // No escalation: overflow left after the rip-up budget is reported
+        // as partial routes. A coarser grid cannot help — per-edge capacity
+        // comes from the deck alone, so halving the grid quarters total
+        // capacity while the same wires cross half as many cut lines
+        // (DESIGN.md §7).
         let (routed, par) = sup.run_stage(stage, |ctx: StageCtx<'_>| {
             let rcfg = RouteConfig {
                 algorithm: cfg.router,
@@ -650,36 +650,23 @@ pub(crate) fn run_flow_shared(
                 window_margin: cfg.route_window_margin,
                 region_size: cfg.route_region_size,
             };
-            let rcfg = if ctx.adapt == 0 { rcfg } else { rcfg.coarsened() };
             let (out, stats, replayed) =
                 route_stats_memo(cur, placement, &rcfg, sub.as_ref().map(|s| s as &dyn SubstageMemo));
-            if rcfg.region_size > 0 {
-                // Region-partitioned mode gets its own kernel span name so the
-                // legacy path's golden telemetry stays byte-stable.
-                if !replayed {
-                    ctx.tel.kernel("route:regions", &stats);
-                }
-                ctx.tel.gauge("route.regions", out.regions as f64);
-                ctx.tel.count("route.local_commits", out.local_commits);
-                ctx.tel.count("route.seam_conflicts", out.seam_conflicts);
-                ctx.tel.count("route.negotiation_waves", out.negotiation_waves);
-            } else if !replayed {
-                // A replayed outcome ran no parallel kernel: no kernel span,
-                // exactly like a stage-cache hit records no attempt spans.
-                ctx.tel.kernel("route:batches", &stats);
+            // A replayed outcome ran no parallel kernel: no kernel span,
+            // exactly like a stage-cache hit records no attempt spans.
+            if !replayed {
+                ctx.tel.kernel("route:waves", &stats);
             }
+            ctx.tel.gauge("route.regions", out.regions as f64);
+            ctx.tel.count("route.local_commits", out.local_commits);
+            ctx.tel.count("route.seam_conflicts", out.seam_conflicts);
+            ctx.tel.count("route.negotiation_waves", out.negotiation_waves);
             ctx.tel.count("route.ripup_iterations", out.iterations as u64);
             ctx.tel.count("route.connections", out.connections as u64);
             ctx.tel.count("route.cells_expanded", out.cells_expanded);
             ctx.tel.count("route.linesearch_fallbacks", out.linesearch_fallbacks as u64);
-            if cfg.route_window_margin > 0 {
-                // Scale tier only: recorded conditionally so the default
-                // path's golden snapshot stays byte-stable. Both values are
-                // pure functions of the netlist and config, never of the
-                // thread count.
-                ctx.tel.gauge("route.window_peak_cells", out.peak_window_cells as f64);
-                ctx.tel.gauge("route.dense_grid_cells", out.dense_grid_cells as f64);
-            }
+            ctx.tel.gauge("route.window_peak_cells", out.peak_window_cells as f64);
+            ctx.tel.gauge("route.dense_grid_cells", out.dense_grid_cells as f64);
             for &overflow in &out.ripup_overflow {
                 ctx.tel.observe(
                     "route.ripup_overflow",
@@ -687,39 +674,11 @@ pub(crate) fn run_flow_shared(
                     overflow as f64,
                 );
             }
-            let (out, stats) = match first.take() {
-                Some((o0, s0)) if (o0.overflow, o0.wirelength) <= (out.overflow, out.wirelength) => (o0, s0),
-                _ => (out, stats),
-            };
             if out.is_clean() || cfg.ripup_iterations == 0 {
                 return Ok(StageTry::Done((out, stats)));
             }
             let overflow = out.overflow;
-            if cfg.route_window_margin > 0 {
-                // Scale tier: per-edge demand grows as the grid coarsens
-                // (the same wires cross fewer, fatter edges), so the
-                // coarse-grid retry can only make congestion worse. Accept
-                // the negotiated result instead of doubling the route time.
-                return Ok(StageTry::Degraded(
-                    (out, stats),
-                    format!("partial routes ({overflow} overflow)"),
-                ));
-            }
-            if ctx.adapt == 0 {
-                first = Some((out.clone(), stats.clone()));
-                Ok(StageTry::Retry {
-                    reason: format!("{overflow} overflow after the rip-up budget"),
-                    salvage: Some((
-                        (out, stats),
-                        format!("partial routes ({overflow} overflow)"),
-                    )),
-                })
-            } else {
-                Ok(StageTry::Degraded(
-                    (out, stats),
-                    format!("partial routes after coarse-grid retry ({overflow} overflow)"),
-                ))
-            }
+            Ok(StageTry::Degraded((out, stats), format!("partial routes ({overflow} overflow)")))
         })?;
         st.routed_wirelength = routed.wirelength;
         st.routed_vias = routed.vias;

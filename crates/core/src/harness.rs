@@ -36,7 +36,7 @@ pub enum StageOutcome {
     },
     /// The stage produced a usable but reduced-quality result.
     Degraded {
-        /// Human-readable cause (e.g. "partial routes after coarse-grid retry").
+        /// Human-readable cause (e.g. "partial routes (12 overflow)").
         reason: String,
     },
     /// The stage did not run at all.
@@ -385,7 +385,7 @@ pub(crate) struct StageCtx<'t> {
     pub attempt: usize,
     /// Number of *observed* failures so far: attempts whose body actually ran
     /// and asked for a retry. Recovery policies key their parameter
-    /// escalation (coarser grid, bigger simulation budget, OPC backoff) off
+    /// escalation (bigger simulation budget, OPC backoff, relaxed tolerance) off
     /// this, not off `attempt`, so an injected fault that skips the body does
     /// not perturb the parameters — and therefore cannot change the QoR — of
     /// the retry.

@@ -77,7 +77,6 @@ use crate::telemetry::{Histogram, Metric, Span, SpanKind, TelemetrySnapshot, Wal
 use eda_netlist::Netlist;
 use eda_par::resolve_threads;
 use std::collections::{BTreeMap, VecDeque};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -179,16 +178,6 @@ impl FlowServerBuilder {
     /// request's provenance lands in one queryable file.
     pub fn store(mut self, store: StoreConfig) -> Self {
         self.store = Some(store);
-        self
-    }
-
-    /// Deprecated shim: shared stage-cache directory. Maps to
-    /// [`store`](Self::store) with `<dir>/flow.store` and the default size
-    /// budget; an explicit `store(...)` wins. Prefer `store(StoreConfig::at(..))`.
-    pub fn cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        if self.store.is_none() {
-            self.store = Some(StoreConfig::at(dir.into().join("flow.store")));
-        }
         self
     }
 

@@ -57,8 +57,8 @@ pub enum EvictionPolicy {
     Never,
 }
 
-/// Typed configuration for the embedded flow store — the replacement for
-/// the bare `cache_dir` knob. Construct with [`StoreConfig::at`] and adjust
+/// Typed configuration for the embedded flow store. Construct with
+/// [`StoreConfig::at`] and adjust
 /// fields (or use the `with_*` helpers); thread through
 /// [`crate::FlowConfig::builder`], [`crate::FlowServerBuilder`], or the
 /// daemon config.

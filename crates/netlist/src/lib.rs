@@ -9,8 +9,6 @@
 //! * [`generate`] — seeded synthetic design generators (adders, multipliers,
 //!   parity trees, switch fabrics, hierarchical SoCs, random logic, and the
 //!   scale-tier mesh fabrics);
-//! * [`soa`] — struct-of-arrays storage with `u32` indices and an interned
-//!   name arena for holding 10⁵–10⁶-instance designs memory-leanly;
 //! * [`memo`] — the storage-agnostic [`SubstageMemo`] hook engine crates use
 //!   to replay kernel-level results from a persistent store;
 //! * [`stats`] — structural statistics;
@@ -36,7 +34,6 @@ pub mod generate;
 pub mod liberty;
 pub mod memo;
 pub mod netlist;
-pub mod soa;
 pub mod stats;
 pub mod verilog;
 
@@ -44,7 +41,6 @@ pub use cell::{CellDef, CellFunction, CellId, Library};
 pub use memo::SubstageMemo;
 pub use codec::CodecError;
 pub use netlist::{InstId, Instance, Net, NetDriver, NetId, Netlist, NetlistError};
-pub use soa::{dense_heap_bytes, SoaCodecError, SoaNetlist};
 pub use liberty::{parse_clf, parse_liberty, write_clf, write_liberty, ParseLibError};
 pub use stats::NetlistStats;
 pub use verilog::{parse_verilog, write_verilog, ParseVerilogError};

@@ -1,0 +1,162 @@
+//! The independent pass auditor: after a routing pass, is the grid the sum
+//! of the committed paths, and is every path a legal walk?
+//!
+//! Bit-identity across thread counts proves the schedule deterministic, not
+//! right — a router that double-counts an edge or leaves a rip-up victim's
+//! old demand behind does so identically at 1 and 8 threads. This check
+//! shares no code with the bookkeeping it audits (`commit`,
+//! [`OverlayGrid`](crate::OverlayGrid) commit/uncommit, the canonical commit
+//! loop): demand is rebuilt from the paths into fresh vectors with its own
+//! edge indexing, the search window is recomputed from the pins, and
+//! overflow is re-summed from the rebuilt demand.
+
+use crate::grid::{GCell, RoutingGrid};
+use crate::maze::Path;
+use crate::router::TwoPin;
+
+/// Checks one pass: every connection has a path that starts at its source,
+/// ends at its target, moves by unit Manhattan steps and stays inside its
+/// search window (the pins' bounding box grown by `window_margin`, or the
+/// whole grid when that is `0`); and per-edge demand recomputed from all
+/// paths equals the grid's usage, total usage and total overflow.
+pub(crate) fn audit_pass(
+    grid: &RoutingGrid,
+    pairs: &[TwoPin],
+    paths: &[Option<Path>],
+    window_margin: u32,
+) -> Result<(), String> {
+    let (w, h) = (grid.width, grid.height);
+    if paths.len() != pairs.len() {
+        return Err(format!("{} paths for {} connections", paths.len(), pairs.len()));
+    }
+    let reach = if window_margin == 0 { w.max(h) } else { window_margin };
+    // Edge (x, y)→(x+1, y) at `y * (w - 1) + x`; (x, y)→(x, y+1) at `y * w + x`.
+    let mut across = vec![0u32; ((w - 1) * h) as usize];
+    let mut up = vec![0u32; (w * (h - 1)) as usize];
+    for (i, (tp, path)) in pairs.iter().zip(paths).enumerate() {
+        let path = path.as_ref().ok_or_else(|| format!("connection {i} has no path"))?;
+        if path.first() != Some(&tp.src) || path.last() != Some(&tp.dst) {
+            return Err(format!("connection {i}: path does not join {:?} to {:?}", tp.src, tp.dst));
+        }
+        let lo_x = tp.src.x.min(tp.dst.x).saturating_sub(reach);
+        let lo_y = tp.src.y.min(tp.dst.y).saturating_sub(reach);
+        let hi_x = tp.src.x.max(tp.dst.x).saturating_add(reach).min(w - 1);
+        let hi_y = tp.src.y.max(tp.dst.y).saturating_add(reach).min(h - 1);
+        let outside = |c: &&GCell| c.x < lo_x || c.x > hi_x || c.y < lo_y || c.y > hi_y;
+        if let Some(c) = path.iter().find(outside) {
+            return Err(format!("connection {i}: {c:?} is outside its search window"));
+        }
+        for step in path.windows(2) {
+            let (a, b) = (step[0], step[1]);
+            match (a.x.abs_diff(b.x), a.y.abs_diff(b.y)) {
+                (1, 0) => across[(a.y * (w - 1) + a.x.min(b.x)) as usize] += 1,
+                (0, 1) => up[(a.y.min(b.y) * w + a.x) as usize] += 1,
+                _ => return Err(format!("connection {i}: {a:?} -> {b:?} is not a unit step")),
+            }
+        }
+    }
+    let mut usage = 0u64;
+    let mut overflow = 0u64;
+    let mut tally = |demand: u32, held: u32, cap: u32, (x, y): (u32, u32), (nx, ny): (u32, u32)| {
+        if demand != held {
+            return Err(format!(
+                "edge ({x},{y})-({nx},{ny}): paths demand {demand}, grid holds {held}"
+            ));
+        }
+        usage += u64::from(demand);
+        overflow += u64::from(demand.saturating_sub(cap));
+        Ok(())
+    };
+    for y in 0..h {
+        for x in 0..w - 1 {
+            let demand = across[(y * (w - 1) + x) as usize];
+            tally(demand, grid.usage_h(x, y), grid.cap_h, (x, y), (x + 1, y))?;
+        }
+    }
+    for y in 0..h - 1 {
+        for x in 0..w {
+            tally(up[(y * w + x) as usize], grid.usage_v(x, y), grid.cap_v, (x, y), (x, y + 1))?;
+        }
+    }
+    if usage != grid.total_usage() || overflow != grid.total_overflow() {
+        return Err(format!(
+            "totals: paths give usage {usage} overflow {overflow}, grid reports {} and {}",
+            grid.total_usage(),
+            grid.total_overflow()
+        ));
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::rules::RuleDeck;
+
+    fn cell(x: u32, y: u32) -> GCell {
+        GCell::new(x, y)
+    }
+
+    /// An L-shaped connection committed by hand, plus the knobs each test
+    /// turns to break it.
+    fn fixture() -> (RoutingGrid, Vec<TwoPin>, Vec<Option<Path>>) {
+        let mut grid = RoutingGrid::new(8, 8, &RuleDeck::simple(2));
+        let path = vec![cell(1, 1), cell(2, 1), cell(3, 1), cell(3, 2)];
+        for s in path.windows(2) {
+            grid.add_usage(s[0], s[1], 1);
+        }
+        let pair = TwoPin { src: cell(1, 1), dst: cell(3, 2), fanout: 2 };
+        (grid, vec![pair], vec![Some(path)])
+    }
+
+    #[test]
+    fn a_consistent_pass_is_accepted() {
+        let (grid, pairs, paths) = fixture();
+        assert_eq!(audit_pass(&grid, &pairs, &paths, 0), Ok(()));
+        assert_eq!(audit_pass(&grid, &pairs, &paths, 1), Ok(()));
+    }
+
+    #[test]
+    fn leaked_and_missing_demand_are_caught() {
+        let (mut grid, pairs, paths) = fixture();
+        grid.add_usage(cell(5, 5), cell(5, 6), 1);
+        let err = audit_pass(&grid, &pairs, &paths, 0).unwrap_err();
+        assert!(err.contains("paths demand 0, grid holds 1"), "{err}");
+        let (mut grid, pairs, paths) = fixture();
+        grid.add_usage(cell(1, 1), cell(2, 1), -1);
+        let err = audit_pass(&grid, &pairs, &paths, 0).unwrap_err();
+        assert!(err.contains("paths demand 1, grid holds 0"), "{err}");
+    }
+
+    #[test]
+    fn illegal_paths_are_caught() {
+        let (grid, pairs, mut paths) = fixture();
+        paths[0] = None;
+        assert!(audit_pass(&grid, &pairs, &paths, 0).unwrap_err().contains("no path"));
+        let (grid, pairs, mut paths) = fixture();
+        paths[0].as_mut().unwrap().pop();
+        assert!(audit_pass(&grid, &pairs, &paths, 0).unwrap_err().contains("does not join"));
+        let (grid, pairs, mut paths) = fixture();
+        paths[0].as_mut().unwrap().remove(1);
+        assert!(audit_pass(&grid, &pairs, &paths, 0).unwrap_err().contains("not a unit step"));
+    }
+
+    #[test]
+    fn a_detour_outside_the_window_is_caught() {
+        let mut grid = RoutingGrid::new(8, 8, &RuleDeck::simple(2));
+        // (1,1) -> (3,1) by way of row 4: three rows beyond the pins.
+        let path = vec![
+            cell(1, 1), cell(1, 2), cell(1, 3), cell(1, 4), cell(2, 4), cell(3, 4), cell(3, 3),
+            cell(3, 2), cell(3, 1),
+        ];
+        for s in path.windows(2) {
+            grid.add_usage(s[0], s[1], 1);
+        }
+        let pairs = vec![TwoPin { src: cell(1, 1), dst: cell(3, 1), fanout: 2 }];
+        let paths = vec![Some(path)];
+        assert_eq!(audit_pass(&grid, &pairs, &paths, 0), Ok(()), "margin 0 is the whole grid");
+        assert_eq!(audit_pass(&grid, &pairs, &paths, 3), Ok(()));
+        let err = audit_pass(&grid, &pairs, &paths, 2).unwrap_err();
+        assert!(err.contains("outside its search window"), "{err}");
+    }
+}

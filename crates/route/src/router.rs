@@ -34,41 +34,37 @@ pub struct RouteConfig {
     pub grid_cells: u32,
     /// Maximum rip-up and re-route iterations.
     pub ripup_iterations: usize,
-    /// Worker threads for the batched routing passes — the initial pass and
-    /// every negotiated rip-up round (`0` = all cores). Batch composition
-    /// never depends on this value, so outcomes are bit-identical for any
-    /// thread count.
+    /// Worker threads for net decomposition and the wave dispatches of the
+    /// initial pass and every rip-up round (`0` = all cores). The schedule
+    /// is a pure function of the input and the two shape knobs below —
+    /// never of this value — so outcomes are bit-identical for any thread
+    /// count. Threads only buy wall clock when a positive
+    /// [`window_margin`](Self::window_margin) lets connections in different
+    /// regions route side by side; with full-grid windows every pair of
+    /// connections conflicts and the route is serial by construction.
     pub threads: usize,
-    /// Bounded-memory search window: `0` (the default) searches the full
-    /// grid, exactly the classic behaviour. When positive, every maze
-    /// search is confined to the connection's bounding box expanded by this
-    /// many g-cells, so per-search scratch is proportional to the
-    /// connection's extent instead of the grid area — the tiled mode the
-    /// scale tier routes in. The window is a pure function of the
-    /// connection, so outcomes remain bit-identical at any thread count.
+    /// Search bound: `0` (the default) lets every maze search see the full
+    /// grid and line-search probes the connection's own extent. When
+    /// positive, every search is confined to the connection's bounding box
+    /// expanded by this many g-cells, so per-search scratch is proportional
+    /// to the connection's extent instead of the grid area — the tiled mode
+    /// the scale tier routes in. The window is a pure function of the
+    /// connection. It also sets the rip-up victim rule (see
+    /// [`route_stats`]): at-capacity edges when `0`, strictly overflowed
+    /// edges otherwise.
     pub window_margin: u32,
-    /// Region side length (g-cells) for the region-partitioned router:
-    /// `0` (the default) keeps the legacy globally-batched passes. When
-    /// positive (requires `window_margin > 0`), the grid is tiled into
-    /// `region_size × region_size` regions and connections are scheduled
-    /// through the seam-negotiation waves of [`crate::region`]:
-    /// region-interior connections search *and commit* against private
-    /// overlays with no cross-worker synchronization, seam-crossing
-    /// connections are arbitrated in canonical order. The partition is a
-    /// pure function of the grid dimensions and this knob — never of
-    /// `threads` — and the result is bit-identical to the canonical
-    /// serial schedule for any region size and any thread count.
+    /// Partition shape: side length (g-cells) of the regions the wave
+    /// scheduler of [`crate::region`] tiles the grid into. `0` (the
+    /// default) — and any route with `window_margin == 0`, where every
+    /// window is the whole grid — means one region covering the grid: the
+    /// schedule degenerates to one task per pass routing the canonical
+    /// order serially. When positive, region-interior connections search
+    /// *and commit* against private overlays with no cross-worker
+    /// synchronization and seam-crossing connections are arbitrated in
+    /// canonical order. The partition never depends on `threads`, and the
+    /// result is bit-identical to the one-region schedule for any region
+    /// size and any thread count: this knob shapes parallelism, never QoR.
     pub region_size: u32,
-}
-
-impl RouteConfig {
-    /// The same configuration on a grid with half as many g-cells per side
-    /// (floor 8). Coarser g-cells pool capacity across more tracks, which is
-    /// the flow supervisor's recovery move when rip-up exhausts its budget
-    /// with overflow remaining.
-    pub fn coarsened(&self) -> RouteConfig {
-        RouteConfig { grid_cells: (self.grid_cells / 2).max(8), ..self.clone() }
-    }
 }
 
 impl Default for RouteConfig {
@@ -105,9 +101,8 @@ pub struct RouteOutcome {
     /// Rip-up iterations actually executed.
     pub iterations: usize,
     /// Total overflow after each executed iteration (`[0]` = after the
-    /// initial pass, then one entry per rip-up round). Thread-invariant:
-    /// both passes batch in input order and commit in batch order, so the
-    /// trajectory is identical at any thread count.
+    /// initial pass, then one entry per rip-up round). Thread-invariant
+    /// like every other field: commits replay in canonical order.
     pub ripup_overflow: Vec<u64>,
     /// Largest per-search scratch window materialized (g-cells). Equals
     /// [`RouteOutcome::dense_grid_cells`] when
@@ -117,9 +112,9 @@ pub struct RouteOutcome {
     /// Scratch a full-grid search would have allocated (`width × height`) —
     /// the dense baseline bar.
     pub dense_grid_cells: u64,
-    /// Regions in the partition (`0` = region routing off). Like the
-    /// schedule diagnostics below, a pure function of the input and the
-    /// config — identical at any thread count.
+    /// Regions in the partition (`1` = the one-region serial case). Like
+    /// the schedule diagnostics below, a pure function of the input and
+    /// the config — identical at any thread count.
     pub regions: u32,
     /// Connections searched *and committed* region-locally against a
     /// private overlay (counted once per routing, so rip-up re-routes
@@ -141,12 +136,12 @@ impl RouteOutcome {
 
 /// One 2-pin connection to route.
 #[derive(Debug, Clone, Copy)]
-struct TwoPin {
-    src: GCell,
-    dst: GCell,
-    /// Distinct g-cell pins of the owning net — the fanout weight the
-    /// region router's congestion-aware ordering uses.
-    fanout: u32,
+pub(crate) struct TwoPin {
+    pub(crate) src: GCell,
+    pub(crate) dst: GCell,
+    /// Distinct g-cell pins of the owning net — the fanout weight of the
+    /// canonical order.
+    pub(crate) fanout: u32,
 }
 
 /// Decomposes every multi-pin net into a Prim MST over its g-cell pins.
@@ -319,12 +314,11 @@ fn commit(grid: &mut RoutingGrid, path: &Path, delta: i32) {
 }
 
 /// Pure per-connection search against an immutable demand view — the only
-/// route computation, shared by the legacy batched passes, the region
-/// waves (where the view is a private [`OverlayGrid`]), and the rip-up
-/// re-routes. Returns `(path, linesearch_fell_back, expanded, scratch)`.
-/// The result depends only on the demand values and the window, so every
-/// schedule that presents the canonical demand state gets the canonical
-/// path.
+/// route computation, shared by interior runs (where the view is a private
+/// [`OverlayGrid`]), seam singletons and the rip-up re-routes. Returns
+/// `(path, linesearch_fell_back, expanded, scratch)`. The result depends
+/// only on the demand values and the window, so any wave execution that
+/// presents the canonical demand state gets the canonical path.
 fn route_one_in<G: DemandGrid>(
     grid: &G,
     tp: &TwoPin,
@@ -344,9 +338,8 @@ fn route_one_in<G: DemandGrid>(
             (p, false, s.expanded as u64, s.scratch_cells as u64)
         }
         RouteAlgorithm::LineSearch => {
-            // Windowed mode clips the probes to the same bounded window
-            // the maze fallback searches; margin 0 keeps the classic
-            // connection-extent window.
+            // A bounded search clips the probes to the window the maze
+            // fallback searches; margin 0 probes the connection's extent.
             let probe_win =
                 if cfg.window_margin > 0 { win } else { probe_window(grid, tp.src, tp.dst) };
             match scratch.mikami_tabuchi_in(grid, tp.src, tp.dst, 12, probe_win) {
@@ -362,47 +355,45 @@ fn route_one_in<G: DemandGrid>(
     }
 }
 
-/// Axis-aligned bounding box of a connection, expanded by `margin` g-cells
-/// and clamped to the grid: `(x0, y0, x1, y1)` inclusive.
-fn expanded_bbox(tp: &TwoPin, margin: u32, w: u32, h: u32) -> (u32, u32, u32, u32) {
-    let x0 = tp.src.x.min(tp.dst.x).saturating_sub(margin);
-    let y0 = tp.src.y.min(tp.dst.y).saturating_sub(margin);
-    let x1 = (tp.src.x.max(tp.dst.x) + margin).min(w - 1);
-    let y1 = (tp.src.y.max(tp.dst.y) + margin).min(h - 1);
-    (x0, y0, x1, y1)
-}
-
-fn boxes_disjoint(a: &(u32, u32, u32, u32), b: &(u32, u32, u32, u32)) -> bool {
-    a.2 < b.0 || b.2 < a.0 || a.3 < b.1 || b.3 < a.1
-}
-
-/// Cap on how many connections share one parallel batch, keeping the
-/// congestion picture each batch routes against reasonably fresh. A fixed
-/// constant: batch composition must never depend on the thread count.
-const MAX_BATCH: usize = 16;
-
 /// Routes a placed netlist.
 ///
-/// The baseline [`RouteAlgorithm::LeeBfs`] routes each connection once in
-/// arbitrary order with no congestion awareness; the advanced algorithms run
-/// negotiated rip-up and re-route until clean or the iteration budget is
-/// spent.
+/// The baseline [`RouteAlgorithm::LeeBfs`] routes each connection once with
+/// no congestion awareness; the advanced algorithms run negotiated rip-up
+/// and re-route until clean or the iteration budget is spent.
 pub fn route(netlist: &Netlist, placement: &Placement, cfg: &RouteConfig) -> RouteOutcome {
     route_stats(netlist, placement, cfg).0
 }
 
-/// [`route`] returning the accumulated parallel-execution record of the
-/// batched passes (for scaling reports).
+/// [`route`] with the independent pass auditor of [`crate::audit`] forced on
+/// in every build profile (debug builds run it on every route anyway): after
+/// the initial pass and after every rip-up round, per-edge demand rebuilt
+/// from the committed paths must equal the grid's, and every path must be a
+/// unit-step walk from its source to its target inside its search window.
 ///
-/// Both the initial pass and every negotiated rip-up round group their
-/// worklist (the distance-sorted connection list, respectively the
-/// input-ordered victims of the round) into batches of pairwise
-/// bbox-disjoint connections (greedy scan, fixed [`MAX_BATCH`] cap). Every
-/// batch member routes against the same immutable grid snapshot and commits
-/// sequentially in batch order, so batch composition and every path depend
-/// only on the input — outcomes, including the `ripup_overflow` trajectory,
-/// are bit-identical for any `threads`. Conflicting nets never share a
-/// batch, so each still sees the other's freshly committed usage.
+/// # Panics
+///
+/// Panics with the auditor's message on the first pass that fails.
+pub fn route_audited(netlist: &Netlist, placement: &Placement, cfg: &RouteConfig) -> RouteOutcome {
+    route_with(netlist, placement, cfg, None, true).0
+}
+
+/// [`route`] returning the accumulated parallel-execution record of the
+/// decompose and wave dispatches (for scaling reports).
+///
+/// There is one schedule. Connections are ranked once into the **canonical
+/// order** — descending `manhattan + 2·(fanout − 2)`: long, high-fanout
+/// connections need the straightest resources and get them from an empty
+/// grid — and the initial pass routes that order through the wave scheduler
+/// of [`crate::region`], which is bit-identical to routing it one
+/// connection at a time for any [`RouteConfig::region_size`] and any
+/// `threads`. Each negotiated round then bumps history on overflowed edges,
+/// collects its victims in canonical order and re-routes them through the
+/// same waves; a victim's old path stays committed until its own commit
+/// slot, and only its own demand is hidden from its re-route.
+///
+/// The victim rule is the one place the dense and the windowed tier differ:
+/// with `window_margin == 0` every path on an *at-capacity* edge is a
+/// victim, otherwise only paths on *strictly overflowed* edges.
 pub fn route_stats(
     netlist: &Netlist,
     placement: &Placement,
@@ -441,11 +432,23 @@ pub fn route_stats_memo(
     cfg: &RouteConfig,
     memo: Option<&dyn SubstageMemo>,
 ) -> (RouteOutcome, eda_par::ParStats, bool) {
+    route_with(netlist, placement, cfg, memo, cfg!(debug_assertions))
+}
+
+/// The one route entry point behind the public wrappers; `audit` runs the
+/// pass auditor after every pass.
+fn route_with(
+    netlist: &Netlist,
+    placement: &Placement,
+    cfg: &RouteConfig,
+    memo: Option<&dyn SubstageMemo>,
+    audit: bool,
+) -> (RouteOutcome, eda_par::ParStats, bool) {
     let start = Instant::now();
     let w = cfg.grid_cells.max(2);
     let h = cfg.grid_cells.max(2);
     let grid = RoutingGrid::new(w, h, &cfg.deck);
-    let (decomposed, decompose_stats) = match memo {
+    let (decomposed, stats) = match memo {
         Some(m) => decompose_memo(netlist, placement, w, h, cfg.threads, m),
         None => decompose(netlist, placement, w, h, cfg.threads),
     };
@@ -456,21 +459,30 @@ pub fn route_stats_memo(
         {
             return (out, eda_par::ParStats::empty(), true);
         }
-        let (outcome, stats) = route_decomposed(grid, decomposed, decompose_stats, cfg, start);
+        let (outcome, stats) = route_decomposed(grid, decomposed, stats, cfg, start, audit);
         m.store(ROUTE_OUTCOME_KIND, key, &route_outcome_text(&outcome));
         return (outcome, stats, false);
     }
-    let (outcome, stats) = route_decomposed(grid, decomposed, decompose_stats, cfg, start);
+    let (outcome, stats) = route_decomposed(grid, decomposed, stats, cfg, start, audit);
     (outcome, stats, false)
 }
 
-/// Memo key for the whole-outcome entry: FNV over the route-relevant config
-/// (algorithm, deck, grid, budgets, window/region shape — everything but
-/// `threads`, which outcomes are invariant to) and the decomposed
-/// connection list.
+/// Revision of the route schedule, folded into every cache key that
+/// addresses a route result ([`ROUTE_OUTCOME_KIND`] entries here, the
+/// `7_route` stage entries in `eda-core`). Bump it whenever the same config
+/// and connection list can produce a different [`RouteOutcome`] than the
+/// previous revision did, so a store written before the change recomputes
+/// instead of replaying the old schedule's results. Revision 1 (implicit,
+/// no field in the key) had the batched dense passes.
+pub const SCHEDULE_REV: u32 = 2;
+
+/// Memo key for the whole-outcome entry: FNV over [`SCHEDULE_REV`], the
+/// route-relevant config (algorithm, deck, grid, budgets, window/region
+/// shape — everything but `threads`, which outcomes are invariant to) and
+/// the decomposed connection list.
 fn route_outcome_key(cfg: &RouteConfig, pairs: &[TwoPin]) -> u64 {
     let mut text = format!(
-        "route|{:?}|{}|{}|{}|{:016x}|{:016x}|{}|{}|{}|{}\n",
+        "route|rev{SCHEDULE_REV}|{:?}|{}|{}|{}|{:016x}|{:016x}|{}|{}|{}|{}\n",
         cfg.algorithm,
         cfg.deck.name,
         cfg.deck.layers,
@@ -552,172 +564,11 @@ fn parse_route_outcome(text: &str, start: Instant) -> Option<RouteOutcome> {
     Some(o)
 }
 
-/// Routes an already-decomposed connection list — the shared back half of
-/// [`route_stats`] and [`route_stats_memo`].
-fn route_decomposed(
-    mut grid: RoutingGrid,
-    decomposed: Vec<TwoPin>,
-    decompose_stats: eda_par::ParStats,
-    cfg: &RouteConfig,
-    start: Instant,
-) -> (RouteOutcome, eda_par::ParStats) {
-    let w = cfg.grid_cells.max(2);
-    let h = cfg.grid_cells.max(2);
-    if cfg.region_size > 0 && cfg.window_margin > 0 {
-        let mut stats = eda_par::ParStats::empty();
-        stats.absorb(&decompose_stats);
-        return route_region(grid, decomposed, cfg, start, stats);
-    }
-    // Search scratch lives exactly as long as this route call: one per
-    // concurrently routing batch member, reused across batches and rounds.
-    let pool = ScratchPool::default();
-    let mut pairs = decomposed;
-    // Long connections first (they need the straightest resources).
-    pairs.sort_by_key(|p| std::cmp::Reverse(p.src.manhattan(&p.dst)));
-
-    let mut paths: Vec<Option<Path>> = vec![None; pairs.len()];
-    let mut fallbacks = 0usize;
-    let mut expanded = 0u64;
-    let mut peak_window = 0u64;
-    // Legacy stats deliberately exclude the decompose dispatch so the
-    // chunk counts in the pinned telemetry goldens stay what they were.
-    let mut stats = eda_par::ParStats::empty();
-
-    // The search window depends only on the connection and the config, so
-    // windowed routing is as thread-invariant as full-grid routing.
-    let route_one = |grid: &RoutingGrid, tp: &TwoPin| -> (Path, bool, u64, u64) {
-        let win = if cfg.window_margin > 0 {
-            SearchWindow::around(tp.src, tp.dst, cfg.window_margin, grid)
-        } else {
-            SearchWindow::full(grid)
-        };
-        pool.with(|scratch| route_one_in(grid, tp, win, cfg, scratch))
-    };
-
-    // Peels the first greedy batch of pairwise bbox-disjoint connections
-    // off an ordered worklist; returns `(batch, rest)`. Pure function of
-    // the worklist order — never of the thread count.
-    let peel_batch = |work: &[usize]| -> (Vec<usize>, Vec<usize>) {
-        let mut batch: Vec<usize> = Vec::new();
-        let mut boxes: Vec<(u32, u32, u32, u32)> = Vec::new();
-        let mut rest: Vec<usize> = Vec::new();
-        for &i in work {
-            let bb = expanded_bbox(&pairs[i], 1, w, h);
-            if batch.len() < MAX_BATCH && boxes.iter().all(|b| boxes_disjoint(b, &bb)) {
-                batch.push(i);
-                boxes.push(bb);
-            } else {
-                rest.push(i);
-            }
-        }
-        (batch, rest)
-    };
-
-    // Initial routing pass: fixed-size batches in distance-sorted order.
-    // The grid starts empty, so intra-batch congestion feedback is worth
-    // little here — full-width batches keep every worker busy through the
-    // expensive long connections, and negotiation repairs any overlap the
-    // batching admits. (Rip-up rounds, where freshness matters, use the
-    // bbox-disjoint peeling below instead.)
-    let order: Vec<usize> = (0..pairs.len()).collect();
-    for batch in order.chunks(MAX_BATCH) {
-        let (routed, s) = {
-            let grid = &grid;
-            eda_par::par_map_stats(cfg.threads, batch, |_, &i| route_one(grid, &pairs[i]))
-        };
-        stats.absorb(&s);
-        for (&i, (p, fb, ex, sc)) in batch.iter().zip(routed) {
-            fallbacks += fb as usize;
-            expanded += ex;
-            peak_window = peak_window.max(sc);
-            commit(&mut grid, &p, 1);
-            paths[i] = Some(p);
-        }
-    }
-
-    let negotiate = cfg.algorithm != RouteAlgorithm::LeeBfs;
-    let mut iterations = 1usize;
-    let mut ripup_overflow = vec![grid.total_overflow()];
-    if negotiate {
-        for _ in 0..cfg.ripup_iterations {
-            if grid.total_overflow() == 0 {
-                break;
-            }
-            grid.bump_history();
-            iterations += 1;
-            // Victims of this round: paths traversing a congested edge, in
-            // input order. Scheduling them into bbox-disjoint batches lets
-            // the re-routes run in parallel while later batches still
-            // observe earlier batches' freshly committed usage. The dense
-            // router treats at-capacity edges as congested (aggressive, fine
-            // on small grids); the windowed scale router only rips paths on
-            // strictly overflowed edges — at scale most edges sit near
-            // capacity and the aggressive rule churns thousands of paths per
-            // residual overflow unit without converging.
-            let congested = |grid: &RoutingGrid, a: GCell, b: GCell| {
-                if cfg.window_margin > 0 {
-                    grid.is_overflowed(a, b)
-                } else {
-                    grid.is_full(a, b)
-                }
-            };
-            let mut victims: Vec<usize> = (0..pairs.len())
-                .filter(|&i| {
-                    paths[i]
-                        .as_ref()
-                        .is_some_and(|p| p.windows(2).any(|win| congested(&grid, win[0], win[1])))
-                })
-                .collect();
-            while !victims.is_empty() {
-                let (batch, rest) = peel_batch(&victims);
-                for &i in &batch {
-                    let old = paths[i].take().expect("path exists");
-                    commit(&mut grid, &old, -1);
-                }
-                let (routed, s) = {
-                    let grid = &grid;
-                    eda_par::par_map_stats(cfg.threads, &batch, |_, &i| route_one(grid, &pairs[i]))
-                };
-                stats.absorb(&s);
-                for (&i, (p, fb, ex, sc)) in batch.iter().zip(routed) {
-                    fallbacks += fb as usize;
-                    expanded += ex;
-                    peak_window = peak_window.max(sc);
-                    commit(&mut grid, &p, 1);
-                    paths[i] = Some(p);
-                }
-                victims = rest;
-            }
-            ripup_overflow.push(grid.total_overflow());
-        }
-    }
-
-    let vias: u64 = paths.iter().flatten().map(|p| count_bends(p) as u64).sum();
-    let outcome = RouteOutcome {
-        wirelength: grid.total_usage(),
-        vias,
-        overflow: grid.total_overflow(),
-        connections: pairs.len(),
-        linesearch_fallbacks: fallbacks,
-        cells_expanded: expanded,
-        seconds: start.elapsed().as_secs_f64(),
-        iterations,
-        ripup_overflow,
-        peak_window_cells: peak_window,
-        dense_grid_cells: w as u64 * h as u64,
-        regions: 0,
-        local_commits: 0,
-        seam_conflicts: 0,
-        negotiation_waves: 0,
-    };
-    (outcome, stats)
-}
-
 /// One task's routed connections: `(queue item, (path, used line-search
 /// fallback, cells expanded, peak window cells))`, in task order.
 type TaskResults = Vec<(u32, (Path, bool, u64, u64))>;
 
-/// Running totals across all wave passes of one region-mode route.
+/// Running totals across all wave passes of one route.
 #[derive(Default)]
 struct WaveTally {
     local_commits: u64,
@@ -735,7 +586,8 @@ struct WaveTally {
 /// dispatch), seam connections are singleton tasks against the committed
 /// grid. See [`crate::region`] for why the outcome is bit-identical to
 /// routing `items` serially in order, for any region size or thread
-/// count.
+/// count. A one-region map makes every pass a single interior task, which
+/// `eda-par` runs inline on the calling thread.
 #[allow(clippy::too_many_arguments)]
 fn run_wave_pass(
     grid: &mut RoutingGrid,
@@ -748,11 +600,16 @@ fn run_wave_pass(
     stats: &mut eda_par::ParStats,
     tally: &mut WaveTally,
 ) {
+    let full = SearchWindow::full(grid);
     let windows: Vec<SearchWindow> = items
         .iter()
         .map(|&i| {
             let tp = &pairs[i as usize];
-            SearchWindow::around_dims(tp.src, tp.dst, cfg.window_margin, grid.width, grid.height)
+            if cfg.window_margin == 0 {
+                full
+            } else {
+                SearchWindow::around(tp.src, tp.dst, cfg.window_margin, grid)
+            }
         })
         .collect();
     let mut sched = RegionScheduler::new(map, &windows);
@@ -917,23 +774,23 @@ fn run_wave_pass(
     }
 }
 
-/// The region-partitioned route path: congestion-aware canonical
-/// ordering, wave-scheduled initial pass, then negotiated rip-up rounds
-/// whose victims (canonical order, strict-overflow rule) are uncommitted
-/// up front and re-routed through the same wave machinery.
-fn route_region(
+/// Routes an already-decomposed connection list: canonical order, the
+/// wave-scheduled initial pass, then negotiated rip-up rounds through the
+/// same waves — see [`route_stats`] for the schedule and the victim rule.
+/// `stats` arrives holding the decompose dispatch.
+fn route_decomposed(
     mut grid: RoutingGrid,
     pairs: Vec<TwoPin>,
+    mut stats: eda_par::ParStats,
     cfg: &RouteConfig,
     start: Instant,
-    mut stats: eda_par::ParStats,
+    audit: bool,
 ) -> (RouteOutcome, eda_par::ParStats) {
     let (w, h) = (grid.width, grid.height);
-    let map = RegionMap::new(w, h, cfg.region_size);
-    // Canonical rank order — the serial schedule every wave execution is
-    // bit-identical to. Long, high-fanout connections first: they need
-    // the straightest resources, and routing them into an empty grid
-    // instead of a congested one is what cuts rip-up rounds.
+    // Full-grid windows overlap every region, so a partition could only
+    // turn each connection into a seam singleton: one region instead.
+    let one_region = cfg.region_size == 0 || cfg.window_margin == 0;
+    let map = RegionMap::new(w, h, if one_region { w.max(h) } else { cfg.region_size });
     let mut order: Vec<u32> = (0..pairs.len() as u32).collect();
     order.sort_by_key(|&i| {
         let p = &pairs[i as usize];
@@ -945,8 +802,32 @@ fn route_region(
     // Search scratch lives exactly as long as this route call: one per
     // concurrently running wave task, reused across waves and rounds.
     let pool = ScratchPool::default();
+    // Per pass, not per wave: a partitioned 50 k mesh dispatches ~20 k waves.
+    let audit_pass = |grid: &RoutingGrid, paths: &[Option<Path>]| {
+        if audit {
+            if let Err(e) = crate::audit::audit_pass(grid, &pairs, paths, cfg.window_margin) {
+                panic!("route audit failed: {e}");
+            }
+        }
+    };
     run_wave_pass(&mut grid, &pairs, &order, map, cfg, &mut paths, &pool, &mut stats, &mut tally);
+    audit_pass(&grid, &paths);
 
+    // The one tier switch left, and both halves earn their keep (measured
+    // when the schedules were merged). Strictly-overflowed victims on the
+    // dense tier cost QoR: `fabric:8x16` ends at 8/7/0 overflow instead of
+    // 1/2/0 over seeds 1 / 31000033 / 42, `rand:800:5` at 12/10/0 instead of
+    // 0/0/0 — on a 32-cell grid, moving the at-capacity neighbours is what
+    // opens room. At-capacity victims at scale cost time and move QoR: most
+    // edges sit near capacity by design, so the rule churns thousands of
+    // paths per residual overflow unit (50 k mesh route 1.58 → 2.01 s).
+    let victim_edge = |grid: &RoutingGrid, a: GCell, b: GCell| {
+        if cfg.window_margin == 0 {
+            grid.is_full(a, b)
+        } else {
+            grid.is_overflowed(a, b)
+        }
+    };
     let negotiate = cfg.algorithm != RouteAlgorithm::LeeBfs;
     let mut iterations = 1usize;
     let mut ripup_overflow = vec![grid.total_overflow()];
@@ -957,25 +838,19 @@ fn route_region(
             }
             grid.bump_history();
             iterations += 1;
-            // Victims in canonical order: every path on a strictly
-            // overflowed edge (the scale rule — region mode requires a
-            // positive window margin). Old paths stay committed until each
-            // victim's own canonical commit slot — see the rip-up
-            // semantics note in [`crate::region`]; ripping everything up
-            // front lets re-routes re-take the same shortest paths and
-            // never converges at scale.
             let victims: Vec<u32> = order
                 .iter()
                 .copied()
                 .filter(|&i| {
                     paths[i as usize]
                         .as_ref()
-                        .is_some_and(|p| p.windows(2).any(|e| grid.is_overflowed(e[0], e[1])))
+                        .is_some_and(|p| p.windows(2).any(|e| victim_edge(&grid, e[0], e[1])))
                 })
                 .collect();
             run_wave_pass(
                 &mut grid, &pairs, &victims, map, cfg, &mut paths, &pool, &mut stats, &mut tally,
             );
+            audit_pass(&grid, &paths);
             ripup_overflow.push(grid.total_overflow());
         }
     }
@@ -1068,17 +943,22 @@ mod tests {
         }
     }
 
+    /// Every deterministic field but the partition diagnostics.
+    fn same_qor(a: &RouteOutcome, b: &RouteOutcome, tag: &str) {
+        assert_eq!(a.wirelength, b.wirelength, "{tag}");
+        assert_eq!(a.vias, b.vias, "{tag}");
+        assert_eq!(a.overflow, b.overflow, "{tag}");
+        assert_eq!(a.connections, b.connections, "{tag}");
+        assert_eq!(a.linesearch_fallbacks, b.linesearch_fallbacks, "{tag}");
+        assert_eq!(a.cells_expanded, b.cells_expanded, "{tag}");
+        assert_eq!(a.iterations, b.iterations, "{tag}");
+        assert_eq!(a.ripup_overflow, b.ripup_overflow, "{tag}");
+        assert_eq!(a.peak_window_cells, b.peak_window_cells, "{tag}");
+        assert_eq!(a.dense_grid_cells, b.dense_grid_cells, "{tag}");
+    }
+
     fn same_outcome(a: &RouteOutcome, b: &RouteOutcome) {
-        assert_eq!(a.wirelength, b.wirelength);
-        assert_eq!(a.vias, b.vias);
-        assert_eq!(a.overflow, b.overflow);
-        assert_eq!(a.connections, b.connections);
-        assert_eq!(a.linesearch_fallbacks, b.linesearch_fallbacks);
-        assert_eq!(a.cells_expanded, b.cells_expanded);
-        assert_eq!(a.iterations, b.iterations);
-        assert_eq!(a.ripup_overflow, b.ripup_overflow);
-        assert_eq!(a.peak_window_cells, b.peak_window_cells);
-        assert_eq!(a.dense_grid_cells, b.dense_grid_cells);
+        same_qor(a, b, "");
         assert_eq!(a.regions, b.regions);
         assert_eq!(a.local_commits, b.local_commits);
         assert_eq!(a.seam_conflicts, b.seam_conflicts);
@@ -1170,6 +1050,51 @@ mod tests {
         }
     }
 
+    /// The outcome key as the batched-schedule revision computed it: no
+    /// schedule revision field.
+    fn route_outcome_key_rev1(cfg: &RouteConfig, pairs: &[TwoPin]) -> u64 {
+        let mut text = format!(
+            "route|{:?}|{}|{}|{}|{:016x}|{:016x}|{}|{}|{}|{}\n",
+            cfg.algorithm,
+            cfg.deck.name,
+            cfg.deck.layers,
+            cfg.deck.tracks_per_layer,
+            cfg.deck.track_derating.to_bits(),
+            cfg.deck.via_cost.to_bits(),
+            cfg.grid_cells,
+            cfg.ripup_iterations,
+            cfg.window_margin,
+            cfg.region_size,
+        );
+        for tp in pairs {
+            text.push_str(&format!("{} {} {} {} {}\n", tp.src.x, tp.src.y, tp.dst.x, tp.dst.y, tp.fanout));
+        }
+        fnv1a(text.bytes())
+    }
+
+    #[test]
+    fn outcome_entries_of_the_batched_revision_are_never_addressed() {
+        let (n, p) = placed(200, 4);
+        let (pairs, _) = decompose(&n, &p, 32, 32, 1);
+        for cfg in [
+            RouteConfig::default(),
+            RouteConfig { algorithm: RouteAlgorithm::AStar, ..Default::default() },
+            RouteConfig { window_margin: 8, region_size: 16, ..Default::default() },
+        ] {
+            assert_ne!(route_outcome_key(&cfg, &pairs), route_outcome_key_rev1(&cfg, &pairs));
+            assert_ne!(route_outcome_key(&cfg, &[]), route_outcome_key_rev1(&cfg, &[]));
+        }
+        // A store the parent filled: the entry sits under the old address and
+        // would parse, but the lookup never reaches it.
+        let memo = MapMemo::new();
+        let cfg = RouteConfig::default();
+        let stale = RouteOutcome { wirelength: 1, ..route(&n, &p, &cfg) };
+        memo.store(ROUTE_OUTCOME_KIND, route_outcome_key_rev1(&cfg, &pairs), &route_outcome_text(&stale));
+        let (out, _, replayed) = route_stats_memo(&n, &p, &cfg, Some(&memo));
+        assert!(!replayed);
+        assert_ne!(out.wirelength, 1);
+    }
+
     #[test]
     fn route_memo_misses_on_config_change() {
         let (n, p) = placed(200, 4);
@@ -1245,19 +1170,26 @@ mod tests {
     fn threaded_routing_matches_serial_exactly() {
         let (n, p) = placed(300, 3);
         for alg in [RouteAlgorithm::LeeBfs, RouteAlgorithm::AStar, RouteAlgorithm::LineSearch] {
-            let serial = route(&n, &p, &RouteConfig { algorithm: alg, ..Default::default() });
-            for threads in [2, 4, 8] {
-                let cfg = RouteConfig { algorithm: alg, threads, ..Default::default() };
-                let (par, stats) = route_stats(&n, &p, &cfg);
-                assert_eq!(par.wirelength, serial.wirelength, "{alg:?} threads={threads}");
-                assert_eq!(par.vias, serial.vias, "{alg:?} threads={threads}");
-                assert_eq!(par.overflow, serial.overflow, "{alg:?} threads={threads}");
-                assert_eq!(par.connections, serial.connections);
-                assert_eq!(par.linesearch_fallbacks, serial.linesearch_fallbacks);
-                assert_eq!(par.cells_expanded, serial.cells_expanded);
-                assert_eq!(par.iterations, serial.iterations);
-                assert!(stats.chunks > 0);
+            let dense = RouteConfig { algorithm: alg, ..Default::default() };
+            for shape in [
+                dense.clone(),
+                RouteConfig { window_margin: 4, ..dense.clone() },
+                RouteConfig { window_margin: 4, region_size: 8, ..dense.clone() },
+            ] {
+                let serial = route(&n, &p, &shape);
+                for threads in [2, 4, 8] {
+                    let (par, stats) = route_stats(&n, &p, &RouteConfig { threads, ..shape.clone() });
+                    same_outcome(&par, &serial);
+                    assert!(stats.chunks > 0);
+                }
             }
+            // Dense is the one-region case: one interior task per pass, and
+            // a partition (which under full-grid windows could only
+            // serialise through seams) is ignored.
+            let serial = route(&n, &p, &dense);
+            assert_eq!((serial.regions, serial.seam_conflicts), (1, 0), "{alg:?}");
+            assert_eq!(serial.negotiation_waves, serial.iterations as u64, "{alg:?}");
+            same_outcome(&route(&n, &p, &RouteConfig { region_size: 8, ..dense }), &serial);
         }
     }
 
@@ -1290,21 +1222,9 @@ mod tests {
             assert!(reference.local_commits as usize >= reference.connections);
             for region_size in [3, 5, 8, 13, 16] {
                 for threads in [1, 4] {
-                    let cfg =
-                        RouteConfig { region_size, threads, ..base.clone() };
-                    let out = route(&n, &p, &cfg);
+                    let out = route(&n, &p, &RouteConfig { region_size, threads, ..base.clone() });
                     let tag = format!("{alg:?} size={region_size} threads={threads}");
-                    assert_eq!(out.wirelength, reference.wirelength, "{tag}");
-                    assert_eq!(out.vias, reference.vias, "{tag}");
-                    assert_eq!(out.overflow, reference.overflow, "{tag}");
-                    assert_eq!(out.cells_expanded, reference.cells_expanded, "{tag}");
-                    assert_eq!(
-                        out.linesearch_fallbacks, reference.linesearch_fallbacks,
-                        "{tag}"
-                    );
-                    assert_eq!(out.ripup_overflow, reference.ripup_overflow, "{tag}");
-                    assert_eq!(out.peak_window_cells, reference.peak_window_cells, "{tag}");
-                    assert_eq!(out.iterations, reference.iterations, "{tag}");
+                    same_qor(&out, &reference, &tag);
                     assert!(out.regions > 1, "{tag}");
                     assert_eq!(
                         out.local_commits + out.seam_conflicts,
@@ -1330,11 +1250,7 @@ mod tests {
         assert_eq!(out.local_commits, 0, "nothing can be region-interior");
         assert!(out.seam_conflicts as usize >= out.connections);
         assert!(out.negotiation_waves > 1);
-        assert_eq!(out.wirelength, reference.wirelength);
-        assert_eq!(out.vias, reference.vias);
-        assert_eq!(out.overflow, reference.overflow);
-        assert_eq!(out.cells_expanded, reference.cells_expanded);
-        assert_eq!(out.ripup_overflow, reference.ripup_overflow);
+        same_qor(&out, &reference, "all seams");
     }
 
     #[test]
@@ -1361,15 +1277,12 @@ mod tests {
             );
             assert_eq!(serial.connections, full.connections);
             assert!(serial.wirelength > 0);
-            for threads in [2, 4] {
-                let cfg = RouteConfig { threads, ..windowed.clone() };
-                let par = route(&n, &p, &cfg);
-                assert_eq!(par.wirelength, serial.wirelength, "{alg:?} threads={threads}");
-                assert_eq!(par.vias, serial.vias);
-                assert_eq!(par.overflow, serial.overflow);
-                assert_eq!(par.cells_expanded, serial.cells_expanded);
-                assert_eq!(par.peak_window_cells, serial.peak_window_cells);
-                assert_eq!(par.ripup_overflow, serial.ripup_overflow);
+            // The window bounds the search whatever the partition and the
+            // thread count: same peak, same everything.
+            for (region_size, threads) in [(0, 2), (0, 4), (8, 1), (8, 4)] {
+                let cfg = RouteConfig { region_size, threads, ..windowed.clone() };
+                let tag = format!("{alg:?} size={region_size} threads={threads}");
+                same_qor(&route(&n, &p, &cfg), &serial, &tag);
             }
         }
     }

@@ -44,17 +44,16 @@ PY
 # a 4-thread budget must beat sequential by >= 1.5x with cross-design cache
 # hits and bit-identical QoR (the tool itself asserts all three). The
 # throughput bar is wall-clock-sensitive, so a miss gets two retries, each
-# with a fresh cold cache; QoR bit-identity is asserted on every attempt.
+# with a fresh cold store; QoR bit-identity is asserted on every attempt.
 serve_cache="$(mktemp -d)"
 trap 'rm -f "$test_log"; rm -rf "$trace_dir" "$serve_cache"' EXIT
 serve_ok=0
 for attempt in 1 2 3; do
-    mkdir -p "$serve_cache/$attempt"
     if ./target/release/experiments serve --batch 4 --threads 4 \
-            --cache-dir "$serve_cache/$attempt"; then
+            --store "$serve_cache/$attempt/flow.store"; then
         serve_ok=1; break
     fi
-    echo "check: serve smoke attempt $attempt missed a threshold; retrying on a cold cache" >&2
+    echo "check: serve smoke attempt $attempt missed a threshold; retrying on a cold store" >&2
 done
 [ "$serve_ok" = 1 ] || { echo "check: FAIL serve smoke failed on all 3 attempts" >&2; exit 1; }
 
@@ -123,9 +122,9 @@ cargo test --release -q --doc -p eda
 # an edited synthesis stage) — all with bit-identical QoR (the tool itself
 # asserts all of it; the greps below keep the sub-stage gate loud even if
 # the tool's own thresholds drift).
-cache_dir="$(mktemp -d)"
-trap 'rm -f "$test_log"; rm -rf "$trace_dir" "$serve_cache" "$daemon_dir" "$cache_dir"' EXIT
-store_file="$cache_dir/flow.store"
+store_dir="$(mktemp -d)"
+trap 'rm -f "$test_log"; rm -rf "$trace_dir" "$serve_cache" "$daemon_dir" "$store_dir"' EXIT
+store_file="$store_dir/flow.store"
 incr_log="$(./target/release/experiments incremental --store "$store_file" --threads 4)"
 printf '%s\n' "$incr_log"
 sub_hits="$(printf '%s\n' "$incr_log" | awk '/^INCRLINE edit_substage_hits /{print $3}')"
@@ -176,9 +175,9 @@ echo "check: store smoke green (edit replayed $sub_hits sub-stage entries, query
 # Mini-scale smoke: a 10^4-instance mesh fabric through the full scale-tier
 # flow, serial and at 4 workers. The tool itself asserts all 11 stages
 # complete, routing closes with zero overflow, QoR is bit-identical across
-# thread counts, the SoA netlist beats the dense layout, windowed routing
-# never materializes the dense grid, and peak RSS stays under the budget.
-# Bit-identity at 1 vs 4 workers is the region router's gate here; the
+# thread counts, windowed routing never materializes the dense grid, and
+# peak RSS stays under the budget.
+# Bit-identity at 1 vs 4 workers is the wave schedule's gate here; the
 # SCALELINE route_* rows are projections from per-worker CPU clocks and are
 # reported, not gated (a faster serial kernel lowers the projected ratio).
 ./target/release/experiments scale --instances 10000 --rss-budget-mb 512 --threads 4
@@ -187,12 +186,14 @@ echo "check: store smoke green (edit replayed $sub_hits sub-stage entries, query
 # 1/2/4/8 and unchanged vs tests/golden/smoke.snap (re-bless: scripts/bless.sh).
 cargo test --release -q --test golden
 
-# Pinned route outcomes in release: the saturated designs are minutes
-# unoptimized, so the debug suite above ignores them.
+# Pinned route outcomes, the one-schedule structure tests and the
+# independent pass auditor (route_audited) in release: the saturated designs
+# are minutes unoptimized, so the debug suite above ignores them — there the
+# auditor runs as a debug assertion inside every route instead.
 cargo test --release -q --test route_pins
 
 # Tally: sum the "test result:" lines from the debug suite run above.
 awk '/^test result:/ { passed += $4; failed += $6 }
      END { printf "check: %d tests passed, %d failed across all binaries\n", passed, failed
            exit (failed > 0) }' "$test_log"
-echo "check: tier-1 + clippy + unwrap gates + inject smoke + trace + serve + daemon + facade docs + incremental + mini-scale + golden + route pins green"
+echo "check: tier-1 + clippy + unwrap gates + inject smoke + trace + serve + daemon + facade docs + incremental + mini-scale + golden + route pins + route audit green"

@@ -10,7 +10,7 @@
 //! 3. Specific malformed inputs map to the *right* typed error variant.
 
 use eda::netlist::codec::{self, CodecError};
-use eda::netlist::{generate, InstId, Netlist, SoaNetlist};
+use eda::netlist::{generate, InstId, Netlist};
 use proptest::prelude::*;
 
 /// An arbitrary netlist via the seeded generator: proptest drives the seed
@@ -95,50 +95,6 @@ proptest! {
             for (_, inst) in parsed.instances() {
                 let _ = parsed.net(inst.output());
             }
-        }
-    }
-
-    /// SoA flatten → encode → decode → rebuild is the identity, including
-    /// block labels (the scale tier's hierarchy survives a checkpoint), and
-    /// the SoA text form is a fixed point.
-    #[test]
-    fn soa_roundtrip_identity(seed in 0u64..200, rows in 1usize..4, tile_gates in 5usize..40) {
-        let n = generate::mesh_fabric(rows, rows, tile_gates, 4, seed).unwrap();
-        let soa = SoaNetlist::from_netlist(&n);
-        let text = soa.to_text();
-        let back = SoaNetlist::from_text(&text).expect("soa round trip parses");
-        assert_identical(&n, &back.to_netlist());
-        prop_assert_eq!(back.to_text(), text);
-    }
-
-    /// Truncating an SoA checkpoint anywhere never panics: it either parses
-    /// (an exact record boundary) or returns a typed [`SoaCodecError`].
-    #[test]
-    fn soa_truncation_never_panics(seed in 0u64..100, cut_pm in 0u32..1000) {
-        let n = generate::mesh_fabric(2, 2, 20, 4, seed).unwrap();
-        let text = SoaNetlist::from_netlist(&n).to_text();
-        let cut = (text.len() as u64 * u64::from(cut_pm) / 1000) as usize;
-        let cut = (0..=cut).rev().find(|&i| text.is_char_boundary(i)).unwrap_or(0);
-        let _ = SoaNetlist::from_text(&text[..cut]);
-    }
-
-    /// One corrupted byte in an SoA checkpoint never panics, and whatever
-    /// parses converts back to an AoS netlist without panicking either
-    /// (from_text re-validates every cross-array index).
-    #[test]
-    fn soa_corruption_never_panics(
-        seed in 0u64..100,
-        pos_pm in 0u32..1000,
-        replacement in 0x20u8..0x7f,
-    ) {
-        let n = generate::mesh_fabric(2, 2, 20, 4, seed).unwrap();
-        let mut bytes = SoaNetlist::from_netlist(&n).to_text().into_bytes();
-        let pos = (bytes.len() as u64 * u64::from(pos_pm) / 1000) as usize;
-        let pos = pos.min(bytes.len() - 1);
-        bytes[pos] = replacement;
-        let corrupted = String::from_utf8_lossy(&bytes).into_owned();
-        if let Ok(parsed) = SoaNetlist::from_text(&corrupted) {
-            let _ = parsed.to_netlist();
         }
     }
 }

@@ -9,7 +9,7 @@
 //! changing the design, the seed, or any QoR-relevant config knob misses;
 //! and a poisoned entry silently falls back to a recompute.
 
-use eda_core::{run_flow, Fault, FaultPlan, FlowConfig, FlowReport};
+use eda_core::{run_flow, Fault, FaultPlan, FlowConfig, FlowReport, StoreConfig};
 use eda_netlist::{generate, Netlist};
 use eda_tech::Node;
 use proptest::prelude::*;
@@ -31,7 +31,7 @@ fn scratch(tag: &str) -> PathBuf {
 fn cached_cfg(dir: &Path, threads: usize) -> FlowConfig {
     let mut cfg = FlowConfig::advanced_2016(Node::N10);
     cfg.threads = threads;
-    cfg.cache_dir = Some(dir.to_path_buf());
+    cfg.store = Some(StoreConfig::at(dir.join("flow.store")));
     cfg
 }
 

@@ -11,7 +11,7 @@
 
 use eda::core::{
     read_peak_rss_bytes, run_flow, Fault, FaultPlan, FlowConfig, FlowReport, Metric, SpanKind,
-    STAGES,
+    StoreConfig, STAGES,
 };
 use eda::logic::{synthesize, SynthesisOptions};
 use eda::netlist::{generate, CellFunction, Netlist};
@@ -229,7 +229,7 @@ fn stress_tier_100k_warm_cache_replays_bit_identically() {
     let dir = scratch_dir("cache_100k");
     let mut cfg = FlowConfig::scale_2016(Node::N28, STRESS);
     cfg.threads = 4;
-    cfg.cache_dir = Some(dir.clone());
+    cfg.store = Some(StoreConfig::at(dir.join("flow.store")));
     let cold = run_flow(&design, &cfg).expect("cold scale flow");
     let warm = run_flow(&design, &cfg).expect("warm scale flow");
     assert_eq!(counter(&warm, "cache.errors"), 0, "warm replay hit corrupt entries");

@@ -10,7 +10,7 @@
 
 use eda_core::{
     run_flow, Fault, FaultPlan, FlowConfig, FlowError, FlowReport, FlowRequest, FlowServer,
-    Metric, STAGES,
+    Metric, StoreConfig, STAGES,
 };
 use eda_netlist::{generate, Netlist};
 use eda_tech::Node;
@@ -65,7 +65,11 @@ fn batch_is_bit_identical_to_sequential_at_every_worker_count() {
     let serial = sequential(&requests);
     let dir = scratch("workers");
     for workers in [1usize, 2, 4, 8] {
-        let server = FlowServer::builder().threads(workers).workers(workers).cache_dir(&dir).build();
+        let server = FlowServer::builder()
+            .threads(workers)
+            .workers(workers)
+            .store(StoreConfig::at(dir.join("flow.store")))
+            .build();
         let report = server.serve(requests.clone());
         assert_eq!(report.workers, workers.min(requests.len()));
         assert_eq!(report.responses.len(), requests.len());
@@ -127,7 +131,8 @@ fn repeated_request_replays_the_shared_cache() {
         FlowRequest::new(design.clone(), smoke_cfg()).with_priority(1),
         FlowRequest::new(design, smoke_cfg()),
     ];
-    let server = FlowServer::builder().threads(1).workers(1).cache_dir(&dir).build();
+    let store = StoreConfig::at(dir.join("flow.store"));
+    let server = FlowServer::builder().threads(1).workers(1).store(store).build();
     let report = server.serve(requests);
 
     assert_eq!(report.failed(), 0);
@@ -263,7 +268,8 @@ proptest! {
             .collect();
         let serial = sequential(&requests);
         let dir = scratch("prop");
-        let server = FlowServer::builder().threads(4).cache_dir(&dir).build();
+        let store = StoreConfig::at(dir.join("flow.store"));
+        let server = FlowServer::builder().threads(4).store(store).build();
         let report = server.serve(requests);
         prop_assert_eq!(report.failed(), 0);
         for (i, resp) in report.responses.iter().enumerate() {
