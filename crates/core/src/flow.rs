@@ -475,7 +475,7 @@ pub(crate) fn run_flow_shared(
         let stage = "4_place";
         let cur = current_netlist(&st);
         let die = Die::for_netlist(cur, cfg.utilization);
-        let (placement, par) = sup.run_stage(stage, |ctx: StageCtx<'_>| {
+        let (placement, hpwl_final, par) = sup.run_stage(stage, |ctx: StageCtx<'_>| {
             if cfg.place.cluster_gates > 0 {
                 // Scale tier: multilevel cluster → coarse-place → refine.
                 // Serial by construction, so thread-invariance is trivial.
@@ -494,7 +494,7 @@ pub(crate) fn run_flow_shared(
                 ctx.tel.count("place.moves_accepted", out.refine.accepted as u64);
                 ctx.tel.gauge("place.hpwl_global_um", out.hpwl_expanded);
                 ctx.tel.gauge("place.hpwl_final_um", out.refine.hpwl_after);
-                Ok(StageTry::Done((out.placement, None)))
+                Ok(StageTry::Done((out.placement, out.refine.hpwl_after, None)))
             } else if cfg.place.stripes > 1 {
                 let out = eda_place::place_parallel(
                     cur,
@@ -511,7 +511,7 @@ pub(crate) fn run_flow_shared(
                 ctx.tel.count("place.moves_accepted", out.moves_accepted as u64);
                 ctx.tel.gauge("place.hpwl_global_um", out.hpwl_global);
                 ctx.tel.gauge("place.hpwl_final_um", out.hpwl_final);
-                Ok(StageTry::Done((out.placement, Some(out.par_stats))))
+                Ok(StageTry::Done((out.placement, out.hpwl_final, Some(out.par_stats))))
             } else {
                 let mut p = place_global(
                     cur,
@@ -533,9 +533,16 @@ pub(crate) fn run_flow_shared(
                 ctx.tel.count("place.moves_accepted", stats.accepted as u64);
                 ctx.tel.gauge("place.hpwl_global_um", stats.hpwl_before);
                 ctx.tel.gauge("place.hpwl_final_um", stats.hpwl_after);
-                Ok(StageTry::Done((p, None)))
+                Ok(StageTry::Done((p, stats.hpwl_after, None)))
             }
         })?;
+        // The independent auditor: legal sites, one cell per site, and the
+        // reported wirelength recomputed by a plain netlist walk.
+        debug_assert_eq!(
+            eda_place::audit_placement(cur, &placement, hpwl_final),
+            Ok(()),
+            "place audit failed"
+        );
         if let Some(par) = par {
             st.stage_threads.insert(stage.into(), par.threads);
             st.stage_speedup.insert(stage.into(), par.bounded_speedup());

@@ -5,6 +5,7 @@
 //! buffering."* Claim C7 compares the buffering this module plans for a flat
 //! placement against a hierarchical one of the same design.
 
+use crate::pins::NetPins;
 use crate::placement::Placement;
 use eda_netlist::{CellFunction, Netlist};
 
@@ -40,16 +41,17 @@ pub fn plan_buffers(
         .find_function(CellFunction::Buf)
         .map(|id| lib.cell(id))
         .expect("library provides a buffer cell");
-    let mut per_net = Vec::with_capacity(netlist.num_nets());
+    let pins = NetPins::build(netlist);
+    let mut per_net = Vec::with_capacity(pins.num_nets());
     let mut total = 0u32;
-    for (net_id, _) in netlist.nets() {
-        let hpwl = placement.net_hpwl(netlist, net_id);
+    for net in 0..pins.num_nets() {
+        let hpwl = pins.net_hpwl(placement, net);
         let mut k = if hpwl > max_unbuffered_um {
             (hpwl / max_unbuffered_um).ceil() as u32 - 1
         } else {
             0
         };
-        if let Some(&(_, extra)) = forced.iter().find(|&&(idx, _)| idx == net_id.index()) {
+        if let Some(&(_, extra)) = forced.iter().find(|&&(idx, _)| idx == net) {
             k += extra;
         }
         total += k;

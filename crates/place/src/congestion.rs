@@ -3,6 +3,7 @@
 //! Used by the scan-chain reordering experiment (claim C10) and by the flow
 //! report to quantify how placement decisions translate into routing demand.
 
+use crate::pins::NetPins;
 use crate::placement::Placement;
 use eda_netlist::Netlist;
 
@@ -32,8 +33,9 @@ impl CongestionMap {
         let bw = die.width_um / bins as f64;
         let bh = die.height_um / bins as f64;
         let mut demand = vec![0.0f64; bins * bins];
-        for (net_id, _) in netlist.nets() {
-            let Some((lo, hi)) = placement.net_bbox(netlist, net_id) else { continue };
+        let pins = NetPins::build(netlist);
+        for net in 0..pins.num_nets() {
+            let Some((lo, hi)) = pins.net_bbox(placement, net) else { continue };
             let hpwl = (hi.x - lo.x) + (hi.y - lo.y);
             if hpwl <= 0.0 {
                 continue;

@@ -2,8 +2,9 @@
 //! spreading, and legalization onto the site grid.
 
 use crate::floorplan::{Die, Point};
+use crate::pins::NetPins;
 use crate::placement::Placement;
-use eda_netlist::{InstId, NetDriver, Netlist};
+use eda_netlist::{InstId, Netlist};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -40,6 +41,16 @@ impl Default for GlobalConfig {
 /// # }
 /// ```
 pub fn place_global(netlist: &Netlist, die: Die, cfg: &GlobalConfig) -> Placement {
+    place_global_on(&NetPins::build(netlist), netlist, die, cfg)
+}
+
+/// [`place_global`] on a pin index the caller already holds.
+pub(crate) fn place_global_on(
+    pins: &NetPins,
+    netlist: &Netlist,
+    die: Die,
+    cfg: &GlobalConfig,
+) -> Placement {
     let mut placement = Placement::new(netlist, die);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let n = netlist.num_instances();
@@ -52,21 +63,15 @@ pub fn place_global(netlist: &Netlist, die: Die, cfg: &GlobalConfig) -> Placemen
     // points its nets touch, then push apart overloaded bins.
     for _ in 0..cfg.iterations {
         let mut sum = vec![(0.0f64, 0.0f64, 0usize); n];
-        for (net_id, net) in netlist.nets() {
-            let pts = placement.net_points(netlist, net_id);
-            if pts.len() < 2 {
+        for net in 0..pins.num_nets() {
+            let len = pins.num_pins(net);
+            if len < 2 {
                 continue;
             }
-            let cx: f64 = pts.iter().map(|p| p.x).sum::<f64>() / pts.len() as f64;
-            let cy: f64 = pts.iter().map(|p| p.y).sum::<f64>() / pts.len() as f64;
-            if let Some(NetDriver::Instance(d)) = net.driver() {
-                let s = &mut sum[d.index()];
-                s.0 += cx;
-                s.1 += cy;
-                s.2 += 1;
-            }
-            for &(sink, _) in net.sinks() {
-                let s = &mut sum[sink.index()];
+            let cx = pins.points(&placement, net).map(|p| p.x).sum::<f64>() / len as f64;
+            let cy = pins.points(&placement, net).map(|p| p.y).sum::<f64>() / len as f64;
+            for inst in pins.instances(net) {
+                let s = &mut sum[inst.index()];
                 s.0 += cx;
                 s.1 += cy;
                 s.2 += 1;
@@ -117,26 +122,69 @@ fn spread(placement: &mut Placement, netlist: &Netlist, rng: &mut StdRng) {
     }
 }
 
-/// Snaps every instance to a free site (linear probing on collisions).
+/// Which site slots are still free, answering "first free slot at or after
+/// `s`" in near-constant amortised time: `next[s]` is `s` while slot `s` is
+/// free and a later slot once it is taken, and lookups compress the chains
+/// they walk (union–find over runs of taken slots). `next[len]` is a
+/// sentinel that is never taken.
+pub(crate) struct FreeSlots {
+    next: Vec<u32>,
+}
+
+impl FreeSlots {
+    /// `len` slots, all free.
+    pub(crate) fn new(len: usize) -> FreeSlots {
+        let len = u32::try_from(len).expect("fewer than 2^32 sites");
+        FreeSlots { next: (0..=len).collect() }
+    }
+
+    fn len(&self) -> usize {
+        self.next.len() - 1
+    }
+
+    /// First free slot at or after `s`; `len` when there is none.
+    fn find(&mut self, s: usize) -> usize {
+        let mut root = s;
+        while self.next[root] as usize != root {
+            root = self.next[root] as usize;
+        }
+        let mut at = s;
+        while at != root {
+            at = std::mem::replace(&mut self.next[at], root as u32) as usize;
+        }
+        root
+    }
+
+    /// Takes the first free slot in `lo..hi`, if any.
+    pub(crate) fn take_in(&mut self, lo: usize, hi: usize) -> Option<usize> {
+        let slot = self.find(lo);
+        (slot < hi).then(|| {
+            self.next[slot] = slot as u32 + 1;
+            slot
+        })
+    }
+
+    /// Takes the first free slot at or after `s`, wrapping past the last
+    /// slot round to `s` again — the slot a linear probe from `s` stops at.
+    /// `None` when every slot is taken.
+    pub(crate) fn take_from(&mut self, s: usize) -> Option<usize> {
+        self.take_in(s, self.len()).or_else(|| self.take_in(0, s))
+    }
+}
+
+/// Snaps every instance, in instance order, to the first free site at or
+/// after its own (row-major, wrapping).
 pub fn legalize(placement: &mut Placement, netlist: &Netlist) {
     let die = placement.die;
-    let mut occupied = vec![false; die.num_sites()];
+    let mut free = FreeSlots::new(die.num_sites());
     for i in 0..netlist.num_instances() {
         let id = InstId::from_index(i);
         let (c, r) = die.snap(placement.position(id));
         let start = r * die.cols + c;
-        let mut slot = start;
-        while occupied[slot] {
-            slot = (slot + 1) % die.num_sites();
-            if slot == start {
-                // More cells than sites: stack at origin (caller sized the
-                // die to avoid this; tolerate gracefully).
-                break;
-            }
-        }
-        occupied[slot] = true;
-        let (col, row) = (slot % die.cols, slot / die.cols);
-        placement.set_position(id, die.site_center(col, row));
+        // More cells than sites: stack on the preferred site (callers size
+        // the die to avoid this; tolerate gracefully).
+        let slot = free.take_from(start).unwrap_or(start);
+        placement.set_position(id, die.site_center(slot % die.cols, slot / die.cols));
     }
 }
 
@@ -144,7 +192,73 @@ pub fn legalize(placement: &mut Placement, netlist: &Netlist) {
 mod tests {
     use super::*;
     use eda_netlist::generate;
+    use proptest::prelude::*;
     use std::collections::HashSet;
+
+    /// The linear-probe legaliser [`legalize`] replaced, kept as its reference.
+    fn legalize_by_probing(placement: &mut Placement, netlist: &Netlist) {
+        let die = placement.die;
+        let mut occupied = vec![false; die.num_sites()];
+        for i in 0..netlist.num_instances() {
+            let id = InstId::from_index(i);
+            let (c, r) = die.snap(placement.position(id));
+            let start = r * die.cols + c;
+            let mut slot = start;
+            while occupied[slot] {
+                slot = (slot + 1) % die.num_sites();
+                if slot == start {
+                    break;
+                }
+            }
+            occupied[slot] = true;
+            let (col, row) = (slot % die.cols, slot / die.cols);
+            placement.set_position(id, die.site_center(col, row));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The free-slot legaliser lands every cell where the probe does:
+        /// cells piled onto a handful of sites (long occupied runs, wraps
+        /// past the last site), on dies from roomy down to fewer sites than
+        /// cells (where both stack on the preferred site).
+        #[test]
+        fn legalize_matches_the_linear_probe(seed in any::<u64>(), cols in 2usize..14, rows in 1usize..14, piles in 1usize..6) {
+            let n = generate::parity_tree(64).unwrap();
+            let site = 1.5;
+            let die = Die {
+                width_um: cols as f64 * site,
+                height_um: rows as f64 * site,
+                site_um: site,
+                cols,
+                rows,
+            };
+            let mut rng = StdRng::seed_from_u64(seed);
+            let centres: Vec<Point> = (0..piles)
+                .map(|_| Point::new(rng.gen::<f64>() * die.width_um, rng.gen::<f64>() * die.height_um))
+                .collect();
+            let mut fast = Placement::new(&n, die);
+            for i in 0..n.num_instances() {
+                // Mostly on a pile, sometimes anywhere — including off-die.
+                let p = if rng.gen_range(0..8) > 0 {
+                    centres[rng.gen_range(0..piles)]
+                } else {
+                    Point::new(
+                        (rng.gen::<f64>() * 1.4 - 0.2) * die.width_um,
+                        (rng.gen::<f64>() * 1.4 - 0.2) * die.height_um,
+                    )
+                };
+                fast.set_position(InstId::from_index(i), p);
+            }
+            let mut slow = fast.clone();
+            legalize(&mut fast, &n);
+            legalize_by_probing(&mut slow, &n);
+            for (i, (a, b)) in fast.positions.iter().zip(&slow.positions).enumerate() {
+                prop_assert_eq!((a.x.to_bits(), a.y.to_bits()), (b.x.to_bits(), b.y.to_bits()), "instance {}", i);
+            }
+        }
+    }
 
     #[test]
     fn global_beats_random_scatter() {

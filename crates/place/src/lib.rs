@@ -26,6 +26,7 @@
 //! ```
 
 pub mod anneal;
+pub mod audit;
 pub mod buffer;
 pub mod congestion;
 pub mod cts;
@@ -34,9 +35,11 @@ pub mod global;
 pub mod hier;
 pub mod multilevel;
 pub mod parallel;
+pub mod pins;
 pub mod placement;
 
 pub use anneal::{anneal, AnnealConfig, AnnealStats, Region};
+pub use audit::audit_placement;
 pub use buffer::{plan_buffers, BufferPlan};
 pub use congestion::CongestionMap;
 pub use cts::{star_distribution, synthesize_clock_tree, ClockBuffer, ClockTree, CtsConfig};
@@ -45,4 +48,5 @@ pub use global::{legalize, place_global, GlobalConfig};
 pub use hier::{place_hierarchical, HierOutcome};
 pub use multilevel::{place_multilevel, MultilevelConfig, MultilevelOutcome};
 pub use parallel::{place_parallel, ParallelConfig, ParallelOutcome};
+pub use pins::NetPins;
 pub use placement::{Placement, PlacementSnapshot};

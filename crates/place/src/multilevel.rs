@@ -11,7 +11,7 @@
 //! result is a pure function of `(netlist, die, config)` — the flow's
 //! bit-identical-at-any-thread-count contract holds trivially.
 
-use crate::anneal::{anneal, AnnealConfig, AnnealStats};
+use crate::anneal::{anneal_on, AnnealConfig, AnnealIndex, AnnealStats};
 use crate::floorplan::{Die, Point};
 use crate::global::legalize;
 use crate::placement::Placement;
@@ -164,10 +164,12 @@ pub fn place_multilevel(
         }
         legalize(placement, netlist);
     };
+    // One index for the stage: every sweep's score and the refinement.
+    let index = AnnealIndex::build(netlist);
     let mut placement = Placement::new(netlist, die);
     expand(&mut placement, &pos);
     let mut best_pos = pos.clone();
-    let mut best_cost = placement.total_hpwl(netlist);
+    let mut best_cost = index.pins.total_hpwl(&placement);
     for _ in 0..cfg.coarse_iterations {
         let mut sum = vec![(0.0f64, 0.0f64, 0usize); k];
         for cs in &coarse_nets {
@@ -187,7 +189,7 @@ pub fn place_multilevel(
         }
         spread_clusters(&mut pos, &weight, n, die, &mut rng);
         expand(&mut placement, &pos);
-        let cost = placement.total_hpwl(netlist);
+        let cost = index.pins.total_hpwl(&placement);
         if cost < best_cost {
             best_cost = cost;
             best_pos = pos.clone();
@@ -204,7 +206,7 @@ pub fn place_multilevel(
             seed: cfg.seed,
             ..Default::default()
         };
-        anneal(netlist, &mut placement, &acfg, None, None)
+        anneal_on(&index, &mut placement, &acfg, None, None)
     } else {
         AnnealStats { hpwl_before: hpwl_expanded, hpwl_after: hpwl_expanded, proposed: 0, accepted: 0 }
     };

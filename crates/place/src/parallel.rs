@@ -14,10 +14,9 @@
 //! bit-identical for any [`ParallelConfig::threads`] value — workers only
 //! change how fast the same stripes are annealed.
 
-use crate::anneal::{anneal, AnnealConfig, Region};
-use crate::floorplan::Die;
-use crate::global::{place_global, GlobalConfig};
-use crate::floorplan::Point;
+use crate::anneal::{anneal_moves, AnnealConfig, AnnealIndex, Region};
+use crate::floorplan::{Die, Point};
+use crate::global::{place_global_on, GlobalConfig};
 use crate::placement::Placement;
 use eda_netlist::{InstId, Netlist};
 use std::time::Instant;
@@ -95,8 +94,16 @@ impl ParallelOutcome {
 /// Panics if `stripes == 0`.
 pub fn place_parallel(netlist: &Netlist, die: Die, cfg: &ParallelConfig) -> ParallelOutcome {
     assert!(cfg.stripes > 0, "at least one stripe required");
-    let mut placement = place_global(netlist, die, &GlobalConfig { iterations: 6, seed: cfg.seed });
-    let hpwl_global = placement.total_hpwl(netlist);
+    // One index for the whole stage: global placement, every stripe job of
+    // every pass, and the reported wirelengths.
+    let index = AnnealIndex::build(netlist);
+    let mut placement = place_global_on(
+        &index.pins,
+        netlist,
+        die,
+        &GlobalConfig { iterations: 6, seed: cfg.seed },
+    );
+    let hpwl_global = index.pins.total_hpwl(&placement);
     let n = netlist.num_instances();
 
     let start = Instant::now();
@@ -133,19 +140,23 @@ pub fn place_parallel(netlist: &Netlist, die: Die, cfg: &ParallelConfig) -> Para
                 (cells, region_of(s), cfg.seed ^ (s as u64 + 1) ^ ((pass as u64) << 8))
             })
             .collect();
-        // Each worker anneals a stripe on a private copy; the stripe's cell
-        // positions are merged back afterwards (disjoint sets, no conflicts).
-        // Each stripe yields its new cell positions plus its accepted-move
-        // count (summed into `ParallelOutcome::moves_accepted`).
+        // Each worker anneals a stripe on a private copy of the positions
+        // and of the pass's per-net costs (computed once, here); the
+        // stripe's cell positions are merged back afterwards (disjoint
+        // sets, no conflicts). Each stripe yields its new cell positions
+        // plus its accepted-move count (summed into
+        // `ParallelOutcome::moves_accepted`).
         type StripeResult = (Vec<(InstId, Point)>, usize);
         let workers = eda_par::resolve_threads(cfg.threads).min(stripe_jobs.len());
         let (moved, stats): (Vec<StripeResult>, eda_par::ParStats) = {
             let placement_ref = &placement;
+            let net_cost = index.pins.net_costs(placement_ref);
             eda_par::par_map_stats(workers, &stripe_jobs, |_, (cells, region, seed)| {
                 let mut local = placement_ref.clone();
-                let stripe_stats = anneal(
-                    netlist,
+                let accepted = anneal_moves(
+                    &index,
                     &mut local,
+                    &mut net_cost.clone(),
                     &AnnealConfig {
                         moves_per_cell: cfg.moves_per_cell,
                         seed: *seed,
@@ -156,7 +167,7 @@ pub fn place_parallel(netlist: &Netlist, die: Die, cfg: &ParallelConfig) -> Para
                 );
                 let positions: Vec<(InstId, Point)> =
                     cells.iter().map(|&id| (id, local.position(id))).collect();
-                (positions, stripe_stats.accepted)
+                (positions, accepted)
             })
         };
         projected += stats.projected_wall_s();
@@ -172,7 +183,7 @@ pub fn place_parallel(netlist: &Netlist, die: Die, cfg: &ParallelConfig) -> Para
     let refined = (n * cfg.passes) as f64;
     ParallelOutcome {
         hpwl_global,
-        hpwl_final: placement.total_hpwl(netlist),
+        hpwl_final: index.pins.total_hpwl(&placement),
         placement,
         refine_seconds,
         projected_refine_seconds: projected.max(1e-9),

@@ -2,7 +2,8 @@
 //! wirelength metrics.
 
 use crate::floorplan::{Die, Point};
-use eda_netlist::{InstId, NetDriver, NetId, Netlist};
+use crate::pins::NetPins;
+use eda_netlist::{InstId, Netlist};
 
 /// A complete placement of a netlist onto a die.
 #[derive(Debug, Clone, PartialEq)]
@@ -10,11 +11,11 @@ pub struct Placement {
     /// The die.
     pub die: Die,
     /// Instance positions, indexed by instance position in the netlist.
-    positions: Vec<Point>,
+    pub(crate) positions: Vec<Point>,
     /// Primary-input pin positions, indexed by PI order.
-    pi_pins: Vec<Point>,
+    pub(crate) pi_pins: Vec<Point>,
     /// Primary-output pin positions, indexed by PO order.
-    po_pins: Vec<Point>,
+    pub(crate) po_pins: Vec<Point>,
 }
 
 impl Placement {
@@ -72,63 +73,17 @@ impl Placement {
         self.po_pins[i]
     }
 
-    /// All the points a net touches: driver, instance sinks, and PO pins.
-    pub fn net_points(&self, netlist: &Netlist, net: NetId) -> Vec<Point> {
-        let mut pts = Vec::new();
-        let n = netlist.net(net);
-        match n.driver() {
-            Some(NetDriver::PrimaryInput(k)) => pts.push(self.pi_pins[k]),
-            Some(NetDriver::Instance(i)) => pts.push(self.positions[i.index()]),
-            None => {}
-        }
-        for &(s, _) in n.sinks() {
-            pts.push(self.positions[s.index()]);
-        }
-        for (k, &(_, po_net)) in netlist.primary_outputs().iter().enumerate() {
-            if po_net == net {
-                pts.push(self.po_pins[k]);
-            }
-        }
-        pts
+    /// Number of instance positions held.
+    pub fn num_instances(&self) -> usize {
+        self.positions.len()
     }
 
-    /// Half-perimeter wirelength of one net, µm.
-    pub fn net_hpwl(&self, netlist: &Netlist, net: NetId) -> f64 {
-        let pts = self.net_points(netlist, net);
-        if pts.len() < 2 {
-            return 0.0;
-        }
-        let (mut xmin, mut xmax, mut ymin, mut ymax) =
-            (f64::INFINITY, f64::NEG_INFINITY, f64::INFINITY, f64::NEG_INFINITY);
-        for p in pts {
-            xmin = xmin.min(p.x);
-            xmax = xmax.max(p.x);
-            ymin = ymin.min(p.y);
-            ymax = ymax.max(p.y);
-        }
-        (xmax - xmin) + (ymax - ymin)
-    }
-
-    /// Total half-perimeter wirelength, µm.
+    /// Total half-perimeter wirelength, µm — the one-shot form of
+    /// [`NetPins::total_hpwl`], indexing the netlist for this one call.
+    /// Code that evaluates wirelength repeatedly builds the [`NetPins`]
+    /// once and calls its kernels instead.
     pub fn total_hpwl(&self, netlist: &Netlist) -> f64 {
-        netlist.nets().map(|(id, _)| self.net_hpwl(netlist, id)).sum()
-    }
-
-    /// Bounding box `(min, max)` of one net.
-    pub fn net_bbox(&self, netlist: &Netlist, net: NetId) -> Option<(Point, Point)> {
-        let pts = self.net_points(netlist, net);
-        if pts.is_empty() {
-            return None;
-        }
-        let (mut xmin, mut xmax, mut ymin, mut ymax) =
-            (f64::INFINITY, f64::NEG_INFINITY, f64::INFINITY, f64::NEG_INFINITY);
-        for p in pts {
-            xmin = xmin.min(p.x);
-            xmax = xmax.max(p.x);
-            ymin = ymin.min(p.y);
-            ymax = ymax.max(p.y);
-        }
-        Some((Point::new(xmin, ymin), Point::new(xmax, ymax)))
+        NetPins::build(netlist).total_hpwl(self)
     }
 }
 
@@ -149,7 +104,7 @@ pub struct PlacementSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eda_netlist::generate;
+    use eda_netlist::{generate, NetDriver};
 
     #[test]
     fn initial_placement_centers_cells() {
@@ -165,6 +120,7 @@ mod tests {
         let n = generate::parity_tree(4).unwrap();
         let die = Die::for_netlist(&n, 0.7);
         let p = Placement::new(&n, die);
+        let pins = NetPins::build(&n);
         // Internal nets (between coincident cells) have zero HPWL; nets
         // touching boundary pins do not.
         let mut internal = 0;
@@ -172,7 +128,7 @@ mod tests {
             let touches_io = matches!(net.driver(), Some(NetDriver::PrimaryInput(_)))
                 || n.primary_outputs().iter().any(|&(_, o)| o == id);
             if !touches_io && net.fanout() > 0 {
-                assert_eq!(p.net_hpwl(&n, id), 0.0);
+                assert_eq!(pins.net_hpwl(&p, id.index()), 0.0);
                 internal += 1;
             }
         }
@@ -195,9 +151,10 @@ mod tests {
         let n = generate::parity_tree(8).unwrap();
         let die = Die::for_netlist(&n, 0.7);
         let p = Placement::new(&n, die);
-        for (id, _) in n.nets() {
-            if let Some((lo, hi)) = p.net_bbox(&n, id) {
-                for pt in p.net_points(&n, id) {
+        let pins = NetPins::build(&n);
+        for net in 0..pins.num_nets() {
+            if let Some((lo, hi)) = pins.net_bbox(&p, net) {
+                for pt in pins.points(&p, net) {
                     assert!(pt.x >= lo.x - 1e-9 && pt.x <= hi.x + 1e-9);
                     assert!(pt.y >= lo.y - 1e-9 && pt.y <= hi.y + 1e-9);
                 }

@@ -7,7 +7,7 @@ use crate::maze::{count_bends, Path, SearchWindow};
 use crate::region::{OverlayGrid, RegionMap, RegionScheduler, RegionTask};
 use crate::rules::RuleDeck;
 use crate::scratch::{ScratchPool, SearchScratch};
-use eda_place::Placement;
+use eda_place::{NetPins, Placement};
 use eda_netlist::memo::fnv1a;
 use eda_netlist::{Netlist, SubstageMemo};
 use std::time::Instant;
@@ -144,6 +144,28 @@ pub(crate) struct TwoPin {
     pub(crate) fanout: u32,
 }
 
+/// One net's pins as sorted, deduplicated g-cells of a `width × height` grid.
+fn net_gcells(
+    pins: &NetPins,
+    placement: &Placement,
+    net: usize,
+    width: u32,
+    height: u32,
+) -> Vec<GCell> {
+    let die = placement.die;
+    let mut cells: Vec<GCell> = pins
+        .points(placement, net)
+        .map(|p| {
+            let x = ((p.x / die.width_um * width as f64) as u32).min(width - 1);
+            let y = ((p.y / die.height_um * height as f64) as u32).min(height - 1);
+            GCell::new(x, y)
+        })
+        .collect();
+    cells.sort_unstable();
+    cells.dedup();
+    cells
+}
+
 /// Decomposes every multi-pin net into a Prim MST over its g-cell pins.
 ///
 /// Nets are independent, so the MSTs run through a `par_map` and the
@@ -156,19 +178,10 @@ fn decompose(
     height: u32,
     threads: usize,
 ) -> (Vec<TwoPin>, eda_par::ParStats) {
-    let die = placement.die;
-    let to_gcell = |p: eda_place::Point| -> GCell {
-        let x = ((p.x / die.width_um * width as f64) as u32).min(width - 1);
-        let y = ((p.y / die.height_um * height as f64) as u32).min(height - 1);
-        GCell::new(x, y)
-    };
-    let ids: Vec<_> = netlist.nets().map(|(net_id, _)| net_id).collect();
-    let (per_net, stats) = eda_par::par_map_stats(threads, &ids, |_, &net_id| {
-        let pts = placement.net_points(netlist, net_id);
-        let mut pins: Vec<GCell> = pts.into_iter().map(to_gcell).collect();
-        pins.sort_unstable();
-        pins.dedup();
-        prim_pairs(&pins)
+    let pins = NetPins::build(netlist);
+    let nets: Vec<usize> = (0..pins.num_nets()).collect();
+    let (per_net, stats) = eda_par::par_map_stats(threads, &nets, |_, &net| {
+        prim_pairs(&net_gcells(&pins, placement, net, width, height))
     });
     (per_net.into_iter().flatten().collect(), stats)
 }
@@ -220,29 +233,20 @@ fn decompose_memo(
     threads: usize,
     memo: &dyn SubstageMemo,
 ) -> (Vec<TwoPin>, eda_par::ParStats) {
-    let die = placement.die;
-    let to_gcell = |p: eda_place::Point| -> GCell {
-        let x = ((p.x / die.width_um * width as f64) as u32).min(width - 1);
-        let y = ((p.y / die.height_um * height as f64) as u32).min(height - 1);
-        GCell::new(x, y)
-    };
-    let ids: Vec<_> = netlist.nets().map(|(net_id, _)| net_id).collect();
-    let mut per_net: Vec<Option<Vec<TwoPin>>> = vec![None; ids.len()];
+    let index = NetPins::build(netlist);
+    let mut per_net: Vec<Option<Vec<TwoPin>>> = vec![None; index.num_nets()];
     let mut miss_at: Vec<usize> = Vec::new();
     let mut miss_pins: Vec<Vec<GCell>> = Vec::new();
     let mut miss_keys: Vec<u64> = Vec::new();
-    for (i, &net_id) in ids.iter().enumerate() {
-        let pts = placement.net_points(netlist, net_id);
-        let mut pins: Vec<GCell> = pts.into_iter().map(to_gcell).collect();
-        pins.sort_unstable();
-        pins.dedup();
+    for (i, slot) in per_net.iter_mut().enumerate() {
+        let pins = net_gcells(&index, placement, i, width, height);
         if pins.len() < 2 {
-            per_net[i] = Some(Vec::new());
+            *slot = Some(Vec::new());
             continue;
         }
         let key = net_pins_key(&pins);
         match memo.load(ROUTE_NET_KIND, key).and_then(|p| parse_net_pairs(&p)) {
-            Some(pairs) => per_net[i] = Some(pairs),
+            Some(pairs) => *slot = Some(pairs),
             None => {
                 miss_at.push(i);
                 miss_pins.push(pins);

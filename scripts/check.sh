@@ -192,8 +192,13 @@ cargo test --release -q --test golden
 # auditor runs as a debug assertion inside every route instead.
 cargo test --release -q --test route_pins
 
+# Pinned placements (positions and reported HPWL of all four placer entry
+# points, bit for bit) and the independent placement auditor in release;
+# debug builds run the auditor as an assertion at the end of 4_place.
+cargo test --release -q --test place_pins
+
 # Tally: sum the "test result:" lines from the debug suite run above.
 awk '/^test result:/ { passed += $4; failed += $6 }
      END { printf "check: %d tests passed, %d failed across all binaries\n", passed, failed
            exit (failed > 0) }' "$test_log"
-echo "check: tier-1 + clippy + unwrap gates + inject smoke + trace + serve + daemon + facade docs + incremental + mini-scale + golden + route pins + route audit green"
+echo "check: tier-1 + clippy + unwrap gates + inject smoke + trace + serve + daemon + facade docs + incremental + mini-scale + golden + route pins + route audit + place pins + place audit green"
