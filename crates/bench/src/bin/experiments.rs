@@ -14,17 +14,17 @@
 //!
 //! Subcommands (see `--help` for every option):
 //!
-//! * `run [CLAIMS...]` — regenerate panel claims (all of them by default).
+//! * `run [CLAIMS...]` — regenerate panel claims (all of them when none is
+//!   named).
 //!   When more than one claim is selected, the independent claims run
 //!   concurrently as child processes and their outputs print in claim
 //!   order. With `--inject SPEC`, runs the supervised flow under a
 //!   deterministic fault plan instead and checks it reproduces.
 //! * `serve` — run a batch of perturbed smoke designs through one
-//!   work-stealing [`FlowServer`] sharing a stage cache, compare against
-//!   per-design sequential runs, and print machine-readable SERVLINE rows
-//!   (throughput, cross-design cache hit rate, speedup vs. sequential).
-//!   Exits nonzero unless the batch QoR is bit-identical to the serial
-//!   runs.
+//!   [`FlowServer`] sharing a stage cache, compare against per-design
+//!   sequential runs, and print machine-readable SERVLINE rows (throughput,
+//!   cross-design cache hit rate, speedup vs. sequential). Exits nonzero
+//!   unless the batch QoR is bit-identical to the serial runs.
 //! * `incremental` — cold + warm smoke flow against the stage cache; exits
 //!   nonzero unless the warm run skips at least 8 of the 11 stages with
 //!   bit-identical QoR.
@@ -54,9 +54,8 @@
 //! `--batch N` / `--workers W` (serve pool shape), and the `query` filters
 //! (`--design`, `--stage`, `--metric`, `--last`).
 //!
-//! The pre-subcommand spellings (`--incremental`, `--trace OUT.json`, bare
-//! `--inject SPEC`, claims with no subcommand) keep working; `--help`
-//! documents the replacements.
+//! A flag's value may follow it as the next argument or after `=`
+//! (`--threads 4`, `--threads=4`).
 //!
 //! Any failure exits nonzero with a one-line message on stderr.
 
@@ -245,14 +244,14 @@ fn print_help() {
         "experiments — regenerate the DATE 2016 panel's claims and drive the flow
 
 USAGE:
-    experiments [SUBCOMMAND] [OPTIONS] [CLAIMS...]
+    experiments SUBCOMMAND [OPTIONS] [CLAIMS...]
 
 SUBCOMMANDS:
     run [CLAIMS...]    regenerate panel claims (default: all); independent
                        claims run concurrently as child processes
     serve              run --batch N perturbed smoke designs through one
-                       work-stealing flow server over a shared stage cache,
-                       compare against sequential per-design runs, and print
+                       flow server over a shared stage cache, compare
+                       against sequential per-design runs, and print
                        SERVLINE rows (throughput, cross-design cache hit
                        rate, speedup vs. sequential)
     incremental        cold + warm + edited smoke flow against the flow
@@ -280,7 +279,7 @@ SUBCOMMANDS:
                                     the daemon's store, no flow worker used)
                          shutdown   graceful drain, then print final stats
 
-OPTIONS (shared by every subcommand):
+OPTIONS (shared by every subcommand; `--flag V` and `--flag=V` both work):
     --threads N        global thread budget, 0 = all cores (default 0);
                        results are bit-identical for any value
     --store PATH       persistent flow store file: stage + sub-stage cache
@@ -313,20 +312,25 @@ OPTIONS (shared by every subcommand):
     --rss-budget-mb N  scale: fail if peak RSS exceeds N MB (default 0 = off)
     --xfault SPEC      daemon submit: sabotage the client deterministically
                        (conn-drop@N | frame-garbage@N | stall@N, comma list)
-    -h, --help         this text
-
-DEPRECATED (kept for compatibility, prefer the replacements):
-    --incremental      ->  experiments incremental
-    --trace OUT.json   ->  experiments trace OUT.json
-    --inject SPEC      ->  experiments run --inject SPEC
-    CLAIMS with no subcommand  ->  experiments run CLAIMS"
+    -h, --help         this text"
     );
 }
+
+/// Subcommand spellings, in `--help` order.
+const SUBCOMMANDS: [(&str, Command); 7] = [
+    ("run", Command::Run),
+    ("serve", Command::Serve),
+    ("incremental", Command::Incremental),
+    ("query", Command::Query),
+    ("trace", Command::Trace),
+    ("scale", Command::Scale),
+    ("daemon", Command::Daemon),
+];
 
 /// Parses argv into `(Command, Options)`. Subcommand names and flags are
 /// case-insensitive; values (paths, fault specs) are taken verbatim.
 fn parse_args() -> Result<(Command, Options), CliError> {
-    let mut cmd: Option<Command> = None;
+    let mut cmd: Option<(&str, Command)> = None;
     let mut opts = Options::default();
     let take = |flag: &str, v: Option<String>| -> Result<String, CliError> {
         v.ok_or(CliError(format!("{flag} needs a value")))
@@ -335,136 +339,71 @@ fn parse_args() -> Result<(Command, Options), CliError> {
         v.and_then(|v| v.parse().ok())
             .ok_or(CliError(format!("{flag} needs a non-negative integer")))
     };
-    let mut args = std::env::args().skip(1);
+    // `--flag=V` is `--flag V`: split it here, once, so each flag has one arm.
+    let mut args = std::env::args().skip(1).flat_map(|raw| match raw.split_once('=') {
+        Some((flag, value)) if flag.starts_with("--") => vec![flag.to_string(), value.to_string()],
+        _ => vec![raw],
+    });
     while let Some(raw) = args.next() {
         let a = raw.to_lowercase();
-        // Flag values come from the raw argv entry: paths and fault specs
-        // are case-sensitive.
-        let value_of = |prefix: &str| raw[prefix.len()..].to_string();
         match a.as_str() {
             "-h" | "--help" => {
                 print_help();
                 std::process::exit(0);
             }
             "--threads" => opts.threads = count("--threads", args.next())?,
-            _ if a.starts_with("--threads=") => {
-                opts.threads = count("--threads", Some(value_of("--threads=")))?;
-            }
             "--batch" => opts.batch = count("--batch", args.next())?.max(1),
-            _ if a.starts_with("--batch=") => {
-                opts.batch = count("--batch", Some(value_of("--batch=")))?.max(1);
-            }
             "--workers" => opts.workers = count("--workers", args.next())?,
-            _ if a.starts_with("--workers=") => {
-                opts.workers = count("--workers", Some(value_of("--workers=")))?;
-            }
             "--inject" => {
-                opts.inject =
-                    Some(take("--inject (try `--inject smoke`)", args.next())?);
+                opts.inject = Some(take("--inject (try `--inject smoke`)", args.next())?);
             }
-            _ if a.starts_with("--inject=") => opts.inject = Some(value_of("--inject=")),
             "--store" => opts.store = Some(take("--store", args.next())?),
-            _ if a.starts_with("--store=") => opts.store = Some(value_of("--store=")),
             "--store-max-bytes" => {
                 opts.store_max_bytes = count("--store-max-bytes", args.next())? as u64;
             }
-            _ if a.starts_with("--store-max-bytes=") => {
-                opts.store_max_bytes =
-                    count("--store-max-bytes", Some(value_of("--store-max-bytes=")))? as u64;
-            }
             "--design" => opts.design = Some(take("--design", args.next())?),
-            _ if a.starts_with("--design=") => opts.design = Some(value_of("--design=")),
             "--stage" => opts.stage = Some(take("--stage", args.next())?),
-            _ if a.starts_with("--stage=") => opts.stage = Some(value_of("--stage=")),
             "--metric" => opts.metric = Some(take("--metric", args.next())?),
-            _ if a.starts_with("--metric=") => opts.metric = Some(value_of("--metric=")),
             "--last" => opts.last = count("--last", args.next())?,
-            _ if a.starts_with("--last=") => {
-                opts.last = count("--last", Some(value_of("--last=")))?;
-            }
             "--socket" => opts.socket = Some(take("--socket", args.next())?),
-            _ if a.starts_with("--socket=") => opts.socket = Some(value_of("--socket=")),
             "--tcp" => opts.tcp = Some(take("--tcp", args.next())?),
-            _ if a.starts_with("--tcp=") => opts.tcp = Some(value_of("--tcp=")),
             "--queue" => opts.queue = count("--queue", args.next())?.max(1),
-            _ if a.starts_with("--queue=") => {
-                opts.queue = count("--queue", Some(value_of("--queue=")))?.max(1);
-            }
             "--count" => opts.count = count("--count", args.next())?.max(1),
-            _ if a.starts_with("--count=") => {
-                opts.count = count("--count", Some(value_of("--count=")))?.max(1);
-            }
             "--deadline-ms" => {
                 opts.deadline_ms = Some(count("--deadline-ms", args.next())? as u64);
             }
-            _ if a.starts_with("--deadline-ms=") => {
-                opts.deadline_ms =
-                    Some(count("--deadline-ms", Some(value_of("--deadline-ms=")))? as u64);
-            }
             "--verify" => opts.verify = true,
             "--instances" => opts.instances = count("--instances", args.next())?.max(100),
-            _ if a.starts_with("--instances=") => {
-                opts.instances = count("--instances", Some(value_of("--instances=")))?.max(100);
-            }
             "--rss-budget-mb" => {
                 opts.rss_budget_mb = count("--rss-budget-mb", args.next())? as u64;
             }
-            _ if a.starts_with("--rss-budget-mb=") => {
-                opts.rss_budget_mb =
-                    count("--rss-budget-mb", Some(value_of("--rss-budget-mb=")))? as u64;
-            }
             "--xfault" => opts.xfault = Some(take("--xfault", args.next())?),
-            _ if a.starts_with("--xfault=") => opts.xfault = Some(value_of("--xfault=")),
-            // Deprecated mode-selector spellings (see --help).
-            "--trace" => {
-                opts.trace_out =
-                    Some(take("--trace (try `--trace flow.trace.json`)", args.next())?);
-                cmd.get_or_insert(Command::Trace);
-            }
-            _ if a.starts_with("--trace=") => {
-                opts.trace_out = Some(value_of("--trace="));
-                cmd.get_or_insert(Command::Trace);
-            }
-            "--incremental" => {
-                cmd.get_or_insert(Command::Incremental);
-            }
             "--child" => opts.child = true,
             _ if a.starts_with("--") => {
                 return Err(CliError(format!("unknown flag `{a}` (see --help)")));
             }
-            // First positional may name a subcommand; under `trace` the next
-            // positional is the output path; everything else is a claim id.
-            "run" if cmd.is_none() && opts.claims.is_empty() => cmd = Some(Command::Run),
-            "serve" if cmd.is_none() && opts.claims.is_empty() => cmd = Some(Command::Serve),
-            "incremental" if cmd.is_none() && opts.claims.is_empty() => {
-                cmd = Some(Command::Incremental);
+            // The first positional names the subcommand; under `trace` the
+            // next is the output path, under `daemon` the verb; everything
+            // else is a claim id.
+            _ if cmd.is_none() => {
+                let known = SUBCOMMANDS.iter().find(|(name, _)| *name == a);
+                cmd = Some(*known.ok_or_else(|| {
+                    CliError(format!("unknown subcommand `{a}` (see --help)"))
+                })?);
             }
-            "trace" if cmd.is_none() && opts.claims.is_empty() => cmd = Some(Command::Trace),
-            "daemon" if cmd.is_none() && opts.claims.is_empty() => cmd = Some(Command::Daemon),
-            "scale" if cmd.is_none() && opts.claims.is_empty() => cmd = Some(Command::Scale),
-            "query" if cmd.is_none() && opts.claims.is_empty() => cmd = Some(Command::Query),
-            _ if cmd == Some(Command::Trace) && opts.trace_out.is_none() => {
+            _ if matches!(cmd, Some((_, Command::Trace))) && opts.trace_out.is_none() => {
                 opts.trace_out = Some(raw);
             }
-            _ if cmd == Some(Command::Daemon) && opts.verb.is_none() => {
-                opts.verb = Some(a.clone());
+            _ if matches!(cmd, Some((_, Command::Daemon))) && opts.verb.is_none() => {
+                opts.verb = Some(a);
             }
             _ => opts.claims.push(a),
         }
     }
-    let cmd = cmd.unwrap_or(Command::Run);
+    let (name, cmd) = cmd.ok_or(CliError("missing subcommand (see --help)".into()))?;
     if cmd != Command::Run && !opts.claims.is_empty() {
         return Err(CliError(format!(
-            "`{}` takes no claim arguments (got: {})",
-            match cmd {
-                Command::Serve => "serve",
-                Command::Incremental => "incremental",
-                Command::Trace => "trace",
-                Command::Daemon => "daemon",
-                Command::Scale => "scale",
-                Command::Query => "query",
-                Command::Run => unreachable!("run accepts claims"),
-            },
+            "`{name}` takes no claim arguments (got: {})",
             opts.claims.join(" ")
         )));
     }
@@ -1012,9 +951,9 @@ fn scale_demo(opts: &Options) -> CliResult {
 /// priority so it lands behind its primary), runs them sequentially without
 /// a cache as the baseline, then through a `FlowServer` sharing one stage
 /// cache, and checks that every server response is bit-identical to its
-/// sequential run. At the blessed combination (`--batch 4 --threads 4`,
-/// auto worker split) it also requires cross-design cache hits and >= 1.5x
-/// throughput over sequential.
+/// sequential run — and, where the queue order guarantees a repeat runs
+/// after its primary finished, that the shared cache was hit. Wall clocks
+/// are printed, never gated: `benchmark/` measures them (`server.batch4_s`).
 fn serve_demo(opts: &Options) -> CliResult {
     let batch = opts.batch;
     let distinct = batch.div_ceil(2);
@@ -1086,10 +1025,7 @@ fn serve_demo(opts: &Options) -> CliResult {
         .build();
     let report = server.serve(requests);
 
-    println!(
-        "{:>3}  {:<10} {:>8} {:>6} {:>6}  outcome",
-        "req", "design", "wall_s", "worker", "stolen"
-    );
+    println!("{:>3}  {:<10} {:>8} {:>6}  outcome", "req", "design", "wall_s", "worker");
     let mut all_ok = true;
     let mut all_same = true;
     for r in &report.responses {
@@ -1104,21 +1040,17 @@ fn serve_demo(opts: &Options) -> CliResult {
                 format!("failed: {e}")
             }
         };
-        println!(
-            "{:>3}  {:<10} {:>8.3} {:>6} {:>6}  {outcome}",
-            r.index, r.design, r.wall_s, r.worker, r.stolen
-        );
+        println!("{:>3}  {:<10} {:>8.3} {:>6}  {outcome}", r.index, r.design, r.wall_s, r.worker);
     }
     let speedup = serial_s / report.wall_s.max(1e-9);
     println!(
         "sequential {serial_s:.3}s, server {:.3}s ({} workers x {} kernel threads): \
-         {speedup:.2}x throughput, {} cross-design cache hits ({:.0}% of stages), {} steals",
+         {speedup:.2}x throughput, {} cross-design cache hits ({:.0}% of stages)",
         report.wall_s,
         report.workers,
         report.kernel_threads,
         report.cross_design_hits,
-        report.cross_hit_rate() * 100.0,
-        report.steals
+        report.cross_hit_rate() * 100.0
     );
     // Machine-readable rows for scripts/check.sh.
     println!("SERVLINE batch {batch}");
@@ -1129,7 +1061,6 @@ fn serve_demo(opts: &Options) -> CliResult {
     println!("SERVLINE server_s {:.6}", report.wall_s);
     println!("SERVLINE speedup {speedup:.3}");
     println!("SERVLINE throughput_per_s {:.3}", report.throughput_per_s());
-    println!("SERVLINE steals {}", report.steals);
     println!("SERVLINE cross_design_hits {}", report.cross_design_hits);
     println!("SERVLINE cross_hit_rate {:.4}", report.cross_hit_rate());
     println!("SERVLINE failed {}", report.failed());
@@ -1157,32 +1088,24 @@ fn serve_demo(opts: &Options) -> CliResult {
     if !injected_checks.is_empty() {
         println!("{} injected request(s) reproduce bit-identically", injected_checks.len());
     }
-    // Repeats are guaranteed to land on the same worker as their primary
-    // (hence run warm, sequentially after it) only when the primaries deal
-    // round-robin without wrapping unevenly; gate the throughput and
-    // cache-hit requirements on that combination so odd --batch/--workers
-    // explorations still print rows without failing.
-    // Fault plans disable the stage cache for their request and add retry
-    // work, so the throughput/cache thresholds only apply to clean batches.
-    let blessed =
-        batch > distinct && distinct.is_multiple_of(report.workers) && injected.is_empty();
-    if blessed {
+    // Primaries queue ahead of every repeat, so with no more workers than
+    // primaries a repeat is popped only once some primary has finished, and
+    // the repeat of the first primary to finish is popped after it: when
+    // every primary has a repeat (even batch), at least that one replays
+    // its primary's entries. Fault plans disable the stage cache for their
+    // request, so only clean batches are held to it.
+    if batch.is_multiple_of(2) && report.workers <= distinct && injected.is_empty() {
         if report.cross_design_hits == 0 {
             return Err(CliError(
                 "expected cross-design cache hits (repeated requests replayed nothing)".into(),
             ));
         }
-        if speedup < 1.5 {
-            return Err(CliError(format!(
-                "server throughput {speedup:.2}x over sequential is below the 1.5x bar"
-            )));
-        }
         println!(
-            "serve: {speedup:.2}x over sequential with {} cross-design cache hits",
+            "serve: bit-identical to sequential with {} cross-design cache hits",
             report.cross_design_hits
         );
     } else {
-        println!("serve: non-blessed batch/worker combination, thresholds not enforced");
+        println!("serve: bit-identical to sequential");
     }
     Ok(())
 }

@@ -40,6 +40,7 @@
 use crate::checkpoint::{self, FlowState, Lines, LoadError};
 use crate::config::FlowConfig;
 use crate::store::{FlowStore, Lookup, Store, Table};
+use eda_netlist::memo::fnv1a;
 use eda_netlist::Netlist;
 use std::sync::Arc;
 
@@ -68,27 +69,19 @@ impl std::fmt::Display for CacheError {
     }
 }
 
-fn fnv(bytes: impl Iterator<Item = u8>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// Hash of the deterministic portion of a flow state — a stage's entire
 /// input. Serializes through [`checkpoint::write_body`] with the wall-clock
 /// maps excluded, so the hash is a pure function of QoR-relevant state.
 pub(crate) fn state_hash(st: &FlowState) -> u64 {
     let mut body = String::new();
     checkpoint::write_body(st, &mut body, false);
-    fnv(body.bytes())
+    fnv1a(body.bytes())
 }
 
 /// The content address of one stage execution:
 /// `(stage kind, per-stage config fingerprint, pre-stage state hash)`.
 pub(crate) fn entry_key(stage: &str, config_fp: u64, state_hash: u64) -> u64 {
-    fnv(format!("{stage}|{config_fp:016x}|{state_hash:016x}").bytes())
+    fnv1a(format!("{stage}|{config_fp:016x}|{state_hash:016x}").bytes())
 }
 
 /// The per-stage config fingerprint: node and seed (consumed nearly
@@ -144,7 +137,7 @@ pub(crate) fn stage_fp(stage: &str, design: &Netlist, cfg: &FlowConfig) -> u64 {
         // fingerprint: correct (never a false hit), just less incremental.
         _ => key.push_str(&format!("|{:016x}", checkpoint::fingerprint(design, cfg))),
     }
-    fnv(key.bytes())
+    fnv1a(key.bytes())
 }
 
 /// The stage-granular view of the flow store.
@@ -326,7 +319,7 @@ mod tests {
     /// The `7_route` fingerprint as the batched-schedule revision computed
     /// it: no schedule revision field.
     fn route_stage_fp_rev1(cfg: &FlowConfig) -> u64 {
-        fnv(format!(
+        fnv1a(format!(
             "7_route|{:?}|{}|{:?}|{}|{}|{}|{}|{}",
             cfg.node,
             cfg.seed,

@@ -17,6 +17,7 @@
 use crate::config::FlowConfig;
 use crate::harness::{StageOutcome, StageStatus};
 use eda_netlist::codec::{escape, unescape};
+use eda_netlist::memo::fnv1a;
 use eda_netlist::{codec, InstId, Netlist};
 use eda_place::{Placement, PlacementSnapshot, Point};
 use std::collections::BTreeMap;
@@ -109,11 +110,7 @@ pub(crate) fn fingerprint(design: &Netlist, cfg: &FlowConfig) -> u64 {
         cfg.verify_synthesis,
         cfg.seed,
     );
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    fnv1a(key.bytes())
 }
 
 /// The checkpoint file for one (design, config) pair. The config fingerprint

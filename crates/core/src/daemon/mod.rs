@@ -1,16 +1,15 @@
 //! Network-facing flow daemon: a long-lived, fault-contained front end
 //! over the transport-free flow engine.
 //!
-//! The batch [`FlowServer`](crate::server::FlowServer) plans a fixed batch
-//! and runs it to completion; the daemon is its streaming counterpart for
-//! clients that arrive over a socket. It speaks the line-delimited JSON
-//! protocol of [`protocol`] on a Unix socket (and optionally TCP), shares
-//! the server's thread-split policy
-//! ([`kernel_share`](crate::server::kernel_share)) and the same
-//! [`run_flow_observed`](crate::flow::run_flow_observed) core, and adds the
-//! concerns a network boundary forces:
+//! The batch [`FlowServer`](crate::server::FlowServer) runs a fixed batch
+//! to completion; the daemon is its streaming counterpart for clients that
+//! arrive over a socket. It speaks the line-delimited JSON protocol of
+//! [`protocol`] on a Unix socket (and optionally TCP), runs on the server's
+//! request scheduler, thread-budget split and shared-store open (`sched.rs`)
+//! and the same [`run_flow_observed`](crate::flow::run_flow_observed) core,
+//! and adds the concerns a network boundary forces:
 //!
-//! - **Admission control.** The queue is bounded: past
+//! - **Admission control.** The scheduler's queue is bounded: past
 //!   [`DaemonConfig::queue_high_water`] a submit gets a typed
 //!   `rejected{queue-full}` frame instead of unbounded buffering. Load is
 //!   shed loudly, never absorbed silently.
@@ -28,33 +27,32 @@
 //!   bit-identical QoR (the determinism contract is end-to-end:
 //!   `qor_fp` over the wire equals a solo rerun's).
 //! - **Graceful drain.** A `shutdown` frame or SIGTERM (opt-in,
-//!   [`DaemonConfig::handle_sigterm`]) moves the daemon from *accepting*
-//!   to *draining*: listeners stop accepting, new submits get
-//!   `rejected{draining}`, in-flight requests finish (checkpointing as
-//!   they go when a checkpoint dir is set), then the daemon acknowledges,
-//!   cleans up its socket, and [`Daemon::run`] returns the final stats —
-//!   the CLI exits 0.
+//!   [`DaemonConfig::handle_sigterm`]) closes the scheduler: *accepting →
+//!   closed → workers joined*. Listeners stop accepting, new submits get
+//!   `rejected{draining}`, admitted requests finish (checkpointing as they
+//!   go when a checkpoint dir is set) and the workers return; then the
+//!   readers stop, the daemon acknowledges with its final stats, cleans up
+//!   its socket, and [`Daemon::run`] returns those same stats — the CLI
+//!   exits 0.
 
 pub mod client;
 pub mod protocol;
 pub mod wire;
 
-use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use eda_netlist::Netlist;
-use eda_par::resolve_threads;
 
 use crate::config::FlowConfig;
 use crate::flow::run_flow_shared;
-use crate::server::kernel_share;
+use crate::sched::{split_budget, Refused, Scheduler};
 use crate::store::{FlowStore, QorQuery, Query, StoreConfig};
 
 use protocol::{
@@ -66,14 +64,15 @@ use protocol::{
 /// closes the connection, so a hostile client cannot balloon daemon memory.
 const FRAME_CAP: usize = 1 << 20;
 
-/// How often blocked threads wake to check the stop/drain flags.
+/// How often readers, listeners and the SIGTERM poll wake to check their
+/// flags. Workers never poll: they block in [`Scheduler::pop`].
 const TICK: Duration = Duration::from_millis(100);
 
 /// How long a frame write to a stalled client may block before the
 /// connection is declared dead (slow-loris containment on the write side).
 const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// Set by the SIGTERM handler; polled by the daemon's drain loop. Global
+/// Set by the SIGTERM handler; polled by [`Daemon::run`]. Global
 /// because signal dispositions are process-wide.
 static SIGTERM_FLAG: AtomicBool = AtomicBool::new(false);
 
@@ -92,7 +91,7 @@ pub struct DaemonConfig {
     /// Flow worker threads (`0` = auto: half the resolved thread budget).
     pub workers: usize,
     /// Global kernel thread budget shared by the workers (`0` = all cores);
-    /// each request's kernels get [`kernel_share`] of it.
+    /// each request's kernels get `max(1, threads / workers)` of it.
     pub threads: usize,
     /// Admission high-water mark: submits arriving while this many requests
     /// are already queued (not yet running) are rejected with `queue-full`.
@@ -216,12 +215,25 @@ impl ConnWriter {
 
     /// Sends one frame; a failed or timed-out write kills the connection.
     fn send(&self, frame: &ServerFrame) {
+        self.write(&mut lock_clean(&self.stream), frame);
+    }
+
+    /// Sends the frame `act` returns, holding the write lock across `act`:
+    /// no frame another thread sends because of what `act` did can overtake
+    /// this one on the wire.
+    fn send_after(&self, act: impl FnOnce() -> ServerFrame) {
+        let mut s = lock_clean(&self.stream);
+        let frame = act();
+        self.write(&mut s, &frame);
+    }
+
+    /// The write behind both sends; `s` is this connection's locked stream.
+    fn write(&self, s: &mut Stream, frame: &ServerFrame) {
         if self.is_dead() {
             return;
         }
         let mut line = frame.to_line();
         line.push('\n');
-        let mut s = lock_clean(&self.stream);
         if s.write_all(line.as_bytes()).and_then(|()| s.flush()).is_err() {
             self.dead.store(true, Ordering::SeqCst);
             s.shutdown();
@@ -238,19 +250,11 @@ fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// One admitted request waiting for (or holding) a worker.
 struct Job {
     id: u64,
-    priority: i64,
     netlist: Netlist,
     config: FlowConfig,
     conn: Arc<ConnWriter>,
     admitted: Instant,
     deadline: Option<Duration>,
-}
-
-/// Queue + running count under one lock, so the drain condition
-/// (`queue empty && running == 0`) is checked atomically.
-struct DispatchState {
-    queue: VecDeque<Job>,
-    running: usize,
 }
 
 #[derive(Default)]
@@ -287,11 +291,10 @@ struct Shared {
     /// reader threads (queries). `None` when no store is configured or the
     /// open failed; requests then resolve per-run and degrade to uncached.
     store: Option<Arc<FlowStore>>,
-    state: Mutex<DispatchState>,
-    /// One condvar serves workers (waiting for jobs) and the drain loop
-    /// (waiting for quiescence); state transitions `notify_all`.
-    cv: Condvar,
-    draining: AtomicBool,
+    /// Admission, ordering and drain: open while accepting, closed by a
+    /// `shutdown` frame or SIGTERM.
+    sched: Scheduler<Job>,
+    /// Set once the workers have been joined; ends readers and listeners.
     stop: AtomicBool,
     stats: StatCounters,
     /// The connection that asked for shutdown, owed a `shutdown-ack`.
@@ -324,17 +327,12 @@ impl Daemon {
                 (Some(l), Some(a))
             }
         };
-        let budget = resolve_threads(cfg.threads);
-        let workers = if cfg.workers == 0 { (budget / 2).max(1) } else { cfg.workers };
-        let kernel_threads = kernel_share(budget, workers);
-        let store = cfg.store.as_ref().and_then(|sc| FlowStore::open(sc).ok().map(Arc::new));
+        let (workers, kernel_threads) = split_budget(cfg.threads, cfg.workers, usize::MAX);
         let shared = Arc::new(Shared {
-            cfg: DaemonConfig { workers, ..cfg },
             kernel_threads,
-            store,
-            state: Mutex::new(DispatchState { queue: VecDeque::new(), running: 0 }),
-            cv: Condvar::new(),
-            draining: AtomicBool::new(false),
+            store: FlowStore::open_shared(cfg.store.as_ref()),
+            sched: Scheduler::new(cfg.queue_high_water),
+            cfg: DaemonConfig { workers, ..cfg },
             stop: AtomicBool::new(false),
             stats: StatCounters::default(),
             shutdown_conn: Mutex::new(None),
@@ -365,68 +363,58 @@ impl Daemon {
             }
         }
 
-        let mut threads = Vec::new();
+        let mut workers = Vec::new();
         for w in 0..shared.cfg.workers {
             let sh = Arc::clone(&shared);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("flowd-worker-{w}"))
-                    .spawn(move || worker_loop(&sh))?,
-            );
+            let work = move || {
+                while let Some((job, _depth)) = sh.sched.pop() {
+                    run_job(&sh, job);
+                }
+            };
+            workers.push(std::thread::Builder::new().name(format!("flowd-worker-{w}")).spawn(work)?);
         }
-        {
+        let mut listeners = Vec::new();
+        for (name, listener) in [
+            ("flowd-accept-unix", Some(AnyListener::Unix(self.unix))),
+            ("flowd-accept-tcp", self.tcp.map(AnyListener::Tcp)),
+        ] {
+            let Some(listener) = listener else { continue };
             let sh = Arc::clone(&shared);
-            let listener = self.unix;
-            threads.push(
-                std::thread::Builder::new()
-                    .name("flowd-accept-unix".to_string())
-                    .spawn(move || accept_loop(&sh, AnyListener::Unix(listener)))?,
-            );
-        }
-        if let Some(listener) = self.tcp {
-            let sh = Arc::clone(&shared);
-            threads.push(
-                std::thread::Builder::new()
-                    .name("flowd-accept-tcp".to_string())
-                    .spawn(move || accept_loop(&sh, AnyListener::Tcp(listener)))?,
-            );
+            let accept = move || accept_loop(&sh, listener);
+            listeners.push(std::thread::Builder::new().name(name.to_string()).spawn(accept)?);
         }
 
-        // Drain loop: wait until a shutdown request (frame or SIGTERM)
-        // arrives AND every admitted request has finished.
-        {
-            let mut st = lock_clean(&shared.state);
-            loop {
-                if shared.cfg.handle_sigterm && SIGTERM_FLAG.load(Ordering::SeqCst) {
-                    shared.draining.store(true, Ordering::SeqCst);
-                }
-                if shared.draining.load(Ordering::SeqCst)
-                    && st.queue.is_empty()
-                    && st.running == 0
-                {
-                    break;
-                }
-                let (g, _timeout) = shared
-                    .cv
-                    .wait_timeout(st, TICK)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                st = g;
+        // accepting → closed. A `shutdown` frame closes the scheduler from
+        // its reader thread; only the signal has to be polled for.
+        while shared.cfg.handle_sigterm && !shared.sched.is_closed() {
+            if SIGTERM_FLAG.load(Ordering::SeqCst) {
+                shared.sched.close();
+            } else {
+                std::thread::sleep(TICK);
             }
         }
-
-        // Quiesced: acknowledge, stop every thread, clean up.
-        let stats = shared.stats.snapshot();
-        if let Some(conn) = lock_clean(&shared.shutdown_conn).take() {
-            conn.send(&ServerFrame::ShutdownAck(stats));
+        // closed → workers joined: each worker returns once the queue is
+        // closed and empty, so every admitted request has finished when the
+        // joins do. A worker lost to a panicking job is joined like any
+        // other; it cannot hold the drain open.
+        for t in workers {
+            let _ = t.join();
         }
+
+        // Quiesced. Stop the readers before counting: a submit they are
+        // still answering `rejected{draining}` belongs in the final stats,
+        // and the ack must equal what `run` returns.
         shared.stop.store(true, Ordering::SeqCst);
-        shared.cv.notify_all();
-        for t in threads {
+        for t in listeners {
             let _ = t.join();
         }
         let readers = std::mem::take(&mut *lock_clean(&shared.readers));
         for t in readers {
             let _ = t.join();
+        }
+        let stats = shared.stats.snapshot();
+        if let Some(conn) = lock_clean(&shared.shutdown_conn).take() {
+            conn.send(&ServerFrame::ShutdownAck(stats));
         }
         let _ = std::fs::remove_file(&shared.cfg.socket);
         Ok(stats)
@@ -449,7 +437,7 @@ impl AnyListener {
 
 fn accept_loop(shared: &Arc<Shared>, listener: AnyListener) {
     loop {
-        if shared.stop.load(Ordering::SeqCst) || shared.draining.load(Ordering::SeqCst) {
+        if shared.sched.is_closed() {
             break;
         }
         match listener.accept() {
@@ -566,8 +554,7 @@ fn reader_loop(shared: &Arc<Shared>, stream: Stream, conn: &Arc<ConnWriter>) {
                     }
                     Ok(ClientFrame::Shutdown) => {
                         *lock_clean(&shared.shutdown_conn) = Some(Arc::clone(conn));
-                        shared.draining.store(true, Ordering::SeqCst);
-                        shared.cv.notify_all();
+                        shared.sched.close();
                     }
                     Ok(ClientFrame::Submit(spec)) => {
                         handle_submit(shared, conn, spec);
@@ -589,20 +576,15 @@ fn protocol_error(shared: &Arc<Shared>, conn: &Arc<ConnWriter>, detail: String) 
     conn.kill();
 }
 
-fn reject(
-    shared: &Arc<Shared>,
-    conn: &Arc<ConnWriter>,
-    id: u64,
-    reason: RejectReason,
-    detail: String,
-) {
+/// Counts one refused submit and builds its `rejected` frame.
+fn rejection(shared: &Shared, id: u64, reason: RejectReason, detail: String) -> ServerFrame {
     let counter = match reason {
         RejectReason::QueueFull => &shared.stats.rejected_full,
         RejectReason::Draining => &shared.stats.rejected_draining,
         RejectReason::BadRequest => &shared.stats.rejected_bad,
     };
     counter.fetch_add(1, Ordering::SeqCst);
-    conn.send(&ServerFrame::Rejected { id, reason, detail });
+    ServerFrame::Rejected { id, reason, detail }
 }
 
 fn handle_query(shared: &Arc<Shared>, conn: &Arc<ConnWriter>, spec: &QuerySpec) {
@@ -624,7 +606,7 @@ fn handle_submit(shared: &Arc<Shared>, conn: &Arc<ConnWriter>, spec: SubmitSpec)
     // slot. Generation cost is bounded by the design-spec size cap.
     let design = match DesignSpec::from_str(&spec.design) {
         Ok(d) => d,
-        Err(e) => return reject(shared, conn, spec.id, RejectReason::BadRequest, e.0),
+        Err(e) => return conn.send(&rejection(shared, spec.id, RejectReason::BadRequest, e.0)),
     };
     let config = match flow_config_for(
         &spec,
@@ -633,17 +615,17 @@ fn handle_submit(shared: &Arc<Shared>, conn: &Arc<ConnWriter>, spec: SubmitSpec)
         shared.cfg.checkpoint_dir.as_deref(),
     ) {
         Ok(c) => c,
-        Err(e) => return reject(shared, conn, spec.id, RejectReason::BadRequest, e.0),
+        Err(e) => return conn.send(&rejection(shared, spec.id, RejectReason::BadRequest, e.0)),
     };
     let netlist = match design.build() {
         Ok(n) => n,
         Err(e) => {
-            return reject(shared, conn, spec.id, RejectReason::BadRequest, e.to_string())
+            let why = e.to_string();
+            return conn.send(&rejection(shared, spec.id, RejectReason::BadRequest, why));
         }
     };
     let job = Job {
         id: spec.id,
-        priority: spec.priority,
         netlist,
         config,
         conn: Arc::clone(conn),
@@ -651,65 +633,23 @@ fn handle_submit(shared: &Arc<Shared>, conn: &Arc<ConnWriter>, spec: SubmitSpec)
         deadline: spec.deadline_ms.map(Duration::from_millis),
     };
 
-    let mut st = lock_clean(&shared.state);
-    if shared.draining.load(Ordering::SeqCst) {
-        drop(st);
-        return reject(
-            shared,
-            conn,
-            spec.id,
-            RejectReason::Draining,
-            "daemon is draining; resubmit elsewhere".to_string(),
-        );
-    }
-    if st.queue.len() >= shared.cfg.queue_high_water {
-        drop(st);
-        return reject(
-            shared,
-            conn,
-            spec.id,
-            RejectReason::QueueFull,
-            format!("queue at high water ({})", shared.cfg.queue_high_water),
-        );
-    }
-    // Priority order, stable within a priority class (admission order).
-    let pos = st.queue.iter().position(|j| j.priority < job.priority).unwrap_or(st.queue.len());
-    st.queue.insert(pos, job);
-    let queued = st.queue.len();
-    drop(st);
-    shared.stats.accepted.fetch_add(1, Ordering::SeqCst);
-    conn.send(&ServerFrame::Accepted { id: spec.id, queued });
-    shared.cv.notify_all();
-}
-
-fn worker_loop(shared: &Arc<Shared>) {
-    loop {
-        let job = {
-            let mut st = lock_clean(&shared.state);
-            loop {
-                if shared.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                if let Some(job) = st.queue.pop_front() {
-                    // `running` rises under the same lock as the pop, so
-                    // the drain loop can never observe a job in neither
-                    // place.
-                    st.running += 1;
-                    break job;
-                }
-                let (g, _timeout) = shared
-                    .cv
-                    .wait_timeout(st, TICK)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                st = g;
-            }
-        };
-        run_job(shared, job);
-        let mut st = lock_clean(&shared.state);
-        st.running -= 1;
-        drop(st);
-        shared.cv.notify_all();
-    }
+    // An idle worker pops the job the instant it is pushed, so the answer
+    // goes out under the connection's write lock: `accepted` is on the wire
+    // before any `stage` or `done` frame of the request it admits.
+    conn.send_after(|| match shared.sched.push(spec.priority, job) {
+        Ok(queued) => {
+            shared.stats.accepted.fetch_add(1, Ordering::SeqCst);
+            ServerFrame::Accepted { id: spec.id, queued }
+        }
+        Err(Refused::Closed(_)) => {
+            let why = "daemon is draining; resubmit elsewhere".to_string();
+            rejection(shared, spec.id, RejectReason::Draining, why)
+        }
+        Err(Refused::Full(_)) => {
+            let why = format!("queue at high water ({})", shared.cfg.queue_high_water);
+            rejection(shared, spec.id, RejectReason::QueueFull, why)
+        }
+    });
 }
 
 fn run_job(shared: &Arc<Shared>, job: Job) {

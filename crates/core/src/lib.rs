@@ -35,6 +35,7 @@ pub mod flow;
 pub mod harness;
 pub mod learn;
 pub mod report;
+mod sched;
 pub mod server;
 pub mod store;
 pub mod telemetry;
@@ -53,7 +54,7 @@ pub use harness::{
 };
 pub use learn::{Arm, ArmStats, FlowTuner};
 pub use report::FlowReport;
-pub use server::{FlowRequest, FlowResponse, FlowServer, FlowServerBuilder, FlowSession, ServerReport};
+pub use server::{FlowRequest, FlowResponse, FlowServer, FlowServerBuilder, ServerReport};
 pub use store::{
     EvictionPolicy, FlowStore, Lookup, QorQuery, QorRow, Query, StageRow, Store, StoreConfig,
     StoreError, Table,

@@ -2,6 +2,7 @@
 
 use crate::harness::{StageOutcome, StageStatus};
 use crate::telemetry::TelemetrySnapshot;
+use eda_netlist::memo::fnv1a;
 use std::collections::BTreeMap;
 
 /// End-to-end QoR for one flow run.
@@ -209,11 +210,7 @@ impl FlowReport {
     /// lets the flow daemon assert bit-identity over the wire without
     /// shipping the whole report.
     pub fn qor_fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in self.qor_text().bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-        h
+        fnv1a(self.qor_text().bytes())
     }
 }
 

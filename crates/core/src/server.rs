@@ -1,5 +1,5 @@
-//! A deterministic work-stealing flow server: many designs, one flow,
-//! one shared stage cache.
+//! A deterministic multi-design flow server: many designs, one flow, one
+//! shared stage cache.
 //!
 //! The panel's forward-looking claims treat EDA as a *service* — exploit
 //! previous runs, push many designs through one flow, make throughput the
@@ -11,13 +11,12 @@
 //!
 //! # Scheduling
 //!
-//! [`FlowServer::submit`] sorts the batch by `(priority desc, submission
-//! order)` and deals it round-robin into per-worker deques — a pure
-//! function of the batch, independent of timing. Each worker drains its own
-//! deque front-to-back and, when empty, *steals* from the back of the next
-//! non-empty victim deque. Which worker executes a request (and therefore
-//! `server.steals`, `server.queue_depth`, and all wall clocks) depends on
-//! host timing; **which results come back does not**.
+//! [`FlowServer::serve`] pushes the batch into the request scheduler it
+//! shares with the flow daemon (`sched.rs`: one queue ordered by `(priority
+//! desc, submission order)`), closes it, and runs `workers` threads that
+//! each pop the next request until the queue is empty. Which worker
+//! executes a request (and therefore `server.queue_depth` and all wall
+//! clocks) depends on host timing; **which results come back does not**.
 //!
 //! # Determinism
 //!
@@ -27,16 +26,16 @@
 //! and replay bit-identically, so whether a request computes a stage or
 //! replays a sibling's entry, the QoR is the same
 //! ([`FlowReport::same_qor`]). Batch results are therefore bit-identical to
-//! serial per-design runs at any worker count — steal order may vary,
+//! serial per-design runs at any worker count — pop order may vary,
 //! outputs may not.
 //!
 //! # Thread budget
 //!
 //! One global `threads` knob is split between inter-design workers and
-//! intra-stage kernels: with a resolved budget `T` and `W` workers, each
-//! request's kernels get `max(1, T / W)` threads. By default the server
-//! spends half the budget on workers (`W = min(batch, max(1, T / 2))`) and
-//! the rest inside each flow.
+//! intra-stage kernels, by the same rule the daemon uses: with a resolved
+//! budget `T` and `W` workers, each request's kernels get `max(1, T / W)`
+//! threads. By default the server spends half the budget on workers
+//! (`W = min(batch, max(1, T / 2))`) and the rest inside each flow.
 //!
 //! # Fault isolation
 //!
@@ -72,13 +71,11 @@
 use crate::config::FlowConfig;
 use crate::flow::{run_flow_shared, FlowError, STAGES};
 use crate::report::FlowReport;
+use crate::sched::{split_budget, Scheduler};
 use crate::store::{FlowStore, StoreConfig};
 use crate::telemetry::{Histogram, Metric, Span, SpanKind, TelemetrySnapshot, WallSpan};
 use eda_netlist::Netlist;
-use eda_par::resolve_threads;
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 #[allow(unused_imports)] // rustdoc link targets only.
@@ -125,8 +122,6 @@ pub struct FlowResponse {
     pub priority: i32,
     /// Worker that executed the request (timing-dependent).
     pub worker: usize,
-    /// Whether the request was stolen from another worker's deque.
-    pub stolen: bool,
     /// Requests still queued when this one was dequeued.
     pub queue_depth: usize,
     /// Seconds after the batch started that this request began executing.
@@ -187,9 +182,9 @@ impl FlowServerBuilder {
     }
 }
 
-/// A multi-design flow server: a bounded work-stealing worker pool over a
-/// shared stage cache. See the [module docs](self) for the scheduling and
-/// determinism contract.
+/// A multi-design flow server: a bounded worker pool over one request
+/// queue and a shared stage cache. See the [module docs](self) for the
+/// scheduling and determinism contract.
 #[derive(Debug, Clone)]
 pub struct FlowServer {
     threads: usize,
@@ -204,198 +199,69 @@ impl FlowServer {
         FlowServerBuilder::default()
     }
 
-    /// Plans a batch: resolves the thread-budget split, applies the shared
-    /// cache, and deals requests into per-worker deques. The plan is a pure
-    /// function of the batch and the server config.
-    pub fn submit(&self, requests: Vec<FlowRequest>) -> FlowSession {
-        let n = requests.len();
-        let budget = resolve_threads(self.threads);
-        let workers = if self.workers == 0 {
-            (budget / 2).max(1).min(n.max(1))
-        } else {
-            self.workers.min(n.max(1))
-        };
-        let kernel_threads = kernel_share(budget, workers);
-
-        let mut tasks: Vec<Task> = requests
-            .into_iter()
-            .enumerate()
-            .map(|(index, mut req)| {
-                req.config.threads = kernel_threads;
-                if let Some(sc) = &self.store {
-                    req.config.store = Some(sc.clone());
-                }
-                Task { index, priority: req.priority, design: req.design, config: req.config }
-            })
-            .collect();
-        // Priority first, submission order among equals (stable key sort).
-        tasks.sort_by_key(|t| (std::cmp::Reverse(t.priority), t.index));
-
-        let mut queues: Vec<VecDeque<Task>> = (0..workers).map(|_| VecDeque::new()).collect();
-        for (slot, task) in tasks.into_iter().enumerate() {
-            queues[slot % workers].push_back(task);
-        }
-        // Open the shared store once so every worker reuses one in-memory
-        // index instead of each re-scanning the file. An unopenable store
-        // degrades to per-run resolution inside `run_flow_shared` (which
-        // counts `cache.open_errors` and runs uncached).
-        let store = self
-            .store
-            .as_ref()
-            .and_then(|sc| FlowStore::open(sc).ok().map(Arc::new));
-        FlowSession { queues, workers, kernel_threads, requests: n, store }
-    }
-
-    /// [`submit`](Self::submit) + [`FlowSession::run`] in one call.
-    pub fn serve(&self, requests: Vec<FlowRequest>) -> ServerReport {
-        self.submit(requests).run()
-    }
-}
-
-/// One queued unit of work.
-#[derive(Debug)]
-struct Task {
-    index: usize,
-    priority: i32,
-    design: Netlist,
-    config: FlowConfig,
-}
-
-/// What one worker recorded about one executed request.
-struct RequestRecord {
-    design: String,
-    priority: i32,
-    worker: usize,
-    stolen: bool,
-    queue_depth: usize,
-    start_s: f64,
-    wall_s: f64,
-    outcome: Result<FlowReport, FlowError>,
-}
-
-/// A planned batch bound to a worker split, ready to execute.
-///
-/// Produced by [`FlowServer::submit`]; consumed by [`run`](Self::run).
-#[derive(Debug)]
-pub struct FlowSession {
-    queues: Vec<VecDeque<Task>>,
-    workers: usize,
-    kernel_threads: usize,
-    requests: usize,
-    store: Option<Arc<FlowStore>>,
-}
-
-impl FlowSession {
-    /// Requests queued in this session.
-    pub fn queued(&self) -> usize {
-        self.requests
-    }
-
-    /// Inter-design workers the session will spawn.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Threads each request's intra-stage kernels will get.
-    pub fn kernel_threads(&self) -> usize {
-        self.kernel_threads
-    }
-
     /// Executes the batch on scoped worker threads and returns every
     /// response (submission order) plus the server-level telemetry.
-    pub fn run(self) -> ServerReport {
-        let n = self.requests;
-        let workers = self.workers;
-        let kernel_threads = self.kernel_threads;
-        let shared_store = self.store;
-        let queues: Vec<Mutex<VecDeque<Task>>> = self.queues.into_iter().map(Mutex::new).collect();
-        let slots: Vec<Mutex<Option<RequestRecord>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let remaining = AtomicUsize::new(n);
-        let steals = AtomicU64::new(0);
+    pub fn serve(&self, requests: Vec<FlowRequest>) -> ServerReport {
+        let n = requests.len();
+        let (workers, kernel_threads) = split_budget(self.threads, self.workers, n);
+        let store = FlowStore::open_shared(self.store.as_ref());
+        let queue = Scheduler::new(n);
+        for (index, mut req) in requests.into_iter().enumerate() {
+            req.config.threads = kernel_threads;
+            if let Some(sc) = &self.store {
+                req.config.store = Some(sc.clone());
+            }
+            queue
+                .push(i64::from(req.priority), (index, req))
+                .expect("the queue is open and bounded by the batch length");
+        }
+        queue.close();
         let epoch = Instant::now();
 
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let (queues, slots, remaining, steals) = (&queues, &slots, &remaining, &steals);
-                let shared_store = &shared_store;
-                scope.spawn(move || loop {
-                    // Own deque first (front), then steal from the back of
-                    // the next non-empty victim. Work only ever shrinks, so
-                    // an all-empty sweep means this worker is done.
-                    let mut stolen = false;
-                    let mut task = queues[w].lock().expect("no poisoned worker").pop_front();
-                    if task.is_none() {
-                        for off in 1..workers {
-                            let victim = (w + off) % workers;
-                            task = queues[victim].lock().expect("no poisoned worker").pop_back();
-                            if task.is_some() {
-                                stolen = true;
-                                break;
-                            }
+        let mut responses: Vec<FlowResponse> = std::thread::scope(|scope| {
+            let pool: Vec<_> = (0..workers)
+                .map(|worker| {
+                    let (queue, store) = (&queue, &store);
+                    scope.spawn(move || {
+                        let mut done = Vec::new();
+                        while let Some(((index, req), queue_depth)) = queue.pop() {
+                            let start_s = epoch.elapsed().as_secs_f64();
+                            let t0 = Instant::now();
+                            let outcome =
+                                run_flow_shared(&req.design, &req.config, None, store.clone());
+                            done.push(FlowResponse {
+                                index,
+                                design: req.design.name().to_string(),
+                                priority: req.priority,
+                                worker,
+                                queue_depth,
+                                start_s,
+                                wall_s: t0.elapsed().as_secs_f64(),
+                                outcome,
+                            });
                         }
-                    }
-                    let Some(task) = task else { break };
-                    if stolen {
-                        steals.fetch_add(1, Ordering::Relaxed);
-                    }
-                    let queue_depth = remaining.fetch_sub(1, Ordering::Relaxed) - 1;
-                    let start_s = epoch.elapsed().as_secs_f64();
-                    let t0 = Instant::now();
-                    let outcome =
-                        run_flow_shared(&task.design, &task.config, None, shared_store.clone());
-                    let record = RequestRecord {
-                        design: task.design.name().to_string(),
-                        priority: task.priority,
-                        worker: w,
-                        stolen,
-                        queue_depth,
-                        start_s,
-                        wall_s: t0.elapsed().as_secs_f64(),
-                        outcome,
-                    };
-                    *slots[task.index].lock().expect("no poisoned worker") = Some(record);
-                });
-            }
+                        done
+                    })
+                })
+                .collect();
+            pool.into_iter()
+                .flat_map(|w| w.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+                .collect()
         });
         let wall_s = epoch.elapsed().as_secs_f64();
+        responses.sort_by_key(|r| r.index);
 
-        let mut responses = Vec::with_capacity(n);
-        let mut cross_design_hits = 0u64;
-        for (index, slot) in slots.into_iter().enumerate() {
-            let rec = slot
-                .into_inner()
-                .expect("workers joined")
-                .expect("every queued task is executed exactly once");
-            if let Ok(report) = &rec.outcome {
-                // Within one run a flow never reads an entry it wrote, so
-                // every hit here came from another request (or an earlier
-                // occupant of the shared store).
-                cross_design_hits += counter(&report.telemetry, "cache.hits");
-            }
-            responses.push(FlowResponse {
-                index,
-                design: rec.design,
-                priority: rec.priority,
-                worker: rec.worker,
-                stolen: rec.stolen,
-                queue_depth: rec.queue_depth,
-                start_s: rec.start_s,
-                wall_s: rec.wall_s,
-                outcome: rec.outcome,
-            });
-        }
-        let steals = steals.load(Ordering::Relaxed);
+        // Within one run a flow never reads an entry it wrote, so every hit
+        // here came from another request (or an earlier occupant of the
+        // shared store).
+        let cross_design_hits = responses
+            .iter()
+            .filter_map(FlowResponse::report)
+            .map(|report| counter(&report.telemetry, "cache.hits"))
+            .sum();
         let telemetry =
-            server_snapshot(&responses, wall_s, workers, kernel_threads, steals, cross_design_hits);
-        ServerReport {
-            responses,
-            telemetry,
-            wall_s,
-            workers,
-            kernel_threads,
-            steals,
-            cross_design_hits,
-        }
+            server_snapshot(&responses, wall_s, workers, kernel_threads, cross_design_hits);
+        ServerReport { responses, telemetry, wall_s, workers, kernel_threads, cross_design_hits }
     }
 }
 
@@ -406,7 +272,7 @@ pub struct ServerReport {
     /// One response per request, in submission order.
     pub responses: Vec<FlowResponse>,
     /// Server-level snapshot: a root span, one span per request, and the
-    /// `server.queue_depth` / `server.steals` / `cache.cross_design_hits`
+    /// `server.queue_depth` / `cache.cross_design_hits`
     /// metrics. Unlike a flow's own snapshot, the scheduling metrics here
     /// are timing-shaped and not golden-pinned.
     pub telemetry: TelemetrySnapshot,
@@ -416,8 +282,6 @@ pub struct ServerReport {
     pub workers: usize,
     /// Kernel threads each request ran with.
     pub kernel_threads: usize,
-    /// Requests executed off another worker's deque.
-    pub steals: u64,
     /// Stage-cache hits against entries the hitting request did not itself
     /// write — the shared-cache amortization across the batch.
     pub cross_design_hits: u64,
@@ -444,14 +308,6 @@ impl ServerReport {
     }
 }
 
-/// Kernel threads each request's intra-stage kernels get when a global
-/// budget of `threads` is split across `workers` concurrent requests. Shared
-/// by the batch session planner and the daemon's worker pool so both sides
-/// of the wire agree on the split.
-pub fn kernel_share(threads: usize, workers: usize) -> usize {
-    (threads / workers.max(1)).max(1)
-}
-
 fn counter(snapshot: &TelemetrySnapshot, name: &str) -> u64 {
     match snapshot.metrics.get(name) {
         Some(Metric::Counter(v)) => *v,
@@ -462,15 +318,14 @@ fn counter(snapshot: &TelemetrySnapshot, name: &str) -> u64 {
 /// Assembles the server-level snapshot after the pool joins. The collector
 /// type (`Telemetry`) is single-threaded by design, so the server builds its
 /// snapshot directly: span structure and tags stay deterministic (submission
-/// order, design names, priorities, outcomes); worker identity, steal
-/// counts, and queue depths are timing-shaped and live in the wall section
-/// and the scheduling metrics.
+/// order, design names, priorities, outcomes); worker identity and queue
+/// depths are timing-shaped and live in the wall section and the scheduling
+/// metrics.
 fn server_snapshot(
     responses: &[FlowResponse],
     wall_s: f64,
     workers: usize,
     kernel_threads: usize,
-    steals: u64,
     cross_design_hits: u64,
 ) -> TelemetrySnapshot {
     let mut spans = Vec::with_capacity(responses.len() + 1);
@@ -525,7 +380,6 @@ fn server_snapshot(
         ("cache.cross_design_hits".to_string(), Metric::Counter(cross_design_hits)),
         ("server.queue_depth".to_string(), Metric::Histogram(depth)),
         ("server.requests".to_string(), Metric::Counter(responses.len() as u64)),
-        ("server.steals".to_string(), Metric::Counter(steals)),
         ("server.workers".to_string(), Metric::Gauge(workers as f64)),
     ]);
     TelemetrySnapshot { spans, metrics, wall }
@@ -543,29 +397,17 @@ mod tests {
     }
 
     #[test]
-    fn budget_splits_between_workers_and_kernels() {
-        let server = FlowServer::builder().threads(8).build();
-        let session = server.submit((0..4).map(tiny_request).collect());
-        assert_eq!(session.workers(), 4, "auto split spends half the budget on workers");
-        assert_eq!(session.kernel_threads(), 2);
-
-        let session = server.submit(vec![tiny_request(0)]);
-        assert_eq!(session.workers(), 1, "workers never exceed the batch");
-        assert_eq!(session.kernel_threads(), 8);
-
-        let server = FlowServer::builder().threads(4).workers(3).build();
-        let session = server.submit((0..8).map(tiny_request).collect());
-        assert_eq!(session.workers(), 3);
-        assert_eq!(session.kernel_threads(), 1);
-    }
-
-    #[test]
-    fn plan_orders_by_priority_then_submission() {
+    fn one_worker_runs_priority_first_then_submission_order() {
         let server = FlowServer::builder().threads(1).workers(1).build();
-        let session =
-            server.submit(vec![tiny_request(0), tiny_request(5), tiny_request(5), tiny_request(9)]);
-        let order: Vec<usize> = session.queues[0].iter().map(|t| t.index).collect();
+        let report =
+            server.serve(vec![tiny_request(0), tiny_request(5), tiny_request(5), tiny_request(9)]);
+        assert_eq!((report.workers, report.kernel_threads), (1, 1));
+        let mut ran: Vec<&FlowResponse> = report.responses.iter().collect();
+        ran.sort_by(|a, b| a.start_s.total_cmp(&b.start_s));
+        let order: Vec<usize> = ran.iter().map(|r| r.index).collect();
         assert_eq!(order, vec![3, 1, 2, 0]);
+        let depths: Vec<usize> = ran.iter().map(|r| r.queue_depth).collect();
+        assert_eq!(depths, vec![3, 2, 1, 0], "depth is what each pop left behind");
     }
 
     #[test]

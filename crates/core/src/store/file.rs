@@ -32,25 +32,17 @@ use super::{
     EvictionPolicy, Lookup, QorQuery, QorRow, Query, StageRow, Store, StoreConfig, StoreError,
     Table,
 };
+use eda_netlist::memo::fnv1a;
 use std::collections::HashMap;
 use std::fs::{self, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::os::unix::fs::MetadataExt;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 const HEADER: &[u8] = b"eda-store v1\n";
 const REC_MAGIC: &[u8] = b"%rec ";
-
-/// FNV-1a, the store's record checksum (same constants as the cache keys).
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
 
 /// %-escapes spaces, `%` and control bytes so a value stays one token on a
 /// space-split row.
@@ -215,6 +207,15 @@ impl FlowStore {
         Ok(store)
     }
 
+    /// Opens `cfg`'s store once for a pool of workers, so concurrent
+    /// requests share one in-memory index instead of each re-scanning the
+    /// file. `None` without a config, and when the open fails: requests then
+    /// resolve their store per run inside `run_flow_shared`, which counts
+    /// `cache.open_errors` and runs uncached.
+    pub(crate) fn open_shared(cfg: Option<&StoreConfig>) -> Option<Arc<FlowStore>> {
+        cfg.and_then(|sc| FlowStore::open(sc).ok().map(Arc::new))
+    }
+
     /// The store file path.
     pub fn path(&self) -> &Path {
         &self.cfg.path
@@ -363,7 +364,7 @@ impl FlowStore {
         if buf[total - 1] != b'\n' {
             return Err(ReadFail::Corrupt("record framing".to_string()));
         }
-        if fnv(payload) != e.sum {
+        if fnv1a(payload.iter().copied()) != e.sum {
             return Err(ReadFail::Corrupt("checksum mismatch".to_string()));
         }
         String::from_utf8(payload.to_vec())
@@ -379,7 +380,7 @@ impl FlowStore {
         payload: &str,
     ) -> Result<(), StoreError> {
         self.refresh(inner)?;
-        let sum = fnv(payload.as_bytes());
+        let sum = fnv1a(payload.bytes());
         let header = encode_header(table, key, payload.len(), sum);
         let rec_len = header.len() as u64 + payload.len() as u64 + 1;
         if inner.file_len + rec_len > self.cfg.max_bytes {
@@ -418,7 +419,7 @@ impl FlowStore {
         let in_file = |e: &Entry| (e.offset + e.record_len()) as usize <= bytes.len();
         let payload_ok = |e: &Entry| {
             let start = (e.offset + e.header_len as u64) as usize;
-            fnv(&bytes[start..start + e.payload_len as usize]) == e.sum
+            fnv1a(bytes[start..start + e.payload_len as usize].iter().copied()) == e.sum
         };
 
         let mut kept: Vec<((Table, u64), Entry)> = Vec::new();

@@ -22,13 +22,13 @@ cargo clippy -p eda-bench --bins -- -D warnings
 
 # Supervised-flow smoke: deterministic fault injection across the flow,
 # including the reproducibility self-check, at 4 worker threads.
-./target/release/experiments --inject smoke --threads 4
+./target/release/experiments run --inject smoke --threads 4
 
-# Telemetry smoke: `--trace` must emit parseable JSON (span tree + metrics)
+# Telemetry smoke: `trace` must emit parseable JSON (span tree + metrics)
 # and a non-empty folded-stack file.
 trace_dir="$(mktemp -d)"
 trap 'rm -f "$test_log"; rm -rf "$trace_dir"' EXIT
-./target/release/experiments --trace "$trace_dir/smoke.trace.json" --threads 4
+./target/release/experiments trace "$trace_dir/smoke.trace.json" --threads 4
 python3 - "$trace_dir" <<'PY'
 import json, sys, os
 d = sys.argv[1]
@@ -40,22 +40,13 @@ assert os.path.getsize(os.path.join(d, "smoke.trace.folded")) > 0, "folded stack
 print(f"check: trace OK ({len(trace['traceEvents'])} spans, {len(metrics)} metrics)")
 PY
 
-# Flow-server smoke: a 4-request batch through the work-stealing server at
-# a 4-thread budget must beat sequential by >= 1.5x with cross-design cache
-# hits and bit-identical QoR (the tool itself asserts all three). The
-# throughput bar is wall-clock-sensitive, so a miss gets two retries, each
-# with a fresh cold store; QoR bit-identity is asserted on every attempt.
+# Flow-server smoke: a 4-request batch through the flow server at a
+# 4-thread budget must finish with no failed request, bit-identical QoR and
+# cross-design cache hits (the tool itself asserts all three; nothing here
+# depends on the wall clock — `benchmark/` measures that as server.batch4_s).
 serve_cache="$(mktemp -d)"
 trap 'rm -f "$test_log"; rm -rf "$trace_dir" "$serve_cache"' EXIT
-serve_ok=0
-for attempt in 1 2 3; do
-    if ./target/release/experiments serve --batch 4 --threads 4 \
-            --store "$serve_cache/$attempt/flow.store"; then
-        serve_ok=1; break
-    fi
-    echo "check: serve smoke attempt $attempt missed a threshold; retrying on a cold store" >&2
-done
-[ "$serve_ok" = 1 ] || { echo "check: FAIL serve smoke failed on all 3 attempts" >&2; exit 1; }
+./target/release/experiments serve --batch 4 --threads 4 --store "$serve_cache/flow.store"
 
 # Daemon smoke: serve on a temp socket (with a flow store bound), push a
 # 4-request batch (one with an injected per-request stage fault) through the

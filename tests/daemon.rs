@@ -22,7 +22,6 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 /// A unique socket path per test and per process.
 fn sock(tag: &str) -> PathBuf {
@@ -306,23 +305,31 @@ fn mid_run_disconnect_cancels_only_that_clients_queue() {
     );
 }
 
+/// Reads `conn`'s frames until `done` says one is the frame waited for.
+fn recv_until(conn: &mut DaemonClient, mut done: impl FnMut(&ServerFrame) -> bool) {
+    while !done(&conn.recv().expect("server frame")) {}
+}
+
 #[test]
 fn shutdown_drains_every_admitted_request_before_acking() {
     let mut cfg = DaemonConfig::new(sock("drain"));
     cfg.workers = 1;
     let daemon = Flowd::spawn(cfg);
 
-    // Three requests deep on one worker, then a shutdown from a second
-    // connection while they are still queued.
+    // Three requests deep on one worker. Once the third `accepted` frame is
+    // back all three are admitted (a flow takes a thousand times longer than
+    // an admission, so the queue is still deep); only then does a second
+    // connection ask for the drain.
     let mut submitter = daemon.client();
-    let worker = std::thread::spawn(move || {
-        let specs: Vec<SubmitSpec> =
-            (1..=3).map(|i| SubmitSpec::new(i, "fabric:3x3")).collect();
-        submitter.drive(&specs).expect("drive batch")
+    for id in 1..=3 {
+        submitter.send(&ClientFrame::Submit(SubmitSpec::new(id, "fabric:3x3"))).expect("send");
+    }
+    let mut admitted = 0;
+    recv_until(&mut submitter, |f| {
+        admitted += usize::from(matches!(f, ServerFrame::Accepted { .. }));
+        admitted == 3
     });
-    std::thread::sleep(Duration::from_millis(200));
 
-    let started = Instant::now();
     let ack = daemon.client().shutdown().expect("shutdown ack");
     assert_eq!(ack.accepted, 3);
     assert_eq!(
@@ -330,12 +337,19 @@ fn shutdown_drains_every_admitted_request_before_acking() {
         "the ack only arrives once every in-flight request finished"
     );
 
-    // The in-flight client saw all three complete, not a dropped line.
-    let outcomes = worker.join().expect("submitter thread");
+    // The in-flight client saw all three complete, not a dropped line: the
+    // terminal frames were written before the ack, so they are all readable.
     let expect = solo_fp("fabric:3x3");
-    for o in &outcomes {
-        assert_eq!(fp_of(o), expect, "drained requests keep bit-identical QoR");
-    }
+    let mut finished = Vec::new();
+    recv_until(&mut submitter, |f| {
+        if let ServerFrame::Done { id, ok, qor_fp, .. } = f {
+            assert!(*ok, "request {id} failed during the drain");
+            assert_eq!(*qor_fp, Some(expect), "drained requests keep bit-identical QoR");
+            finished.push(*id);
+        }
+        finished.len() == 3
+    });
+    assert_eq!(finished, [1, 2, 3], "one worker, one priority class: admission order");
 
     // After the ack the daemon is gone: new connects fail fast.
     let exit = daemon.handle.join().expect("daemon thread").expect("daemon exit");
@@ -343,8 +357,6 @@ fn shutdown_drains_every_admitted_request_before_acking() {
     assert!(!daemon.socket.exists());
     let policy = RetryPolicy { attempts: 1, base_ms: 1, cap_ms: 1, retry_queue_full: false };
     assert!(DaemonClient::connect_retry(&daemon.endpoint, &policy).is_err());
-    // Sanity: the drain (3 × ~seconds of flow) dominated the ack latency.
-    assert!(started.elapsed() > Duration::from_millis(50));
 }
 
 #[test]
@@ -353,32 +365,81 @@ fn submits_during_drain_get_typed_draining_rejections() {
     cfg.workers = 1;
     let daemon = Flowd::spawn(cfg);
 
-    // Occupy the worker so drain has something to wait on.
+    // Occupy the worker so drain has something to wait on: the first
+    // `stage` frame proves request 1 is past the queue and mid-flow.
     let mut busy = daemon.client();
-    let runner = std::thread::spawn(move || {
-        busy.request(&SubmitSpec::new(1, "fabric:3x3")).expect("terminal frame")
-    });
-    std::thread::sleep(Duration::from_millis(200));
+    busy.send(&ClientFrame::Submit(SubmitSpec::new(1, "fabric:3x3"))).expect("send");
+    recv_until(&mut busy, |f| matches!(f, ServerFrame::Stage { .. }));
 
-    // Begin drain, then race a late submit on a pre-existing connection.
-    // (A Shutdown frame starts the drain immediately; the ack waits.)
+    // Begin the drain and submit late, back to back on ONE connection: its
+    // reader handles frames in order, so the submit is answered after the
+    // drain began no matter how soon request 1 finishes — and before the
+    // reader can stop, so the ack (which waits for the readers) counts it.
     let mut late = daemon.client();
-    let mut closer = daemon.client();
-    let ack = std::thread::spawn(move || closer.shutdown().expect("shutdown ack"));
-    std::thread::sleep(Duration::from_millis(100));
-    let outcome = late.request(&SubmitSpec::new(2, "parity:16")).expect("terminal frame");
-    assert!(
-        outcome.rejected_with(RejectReason::Draining),
-        "a submit during drain is shed with `draining`, got {:?}",
-        outcome.terminal
+    late.send(&ClientFrame::Shutdown).expect("send shutdown");
+    late.send(&ClientFrame::Submit(SubmitSpec::new(2, "parity:16"))).expect("send late submit");
+    let mut rejection = None;
+    let mut ack = None;
+    recv_until(&mut late, |f| {
+        match f {
+            ServerFrame::Rejected { id: 2, reason, .. } => rejection = Some(*reason),
+            ServerFrame::ShutdownAck(stats) => ack = Some(*stats),
+            other => panic!("unexpected frame on the draining connection: {other:?}"),
+        }
+        ack.is_some()
+    });
+    assert_eq!(
+        rejection,
+        Some(RejectReason::Draining),
+        "a submit during drain is shed with `draining` before the ack"
     );
+    let stats = ack.expect("shutdown ack");
+    assert_eq!(stats.rejected_draining, 1, "the ack counts the late rejection");
+    assert_eq!(stats.accepted, 1);
+    assert_eq!(stats.completed, 1, "the busy request finished before the ack");
 
-    assert_eq!(fp_of(&runner.join().expect("runner")), solo_fp("fabric:3x3"));
-    let stats = ack.join().expect("ack thread");
-    assert_eq!(stats.rejected_draining, 1);
-    assert_eq!(stats.completed, 1);
+    let mut done = None;
+    recv_until(&mut busy, |f| {
+        if let ServerFrame::Done { id: 1, ok, qor_fp, .. } = f {
+            done = Some((*ok, *qor_fp));
+        }
+        done.is_some()
+    });
+    assert_eq!(done, Some((true, Some(solo_fp("fabric:3x3")))));
     let exit = daemon.handle.join().expect("daemon thread").expect("daemon exit");
     assert_eq!(exit, stats);
+}
+
+#[test]
+fn every_rejection_sent_at_the_tail_of_a_drain_is_in_the_ack() {
+    // An idle daemon quiesces the instant it is asked to, so submits right
+    // behind the shutdown frame are answered — if at all — while `run` is
+    // already tearing down. Whatever the interleaving, a `rejected` frame
+    // that reached the wire must be in the ack, and the ack is the exit.
+    let daemon = Flowd::spawn(DaemonConfig::new(sock("tail")));
+    let mut conn = daemon.client();
+    conn.send(&ClientFrame::Shutdown).expect("send shutdown");
+    for id in 1..=8 {
+        // The daemon may already have hung up; an unsent submit is fine.
+        let _ = conn.send(&ClientFrame::Submit(SubmitSpec::new(id, "parity:16")));
+    }
+    let mut rejected = 0;
+    let mut ack = None;
+    while let Ok(frame) = conn.recv() {
+        match frame {
+            ServerFrame::Rejected { reason: RejectReason::Draining, .. } => {
+                assert!(ack.is_none(), "no frame is handled after the ack");
+                rejected += 1;
+            }
+            ServerFrame::ShutdownAck(stats) => ack = Some(stats),
+            other => panic!("unexpected frame on the draining connection: {other:?}"),
+        }
+    }
+    let ack = ack.expect("shutdown ack");
+    assert_eq!(ack.rejected_draining, rejected, "every rejection sent is counted");
+    assert_eq!(ack.accepted, 0);
+    let exit = daemon.handle.join().expect("daemon thread").expect("daemon exit");
+    assert_eq!(exit, ack);
 }
 
 #[test]
