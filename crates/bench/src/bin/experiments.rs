@@ -762,15 +762,11 @@ fn query_demo(opts: &Options) -> CliResult {
 ///   shows the high-water mark ramping stage by stage (VmHWM is monotone by
 ///   construction).
 ///
-/// Parallel wall clocks use the **projected** convention: each kernel
-/// dispatch's measured wall is replaced by the busiest worker's CPU time
-/// (the wall a one-core-per-worker host would see — the same convention
-/// `ParStats::bounded_speedup` uses), because on core-starved CI hosts the
-/// measured wall of a 4-thread run says nothing about the algorithm. The
-/// measured wall is still emitted as `parallel_measured_s`;
-/// `route_serial_s` / `route_parallel_s` / `route_speedup` isolate the
-/// route stage the same way. All of these are labelled projections: they
-/// are reported, never gated (a faster serial kernel *lowers* the ratio).
+/// Wall clocks are the ones this host measured (`serial_s`,
+/// `parallel_measured_s`, and `route_serial_s` from the serial run's route
+/// span): reported, never gated. Projections from per-worker CPU clocks
+/// live where they are labelled as such — `cargo bench`'s `*_par` rows and
+/// claim c9.
 ///
 /// Exits nonzero when the positive window margin fails to keep routing
 /// scratch below the dense grid, when the two runs' QoR differs in any bit,
@@ -803,56 +799,18 @@ fn scale_demo(opts: &Options) -> CliResult {
     let same = serial.same_qor(&parallel);
     let peak_rss_mb = eda_core::read_peak_rss_bytes() / (1 << 20);
 
-    // Per-stage wall + RSS high-water from a run's telemetry: the last Stage
-    // span with each name times the attempt that produced the result.
-    let stage_walls = |report: &eda_core::FlowReport| {
-        let mut rows: std::collections::BTreeMap<&str, (f64, u64)> = Default::default();
-        for (span, wall) in report.telemetry.spans.iter().zip(&report.telemetry.wall) {
-            if span.kind == SpanKind::Stage {
-                if let Some(stage) = STAGES.iter().find(|s| **s == span.name) {
-                    rows.insert(stage, (wall.dur_s, wall.peak_rss_bytes >> 20));
-                }
+    // Per-stage wall + RSS high-water from the serial run's telemetry: the
+    // last Stage span with each name times the attempt that produced the
+    // result.
+    let mut serial_rows: std::collections::BTreeMap<&str, (f64, u64)> = Default::default();
+    for (span, wall) in serial.telemetry.spans.iter().zip(&serial.telemetry.wall) {
+        if span.kind == SpanKind::Stage {
+            if let Some(stage) = STAGES.iter().find(|s| **s == span.name) {
+                serial_rows.insert(stage, (wall.dur_s, wall.peak_rss_bytes >> 20));
             }
         }
-        rows
-    };
-    // Per-stage projected-wall correction: for every kernel dispatch,
-    // measured wall minus the busiest worker's CPU (what a host with one
-    // dedicated core per worker would observe). Subtracting it converts a
-    // core-starved host's measured wall into the projected wall.
-    let corrections = |report: &eda_core::FlowReport| {
-        let mut by_stage: std::collections::BTreeMap<String, f64> = Default::default();
-        let spans = &report.telemetry.spans;
-        for (span, wall) in spans.iter().zip(&report.telemetry.wall) {
-            if span.kind != SpanKind::Kernel {
-                continue;
-            }
-            let projected = wall.busy_s.iter().cloned().fold(0.0, f64::max);
-            if projected <= 0.0 {
-                continue;
-            }
-            let mut at = span.parent;
-            while let Some(p) = at {
-                if spans[p].kind == SpanKind::Stage {
-                    *by_stage.entry(spans[p].name.clone()).or_default() +=
-                        (wall.dur_s - projected).max(0.0);
-                    break;
-                }
-                at = spans[p].parent;
-            }
-        }
-        by_stage
-    };
-    let serial_rows = stage_walls(&serial);
-    let parallel_rows = stage_walls(&parallel);
-    let corr = corrections(&parallel);
-    let total_corr: f64 = corr.values().sum();
-    let parallel_s = (parallel_measured_s - total_corr).max(1e-9);
+    }
     let route_serial_s = serial_rows.get("7_route").map_or(0.0, |(w, _)| *w);
-    let route_measured_s = parallel_rows.get("7_route").map_or(0.0, |(w, _)| *w);
-    let route_parallel_s =
-        (route_measured_s - corr.get("7_route").copied().unwrap_or(0.0)).max(1e-9);
-    let route_speedup = route_serial_s / route_parallel_s;
 
     let gauge = |name: &str| -> f64 {
         match serial.telemetry.metrics.get(name) {
@@ -864,13 +822,9 @@ fn scale_demo(opts: &Options) -> CliResult {
     let dense_cells = gauge("route.dense_grid_cells");
 
     println!(
-        "flow: serial {serial_s:.2}s, {par_threads} threads {parallel_s:.2}s projected \
-         ({parallel_measured_s:.2}s measured on this host), \
+        "flow: serial {serial_s:.2}s (route {route_serial_s:.2}s), {par_threads} threads \
+         {parallel_measured_s:.2}s measured on this host, \
          QoR bit-identical: {same}, peak RSS {peak_rss_mb} MB"
-    );
-    println!(
-        "route: serial {route_serial_s:.2}s, {par_threads} threads {route_parallel_s:.2}s \
-         projected = {route_speedup:.2}x"
     );
     println!(
         "routing scratch: window peak {window_peak:.0} cells vs dense {dense_cells:.0} \
@@ -899,11 +853,8 @@ fn scale_demo(opts: &Options) -> CliResult {
     println!("SCALELINE route_seam_conflicts {}", counter("route.seam_conflicts"));
     println!("SCALELINE route_negotiation_waves {}", counter("route.negotiation_waves"));
     println!("SCALELINE serial_s {serial_s:.6}");
-    println!("SCALELINE parallel_s {parallel_s:.6}");
     println!("SCALELINE parallel_measured_s {parallel_measured_s:.6}");
     println!("SCALELINE route_serial_s {route_serial_s:.6}");
-    println!("SCALELINE route_parallel_s {route_parallel_s:.6}");
-    println!("SCALELINE route_speedup {route_speedup:.6}");
     println!("SCALELINE threads {par_threads}");
     println!("SCALELINE peak_rss_mb {peak_rss_mb}");
     println!("SCALELINE same_qor {}", same as u32);

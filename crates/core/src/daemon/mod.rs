@@ -29,11 +29,10 @@
 //! - **Graceful drain.** A `shutdown` frame or SIGTERM (opt-in,
 //!   [`DaemonConfig::handle_sigterm`]) closes the scheduler: *accepting →
 //!   closed → workers joined*. Listeners stop accepting, new submits get
-//!   `rejected{draining}`, admitted requests finish (checkpointing as they
-//!   go when a checkpoint dir is set) and the workers return; then the
-//!   readers stop, the daemon acknowledges with its final stats, cleans up
-//!   its socket, and [`Daemon::run`] returns those same stats — the CLI
-//!   exits 0.
+//!   `rejected{draining}`, admitted requests finish and the workers return;
+//!   then the readers stop, the daemon acknowledges with its final stats,
+//!   cleans up its socket, and [`Daemon::run`] returns those same stats —
+//!   the CLI exits 0.
 
 pub mod client;
 pub mod protocol;
@@ -99,10 +98,6 @@ pub struct DaemonConfig {
     /// Shared flow store handed to every request: stage + sub-stage cache
     /// plus the QoR provenance tables the `query` frame reads.
     pub store: Option<StoreConfig>,
-    /// Checkpoint directory handed to every request, so in-flight work is
-    /// resumable after a drain. Concurrent requests cannot clobber each
-    /// other here: checkpoint files are namespaced by config fingerprint.
-    pub checkpoint_dir: Option<PathBuf>,
     /// Install a SIGTERM handler that triggers graceful drain. Opt-in
     /// because signal dispositions are process-wide: the CLI enables it,
     /// in-process tests leave it off.
@@ -120,7 +115,6 @@ impl DaemonConfig {
             threads: 0,
             queue_high_water: 8,
             store: None,
-            checkpoint_dir: None,
             handle_sigterm: false,
         }
     }
@@ -608,12 +602,7 @@ fn handle_submit(shared: &Arc<Shared>, conn: &Arc<ConnWriter>, spec: SubmitSpec)
         Ok(d) => d,
         Err(e) => return conn.send(&rejection(shared, spec.id, RejectReason::BadRequest, e.0)),
     };
-    let config = match flow_config_for(
-        &spec,
-        shared.kernel_threads,
-        shared.cfg.store.as_ref(),
-        shared.cfg.checkpoint_dir.as_deref(),
-    ) {
+    let config = match flow_config_for(&spec, shared.kernel_threads, shared.cfg.store.as_ref(), None) {
         Ok(c) => c,
         Err(e) => return conn.send(&rejection(shared, spec.id, RejectReason::BadRequest, e.0)),
     };

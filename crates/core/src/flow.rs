@@ -19,12 +19,17 @@
 //!   relaxed tolerance;
 //! * clock gating that fails keeps the ungated netlist and degrades.
 //!
-//! With `FlowConfig::checkpoint_dir` set, the supervisor serializes the full
+//! The flow is one stage table (`TABLE`: per stage its name, the config
+//! knobs its cache key covers, and its body) and one driver loop
+//! (`run_flow_shared`) that alone runs the per-stage protocol — cache probe,
+//! body or replay, cursor, one serialization, cache store, checkpoint, clock.
+//!
+//! With `FlowConfig::checkpoint_dir` set, the driver writes the serialized
 //! flow state after every stage; a killed flow rerun with `resume: true`
 //! restarts from the first incomplete stage and produces bit-identical QoR
 //! ([`FlowReport::same_qor`]).
 
-use crate::cache::{self, CacheError, StageCache};
+use crate::cache::{self, CacheError};
 use crate::checkpoint::{self, FlowState, LoadError};
 use crate::config::FlowConfig;
 use crate::harness::{StageCtx, StageStatus, StageTry, Supervisor};
@@ -36,6 +41,7 @@ use eda_litho::{decompose, run_opc_stats, Layout, OpcConfig, OpticalModel};
 use eda_logic::{check_equivalence, synthesize, EcVerdict, SynthesisOptions};
 use eda_netlist::memo::fnv1a;
 use eda_netlist::{Netlist, NetlistStats, SubstageMemo};
+use eda_par::ParStats;
 use eda_place::{anneal, place_global, place_multilevel, plan_buffers, synthesize_clock_tree, AnnealConfig, CtsConfig, Die, GlobalConfig, MultilevelConfig, ParallelConfig};
 use eda_power::{analyze, insert_clock_gating, insert_decaps, solve_ir_drop, Activity, ActivityConfig, MeshConfig, PowerConfig, PowerGrid};
 use eda_route::{route_stats_memo, RouteConfig, RuleDeck};
@@ -46,22 +52,6 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Every stage the supervisor runs, in execution order. Each key appears in
-/// [`FlowReport::stage_status`] after any successful run.
-pub const STAGES: [&str; 11] = [
-    "1_synthesis",
-    "2_clock_gating",
-    "3_scan",
-    "4_place",
-    "5_scan_reorder",
-    "6_cts",
-    "6_sta",
-    "7_route",
-    "8_litho",
-    "9_power",
-    "10_dft",
-];
 
 /// RMS edge-placement error below which the flow's OPC pass counts as
 /// converged, nm.
@@ -241,6 +231,158 @@ impl std::error::Error for FlowError {
     }
 }
 
+/// What every stage body reads besides the flow state: the run's inputs and
+/// what is derived from them once.
+struct Env<'a> {
+    cfg: &'a FlowConfig,
+    design: &'a Netlist,
+    plan: PatterningPlan,
+    /// The sub-stage memo: per-AIG-pass and per-net entries that survive
+    /// edits which invalidate a whole stage. Probed only from this
+    /// (orchestrating) thread; misses still fan out to the parallel kernels.
+    sub: Option<SubMemo>,
+}
+
+impl Env<'_> {
+    fn memo(&self) -> Option<&dyn SubstageMemo> {
+        self.sub.as_ref().map(|s| s as &dyn SubstageMemo)
+    }
+}
+
+/// What a stage body hands back to the driver: the record of its parallel
+/// kernel, if it dispatched one.
+type StageResult = Result<Option<ParStats>, FlowError>;
+
+/// One row of the stage table — the single definition of a stage. Its
+/// position in [`TABLE`] is its position in the flow.
+struct Stage {
+    /// The stage key: span name, status key, fault-plan and budget target,
+    /// wire-protocol stage id.
+    name: &'static str,
+    /// The config knobs `body` reads beyond node and seed, rendered for the
+    /// stage's cache key. Knobs the body never looks at must not be here
+    /// (they would invalidate its entries for nothing); every knob it does
+    /// read must be, or a warm run could replay state computed under a
+    /// different effective config — `tests/incremental.rs` edits each knob
+    /// of the whole-config fingerprint in turn to hold that. Design identity
+    /// appears only in `1_synthesis`: downstream stages see the design
+    /// through their pre-stage body.
+    knobs: fn(&Netlist, &FlowConfig) -> String,
+    /// Runs the stage under the supervisor: reads its inputs from the flow
+    /// state, writes its outputs back. Everything else a stage needs — cache
+    /// probe and store, cursor, checkpoint, clocks — is the driver's
+    /// ([`run_flow_shared`]), never the body's.
+    body: fn(&'static str, &Env<'_>, &mut FlowState, &mut Supervisor<'_>) -> StageResult,
+}
+
+impl Stage {
+    /// The per-stage config fingerprint: node and seed (consumed nearly
+    /// everywhere) plus the stage's own knobs.
+    fn config_fp(&self, design: &Netlist, cfg: &FlowConfig) -> u64 {
+        let knobs = (self.knobs)(design, cfg);
+        fnv1a(format!("{}|{:?}|{}{knobs}", self.name, cfg.node, cfg.seed).bytes())
+    }
+}
+
+/// Scan insertion, reordering, and fault simulation all key on the scan
+/// options (chains and reorder flag both change their results or their skip
+/// notes).
+fn scan_knobs(_: &Netlist, cfg: &FlowConfig) -> String {
+    format!("|{:?}", cfg.scan)
+}
+
+const TABLE: [Stage; 11] = [
+    Stage {
+        name: "1_synthesis",
+        knobs: |design, cfg| {
+            format!(
+                "|{}|{}|{:?}|{:?}|{:?}|{}|{}",
+                design.name(),
+                design.num_instances(),
+                cfg.library,
+                cfg.synthesis,
+                cfg.map_goal,
+                cfg.aig_rewrite_passes,
+                cfg.verify_synthesis,
+            )
+        },
+        body: synthesis,
+    },
+    Stage {
+        name: "2_clock_gating",
+        knobs: |_, cfg| format!("|{}", cfg.power.clock_gating_group),
+        body: clock_gating,
+    },
+    Stage { name: "3_scan", knobs: scan_knobs, body: scan },
+    Stage {
+        name: "4_place",
+        knobs: |_, cfg| format!("|{:016x}|{:?}", cfg.utilization.to_bits(), cfg.place),
+        body: place,
+    },
+    Stage { name: "5_scan_reorder", knobs: scan_knobs, body: scan_reorder },
+    // CTS runs on defaults.
+    Stage { name: "6_cts", knobs: |_, _| String::new(), body: cts },
+    Stage {
+        name: "6_sta",
+        knobs: |_, cfg| format!("|{:016x}", cfg.clock_mhz.to_bits()),
+        body: sta,
+    },
+    Stage {
+        name: "7_route",
+        // The schedule revision keeps a store written by an older router
+        // from replaying that router's results under this one.
+        knobs: |_, cfg| {
+            format!(
+                "|rev{}|{:?}|{}|{}|{}|{}|{}",
+                eda_route::SCHEDULE_REV,
+                cfg.router,
+                cfg.layers,
+                cfg.ripup_iterations,
+                cfg.route_grid_cells,
+                cfg.route_window_margin,
+                cfg.route_region_size,
+            )
+        },
+        body: route,
+    },
+    // Litho derives everything from the node and the routed state.
+    Stage { name: "8_litho", knobs: |_, _| String::new(), body: litho },
+    Stage {
+        name: "9_power",
+        knobs: |_, cfg| {
+            format!(
+                "|{:016x}|{:016x}",
+                cfg.clock_mhz.to_bits(),
+                cfg.power.decap_droop_limit_mv.map(f64::to_bits).unwrap_or(u64::MAX),
+            )
+        },
+        body: power,
+    },
+    Stage { name: "10_dft", knobs: scan_knobs, body: dft },
+];
+
+/// Fingerprint of every QoR-relevant config field plus the design identity:
+/// the fold of every stage's own fingerprint, so the table is the one list
+/// of knobs. Namespaces checkpoint files and labels provenance rows. Fields
+/// that cannot change the result are no stage's knob: `name`, `threads`
+/// (bit-identical by the eda-par contract), `checkpoint_dir`, `resume`,
+/// `store`, `fault_plan`, `budgets`, and `deadline_s`.
+fn fingerprint(design: &Netlist, cfg: &FlowConfig) -> u64 {
+    fnv1a(TABLE.iter().flat_map(|s| s.config_fp(design, cfg).to_le_bytes()))
+}
+
+/// Every stage the supervisor runs, in execution order. Each key appears in
+/// [`FlowReport::stage_status`] after any successful run.
+pub const STAGES: [&str; 11] = {
+    let mut names = [""; 11];
+    let mut i = 0;
+    while i < names.len() {
+        names[i] = TABLE[i].name;
+        i += 1;
+    }
+    names
+};
+
 /// Runs the full flow on a design under the stage supervisor.
 ///
 /// # Errors
@@ -271,14 +413,20 @@ pub fn run_flow_observed(
 /// server and daemon open the store once and pass the same `Arc` to every
 /// worker, so concurrent requests share one index instead of each re-opening
 /// (and re-scanning) the file; `None` opens [`FlowConfig::store`] per run.
+///
+/// This is the driver: the one place the per-stage protocol is written. For
+/// each row of [`TABLE`] not already behind the cursor, in order: probe the
+/// stage cache; on a hit adopt the loaded state, statuses and body, else run
+/// the body, record its worker accounting, advance the cursor, serialize the
+/// state once and store those bytes; checkpoint the same bytes; lap the
+/// clock.
 pub(crate) fn run_flow_shared(
     design: &Netlist,
     cfg: &FlowConfig,
     observer: Option<crate::telemetry::ProgressFn>,
     shared_store: Option<Arc<FlowStore>>,
 ) -> Result<FlowReport, FlowError> {
-    let threads = cfg.threads;
-    let fp = checkpoint::fingerprint(design, cfg);
+    let fp = fingerprint(design, cfg);
     // Telemetry collects for this run only: a resumed flow records spans
     // and metrics for the stages it actually reruns (checkpoints carry QoR
     // state, not telemetry), which is why `same_qor` ignores the snapshot.
@@ -288,19 +436,22 @@ pub(crate) fn run_flow_shared(
     }
     let mut sup = Supervisor::new(cfg.fault_plan.as_ref(), cfg.budgets.clone(), &tel, cfg.deadline_s);
     let mut st = FlowState::fresh();
+    // `st` and `sup.statuses` in the body codec: the input the next stage's
+    // cache key hashes, and what its entry and checkpoint store.
+    let mut image = String::new();
+    checkpoint::write_body(&st, &sup.statuses, &mut image);
 
-    if let Some(dir) = &cfg.checkpoint_dir {
-        if cfg.resume {
-            match checkpoint::load(dir, design.name(), fp) {
-                Ok(Some(loaded)) => {
-                    sup.statuses = loaded.statuses.clone();
-                    sup.checkpoint = Some(checkpoint::path_for(dir, design.name(), fp));
-                    st = loaded;
-                }
-                Ok(None) => {}
-                Err(LoadError::Mismatch(reason)) => return Err(FlowError::ResumeMismatch { reason }),
-                Err(LoadError::Corrupt(reason)) => return Err(FlowError::ResumeCorrupt { reason }),
+    if let (Some(dir), true) = (&cfg.checkpoint_dir, cfg.resume) {
+        match checkpoint::load(dir, design.name(), fp) {
+            Ok(Some(loaded)) => {
+                sup.statuses = loaded.statuses;
+                sup.checkpoint = Some(checkpoint::path_for(dir, design.name(), fp));
+                st = loaded.state;
+                image = loaded.body;
             }
+            Ok(None) => {}
+            Err(LoadError::Mismatch(reason)) => return Err(FlowError::ResumeMismatch { reason }),
+            Err(LoadError::Corrupt(reason)) => return Err(FlowError::ResumeCorrupt { reason }),
         }
     }
 
@@ -322,565 +473,86 @@ pub(crate) fn run_flow_shared(
             })
         })
     };
-    let memo = StageMemo {
-        cache: store.as_ref().map(|s| StageCache::new(s.clone())),
+    // The image is kept current only when something reads it.
+    let persist = store.is_some() || cfg.checkpoint_dir.is_some();
+    let env = Env {
         cfg,
         design,
-        fp,
+        plan: PatterningPlan::for_node(cfg.node),
+        sub: store.as_ref().map(|s| SubMemo::new(s.clone())),
     };
-    // The sub-stage memo: per-AIG-pass and per-net entries that survive
-    // edits which invalidate a whole stage. Probed only from this
-    // (orchestrating) thread; misses still fan out to the parallel kernels.
-    let sub = store.as_ref().map(|s| SubMemo::new(s.clone()));
 
-    let mut timer = Timer::new();
-    let lib = cfg.library.library();
+    // What this run observed about itself: a replayed stage reports what
+    // replaying it took, a stage a resume skipped reports nothing — never
+    // the clock of the run that computed it.
+    let mut stage_seconds = BTreeMap::new();
+    let mut stage_threads = BTreeMap::new();
+    let mut stage_speedup = BTreeMap::new();
+    let mut lap = Instant::now();
     let flow_span = tel.span(SpanKind::Flow, "flow");
     flow_span.tag("flow", &cfg.name);
     flow_span.tag("design", design.name());
     flow_span.tag("node", cfg.node);
 
-    // ---- 1: synthesis (+ optional equivalence check) ----
-    let key = memo.begin("1_synthesis", 1, &mut st, &mut sup, &mut timer)?;
-    if st.cursor < 1 {
-        let stage = "1_synthesis";
-        let (netlist, verified, par) = sup.run_stage(stage, |ctx: StageCtx<'_>| {
-            let opts = SynthesisOptions {
-                threads: cfg.threads,
-                rewrite_passes: cfg.aig_rewrite_passes,
-                memo: sub.as_ref().map(|s| s as &dyn SubstageMemo),
+    for (i, stage) in TABLE.iter().enumerate() {
+        let position = i + 1;
+        if st.cursor >= position {
+            continue; // A resumed flow is already past this stage.
+        }
+        // The key's config component is the *per-stage* fingerprint, not the
+        // whole-config one: a knob change invalidates exactly the stages
+        // that read the knob, and the unchanged prefix keeps hitting.
+        let probe = store
+            .as_deref()
+            .map(|s| (s, cache::entry_key(stage.name, stage.config_fp(design, cfg), &image)));
+        let hit = probe.and_then(|(store, key)| {
+            let (metric, note) = match cache::load(store, stage.name, position, key) {
+                Ok(Some(hit)) => return Some(hit),
+                Ok(None) => ("cache.misses", "miss"),
+                Err(CacheError::Evicted) => ("cache.evicted_miss", "evicted"),
+                Err(CacheError::Corrupt(_)) => ("cache.errors", "error"),
             };
-            let synth = synthesize(design, lib.clone(), cfg.synthesis, cfg.map_goal, &opts)
-                .map_err(StageFailure::Synthesis)?;
-            let par = synth.par;
-            ctx.tel.count("synth.aig_nodes_before", synth.aig_nodes_before as u64);
-            ctx.tel.count("synth.aig_nodes_after", synth.aig_nodes_after as u64);
-            ctx.tel.count("synth.cells", synth.cells as u64);
-            ctx.tel.count("synth.cone_visits", synth.cone_visits);
-            ctx.tel.count("synth.cuts_enumerated", synth.cuts_enumerated);
-            for pass in &synth.passes {
-                let span = ctx.tel.span(SpanKind::Kernel, &format!("aig:{}", pass.name));
-                span.tag("nodes_before", pass.nodes_before);
-                span.tag("nodes_after", pass.nodes_after);
-                span.tag("kept", pass.kept);
+            sup.cache_cold(metric, note);
+            None
+        });
+        match hit {
+            // The content address covers the pre-stage body including the
+            // status prefix, so the cached state agrees with this run on
+            // everything before the stage and replaces it wholesale.
+            Some(hit) => {
+                sup.cache_hit(stage.name, hit.statuses);
+                st = hit.state;
+                image = hit.body;
             }
-            // The 2006 baseline maps serially and dispatches nothing.
-            if par.chunks > 0 {
-                ctx.tel.kernel("map:waves", &par);
-            }
-            let netlist = synth.netlist;
-            if !cfg.verify_synthesis {
-                return Ok(StageTry::Done((netlist, None, par)));
-            }
-            let budget = if ctx.adapt == 0 { EC_BUDGET } else { EC_BUDGET_ESCALATED };
-            ctx.tel.count("synth.ec_sim_budget", budget as u64);
-            match check_equivalence(design, &netlist, &[], &[], budget) {
-                Ok(EcVerdict::Equivalent) => Ok(StageTry::Done((netlist, Some(true), par))),
-                Ok(EcVerdict::Counterexample(_)) => Ok(StageTry::Degraded(
-                    (netlist, Some(false), par),
-                    "equivalence counterexample found against the input design".into(),
-                )),
-                Ok(EcVerdict::Inconclusive) => {
-                    if ctx.adapt == 0 {
-                        Ok(StageTry::Retry {
-                            reason: format!("equivalence inconclusive at the {budget}-node budget"),
-                            salvage: Some((
-                                (netlist, None, par),
-                                "equivalence unresolved".to_string(),
-                            )),
-                        })
-                    } else {
-                        Ok(StageTry::Degraded(
-                            (netlist, None, par),
-                            "equivalence still inconclusive after budget escalation".into(),
-                        ))
+            None => {
+                let par = (stage.body)(stage.name, &env, &mut st, &mut sup)?;
+                // Worker accounting only exists where workers ran: a serial
+                // stage, or a sub-stage replay, dispatched no parallel work.
+                if let Some(par) = par.filter(|p| p.chunks > 0) {
+                    stage_threads.insert(stage.name.to_string(), par.threads);
+                    stage_speedup.insert(stage.name.to_string(), par.bounded_speedup());
+                }
+                st.cursor = position;
+                if persist {
+                    image.clear();
+                    checkpoint::write_body(&st, &sup.statuses, &mut image);
+                }
+                // A failed store never fails the flow.
+                if let Some((store, key)) = probe {
+                    if cache::store(store, stage.name, key, &image).is_err() {
+                        tel.count("cache.errors", 1);
                     }
                 }
-                Err(e) => Ok(StageTry::Degraded(
-                    (netlist, None, par),
-                    format!("equivalence check failed: {e}"),
-                )),
             }
-        })?;
-        if par.chunks > 0 {
-            st.stage_threads.insert(stage.into(), par.threads);
-            st.stage_speedup.insert(stage.into(), par.bounded_speedup());
         }
-        st.netlist = Some(netlist);
-        st.synthesis_verified = verified;
-        st.stage_seconds.insert(stage.into(), timer.lap());
-        st.cursor = 1;
-        memo.finish(key, stage, &mut st, &mut sup);
-        save_checkpoint(cfg, design.name(), fp, &mut st, &mut sup, stage)?;
-    }
-
-    // ---- 2: clock gating (before scan so gates see plain flops) ----
-    let key = memo.begin("2_clock_gating", 2, &mut st, &mut sup, &mut timer)?;
-    if st.cursor < 2 {
-        let stage = "2_clock_gating";
-        let cur = current_netlist(&st);
-        let gated = if cfg.power.clock_gating_group == 0 {
-            sup.skip(stage, "clock gating disabled", cur.clone())
-        } else {
-            sup.run_stage(stage, |ctx: StageCtx<'_>| {
-                match insert_clock_gating(cur, cfg.power.clock_gating_group) {
-                    Ok(g) => {
-                        ctx.tel.count("gating.gates_inserted", g.gates_inserted as u64);
-                        ctx.tel.count("gating.flops_gated", g.flops_gated as u64);
-                        Ok(StageTry::Done(g.netlist))
-                    }
-                    Err(e) => Ok(StageTry::Degraded(
-                        cur.clone(),
-                        format!("clock gating failed, keeping the ungated netlist: {e}"),
-                    )),
-                }
-            })?
-        };
-        st.netlist = Some(gated);
-        st.stage_seconds.insert(stage.into(), timer.lap());
-        st.cursor = 2;
-        memo.finish(key, stage, &mut st, &mut sup);
-        save_checkpoint(cfg, design.name(), fp, &mut st, &mut sup, stage)?;
-    }
-
-    // ---- 3: scan insertion ----
-    let key = memo.begin("3_scan", 3, &mut st, &mut sup, &mut timer)?;
-    if st.cursor < 3 {
-        let stage = "3_scan";
-        let cur = current_netlist(&st);
-        let (scanned, chains) = match cfg.scan {
-            Some(scan) => sup.run_stage(stage, |ctx: StageCtx<'_>| {
-                let s = insert_scan(cur, scan.chains).map_err(StageFailure::Netlist)?;
-                ctx.tel.count("scan.chains", s.chains.len() as u64);
-                ctx.tel
-                    .count("scan.flops_stitched", s.chains.iter().map(|c| c.len() as u64).sum());
-                Ok(StageTry::Done((s.netlist, s.chains)))
-            })?,
-            None => sup.skip(stage, "scan insertion disabled", (cur.clone(), Vec::new())),
-        };
-        let stats = NetlistStats::of(&scanned);
-        st.cells = stats.combinational;
-        st.flops = stats.flops;
-        st.netlist = Some(scanned);
-        st.chains = chains;
-        st.stage_seconds.insert(stage.into(), timer.lap());
-        st.cursor = 3;
-        memo.finish(key, stage, &mut st, &mut sup);
-        save_checkpoint(cfg, design.name(), fp, &mut st, &mut sup, stage)?;
-    }
-
-    // ---- 4: placement ----
-    let key = memo.begin("4_place", 4, &mut st, &mut sup, &mut timer)?;
-    if st.cursor < 4 {
-        let stage = "4_place";
-        let cur = current_netlist(&st);
-        let die = Die::for_netlist(cur, cfg.utilization);
-        let (placement, hpwl_final, par) = sup.run_stage(stage, |ctx: StageCtx<'_>| {
-            if cfg.place.cluster_gates > 0 {
-                // Scale tier: multilevel cluster → coarse-place → refine.
-                // Serial by construction, so thread-invariance is trivial.
-                let out = place_multilevel(
-                    cur,
-                    die,
-                    &MultilevelConfig {
-                        cluster_size: cfg.place.cluster_gates,
-                        coarse_iterations: cfg.place.global_iterations,
-                        refine_moves_per_cell: cfg.place.anneal_moves_per_cell,
-                        seed: cfg.seed,
-                    },
-                );
-                ctx.tel.count("place.clusters", out.clusters as u64);
-                ctx.tel.count("place.moves_proposed", out.refine.proposed as u64);
-                ctx.tel.count("place.moves_accepted", out.refine.accepted as u64);
-                ctx.tel.gauge("place.hpwl_global_um", out.hpwl_expanded);
-                ctx.tel.gauge("place.hpwl_final_um", out.refine.hpwl_after);
-                Ok(StageTry::Done((out.placement, out.refine.hpwl_after, None)))
-            } else if cfg.place.stripes > 1 {
-                let out = eda_place::place_parallel(
-                    cur,
-                    die,
-                    &ParallelConfig {
-                        threads,
-                        stripes: cfg.place.stripes,
-                        moves_per_cell: cfg.place.anneal_moves_per_cell,
-                        passes: 2,
-                        seed: cfg.seed,
-                    },
-                );
-                ctx.tel.kernel("place:stripe_refine", &out.par_stats);
-                ctx.tel.count("place.moves_accepted", out.moves_accepted as u64);
-                ctx.tel.gauge("place.hpwl_global_um", out.hpwl_global);
-                ctx.tel.gauge("place.hpwl_final_um", out.hpwl_final);
-                Ok(StageTry::Done((out.placement, out.hpwl_final, Some(out.par_stats))))
-            } else {
-                let mut p = place_global(
-                    cur,
-                    die,
-                    &GlobalConfig { iterations: cfg.place.global_iterations, seed: cfg.seed },
-                );
-                let stats = anneal(
-                    cur,
-                    &mut p,
-                    &AnnealConfig {
-                        moves_per_cell: cfg.place.anneal_moves_per_cell,
-                        seed: cfg.seed,
-                        ..Default::default()
-                    },
-                    None,
-                    None,
-                );
-                ctx.tel.count("place.moves_proposed", stats.proposed as u64);
-                ctx.tel.count("place.moves_accepted", stats.accepted as u64);
-                ctx.tel.gauge("place.hpwl_global_um", stats.hpwl_before);
-                ctx.tel.gauge("place.hpwl_final_um", stats.hpwl_after);
-                Ok(StageTry::Done((p, stats.hpwl_after, None)))
-            }
-        })?;
-        // The independent auditor: legal sites, one cell per site, and the
-        // reported wirelength recomputed by a plain netlist walk.
-        debug_assert_eq!(
-            eda_place::audit_placement(cur, &placement, hpwl_final),
-            Ok(()),
-            "place audit failed"
-        );
-        if let Some(par) = par {
-            st.stage_threads.insert(stage.into(), par.threads);
-            st.stage_speedup.insert(stage.into(), par.bounded_speedup());
+        if let Some(dir) = &cfg.checkpoint_dir {
+            let path = checkpoint::save(dir, design.name(), fp, &image)
+                .map_err(|reason| FlowError::Checkpoint { stage: stage.name, reason })?;
+            sup.checkpoint = Some(path);
         }
-        st.placement = Some(placement);
-        st.stage_seconds.insert(stage.into(), timer.lap());
-        st.cursor = 4;
-        memo.finish(key, stage, &mut st, &mut sup);
-        save_checkpoint(cfg, design.name(), fp, &mut st, &mut sup, stage)?;
-    }
-
-    // ---- 5: scan reordering (placement-aware) ----
-    let key = memo.begin("5_scan_reorder", 5, &mut st, &mut sup, &mut timer)?;
-    if st.cursor < 5 {
-        let stage = "5_scan_reorder";
-        let placement = current_placement(&st);
-        let reorder_on = cfg.scan.is_some_and(|s| s.placement_aware_reorder);
-        let (chains, scan_wl) = if reorder_on && !st.chains.is_empty() {
-            let chains0 = st.chains.clone();
-            sup.run_stage(stage, |ctx: StageCtx<'_>| {
-                let before = scan_wirelength(&chains0, placement);
-                let reordered = reorder_chains(&chains0, placement);
-                let wl = scan_wirelength(&reordered, placement);
-                ctx.tel.gauge("scan.wirelength_before_um", before);
-                ctx.tel.gauge("scan.wirelength_um", wl);
-                Ok(StageTry::Done((reordered, wl)))
-            })?
-        } else {
-            let cause = if st.chains.is_empty() { "no scan chains to reorder" } else { "placement-aware reorder disabled" };
-            let wl = scan_wirelength(&st.chains, placement);
-            sup.skip(stage, cause, (st.chains.clone(), wl))
-        };
-        st.chains = chains;
-        st.scan_wirelength_um = scan_wl;
-        st.stage_seconds.insert(stage.into(), timer.lap());
-        st.cursor = 5;
-        memo.finish(key, stage, &mut st, &mut sup);
-        save_checkpoint(cfg, design.name(), fp, &mut st, &mut sup, stage)?;
-    }
-
-    // ---- 6: clock-tree synthesis ----
-    let key = memo.begin("6_cts", 6, &mut st, &mut sup, &mut timer)?;
-    if st.cursor < 6 {
-        let stage = "6_cts";
-        let cur = current_netlist(&st);
-        let placement = current_placement(&st);
-        let (skew_ps, tree_um) = sup.run_stage(stage, |ctx: StageCtx<'_>| {
-            let (tree, sinks) = synthesize_clock_tree(cur, placement, &CtsConfig::default());
-            ctx.tel.count("cts.sinks", sinks.len() as u64);
-            ctx.tel.gauge("cts.skew_ps", tree.skew_ps());
-            ctx.tel.gauge("cts.wirelength_um", tree.wirelength_um);
-            Ok(StageTry::Done((tree.skew_ps(), tree.wirelength_um)))
-        })?;
-        st.clock_skew_ps = skew_ps;
-        st.clock_tree_um = tree_um;
-        st.stage_seconds.insert(stage.into(), timer.lap());
-        st.cursor = 6;
-        memo.finish(key, stage, &mut st, &mut sup);
-        save_checkpoint(cfg, design.name(), fp, &mut st, &mut sup, stage)?;
-    }
-
-    // ---- 7: timing (setup at nominal, hold at the fast corner) ----
-    let key = memo.begin("6_sta", 7, &mut st, &mut sup, &mut timer)?;
-    if st.cursor < 7 {
-        let stage = "6_sta";
-        let cur = current_netlist(&st);
-        let tcfg = TimingConfig { clock_period_ps: 1e6 / cfg.clock_mhz, ..Default::default() };
-        let (wns, cp, holds) = sup.run_stage(stage, |ctx: StageCtx<'_>| {
-            let timing = TimingAnalysis::run(cur, &tcfg).map_err(StageFailure::Netlist)?;
-            ctx.tel.count("sta.arcs_timed", timing.arcs_timed as u64);
-            ctx.tel.count("sta.endpoints", timing.endpoints as u64);
-            ctx.tel.count("sta.failing_endpoints", timing.failing_endpoints as u64);
-            ctx.tel.count("sta.hold_violations", timing.hold_violations as u64);
-            ctx.tel.gauge("sta.wns_ps", timing.wns_ps);
-            ctx.tel.gauge("sta.tns_ps", timing.tns_ps);
-            Ok(StageTry::Done((timing.wns_ps, timing.critical_path_ps, timing.hold_violations)))
-        })?;
-        st.wns_ps = wns;
-        st.critical_path_ps = cp;
-        st.hold_violations = holds;
-        st.stage_seconds.insert(stage.into(), timer.lap());
-        st.cursor = 7;
-        memo.finish(key, stage, &mut st, &mut sup);
-        save_checkpoint(cfg, design.name(), fp, &mut st, &mut sup, stage)?;
-    }
-
-    let plan = PatterningPlan::for_node(cfg.node);
-
-    // ---- 8: routing ----
-    let key = memo.begin("7_route", 8, &mut st, &mut sup, &mut timer)?;
-    if st.cursor < 8 {
-        let stage = "7_route";
-        let cur = current_netlist(&st);
-        let placement = current_placement(&st);
-        let deck = if plan.needs_decomposition() {
-            RuleDeck::multi_patterned(cfg.layers, plan.total_exposures())
-        } else {
-            RuleDeck::simple(cfg.layers)
-        };
-        // No escalation: overflow left after the rip-up budget is reported
-        // as partial routes. A coarser grid cannot help — per-edge capacity
-        // comes from the deck alone, so halving the grid quarters total
-        // capacity while the same wires cross half as many cut lines
-        // (DESIGN.md §7).
-        let (routed, par) = sup.run_stage(stage, |ctx: StageCtx<'_>| {
-            let rcfg = RouteConfig {
-                algorithm: cfg.router,
-                deck: deck.clone(),
-                grid_cells: cfg.route_grid_cells,
-                ripup_iterations: cfg.ripup_iterations,
-                threads,
-                window_margin: cfg.route_window_margin,
-                region_size: cfg.route_region_size,
-            };
-            let (out, stats, replayed) =
-                route_stats_memo(cur, placement, &rcfg, sub.as_ref().map(|s| s as &dyn SubstageMemo));
-            // A replayed outcome ran no parallel kernel: no kernel span,
-            // exactly like a stage-cache hit records no attempt spans.
-            if !replayed {
-                ctx.tel.kernel("route:waves", &stats);
-            }
-            ctx.tel.gauge("route.regions", out.regions as f64);
-            ctx.tel.count("route.local_commits", out.local_commits);
-            ctx.tel.count("route.seam_conflicts", out.seam_conflicts);
-            ctx.tel.count("route.negotiation_waves", out.negotiation_waves);
-            ctx.tel.count("route.ripup_iterations", out.iterations as u64);
-            ctx.tel.count("route.connections", out.connections as u64);
-            ctx.tel.count("route.cells_expanded", out.cells_expanded);
-            ctx.tel.count("route.linesearch_fallbacks", out.linesearch_fallbacks as u64);
-            ctx.tel.gauge("route.window_peak_cells", out.peak_window_cells as f64);
-            ctx.tel.gauge("route.dense_grid_cells", out.dense_grid_cells as f64);
-            for &overflow in &out.ripup_overflow {
-                ctx.tel.observe(
-                    "route.ripup_overflow",
-                    &[0.0, 2.0, 8.0, 32.0, 128.0, 512.0],
-                    overflow as f64,
-                );
-            }
-            if out.is_clean() || cfg.ripup_iterations == 0 {
-                return Ok(StageTry::Done((out, stats)));
-            }
-            let overflow = out.overflow;
-            Ok(StageTry::Degraded((out, stats), format!("partial routes ({overflow} overflow)")))
-        })?;
-        st.routed_wirelength = routed.wirelength;
-        st.routed_vias = routed.vias;
-        st.routed_overflow = routed.overflow;
-        // A sub-stage replay dispatched no parallel work; like the other
-        // stages, worker accounting only exists where workers ran.
-        if par.chunks > 0 {
-            st.stage_threads.insert(stage.into(), par.threads);
-            st.stage_speedup.insert(stage.into(), par.bounded_speedup());
-        }
-        st.stage_seconds.insert(stage.into(), timer.lap());
-        st.cursor = 8;
-        memo.finish(key, stage, &mut st, &mut sup);
-        save_checkpoint(cfg, design.name(), fp, &mut st, &mut sup, stage)?;
-    }
-
-    // ---- 9: lithography decomposition + OPC of the critical layer ----
-    // Single-patterned nodes print the layer in one exposure — nothing to
-    // decompose or correct. Below the single-exposure pitch, the
-    // critical-layer geometry is modeled as a wire population whose count
-    // tracks routed wirelength at the node's minimum pitch (see DESIGN.md).
-    let key = memo.begin("8_litho", 9, &mut st, &mut sup, &mut timer)?;
-    if st.cursor < 9 {
-        let stage = "8_litho";
-        if !plan.needs_decomposition() {
-            let (masks, stitches, legal, epe) =
-                sup.skip(stage, "single-patterned node needs no decomposition or OPC", (1u32, 0usize, true, 0.0f64));
-            st.masks = masks;
-            st.stitches = stitches;
-            st.litho_legal = legal;
-            st.opc_rms_epe_nm = epe;
-        } else {
-            let pitch = cfg.node.spec().metal_pitch_nm;
-            let wires = (st.routed_wirelength / 4).clamp(24, 160) as usize;
-            let layout = Layout::random_wires(wires, pitch, pitch * 40.0, cfg.seed);
-            let model = OpticalModel::default();
-            // After decomposition each mask prints at the relaxed pitch.
-            let relaxed_pitch = pitch * plan.total_exposures() as f64;
-            let (masks, stitches, legal, epe) = sup.run_stage(stage, |ctx: StageCtx<'_>| {
-                // Recovery: double the stitch budget and halve the OPC gain.
-                let stitch_budget = if ctx.adapt == 0 { wires / 2 } else { wires };
-                let deco = decompose(&layout, plan.total_exposures(), eda_tech::SINGLE_EXPOSURE_PITCH_NM, stitch_budget);
-                ctx.tel.count("litho.masks", u64::from(deco.masks));
-                ctx.tel.count("litho.stitches", deco.stitches as u64);
-                let ocfg = OpcConfig { threads, ..Default::default() };
-                let ocfg = if ctx.adapt == 0 { ocfg } else { ocfg.backoff() };
-                let target: Vec<(f64, f64)> = (0..6)
-                    .map(|i| {
-                        let x = 200.0 + i as f64 * relaxed_pitch;
-                        (x, x + relaxed_pitch / 2.0)
-                    })
-                    .collect();
-                let extent = 400.0 + relaxed_pitch * 6.0;
-                let (opc, opc_par) = run_opc_stats(&model, &target, extent, &ocfg);
-                ctx.tel.kernel("opc:fragments", &opc_par);
-                ctx.tel.count("opc.fragment_moves", opc.fragment_moves as u64);
-                ctx.tel
-                    .count("opc.iterations", opc.rms_epe_history.len().saturating_sub(1) as u64);
-                for &epe_nm in &opc.rms_epe_history {
-                    ctx.tel.observe(
-                        "opc.rms_epe_nm",
-                        &[0.5, 1.0, 2.0, 4.0, 8.0, 16.0],
-                        epe_nm,
-                    );
-                }
-                let epe = opc.final_rms_epe();
-                let converged = opc.converged(OPC_RMS_EPE_LIMIT_NM);
-                let value = (deco.masks, deco.stitches, deco.legal, epe);
-                if deco.legal && converged {
-                    return Ok(StageTry::Done(value));
-                }
-                let mut reasons = Vec::new();
-                if !deco.legal {
-                    reasons.push(format!("decomposition illegal within a {stitch_budget}-stitch budget"));
-                }
-                if !converged {
-                    reasons.push(format!("OPC unconverged at {epe:.2} nm rms EPE"));
-                }
-                let reason = reasons.join("; ");
-                if ctx.adapt == 0 {
-                    Ok(StageTry::Retry {
-                        reason: reason.clone(),
-                        salvage: Some((value, format!("best-effort masks ({reason})"))),
-                    })
-                } else {
-                    Ok(StageTry::Degraded(value, format!("{reason} (after stitch-budget and OPC-gain retry)")))
-                }
-            })?;
-            st.masks = masks;
-            st.stitches = stitches;
-            st.litho_legal = legal;
-            st.opc_rms_epe_nm = epe;
-        }
-        st.stage_seconds.insert(stage.into(), timer.lap());
-        st.cursor = 9;
-        memo.finish(key, stage, &mut st, &mut sup);
-        save_checkpoint(cfg, design.name(), fp, &mut st, &mut sup, stage)?;
-    }
-
-    // ---- 10: power analysis, decap insertion, IR signoff ----
-    let key = memo.begin("9_power", 10, &mut st, &mut sup, &mut timer)?;
-    if st.cursor < 10 {
-        let stage = "9_power";
-        let cur = current_netlist(&st);
-        let placement = current_placement(&st);
-        let pcfg = PowerConfig { node: cfg.node, freq_mhz: cfg.clock_mhz, ..Default::default() };
-        let (powered, dynamic_mw, leakage_mw, decaps, hotspots, ir_mv) = sup.run_stage(stage, |ctx: StageCtx<'_>| {
-            let activity = Activity::estimate(cur, &ActivityConfig::default()).map_err(StageFailure::Netlist)?;
-            let power = analyze(cur, &activity, &pcfg);
-            let mut netlist = cur.clone();
-            let mut decaps = 0usize;
-            let mut hotspots = 0usize;
-            let mut notes: Vec<String> = Vec::new();
-            if let Some(limit) = cfg.power.decap_droop_limit_mv {
-                let mut grid = PowerGrid::build(cur, placement, &activity, &pcfg, 8);
-                match insert_decaps(cur, &mut grid, cfg.node, limit) {
-                    Ok(out) => {
-                        decaps = out.decaps_inserted;
-                        hotspots = out.hotspots_after;
-                        netlist = out.netlist;
-                    }
-                    Err(e) => notes.push(format!("decap insertion failed, continuing without decaps: {e}")),
-                }
-            }
-            // Static IR drop of the final power map. Recovery: a stalled
-            // Gauss–Seidel relaxation retries with a relaxed tolerance.
-            let ir_grid = PowerGrid::build(&netlist, placement, &activity, &pcfg, 8);
-            let mesh = if ctx.adapt == 0 { MeshConfig::default() } else { MeshConfig::default().relaxed() };
-            let ir = solve_ir_drop(&ir_grid, cfg.node, &mesh);
-            let converged = ir.converged(&mesh);
-            ctx.tel.count("power.decaps_inserted", decaps as u64);
-            ctx.tel.count("power.hotspots_after", hotspots as u64);
-            ctx.tel.count("power.ir_iterations", ir.iterations as u64);
-            ctx.tel.gauge("power.dynamic_mw", power.dynamic_mw);
-            ctx.tel.gauge("power.leakage_mw", power.leakage_mw);
-            ctx.tel.gauge("power.ir_drop_mv", ir.worst_drop_mv());
-            let value = (netlist, power.dynamic_mw, power.leakage_mw, decaps, hotspots, ir.worst_drop_mv());
-            if converged {
-                if notes.is_empty() {
-                    Ok(StageTry::Done(value))
-                } else {
-                    Ok(StageTry::Degraded(value, notes.join("; ")))
-                }
-            } else if ctx.adapt == 0 {
-                notes.push(format!("IR solver stalled at the {}-iteration cap", mesh.max_iterations));
-                let reason = notes.join("; ");
-                Ok(StageTry::Retry {
-                    reason: reason.clone(),
-                    salvage: Some((value, "unconverged IR solution".to_string())),
-                })
-            } else {
-                notes.push("IR solver unconverged even with relaxed tolerance".into());
-                Ok(StageTry::Degraded(value, notes.join("; ")))
-            }
-        })?;
-        st.netlist = Some(powered);
-        st.dynamic_mw = dynamic_mw;
-        st.leakage_mw = leakage_mw;
-        st.decaps = decaps;
-        st.hotspots = hotspots;
-        st.ir_drop_mv = ir_mv;
-        st.stage_seconds.insert(stage.into(), timer.lap());
-        st.cursor = 10;
-        memo.finish(key, stage, &mut st, &mut sup);
-        save_checkpoint(cfg, design.name(), fp, &mut st, &mut sup, stage)?;
-    }
-
-    // ---- 11: test coverage (random-pattern estimate) ----
-    let key = memo.begin("10_dft", 11, &mut st, &mut sup, &mut timer)?;
-    if st.cursor < 11 {
-        let stage = "10_dft";
-        if cfg.scan.is_none() {
-            st.test_coverage = sup.skip(stage, "scan insertion disabled", 0.0);
-        } else {
-            let cur = current_netlist(&st);
-            let (coverage, par) = sup.run_stage(stage, |ctx: StageCtx<'_>| {
-                let view = CombView::new(cur).map_err(StageFailure::Netlist)?;
-                let faults = fault_list(cur);
-                let pats = random_patterns(&view, 96, cfg.seed);
-                let (sim, dft_par) = fault_sim_threaded(cur, &view, &faults, &pats, threads);
-                ctx.tel.kernel("fault_sim:faults", &dft_par);
-                ctx.tel.count("dft.faults", sim.total as u64);
-                ctx.tel.count("dft.detected", sim.num_detected as u64);
-                ctx.tel.count("dft.pattern_blocks", sim.pattern_blocks as u64);
-                ctx.tel.gauge("dft.coverage", sim.coverage());
-                Ok(StageTry::Done((sim.coverage(), dft_par)))
-            })?;
-            st.test_coverage = coverage;
-            st.stage_threads.insert(stage.into(), par.threads);
-            st.stage_speedup.insert(stage.into(), par.bounded_speedup());
-        }
-        st.stage_seconds.insert(stage.into(), timer.lap());
-        st.cursor = 11;
-        memo.finish(key, stage, &mut st, &mut sup);
-        save_checkpoint(cfg, design.name(), fp, &mut st, &mut sup, stage)?;
+        let now = Instant::now();
+        stage_seconds.insert(stage.name.to_string(), now.duration_since(lap).as_secs_f64());
+        lap = now;
     }
 
     // Long-net buffering is part of area accounting.
@@ -890,7 +562,7 @@ pub(crate) fn run_flow_shared(
 
     // Sub-stage traffic lands in the metric registry only when a store is
     // enabled, so the storeless golden snapshot stays byte-stable.
-    if let Some(sub) = &sub {
+    if let Some(sub) = &env.sub {
         tel.count("cache.substage_hits", sub.hits.get());
         tel.count("cache.substage_misses", sub.misses.get());
         if sub.errors.get() > 0 {
@@ -927,10 +599,10 @@ pub(crate) fn run_flow_shared(
         ir_drop_mv: st.ir_drop_mv,
         hold_violations: st.hold_violations,
         synthesis_verified: st.synthesis_verified,
-        stage_status: sup.statuses.clone(),
-        stage_seconds: st.stage_seconds.clone(),
-        stage_threads: st.stage_threads.clone(),
-        stage_speedup: st.stage_speedup.clone(),
+        stage_status: sup.statuses,
+        stage_seconds,
+        stage_threads,
+        stage_speedup,
         telemetry: tel.snapshot(),
     };
     if let Some(store) = &store {
@@ -941,11 +613,482 @@ pub(crate) fn run_flow_shared(
     Ok(report)
 }
 
+/// `1_synthesis`: synthesis, plus the optional equivalence check.
+fn synthesis(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Supervisor<'_>) -> StageResult {
+    let (cfg, design) = (env.cfg, env.design);
+    let lib = cfg.library.library();
+    let (netlist, verified, par) = sup.run_stage(stage, |ctx: StageCtx<'_>| {
+        let opts = SynthesisOptions {
+            threads: cfg.threads,
+            rewrite_passes: cfg.aig_rewrite_passes,
+            memo: env.memo(),
+        };
+        let synth = synthesize(design, lib.clone(), cfg.synthesis, cfg.map_goal, &opts)
+            .map_err(StageFailure::Synthesis)?;
+        let par = synth.par;
+        ctx.tel.count("synth.aig_nodes_before", synth.aig_nodes_before as u64);
+        ctx.tel.count("synth.aig_nodes_after", synth.aig_nodes_after as u64);
+        ctx.tel.count("synth.cells", synth.cells as u64);
+        ctx.tel.count("synth.cone_visits", synth.cone_visits);
+        ctx.tel.count("synth.cuts_enumerated", synth.cuts_enumerated);
+        for pass in &synth.passes {
+            let span = ctx.tel.span(SpanKind::Kernel, &format!("aig:{}", pass.name));
+            span.tag("nodes_before", pass.nodes_before);
+            span.tag("nodes_after", pass.nodes_after);
+            span.tag("kept", pass.kept);
+        }
+        // The 2006 baseline maps serially and dispatches nothing.
+        if par.chunks > 0 {
+            ctx.tel.kernel("map:waves", &par);
+        }
+        let netlist = synth.netlist;
+        if !cfg.verify_synthesis {
+            return Ok(StageTry::Done((netlist, None, par)));
+        }
+        let budget = if ctx.adapt == 0 { EC_BUDGET } else { EC_BUDGET_ESCALATED };
+        ctx.tel.count("synth.ec_sim_budget", budget as u64);
+        match check_equivalence(design, &netlist, &[], &[], budget) {
+            Ok(EcVerdict::Equivalent) => Ok(StageTry::Done((netlist, Some(true), par))),
+            Ok(EcVerdict::Counterexample(_)) => Ok(StageTry::Degraded(
+                (netlist, Some(false), par),
+                "equivalence counterexample found against the input design".into(),
+            )),
+            Ok(EcVerdict::Inconclusive) => {
+                if ctx.adapt == 0 {
+                    Ok(StageTry::Retry {
+                        reason: format!("equivalence inconclusive at the {budget}-node budget"),
+                        salvage: Some((
+                            (netlist, None, par),
+                            "equivalence unresolved".to_string(),
+                        )),
+                    })
+                } else {
+                    Ok(StageTry::Degraded(
+                        (netlist, None, par),
+                        "equivalence still inconclusive after budget escalation".into(),
+                    ))
+                }
+            }
+            Err(e) => Ok(StageTry::Degraded(
+                (netlist, None, par),
+                format!("equivalence check failed: {e}"),
+            )),
+        }
+    })?;
+    st.netlist = Some(netlist);
+    st.synthesis_verified = verified;
+    Ok(Some(par))
+}
+
+/// `2_clock_gating`: before scan, so gates see plain flops.
+fn clock_gating(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Supervisor<'_>) -> StageResult {
+    let cfg = env.cfg;
+    let cur = current_netlist(st);
+    let gated = if cfg.power.clock_gating_group == 0 {
+        sup.skip(stage, "clock gating disabled", cur.clone())
+    } else {
+        sup.run_stage(stage, |ctx: StageCtx<'_>| {
+            match insert_clock_gating(cur, cfg.power.clock_gating_group) {
+                Ok(g) => {
+                    ctx.tel.count("gating.gates_inserted", g.gates_inserted as u64);
+                    ctx.tel.count("gating.flops_gated", g.flops_gated as u64);
+                    Ok(StageTry::Done(g.netlist))
+                }
+                Err(e) => Ok(StageTry::Degraded(
+                    cur.clone(),
+                    format!("clock gating failed, keeping the ungated netlist: {e}"),
+                )),
+            }
+        })?
+    };
+    st.netlist = Some(gated);
+    Ok(None)
+}
+
+/// `3_scan`: scan insertion.
+fn scan(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Supervisor<'_>) -> StageResult {
+    let cur = current_netlist(st);
+    let (scanned, chains) = match env.cfg.scan {
+        Some(scan) => sup.run_stage(stage, |ctx: StageCtx<'_>| {
+            let s = insert_scan(cur, scan.chains).map_err(StageFailure::Netlist)?;
+            ctx.tel.count("scan.chains", s.chains.len() as u64);
+            ctx.tel
+                .count("scan.flops_stitched", s.chains.iter().map(|c| c.len() as u64).sum());
+            Ok(StageTry::Done((s.netlist, s.chains)))
+        })?,
+        None => sup.skip(stage, "scan insertion disabled", (cur.clone(), Vec::new())),
+    };
+    let stats = NetlistStats::of(&scanned);
+    st.cells = stats.combinational;
+    st.flops = stats.flops;
+    st.netlist = Some(scanned);
+    st.chains = chains;
+    Ok(None)
+}
+
+/// `4_place`: placement.
+fn place(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Supervisor<'_>) -> StageResult {
+    let cfg = env.cfg;
+    let cur = current_netlist(st);
+    let die = Die::for_netlist(cur, cfg.utilization);
+    let (placement, hpwl_final, par) = sup.run_stage(stage, |ctx: StageCtx<'_>| {
+        if cfg.place.cluster_gates > 0 {
+            // Scale tier: multilevel cluster → coarse-place → refine.
+            // Serial by construction, so thread-invariance is trivial.
+            let out = place_multilevel(
+                cur,
+                die,
+                &MultilevelConfig {
+                    cluster_size: cfg.place.cluster_gates,
+                    coarse_iterations: cfg.place.global_iterations,
+                    refine_moves_per_cell: cfg.place.anneal_moves_per_cell,
+                    seed: cfg.seed,
+                },
+            );
+            ctx.tel.count("place.clusters", out.clusters as u64);
+            ctx.tel.count("place.moves_proposed", out.refine.proposed as u64);
+            ctx.tel.count("place.moves_accepted", out.refine.accepted as u64);
+            ctx.tel.gauge("place.hpwl_global_um", out.hpwl_expanded);
+            ctx.tel.gauge("place.hpwl_final_um", out.refine.hpwl_after);
+            Ok(StageTry::Done((out.placement, out.refine.hpwl_after, None)))
+        } else if cfg.place.stripes > 1 {
+            let out = eda_place::place_parallel(
+                cur,
+                die,
+                &ParallelConfig {
+                    threads: cfg.threads,
+                    stripes: cfg.place.stripes,
+                    moves_per_cell: cfg.place.anneal_moves_per_cell,
+                    passes: 2,
+                    seed: cfg.seed,
+                },
+            );
+            ctx.tel.kernel("place:stripe_refine", &out.par_stats);
+            ctx.tel.count("place.moves_accepted", out.moves_accepted as u64);
+            ctx.tel.gauge("place.hpwl_global_um", out.hpwl_global);
+            ctx.tel.gauge("place.hpwl_final_um", out.hpwl_final);
+            Ok(StageTry::Done((out.placement, out.hpwl_final, Some(out.par_stats))))
+        } else {
+            let mut p = place_global(
+                cur,
+                die,
+                &GlobalConfig { iterations: cfg.place.global_iterations, seed: cfg.seed },
+            );
+            let stats = anneal(
+                cur,
+                &mut p,
+                &AnnealConfig {
+                    moves_per_cell: cfg.place.anneal_moves_per_cell,
+                    seed: cfg.seed,
+                    ..Default::default()
+                },
+                None,
+                None,
+            );
+            ctx.tel.count("place.moves_proposed", stats.proposed as u64);
+            ctx.tel.count("place.moves_accepted", stats.accepted as u64);
+            ctx.tel.gauge("place.hpwl_global_um", stats.hpwl_before);
+            ctx.tel.gauge("place.hpwl_final_um", stats.hpwl_after);
+            Ok(StageTry::Done((p, stats.hpwl_after, None)))
+        }
+    })?;
+    // The independent auditor: legal sites, one cell per site, and the
+    // reported wirelength recomputed by a plain netlist walk.
+    debug_assert_eq!(
+        eda_place::audit_placement(cur, &placement, hpwl_final),
+        Ok(()),
+        "place audit failed"
+    );
+    st.placement = Some(placement);
+    Ok(par)
+}
+
+/// `5_scan_reorder`: placement-aware scan reordering.
+fn scan_reorder(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Supervisor<'_>) -> StageResult {
+    let placement = current_placement(st);
+    let reorder_on = env.cfg.scan.is_some_and(|s| s.placement_aware_reorder);
+    let (chains, scan_wl) = if reorder_on && !st.chains.is_empty() {
+        let chains0 = &st.chains;
+        sup.run_stage(stage, |ctx: StageCtx<'_>| {
+            let before = scan_wirelength(chains0, placement);
+            let reordered = reorder_chains(chains0, placement);
+            let wl = scan_wirelength(&reordered, placement);
+            ctx.tel.gauge("scan.wirelength_before_um", before);
+            ctx.tel.gauge("scan.wirelength_um", wl);
+            Ok(StageTry::Done((reordered, wl)))
+        })?
+    } else {
+        let cause = if st.chains.is_empty() { "no scan chains to reorder" } else { "placement-aware reorder disabled" };
+        let wl = scan_wirelength(&st.chains, placement);
+        sup.skip(stage, cause, (st.chains.clone(), wl))
+    };
+    st.chains = chains;
+    st.scan_wirelength_um = scan_wl;
+    Ok(None)
+}
+
+/// `6_cts`: clock-tree synthesis.
+fn cts(stage: &'static str, _: &Env<'_>, st: &mut FlowState, sup: &mut Supervisor<'_>) -> StageResult {
+    let cur = current_netlist(st);
+    let placement = current_placement(st);
+    let (skew_ps, tree_um) = sup.run_stage(stage, |ctx: StageCtx<'_>| {
+        let (tree, sinks) = synthesize_clock_tree(cur, placement, &CtsConfig::default());
+        ctx.tel.count("cts.sinks", sinks.len() as u64);
+        ctx.tel.gauge("cts.skew_ps", tree.skew_ps());
+        ctx.tel.gauge("cts.wirelength_um", tree.wirelength_um);
+        Ok(StageTry::Done((tree.skew_ps(), tree.wirelength_um)))
+    })?;
+    st.clock_skew_ps = skew_ps;
+    st.clock_tree_um = tree_um;
+    Ok(None)
+}
+
+/// `6_sta`: timing — setup at nominal, hold at the fast corner.
+fn sta(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Supervisor<'_>) -> StageResult {
+    let cur = current_netlist(st);
+    let tcfg = TimingConfig { clock_period_ps: 1e6 / env.cfg.clock_mhz, ..Default::default() };
+    let (wns, cp, holds) = sup.run_stage(stage, |ctx: StageCtx<'_>| {
+        let timing = TimingAnalysis::run(cur, &tcfg).map_err(StageFailure::Netlist)?;
+        ctx.tel.count("sta.arcs_timed", timing.arcs_timed as u64);
+        ctx.tel.count("sta.endpoints", timing.endpoints as u64);
+        ctx.tel.count("sta.failing_endpoints", timing.failing_endpoints as u64);
+        ctx.tel.count("sta.hold_violations", timing.hold_violations as u64);
+        ctx.tel.gauge("sta.wns_ps", timing.wns_ps);
+        ctx.tel.gauge("sta.tns_ps", timing.tns_ps);
+        Ok(StageTry::Done((timing.wns_ps, timing.critical_path_ps, timing.hold_violations)))
+    })?;
+    st.wns_ps = wns;
+    st.critical_path_ps = cp;
+    st.hold_violations = holds;
+    Ok(None)
+}
+
+/// `7_route`: routing.
+fn route(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Supervisor<'_>) -> StageResult {
+    let (cfg, plan) = (env.cfg, &env.plan);
+    let cur = current_netlist(st);
+    let placement = current_placement(st);
+    let deck = if plan.needs_decomposition() {
+        RuleDeck::multi_patterned(cfg.layers, plan.total_exposures())
+    } else {
+        RuleDeck::simple(cfg.layers)
+    };
+    // No escalation: overflow left after the rip-up budget is reported
+    // as partial routes. A coarser grid cannot help — per-edge capacity
+    // comes from the deck alone, so halving the grid quarters total
+    // capacity while the same wires cross half as many cut lines
+    // (DESIGN.md §7).
+    let (routed, par) = sup.run_stage(stage, |ctx: StageCtx<'_>| {
+        let rcfg = RouteConfig {
+            algorithm: cfg.router,
+            deck: deck.clone(),
+            grid_cells: cfg.route_grid_cells,
+            ripup_iterations: cfg.ripup_iterations,
+            threads: cfg.threads,
+            window_margin: cfg.route_window_margin,
+            region_size: cfg.route_region_size,
+        };
+        let (out, stats, replayed) = route_stats_memo(cur, placement, &rcfg, env.memo());
+        // A replayed outcome ran no parallel kernel: no kernel span,
+        // exactly like a stage-cache hit records no attempt spans.
+        if !replayed {
+            ctx.tel.kernel("route:waves", &stats);
+        }
+        ctx.tel.gauge("route.regions", out.regions as f64);
+        ctx.tel.count("route.local_commits", out.local_commits);
+        ctx.tel.count("route.seam_conflicts", out.seam_conflicts);
+        ctx.tel.count("route.negotiation_waves", out.negotiation_waves);
+        ctx.tel.count("route.ripup_iterations", out.iterations as u64);
+        ctx.tel.count("route.connections", out.connections as u64);
+        ctx.tel.count("route.cells_expanded", out.cells_expanded);
+        ctx.tel.count("route.linesearch_fallbacks", out.linesearch_fallbacks as u64);
+        ctx.tel.gauge("route.window_peak_cells", out.peak_window_cells as f64);
+        ctx.tel.gauge("route.dense_grid_cells", out.dense_grid_cells as f64);
+        for &overflow in &out.ripup_overflow {
+            ctx.tel.observe(
+                "route.ripup_overflow",
+                &[0.0, 2.0, 8.0, 32.0, 128.0, 512.0],
+                overflow as f64,
+            );
+        }
+        if out.is_clean() || cfg.ripup_iterations == 0 {
+            return Ok(StageTry::Done((out, stats)));
+        }
+        let overflow = out.overflow;
+        Ok(StageTry::Degraded((out, stats), format!("partial routes ({overflow} overflow)")))
+    })?;
+    st.routed_wirelength = routed.wirelength;
+    st.routed_vias = routed.vias;
+    st.routed_overflow = routed.overflow;
+    Ok(Some(par))
+}
+
+/// `8_litho`: lithography decomposition + OPC of the critical layer.
+/// Single-patterned nodes print the layer in one exposure — nothing to
+/// decompose or correct. Below the single-exposure pitch, the critical-layer
+/// geometry is modeled as a wire population whose count tracks routed
+/// wirelength at the node's minimum pitch (see DESIGN.md).
+fn litho(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Supervisor<'_>) -> StageResult {
+    let (cfg, plan) = (env.cfg, &env.plan);
+    let (masks, stitches, legal, epe) = if !plan.needs_decomposition() {
+        sup.skip(stage, "single-patterned node needs no decomposition or OPC", (1u32, 0usize, true, 0.0f64))
+    } else {
+        let pitch = cfg.node.spec().metal_pitch_nm;
+        let wires = (st.routed_wirelength / 4).clamp(24, 160) as usize;
+        let layout = Layout::random_wires(wires, pitch, pitch * 40.0, cfg.seed);
+        let model = OpticalModel::default();
+        // After decomposition each mask prints at the relaxed pitch.
+        let relaxed_pitch = pitch * plan.total_exposures() as f64;
+        sup.run_stage(stage, |ctx: StageCtx<'_>| {
+            // Recovery: double the stitch budget and halve the OPC gain.
+            let stitch_budget = if ctx.adapt == 0 { wires / 2 } else { wires };
+            let deco = decompose(&layout, plan.total_exposures(), eda_tech::SINGLE_EXPOSURE_PITCH_NM, stitch_budget);
+            ctx.tel.count("litho.masks", u64::from(deco.masks));
+            ctx.tel.count("litho.stitches", deco.stitches as u64);
+            let ocfg = OpcConfig { threads: cfg.threads, ..Default::default() };
+            let ocfg = if ctx.adapt == 0 { ocfg } else { ocfg.backoff() };
+            let target: Vec<(f64, f64)> = (0..6)
+                .map(|i| {
+                    let x = 200.0 + i as f64 * relaxed_pitch;
+                    (x, x + relaxed_pitch / 2.0)
+                })
+                .collect();
+            let extent = 400.0 + relaxed_pitch * 6.0;
+            let (opc, opc_par) = run_opc_stats(&model, &target, extent, &ocfg);
+            ctx.tel.kernel("opc:fragments", &opc_par);
+            ctx.tel.count("opc.fragment_moves", opc.fragment_moves as u64);
+            ctx.tel
+                .count("opc.iterations", opc.rms_epe_history.len().saturating_sub(1) as u64);
+            for &epe_nm in &opc.rms_epe_history {
+                ctx.tel.observe(
+                    "opc.rms_epe_nm",
+                    &[0.5, 1.0, 2.0, 4.0, 8.0, 16.0],
+                    epe_nm,
+                );
+            }
+            let epe = opc.final_rms_epe();
+            let converged = opc.converged(OPC_RMS_EPE_LIMIT_NM);
+            let value = (deco.masks, deco.stitches, deco.legal, epe);
+            if deco.legal && converged {
+                return Ok(StageTry::Done(value));
+            }
+            let mut reasons = Vec::new();
+            if !deco.legal {
+                reasons.push(format!("decomposition illegal within a {stitch_budget}-stitch budget"));
+            }
+            if !converged {
+                reasons.push(format!("OPC unconverged at {epe:.2} nm rms EPE"));
+            }
+            let reason = reasons.join("; ");
+            if ctx.adapt == 0 {
+                Ok(StageTry::Retry {
+                    reason: reason.clone(),
+                    salvage: Some((value, format!("best-effort masks ({reason})"))),
+                })
+            } else {
+                Ok(StageTry::Degraded(value, format!("{reason} (after stitch-budget and OPC-gain retry)")))
+            }
+        })?
+    };
+    st.masks = masks;
+    st.stitches = stitches;
+    st.litho_legal = legal;
+    st.opc_rms_epe_nm = epe;
+    Ok(None)
+}
+
+/// `9_power`: power analysis, decap insertion, IR signoff.
+fn power(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Supervisor<'_>) -> StageResult {
+    let cfg = env.cfg;
+    let cur = current_netlist(st);
+    let placement = current_placement(st);
+    let pcfg = PowerConfig { node: cfg.node, freq_mhz: cfg.clock_mhz, ..Default::default() };
+    let (powered, dynamic_mw, leakage_mw, decaps, hotspots, ir_mv) = sup.run_stage(stage, |ctx: StageCtx<'_>| {
+        let activity = Activity::estimate(cur, &ActivityConfig::default()).map_err(StageFailure::Netlist)?;
+        let power = analyze(cur, &activity, &pcfg);
+        let mut netlist = cur.clone();
+        let mut decaps = 0usize;
+        let mut hotspots = 0usize;
+        let mut notes: Vec<String> = Vec::new();
+        if let Some(limit) = cfg.power.decap_droop_limit_mv {
+            let mut grid = PowerGrid::build(cur, placement, &activity, &pcfg, 8);
+            match insert_decaps(cur, &mut grid, cfg.node, limit) {
+                Ok(out) => {
+                    decaps = out.decaps_inserted;
+                    hotspots = out.hotspots_after;
+                    netlist = out.netlist;
+                }
+                Err(e) => notes.push(format!("decap insertion failed, continuing without decaps: {e}")),
+            }
+        }
+        // Static IR drop of the final power map. Recovery: a stalled
+        // Gauss–Seidel relaxation retries with a relaxed tolerance.
+        let ir_grid = PowerGrid::build(&netlist, placement, &activity, &pcfg, 8);
+        let mesh = if ctx.adapt == 0 { MeshConfig::default() } else { MeshConfig::default().relaxed() };
+        let ir = solve_ir_drop(&ir_grid, cfg.node, &mesh);
+        let converged = ir.converged(&mesh);
+        ctx.tel.count("power.decaps_inserted", decaps as u64);
+        ctx.tel.count("power.hotspots_after", hotspots as u64);
+        ctx.tel.count("power.ir_iterations", ir.iterations as u64);
+        ctx.tel.gauge("power.dynamic_mw", power.dynamic_mw);
+        ctx.tel.gauge("power.leakage_mw", power.leakage_mw);
+        ctx.tel.gauge("power.ir_drop_mv", ir.worst_drop_mv());
+        let value = (netlist, power.dynamic_mw, power.leakage_mw, decaps, hotspots, ir.worst_drop_mv());
+        if converged {
+            if notes.is_empty() {
+                Ok(StageTry::Done(value))
+            } else {
+                Ok(StageTry::Degraded(value, notes.join("; ")))
+            }
+        } else if ctx.adapt == 0 {
+            notes.push(format!("IR solver stalled at the {}-iteration cap", mesh.max_iterations));
+            let reason = notes.join("; ");
+            Ok(StageTry::Retry {
+                reason: reason.clone(),
+                salvage: Some((value, "unconverged IR solution".to_string())),
+            })
+        } else {
+            notes.push("IR solver unconverged even with relaxed tolerance".into());
+            Ok(StageTry::Degraded(value, notes.join("; ")))
+        }
+    })?;
+    st.netlist = Some(powered);
+    st.dynamic_mw = dynamic_mw;
+    st.leakage_mw = leakage_mw;
+    st.decaps = decaps;
+    st.hotspots = hotspots;
+    st.ir_drop_mv = ir_mv;
+    Ok(None)
+}
+
+/// `10_dft`: test coverage (random-pattern estimate).
+fn dft(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Supervisor<'_>) -> StageResult {
+    let cfg = env.cfg;
+    if cfg.scan.is_none() {
+        st.test_coverage = sup.skip(stage, "scan insertion disabled", 0.0);
+        return Ok(None);
+    }
+    let cur = current_netlist(st);
+    let (coverage, par) = sup.run_stage(stage, |ctx: StageCtx<'_>| {
+        let view = CombView::new(cur).map_err(StageFailure::Netlist)?;
+        let faults = fault_list(cur);
+        let pats = random_patterns(&view, 96, cfg.seed);
+        let (sim, dft_par) = fault_sim_threaded(cur, &view, &faults, &pats, cfg.threads);
+        ctx.tel.kernel("fault_sim:faults", &dft_par);
+        ctx.tel.count("dft.faults", sim.total as u64);
+        ctx.tel.count("dft.detected", sim.num_detected as u64);
+        ctx.tel.count("dft.pattern_blocks", sim.pattern_blocks as u64);
+        ctx.tel.gauge("dft.coverage", sim.coverage());
+        Ok(StageTry::Done((sim.coverage(), dft_par)))
+    })?;
+    st.test_coverage = coverage;
+    Ok(Some(par))
+}
+
 /// Appends one `qor` row plus per-stage `qstage` rows for a completed flow,
 /// feeding `experiments query`. Best-effort by design: a full or locked
 /// store must never fail a flow that already produced its report.
 fn record_provenance(store: &FlowStore, report: &FlowReport, cfg_fp: u64) {
-    let wall_s: f64 = report.stage_seconds.values().sum();
     let row = QorRow {
         seq: 0,
         design: report.design.clone(),
@@ -955,7 +1098,7 @@ fn record_provenance(store: &FlowStore, report: &FlowReport, cfg_fp: u64) {
         wns_ps: report.wns_ps,
         overflow: report.overflow,
         hpwl_um: report.hpwl_um,
-        wall_s,
+        wall_s: report.total_seconds(),
         peak_rss_bytes: crate::telemetry::read_peak_rss_bytes(),
     };
     let _ = store.append(Table::Qor, &row.to_payload());
@@ -1034,138 +1177,124 @@ fn current_placement(st: &FlowState) -> &eda_place::Placement {
     st.placement.as_ref().expect("placement exists after the place stage")
 }
 
-/// The per-stage cache hooks of the incremental engine: [`begin`] runs
-/// before a stage's `if st.cursor < n` guard and, on a cache hit, advances
-/// the cursor past the stage so the body never executes; [`finish`] stores
-/// the just-computed post-stage state on the cold path.
-///
-/// [`begin`]: StageMemo::begin
-/// [`finish`]: StageMemo::finish
-struct StageMemo<'a> {
-    /// `None` = caching off (no store, or a fault plan is active).
-    cache: Option<StageCache>,
-    cfg: &'a FlowConfig,
-    design: &'a Netlist,
-    fp: u64,
-}
-
-impl StageMemo<'_> {
-    /// Tries to replay `stage` from the cache. On a hit the cached
-    /// post-stage state replaces `st` wholesale — the content address covers
-    /// the serialized pre-stage state including the status prefix, so the
-    /// cached state agrees with the current run on everything before this
-    /// stage — and `Ok(None)` is returned with `st.cursor == done_cursor`,
-    /// which skips the stage body. A miss, an evicted entry, or an
-    /// unreadable entry counts its metric and returns the key for
-    /// [`finish`](Self::finish) to store under after the recompute.
-    ///
-    /// The key's config component is the *per-stage* fingerprint
-    /// ([`cache::stage_fp`]), not the whole-config one: a knob change
-    /// invalidates exactly the stages that read the knob, and the unchanged
-    /// prefix keeps hitting.
-    fn begin(
-        &self,
-        stage: &'static str,
-        done_cursor: usize,
-        st: &mut FlowState,
-        sup: &mut Supervisor<'_>,
-        timer: &mut Timer,
-    ) -> Result<Option<u64>, FlowError> {
-        if st.cursor >= done_cursor {
-            return Ok(None); // Already past this stage (resume).
-        }
-        let Some(cache) = &self.cache else {
-            return Ok(None);
-        };
-        let sfp = cache::stage_fp(stage, self.design, self.cfg);
-        let key = cache::entry_key(stage, sfp, cache::state_hash(st));
-        match cache.load(stage, key) {
-            Ok(Some(cached)) if cached.cursor == done_cursor => {
-                sup.cache_hit(stage, &cached.statuses);
-                *st = cached;
-                st.stage_seconds.insert(stage.into(), timer.lap());
-                save_checkpoint(self.cfg, self.design.name(), self.fp, st, sup, stage)?;
-                Ok(None)
-            }
-            Ok(Some(_)) => {
-                // Parses but stopped at the wrong cursor: replaying it would
-                // derail the stage sequence, so treat it as unreadable.
-                sup.cache_unreadable();
-                Ok(Some(key))
-            }
-            Ok(None) => {
-                sup.cache_miss();
-                Ok(Some(key))
-            }
-            Err(CacheError::Evicted) => {
-                sup.cache_evicted();
-                Ok(Some(key))
-            }
-            Err(_) => {
-                sup.cache_unreadable();
-                Ok(Some(key))
-            }
-        }
-    }
-
-    /// Stores the just-computed post-stage state under `key`. A failed
-    /// store never fails the flow: it counts into `cache.errors` and moves
-    /// on.
-    fn finish(&self, key: Option<u64>, stage: &str, st: &mut FlowState, sup: &mut Supervisor<'_>) {
-        let (Some(cache), Some(key)) = (&self.cache, key) else {
-            return;
-        };
-        st.statuses = sup.statuses.clone();
-        if cache.store(stage, key, st).is_err() {
-            sup.telemetry().count("cache.errors", 1);
-        }
-    }
-}
-
-fn save_checkpoint(
-    cfg: &FlowConfig,
-    design: &str,
-    fp: u64,
-    st: &mut FlowState,
-    sup: &mut Supervisor<'_>,
-    stage: &'static str,
-) -> Result<(), FlowError> {
-    let Some(dir) = &cfg.checkpoint_dir else {
-        return Ok(());
-    };
-    st.statuses = sup.statuses.clone();
-    match checkpoint::save(dir, design, fp, st) {
-        Ok(path) => {
-            sup.checkpoint = Some(path);
-            Ok(())
-        }
-        Err(reason) => Err(FlowError::Checkpoint { stage, reason }),
-    }
-}
-
-struct Timer {
-    last: Instant,
-}
-
-impl Timer {
-    fn new() -> Timer {
-        Timer { last: Instant::now() }
-    }
-
-    fn lap(&mut self) -> f64 {
-        let now = Instant::now();
-        let dt = now.duration_since(self.last).as_secs_f64();
-        self.last = now;
-        dt
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::harness::StageOutcome;
     use eda_netlist::generate;
     use eda_tech::Node;
+
+    #[test]
+    fn table_names_are_the_published_stage_keys() {
+        // benchmark/, the wire protocol's stage events and every fault spec
+        // read these strings: a renamed or reordered row is an API break.
+        let published = [
+            "1_synthesis",
+            "2_clock_gating",
+            "3_scan",
+            "4_place",
+            "5_scan_reorder",
+            "6_cts",
+            "6_sta",
+            "7_route",
+            "8_litho",
+            "9_power",
+            "10_dft",
+        ];
+        assert_eq!(STAGES, published);
+    }
+
+    fn stage_fp(name: &str, design: &Netlist, cfg: &FlowConfig) -> u64 {
+        let stage = TABLE.iter().find(|s| s.name == name).expect("a table row");
+        stage.config_fp(design, cfg)
+    }
+
+    #[test]
+    fn stage_fp_tracks_only_the_fields_a_stage_reads() {
+        let design = generate::ripple_carry_adder(4).unwrap();
+        let base = FlowConfig::advanced_2016(Node::N28);
+
+        // A routing knob must move the route fingerprint and nothing
+        // upstream of it — that is the whole prefix-reuse story.
+        let mut routed = base.clone();
+        routed.ripup_iterations += 1;
+        for stage in ["1_synthesis", "2_clock_gating", "3_scan", "4_place", "6_cts", "6_sta"] {
+            assert_eq!(
+                stage_fp(stage, &design, &base),
+                stage_fp(stage, &design, &routed),
+                "{stage} must not see ripup_iterations"
+            );
+        }
+        assert_ne!(stage_fp("7_route", &design, &base), stage_fp("7_route", &design, &routed));
+
+        // The synthesis script length is a synthesis-only concern.
+        let mut scripted = base.clone();
+        scripted.aig_rewrite_passes -= 1;
+        assert_ne!(
+            stage_fp("1_synthesis", &design, &base),
+            stage_fp("1_synthesis", &design, &scripted)
+        );
+        assert_eq!(stage_fp("7_route", &design, &base), stage_fp("7_route", &design, &scripted));
+
+        // The seed feeds nearly every stage: it lives in the common part.
+        let mut reseeded = base.clone();
+        reseeded.seed += 1;
+        assert_ne!(stage_fp("4_place", &design, &base), stage_fp("4_place", &design, &reseeded));
+
+        // Design identity binds only the first stage; downstream stages key
+        // on their pre-stage state instead.
+        let other = generate::ripple_carry_adder(8).unwrap();
+        assert_ne!(stage_fp("1_synthesis", &design, &base), stage_fp("1_synthesis", &other, &base));
+        assert_eq!(stage_fp("4_place", &design, &base), stage_fp("4_place", &other, &base));
+
+        // The whole-config fingerprint folds them all: any stage's knob
+        // moves it, fields that cannot change QoR do not.
+        let fp = fingerprint(&design, &base);
+        for edited in [&routed, &scripted, &reseeded] {
+            assert_ne!(fingerprint(&design, edited), fp);
+        }
+        assert_ne!(fingerprint(&other, &base), fp);
+        let mut same = base.clone();
+        same.threads = 7;
+        same.resume = true;
+        same.name = "renamed".into();
+        assert_eq!(fingerprint(&design, &same), fp);
+    }
+
+    /// The `7_route` fingerprint as the batched-schedule revision computed
+    /// it: no schedule revision field.
+    fn route_stage_fp_rev1(cfg: &FlowConfig) -> u64 {
+        fnv1a(format!(
+            "7_route|{:?}|{}|{:?}|{}|{}|{}|{}|{}",
+            cfg.node,
+            cfg.seed,
+            cfg.router,
+            cfg.layers,
+            cfg.ripup_iterations,
+            cfg.route_grid_cells,
+            cfg.route_window_margin,
+            cfg.route_region_size,
+        )
+        .bytes())
+    }
+
+    #[test]
+    fn route_entries_of_the_batched_revision_are_never_addressed() {
+        let design = generate::ripple_carry_adder(4).unwrap();
+        for cfg in [
+            FlowConfig::advanced_2016(Node::N28),
+            FlowConfig::basic_2006(Node::N90),
+            FlowConfig::scale_2016(Node::N28, 10_000),
+        ] {
+            let old = route_stage_fp_rev1(&cfg);
+            assert_ne!(stage_fp("7_route", &design, &cfg), old, "{}", cfg.name);
+            // Same pre-stage body, old fingerprint: a different address.
+            assert_ne!(
+                cache::entry_key("7_route", stage_fp("7_route", &design, &cfg), "pre-route body"),
+                cache::entry_key("7_route", old, "pre-route body")
+            );
+        }
+    }
 
     #[test]
     fn advanced_flow_runs_end_to_end() {

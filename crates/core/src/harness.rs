@@ -402,7 +402,9 @@ pub(crate) struct Supervisor<'p> {
     plan: Option<&'p FaultPlan>,
     budgets: StageBudgets,
     tel: &'p Telemetry,
-    /// Statuses of stages finished so far, keyed by stage name.
+    /// Statuses of stages finished so far, keyed by stage name — the one
+    /// live copy: checkpoints and cache entries serialize it from here, and
+    /// a resume or a cache hit replaces it with the map it loaded.
     pub statuses: BTreeMap<String, StageStatus>,
     invocations: BTreeMap<&'static str, u64>,
     /// Path of the checkpoint file, once one has been written or loaded.
@@ -441,16 +443,11 @@ impl<'p> Supervisor<'p> {
         }
     }
 
-    /// The telemetry collector the supervisor records into.
-    pub fn telemetry(&self) -> &'p Telemetry {
-        self.tel
-    }
-
     /// Records a stage-cache hit: the cached statuses replace the current
     /// map (the content address covers the status prefix, so they agree for
     /// every earlier stage), and the stage gets a span tagged `cache=hit`
     /// in place of attempt spans — the body never ran.
-    pub fn cache_hit(&mut self, stage: &'static str, statuses: &BTreeMap<String, StageStatus>) {
+    pub fn cache_hit(&mut self, stage: &'static str, statuses: BTreeMap<String, StageStatus>) {
         let span = self.tel.span(SpanKind::Stage, stage);
         span.tag("cache", "hit");
         if let Some(status) = statuses.get(stage) {
@@ -458,32 +455,20 @@ impl<'p> Supervisor<'p> {
             span.tag("attempts", status.attempts);
             self.tel.progress(stage, &status.outcome.to_string(), status.attempts);
         }
-        self.statuses = statuses.clone();
+        self.statuses = statuses;
         self.tel.count("cache.hits", 1);
     }
 
-    /// Counts a stage-cache miss; the stage recomputes and its span is
-    /// tagged `cache=miss`.
-    pub fn cache_miss(&mut self) {
-        self.tel.count("cache.misses", 1);
-        self.cache_note = Some("miss");
-    }
-
-    /// Counts an unreadable (corrupt, truncated, or I/O-failing) cache
-    /// entry; the stage recomputes as if cold and its span is tagged
-    /// `cache=error`.
-    pub fn cache_unreadable(&mut self) {
-        self.tel.count("cache.errors", 1);
-        self.cache_note = Some("error");
-    }
-
-    /// Counts an entry that was evicted between the cache's index probe and
-    /// the record read — an expected race under a size-bounded store with
-    /// concurrent writers, not a fault. The stage recomputes as if cold and
-    /// its span is tagged `cache=evicted`.
-    pub fn cache_evicted(&mut self) {
-        self.tel.count("cache.evicted_miss", 1);
-        self.cache_note = Some("evicted");
+    /// Counts a stage-cache probe that found nothing to replay — `metric`
+    /// says why: a plain miss (`cache.misses`), an unreadable entry
+    /// (`cache.errors`: corrupt, truncated, misaddressed), or one evicted
+    /// between the index probe and the record read (`cache.evicted_miss`: an
+    /// expected race under a size-bounded store with concurrent writers, not
+    /// a fault). The stage recomputes as if cold and its span is tagged
+    /// `cache=<note>`.
+    pub fn cache_cold(&mut self, metric: &str, note: &'static str) {
+        self.tel.count(metric, 1);
+        self.cache_note = Some(note);
     }
 
     /// Records `stage` as skipped and passes `value` through.

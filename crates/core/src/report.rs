@@ -69,13 +69,17 @@ pub struct FlowReport {
     /// stage name. Holds no wall-clock data: identical runs produce
     /// identical maps at any thread count.
     pub stage_status: BTreeMap<String, StageStatus>,
-    /// Wall-clock seconds per stage.
+    /// Wall-clock seconds *this run* spent per stage, its cache probe,
+    /// store and checkpoint included. A stage replayed from the stage cache
+    /// reports what replaying it took (milliseconds), never the clock of
+    /// the run that computed the entry; a stage a `resume` skipped has no
+    /// entry — like the telemetry, the map covers only what this run did.
     pub stage_seconds: BTreeMap<String, f64>,
     /// Worker threads actually used per parallel stage (absent for stages
-    /// that ran serially or have no parallel kernel).
+    /// that ran serially, have no parallel kernel, or were replayed).
     pub stage_threads: BTreeMap<String, usize>,
     /// Projected speedup over a one-thread run per parallel stage, from
-    /// per-worker CPU clocks (see `eda-par`).
+    /// per-worker CPU clocks (see `eda-par`); same keys as `stage_threads`.
     pub stage_speedup: BTreeMap<String, f64>,
     /// Span tree and metric registry recorded during the run. Its
     /// deterministic section is part of [`FlowReport::golden_text`];
@@ -85,7 +89,10 @@ pub struct FlowReport {
 }
 
 impl FlowReport {
-    /// Total runtime across stages.
+    /// Total runtime across stages: the sum of
+    /// [`stage_seconds`](Self::stage_seconds), so for a warm or resumed run
+    /// the time that run took, not the time its results once cost. This is
+    /// the `wall_s` the provenance rows record.
     pub fn total_seconds(&self) -> f64 {
         self.stage_seconds.values().sum()
     }

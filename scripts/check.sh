@@ -125,6 +125,18 @@ sub_hits="$(printf '%s\n' "$incr_log" | awk '/^INCRLINE edit_substage_hits /{pri
 printf '%s\n' "$incr_log" | grep -qx 'INCRLINE edit_same_qor 1' \
     || { echo "check: FAIL edited-run QoR diverged from the uncached reference" >&2; exit 1; }
 
+# Provenance clock: the three runs above are qor rows seq 0 (cold), 1 (warm)
+# and 2 (edited). A replayed stage must record what replaying it cost, so the
+# warm row's wall_s has to sit well below the cold row's (it is ~1/100; the
+# gate is 1/2) — near-equal rows mean a cache hit imported the clock of the
+# run that wrote the entry.
+wall_log="$(./target/release/experiments query --store "$store_file" --metric wall --last 10)"
+cold_wall="$(printf '%s\n' "$wall_log" | awk '/^QUERYLINE wall 0 /{print $5}')"
+warm_wall="$(printf '%s\n' "$wall_log" | awk '/^QUERYLINE wall 1 /{print $5}')"
+awk -v c="${cold_wall:-0}" -v w="${warm_wall:-x}" 'BEGIN { exit !(w != "x" && w * 2 < c) }' \
+    || { echo "check: FAIL warm run recorded wall_s ${warm_wall:-none} vs cold ${cold_wall:-none} (want warm < cold / 2)" >&2
+         printf '%s\n' "$wall_log" >&2; exit 1; }
+
 # Provenance-query smoke: the runs above must be answerable from the store.
 query_log="$(./target/release/experiments query --store "$store_file" \
     --design xbar3x3 --metric wns --last 10)"
@@ -168,9 +180,7 @@ echo "check: store smoke green (edit replayed $sub_hits sub-stage entries, query
 # complete, routing closes with zero overflow, QoR is bit-identical across
 # thread counts, windowed routing never materializes the dense grid, and
 # peak RSS stays under the budget.
-# Bit-identity at 1 vs 4 workers is the wave schedule's gate here; the
-# SCALELINE route_* rows are projections from per-worker CPU clocks and are
-# reported, not gated (a faster serial kernel lowers the projected ratio).
+# Bit-identity at 1 vs 4 workers is the wave schedule's gate here.
 ./target/release/experiments scale --instances 10000 --rss-budget-mb 512 --threads 4
 
 # Golden snapshot in release: QoR + telemetry byte-stable across threads
@@ -192,4 +202,5 @@ cargo test --release -q --test place_pins
 awk '/^test result:/ { passed += $4; failed += $6 }
      END { printf "check: %d tests passed, %d failed across all binaries\n", passed, failed
            exit (failed > 0) }' "$test_log"
+echo "check: $(find crates src tests examples benchmark -name '*.rs' -print0 | xargs -0 cat | wc -l) lines of Rust (the count ROADMAP quotes)"
 echo "check: tier-1 + clippy + unwrap gates + inject smoke + trace + serve + daemon + facade docs + incremental + mini-scale + golden + route pins + route audit + place pins + place audit green"

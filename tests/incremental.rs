@@ -9,12 +9,18 @@
 //! changing the design, the seed, or any QoR-relevant config knob misses;
 //! and a poisoned entry silently falls back to a recompute.
 
-use eda_core::{run_flow, Fault, FaultPlan, FlowConfig, FlowReport, StoreConfig};
+use eda_core::{
+    run_flow, Fault, FaultPlan, FlowConfig, FlowReport, FlowStore, LibraryChoice, QorQuery, Query,
+    SpanKind, StoreConfig, STAGES,
+};
+use eda_logic::{MapGoal, SynthesisEffort};
 use eda_netlist::{generate, Netlist};
+use eda_route::RouteAlgorithm;
 use eda_tech::Node;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 /// A scratch cache directory, unique per test and per process.
 fn scratch(tag: &str) -> PathBuf {
@@ -29,7 +35,11 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 fn cached_cfg(dir: &Path, threads: usize) -> FlowConfig {
-    let mut cfg = FlowConfig::advanced_2016(Node::N10);
+    cached_cfg_at(Node::N10, dir, threads)
+}
+
+fn cached_cfg_at(node: Node, dir: &Path, threads: usize) -> FlowConfig {
+    let mut cfg = FlowConfig::advanced_2016(node);
     cfg.threads = threads;
     cfg.store = Some(StoreConfig::at(dir.join("flow.store")));
     cfg
@@ -84,38 +94,112 @@ fn warm_qor_is_thread_invariant() {
 }
 
 #[test]
-fn cache_invalidates_on_netlist_config_and_seed_change() {
-    let dir = scratch("invalidate");
+fn warm_run_reports_its_own_clock_in_the_report_and_the_provenance() {
+    let dir = scratch("clock");
     let design = smoke_design();
-    let _ = run_flow(&design, &cached_cfg(&dir, 1)).unwrap();
+    let cold = run_flow(&design, &cached_cfg(&dir, 1)).unwrap();
+    let started = Instant::now();
+    let warm = run_flow(&design, &cached_cfg(&dir, 1)).unwrap();
+    let warm_wall_s = started.elapsed().as_secs_f64();
+    assert_eq!(counter(&warm, "cache.hits"), 11);
+
+    // A replayed stage costs what replaying it cost: no stage carries the
+    // clock of the run that wrote its entry.
+    assert!(
+        warm.total_seconds() <= warm_wall_s,
+        "warm run reports {:.6}s but took {warm_wall_s:.6}s in all",
+        warm.total_seconds()
+    );
+    assert_eq!(warm.stage_seconds.len(), STAGES.len());
+    for stage in STAGES {
+        assert_ne!(
+            warm.stage_seconds[stage].to_bits(),
+            cold.stage_seconds[stage].to_bits(),
+            "{stage}: the warm run replays the cold run's clock"
+        );
+    }
+
+    // The provenance rows of the warm run record the same, bit for bit.
+    let store = FlowStore::open(&StoreConfig::at(dir.join("flow.store"))).unwrap();
+    let newest = |last| QorQuery { design: None, stage: None, last };
+    let runs = store.qor_history(&newest(2)).unwrap();
+    assert_eq!(runs[0].wall_s.to_bits(), warm.total_seconds().to_bits());
+    assert_eq!(runs[1].wall_s.to_bits(), cold.total_seconds().to_bits());
+    let stage_rows = store.stage_history(&newest(STAGES.len())).unwrap();
+    assert_eq!(stage_rows.len(), STAGES.len());
+    for row in &stage_rows {
+        assert_eq!(row.wall_s.to_bits(), warm.stage_seconds[&row.stage].to_bits(), "{}", row.stage);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The `cache` tag of every stage span of a run, in flow order.
+fn cache_tags(report: &FlowReport) -> Vec<&str> {
+    let spans = report.telemetry.spans.iter().filter(|s| s.kind == SpanKind::Stage);
+    spans.map(|s| s.tags.get("cache").map_or("-", String::as_str)).collect()
+}
+
+#[test]
+fn cache_invalidates_on_netlist_config_and_seed_change() {
+    // At 28nm, where litho is skipped and a flow is cheap: the matrix below
+    // runs two flows per knob, and the node edit still takes it to 10nm.
+    let dir = scratch("invalidate");
+    let warm_cfg = || cached_cfg_at(Node::N28, &dir, 1);
+    let design = smoke_design();
+    let _ = run_flow(&design, &warm_cfg()).unwrap();
 
     // Different design: the config fingerprint folds in design identity.
     let other = generate::parity_tree(16).unwrap();
-    let r = run_flow(&other, &cached_cfg(&dir, 1)).unwrap();
+    let r = run_flow(&other, &warm_cfg()).unwrap();
     assert_eq!(counter(&r, "cache.hits"), 0, "a different netlist must miss");
 
-    // Different seed.
-    let mut cfg = cached_cfg(&dir, 1);
-    cfg.seed = 99;
-    let r = run_flow(&design, &cfg).unwrap();
-    assert_eq!(counter(&r, "cache.hits"), 0, "a different seed must miss");
-
-    // Different QoR-relevant config knob. Per-stage fingerprints scope the
-    // invalidation to the stages that read the knob: `ripup_iterations` is
-    // a 7_route input, so the whole prefix through 6_sta still replays and
-    // 7_route itself recomputes.
-    let mut cfg = cached_cfg(&dir, 1);
-    cfg.ripup_iterations += 1;
-    let r = run_flow(&design, &cfg).unwrap();
-    assert!(
-        counter(&r, "cache.hits") >= 7,
-        "a route-knob edit must keep the pre-route prefix warm (got {} hits)",
-        counter(&r, "cache.hits")
-    );
-    assert!(counter(&r, "cache.misses") >= 1, "7_route itself must recompute");
+    // Every QoR-relevant knob — the list `checkpoint::fingerprint` folds —
+    // edited on the warm store, one at a time. Per-stage fingerprints scope
+    // the invalidation to the stages that read the knob: the edit misses at
+    // the first stage that reads it and the whole prefix before that still
+    // replays (`ripup_iterations` is a 7_route input, so 1_synthesis through
+    // 6_sta hit). A knob missing from its stage's key would hit there and
+    // replay state computed under the old value — caught by the comparison
+    // against an uncached run of the edited config.
+    type Edit = fn(&mut FlowConfig);
+    let knobs: [(&str, &str, Edit); 19] = [
+        ("node", "1_synthesis", |c| c.node = Node::N10),
+        ("seed", "1_synthesis", |c| c.seed = 99),
+        ("library", "1_synthesis", |c| c.library = LibraryChoice::NandInv2006),
+        ("synthesis", "1_synthesis", |c| c.synthesis = SynthesisEffort::Baseline2006),
+        ("map_goal", "1_synthesis", |c| c.map_goal = MapGoal::Delay),
+        ("aig_rewrite_passes", "1_synthesis", |c| c.aig_rewrite_passes -= 1),
+        ("verify_synthesis", "1_synthesis", |c| c.verify_synthesis = false),
+        ("power.clock_gating_group", "2_clock_gating", |c| c.power.clock_gating_group = 4),
+        ("scan", "3_scan", |c| c.scan.as_mut().unwrap().chains += 1),
+        ("utilization", "4_place", |c| c.utilization = 0.6),
+        ("place", "4_place", |c| c.place.anneal_moves_per_cell += 1),
+        ("clock_mhz", "6_sta", |c| c.clock_mhz = 250.0),
+        ("router", "7_route", |c| c.router = RouteAlgorithm::AStar),
+        ("layers", "7_route", |c| c.layers += 1),
+        ("ripup_iterations", "7_route", |c| c.ripup_iterations += 1),
+        ("route_grid_cells", "7_route", |c| c.route_grid_cells = 24),
+        ("route_window_margin", "7_route", |c| c.route_window_margin = 4),
+        ("route_region_size", "7_route", |c| c.route_region_size = 8),
+        ("power.decap_droop_limit_mv", "9_power", |c| c.power.decap_droop_limit_mv = Some(40.0)),
+    ];
+    for (knob, first_reader, edit) in knobs {
+        let mut cfg = warm_cfg();
+        edit(&mut cfg);
+        let edited = run_flow(&design, &cfg).unwrap();
+        let reader = STAGES.iter().position(|s| *s == first_reader).unwrap();
+        let tags = cache_tags(&edited);
+        assert!(
+            tags[..reader].iter().all(|t| *t == "hit") && tags[reader] == "miss",
+            "{knob}: want {reader} hits then a miss at {first_reader}, got {tags:?}"
+        );
+        cfg.store = None;
+        let uncached = run_flow(&design, &cfg).unwrap();
+        assert!(edited.same_qor(&uncached), "{knob}: the edited warm run replayed stale state");
+    }
 
     // The unchanged flow still hits: invalidation is per-key, not global.
-    let r = run_flow(&design, &cached_cfg(&dir, 1)).unwrap();
+    let r = run_flow(&design, &warm_cfg()).unwrap();
     assert_eq!(counter(&r, "cache.hits"), 11);
     let _ = std::fs::remove_dir_all(&dir);
 }
