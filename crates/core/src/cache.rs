@@ -7,20 +7,23 @@
 //! FNV-1a hash over `(body format revision, stage name, per-stage config
 //! fingerprint, pre-stage body)`, where the pre-stage body is the serialized
 //! flow state the stage starts from — its entire input, and the very bytes
-//! the previous stage's entry (and checkpoint) stored. An entry is the
-//! post-stage state in the checkpoint body codec (`f64` as bit-exact hex),
-//! so a hit replays bit-identical QoR, the same guarantee resume gives.
+//! the previous stage's entry stored. An entry is the post-stage state in
+//! the body codec of [`crate::state`] (`f64` as bit-exact hex), so a hit
+//! replays bit-identical QoR. That is also the flow's only resume mechanism:
+//! a run that was killed left an entry for every stage it completed, and
+//! the same (design, config) rerun against the same store replays them and
+//! computes the rest.
 //!
 //! The per-stage fingerprint covers only the config fields the stage's body
 //! actually reads (plus node and seed, which almost every stage consumes),
-//! instead of the whole-config fingerprint checkpoints use; each stage
-//! declares its knobs next to its body, in the flow's stage table
-//! (`crate::flow`). The payoff is prefix reuse: changing `ripup_iterations`
-//! leaves the synthesis-through-STA keys untouched, so a warm rerun replays
-//! seven stages and recomputes only routing and what follows. Design
-//! identity is folded in only for `1_synthesis` — every later stage's input
-//! netlist arrives through the pre-stage body, so two designs that converge
-//! to the same intermediate state share downstream entries.
+//! not the whole config; each stage declares its knobs next to its body, in
+//! the flow's stage table (`crate::flow`). The payoff is prefix reuse:
+//! changing `ripup_iterations` leaves the synthesis-through-STA keys
+//! untouched, so a warm rerun replays seven stages and recomputes only
+//! routing and what follows. Design identity is folded in only for
+//! `1_synthesis` — every later stage's input netlist arrives through the
+//! pre-stage body, so two designs that converge to the same intermediate
+//! state share downstream entries.
 //!
 //! The body holds state only — no wall clock, no worker count — so how long
 //! an earlier stage took, or how many workers computed it, can never
@@ -38,7 +41,7 @@
 //! `experiments` child processes sharing one store — can race on the same
 //! entry and both land on identical bytes.
 
-use crate::checkpoint::{self, Lines, LoadError, Loaded};
+use crate::state::{self, Loaded};
 use crate::store::{FlowStore, Lookup, Store, StoreError, Table};
 use eda_netlist::memo::fnv1a;
 
@@ -60,7 +63,7 @@ pub(crate) enum CacheError {
 /// keeps entries written under an older body format from ever being
 /// addressed, the way `eda_route::SCHEDULE_REV` retires an older router's.
 pub(crate) fn entry_key(stage: &str, config_fp: u64, pre_body: &str) -> u64 {
-    let rev = checkpoint::BODY_REV;
+    let rev = state::BODY_REV;
     fnv1a(format!("body{rev}|{stage}|{config_fp:016x}|{:016x}", fnv1a(pre_body.bytes())).bytes())
 }
 
@@ -94,9 +97,7 @@ pub(crate) fn load(
         let got: Vec<&str> = text.lines().take(3).collect();
         return Err(corrupt(format!("entry is headed {got:?}, its address wants {head:?}")));
     };
-    let loaded = checkpoint::read_body(&mut Lines::new(body)).map_err(|e| match e {
-        LoadError::Corrupt(m) | LoadError::Mismatch(m) => corrupt(m),
-    })?;
+    let loaded = state::read_body(body).map_err(corrupt)?;
     // Parses but stopped at the wrong cursor: replaying it would derail the
     // stage sequence.
     if loaded.state.cursor != position {
@@ -115,7 +116,7 @@ pub(crate) fn store(store: &FlowStore, stage: &str, key: u64, body: &str) -> Res
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::FlowState;
+    use crate::state::FlowState;
     use crate::harness::{StageOutcome, StageStatus};
     use crate::store::StoreConfig;
     use std::collections::BTreeMap;
@@ -140,7 +141,7 @@ mod tests {
             StageStatus { outcome: StageOutcome::Completed, attempts: 1 },
         );
         let mut body = String::new();
-        checkpoint::write_body(&st, &statuses, &mut body);
+        state::write_body(&st, &statuses, &mut body);
         (st, statuses, body)
     }
 

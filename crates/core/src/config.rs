@@ -7,7 +7,6 @@ use eda_logic::{MapGoal, SynthesisEffort, DEFAULT_REWRITE_PASSES};
 use eda_netlist::Library;
 use eda_route::RouteAlgorithm;
 use eda_tech::Node;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Which standard-cell library the flow maps onto.
@@ -145,31 +144,21 @@ pub struct FlowConfig {
     ///
     /// [`FlowReport::telemetry`]: crate::report::FlowReport::telemetry
     pub threads: usize,
-    /// Directory for flow checkpoints (`None` = no checkpointing). After
-    /// every completed stage the supervisor serializes the full flow state
-    /// (netlist, placement, per-stage artifacts) to
-    /// `<checkpoint_dir>/<design>-<config fingerprint>.flowck`, so a killed
-    /// flow can resume. The fingerprint in the file name keeps concurrent
-    /// flows that share a directory and a design name — but differ in seed,
-    /// node, or effort — from clobbering each other's checkpoints.
-    pub checkpoint_dir: Option<PathBuf>,
-    /// Resume from the checkpoint in [`checkpoint_dir`](Self::checkpoint_dir)
-    /// if one exists and its config fingerprint matches; the flow then
-    /// restarts from the first incomplete stage and its QoR is bit-identical
-    /// to an uninterrupted run. A fingerprint mismatch is a hard error; a
-    /// missing checkpoint silently falls back to a fresh run.
-    pub resume: bool,
-    /// The persistent flow store (`None` = no caching, no provenance).
-    /// One schema'd append-friendly file holding the content-addressed
-    /// stage cache (keyed by `(stage kind, per-stage config fingerprint,
-    /// pre-stage state hash)` — a hit replays the stored post-stage state
-    /// bit-identically), the sub-stage cache (per-AIG-pass and per-net
-    /// entries that survive edits which invalidate a whole stage), and the
-    /// QoR provenance tables `experiments query` reads. Hits/misses/errors
-    /// land in the telemetry metric registry (`cache.hits`, `cache.misses`,
-    /// `cache.errors`, `cache.evicted_miss`, `cache.substage_hits`,
-    /// `cache.substage_misses`) and tag the stage spans; corrupt or evicted
-    /// entries silently fall back to recompute. Ignored while a
+    /// The persistent flow store (`None` = no caching, no resume, no
+    /// provenance). One schema'd append-friendly file holding the
+    /// content-addressed stage cache (keyed by `(stage kind, per-stage
+    /// config fingerprint, pre-stage state hash)` — a hit replays the stored
+    /// post-stage state bit-identically), the sub-stage cache (per-AIG-pass
+    /// and per-net entries that survive edits which invalidate a whole
+    /// stage), and the QoR provenance tables `experiments query` reads. It
+    /// is also how a killed flow resumes: rerun the same design and config
+    /// against the same store, and every stage that completed replays while
+    /// the rest compute, bit-identical to an uninterrupted run.
+    /// Hits/misses/errors land in the telemetry metric registry
+    /// (`cache.hits`, `cache.misses`, `cache.errors`, `cache.evicted_miss`,
+    /// `cache.substage_hits`, `cache.substage_misses`) and tag the stage
+    /// spans; corrupt or evicted entries silently fall back to recompute.
+    /// Ignored — nothing read, nothing persisted — while a
     /// [`fault_plan`](Self::fault_plan) is active — injected faults must
     /// exercise the real stage bodies, not replay cached results. Excluded
     /// from the config fingerprint: where results are cached cannot change
@@ -188,7 +177,8 @@ pub struct FlowConfig {
     /// this, the next stage surfaces a typed
     /// [`FlowError::DeadlineExceeded`](crate::flow::FlowError::DeadlineExceeded)
     /// carrying the partial state — a running attempt is never interrupted,
-    /// so the work a worker did stays deterministic and checkpointable.
+    /// so every stage that finished is whole in the [`store`](Self::store)
+    /// and a rerun replays it.
     /// Excluded from the config fingerprint, like `budgets` and
     /// `fault_plan`: it cannot change the QoR of a flow that completes.
     pub deadline_s: Option<f64>,
@@ -196,7 +186,7 @@ pub struct FlowConfig {
 
 impl Default for FlowConfig {
     /// Modern single-run defaults: the advanced-2016 knob set at N28 with no
-    /// checkpointing, caching, or fault injection. Struct-literal updates
+    /// caching or fault injection. Struct-literal updates
     /// (`FlowConfig { seed: 7, ..FlowConfig::default() }`) therefore keep
     /// compiling as fields are added.
     fn default() -> FlowConfig {
@@ -226,8 +216,6 @@ impl Default for FlowConfig {
             verify_synthesis: true,
             seed: 1,
             threads: 0,
-            checkpoint_dir: None,
-            resume: false,
             store: None,
             fault_plan: None,
             budgets: StageBudgets::default(),
@@ -440,18 +428,6 @@ impl FlowConfigBuilder {
     /// changes QoR.
     pub fn threads(mut self, threads: usize) -> Self {
         self.cfg.threads = threads;
-        self
-    }
-
-    /// Directory for flow checkpoints.
-    pub fn checkpoint_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.cfg.checkpoint_dir = Some(dir.into());
-        self
-    }
-
-    /// Resume from an existing checkpoint in the checkpoint directory.
-    pub fn resume(mut self, resume: bool) -> Self {
-        self.cfg.resume = resume;
         self
     }
 

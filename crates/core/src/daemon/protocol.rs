@@ -610,21 +610,21 @@ impl DesignSpec {
 
 /// Builds the [`FlowConfig`] a submit runs under. The daemon and any
 /// out-of-band verifier both call this, so every QoR-relevant knob (preset,
-/// node, seed, fault plan) is derived from the spec alone — `threads`, the
-/// shared store, and the checkpoint directory are execution detail that
-/// cannot move the QoR.
+/// node, seed, fault plan) is derived from the spec alone — `threads` and
+/// the shared store are execution detail that cannot move the QoR. The
+/// fourth parameter is ignored; it stays only because `benchmark/` passes
+/// four arguments and is edited by benchmark PRs alone.
 pub fn flow_config_for(
     spec: &SubmitSpec,
     threads: usize,
     store: Option<&StoreConfig>,
-    checkpoint_dir: Option<&std::path::Path>,
+    _: Option<&std::path::Path>,
 ) -> Result<FlowConfig, FrameError> {
     let mut cfg = FlowConfig::advanced_2016(spec.node);
     cfg.name = format!("daemon-{}", spec.design);
     cfg.seed = spec.seed;
     cfg.threads = threads.max(1);
     cfg.store = store.cloned();
-    cfg.checkpoint_dir = checkpoint_dir.map(std::path::Path::to_path_buf);
     if let Some(inject) = &spec.inject {
         let plan = FaultPlan::parse(inject, spec.seed)
             .map_err(|e| FrameError(format!("bad inject spec `{inject}`: {e}")))?;

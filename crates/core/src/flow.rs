@@ -22,18 +22,20 @@
 //! The flow is one stage table (`TABLE`: per stage its name, the config
 //! knobs its cache key covers, and its body) and one driver loop
 //! (`run_flow_shared`) that alone runs the per-stage protocol — cache probe,
-//! body or replay, cursor, one serialization, cache store, checkpoint, clock.
+//! body or replay, cursor, one serialization, cache store, clock.
 //!
-//! With `FlowConfig::checkpoint_dir` set, the driver writes the serialized
-//! flow state after every stage; a killed flow rerun with `resume: true`
-//! restarts from the first incomplete stage and produces bit-identical QoR
-//! ([`FlowReport::same_qor`]).
+//! With `FlowConfig::store` set, the driver stores the serialized flow state
+//! after every stage it computes; a killed flow rerun against the same store
+//! replays every stage that completed, restarts from the first one that did
+//! not, and produces bit-identical QoR ([`FlowReport::same_qor`]). The store
+//! is the only resume mechanism: without one, or under a fault plan (which
+//! bypasses it), nothing is persisted and a rerun starts over.
 
 use crate::cache::{self, CacheError};
-use crate::checkpoint::{self, FlowState, LoadError};
 use crate::config::FlowConfig;
 use crate::harness::{StageCtx, StageStatus, StageTry, Supervisor};
 use crate::report::FlowReport;
+use crate::state::{self, FlowState};
 use crate::store::{FlowStore, Lookup, QorRow, StageRow, Store, Table};
 use crate::telemetry::{SpanKind, Telemetry};
 use eda_dft::{fault_list, fault_sim_threaded, insert_scan, random_patterns, reorder_chains, scan_wirelength, CombView};
@@ -49,7 +51,6 @@ use eda_sta::{TimingAnalysis, TimingConfig};
 use eda_tech::PatterningPlan;
 use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -108,10 +109,6 @@ pub struct PartialFlow {
     /// Statuses of every stage that finished (or was skipped) before the
     /// failure, keyed by stage name.
     pub statuses: BTreeMap<String, StageStatus>,
-    /// The checkpoint holding the last good stage's state, when
-    /// checkpointing is enabled — rerunning with `resume: true` continues
-    /// from here.
-    pub checkpoint: Option<PathBuf>,
 }
 
 /// Errors surfaced by the flow, carrying the failing stage and salvageable
@@ -139,18 +136,11 @@ pub enum FlowError {
         /// Everything completed before the failure.
         partial: Box<PartialFlow>,
     },
-    /// Writing a checkpoint failed.
-    Checkpoint {
-        /// The stage whose state could not be saved.
-        stage: &'static str,
-        /// The I/O problem.
-        reason: String,
-    },
     /// The flow blew its wall-clock deadline
     /// ([`FlowConfig::deadline_s`](crate::config::FlowConfig::deadline_s)).
     /// Raised at a stage boundary — a running attempt always finishes, so a
     /// worker is never left hung — and carries everything completed before
-    /// the deadline, including any checkpoint to resume from.
+    /// the deadline. With a store bound, a rerun replays those stages.
     DeadlineExceeded {
         /// The stage that was about to start when the deadline tripped.
         stage: &'static str,
@@ -161,38 +151,24 @@ pub enum FlowError {
         /// Everything completed before the deadline.
         partial: Box<PartialFlow>,
     },
-    /// `resume: true` found a checkpoint written under a different design
-    /// or config.
-    ResumeMismatch {
-        /// The fingerprint mismatch details.
-        reason: String,
-    },
-    /// `resume: true` found a checkpoint that does not parse.
-    ResumeCorrupt {
-        /// The parse problem.
-        reason: String,
-    },
 }
 
 impl FlowError {
-    /// The stage the error is attributed to, if any.
+    /// The stage the error is attributed to; every variant names one.
     pub fn stage(&self) -> Option<&'static str> {
         match self {
             FlowError::Stage { stage, .. }
             | FlowError::BudgetExhausted { stage, .. }
-            | FlowError::Checkpoint { stage, .. }
             | FlowError::DeadlineExceeded { stage, .. } => Some(stage),
-            FlowError::ResumeMismatch { .. } | FlowError::ResumeCorrupt { .. } => None,
         }
     }
 
-    /// The salvageable partial state, if the flow got far enough to have any.
+    /// The salvageable partial state; every variant carries one.
     pub fn partial(&self) -> Option<&PartialFlow> {
         match self {
             FlowError::Stage { partial, .. }
             | FlowError::BudgetExhausted { partial, .. }
             | FlowError::DeadlineExceeded { partial, .. } => Some(partial),
-            _ => None,
         }
     }
 }
@@ -206,9 +182,6 @@ impl std::fmt::Display for FlowError {
             FlowError::BudgetExhausted { stage, attempts, reason, .. } => {
                 write!(f, "stage `{stage}` exhausted its budget after {attempts} attempt(s): {reason}")
             }
-            FlowError::Checkpoint { stage, reason } => {
-                write!(f, "failed to checkpoint stage `{stage}`: {reason}")
-            }
             FlowError::DeadlineExceeded { stage, elapsed_s, deadline_s, partial } => {
                 write!(
                     f,
@@ -216,8 +189,6 @@ impl std::fmt::Display for FlowError {
                     partial.statuses.len()
                 )
             }
-            FlowError::ResumeMismatch { reason } => write!(f, "cannot resume: {reason}"),
-            FlowError::ResumeCorrupt { reason } => write!(f, "cannot resume: corrupt checkpoint: {reason}"),
         }
     }
 }
@@ -270,7 +241,7 @@ struct Stage {
     knobs: fn(&Netlist, &FlowConfig) -> String,
     /// Runs the stage under the supervisor: reads its inputs from the flow
     /// state, writes its outputs back. Everything else a stage needs — cache
-    /// probe and store, cursor, checkpoint, clocks — is the driver's
+    /// probe and store, cursor, clocks — is the driver's
     /// ([`run_flow_shared`]), never the body's.
     body: fn(&'static str, &Env<'_>, &mut FlowState, &mut Supervisor<'_>) -> StageResult,
 }
@@ -363,10 +334,9 @@ const TABLE: [Stage; 11] = [
 
 /// Fingerprint of every QoR-relevant config field plus the design identity:
 /// the fold of every stage's own fingerprint, so the table is the one list
-/// of knobs. Namespaces checkpoint files and labels provenance rows. Fields
-/// that cannot change the result are no stage's knob: `name`, `threads`
-/// (bit-identical by the eda-par contract), `checkpoint_dir`, `resume`,
-/// `store`, `fault_plan`, `budgets`, and `deadline_s`.
+/// of knobs. Labels provenance rows. Fields that cannot change the result
+/// are no stage's knob: `name`, `threads` (bit-identical by the eda-par
+/// contract), `store`, `fault_plan`, `budgets`, and `deadline_s`.
 fn fingerprint(design: &Netlist, cfg: &FlowConfig) -> u64 {
     fnv1a(TABLE.iter().flat_map(|s| s.config_fp(design, cfg).to_le_bytes()))
 }
@@ -389,9 +359,9 @@ pub const STAGES: [&str; 11] = {
 ///
 /// Returns a [`FlowError`] when a stage hard-fails ([`FlowError::Stage`]),
 /// exhausts its attempt budget without a salvageable result
-/// ([`FlowError::BudgetExhausted`]), or when checkpointing/resuming goes
-/// wrong. Stage errors carry a [`PartialFlow`] with everything completed
-/// before the failure.
+/// ([`FlowError::BudgetExhausted`]), or blows its flow-level deadline
+/// ([`FlowError::DeadlineExceeded`]). Every error carries a [`PartialFlow`]
+/// with everything completed before the failure.
 pub fn run_flow(design: &Netlist, cfg: &FlowConfig) -> Result<FlowReport, FlowError> {
     run_flow_observed(design, cfg, None)
 }
@@ -415,21 +385,21 @@ pub fn run_flow_observed(
 /// (and re-scanning) the file; `None` opens [`FlowConfig::store`] per run.
 ///
 /// This is the driver: the one place the per-stage protocol is written. For
-/// each row of [`TABLE`] not already behind the cursor, in order: probe the
-/// stage cache; on a hit adopt the loaded state, statuses and body, else run
-/// the body, record its worker accounting, advance the cursor, serialize the
-/// state once and store those bytes; checkpoint the same bytes; lap the
-/// clock.
+/// each row of [`TABLE`], in order: probe the stage cache; on a hit adopt the
+/// loaded state, statuses and body, else run the body, record its worker
+/// accounting, advance the cursor, serialize the state once and store those
+/// bytes; lap the clock. Resuming a killed run is this loop and nothing
+/// else: the stages it completed hit, the rest compute.
 pub(crate) fn run_flow_shared(
     design: &Netlist,
     cfg: &FlowConfig,
     observer: Option<crate::telemetry::ProgressFn>,
     shared_store: Option<Arc<FlowStore>>,
 ) -> Result<FlowReport, FlowError> {
-    let fp = fingerprint(design, cfg);
-    // Telemetry collects for this run only: a resumed flow records spans
-    // and metrics for the stages it actually reruns (checkpoints carry QoR
-    // state, not telemetry), which is why `same_qor` ignores the snapshot.
+    // Telemetry collects for this run only: a replayed stage records the
+    // span of its replay, not the spans and metrics of the run that computed
+    // it (entries carry QoR state, not telemetry), which is why `same_qor`
+    // ignores the snapshot.
     let tel = Telemetry::new();
     if let Some(obs) = observer {
         tel.set_observer(obs);
@@ -437,23 +407,9 @@ pub(crate) fn run_flow_shared(
     let mut sup = Supervisor::new(cfg.fault_plan.as_ref(), cfg.budgets.clone(), &tel, cfg.deadline_s);
     let mut st = FlowState::fresh();
     // `st` and `sup.statuses` in the body codec: the input the next stage's
-    // cache key hashes, and what its entry and checkpoint store.
+    // cache key hashes, and what its entry stores.
     let mut image = String::new();
-    checkpoint::write_body(&st, &sup.statuses, &mut image);
-
-    if let (Some(dir), true) = (&cfg.checkpoint_dir, cfg.resume) {
-        match checkpoint::load(dir, design.name(), fp) {
-            Ok(Some(loaded)) => {
-                sup.statuses = loaded.statuses;
-                sup.checkpoint = Some(checkpoint::path_for(dir, design.name(), fp));
-                st = loaded.state;
-                image = loaded.body;
-            }
-            Ok(None) => {}
-            Err(LoadError::Mismatch(reason)) => return Err(FlowError::ResumeMismatch { reason }),
-            Err(LoadError::Corrupt(reason)) => return Err(FlowError::ResumeCorrupt { reason }),
-        }
-    }
+    state::write_body(&st, &sup.statuses, &mut image);
 
     // The persistent flow store (DESIGN.md §14): stage cache, sub-stage
     // cache, and QoR provenance in one file. Disabled while a fault plan is
@@ -473,8 +429,6 @@ pub(crate) fn run_flow_shared(
             })
         })
     };
-    // The image is kept current only when something reads it.
-    let persist = store.is_some() || cfg.checkpoint_dir.is_some();
     let env = Env {
         cfg,
         design,
@@ -483,8 +437,7 @@ pub(crate) fn run_flow_shared(
     };
 
     // What this run observed about itself: a replayed stage reports what
-    // replaying it took, a stage a resume skipped reports nothing — never
-    // the clock of the run that computed it.
+    // replaying it took, never the clock of the run that computed it.
     let mut stage_seconds = BTreeMap::new();
     let mut stage_threads = BTreeMap::new();
     let mut stage_speedup = BTreeMap::new();
@@ -496,9 +449,6 @@ pub(crate) fn run_flow_shared(
 
     for (i, stage) in TABLE.iter().enumerate() {
         let position = i + 1;
-        if st.cursor >= position {
-            continue; // A resumed flow is already past this stage.
-        }
         // The key's config component is the *per-stage* fingerprint, not the
         // whole-config one: a knob change invalidates exactly the stages
         // that read the knob, and the unchanged prefix keeps hitting.
@@ -533,22 +483,16 @@ pub(crate) fn run_flow_shared(
                     stage_speedup.insert(stage.name.to_string(), par.bounded_speedup());
                 }
                 st.cursor = position;
-                if persist {
-                    image.clear();
-                    checkpoint::write_body(&st, &sup.statuses, &mut image);
-                }
-                // A failed store never fails the flow.
+                // The image is kept current only when something reads it;
+                // a failed store never fails the flow.
                 if let Some((store, key)) = probe {
+                    image.clear();
+                    state::write_body(&st, &sup.statuses, &mut image);
                     if cache::store(store, stage.name, key, &image).is_err() {
                         tel.count("cache.errors", 1);
                     }
                 }
             }
-        }
-        if let Some(dir) = &cfg.checkpoint_dir {
-            let path = checkpoint::save(dir, design.name(), fp, &image)
-                .map_err(|reason| FlowError::Checkpoint { stage: stage.name, reason })?;
-            sup.checkpoint = Some(path);
         }
         let now = Instant::now();
         stage_seconds.insert(stage.name.to_string(), now.duration_since(lap).as_secs_f64());
@@ -607,7 +551,7 @@ pub(crate) fn run_flow_shared(
     };
     if let Some(store) = &store {
         if store.config().provenance {
-            record_provenance(store, &report, fp);
+            record_provenance(store, &report, fingerprint(design, cfg));
         }
     }
     Ok(report)
@@ -1256,7 +1200,7 @@ mod tests {
         assert_ne!(fingerprint(&other, &base), fp);
         let mut same = base.clone();
         same.threads = 7;
-        same.resume = true;
+        same.deadline_s = Some(1.0);
         same.name = "renamed".into();
         assert_eq!(fingerprint(&design, &same), fp);
     }

@@ -403,12 +403,10 @@ pub(crate) struct Supervisor<'p> {
     budgets: StageBudgets,
     tel: &'p Telemetry,
     /// Statuses of stages finished so far, keyed by stage name — the one
-    /// live copy: checkpoints and cache entries serialize it from here, and
-    /// a resume or a cache hit replaces it with the map it loaded.
+    /// live copy: cache entries serialize it from here, and a cache hit
+    /// replaces it with the map it loaded.
     pub statuses: BTreeMap<String, StageStatus>,
     invocations: BTreeMap<&'static str, u64>,
-    /// Path of the checkpoint file, once one has been written or loaded.
-    pub checkpoint: Option<std::path::PathBuf>,
     /// Pending `cache` tag for the next stage span: a cache miss or an
     /// unreadable entry is noted here, then consumed when the recomputing
     /// stage opens its span.
@@ -417,8 +415,8 @@ pub(crate) struct Supervisor<'p> {
     /// than this, the next stage boundary surfaces a typed
     /// [`FlowError::DeadlineExceeded`] instead of starting the stage. Like
     /// the per-stage soft deadline it never interrupts a running attempt —
-    /// a worker is never left hung mid-stage, and the partial state (plus
-    /// any checkpoint) is carried on the error.
+    /// a worker is never left hung mid-stage, and the partial state is
+    /// carried on the error.
     deadline_s: Option<f64>,
     flow_started: Instant,
 }
@@ -436,7 +434,6 @@ impl<'p> Supervisor<'p> {
             tel,
             statuses: BTreeMap::new(),
             invocations: BTreeMap::new(),
-            checkpoint: None,
             cache_note: None,
             deadline_s,
             flow_started: Instant::now(),
@@ -655,7 +652,7 @@ impl<'p> Supervisor<'p> {
     }
 
     fn partial(&self) -> Box<PartialFlow> {
-        Box::new(PartialFlow { statuses: self.statuses.clone(), checkpoint: self.checkpoint.clone() })
+        Box::new(PartialFlow { statuses: self.statuses.clone() })
     }
 
     fn stage_failed(&self, stage: &'static str, source: StageFailure) -> FlowError {

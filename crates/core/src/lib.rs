@@ -28,7 +28,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 mod cache;
-mod checkpoint;
 pub mod config;
 pub mod daemon;
 pub mod flow;
@@ -37,6 +36,7 @@ pub mod learn;
 pub mod report;
 mod sched;
 pub mod server;
+mod state;
 pub mod store;
 pub mod telemetry;
 

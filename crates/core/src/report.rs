@@ -69,11 +69,11 @@ pub struct FlowReport {
     /// stage name. Holds no wall-clock data: identical runs produce
     /// identical maps at any thread count.
     pub stage_status: BTreeMap<String, StageStatus>,
-    /// Wall-clock seconds *this run* spent per stage, its cache probe,
-    /// store and checkpoint included. A stage replayed from the stage cache
-    /// reports what replaying it took (milliseconds), never the clock of
-    /// the run that computed the entry; a stage a `resume` skipped has no
-    /// entry — like the telemetry, the map covers only what this run did.
+    /// Wall-clock seconds *this run* spent per stage, its cache probe and
+    /// store included. A stage replayed from the stage cache reports what
+    /// replaying it took (milliseconds), never the clock of the run that
+    /// computed the entry. Every stage has an entry: it either ran or was
+    /// replayed, and reports that cost.
     pub stage_seconds: BTreeMap<String, f64>,
     /// Worker threads actually used per parallel stage (absent for stages
     /// that ran serially, have no parallel kernel, or were replayed).
@@ -83,8 +83,9 @@ pub struct FlowReport {
     pub stage_speedup: BTreeMap<String, f64>,
     /// Span tree and metric registry recorded during the run. Its
     /// deterministic section is part of [`FlowReport::golden_text`];
-    /// excluded from [`FlowReport::same_qor`] because a resumed flow only
-    /// records telemetry for the stages it actually reran.
+    /// excluded from [`FlowReport::same_qor`] because a replayed stage
+    /// records the span of its replay, not the kernels of the run that
+    /// computed it.
     pub telemetry: TelemetrySnapshot,
 }
 
@@ -114,7 +115,7 @@ impl FlowReport {
     /// (`stage_seconds`, `stage_speedup`, `stage_threads`) are excluded —
     /// they differ run to run by nature, and a warm cached run at 8 threads
     /// must match a cold run at 1. This is both the resume contract (a flow
-    /// killed after any stage and resumed from its checkpoint satisfies
+    /// killed after any stage and rerun against its store satisfies
     /// `same_qor` against an uninterrupted run) and the stage-cache
     /// contract (a warm run satisfies it against the cold run that filled
     /// the cache).

@@ -1,32 +1,29 @@
-//! Flow checkpointing: exact serialization of the flow state (and the
-//! statuses of the stages that produced it) after every completed stage, so
-//! a killed or failed flow resumes from the last good stage with
-//! bit-identical QoR.
+//! The flow state and its body codec: exact serialization of everything the
+//! flow has computed (and the statuses of the stages that produced it) after
+//! a stage, as the stage cache stores it ([`crate::cache`]) and as the next
+//! stage's cache key hashes it. A flow that is killed and rerun against the
+//! same store replays these bytes stage by stage, so it resumes from the
+//! last good stage with bit-identical QoR.
 //!
-//! The on-disk format is line-oriented text. Everything that influences QoR
+//! The format is line-oriented text. Everything that influences QoR
 //! round-trips exactly: `f64` values are written as `to_bits()` hex (never
 //! decimal), the netlist goes through [`eda_netlist::codec`], and the
 //! placement is stored as raw geometry ([`eda_place::PlacementSnapshot`])
 //! rather than being re-derived from the netlist — whose instance count may
 //! legitimately differ from placement time once decaps are inserted.
 //!
-//! A checkpoint embeds the flow's fingerprint of every QoR-relevant config
-//! field plus the design identity (`crate::flow` folds it from the stage
-//! table). Resuming under a different config (different seed, node,
-//! effort...) would silently splice two different flows together, so a
-//! fingerprint mismatch is a hard [`LoadError::Mismatch`].
+//! Nothing here touches the file system: where the bytes live, how they are
+//! addressed and what happens when they are damaged is the store's business.
 
 use crate::harness::{StageOutcome, StageStatus};
 use eda_netlist::codec::{escape, unescape};
 use eda_netlist::{codec, InstId, Netlist};
 use eda_place::{Placement, PlacementSnapshot, Point};
 use std::collections::BTreeMap;
-use std::io::Write;
-use std::path::{Path, PathBuf};
 
 /// Everything the flow has computed so far. `cursor` counts completed stage
 /// positions (0..=11); each stage reads its inputs from here and writes its
-/// outputs back, so the struct doubles as the resume image. It holds state
+/// outputs back, so the struct doubles as the replay image. It holds state
 /// only: what one run observed about itself (seconds, workers, speedups)
 /// belongs to that run's driver and report, never to the persisted image.
 #[derive(Debug, Clone, Default)]
@@ -65,29 +62,6 @@ impl FlowState {
     }
 }
 
-/// Why a checkpoint could not be loaded.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum LoadError {
-    /// The checkpoint was written under a different config or design.
-    Mismatch(String),
-    /// The file exists but does not parse.
-    Corrupt(String),
-}
-
-/// The checkpoint file for one (design, config) pair. The config fingerprint
-/// is part of the file name, not just the header: concurrent requests that
-/// share a `checkpoint_dir` and a design name but differ in config (seed,
-/// node, effort...) must not clobber each other's files — with a shared path
-/// the last writer would win and a later `resume: true` under either config
-/// would hit a hard fingerprint mismatch instead of its own checkpoint.
-pub(crate) fn path_for(dir: &Path, design: &str, fp: u64) -> PathBuf {
-    let safe: String = design
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '_' { c } else { '_' })
-        .collect();
-    dir.join(format!("{safe}-{fp:016x}.flowck"))
-}
-
 fn fmt_f64(v: f64) -> String {
     format!("{:016x}", v.to_bits())
 }
@@ -100,10 +74,9 @@ fn fmt_f64(v: f64) -> String {
 pub(crate) const BODY_REV: u32 = 2;
 
 /// Serializes the flow state and the statuses of the stages that produced it
-/// (everything after the header lines) in the line-oriented body format.
-/// Shared verbatim by the checkpoint file and the stage-cache entries
-/// (`crate::cache`), so a cache hit replays exactly the state a resume
-/// would — and the same bytes are what the next stage's cache key hashes.
+/// in the line-oriented body format: what a stage-cache entry stores after
+/// its head lines (`crate::cache`), and the same bytes the next stage's
+/// cache key hashes.
 pub(crate) fn write_body(st: &FlowState, statuses: &BTreeMap<String, StageStatus>, out: &mut String) {
     out.push_str(&format!("cursor {}\n", st.cursor));
     let v = match st.synthesis_verified {
@@ -189,60 +162,38 @@ pub(crate) fn write_body(st: &FlowState, statuses: &BTreeMap<String, StageStatus
     }
 }
 
-/// Writes `body` (a [`write_body`] image, or one read back by
-/// [`read_body`]) as the checkpoint for `(design, fp)`. Atomic: a
-/// process-unique temp file plus rename, so a reader or a concurrent process
-/// sharing the directory never observes a half-written file.
-pub(crate) fn save(dir: &Path, design: &str, fp: u64, body: &str) -> Result<PathBuf, String> {
-    std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-    let path = path_for(dir, design, fp);
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    let write = || -> std::io::Result<()> {
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(format!("eda-flowck v1\nfingerprint {fp:016x}\n").as_bytes())?;
-        file.write_all(body.as_bytes())?;
-        std::fs::rename(&tmp, &path)
-    };
-    write().map_err(|e| format!("write {}: {e}", path.display()))?;
-    Ok(path)
-}
-
-pub(crate) struct Lines<'a> {
+struct Lines<'a> {
     rest: &'a str,
     num: usize,
 }
 
 impl<'a> Lines<'a> {
-    pub(crate) fn new(text: &'a str) -> Lines<'a> {
-        Lines { rest: text, num: 0 }
-    }
-
-    pub(crate) fn next(&mut self) -> Result<&'a str, LoadError> {
+    fn next(&mut self) -> Result<&'a str, String> {
         self.num += 1;
         if self.rest.is_empty() {
-            return Err(LoadError::Corrupt(format!("line {}: unexpected end of checkpoint", self.num)));
+            return Err(format!("line {}: unexpected end of body", self.num));
         }
         let (line, rest) = self.rest.split_once('\n').unwrap_or((self.rest, ""));
         self.rest = rest;
         Ok(line)
     }
 
-    pub(crate) fn err(&self, reason: impl std::fmt::Display) -> LoadError {
-        LoadError::Corrupt(format!("line {}: {reason}", self.num))
+    fn err(&self, reason: impl std::fmt::Display) -> String {
+        format!("line {}: {reason}", self.num)
     }
 }
 
-fn parse_f64(lines: &Lines<'_>, tok: &str) -> Result<f64, LoadError> {
+fn parse_f64(lines: &Lines<'_>, tok: &str) -> Result<f64, String> {
     u64::from_str_radix(tok, 16)
         .map(f64::from_bits)
         .map_err(|_| lines.err(format!("bad f64 bits {tok:?}")))
 }
 
-fn parse_num<T: std::str::FromStr>(lines: &Lines<'_>, tok: &str, what: &str) -> Result<T, LoadError> {
+fn parse_num<T: std::str::FromStr>(lines: &Lines<'_>, tok: &str, what: &str) -> Result<T, String> {
     tok.parse().map_err(|_| lines.err(format!("bad {what}: {tok:?}")))
 }
 
-fn tagged_count(lines: &mut Lines<'_>, tag: &str) -> Result<usize, LoadError> {
+fn tagged_count(lines: &mut Lines<'_>, tag: &str) -> Result<usize, String> {
     let line = lines.next()?;
     let rest = line
         .strip_prefix(tag)
@@ -251,7 +202,7 @@ fn tagged_count(lines: &mut Lines<'_>, tag: &str) -> Result<usize, LoadError> {
     parse_num(lines, rest, "count")
 }
 
-fn toks<'a>(lines: &Lines<'_>, line: &'a str, tag: &str) -> Result<Vec<&'a str>, LoadError> {
+fn toks<'a>(lines: &Lines<'_>, line: &'a str, tag: &str) -> Result<Vec<&'a str>, String> {
     let mut parts: Vec<&str> = line.split(' ').collect();
     if parts.first() != Some(&tag) {
         return Err(lines.err(format!("expected `{tag} ...`, got {line:?}")));
@@ -260,50 +211,20 @@ fn toks<'a>(lines: &Lines<'_>, line: &'a str, tag: &str) -> Result<Vec<&'a str>,
     Ok(parts)
 }
 
-/// Loads the checkpoint for `design`, if one exists.
-///
-/// `Ok(None)` = no checkpoint file (start fresh). `Err(Mismatch)` = the file
-/// was written under a different config/design. `Err(Corrupt)` = unreadable.
-pub(crate) fn load(dir: &Path, design: &str, fp: u64) -> Result<Option<Loaded>, LoadError> {
-    let path = path_for(dir, design, fp);
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(LoadError::Corrupt(format!("read {}: {e}", path.display()))),
-    };
-    let mut lines = Lines::new(&text);
-    let header = lines.next()?;
-    if header != "eda-flowck v1" {
-        return Err(lines.err(format!("bad header {header:?}")));
-    }
-    let fp_line = lines.next()?;
-    let stored = fp_line
-        .strip_prefix("fingerprint ")
-        .and_then(|h| u64::from_str_radix(h, 16).ok())
-        .ok_or_else(|| lines.err(format!("bad fingerprint line {fp_line:?}")))?;
-    if stored != fp {
-        return Err(LoadError::Mismatch(format!(
-            "checkpoint {} was written under a different design/config (fingerprint {stored:016x}, current {fp:016x})",
-            path.display()
-        )));
-    }
-    read_body(&mut lines).map(Some)
-}
-
-/// A body read back from a checkpoint file or a stage-cache entry: the
-/// state, the statuses of the stages that produced it, and the bytes both
-/// were parsed from. Those bytes are the next stage's cache-key input and
-/// the next checkpoint's content, so a replayed stage serializes nothing.
+/// A body read back from a stage-cache entry: the state, the statuses of the
+/// stages that produced it, and the bytes both were parsed from. Those bytes
+/// are the next stage's cache-key input, so a replayed stage serializes
+/// nothing.
 pub(crate) struct Loaded {
     pub state: FlowState,
     pub statuses: BTreeMap<String, StageStatus>,
     pub body: String,
 }
 
-/// Parses a body (everything after the header lines) — the inverse of
-/// [`write_body`].
-pub(crate) fn read_body(lines: &mut Lines<'_>) -> Result<Loaded, LoadError> {
-    let body = lines.rest;
+/// Parses a body (everything after an entry's head lines) — the inverse of
+/// [`write_body`]. The error is the parse problem and the line it is on.
+pub(crate) fn read_body(body: &str) -> Result<Loaded, String> {
+    let lines = &mut Lines { rest: body, num: 0 };
     let mut st = FlowState::fresh();
     let mut statuses = BTreeMap::new();
     st.cursor = tagged_count(lines, "cursor")?;
@@ -420,7 +341,7 @@ pub(crate) fn read_body(lines: &mut Lines<'_>) -> Result<Loaded, LoadError> {
             text.push_str(lines.next()?);
             text.push('\n');
         }
-        let netlist = codec::from_text(&text).map_err(|e| LoadError::Corrupt(e.to_string()))?;
+        let netlist = codec::from_text(&text).map_err(|e| e.to_string())?;
         st.netlist = Some(netlist);
     }
 
@@ -433,16 +354,9 @@ mod tests {
     use super::*;
     use eda_netlist::generate;
 
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("eda_ck_test_{}_{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
     #[test]
     fn state_roundtrip_is_exact() {
         let design = generate::switch_fabric(3, 2).unwrap();
-        let fp = 0x5eed;
 
         let mut st = FlowState::fresh();
         st.cursor = 7;
@@ -459,12 +373,10 @@ mod tests {
             StageStatus { outcome: StageOutcome::Degraded { reason: "partial routes %& spaces".into() }, attempts: 2 },
         );
 
-        let dir = tmp_dir("roundtrip");
         let mut body = String::new();
         write_body(&st, &statuses, &mut body);
-        save(&dir, design.name(), fp, &body).unwrap();
         let Loaded { state: back, statuses: back_statuses, body: back_body } =
-            load(&dir, design.name(), fp).unwrap().unwrap();
+            read_body(&body).unwrap();
 
         assert_eq!(back.cursor, st.cursor);
         assert_eq!(back.synthesis_verified, st.synthesis_verified);
@@ -474,37 +386,14 @@ mod tests {
         assert_eq!(back_statuses, statuses);
         assert_eq!(back.placement, st.placement);
         // The loaded bytes are the written bytes: what the next stage's key
-        // hashes on a resumed run is what it hashed on the run that saved.
+        // hashes on a replaying run is what it hashed on the run that stored.
         assert_eq!(back_body, body);
         // ...and the parsed state, netlist included, re-serializes to them.
         let mut again = String::new();
         write_body(&back, &back_statuses, &mut again);
         assert_eq!(again, body);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
 
-    #[test]
-    fn fingerprint_rejects_config_drift() {
-        let (design, fp, fp2) = ("rca4", 0x5eed, 0x5eee);
-        let dir = tmp_dir("mismatch");
-        let mut body = String::new();
-        write_body(&FlowState::fresh(), &BTreeMap::new(), &mut body);
-        save(&dir, design, fp, &body).unwrap();
-
-        // A different config resolves to a different file: no clobber, and
-        // loading under the other fingerprint is a clean fresh start.
-        assert_ne!(path_for(&dir, design, fp), path_for(&dir, design, fp2));
-        assert!(load(&dir, design, fp2).unwrap().is_none());
-
-        // A file whose embedded fingerprint disagrees with the path (copied
-        // or renamed by hand) is still a hard mismatch, never spliced in.
-        std::fs::copy(path_for(&dir, design, fp), path_for(&dir, design, fp2)).unwrap();
-        assert!(matches!(load(&dir, design, fp2), Err(LoadError::Mismatch(_))));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn missing_checkpoint_is_a_fresh_start() {
-        assert!(load(&tmp_dir("missing"), "rca4", 0x5eed).unwrap().is_none());
+        // A cut body is a message, never a panic or a partial state.
+        assert!(read_body(&body[..body.len() / 2]).is_err());
     }
 }

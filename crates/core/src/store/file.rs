@@ -14,8 +14,9 @@
 //! writes append under a sidecar file lock, so the file is valid at every
 //! record boundary. A crashed writer leaves at worst a broken tail, which
 //! the scanner skips (lost entries read as misses — recompute, never
-//! failure). Re-`put`ting a key appends a newer record; the scan's
-//! later-wins rule keeps point lookups on the newest version and
+//! failure) and the next append cuts off before it writes, so its record
+//! starts on a record boundary. Re-`put`ting a key appends a newer record;
+//! the scan's later-wins rule keeps point lookups on the newest version and
 //! compaction drops the dead bytes.
 //!
 //! ## Eviction
@@ -109,8 +110,11 @@ impl Entry {
 struct Inner {
     /// Inode of the file the index was built against (0 = unknown).
     ino: u64,
-    /// File size as of the last scan — where the next append lands.
+    /// File size as of the last scan.
     file_len: u64,
+    /// One past the last record the scan accepted — where the next append
+    /// lands. Short of `file_len` when the file ends in a torn record.
+    tail: u64,
     /// Monotonic LRU clock.
     touch: u64,
     index: HashMap<(Table, u64), Entry>,
@@ -242,14 +246,16 @@ impl FlowStore {
         inner.index.clear();
         inner.next_qor = 0;
         inner.next_qstage = 0;
-        Self::scan(inner, &bytes, 0);
+        inner.tail = Self::scan(inner, &bytes, 0);
         inner.file_len = bytes.len() as u64;
         Ok(())
     }
 
     /// Brings the index up to date if the file changed since the last scan:
-    /// appended-to files are scanned incrementally, replaced or shrunk
-    /// files from scratch. Missing files are recreated empty.
+    /// appended-to files are scanned incrementally from the last accepted
+    /// record (a record that was still being written last time is whole
+    /// now), replaced or shrunk files from scratch. Missing files are
+    /// recreated empty.
     fn refresh(&self, inner: &mut Inner) -> Result<(), StoreError> {
         match self.stat() {
             None => {
@@ -257,17 +263,10 @@ impl FlowStore {
                 self.rescan(inner)
             }
             Some((ino, len)) => {
-                if ino != inner.ino || len < inner.file_len {
+                if ino != inner.ino || len < inner.tail {
                     self.rescan(inner)
-                } else if len > inner.file_len {
-                    let mut f = fs::File::open(&self.cfg.path)?;
-                    f.seek(SeekFrom::Start(inner.file_len))?;
-                    let mut bytes = Vec::with_capacity((len - inner.file_len) as usize);
-                    f.read_to_end(&mut bytes)?;
-                    let base = inner.file_len;
-                    Self::scan(inner, &bytes, base);
-                    inner.file_len = base + bytes.len() as u64;
-                    Ok(())
+                } else if len != inner.file_len {
+                    self.scan_tail(inner)
                 } else {
                     Ok(())
                 }
@@ -275,14 +274,31 @@ impl FlowStore {
         }
     }
 
+    /// Indexes what follows the last accepted record. Same-inode writers
+    /// only append, or cut a torn tail and append, so everything before
+    /// `tail` is as it was scanned.
+    fn scan_tail(&self, inner: &mut Inner) -> Result<(), StoreError> {
+        let mut f = fs::File::open(&self.cfg.path)?;
+        f.seek(SeekFrom::Start(inner.tail))?;
+        let mut bytes = Vec::new();
+        f.read_to_end(&mut bytes)?;
+        let base = inner.tail;
+        inner.tail = Self::scan(inner, &bytes, base);
+        inner.file_len = base + bytes.len() as u64;
+        Ok(())
+    }
+
     /// Indexes every parseable record in `bytes` (positioned at `base` in
     /// the file), later records winning duplicate keys. Garbage resyncs to
-    /// the next `\n%rec `; a truncated tail is dropped.
-    fn scan(inner: &mut Inner, bytes: &[u8], base: u64) {
+    /// the next `\n%rec `; a truncated tail is dropped. Returns the file
+    /// offset one past the last record accepted (past the file header, or
+    /// `base`, when there is none).
+    fn scan(inner: &mut Inner, bytes: &[u8], base: u64) -> u64 {
         let mut pos = 0usize;
         if base == 0 && bytes.starts_with(HEADER) {
             pos = HEADER.len();
         }
+        let mut accepted = pos;
         while pos < bytes.len() {
             if !bytes[pos..].starts_with(REC_MAGIC) {
                 match bytes[pos..].windows(6).position(|w| w == b"\n%rec ") {
@@ -341,7 +357,9 @@ impl FlowStore {
                 _ => {}
             }
             pos = payload_off + len + 1;
+            accepted = pos;
         }
+        base + accepted as u64
     }
 
     /// Reads and validates one record at its indexed location.
@@ -371,7 +389,11 @@ impl FlowStore {
             .map_err(|_| ReadFail::Corrupt("non-utf8 payload".to_string()))
     }
 
-    /// Appends one record under the already-held write lock.
+    /// Appends one record under the already-held write lock. Bytes past the
+    /// last whole record — looked at again now that the lock is held — are
+    /// a dead writer's torn append (a live one would hold the lock): they
+    /// are cut off first, or the new header would sit mid-line where no
+    /// later scan resyncs to it.
     fn append_record(
         &self,
         inner: &mut Inner,
@@ -380,10 +402,13 @@ impl FlowStore {
         payload: &str,
     ) -> Result<(), StoreError> {
         self.refresh(inner)?;
+        if inner.tail < inner.file_len {
+            self.scan_tail(inner)?;
+        }
         let sum = fnv1a(payload.bytes());
         let header = encode_header(table, key, payload.len(), sum);
         let rec_len = header.len() as u64 + payload.len() as u64 + 1;
-        if inner.file_len + rec_len > self.cfg.max_bytes {
+        if inner.tail + rec_len > self.cfg.max_bytes {
             match self.cfg.eviction {
                 EvictionPolicy::Never => {
                     return Err(StoreError::TooLarge { need: rec_len, max: self.cfg.max_bytes })
@@ -392,6 +417,9 @@ impl FlowStore {
             }
         }
         let mut f = OpenOptions::new().append(true).open(&self.cfg.path)?;
+        if inner.tail < inner.file_len {
+            f.set_len(inner.tail)?;
+        }
         f.write_all(header.as_bytes())?;
         f.write_all(payload.as_bytes())?;
         f.write_all(b"\n")?;
@@ -399,14 +427,15 @@ impl FlowStore {
         inner.index.insert(
             (table, key),
             Entry {
-                offset: inner.file_len,
+                offset: inner.tail,
                 header_len: header.len() as u32,
                 payload_len: payload.len() as u32,
                 sum,
                 touched: inner.touch,
             },
         );
-        inner.file_len += rec_len;
+        inner.tail += rec_len;
+        inner.file_len = inner.tail;
         Ok(())
     }
 
@@ -460,6 +489,7 @@ impl FlowStore {
         fs::rename(&tmp, &self.cfg.path)?;
         inner.index = new_index;
         inner.file_len = out.len() as u64;
+        inner.tail = inner.file_len;
         inner.ino = self.stat().map(|(ino, _)| ino).unwrap_or(0);
         Ok(())
     }
@@ -655,6 +685,60 @@ mod tests {
         // The store keeps working.
         s.put(Table::Stage, 3, "cccc").unwrap();
         assert_eq!(s.get(Table::Stage, 3), Lookup::Hit("cccc".into()));
+    }
+
+    #[test]
+    fn append_after_a_torn_tail_survives_reopen() {
+        let cfg = StoreConfig::at(scratch("torn"));
+        let s = FlowStore::open(&cfg).unwrap();
+        s.put(Table::Stage, 1, "alpha line one").unwrap();
+        s.put(Table::Stage, 2, "bravo line two which is torn").unwrap();
+        drop(s);
+        // kill -9 mid-append: the last record loses its final 12 bytes.
+        let bytes = fs::read(&cfg.path).unwrap();
+        fs::write(&cfg.path, &bytes[..bytes.len() - 12]).unwrap();
+
+        let s = FlowStore::open(&cfg).unwrap();
+        s.put(Table::Stage, 3, "charlie").unwrap();
+        let seq = s.append(Table::Qor, "run d generic 0 0 0 0 0 0 0").unwrap();
+        drop(s);
+
+        // The first record appended after the tear starts on a record
+        // boundary, so a later open finds it — and everything after it.
+        let s = FlowStore::open(&cfg).unwrap();
+        assert_eq!(s.get(Table::Stage, 1), Lookup::Hit("alpha line one".into()));
+        assert_eq!(s.get(Table::Stage, 2), Lookup::Miss, "the torn record is lost");
+        assert_eq!(s.get(Table::Stage, 3), Lookup::Hit("charlie".into()));
+        assert_eq!(s.append(Table::Qor, "run d generic 0 0 0 0 0 0 0").unwrap(), seq + 1);
+        let text = fs::read_to_string(&cfg.path).unwrap();
+        assert!(!text.contains("bravo"), "the torn bytes were cut off, not appended to");
+    }
+
+    #[test]
+    fn a_record_that_replaced_a_torn_tail_byte_for_byte_is_not_cut() {
+        let cfg = StoreConfig::at(scratch("torn-race"));
+        let s = FlowStore::open(&cfg).unwrap();
+        s.put(Table::Stage, 1, "alpha line one").unwrap();
+        let whole = s.len_bytes();
+        s.put(Table::Stage, 2, "bravo line two which is torn").unwrap();
+        drop(s);
+        let bytes = fs::read(&cfg.path).unwrap();
+        fs::write(&cfg.path, &bytes[..bytes.len() - 12]).unwrap();
+        let torn = bytes.len() - 12 - whole as usize;
+
+        // Two handles index the torn file. `b` repairs it with a record
+        // exactly as long as the torn bytes, so the length `a` remembers
+        // still matches the file: `a` must look again before it cuts.
+        let a = FlowStore::open(&cfg).unwrap();
+        let b = FlowStore::open(&cfg).unwrap();
+        let payload = "x".repeat(torn - encode_header(Table::Stage, 3, 10, 0).len() - 1);
+        b.put(Table::Stage, 3, &payload).unwrap();
+        assert_eq!(a.len_bytes(), whole + torn as u64);
+        a.put(Table::Stage, 4, "delta").unwrap();
+
+        let s = FlowStore::open(&cfg).unwrap();
+        assert_eq!(s.get(Table::Stage, 3), Lookup::Hit(payload));
+        assert_eq!(s.get(Table::Stage, 4), Lookup::Hit("delta".into()));
     }
 
     #[test]

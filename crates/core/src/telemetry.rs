@@ -376,7 +376,7 @@ impl Drop for SpanGuard<'_> {
     }
 }
 
-/// `f64` as a bit-exact lowercase hex word, matching the checkpoint codec.
+/// `f64` as a bit-exact lowercase hex word, matching the flow-state body codec.
 fn bits(v: f64) -> String {
     format!("{:016x}", v.to_bits())
 }

@@ -1,5 +1,5 @@
-//! Exact, line-oriented text serialization of a [`Netlist`] for flow
-//! checkpoints.
+//! Exact, line-oriented text serialization of a [`Netlist`] for the flow's
+//! persisted stage state.
 //!
 //! The format is designed for *bit-identical* round trips, not for human
 //! interchange (that is [`verilog`](crate::verilog)'s job): every vector is
@@ -82,7 +82,7 @@ pub fn unescape(s: &str) -> Result<String, String> {
     String::from_utf8(out).map_err(|_| format!("non-utf8 name in {s:?}"))
 }
 
-/// Serializes a netlist to the checkpoint text form.
+/// Serializes a netlist to the exact text form.
 pub fn to_text(n: &Netlist) -> String {
     let mut out = String::new();
     out.push_str("eda-netlist v1\n");

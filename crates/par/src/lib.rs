@@ -12,9 +12,9 @@
 //!    workers take chunks round-robin (worker `w` gets chunks `w`, `w + K`,
 //!    `w + 2K`, …), and which worker computes a chunk cannot affect its
 //!    result.
-//! 2. **Reductions run in input order.** Chunk results are reassembled (or
-//!    folded) sequentially by chunk index, so floating-point reduction trees
-//!    are identical at `threads = 1` and `threads = N`.
+//! 2. **Results are reassembled in chunk order.** Callers merge the chunk
+//!    results sequentially, so any floating-point reduction over them is
+//!    identical at `threads = 1` and `threads = N`.
 //!
 //! Per DESIGN.md §3 the layer is built directly on [`std::thread::scope`] —
 //! no rayon, no extra runtime. Each dispatch also records per-worker CPU time
@@ -217,15 +217,6 @@ where
     (out, stats)
 }
 
-/// [`par_chunks_stats`] without the stats.
-pub fn par_chunks<R, F>(threads: usize, len: usize, chunk: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(Range<usize>) -> R + Sync,
-{
-    par_chunks_stats(threads, len, chunk, f).0
-}
-
 /// Parallel map over a slice: `out[i] == f(i, &items[i])` for every `i`,
 /// in input order, for any thread count.
 pub fn par_map<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
@@ -353,30 +344,6 @@ where
     (out, stats)
 }
 
-/// Parallel fold with an input-order reduction: maps every item through
-/// `fold` within fixed chunks, then merges the per-chunk accumulators
-/// **sequentially in chunk order**, so the reduction tree — and therefore
-/// any floating-point result — is independent of the thread count.
-pub fn par_reduce<T, A, F, M>(
-    threads: usize,
-    items: &[T],
-    init: A,
-    fold: F,
-    merge: M,
-) -> A
-where
-    T: Sync,
-    A: Send + Clone + Sync,
-    F: Fn(A, usize, &T) -> A + Sync,
-    M: Fn(A, A) -> A,
-{
-    let chunk = default_chunk(items.len());
-    let chunks = par_chunks(threads, items.len(), chunk, |range| {
-        range.fold(init.clone(), |acc, i| fold(acc, i, &items[i]))
-    });
-    chunks.into_iter().fold(init, merge)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -415,19 +382,6 @@ mod tests {
         assert_eq!(stats.busy_s.len(), 4);
         let hot: Vec<usize> = (0..4).filter(|&w| stats.busy_s[w] > 0.0).collect();
         assert_eq!(hot, vec![2], "busy credited to the rotated slot");
-    }
-
-    #[test]
-    fn float_reduction_is_bit_identical_across_thread_counts() {
-        // A sum designed to be order-sensitive in f64.
-        let items: Vec<f64> = (0..4096).map(|i| 1.0 / (i as f64 + 1.0)).collect();
-        let reduce = |threads| {
-            par_reduce(threads, &items, 0.0f64, |a, _, &x| a + x * x, |a, b| a + b)
-        };
-        let r1 = reduce(1);
-        for threads in [2, 3, 4, 8] {
-            assert_eq!(r1.to_bits(), reduce(threads).to_bits(), "threads={threads}");
-        }
     }
 
     #[test]
@@ -508,8 +462,6 @@ mod tests {
     fn empty_input_is_fine() {
         let out: Vec<u32> = par_map(4, &[] as &[u32], |_, &v| v);
         assert!(out.is_empty());
-        let r = par_reduce(4, &[] as &[u32], 7u32, |a, _, _| a, |a, _| a);
-        assert_eq!(r, 7);
     }
 
     #[test]

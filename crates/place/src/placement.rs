@@ -34,7 +34,7 @@ impl Placement {
         }
     }
 
-    /// Snapshots the raw geometry for checkpointing. Together with
+    /// Snapshots the raw geometry for serialization. Together with
     /// [`Placement::from_snapshot`] this round-trips a placement exactly,
     /// without re-deriving anything from a netlist (whose instance count may
     /// since have changed, e.g. after decap insertion).
@@ -88,7 +88,7 @@ impl Placement {
 }
 
 /// The raw geometry of a [`Placement`], exposed for exact serialization in
-/// flow checkpoints.
+/// the flow's persisted stage state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlacementSnapshot {
     /// The die.

@@ -125,6 +125,47 @@ sub_hits="$(printf '%s\n' "$incr_log" | awk '/^INCRLINE edit_substage_hits /{pri
 printf '%s\n' "$incr_log" | grep -qx 'INCRLINE edit_same_qor 1' \
     || { echo "check: FAIL edited-run QoR diverged from the uncached reference" >&2; exit 1; }
 
+# Resume across processes: the store is the flow's only resume mechanism. A
+# copy of the store cut in the middle of its 6th stage record is what a
+# `kill -9` during the sixth stage's append leaves behind; the whole stage
+# records left are the cold run's first five. A new process on the copy must
+# replay exactly those, treat the torn record as absent (not corrupt),
+# compute the rest, and record the QoR fingerprint the uninterrupted cold run
+# recorded (qor row seq 0 of either file).
+cut_file="$store_dir/cut.store"
+python3 - "$store_file" "$cut_file" <<'PY'
+import sys
+data = open(sys.argv[1], "rb").read()
+pos, stages = 0, 0
+while True:
+    at = data.find(b"%rec ", pos)
+    assert at >= 0, "fewer than six stage records in the store"
+    nl = data.index(b"\n", at)
+    fields = data[at:nl].split(b" ")
+    if fields[1] == b"stage":
+        stages += 1
+        if stages == 6:
+            open(sys.argv[2], "wb").write(data[: nl + 1 + int(fields[3]) // 2])
+            break
+    pos = nl + int(fields[3]) + 1
+PY
+resume_log="$(./target/release/experiments incremental --store "$cut_file" --threads 4)"
+for row in 'cold_hits 5' 'cold_errors 0' 'same_qor 1'; do
+    printf '%s\n' "$resume_log" | grep -qx "INCRLINE $row" \
+        || { echo "check: FAIL run resumed from a cut store did not report $row" >&2
+             printf '%s\n' "$resume_log" >&2; exit 1; }
+done
+qor_fp_of_seq0() {
+    ./target/release/experiments query --store "$1" --metric all --last 0 \
+        | awk '/^QUERYLINE qor 0 /{print $7}'
+}
+whole_fp="$(qor_fp_of_seq0 "$store_file")"
+resumed_fp="$(qor_fp_of_seq0 "$cut_file")"
+[ -n "$whole_fp" ] && [ "$whole_fp" = "$resumed_fp" ] \
+    || { echo "check: FAIL resumed run recorded qor_fp ${resumed_fp:-none}, the uninterrupted one ${whole_fp:-none}" >&2
+         exit 1; }
+echo "check: cross-process resume green (5 stages replayed from a store cut mid-append, qor_fp $resumed_fp)"
+
 # Provenance clock: the three runs above are qor rows seq 0 (cold), 1 (warm)
 # and 2 (edited). A replayed stage must record what replaying it cost, so the
 # warm row's wall_s has to sit well below the cold row's (it is ~1/100; the
@@ -203,4 +244,4 @@ awk '/^test result:/ { passed += $4; failed += $6 }
      END { printf "check: %d tests passed, %d failed across all binaries\n", passed, failed
            exit (failed > 0) }' "$test_log"
 echo "check: $(find crates src tests examples benchmark -name '*.rs' -print0 | xargs -0 cat | wc -l) lines of Rust (the count ROADMAP quotes)"
-echo "check: tier-1 + clippy + unwrap gates + inject smoke + trace + serve + daemon + facade docs + incremental + mini-scale + golden + route pins + route audit + place pins + place audit green"
+echo "check: tier-1 + clippy + unwrap gates + inject smoke + trace + serve + daemon + facade docs + incremental + cross-process resume + mini-scale + golden + route pins + route audit + place pins + place audit green"

@@ -1,13 +1,16 @@
 //! Incremental-flow contract: the content-addressed stage cache replays
-//! warm runs bit-identically, invalidates on any input change, and treats
-//! damaged entries as cold — never as errors.
+//! warm runs bit-identically, invalidates on any input change, treats
+//! damaged entries as cold — never as errors — and is how a killed flow
+//! resumes.
 //!
 //! The cache key is `(stage kind, config fingerprint ⊇ {design, seed},
-//! hash of the serialized pre-stage state)`, so these tests pin the three
+//! hash of the serialized pre-stage state)`, so these tests pin the four
 //! behaviors the flow depends on: a warm re-run of an unchanged flow skips
 //! every stage with `same_qor` against the cold run at any thread count;
 //! changing the design, the seed, or any QoR-relevant config knob misses;
-//! and a poisoned entry silently falls back to a recompute.
+//! a poisoned entry silently falls back to a recompute; and a run cut off
+//! after any stage, rerun on what it left in the store, replays the stages
+//! it completed and computes the rest.
 
 use eda_core::{
     run_flow, Fault, FaultPlan, FlowConfig, FlowReport, FlowStore, LibraryChoice, QorQuery, Query,
@@ -18,6 +21,7 @@ use eda_netlist::{generate, Netlist};
 use eda_route::RouteAlgorithm;
 use eda_tech::Node;
 use proptest::prelude::*;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -153,7 +157,7 @@ fn cache_invalidates_on_netlist_config_and_seed_change() {
     let r = run_flow(&other, &warm_cfg()).unwrap();
     assert_eq!(counter(&r, "cache.hits"), 0, "a different netlist must miss");
 
-    // Every QoR-relevant knob — the list `checkpoint::fingerprint` folds —
+    // Every QoR-relevant knob — the union of the stage table's `knobs` —
     // edited on the warm store, one at a time. Per-stage fingerprints scope
     // the invalidation to the stages that read the knob: the edit misses at
     // the first stage that reads it and the whole prefix before that still
@@ -217,28 +221,36 @@ fn threads_do_not_invalidate_the_cache() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The payload byte range of every `stage`-table record of a store file, in
+/// file order — a cold run appends one per stage, in flow order.
+fn stage_payloads(bytes: &[u8]) -> Vec<Range<usize>> {
+    let text = std::str::from_utf8(bytes).unwrap();
+    let mut payloads = Vec::new();
+    let mut pos = 0;
+    while let Some(off) = text[pos..].find("%rec ") {
+        let start = pos + off;
+        let header_end = start + text[start..].find('\n').unwrap() + 1;
+        let fields: Vec<&str> = text[start..header_end - 1].split(' ').collect();
+        let payload_len: usize = fields[3].parse().unwrap();
+        if fields[1] == "stage" {
+            payloads.push(header_end..header_end + payload_len);
+        }
+        pos = header_end + payload_len + 1;
+    }
+    payloads
+}
+
 /// Flips one payload byte in every `stage`-table record of a store file,
 /// leaving the framing (and every other table) intact. Returns how many
 /// records were damaged.
 fn poison_stage_records(path: &Path) -> usize {
     let mut bytes = std::fs::read(path).unwrap();
-    let text = String::from_utf8(bytes.clone()).unwrap();
-    let mut damaged = 0;
-    let mut pos = 0;
-    while let Some(off) = text[pos..].find("%rec ") {
-        let start = pos + off;
-        let header_end = start + text[start..].find('\n').unwrap() + 1;
-        let header = &text[start..header_end - 1];
-        let fields: Vec<&str> = header.split(' ').collect();
-        let payload_len: usize = fields[3].parse().unwrap();
-        if fields[1] == "stage" {
-            bytes[header_end] ^= 0x01; // first payload byte
-            damaged += 1;
-        }
-        pos = header_end + payload_len + 1;
+    let payloads = stage_payloads(&bytes);
+    for payload in &payloads {
+        bytes[payload.start] ^= 0x01;
     }
     std::fs::write(path, bytes).unwrap();
-    damaged
+    payloads.len()
 }
 
 #[test]
@@ -265,6 +277,59 @@ fn poisoned_entries_fall_back_to_recompute() {
     assert_eq!(counter(&again, "cache.hits"), 11);
     assert!(cold.same_qor(&again));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The resume contract: a run that dies after any stage and is rerun against
+/// the store it left behind replays every stage it completed, computes the
+/// rest, and lands on the QoR of an uninterrupted run — at one worker thread
+/// and at four. The kill is a cut store file, which is what `kill -9` leaves:
+/// between two appends for even `k`, in the middle of one for odd `k`.
+#[test]
+fn a_run_cut_off_after_any_stage_resumes_from_the_store() {
+    let design = smoke_design();
+    for threads in [1usize, 4] {
+        let mut storeless = FlowConfig::advanced_2016(Node::N10);
+        storeless.threads = threads;
+        let uninterrupted = run_flow(&design, &storeless).unwrap();
+
+        // Every stage of the 10nm advanced flow executes, so the cold run
+        // leaves eleven stage records and each cut point is reachable.
+        let cold_dir = scratch("resume_cold");
+        let _ = run_flow(&design, &cached_cfg(&cold_dir, threads)).unwrap();
+        let whole = std::fs::read(cold_dir.join("flow.store")).unwrap();
+        let records = stage_payloads(&whole);
+        assert_eq!(records.len(), STAGES.len(), "one record per stage");
+
+        for k in 1..STAGES.len() {
+            let cut = if k % 2 == 0 {
+                records[k - 1].end + 1 // the k-th record and its newline, whole
+            } else {
+                (records[k].start + records[k].end) / 2 // the next one, torn
+            };
+            let dir = scratch("resume_cut");
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(dir.join("flow.store"), &whole[..cut]).unwrap();
+
+            let resumed = run_flow(&design, &cached_cfg(&dir, threads)).unwrap();
+            let tags = cache_tags(&resumed);
+            assert!(
+                tags[..k].iter().all(|t| *t == "hit") && tags[k..].iter().all(|t| *t == "miss"),
+                "cut after stage {k} (threads={threads}): want {k} hits then misses, got {tags:?}"
+            );
+            assert_eq!(counter(&resumed, "cache.errors"), 0, "a cut store is cold, not corrupt");
+            assert!(
+                resumed.same_qor(&uninterrupted),
+                "resume after stage {k} (threads={threads}) drifted from the uninterrupted run"
+            );
+
+            // The resumed run completed the store: nothing is left to compute.
+            let again = run_flow(&design, &cached_cfg(&dir, threads)).unwrap();
+            assert_eq!(counter(&again, "cache.hits"), 11, "after the resume from stage {k}");
+            assert!(again.same_qor(&uninterrupted));
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        let _ = std::fs::remove_dir_all(&cold_dir);
+    }
 }
 
 #[test]

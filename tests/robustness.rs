@@ -1,29 +1,16 @@
-//! Supervised-flow robustness: the deterministic fault-injection matrix,
-//! checkpoint/resume bit-identity, and the no-collateral-damage property
-//! (an injected fault never changes the QoR of untouched stages).
+//! Supervised-flow robustness: the deterministic fault-injection matrix and
+//! the no-collateral-damage property (an injected fault never changes the
+//! QoR of untouched stages). Resuming a killed flow is the store's contract:
+//! `tests/incremental.rs`.
 
 use eda::core::{run_flow, Fault, FaultPlan, FlowConfig, FlowError, FlowReport, StageOutcome, STAGES};
 use eda::netlist::{generate, Netlist};
 use eda::tech::Node;
 use proptest::prelude::*;
-use std::path::PathBuf;
 use std::sync::OnceLock;
 
 fn design() -> Netlist {
     generate::switch_fabric(3, 2).unwrap()
-}
-
-/// A fresh scratch directory under the system temp dir; removed by the
-/// caller via `cleanup`.
-fn scratch_dir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("eda_robustness_{}_{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    std::fs::create_dir_all(&d).unwrap();
-    d
-}
-
-fn cleanup(d: &PathBuf) {
-    let _ = std::fs::remove_dir_all(d);
 }
 
 #[test]
@@ -96,118 +83,6 @@ fn persistent_failure_exhausts_the_budget() {
         }
         other => panic!("expected BudgetExhausted, got {other}"),
     }
-}
-
-/// The resume contract: kill the flow after any stage, rerun with
-/// `resume: true`, and the final report is bit-identical to an uninterrupted
-/// run — at one worker thread and at four.
-#[test]
-fn killed_flow_resumes_bit_identically_after_every_stage() {
-    let d = design();
-    for threads in [1usize, 4] {
-        let mut base = FlowConfig::advanced_2016(Node::N10);
-        base.threads = threads;
-        let uninterrupted = run_flow(&d, &base).unwrap();
-
-        // Killing "after stage k" = a permanent injected failure on the next
-        // stage, with checkpointing on. Every stage of the 10nm advanced
-        // flow actually executes, so each kill point is reachable.
-        for kill_stage in &STAGES[1..] {
-            let dir = scratch_dir(&format!("resume_t{threads}_{kill_stage}"));
-            let mut cfg = base.clone();
-            cfg.checkpoint_dir = Some(dir.clone());
-            cfg.fault_plan = Some(FaultPlan::new(3).with(kill_stage, None, Fault::Fail));
-            let err = run_flow(&d, &cfg)
-                .expect_err("the injected permanent failure must kill the flow");
-            assert_eq!(err.stage(), Some(*kill_stage));
-            assert!(
-                err.partial().and_then(|p| p.checkpoint.as_ref()).is_some(),
-                "killed flow must point at its checkpoint"
-            );
-
-            let mut resumed_cfg = base.clone();
-            resumed_cfg.checkpoint_dir = Some(dir.clone());
-            resumed_cfg.resume = true;
-            let resumed = run_flow(&d, &resumed_cfg)
-                .unwrap_or_else(|e| panic!("resume after {kill_stage} failed: {e}"));
-            assert!(
-                resumed.same_qor(&uninterrupted),
-                "resume after kill at {kill_stage} (threads={threads}) drifted from the uninterrupted run"
-            );
-            cleanup(&dir);
-        }
-    }
-}
-
-#[test]
-fn resume_without_a_checkpoint_runs_fresh() {
-    let d = design();
-    let dir = scratch_dir("fresh");
-    let mut cfg = FlowConfig::advanced_2016(Node::N28);
-    cfg.checkpoint_dir = Some(dir.clone());
-    cfg.resume = true;
-    let a = run_flow(&d, &cfg).unwrap();
-    let b = run_flow(&d, &FlowConfig::advanced_2016(Node::N28)).unwrap();
-    assert!(a.same_qor(&b));
-    cleanup(&dir);
-}
-
-#[test]
-fn resume_under_a_different_config_starts_fresh_in_its_own_namespace() {
-    // Checkpoint files are namespaced by config fingerprint, so a resume
-    // under a drifted config never even sees the old file: it starts fresh
-    // in its own namespace and leaves the original checkpoint intact —
-    // which is exactly what lets concurrent requests share a checkpoint
-    // dir (tests/server.rs).
-    let d = design();
-    let dir = scratch_dir("mismatch");
-    let mut cfg = FlowConfig::advanced_2016(Node::N28);
-    cfg.checkpoint_dir = Some(dir.clone());
-    run_flow(&d, &cfg).unwrap();
-
-    let mut other = cfg.clone();
-    other.resume = true;
-    other.seed = 999;
-    let fresh = run_flow(&d, &other).expect("a foreign checkpoint must not block the run");
-    let mut solo = other.clone();
-    solo.checkpoint_dir = None;
-    solo.resume = false;
-    assert!(
-        fresh.same_qor(&run_flow(&d, &solo).unwrap()),
-        "the drifted config ran fresh, untainted by the original checkpoint"
-    );
-    let flowcks = std::fs::read_dir(&dir)
-        .unwrap()
-        .filter_map(Result::ok)
-        .filter(|e| e.path().extension().is_some_and(|x| x == "flowck"))
-        .count();
-    assert_eq!(flowcks, 2, "each config keeps its own checkpoint file");
-    cleanup(&dir);
-}
-
-#[test]
-fn corrupt_checkpoint_is_a_typed_error() {
-    let d = design();
-    let dir = scratch_dir("corrupt");
-    let mut cfg = FlowConfig::advanced_2016(Node::N28);
-    cfg.checkpoint_dir = Some(dir.clone());
-    run_flow(&d, &cfg).unwrap();
-
-    let ck = std::fs::read_dir(&dir)
-        .unwrap()
-        .filter_map(Result::ok)
-        .find(|e| e.path().extension().is_some_and(|x| x == "flowck"))
-        .expect("a checkpoint was written")
-        .path();
-    std::fs::write(&ck, "eda-flowck v1\nnot a fingerprint\n").unwrap();
-
-    cfg.resume = true;
-    match run_flow(&d, &cfg) {
-        Err(FlowError::ResumeCorrupt { .. }) => {}
-        Ok(_) => panic!("a corrupt checkpoint must not be silently accepted"),
-        Err(other) => panic!("expected ResumeCorrupt, got {other}"),
-    }
-    cleanup(&dir);
 }
 
 /// The clean 28nm advanced report, computed once for the property below.

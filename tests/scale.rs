@@ -1,6 +1,6 @@
 //! Scale-tier stress tests: the 10⁵-instance mesh through all 11 supervised
-//! stages, bit-identical across thread counts, resumable mid-flow, warm-cache
-//! replayable, and inside its peak-RSS budget.
+//! stages, bit-identical across thread counts, warm-cache replayable,
+//! resumable from a store cut mid-flow, and inside its peak-RSS budget.
 //!
 //! The 10⁵ tests are `#[ignore]`d (minutes of release wall clock — run with
 //! `cargo test --release --test scale -- --ignored`); the 10⁴ mini tier runs
@@ -10,8 +10,7 @@
 //! only the small-mesh checks.
 
 use eda::core::{
-    read_peak_rss_bytes, run_flow, Fault, FaultPlan, FlowConfig, FlowReport, Metric, SpanKind,
-    StoreConfig, STAGES,
+    read_peak_rss_bytes, run_flow, FlowConfig, FlowReport, Metric, SpanKind, StoreConfig, STAGES,
 };
 use eda::logic::{synthesize, SynthesisOptions};
 use eda::netlist::{generate, CellFunction, Netlist};
@@ -26,6 +25,11 @@ const STRESS: usize = 100_000;
 /// Measured ~0.6 GB on Linux; the bar catches superlinear regressions
 /// (a dense per-search grid or an AoS netlist blows well past it).
 const STRESS_RSS_BUDGET_MB: u64 = 1536;
+/// Store bound for the 10⁵ tier. One cold run writes 232 MB of stage and
+/// sub-stage records; under the 64 MiB default each append evicts the oldest
+/// entry — the one the next stage of a replay is about to ask for — and a
+/// warm run hits nothing.
+const STRESS_STORE_BYTES: u64 = 512 << 20;
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("eda_scale_{}_{tag}", std::process::id()));
@@ -191,37 +195,11 @@ fn stress_tier_100k_is_bit_identical_across_threads() {
     );
 }
 
-/// Kill the 10⁵ flow mid-way (permanent injected failure at the route
-/// stage), resume from the checkpoint, and the final QoR is bit-identical
-/// to an uninterrupted run.
-#[test]
-#[ignore = "10^5 tier: minutes of release wall clock"]
-fn stress_tier_100k_checkpoint_resumes_bit_identically() {
-    let design = generate::scale_mesh(STRESS, 3).unwrap();
-    let uninterrupted = run_tier(&design, STRESS, 4);
-
-    let dir = scratch_dir("resume_100k");
-    let mut cfg = FlowConfig::scale_2016(Node::N28, STRESS);
-    cfg.threads = 4;
-    cfg.checkpoint_dir = Some(dir.clone());
-    cfg.fault_plan = Some(FaultPlan::new(3).with("7_route", None, Fault::Fail));
-    let err = run_flow(&design, &cfg).expect_err("injected permanent route failure");
-    assert_eq!(err.stage(), Some("7_route"));
-
-    let mut resumed_cfg = FlowConfig::scale_2016(Node::N28, STRESS);
-    resumed_cfg.threads = 4;
-    resumed_cfg.checkpoint_dir = Some(dir.clone());
-    resumed_cfg.resume = true;
-    let resumed = run_flow(&design, &resumed_cfg).expect("resume from mid-flow checkpoint");
-    assert!(
-        resumed.same_qor(&uninterrupted),
-        "resumed 10^5 flow drifted from the uninterrupted run"
-    );
-    cleanup(&dir);
-}
-
 /// Warm-cache replay at 10⁵: a second run over the same content-addressed
-/// stage cache replays every stage bit-identically without recomputing.
+/// stage cache replays every stage bit-identically without recomputing, and
+/// a run over a copy of the cold store cut at 60 % of its length — the flow
+/// killed mid-way — replays the stages that are whole, computes the rest,
+/// and lands on the same QoR.
 #[test]
 #[ignore = "10^5 tier: minutes of release wall clock"]
 fn stress_tier_100k_warm_cache_replays_bit_identically() {
@@ -229,8 +207,17 @@ fn stress_tier_100k_warm_cache_replays_bit_identically() {
     let dir = scratch_dir("cache_100k");
     let mut cfg = FlowConfig::scale_2016(Node::N28, STRESS);
     cfg.threads = 4;
-    cfg.store = Some(StoreConfig::at(dir.join("flow.store")));
+    cfg.store = Some(StoreConfig::at(dir.join("flow.store")).with_max_bytes(STRESS_STORE_BYTES));
     let cold = run_flow(&design, &cfg).expect("cold scale flow");
+    let cut_dir = scratch_dir("cut_100k");
+    let cut_store = cut_dir.join("flow.store");
+    let len = std::fs::copy(dir.join("flow.store"), &cut_store).expect("copy the cold store");
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&cut_store)
+        .and_then(|f| f.set_len(len * 6 / 10))
+        .expect("cut the copy");
+
     let warm = run_flow(&design, &cfg).expect("warm scale flow");
     assert_eq!(counter(&warm, "cache.errors"), 0, "warm replay hit corrupt entries");
     assert!(
@@ -238,5 +225,13 @@ fn stress_tier_100k_warm_cache_replays_bit_identically() {
         "warm run replayed nothing from the stage cache"
     );
     assert!(warm.same_qor(&cold), "warm-cache replay drifted from the cold run");
+
+    cfg.store = Some(StoreConfig::at(cut_store).with_max_bytes(STRESS_STORE_BYTES));
+    let resumed = run_flow(&design, &cfg).expect("resumed scale flow");
+    let hits = counter(&resumed, "cache.hits");
+    assert!(0 < hits && hits < 11, "a store cut mid-flow replays some stages, got {hits}");
+    assert_eq!(counter(&resumed, "cache.errors"), 0, "a cut store is cold, not corrupt");
+    assert!(resumed.same_qor(&cold), "resumed 10^5 flow drifted from the uninterrupted run");
+    cleanup(&cut_dir);
     cleanup(&dir);
 }

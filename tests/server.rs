@@ -167,65 +167,6 @@ fn repeated_request_replays_the_shared_cache() {
 }
 
 #[test]
-fn concurrent_requests_sharing_a_checkpoint_dir_do_not_clobber() {
-    // Regression: checkpoint paths used to be `<dir>/<design>.flowck`, so
-    // two concurrent requests for the same design under different configs
-    // overwrote each other's files — whichever finished last won, and the
-    // loser's resume either failed with a fingerprint mismatch or restarted
-    // cold. Paths are now namespaced by config fingerprint.
-    let dir = scratch("ckpt");
-    std::fs::create_dir_all(&dir).unwrap();
-    let design = generate::switch_fabric(3, 3).unwrap();
-    let mut cfg_a = smoke_cfg();
-    cfg_a.checkpoint_dir = Some(dir.clone());
-    cfg_a.seed = 1;
-    let mut cfg_b = smoke_cfg();
-    cfg_b.checkpoint_dir = Some(dir.clone());
-    cfg_b.seed = 2;
-
-    let requests = vec![
-        FlowRequest::new(design.clone(), cfg_a.clone()),
-        FlowRequest::new(design.clone(), cfg_b.clone()),
-    ];
-    let server = FlowServer::builder().threads(2).workers(2).build();
-    let report = server.serve(requests);
-    assert_eq!(report.failed(), 0);
-
-    let flowcks: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .unwrap()
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().and_then(|e| e.to_str()) == Some("flowck"))
-        .collect();
-    assert_eq!(
-        flowcks.len(),
-        2,
-        "same design, different configs: each keeps its own checkpoint file, got {flowcks:?}"
-    );
-
-    // Each config resumes its *own* state: bit-identical to the concurrent
-    // run, with nothing re-executed — a complete checkpoint leaves no stage
-    // for the resumed run to perform, so it records no stage spans.
-    for (cfg, resp) in [(&cfg_a, &report.responses[0]), (&cfg_b, &report.responses[1])] {
-        let mut resume = cfg.clone();
-        resume.resume = true;
-        let resumed = run_flow(&design, &resume).unwrap();
-        assert!(
-            resumed.same_qor(resp.report().unwrap()),
-            "resume under seed {} must replay its own checkpoint",
-            cfg.seed
-        );
-        let reran = resumed
-            .telemetry
-            .spans
-            .iter()
-            .filter(|s| matches!(s.kind, eda_core::SpanKind::Stage))
-            .count();
-        assert_eq!(reran, 0, "a complete checkpoint resumes without re-running any stage");
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn stage_speedups_stay_within_wall_clock_bounds() {
     // Regression for the placer's 8+-worker super-unity projections: every
     // reported per-stage speedup must sit inside [1, threads granted to the
