@@ -3,8 +3,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eda_bench::{median_seconds, scaling_threads};
 use eda_dft::{
-    compressed_fault_sim, fault_list, fault_sim, fault_sim_threaded, random_patterns, run_atpg,
-    AtpgConfig, CombView, TestAccess,
+    compressed_fault_sim, fault_list, fault_sim, fault_sim_threaded, insert_scan, random_patterns,
+    run_atpg, AtpgConfig, CombView, TestAccess,
 };
 use eda_netlist::generate;
 use std::hint::black_box;
@@ -20,6 +20,22 @@ fn bench_fault_sim(c: &mut Criterion) {
             b.iter(|| black_box(fault_sim(&design, &view, &faults, p).num_detected))
         });
     }
+    group.finish();
+}
+
+/// What `10_dft` runs on the larger `flowd_pairs` design: the scan-inserted
+/// 8x16 fabric, its full fault list, 96 patterns (one full block and one
+/// partial).
+fn bench_fault_sim_flow_sized(c: &mut Criterion) {
+    let design = insert_scan(&generate::switch_fabric(8, 16).unwrap(), 4).unwrap().netlist;
+    let view = CombView::new(&design).unwrap();
+    let faults = fault_list(&design);
+    let pats = random_patterns(&view, 96, 7);
+    let mut group = c.benchmark_group("fault_sim");
+    group.sample_size(10);
+    group.bench_function("fabric8x16_96", |b| {
+        b.iter(|| black_box(fault_sim(&design, &view, &faults, &pats).num_detected))
+    });
     group.finish();
 }
 
@@ -83,5 +99,12 @@ fn bench_fault_sim_scaling(_c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_fault_sim, bench_atpg, bench_compression, bench_fault_sim_scaling);
+criterion_group!(
+    benches,
+    bench_fault_sim,
+    bench_fault_sim_flow_sized,
+    bench_atpg,
+    bench_compression,
+    bench_fault_sim_scaling
+);
 criterion_main!(benches);

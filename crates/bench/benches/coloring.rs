@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eda_litho::{decompose, required_masks, ConflictGraph, Layout};
-use eda_tech::SINGLE_EXPOSURE_PITCH_NM;
+use eda_tech::{Node, SINGLE_EXPOSURE_PITCH_NM};
 use std::hint::black_box;
 
 fn bench_decompose(c: &mut Criterion) {
@@ -16,6 +16,24 @@ fn bench_decompose(c: &mut Criterion) {
             |b, l| {
                 b.iter(|| black_box(decompose(l, k, SINGLE_EXPOSURE_PITCH_NM, 8).masks))
             },
+        );
+    }
+    group.finish();
+}
+
+/// What `8_litho` runs at N10 on both `flowd_pairs` designs: a 160-wire
+/// proxy layout that two masks cannot colour, so the stitch loop spends its
+/// whole budget — 80 on the first attempt, 160 on the retry.
+fn bench_decompose_flow_sized(c: &mut Criterion) {
+    let pitch = Node::N10.spec().metal_pitch_nm;
+    let layout = Layout::random_wires(160, pitch, pitch * 40.0, 1);
+    let mut group = c.benchmark_group("decompose");
+    group.sample_size(10);
+    for budget in [80usize, 160] {
+        group.bench_with_input(
+            BenchmarkId::from_parameter(format!("n10_wires160_k2_budget{budget}")),
+            &layout,
+            |b, l| b.iter(|| black_box(decompose(l, 2, SINGLE_EXPOSURE_PITCH_NM, budget).stitches)),
         );
     }
     group.finish();
@@ -39,5 +57,11 @@ fn bench_required_masks(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_decompose, bench_conflict_graph, bench_required_masks);
+criterion_group!(
+    benches,
+    bench_decompose,
+    bench_decompose_flow_sized,
+    bench_conflict_graph,
+    bench_required_masks
+);
 criterion_main!(benches);

@@ -24,22 +24,45 @@ impl ConflictGraph {
     /// the limit). This matches the panel's "minimum single-patterning pitch
     /// of approximately 80 nanometers".
     pub fn build(layout: &Layout, limit_pitch_nm: f64) -> ConflictGraph {
-        let n = layout.features.len();
-        let mut adj = vec![Vec::new(); n];
-        let half_width =
-            |r: &crate::geom::Rect| -> f64 { r.width().min(r.height()) / 2.0 };
-        for i in 0..n {
-            for j in i + 1..n {
-                let a = &layout.features[i];
-                let b = &layout.features[j];
-                let spacing_limit = (limit_pitch_nm - half_width(a) - half_width(b)).max(1.0);
-                if a.gap(b) < spacing_limit {
-                    adj[i].push(j as u32);
-                    adj[j].push(i as u32);
-                }
+        let mut g = ConflictGraph { nodes: 0, adj: Vec::with_capacity(layout.features.len()) };
+        for n in 0..layout.features.len() {
+            g.push_node(&layout.features[..=n], limit_pitch_nm);
+        }
+        g
+    }
+
+    /// Appends the node of `features.last()`, testing it against every
+    /// earlier feature. Adjacency lists stay in ascending index order.
+    fn push_node(&mut self, features: &[Rect], limit_pitch_nm: f64) {
+        let (new, earlier) = features.split_last().expect("a feature to append");
+        let n = self.nodes;
+        debug_assert_eq!(earlier.len(), n, "the graph covers every earlier feature");
+        let mut mine = Vec::new();
+        for (i, lo) in earlier.iter().enumerate() {
+            if conflicts(lo, new, limit_pitch_nm) {
+                self.adj[i].push(n as u32);
+                mine.push(i as u32);
             }
         }
-        ConflictGraph { nodes: n, adj }
+        self.adj.push(mine);
+        self.nodes += 1;
+    }
+
+    /// Removes node `v` and renumbers the nodes above it down by one — what
+    /// `Vec::remove(v)` does to the feature list the graph mirrors.
+    fn remove_node(&mut self, v: usize) {
+        self.adj.remove(v);
+        self.nodes -= 1;
+        let v = v as u32;
+        for list in &mut self.adj {
+            list.retain_mut(|w| {
+                let keep = *w != v;
+                if *w > v {
+                    *w -= 1;
+                }
+                keep
+            });
+        }
     }
 
     /// Number of conflict edges.
@@ -81,20 +104,56 @@ impl ConflictGraph {
     pub fn dsatur(&self) -> Vec<u32> {
         let n = self.nodes;
         let mut color = vec![u32::MAX; n];
-        let mut sat: Vec<std::collections::BTreeSet<u32>> = vec![Default::default(); n];
+        // The next node is the uncoloured one of maximum saturation, ties by
+        // degree, then by the highest index. Degree and index never change,
+        // so rank the nodes by them once and keep, per saturation level, a
+        // bitset over ranks: the choice is the top bit of the top level.
+        let mut by_rank: Vec<usize> = (0..n).collect();
+        by_rank.sort_by_key(|&v| self.adj[v].len());
+        let mut rank = vec![0usize; n];
+        for (r, &v) in by_rank.iter().enumerate() {
+            rank[v] = r;
+        }
+        // A node takes the lowest colour its neighbours lack, which is at
+        // most its degree; so is its saturation.
+        let max_degree = self.adj.iter().map(Vec::len).max().unwrap_or(0);
+        let color_words = (max_degree + 1) / 64 + 1;
+        let mut seen = vec![0u64; n * color_words];
+        let mut saturation = vec![0usize; n];
+        let rank_words = n.div_ceil(64);
+        let mut level = vec![0u64; (max_degree + 1) * rank_words];
+        for r in 0..n {
+            level[r / 64] |= 1 << (r % 64);
+        }
+        let mut top = 0usize;
         for _ in 0..n {
-            // Pick the uncoloured node with maximum saturation (ties: degree).
-            let v = (0..n)
-                .filter(|&v| color[v] == u32::MAX)
-                .max_by_key(|&v| (sat[v].len(), self.adj[v].len()))
-                .expect("an uncoloured node remains");
-            let mut c = 0u32;
-            while sat[v].contains(&c) {
-                c += 1;
-            }
-            color[v] = c;
+            let r = loop {
+                let row = &level[top * rank_words..(top + 1) * rank_words];
+                if let Some(word) = row.iter().rposition(|&bits| bits != 0) {
+                    break word * 64 + 63 - row[word].leading_zeros() as usize;
+                }
+                top -= 1;
+            };
+            level[top * rank_words + r / 64] &= !(1 << (r % 64));
+            let v = by_rank[r];
+            let row = &seen[v * color_words..(v + 1) * color_words];
+            let word = row.iter().position(|&bits| bits != !0).expect("a colour below degree + 1 is free");
+            let c = word * 64 + (!row[word]).trailing_zeros() as usize;
+            color[v] = c as u32;
             for &w in &self.adj[v] {
-                sat[w as usize].insert(c);
+                let w = w as usize;
+                let cell = &mut seen[w * color_words + c / 64];
+                if *cell & (1 << (c % 64)) != 0 {
+                    continue;
+                }
+                *cell |= 1 << (c % 64);
+                saturation[w] += 1;
+                if color[w] == u32::MAX {
+                    let (s, r) = (saturation[w], rank[w]);
+                    level[(s - 1) * rank_words + r / 64] &= !(1 << (r % 64));
+                    level[s * rank_words + r / 64] |= 1 << (r % 64);
+                    top = top.max(s);
+                }
             }
         }
         color
@@ -108,32 +167,34 @@ impl ConflictGraph {
         // Order by degree descending for better pruning.
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_by_key(|&v| std::cmp::Reverse(self.adj[v].len()));
-        let mut steps = 0usize;
+        // Steps the search may still take: one per call, `budget + 1` in all.
+        let mut left = budget.saturating_add(1);
+        // `used` = colours taken by `order[..pos]`, carried down instead of
+        // recounted from `color` at every step.
         fn rec(
             g: &ConflictGraph,
             order: &[usize],
             pos: usize,
+            used: u32,
             k: u32,
             color: &mut Vec<u32>,
-            steps: &mut usize,
-            budget: usize,
+            left: &mut usize,
         ) -> Option<bool> {
-            if *steps > budget {
+            if *left == 0 {
                 return None;
             }
-            *steps += 1;
+            *left -= 1;
             if pos == order.len() {
                 return Some(true);
             }
             let v = order[pos];
             // Symmetry breaking: limit to used colours + 1.
-            let used = color.iter().filter(|&&c| c != u32::MAX).fold(0u32, |m, &c| m.max(c + 1));
             for c in 0..k.min(used + 1) {
                 if g.adj[v].iter().any(|&w| color[w as usize] == c) {
                     continue;
                 }
                 color[v] = c;
-                match rec(g, order, pos + 1, k, color, steps, budget) {
+                match rec(g, order, pos + 1, used.max(c + 1), k, color, left) {
                     Some(true) => return Some(true),
                     Some(false) => {}
                     None => return None,
@@ -142,12 +203,21 @@ impl ConflictGraph {
             }
             Some(false)
         }
-        match rec(self, &order, 0, k, &mut color, &mut steps, budget) {
+        match rec(self, &order, 0, 0, k, &mut color, &mut left) {
             None => None,
             Some(true) => Some(Some(color)),
             Some(false) => Some(None),
         }
     }
+}
+
+/// The same-mask conflict test. `lo` is the lower-indexed feature of the
+/// pair: `limit − hw(lo) − hw(hi)` is not associative in `f64`, so the order
+/// is part of the result.
+fn conflicts(lo: &Rect, hi: &Rect, limit_pitch_nm: f64) -> bool {
+    let half_width = |r: &Rect| -> f64 { r.width().min(r.height()) / 2.0 };
+    let spacing_limit = (limit_pitch_nm - half_width(lo) - half_width(hi)).max(1.0);
+    lo.gap(hi) < spacing_limit
 }
 
 /// Result of decomposing a layout into masks.
@@ -170,9 +240,11 @@ pub struct Decomposition {
 /// points and recoloured.
 pub fn decompose(layout: &Layout, k: u32, limit_pitch_nm: f64, max_stitches: usize) -> Decomposition {
     let mut work = layout.clone();
+    // Kept in step with `work` across stitches: a stitch costs the gap tests
+    // of its two halves, not a rebuild.
+    let mut g = ConflictGraph::build(&work, limit_pitch_nm);
     let mut stitches = 0usize;
     loop {
-        let g = ConflictGraph::build(&work, limit_pitch_nm);
         // Try exact first (small budget), fall back to DSATUR.
         if let Some(Some(colors)) = g.k_color(k, 200_000) {
             let masks = colors.iter().copied().max().map_or(0, |m| m + 1);
@@ -204,9 +276,12 @@ pub fn decompose(layout: &Layout, k: u32, limit_pitch_nm: f64, max_stitches: usi
             .map(|(i, _)| i)
             .expect("masks > k implies an over-budget feature");
         let r: Rect = work.features.remove(victim);
+        g.remove_node(victim);
         let (a, b) = r.split(limit_pitch_nm / 16.0);
-        work.features.push(a);
-        work.features.push(b);
+        for half in [a, b] {
+            work.features.push(half);
+            g.push_node(&work.features, limit_pitch_nm);
+        }
         stitches += 1;
     }
 }
@@ -249,6 +324,129 @@ mod tests {
                 assert_ne!(colors[v], colors[w as usize], "conflict edge shares a colour");
             }
         }
+    }
+
+    /// DSATUR as it was before the saturation bitsets and the heap: a
+    /// `BTreeSet` per node and a scan for the next node. The oracle for
+    /// [`ConflictGraph::dsatur`]'s tie-break.
+    fn dsatur_by_scan(g: &ConflictGraph) -> Vec<u32> {
+        let n = g.nodes;
+        let mut color = vec![u32::MAX; n];
+        let mut sat: Vec<std::collections::BTreeSet<u32>> = vec![Default::default(); n];
+        for _ in 0..n {
+            let v = (0..n)
+                .filter(|&v| color[v] == u32::MAX)
+                .max_by_key(|&v| (sat[v].len(), g.adj[v].len()))
+                .expect("an uncoloured node remains");
+            let mut c = 0u32;
+            while sat[v].contains(&c) {
+                c += 1;
+            }
+            color[v] = c;
+            for &w in &g.adj[v] {
+                sat[w as usize].insert(c);
+            }
+        }
+        color
+    }
+
+    /// `decompose` as it was before the graph was maintained across
+    /// stitches: rebuild it and recolour by scan after every split.
+    fn decompose_by_rebuild(layout: &Layout, k: u32, limit_pitch_nm: f64, max_stitches: usize) -> Decomposition {
+        let mut work = layout.clone();
+        let mut stitches = 0usize;
+        loop {
+            let g = ConflictGraph::build(&work, limit_pitch_nm);
+            if let Some(Some(colors)) = g.k_color(k, 200_000) {
+                let masks = colors.iter().copied().max().map_or(0, |m| m + 1);
+                return Decomposition { layout: work, colors, masks, stitches, legal: true };
+            }
+            let colors = dsatur_by_scan(&g);
+            let masks = colors.iter().copied().max().map_or(0, |m| m + 1);
+            if masks <= k {
+                return Decomposition { layout: work, colors, masks, stitches, legal: true };
+            }
+            if stitches >= max_stitches {
+                let clamped: Vec<u32> = colors.iter().map(|&c| c.min(k - 1)).collect();
+                return Decomposition { layout: work, colors: clamped, masks: k, stitches, legal: false };
+            }
+            let victim = colors
+                .iter()
+                .enumerate()
+                .filter(|&(_, &c)| c >= k)
+                .max_by(|a, b| {
+                    let (ra, rb) = (&work.features[a.0], &work.features[b.0]);
+                    (ra.width() * ra.height()).partial_cmp(&(rb.width() * rb.height())).unwrap()
+                })
+                .map(|(i, _)| i)
+                .unwrap();
+            let r = work.features.remove(victim);
+            let (a, b) = r.split(limit_pitch_nm / 16.0);
+            work.features.push(a);
+            work.features.push(b);
+            stitches += 1;
+        }
+    }
+
+    #[test]
+    fn dsatur_matches_the_scan_on_colours_and_tie_breaks() {
+        for (wires, pitch, seed) in [(60, 48.0, 3), (90, 32.0, 5), (40, 64.0, 8), (1, 48.0, 1)] {
+            let g = ConflictGraph::build(&Layout::random_wires(wires, pitch, pitch * 40.0, seed), 80.0);
+            assert_eq!(g.dsatur(), dsatur_by_scan(&g), "{wires} wires at pitch {pitch}");
+        }
+        // Regular arrays are all ties.
+        let g = ConflictGraph::build(&Layout::contact_array(6, 50.0), 120.0);
+        assert_eq!(g.dsatur(), dsatur_by_scan(&g));
+    }
+
+    #[test]
+    fn incremental_decompose_matches_rebuilding_after_every_stitch() {
+        let mut stitched = 0;
+        for (wires, pitch, seed) in [(30usize, 32.0, 1u64), (36, 32.0, 71), (28, 48.0, 4)] {
+            let layout = Layout::random_wires(wires, pitch, pitch * 40.0, seed);
+            for k in [2, 3, 4] {
+                for budget in [0, wires / 2, wires] {
+                    let got = decompose(&layout, k, 80.0, budget);
+                    let want = decompose_by_rebuild(&layout, k, 80.0, budget);
+                    assert_eq!(got, want, "{wires} wires seed {seed}, k={k}, budget {budget}");
+                    stitched += got.stitches;
+                }
+            }
+        }
+        assert!(stitched > 100, "the sweep must exercise the stitch loop, got {stitched} stitches");
+    }
+
+    #[test]
+    fn graph_kept_across_stitches_equals_a_rebuild() {
+        let mut layout = Layout::random_wires(40, 32.0, 1280.0, 9);
+        let mut g = ConflictGraph::build(&layout, 80.0);
+        // First, last and interior victims.
+        for victim in [0, 40, 17, 3, 41] {
+            let r = layout.features.remove(victim);
+            g.remove_node(victim);
+            let (a, b) = r.split(5.0);
+            for half in [a, b] {
+                layout.features.push(half);
+                g.push_node(&layout.features, 80.0);
+            }
+            assert_eq!(g, ConflictGraph::build(&layout, 80.0), "after splitting feature {victim}");
+        }
+    }
+
+    #[test]
+    fn kcolor_budget_exhaustion_is_unchanged() {
+        // Outcomes recorded before `used` was carried down the recursion:
+        // this graph needs six masks, and proving that five are too few
+        // takes more than 5 000 steps and fewer than 200 000.
+        let g = ConflictGraph::build(&Layout::random_wires(60, 32.0, 1280.0, 1), 80.0);
+        assert_eq!(g.k_color(5, 5_000), None);
+        assert_eq!(g.k_color(5, 200_000), Some(None));
+        assert!(matches!(g.k_color(6, 100), Some(Some(_))));
+        // The step a search stops at is part of the contract: ten nodes take
+        // one step each plus the terminal one.
+        let line = ConflictGraph::build(&Layout::line_array(10, 60.0, 1000.0), 80.0);
+        assert_eq!(line.k_color(2, 9), None);
+        assert!(matches!(line.k_color(2, 10), Some(Some(_))));
     }
 
     #[test]

@@ -239,9 +239,14 @@ cargo test --release -q --test route_pins
 # debug builds run the auditor as an assertion at the end of 4_place.
 cargo test --release -q --test place_pins
 
+# Pinned sign-off results (the fault-simulation `detected` map and the whole
+# multi-patterning decomposition of both flowd_pairs designs at N10, bit for
+# bit) in release: eight full flows, minutes unoptimized.
+cargo test --release -q --test signoff_pins
+
 # Tally: sum the "test result:" lines from the debug suite run above.
 awk '/^test result:/ { passed += $4; failed += $6 }
      END { printf "check: %d tests passed, %d failed across all binaries\n", passed, failed
            exit (failed > 0) }' "$test_log"
 echo "check: $(find crates src tests examples benchmark -name '*.rs' -print0 | xargs -0 cat | wc -l) lines of Rust (the count ROADMAP quotes)"
-echo "check: tier-1 + clippy + unwrap gates + inject smoke + trace + serve + daemon + facade docs + incremental + cross-process resume + mini-scale + golden + route pins + route audit + place pins + place audit green"
+echo "check: tier-1 + clippy + unwrap gates + inject smoke + trace + serve + daemon + facade docs + incremental + cross-process resume + mini-scale + golden + route pins + route audit + place pins + place audit + sign-off pins green"
