@@ -615,6 +615,7 @@ fn incremental_demo(opts: &Options) -> CliResult {
     println!("INCRLINE cold_s {cold_s:.6}");
     println!("INCRLINE cold_hits {}", counter(&cold, "cache.hits"));
     println!("INCRLINE cold_errors {}", counter(&cold, "cache.errors"));
+    println!("INCRLINE cold_substage_misses {}", counter(&cold, "cache.substage_misses"));
     println!("INCRLINE warm_s {warm_s:.6}");
     println!("INCRLINE stages_total {total}");
     println!("INCRLINE stages_skipped {hits}");

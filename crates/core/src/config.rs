@@ -149,11 +149,11 @@ pub struct FlowConfig {
     /// content-addressed stage cache (keyed by `(stage kind, per-stage
     /// config fingerprint, pre-stage state hash)` — a hit replays the stored
     /// post-stage state bit-identically), the sub-stage cache (per-AIG-pass
-    /// and per-net entries that survive edits which invalidate a whole
-    /// stage), and the QoR provenance tables `experiments query` reads. It
-    /// is also how a killed flow resumes: rerun the same design and config
-    /// against the same store, and every stage that completed replays while
-    /// the rest compute, bit-identical to an uninterrupted run.
+    /// and whole-route-outcome entries that survive edits which invalidate
+    /// a whole stage), and the QoR provenance tables `experiments query`
+    /// reads. It is also how a killed flow resumes: rerun the same design
+    /// and config against the same store, and every stage that completed
+    /// replays while the rest compute, bit-identical to an uninterrupted run.
     /// Hits/misses/errors land in the telemetry metric registry
     /// (`cache.hits`, `cache.misses`, `cache.errors`, `cache.evicted_miss`,
     /// `cache.substage_hits`, `cache.substage_misses`) and tag the stage

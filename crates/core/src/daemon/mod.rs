@@ -682,13 +682,12 @@ fn run_job(shared: &Arc<Shared>, job: Job) {
         }
         Err(e) => {
             shared.stats.failed.fetch_add(1, Ordering::SeqCst);
-            let stages = e.partial().map_or(0, |p| p.statuses.len());
             ServerFrame::Done {
                 id: job.id,
                 ok: false,
                 qor_fp: None,
                 wall_s,
-                stages,
+                stages: e.partial().statuses.len(),
                 error: Some(e.to_string()),
             }
         }

@@ -155,20 +155,20 @@ pub enum FlowError {
 
 impl FlowError {
     /// The stage the error is attributed to; every variant names one.
-    pub fn stage(&self) -> Option<&'static str> {
+    pub fn stage(&self) -> &'static str {
         match self {
             FlowError::Stage { stage, .. }
             | FlowError::BudgetExhausted { stage, .. }
-            | FlowError::DeadlineExceeded { stage, .. } => Some(stage),
+            | FlowError::DeadlineExceeded { stage, .. } => stage,
         }
     }
 
     /// The salvageable partial state; every variant carries one.
-    pub fn partial(&self) -> Option<&PartialFlow> {
+    pub fn partial(&self) -> &PartialFlow {
         match self {
             FlowError::Stage { partial, .. }
             | FlowError::BudgetExhausted { partial, .. }
-            | FlowError::DeadlineExceeded { partial, .. } => Some(partial),
+            | FlowError::DeadlineExceeded { partial, .. } => partial,
         }
     }
 }
@@ -208,8 +208,8 @@ struct Env<'a> {
     cfg: &'a FlowConfig,
     design: &'a Netlist,
     plan: PatterningPlan,
-    /// The sub-stage memo: per-AIG-pass and per-net entries that survive
-    /// edits which invalidate a whole stage. Probed only from this
+    /// The sub-stage memo: per-AIG-pass and route-outcome entries that
+    /// survive edits which invalidate a whole stage. Probed only from this
     /// (orchestrating) thread; misses still fan out to the parallel kernels.
     sub: Option<SubMemo>,
 }
@@ -550,9 +550,7 @@ pub(crate) fn run_flow_shared(
         telemetry: tel.snapshot(),
     };
     if let Some(store) = &store {
-        if store.config().provenance {
-            record_provenance(store, &report, fingerprint(design, cfg));
-        }
+        record_provenance(store, &report, fingerprint(design, cfg));
     }
     Ok(report)
 }
@@ -1061,7 +1059,10 @@ fn record_provenance(store: &FlowStore, report: &FlowReport, cfg_fp: u64) {
 
 /// Adapter exposing the store's sub-stage table through the engine crates'
 /// [`SubstageMemo`] trait. The store key folds the kind into the engine's
-/// key so `aig.rw` and `route.net` entries can never collide. Counters are
+/// key so `aig.rw` and `route.outcome` entries can never collide. Every
+/// probe and store is one store round trip, so an entry must replace work
+/// that costs more than a store round trip; per-item entries do not (a
+/// cold run writes at most nine, whatever the design size). Counters are
 /// interior-mutable `Cell`s because the memo contract is single-threaded:
 /// probes and stores happen only on the orchestrating thread.
 struct SubMemo {

@@ -56,7 +56,7 @@ pub use learn::{Arm, ArmStats, FlowTuner};
 pub use report::FlowReport;
 pub use server::{FlowRequest, FlowResponse, FlowServer, FlowServerBuilder, ServerReport};
 pub use store::{
-    EvictionPolicy, FlowStore, Lookup, QorQuery, QorRow, Query, StageRow, Store, StoreConfig,
+    FlowStore, Lookup, QorQuery, QorRow, Query, StageRow, Store, StoreConfig,
     StoreError, Table,
 };
 pub use telemetry::{read_peak_rss_bytes, Histogram, Metric, Span, SpanKind, Telemetry, TelemetrySnapshot, WallSpan};

@@ -348,10 +348,7 @@ fn server_snapshot(
         let outcome = match &r.outcome {
             Ok(report) if report.stage_status.values().all(|s| s.is_clean()) => "ok".to_string(),
             Ok(_) => "degraded".to_string(),
-            Err(e) => match e.stage() {
-                Some(stage) => format!("failed:{stage}"),
-                None => "failed".to_string(),
-            },
+            Err(e) => format!("failed:{}", e.stage()),
         };
         spans.push(Span {
             id: spans.len(),

@@ -21,18 +21,15 @@
 //!
 //! ## Eviction
 //!
-//! When an append would push the file past [`StoreConfig::max_bytes`]
-//! under [`EvictionPolicy::Lru`], the store compacts: provenance rows
-//! ([`Table::is_provenance`]) are always kept, cache entries are kept
-//! newest-touched-first while they fit, and the survivors are rewritten
-//! through a temp file + atomic rename. A reader holding a stale index
-//! entry across a compaction observes [`Lookup::Evicted`] — an expected
-//! race that downgrades to recompute, not an I/O error.
+//! When an append would push the file past [`StoreConfig::max_bytes`] the
+//! store compacts: provenance rows ([`Table::is_provenance`]) are always
+//! kept, cache entries are kept newest-touched-first while they fit, and the
+//! survivors are rewritten through a temp file + atomic rename. A reader
+//! holding a stale index entry across a compaction observes
+//! [`Lookup::Evicted`] — an expected race that downgrades to recompute, not
+//! an I/O error.
 
-use super::{
-    EvictionPolicy, Lookup, QorQuery, QorRow, Query, StageRow, Store, StoreConfig, StoreError,
-    Table,
-};
+use super::{Lookup, QorQuery, QorRow, Query, StageRow, Store, StoreConfig, StoreError, Table};
 use eda_netlist::memo::fnv1a;
 use std::collections::HashMap;
 use std::fs::{self, OpenOptions};
@@ -409,12 +406,7 @@ impl FlowStore {
         let header = encode_header(table, key, payload.len(), sum);
         let rec_len = header.len() as u64 + payload.len() as u64 + 1;
         if inner.tail + rec_len > self.cfg.max_bytes {
-            match self.cfg.eviction {
-                EvictionPolicy::Never => {
-                    return Err(StoreError::TooLarge { need: rec_len, max: self.cfg.max_bytes })
-                }
-                EvictionPolicy::Lru => self.compact(inner, rec_len)?,
-            }
+            self.compact(inner, rec_len)?;
         }
         let mut f = OpenOptions::new().append(true).open(&self.cfg.path)?;
         if inner.tail < inner.file_len {
@@ -762,15 +754,13 @@ mod tests {
     }
 
     #[test]
-    fn never_policy_rejects_oversized_growth() {
-        let path = scratch("never");
-        let cfg = StoreConfig::at(path)
-            .with_max_bytes(1024)
-            .with_eviction(EvictionPolicy::Never);
+    fn a_record_compaction_cannot_fit_is_rejected_and_evicts_nothing() {
+        let path = scratch("toolarge");
+        let cfg = StoreConfig::at(path).with_max_bytes(1024);
         let s = FlowStore::open(&cfg).unwrap();
         let blob = "y".repeat(600);
         s.put(Table::Stage, 1, &blob).unwrap();
-        let err = s.put(Table::Stage, 2, &blob).unwrap_err();
+        let err = s.put(Table::Stage, 2, &"y".repeat(2000)).unwrap_err();
         assert!(matches!(err, StoreError::TooLarge { .. }));
         assert_eq!(s.get(Table::Stage, 1), Lookup::Hit(blob), "existing entries untouched");
     }

@@ -46,61 +46,28 @@ use std::path::PathBuf;
 /// Default size bound for a store file (64 MiB).
 pub const DEFAULT_MAX_BYTES: u64 = 64 * 1024 * 1024;
 
-/// What to do when the store file outgrows [`StoreConfig::max_bytes`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EvictionPolicy {
-    /// Compact the file, dropping least-recently-touched cache entries
-    /// until it fits. Provenance rows are never evicted.
-    Lru,
-    /// Never evict; writes that would exceed the bound are rejected with
-    /// [`StoreError::TooLarge`] (callers treat that as "not cached").
-    Never,
-}
-
-/// Typed configuration for the embedded flow store. Construct with
-/// [`StoreConfig::at`] and adjust
-/// fields (or use the `with_*` helpers); thread through
+/// Typed configuration for the embedded flow store: where the file is and
+/// how large it may grow. Construct with [`StoreConfig::at`]; thread through
 /// [`crate::FlowConfig::builder`], [`crate::FlowServerBuilder`], or the
-/// daemon config.
+/// daemon config. Eviction is always LRU compaction (provenance rows are
+/// never evicted) and every completed run appends its provenance rows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoreConfig {
     /// The store file. Parent directory is created on open.
     pub path: PathBuf,
-    /// Size bound in bytes; the eviction policy keeps the file under it.
+    /// Size bound in bytes; LRU compaction keeps the file under it.
     pub max_bytes: u64,
-    /// Eviction policy for cache tables when the bound is hit.
-    pub eviction: EvictionPolicy,
-    /// Whether completed runs append QoR provenance rows.
-    pub provenance: bool,
 }
 
 impl StoreConfig {
-    /// A store at `path` with defaults: 64 MiB bound, LRU eviction,
-    /// provenance on.
+    /// A store at `path` with the default 64 MiB bound.
     pub fn at(path: impl Into<PathBuf>) -> StoreConfig {
-        StoreConfig {
-            path: path.into(),
-            max_bytes: DEFAULT_MAX_BYTES,
-            eviction: EvictionPolicy::Lru,
-            provenance: true,
-        }
+        StoreConfig { path: path.into(), max_bytes: DEFAULT_MAX_BYTES }
     }
 
     /// Same config with a different size bound.
     pub fn with_max_bytes(mut self, max_bytes: u64) -> StoreConfig {
         self.max_bytes = max_bytes;
-        self
-    }
-
-    /// Same config with a different eviction policy.
-    pub fn with_eviction(mut self, eviction: EvictionPolicy) -> StoreConfig {
-        self.eviction = eviction;
-        self
-    }
-
-    /// Same config with provenance recording switched on or off.
-    pub fn with_provenance(mut self, provenance: bool) -> StoreConfig {
-        self.provenance = provenance;
         self
     }
 }
@@ -113,7 +80,7 @@ impl StoreConfig {
 pub enum Table {
     /// Whole-stage cache entries: serialized post-stage flow state.
     Stage,
-    /// Sub-stage memo entries: per-AIG-pass and per-net/route payloads.
+    /// Sub-stage memo entries: per-AIG-pass and per-route payloads.
     Sub,
     /// One row per completed flow run (QoR + config fingerprints).
     Qor,
@@ -184,8 +151,8 @@ pub enum StoreError {
     Io(String),
     /// The cross-process lock could not be acquired in time.
     LockTimeout(PathBuf),
-    /// A record would push the file past `max_bytes` and the policy forbids
-    /// (or compaction cannot make) room.
+    /// A record would push the file past `max_bytes` and compaction cannot
+    /// make room (callers treat that as "not cached").
     TooLarge {
         /// Bytes the record needs.
         need: u64,

@@ -1,5 +1,5 @@
-//! Cubes and covers in positional-cube notation (PCN), the data structure of
-//! Espresso-style two-level minimization.
+//! Cubes and covers in positional-cube notation (PCN), the sum-of-products
+//! form [`crate::isop`] emits and AIG rewriting prices cuts with.
 //!
 //! Each variable occupies 2 bits of a `u64`: `01` = positive literal, `10` =
 //! negative literal, `11` = don't-care, `00` = contradiction. Up to 32
@@ -59,13 +59,6 @@ impl Cube {
         self.bits >> (2 * v) & 0b11
     }
 
-    /// Returns a copy with variable `v` freed to don't-care.
-    pub fn raised(mut self, v: usize) -> Cube {
-        assert!(v < self.num_vars(), "variable out of range");
-        self.bits |= 0b11u64 << (2 * v);
-        self
-    }
-
     /// Whether any variable field is `00` (the cube denotes the empty set).
     pub fn is_empty(&self) -> bool {
         let odd = self.bits & 0xAAAA_AAAA_AAAA_AAAA;
@@ -91,18 +84,6 @@ impl Cube {
     pub fn contains(&self, other: &Cube) -> bool {
         assert_eq!(self.num_vars, other.num_vars, "mixed variable counts");
         self.bits | other.bits == self.bits
-    }
-
-    /// Number of variables where the fields are disjoint (`distance`); two
-    /// cubes intersect iff their distance is zero.
-    pub fn distance(&self, other: &Cube) -> u32 {
-        let i = self.bits & other.bits;
-        let odd = i & 0xAAAA_AAAA_AAAA_AAAA;
-        let even = i & 0x5555_5555_5555_5555;
-        let present = (odd >> 1) | even;
-        let mask = if self.num_vars() == 32 { !0u64 } else { (1u64 << (2 * self.num_vars())) - 1 };
-        let all = mask & 0x5555_5555_5555_5555;
-        (all & !present).count_ones()
     }
 
     /// Number of bound literals (non-don't-care variables).
@@ -135,29 +116,6 @@ impl Cube {
             }
         }
         true
-    }
-
-    /// The smallest cube containing both (supercube).
-    pub fn supercube(&self, other: &Cube) -> Cube {
-        assert_eq!(self.num_vars, other.num_vars, "mixed variable counts");
-        Cube { bits: self.bits | other.bits, num_vars: self.num_vars }
-    }
-
-    /// Cofactor of this cube with respect to cube `p` (the Shannon cofactor
-    /// used by tautology/complement recursion). Returns `None` if the cubes
-    /// do not intersect.
-    pub fn cofactor(&self, p: &Cube) -> Option<Cube> {
-        if self.distance(p) > 0 {
-            return None;
-        }
-        // Variables bound in p become don't-care in the cofactor.
-        let mut out = *self;
-        for v in 0..self.num_vars() {
-            if p.literal(v) != 0b11 {
-                out = out.raised(v);
-            }
-        }
-        Some(out)
     }
 }
 
@@ -201,13 +159,6 @@ impl Cover {
         Cover { num_vars, cubes: Vec::new() }
     }
 
-    /// A constant-1 cover (single universal cube).
-    pub fn tautology_cover(num_vars: usize) -> Cover {
-        let mut c = Cover::new(num_vars);
-        c.push(Cube::full(num_vars));
-        c
-    }
-
     /// Number of variables.
     pub fn num_vars(&self) -> usize {
         self.num_vars
@@ -240,54 +191,9 @@ impl Cover {
         self.cubes.is_empty()
     }
 
-    /// Total bound literals across cubes (the classic Espresso cost).
-    pub fn literal_cost(&self) -> u32 {
-        self.cubes.iter().map(|c| c.literal_count()).sum()
-    }
-
     /// Evaluates the disjunction on a minterm.
     pub fn eval(&self, assignment: &[bool]) -> bool {
         self.cubes.iter().any(|c| c.eval(assignment))
-    }
-
-    /// Cofactor of the whole cover by cube `p`.
-    pub fn cofactor(&self, p: &Cube) -> Cover {
-        let mut out = Cover::new(self.num_vars);
-        for c in &self.cubes {
-            if let Some(cf) = c.cofactor(p) {
-                out.push(cf);
-            }
-        }
-        out
-    }
-
-    /// Removes cubes strictly contained in another cube of the cover.
-    pub fn remove_contained(&mut self) {
-        let cubes = std::mem::take(&mut self.cubes);
-        let mut kept: Vec<Cube> = Vec::with_capacity(cubes.len());
-        for (i, c) in cubes.iter().enumerate() {
-            let dominated = cubes.iter().enumerate().any(|(j, d)| {
-                j != i && d.contains(c) && !(c.contains(d) && j > i)
-            });
-            if !dominated {
-                kept.push(*c);
-            }
-        }
-        self.cubes = kept;
-    }
-
-    /// Builds a cover listing every ON-set minterm of a truth-table-like
-    /// oracle (used to seed minimization in tests and synthesis).
-    pub fn from_minterms(num_vars: usize, minterms: impl IntoIterator<Item = usize>) -> Cover {
-        let mut c = Cover::new(num_vars);
-        for m in minterms {
-            let mut cube = Cube::full(num_vars);
-            for v in 0..num_vars {
-                cube = cube.with_literal(v, m >> v & 1 == 1);
-            }
-            c.push(cube);
-        }
-        c
     }
 }
 
@@ -337,8 +243,7 @@ mod tests {
         let b = Cube::full(3).with_literal(0, false);
         assert!(!a.is_empty());
         assert!(a.intersect(&b).is_empty());
-        assert_eq!(a.distance(&b), 1);
-        assert_eq!(a.distance(&a), 0);
+        assert!(!a.intersect(&a).is_empty());
     }
 
     #[test]
@@ -351,47 +256,13 @@ mod tests {
     }
 
     #[test]
-    fn supercube_is_smallest_container() {
-        let a = Cube::full(3).with_literal(0, true).with_literal(1, true);
-        let b = Cube::full(3).with_literal(0, true).with_literal(1, false);
-        let s = a.supercube(&b);
-        assert!(s.contains(&a) && s.contains(&b));
-        assert_eq!(s.literal(0), 0b01);
-        assert_eq!(s.literal(1), 0b11);
-    }
-
-    #[test]
-    fn cube_cofactor() {
-        // c = x0 & x1 ; cofactor by p = x0 -> x1
-        let c = Cube::full(3).with_literal(0, true).with_literal(1, true);
-        let p = Cube::full(3).with_literal(0, true);
-        let cf = c.cofactor(&p).unwrap();
-        assert_eq!(cf.literal(0), 0b11);
-        assert_eq!(cf.literal(1), 0b01);
-        // Disjoint cubes have no cofactor.
-        let q = Cube::full(3).with_literal(0, false);
-        assert!(c.cofactor(&q).is_none());
-    }
-
-    #[test]
     fn cover_eval_is_disjunction() {
-        let f = Cover::from_minterms(3, [1usize, 6]);
+        let minterm = |m: usize| (0..3).fold(Cube::full(3), |c, v| c.with_literal(v, m >> v & 1 == 1));
+        let f: Cover = [minterm(1), minterm(6)].into_iter().collect();
         assert!(f.eval(&[true, false, false])); // minterm 1
         assert!(f.eval(&[false, true, true])); // minterm 6
         assert!(!f.eval(&[true, true, true]));
         assert_eq!(f.len(), 2);
-    }
-
-    #[test]
-    fn remove_contained_dedups() {
-        let mut f = Cover::new(2);
-        let big = Cube::full(2).with_literal(0, true);
-        f.push(big);
-        f.push(big.with_literal(1, true)); // contained
-        f.push(big); // duplicate
-        f.remove_contained();
-        assert_eq!(f.len(), 1);
-        assert!(f.cubes()[0].contains(&big));
     }
 
     #[test]

@@ -1,12 +1,11 @@
-//! Logic synthesis for the `eda` workspace: truth tables, two-level
-//! (Espresso-style) minimization, and-inverter graphs, and cut-based
-//! technology mapping.
+//! Logic synthesis for the `eda` workspace: truth tables, irredundant
+//! sum-of-products covers, and-inverter graphs, and cut-based technology
+//! mapping.
 //!
 //! The crate reproduces the synthesis story the DATE 2016 panel tells:
-//! Macii's lineage from Espresso/MIS/SIS ([`espresso`]), Domic's decade of
-//! RTL-synthesis improvement ([`synthesize`] with its two effort presets),
-//! and De Micheli's functionality-enhanced devices (mapping onto the
-//! controlled-polarity library).
+//! Domic's decade of RTL-synthesis improvement ([`synthesize`] with its two
+//! effort presets), and De Micheli's functionality-enhanced devices (mapping
+//! onto the controlled-polarity library).
 //!
 //! # Examples
 //!
@@ -28,7 +27,6 @@ pub mod bdd;
 pub mod cube;
 mod cuts;
 pub mod ec;
-pub mod espresso;
 pub mod isop;
 pub mod map;
 pub mod npn;
@@ -39,7 +37,6 @@ pub use aig::{Aig, AigError, FlopBoundary, Lit, SeqBoundary};
 pub use bdd::{BddManager, BddRef};
 pub use ec::{check_equivalence, EcError, EcVerdict};
 pub use cube::{Cover, Cube};
-pub use espresso::MinimizeOutcome;
 pub use isop::isop;
 pub use map::{map_aig, map_naive, MapError, MapGoal, MapOutcome};
 pub use npn::{npn_canon, npn_equivalent, NpnCanon};

@@ -15,6 +15,11 @@
 //! recompute it stands in for. `load` returning `None` means miss, evicted,
 //! or unreadable — the caller always recomputes; a memo failure must never
 //! fail the kernel.
+//!
+//! Granularity rule: an entry must replace work that costs more than a store
+//! round trip; per-item entries do not. One entry per rewrite pass or per
+//! route qualifies; one per net (measured: slower than the Prim scan it
+//! replaced even on a full hit) does not.
 
 /// A key-value memo for kernel-level (sub-stage) results. Implementations
 /// must tolerate concurrent use from one thread at a time per kernel; the

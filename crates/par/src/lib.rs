@@ -23,7 +23,6 @@
 //! would observe — the same convention the C9 placer established.
 
 use std::ops::Range;
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Number of hardware threads available to this process.
@@ -170,50 +169,56 @@ where
 {
     let ranges = chunk_ranges(len, chunk);
     let workers = resolve_threads(threads).min(ranges.len()).max(1);
+    dispatch(workers, 0, ranges.len(), |c| f(ranges[c].clone()))
+}
+
+/// The one dispatch loop under every `par_*` entry point: runs tasks
+/// `0..n` over `workers` slots, task `c` owned by slot `(c + off) % workers`
+/// (`off < workers`), and returns the results in task order. The record
+/// always reports `workers` threads and one `busy_s` slot per worker (idle
+/// slots read 0.0); a slot that owns no task is never spawned, and one
+/// worker or at most one task runs inline on the caller, credited to slot
+/// `off`.
+fn dispatch<R, F>(workers: usize, off: usize, n: usize, f: F) -> (Vec<R>, ParStats)
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
     let t0 = Instant::now();
-
-    if workers == 1 || ranges.len() == 1 {
-        // Serial fast path: same chunking, same order, no thread overhead.
-        let busy0 = thread_cpu_seconds();
-        let out: Vec<R> = ranges.iter().cloned().map(&f).collect();
-        let stats = ParStats {
-            threads: 1,
-            chunks: out.len(),
-            wall_s: t0.elapsed().as_secs_f64(),
-            busy_s: vec![thread_cpu_seconds() - busy0],
-        };
-        return (out, stats);
-    }
-
-    let results: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(ranges.len()));
-    let busy: Mutex<Vec<f64>> = Mutex::new(vec![0.0; workers]);
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let (f, ranges, results, busy) = (&f, &ranges, &results, &busy);
-            scope.spawn(move || {
-                let b0 = thread_cpu_seconds();
-                let mut local: Vec<(usize, R)> = Vec::new();
-                let mut c = w;
-                while c < ranges.len() {
-                    local.push((c, f(ranges[c].clone())));
-                    c += workers;
-                }
-                let spent = thread_cpu_seconds() - b0;
-                results.lock().expect("no poisoned worker").extend(local);
-                busy.lock().expect("no poisoned worker")[w] = spent;
-            });
-        }
-    });
-
-    let mut tagged = results.into_inner().expect("workers joined");
-    tagged.sort_unstable_by_key(|&(c, _)| c);
-    let out: Vec<R> = tagged.into_iter().map(|(_, r)| r).collect();
-    let stats = ParStats {
-        threads: workers,
-        chunks: out.len(),
-        wall_s: t0.elapsed().as_secs_f64(),
-        busy_s: busy.into_inner().expect("workers joined"),
+    let mut busy = vec![0.0; workers];
+    let out: Vec<R> = if workers == 1 || n <= 1 {
+        let b0 = thread_cpu_seconds();
+        let out = (0..n).map(&f).collect();
+        busy[off] = thread_cpu_seconds() - b0;
+        out
+    } else {
+        let mut tagged: Vec<(usize, R)> = Vec::with_capacity(n);
+        std::thread::scope(|scope| {
+            let f = &f;
+            let spawned: Vec<_> = (0..workers)
+                .map(|w| (w, (w + workers - off) % workers))
+                .filter(|&(_, first)| first < n)
+                .map(|(w, first)| {
+                    let worker = scope.spawn(move || {
+                        let b0 = thread_cpu_seconds();
+                        let local: Vec<(usize, R)> =
+                            (first..n).step_by(workers).map(|c| (c, f(c))).collect();
+                        (thread_cpu_seconds() - b0, local)
+                    });
+                    (w, worker)
+                })
+                .collect();
+            for (w, worker) in spawned {
+                let (spent, local) = worker.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+                busy[w] = spent;
+                tagged.extend(local);
+            }
+        });
+        tagged.sort_unstable_by_key(|&(c, _)| c);
+        tagged.into_iter().map(|(_, r)| r).collect()
     };
+    let stats =
+        ParStats { threads: workers, chunks: n, wall_s: t0.elapsed().as_secs_f64(), busy_s: busy };
     (out, stats)
 }
 
@@ -288,60 +293,7 @@ where
     F: Fn(usize, &T) -> R + Sync,
 {
     let workers = resolve_threads(threads).max(1);
-    let off = offset % workers;
-    let n = items.len();
-    let t0 = Instant::now();
-
-    if workers == 1 || n <= 1 {
-        // Inline fast path: no spawn, busy credited to the offset slot.
-        let busy0 = thread_cpu_seconds();
-        let out: Vec<R> = items.iter().enumerate().map(|(i, it)| f(i, it)).collect();
-        let mut busy = vec![0.0; workers];
-        busy[off] = thread_cpu_seconds() - busy0;
-        let stats = ParStats {
-            threads: workers,
-            chunks: n,
-            wall_s: t0.elapsed().as_secs_f64(),
-            busy_s: busy,
-        };
-        return (out, stats);
-    }
-
-    let results: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(n));
-    let busy: Mutex<Vec<f64>> = Mutex::new(vec![0.0; workers]);
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            // Worker w owns tasks c with (c + off) % workers == w.
-            let first = (w + workers - off) % workers;
-            if first >= n {
-                continue; // no tasks for this slot — skip the spawn
-            }
-            let (f, results, busy) = (&f, &results, &busy);
-            scope.spawn(move || {
-                let b0 = thread_cpu_seconds();
-                let mut local: Vec<(usize, R)> = Vec::new();
-                let mut c = first;
-                while c < n {
-                    local.push((c, f(c, &items[c])));
-                    c += workers;
-                }
-                let spent = thread_cpu_seconds() - b0;
-                results.lock().expect("no poisoned worker").extend(local);
-                busy.lock().expect("no poisoned worker")[w] = spent;
-            });
-        }
-    });
-
-    let mut tagged = results.into_inner().expect("workers joined");
-    tagged.sort_unstable_by_key(|&(c, _)| c);
-    let out: Vec<R> = tagged.into_iter().map(|(_, r)| r).collect();
-    let stats = ParStats {
-        threads: workers,
-        chunks: n,
-        wall_s: t0.elapsed().as_secs_f64(),
-        busy_s: busy.into_inner().expect("workers joined"),
-    };
-    (out, stats)
+    dispatch(workers, offset % workers, items.len(), |c| f(c, &items[c]))
 }
 
 #[cfg(test)]

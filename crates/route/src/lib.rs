@@ -40,7 +40,7 @@ pub use linesearch::{mikami_tabuchi, mikami_tabuchi_in};
 pub use maze::{astar, astar_in, count_bends, lee_bfs, lee_bfs_in, Path, SearchStats, SearchWindow};
 pub use router::{
     layer_sweep, route, route_audited, route_stats, route_stats_memo, RouteAlgorithm, RouteConfig,
-    RouteOutcome, ROUTE_NET_KIND, ROUTE_OUTCOME_KIND, SCHEDULE_REV,
+    RouteOutcome, ROUTE_OUTCOME_KIND, SCHEDULE_REV,
 };
 pub use rules::RuleDeck;
 pub use scratch::SearchScratch;

@@ -186,15 +186,14 @@ fn decompose(
     (per_net.into_iter().flatten().collect(), stats)
 }
 
-/// Prim MST on Manhattan distance over one net's deduplicated pin list — a
-/// pure function of the pins, which is what makes per-net memoization sound.
+/// Prim MST on Manhattan distance over one net's deduplicated pin list.
 ///
 /// O(pins²): every out-of-tree pin `j` carries its nearest in-tree pin as
 /// the key `(distance, i)`, refreshed against each pin as it joins the
 /// tree. Each step takes the smallest `(distance, i, j)`, which is the pair
 /// a scan of all in-tree × out-of-tree pairs in index order with a strict
-/// `<` would stop at — the emitted sequence is part of the `route.net` memo
-/// payload and of `route_outcome_key`, so ties must not move.
+/// `<` would stop at — the emitted sequence is part of `route_outcome_key`,
+/// so ties must not move.
 fn prim_pairs(pins: &[GCell]) -> Vec<TwoPin> {
     if pins.len() < 2 {
         return Vec::new();
@@ -217,98 +216,6 @@ fn prim_pairs(pins: &[GCell]) -> Vec<TwoPin> {
         }
     }
     pairs
-}
-
-/// [`decompose`] with per-net memoization: each net's MST pair list is keyed
-/// on its deduplicated g-cell pins, so warm runs (and other designs that
-/// place a net onto the same cells) skip the O(pins²) Prim scan. Memo
-/// probes and stores happen on the orchestrating thread; only the missing
-/// nets fan out through `par_map`. The pair list is byte-identical to
-/// [`decompose`]'s for any memo state.
-fn decompose_memo(
-    netlist: &Netlist,
-    placement: &Placement,
-    width: u32,
-    height: u32,
-    threads: usize,
-    memo: &dyn SubstageMemo,
-) -> (Vec<TwoPin>, eda_par::ParStats) {
-    let index = NetPins::build(netlist);
-    let mut per_net: Vec<Option<Vec<TwoPin>>> = vec![None; index.num_nets()];
-    let mut miss_at: Vec<usize> = Vec::new();
-    let mut miss_pins: Vec<Vec<GCell>> = Vec::new();
-    let mut miss_keys: Vec<u64> = Vec::new();
-    for (i, slot) in per_net.iter_mut().enumerate() {
-        let pins = net_gcells(&index, placement, i, width, height);
-        if pins.len() < 2 {
-            *slot = Some(Vec::new());
-            continue;
-        }
-        let key = net_pins_key(&pins);
-        match memo.load(ROUTE_NET_KIND, key).and_then(|p| parse_net_pairs(&p)) {
-            Some(pairs) => *slot = Some(pairs),
-            None => {
-                miss_at.push(i);
-                miss_pins.push(pins);
-                miss_keys.push(key);
-            }
-        }
-    }
-    let (computed, stats) =
-        eda_par::par_map_stats(threads, &miss_pins, |_, pins| prim_pairs(pins));
-    for ((&i, key), pairs) in miss_at.iter().zip(miss_keys).zip(computed) {
-        memo.store(ROUTE_NET_KIND, key, &net_pairs_text(&pairs));
-        per_net[i] = Some(pairs);
-    }
-    (per_net.into_iter().flatten().flatten().collect(), stats)
-}
-
-/// Memo key for one net's MST: FNV over the deduplicated pin cells.
-fn net_pins_key(pins: &[GCell]) -> u64 {
-    let mut text = String::with_capacity(8 * pins.len() + 8);
-    text.push_str("net|");
-    for p in pins {
-        text.push_str(&format!("{},{};", p.x, p.y));
-    }
-    fnv1a(text.bytes())
-}
-
-fn net_pairs_text(pairs: &[TwoPin]) -> String {
-    let mut out = format!("netmst v1 {}\n", pairs.len());
-    for tp in pairs {
-        out.push_str(&format!(
-            "tp {} {} {} {} {}\n",
-            tp.src.x, tp.src.y, tp.dst.x, tp.dst.y, tp.fanout
-        ));
-    }
-    out.push_str("end\n");
-    out
-}
-
-fn parse_net_pairs(text: &str) -> Option<Vec<TwoPin>> {
-    let mut lines = text.lines();
-    let mut hf = lines.next()?.split(' ');
-    if hf.next()? != "netmst" || hf.next()? != "v1" {
-        return None;
-    }
-    let n: usize = hf.next()?.parse().ok()?;
-    let mut pairs = Vec::with_capacity(n);
-    for _ in 0..n {
-        let mut f = lines.next()?.split(' ');
-        if f.next()? != "tp" {
-            return None;
-        }
-        let sx: u32 = f.next()?.parse().ok()?;
-        let sy: u32 = f.next()?.parse().ok()?;
-        let dx: u32 = f.next()?.parse().ok()?;
-        let dy: u32 = f.next()?.parse().ok()?;
-        let fanout: u32 = f.next()?.parse().ok()?;
-        pairs.push(TwoPin { src: GCell::new(sx, sy), dst: GCell::new(dx, dy), fanout });
-    }
-    if lines.next()? != "end" || lines.next().is_some() {
-        return None;
-    }
-    Some(pairs)
 }
 
 fn commit(grid: &mut RoutingGrid, path: &Path, delta: i32) {
@@ -407,27 +314,24 @@ pub fn route_stats(
     (outcome, stats)
 }
 
-/// Memo kind for per-net MST decomposition entries.
-pub const ROUTE_NET_KIND: &str = "route.net";
 /// Memo kind for whole-outcome route replay entries.
 pub const ROUTE_OUTCOME_KIND: &str = "route.outcome";
 
-/// [`route_stats`] with an optional sub-stage memo, at two granularities:
+/// [`route_stats`] with an optional sub-stage memo holding one entry per
+/// route ([`ROUTE_OUTCOME_KIND`]): the final [`RouteOutcome`], keyed on the
+/// decomposed connection list plus every route-relevant config field (never
+/// `threads`), replays without touching the grid at all.
 ///
-/// * **per net** ([`ROUTE_NET_KIND`]) — each net's MST decomposition, keyed
-///   on its g-cell pins, replays without re-running Prim;
-/// * **whole outcome** ([`ROUTE_OUTCOME_KIND`]) — the final
-///   [`RouteOutcome`], keyed on the decomposed connection list plus every
-///   route-relevant config field (never `threads`), replays without
-///   touching the grid at all.
+/// Nothing finer is memoized. An entry must replace work that costs more
+/// than a store round trip; per-item entries do not — a net's Prim MST is
+/// cheaper to recompute than to look up, and a connection's path depends on
+/// the demand committed by every previously routed connection, so it could
+/// not replay out of context anyway.
 ///
-/// Paths between those granularities (per connection) are deliberately not
-/// memoized: a path depends on the demand committed by every previously
-/// routed connection, so replaying one out of context would break the
-/// bit-identity contract. The third return value reports whether the
-/// outcome was replayed (`seconds` is near-zero and the [`ParStats`] empty
-/// in that case — callers skip their kernel telemetry so replayed and
-/// recomputed runs stay comparable).
+/// The third return value reports whether the outcome was replayed
+/// (`seconds` is near-zero and the [`ParStats`] empty in that case — callers
+/// skip their kernel telemetry so replayed and recomputed runs stay
+/// comparable).
 ///
 /// [`ParStats`]: eda_par::ParStats
 pub fn route_stats_memo(
@@ -452,10 +356,7 @@ fn route_with(
     let w = cfg.grid_cells.max(2);
     let h = cfg.grid_cells.max(2);
     let grid = RoutingGrid::new(w, h, &cfg.deck);
-    let (decomposed, stats) = match memo {
-        Some(m) => decompose_memo(netlist, placement, w, h, cfg.threads, m),
-        None => decompose(netlist, placement, w, h, cfg.threads),
-    };
+    let (decomposed, stats) = decompose(netlist, placement, w, h, cfg.threads);
     if let Some(m) = memo {
         let key = route_outcome_key(cfg, &decomposed);
         if let Some(out) =
@@ -1050,7 +951,8 @@ mod tests {
             let (warm, _, warm_replayed) = route_stats_memo(&n, &p, &cfg, Some(&memo));
             assert!(warm_replayed, "identical input replays the whole outcome");
             same_outcome(&warm, &plain);
-            assert!(memo.hits.get() > n.nets().count() / 2, "per-net MSTs hit too");
+            assert_eq!(memo.hits.get(), 1, "the outcome entry is the only one addressed");
+            assert_eq!(memo.map.borrow().len(), 1, "one entry per route, whatever the net count");
         }
     }
 

@@ -124,6 +124,14 @@ sub_hits="$(printf '%s\n' "$incr_log" | awk '/^INCRLINE edit_substage_hits /{pri
          exit 1; }
 printf '%s\n' "$incr_log" | grep -qx 'INCRLINE edit_same_qor 1' \
     || { echo "check: FAIL edited-run QoR diverged from the uncached reference" >&2; exit 1; }
+# Record budget: a cold run on a fresh store probes the memo once per AIG
+# pass and once per route — at most 9 entries whatever the design size. More
+# means a per-item memo crept back (an entry must replace work that costs
+# more than a store round trip; per-item entries do not).
+cold_sub="$(printf '%s\n' "$incr_log" | awk '/^INCRLINE cold_substage_misses /{print $3}')"
+[ -n "$cold_sub" ] && [ "$cold_sub" -le 9 ] \
+    || { echo "check: FAIL cold run made ${cold_sub:-no} sub-stage memo misses (want <= 9)" >&2
+         exit 1; }
 
 # Resume across processes: the store is the flow's only resume mechanism. A
 # copy of the store cut in the middle of its 6th stage record is what a
@@ -214,7 +222,7 @@ printf '%s\n' "$incr_log" | grep -qx 'INCRLINE cold_errors 1' \
 printf '%s\n' "$incr_log" | grep -qx 'INCRLINE same_qor 1' \
     || { echo "check: FAIL QoR drifted after poisoned-store recompute" >&2
          printf '%s\n' "$incr_log" >&2; exit 1; }
-echo "check: store smoke green (edit replayed $sub_hits sub-stage entries, query returned $qrows rows, poisoned record recomputed)"
+echo "check: store smoke green (cold run wrote $cold_sub sub-stage entries, edit replayed $sub_hits, query returned $qrows rows, poisoned record recomputed)"
 
 # Mini-scale smoke: a 10^4-instance mesh fabric through the full scale-tier
 # flow, serial and at 4 workers. The tool itself asserts all 11 stages
@@ -249,4 +257,4 @@ awk '/^test result:/ { passed += $4; failed += $6 }
      END { printf "check: %d tests passed, %d failed across all binaries\n", passed, failed
            exit (failed > 0) }' "$test_log"
 echo "check: $(find crates src tests examples benchmark -name '*.rs' -print0 | xargs -0 cat | wc -l) lines of Rust (the count ROADMAP quotes)"
-echo "check: tier-1 + clippy + unwrap gates + inject smoke + trace + serve + daemon + facade docs + incremental + cross-process resume + mini-scale + golden + route pins + route audit + place pins + place audit + sign-off pins green"
+echo "check: tier-1 + clippy + unwrap gates + inject smoke + trace + serve + daemon + facade docs + incremental + sub-stage record budget + cross-process resume + mini-scale + golden + route pins + route audit + place pins + place audit + sign-off pins green"

@@ -102,7 +102,7 @@ pub use eda_sta as sta;
 pub use eda_tech as tech;
 
 pub use eda_core::{
-    run_flow, ConfigError, EvictionPolicy, Fault, FaultPlan, FlowConfig, FlowConfigBuilder,
+    run_flow, ConfigError, Fault, FaultPlan, FlowConfig, FlowConfigBuilder,
     FlowError, FlowReport, FlowRequest, FlowResponse, FlowServer, FlowServerBuilder, FlowStore,
     FlowTuner, Lookup, Metric, PartialFlow, QorQuery, QorRow, Query, ServerReport, Span, SpanKind,
     StageRow, StageStatus, Store, StoreConfig, StoreError, Table, Telemetry, TelemetrySnapshot,

@@ -402,6 +402,94 @@ fn substage_replay_is_thread_invariant() {
     }
 }
 
+/// A clock no test design can meet (their critical paths are 40–80 ps): the
+/// edit that changes the slack in `7_route`'s pre-state — and so its stage
+/// key — while leaving netlist and placement, all the router reads, alone.
+const UNMEETABLE_MHZ: f64 = 50_000.0;
+
+/// `(stage, sub)` record counts of a store file, read off its framing.
+fn record_counts(path: &Path) -> (usize, usize) {
+    let bytes = std::fs::read(path).unwrap();
+    let count = |needle: &[u8]| bytes.windows(needle.len()).filter(|w| *w == needle).count();
+    (count(b"\n%rec stage "), count(b"\n%rec sub "))
+}
+
+#[test]
+fn store_traffic_is_per_stage_not_per_net() {
+    // An entry must replace work that costs more than a store round trip,
+    // so a cold run's record count is a function of the stage table, not of
+    // the design: eleven stage bodies, at most nine sub-stage entries (the
+    // AIG passes + one route outcome) — here on a design with > 2 000 nets.
+    let dir = scratch("budget");
+    let design = generate::switch_fabric(8, 16).unwrap();
+    let mut plain = FlowConfig::advanced_2016(Node::N10);
+    plain.threads = 1;
+    let storeless = run_flow(&design, &plain).unwrap();
+    let cold = run_flow(&design, &cached_cfg(&dir, 1)).unwrap();
+    assert!(storeless.same_qor(&cold));
+    assert!(counter(&cold, "cache.substage_misses") <= 9, "{}", counter(&cold, "cache.substage_misses"));
+    let (stage, sub) = record_counts(&dir.join("flow.store"));
+    assert_eq!(stage, 11);
+    assert!(sub <= 9, "{sub} sub records: a per-item memo is back");
+
+    // The narrowing the surviving route entry is for.
+    plain.clock_mhz = UNMEETABLE_MHZ;
+    let reference = run_flow(&design, &plain).unwrap();
+    assert!(reference.wns_ps < cold.wns_ps);
+    let route = STAGES.iter().position(|s| *s == "7_route").unwrap();
+    for threads in [1usize, 4] {
+        let copy = scratch("budget_edit");
+        std::fs::create_dir_all(&copy).unwrap();
+        std::fs::copy(dir.join("flow.store"), copy.join("flow.store")).unwrap();
+        let mut cfg = cached_cfg(&copy, threads);
+        cfg.clock_mhz = UNMEETABLE_MHZ;
+        let edited = run_flow(&design, &cfg).unwrap();
+        assert_eq!(cache_tags(&edited)[route], "miss", "threads={threads}");
+        assert_eq!(counter(&edited, "cache.substage_hits"), 1, "route.outcome replays, threads={threads}");
+        assert_eq!(counter(&edited, "cache.substage_misses"), 0, "threads={threads}");
+        assert!(reference.same_qor(&edited), "threads={threads}");
+        let _ = std::fs::remove_dir_all(&copy);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn orphaned_per_net_records_of_an_older_store_are_inert() {
+    // A store the parent wrote is full of per-net MST records. Nothing
+    // addresses them any more: they must neither replay nor count as
+    // damage, and the stage entries beside them must still hit.
+    let dir = scratch("orphans");
+    let design = smoke_design();
+    let cold = run_flow(&design, &cached_cfg(&dir, 1)).unwrap();
+    {
+        use eda_core::{Store, Table};
+        use eda_netlist::memo::fnv1a;
+        let store = FlowStore::open(&StoreConfig::at(dir.join("flow.store"))).unwrap();
+        // The deleted key formula: `<kind>|<fnv of "net|x,y;x,y;">`. The kind
+        // is spelled in pieces so a grep for it finds no live user.
+        let kind = concat!("route", ".", "net");
+        for x in 0..40u32 {
+            let net = fnv1a(format!("net|{x},3;{},7;", x + 2).bytes());
+            let key = fnv1a(format!("{kind}|{net:016x}").bytes());
+            let payload = format!("netmst v1 1\ntp {x} 3 {} 7 2\nend\n", x + 2);
+            store.put(Table::Sub, key, &payload).unwrap();
+        }
+    }
+    let warm = run_flow(&design, &cached_cfg(&dir, 1)).unwrap();
+    assert_eq!(counter(&warm, "cache.hits"), 11);
+    assert_eq!(counter(&warm, "cache.errors"), 0);
+    assert!(cold.same_qor(&warm));
+
+    // Past the stage cache too: the edit recomputes `7_route`, whose one
+    // memo probe is the outcome entry.
+    let mut cfg = cached_cfg(&dir, 1);
+    cfg.clock_mhz = UNMEETABLE_MHZ;
+    let edited = run_flow(&design, &cfg).unwrap();
+    assert_eq!(counter(&edited, "cache.substage_hits"), 1);
+    assert_eq!(counter(&edited, "cache.errors"), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn cache_is_bypassed_under_fault_injection() {
     // Injected faults must exercise the real stage bodies; a cached replay

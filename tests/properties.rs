@@ -1,7 +1,7 @@
 //! Property-based tests (proptest) on the workspace's core invariants.
 
 use eda::litho::{decompose, ConflictGraph, Layout};
-use eda::logic::{isop, Aig, Cover, Cube, TruthTable};
+use eda::logic::{isop, Aig, Cube, TruthTable};
 use eda::netlist::generate;
 use eda::place::{anneal, place_global, AnnealConfig, Die, GlobalConfig};
 use eda::route::{mikami_tabuchi, GCell, RoutingGrid, RuleDeck};
@@ -19,18 +19,6 @@ proptest! {
             let a: Vec<bool> = (0..n).map(|v| m >> v & 1 == 1).collect();
             prop_assert_eq!(cover.eval(&a), f.eval(&a));
         }
-    }
-
-    /// Espresso minimization preserves the function and never grows cost.
-    #[test]
-    fn espresso_sound_and_never_worse(minterms in proptest::collection::vec(0usize..32, 0..24)) {
-        let on = Cover::from_minterms(5, minterms.iter().copied());
-        let out = eda::logic::espresso::minimize(&on, &Cover::new(5));
-        for m in 0..32usize {
-            let a: Vec<bool> = (0..5).map(|v| m >> v & 1 == 1).collect();
-            prop_assert_eq!(out.cover.eval(&a), on.eval(&a), "minterm {}", m);
-        }
-        prop_assert!(out.cover.len() <= on.len());
     }
 
     /// Cube containment is consistent with evaluation.

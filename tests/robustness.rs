@@ -42,8 +42,11 @@ fn fault_matrix_recovers_or_reports_typed_errors() {
                     assert!(status.attempts <= 2, "{stage} {fault} used {} attempts", status.attempts);
                 }
                 Err(e) => {
-                    assert_eq!(e.stage(), Some(stage), "{stage} {fault}: error blamed {:?}", e.stage());
-                    assert!(e.partial().is_some(), "{stage} {fault}: no salvageable state");
+                    assert_eq!(e.stage(), stage, "{stage} {fault}: error blamed {:?}", e.stage());
+                    assert!(
+                        !e.partial().statuses.contains_key(stage),
+                        "{stage} {fault}: salvaged state claims the failed stage finished"
+                    );
                 }
             }
         }

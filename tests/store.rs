@@ -9,7 +9,7 @@
 //! provenance queries with a stable row format.
 
 use eda::{
-    run_flow, EvictionPolicy, FlowConfig, FlowRequest, FlowServer, FlowStore, Lookup, QorQuery,
+    run_flow, FlowConfig, FlowRequest, FlowServer, FlowStore, Lookup, QorQuery,
     QorRow, Query, StageRow, Store, StoreConfig, Table,
 };
 use eda::netlist::generate;
@@ -149,8 +149,11 @@ fn eviction_holds_the_bound_under_concurrent_server_writers() {
     // file must end under `max_bytes` with every request's QoR intact.
     let dir = scratch("server_lru");
     let max_bytes = 48 * 1024;
-    let store = StoreConfig::at(dir.join("flow.store")).with_max_bytes(max_bytes);
-    assert_eq!(store.eviction, EvictionPolicy::Lru);
+    let path = dir.join("flow.store");
+    // Path and bound are the whole configuration: LRU eviction and
+    // provenance recording are not options.
+    assert_eq!(StoreConfig::at(&path), StoreConfig { path: path.clone(), max_bytes: 64 << 20 });
+    let store = StoreConfig::at(path).with_max_bytes(max_bytes);
 
     let cfg = FlowConfig::advanced_2016(Node::N10);
     let designs: Vec<_> = (3..9)
