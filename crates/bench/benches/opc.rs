@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eda_bench::{median_seconds, scaling_threads};
-use eda_litho::{run_opc, run_opc_stats, OpcConfig, OpticalModel};
+use eda_litho::{run_opc, OpcConfig, OpticalModel};
 use std::hint::black_box;
 
 fn grating(pitch: f64, lines: usize) -> (Vec<(f64, f64)>, f64) {
@@ -23,7 +23,7 @@ fn bench_aerial_image(c: &mut Criterion) {
     for lines in [8usize, 16, 32] {
         let (mask, extent) = grating(100.0, lines);
         group.bench_with_input(BenchmarkId::from_parameter(lines), &mask, |b, m| {
-            b.iter(|| black_box(model.image(m, extent).len()))
+            b.iter(|| black_box(model.image(m, extent, 1).0.len()))
         });
     }
     group.finish();
@@ -37,7 +37,7 @@ fn bench_opc(c: &mut Criterion) {
         let (target, extent) = grating(pitch, 8);
         group.bench_with_input(BenchmarkId::from_parameter(pitch as u32), &target, |b, t| {
             b.iter(|| {
-                black_box(run_opc(&model, t, extent, &OpcConfig::default()).final_rms_epe())
+                black_box(run_opc(&model, t, extent, &OpcConfig::default()).0.final_rms_epe())
             })
         });
     }
@@ -53,7 +53,7 @@ fn bench_opc_scaling(_c: &mut Criterion) {
     for threads in scaling_threads() {
         let cfg = OpcConfig { threads, ..Default::default() };
         let s = median_seconds(5, || {
-            run_opc_stats(&model, &target, extent, &cfg).1.projected_wall_s()
+            run_opc(&model, &target, extent, &cfg).1.projected_wall_s()
         });
         println!("BENCHLINE opc_par/{threads} {s:.9e}");
     }

@@ -1780,8 +1780,7 @@ fn c8() -> CliResult {
 
 /// C9 — multicore P&R throughput, and the deterministic parallel kernels.
 fn c9() -> CliResult {
-    use eda_dft::{fault_sim_threaded, random_patterns};
-    use eda_litho::run_opc_stats;
+    use eda_dft::{fault_sim, random_patterns};
     use eda_route::route_stats;
 
     header("c9", "P&R throughput ~1M instances/day on multicore farms (Rossi)");
@@ -1829,7 +1828,7 @@ fn c9() -> CliResult {
     println!("\nper-kernel scaling (projected wall from per-worker CPU clocks):");
     println!("{:>10} {:>8} {:>12} {:>9} {:>18}", "kernel", "threads", "proj wall s", "speedup", "output");
 
-    // Fault simulation: collapsed fault list partitioned across workers.
+    // Fault simulation: fault list partitioned across workers.
     let dft_design = generate::random_logic(generate::RandomLogicConfig {
         gates: 600,
         seed: 8,
@@ -1840,7 +1839,7 @@ fn c9() -> CliResult {
     let pats = random_patterns(&view, 128, 4);
     let mut wall1 = 0.0;
     for threads in [1usize, 2, 4, 8] {
-        let (out, stats) = fault_sim_threaded(&dft_design, &view, &faults, &pats, threads);
+        let (out, stats) = fault_sim(&dft_design, &view, &faults, &pats, threads);
         let wall = stats.projected_wall_s();
         if threads == 1 {
             wall1 = wall;
@@ -1868,7 +1867,7 @@ fn c9() -> CliResult {
     let extent = 600.0 + pitch * lines as f64;
     for threads in [1usize, 2, 4, 8] {
         let cfg = OpcConfig { threads, ..Default::default() };
-        let (out, stats) = run_opc_stats(&model, &target, extent, &cfg);
+        let (out, stats) = run_opc(&model, &target, extent, &cfg);
         let wall = stats.projected_wall_s();
         if threads == 1 {
             wall1 = wall;
@@ -2102,7 +2101,7 @@ fn c15() -> CliResult {
             .collect();
         let extent = offset * 2.0 + pitch * lines as f64;
         let cfg = OpcConfig { threads: threads(), ..Default::default() };
-        let out = run_opc(&model, &target, extent, &cfg);
+        let out = run_opc(&model, &target, extent, &cfg).0;
         println!(
             "{:>10.0} {:>12.2} {:>12.2} {:>12}",
             pitch,

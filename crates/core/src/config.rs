@@ -1,7 +1,7 @@
 //! Flow configuration: the knobs of the integrated RTL-to-layout pipeline,
 //! with the two presets the panel's decade comparison needs.
 
-use crate::harness::{FaultPlan, StageBudgets};
+use crate::harness::FaultPlan;
 use crate::store::StoreConfig;
 use eda_logic::{MapGoal, SynthesisEffort, DEFAULT_REWRITE_PASSES};
 use eda_netlist::Library;
@@ -168,10 +168,6 @@ pub struct FlowConfig {
     /// are keyed on `(stage name, invocation count)`, so an injected plan
     /// reproduces identically at any thread count.
     pub fault_plan: Option<FaultPlan>,
-    /// Per-stage attempt caps and wall-clock soft deadlines. The default is
-    /// 2 attempts per stage with no deadline, which keeps flows fully
-    /// deterministic.
-    pub budgets: StageBudgets,
     /// Flow-level wall-clock deadline in seconds (`None` = no deadline).
     /// Checked at every stage boundary: once the flow has run longer than
     /// this, the next stage surfaces a typed
@@ -179,8 +175,8 @@ pub struct FlowConfig {
     /// carrying the partial state — a running attempt is never interrupted,
     /// so every stage that finished is whole in the [`store`](Self::store)
     /// and a rerun replays it.
-    /// Excluded from the config fingerprint, like `budgets` and
-    /// `fault_plan`: it cannot change the QoR of a flow that completes.
+    /// Excluded from the config fingerprint, like `fault_plan`: it cannot
+    /// change the QoR of a flow that completes.
     pub deadline_s: Option<f64>,
 }
 
@@ -218,7 +214,6 @@ impl Default for FlowConfig {
             threads: 0,
             store: None,
             fault_plan: None,
-            budgets: StageBudgets::default(),
             deadline_s: None,
         }
     }
@@ -441,12 +436,6 @@ impl FlowConfigBuilder {
     /// Deterministic fault-injection plan.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.cfg.fault_plan = Some(plan);
-        self
-    }
-
-    /// Per-stage attempt caps and soft deadlines.
-    pub fn budgets(mut self, budgets: StageBudgets) -> Self {
-        self.cfg.budgets = budgets;
         self
     }
 

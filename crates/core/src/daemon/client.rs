@@ -29,14 +29,11 @@ pub struct RetryPolicy {
     pub base_ms: u64,
     /// Backoff ceiling, in milliseconds.
     pub cap_ms: u64,
-    /// Also retry submits that were shed with `queue-full`. Off by
-    /// default: under sustained overload, retrying sheds nothing.
-    pub retry_queue_full: bool,
 }
 
 impl Default for RetryPolicy {
     fn default() -> RetryPolicy {
-        RetryPolicy { attempts: 5, base_ms: 10, cap_ms: 500, retry_queue_full: false }
+        RetryPolicy { attempts: 5, base_ms: 10, cap_ms: 500 }
     }
 }
 
@@ -309,26 +306,6 @@ impl DaemonClient {
             .ok_or_else(|| ClientError::ServerClosed("no outcome".to_string()))
     }
 
-    /// [`request`](Self::request) with queue-full retry per `policy` (when
-    /// `retry_queue_full` is set). Rejections for other reasons and all
-    /// terminal outcomes return immediately.
-    pub fn request_retry(
-        &mut self,
-        spec: &SubmitSpec,
-        policy: &RetryPolicy,
-    ) -> Result<RequestOutcome, ClientError> {
-        let mut attempt = 0;
-        loop {
-            let outcome = self.request(spec)?;
-            let shed = outcome.rejected_with(RejectReason::QueueFull);
-            attempt += 1;
-            if !(shed && policy.retry_queue_full) || attempt >= policy.attempts.max(1) {
-                return Ok(outcome);
-            }
-            std::thread::sleep(Duration::from_millis(policy.backoff_ms(attempt - 1)));
-        }
-    }
-
     /// Submits a batch on this one connection and collects every request's
     /// outcome (in `specs` order), demultiplexing interleaved frames by id.
     /// Ids must be unique within the batch.
@@ -409,7 +386,7 @@ mod tests {
     #[test]
     fn connect_retry_gives_up_with_the_original_error() {
         let gone = Endpoint::Unix(PathBuf::from("/nonexistent/daemon.sock"));
-        let policy = RetryPolicy { attempts: 2, base_ms: 1, cap_ms: 1, retry_queue_full: false };
+        let policy = RetryPolicy { attempts: 2, base_ms: 1, cap_ms: 1 };
         let start = Instant::now();
         assert!(DaemonClient::connect_retry(&gone, &policy).is_err());
         // One backoff sleep happened (attempts=2), bounded well under a second.

@@ -4,8 +4,8 @@
 //! Stages: synthesis → clock gating → scan insertion → placement →
 //! scan reordering → clock-tree synthesis → timing → routing → lithography
 //! decomposition + OPC → power analysis → test-coverage estimation. Every
-//! stage runs inside the [`harness`](crate::harness) supervisor: it gets a
-//! budget, a typed [`StageStatus`](crate::harness::StageStatus) in the
+//! stage runs inside the [`harness`](crate::harness) supervisor: it gets
+//! two attempts, a typed [`StageStatus`](crate::harness::StageStatus) in the
 //! report, and a recovery policy (see DESIGN.md §7 for the full table):
 //!
 //! * an inconclusive equivalence check escalates the simulation budget once
@@ -38,8 +38,8 @@ use crate::report::FlowReport;
 use crate::state::{self, FlowState};
 use crate::store::{FlowStore, Lookup, QorRow, StageRow, Store, Table};
 use crate::telemetry::{SpanKind, Telemetry};
-use eda_dft::{fault_list, fault_sim_threaded, insert_scan, random_patterns, reorder_chains, scan_wirelength, CombView};
-use eda_litho::{decompose, run_opc_stats, Layout, OpcConfig, OpticalModel};
+use eda_dft::{fault_list, fault_sim, insert_scan, random_patterns, reorder_chains, scan_wirelength, CombView};
+use eda_litho::{decompose, run_opc, Layout, OpcConfig, OpticalModel};
 use eda_logic::{check_equivalence, synthesize, EcVerdict, SynthesisOptions};
 use eda_netlist::memo::fnv1a;
 use eda_netlist::{Netlist, NetlistStats, SubstageMemo};
@@ -124,8 +124,8 @@ pub enum FlowError {
         /// Everything completed before the failure.
         partial: Box<PartialFlow>,
     },
-    /// A stage ran out of attempts (or blew its soft deadline) without
-    /// producing an acceptable or salvageable result.
+    /// A stage ran out of attempts (or an injected timeout forbade the
+    /// retry) without producing an acceptable or salvageable result.
     BudgetExhausted {
         /// The exhausted stage.
         stage: &'static str,
@@ -227,7 +227,7 @@ type StageResult = Result<Option<ParStats>, FlowError>;
 /// One row of the stage table — the single definition of a stage. Its
 /// position in [`TABLE`] is its position in the flow.
 struct Stage {
-    /// The stage key: span name, status key, fault-plan and budget target,
+    /// The stage key: span name, status key, fault-plan target,
     /// wire-protocol stage id.
     name: &'static str,
     /// The config knobs `body` reads beyond node and seed, rendered for the
@@ -336,7 +336,7 @@ const TABLE: [Stage; 11] = [
 /// the fold of every stage's own fingerprint, so the table is the one list
 /// of knobs. Labels provenance rows. Fields that cannot change the result
 /// are no stage's knob: `name`, `threads` (bit-identical by the eda-par
-/// contract), `store`, `fault_plan`, `budgets`, and `deadline_s`.
+/// contract), `store`, `fault_plan`, and `deadline_s`.
 fn fingerprint(design: &Netlist, cfg: &FlowConfig) -> u64 {
     fnv1a(TABLE.iter().flat_map(|s| s.config_fp(design, cfg).to_le_bytes()))
 }
@@ -404,7 +404,7 @@ pub(crate) fn run_flow_shared(
     if let Some(obs) = observer {
         tel.set_observer(obs);
     }
-    let mut sup = Supervisor::new(cfg.fault_plan.as_ref(), cfg.budgets.clone(), &tel, cfg.deadline_s);
+    let mut sup = Supervisor::new(cfg.fault_plan.as_ref(), &tel, cfg.deadline_s);
     let mut st = FlowState::fresh();
     // `st` and `sup.statuses` in the body codec: the input the next stage's
     // cache key hashes, and what its entry stores.
@@ -896,7 +896,7 @@ fn litho(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Super
                 })
                 .collect();
             let extent = 400.0 + relaxed_pitch * 6.0;
-            let (opc, opc_par) = run_opc_stats(&model, &target, extent, &ocfg);
+            let (opc, opc_par) = run_opc(&model, &target, extent, &ocfg);
             ctx.tel.kernel("opc:fragments", &opc_par);
             ctx.tel.count("opc.fragment_moves", opc.fragment_moves as u64);
             ctx.tel
@@ -952,8 +952,11 @@ fn power(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Super
         let mut decaps = 0usize;
         let mut hotspots = 0usize;
         let mut notes: Vec<String> = Vec::new();
+        // One power map, over the netlist `activity` and `placement`
+        // describe: decaps are physical-only cells that add decoupling to a
+        // bin, not power, so the IR solve below reads this same map.
+        let mut grid = PowerGrid::build(cur, placement, &activity, &pcfg, 8);
         if let Some(limit) = cfg.power.decap_droop_limit_mv {
-            let mut grid = PowerGrid::build(cur, placement, &activity, &pcfg, 8);
             match insert_decaps(cur, &mut grid, cfg.node, limit) {
                 Ok(out) => {
                     decaps = out.decaps_inserted;
@@ -963,11 +966,10 @@ fn power(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Super
                 Err(e) => notes.push(format!("decap insertion failed, continuing without decaps: {e}")),
             }
         }
-        // Static IR drop of the final power map. Recovery: a stalled
-        // Gauss–Seidel relaxation retries with a relaxed tolerance.
-        let ir_grid = PowerGrid::build(&netlist, placement, &activity, &pcfg, 8);
+        // Static IR drop of the power map. Recovery: a stalled Gauss–Seidel
+        // relaxation retries with a relaxed tolerance.
         let mesh = if ctx.adapt == 0 { MeshConfig::default() } else { MeshConfig::default().relaxed() };
-        let ir = solve_ir_drop(&ir_grid, cfg.node, &mesh);
+        let ir = solve_ir_drop(&grid, cfg.node, &mesh);
         let converged = ir.converged(&mesh);
         ctx.tel.count("power.decaps_inserted", decaps as u64);
         ctx.tel.count("power.hotspots_after", hotspots as u64);
@@ -1015,7 +1017,7 @@ fn dft(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Supervi
         let view = CombView::new(cur).map_err(StageFailure::Netlist)?;
         let faults = fault_list(cur);
         let pats = random_patterns(&view, 96, cfg.seed);
-        let (sim, dft_par) = fault_sim_threaded(cur, &view, &faults, &pats, cfg.threads);
+        let (sim, dft_par) = fault_sim(cur, &view, &faults, &pats, cfg.threads);
         ctx.tel.kernel("fault_sim:faults", &dft_par);
         ctx.tel.count("dft.faults", sim.total as u64);
         ctx.tel.count("dft.detected", sim.num_detected as u64);

@@ -1,21 +1,20 @@
-//! Supervised stage execution: budgets, typed outcomes, recovery, and
+//! Supervised stage execution: typed outcomes, one recovery policy, and
 //! deterministic fault injection.
 //!
 //! Every stage of [`run_flow`](crate::flow::run_flow) executes inside a
-//! [`Supervisor`] harness. The harness gives each stage a [`StageBudget`]
-//! (attempt cap plus an optional wall-clock soft deadline), records a typed
-//! [`StageStatus`] for the report, and drives the stage's recovery policy:
-//! a stage body reports `Done`, `Degraded`, or `Retry` per attempt, and the
-//! harness decides whether to re-run it, accept a salvaged partial result,
-//! or surface a typed error carrying everything completed so far.
+//! [`Supervisor`] harness. The harness records a typed [`StageStatus`] for
+//! the report and drives the one recovery policy the flow has: a stage body
+//! reports `Done`, `Degraded`, or `Retry` per attempt; on `Retry` the harness
+//! banks whatever the attempt salvaged and runs the body once more; after
+//! two attempts it accepts the salvage as a degraded result or surfaces a
+//! typed error carrying everything completed so far.
 //!
 //! Fault injection is deterministic by construction: a [`FaultPlan`] keys
 //! faults on `(stage name, invocation count)` — never on wall-clock time or
 //! thread identity — so an injected failure reproduces bit-identically at
-//! any thread count. The soft deadline is the one wall-clock input, and it
-//! only gates *whether a retry is attempted*; it never alters the result of
-//! an attempt that ran, so flows with the default (`None`) deadline stay
-//! fully deterministic.
+//! any thread count. The flow-level deadline is the one wall-clock input,
+//! and it only gates *whether the next stage starts*; it never alters the
+//! result of an attempt that ran.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -73,54 +72,8 @@ impl StageStatus {
     }
 }
 
-/// Per-stage execution budget.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StageBudget {
-    /// Maximum attempts (first run + retries). Clamped to at least 1.
-    pub max_attempts: usize,
-    /// Wall-clock soft deadline in seconds. When the stage has already spent
-    /// longer than this, no further retries are attempted — the harness
-    /// accepts the best salvaged result or reports budget exhaustion. It
-    /// never interrupts a running attempt, so results stay deterministic.
-    /// `None` (the default) disables the deadline.
-    pub soft_deadline_s: Option<f64>,
-}
-
-impl Default for StageBudget {
-    fn default() -> StageBudget {
-        StageBudget { max_attempts: 2, soft_deadline_s: None }
-    }
-}
-
-/// Budgets for every stage: a default plus per-stage overrides.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct StageBudgets {
-    default: StageBudget,
-    overrides: BTreeMap<String, StageBudget>,
-}
-
-impl StageBudgets {
-    /// Budgets with `default` for every stage not overridden.
-    pub fn uniform(default: StageBudget) -> StageBudgets {
-        StageBudgets { default, overrides: BTreeMap::new() }
-    }
-
-    /// Overrides the budget for one stage (full key like `"7_route"`, or the
-    /// bare name `"route"`).
-    pub fn set(mut self, stage: &str, budget: StageBudget) -> StageBudgets {
-        self.overrides.insert(stage.to_string(), budget);
-        self
-    }
-
-    /// The budget in force for `stage`.
-    pub fn for_stage(&self, stage: &str) -> StageBudget {
-        self.overrides
-            .iter()
-            .find(|(k, _)| stage_matches(k, stage))
-            .map(|(_, b)| *b)
-            .unwrap_or(self.default)
-    }
-}
+/// Attempts a stage gets: the first run plus one retry.
+const MAX_ATTEMPTS: usize = 2;
 
 /// A fault the injection layer can force on a stage attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,8 +81,8 @@ pub enum Fault {
     /// The attempt fails outright without running; the recovery policy
     /// decides whether a retry happens.
     Fail,
-    /// The attempt's soft deadline is treated as blown: its work is kept but
-    /// the stage is marked degraded and no retry is allowed.
+    /// The attempt runs and whatever it produced — result or salvage — is
+    /// kept, but the stage is marked degraded and no retry is allowed.
     Timeout,
     /// The attempt runs and succeeds, but its result is force-marked
     /// degraded.
@@ -380,15 +333,12 @@ pub(crate) enum StageTry<T> {
 /// Per-attempt context handed to a stage body.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct StageCtx<'t> {
-    /// 0-based attempt index (counts injected failures too).
-    #[allow(dead_code)]
-    pub attempt: usize,
     /// Number of *observed* failures so far: attempts whose body actually ran
-    /// and asked for a retry. Recovery policies key their parameter
+    /// and asked for a retry (0 or 1). Recovery policies key their parameter
     /// escalation (bigger simulation budget, OPC backoff, relaxed tolerance) off
-    /// this, not off `attempt`, so an injected fault that skips the body does
-    /// not perturb the parameters — and therefore cannot change the QoR — of
-    /// the retry.
+    /// this, not off the attempt count, so an injected fault that skips the
+    /// body does not perturb the parameters — and therefore cannot change the
+    /// QoR — of the retry.
     pub adapt: usize,
     /// The flow's telemetry collector: stage bodies record kernel spans and
     /// QoR-provenance metrics through this. Recording is observation-only —
@@ -396,44 +346,34 @@ pub(crate) struct StageCtx<'t> {
     pub tel: &'t Telemetry,
 }
 
-/// The stage harness: runs every stage under its budget, applies the fault
-/// plan, and accumulates statuses.
+/// The stage harness: runs every stage under the two-attempt policy, applies
+/// the fault plan, and accumulates statuses.
 pub(crate) struct Supervisor<'p> {
     plan: Option<&'p FaultPlan>,
-    budgets: StageBudgets,
     tel: &'p Telemetry,
     /// Statuses of stages finished so far, keyed by stage name — the one
     /// live copy: cache entries serialize it from here, and a cache hit
     /// replaces it with the map it loaded.
     pub statuses: BTreeMap<String, StageStatus>,
-    invocations: BTreeMap<&'static str, u64>,
     /// Pending `cache` tag for the next stage span: a cache miss or an
     /// unreadable entry is noted here, then consumed when the recomputing
     /// stage opens its span.
     cache_note: Option<&'static str>,
     /// Flow-level wall-clock deadline: when the flow has already run longer
     /// than this, the next stage boundary surfaces a typed
-    /// [`FlowError::DeadlineExceeded`] instead of starting the stage. Like
-    /// the per-stage soft deadline it never interrupts a running attempt —
-    /// a worker is never left hung mid-stage, and the partial state is
-    /// carried on the error.
+    /// [`FlowError::DeadlineExceeded`] instead of starting the stage. It
+    /// never interrupts a running attempt — a worker is never left hung
+    /// mid-stage, and the partial state is carried on the error.
     deadline_s: Option<f64>,
     flow_started: Instant,
 }
 
 impl<'p> Supervisor<'p> {
-    pub fn new(
-        plan: Option<&'p FaultPlan>,
-        budgets: StageBudgets,
-        tel: &'p Telemetry,
-        deadline_s: Option<f64>,
-    ) -> Supervisor<'p> {
+    pub fn new(plan: Option<&'p FaultPlan>, tel: &'p Telemetry, deadline_s: Option<f64>) -> Supervisor<'p> {
         Supervisor {
             plan,
-            budgets,
             tel,
             statuses: BTreeMap::new(),
-            invocations: BTreeMap::new(),
             cache_note: None,
             deadline_s,
             flow_started: Instant::now(),
@@ -531,118 +471,82 @@ impl<'p> Supervisor<'p> {
         stage: &'static str,
         mut body: impl FnMut(StageCtx<'_>) -> Result<StageTry<T>, StageFailure>,
     ) -> Result<T, FlowError> {
-        let budget = self.budgets.for_stage(stage);
-        let max_attempts = budget.max_attempts.max(1);
-        let started = Instant::now();
         let mut salvage: Option<(T, String)> = None;
-        let mut last_reason;
-        let mut attempt = 0usize;
+        let mut last_reason = String::new();
         let mut adapt = 0usize;
-        loop {
-            let invocation = {
-                let c = self.invocations.entry(stage).or_insert(0);
-                let v = *c;
-                *c += 1;
-                v
-            };
+        for attempt in 1..=MAX_ATTEMPTS {
+            // A stage runs once per flow, so its invocations are its attempts.
+            let invocation = attempt as u64 - 1;
             let injected = self.plan.and_then(|p| p.fault_for(stage, invocation));
             let aspan = self.tel.span(SpanKind::Attempt, &format!("try{invocation}"));
             if let Some(fault) = injected {
                 aspan.tag("injected", fault);
             }
-            match injected {
-                Some(Fault::Fail) => {
-                    aspan.tag("result", "injected-fail");
-                    last_reason = format!("injected failure (invocation {invocation})");
+            if injected == Some(Fault::Fail) {
+                aspan.tag("result", "injected-fail");
+                last_reason = format!("injected failure (invocation {invocation})");
+                continue;
+            }
+            // An injected timeout lets the attempt run and keeps whatever it
+            // produced — result or salvage — but the stage is marked degraded
+            // with this note and no retry is allowed.
+            let timeout = (injected == Some(Fault::Timeout))
+                .then(|| format!("soft deadline exceeded (injected timeout, invocation {invocation})"));
+            if timeout.is_some() {
+                aspan.tag("result", "timeout");
+            }
+            let ran = |result: &str| {
+                if timeout.is_none() {
+                    aspan.tag("result", result);
                 }
-                Some(Fault::Timeout) => {
-                    // A simulated blown deadline: whatever this attempt
-                    // produces is kept, but marked degraded and no retry
-                    // is allowed.
-                    aspan.tag("result", "timeout");
-                    let outcome = body(StageCtx { attempt, adapt, tel: self.tel })
-                        .map_err(|e| self.stage_failed(stage, e))?;
-                    let note = format!("soft deadline exceeded (injected timeout, invocation {invocation})");
-                    return match outcome {
-                        StageTry::Done(v) => {
-                            self.record(stage, attempt + 1, StageOutcome::Degraded { reason: note });
-                            Ok(v)
-                        }
-                        StageTry::Degraded(v, why) => {
-                            self.record(
-                                stage,
-                                attempt + 1,
-                                StageOutcome::Degraded { reason: format!("{why}; {note}") },
-                            );
-                            Ok(v)
-                        }
-                        StageTry::Retry { reason, salvage: Some((v, why)) } => {
-                            let _ = reason;
-                            self.record(
-                                stage,
-                                attempt + 1,
-                                StageOutcome::Degraded { reason: format!("{why}; {note}") },
-                            );
-                            Ok(v)
-                        }
-                        StageTry::Retry { reason, salvage: None } => {
-                            Err(self.budget_exhausted(stage, attempt + 1, format!("{reason}; {note}")))
-                        }
+            };
+            let noted = |why: String| match &timeout {
+                Some(note) => format!("{why}; {note}"),
+                None => why,
+            };
+            let tried = body(StageCtx { adapt, tel: self.tel })
+                .map_err(|source| FlowError::Stage { stage, source, partial: self.partial() })?;
+            let (value, outcome) = match tried {
+                StageTry::Done(v) => {
+                    ran("done");
+                    let outcome = match (&timeout, injected) {
+                        (Some(note), _) => StageOutcome::Degraded { reason: note.clone() },
+                        // `Degrade`: `Fail` never reaches the body.
+                        (None, Some(_)) => StageOutcome::Degraded {
+                            reason: format!("injected degradation (invocation {invocation})"),
+                        },
+                        (None, None) if attempt == 1 => StageOutcome::Completed,
+                        (None, None) => StageOutcome::Recovered { attempts: attempt },
                     };
+                    (v, outcome)
                 }
-                Some(Fault::Degrade) | None => {
-                    let outcome = body(StageCtx { attempt, adapt, tel: self.tel })
-                        .map_err(|e| self.stage_failed(stage, e))?;
-                    match outcome {
-                        StageTry::Done(v) => {
-                            aspan.tag("result", "done");
-                            let o = if let Some(Fault::Degrade) = injected {
-                                StageOutcome::Degraded {
-                                    reason: format!("injected degradation (invocation {invocation})"),
-                                }
-                            } else if attempt == 0 {
-                                StageOutcome::Completed
-                            } else {
-                                StageOutcome::Recovered { attempts: attempt + 1 }
-                            };
-                            self.record(stage, attempt + 1, o);
-                            return Ok(v);
-                        }
-                        StageTry::Degraded(v, reason) => {
-                            aspan.tag("result", "degraded");
-                            self.record(stage, attempt + 1, StageOutcome::Degraded { reason });
-                            return Ok(v);
-                        }
-                        StageTry::Retry { reason, salvage: s } => {
-                            aspan.tag("result", "retry");
-                            aspan.tag("reason", &reason);
-                            if s.is_some() {
-                                salvage = s;
-                            }
-                            last_reason = reason;
-                            adapt += 1;
-                        }
-                    }
+                StageTry::Degraded(v, why) => {
+                    ran("degraded");
+                    (v, StageOutcome::Degraded { reason: noted(why) })
                 }
+                StageTry::Retry { reason, salvage: s } if timeout.is_some() => match s {
+                    Some((v, why)) => (v, StageOutcome::Degraded { reason: noted(why) }),
+                    None => return Err(self.budget_exhausted(stage, attempt, noted(reason))),
+                },
+                StageTry::Retry { reason, salvage: s } => {
+                    aspan.tag("result", "retry");
+                    aspan.tag("reason", &reason);
+                    salvage = s.or(salvage);
+                    last_reason = reason;
+                    adapt += 1;
+                    continue;
+                }
+            };
+            self.record(stage, attempt, outcome);
+            return Ok(value);
+        }
+        let why = format!("{last_reason} ({MAX_ATTEMPTS} attempt(s))");
+        match salvage {
+            Some((v, note)) => {
+                self.record(stage, MAX_ATTEMPTS, StageOutcome::Degraded { reason: format!("{note}: {why}") });
+                Ok(v)
             }
-            attempt += 1;
-            let deadline_blown = budget
-                .soft_deadline_s
-                .is_some_and(|d| started.elapsed().as_secs_f64() > d);
-            if attempt >= max_attempts || deadline_blown {
-                let why = if deadline_blown && attempt < max_attempts {
-                    format!("{last_reason}; soft deadline exceeded after {attempt} attempt(s)")
-                } else {
-                    format!("{last_reason} ({attempt} attempt(s))")
-                };
-                return match salvage.take() {
-                    Some((v, note)) => {
-                        self.record(stage, attempt, StageOutcome::Degraded { reason: format!("{note}: {why}") });
-                        Ok(v)
-                    }
-                    None => Err(self.budget_exhausted(stage, attempt, why)),
-                };
-            }
+            None => Err(self.budget_exhausted(stage, MAX_ATTEMPTS, why)),
         }
     }
 
@@ -653,10 +557,6 @@ impl<'p> Supervisor<'p> {
 
     fn partial(&self) -> Box<PartialFlow> {
         Box::new(PartialFlow { statuses: self.statuses.clone() })
-    }
-
-    fn stage_failed(&self, stage: &'static str, source: StageFailure) -> FlowError {
-        FlowError::Stage { stage, source, partial: self.partial() }
     }
 
     fn budget_exhausted(&self, stage: &'static str, attempts: usize, reason: String) -> FlowError {
@@ -779,11 +679,143 @@ mod tests {
         );
     }
 
-    #[test]
-    fn budgets_resolve_overrides_by_bare_name() {
-        let budgets = StageBudgets::default()
-            .set("route", StageBudget { max_attempts: 5, soft_deadline_s: Some(1.0) });
-        assert_eq!(budgets.for_stage("7_route").max_attempts, 5);
-        assert_eq!(budgets.for_stage("8_litho").max_attempts, 2);
+    /// One scripted response of a stage body.
+    #[derive(Clone, Copy)]
+    enum Step {
+        Done,
+        Degraded,
+        RetrySalvage,
+        RetryBare,
+        Hard,
     }
+
+    /// Runs `script` as the body of `7_route` under `plan` and renders what
+    /// the run settled as one line: the returned value or the error's
+    /// `Display` text, the recorded status, the `adapt` each body invocation
+    /// saw, and the attempt spans with their tags. What must agree with that
+    /// line on every row is asserted here: one progress callback carrying the
+    /// recorded status (none on an error), and the stage span's tags.
+    fn observe(script: &[Step], plan: Option<&FaultPlan>) -> String {
+        use std::sync::{Arc, Mutex};
+        let tel = Telemetry::new();
+        let progress = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&progress);
+        tel.set_observer(Box::new(move |stage, outcome, attempts| {
+            sink.lock().unwrap().push(format!("{stage} {attempts} {outcome}"));
+        }));
+        let mut sup = Supervisor::new(plan, &tel, None);
+        let mut adapts = Vec::new();
+        let result = sup.run_stage("7_route", |ctx| {
+            let call = adapts.len();
+            adapts.push(ctx.adapt);
+            Ok(match script[call] {
+                Step::Done => StageTry::Done(format!("v{call}")),
+                Step::Degraded => StageTry::Degraded(format!("d{call}"), format!("weak{call}")),
+                Step::RetrySalvage => StageTry::Retry {
+                    reason: format!("bad{call}"),
+                    salvage: Some((format!("s{call}"), format!("partial{call}"))),
+                },
+                Step::RetryBare => StageTry::Retry { reason: format!("bad{call}"), salvage: None },
+                Step::Hard => return Err(StageFailure::Netlist(eda_netlist::NetlistError::UnknownName("n1".into()))),
+            })
+        });
+        let tag = |k: &str, v: String| (k.to_string(), v);
+        let (line, want_progress, want_tags) = match (&result, sup.statuses.get("7_route")) {
+            (Ok(v), Some(s)) => (
+                format!("ok {v} | {} x{}", s.outcome, s.attempts),
+                vec![format!("7_route {} {}", s.attempts, s.outcome)],
+                vec![tag("attempts", s.attempts.to_string()), tag("outcome", s.outcome.to_string())],
+            ),
+            (Err(e), None) => (format!("err {e}"), Vec::new(), vec![tag("outcome", format!("error: {e}"))]),
+            _ => panic!("a status is recorded exactly when the stage returns Ok"),
+        };
+        assert_eq!(*progress.lock().unwrap(), want_progress, "progress callbacks of: {line}");
+        let spans = tel.snapshot().spans;
+        assert_eq!(spans[0].tags, BTreeMap::from_iter(want_tags), "stage span of: {line}");
+        let tries: Vec<String> = spans[1..].iter().map(|s| format!("{}{:?}", s.name, s.tags)).collect();
+        format!("{line} | adapt {adapts:?} | {}", tries.join(" ")).replace('"', "")
+    }
+
+    /// The supervisor's whole policy as a table: seven scripted bodies under
+    /// six fault plans. The rows were recorded at commit 68c5189, on the
+    /// N-attempt, per-stage-budgeted loop the two-attempt policy replaced.
+    #[test]
+    fn run_stage_policy_table() {
+        use Step::*;
+        let bodies: [(&str, &[Step]); 7] = [
+            ("done", &[Done]),
+            ("degraded", &[Degraded]),
+            ("salvage,done", &[RetrySalvage, Done]),
+            ("salvage,salvage", &[RetrySalvage, RetrySalvage]),
+            ("bare,bare", &[RetryBare, RetryBare]),
+            ("salvage,bare", &[RetrySalvage, RetryBare]),
+            ("hard", &[Hard]),
+        ];
+        let rule = |invocation, fault| Some(FaultPlan::new(1).with("route", invocation, fault));
+        let plans = [
+            ("none", None),
+            ("fail@0", rule(Some(0), Fault::Fail)),
+            ("fail", rule(None, Fault::Fail)),
+            ("timeout@0", rule(Some(0), Fault::Timeout)),
+            ("timeout@1", rule(Some(1), Fault::Timeout)),
+            ("degrade@0", rule(Some(0), Fault::Degrade)),
+        ];
+        let mut got = Vec::new();
+        for (body, script) in &bodies {
+            for (fault, plan) in &plans {
+                got.push(format!("{body} under {fault}: {}", observe(script, plan.as_ref())));
+            }
+        }
+        let moved: Vec<String> = (0..got.len().max(POLICY_TABLE.len()))
+            .filter(|&i| got.get(i).map(String::as_str) != POLICY_TABLE.get(i).copied())
+            .map(|i| format!("  got  {:?}\n  want {:?}", got.get(i), POLICY_TABLE.get(i)))
+            .collect();
+        assert!(moved.is_empty(), "{} row(s) moved:\n{}", moved.len(), moved.join("\n"));
+    }
+
+    #[rustfmt::skip]
+    const POLICY_TABLE: [&str; 42] = [
+        "done under none: ok v0 | completed x1 | adapt [0] | try0{result: done}",
+        "done under fail@0: ok v0 | recovered after 2 attempts x2 | adapt [0] | try0{injected: fail, result: injected-fail} try1{result: done}",
+        "done under fail: err stage `7_route` exhausted its budget after 2 attempt(s): injected failure (invocation 1) (2 attempt(s)) | adapt [] | try0{injected: fail, result: injected-fail} try1{injected: fail, result: injected-fail}",
+        "done under timeout@0: ok v0 | degraded: soft deadline exceeded (injected timeout, invocation 0) x1 | adapt [0] | try0{injected: timeout, result: timeout}",
+        "done under timeout@1: ok v0 | completed x1 | adapt [0] | try0{result: done}",
+        "done under degrade@0: ok v0 | degraded: injected degradation (invocation 0) x1 | adapt [0] | try0{injected: degrade, result: done}",
+        "degraded under none: ok d0 | degraded: weak0 x1 | adapt [0] | try0{result: degraded}",
+        "degraded under fail@0: ok d0 | degraded: weak0 x2 | adapt [0] | try0{injected: fail, result: injected-fail} try1{result: degraded}",
+        "degraded under fail: err stage `7_route` exhausted its budget after 2 attempt(s): injected failure (invocation 1) (2 attempt(s)) | adapt [] | try0{injected: fail, result: injected-fail} try1{injected: fail, result: injected-fail}",
+        "degraded under timeout@0: ok d0 | degraded: weak0; soft deadline exceeded (injected timeout, invocation 0) x1 | adapt [0] | try0{injected: timeout, result: timeout}",
+        "degraded under timeout@1: ok d0 | degraded: weak0 x1 | adapt [0] | try0{result: degraded}",
+        "degraded under degrade@0: ok d0 | degraded: weak0 x1 | adapt [0] | try0{injected: degrade, result: degraded}",
+        "salvage,done under none: ok v1 | recovered after 2 attempts x2 | adapt [0, 1] | try0{reason: bad0, result: retry} try1{result: done}",
+        "salvage,done under fail@0: ok s0 | degraded: partial0: bad0 (2 attempt(s)) x2 | adapt [0] | try0{injected: fail, result: injected-fail} try1{reason: bad0, result: retry}",
+        "salvage,done under fail: err stage `7_route` exhausted its budget after 2 attempt(s): injected failure (invocation 1) (2 attempt(s)) | adapt [] | try0{injected: fail, result: injected-fail} try1{injected: fail, result: injected-fail}",
+        "salvage,done under timeout@0: ok s0 | degraded: partial0; soft deadline exceeded (injected timeout, invocation 0) x1 | adapt [0] | try0{injected: timeout, result: timeout}",
+        "salvage,done under timeout@1: ok v1 | degraded: soft deadline exceeded (injected timeout, invocation 1) x2 | adapt [0, 1] | try0{reason: bad0, result: retry} try1{injected: timeout, result: timeout}",
+        "salvage,done under degrade@0: ok v1 | recovered after 2 attempts x2 | adapt [0, 1] | try0{injected: degrade, reason: bad0, result: retry} try1{result: done}",
+        "salvage,salvage under none: ok s1 | degraded: partial1: bad1 (2 attempt(s)) x2 | adapt [0, 1] | try0{reason: bad0, result: retry} try1{reason: bad1, result: retry}",
+        "salvage,salvage under fail@0: ok s0 | degraded: partial0: bad0 (2 attempt(s)) x2 | adapt [0] | try0{injected: fail, result: injected-fail} try1{reason: bad0, result: retry}",
+        "salvage,salvage under fail: err stage `7_route` exhausted its budget after 2 attempt(s): injected failure (invocation 1) (2 attempt(s)) | adapt [] | try0{injected: fail, result: injected-fail} try1{injected: fail, result: injected-fail}",
+        "salvage,salvage under timeout@0: ok s0 | degraded: partial0; soft deadline exceeded (injected timeout, invocation 0) x1 | adapt [0] | try0{injected: timeout, result: timeout}",
+        "salvage,salvage under timeout@1: ok s1 | degraded: partial1; soft deadline exceeded (injected timeout, invocation 1) x2 | adapt [0, 1] | try0{reason: bad0, result: retry} try1{injected: timeout, result: timeout}",
+        "salvage,salvage under degrade@0: ok s1 | degraded: partial1: bad1 (2 attempt(s)) x2 | adapt [0, 1] | try0{injected: degrade, reason: bad0, result: retry} try1{reason: bad1, result: retry}",
+        "bare,bare under none: err stage `7_route` exhausted its budget after 2 attempt(s): bad1 (2 attempt(s)) | adapt [0, 1] | try0{reason: bad0, result: retry} try1{reason: bad1, result: retry}",
+        "bare,bare under fail@0: err stage `7_route` exhausted its budget after 2 attempt(s): bad0 (2 attempt(s)) | adapt [0] | try0{injected: fail, result: injected-fail} try1{reason: bad0, result: retry}",
+        "bare,bare under fail: err stage `7_route` exhausted its budget after 2 attempt(s): injected failure (invocation 1) (2 attempt(s)) | adapt [] | try0{injected: fail, result: injected-fail} try1{injected: fail, result: injected-fail}",
+        "bare,bare under timeout@0: err stage `7_route` exhausted its budget after 1 attempt(s): bad0; soft deadline exceeded (injected timeout, invocation 0) | adapt [0] | try0{injected: timeout, result: timeout}",
+        "bare,bare under timeout@1: err stage `7_route` exhausted its budget after 2 attempt(s): bad1; soft deadline exceeded (injected timeout, invocation 1) | adapt [0, 1] | try0{reason: bad0, result: retry} try1{injected: timeout, result: timeout}",
+        "bare,bare under degrade@0: err stage `7_route` exhausted its budget after 2 attempt(s): bad1 (2 attempt(s)) | adapt [0, 1] | try0{injected: degrade, reason: bad0, result: retry} try1{reason: bad1, result: retry}",
+        "salvage,bare under none: ok s0 | degraded: partial0: bad1 (2 attempt(s)) x2 | adapt [0, 1] | try0{reason: bad0, result: retry} try1{reason: bad1, result: retry}",
+        "salvage,bare under fail@0: ok s0 | degraded: partial0: bad0 (2 attempt(s)) x2 | adapt [0] | try0{injected: fail, result: injected-fail} try1{reason: bad0, result: retry}",
+        "salvage,bare under fail: err stage `7_route` exhausted its budget after 2 attempt(s): injected failure (invocation 1) (2 attempt(s)) | adapt [] | try0{injected: fail, result: injected-fail} try1{injected: fail, result: injected-fail}",
+        "salvage,bare under timeout@0: ok s0 | degraded: partial0; soft deadline exceeded (injected timeout, invocation 0) x1 | adapt [0] | try0{injected: timeout, result: timeout}",
+        "salvage,bare under timeout@1: err stage `7_route` exhausted its budget after 2 attempt(s): bad1; soft deadline exceeded (injected timeout, invocation 1) | adapt [0, 1] | try0{reason: bad0, result: retry} try1{injected: timeout, result: timeout}",
+        "salvage,bare under degrade@0: ok s0 | degraded: partial0: bad1 (2 attempt(s)) x2 | adapt [0, 1] | try0{injected: degrade, reason: bad0, result: retry} try1{reason: bad1, result: retry}",
+        "hard under none: err stage `7_route` failed after 0 completed stage(s): unknown name `n1` | adapt [0] | try0{}",
+        "hard under fail@0: err stage `7_route` failed after 0 completed stage(s): unknown name `n1` | adapt [0] | try0{injected: fail, result: injected-fail} try1{}",
+        "hard under fail: err stage `7_route` exhausted its budget after 2 attempt(s): injected failure (invocation 1) (2 attempt(s)) | adapt [] | try0{injected: fail, result: injected-fail} try1{injected: fail, result: injected-fail}",
+        "hard under timeout@0: err stage `7_route` failed after 0 completed stage(s): unknown name `n1` | adapt [0] | try0{injected: timeout, result: timeout}",
+        "hard under timeout@1: err stage `7_route` failed after 0 completed stage(s): unknown name `n1` | adapt [0] | try0{}",
+        "hard under degrade@0: err stage `7_route` failed after 0 completed stage(s): unknown name `n1` | adapt [0] | try0{injected: degrade}",
+    ];
 }

@@ -48,10 +48,7 @@ pub use daemon::protocol::{
 };
 pub use daemon::{Daemon, DaemonConfig};
 pub use flow::{run_flow, run_flow_observed, FlowError, PartialFlow, StageFailure, STAGES};
-pub use harness::{
-    Fault, FaultPlan, FaultRule, FaultSpecError, StageBudget, StageBudgets, StageOutcome,
-    StageStatus,
-};
+pub use harness::{Fault, FaultPlan, FaultRule, FaultSpecError, StageOutcome, StageStatus};
 pub use learn::{Arm, ArmStats, FlowTuner};
 pub use report::FlowReport;
 pub use server::{FlowRequest, FlowResponse, FlowServer, FlowServerBuilder, ServerReport};

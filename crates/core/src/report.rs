@@ -120,37 +120,7 @@ impl FlowReport {
     /// contract (a warm run satisfies it against the cold run that filled
     /// the cache).
     pub fn same_qor(&self, other: &FlowReport) -> bool {
-        fn feq(a: f64, b: f64) -> bool {
-            a.to_bits() == b.to_bits()
-        }
-        self.flow == other.flow
-            && self.design == other.design
-            && self.node == other.node
-            && feq(self.cell_area_um2, other.cell_area_um2)
-            && self.cells == other.cells
-            && self.flops == other.flops
-            && feq(self.wns_ps, other.wns_ps)
-            && feq(self.critical_path_ps, other.critical_path_ps)
-            && feq(self.hpwl_um, other.hpwl_um)
-            && self.routed_wirelength == other.routed_wirelength
-            && self.vias == other.vias
-            && self.overflow == other.overflow
-            && self.masks == other.masks
-            && self.stitches == other.stitches
-            && self.litho_legal == other.litho_legal
-            && feq(self.opc_rms_epe_nm, other.opc_rms_epe_nm)
-            && feq(self.dynamic_mw, other.dynamic_mw)
-            && feq(self.leakage_mw, other.leakage_mw)
-            && feq(self.test_coverage, other.test_coverage)
-            && feq(self.scan_wirelength_um, other.scan_wirelength_um)
-            && self.decaps == other.decaps
-            && self.hotspots == other.hotspots
-            && feq(self.clock_skew_ps, other.clock_skew_ps)
-            && feq(self.clock_tree_um, other.clock_tree_um)
-            && feq(self.ir_drop_mv, other.ir_drop_mv)
-            && self.hold_violations == other.hold_violations
-            && self.synthesis_verified == other.synthesis_verified
-            && self.stage_status == other.stage_status
+        self.qor_text() == other.qor_text()
     }
 
     /// The canonical golden-snapshot text: every deterministic QoR field
@@ -355,6 +325,60 @@ mod tests {
         c.overflow = 3;
         assert!(!a.same_qor(&c));
         assert_ne!(a.qor_fingerprint(), c.qor_fingerprint());
+    }
+
+    /// Every QoR field, flipped alone by the smallest step it has (one `f64`
+    /// bit, one count, one status reason), is a difference to `same_qor` and
+    /// to the fingerprint the daemon ships in its place.
+    #[test]
+    fn every_qor_field_alone_breaks_same_qor_and_the_fingerprint() {
+        fn bit(v: &mut f64) {
+            *v = f64::from_bits(v.to_bits() ^ 1);
+        }
+        fn degraded(reason: &str) -> StageStatus {
+            StageStatus { outcome: StageOutcome::Degraded { reason: reason.into() }, attempts: 2 }
+        }
+        let mut base = dummy();
+        base.stage_status.insert("7_route".into(), degraded("partial routes (3 overflow)"));
+        type Flip = fn(&mut FlowReport);
+        let flips: [(&str, Flip); 28] = [
+            ("flow", |r| r.flow.push('x')),
+            ("design", |r| r.design.push('x')),
+            ("node", |r| r.node.push('x')),
+            ("cell_area_um2", |r| bit(&mut r.cell_area_um2)),
+            ("cells", |r| r.cells += 1),
+            ("flops", |r| r.flops += 1),
+            ("wns_ps", |r| bit(&mut r.wns_ps)),
+            ("critical_path_ps", |r| bit(&mut r.critical_path_ps)),
+            ("hpwl_um", |r| bit(&mut r.hpwl_um)),
+            ("routed_wirelength", |r| r.routed_wirelength += 1),
+            ("vias", |r| r.vias += 1),
+            ("overflow", |r| r.overflow += 1),
+            ("masks", |r| r.masks += 1),
+            ("stitches", |r| r.stitches += 1),
+            ("litho_legal", |r| r.litho_legal = !r.litho_legal),
+            ("opc_rms_epe_nm", |r| bit(&mut r.opc_rms_epe_nm)),
+            ("dynamic_mw", |r| bit(&mut r.dynamic_mw)),
+            ("leakage_mw", |r| bit(&mut r.leakage_mw)),
+            ("test_coverage", |r| bit(&mut r.test_coverage)),
+            ("scan_wirelength_um", |r| bit(&mut r.scan_wirelength_um)),
+            ("decaps", |r| r.decaps += 1),
+            ("hotspots", |r| r.hotspots += 1),
+            ("clock_skew_ps", |r| bit(&mut r.clock_skew_ps)),
+            ("clock_tree_um", |r| bit(&mut r.clock_tree_um)),
+            ("ir_drop_mv", |r| bit(&mut r.ir_drop_mv)),
+            ("hold_violations", |r| r.hold_violations += 1),
+            ("synthesis_verified", |r| r.synthesis_verified = None),
+            ("stage_status", |r| {
+                r.stage_status.insert("7_route".into(), degraded("partial routes (4 overflow)"));
+            }),
+        ];
+        for (field, flip) in flips {
+            let mut other = base.clone();
+            flip(&mut other);
+            assert!(!base.same_qor(&other), "same_qor missed a flipped `{field}`");
+            assert_ne!(base.qor_fingerprint(), other.qor_fingerprint(), "fingerprint missed `{field}`");
+        }
     }
 
     #[test]

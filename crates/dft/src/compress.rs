@@ -135,7 +135,7 @@ pub fn bypass_fault_sim(
     seed: u64,
 ) -> CompressionOutcome {
     let pats = crate::faults::random_patterns(view, num_patterns, seed);
-    let out: FaultSimOutcome = fault_sim(netlist, view, faults, &pats);
+    let out: FaultSimOutcome = fault_sim(netlist, view, faults, &pats, 1).0;
     // Bypass: the whole register is one chain per pin pair.
     let serial = TestAccess {
         scan_pins: access.scan_pins,

@@ -326,22 +326,12 @@ impl<'a> ConeSim<'a> {
 /// are dropped once detected.
 ///
 /// `patterns[k]` is one test: a vector of bits per [`CombView::inputs`]
-/// position.
-pub fn fault_sim(
-    netlist: &Netlist,
-    view: &CombView,
-    faults: &[Fault],
-    patterns: &[Vec<bool>],
-) -> FaultSimOutcome {
-    fault_sim_threaded(netlist, view, faults, patterns, 1).0
-}
-
-/// [`fault_sim`] with the collapsed fault list partitioned across `threads`
-/// workers (`0` = all cores). Pattern blocks and good-circuit responses are
-/// computed once and shared; each fault is an independent detection query, so
-/// the `detected` map is **bit-identical for any thread count** — detections
+/// position. The fault list is partitioned across `threads` workers (`0` =
+/// all cores). Pattern blocks and good-circuit responses are computed once
+/// and shared; each fault is an independent detection query, so the
+/// `detected` map is **bit-identical for any thread count** — detections
 /// merge as an order-independent union reassembled in fault-list order.
-pub fn fault_sim_threaded(
+pub fn fault_sim(
     netlist: &Netlist,
     view: &CombView,
     faults: &[Fault],
@@ -409,7 +399,7 @@ mod tests {
         let view = CombView::new(&n).unwrap();
         let faults = fault_list(&n);
         let pats = random_patterns(&view, 64, 11);
-        let out = fault_sim(&n, &view, &faults, &pats);
+        let out = fault_sim(&n, &view, &faults, &pats, 1).0;
         assert!(
             out.coverage() > 0.99,
             "XOR trees are random-testable, got {:.3}",
@@ -427,8 +417,8 @@ mod tests {
         .unwrap();
         let view = CombView::new(&n).unwrap();
         let faults = fault_list(&n);
-        let few = fault_sim(&n, &view, &faults, &random_patterns(&view, 8, 4));
-        let many = fault_sim(&n, &view, &faults, &random_patterns(&view, 128, 4));
+        let few = fault_sim(&n, &view, &faults, &random_patterns(&view, 8, 4), 1).0;
+        let many = fault_sim(&n, &view, &faults, &random_patterns(&view, 128, 4), 1).0;
         assert!(many.num_detected >= few.num_detected);
         assert!(many.coverage() > 0.5);
     }
@@ -444,9 +434,9 @@ mod tests {
         let view = CombView::new(&n).unwrap();
         let faults = fault_list(&n);
         let pats = random_patterns(&view, 96, 3);
-        let serial = fault_sim(&n, &view, &faults, &pats);
+        let serial = fault_sim(&n, &view, &faults, &pats, 1).0;
         for threads in [2, 4, 8] {
-            let (par, stats) = fault_sim_threaded(&n, &view, &faults, &pats, threads);
+            let (par, stats) = fault_sim(&n, &view, &faults, &pats, threads);
             assert_eq!(par.detected, serial.detected, "threads={threads}");
             assert_eq!(par.num_detected, serial.num_detected);
             assert!(stats.threads >= 1);
@@ -488,7 +478,7 @@ mod tests {
             // 70 and 96 patterns: the last block is partial both times.
             for count in [70, 96] {
                 let pats = random_patterns(&view, count, 17);
-                let got = fault_sim(n, &view, &faults, &pats);
+                let got = fault_sim(n, &view, &faults, &pats, 1).0;
                 for (f, &detected) in faults.iter().zip(&got.detected) {
                     assert_eq!(
                         detected,
@@ -518,7 +508,7 @@ mod tests {
         let view = CombView::new(&n).unwrap();
         let faults = [Fault { net: y, stuck_at: false }, Fault { net: y, stuck_at: true }];
         let pats = random_patterns(&view, 70, 2);
-        let got = fault_sim(&n, &view, &faults, &pats);
+        let got = fault_sim(&n, &view, &faults, &pats, 1).0;
         assert_eq!(got.detected, [false, true]);
         for (f, &d) in faults.iter().zip(&got.detected) {
             assert_eq!(d, detects_by_full_resim(&n, &view, f, &pats));
@@ -541,7 +531,7 @@ mod tests {
         let faults: Vec<Fault> =
             ins.iter().chain(&[ab, abc, y, z]).map(|&net| Fault { net, stuck_at: true }).collect();
         let pats: Vec<Vec<bool>> = (1..71usize).map(|k| (0..4).map(|i| (k % 15 + 1) >> i & 1 == 1).collect()).collect();
-        let got = fault_sim(&n, &view, &faults, &pats);
+        let got = fault_sim(&n, &view, &faults, &pats, 1).0;
         assert_eq!(got.detected, vec![false; faults.len()]);
         assert!(faults.iter().all(|f| !detects_by_full_resim(&n, &view, f, &pats)));
     }

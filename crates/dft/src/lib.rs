@@ -24,17 +24,15 @@
 //! ```
 
 pub mod atpg;
-pub mod collapse;
 pub mod compress;
 pub mod faults;
 pub mod scan;
 
 pub use atpg::{generate_test, run_atpg, AtpgConfig, AtpgOutcome, AtpgResult};
-pub use collapse::{collapse_faults, CollapseOutcome};
 pub use compress::{
     bypass_fault_sim, compact, compressed_fault_sim, spread, CompressionOutcome, TestAccess,
 };
 pub use faults::{
-    fault_list, fault_sim, fault_sim_threaded, random_patterns, CombView, Fault, FaultSimOutcome,
+    fault_list, fault_sim, random_patterns, CombView, Fault, FaultSimOutcome,
 };
 pub use scan::{insert_scan, reorder_chains, scan_wirelength, ScanOutcome};

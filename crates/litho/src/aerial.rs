@@ -37,34 +37,23 @@ impl OpticalModel {
     /// Simulates printing of a 1-D mask.
     ///
     /// `mask` gives `(start, end)` transparent intervals in nm over
-    /// `[0, extent_nm]`. Returns the printed intervals after thresholding.
-    pub fn print(&self, mask: &[(f64, f64)], extent_nm: f64) -> Vec<(f64, f64)> {
-        let image = self.image(mask, extent_nm);
-        self.threshold_image(&image)
-    }
-
-    /// [`print`](Self::print) with the convolution spread over `threads`
-    /// workers (`0` = all cores).
-    pub fn print_threaded(
+    /// `[0, extent_nm]`. Returns the printed intervals after thresholding;
+    /// the convolution is spread over `threads` workers (`0` = all cores).
+    pub fn print(
         &self,
         mask: &[(f64, f64)],
         extent_nm: f64,
         threads: usize,
     ) -> (Vec<(f64, f64)>, eda_par::ParStats) {
-        let (image, stats) = self.image_threaded(mask, extent_nm, threads);
+        let (image, stats) = self.image(mask, extent_nm, threads);
         (self.threshold_image(&image), stats)
     }
 
-    /// The sampled aerial image for a mask.
-    pub fn image(&self, mask: &[(f64, f64)], extent_nm: f64) -> Vec<f64> {
-        self.image_threaded(mask, extent_nm, 1).0
-    }
-
-    /// [`image`](Self::image) with the sample axis chunked across `threads`
-    /// workers. Each output sample is an independent kernel dot product over
-    /// the shared rasterized mask, and chunks reassemble in sample order, so
-    /// the image is bit-identical for any thread count.
-    pub fn image_threaded(
+    /// The sampled aerial image for a mask, the sample axis chunked across
+    /// `threads` workers. Each output sample is an independent kernel dot
+    /// product over the shared rasterized mask, and chunks reassemble in
+    /// sample order, so the image is bit-identical for any thread count.
+    pub fn image(
         &self,
         mask: &[(f64, f64)],
         extent_nm: f64,
@@ -147,7 +136,7 @@ impl OpticalModel {
         let mask: Vec<(f64, f64)> = (0..lines)
             .map(|i| (i as f64 * pitch_nm, i as f64 * pitch_nm + pitch_nm / 2.0))
             .collect();
-        let img = self.image(&mask, extent);
+        let (img, _) = self.image(&mask, extent, 1);
         // Ignore the boundary third on each side.
         let lo = img.len() / 3;
         let hi = 2 * img.len() / 3;
@@ -167,15 +156,12 @@ impl OpticalModel {
 /// Edge-placement errors of printed intervals against target intervals, in
 /// nm. Each target edge is matched to the nearest printed edge; unmatched
 /// targets get an error equal to half the target width (missing feature).
-pub fn edge_placement_errors(target: &[(f64, f64)], printed: &[(f64, f64)]) -> Vec<f64> {
-    edge_placement_errors_threaded(target, printed, 1)
-}
-
-/// [`edge_placement_errors`] with the per-fragment evaluation partitioned
-/// across `threads` workers. Each fragment's two edge errors depend only on
-/// that fragment and the shared printed contours, and the flattened result
-/// keeps fragment order, so the field is bit-identical for any thread count.
-pub fn edge_placement_errors_threaded(
+///
+/// The per-fragment evaluation is partitioned across `threads` workers. Each
+/// fragment's two edge errors depend only on that fragment and the shared
+/// printed contours, and the flattened result keeps fragment order, so the
+/// field is bit-identical for any thread count.
+pub fn edge_placement_errors(
     target: &[(f64, f64)],
     printed: &[(f64, f64)],
     threads: usize,
@@ -218,9 +204,9 @@ mod tests {
     fn isolated_big_feature_prints_accurately() {
         let m = OpticalModel::default();
         let target = vec![(200.0, 600.0)];
-        let printed = m.print(&target, 800.0);
+        let printed = m.print(&target, 800.0, 1).0;
         assert_eq!(printed.len(), 1);
-        let epe = edge_placement_errors(&target, &printed);
+        let epe = edge_placement_errors(&target, &printed, 1);
         assert!(rms(&epe) < 5.0, "large isolated feature should print true, rms={}", rms(&epe));
     }
 
@@ -243,7 +229,7 @@ mod tests {
             let x = 200.0 + i as f64 * pitch;
             (x, x + pitch / 2.0)
         }).collect();
-        let printed = m.print(&mask, 1000.0);
+        let printed = m.print(&mask, 1000.0, 1).0;
         assert!(
             printed.len() < 10,
             "40nm-pitch lines must merge/vanish in a single exposure, got {}",
@@ -254,7 +240,7 @@ mod tests {
     #[test]
     fn epe_of_perfect_print_is_zero() {
         let target = vec![(100.0, 200.0), (300.0, 400.0)];
-        let epe = edge_placement_errors(&target, &target);
+        let epe = edge_placement_errors(&target, &target, 1);
         assert!(epe.iter().all(|&e| e == 0.0));
         assert_eq!(rms(&epe), 0.0);
     }
@@ -262,7 +248,7 @@ mod tests {
     #[test]
     fn missing_feature_charged_half_width() {
         let target = vec![(100.0, 160.0)];
-        let epe = edge_placement_errors(&target, &[]);
+        let epe = edge_placement_errors(&target, &[], 1);
         assert_eq!(epe, vec![30.0, 30.0]);
     }
 
@@ -275,18 +261,18 @@ mod tests {
                 (x, x + 65.0)
             })
             .collect();
-        let serial = m.image(&mask, 3000.0);
+        let serial = m.image(&mask, 3000.0, 1).0;
         for threads in [2, 4, 8] {
-            let (par, _) = m.image_threaded(&mask, 3000.0, threads);
+            let (par, _) = m.image(&mask, 3000.0, threads);
             assert_eq!(par.len(), serial.len());
             for (i, (a, b)) in serial.iter().zip(&par).enumerate() {
                 assert_eq!(a.to_bits(), b.to_bits(), "sample {i}, threads={threads}");
             }
         }
-        let printed = m.print(&mask, 3000.0);
-        let epe_serial = edge_placement_errors(&mask, &printed);
+        let printed = m.print(&mask, 3000.0, 1).0;
+        let epe_serial = edge_placement_errors(&mask, &printed, 1);
         for threads in [2, 8] {
-            let epe_par = edge_placement_errors_threaded(&mask, &printed, threads);
+            let epe_par = edge_placement_errors(&mask, &printed, threads);
             assert_eq!(epe_serial.len(), epe_par.len());
             for (a, b) in epe_serial.iter().zip(&epe_par) {
                 assert_eq!(a.to_bits(), b.to_bits());

@@ -85,7 +85,7 @@ pub fn find_hotspots(layout: &Layout, model: &OpticalModel, cfg: &HotspotConfig)
         let (pos, width) = cross_section(r);
         let margin = 4.0 * model.sigma_nm() + 50.0;
         let mask = vec![(margin, margin + width)];
-        let printed = model.print(&mask, 2.0 * margin + width);
+        let printed = model.print(&mask, 2.0 * margin + width, 1).0;
         let _ = pos;
         match printed.first() {
             None => out.push(Hotspot::Missing { index: i }),
@@ -113,7 +113,7 @@ pub fn find_hotspots(layout: &Layout, model: &OpticalModel, cfg: &HotspotConfig)
                 (margin + wa + gap, margin + wa + gap + wb),
             ];
             let extent = 2.0 * margin + wa + gap + wb;
-            let printed = model.print(&mask, extent);
+            let printed = model.print(&mask, extent, 1).0;
             // Fewer than two printed intervals means the pair merged (one
             // blob) or proximity destroyed both — either way, a bridge-class
             // failure between these neighbours.

@@ -26,8 +26,8 @@ pub mod geom;
 pub mod hotspot;
 pub mod opc;
 
-pub use aerial::{edge_placement_errors, edge_placement_errors_threaded, rms, OpticalModel};
+pub use aerial::{edge_placement_errors, rms, OpticalModel};
 pub use coloring::{decompose, required_masks, ConflictGraph, Decomposition};
 pub use geom::{Layout, Rect};
 pub use hotspot::{find_hotspots, find_hotspots_per_mask, Hotspot, HotspotConfig};
-pub use opc::{run_opc, run_opc_stats, OpcConfig, OpcOutcome};
+pub use opc::{run_opc, OpcConfig, OpcOutcome};

@@ -6,7 +6,7 @@
 //! per-edge bias), then model-based iterations refine each edge
 //! independently.
 
-use crate::aerial::{edge_placement_errors_threaded, rms, OpticalModel};
+use crate::aerial::{edge_placement_errors, rms, OpticalModel};
 
 /// OPC configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -65,23 +65,14 @@ impl OpcOutcome {
     }
 }
 
-/// Runs OPC for a 1-D target pattern.
+/// Runs OPC for a 1-D target pattern. Returns the outcome with the
+/// accumulated parallel-execution record of every convolution and fragment
+/// dispatch (for scaling reports).
 ///
 /// # Panics
 ///
 /// Panics if `target` is empty or gain is outside `(0, 1]`.
 pub fn run_opc(
-    model: &OpticalModel,
-    target: &[(f64, f64)],
-    extent_nm: f64,
-    cfg: &OpcConfig,
-) -> OpcOutcome {
-    run_opc_stats(model, target, extent_nm, cfg).0
-}
-
-/// [`run_opc`] returning the accumulated parallel-execution record of every
-/// convolution and fragment dispatch (for scaling reports).
-pub fn run_opc_stats(
     model: &OpticalModel,
     target: &[(f64, f64)],
     extent_nm: f64,
@@ -97,14 +88,14 @@ pub fn run_opc_stats(
         .collect();
     let mut history = Vec::with_capacity(cfg.iterations + 1);
     let measure = |mask: &[(f64, f64)], stats: &mut eda_par::ParStats| {
-        let (printed, s) = model.print_threaded(mask, extent_nm, cfg.threads);
+        let (printed, s) = model.print(mask, extent_nm, cfg.threads);
         stats.absorb(&s);
-        rms(&edge_placement_errors_threaded(target, &printed, cfg.threads))
+        rms(&edge_placement_errors(target, &printed, cfg.threads))
     };
     history.push(measure(&mask, &mut stats));
     let mut fragment_moves = 0usize;
     for _ in 0..cfg.iterations {
-        let (printed, s) = model.print_threaded(&mask, extent_nm, cfg.threads);
+        let (printed, s) = model.print(&mask, extent_nm, cfg.threads);
         stats.absorb(&s);
         // Per-edge correction: move each mask edge opposite its EPE. Each
         // fragment reads only its own mask interval plus the shared printed
@@ -173,7 +164,7 @@ mod tests {
     fn opc_reduces_epe_on_printable_pattern() {
         let model = OpticalModel::default();
         let (target, extent) = dense_target(110.0, 8, 300.0);
-        let out = run_opc(&model, &target, extent, &OpcConfig::default());
+        let out = run_opc(&model, &target, extent, &OpcConfig::default()).0;
         let first = out.rms_epe_history[0];
         let last = out.final_rms_epe();
         assert!(
@@ -187,7 +178,7 @@ mod tests {
     fn opc_cannot_rescue_sub_resolution_pitch() {
         let model = OpticalModel::default();
         let (target, extent) = dense_target(45.0, 8, 300.0);
-        let out = run_opc(&model, &target, extent, &OpcConfig::default());
+        let out = run_opc(&model, &target, extent, &OpcConfig::default()).0;
         assert!(
             out.final_rms_epe() > 8.0,
             "45nm pitch cannot single-expose even with OPC, got {:.2}",
@@ -200,7 +191,7 @@ mod tests {
         let model = OpticalModel::default();
         let (target, extent) = dense_target(130.0, 4, 200.0);
         let cfg = OpcConfig { iterations: 5, ..Default::default() };
-        let out = run_opc(&model, &target, extent, &cfg);
+        let out = run_opc(&model, &target, extent, &cfg).0;
         assert_eq!(out.rms_epe_history.len(), 6);
         assert_eq!(out.mask.len(), target.len());
     }
@@ -209,7 +200,7 @@ mod tests {
     fn mask_features_never_collapse() {
         let model = OpticalModel::default();
         let (target, extent) = dense_target(70.0, 6, 250.0);
-        let out = run_opc(&model, &target, extent, &OpcConfig { iterations: 12, ..Default::default() });
+        let out = run_opc(&model, &target, extent, &OpcConfig { iterations: 12, ..Default::default() }).0;
         for &(a, b) in &out.mask {
             assert!(b - a >= 2.0, "mask feature collapsed: ({a}, {b})");
         }
@@ -219,10 +210,10 @@ mod tests {
     fn threaded_opc_is_bit_identical() {
         let model = OpticalModel::default();
         let (target, extent) = dense_target(110.0, 10, 300.0);
-        let serial = run_opc(&model, &target, extent, &OpcConfig::default());
+        let serial = run_opc(&model, &target, extent, &OpcConfig::default()).0;
         for threads in [2, 4, 8] {
             let cfg = OpcConfig { threads, ..Default::default() };
-            let (par, stats) = run_opc_stats(&model, &target, extent, &cfg);
+            let (par, stats) = run_opc(&model, &target, extent, &cfg);
             assert_eq!(par.mask.len(), serial.mask.len());
             for ((a0, a1), (b0, b1)) in serial.mask.iter().zip(&par.mask) {
                 assert_eq!(a0.to_bits(), b0.to_bits(), "threads={threads}");
@@ -239,6 +230,6 @@ mod tests {
     #[should_panic(expected = "OPC needs a target")]
     fn empty_target_panics() {
         let model = OpticalModel::default();
-        let _ = run_opc(&model, &[], 100.0, &OpcConfig::default());
+        let _ = run_opc(&model, &[], 100.0, &OpcConfig::default()).0;
     }
 }

@@ -29,7 +29,6 @@ mod cuts;
 pub mod ec;
 pub mod isop;
 pub mod map;
-pub mod npn;
 pub mod synth;
 pub mod tt;
 
@@ -39,7 +38,6 @@ pub use ec::{check_equivalence, EcError, EcVerdict};
 pub use cube::{Cover, Cube};
 pub use isop::isop;
 pub use map::{map_aig, map_naive, MapError, MapGoal, MapOutcome};
-pub use npn::{npn_canon, npn_equivalent, NpnCanon};
 pub use synth::{
     optimize_aig, synthesize, AigPass, SynthesisEffort, SynthesisError, SynthesisOptions,
     SynthesisOutcome, AIG_MEMO_KINDS, DEFAULT_REWRITE_PASSES,

@@ -252,9 +252,18 @@ cargo test --release -q --test place_pins
 # bit) in release: eight full flows, minutes unoptimized.
 cargo test --release -q --test signoff_pins
 
+# Census: names deleted for having no caller (PR 24 — the per-stage budget
+# types, the NPN / fault-collapse kernels, the client's queue-full retry, the
+# `_threaded` / `_stats` twin entry points) must not reappear anywhere in the
+# workspace, its tests or its examples.
+deleted_names='StageBudgets?|soft_deadline_s|npn_canon|npn_equivalent|NpnCanon|collapse_faults|CollapseOutcome|request_retry|retry_queue_full|fault_sim_threaded|run_opc_stats|image_threaded|print_threaded|edge_placement_errors_threaded'
+if grep -rnwE "$deleted_names" crates src tests examples; then
+    echo "check: FAIL a deleted name is back (census above)" >&2; exit 1
+fi
+
 # Tally: sum the "test result:" lines from the debug suite run above.
 awk '/^test result:/ { passed += $4; failed += $6 }
      END { printf "check: %d tests passed, %d failed across all binaries\n", passed, failed
            exit (failed > 0) }' "$test_log"
-echo "check: $(find crates src tests examples benchmark -name '*.rs' -print0 | xargs -0 cat | wc -l) lines of Rust (the count ROADMAP quotes)"
-echo "check: tier-1 + clippy + unwrap gates + inject smoke + trace + serve + daemon + facade docs + incremental + sub-stage record budget + cross-process resume + mini-scale + golden + route pins + route audit + place pins + place audit + sign-off pins green"
+echo "check: $(find crates src tests examples benchmark -name '*.rs' -print0 | xargs -0 cat | wc -l) lines of Rust (the count ROADMAP quotes); deleted-name census empty"
+echo "check: tier-1 + clippy + unwrap gates + inject smoke + trace + serve + daemon + facade docs + incremental + sub-stage record budget + cross-process resume + mini-scale + golden + route pins + route audit + place pins + place audit + sign-off pins + deleted-name census green"

@@ -355,7 +355,7 @@ fn shutdown_drains_every_admitted_request_before_acking() {
     let exit = daemon.handle.join().expect("daemon thread").expect("daemon exit");
     assert_eq!(exit, ack);
     assert!(!daemon.socket.exists());
-    let policy = RetryPolicy { attempts: 1, base_ms: 1, cap_ms: 1, retry_queue_full: false };
+    let policy = RetryPolicy { attempts: 1, base_ms: 1, cap_ms: 1 };
     assert!(DaemonClient::connect_retry(&daemon.endpoint, &policy).is_err());
 }
 

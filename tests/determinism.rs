@@ -4,8 +4,8 @@
 //! "Parallel execution" section).
 
 use eda::core::{run_flow, FlowConfig};
-use eda::dft::{fault_list, fault_sim, fault_sim_threaded, random_patterns, CombView};
-use eda::litho::{run_opc, run_opc_stats, OpcConfig, OpticalModel};
+use eda::dft::{fault_list, fault_sim, random_patterns, CombView};
+use eda::litho::{run_opc, OpcConfig, OpticalModel};
 use eda::netlist::generate;
 use eda::place::{place_global, Die, GlobalConfig};
 use eda::route::{route, route_stats, RouteConfig};
@@ -60,9 +60,9 @@ proptest! {
         let view = CombView::new(&d).unwrap();
         let faults = fault_list(&d);
         let pats = random_patterns(&view, npat, seed ^ 0x5eed);
-        let serial = fault_sim(&d, &view, &faults, &pats);
+        let serial = fault_sim(&d, &view, &faults, &pats, 1).0;
         for threads in [2usize, 8] {
-            let (par, _) = fault_sim_threaded(&d, &view, &faults, &pats, threads);
+            let (par, _) = fault_sim(&d, &view, &faults, &pats, threads);
             prop_assert_eq!(&par.detected, &serial.detected, "threads={}", threads);
             prop_assert_eq!(par.num_detected, serial.num_detected);
         }
@@ -83,10 +83,10 @@ proptest! {
             .collect();
         let extent = 600.0 + pitch * lines as f64;
         let model = OpticalModel::default();
-        let serial = run_opc(&model, &target, extent, &OpcConfig::default());
+        let serial = run_opc(&model, &target, extent, &OpcConfig::default()).0;
         for threads in [2usize, 8] {
             let cfg = OpcConfig { threads, ..Default::default() };
-            let (par, _) = run_opc_stats(&model, &target, extent, &cfg);
+            let (par, _) = run_opc(&model, &target, extent, &cfg);
             for (a, b) in serial.mask.iter().zip(&par.mask) {
                 prop_assert_eq!(a.0.to_bits(), b.0.to_bits(), "threads={}", threads);
                 prop_assert_eq!(a.1.to_bits(), b.1.to_bits(), "threads={}", threads);

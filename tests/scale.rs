@@ -19,6 +19,9 @@ use std::path::PathBuf;
 
 /// Mini tier: 10⁴ instances, seconds in release.
 const MINI: usize = 10_000;
+/// A mesh large enough that its 50 GHz power map trips the decap path (4 000
+/// instances insert none).
+const DECAP_MESH: usize = 6_000;
 /// Stress tier: ~10⁵ instances.
 const STRESS: usize = 100_000;
 /// Peak-RSS ceiling for the 10⁵ tier, both runs of the process included.
@@ -176,6 +179,26 @@ fn peak_rss_is_excluded_from_qor() {
     assert!(rb > 0, "RSS gauge readable");
     assert!(a.same_qor(&b), "RSS telemetry leaked into QoR");
     assert_rss_profile(&a, 4096, "rss-exclusion run");
+}
+
+/// `9_power` survives its own decap insertion: at a clock the mesh's power
+/// density cannot hold, the stage adds decap cells and still solves IR drop —
+/// on the one power map built before them, over the only netlist its
+/// `Activity` and `Placement` can index — bit-identically at 1 and 4 worker
+/// threads.
+#[test]
+fn decap_insertion_completes_and_is_thread_invariant() {
+    let design = generate::scale_mesh(DECAP_MESH, 3).unwrap();
+    let run = |threads: usize| {
+        let mut cfg = FlowConfig::scale_2016(Node::N28, DECAP_MESH);
+        cfg.clock_mhz = 50_000.0;
+        cfg.threads = threads;
+        run_flow(&design, &cfg).unwrap_or_else(|e| panic!("decap flow at {threads} threads: {e}"))
+    };
+    let serial = run(1);
+    assert!(serial.decaps > 0, "50 GHz on the mesh must trip the decap path");
+    assert_eq!(counter(&serial, "power.decaps_inserted"), serial.decaps as u64);
+    assert!(serial.same_qor(&run(4)), "decap flow QoR diverged between 1 and 4 threads");
 }
 
 /// The 10⁵ tier: all 11 stages, overflow-free, bit-identical at 1 and 4

@@ -10,7 +10,7 @@
 //! change. After an *intended* QoR change the failure message is the whole
 //! table as the code now computes it, ready to paste over `PINS`.
 
-use eda::dft::{fault_list, fault_sim_threaded, random_patterns, CombView};
+use eda::dft::{fault_list, fault_sim, random_patterns, CombView};
 use eda::litho::{decompose, Layout};
 use eda::netlist::memo::fnv1a;
 use eda::netlist::{codec, generate, Netlist};
@@ -60,7 +60,7 @@ fn dft_row(netlist: &Netlist, seed: u64, threads: usize) -> (f64, String) {
     let view = CombView::new(netlist).unwrap();
     let faults = fault_list(netlist);
     let pats = random_patterns(&view, 96, seed);
-    let (sim, _) = fault_sim_threaded(netlist, &view, &faults, &pats, threads);
+    let (sim, _) = fault_sim(netlist, &view, &faults, &pats, threads);
     let digest = fnv1a(sim.detected.iter().map(|&d| u8::from(d)));
     (
         sim.coverage(),
