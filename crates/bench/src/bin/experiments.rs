@@ -12,50 +12,8 @@
 //! cargo run --release -p eda-bench --bin experiments daemon submit --socket /tmp/flowd.sock --count 4 --verify
 //! ```
 //!
-//! Subcommands (see `--help` for every option):
-//!
-//! * `run [CLAIMS...]` — regenerate panel claims (all of them when none is
-//!   named).
-//!   When more than one claim is selected, the independent claims run
-//!   concurrently as child processes and their outputs print in claim
-//!   order. With `--inject SPEC`, runs the supervised flow under a
-//!   deterministic fault plan instead and checks it reproduces.
-//! * `serve` — run a batch of perturbed smoke designs through one
-//!   [`FlowServer`] sharing a stage cache, compare against per-design
-//!   sequential runs, and print machine-readable SERVLINE rows (throughput,
-//!   cross-design cache hit rate, speedup vs. sequential). Exits nonzero
-//!   unless the batch QoR is bit-identical to the serial runs.
-//! * `incremental` — cold + warm smoke flow against the stage cache; exits
-//!   nonzero unless the warm run skips at least 8 of the 11 stages with
-//!   bit-identical QoR.
-//! * `scale` — the scale-tier stress harness: a `--instances` mesh fabric
-//!   through the memory-lean flow at 1 and `--threads` workers, printing
-//!   SCALELINE/SCALESTAGE rows (windowed-vs-dense routing scratch,
-//!   per-stage wall + peak RSS, QoR bit-identity) and
-//!   failing if any memory bar, the bit-identity check, or an optional
-//!   `--rss-budget-mb` is missed.
-//! * `trace OUT.json` — run the smoke flow once and write its telemetry
-//!   (Chrome-trace JSON, flat metrics JSON, folded stacks).
-//! * `daemon serve|submit|ping|shutdown` — the network-facing flow daemon
-//!   (DESIGN.md §11): `serve` runs until drained and exits 0; `submit`
-//!   drives a batch over the socket (with `--deadline-ms`,
-//!   `--inject IDX:SPEC` per-request stage faults, `--xfault` transport
-//!   sabotage, and `--verify` for the bit-identical solo-replay check);
-//!   `ping` prints lifetime stats; `shutdown` asks for graceful drain.
-//!   All print machine-readable DAEMONLINE rows.
-//!
-//! Every subcommand shares one typed `Options` struct: `--threads N` (one
-//! global budget for every parallel kernel — and, under `serve`, the
-//! worker/kernel split; `0` = all cores), `--store PATH` /
-//! `--store-max-bytes N` (the persistent flow store: stage + sub-stage
-//! cache and QoR provenance, DESIGN.md §14), `--inject SPEC` (deterministic
-//! fault plan: `smoke`, `random:N`, or
-//! `stage=fail|timeout|degrade[@invocation]`),
-//! `--batch N` / `--workers W` (serve pool shape), and the `query` filters
-//! (`--design`, `--stage`, `--metric`, `--last`).
-//!
-//! A flag's value may follow it as the next argument or after `=`
-//! (`--threads 4`, `--threads=4`).
+//! `experiments --help` describes every subcommand and option; `print_help`
+//! below is the one place they are documented.
 //!
 //! Any failure exits nonzero with a one-line message on stderr.
 
@@ -692,27 +650,23 @@ fn query_demo(opts: &Options) -> CliResult {
     }
 
     let metric = opts.metric.as_deref().unwrap_or("all");
-    let value = |row: &QorRow| -> String {
-        match metric {
-            "wns" => format!("{:.3}", row.wns_ps),
-            "overflow" => row.overflow.to_string(),
-            "hpwl" => format!("{:.3}", row.hpwl_um),
-            "wall" => format!("{:.6}", row.wall_s),
-            "rss" => row.peak_rss_bytes.to_string(),
-            _ => String::new(),
-        }
-    };
     if !matches!(metric, "all" | "wns" | "overflow" | "hpwl" | "wall" | "rss") {
         return Err(CliError(format!(
             "unknown --metric `{metric}` (want wns, overflow, hpwl, wall, rss, or all)"
         )));
     }
-    let rows: Vec<QorRow> = store.qor_history(&q)?;
+    print_qor_rows(&store.qor_history(&q)?, metric);
+    Ok(())
+}
+
+/// The QoR rows of `query` and `daemon query`: a human table, one
+/// `QUERYLINE` row per run (`check.sh` parses these bytes), and the count.
+fn print_qor_rows(rows: &[QorRow], metric: &str) {
     println!(
         "{:>5} {:<14} {:<6} {:>10} {:>6} {:>12} {:>9} {:>9}",
         "seq", "design", "node", "wns_ps", "ovfl", "hpwl_um", "wall_s", "rss_mb"
     );
-    for row in &rows {
+    for row in rows {
         println!(
             "{:>5} {:<14} {:<6} {:>10.1} {:>6} {:>12.1} {:>9.3} {:>9.1}",
             row.seq,
@@ -725,7 +679,17 @@ fn query_demo(opts: &Options) -> CliResult {
             row.peak_rss_bytes as f64 / (1024.0 * 1024.0)
         );
     }
-    for row in &rows {
+    let value = |row: &QorRow| -> String {
+        match metric {
+            "wns" => format!("{:.3}", row.wns_ps),
+            "overflow" => row.overflow.to_string(),
+            "hpwl" => format!("{:.3}", row.hpwl_um),
+            "wall" => format!("{:.6}", row.wall_s),
+            "rss" => row.peak_rss_bytes.to_string(),
+            _ => String::new(),
+        }
+    };
+    for row in rows {
         if metric == "all" {
             println!(
                 "QUERYLINE qor {} {} {} {:016x} {:016x} {:.3} {} {:.3} {:.6} {}",
@@ -745,7 +709,6 @@ fn query_demo(opts: &Options) -> CliResult {
         }
     }
     println!("QUERYLINE rows {}", rows.len());
-    Ok(())
 }
 
 /// `scale`: the 10⁵-tier stress harness behind the check.sh mini-scale
@@ -1092,7 +1055,7 @@ fn parse_indexed_injects(spec: &str, batch: usize) -> Result<Vec<(usize, String)
 /// `daemon VERB`: the network-facing flow daemon (DESIGN.md §11).
 fn daemon_demo(opts: &Options) -> CliResult {
     let verb = opts.verb.as_deref().ok_or(CliError(
-        "daemon needs a verb: serve, submit, ping, or shutdown (see --help)".into(),
+        "daemon needs a verb: serve, submit, ping, query, or shutdown (see --help)".into(),
     ))?;
     let socket = opts.socket.as_deref().ok_or(CliError(
         "daemon needs --socket PATH (e.g. --socket /tmp/flowd.sock)".into(),
@@ -1107,6 +1070,13 @@ fn daemon_demo(opts: &Options) -> CliResult {
             "unknown daemon verb `{other}` (want serve, submit, ping, query, or shutdown)"
         ))),
     }
+}
+
+/// The one way the client verbs reach the daemon: its Unix socket, with the
+/// default connect-retry policy.
+fn connect(socket: &str) -> Result<DaemonClient, CliError> {
+    DaemonClient::connect_retry(&Endpoint::Unix(PathBuf::from(socket)), &RetryPolicy::default())
+        .map_err(|e| CliError(format!("cannot reach daemon at {socket}: {e}")))
 }
 
 fn print_daemon_stats(stats: &eda_core::DaemonStats) {
@@ -1157,10 +1127,7 @@ fn daemon_serve(opts: &Options, socket: &str) -> CliResult {
 /// sabotages its own transport deterministically (hostile-client mode) and
 /// a dropped connection counts as the expected outcome.
 fn daemon_submit(opts: &Options, socket: &str) -> CliResult {
-    let endpoint = Endpoint::Unix(PathBuf::from(socket));
-    let policy = RetryPolicy::default();
-    let mut client = DaemonClient::connect_retry(&endpoint, &policy)
-        .map_err(|e| CliError(format!("cannot reach daemon at {socket}: {e}")))?;
+    let mut client = connect(socket)?;
     let hostile = opts.xfault.is_some();
     if let Some(spec) = &opts.xfault {
         client = client.with_faults(TransportFaultPlan::parse(spec)?);
@@ -1277,56 +1244,22 @@ fn daemon_submit(opts: &Options, socket: &str) -> CliResult {
 /// from its flow store on the connection's reader thread — no flow worker is
 /// occupied, so this works even while the queue is full.
 fn daemon_query(opts: &Options, socket: &str) -> CliResult {
-    let endpoint = Endpoint::Unix(PathBuf::from(socket));
-    let mut client = DaemonClient::connect_retry(&endpoint, &RetryPolicy::default())
-        .map_err(|e| CliError(format!("cannot reach daemon at {socket}: {e}")))?;
     let spec = QuerySpec { design: opts.design.clone(), last: opts.last as u64 };
-    let rows = client.query(&spec).map_err(|e| CliError(e.to_string()))?;
-    println!(
-        "{:>5} {:<14} {:<6} {:>10} {:>6} {:>12} {:>9}",
-        "seq", "design", "node", "wns_ps", "ovfl", "hpwl_um", "wall_s"
-    );
-    for row in &rows {
-        println!(
-            "{:>5} {:<14} {:<6} {:>10.1} {:>6} {:>12.1} {:>9.3}",
-            row.seq, row.design, row.node, row.wns_ps, row.overflow, row.hpwl_um, row.wall_s
-        );
-    }
-    for row in &rows {
-        println!(
-            "QUERYLINE qor {} {} {} {:016x} {:016x} {:.3} {} {:.3} {:.6} {}",
-            row.seq,
-            row.design,
-            row.node,
-            row.cfg_fp,
-            row.qor_fp,
-            row.wns_ps,
-            row.overflow,
-            row.hpwl_um,
-            row.wall_s,
-            row.peak_rss_bytes
-        );
-    }
-    println!("QUERYLINE rows {}", rows.len());
+    let rows = connect(socket)?.query(&spec).map_err(|e| CliError(e.to_string()))?;
+    print_qor_rows(&rows, "all");
     Ok(())
 }
 
 /// `daemon ping`: liveness probe; prints the daemon's lifetime stats.
 fn daemon_ping(socket: &str) -> CliResult {
-    let endpoint = Endpoint::Unix(PathBuf::from(socket));
-    let mut client = DaemonClient::connect_retry(&endpoint, &RetryPolicy::default())
-        .map_err(|e| CliError(format!("cannot reach daemon at {socket}: {e}")))?;
-    let stats = client.ping().map_err(|e| CliError(e.to_string()))?;
+    let stats = connect(socket)?.ping().map_err(|e| CliError(e.to_string()))?;
     print_daemon_stats(&stats);
     Ok(())
 }
 
 /// `daemon shutdown`: ask for graceful drain and wait for the final ack.
 fn daemon_shutdown(socket: &str) -> CliResult {
-    let endpoint = Endpoint::Unix(PathBuf::from(socket));
-    let mut client = DaemonClient::connect_retry(&endpoint, &RetryPolicy::default())
-        .map_err(|e| CliError(format!("cannot reach daemon at {socket}: {e}")))?;
-    let stats = client.shutdown().map_err(|e| CliError(e.to_string()))?;
+    let stats = connect(socket)?.shutdown().map_err(|e| CliError(e.to_string()))?;
     println!("DAEMONLINE drained 1");
     print_daemon_stats(&stats);
     Ok(())

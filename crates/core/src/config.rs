@@ -3,7 +3,7 @@
 
 use crate::harness::FaultPlan;
 use crate::store::StoreConfig;
-use eda_logic::{MapGoal, SynthesisEffort, DEFAULT_REWRITE_PASSES};
+use eda_logic::{SynthesisEffort, DEFAULT_REWRITE_PASSES};
 use eda_netlist::Library;
 use eda_route::RouteAlgorithm;
 use eda_tech::Node;
@@ -78,10 +78,8 @@ pub struct FlowConfig {
     pub node: Node,
     /// Library to map onto.
     pub library: LibraryChoice,
-    /// Synthesis preset.
+    /// Synthesis preset. Mapping always targets area.
     pub synthesis: SynthesisEffort,
-    /// Mapping objective.
-    pub map_goal: MapGoal,
     /// AIG rewrite passes in the advanced synthesis script (the
     /// balance–rewriteⁿ–balance recipe; ignored by the 2006 baseline).
     /// QoR-relevant, so it folds into the config fingerprint — and it is
@@ -93,10 +91,8 @@ pub struct FlowConfig {
     pub utilization: f64,
     /// Placement effort.
     pub place: PlaceEffort,
-    /// Router algorithm.
+    /// Router algorithm. It routes on the node's typical metal stack.
     pub router: RouteAlgorithm,
-    /// Metal layers used for routing.
-    pub layers: u32,
     /// Rip-up and re-route iterations.
     pub ripup_iterations: usize,
     /// G-cells per side of the routing grid (the resolution congestion is
@@ -110,20 +106,10 @@ pub struct FlowConfig {
     /// grid — and rip-up takes only paths on strictly overflowed edges as
     /// victims instead of every path on an at-capacity edge. QoR-relevant
     /// (detour room and victim rule), so it folds into the config
-    /// fingerprint; still bit-identical at any thread count.
+    /// fingerprint; still bit-identical at any thread count. A positive
+    /// margin also switches the router to its region-partitioned parallel
+    /// schedule, with the region size derived from the grid.
     pub route_window_margin: u32,
-    /// Partition shape of the router's wave schedule: `0` (the default) is
-    /// one region covering the grid, i.e. the canonical order routed
-    /// serially. When positive (requires a positive
-    /// [`route_window_margin`](Self::route_window_margin) — full-grid
-    /// windows overlap every region), the grid is tiled into regions this
-    /// many g-cells on a side and workers search-and-commit region-interior
-    /// connections against private overlays, negotiating only seam-crossing
-    /// connections — the parallel mode of the scale tier. Shapes
-    /// parallelism, never QoR: outcomes are bit-identical at any region
-    /// size *and* any thread count (only the partition diagnostics in the
-    /// telemetry move, which is why it stays in the config fingerprint).
-    pub route_region_size: u32,
     /// Scan insertion (None = no DFT).
     pub scan: Option<ScanOptions>,
     /// Power techniques.
@@ -145,24 +131,13 @@ pub struct FlowConfig {
     /// [`FlowReport::telemetry`]: crate::report::FlowReport::telemetry
     pub threads: usize,
     /// The persistent flow store (`None` = no caching, no resume, no
-    /// provenance). One schema'd append-friendly file holding the
-    /// content-addressed stage cache (keyed by `(stage kind, per-stage
-    /// config fingerprint, pre-stage state hash)` — a hit replays the stored
-    /// post-stage state bit-identically), the sub-stage cache (per-AIG-pass
-    /// and whole-route-outcome entries that survive edits which invalidate
-    /// a whole stage), and the QoR provenance tables `experiments query`
-    /// reads. It is also how a killed flow resumes: rerun the same design
-    /// and config against the same store, and every stage that completed
-    /// replays while the rest compute, bit-identical to an uninterrupted run.
-    /// Hits/misses/errors land in the telemetry metric registry
-    /// (`cache.hits`, `cache.misses`, `cache.errors`, `cache.evicted_miss`,
-    /// `cache.substage_hits`, `cache.substage_misses`) and tag the stage
-    /// spans; corrupt or evicted entries silently fall back to recompute.
-    /// Ignored — nothing read, nothing persisted — while a
-    /// [`fault_plan`](Self::fault_plan) is active — injected faults must
-    /// exercise the real stage bodies, not replay cached results. Excluded
-    /// from the config fingerprint: where results are cached cannot change
-    /// what they are.
+    /// provenance): stage cache, sub-stage cache and QoR provenance in one
+    /// file (DESIGN.md §9, §14). A warm rerun, or the rerun of a killed
+    /// flow, replays every stage that completed, bit-identically; its traffic
+    /// lands in the `cache.*` metrics. Ignored while a
+    /// [`fault_plan`](Self::fault_plan) is active, so injected faults
+    /// exercise the real stage bodies. Excluded from the config fingerprint:
+    /// where results are cached cannot change what they are.
     pub store: Option<StoreConfig>,
     /// Deterministic fault-injection plan (`None` = no injection). Faults
     /// are keyed on `(stage name, invocation count)`, so an injected plan
@@ -182,16 +157,15 @@ pub struct FlowConfig {
 
 impl Default for FlowConfig {
     /// Modern single-run defaults: the advanced-2016 knob set at N28 with no
-    /// caching or fault injection. Struct-literal updates
-    /// (`FlowConfig { seed: 7, ..FlowConfig::default() }`) therefore keep
-    /// compiling as fields are added.
+    /// caching or fault injection. A config is a struct-update literal over
+    /// this (`FlowConfig { seed: 7, ..FlowConfig::default() }`), so call
+    /// sites keep compiling as fields are added.
     fn default() -> FlowConfig {
         FlowConfig {
             name: "custom".into(),
             node: Node::N28,
             library: LibraryChoice::Generic,
             synthesis: SynthesisEffort::Advanced2016,
-            map_goal: MapGoal::Area,
             aig_rewrite_passes: DEFAULT_REWRITE_PASSES,
             utilization: 0.7,
             place: PlaceEffort {
@@ -201,11 +175,9 @@ impl Default for FlowConfig {
                 cluster_gates: 0,
             },
             router: RouteAlgorithm::LineSearch,
-            layers: Node::N28.spec().typical_metal_layers,
             ripup_iterations: 6,
             route_grid_cells: 32,
             route_window_margin: 0,
-            route_region_size: 0,
             scan: Some(ScanOptions { chains: 2, placement_aware_reorder: true }),
             power: PowerOptions { clock_gating_group: 8, decap_droop_limit_mv: Some(50.0) },
             clock_mhz: 200.0,
@@ -219,25 +191,19 @@ impl Default for FlowConfig {
     }
 }
 
-/// A knob combination [`FlowConfigBuilder::build`] refuses to produce.
+/// A knob combination [`FlowConfig::validate`] rejects.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ConfigError {
     /// The config name is empty.
     EmptyName,
     /// Core utilization must lie in `(0, 1]`.
     Utilization(f64),
-    /// At least one metal layer is required for routing.
-    NoLayers,
     /// The clock frequency must be finite and positive.
     ClockMhz(f64),
     /// Scan insertion was requested with zero chains.
     NoScanChains,
     /// The routing grid needs at least 2 g-cells per side.
     RouteGrid(u32),
-    /// Region-partitioned routing was requested without a bounded search
-    /// window (the seam protocol needs windows to bound each connection's
-    /// demand footprint).
-    RegionWithoutWindow(u32),
 }
 
 impl std::fmt::Display for ConfigError {
@@ -247,7 +213,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::Utilization(u) => {
                 write!(f, "core utilization must be in (0, 1], got {u}")
             }
-            ConfigError::NoLayers => write!(f, "routing needs at least one metal layer"),
             ConfigError::ClockMhz(mhz) => {
                 write!(f, "clock frequency must be finite and positive, got {mhz} MHz")
             }
@@ -257,266 +222,89 @@ impl std::fmt::Display for ConfigError {
             ConfigError::RouteGrid(cells) => {
                 write!(f, "routing grid needs at least 2 g-cells per side, got {cells}")
             }
-            ConfigError::RegionWithoutWindow(size) => {
-                write!(
-                    f,
-                    "region-partitioned routing (region size {size}) requires a \
-                     positive route window margin"
-                )
-            }
         }
     }
 }
 
 impl std::error::Error for ConfigError {}
 
-/// Typed builder for [`FlowConfig`], validating at [`build`](Self::build).
-///
-/// Starts from [`FlowConfig::default`] (the modern knob set), so a builder
-/// only names the knobs it changes. `layers` tracks the target node unless
-/// set explicitly.
-///
-/// # Examples
-///
-/// ```
-/// use eda_core::{ConfigError, FlowConfig, StoreConfig};
-/// use eda_tech::Node;
-///
-/// let cfg = FlowConfig::builder()
-///     .name("nightly")
-///     .node(Node::N10)
-///     .threads(4)
-///     .store(StoreConfig::at("/tmp/eda/flow.store"))
-///     .build()?;
-/// assert_eq!(cfg.layers, Node::N10.spec().typical_metal_layers);
-///
-/// let err = FlowConfig::builder().utilization(1.5).build();
-/// assert_eq!(err, Err(ConfigError::Utilization(1.5)));
-/// # Ok::<(), ConfigError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct FlowConfigBuilder {
-    cfg: FlowConfig,
-    /// Explicit layer override; `None` resolves from the node at build time.
-    layers: Option<u32>,
-}
-
-impl FlowConfigBuilder {
-    /// Preset name (for reports).
-    pub fn name(mut self, name: impl Into<String>) -> Self {
-        self.cfg.name = name.into();
-        self
-    }
-
-    /// Target node. Also re-resolves the default metal-layer count unless
-    /// [`layers`](Self::layers) was set explicitly.
-    pub fn node(mut self, node: Node) -> Self {
-        self.cfg.node = node;
-        self
-    }
-
-    /// Library to map onto.
-    pub fn library(mut self, library: LibraryChoice) -> Self {
-        self.cfg.library = library;
-        self
-    }
-
-    /// Synthesis preset.
-    pub fn synthesis(mut self, synthesis: SynthesisEffort) -> Self {
-        self.cfg.synthesis = synthesis;
-        self
-    }
-
-    /// Mapping objective.
-    pub fn map_goal(mut self, map_goal: MapGoal) -> Self {
-        self.cfg.map_goal = map_goal;
-        self
-    }
-
-    /// AIG rewrite passes in the advanced synthesis script.
-    pub fn aig_rewrite_passes(mut self, passes: usize) -> Self {
-        self.cfg.aig_rewrite_passes = passes;
-        self
-    }
-
-    /// Core utilization for floorplanning; must be in `(0, 1]`.
-    pub fn utilization(mut self, utilization: f64) -> Self {
-        self.cfg.utilization = utilization;
-        self
-    }
-
-    /// Placement effort.
-    pub fn place(mut self, place: PlaceEffort) -> Self {
-        self.cfg.place = place;
-        self
-    }
-
-    /// Router algorithm.
-    pub fn router(mut self, router: RouteAlgorithm) -> Self {
-        self.cfg.router = router;
-        self
-    }
-
-    /// Metal layers used for routing (defaults to the node's typical stack).
-    pub fn layers(mut self, layers: u32) -> Self {
-        self.layers = Some(layers);
-        self
-    }
-
-    /// Rip-up and re-route iterations.
-    pub fn ripup_iterations(mut self, iterations: usize) -> Self {
-        self.cfg.ripup_iterations = iterations;
-        self
-    }
-
-    /// G-cells per side of the routing grid; must be at least 2.
-    pub fn route_grid_cells(mut self, cells: u32) -> Self {
-        self.cfg.route_grid_cells = cells;
-        self
-    }
-
-    /// Bounded-memory routing window margin in g-cells (`0` = full-grid
-    /// searches).
-    pub fn route_window_margin(mut self, margin: u32) -> Self {
-        self.cfg.route_window_margin = margin;
-        self
-    }
-
-    /// Region side length of the router's wave schedule (`0` = one region,
-    /// serial); a positive size requires a positive window margin.
-    pub fn route_region_size(mut self, size: u32) -> Self {
-        self.cfg.route_region_size = size;
-        self
-    }
-
-    /// Scan insertion (`None` = no DFT).
-    pub fn scan(mut self, scan: Option<ScanOptions>) -> Self {
-        self.cfg.scan = scan;
-        self
-    }
-
-    /// Power techniques.
-    pub fn power(mut self, power: PowerOptions) -> Self {
-        self.cfg.power = power;
-        self
-    }
-
-    /// Clock frequency in MHz; must be finite and positive.
-    pub fn clock_mhz(mut self, clock_mhz: f64) -> Self {
-        self.cfg.clock_mhz = clock_mhz;
-        self
-    }
-
-    /// Formally verify the mapped netlist against the input design.
-    pub fn verify_synthesis(mut self, verify: bool) -> Self {
-        self.cfg.verify_synthesis = verify;
-        self
-    }
-
-    /// RNG seed for all stochastic stages.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
-        self
-    }
-
-    /// Worker threads for every parallel kernel (`0` = all cores); never
-    /// changes QoR.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.cfg.threads = threads;
-        self
-    }
-
-    /// The persistent flow store: stage cache, sub-stage cache, and QoR
-    /// provenance in one size-bounded file.
-    pub fn store(mut self, store: StoreConfig) -> Self {
-        self.cfg.store = Some(store);
-        self
-    }
-
-    /// Deterministic fault-injection plan.
-    pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.cfg.fault_plan = Some(plan);
-        self
-    }
-
-    /// Flow-level wall-clock deadline in seconds, enforced at stage
-    /// boundaries.
-    pub fn deadline_s(mut self, deadline_s: f64) -> Self {
-        self.cfg.deadline_s = Some(deadline_s);
-        self
-    }
-
-    /// Validates the knob combination and produces the config.
-    pub fn build(self) -> Result<FlowConfig, ConfigError> {
-        let mut cfg = self.cfg;
-        cfg.layers = self.layers.unwrap_or_else(|| cfg.node.spec().typical_metal_layers);
-        if cfg.name.is_empty() {
+impl FlowConfig {
+    /// Checks the knobs a stage kernel would otherwise trip over (a panic or
+    /// a NaN clock). [`run_flow`](crate::flow::run_flow) calls this before
+    /// the first stage, so every path into the flow gets the typed error.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use eda_core::{ConfigError, FlowConfig, StoreConfig};
+    /// use eda_tech::Node;
+    ///
+    /// let cfg = FlowConfig {
+    ///     name: "nightly".into(),
+    ///     node: Node::N10,
+    ///     threads: 4,
+    ///     store: Some(StoreConfig::at("/tmp/eda/flow.store")),
+    ///     ..FlowConfig::default()
+    /// };
+    /// assert_eq!(cfg.validate(), Ok(()));
+    ///
+    /// let bad = FlowConfig { utilization: 1.5, ..cfg };
+    /// assert_eq!(bad.validate(), Err(ConfigError::Utilization(1.5)));
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// The first [`ConfigError`] found, checked in declaration order.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.name.is_empty() {
             return Err(ConfigError::EmptyName);
         }
-        if !(cfg.utilization > 0.0 && cfg.utilization <= 1.0) {
-            return Err(ConfigError::Utilization(cfg.utilization));
+        if !(self.utilization > 0.0 && self.utilization <= 1.0) {
+            return Err(ConfigError::Utilization(self.utilization));
         }
-        if cfg.layers == 0 {
-            return Err(ConfigError::NoLayers);
+        if !(self.clock_mhz.is_finite() && self.clock_mhz > 0.0) {
+            return Err(ConfigError::ClockMhz(self.clock_mhz));
         }
-        if !(cfg.clock_mhz.is_finite() && cfg.clock_mhz > 0.0) {
-            return Err(ConfigError::ClockMhz(cfg.clock_mhz));
-        }
-        if matches!(cfg.scan, Some(ScanOptions { chains: 0, .. })) {
+        if matches!(self.scan, Some(ScanOptions { chains: 0, .. })) {
             return Err(ConfigError::NoScanChains);
         }
-        if cfg.route_grid_cells < 2 {
-            return Err(ConfigError::RouteGrid(cfg.route_grid_cells));
+        if self.route_grid_cells < 2 {
+            return Err(ConfigError::RouteGrid(self.route_grid_cells));
         }
-        if cfg.route_region_size > 0 && cfg.route_window_margin == 0 {
-            return Err(ConfigError::RegionWithoutWindow(cfg.route_region_size));
-        }
-        Ok(cfg)
-    }
-}
-
-impl FlowConfig {
-    /// A typed builder seeded with [`FlowConfig::default`]; knobs are
-    /// validated together at [`FlowConfigBuilder::build`].
-    pub fn builder() -> FlowConfigBuilder {
-        FlowConfigBuilder { cfg: FlowConfig::default(), layers: None }
+        Ok(())
     }
 
     /// The decade-old baseline: naive synthesis onto the poor library, BFS
     /// routing without negotiation, no design-for-power, no placement-aware
     /// scan.
     pub fn basic_2006(node: Node) -> FlowConfig {
-        FlowConfig::builder()
-            .name("basic-2006")
-            .node(node)
-            .library(LibraryChoice::NandInv2006)
-            .synthesis(SynthesisEffort::Baseline2006)
-            .utilization(0.6)
-            .place(PlaceEffort {
+        FlowConfig {
+            name: "basic-2006".into(),
+            node,
+            library: LibraryChoice::NandInv2006,
+            synthesis: SynthesisEffort::Baseline2006,
+            utilization: 0.6,
+            place: PlaceEffort {
                 global_iterations: 4,
                 anneal_moves_per_cell: 10,
                 stripes: 1,
                 cluster_gates: 0,
-            })
-            .router(RouteAlgorithm::LeeBfs)
-            .ripup_iterations(0)
-            .scan(Some(ScanOptions { chains: 1, placement_aware_reorder: false }))
-            .power(PowerOptions { clock_gating_group: 0, decap_droop_limit_mv: None })
-            .verify_synthesis(false)
-            .threads(1)
-            .build()
-            .expect("the 2006 preset is statically valid")
+            },
+            router: RouteAlgorithm::LeeBfs,
+            ripup_iterations: 0,
+            scan: Some(ScanOptions { chains: 1, placement_aware_reorder: false }),
+            power: PowerOptions { clock_gating_group: 0, decap_droop_limit_mv: None },
+            verify_synthesis: false,
+            threads: 1,
+            ..FlowConfig::default()
+        }
     }
 
     /// The advanced 2016 flow: optimized synthesis onto the rich library,
     /// negotiated line-search routing, clock gating, decaps, and
     /// placement-aware scan reordering.
     pub fn advanced_2016(node: Node) -> FlowConfig {
-        FlowConfig::builder()
-            .name("advanced-2016")
-            .node(node)
-            .build()
-            .expect("the 2016 preset is statically valid")
+        FlowConfig { name: "advanced-2016".into(), node, ..FlowConfig::default() }
     }
 
     /// The memory-lean scale-tier preset: the advanced flow retargeted at
@@ -525,7 +313,8 @@ impl FlowConfig {
     ///
     /// Placement goes multilevel (cluster → coarse-place → refine), routing
     /// negotiates on a finer grid but confines every maze search to its
-    /// connection's bounding box plus an 8-g-cell margin, and the two
+    /// connection's bounding box plus an 8-g-cell margin (which also routes
+    /// region-partitioned in parallel), and the two
     /// verification passes whose cost is super-linear in design size — the
     /// BDD/simulation equivalence check and random-pattern fault
     /// simulation (with the scan stages that only exist to feed it) — are
@@ -547,26 +336,22 @@ impl FlowConfig {
         // headroom for negotiation to close the remaining hotspots. Floor
         // keeps tiny smoke designs on a sane grid.
         let grid = ((instances as f64).sqrt() * 3.25).round().max(32.0) as u32;
-        FlowConfig::builder()
-            .name("scale-2016")
-            .node(node)
-            .place(PlaceEffort {
+        FlowConfig {
+            name: "scale-2016".into(),
+            node,
+            place: PlaceEffort {
                 global_iterations: 8,
                 anneal_moves_per_cell: 1,
                 stripes: 1,
                 cluster_gates: 64,
-            })
-            .route_grid_cells(grid)
-            .route_window_margin(8)
-            // ~8 regions per side (≥2× the window margin so most
-            // connections are region-interior): enough parallel grain for
-            // any sane worker count while keeping seam fraction low.
-            .route_region_size((grid / 8).max(16))
-            .ripup_iterations(5)
-            .scan(None)
-            .verify_synthesis(false)
-            .build()
-            .expect("the scale preset is statically valid")
+            },
+            route_grid_cells: grid,
+            route_window_margin: 8,
+            ripup_iterations: 5,
+            scan: None,
+            verify_synthesis: false,
+            ..FlowConfig::default()
+        }
     }
 }
 
@@ -589,14 +374,10 @@ mod tests {
     }
 
     #[test]
-    fn builder_defaults_match_the_advanced_preset() {
-        // The presets are now built on the builder; the only deltas from
-        // `FlowConfig::default()` are the name and the node-derived layers.
-        let mut dflt = FlowConfig::default();
+    fn defaults_match_the_advanced_preset() {
+        // The only deltas from `FlowConfig::default()` are name and node.
         let adv = FlowConfig::advanced_2016(Node::N10);
-        dflt.name = adv.name.clone();
-        dflt.node = adv.node;
-        dflt.layers = adv.layers;
+        let dflt = FlowConfig { name: adv.name.clone(), node: adv.node, ..FlowConfig::default() };
         assert_eq!(dflt, adv);
     }
 
@@ -606,67 +387,47 @@ mod tests {
         assert!(s.place.cluster_gates > 0, "scale places multilevel");
         assert_eq!(s.place.stripes, 1);
         assert!(s.route_window_margin > 0, "scale routes in bounded windows");
-        assert!(s.route_region_size > 0, "scale routes region-partitioned");
-        assert!(
-            s.route_region_size >= 2 * s.route_window_margin,
-            "regions must dwarf the window margin or everything is a seam"
-        );
         assert!(s.route_grid_cells > FlowConfig::default().route_grid_cells);
         assert!(!s.verify_synthesis && s.scan.is_none(), "super-linear passes are off");
     }
 
     #[test]
-    fn builder_resolves_layers_from_the_node() {
-        let cfg = FlowConfig::builder().node(Node::N10).build().unwrap();
-        assert_eq!(cfg.layers, Node::N10.spec().typical_metal_layers);
-        let cfg = FlowConfig::builder().node(Node::N10).layers(3).build().unwrap();
-        assert_eq!(cfg.layers, 3);
-    }
-
-    #[test]
-    fn builder_rejects_invalid_knobs() {
-        assert_eq!(FlowConfig::builder().name("").build(), Err(ConfigError::EmptyName));
-        assert_eq!(
-            FlowConfig::builder().utilization(0.0).build(),
-            Err(ConfigError::Utilization(0.0))
-        );
-        assert_eq!(
-            FlowConfig::builder().utilization(1.01).build(),
-            Err(ConfigError::Utilization(1.01))
-        );
-        assert_eq!(FlowConfig::builder().layers(0).build(), Err(ConfigError::NoLayers));
-        assert!(matches!(
-            FlowConfig::builder().clock_mhz(f64::NAN).build(),
-            Err(ConfigError::ClockMhz(_))
-        ));
-        assert_eq!(
-            FlowConfig::builder().clock_mhz(-1.0).build(),
-            Err(ConfigError::ClockMhz(-1.0))
-        );
-        assert_eq!(
-            FlowConfig::builder()
-                .scan(Some(ScanOptions { chains: 0, placement_aware_reorder: true }))
-                .build(),
-            Err(ConfigError::NoScanChains)
-        );
-        assert_eq!(
-            FlowConfig::builder().route_grid_cells(1).build(),
-            Err(ConfigError::RouteGrid(1))
-        );
-        assert_eq!(
-            FlowConfig::builder().route_region_size(16).build(),
-            Err(ConfigError::RegionWithoutWindow(16))
-        );
-        assert!(FlowConfig::builder()
-            .route_region_size(16)
-            .route_window_margin(4)
-            .build()
-            .is_ok());
+    fn validate_rejects_invalid_knobs() {
+        let ok = FlowConfig::default();
+        let rows: [(FlowConfig, Result<(), ConfigError>); 7] = [
+            (FlowConfig { name: String::new(), ..ok.clone() }, Err(ConfigError::EmptyName)),
+            (FlowConfig { utilization: 0.0, ..ok.clone() }, Err(ConfigError::Utilization(0.0))),
+            (FlowConfig { utilization: 1.01, ..ok.clone() }, Err(ConfigError::Utilization(1.01))),
+            (FlowConfig { clock_mhz: -1.0, ..ok.clone() }, Err(ConfigError::ClockMhz(-1.0))),
+            (
+                FlowConfig {
+                    scan: Some(ScanOptions { chains: 0, placement_aware_reorder: true }),
+                    ..ok.clone()
+                },
+                Err(ConfigError::NoScanChains),
+            ),
+            (FlowConfig { route_grid_cells: 1, ..ok.clone() }, Err(ConfigError::RouteGrid(1))),
+            (FlowConfig { utilization: 1.0, scan: None, ..ok.clone() }, Ok(())),
+        ];
+        for (cfg, want) in rows {
+            assert_eq!(cfg.validate(), want, "{cfg:?}");
+        }
+        // NaN never compares equal, so its row matches on the variant.
+        let nan = FlowConfig { clock_mhz: f64::NAN, ..ok.clone() };
+        assert!(matches!(nan.validate(), Err(ConfigError::ClockMhz(mhz)) if mhz.is_nan()));
+        for preset in [
+            FlowConfig::basic_2006(Node::N90),
+            FlowConfig::advanced_2016(Node::N10),
+            FlowConfig::scale_2016(Node::N28, 10_000),
+            ok,
+        ] {
+            assert_eq!(preset.validate(), Ok(()), "{}", preset.name);
+        }
     }
 
     #[test]
     fn struct_literal_updates_keep_compiling() {
-        // The documented migration path for pre-builder call sites.
+        // The one way to build a config.
         let cfg = FlowConfig { seed: 7, threads: 2, ..FlowConfig::default() };
         assert_eq!(cfg.seed, 7);
         assert_eq!(cfg.threads, 2);

@@ -32,7 +32,7 @@
 //! bypasses it), nothing is persisted and a rerun starts over.
 
 use crate::cache::{self, CacheError};
-use crate::config::FlowConfig;
+use crate::config::{ConfigError, FlowConfig};
 use crate::harness::{StageCtx, StageStatus, StageTry, Supervisor};
 use crate::report::FlowReport;
 use crate::state::{self, FlowState};
@@ -40,7 +40,7 @@ use crate::store::{FlowStore, Lookup, QorRow, StageRow, Store, Table};
 use crate::telemetry::{SpanKind, Telemetry};
 use eda_dft::{fault_list, fault_sim, insert_scan, random_patterns, reorder_chains, scan_wirelength, CombView};
 use eda_litho::{decompose, run_opc, Layout, OpcConfig, OpticalModel};
-use eda_logic::{check_equivalence, synthesize, EcVerdict, SynthesisOptions};
+use eda_logic::{check_equivalence, synthesize, EcVerdict, MapGoal, SynthesisOptions};
 use eda_netlist::memo::fnv1a;
 use eda_netlist::{Netlist, NetlistStats, SubstageMemo};
 use eda_par::ParStats;
@@ -66,6 +66,9 @@ const EC_BUDGET_ESCALATED: usize = 1 << 22;
 /// A hard failure inside one stage that no recovery policy can absorb.
 #[derive(Debug)]
 pub enum StageFailure {
+    /// The config failed [`FlowConfig::validate`]; raised before any stage
+    /// runs, attributed to the first.
+    Config(ConfigError),
     /// Synthesis failed.
     Synthesis(eda_logic::SynthesisError),
     /// A netlist transformation or traversal failed.
@@ -75,6 +78,7 @@ pub enum StageFailure {
 impl std::fmt::Display for StageFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            StageFailure::Config(e) => write!(f, "{e}"),
             StageFailure::Synthesis(e) => write!(f, "{e}"),
             StageFailure::Netlist(e) => write!(f, "{e}"),
         }
@@ -84,6 +88,7 @@ impl std::fmt::Display for StageFailure {
 impl std::error::Error for StageFailure {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
+            StageFailure::Config(e) => Some(e),
             StageFailure::Synthesis(e) => Some(e),
             StageFailure::Netlist(e) => Some(e),
         }
@@ -262,9 +267,25 @@ fn scan_knobs(_: &Netlist, cfg: &FlowConfig) -> String {
     format!("|{:?}", cfg.scan)
 }
 
+/// Side of the router's wave-schedule regions, in g-cells. With bounded
+/// windows, ~8 regions per side (at least 16 g-cells, twice the scale
+/// preset's margin, so most connections are region-interior) give workers
+/// parallel grain at a low seam fraction. Without windows every full-grid
+/// search overlaps every region, so `0`: one region, routed serially.
+/// Shapes parallelism, never QoR.
+fn region_size(cfg: &FlowConfig) -> u32 {
+    if cfg.route_window_margin > 0 {
+        (cfg.route_grid_cells / 8).max(16)
+    } else {
+        0
+    }
+}
+
 const TABLE: [Stage; 11] = [
     Stage {
         name: "1_synthesis",
+        // `Area` fills the slot of the removed mapping-goal knob, so keys
+        // written before it went still replay.
         knobs: |design, cfg| {
             format!(
                 "|{}|{}|{:?}|{:?}|{:?}|{}|{}",
@@ -272,7 +293,7 @@ const TABLE: [Stage; 11] = [
                 design.num_instances(),
                 cfg.library,
                 cfg.synthesis,
-                cfg.map_goal,
+                MapGoal::Area,
                 cfg.aig_rewrite_passes,
                 cfg.verify_synthesis,
             )
@@ -301,17 +322,19 @@ const TABLE: [Stage; 11] = [
     Stage {
         name: "7_route",
         // The schedule revision keeps a store written by an older router
-        // from replaying that router's results under this one.
+        // from replaying that router's results under this one. The derived
+        // layer count and region size fill the slots of the knobs they
+        // replaced, so keys written before those went still replay.
         knobs: |_, cfg| {
             format!(
                 "|rev{}|{:?}|{}|{}|{}|{}|{}",
                 eda_route::SCHEDULE_REV,
                 cfg.router,
-                cfg.layers,
+                cfg.node.spec().typical_metal_layers,
                 cfg.ripup_iterations,
                 cfg.route_grid_cells,
                 cfg.route_window_margin,
-                cfg.route_region_size,
+                region_size(cfg),
             )
         },
         body: route,
@@ -357,7 +380,9 @@ pub const STAGES: [&str; 11] = {
 ///
 /// # Errors
 ///
-/// Returns a [`FlowError`] when a stage hard-fails ([`FlowError::Stage`]),
+/// Returns a [`FlowError`] when the config fails [`FlowConfig::validate`]
+/// ([`FlowError::Stage`] with [`StageFailure::Config`], before any stage
+/// runs), when a stage hard-fails ([`FlowError::Stage`]),
 /// exhausts its attempt budget without a salvageable result
 /// ([`FlowError::BudgetExhausted`]), or blows its flow-level deadline
 /// ([`FlowError::DeadlineExceeded`]). Every error carries a [`PartialFlow`]
@@ -396,6 +421,13 @@ pub(crate) fn run_flow_shared(
     observer: Option<crate::telemetry::ProgressFn>,
     shared_store: Option<Arc<FlowStore>>,
 ) -> Result<FlowReport, FlowError> {
+    // Every path into the flow (struct literals, field edits, the server,
+    // the daemon) is checked here, before a kernel can trip over a knob.
+    cfg.validate().map_err(|e| FlowError::Stage {
+        stage: TABLE[0].name,
+        source: StageFailure::Config(e),
+        partial: Box::new(PartialFlow { statuses: BTreeMap::new() }),
+    })?;
     // Telemetry collects for this run only: a replayed stage records the
     // span of its replay, not the spans and metrics of the run that computed
     // it (entries carry QoR state, not telemetry), which is why `same_qor`
@@ -565,7 +597,7 @@ fn synthesis(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut S
             rewrite_passes: cfg.aig_rewrite_passes,
             memo: env.memo(),
         };
-        let synth = synthesize(design, lib.clone(), cfg.synthesis, cfg.map_goal, &opts)
+        let synth = synthesize(design, lib.clone(), cfg.synthesis, MapGoal::Area, &opts)
             .map_err(StageFailure::Synthesis)?;
         let par = synth.par;
         ctx.tel.count("synth.aig_nodes_before", synth.aig_nodes_before as u64);
@@ -810,10 +842,11 @@ fn route(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Super
     let (cfg, plan) = (env.cfg, &env.plan);
     let cur = current_netlist(st);
     let placement = current_placement(st);
+    let layers = cfg.node.spec().typical_metal_layers;
     let deck = if plan.needs_decomposition() {
-        RuleDeck::multi_patterned(cfg.layers, plan.total_exposures())
+        RuleDeck::multi_patterned(layers, plan.total_exposures())
     } else {
-        RuleDeck::simple(cfg.layers)
+        RuleDeck::simple(layers)
     };
     // No escalation: overflow left after the rip-up budget is reported
     // as partial routes. A coarser grid cannot help — per-edge capacity
@@ -828,7 +861,7 @@ fn route(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Super
             ripup_iterations: cfg.ripup_iterations,
             threads: cfg.threads,
             window_margin: cfg.route_window_margin,
-            region_size: cfg.route_region_size,
+            region_size: region_size(cfg),
         };
         let (out, stats, replayed) = route_stats_memo(cur, placement, &rcfg, env.memo());
         // A replayed outcome ran no parallel kernel: no kernel span,
@@ -1127,7 +1160,9 @@ fn current_placement(st: &FlowState) -> &eda_place::Placement {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ScanOptions;
     use crate::harness::StageOutcome;
+    use crate::server::{FlowRequest, FlowServer};
     use eda_netlist::generate;
     use eda_tech::Node;
 
@@ -1208,6 +1243,85 @@ mod tests {
         assert_eq!(fingerprint(&design, &same), fp);
     }
 
+    /// Every key a preset addresses the store with, recorded before PR 25
+    /// made three knobs derived: a store written by an older binary must
+    /// keep replaying, so none of these may move.
+    #[test]
+    fn preset_keys_are_pinned() {
+        let design = generate::ripple_carry_adder(4).unwrap();
+        let rows: [(FlowConfig, u64, [u64; 11]); 5] = [
+            (FlowConfig::basic_2006(Node::N90), 0xa1c507ce06c7a1ac, [
+                0xaa8f7d1a93f2dd6f, 0x627130d3f5b1abb1, 0x55ac81558fda0e28, 0x061c872d52750d27, 0xcf26b0d743fab81a, 0x85dc064b3b000886,
+                0x30951bf8c7c3df0d, 0x24fc9aec01f636e9, 0x79c0af0c3138c53c, 0x349af152ad92e4a1, 0x31bae846d6dbb193,
+            ]),
+            (FlowConfig::advanced_2016(Node::N28), 0x91d8d11e5484cbe9, [
+                0xe94a7f5a51c70534, 0x64c8366194ed833a, 0xbe4b7592e6432f3f, 0xb020cd2d71e33990, 0x026366cd691febd1, 0xcb673c957ed214dd,
+                0xe3b16816c408b660, 0xcb16a7faed880396, 0x56439535baa5492f, 0x02e8ab5c345ab089, 0xc469e4d0daf3a86a,
+            ]),
+            (FlowConfig::advanced_2016(Node::N10), 0xeb5631d9026acdc5, [
+                0x85a133a9c4009261, 0xd221c5bdfb1a2061, 0x0f5d74b333e5cb3e, 0x33fc94ff80bf8f93, 0xe735b6aee52233fc, 0x5b1c068cb27fa2fe,
+                0x908b84c0ea8722d5, 0x28af465ec17fdb5f, 0xa724af501f9bb7b4, 0x8dea75354a9cddfe, 0xcec3b460d839f13b,
+            ]),
+            (FlowConfig::scale_2016(Node::N28, 10_000), 0xfa9375a5cc69d1a4, [
+                0x39a554e879a07567, 0x64c8366194ed833a, 0x2f7841b1a481f4f9, 0xa37038c929d99783, 0x77439cca92ff887b, 0xcb673c957ed214dd,
+                0xe3b16816c408b660, 0x34d41b64827987b0, 0x56439535baa5492f, 0x02e8ab5c345ab089, 0x529218707125f13c,
+            ]),
+            (FlowConfig::scale_2016(Node::N28, 50_000), 0x9f1177c86f3b4714, [
+                0x39a554e879a07567, 0x64c8366194ed833a, 0x2f7841b1a481f4f9, 0xa37038c929d99783, 0x77439cca92ff887b, 0xcb673c957ed214dd,
+                0xe3b16816c408b660, 0x47eeed89e000f3a3, 0x56439535baa5492f, 0x02e8ab5c345ab089, 0x529218707125f13c,
+            ]),
+        ];
+        for (cfg, whole, per_stage) in rows {
+            let label = format!("{} {:?} grid {}", cfg.name, cfg.node, cfg.route_grid_cells);
+            assert_eq!(fingerprint(&design, &cfg), whole, "{label}: fingerprint");
+            for (stage, want) in TABLE.iter().zip(per_stage) {
+                assert_eq!(stage.config_fp(&design, &cfg), want, "{label}: {}", stage.name);
+            }
+        }
+    }
+
+    #[test]
+    fn a_node_edit_routes_on_that_nodes_stack() {
+        // The struct-update path must key (and route) N10 exactly like the
+        // N10 preset; a stored layer count once kept N28's 10-layer stack.
+        let design = generate::ripple_carry_adder(4).unwrap();
+        let edited = FlowConfig { node: Node::N10, ..FlowConfig::default() };
+        let preset = FlowConfig::advanced_2016(Node::N10);
+        assert_eq!(stage_fp("7_route", &design, &edited), stage_fp("7_route", &design, &preset));
+
+        // Regions exist only under bounded windows, and the scale preset's
+        // dwarf its window margin or everything would be a seam.
+        assert_eq!(region_size(&preset), 0);
+        let scale = FlowConfig::scale_2016(Node::N28, 100_000);
+        assert!(region_size(&scale) >= 2 * scale.route_window_margin);
+    }
+
+    #[test]
+    fn invalid_configs_are_typed_errors_on_every_path() {
+        let design = generate::ripple_carry_adder(4).unwrap();
+        let ok = FlowConfig { threads: 1, ..FlowConfig::default() };
+        let rows = [
+            FlowConfig { utilization: 1.5, ..ok.clone() },
+            FlowConfig { clock_mhz: f64::NAN, ..ok.clone() },
+            FlowConfig { scan: Some(ScanOptions { chains: 0, placement_aware_reorder: true }), ..ok.clone() },
+            FlowConfig { route_grid_cells: 1, ..ok.clone() },
+            FlowConfig { name: String::new(), ..ok },
+        ];
+        // NaN never equals itself, so the errors compare by message.
+        let is_config_error = |e: &FlowError, want: &ConfigError| {
+            matches!(e, FlowError::Stage { stage: "1_synthesis", source: StageFailure::Config(got), partial }
+                if partial.statuses.is_empty() && got.to_string() == want.to_string())
+        };
+        for cfg in rows {
+            let want = cfg.validate().expect_err("every row is invalid");
+            let err = run_flow(&design, &cfg).expect_err("run_flow must refuse the config");
+            assert!(is_config_error(&err, &want), "run_flow: {err}");
+            let served = FlowServer::builder().threads(1).build().serve(vec![FlowRequest::new(design.clone(), cfg)]);
+            let err = served.responses[0].outcome.as_ref().expect_err("the server must refuse the config");
+            assert!(is_config_error(err, &want), "FlowServer: {err}");
+        }
+    }
+
     /// The `7_route` fingerprint as the batched-schedule revision computed
     /// it: no schedule revision field.
     fn route_stage_fp_rev1(cfg: &FlowConfig) -> u64 {
@@ -1216,11 +1330,11 @@ mod tests {
             cfg.node,
             cfg.seed,
             cfg.router,
-            cfg.layers,
+            cfg.node.spec().typical_metal_layers,
             cfg.ripup_iterations,
             cfg.route_grid_cells,
             cfg.route_window_margin,
-            cfg.route_region_size,
+            region_size(cfg),
         )
         .bytes())
     }

@@ -55,7 +55,7 @@
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let design = generate::ripple_carry_adder(4)?;
-//! let cfg = FlowConfig::builder().name("demo").node(Node::N28).threads(1).build()?;
+//! let cfg = FlowConfig { name: "demo".into(), node: Node::N28, threads: 1, ..FlowConfig::default() };
 //! let server = FlowServer::builder().threads(2).build();
 //! let batch = vec![
 //!     FlowRequest::new(design.clone(), cfg.clone()).with_priority(1),

@@ -42,44 +42,6 @@ use std::time::{Duration, Instant};
 const HEADER: &[u8] = b"eda-store v1\n";
 const REC_MAGIC: &[u8] = b"%rec ";
 
-/// %-escapes spaces, `%` and control bytes so a value stays one token on a
-/// space-split row.
-pub(crate) fn escape_token(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for b in s.bytes() {
-        if b == b' ' || b == b'%' || b < 0x20 || b == 0x7f {
-            out.push_str(&format!("%{b:02x}"));
-        } else {
-            out.push(b as char);
-        }
-    }
-    if out.is_empty() {
-        out.push_str("%00");
-    }
-    out
-}
-
-/// Inverse of [`escape_token`]; `None` on malformed escapes.
-pub(crate) fn unescape_token(s: &str) -> Option<String> {
-    if s == "%00" {
-        return Some(String::new());
-    }
-    let bytes = s.as_bytes();
-    let mut out = Vec::with_capacity(bytes.len());
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'%' {
-            let hex = s.get(i + 1..i + 3)?;
-            out.push(u8::from_str_radix(hex, 16).ok()?);
-            i += 3;
-        } else {
-            out.push(bytes[i]);
-            i += 1;
-        }
-    }
-    String::from_utf8(out).ok()
-}
-
 fn encode_header(table: Table, key: u64, payload_len: usize, sum: u64) -> String {
     format!("%rec {} {key:016x} {payload_len} {sum:016x}\n", table.as_str())
 }

@@ -41,6 +41,7 @@ mod file;
 
 pub use file::FlowStore;
 
+use eda_netlist::codec;
 use std::path::PathBuf;
 
 /// Default size bound for a store file (64 MiB).
@@ -48,7 +49,7 @@ pub const DEFAULT_MAX_BYTES: u64 = 64 * 1024 * 1024;
 
 /// Typed configuration for the embedded flow store: where the file is and
 /// how large it may grow. Construct with [`StoreConfig::at`]; thread through
-/// [`crate::FlowConfig::builder`], [`crate::FlowServerBuilder`], or the
+/// [`crate::FlowConfig::store`], [`crate::FlowServerBuilder`], or the
 /// daemon config. Eviction is always LRU compaction (provenance rows are
 /// never evicted) and every completed run appends its provenance rows.
 #[derive(Debug, Clone, PartialEq)]
@@ -281,13 +282,32 @@ pub trait Query {
     fn stage_history(&self, q: &QorQuery) -> Result<Vec<StageRow>, StoreError>;
 }
 
+/// One row field: [`codec::write_token`]'s escaping, plus `%00` for the
+/// empty string so an empty value still fills its slot on the space-split row.
+fn field(s: &str) -> String {
+    if s.is_empty() {
+        return "%00".into();
+    }
+    let mut out = String::with_capacity(s.len());
+    codec::write_token(&mut out, s).expect("writing to a String never fails");
+    out
+}
+
+/// Inverse of [`field`]; `None` on malformed escapes.
+fn parse_field(s: &str) -> Option<String> {
+    if s == "%00" {
+        return Some(String::new());
+    }
+    codec::unescape(s).ok()
+}
+
 impl QorRow {
     /// Serializes to the store's `qor` row payload.
     pub fn to_payload(&self) -> String {
         format!(
             "run {} {} {:016x} {:016x} {:016x} {} {:016x} {:016x} {}",
-            file::escape_token(&self.design),
-            file::escape_token(&self.node),
+            field(&self.design),
+            field(&self.node),
             self.cfg_fp,
             self.qor_fp,
             self.wns_ps.to_bits(),
@@ -307,8 +327,8 @@ impl QorRow {
         }
         let row = QorRow {
             seq,
-            design: file::unescape_token(f.next()?)?,
-            node: file::unescape_token(f.next()?)?,
+            design: parse_field(f.next()?)?,
+            node: parse_field(f.next()?)?,
             cfg_fp: u64::from_str_radix(f.next()?, 16).ok()?,
             qor_fp: u64::from_str_radix(f.next()?, 16).ok()?,
             wns_ps: f64::from_bits(u64::from_str_radix(f.next()?, 16).ok()?),
@@ -329,9 +349,9 @@ impl StageRow {
     pub fn to_payload(&self) -> String {
         format!(
             "stage {} {} {} {} {:016x}",
-            file::escape_token(&self.design),
-            file::escape_token(&self.stage),
-            file::escape_token(&self.outcome),
+            field(&self.design),
+            field(&self.stage),
+            field(&self.outcome),
             self.attempts,
             self.wall_s.to_bits(),
         )
@@ -345,9 +365,9 @@ impl StageRow {
         }
         let row = StageRow {
             seq,
-            design: file::unescape_token(f.next()?)?,
-            stage: file::unescape_token(f.next()?)?,
-            outcome: file::unescape_token(f.next()?)?,
+            design: parse_field(f.next()?)?,
+            stage: parse_field(f.next()?)?,
+            outcome: parse_field(f.next()?)?,
             attempts: f.next()?.parse().ok()?,
             wall_s: f64::from_bits(u64::from_str_radix(f.next()?, 16).ok()?),
         };

@@ -26,6 +26,7 @@
 //! own reference. Parallel kernels never touch the collector from worker
 //! threads — they return [`ParStats`] which the orchestrator records.
 
+use eda_netlist::codec::escape;
 use eda_par::ParStats;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -381,38 +382,10 @@ fn bits(v: f64) -> String {
     format!("{:016x}", v.to_bits())
 }
 
-/// Percent-escapes spaces, `%`, and control bytes so names and tag values
-/// stay single-token in the line-oriented deterministic text.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for b in s.bytes() {
-        if b == b'%' || b == b' ' || b == b'\n' || b == b'\t' || b == b'\r' {
-            out.push('%');
-            out.push_str(&format!("{b:02x}"));
-        } else {
-            out.push(b as char);
-        }
-    }
-    out
-}
-
-/// Minimal JSON string escaping for the hand-rolled exports.
+/// A JSON string literal for the hand-rolled exports, by the wire
+/// protocol's escaping rule.
 fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    format!("\"{}\"", crate::daemon::wire::escape(s))
 }
 
 impl TelemetrySnapshot {

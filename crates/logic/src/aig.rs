@@ -9,6 +9,7 @@
 use crate::cuts::{CutSet, K};
 use crate::isop::{isop, sop_aig_cost};
 use crate::tt::TruthTable;
+use eda_netlist::codec::{unescape, write_token};
 use eda_netlist::memo::Fnv1a;
 use eda_netlist::{CellFunction, NetDriver, Netlist};
 use std::collections::HashMap;
@@ -612,12 +613,12 @@ impl Aig {
         }
         for name in &self.pi_names {
             out.write_str("p ")?;
-            write_store_escaped(out, name)?;
+            write_token(out, name)?;
             out.write_char('\n')?;
         }
         for (name, l) in &self.pos {
             out.write_str("o ")?;
-            write_store_escaped(out, name)?;
+            write_token(out, name)?;
             writeln!(out, " {}", l.0)?;
         }
         // Explicit terminator so a truncated tail can never parse as a
@@ -664,13 +665,13 @@ impl Aig {
         for _ in 0..n_pis {
             let line = lines.next()?;
             let name = line.strip_prefix("p ")?;
-            g.pi_names.push(store_unescape(name)?);
+            g.pi_names.push(unescape(name).ok()?);
         }
         for _ in 0..n_pos {
             let line = lines.next()?;
             let mut f = line.strip_prefix("o ")?.rsplitn(2, ' ');
             let lit = Lit(f.next()?.parse().ok()?);
-            let name = store_unescape(f.next()?)?;
+            let name = unescape(f.next()?).ok()?;
             if lit.node() >= g.nodes.len() {
                 return None;
             }
@@ -714,37 +715,6 @@ impl IsopCosts {
         }
         *slot as u32
     }
-}
-
-/// Writes `s` with spaces, `%` and control bytes %-escaped, so names stay
-/// single-token on a space-split store line.
-fn write_store_escaped(out: &mut impl Write, s: &str) -> std::fmt::Result {
-    for b in s.bytes() {
-        if b == b' ' || b == b'%' || b < 0x20 || b == 0x7f {
-            write!(out, "%{b:02x}")?;
-        } else {
-            out.write_char(b as char)?;
-        }
-    }
-    Ok(())
-}
-
-/// Inverse of [`write_store_escaped`]; `None` on malformed escapes or non-UTF-8.
-fn store_unescape(s: &str) -> Option<String> {
-    let bytes = s.as_bytes();
-    let mut out = Vec::with_capacity(bytes.len());
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'%' {
-            let hex = s.get(i + 1..i + 3)?;
-            out.push(u8::from_str_radix(hex, 16).ok()?);
-            i += 3;
-        } else {
-            out.push(bytes[i]);
-            i += 1;
-        }
-    }
-    String::from_utf8(out).ok()
 }
 
 #[cfg(test)]

@@ -60,7 +60,22 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-/// Inverse of [`escape`].
+/// Writes `s` with spaces, `%` and every control byte (below 0x20, and DEL)
+/// percent-escaped, so a value stays one token on a space-split row: the rule
+/// of the store's provenance rows and the AIG sub-stage payload, stricter
+/// than [`escape`]. Decoded by [`unescape`].
+pub fn write_token(out: &mut impl std::fmt::Write, s: &str) -> std::fmt::Result {
+    for b in s.bytes() {
+        if b == b' ' || b == b'%' || b < 0x20 || b == 0x7f {
+            write!(out, "%{b:02x}")?;
+        } else {
+            out.write_char(b as char)?;
+        }
+    }
+    Ok(())
+}
+
+/// Inverse of [`escape`] and [`write_token`].
 pub fn unescape(s: &str) -> Result<String, String> {
     let bytes = s.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());

@@ -103,8 +103,8 @@ grep -q 'daemon drained cleanly' "$daemon_dir/serve.log" \
          cat "$daemon_dir/serve.log" >&2; exit 1; }
 echo "check: daemon verified batch + answered query ($query_rows rows) + shed hostile client + drained to exit 0"
 
-# Facade doc-tests: the crate-root examples in src/lib.rs (run_flow via the
-# config builder + the flow-server batch) must keep compiling and passing.
+# Facade doc-tests: the crate-root examples in src/lib.rs (run_flow on a
+# struct-update config + the flow-server batch) must keep compiling and passing.
 cargo test --release -q --doc -p eda
 
 # Incremental-flow smoke against the flow store: cold run populates it, the
@@ -254,9 +254,11 @@ cargo test --release -q --test signoff_pins
 
 # Census: names deleted for having no caller (PR 24 — the per-stage budget
 # types, the NPN / fault-collapse kernels, the client's queue-full retry, the
-# `_threaded` / `_stats` twin entry points) must not reappear anywhere in the
-# workspace, its tests or its examples.
-deleted_names='StageBudgets?|soft_deadline_s|npn_canon|npn_equivalent|NpnCanon|collapse_faults|CollapseOutcome|request_retry|retry_queue_full|fault_sim_threaded|run_opc_stats|image_threaded|print_threaded|edge_placement_errors_threaded'
+# `_threaded` / `_stats` twin entry points; PR 25 — the config builder, the
+# single-valued `map_goal` / `route_region_size` knobs and the two
+# `ConfigError` variants only they could raise) must not reappear anywhere in
+# the workspace, its tests or its examples.
+deleted_names='StageBudgets?|soft_deadline_s|npn_canon|npn_equivalent|NpnCanon|collapse_faults|CollapseOutcome|request_retry|retry_queue_full|fault_sim_threaded|run_opc_stats|image_threaded|print_threaded|edge_placement_errors_threaded|FlowConfigBuilder|map_goal|route_region_size|RegionWithoutWindow|NoLayers'
 if grep -rnwE "$deleted_names" crates src tests examples; then
     echo "check: FAIL a deleted name is back (census above)" >&2; exit 1
 fi
@@ -265,5 +267,5 @@ fi
 awk '/^test result:/ { passed += $4; failed += $6 }
      END { printf "check: %d tests passed, %d failed across all binaries\n", passed, failed
            exit (failed > 0) }' "$test_log"
-echo "check: $(find crates src tests examples benchmark -name '*.rs' -print0 | xargs -0 cat | wc -l) lines of Rust (the count ROADMAP quotes); deleted-name census empty"
+echo "check: $(find crates src tests examples benchmark -name '*.rs' -print0 | xargs -0 cat | wc -l) lines of Rust (the count ROADMAP quotes); deleted-name census empty (budgets, NPN / collapse, retry, twins, config builder, derived knobs)"
 echo "check: tier-1 + clippy + unwrap gates + inject smoke + trace + serve + daemon + facade docs + incremental + sub-stage record budget + cross-process resume + mini-scale + golden + route pins + route audit + place pins + place audit + sign-off pins + deleted-name census green"

@@ -20,7 +20,7 @@
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let design = generate::ripple_carry_adder(8)?;
-//! let cfg = FlowConfig::builder().name("quickstart").node(Node::N28).threads(1).build()?;
+//! let cfg = FlowConfig { name: "quickstart".into(), node: Node::N28, threads: 1, ..FlowConfig::default() };
 //! let report = run_flow(&design, &cfg)?;
 //! assert!(report.cell_area_um2 > 0.0);
 //! let _trace = report.telemetry.chrome_trace_json();
@@ -36,7 +36,7 @@
 //! use eda::tech::Node;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let cfg = FlowConfig::builder().node(Node::N28).build()?;
+//! let cfg = FlowConfig::advanced_2016(Node::N28);
 //! let batch = vec![
 //!     FlowRequest::new(generate::parity_tree(8)?, cfg.clone()).with_priority(1),
 //!     FlowRequest::new(generate::ripple_carry_adder(8)?, cfg),
@@ -65,12 +65,13 @@
 //! let store = StoreConfig::at(dir.join("flow.store"));
 //!
 //! let design = generate::ripple_carry_adder(8)?;
-//! let cfg = FlowConfig::builder()
-//!     .name("quickstart")
-//!     .node(Node::N28)
-//!     .threads(1)
-//!     .store(store.clone())
-//!     .build()?;
+//! let cfg = FlowConfig {
+//!     name: "quickstart".into(),
+//!     node: Node::N28,
+//!     threads: 1,
+//!     store: Some(store.clone()),
+//!     ..FlowConfig::default()
+//! };
 //! let report = run_flow(&design, &cfg)?;
 //!
 //! // Every completed run appended a provenance row keyed by the design's
@@ -102,9 +103,8 @@ pub use eda_sta as sta;
 pub use eda_tech as tech;
 
 pub use eda_core::{
-    run_flow, ConfigError, Fault, FaultPlan, FlowConfig, FlowConfigBuilder,
-    FlowError, FlowReport, FlowRequest, FlowResponse, FlowServer, FlowServerBuilder, FlowStore,
-    FlowTuner, Lookup, Metric, PartialFlow, QorQuery, QorRow, Query, ServerReport, Span, SpanKind,
+    run_flow, ConfigError, Fault, FaultPlan, FlowConfig, FlowError, FlowReport, FlowRequest,
+    FlowResponse, FlowServer, FlowServerBuilder, FlowStore, FlowTuner, Lookup, Metric, PartialFlow, QorQuery, QorRow, Query, ServerReport, Span, SpanKind,
     StageRow, StageStatus, Store, StoreConfig, StoreError, Table, Telemetry, TelemetrySnapshot,
     STAGES,
 };

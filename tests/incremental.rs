@@ -16,7 +16,7 @@ use eda_core::{
     run_flow, Fault, FaultPlan, FlowConfig, FlowReport, FlowStore, LibraryChoice, QorQuery, Query,
     SpanKind, StoreConfig, STAGES,
 };
-use eda_logic::{MapGoal, SynthesisEffort};
+use eda_logic::SynthesisEffort;
 use eda_netlist::{generate, Netlist};
 use eda_route::RouteAlgorithm;
 use eda_tech::Node;
@@ -166,12 +166,11 @@ fn cache_invalidates_on_netlist_config_and_seed_change() {
     // replay state computed under the old value — caught by the comparison
     // against an uncached run of the edited config.
     type Edit = fn(&mut FlowConfig);
-    let knobs: [(&str, &str, Edit); 19] = [
+    let knobs: [(&str, &str, Edit); 16] = [
         ("node", "1_synthesis", |c| c.node = Node::N10),
         ("seed", "1_synthesis", |c| c.seed = 99),
         ("library", "1_synthesis", |c| c.library = LibraryChoice::NandInv2006),
         ("synthesis", "1_synthesis", |c| c.synthesis = SynthesisEffort::Baseline2006),
-        ("map_goal", "1_synthesis", |c| c.map_goal = MapGoal::Delay),
         ("aig_rewrite_passes", "1_synthesis", |c| c.aig_rewrite_passes -= 1),
         ("verify_synthesis", "1_synthesis", |c| c.verify_synthesis = false),
         ("power.clock_gating_group", "2_clock_gating", |c| c.power.clock_gating_group = 4),
@@ -180,11 +179,9 @@ fn cache_invalidates_on_netlist_config_and_seed_change() {
         ("place", "4_place", |c| c.place.anneal_moves_per_cell += 1),
         ("clock_mhz", "6_sta", |c| c.clock_mhz = 250.0),
         ("router", "7_route", |c| c.router = RouteAlgorithm::AStar),
-        ("layers", "7_route", |c| c.layers += 1),
         ("ripup_iterations", "7_route", |c| c.ripup_iterations += 1),
         ("route_grid_cells", "7_route", |c| c.route_grid_cells = 24),
         ("route_window_margin", "7_route", |c| c.route_window_margin = 4),
-        ("route_region_size", "7_route", |c| c.route_region_size = 8),
         ("power.decap_droop_limit_mv", "9_power", |c| c.power.decap_droop_limit_mv = Some(40.0)),
     ];
     for (knob, first_reader, edit) in knobs {
