@@ -261,7 +261,7 @@ OPTIONS (shared by every subcommand; `--flag V` and `--flag=V` both work):
                        daemon serve: flow workers (default 2)
     --socket PATH      daemon: Unix socket path (required)
     --tcp ADDR         daemon serve: also listen on this TCP address
-    --queue N          daemon serve: admission high-water mark (default 8)
+    --queue N          daemon serve: admission high-water mark, at least 1 (default 8)
     --count N          daemon submit: number of requests (default 4)
     --deadline-ms N    daemon submit: per-request deadline from admission
     --verify           daemon submit: replay each completed request solo and
@@ -325,7 +325,7 @@ fn parse_args() -> Result<(Command, Options), CliError> {
             "--last" => opts.last = count("--last", args.next())?,
             "--socket" => opts.socket = Some(take("--socket", args.next())?),
             "--tcp" => opts.tcp = Some(take("--tcp", args.next())?),
-            "--queue" => opts.queue = count("--queue", args.next())?.max(1),
+            "--queue" => opts.queue = count("--queue", args.next())?,
             "--count" => opts.count = count("--count", args.next())?.max(1),
             "--deadline-ms" => {
                 opts.deadline_ms = Some(count("--deadline-ms", args.next())? as u64);

@@ -4,12 +4,13 @@
 //! The batch [`FlowServer`](crate::server::FlowServer) runs a fixed batch
 //! to completion; the daemon is its streaming counterpart for clients that
 //! arrive over a socket. It speaks the line-delimited JSON protocol of
-//! [`protocol`] on a Unix socket (and optionally TCP), runs on the server's
-//! request scheduler, thread-budget split and shared-store open (`sched.rs`)
-//! and the same [`run_flow_observed`](crate::flow::run_flow_observed) core,
-//! and adds the concerns a network boundary forces:
+//! [`protocol`] on a Unix socket (and optionally TCP), runs on the engine
+//! the server runs on (`engine.rs`: its queue, worker loop, thread-budget
+//! split and shared-store open) and the same
+//! [`run_flow_observed`](crate::flow::run_flow_observed) core, and adds the
+//! concerns a network boundary forces:
 //!
-//! - **Admission control.** The scheduler's queue is bounded: past
+//! - **Admission control.** The engine's queue is bounded: past
 //!   [`DaemonConfig::queue_high_water`] a submit gets a typed
 //!   `rejected{queue-full}` frame instead of unbounded buffering. Load is
 //!   shed loudly, never absorbed silently.
@@ -27,7 +28,7 @@
 //!   bit-identical QoR (the determinism contract is end-to-end:
 //!   `qor_fp` over the wire equals a solo rerun's).
 //! - **Graceful drain.** A `shutdown` frame or SIGTERM (opt-in,
-//!   [`DaemonConfig::handle_sigterm`]) closes the scheduler: *accepting →
+//!   [`DaemonConfig::handle_sigterm`]) closes the engine: *accepting →
 //!   closed → workers joined*. Listeners stop accepting, new submits get
 //!   `rejected{draining}`, admitted requests finish and the workers return;
 //!   then the readers stop, the daemon acknowledges with its final stats,
@@ -45,14 +46,13 @@ use std::path::PathBuf;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use eda_netlist::Netlist;
 
 use crate::config::FlowConfig;
-use crate::flow::run_flow_shared;
-use crate::sched::{split_budget, Refused, Scheduler};
-use crate::store::{FlowStore, QorQuery, Query, StoreConfig};
+use crate::engine::{Engine, Popped, Refused};
+use crate::store::{QorQuery, Query, StoreConfig};
 
 use protocol::{
     flow_config_for, parse_client_frame, ClientFrame, DaemonStats, DesignSpec, QuerySpec,
@@ -64,7 +64,7 @@ use protocol::{
 const FRAME_CAP: usize = 1 << 20;
 
 /// How often readers, listeners and the SIGTERM poll wake to check their
-/// flags. Workers never poll: they block in [`Scheduler::pop`].
+/// flags. Workers never poll: they block on the engine's queue.
 const TICK: Duration = Duration::from_millis(100);
 
 /// How long a frame write to a stalled client may block before the
@@ -94,6 +94,7 @@ pub struct DaemonConfig {
     pub threads: usize,
     /// Admission high-water mark: submits arriving while this many requests
     /// are already queued (not yet running) are rejected with `queue-full`.
+    /// At least 1: [`Daemon::bind`] refuses 0, which would reject every submit.
     pub queue_high_water: usize,
     /// Shared flow store handed to every request: stage + sub-stage cache
     /// plus the QoR provenance tables the `query` frame reads.
@@ -247,7 +248,6 @@ struct Job {
     netlist: Netlist,
     config: FlowConfig,
     conn: Arc<ConnWriter>,
-    admitted: Instant,
     deadline: Option<Duration>,
 }
 
@@ -280,14 +280,10 @@ impl StatCounters {
 
 struct Shared {
     cfg: DaemonConfig,
-    kernel_threads: usize,
-    /// The store, opened once at bind and shared by workers (cache) and
-    /// reader threads (queries). `None` when no store is configured or the
-    /// open failed; requests then resolve per-run and degrade to uncached.
-    store: Option<Arc<FlowStore>>,
-    /// Admission, ordering and drain: open while accepting, closed by a
-    /// `shutdown` frame or SIGTERM.
-    sched: Scheduler<Job>,
+    /// Admission, ordering, workers, drain, and the store the workers
+    /// (cache) and reader threads (queries) share: open while accepting,
+    /// closed by a `shutdown` frame or SIGTERM.
+    engine: Arc<Engine>,
     /// Set once the workers have been joined; ends readers and listeners.
     stop: AtomicBool,
     stats: StatCounters,
@@ -299,7 +295,7 @@ struct Shared {
 /// A bound, not-yet-running daemon. [`Daemon::run`] blocks the calling
 /// thread until graceful drain completes.
 pub struct Daemon {
-    shared: Arc<Shared>,
+    cfg: DaemonConfig,
     unix: UnixListener,
     tcp: Option<TcpListener>,
     tcp_addr: Option<SocketAddr>,
@@ -308,7 +304,19 @@ pub struct Daemon {
 impl Daemon {
     /// Binds the listening sockets. A stale Unix socket file from a
     /// previous crash is removed first.
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::InvalidInput`] when
+    /// [`queue_high_water`](DaemonConfig::queue_high_water) is 0, else
+    /// whatever binding a listener fails with.
     pub fn bind(cfg: DaemonConfig) -> io::Result<Daemon> {
+        if cfg.queue_high_water == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "queue_high_water must be at least 1: a daemon with no queue slot rejects every submit",
+            ));
+        }
         let _ = std::fs::remove_file(&cfg.socket);
         let unix = UnixListener::bind(&cfg.socket)?;
         unix.set_nonblocking(true)?;
@@ -321,18 +329,7 @@ impl Daemon {
                 (Some(l), Some(a))
             }
         };
-        let (workers, kernel_threads) = split_budget(cfg.threads, cfg.workers, usize::MAX);
-        let shared = Arc::new(Shared {
-            kernel_threads,
-            store: FlowStore::open_shared(cfg.store.as_ref()),
-            sched: Scheduler::new(cfg.queue_high_water),
-            cfg: DaemonConfig { workers, ..cfg },
-            stop: AtomicBool::new(false),
-            stats: StatCounters::default(),
-            shutdown_conn: Mutex::new(None),
-            readers: Mutex::new(Vec::new()),
-        });
-        Ok(Daemon { shared, unix, tcp, tcp_addr })
+        Ok(Daemon { cfg, unix, tcp, tcp_addr })
     }
 
     /// The bound TCP address, when a TCP endpoint was configured (useful
@@ -345,7 +342,17 @@ impl Daemon {
     /// stats. Never panics on client behavior; a hostile client costs at
     /// most its own connection.
     pub fn run(self) -> io::Result<DaemonStats> {
-        let shared = self.shared;
+        let cfg = self.cfg;
+        let engine =
+            Engine::new(cfg.threads, cfg.workers, usize::MAX, cfg.queue_high_water, cfg.store.clone());
+        let shared = Arc::new(Shared {
+            cfg,
+            engine,
+            stop: AtomicBool::new(false),
+            stats: StatCounters::default(),
+            shutdown_conn: Mutex::new(None),
+            readers: Mutex::new(Vec::new()),
+        });
         if shared.cfg.handle_sigterm {
             // SAFETY: installs an async-signal-safe handler (single atomic
             // store) for SIGTERM; process-wide by nature, opt-in by config.
@@ -357,16 +364,7 @@ impl Daemon {
             }
         }
 
-        let mut workers = Vec::new();
-        for w in 0..shared.cfg.workers {
-            let sh = Arc::clone(&shared);
-            let work = move || {
-                while let Some((job, _depth)) = sh.sched.pop() {
-                    run_job(&sh, job);
-                }
-            };
-            workers.push(std::thread::Builder::new().name(format!("flowd-worker-{w}")).spawn(work)?);
-        }
+        let workers = shared.engine.start()?;
         let mut listeners = Vec::new();
         for (name, listener) in [
             ("flowd-accept-unix", Some(AnyListener::Unix(self.unix))),
@@ -378,11 +376,11 @@ impl Daemon {
             listeners.push(std::thread::Builder::new().name(name.to_string()).spawn(accept)?);
         }
 
-        // accepting → closed. A `shutdown` frame closes the scheduler from
-        // its reader thread; only the signal has to be polled for.
-        while shared.cfg.handle_sigterm && !shared.sched.is_closed() {
+        // accepting → closed. A `shutdown` frame closes the engine from its
+        // reader thread; only the signal has to be polled for.
+        while shared.cfg.handle_sigterm && !shared.engine.is_closed() {
             if SIGTERM_FLAG.load(Ordering::SeqCst) {
-                shared.sched.close();
+                shared.engine.close();
             } else {
                 std::thread::sleep(TICK);
             }
@@ -431,7 +429,7 @@ impl AnyListener {
 
 fn accept_loop(shared: &Arc<Shared>, listener: AnyListener) {
     loop {
-        if shared.sched.is_closed() {
+        if shared.engine.is_closed() {
             break;
         }
         match listener.accept() {
@@ -548,7 +546,7 @@ fn reader_loop(shared: &Arc<Shared>, stream: Stream, conn: &Arc<ConnWriter>) {
                     }
                     Ok(ClientFrame::Shutdown) => {
                         *lock_clean(&shared.shutdown_conn) = Some(Arc::clone(conn));
-                        shared.sched.close();
+                        shared.engine.close();
                     }
                     Ok(ClientFrame::Submit(spec)) => {
                         handle_submit(shared, conn, spec);
@@ -582,7 +580,7 @@ fn rejection(shared: &Shared, id: u64, reason: RejectReason, detail: String) -> 
 }
 
 fn handle_query(shared: &Arc<Shared>, conn: &Arc<ConnWriter>, spec: &QuerySpec) {
-    let rows = match &shared.store {
+    let rows = match shared.engine.store() {
         None => Vec::new(),
         Some(store) => store
             .qor_history(&QorQuery {
@@ -602,7 +600,8 @@ fn handle_submit(shared: &Arc<Shared>, conn: &Arc<ConnWriter>, spec: SubmitSpec)
         Ok(d) => d,
         Err(e) => return conn.send(&rejection(shared, spec.id, RejectReason::BadRequest, e.0)),
     };
-    let config = match flow_config_for(&spec, shared.kernel_threads, shared.cfg.store.as_ref(), None) {
+    // Threads and the store are the engine's to set when the job runs.
+    let config = match flow_config_for(&spec, 1, None, None) {
         Ok(c) => c,
         Err(e) => return conn.send(&rejection(shared, spec.id, RejectReason::BadRequest, e.0)),
     };
@@ -618,43 +617,36 @@ fn handle_submit(shared: &Arc<Shared>, conn: &Arc<ConnWriter>, spec: SubmitSpec)
         netlist,
         config,
         conn: Arc::clone(conn),
-        admitted: Instant::now(),
         deadline: spec.deadline_ms.map(Duration::from_millis),
     };
+    let sh = Arc::clone(shared);
+    let run = move |engine: &Engine, popped: Popped| run_job(&sh, engine, &popped, job);
 
     // An idle worker pops the job the instant it is pushed, so the answer
     // goes out under the connection's write lock: `accepted` is on the wire
     // before any `stage` or `done` frame of the request it admits.
-    conn.send_after(|| match shared.sched.push(spec.priority, job) {
+    conn.send_after(|| match shared.engine.submit(spec.priority, run) {
         Ok(queued) => {
             shared.stats.accepted.fetch_add(1, Ordering::SeqCst);
             ServerFrame::Accepted { id: spec.id, queued }
         }
-        Err(Refused::Closed(_)) => {
+        Err(Refused::Closed) => {
             let why = "daemon is draining; resubmit elsewhere".to_string();
             rejection(shared, spec.id, RejectReason::Draining, why)
         }
-        Err(Refused::Full(_)) => {
+        Err(Refused::Full) => {
             let why = format!("queue at high water ({})", shared.cfg.queue_high_water);
             rejection(shared, spec.id, RejectReason::QueueFull, why)
         }
     });
 }
 
-fn run_job(shared: &Arc<Shared>, job: Job) {
+fn run_job(shared: &Shared, engine: &Engine, popped: &Popped, job: Job) {
     if job.conn.is_dead() {
         // The client vanished while this was queued: cancel without
         // spending a worker on it.
         shared.stats.disconnects.fetch_add(1, Ordering::SeqCst);
         return;
-    }
-    let mut config = job.config;
-    if let Some(deadline) = job.deadline {
-        // Queue wait counts against the deadline; what is left (possibly
-        // zero) goes to the supervisor, which trips at the next stage
-        // boundary with a typed error.
-        let remaining = deadline.saturating_sub(job.admitted.elapsed());
-        config.deadline_s = Some(remaining.as_secs_f64());
     }
     let conn = Arc::clone(&job.conn);
     let id = job.id;
@@ -666,8 +658,8 @@ fn run_job(shared: &Arc<Shared>, job: Job) {
             attempts,
         });
     });
-    let result = run_flow_shared(&job.netlist, &config, Some(observer), shared.store.clone());
-    let wall_s = job.admitted.elapsed().as_secs_f64();
+    let result = engine.run_flow(popped, &job.netlist, job.config, Some(observer), job.deadline);
+    let wall_s = popped.admitted.elapsed().as_secs_f64();
     let frame = match result {
         Ok(report) => {
             shared.stats.completed.fetch_add(1, Ordering::SeqCst);

@@ -405,9 +405,10 @@ pub fn run_flow_observed(
 }
 
 /// [`run_flow_observed`] with an optionally pre-opened flow store. The
-/// server and daemon open the store once and pass the same `Arc` to every
-/// worker, so concurrent requests share one index instead of each re-opening
-/// (and re-scanning) the file; `None` opens [`FlowConfig::store`] per run.
+/// request engine (`engine.rs`, under the server and the daemon) opens the
+/// store once and passes the same `Arc` to every worker, so concurrent
+/// requests share one index instead of each re-opening (and re-scanning) the
+/// file; `None` opens [`FlowConfig::store`] per run.
 ///
 /// This is the driver: the one place the per-stage protocol is written. For
 /// each row of [`TABLE`], in order: probe the stage cache; on a hit adopt the

@@ -30,11 +30,11 @@
 mod cache;
 pub mod config;
 pub mod daemon;
+mod engine;
 pub mod flow;
 pub mod harness;
 pub mod learn;
 pub mod report;
-mod sched;
 pub mod server;
 mod state;
 pub mod store;

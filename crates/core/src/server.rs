@@ -11,12 +11,13 @@
 //!
 //! # Scheduling
 //!
-//! [`FlowServer::serve`] pushes the batch into the request scheduler it
-//! shares with the flow daemon (`sched.rs`: one queue ordered by `(priority
-//! desc, submission order)`), closes it, and runs `workers` threads that
-//! each pop the next request until the queue is empty. Which worker
-//! executes a request (and therefore `server.queue_depth` and all wall
-//! clocks) depends on host timing; **which results come back does not**.
+//! [`FlowServer::serve`] submits the batch to the engine it shares with the
+//! flow daemon (`engine.rs`: one queue ordered by `(priority desc,
+//! submission order)`, one worker loop, one thread-budget split, one store
+//! open), closes it, starts `workers` threads that each pop the next request
+//! until the queue is empty, and joins them. Which worker executes a request
+//! (and therefore [`FlowResponse::queue_depth`] and all wall clocks) depends
+//! on host timing; **which results come back does not**.
 //!
 //! # Determinism
 //!
@@ -69,20 +70,17 @@
 //! ```
 
 use crate::config::FlowConfig;
-use crate::flow::{run_flow_shared, FlowError, STAGES};
+use crate::engine::{Engine, Popped};
+use crate::flow::{FlowError, STAGES};
 use crate::report::FlowReport;
-use crate::sched::{split_budget, Scheduler};
-use crate::store::{FlowStore, StoreConfig};
-use crate::telemetry::{Histogram, Metric, Span, SpanKind, TelemetrySnapshot, WallSpan};
+use crate::store::StoreConfig;
+use crate::telemetry::{Metric, TelemetrySnapshot};
 use eda_netlist::Netlist;
-use std::collections::BTreeMap;
+use std::sync::mpsc;
 use std::time::Instant;
 
 #[allow(unused_imports)] // rustdoc link targets only.
 use crate::flow::{run_flow, PartialFlow};
-
-/// Bucket edges for the `server.queue_depth` histogram.
-const QUEUE_DEPTH_EDGES: [f64; 7] = [0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0];
 
 /// One design submitted to the server: what to run, how, and how urgently.
 #[derive(Debug, Clone)]
@@ -199,56 +197,45 @@ impl FlowServer {
         FlowServerBuilder::default()
     }
 
-    /// Executes the batch on scoped worker threads and returns every
-    /// response (submission order) plus the server-level telemetry.
+    /// Executes the batch on the engine's workers and returns every
+    /// response (submission order) plus the scheduling counters.
     pub fn serve(&self, requests: Vec<FlowRequest>) -> ServerReport {
         let n = requests.len();
-        let (workers, kernel_threads) = split_budget(self.threads, self.workers, n);
-        let store = FlowStore::open_shared(self.store.as_ref());
-        let queue = Scheduler::new(n);
-        for (index, mut req) in requests.into_iter().enumerate() {
-            req.config.threads = kernel_threads;
-            if let Some(sc) = &self.store {
-                req.config.store = Some(sc.clone());
-            }
-            queue
-                .push(i64::from(req.priority), (index, req))
+        let engine = Engine::new(self.threads, self.workers, n, n, self.store.clone());
+        let (done, finished) = mpsc::channel();
+        let epoch = Instant::now();
+        for (index, req) in requests.into_iter().enumerate() {
+            let done = done.clone();
+            let job = move |engine: &Engine, popped: Popped| {
+                let start_s = epoch.elapsed().as_secs_f64();
+                let t0 = Instant::now();
+                let outcome = engine.run_flow(&popped, &req.design, req.config, None, None);
+                let response = FlowResponse {
+                    index,
+                    design: req.design.name().to_string(),
+                    priority: req.priority,
+                    worker: popped.worker,
+                    queue_depth: popped.queue_depth,
+                    start_s,
+                    wall_s: t0.elapsed().as_secs_f64(),
+                    outcome,
+                };
+                done.send(response).expect("the batch outlives its workers");
+            };
+            engine
+                .submit(i64::from(req.priority), job)
                 .expect("the queue is open and bounded by the batch length");
         }
-        queue.close();
-        let epoch = Instant::now();
-
-        let mut responses: Vec<FlowResponse> = std::thread::scope(|scope| {
-            let pool: Vec<_> = (0..workers)
-                .map(|worker| {
-                    let (queue, store) = (&queue, &store);
-                    scope.spawn(move || {
-                        let mut done = Vec::new();
-                        while let Some(((index, req), queue_depth)) = queue.pop() {
-                            let start_s = epoch.elapsed().as_secs_f64();
-                            let t0 = Instant::now();
-                            let outcome =
-                                run_flow_shared(&req.design, &req.config, None, store.clone());
-                            done.push(FlowResponse {
-                                index,
-                                design: req.design.name().to_string(),
-                                priority: req.priority,
-                                worker,
-                                queue_depth,
-                                start_s,
-                                wall_s: t0.elapsed().as_secs_f64(),
-                                outcome,
-                            });
-                        }
-                        done
-                    })
-                })
-                .collect();
-            pool.into_iter()
-                .flat_map(|w| w.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
-                .collect()
-        });
+        // The whole batch is queued before a worker exists, so pops follow
+        // (priority desc, submission order) exactly.
+        engine.close();
+        let workers = engine.start().expect("spawn the server's workers");
+        let panics: Vec<_> = workers.into_iter().filter_map(|w| w.join().err()).collect();
+        if let Some(panic) = panics.into_iter().next() {
+            std::panic::resume_unwind(panic);
+        }
         let wall_s = epoch.elapsed().as_secs_f64();
+        let mut responses: Vec<FlowResponse> = finished.try_iter().collect();
         responses.sort_by_key(|r| r.index);
 
         // Within one run a flow never reads an entry it wrote, so every hit
@@ -259,23 +246,22 @@ impl FlowServer {
             .filter_map(FlowResponse::report)
             .map(|report| counter(&report.telemetry, "cache.hits"))
             .sum();
-        let telemetry =
-            server_snapshot(&responses, wall_s, workers, kernel_threads, cross_design_hits);
-        ServerReport { responses, telemetry, wall_s, workers, kernel_threads, cross_design_hits }
+        ServerReport {
+            responses,
+            wall_s,
+            workers: engine.workers(),
+            kernel_threads: engine.kernel_threads(),
+            cross_design_hits,
+        }
     }
 }
 
-/// Everything one batch produced: per-request responses plus server-level
-/// telemetry and scheduling counters.
+/// Everything one batch produced: per-request responses plus scheduling
+/// counters.
 #[derive(Debug)]
 pub struct ServerReport {
     /// One response per request, in submission order.
     pub responses: Vec<FlowResponse>,
-    /// Server-level snapshot: a root span, one span per request, and the
-    /// `server.queue_depth` / `cache.cross_design_hits`
-    /// metrics. Unlike a flow's own snapshot, the scheduling metrics here
-    /// are timing-shaped and not golden-pinned.
-    pub telemetry: TelemetrySnapshot,
     /// Wall-clock seconds for the whole batch.
     pub wall_s: f64,
     /// Inter-design workers used.
@@ -315,73 +301,6 @@ fn counter(snapshot: &TelemetrySnapshot, name: &str) -> u64 {
     }
 }
 
-/// Assembles the server-level snapshot after the pool joins. The collector
-/// type (`Telemetry`) is single-threaded by design, so the server builds its
-/// snapshot directly: span structure and tags stay deterministic (submission
-/// order, design names, priorities, outcomes); worker identity and queue
-/// depths are timing-shaped and live in the wall section and the scheduling
-/// metrics.
-fn server_snapshot(
-    responses: &[FlowResponse],
-    wall_s: f64,
-    workers: usize,
-    kernel_threads: usize,
-    cross_design_hits: u64,
-) -> TelemetrySnapshot {
-    let mut spans = Vec::with_capacity(responses.len() + 1);
-    let mut wall = Vec::with_capacity(responses.len() + 1);
-    spans.push(Span {
-        id: 0,
-        parent: None,
-        kind: SpanKind::Flow,
-        name: "server".into(),
-        tags: BTreeMap::from([("requests".into(), responses.len().to_string())]),
-    });
-    wall.push(WallSpan {
-        start_s: 0.0,
-        dur_s: wall_s,
-        threads: workers,
-        busy_s: Vec::new(),
-        peak_rss_bytes: crate::telemetry::read_peak_rss_bytes(),
-    });
-    for r in responses {
-        let outcome = match &r.outcome {
-            Ok(report) if report.stage_status.values().all(|s| s.is_clean()) => "ok".to_string(),
-            Ok(_) => "degraded".to_string(),
-            Err(e) => format!("failed:{}", e.stage()),
-        };
-        spans.push(Span {
-            id: spans.len(),
-            parent: Some(0),
-            kind: SpanKind::Stage,
-            name: format!("request:{}", r.index),
-            tags: BTreeMap::from([
-                ("design".into(), r.design.clone()),
-                ("priority".into(), r.priority.to_string()),
-                ("outcome".into(), outcome),
-            ]),
-        });
-        wall.push(WallSpan {
-            start_s: r.start_s,
-            dur_s: r.wall_s,
-            threads: kernel_threads,
-            busy_s: Vec::new(),
-            peak_rss_bytes: crate::telemetry::read_peak_rss_bytes(),
-        });
-    }
-    let mut depth = Histogram::new(&QUEUE_DEPTH_EDGES);
-    for r in responses {
-        depth.observe(r.queue_depth as f64);
-    }
-    let metrics = BTreeMap::from([
-        ("cache.cross_design_hits".to_string(), Metric::Counter(cross_design_hits)),
-        ("server.queue_depth".to_string(), Metric::Histogram(depth)),
-        ("server.requests".to_string(), Metric::Counter(responses.len() as u64)),
-        ("server.workers".to_string(), Metric::Gauge(workers as f64)),
-    ]);
-    TelemetrySnapshot { spans, metrics, wall }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -414,11 +333,10 @@ mod tests {
         assert_eq!(report.failed(), 0);
         assert_eq!(report.cross_design_hits, 0);
         assert_eq!(report.cross_hit_rate(), 0.0);
-        assert_eq!(report.telemetry.spans.len(), 1, "just the root server span");
     }
 
     #[test]
-    fn responses_come_back_in_submission_order_with_spans() {
+    fn responses_come_back_in_submission_order() {
         let server = FlowServer::builder().threads(2).build();
         let report = server.serve(vec![tiny_request(0), tiny_request(7)]);
         assert_eq!(report.responses.len(), 2);
@@ -426,16 +344,5 @@ mod tests {
             assert_eq!(r.index, i);
             assert!(r.outcome.is_ok());
         }
-        assert_eq!(report.telemetry.spans.len(), 3);
-        assert_eq!(report.telemetry.spans[1].name, "request:0");
-        assert_eq!(report.telemetry.spans[2].name, "request:1");
-        assert_eq!(
-            report.telemetry.metrics.get("server.requests"),
-            Some(&Metric::Counter(2))
-        );
-        assert!(matches!(
-            report.telemetry.metrics.get("server.queue_depth"),
-            Some(Metric::Histogram(h)) if h.samples() == 2
-        ));
     }
 }

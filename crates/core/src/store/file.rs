@@ -36,7 +36,7 @@ use std::fs::{self, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::os::unix::fs::MetadataExt;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 const HEADER: &[u8] = b"eda-store v1\n";
@@ -168,15 +168,6 @@ impl FlowStore {
             store.rescan(&mut inner)?;
         }
         Ok(store)
-    }
-
-    /// Opens `cfg`'s store once for a pool of workers, so concurrent
-    /// requests share one in-memory index instead of each re-scanning the
-    /// file. `None` without a config, and when the open fails: requests then
-    /// resolve their store per run inside `run_flow_shared`, which counts
-    /// `cache.open_errors` and runs uncached.
-    pub(crate) fn open_shared(cfg: Option<&StoreConfig>) -> Option<Arc<FlowStore>> {
-        cfg.and_then(|sc| FlowStore::open(sc).ok().map(Arc::new))
     }
 
     /// The store file path.

@@ -627,15 +627,13 @@ mod tests {
         if cfg!(target_os = "linux") {
             assert!(snap.wall[0].peak_rss_bytes > 0, "VmHWM readable on Linux");
         }
-        // Spans close child-before-parent, so walking closes in close order
-        // must never see the high-water mark decrease.
-        let mut by_close: Vec<&WallSpan> = snap.wall.iter().collect();
-        by_close.sort_by(|a, b| {
-            (a.start_s + a.dur_s).partial_cmp(&(b.start_s + b.dur_s)).expect("finite")
-        });
-        for w in by_close.windows(2) {
-            assert!(w[0].peak_rss_bytes <= w[1].peak_rss_bytes, "high-water mark is monotone");
-        }
+        // `sample` closes its spans in reverse id order (the kernel span is
+        // recorded closed, then the attempt, the stage and the flow close), so
+        // walking them that way must never see the high-water mark decrease.
+        // Sorting by `start_s + dur_s` instead would misplace the kernel: its
+        // 0.25 s wall is synthetic, so it would land after its parents.
+        let by_close: Vec<u64> = snap.wall.iter().rev().map(|w| w.peak_rss_bytes).collect();
+        assert!(by_close.windows(2).all(|w| w[0] <= w[1]), "high-water mark is monotone");
         // The gauge lives in the wall section only: the pinned text never
         // mentions it, so golden snapshots stay bit-stable.
         assert!(!sample().snapshot().deterministic_text().contains("rss"));

@@ -246,51 +246,6 @@ impl BddManager {
         }
         Some(assignment)
     }
-
-    /// Number of satisfying assignments over `num_vars` variables.
-    pub fn count_sat(&self, r: BddRef, num_vars: usize) -> u64 {
-        fn rec(m: &BddManager, r: BddRef, memo: &mut HashMap<BddRef, f64>, num_vars: u32) -> f64 {
-            if r == BddRef::ZERO {
-                return 0.0;
-            }
-            if r == BddRef::ONE {
-                return 1.0;
-            }
-            if let Some(&v) = memo.get(&r) {
-                return v;
-            }
-            let n = m.nodes[r.0 as usize];
-            let skip_low = m.level_gap(n.low, n.var, num_vars);
-            let skip_high = m.level_gap(n.high, n.var, num_vars);
-            let v = rec(m, n.low, memo, num_vars) * skip_low
-                + rec(m, n.high, memo, num_vars) * skip_high;
-            memo.insert(r, v);
-            v
-        }
-        let top_gap = if r == BddRef::ZERO || r == BddRef::ONE {
-            2f64.powi(num_vars as i32)
-        } else {
-            2f64.powi(self.var_of(r) as i32)
-        };
-        if r == BddRef::ZERO {
-            return 0;
-        }
-        if r == BddRef::ONE {
-            return top_gap as u64;
-        }
-        let mut memo = HashMap::new();
-        (rec(self, r, &mut memo, num_vars as u32) * top_gap) as u64
-    }
-
-    /// `2^(levels skipped between a node and its child)`.
-    fn level_gap(&self, child: BddRef, parent_var: u32, num_vars: u32) -> f64 {
-        let child_var = if child == BddRef::ZERO || child == BddRef::ONE {
-            num_vars
-        } else {
-            self.var_of(child)
-        };
-        2f64.powi((child_var - parent_var - 1) as i32)
-    }
 }
 
 #[cfg(test)]
@@ -356,20 +311,6 @@ mod tests {
     }
 
     #[test]
-    fn count_sat_examples() {
-        let mut m = mgr();
-        let a = m.var(0).unwrap();
-        let b = m.var(1).unwrap();
-        let c = m.var(2).unwrap();
-        let f = m.and(a, b).unwrap();
-        assert_eq!(m.count_sat(f, 3), 2, "a&b over 3 vars: 2 models");
-        let g = m.or(a, c).unwrap();
-        assert_eq!(m.count_sat(g, 3), 6, "a|c over 3 vars: 6 models");
-        assert_eq!(m.count_sat(BddRef::ONE, 3), 8);
-        assert_eq!(m.count_sat(BddRef::ZERO, 3), 0);
-    }
-
-    #[test]
     fn parity_bdd_is_linear() {
         let mut m = mgr();
         let mut f = BddRef::ZERO;
@@ -381,7 +322,6 @@ mod tests {
         // intermediate partial parities (no GC), still O(vars²) overall —
         // an exponential ordering pathology would allocate ~2^16 nodes.
         assert!(m.len() < 600, "parity must stay near-linear, got {} nodes", m.len());
-        assert_eq!(m.count_sat(f, 16), 1 << 15);
     }
 
     #[test]

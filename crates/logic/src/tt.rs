@@ -165,34 +165,6 @@ impl TruthTable {
         self.bits.count_ones()
     }
 
-    /// Reorders inputs: output variable `i` reads old variable `perm[i]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `perm` is not a permutation of `0..num_vars`.
-    pub fn permute(&self, perm: &[usize]) -> TruthTable {
-        let n = self.num_vars();
-        assert_eq!(perm.len(), n, "permutation length");
-        let mut seen = vec![false; n];
-        for &p in perm {
-            assert!(p < n && !seen[p], "not a permutation");
-            seen[p] = true;
-        }
-        let mut out = 0u64;
-        for row in 0..(1usize << n) {
-            let mut src = 0usize;
-            for (i, &p) in perm.iter().enumerate() {
-                if row >> i & 1 == 1 {
-                    src |= 1 << p;
-                }
-            }
-            if self.bits >> src & 1 == 1 {
-                out |= 1 << row;
-            }
-        }
-        TruthTable::from_bits(n, out)
-    }
-
     /// Extends to `new_vars` variables (new variables are don't-cares).
     ///
     /// # Panics
@@ -208,21 +180,6 @@ impl TruthTable {
             width *= 2;
         }
         TruthTable::from_bits(new_vars, bits)
-    }
-
-    /// Returns true if the function is XOR-like: equal to the parity of some
-    /// subset of its support variables, possibly complemented. These are the
-    /// functions controlled-polarity devices implement natively.
-    pub fn is_xor_like(&self) -> bool {
-        let sup = self.support();
-        if sup.is_empty() {
-            return false;
-        }
-        let mut parity = TruthTable::zero(self.num_vars());
-        for &v in &sup {
-            parity = parity.xor(&TruthTable::var(self.num_vars(), v));
-        }
-        *self == parity || *self == parity.not()
     }
 }
 
@@ -275,20 +232,6 @@ mod tests {
     }
 
     #[test]
-    fn permute_relabels_variables() {
-        let n = 3;
-        // f(x0,x1,x2) = x0 & !x2
-        let f = TruthTable::var(n, 0).and(&TruthTable::var(n, 2).not());
-        // g reads old var perm[i] at position i: perm = [2,1,0] swaps 0 and 2.
-        let g = f.permute(&[2, 1, 0]);
-        for row in 0..8usize {
-            let a: Vec<bool> = (0..3).map(|k| row >> k & 1 == 1).collect();
-            let swapped = vec![a[2], a[1], a[0]];
-            assert_eq!(g.eval(&a), f.eval(&swapped));
-        }
-    }
-
-    #[test]
     fn extend_keeps_function() {
         let f = TruthTable::var(2, 1).xor(&TruthTable::var(2, 0));
         let g = f.extend(4);
@@ -298,21 +241,6 @@ mod tests {
             assert_eq!(g.eval(&a), a[0] ^ a[1]);
         }
         assert_eq!(g.support(), vec![0, 1]);
-    }
-
-    #[test]
-    fn xor_like_detection() {
-        let n = 3;
-        let x0 = TruthTable::var(n, 0);
-        let x1 = TruthTable::var(n, 1);
-        let x2 = TruthTable::var(n, 2);
-        assert!(x0.xor(&x1).xor(&x2).is_xor_like());
-        assert!(x0.xor(&x1).not().is_xor_like());
-        assert!(!x0.and(&x1).is_xor_like());
-        assert!(!TruthTable::zero(3).is_xor_like());
-        // Majority is not XOR-like.
-        let maj = x0.and(&x1).or(&x1.and(&x2)).or(&x0.and(&x2));
-        assert!(!maj.is_xor_like());
     }
 
     #[test]
@@ -337,11 +265,5 @@ mod tests {
     #[should_panic(expected = "at most 6")]
     fn too_many_vars_panics() {
         let _ = TruthTable::zero(7);
-    }
-
-    #[test]
-    #[should_panic(expected = "not a permutation")]
-    fn bad_permutation_panics() {
-        let _ = TruthTable::var(3, 0).permute(&[0, 0, 1]);
     }
 }

@@ -9,7 +9,7 @@
 
 use crate::activity::Activity;
 use crate::analysis::PowerConfig;
-use eda_netlist::{CellFunction, InstId, Netlist};
+use eda_netlist::{CellFunction, Netlist};
 use eda_place::Placement;
 use eda_tech::Node;
 
@@ -22,7 +22,6 @@ pub struct PowerGrid {
     power_mw: Vec<f64>,
     /// Decap capacitance per bin, in fF.
     decap_ff: Vec<f64>,
-    bin_area_mm2: f64,
 }
 
 impl PowerGrid {
@@ -62,25 +61,12 @@ impl PowerGrid {
             let by = ((pos.y / die.height_um * bins as f64) as usize).min(bins - 1);
             power[by * bins + bx] += (p_dyn + p_leak) * 1e3;
         }
-        let bin_area_mm2 = (die.width_um * die.height_um) / (bins * bins) as f64 / 1e6;
-        PowerGrid { bins, power_mw: power, decap_ff: vec![0.0; bins * bins], bin_area_mm2 }
+        PowerGrid { bins, power_mw: power, decap_ff: vec![0.0; bins * bins] }
     }
 
     /// Power in bin `(x, y)`, mW.
     pub fn power_at(&self, x: usize, y: usize) -> f64 {
         self.power_mw[y * self.bins + x]
-    }
-
-    /// Power density of a bin in W/cm².
-    pub fn density_w_per_cm2(&self, x: usize, y: usize) -> f64 {
-        self.power_at(x, y) * 1e-3 / (self.bin_area_mm2 * 1e-2)
-    }
-
-    /// Peak power density over the map, W/cm².
-    pub fn peak_density(&self) -> f64 {
-        (0..self.bins * self.bins)
-            .map(|i| self.power_mw[i] * 1e-3 / (self.bin_area_mm2 * 1e-2))
-            .fold(0.0, f64::max)
     }
 
     /// Supply droop estimate per bin: local switching current against the
@@ -161,7 +147,6 @@ pub fn insert_decaps(
         while grid.droop_mv(x, y, node) > limit_mv && budget > 0 {
             grid.add_decap(x, y, decap_ff_per_cell);
             out.add_gate(format!("decap_{x}_{y}_{budget}"), decap, &[])?;
-            let _ = InstId::from_index(out.num_instances() - 1);
             inserted += 1;
             budget -= 1;
         }
@@ -193,7 +178,6 @@ mod tests {
             .map(|(x, y)| g.power_at(x, y))
             .sum();
         assert!(total > 0.0);
-        assert!(g.peak_density() > 0.0);
     }
 
     #[test]

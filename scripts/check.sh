@@ -256,16 +256,26 @@ cargo test --release -q --test signoff_pins
 # types, the NPN / fault-collapse kernels, the client's queue-full retry, the
 # `_threaded` / `_stats` twin entry points; PR 25 — the config builder, the
 # single-valued `map_goal` / `route_region_size` knobs and the two
-# `ConfigError` variants only they could raise) must not reappear anywhere in
-# the workspace, its tests or its examples.
-deleted_names='StageBudgets?|soft_deadline_s|npn_canon|npn_equivalent|NpnCanon|collapse_faults|CollapseOutcome|request_retry|retry_queue_full|fault_sim_threaded|run_opc_stats|image_threaded|print_threaded|edge_placement_errors_threaded|FlowConfigBuilder|map_goal|route_region_size|RegionWithoutWindow|NoLayers'
+# `ConfigError` variants only they could raise; then the per-front-end
+# store open, the server's hand-built telemetry snapshot, and accessors only
+# their own unit tests called) must not reappear anywhere in the workspace,
+# its tests or its examples.
+deleted_names='StageBudgets?|soft_deadline_s|npn_canon|npn_equivalent|NpnCanon|collapse_faults|CollapseOutcome|request_retry|retry_queue_full|fault_sim_threaded|run_opc_stats|image_threaded|print_threaded|edge_placement_errors_threaded|FlowConfigBuilder|map_goal|route_region_size|RegionWithoutWindow|NoLayers|open_shared|server_snapshot|QUEUE_DEPTH_EDGES|count_sat|is_xor_like|peak_density'
 if grep -rnwE "$deleted_names" crates src tests examples; then
     echo "check: FAIL a deleted name is back (census above)" >&2; exit 1
+fi
+
+# One engine: the request engine is the only way a request reaches the
+# flow driver, so `run_flow_shared(` is called in eda-core from `flow.rs`
+# (the driver and its public wrappers) and `engine.rs` alone — a front end
+# calling it directly has grown its own worker loop again.
+if grep -rn 'run_flow_shared(' crates/core/src | grep -vE '^crates/core/src/(flow|engine)\.rs:'; then
+    echo "check: FAIL run_flow_shared is called outside flow.rs / engine.rs (above)" >&2; exit 1
 fi
 
 # Tally: sum the "test result:" lines from the debug suite run above.
 awk '/^test result:/ { passed += $4; failed += $6 }
      END { printf "check: %d tests passed, %d failed across all binaries\n", passed, failed
            exit (failed > 0) }' "$test_log"
-echo "check: $(find crates src tests examples benchmark -name '*.rs' -print0 | xargs -0 cat | wc -l) lines of Rust (the count ROADMAP quotes); deleted-name census empty (budgets, NPN / collapse, retry, twins, config builder, derived knobs)"
-echo "check: tier-1 + clippy + unwrap gates + inject smoke + trace + serve + daemon + facade docs + incremental + sub-stage record budget + cross-process resume + mini-scale + golden + route pins + route audit + place pins + place audit + sign-off pins + deleted-name census green"
+echo "check: $(find crates src tests examples benchmark -name '*.rs' -print0 | xargs -0 cat | wc -l) lines of Rust (the count ROADMAP quotes); deleted-name census empty (budgets, NPN / collapse, retry, twins, config builder, derived knobs, shared-store open, server snapshot, test-only accessors); run_flow_shared called from flow.rs + engine.rs only"
+echo "check: tier-1 + clippy + unwrap gates + inject smoke + trace + serve + daemon + facade docs + incremental + sub-stage record budget + cross-process resume + mini-scale + golden + route pins + route audit + place pins + place audit + sign-off pins + deleted-name census + one-engine gate green"

@@ -183,6 +183,19 @@ fn overload_is_shed_with_typed_queue_full_rejections() {
 }
 
 #[test]
+fn a_queue_without_a_slot_is_refused_at_bind() {
+    // A high-water mark of 0 would answer every submit `rejected{queue-full}`
+    // forever: refuse it before any socket exists.
+    let mut cfg = DaemonConfig::new(sock("noslot"));
+    cfg.queue_high_water = 0;
+    let socket = cfg.socket.clone();
+    let err = Daemon::bind(cfg).err().expect("a zero high-water mark is refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    assert!(err.to_string().contains("queue_high_water"), "the error names the knob: {err}");
+    assert!(!socket.exists(), "nothing is bound");
+}
+
+#[test]
 fn deadline_overrun_is_a_typed_error_and_the_daemon_stays_healthy() {
     let daemon = Flowd::spawn(DaemonConfig::new(sock("deadline")));
     let mut client = daemon.client();

@@ -146,23 +146,6 @@ fn repeated_request_replays_the_shared_cache() {
     assert_eq!(counter(primary, "cache.hits"), 0, "the primary runs cold");
     assert_eq!(counter(repeat, "cache.hits"), STAGES.len() as u64);
     assert!(primary.same_qor(repeat), "a cache replay is bit-identical");
-
-    // The server snapshot carries the accounting and one span per request.
-    match report.telemetry.metrics.get("cache.cross_design_hits") {
-        Some(Metric::Counter(n)) => assert_eq!(*n, STAGES.len() as u64),
-        other => panic!("expected a cross-design hit counter, got {other:?}"),
-    }
-    match report.telemetry.metrics.get("server.requests") {
-        Some(Metric::Counter(n)) => assert_eq!(*n, 2),
-        other => panic!("expected a request counter, got {other:?}"),
-    }
-    let request_spans = report
-        .telemetry
-        .spans
-        .iter()
-        .filter(|s| s.name.starts_with("request:"))
-        .count();
-    assert_eq!(request_spans, 2);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
