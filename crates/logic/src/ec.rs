@@ -13,7 +13,6 @@
 
 use crate::bdd::{BddError, BddManager, BddRef};
 use eda_netlist::{CellFunction, Netlist, NetlistError};
-use std::collections::HashMap;
 
 /// The checker's answer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,13 +65,20 @@ fn build_functions(
     tie_low: &[usize],
 ) -> Result<Result<Vec<BddRef>, BddError>, EcError> {
     let lib = netlist.library();
-    let mut net_fn: HashMap<usize, BddRef> = HashMap::new();
+    let mut net_fn: Vec<Option<BddRef>> = vec![None; netlist.num_nets()];
+    // Tied PI positions resolved once; tie_high wins over tie_low.
+    let mut tied = vec![None; netlist.primary_inputs().len()];
+    for (ties, value) in [(tie_low, BddRef::ZERO), (tie_high, BddRef::ONE)] {
+        for &i in ties {
+            if let Some(t) = tied.get_mut(i) {
+                *t = Some(value);
+            }
+        }
+    }
     // Primary inputs: shared space first, then ties.
     for (i, &pi) in netlist.primary_inputs().iter().enumerate() {
-        let f = if tie_high.contains(&i) {
-            BddRef::ONE
-        } else if tie_low.contains(&i) {
-            BddRef::ZERO
+        let f = if let Some(t) = tied[i] {
+            t
         } else if i < shared_inputs {
             match m.var(i as u32) {
                 Ok(v) => v,
@@ -84,7 +90,7 @@ fn build_functions(
                 netlist.net(pi).name()
             )));
         };
-        net_fn.insert(pi.index(), f);
+        net_fn[pi.index()] = Some(f);
     }
     // Flop outputs are pseudo-inputs after the PIs.
     let flops = netlist.flops();
@@ -93,33 +99,31 @@ fn build_functions(
             Ok(v) => v,
             Err(e) => return Ok(Err(e)),
         };
-        net_fn.insert(netlist.instance(flop).output().index(), v);
+        net_fn[netlist.instance(flop).output().index()] = Some(v);
     }
     let order = netlist.topo_order()?;
+    let mut ins: Vec<BddRef> = Vec::new();
     for id in order {
         let inst = netlist.instance(id);
         let func = lib.cell(inst.cell()).function;
         if func.is_sequential() || func.is_physical_only() {
             continue;
         }
-        let ins: Vec<BddRef> = inst
-            .inputs()
-            .iter()
-            .map(|n| net_fn.get(&n.index()).copied().expect("topo order"))
-            .collect();
+        ins.clear();
+        ins.extend(inst.inputs().iter().map(|n| net_fn[n.index()].expect("topo order")));
         let f = match eval_cell(m, func, &ins) {
             Ok(f) => f,
             Err(e) => return Ok(Err(e)),
         };
-        net_fn.insert(inst.output().index(), f);
+        net_fn[inst.output().index()] = Some(f);
     }
     let mut out = Vec::new();
     for (_, net) in netlist.primary_outputs() {
-        out.push(*net_fn.get(&net.index()).expect("outputs are driven"));
+        out.push(net_fn[net.index()].expect("outputs are driven"));
     }
     for &flop in &flops {
         let d = netlist.instance(flop).inputs()[0];
-        out.push(*net_fn.get(&d.index()).expect("flop D driven"));
+        out.push(net_fn[d.index()].expect("flop D driven"));
     }
     Ok(Ok(out))
 }
@@ -397,6 +401,9 @@ mod tests {
         // 32-node budget is hopeless for BDDs; 8 inputs are enumerable.
         let verdict = check_equivalence(&d, &adv.netlist, &[], &[], 32).unwrap();
         assert_eq!(verdict, EcVerdict::Equivalent);
+        // 24 inputs are past the enumeration cap: the budget stays a hard cap.
+        let wide = generate::parity_tree(24).unwrap();
+        assert_eq!(check_equivalence(&wide, &wide, &[], &[], 32).unwrap(), EcVerdict::Inconclusive);
     }
 
     #[test]

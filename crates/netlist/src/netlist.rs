@@ -607,6 +607,13 @@ impl Netlist {
             let out = self.instances[flop.index()].output;
             value[out.index()] = if state.is_empty() { 0 } else { state[fi] };
         }
+        // One fan-in buffer for every gate: no allocation per evaluation.
+        let mut ins: Vec<u64> = Vec::with_capacity(4);
+        let mut eval = |inst: &Instance, value: &[u64]| {
+            ins.clear();
+            ins.extend(inst.inputs.iter().map(|n| value[n.index()]));
+            self.library.cell(inst.cell).function.eval64(&ins)
+        };
         let order = self.topo_order().expect("simulate requires an acyclic netlist");
         for id in order {
             let inst = &self.instances[id.index()];
@@ -614,19 +621,10 @@ impl Netlist {
             if f.is_sequential() || f.is_physical_only() {
                 continue;
             }
-            let ins: Vec<u64> = inst.inputs.iter().map(|n| value[n.index()]).collect();
-            value[inst.output.index()] = f.eval64(&ins);
+            value[inst.output.index()] = eval(inst, &value);
         }
         let outs = self.outputs.iter().map(|(_, n)| value[n.index()]).collect();
-        let next = flops
-            .iter()
-            .map(|&flop| {
-                let inst = &self.instances[flop.index()];
-                let f = self.library.cell(inst.cell).function;
-                let ins: Vec<u64> = inst.inputs.iter().map(|n| value[n.index()]).collect();
-                f.eval64(&ins)
-            })
-            .collect();
+        let next = flops.iter().map(|&flop| eval(&self.instances[flop.index()], &value)).collect();
         (outs, next)
     }
 

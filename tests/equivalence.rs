@@ -3,8 +3,8 @@
 //! bit-parallel co-simulation across transformation pipelines.
 
 use eda::dft::insert_scan;
-use eda::logic::{synthesize, MapGoal, SynthesisEffort, SynthesisOptions};
-use eda::netlist::{generate, verilog, Library, Netlist};
+use eda::logic::{check_equivalence, synthesize, EcVerdict, MapGoal, SynthesisEffort, SynthesisOptions};
+use eda::netlist::{generate, verilog, CellFunction, InstId, Library, NetId, Netlist};
 use eda::power::{implement, insert_clock_gating, PowerDomain, PowerIntent};
 
 /// Compares two netlists on pseudo-random stimulus; `extra_ones` PIs of `b`
@@ -90,7 +90,6 @@ fn power_intent_implementation_preserves_function() {
 
 #[test]
 fn formal_ec_verifies_transformation_chain() {
-    use eda::logic::{check_equivalence, EcVerdict};
     // Formal (BDD) verification across the same chain the simulation tests
     // cover: synthesis, then clock gating with tied-high enables, then scan
     // with tied-low scan controls.
@@ -117,14 +116,9 @@ fn formal_ec_verifies_transformation_chain() {
     );
 }
 
-#[test]
-fn formal_ec_catches_an_injected_bug() {
-    use eda::logic::{check_equivalence, EcVerdict};
-    use eda::netlist::{CellFunction, Netlist};
-    // Mutate one gate of a synthesized design and prove non-equivalence.
-    let d = generate::ripple_carry_adder(4).unwrap();
+/// `adder:4` rebuilt with the final carry as OR instead of MAJ.
+fn adder_with_or_carry() -> Netlist {
     let mut broken = Netlist::new("broken");
-    // Rebuild the adder but with the final carry using OR instead of MAJ.
     let a: Vec<_> = (0..4).map(|i| broken.add_input(format!("a{i}"))).collect();
     let b: Vec<_> = (0..4).map(|i| broken.add_input(format!("b{i}"))).collect();
     let mut carry = broken.add_input("cin");
@@ -141,6 +135,14 @@ fn formal_ec_catches_an_injected_bug() {
         carry = cy;
     }
     broken.add_output("cout", carry);
+    broken
+}
+
+#[test]
+fn formal_ec_catches_an_injected_bug() {
+    // Mutate one gate of a synthesized design and prove non-equivalence.
+    let d = generate::ripple_carry_adder(4).unwrap();
+    let broken = adder_with_or_carry();
     match check_equivalence(&d, &broken, &[], &[], 1 << 20).unwrap() {
         EcVerdict::Counterexample(cex) => {
             let (oa, _) = d.simulate(&cex, &[]);
@@ -163,4 +165,55 @@ fn polarity_library_mapping_is_equivalent() {
     )
     .unwrap();
     equivalent(&d, &pol.netlist, 0, 0);
+}
+
+/// Feeds `sinks` of `net` through a fresh inverter: the function of a
+/// one-gate polarity bug.
+fn invert_at(n: &mut Netlist, net: NetId, sinks: &[(InstId, usize)]) {
+    let inv = n.add_gate_fn("bug_inv", CellFunction::Inv, &[net]).unwrap();
+    for &(inst, pin) in sinks {
+        n.replace_input(inst, pin, inv);
+    }
+}
+
+#[test]
+fn counterexamples_are_pinned() {
+    // `satisfy` answers the least model with variable 0 most significant, a
+    // function of the miter alone; these vectors are what the checker
+    // answered before its BDD kernel gained complement edges.
+    let cex = |a: &Netlist, b: &Netlist| match check_equivalence(a, b, &[], &[], 1 << 19).unwrap() {
+        EcVerdict::Counterexample(cex) => cex,
+        other => panic!("expected a counterexample, got {other:?}"),
+    };
+    let bits = |v: &[bool]| v.iter().map(|&b| if b { '1' } else { '0' }).collect::<String>();
+
+    assert_eq!(bits(&cex(&generate::ripple_carry_adder(4).unwrap(), &adder_with_or_carry())), "000000010");
+
+    // mult:4 with the full adder's `fa_x_2_1` XOR2 turned into an XNOR2.
+    let m = generate::array_multiplier(4).unwrap();
+    let mut bm = m.clone();
+    let x = bm.find_net("fa_x_2_1_out").unwrap();
+    let sinks = bm.net(x).sinks().to_vec();
+    invert_at(&mut bm, x, &sinks);
+    assert_eq!(bits(&cex(&m, &bm)), "00000000");
+
+    // fabric:3x3 with the first flop's D inverted.
+    let f = generate::switch_fabric(3, 3).unwrap();
+    let mut bf = f.clone();
+    let flop = bf.flops()[0];
+    let d = bf.instance(flop).inputs()[0];
+    invert_at(&mut bf, d, &[(flop, 0)]);
+    assert_eq!(bits(&cex(&f, &bf)), "0".repeat(28));
+}
+
+#[test]
+fn flowd_pairs_designs_verify_at_the_flow_budget() {
+    // The designs `flowd_pairs` sends, against the advanced-2016 netlist at
+    // `1_synthesis`'s first-attempt budget of 2^19 nodes.
+    for d in [generate::array_multiplier(8).unwrap(), generate::switch_fabric(8, 16).unwrap()] {
+        let synth =
+            synthesize(&d, Library::generic(), SynthesisEffort::Advanced2016, MapGoal::Area, &SynthesisOptions::default())
+                .unwrap();
+        assert_eq!(check_equivalence(&d, &synth.netlist, &[], &[], 1 << 19).unwrap(), EcVerdict::Equivalent, "{}", d.name());
+    }
 }
