@@ -3,12 +3,14 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eda_bench::{median_seconds, scaling_threads};
+use eda_core::FlowConfig;
 use eda_netlist::generate;
-use eda_place::{place_global, Die, GlobalConfig};
+use eda_place::{place_global, place_multilevel, Die, GlobalConfig, MultilevelConfig};
 use eda_route::{
     astar, lee_bfs, mikami_tabuchi, route, route_stats, GCell, RouteAlgorithm, RouteConfig,
     RoutingGrid, RuleDeck, SearchScratch, SearchWindow,
 };
+use eda_tech::Node;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -153,11 +155,51 @@ fn bench_search_kernels(_c: &mut Criterion) {
     println!("BENCHLINE route/fabric8x16_dense {s:.9e}");
 }
 
+/// The scale tier's route on its own: the 10⁴ mesh, multilevel-placed with
+/// the scale preset's placer knobs, routed serially with the preset's
+/// windowed, region-partitioned config (seconds per route), plus the cells
+/// the searches expanded — a count that must not move under performance
+/// work.
+fn bench_region_route(_c: &mut Criterion) {
+    let cfg = FlowConfig::scale_2016(Node::N28, 10_000);
+    let design = generate::scale_mesh(10_000, 1).unwrap();
+    let placement = place_multilevel(
+        &design,
+        Die::for_netlist(&design, cfg.utilization),
+        &MultilevelConfig {
+            cluster_size: cfg.place.cluster_gates,
+            coarse_iterations: cfg.place.global_iterations,
+            refine_moves_per_cell: cfg.place.anneal_moves_per_cell,
+            seed: cfg.seed,
+        },
+    )
+    .placement;
+    let rcfg = RouteConfig {
+        algorithm: cfg.router,
+        deck: RuleDeck::simple(cfg.node.spec().typical_metal_layers),
+        grid_cells: cfg.route_grid_cells,
+        ripup_iterations: cfg.ripup_iterations,
+        threads: 1,
+        window_margin: cfg.route_window_margin,
+        // The flow's derived region size (`flow.rs`'s `region_size`).
+        region_size: (cfg.route_grid_cells / 8).max(16),
+    };
+    let s = median_seconds(5, || {
+        let t = Instant::now();
+        black_box(route(&design, &placement, &rcfg).wirelength);
+        t.elapsed().as_secs_f64()
+    });
+    println!("BENCHLINE route/mesh10k_regions {s:.9e}");
+    let cells = route(&design, &placement, &rcfg).cells_expanded;
+    println!("BENCHLINE route:cells/mesh10k_regions {cells}");
+}
+
 criterion_group!(
     benches,
     bench_full_route,
     bench_single_connection,
     bench_route_scaling,
-    bench_search_kernels
+    bench_search_kernels,
+    bench_region_route
 );
 criterion_main!(benches);

@@ -658,46 +658,48 @@ fn synthesis(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut S
 /// `2_clock_gating`: before scan, so gates see plain flops.
 fn clock_gating(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Supervisor<'_>) -> StageResult {
     let cfg = env.cfg;
+    if cfg.power.clock_gating_group == 0 {
+        // The netlist stays where it is: a skip copies nothing.
+        sup.skip(stage, "clock gating disabled", ());
+        return Ok(None);
+    }
     let cur = current_netlist(st);
-    let gated = if cfg.power.clock_gating_group == 0 {
-        sup.skip(stage, "clock gating disabled", cur.clone())
-    } else {
-        sup.run_stage(stage, |ctx: StageCtx<'_>| {
-            match insert_clock_gating(cur, cfg.power.clock_gating_group) {
-                Ok(g) => {
-                    ctx.tel.count("gating.gates_inserted", g.gates_inserted as u64);
-                    ctx.tel.count("gating.flops_gated", g.flops_gated as u64);
-                    Ok(StageTry::Done(g.netlist))
-                }
-                Err(e) => Ok(StageTry::Degraded(
-                    cur.clone(),
-                    format!("clock gating failed, keeping the ungated netlist: {e}"),
-                )),
+    let gated = sup.run_stage(stage, |ctx: StageCtx<'_>| {
+        match insert_clock_gating(cur, cfg.power.clock_gating_group) {
+            Ok(g) => {
+                ctx.tel.count("gating.gates_inserted", g.gates_inserted as u64);
+                ctx.tel.count("gating.flops_gated", g.flops_gated as u64);
+                Ok(StageTry::Done(g.netlist))
             }
-        })?
-    };
+            Err(e) => Ok(StageTry::Degraded(
+                cur.clone(),
+                format!("clock gating failed, keeping the ungated netlist: {e}"),
+            )),
+        }
+    })?;
     st.netlist = Some(gated);
     Ok(None)
 }
 
 /// `3_scan`: scan insertion.
 fn scan(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Supervisor<'_>) -> StageResult {
-    let cur = current_netlist(st);
-    let (scanned, chains) = match env.cfg.scan {
-        Some(scan) => sup.run_stage(stage, |ctx: StageCtx<'_>| {
-            let s = insert_scan(cur, scan.chains).map_err(StageFailure::Netlist)?;
-            ctx.tel.count("scan.chains", s.chains.len() as u64);
-            ctx.tel
-                .count("scan.flops_stitched", s.chains.iter().map(|c| c.len() as u64).sum());
-            Ok(StageTry::Done((s.netlist, s.chains)))
-        })?,
-        None => sup.skip(stage, "scan insertion disabled", (cur.clone(), Vec::new())),
-    };
-    let stats = NetlistStats::of(&scanned);
-    st.cells = stats.combinational;
-    st.flops = stats.flops;
-    st.netlist = Some(scanned);
-    st.chains = chains;
+    match env.cfg.scan {
+        Some(scan) => {
+            let cur = current_netlist(st);
+            let (scanned, chains) = sup.run_stage(stage, |ctx: StageCtx<'_>| {
+                let s = insert_scan(cur, scan.chains).map_err(StageFailure::Netlist)?;
+                ctx.tel.count("scan.chains", s.chains.len() as u64);
+                ctx.tel
+                    .count("scan.flops_stitched", s.chains.iter().map(|c| c.len() as u64).sum());
+                Ok(StageTry::Done((s.netlist, s.chains)))
+            })?;
+            st.netlist = Some(scanned);
+            st.chains = chains;
+        }
+        // The netlist stays where it is: a skip copies nothing.
+        None => st.chains = sup.skip(stage, "scan insertion disabled", Vec::new()),
+    }
+    (st.cells, st.flops) = NetlistStats::cell_counts(current_netlist(st));
     Ok(None)
 }
 

@@ -12,6 +12,13 @@
 //! first appearance, and the survivors are stably ordered by leaf count before
 //! truncation. Both consumers break cost ties by position in this list, so
 //! changing the order changes mapped netlists.
+//!
+//! Each pair is first screened by 64-bit leaf signatures (bit `leaf & 63` per
+//! leaf). Distinct leaves can share a bit but never add one, so a pair whose
+//! OR'd signature has more than [`K`] bits set cannot merge and is dropped
+//! before the union; equal leaf sets have equal signatures, so the
+//! first-appearance test compares leaves only where signatures agree. Both
+//! filters are exact: the lists are the ones the plain crossing yields.
 
 use crate::aig::{AigNode, Lit};
 use eda_par::ParStats;
@@ -45,6 +52,11 @@ impl Cut {
     /// The leaf nodes, ascending.
     pub(crate) fn leaves(&self) -> &[u32] {
         &self.leaves[..self.len as usize]
+    }
+
+    /// The leaf signature: bit `leaf & 63` set for every leaf.
+    fn signature(&self) -> u64 {
+        self.leaves().iter().fold(0, |sig, &l| sig | 1 << (l & 63))
     }
 }
 
@@ -151,19 +163,32 @@ impl CutSet {
         // The trivial cut lets parents treat this node as a leaf.
         list.push(Cut::trivial(i));
         let AigNode::And(a, b) = nodes[i] else { return list };
+        let cuts_b = self.of(b.node());
+        let mut sigs_b = [0u64; MAX_CUTS];
+        for (sig, cb) in sigs_b.iter_mut().zip(cuts_b) {
+            *sig = cb.signature();
+        }
         let mut merged = [Cut::EMPTY; MAX_CUTS * MAX_CUTS];
+        let mut merged_sigs = [0u64; MAX_CUTS * MAX_CUTS];
         let mut n = 0;
         let phase = |l: Lit, tt: u16| if l.is_complemented() { !tt } else { tt };
         for ca in self.of(a.node()) {
-            for cb in self.of(b.node()) {
+            let sig_a = ca.signature();
+            for (cb, &sig_b) in cuts_b.iter().zip(&sigs_b) {
+                let sig = sig_a | sig_b;
+                if sig.count_ones() > K as u32 {
+                    continue;
+                }
                 let Some((mut cut, pa, pb)) = union(ca, cb) else { continue };
-                if merged[..n].iter().any(|c| c.len == cut.len && c.leaves == cut.leaves) {
+                let same = |(&s, c): (&u64, &Cut)| s == sig && c.len == cut.len && c.leaves == cut.leaves;
+                if merged_sigs[..n].iter().zip(&merged[..n]).any(same) {
                     continue;
                 }
                 let ta = expand(ca.tt, &pa[..ca.len as usize]);
                 let tb = expand(cb.tt, &pb[..cb.len as usize]);
                 cut.tt = phase(a, ta) & phase(b, tb);
                 merged[n] = cut;
+                merged_sigs[n] = sig;
                 n += 1;
             }
         }
@@ -217,6 +242,9 @@ mod tests {
     use super::*;
     use crate::aig::Aig;
     use eda_netlist::generate;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeSet;
 
     /// The row-by-row definition [`expand`] must equal: output row `r` reads
     /// the input row whose bit `i` is bit `pos[i]` of `r`.
@@ -312,6 +340,82 @@ mod tests {
         .unwrap();
         let (aig, _) = Aig::from_netlist(&n).unwrap();
         let nodes = aig.nodes();
+        assert_tables_match_simulation(nodes, &CutSet::enumerate(nodes));
+    }
+
+    /// The module header written out with sets: every child-cut pair crossed
+    /// left-outer / right-inner, the leaf union kept at ≤ [`K`] leaves on its
+    /// first appearance, then stably sorted by size and truncated behind the
+    /// trivial cut. Leaves only; tables are checked by simulation.
+    fn cuts_by_definition(nodes: &[AigNode]) -> Vec<Vec<Vec<u32>>> {
+        let mut lists: Vec<Vec<Vec<u32>>> = Vec::with_capacity(nodes.len());
+        for (i, node) in nodes.iter().enumerate() {
+            let mut merged: Vec<Vec<u32>> = Vec::new();
+            if let AigNode::And(a, b) = *node {
+                for ca in &lists[a.node()] {
+                    for cb in &lists[b.node()] {
+                        let union: BTreeSet<u32> = ca.iter().chain(cb).copied().collect();
+                        let union: Vec<u32> = union.into_iter().collect();
+                        if union.len() <= K && !merged.contains(&union) {
+                            merged.push(union);
+                        }
+                    }
+                }
+            }
+            merged.sort_by_key(Vec::len);
+            merged.truncate(MAX_CUTS - 1);
+            merged.insert(0, vec![i as u32]);
+            lists.push(merged);
+        }
+        lists
+    }
+
+    /// A random graph of `ands` AND nodes over `pis` inputs, drawing fanins
+    /// mostly from the newest nodes so it grows deep and cut lists fill up.
+    fn random_aig(rng: &mut StdRng, pis: usize, ands: usize) -> Aig {
+        let mut g = Aig::new();
+        let mut lits: Vec<Lit> = (0..pis).map(|k| g.add_pi(format!("i{k}"))).collect();
+        let pick = |rng: &mut StdRng, lits: &[Lit]| {
+            let from = if rng.gen_bool(0.7) { lits.len().saturating_sub(16) } else { 0 };
+            let lit = lits[rng.gen_range(from..lits.len())];
+            if rng.gen_bool(0.5) { !lit } else { lit }
+        };
+        while g.num_ands() < ands {
+            let (a, b) = (pick(rng, &lits), pick(rng, &lits));
+            let f = g.and(a, b);
+            if f.node() != 0 {
+                lits.push(f);
+            }
+        }
+        g
+    }
+
+    /// The specification oracle: on random graphs of 200–400 ANDs — node ids
+    /// far past 64, so leaf signatures collide — the kernel's lists are the
+    /// definition's, cut for cut, and every table matches simulation.
+    #[test]
+    fn enumeration_equals_the_definition_on_random_graphs() {
+        let mut rng = StdRng::seed_from_u64(28);
+        let mut colliding_lists = 0;
+        for case in 0..40 {
+            let (pis, ands) = (rng.gen_range(6..=24), rng.gen_range(200..=400));
+            let aig = random_aig(&mut rng, pis, ands);
+            let nodes = aig.nodes();
+            let set = CutSet::enumerate(nodes);
+            for (i, want) in cuts_by_definition(nodes).iter().enumerate() {
+                let got: Vec<Vec<u32>> = set.of(i).iter().map(|c| c.leaves().to_vec()).collect();
+                assert_eq!(&got, want, "case {case} ({pis} inputs, {ands} ands) node {i}");
+                let sigs: Vec<u64> = set.of(i).iter().map(Cut::signature).collect();
+                colliding_lists += (1..sigs.len()).any(|k| sigs[..k].contains(&sigs[k])) as usize;
+            }
+            assert_tables_match_simulation(nodes, &set);
+        }
+        // Two distinct leaf sets under one signature in one list: a
+        // signature-only first-appearance test would drop one of them.
+        assert!(colliding_lists > 0, "no list holds a signature collision");
+    }
+
+    fn assert_tables_match_simulation(nodes: &[AigNode], set: &CutSet) {
         let mut val = vec![0u64; nodes.len()];
         for (i, node) in nodes.iter().enumerate() {
             let lit = |l: Lit| val[l.node()] ^ if l.is_complemented() { !0 } else { 0 };
@@ -321,7 +425,6 @@ mod tests {
                 AigNode::And(a, b) => lit(a) & lit(b),
             };
         }
-        let set = CutSet::enumerate(nodes);
         for i in 0..nodes.len() {
             let cuts = set.of(i);
             assert_eq!(cuts[0], Cut::trivial(i));

@@ -44,22 +44,29 @@ pub struct NetlistStats {
     pub cell_histogram: BTreeMap<String, usize>,
 }
 
+/// The one rule that classifies an instance for [`NetlistStats`]: a
+/// sequential cell is a flop, a decap is neither, anything else is
+/// combinational. Bumps the matching half of `(combinational, flops)`.
+fn count_cell(counts: &mut (usize, usize), function: CellFunction) {
+    match function {
+        f if f.is_sequential() => counts.1 += 1,
+        CellFunction::Decap => {}
+        _ => counts.0 += 1,
+    }
+}
+
 impl NetlistStats {
     /// Computes statistics for a netlist.
     pub fn of(netlist: &Netlist) -> NetlistStats {
         let lib = netlist.library();
-        let mut flops = 0;
-        let mut comb = 0;
+        let mut counts = (0, 0);
         let mut hist: BTreeMap<String, usize> = BTreeMap::new();
         for (_, inst) in netlist.instances() {
             let def = lib.cell(inst.cell());
             *hist.entry(def.name.clone()).or_insert(0) += 1;
-            match def.function {
-                f if f.is_sequential() => flops += 1,
-                CellFunction::Decap => {}
-                _ => comb += 1,
-            }
+            count_cell(&mut counts, def.function);
         }
+        let (comb, flops) = counts;
         let fanouts: Vec<usize> = netlist.nets().map(|(_, n)| n.fanout()).collect();
         let total: usize = fanouts.iter().sum();
         NetlistStats {
@@ -75,6 +82,17 @@ impl NetlistStats {
             logic_depth: netlist.logic_depth(),
             cell_histogram: hist,
         }
+    }
+
+    /// `(combinational, flops)` of [`NetlistStats::of`] alone: one pass
+    /// over the instances, without the histogram, fanouts or depth walk.
+    pub fn cell_counts(netlist: &Netlist) -> (usize, usize) {
+        let lib = netlist.library();
+        let mut counts = (0, 0);
+        for (_, inst) in netlist.instances() {
+            count_cell(&mut counts, lib.cell(inst.cell()).function);
+        }
+        counts
     }
 }
 
@@ -102,6 +120,7 @@ mod tests {
         assert_eq!(s.instances, n.num_instances());
         assert_eq!(s.flops, 8, "one flop per (port, bit)");
         assert_eq!(s.combinational + s.flops, s.instances);
+        assert_eq!(NetlistStats::cell_counts(&n), (s.combinational, s.flops));
         assert!(s.cell_histogram.values().sum::<usize>() == s.instances);
         assert!(s.max_fanout >= 4);
     }

@@ -309,21 +309,33 @@ mod tests {
 
     #[test]
     fn scores_of_domains_at_180nm() {
-        // Domic: scores of domains even at 180nm. Build 20+ domains and
-        // verify assignment bookkeeping holds up.
+        // Domic: scores of domains even at 180nm. Build 20+ domains, give
+        // each block of an 8-block design its own, and verify assignment
+        // bookkeeping holds up.
         let n = generate::hierarchical_design(8, 30, 2).unwrap();
         let mut intent = PowerIntent::single_domain(1.8);
-        for i in 0..24 {
-            intent.add_domain(PowerDomain {
-                name: format!("PD{i}"),
-                vdd_v: 1.8 - 0.02 * i as f64,
-                switchable: i % 2 == 0,
-            });
-        }
+        let domains: Vec<usize> = (0..24)
+            .map(|i| {
+                intent.add_domain(PowerDomain {
+                    name: format!("PD{i}"),
+                    vdd_v: 1.8 - 0.02 * i as f64,
+                    switchable: i % 2 == 0,
+                })
+            })
+            .collect();
         assert!(intent.domain_count() >= 20);
-        intent.assign(InstId::from_index(0), 5);
-        assert_eq!(intent.domain_of(InstId::from_index(0)), 5);
-        assert_eq!(intent.domain_of(InstId::from_index(1)), 0);
+        let blocks = n.block_names();
+        assert_eq!(blocks.len(), 8);
+        for (b, name) in blocks.iter().enumerate() {
+            intent.assign_block(&n, name, domains[b]);
+        }
+        for (b, name) in blocks.iter().enumerate() {
+            let (id, _) = n
+                .instances()
+                .find(|(_, inst)| inst.block() == Some(b as u32))
+                .expect("every block holds instances");
+            assert_eq!(intent.domain_of(id), domains[b], "{name}");
+        }
     }
 
     #[test]

@@ -85,7 +85,7 @@ mod tests {
         let pats: Vec<u64> =
             (0..k).map(|i| 0x0123_4567_89AB_CDEFu64.rotate_left(i as u32 * 5)).collect();
         let mut gated_pats = pats.clone();
-        gated_pats.extend(std::iter::repeat(!0u64).take(g.gates_inserted)); // enables = 1
+        gated_pats.extend(std::iter::repeat_n(!0u64, g.gates_inserted)); // enables = 1
         let (o1, s1) = n.simulate64(&pats, &vec![0; n.flops().len()]);
         let (o2, s2) = g.netlist.simulate64(&gated_pats, &vec![0; g.netlist.flops().len()]);
         assert_eq!(o1, o2);

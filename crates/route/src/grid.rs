@@ -127,7 +127,8 @@ pub struct RoutingGrid {
     /// Usage of horizontal edges: index `y * (width-1) + x` for the edge
     /// between `(x, y)` and `(x+1, y)`.
     usage_h: Vec<u32>,
-    /// Usage of vertical edges: index `y * width + x` for the edge between
+    /// Usage of vertical edges, column-major so a vertical probe reads
+    /// contiguous memory: index `x * (height-1) + y` for the edge between
     /// `(x, y)` and `(x, y+1)`.
     usage_v: Vec<u32>,
     /// Congestion history (same indexing, horizontal then vertical).
@@ -161,7 +162,7 @@ impl RoutingGrid {
     }
 
     fn v_index(&self, x: u32, y: u32) -> usize {
-        (y * self.width + x) as usize
+        (x * (self.height - 1) + y) as usize
     }
 
     /// Usage of row `y`'s horizontal edges: entry `x` is the edge from
@@ -170,10 +171,10 @@ impl RoutingGrid {
         &self.usage_h[self.h_index(0, y)..][..(self.width - 1) as usize]
     }
 
-    /// Usage of all vertical edges: entry `y * width + x` is the edge from
+    /// Usage of column `x`'s vertical edges: entry `y` is the edge from
     /// `(x, y)` to `(x, y+1)`.
-    pub(crate) fn usage_v_all(&self) -> &[u32] {
-        &self.usage_v
+    pub(crate) fn usage_v_col(&self, x: u32) -> &[u32] {
+        &self.usage_v[self.v_index(x, 0)..][..(self.height - 1) as usize]
     }
 
     /// Usage of the horizontal edge from `(x, y)` to `(x+1, y)`.
@@ -197,11 +198,11 @@ impl RoutingGrid {
             *u = u32::try_from(*u as i64 + delta as i64).expect("usage underflow");
         };
         if a.y == b.y && a.x.abs_diff(b.x) == 1 {
-            let x = a.x.min(b.x);
-            apply(&mut self.usage_h[(a.y * (self.width - 1) + x) as usize]);
+            let i = self.h_index(a.x.min(b.x), a.y);
+            apply(&mut self.usage_h[i]);
         } else if a.x == b.x && a.y.abs_diff(b.y) == 1 {
-            let y = a.y.min(b.y);
-            apply(&mut self.usage_v[(y * self.width + a.x) as usize]);
+            let i = self.v_index(a.x, a.y.min(b.y));
+            apply(&mut self.usage_v[i]);
         } else {
             panic!("cells {a:?} and {b:?} are not adjacent");
         }
@@ -306,8 +307,8 @@ impl DemandGrid for RoutingGrid {
             let row = self.usage_h_row(origin.y);
             free_run_scan(origin.x, min, max, |x| row[x as usize] >= self.cap_h)
         } else {
-            let (col, w) = (origin.x as usize, self.width as usize);
-            free_run_scan(origin.y, min, max, |y| self.usage_v[y as usize * w + col] >= self.cap_v)
+            let col = self.usage_v_col(origin.x);
+            free_run_scan(origin.y, min, max, |y| col[y as usize] >= self.cap_v)
         }
     }
 }

@@ -139,6 +139,28 @@ impl RegionSpan {
     }
 }
 
+/// The delta storage of an [`OverlayGrid`]. All-zero whenever no overlay
+/// holds it, so a route task can lend it to one overlay after another —
+/// sized to the largest rectangle seen — without allocating or zeroing a
+/// region per task.
+#[derive(Default)]
+pub(crate) struct OverlayBuffers {
+    dh: Vec<i32>,
+    dv: Vec<i32>,
+}
+
+impl OverlayBuffers {
+    /// Whether every delta is zero — the state an overlay must hand back.
+    pub(crate) fn is_zero(&self) -> bool {
+        self.dh.iter().chain(&self.dv).all(|&d| d == 0)
+    }
+
+    /// Bytes of heap held.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        (self.dh.capacity() + self.dv.capacity()) * std::mem::size_of::<i32>()
+    }
+}
+
 /// A region's private demand view: the committed global grid plus this
 /// region's uncommitted local routes, held as per-edge deltas over the
 /// region's cell rectangle. Cost and fullness come from the same
@@ -151,34 +173,54 @@ pub struct OverlayGrid<'a> {
     y0: u32,
     x1: u32,
     y1: u32,
-    /// Rectangle width in cells.
-    rw: u32,
     /// Delta on horizontal edge `(x, y)→(x+1, y)`, both endpoints inside
-    /// the rectangle: index `(y - y0) * (rw - 1) + (x - x0)`. Signed: a
-    /// rip-up victim's old demand is subtracted here before its re-route
-    /// searches, so the view matches the serial schedule's grid exactly.
+    /// the rectangle, row-major: index `(y - y0) * (x1 - x0) + (x - x0)`.
+    /// Signed: a rip-up victim's old demand is subtracted here before its
+    /// re-route searches, so the view matches the serial schedule's grid
+    /// exactly.
     dh: Vec<i32>,
-    /// Delta on vertical edge `(x, y)→(x, y+1)`: `(y - y0) * rw + (x - x0)`.
+    /// Delta on vertical edge `(x, y)→(x, y+1)`, column-major like
+    /// [`RoutingGrid`]'s: `(x - x0) * (y1 - y0) + (y - y0)`.
     dv: Vec<i32>,
 }
 
 impl<'a> OverlayGrid<'a> {
     /// An overlay over the inclusive cell rectangle `(x0, y0, x1, y1)`.
     pub fn new(base: &'a RoutingGrid, rect: (u32, u32, u32, u32)) -> OverlayGrid<'a> {
+        OverlayGrid::with_buffers(base, rect, OverlayBuffers::default())
+    }
+
+    /// [`OverlayGrid::new`] on borrowed, all-zero delta buffers; hand them
+    /// back all-zero through [`OverlayGrid::into_buffers`].
+    pub(crate) fn with_buffers(
+        base: &'a RoutingGrid,
+        rect: (u32, u32, u32, u32),
+        buffers: OverlayBuffers,
+    ) -> OverlayGrid<'a> {
         let (x0, y0, x1, y1) = rect;
         debug_assert!(x1 < base.width && y1 < base.height && x0 <= x1 && y0 <= y1);
-        let rw = x1 - x0 + 1;
-        let rh = y1 - y0 + 1;
-        OverlayGrid {
-            base,
-            x0,
-            y0,
-            x1,
-            y1,
-            rw,
-            dh: vec![0; ((rw - 1) * rh) as usize],
-            dv: vec![0; (rw * (rh - 1)) as usize],
-        }
+        debug_assert!(buffers.is_zero(), "overlay buffers lent with a nonzero delta");
+        let OverlayBuffers { mut dh, mut dv } = buffers;
+        let (rw, rh) = (x1 - x0 + 1, y1 - y0 + 1);
+        dh.resize(((rw - 1) * rh) as usize, 0);
+        dv.resize((rw * (rh - 1)) as usize, 0);
+        OverlayGrid { base, x0, y0, x1, y1, dh, dv }
+    }
+
+    /// The delta buffers, for the next overlay. The caller has undone every
+    /// commit and uncommit first, so they are all-zero again.
+    pub(crate) fn into_buffers(self) -> OverlayBuffers {
+        OverlayBuffers { dh: self.dh, dv: self.dv }
+    }
+
+    /// Index into `dh` of the horizontal edge from `(x, y)`.
+    fn h_at(&self, x: u32, y: u32) -> usize {
+        ((y - self.y0) * (self.x1 - self.x0) + (x - self.x0)) as usize
+    }
+
+    /// Index into `dv` of the vertical edge from `(x, y)`.
+    fn v_at(&self, x: u32, y: u32) -> usize {
+        ((x - self.x0) * (self.y1 - self.y0) + (y - self.y0)) as usize
     }
 
     /// Local delta on the edge between adjacent cells (0 outside the rect).
@@ -186,12 +228,12 @@ impl<'a> OverlayGrid<'a> {
         if a.y == b.y {
             let x = a.x.min(b.x);
             if x >= self.x0 && x < self.x1 && a.y >= self.y0 && a.y <= self.y1 {
-                return self.dh[((a.y - self.y0) * (self.rw - 1) + (x - self.x0)) as usize];
+                return self.dh[self.h_at(x, a.y)];
             }
         } else {
             let y = a.y.min(b.y);
             if a.x >= self.x0 && a.x <= self.x1 && y >= self.y0 && y < self.y1 {
-                return self.dv[((y - self.y0) * self.rw + (a.x - self.x0)) as usize];
+                return self.dv[self.v_at(a.x, y)];
             }
         }
         0
@@ -210,11 +252,13 @@ impl<'a> OverlayGrid<'a> {
             if a.y == b.y {
                 let x = a.x.min(b.x);
                 debug_assert!(x >= self.x0 && x < self.x1 && a.y >= self.y0 && a.y <= self.y1);
-                self.dh[((a.y - self.y0) * (self.rw - 1) + (x - self.x0)) as usize] += sign;
+                let i = self.h_at(x, a.y);
+                self.dh[i] += sign;
             } else {
                 let y = a.y.min(b.y);
                 debug_assert!(a.x >= self.x0 && a.x <= self.x1 && y >= self.y0 && y < self.y1);
-                self.dv[((y - self.y0) * self.rw + (a.x - self.x0)) as usize] += sign;
+                let i = self.v_at(a.x, y);
+                self.dv[i] += sign;
             }
         }
     }
@@ -262,24 +306,23 @@ impl DemandGrid for OverlayGrid<'_> {
 
     /// A probe that stays inside the rectangle — every probe of an
     /// interior connection, whose window the rectangle contains — adds the
-    /// delta row to the usage row directly; the rectangle test of
-    /// [`OverlayGrid::delta`] is paid once per probe instead of once per
-    /// edge. A probe that can leave the rectangle asks edge by edge.
+    /// delta row (or column) to the usage row (or column) directly, both
+    /// contiguous; the rectangle test of [`OverlayGrid::delta`] is paid once
+    /// per probe instead of once per edge. A probe that can leave the
+    /// rectangle asks edge by edge.
     fn free_run(&self, origin: GCell, horizontal: bool, min: u32, max: u32) -> (u32, u32) {
         let inside = |c: GCell| c.x >= self.x0 && c.x <= self.x1 && c.y >= self.y0 && c.y <= self.y1;
         if horizontal && inside(GCell::new(min, origin.y)) && inside(GCell::new(max, origin.y)) {
             let usage = self.base.usage_h_row(origin.y);
-            let row = ((origin.y - self.y0) * (self.rw - 1)) as usize;
-            let delta = &self.dh[row..][..(self.rw - 1) as usize];
+            let delta = &self.dh[self.h_at(self.x0, origin.y)..][..(self.x1 - self.x0) as usize];
             free_run_scan(origin.x, min, max, |x| {
                 plus_delta(usage[x as usize], delta[(x - self.x0) as usize]) >= self.base.cap_h
             })
         } else if !horizontal && inside(GCell::new(origin.x, min)) && inside(GCell::new(origin.x, max)) {
-            let (usage, w) = (self.base.usage_v_all(), self.base.width as usize);
-            let (col, rw) = ((origin.x - self.x0) as usize, self.rw as usize);
+            let usage = self.base.usage_v_col(origin.x);
+            let delta = &self.dv[self.v_at(origin.x, self.y0)..][..(self.y1 - self.y0) as usize];
             free_run_scan(origin.y, min, max, |y| {
-                let d = self.dv[(y - self.y0) as usize * rw + col];
-                plus_delta(usage[y as usize * w + origin.x as usize], d) >= self.base.cap_v
+                plus_delta(usage[y as usize], delta[(y - self.y0) as usize]) >= self.base.cap_v
             })
         } else {
             free_run_by_edge(self, origin, horizontal, min, max)

@@ -357,6 +357,9 @@ fn route_with(
     let h = cfg.grid_cells.max(2);
     let grid = RoutingGrid::new(w, h, &cfg.deck);
     let (decomposed, stats) = decompose(netlist, placement, w, h, cfg.threads);
+    // Search scratch lives exactly as long as this route call: one per
+    // concurrently running wave task, reused across waves and rounds.
+    let pool = ScratchPool::default();
     if let Some(m) = memo {
         let key = route_outcome_key(cfg, &decomposed);
         if let Some(out) =
@@ -364,11 +367,11 @@ fn route_with(
         {
             return (out, eda_par::ParStats::empty(), true);
         }
-        let (outcome, stats) = route_decomposed(grid, decomposed, stats, cfg, start, audit);
+        let (outcome, stats) = route_decomposed(grid, decomposed, stats, cfg, start, audit, &pool);
         m.store(ROUTE_OUTCOME_KIND, key, &route_outcome_text(&outcome));
         return (outcome, stats, false);
     }
-    let (outcome, stats) = route_decomposed(grid, decomposed, stats, cfg, start, audit);
+    let (outcome, stats) = route_decomposed(grid, decomposed, stats, cfg, start, audit, &pool);
     (outcome, stats, false)
 }
 
@@ -610,7 +613,11 @@ fn run_wave_pass(
             let paths: &[Option<Path>] = paths;
             let run_task = |task: &RegionTask, scratch: &mut SearchScratch| match *task {
                 RegionTask::Interior { region, start, len } => {
-                    let mut overlay = OverlayGrid::new(grid, map.rect(region));
+                    // The region overlay runs on the task scratch's delta
+                    // buffers and hands them back all-zero by undoing its
+                    // own commits and uncommits.
+                    let buffers = std::mem::take(&mut scratch.overlay);
+                    let mut overlay = OverlayGrid::with_buffers(grid, map.rect(region), buffers);
                     let run = &sched.queue(region)[start as usize..(start + len) as usize];
                     let mut out = Vec::with_capacity(len as usize);
                     for &item in run {
@@ -625,12 +632,21 @@ fn run_wave_pass(
                         overlay.commit(&r.0);
                         out.push((item, r));
                     }
+                    for (item, r) in &out {
+                        overlay.uncommit(&r.0);
+                        if let Some(old) = &paths[items[*item as usize] as usize] {
+                            overlay.commit(old);
+                        }
+                    }
+                    scratch.overlay = overlay.into_buffers();
                     out
                 }
                 RegionTask::Seam { item } => {
                     let pair = items[item as usize] as usize;
                     let win = windows[item as usize];
                     let r = if let Some(old) = &paths[pair] {
+                        // A window-sized overlay of its own: a seam window can
+                        // span most of the grid, far more than a region.
                         let mut overlay = OverlayGrid::new(grid, (win.x0, win.y0, win.x1, win.y1));
                         overlay.uncommit(old);
                         route_one_in(&overlay, &pairs[pair], win, cfg, scratch)
@@ -682,7 +698,8 @@ fn run_wave_pass(
 /// Routes an already-decomposed connection list: canonical order, the
 /// wave-scheduled initial pass, then negotiated rip-up rounds through the
 /// same waves — see [`route_stats`] for the schedule and the victim rule.
-/// `stats` arrives holding the decompose dispatch.
+/// `stats` arrives holding the decompose dispatch; every wave task checks
+/// its scratch out of `pool`.
 fn route_decomposed(
     mut grid: RoutingGrid,
     pairs: Vec<TwoPin>,
@@ -690,6 +707,7 @@ fn route_decomposed(
     cfg: &RouteConfig,
     start: Instant,
     audit: bool,
+    pool: &ScratchPool,
 ) -> (RouteOutcome, eda_par::ParStats) {
     let (w, h) = (grid.width, grid.height);
     // Full-grid windows overlap every region, so a partition could only
@@ -704,9 +722,6 @@ fn route_decomposed(
 
     let mut paths: Vec<Option<Path>> = vec![None; pairs.len()];
     let mut tally = WaveTally::default();
-    // Search scratch lives exactly as long as this route call: one per
-    // concurrently running wave task, reused across waves and rounds.
-    let pool = ScratchPool::default();
     // Per pass, not per wave: a partitioned 50 k mesh dispatches ~20 k waves.
     let audit_pass = |grid: &RoutingGrid, paths: &[Option<Path>]| {
         if audit {
@@ -715,7 +730,7 @@ fn route_decomposed(
             }
         }
     };
-    run_wave_pass(&mut grid, &pairs, &order, map, cfg, &mut paths, &pool, &mut stats, &mut tally);
+    run_wave_pass(&mut grid, &pairs, &order, map, cfg, &mut paths, pool, &mut stats, &mut tally);
     audit_pass(&grid, &paths);
 
     // The one tier switch left, and both halves earn their keep (measured
@@ -753,7 +768,7 @@ fn route_decomposed(
                 })
                 .collect();
             run_wave_pass(
-                &mut grid, &pairs, &victims, map, cfg, &mut paths, &pool, &mut stats, &mut tally,
+                &mut grid, &pairs, &victims, map, cfg, &mut paths, pool, &mut stats, &mut tally,
             );
             audit_pass(&grid, &paths);
             ripup_overflow.push(grid.total_overflow());
@@ -1140,6 +1155,36 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Overlay buffer reuse is invisible: on a rip-up deck over 8-cell
+    /// regions, a pool whose scratches two earlier routes (at 1 and 4
+    /// threads) already lent to their overlays routes what a fresh pool
+    /// routes, and every pooled scratch ends with its buffers back at zero.
+    #[test]
+    fn pooled_overlay_buffers_unwind_to_zero() {
+        let (n, p) = placed(300, 3);
+        let cfg = RouteConfig {
+            deck: RuleDeck::simple(3),
+            grid_cells: 16,
+            window_margin: 4,
+            region_size: 8,
+            ..Default::default()
+        };
+        let fresh = route(&n, &p, &cfg);
+        let first_pass = route(&n, &p, &RouteConfig { ripup_iterations: 0, ..cfg.clone() });
+        assert!(fresh.local_commits > first_pass.local_commits, "rip-up must re-route interior victims");
+        let pool = ScratchPool::default();
+        for threads in [1, 4, 1] {
+            let cfg = RouteConfig { threads, ..cfg.clone() };
+            let (pairs, stats) = decompose(&n, &p, cfg.grid_cells, cfg.grid_cells, threads);
+            let grid = RoutingGrid::new(cfg.grid_cells, cfg.grid_cells, &cfg.deck);
+            let (out, _) = route_decomposed(grid, pairs, stats, &cfg, Instant::now(), true, &pool);
+            same_outcome(&out, &fresh);
+        }
+        let scratches = pool.into_idle();
+        assert!(scratches.iter().any(|s| s.overlay.heap_bytes() > 0), "no overlay borrowed a buffer");
+        assert!(scratches.iter().all(|s| s.overlay.is_zero()), "a task left a nonzero delta");
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! searches do, so a [`SearchScratch`] owns all of it once, grows lazily to
 //! the largest window actually searched, and is reset by each kernel in
 //! time proportional to what the search touched. The only heap allocation
-//! per connection is the returned path.
+//! per connection is the returned path. It also holds the delta buffers the
+//! router lends to each interior wave task's region overlay, handed back
+//! all-zero by undoing the task's commits — O(path cells), not O(region).
 //!
 //! Ownership: a scratch belongs to one *route call*. [`ScratchPool`] is
 //! created by the router when routing starts and dropped when it returns;
@@ -19,6 +21,7 @@
 use crate::grid::{DemandGrid, GCell};
 use crate::linesearch::LineScratch;
 use crate::maze::{MazeScratch, Path, SearchStats, SearchWindow};
+use crate::region::OverlayBuffers;
 use std::sync::Mutex;
 
 /// Reusable working memory for [`mikami_tabuchi_in`], [`astar_in`] and
@@ -33,6 +36,9 @@ use std::sync::Mutex;
 pub struct SearchScratch {
     line: LineScratch,
     maze: MazeScratch,
+    /// Delta buffers the router lends to one region overlay at a time;
+    /// all-zero between tasks.
+    pub(crate) overlay: OverlayBuffers,
 }
 
 impl SearchScratch {
@@ -45,7 +51,7 @@ impl SearchScratch {
     /// and the most lines / open entries one search generated — never by
     /// the magnitude of edge costs.
     pub fn heap_bytes(&self) -> usize {
-        self.line.heap_bytes() + self.maze.heap_bytes()
+        self.line.heap_bytes() + self.maze.heap_bytes() + self.overlay.heap_bytes()
     }
 
     /// [`mikami_tabuchi_in`](crate::mikami_tabuchi_in) on this scratch.
@@ -99,6 +105,13 @@ impl ScratchPool {
         let out = task(&mut scratch);
         idle().push(scratch);
         out
+    }
+
+    /// The scratches the pool holds, for tests that inspect them after a
+    /// route.
+    #[cfg(test)]
+    pub(crate) fn into_idle(self) -> Vec<SearchScratch> {
+        self.idle.into_inner().expect("no task panics while holding the pool lock")
     }
 }
 

@@ -123,7 +123,7 @@ mod tests {
         // Domic: 6-layer -> 4-layer at 130nm slashes 15-20% of cost.
         let m = CostModel::new(Node::N130);
         let saving = 1.0 - m.wafer_cost_with_layers(4) / m.wafer_cost_with_layers(6);
-        assert!(saving >= 0.15 * 0.9 && saving <= 0.20 * 1.1, "saving = {saving:.3}");
+        assert!((0.15 * 0.9..=0.20 * 1.1).contains(&saving), "saving = {saving:.3}");
     }
 
     #[test]

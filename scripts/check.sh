@@ -13,7 +13,8 @@ test_log="$(mktemp)"
 trap 'rm -f "$test_log"' EXIT
 cargo test --workspace -q 2>&1 | tee "$test_log"
 
-cargo clippy --all-targets -- -D warnings
+# Every target of every member crate, their `lib test` targets included.
+cargo clippy --workspace --all-targets -- -D warnings
 # No panicking unwraps on user-reachable paths: the flow library and the
 # experiments CLI carry crate-level deny(clippy::unwrap_used) attributes
 # (test modules exempt); these invocations fail if one sneaks back in.
@@ -232,6 +233,11 @@ echo "check: store smoke green (cold run wrote $cold_sub sub-stage entries, edit
 # Bit-identity at 1 vs 4 workers is the wave schedule's gate here.
 ./target/release/experiments scale --instances 10000 --rss-budget-mb 512 --threads 4
 
+# Scale tests in release: the mini tier (10^4 instances at 1/2/4/8 threads,
+# its QoR fingerprint and work counts pinned at 1 and 4), the decap path and
+# the RSS-exclusion check; the debug suite above ignores the mini tier.
+cargo test --release -q --test scale
+
 # Golden snapshot in release: QoR + telemetry byte-stable across threads
 # 1/2/4/8 and unchanged vs tests/golden/smoke.snap (re-bless: scripts/bless.sh).
 cargo test --release -q --test golden
@@ -277,5 +283,5 @@ fi
 awk '/^test result:/ { passed += $4; failed += $6 }
      END { printf "check: %d tests passed, %d failed across all binaries\n", passed, failed
            exit (failed > 0) }' "$test_log"
-echo "check: $(find crates src tests examples benchmark -name '*.rs' -print0 | xargs -0 cat | wc -l) lines of Rust (the count ROADMAP quotes); deleted-name census empty (budgets, NPN / collapse, retry, twins, config builder, derived knobs, shared-store open, server snapshot, test-only accessors); run_flow_shared called from flow.rs + engine.rs only"
-echo "check: tier-1 + clippy + unwrap gates + inject smoke + trace + serve + daemon + facade docs + incremental + sub-stage record budget + cross-process resume + mini-scale + golden + route pins + route audit + place pins + place audit + sign-off pins + deleted-name census + one-engine gate green"
+echo "check: $(find crates src tests examples benchmark -name '*.rs' -print0 | xargs -0 cat | wc -l) lines of Rust (the count ROADMAP quotes); clippy --workspace --all-targets clean; deleted-name census empty (budgets, NPN / collapse, retry, twins, config builder, derived knobs, shared-store open, server snapshot, test-only accessors); run_flow_shared called from flow.rs + engine.rs only"
+echo "check: tier-1 + clippy --workspace --all-targets + unwrap gates + inject smoke + trace + serve + daemon + facade docs + incremental + sub-stage record budget + cross-process resume + mini-scale + mini-tier pins + golden + route pins + route audit + place pins + place audit + sign-off pins + deleted-name census + one-engine gate green"

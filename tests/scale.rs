@@ -111,24 +111,52 @@ fn assert_rss_profile(report: &FlowReport, budget_mb: u64, label: &str) {
     );
 }
 
+/// The mini tier's QoR fingerprint, recorded before the signature-filtered
+/// cut kernel and the column-major vertical edges: performance work on
+/// synthesis or route must leave it, and [`MINI_WORK`], untouched.
+const MINI_QOR_FP: u64 = 0xccce_77bb_4372_6f4f;
+
+/// The mini tier's work counts from the same recording: the cut kernel's
+/// output size, the rewritten graph, and the router's search work and
+/// schedule shape.
+const MINI_WORK: [(&str, u64); 6] = [
+    ("synth.cuts_enumerated", 83_323),
+    ("synth.aig_nodes_after", 11_310),
+    ("route.cells_expanded", 5_362_390),
+    ("route.local_commits", 6_312),
+    ("route.seam_conflicts", 24_310),
+    ("route.negotiation_waves", 9_544),
+];
+
+fn assert_mini_pins(report: &FlowReport, threads: usize) {
+    assert_eq!(report.qor_fingerprint(), MINI_QOR_FP, "mini tier qor_fp at {threads} threads");
+    let work = MINI_WORK.map(|(name, _)| (name, counter(report, name)));
+    assert_eq!(work, MINI_WORK, "mini tier work counts at {threads} threads");
+}
+
 /// The mini tier (10⁴ instances) completes all 11 stages overflow-free with
 /// bit-identical QoR at 1, 2, 4, and 8 worker threads, within a conservative
-/// RSS budget. The thread sweep is the region-partitioned router's seam
-/// contract under real load: worker count changes which regions route
-/// concurrently but never the canonical commit order. Release-only: this is
-/// the fast gate `scripts/check.sh` mirrors.
+/// RSS budget, on the pinned fingerprint and work counts at 1 and 4. The
+/// thread sweep is the region-partitioned router's seam contract under real
+/// load: worker count changes which regions route concurrently but never the
+/// canonical commit order. Release-only: `scripts/check.sh` runs it in
+/// release.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "10^4 flow is minutes unoptimized; run in release")]
 fn mini_scale_tier_is_bit_identical_and_bounded() {
     let design = generate::scale_mesh(MINI, 3).unwrap();
     let serial = run_tier(&design, MINI, 1);
     assert_scale_invariants(&serial, "mini serial");
+    assert_mini_pins(&serial, 1);
     for threads in [2usize, 4, 8] {
         let par = run_tier(&design, MINI, threads);
         assert!(
             serial.same_qor(&par),
             "mini tier QoR diverged between 1 and {threads} threads"
         );
+        if threads == 4 {
+            assert_mini_pins(&par, threads);
+        }
     }
     assert_rss_profile(&serial, 512, "mini serial");
     assert_claim_walk_is_linear(&design, &serial);
