@@ -5,7 +5,6 @@
 //! cargo run --release -p eda-bench --bin experiments run            # all claims
 //! cargo run --release -p eda-bench --bin experiments run c3 c5 c9   # a subset
 //! cargo run --release -p eda-bench --bin experiments run --inject smoke
-//! cargo run --release -p eda-bench --bin experiments serve --batch 4 --threads 4
 //! cargo run --release -p eda-bench --bin experiments incremental
 //! cargo run --release -p eda-bench --bin experiments trace flow.trace.json
 //! cargo run --release -p eda-bench --bin experiments daemon serve --socket /tmp/flowd.sock
@@ -23,9 +22,8 @@
 
 use eda_core::{
     run_flow, Arm, Daemon, DaemonClient, DaemonConfig, DesignSpec, Endpoint, FaultPlan,
-    FlowConfig, FlowRequest, FlowServer, FlowStore, FlowTuner, QorQuery, QorRow, Query,
-    QuerySpec, RejectReason, RetryPolicy, StageRow, StoreConfig, SubmitSpec, Terminal,
-    TransportFaultPlan,
+    FlowConfig, FlowStore, FlowTuner, QorQuery, QorRow, Query, QuerySpec, RejectReason,
+    RetryPolicy, StageRow, StoreConfig, SubmitSpec, Terminal, TransportFaultPlan,
 };
 use eda_dft::{
     bypass_fault_sim, compressed_fault_sim, fault_list, insert_scan, reorder_chains, run_atpg,
@@ -97,16 +95,12 @@ fn main() {
 enum Command {
     /// Regenerate panel claims (or an injected flow with `--inject`).
     Run,
-    /// Batch of perturbed smoke designs through one flow server.
-    Serve,
     /// Cold + warm smoke flow against the stage cache.
     Incremental,
     /// Smoke flow once, telemetry written to disk.
     Trace,
     /// Long-lived socket daemon (`daemon serve|submit|ping|query|shutdown`).
     Daemon,
-    /// Scale-tier stress run: SCALELINE/SCALESTAGE rows + self-checks.
-    Scale,
     /// QoR / stage provenance history read straight from the flow store.
     Query,
 }
@@ -114,8 +108,8 @@ enum Command {
 /// One typed option set shared by every subcommand.
 #[derive(Debug)]
 struct Options {
-    /// `--threads N`: global budget for every parallel kernel (and, under
-    /// `serve`, the worker/kernel split). `0` = all cores.
+    /// `--threads N`: global budget for every parallel kernel. `0` = all
+    /// cores.
     threads: usize,
     /// `--store PATH`: the persistent flow store file (stage + sub-stage
     /// cache and QoR provenance, DESIGN.md §14).
@@ -134,12 +128,8 @@ struct Options {
     inject: Option<String>,
     /// `trace` output path.
     trace_out: Option<String>,
-    /// `--batch N`: requests per `serve` batch.
-    batch: usize,
-    /// `--workers W`: inter-design workers for `serve` (0 = auto split).
+    /// `--workers W`: flow workers for `daemon serve` (0 = 2).
     workers: usize,
-    /// `--child`: this process is a claim child; run selected claims inline.
-    child: bool,
     /// Claim ids for `run` (empty = all).
     claims: Vec<String>,
     /// `daemon` verb: `serve`, `submit`, `ping`, or `shutdown`.
@@ -160,11 +150,6 @@ struct Options {
     /// `--xfault SPEC`: deterministic transport-fault plan applied to the
     /// `daemon submit` client itself (`conn-drop@N,frame-garbage@N,stall@N`).
     xfault: Option<String>,
-    /// `--instances N`: target instance count for `scale`.
-    instances: usize,
-    /// `--rss-budget-mb N`: `scale` fails if peak RSS exceeds this (0 = no
-    /// budget check).
-    rss_budget_mb: u64,
 }
 
 impl Default for Options {
@@ -179,9 +164,7 @@ impl Default for Options {
             last: 10,
             inject: None,
             trace_out: None,
-            batch: 4,
             workers: 0,
-            child: false,
             claims: Vec::new(),
             verb: None,
             socket: None,
@@ -191,8 +174,6 @@ impl Default for Options {
             deadline_ms: None,
             verify: false,
             xfault: None,
-            instances: 100_000,
-            rss_budget_mb: 0,
         }
     }
 }
@@ -205,13 +186,8 @@ USAGE:
     experiments SUBCOMMAND [OPTIONS] [CLAIMS...]
 
 SUBCOMMANDS:
-    run [CLAIMS...]    regenerate panel claims (default: all); independent
-                       claims run concurrently as child processes
-    serve              run --batch N perturbed smoke designs through one
-                       flow server over a shared stage cache, compare
-                       against sequential per-design runs, and print
-                       SERVLINE rows (throughput, cross-design cache hit
-                       rate, speedup vs. sequential)
+    run [CLAIMS...]    regenerate panel claims (default: all), in claim
+                       order, in this process
     incremental        cold + warm + edited smoke flow against the flow
                        store; fails unless the warm run skips >= 8 of 11
                        stages and a one-AIG-pass edit replays >= 1 sub-stage
@@ -221,12 +197,6 @@ SUBCOMMANDS:
                        --last filters) and print QUERYLINE rows newest-first
     trace OUT.json     run the smoke flow once; write Chrome-trace JSON,
                        OUT.metrics.json, and OUT.folded
-    scale              generate a --instances mesh fabric, run the
-                       scale-tier flow serially and at --threads workers,
-                       and print SCALELINE/SCALESTAGE rows (routing window
-                       vs dense grid cells, per-stage wall + peak RSS, QoR
-                       bit-identity); exits nonzero if the memory bar, the
-                       bit-identity check, or --rss-budget-mb fails
     daemon VERB        long-lived flow daemon over a Unix socket:
                          serve      bind --socket and serve until drained
                                     (shutdown frame or SIGTERM); exits 0
@@ -254,11 +224,10 @@ OPTIONS (shared by every subcommand; `--flag V` and `--flag=V` both work):
     --inject SPEC      deterministic fault plan: smoke, random:N, or a comma
                        list of stage=fail|timeout|degrade[@invocation]
                        (run: supervised faulted flow; trace: faulted trace;
-                       serve / daemon submit: prefix with a request index,
-                       e.g. `2:route=fail@1`, `;`-separated for several)
-    --batch N          serve: requests per batch (default 4)
-    --workers W        serve: inter-design workers, 0 = auto split (default);
-                       daemon serve: flow workers (default 2)
+                       daemon submit: prefix with the request id the rows
+                       print, from 1, e.g. `2:route=fail@1`, `;`-separated
+                       for several)
+    --workers W        daemon serve: flow workers (default 2)
     --socket PATH      daemon: Unix socket path (required)
     --tcp ADDR         daemon serve: also listen on this TCP address
     --queue N          daemon serve: admission high-water mark, at least 1 (default 8)
@@ -266,8 +235,6 @@ OPTIONS (shared by every subcommand; `--flag V` and `--flag=V` both work):
     --deadline-ms N    daemon submit: per-request deadline from admission
     --verify           daemon submit: replay each completed request solo and
                        require bit-identical QoR fingerprints
-    --instances N      scale: target instance count (default 100000)
-    --rss-budget-mb N  scale: fail if peak RSS exceeds N MB (default 0 = off)
     --xfault SPEC      daemon submit: sabotage the client deterministically
                        (conn-drop@N | frame-garbage@N | stall@N, comma list)
     -h, --help         this text"
@@ -275,13 +242,11 @@ OPTIONS (shared by every subcommand; `--flag V` and `--flag=V` both work):
 }
 
 /// Subcommand spellings, in `--help` order.
-const SUBCOMMANDS: [(&str, Command); 7] = [
+const SUBCOMMANDS: [(&str, Command); 5] = [
     ("run", Command::Run),
-    ("serve", Command::Serve),
     ("incremental", Command::Incremental),
     ("query", Command::Query),
     ("trace", Command::Trace),
-    ("scale", Command::Scale),
     ("daemon", Command::Daemon),
 ];
 
@@ -310,7 +275,6 @@ fn parse_args() -> Result<(Command, Options), CliError> {
                 std::process::exit(0);
             }
             "--threads" => opts.threads = count("--threads", args.next())?,
-            "--batch" => opts.batch = count("--batch", args.next())?.max(1),
             "--workers" => opts.workers = count("--workers", args.next())?,
             "--inject" => {
                 opts.inject = Some(take("--inject (try `--inject smoke`)", args.next())?);
@@ -331,12 +295,7 @@ fn parse_args() -> Result<(Command, Options), CliError> {
                 opts.deadline_ms = Some(count("--deadline-ms", args.next())? as u64);
             }
             "--verify" => opts.verify = true,
-            "--instances" => opts.instances = count("--instances", args.next())?.max(100),
-            "--rss-budget-mb" => {
-                opts.rss_budget_mb = count("--rss-budget-mb", args.next())? as u64;
-            }
             "--xfault" => opts.xfault = Some(take("--xfault", args.next())?),
-            "--child" => opts.child = true,
             _ if a.starts_with("--") => {
                 return Err(CliError(format!("unknown flag `{a}` (see --help)")));
             }
@@ -394,23 +353,19 @@ fn run() -> CliResult {
             ))?;
             trace_demo(path, opts.threads, opts.inject.as_deref())
         }
-        Command::Serve => serve_demo(&opts),
         Command::Daemon => daemon_demo(&opts),
-        Command::Scale => scale_demo(&opts),
         Command::Run => {
             if let Some(spec) = &opts.inject {
                 return inject_demo(spec, opts.threads);
             }
-            run_claims(&opts)
+            run_claims(&opts.claims)
         }
     }
 }
 
-/// `run [CLAIMS...]`: regenerate the selected claims (all by default),
-/// fanning independent claims out as concurrent child processes.
-fn run_claims(opts: &Options) -> CliResult {
-    let claims = &opts.claims;
-    let threads_arg = opts.threads;
+/// `run [CLAIMS...]`: regenerate the selected claims (all by default), one
+/// after another in claim order.
+fn run_claims(claims: &[String]) -> CliResult {
     let experiments: Vec<Claim> = vec![
         ("c1", c1),
         ("c2", c2),
@@ -437,52 +392,11 @@ fn run_claims(opts: &Options) -> CliResult {
             return Err(CliError(format!("unknown claim `{id}` (known: {})", known.join(" "))));
         }
     }
-    let all = claims.is_empty();
-    let want = |id: &str| all || claims.iter().any(|a| a == id);
-    let selected: Vec<Claim> =
-        experiments.into_iter().filter(|(id, _)| want(id)).collect();
-
-    if opts.child || selected.len() <= 1 {
-        for (id, run) in selected {
+    for (id, run) in experiments {
+        if claims.is_empty() || claims.iter().any(|a| a == id) {
             run().map_err(|e| CliError(format!("claim {id}: {}", e.0)))?;
             println!();
         }
-        return Ok(());
-    }
-
-    // Claims are independent: run each as a child process so they execute
-    // concurrently, then print the captured outputs in claim order.
-    let exe = std::env::current_exe()?;
-    let children: Vec<(&str, std::process::Child)> = selected
-        .iter()
-        .map(|(id, _)| {
-            let mut cmd = std::process::Command::new(&exe);
-            cmd.arg("run").arg("--child").arg(format!("--threads={threads_arg}"));
-            if let Some(path) = &opts.store {
-                cmd.arg(format!("--store={path}"));
-                if opts.store_max_bytes > 0 {
-                    cmd.arg(format!("--store-max-bytes={}", opts.store_max_bytes));
-                }
-            }
-            let c = cmd
-                .arg(id)
-                .stdout(std::process::Stdio::piped())
-                .stderr(std::process::Stdio::piped())
-                .spawn()?;
-            Ok((*id, c))
-        })
-        .collect::<Result<_, CliError>>()?;
-    let mut failed: Vec<String> = Vec::new();
-    for (id, child) in children {
-        let out = child.wait_with_output()?;
-        print!("{}", String::from_utf8_lossy(&out.stdout));
-        if !out.status.success() {
-            eprint!("{}", String::from_utf8_lossy(&out.stderr));
-            failed.push(id.to_string());
-        }
-    }
-    if !failed.is_empty() {
-        return Err(CliError(format!("claim(s) failed: {}", failed.join(" "))));
     }
     Ok(())
 }
@@ -711,324 +625,11 @@ fn print_qor_rows(rows: &[QorRow], metric: &str) {
     println!("QUERYLINE rows {}", rows.len());
 }
 
-/// `scale`: the 10⁵-tier stress harness behind the check.sh mini-scale
-/// gate (measured wall clocks at scale live in `benchmark/`).
-///
-/// Generates a [`generate::scale_mesh`] fabric at `--instances`, then runs
-/// [`FlowConfig::scale_2016`] once serially and once at `--threads`
-/// workers. Emits machine-readable rows:
-///
-/// * `SCALELINE <key> <value>` — totals: instance/net counts, routing
-///   window peak vs dense grid cells, wave-schedule counters,
-///   serial/parallel wall clocks, peak RSS, QoR bit-identity.
-/// * `SCALESTAGE <stage> <wall_s> <rss_mb>` — per stage, from the serial
-///   run's telemetry. The process is fresh at that point, so the RSS column
-///   shows the high-water mark ramping stage by stage (VmHWM is monotone by
-///   construction).
-///
-/// Wall clocks are the ones this host measured (`serial_s`,
-/// `parallel_measured_s`, and `route_serial_s` from the serial run's route
-/// span): reported, never gated. Projections from per-worker CPU clocks
-/// live where they are labelled as such — `cargo bench`'s `*_par` rows and
-/// claim c9.
-///
-/// Exits nonzero when the positive window margin fails to keep routing
-/// scratch below the dense grid, when the two runs' QoR differs in any bit,
-/// or when
-/// `--rss-budget-mb` is set and peak RSS exceeds it.
-fn scale_demo(opts: &Options) -> CliResult {
-    use eda_core::{Metric, SpanKind, STAGES};
-
-    let par_threads = if opts.threads == 0 { 4 } else { opts.threads };
-    let t = Instant::now();
-    let design = generate::scale_mesh(opts.instances, 3)?;
-    let gen_s = t.elapsed().as_secs_f64();
-    println!(
-        "=== scale tier: {} instances, {} nets (generated in {gen_s:.2}s) ===",
-        design.num_instances(),
-        design.num_nets()
-    );
-
-    let mut cfg = with_cache(FlowConfig::scale_2016(Node::N28, opts.instances));
-    cfg.threads = 1;
-    let t = Instant::now();
-    let serial = run_flow(&design, &cfg)
-        .map_err(|e| CliError(format!("serial scale flow failed: {e}")))?;
-    let serial_s = t.elapsed().as_secs_f64();
-    cfg.threads = par_threads;
-    let t = Instant::now();
-    let parallel = run_flow(&design, &cfg)
-        .map_err(|e| CliError(format!("{par_threads}-thread scale flow failed: {e}")))?;
-    let parallel_measured_s = t.elapsed().as_secs_f64();
-    let same = serial.same_qor(&parallel);
-    let peak_rss_mb = eda_core::read_peak_rss_bytes() / (1 << 20);
-
-    // Per-stage wall + RSS high-water from the serial run's telemetry: the
-    // last Stage span with each name times the attempt that produced the
-    // result.
-    let mut serial_rows: std::collections::BTreeMap<&str, (f64, u64)> = Default::default();
-    for (span, wall) in serial.telemetry.spans.iter().zip(&serial.telemetry.wall) {
-        if span.kind == SpanKind::Stage {
-            if let Some(stage) = STAGES.iter().find(|s| **s == span.name) {
-                serial_rows.insert(stage, (wall.dur_s, wall.peak_rss_bytes >> 20));
-            }
-        }
-    }
-    let route_serial_s = serial_rows.get("7_route").map_or(0.0, |(w, _)| *w);
-
-    let gauge = |name: &str| -> f64 {
-        match serial.telemetry.metrics.get(name) {
-            Some(Metric::Gauge(g)) => *g,
-            _ => 0.0,
-        }
-    };
-    let window_peak = gauge("route.window_peak_cells");
-    let dense_cells = gauge("route.dense_grid_cells");
-
-    println!(
-        "flow: serial {serial_s:.2}s (route {route_serial_s:.2}s), {par_threads} threads \
-         {parallel_measured_s:.2}s measured on this host, \
-         QoR bit-identical: {same}, peak RSS {peak_rss_mb} MB"
-    );
-    println!(
-        "routing scratch: window peak {window_peak:.0} cells vs dense {dense_cells:.0} \
-         ({:.0}% of dense)",
-        100.0 * window_peak / dense_cells.max(1.0)
-    );
-
-    println!("SCALELINE instances {}", design.num_instances());
-    println!("SCALELINE nets {}", design.num_nets());
-    println!("SCALELINE generate_s {gen_s:.6}");
-    println!("SCALELINE window_peak_cells {window_peak:.0}");
-    println!("SCALELINE dense_grid_cells {dense_cells:.0}");
-    let counter = |name: &str| -> u64 {
-        match serial.telemetry.metrics.get(name) {
-            Some(Metric::Counter(n)) => *n,
-            _ => 0,
-        }
-    };
-    println!("SCALELINE place_hpwl_um {:.0}", gauge("place.hpwl_final_um"));
-    println!("SCALELINE route_wirelength {}", serial.routed_wirelength);
-    println!("SCALELINE route_overflow {}", serial.overflow);
-    println!("SCALELINE route_connections {}", counter("route.connections"));
-    println!("SCALELINE route_cells_expanded {}", counter("route.cells_expanded"));
-    println!("SCALELINE route_regions {:.0}", gauge("route.regions"));
-    println!("SCALELINE route_local_commits {}", counter("route.local_commits"));
-    println!("SCALELINE route_seam_conflicts {}", counter("route.seam_conflicts"));
-    println!("SCALELINE route_negotiation_waves {}", counter("route.negotiation_waves"));
-    println!("SCALELINE serial_s {serial_s:.6}");
-    println!("SCALELINE parallel_measured_s {parallel_measured_s:.6}");
-    println!("SCALELINE route_serial_s {route_serial_s:.6}");
-    println!("SCALELINE threads {par_threads}");
-    println!("SCALELINE peak_rss_mb {peak_rss_mb}");
-    println!("SCALELINE same_qor {}", same as u32);
-    for stage in STAGES {
-        if let Some((wall_s, rss_mb)) = serial_rows.get(stage) {
-            println!("SCALESTAGE {stage} {wall_s:.6} {rss_mb}");
-        }
-    }
-
-    if serial.stage_status.len() != STAGES.len() {
-        return Err(CliError(format!(
-            "scale flow reported {}/{} stages",
-            serial.stage_status.len(),
-            STAGES.len()
-        )));
-    }
-    if window_peak <= 0.0 || dense_cells <= 0.0 || window_peak >= dense_cells {
-        return Err(CliError(format!(
-            "windowed routing must stay below the dense grid ({window_peak:.0} vs {dense_cells:.0} cells)"
-        )));
-    }
-    if !same {
-        return Err(CliError(format!(
-            "scale QoR diverged between 1 and {par_threads} threads"
-        )));
-    }
-    if opts.rss_budget_mb > 0 && peak_rss_mb > opts.rss_budget_mb {
-        return Err(CliError(format!(
-            "peak RSS {peak_rss_mb} MB exceeds the {} MB budget",
-            opts.rss_budget_mb
-        )));
-    }
-    println!(
-        "scale: {} instances through all {} stages, bit-identical at 1 and {par_threads} threads",
-        design.num_instances(),
-        STAGES.len()
-    );
-    Ok(())
-}
-
-/// `serve`: a batch of perturbed smoke designs through one flow server.
-///
-/// Builds `--batch` requests from `ceil(batch/2)` distinct smoke variants
-/// (each submitted twice when the batch allows, the repeat at a lower
-/// priority so it lands behind its primary), runs them sequentially without
-/// a cache as the baseline, then through a `FlowServer` sharing one stage
-/// cache, and checks that every server response is bit-identical to its
-/// sequential run — and, where the queue order guarantees a repeat runs
-/// after its primary finished, that the shared cache was hit. Wall clocks
-/// are printed, never gated: `benchmark/` measures them (`server.batch4_s`).
-fn serve_demo(opts: &Options) -> CliResult {
-    let batch = opts.batch;
-    let distinct = batch.div_ceil(2);
-    let mut requests: Vec<FlowRequest> = Vec::with_capacity(batch);
-    for v in 0..distinct {
-        let design = generate::switch_fabric(3 + v % 2, 3 + (v / 2) % 2)?;
-        let mut cfg = FlowConfig::advanced_2016(Node::N10);
-        cfg.seed = 1 + (v / 4) as u64;
-        requests.push(FlowRequest::new(design, cfg).with_priority(1));
-    }
-    // Repeats share their primary's (design, config) exactly, so their flow
-    // prefixes replay from the cache entries the primary wrote.
-    for v in 0..batch - distinct {
-        let primary = requests[v].clone();
-        requests.push(FlowRequest::new(primary.design, primary.config).with_priority(0));
-    }
-
-    // `--inject INDEX:SPEC[;INDEX:SPEC...]`: deterministic fault plans
-    // targeting individual requests of the batch.
-    let injected = match &opts.inject {
-        None => Vec::new(),
-        Some(spec) => parse_indexed_injects(spec, batch)?,
-    };
-    for (idx, spec) in &injected {
-        requests[*idx].config.fault_plan = Some(FaultPlan::parse(spec, 42)?);
-        println!("request {idx} runs under fault plan `{spec}`");
-    }
-    // Keep (design, config) clones of the injected requests for the
-    // reproducibility self-check after the batch.
-    let injected_checks: Vec<(usize, Netlist, FlowConfig)> = injected
-        .iter()
-        .map(|(idx, _)| {
-            let mut cfg = requests[*idx].config.clone();
-            cfg.threads = opts.threads;
-            (*idx, requests[*idx].design.clone(), cfg)
-        })
-        .collect();
-
-    let sc = store_config(opts).unwrap_or_else(|| {
-        StoreConfig::at(
-            std::env::temp_dir()
-                .join(format!("eda_serve_{}", std::process::id()))
-                .join("flow.store"),
-        )
-    });
-    println!(
-        "=== flow server: {batch} requests ({distinct} distinct designs), store at {} ===",
-        sc.path.display()
-    );
-
-    // Sequential baseline: each request cold, one after another, with the
-    // whole thread budget — what a user without the server would run.
-    let t = Instant::now();
-    let serial: Vec<eda_core::FlowReport> = requests
-        .iter()
-        .map(|req| {
-            let mut cfg = req.config.clone();
-            cfg.threads = opts.threads;
-            run_flow(&req.design, &cfg)
-                .map_err(|e| CliError(format!("sequential {} failed: {e}", req.design.name())))
-        })
-        .collect::<Result<_, CliError>>()?;
-    let serial_s = t.elapsed().as_secs_f64();
-
-    let server = FlowServer::builder()
-        .threads(opts.threads)
-        .workers(opts.workers)
-        .store(sc)
-        .build();
-    let report = server.serve(requests);
-
-    println!("{:>3}  {:<10} {:>8} {:>6}  outcome", "req", "design", "wall_s", "worker");
-    let mut all_ok = true;
-    let mut all_same = true;
-    for r in &report.responses {
-        let outcome = match &r.outcome {
-            Ok(rep) => {
-                let same = rep.same_qor(&serial[r.index]);
-                all_same &= same;
-                if same { "ok, bit-identical to sequential".to_string() } else { "ok, QoR DIVERGED".to_string() }
-            }
-            Err(e) => {
-                all_ok = false;
-                format!("failed: {e}")
-            }
-        };
-        println!("{:>3}  {:<10} {:>8.3} {:>6}  {outcome}", r.index, r.design, r.wall_s, r.worker);
-    }
-    let speedup = serial_s / report.wall_s.max(1e-9);
-    println!(
-        "sequential {serial_s:.3}s, server {:.3}s ({} workers x {} kernel threads): \
-         {speedup:.2}x throughput, {} cross-design cache hits ({:.0}% of stages)",
-        report.wall_s,
-        report.workers,
-        report.kernel_threads,
-        report.cross_design_hits,
-        report.cross_hit_rate() * 100.0
-    );
-    // Machine-readable rows for scripts/check.sh.
-    println!("SERVLINE batch {batch}");
-    println!("SERVLINE distinct {distinct}");
-    println!("SERVLINE workers {}", report.workers);
-    println!("SERVLINE kernel_threads {}", report.kernel_threads);
-    println!("SERVLINE serial_s {serial_s:.6}");
-    println!("SERVLINE server_s {:.6}", report.wall_s);
-    println!("SERVLINE speedup {speedup:.3}");
-    println!("SERVLINE throughput_per_s {:.3}", report.throughput_per_s());
-    println!("SERVLINE cross_design_hits {}", report.cross_design_hits);
-    println!("SERVLINE cross_hit_rate {:.4}", report.cross_hit_rate());
-    println!("SERVLINE failed {}", report.failed());
-    println!("SERVLINE same_qor {}", all_same as u32);
-    println!("SERVLINE injected {}", injected.len());
-
-    if !all_ok {
-        return Err(CliError(format!("{} request(s) failed", report.failed())));
-    }
-    if !all_same {
-        return Err(CliError("server QoR diverged from sequential per-design runs".into()));
-    }
-    // Reproducibility self-check, as `run --inject` does: a third run of
-    // each faulted request must match its sequential baseline bit-for-bit —
-    // the injection layer is keyed on (stage, invocation), never wall clock.
-    for (idx, design, cfg) in &injected_checks {
-        let again = run_flow(design, cfg)
-            .map_err(|e| CliError(format!("injected request {idx} replay failed: {e}")))?;
-        if !again.same_qor(&serial[*idx]) {
-            return Err(CliError(format!(
-                "injected request {idx} is not reproducible (QoR drifted between identical runs)"
-            )));
-        }
-    }
-    if !injected_checks.is_empty() {
-        println!("{} injected request(s) reproduce bit-identically", injected_checks.len());
-    }
-    // Primaries queue ahead of every repeat, so with no more workers than
-    // primaries a repeat is popped only once some primary has finished, and
-    // the repeat of the first primary to finish is popped after it: when
-    // every primary has a repeat (even batch), at least that one replays
-    // its primary's entries. Fault plans disable the stage cache for their
-    // request, so only clean batches are held to it.
-    if batch.is_multiple_of(2) && report.workers <= distinct && injected.is_empty() {
-        if report.cross_design_hits == 0 {
-            return Err(CliError(
-                "expected cross-design cache hits (repeated requests replayed nothing)".into(),
-            ));
-        }
-        println!(
-            "serve: bit-identical to sequential with {} cross-design cache hits",
-            report.cross_design_hits
-        );
-    } else {
-        println!("serve: bit-identical to sequential");
-    }
-    Ok(())
-}
-
 /// Parses `--inject` entries of the form `INDEX:SPEC` (`;`-separated, since
 /// SPEC itself may contain commas) into per-request fault specs, validating
-/// each SPEC against the fault grammar up front.
-fn parse_indexed_injects(spec: &str, batch: usize) -> Result<Vec<(usize, String)>, CliError> {
+/// each SPEC against the fault grammar up front. INDEX is the request's wire
+/// id, the one `daemon submit` prints: `1..=batch`.
+fn parse_indexed_injects(spec: &str, batch: usize) -> Result<Vec<(u64, String)>, CliError> {
     let mut out = Vec::new();
     for entry in spec.split(';').map(str::trim).filter(|e| !e.is_empty()) {
         let (idx, plan) = entry.split_once(':').ok_or_else(|| {
@@ -1036,11 +637,11 @@ fn parse_indexed_injects(spec: &str, batch: usize) -> Result<Vec<(usize, String)
                 "per-request inject wants INDEX:SPEC (e.g. `2:route=fail@1`), got `{entry}`"
             ))
         })?;
-        let idx: usize = idx
+        let idx: u64 = idx
             .trim()
             .parse()
             .map_err(|_| CliError(format!("bad request index in `{entry}`")))?;
-        if idx >= batch {
+        if idx == 0 || idx > batch as u64 {
             return Err(CliError(format!(
                 "inject index {idx} out of range (batch of {batch})"
             )));
@@ -1142,7 +743,7 @@ fn daemon_submit(opts: &Options, socket: &str) -> CliResult {
     for i in 0..opts.count {
         let mut spec = SubmitSpec::new((i + 1) as u64, designs[i % designs.len()]);
         spec.deadline_ms = opts.deadline_ms;
-        if let Some((_, inj)) = injects.iter().find(|(idx, _)| *idx == i) {
+        if let Some((_, inj)) = injects.iter().find(|(id, _)| *id == spec.id) {
             spec.inject = Some(inj.clone());
         }
         specs.push(spec);
@@ -1275,9 +876,8 @@ fn inject_demo(spec: &str, threads_arg: usize) -> CliResult {
     let plan = FaultPlan::parse(spec, 42)?;
     println!("=== fault injection: `{spec}` ===");
     let design = generate::switch_fabric(3, 3)?;
-    let mut cfg = with_cache(FlowConfig::advanced_2016(Node::N10));
+    let mut cfg = FlowConfig::advanced_2016(Node::N10);
     cfg.threads = threads_arg;
-    // `run_flow` ignores the stage cache while a fault plan is active.
     cfg.fault_plan = Some(plan);
     let report = run_flow(&design, &cfg)
         .map_err(|e| CliError(format!("supervised flow did not survive the plan: {e}")))?;
@@ -2075,4 +1675,22 @@ fn c16() -> CliResult {
     let best = best_iot_node(&points);
     println!("best IoT merit: {best} (established: {})", best.is_established());
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_indexed_injects;
+
+    #[test]
+    fn inject_index_is_the_wire_id_the_rows_print() {
+        let parsed = parse_indexed_injects("1:route=fail@1; 4:litho=timeout", 4).ok();
+        let want = vec![(1, "route=fail@1".to_string()), (4, "litho=timeout".to_string())];
+        assert_eq!(parsed, Some(want));
+        for (spec, msg) in [
+            ("0:route=fail@1", "inject index 0 out of range (batch of 4)"),
+            ("5:route=fail@1", "inject index 5 out of range (batch of 4)"),
+        ] {
+            assert_eq!(parse_indexed_injects(spec, 4).err().map(|e| e.0).as_deref(), Some(msg));
+        }
+    }
 }

@@ -37,9 +37,9 @@
 //! store compacted under a concurrent writer — is [`CacheError::Evicted`],
 //! its own variant precisely so the flow can count it as an expected
 //! `cache.evicted_miss` instead of a scary I/O error. Store writes are
-//! serialized by the store's sidecar lock, so concurrent flows — e.g.
-//! `experiments` child processes sharing one store — can race on the same
-//! entry and both land on identical bytes.
+//! serialized by the store's sidecar lock, so concurrent flows — server or
+//! daemon workers, or separate CLI processes, sharing one store — can race
+//! on the same entry and both land on identical bytes.
 
 use crate::state::{self, Loaded};
 use crate::store::{FlowStore, Lookup, Store, StoreError, Table};

@@ -71,7 +71,7 @@
 
 use crate::config::FlowConfig;
 use crate::engine::{Engine, Popped};
-use crate::flow::{FlowError, STAGES};
+use crate::flow::FlowError;
 use crate::report::FlowReport;
 use crate::store::StoreConfig;
 use crate::telemetry::{Metric, TelemetrySnapshot};
@@ -283,15 +283,6 @@ impl ServerReport {
     pub fn throughput_per_s(&self) -> f64 {
         self.responses.len() as f64 / self.wall_s.max(1e-12)
     }
-
-    /// Cross-request cache hits as a fraction of the batch's nominal stage
-    /// visits (`requests × stages`).
-    pub fn cross_hit_rate(&self) -> f64 {
-        if self.responses.is_empty() {
-            return 0.0;
-        }
-        self.cross_design_hits as f64 / (self.responses.len() * STAGES.len()) as f64
-    }
 }
 
 fn counter(snapshot: &TelemetrySnapshot, name: &str) -> u64 {
@@ -332,7 +323,6 @@ mod tests {
         assert!(report.responses.is_empty());
         assert_eq!(report.failed(), 0);
         assert_eq!(report.cross_design_hits, 0);
-        assert_eq!(report.cross_hit_rate(), 0.0);
     }
 
     #[test]

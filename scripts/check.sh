@@ -41,13 +41,9 @@ assert os.path.getsize(os.path.join(d, "smoke.trace.folded")) > 0, "folded stack
 print(f"check: trace OK ({len(trace['traceEvents'])} spans, {len(metrics)} metrics)")
 PY
 
-# Flow-server smoke: a 4-request batch through the flow server at a
-# 4-thread budget must finish with no failed request, bit-identical QoR and
-# cross-design cache hits (the tool itself asserts all three; nothing here
-# depends on the wall clock — `benchmark/` measures that as server.batch4_s).
-serve_cache="$(mktemp -d)"
-trap 'rm -f "$test_log"; rm -rf "$trace_dir" "$serve_cache"' EXIT
-./target/release/experiments serve --batch 4 --threads 4 --store "$serve_cache/flow.store"
+# Claims smoke: all 18 panel claims (C1-C16, B1, B2) regenerated in claim
+# order, in one process; any claim that errors fails the script.
+./target/release/experiments run
 
 # Daemon smoke: serve on a temp socket (with a flow store bound), push a
 # 4-request batch (one with an injected per-request stage fault) through the
@@ -58,7 +54,7 @@ trap 'rm -f "$test_log"; rm -rf "$trace_dir" "$serve_cache"' EXIT
 # exit 0.
 daemon_dir="$(mktemp -d)"
 daemon_pid=""
-trap 'rm -f "$test_log"; rm -rf "$trace_dir" "$serve_cache" "$daemon_dir"
+trap 'rm -f "$test_log"; rm -rf "$trace_dir" "$daemon_dir"
       [ -n "$daemon_pid" ] && kill "$daemon_pid" 2>/dev/null || true' EXIT
 daemon_sock="$daemon_dir/flowd.sock"
 ./target/release/experiments daemon serve --socket "$daemon_sock" \
@@ -115,7 +111,7 @@ cargo test --release -q --doc -p eda
 # asserts all of it; the greps below keep the sub-stage gate loud even if
 # the tool's own thresholds drift).
 store_dir="$(mktemp -d)"
-trap 'rm -f "$test_log"; rm -rf "$trace_dir" "$serve_cache" "$daemon_dir" "$store_dir"' EXIT
+trap 'rm -f "$test_log"; rm -rf "$trace_dir" "$daemon_dir" "$store_dir"' EXIT
 store_file="$store_dir/flow.store"
 incr_log="$(./target/release/experiments incremental --store "$store_file" --threads 4)"
 printf '%s\n' "$incr_log"
@@ -225,17 +221,11 @@ printf '%s\n' "$incr_log" | grep -qx 'INCRLINE same_qor 1' \
          printf '%s\n' "$incr_log" >&2; exit 1; }
 echo "check: store smoke green (cold run wrote $cold_sub sub-stage entries, edit replayed $sub_hits, query returned $qrows rows, poisoned record recomputed)"
 
-# Mini-scale smoke: a 10^4-instance mesh fabric through the full scale-tier
-# flow, serial and at 4 workers. The tool itself asserts all 11 stages
-# complete, routing closes with zero overflow, QoR is bit-identical across
-# thread counts, windowed routing never materializes the dense grid, and
-# peak RSS stays under the budget.
-# Bit-identity at 1 vs 4 workers is the wave schedule's gate here.
-./target/release/experiments scale --instances 10000 --rss-budget-mb 512 --threads 4
-
-# Scale tests in release: the mini tier (10^4 instances at 1/2/4/8 threads,
-# its QoR fingerprint and work counts pinned at 1 and 4), the decap path and
-# the RSS-exclusion check; the debug suite above ignores the mini tier.
+# Scale tests in release: the mini tier (10^4 instances through all 11
+# stages with zero overflow and the routing window below the dense grid,
+# bit-identical at 1/2/4/8 threads, its QoR fingerprint and work counts
+# pinned at 1 and 4, inside a 512 MB RSS profile), the decap path and the
+# RSS-exclusion check; the debug suite above ignores the mini tier.
 cargo test --release -q --test scale
 
 # Golden snapshot in release: QoR + telemetry byte-stable across threads
@@ -264,9 +254,11 @@ cargo test --release -q --test signoff_pins
 # single-valued `map_goal` / `route_region_size` knobs and the two
 # `ConfigError` variants only they could raise; then the per-front-end
 # store open, the server's hand-built telemetry snapshot, and accessors only
-# their own unit tests called) must not reappear anywhere in the workspace,
-# its tests or its examples.
-deleted_names='StageBudgets?|soft_deadline_s|npn_canon|npn_equivalent|NpnCanon|collapse_faults|CollapseOutcome|request_retry|retry_queue_full|fault_sim_threaded|run_opc_stats|image_threaded|print_threaded|edge_placement_errors_threaded|FlowConfigBuilder|map_goal|route_region_size|RegionWithoutWindow|NoLayers|open_shared|server_snapshot|QUEUE_DEPTH_EDGES|count_sat|is_xor_like|peak_density'
+# their own unit tests called; then the `experiments serve` / `scale`
+# harnesses, whose checks tests/server.rs and tests/scale.rs make, their
+# row prefixes, and the hit-rate accessor only `serve` read) must not
+# reappear anywhere in the workspace, its tests or its examples.
+deleted_names='StageBudgets?|soft_deadline_s|npn_canon|npn_equivalent|NpnCanon|collapse_faults|CollapseOutcome|request_retry|retry_queue_full|fault_sim_threaded|run_opc_stats|image_threaded|print_threaded|edge_placement_errors_threaded|FlowConfigBuilder|map_goal|route_region_size|RegionWithoutWindow|NoLayers|open_shared|server_snapshot|QUEUE_DEPTH_EDGES|count_sat|is_xor_like|peak_density|serve_demo|scale_demo|SERVLINE|SCALELINE|cross_hit_rate'
 if grep -rnwE "$deleted_names" crates src tests examples; then
     echo "check: FAIL a deleted name is back (census above)" >&2; exit 1
 fi
@@ -283,5 +275,5 @@ fi
 awk '/^test result:/ { passed += $4; failed += $6 }
      END { printf "check: %d tests passed, %d failed across all binaries\n", passed, failed
            exit (failed > 0) }' "$test_log"
-echo "check: $(find crates src tests examples benchmark -name '*.rs' -print0 | xargs -0 cat | wc -l) lines of Rust (the count ROADMAP quotes); clippy --workspace --all-targets clean; deleted-name census empty (budgets, NPN / collapse, retry, twins, config builder, derived knobs, shared-store open, server snapshot, test-only accessors); run_flow_shared called from flow.rs + engine.rs only"
-echo "check: tier-1 + clippy --workspace --all-targets + unwrap gates + inject smoke + trace + serve + daemon + facade docs + incremental + sub-stage record budget + cross-process resume + mini-scale + mini-tier pins + golden + route pins + route audit + place pins + place audit + sign-off pins + deleted-name census + one-engine gate green"
+echo "check: $(find crates src tests examples benchmark -name '*.rs' -print0 | xargs -0 cat | wc -l) lines of Rust (the count ROADMAP quotes); clippy --workspace --all-targets clean; deleted-name census empty (budgets, NPN / collapse, retry, twins, config builder, derived knobs, shared-store open, server snapshot, test-only accessors, serve / scale harnesses); run_flow_shared called from flow.rs + engine.rs only"
+echo "check: tier-1 + clippy --workspace --all-targets + unwrap gates + inject smoke + trace + all 18 claims + daemon + facade docs + incremental + sub-stage record budget + cross-process resume + mini-tier pins + golden + route pins + route audit + place pins + place audit + sign-off pins + deleted-name census + one-engine gate green"

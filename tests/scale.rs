@@ -4,10 +4,10 @@
 //!
 //! The 10⁵ tests are `#[ignore]`d (minutes of release wall clock — run with
 //! `cargo test --release --test scale -- --ignored`); the 10⁴ mini tier runs
-//! in tier-1 release builds and is exercised in every `scripts/check.sh` run
-//! through the `experiments scale` smoke gate. Debug builds skip the mini
-//! tier too — an unoptimized 10⁴ route is minutes of wall clock — and keep
-//! only the small-mesh checks.
+//! in tier-1 release builds, and every `scripts/check.sh` run runs it with
+//! `cargo test --release --test scale`. Debug builds skip the mini tier — an
+//! unoptimized 10⁴ route is minutes of wall clock — and keep only the
+//! small-mesh checks.
 
 use eda::core::{
     read_peak_rss_bytes, run_flow, FlowConfig, FlowReport, Metric, SpanKind, StoreConfig, STAGES,

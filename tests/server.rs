@@ -1,7 +1,8 @@
 //! Flow-server contract: a batch served through the worker pool is
 //! bit-identical to running each request sequentially, at every worker
 //! count; a fault in one request degrades only that request; and repeated
-//! requests replay their siblings' stage-cache entries.
+//! requests replay their siblings' stage-cache entries, at one worker and at
+//! two.
 //!
 //! Scheduling-shaped observables (which worker ran what, queue depths) may
 //! vary run to run — these tests only pin the invariants the server
@@ -123,30 +124,52 @@ fn fault_in_one_request_degrades_only_that_request() {
 
 #[test]
 fn repeated_request_replays_the_shared_cache() {
-    // One worker executes the batch strictly in order, so the repeat is
-    // guaranteed to find every entry its primary wrote: a full warm replay.
-    let dir = scratch("warm");
-    let design = generate::switch_fabric(3, 3).unwrap();
-    let requests = vec![
-        FlowRequest::new(design.clone(), smoke_cfg()).with_priority(1),
-        FlowRequest::new(design, smoke_cfg()),
+    // Each row serves distinct primaries at priority 1, then one repeat of
+    // each at priority 0, over a fresh store. Primaries queue ahead of every
+    // repeat, so a repeat is popped only once some primary has finished, and
+    // the repeat of the first primary to finish is popped after it: at least
+    // that one replays its primary's entries. One worker executes the batch
+    // strictly in order, so there the repeat is a full warm replay.
+    let rows = [
+        (1usize, vec![generate::switch_fabric(3, 3).unwrap()]),
+        (2, vec![generate::switch_fabric(3, 3).unwrap(), generate::parity_tree(16).unwrap()]),
     ];
-    let store = StoreConfig::at(dir.join("flow.store"));
-    let server = FlowServer::builder().threads(1).workers(1).store(store).build();
-    let report = server.serve(requests);
+    for (workers, designs) in rows {
+        let primaries: Vec<FlowRequest> = designs
+            .into_iter()
+            .map(|d| FlowRequest::new(d, smoke_cfg()).with_priority(1))
+            .collect();
+        let serial = sequential(&primaries);
+        let n = primaries.len();
+        let mut requests = primaries.clone();
+        requests.extend(primaries.into_iter().map(|p| p.with_priority(0)));
+        let dir = scratch("warm");
+        let store = StoreConfig::at(dir.join("flow.store"));
+        let server = FlowServer::builder().threads(workers).workers(workers).store(store).build();
+        let report = server.serve(requests);
 
-    assert_eq!(report.failed(), 0);
-    assert_eq!(
-        report.cross_design_hits,
-        STAGES.len() as u64,
-        "the repeat must replay every stage from the primary's entries"
-    );
-    let primary = report.responses[0].report().unwrap();
-    let repeat = report.responses[1].report().unwrap();
-    assert_eq!(counter(primary, "cache.hits"), 0, "the primary runs cold");
-    assert_eq!(counter(repeat, "cache.hits"), STAGES.len() as u64);
-    assert!(primary.same_qor(repeat), "a cache replay is bit-identical");
-    let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(report.workers, workers);
+        assert_eq!(report.failed(), 0);
+        for (i, resp) in report.responses.iter().enumerate() {
+            let flow = resp.report().unwrap();
+            assert!(
+                flow.same_qor(&serial[i % n]),
+                "request {i} at {workers} workers must match its sequential run"
+            );
+            if i < n {
+                assert_eq!(counter(flow, "cache.hits"), 0, "primary {i} runs cold");
+            }
+        }
+        assert!(report.cross_design_hits >= 1, "no repeat replayed at {workers} workers");
+        if workers == 1 {
+            assert_eq!(
+                report.cross_design_hits,
+                STAGES.len() as u64,
+                "the repeat must replay every stage from the primary's entries"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
