@@ -90,7 +90,8 @@ fn bench_route_scaling(_c: &mut Criterion) {
 
 /// Wall-clock rows for the two search kernels in the regimes the flow
 /// benchmark puts them in (seconds per search, on a reused scratch as the
-/// router runs them), and for `flowd_pairs`' fabric routed dense on the
+/// router runs them; line search blocked and open at level 1), and for
+/// `flowd_pairs`' fabric routed dense on the
 /// flow's 32-cell grid and on a saturated 16-cell one (seconds for both).
 fn bench_search_kernels(_c: &mut Criterion) {
     // The saturated regime: every edge at 40x capacity with six rounds of
@@ -138,6 +139,26 @@ fn bench_search_kernels(_c: &mut Criterion) {
         t.elapsed().as_secs_f64() / 200.0
     });
     println!("BENCHLINE linesearch/level1_congested {s:.9e}");
+
+    // The flood most level-1 searches of the 50 k mesh pay: an open grid
+    // where one full edge beside each L corner stops the level-0 probes
+    // short, so level 1 spawns a window-high line from every cell of the
+    // source's and target's probes before one crosses.
+    let mut grid = RoutingGrid::new(128, 128, &RuleDeck::simple(6));
+    let (src, dst) = (GCell::new(10, 20), GCell::new(110, 100));
+    grid.add_usage(GCell::new(105, 20), GCell::new(106, 20), grid.cap_h as i32);
+    grid.add_usage(GCell::new(10, 95), GCell::new(10, 96), grid.cap_v as i32);
+    let win = SearchWindow::full(&grid);
+    assert!(scratch.mikami_tabuchi_in(&grid, src, dst, 1, win).is_none(), "level 0 is blocked");
+    assert!(scratch.mikami_tabuchi_in(&grid, src, dst, 2, win).is_some(), "level 1 crosses");
+    let s = median_seconds(9, || {
+        let t = Instant::now();
+        for _ in 0..50 {
+            black_box(scratch.mikami_tabuchi_in(&grid, src, dst, 12, win));
+        }
+        t.elapsed().as_secs_f64() / 50.0
+    });
+    println!("BENCHLINE linesearch/level1_open {s:.9e}");
 
     // `flowd_pairs`' fabric on the dense 32-cell grid, then on a 16-cell
     // grid with a quarter of the capacity: seven rounds at ~4 000 overflow.

@@ -81,7 +81,9 @@ pub trait DemandGrid: Sync {
 }
 
 /// [`DemandGrid::free_run`] by asking [`DemandGrid::is_full`] about every
-/// edge — the definition the overriding scans are tested against.
+/// edge — the definition the overriding scans are tested against. From the
+/// origin's coordinate it extends down to `min`, then up to `max`, until
+/// the edge from `v` to `v + 1` is full.
 pub fn free_run_by_edge<G: DemandGrid + ?Sized>(
     grid: &G,
     origin: GCell,
@@ -89,19 +91,9 @@ pub fn free_run_by_edge<G: DemandGrid + ?Sized>(
     min: u32,
     max: u32,
 ) -> (u32, u32) {
-    if horizontal {
-        let cell = |x| GCell::new(x, origin.y);
-        free_run_scan(origin.x, min, max, |x| grid.is_full(cell(x), cell(x + 1)))
-    } else {
-        let cell = |y| GCell::new(origin.x, y);
-        free_run_scan(origin.y, min, max, |y| grid.is_full(cell(y), cell(y + 1)))
-    }
-}
-
-/// The probe walk behind every [`DemandGrid::free_run`]: from coordinate
-/// `at`, extend down to `min` and up to `max` until `full(v)` — the edge
-/// from coordinate `v` to `v + 1` — blocks.
-pub(crate) fn free_run_scan(at: u32, min: u32, max: u32, full: impl Fn(u32) -> bool) -> (u32, u32) {
+    let cell = |v| if horizontal { GCell::new(v, origin.y) } else { GCell::new(origin.x, v) };
+    let full = |v: u32| grid.is_full(cell(v), cell(v + 1));
+    let at = if horizontal { origin.x } else { origin.y };
     let (mut lo, mut hi) = (at, at);
     while lo > min && !full(lo - 1) {
         lo -= 1;
@@ -110,6 +102,83 @@ pub(crate) fn free_run_scan(at: u32, min: u32, max: u32, full: impl Fn(u32) -> b
         hi += 1;
     }
     (lo, hi)
+}
+
+/// Words of a bit string holding one bit per edge of a row (or column)
+/// with `edges` edges.
+fn words_for(edges: u32) -> usize {
+    edges.div_ceil(64) as usize
+}
+
+/// Sets bit `bit` of a word-packed bit string to `on`.
+pub(crate) fn put_bit(words: &mut [u64], bit: usize, on: bool) {
+    let mask = 1u64 << (bit % 64);
+    if on {
+        words[bit / 64] |= mask;
+    } else {
+        words[bit / 64] &= !mask;
+    }
+}
+
+/// [`DemandGrid::free_run`] over one row's (or column's) full-edge bits:
+/// `word(k)` holds the edges `64k..64k + 64`, bit `v % 64` set when the
+/// edge from `v` to `v + 1` is full. The run ends just above the highest
+/// full edge in `min..at` and on the lowest one in `at..max`.
+pub(crate) fn free_run_in(word: impl Fn(usize) -> u64, at: u32, min: u32, max: u32) -> (u32, u32) {
+    let lo = highest_set(&word, min, at).map_or(min, |v| v + 1);
+    let hi = lowest_set(&word, at, max).unwrap_or(max);
+    (lo, hi)
+}
+
+/// Bits `0..=(v % 64)` of a word: the mask that ends a scan at bit `v`.
+fn through(v: u32) -> u64 {
+    u64::MAX >> (63 - v % 64)
+}
+
+/// The highest set bit in `from..to`, scanning down a word at a time.
+fn highest_set(word: &impl Fn(usize) -> u64, from: u32, to: u32) -> Option<u32> {
+    if from >= to {
+        return None;
+    }
+    let first = (from / 64) as usize;
+    let mut k = ((to - 1) / 64) as usize;
+    let mut bits = word(k) & through(to - 1);
+    loop {
+        if k == first {
+            bits &= u64::MAX << (from % 64);
+        }
+        if bits != 0 {
+            return Some(k as u32 * 64 + 63 - bits.leading_zeros());
+        }
+        if k == first {
+            return None;
+        }
+        k -= 1;
+        bits = word(k);
+    }
+}
+
+/// The lowest set bit in `from..to`, scanning up a word at a time.
+fn lowest_set(word: &impl Fn(usize) -> u64, from: u32, to: u32) -> Option<u32> {
+    if from >= to {
+        return None;
+    }
+    let last = ((to - 1) / 64) as usize;
+    let mut k = (from / 64) as usize;
+    let mut bits = word(k) & (u64::MAX << (from % 64));
+    loop {
+        if k == last {
+            bits &= through(to - 1);
+        }
+        if bits != 0 {
+            return Some(k as u32 * 64 + bits.trailing_zeros());
+        }
+        if k == last {
+            return None;
+        }
+        k += 1;
+        bits = word(k);
+    }
 }
 
 /// The routing grid with per-edge usage tracking and PathFinder-style
@@ -127,11 +196,17 @@ pub struct RoutingGrid {
     /// Usage of horizontal edges: index `y * (width-1) + x` for the edge
     /// between `(x, y)` and `(x+1, y)`.
     usage_h: Vec<u32>,
-    /// Usage of vertical edges, column-major so a vertical probe reads
-    /// contiguous memory: index `x * (height-1) + y` for the edge between
-    /// `(x, y)` and `(x, y+1)`.
+    /// Usage of vertical edges: index `x * (height-1) + y` for the edge
+    /// between `(x, y)` and `(x, y+1)`.
     usage_v: Vec<u32>,
-    /// Congestion history (same indexing, horizontal then vertical).
+    /// One bit per horizontal edge, set when `usage >= cap_h`: row `y`
+    /// takes `words_for(width - 1)` words, edge `x` is bit `x % 64` of its
+    /// word `x / 64`. What a line-search probe scans.
+    full_h: Vec<u64>,
+    /// The same for vertical edges, column-major: column `x` takes
+    /// `words_for(height - 1)` words, edge `y` is bit `y % 64` of word `y / 64`.
+    full_v: Vec<u64>,
+    /// Congestion history (same indexing as usage).
     history_h: Vec<f32>,
     history_v: Vec<f32>,
 }
@@ -145,6 +220,7 @@ impl RoutingGrid {
     pub fn new(width: u32, height: u32, deck: &RuleDeck) -> RoutingGrid {
         assert!(width >= 2 && height >= 2, "grid must be at least 2x2");
         let (cap_h, cap_v) = deck.edge_capacities();
+        // Both capacities are at least 1, so no edge of an empty grid is full.
         RoutingGrid {
             width,
             height,
@@ -152,6 +228,8 @@ impl RoutingGrid {
             cap_v,
             usage_h: vec![0; ((width - 1) * height) as usize],
             usage_v: vec![0; (width * (height - 1)) as usize],
+            full_h: vec![0; words_for(width - 1) * height as usize],
+            full_v: vec![0; words_for(height - 1) * width as usize],
             history_h: vec![0.0; ((width - 1) * height) as usize],
             history_v: vec![0.0; (width * (height - 1)) as usize],
         }
@@ -165,16 +243,28 @@ impl RoutingGrid {
         (x * (self.height - 1) + y) as usize
     }
 
-    /// Usage of row `y`'s horizontal edges: entry `x` is the edge from
-    /// `(x, y)` to `(x+1, y)`.
-    pub(crate) fn usage_h_row(&self, y: u32) -> &[u32] {
-        &self.usage_h[self.h_index(0, y)..][..(self.width - 1) as usize]
+    /// Bit of `full_h` for the horizontal edge from `(x, y)`.
+    fn h_bit(&self, x: u32, y: u32) -> usize {
+        y as usize * words_for(self.width - 1) * 64 + x as usize
     }
 
-    /// Usage of column `x`'s vertical edges: entry `y` is the edge from
-    /// `(x, y)` to `(x, y+1)`.
-    pub(crate) fn usage_v_col(&self, x: u32) -> &[u32] {
-        &self.usage_v[self.v_index(x, 0)..][..(self.height - 1) as usize]
+    /// Bit of `full_v` for the vertical edge from `(x, y)`.
+    fn v_bit(&self, x: u32, y: u32) -> usize {
+        x as usize * words_for(self.height - 1) * 64 + y as usize
+    }
+
+    /// Row `y`'s full-edge words: bit `x` is the edge from `(x, y)` to
+    /// `(x+1, y)`.
+    pub(crate) fn full_h_row(&self, y: u32) -> &[u64] {
+        let n = words_for(self.width - 1);
+        &self.full_h[y as usize * n..][..n]
+    }
+
+    /// Column `x`'s full-edge words: bit `y` is the edge from `(x, y)` to
+    /// `(x, y+1)`.
+    pub(crate) fn full_v_col(&self, x: u32) -> &[u64] {
+        let n = words_for(self.height - 1);
+        &self.full_v[x as usize * n..][..n]
     }
 
     /// Usage of the horizontal edge from `(x, y)` to `(x+1, y)`.
@@ -188,7 +278,7 @@ impl RoutingGrid {
     }
 
     /// Adds (or removes, `delta < 0`) usage on the edge between two adjacent
-    /// cells.
+    /// cells. The only usage mutator, so it keeps the full-edge bits.
     ///
     /// # Panics
     ///
@@ -196,13 +286,18 @@ impl RoutingGrid {
     pub fn add_usage(&mut self, a: GCell, b: GCell, delta: i32) {
         let apply = |u: &mut u32| {
             *u = u32::try_from(*u as i64 + delta as i64).expect("usage underflow");
+            *u
         };
         if a.y == b.y && a.x.abs_diff(b.x) == 1 {
-            let i = self.h_index(a.x.min(b.x), a.y);
-            apply(&mut self.usage_h[i]);
+            let x = a.x.min(b.x);
+            let (i, bit) = (self.h_index(x, a.y), self.h_bit(x, a.y));
+            let full = apply(&mut self.usage_h[i]) >= self.cap_h;
+            put_bit(&mut self.full_h, bit, full);
         } else if a.x == b.x && a.y.abs_diff(b.y) == 1 {
-            let i = self.v_index(a.x, a.y.min(b.y));
-            apply(&mut self.usage_v[i]);
+            let y = a.y.min(b.y);
+            let (i, bit) = (self.v_index(a.x, y), self.v_bit(a.x, y));
+            let full = apply(&mut self.usage_v[i]) >= self.cap_v;
+            put_bit(&mut self.full_v, bit, full);
         } else {
             panic!("cells {a:?} and {b:?} are not adjacent");
         }
@@ -304,11 +399,11 @@ impl DemandGrid for RoutingGrid {
 
     fn free_run(&self, origin: GCell, horizontal: bool, min: u32, max: u32) -> (u32, u32) {
         if horizontal {
-            let row = self.usage_h_row(origin.y);
-            free_run_scan(origin.x, min, max, |x| row[x as usize] >= self.cap_h)
+            let row = self.full_h_row(origin.y);
+            free_run_in(|k| row[k], origin.x, min, max)
         } else {
-            let col = self.usage_v_col(origin.x);
-            free_run_scan(origin.y, min, max, |y| col[y as usize] >= self.cap_v)
+            let col = self.full_v_col(origin.x);
+            free_run_in(|k| col[k], origin.y, min, max)
         }
     }
 }

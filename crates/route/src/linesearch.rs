@@ -28,14 +28,6 @@ struct Line {
     parent: u32,
 }
 
-/// A line's cells as window-local indices: `first + k * step`, `k < count`.
-#[derive(Clone, Copy)]
-struct Span {
-    first: usize,
-    step: usize,
-    count: usize,
-}
-
 impl Line {
     fn len(&self) -> usize {
         (self.hi - self.lo + 1) as usize
@@ -56,11 +48,6 @@ impl Line {
         } else {
             GCell::new(self.origin.x, v)
         }
-    }
-
-    fn span(&self, win: &Window) -> Span {
-        let step = if self.horizontal { 1 } else { win.width() as usize };
-        Span { first: win.local_index(self.cell(self.lo)), step, count: self.len() }
     }
 
     /// Intersection cell with a perpendicular line, if any.
@@ -84,24 +71,57 @@ fn grow<G: DemandGrid>(grid: &G, origin: GCell, horizontal: bool, win: Window, p
     Line { origin, horizontal, lo, hi, parent }
 }
 
-// Horizontal lines are contiguous in the window-local map, and the slice
-// forms of both helpers vectorise: one strided loop for both axes costs
-// 15 % of the 50 k-instance mesh's route time.
-fn any_unseen(seen: &[bool], s: Span) -> bool {
-    if s.step == 1 {
-        seen[s.first..s.first + s.count].contains(&false)
-    } else {
-        (0..s.count).any(|k| !seen[s.first + k * s.step])
-    }
+/// Which window cells one probe tree's lines cover, split by orientation so
+/// that every line marks, tests and clears one contiguous run of its own
+/// map: horizontal lines write `rows` (row-major), vertical lines `cols`
+/// (column-major). A cell is seen when either map holds it. Both maps are
+/// all `false` between searches.
+#[derive(Default)]
+struct Seen {
+    rows: Vec<bool>,
+    cols: Vec<bool>,
 }
 
-fn set_seen(seen: &mut [bool], s: Span, value: bool) {
-    if s.step == 1 {
-        seen[s.first..s.first + s.count].fill(value);
-    } else {
-        for k in 0..s.count {
-            seen[s.first + k * s.step] = value;
+impl Seen {
+    /// Grows both maps to cover a window of `n` cells.
+    fn cover(&mut self, n: usize) {
+        for map in [&mut self.rows, &mut self.cols] {
+            if map.len() < n {
+                map.resize(n, false);
+            }
+            debug_assert!(!map.contains(&true), "previous search not cleared");
         }
+    }
+
+    /// Where `l` starts in its own map, where its first cell sits in the
+    /// other map, and the stride between its cells there.
+    fn place(l: &Line, win: &Window) -> (usize, usize, usize) {
+        let (w, h) = (win.width() as usize, win.height() as usize);
+        let (along, across, own, other) = if l.horizontal {
+            ((l.lo - win.x0) as usize, (l.origin.y - win.y0) as usize, w, h)
+        } else {
+            ((l.lo - win.y0) as usize, (l.origin.x - win.x0) as usize, h, w)
+        };
+        (across * own + along, along * other + across, other)
+    }
+
+    /// Whether some cell of `l` is in neither map: each cell is tested
+    /// against `l`'s own map first, then against the other one.
+    fn any_unseen(&self, l: &Line, win: &Window) -> bool {
+        let (own, other) = if l.horizontal { (&self.rows, &self.cols) } else { (&self.cols, &self.rows) };
+        let (at, other_at, stride) = Seen::place(l, win);
+        own[at..at + l.len()].iter().enumerate().any(|(k, &seen)| !seen && !other[other_at + k * stride])
+    }
+
+    /// Marks (or clears) `l`'s run of its own map.
+    fn set(&mut self, l: &Line, win: &Window, value: bool) {
+        let (at, _, _) = Seen::place(l, win);
+        let own = if l.horizontal { &mut self.rows } else { &mut self.cols };
+        own[at..at + l.len()].fill(value);
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.rows.capacity() + self.cols.capacity()
     }
 }
 
@@ -201,9 +221,8 @@ pub(crate) struct LineScratch {
     /// Arena indices of each tree's lines, in spawn order. The lines
     /// spawned by the latest expansion are always a suffix.
     lines: [Vec<u32>; 2],
-    /// Per tree: which window-local cells its lines cover. All `false`
-    /// between searches.
-    seen: [Vec<bool>; 2],
+    /// Per tree: which window-local cells its lines cover.
+    seen: [Seen; 2],
     path: Vec<GCell>,
 }
 
@@ -212,7 +231,7 @@ impl LineScratch {
     pub(crate) fn heap_bytes(&self) -> usize {
         self.arena.capacity() * size_of::<Line>()
             + self.lines.iter().map(|l| l.capacity() * size_of::<u32>()).sum::<usize>()
-            + self.seen.iter().map(Vec::capacity).sum::<usize>()
+            + self.seen.iter().map(Seen::heap_bytes).sum::<usize>()
             + self.path.capacity() * size_of::<GCell>()
     }
 
@@ -233,15 +252,12 @@ impl LineScratch {
         // window — line search never materializes the full grid.
         let n = win.area();
         for seen in &mut self.seen {
-            if seen.len() < n {
-                seen.resize(n, false);
-            }
-            debug_assert!(!seen.contains(&true), "previous search not cleared");
+            seen.cover(n);
         }
         let expanded = self.probe(grid, src, dst, max_levels, win);
         for (lines, seen) in self.lines.iter_mut().zip(&mut self.seen) {
             for li in lines.drain(..) {
-                set_seen(seen, self.arena[li as usize].span(&win), false);
+                seen.set(&self.arena[li as usize], &win, false);
             }
         }
         self.arena.clear();
@@ -284,7 +300,7 @@ impl LineScratch {
                     for v in parent.lo..=parent.hi {
                         let l = grow(grid, parent.cell(v), !parent.horizontal, win, li);
                         // Skip degenerate or fully-seen lines.
-                        if any_unseen(&self.seen[tree], l.span(&win)) {
+                        if self.seen[tree].any_unseen(&l, &win) {
                             self.admit(tree, l, &win, &mut expanded);
                         }
                     }
@@ -300,7 +316,7 @@ impl LineScratch {
     /// Adds `l` to `tree`.
     fn admit(&mut self, tree: usize, l: Line, win: &Window, expanded: &mut usize) {
         *expanded += l.len();
-        set_seen(&mut self.seen[tree], l.span(win), true);
+        self.seen[tree].set(&l, win, true);
         self.lines[tree].push(self.arena.len() as u32);
         self.arena.push(l);
     }

@@ -533,6 +533,25 @@ mod tests {
         SearchWindow { x0: win.x0.max(x0), y0: win.y0.max(y0), x1: win.x1.min(x1), y1: win.y1.min(y1) }
     }
 
+    /// A wide (even `case`) or tall grid: its long rows (columns) take two
+    /// or three words of full-edge bits, where every other case's fit one.
+    fn long_dims(rng: &mut StdRng, case: usize) -> (u32, u32) {
+        let (long, short) = (rng.gen_range(130..=150), rng.gen_range(3..12));
+        if case.is_multiple_of(2) {
+            (long, short)
+        } else {
+            (short, long)
+        }
+    }
+
+    /// Tallies, per word boundary at bit 64 and 128, whether the edges
+    /// between the rectangle's cells cross it along x or y.
+    fn count_crossings((x0, y0, x1, y1): Rect, into: &mut [usize; 2]) {
+        for (n, at) in into.iter_mut().zip([64, 128]) {
+            *n += ((x0 < at && at < x1) || (y0 < at && at < y1)) as usize;
+        }
+    }
+
     /// How the line searches of a test ended, by the lowest level limit
     /// that succeeds.
     #[derive(Debug, Default)]
@@ -594,6 +613,20 @@ mod tests {
             let pin = GCell::new(w / 2, h / 2);
             assert_same(&grid, pin, pin, SearchWindow::full(&grid), &mut scratch, &mut tally);
         }
+        // Probes whose clip crosses a word of full-edge bits.
+        let mut crossed = [0; 2];
+        for case in 0..20 {
+            let (w, h) = long_dims(&mut rng, case);
+            let grid = random_grid(&mut rng, w, h, DEMANDS[case % DEMANDS.len()]);
+            for _ in 0..3 {
+                let all = (0, 0, w - 1, h - 1);
+                let (src, dst) = (random_cell(&mut rng, all), random_cell(&mut rng, all));
+                let win = SearchWindow::around(src, dst, rng.gen_range(0..10), &grid);
+                count_crossings((win.x0, win.y0, win.x1, win.y1), &mut crossed);
+                assert_same(&grid, src, dst, win, &mut scratch, &mut tally);
+            }
+        }
+        assert!(crossed[0] > 30 && crossed[1] > 8, "windows crossing bits 64, 128: {crossed:?}");
         // The inputs reach every regime the router sees: crossings at level
         // 0 and 1, deep successes, and level-limit failures.
         assert!(
@@ -608,14 +641,22 @@ mod tests {
         let mut scratch = SearchScratch::new();
         let mut tally = Tally::default();
         let (mut inside, mut straddling) = (0, 0);
-        for case in 0..120 {
-            let (w, h) = (rng.gen_range(4..26), rng.gen_range(4..26));
+        // Rectangles and interior clips crossing a word of full-edge bits.
+        let (mut rects, mut clips) = ([0; 2], [0; 2]);
+        for case in 0..140 {
+            let (w, h) = if case < 120 {
+                (rng.gen_range(4..26), rng.gen_range(4..26))
+            } else {
+                long_dims(&mut rng, case)
+            };
             let oc = OverlayCase::random(&mut rng, w, h, DEMANDS[case % DEMANDS.len()]);
+            count_crossings(oc.rect, &mut rects);
             let overlay = oc.overlay();
             for _ in 0..3 {
                 // An interior connection: window inside the rectangle.
                 let (src, dst) = (random_cell(&mut rng, oc.rect), random_cell(&mut rng, oc.rect));
                 let win = clip(SearchWindow::around(src, dst, rng.gen_range(0..8), &oc.base), oc.rect);
+                count_crossings((win.x0, win.y0, win.x1, win.y1), &mut clips);
                 assert_same(&overlay, src, dst, win, &mut scratch, &mut tally);
                 inside += 1;
                 // Any connection: the window may straddle or miss it.
@@ -627,6 +668,7 @@ mod tests {
             }
         }
         assert!(inside > 300 && straddling > 200, "{inside} inside, {straddling} straddling");
+        assert!(rects[0] > 6 && rects[1] > 5 && clips[0] > 10 && clips[1] > 6, "{rects:?} {clips:?}");
         assert!(tally.level1 > 30 && tally.deeper > 30 && tally.failed > 30, "{tally:?}");
     }
 
@@ -719,18 +761,33 @@ mod tests {
     #[test]
     fn free_run_equals_the_edge_by_edge_walk_on_both_views() {
         let mut rng = StdRng::seed_from_u64(1600);
-        for case in 0..60 {
-            let (w, h) = (rng.gen_range(3..20), rng.gen_range(3..20));
+        // Rectangles crossing bit 64 and 128, and ones starting past bit 64
+        // (their masks' first word is the base row's second or third).
+        let (mut rects, mut late, mut inside) = ([0; 2], 0, [0; 2]);
+        for case in 0..80 {
+            let (w, h) =
+                if case < 60 { (rng.gen_range(3..20), rng.gen_range(3..20)) } else { long_dims(&mut rng, case) };
             let oc = OverlayCase::random(&mut rng, w, h, DEMANDS[1 + case % 3]);
+            let (x0, y0, x1, y1) = oc.rect;
+            count_crossings(oc.rect, &mut rects);
+            late += (x0 >= 64 || y0 >= 64) as usize;
             let overlay = oc.overlay();
             for y in 0..h {
                 for x in 0..w {
                     let c = GCell::new(x, y);
                     for horizontal in [true, false] {
                         let (at, end) = if horizontal { (x, w - 1) } else { (y, h - 1) };
-                        // The whole axis, and a random clip around the cell
-                        // (inside, across and outside the overlay rectangle).
-                        for (min, max) in [(0, end), (rng.gen_range(0..=at), rng.gen_range(at..=end))] {
+                        // The whole axis, a random clip around the cell
+                        // (inside, across and outside the overlay rectangle),
+                        // and for a cell in the rectangle a clip inside it.
+                        let mut runs = vec![(0, end), (rng.gen_range(0..=at), rng.gen_range(at..=end))];
+                        if (x0..=x1).contains(&x) && (y0..=y1).contains(&y) {
+                            let (lo, hi) = if horizontal { (x0, x1) } else { (y0, y1) };
+                            let (min, max) = (rng.gen_range(lo..=at), rng.gen_range(at..=hi));
+                            count_crossings((min, 0, max, 0), &mut inside);
+                            runs.push((min, max));
+                        }
+                        for (min, max) in runs {
                             assert_eq!(
                                 oc.base.free_run(c, horizontal, min, max),
                                 free_run_by_edge(&oc.base, c, horizontal, min, max),
@@ -747,6 +804,8 @@ mod tests {
                 }
             }
         }
+        assert!(rects[0] > 6 && rects[1] > 3 && late > 8, "rects {rects:?}, {late} past bit 64");
+        assert!(inside[0] > 800 && inside[1] > 200, "in-rectangle clips crossing 64, 128: {inside:?}");
     }
 
     #[test]

@@ -50,7 +50,9 @@
 //! window is a pure function of the connection — so the subtraction
 //! always fits the overlay rectangle.)
 
-use crate::grid::{free_run_by_edge, free_run_scan, step_cost_from, DemandGrid, GCell, RoutingGrid};
+use crate::grid::{
+    free_run_by_edge, free_run_in, put_bit, step_cost_from, DemandGrid, GCell, RoutingGrid,
+};
 use crate::maze::{Path, SearchWindow};
 
 /// A fixed tiling of the routing grid into square regions (clipped at the
@@ -147,17 +149,31 @@ impl RegionSpan {
 pub(crate) struct OverlayBuffers {
     dh: Vec<i32>,
     dv: Vec<i32>,
+    /// One bit per edge of `dh` / `dv`, in the base grid's word layout over
+    /// the rectangle's rows (columns): `dirty` when the delta is nonzero,
+    /// `over` when it is and `base + delta >= cap`. Zero wherever the
+    /// deltas are.
+    dirty_h: Vec<u64>,
+    over_h: Vec<u64>,
+    dirty_v: Vec<u64>,
+    over_v: Vec<u64>,
 }
 
 impl OverlayBuffers {
-    /// Whether every delta is zero — the state an overlay must hand back.
+    /// Whether every delta and mask is zero — the state an overlay must
+    /// hand back.
     pub(crate) fn is_zero(&self) -> bool {
         self.dh.iter().chain(&self.dv).all(|&d| d == 0)
+            && [&self.dirty_h, &self.over_h, &self.dirty_v, &self.over_v]
+                .iter()
+                .all(|m| m.iter().all(|&w| w == 0))
     }
 
     /// Bytes of heap held.
     pub(crate) fn heap_bytes(&self) -> usize {
+        let masks = [&self.dirty_h, &self.over_h, &self.dirty_v, &self.over_v];
         (self.dh.capacity() + self.dv.capacity()) * std::mem::size_of::<i32>()
+            + masks.iter().map(|m| m.capacity()).sum::<usize>() * std::mem::size_of::<u64>()
     }
 }
 
@@ -173,15 +189,14 @@ pub struct OverlayGrid<'a> {
     y0: u32,
     x1: u32,
     y1: u32,
-    /// Delta on horizontal edge `(x, y)→(x+1, y)`, both endpoints inside
-    /// the rectangle, row-major: index `(y - y0) * (x1 - x0) + (x - x0)`.
-    /// Signed: a rip-up victim's old demand is subtracted here before its
-    /// re-route searches, so the view matches the serial schedule's grid
-    /// exactly.
-    dh: Vec<i32>,
-    /// Delta on vertical edge `(x, y)→(x, y+1)`, column-major like
-    /// [`RoutingGrid`]'s: `(x - x0) * (y1 - y0) + (y - y0)`.
-    dv: Vec<i32>,
+    /// `dh`: delta on horizontal edge `(x, y)→(x+1, y)`, both endpoints
+    /// inside the rectangle, row-major: index `(y - y0) * (x1 - x0) + (x -
+    /// x0)`. Signed: a rip-up victim's old demand is subtracted here before
+    /// its re-route searches, so the view matches the serial schedule's grid
+    /// exactly. `dv`: delta on vertical edge `(x, y)→(x, y+1)`,
+    /// column-major: `(x - x0) * (y1 - y0) + (y - y0)`. The masks take
+    /// `h_words` words per row and `v_words` per column.
+    buf: OverlayBuffers,
 }
 
 impl<'a> OverlayGrid<'a> {
@@ -191,7 +206,8 @@ impl<'a> OverlayGrid<'a> {
     }
 
     /// [`OverlayGrid::new`] on borrowed, all-zero delta buffers; hand them
-    /// back all-zero through [`OverlayGrid::into_buffers`].
+    /// back all-zero through [`OverlayGrid::into_buffers`]. The base grid
+    /// cannot change while the overlay lives, so the masks stay exact.
     pub(crate) fn with_buffers(
         base: &'a RoutingGrid,
         rect: (u32, u32, u32, u32),
@@ -200,17 +216,34 @@ impl<'a> OverlayGrid<'a> {
         let (x0, y0, x1, y1) = rect;
         debug_assert!(x1 < base.width && y1 < base.height && x0 <= x1 && y0 <= y1);
         debug_assert!(buffers.is_zero(), "overlay buffers lent with a nonzero delta");
-        let OverlayBuffers { mut dh, mut dv } = buffers;
-        let (rw, rh) = (x1 - x0 + 1, y1 - y0 + 1);
-        dh.resize(((rw - 1) * rh) as usize, 0);
-        dv.resize((rw * (rh - 1)) as usize, 0);
-        OverlayGrid { base, x0, y0, x1, y1, dh, dv }
+        let mut o = OverlayGrid { base, x0, y0, x1, y1, buf: buffers };
+        let (rw, rh) = ((x1 - x0 + 1) as usize, (y1 - y0 + 1) as usize);
+        let (hw, vw) = (o.h_words().1 * rh, o.v_words().1 * rw);
+        let b = &mut o.buf;
+        b.dh.resize((rw - 1) * rh, 0);
+        b.dv.resize(rw * (rh - 1), 0);
+        b.dirty_h.resize(hw, 0);
+        b.over_h.resize(hw, 0);
+        b.dirty_v.resize(vw, 0);
+        b.over_v.resize(vw, 0);
+        o
     }
 
     /// The delta buffers, for the next overlay. The caller has undone every
     /// commit and uncommit first, so they are all-zero again.
     pub(crate) fn into_buffers(self) -> OverlayBuffers {
-        OverlayBuffers { dh: self.dh, dv: self.dv }
+        self.buf
+    }
+
+    /// The base grid's words a rectangle row's horizontal edges fall in:
+    /// `(first, count)`.
+    fn h_words(&self) -> (usize, usize) {
+        words_spanned(self.x0, self.x1)
+    }
+
+    /// The base grid's words a rectangle column's vertical edges fall in.
+    fn v_words(&self) -> (usize, usize) {
+        words_spanned(self.y0, self.y1)
     }
 
     /// Index into `dh` of the horizontal edge from `(x, y)`.
@@ -223,17 +256,29 @@ impl<'a> OverlayGrid<'a> {
         ((x - self.x0) * (self.y1 - self.y0) + (y - self.y0)) as usize
     }
 
+    /// Bit of the horizontal masks for the edge from `(x, y)`.
+    fn h_bit(&self, x: u32, y: u32) -> usize {
+        let (first, count) = self.h_words();
+        ((y - self.y0) as usize * count + (x / 64) as usize - first) * 64 + (x % 64) as usize
+    }
+
+    /// Bit of the vertical masks for the edge from `(x, y)`.
+    fn v_bit(&self, x: u32, y: u32) -> usize {
+        let (first, count) = self.v_words();
+        ((x - self.x0) as usize * count + (y / 64) as usize - first) * 64 + (y % 64) as usize
+    }
+
     /// Local delta on the edge between adjacent cells (0 outside the rect).
     fn delta(&self, a: GCell, b: GCell) -> i32 {
         if a.y == b.y {
             let x = a.x.min(b.x);
             if x >= self.x0 && x < self.x1 && a.y >= self.y0 && a.y <= self.y1 {
-                return self.dh[self.h_at(x, a.y)];
+                return self.buf.dh[self.h_at(x, a.y)];
             }
         } else {
             let y = a.y.min(b.y);
             if a.x >= self.x0 && a.x <= self.x1 && y >= self.y0 && y < self.y1 {
-                return self.dv[self.v_at(a.x, y)];
+                return self.buf.dv[self.v_at(a.x, y)];
             }
         }
         0
@@ -252,13 +297,21 @@ impl<'a> OverlayGrid<'a> {
             if a.y == b.y {
                 let x = a.x.min(b.x);
                 debug_assert!(x >= self.x0 && x < self.x1 && a.y >= self.y0 && a.y <= self.y1);
-                let i = self.h_at(x, a.y);
-                self.dh[i] += sign;
+                let (i, bit) = (self.h_at(x, a.y), self.h_bit(x, a.y));
+                self.buf.dh[i] += sign;
+                let d = self.buf.dh[i];
+                let over = d != 0 && plus_delta(self.base.usage_h(x, a.y), d) >= self.base.cap_h;
+                put_bit(&mut self.buf.dirty_h, bit, d != 0);
+                put_bit(&mut self.buf.over_h, bit, over);
             } else {
                 let y = a.y.min(b.y);
                 debug_assert!(a.x >= self.x0 && a.x <= self.x1 && y >= self.y0 && y < self.y1);
-                let i = self.v_at(a.x, y);
-                self.dv[i] += sign;
+                let (i, bit) = (self.v_at(a.x, y), self.v_bit(a.x, y));
+                self.buf.dv[i] += sign;
+                let d = self.buf.dv[i];
+                let over = d != 0 && plus_delta(self.base.usage_v(a.x, y), d) >= self.base.cap_v;
+                put_bit(&mut self.buf.dirty_v, bit, d != 0);
+                put_bit(&mut self.buf.over_v, bit, over);
             }
         }
     }
@@ -276,6 +329,13 @@ impl<'a> OverlayGrid<'a> {
     pub fn uncommit(&mut self, path: &Path) {
         self.apply(path, -1);
     }
+}
+
+/// The base grid's words holding the edges `lo..hi` of one row (or
+/// column): `(first, count)`.
+fn words_spanned(lo: u32, hi: u32) -> (usize, usize) {
+    let first = (lo / 64) as usize;
+    (first, if hi > lo { (hi - 1) as usize / 64 + 1 - first } else { 0 })
 }
 
 /// Committed usage plus an overlay delta, clamped at zero.
@@ -305,25 +365,28 @@ impl DemandGrid for OverlayGrid<'_> {
     }
 
     /// A probe that stays inside the rectangle — every probe of an
-    /// interior connection, whose window the rectangle contains — adds the
-    /// delta row (or column) to the usage row (or column) directly, both
-    /// contiguous; the rectangle test of [`OverlayGrid::delta`] is paid once
-    /// per probe instead of once per edge. A probe that can leave the
-    /// rectangle asks edge by edge.
+    /// interior connection or a seam victim, whose window the rectangle
+    /// contains — scans the base grid's full-edge words with this overlay's
+    /// masks laid over them, `(base & !dirty) | over`: an edge with no delta
+    /// is as full as the base says, one with a delta as full as `over` says.
+    /// A probe that can leave the rectangle asks edge by edge.
     fn free_run(&self, origin: GCell, horizontal: bool, min: u32, max: u32) -> (u32, u32) {
         let inside = |c: GCell| c.x >= self.x0 && c.x <= self.x1 && c.y >= self.y0 && c.y <= self.y1;
+        let laid = |base: &[u64], dirty: &[u64], over: &[u64], first: usize, k: usize| {
+            (base[k] & !dirty[k - first]) | over[k - first]
+        };
         if horizontal && inside(GCell::new(min, origin.y)) && inside(GCell::new(max, origin.y)) {
-            let usage = self.base.usage_h_row(origin.y);
-            let delta = &self.dh[self.h_at(self.x0, origin.y)..][..(self.x1 - self.x0) as usize];
-            free_run_scan(origin.x, min, max, |x| {
-                plus_delta(usage[x as usize], delta[(x - self.x0) as usize]) >= self.base.cap_h
-            })
+            let (first, count) = self.h_words();
+            let row = (origin.y - self.y0) as usize * count;
+            let (dirty, over) = (&self.buf.dirty_h[row..][..count], &self.buf.over_h[row..][..count]);
+            let base = self.base.full_h_row(origin.y);
+            free_run_in(|k| laid(base, dirty, over, first, k), origin.x, min, max)
         } else if !horizontal && inside(GCell::new(origin.x, min)) && inside(GCell::new(origin.x, max)) {
-            let usage = self.base.usage_v_col(origin.x);
-            let delta = &self.dv[self.v_at(origin.x, self.y0)..][..(self.y1 - self.y0) as usize];
-            free_run_scan(origin.y, min, max, |y| {
-                plus_delta(usage[y as usize], delta[(y - self.y0) as usize]) >= self.base.cap_v
-            })
+            let (first, count) = self.v_words();
+            let col = (origin.x - self.x0) as usize * count;
+            let (dirty, over) = (&self.buf.dirty_v[col..][..count], &self.buf.over_v[col..][..count]);
+            let base = self.base.full_v_col(origin.x);
+            free_run_in(|k| laid(base, dirty, over, first, k), origin.y, min, max)
         } else {
             free_run_by_edge(self, origin, horizontal, min, max)
         }

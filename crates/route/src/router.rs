@@ -645,11 +645,16 @@ fn run_wave_pass(
                     let pair = items[item as usize] as usize;
                     let win = windows[item as usize];
                     let r = if let Some(old) = &paths[pair] {
-                        // A window-sized overlay of its own: a seam window can
-                        // span most of the grid, far more than a region.
-                        let mut overlay = OverlayGrid::new(grid, (win.x0, win.y0, win.x1, win.y1));
+                        // A window-sized overlay on the task scratch's
+                        // buffers, unwound by re-committing the old path.
+                        let buffers = std::mem::take(&mut scratch.overlay);
+                        let rect = (win.x0, win.y0, win.x1, win.y1);
+                        let mut overlay = OverlayGrid::with_buffers(grid, rect, buffers);
                         overlay.uncommit(old);
-                        route_one_in(&overlay, &pairs[pair], win, cfg, scratch)
+                        let r = route_one_in(&overlay, &pairs[pair], win, cfg, scratch);
+                        overlay.commit(old);
+                        scratch.overlay = overlay.into_buffers();
+                        r
                     } else {
                         route_one_in(grid, &pairs[pair], win, cfg, scratch)
                     };
@@ -1159,8 +1164,9 @@ mod tests {
 
     /// Overlay buffer reuse is invisible: on a rip-up deck over 8-cell
     /// regions, a pool whose scratches two earlier routes (at 1 and 4
-    /// threads) already lent to their overlays routes what a fresh pool
-    /// routes, and every pooled scratch ends with its buffers back at zero.
+    /// threads) already lent to their interior and seam-victim overlays
+    /// routes what a fresh pool routes, and every pooled scratch ends with
+    /// its buffers back at zero.
     #[test]
     fn pooled_overlay_buffers_unwind_to_zero() {
         let (n, p) = placed(300, 3);
@@ -1174,6 +1180,7 @@ mod tests {
         let fresh = route(&n, &p, &cfg);
         let first_pass = route(&n, &p, &RouteConfig { ripup_iterations: 0, ..cfg.clone() });
         assert!(fresh.local_commits > first_pass.local_commits, "rip-up must re-route interior victims");
+        assert!(fresh.seam_conflicts > first_pass.seam_conflicts, "rip-up must re-route seam victims");
         let pool = ScratchPool::default();
         for threads in [1, 4, 1] {
             let cfg = RouteConfig { threads, ..cfg.clone() };

@@ -1,15 +1,17 @@
 //! Search scratch: the reusable working memory of the three per-connection
 //! searches, and the pool a route call hands it out from.
 //!
-//! A search needs window-sized per-cell state — two seen maps for line
-//! search, `best_g` / `prev` for the maze searches — plus line lists and an
-//! open list. Allocating and zeroing that per call costs more than most
-//! searches do, so a [`SearchScratch`] owns all of it once, grows lazily to
-//! the largest window actually searched, and is reset by each kernel in
-//! time proportional to what the search touched. The only heap allocation
-//! per connection is the returned path. It also holds the delta buffers the
-//! router lends to each interior wave task's region overlay, handed back
-//! all-zero by undoing the task's commits — O(path cells), not O(region).
+//! A search needs window-sized per-cell state — per probe tree a row-major
+//! and a column-major seen map for line search, `best_g` / `prev` for the
+//! maze searches — plus line lists and an open list. Allocating and zeroing
+//! that per call costs more than most searches do, so a [`SearchScratch`]
+//! owns all of it once, grows lazily to the largest window actually
+//! searched, and is reset by each kernel in time proportional to what the
+//! search touched. The only heap allocation per connection is the returned
+//! path. It also holds the delta buffers and masks the router lends to each
+//! interior wave task's region overlay and to each seam victim's window
+//! overlay, handed back all-zero by undoing the task's commits and
+//! uncommits — O(path cells), not O(region).
 //!
 //! Ownership: a scratch belongs to one *route call*. [`ScratchPool`] is
 //! created by the router when routing starts and dropped when it returns;
@@ -36,8 +38,8 @@ use std::sync::Mutex;
 pub struct SearchScratch {
     line: LineScratch,
     maze: MazeScratch,
-    /// Delta buffers the router lends to one region overlay at a time;
-    /// all-zero between tasks.
+    /// Delta buffers the router lends to one overlay at a time (a region's,
+    /// or a seam victim's window); all-zero between tasks.
     pub(crate) overlay: OverlayBuffers,
 }
 
