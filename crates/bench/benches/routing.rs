@@ -60,7 +60,8 @@ fn bench_single_connection(c: &mut Criterion) {
 }
 
 /// Thread-scaling row, a labelled PROJECTION: the busiest worker's CPU
-/// seconds per dispatch (`ParStats::projected_wall_s`), not a wall clock —
+/// seconds per dispatch, summed over the route's waves
+/// (`ParStats::projected_wall_s`), not a wall clock —
 /// measured walls live in `benchmark/`. Routed on the partitioned wave
 /// schedule (`window_margin: 8, region_size: 16`), the only configuration
 /// where `threads` matters: a dense route is one serial task per pass.

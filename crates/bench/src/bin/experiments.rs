@@ -1340,26 +1340,47 @@ fn c9() -> CliResult {
             die,
             &ParallelConfig { threads, stripes: 8, moves_per_cell: 20, passes: 2, seed: 3 },
         );
+        let proj = out.par_stats.projected_wall_s();
         if threads == 1 {
-            t1 = out.projected_refine_seconds;
+            t1 = proj;
         }
         let ips = out.projected_instances_per_second(refined);
         println!(
             "{:>8} {:>12.2} {:>14.0} {:>16.2e} {:>10.0}  (speedup {:.2}x)",
             threads,
-            out.projected_refine_seconds,
+            proj,
             ips,
             ips * 86_400.0,
             out.hpwl_final,
-            t1 / out.projected_refine_seconds
+            t1 / proj
         );
     }
     println!("shape: throughput scales with cores; absolute numbers reflect the simulator substrate");
 
     // Per-kernel scaling of the other deterministic parallel kernels: the
     // same work dispatched at 1/2/4/8 workers, with bit-identical outputs.
-    println!("\nper-kernel scaling (projected wall from per-worker CPU clocks):");
-    println!("{:>10} {:>8} {:>12} {:>9} {:>18}", "kernel", "threads", "proj wall s", "speedup", "output");
+    println!("\nper-kernel scaling (measured wall, then the projection from per-worker CPU clocks):");
+    println!(
+        "{:>10} {:>8} {:>8} {:>12} {:>9} {:>18}",
+        "kernel", "threads", "wall s", "proj wall s", "speedup", "output"
+    );
+    // The speedup column is projected, over the kernel's 1-thread row.
+    let mut proj1 = 0.0;
+    let mut row = |kernel: &str, threads: usize, stats: &eda_par::ParStats, output: String| {
+        let proj = stats.projected_wall_s();
+        if threads == 1 {
+            proj1 = proj;
+        }
+        println!(
+            "{:>10} {:>8} {:>8.3} {:>12.3} {:>8.2}x {:>17}",
+            kernel,
+            threads,
+            stats.wall_s,
+            proj,
+            proj1 / proj,
+            output
+        );
+    };
 
     // Fault simulation: fault list partitioned across workers.
     let dft_design = generate::random_logic(generate::RandomLogicConfig {
@@ -1370,21 +1391,9 @@ fn c9() -> CliResult {
     let view = CombView::new(&dft_design)?;
     let faults = fault_list(&dft_design);
     let pats = random_patterns(&view, 128, 4);
-    let mut wall1 = 0.0;
     for threads in [1usize, 2, 4, 8] {
         let (out, stats) = fault_sim(&dft_design, &view, &faults, &pats, threads);
-        let wall = stats.projected_wall_s();
-        if threads == 1 {
-            wall1 = wall;
-        }
-        println!(
-            "{:>10} {:>8} {:>12.3} {:>8.2}x {:>17}",
-            "fault-sim",
-            threads,
-            wall,
-            wall1 / wall,
-            format!("{}/{} detected", out.num_detected, out.total)
-        );
+        row("fault-sim", threads, &stats, format!("{}/{} detected", out.num_detected, out.total));
     }
 
     // OPC: row-chunked convolution + per-fragment correction.
@@ -1401,18 +1410,7 @@ fn c9() -> CliResult {
     for threads in [1usize, 2, 4, 8] {
         let cfg = OpcConfig { threads, ..Default::default() };
         let (out, stats) = run_opc(&model, &target, extent, &cfg);
-        let wall = stats.projected_wall_s();
-        if threads == 1 {
-            wall1 = wall;
-        }
-        println!(
-            "{:>10} {:>8} {:>12.3} {:>8.2}x {:>17}",
-            "opc",
-            threads,
-            wall,
-            wall1 / wall,
-            format!("{:.2}nm rms epe", out.final_rms_epe())
-        );
+        row("opc", threads, &stats, format!("{:.2}nm rms epe", out.final_rms_epe()));
     }
 
     // Routing on the partitioned wave schedule — the configuration where
@@ -1433,18 +1431,7 @@ fn c9() -> CliResult {
             ..Default::default()
         };
         let (out, stats) = route_stats(&route_design, &rplace, &cfg);
-        let wall = stats.projected_wall_s();
-        if threads == 1 {
-            wall1 = wall;
-        }
-        println!(
-            "{:>10} {:>8} {:>12.3} {:>8.2}x {:>17}",
-            "route",
-            threads,
-            wall,
-            wall1 / wall,
-            format!("wl {} ovfl {}", out.wirelength, out.overflow)
-        );
+        row("route", threads, &stats, format!("wl {} ovfl {}", out.wirelength, out.overflow));
     }
     println!("every row's QoR output is bit-identical across thread counts (eda-par contract)");
     Ok(())

@@ -69,18 +69,6 @@ impl FlowTuner {
         FlowTuner { arms, stats: vec![ArmStats::default(); n], epsilon: 0.2, rng: StdRng::seed_from_u64(seed) }
     }
 
-    /// Creates a tuner with custom arms.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `arms` is empty or `epsilon` is outside [0, 1].
-    pub fn with_arms(arms: Vec<Arm>, epsilon: f64, seed: u64) -> FlowTuner {
-        assert!(!arms.is_empty(), "need at least one arm");
-        assert!((0.0..=1.0).contains(&epsilon), "epsilon must be a probability");
-        let n = arms.len();
-        FlowTuner { arms, stats: vec![ArmStats::default(); n], epsilon, rng: StdRng::seed_from_u64(seed) }
-    }
-
     /// Suggests the next arm to run: unexplored arms first, then ε-greedy.
     pub fn suggest(&mut self) -> usize {
         if let Some(i) = self.stats.iter().position(|s| s.runs == 0) {
@@ -187,11 +175,5 @@ mod tests {
         assert_eq!(out.place.anneal_moves_per_cell, 7);
         assert_eq!(out.ripup_iterations, 2);
         assert_eq!(out.library, cfg.library);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one arm")]
-    fn empty_arms_panic() {
-        let _ = FlowTuner::with_arms(vec![], 0.1, 1);
     }
 }

@@ -15,9 +15,9 @@
 //!   lets `tests/golden.rs` pin it byte-for-byte
 //!   ([`TelemetrySnapshot::deterministic_text`]);
 //! * the **wall section** ([`TelemetrySnapshot::wall`]) holds everything
-//!   clock- or thread-shaped: span start/duration, resolved worker counts,
-//!   and per-worker busy seconds. It feeds the Chrome-trace and
-//!   folded-stack exports and is excluded from golden comparison.
+//!   clock- or thread-shaped: span start/duration, resolved worker counts
+//!   and peak RSS. It feeds the Chrome-trace and folded-stack exports and
+//!   is excluded from golden comparison.
 //!
 //! The collector uses interior mutability (`RefCell`) because flow
 //! orchestration is single-threaded: stage bodies borrow the collector
@@ -90,8 +90,6 @@ pub struct WallSpan {
     /// Resolved worker count for kernel dispatches (0 = not a parallel
     /// dispatch).
     pub threads: usize,
-    /// Per-worker busy seconds for kernel dispatches (empty otherwise).
-    pub busy_s: Vec<f64>,
     /// Process peak resident-set size (`VmHWM`) in bytes, sampled when the
     /// span closed; 0 while a span is open or where `/proc` is
     /// unavailable. A high-water mark, so the sequence over successive
@@ -269,8 +267,8 @@ impl Telemetry {
 
     /// Records a finished parallel-kernel dispatch as a closed child span
     /// of the innermost open span. The deterministic side carries the chunk
-    /// count (a pure function of the input size); worker count and busy
-    /// clocks go to the wall section.
+    /// count (a pure function of the input size); worker count and wall
+    /// clock go to the wall section.
     pub fn kernel(&self, name: &str, stats: &ParStats) {
         let mut inner = self.inner.borrow_mut();
         let id = inner.spans.len();
@@ -283,7 +281,6 @@ impl Telemetry {
             start_s: (now_s - stats.wall_s).max(0.0),
             dur_s: stats.wall_s,
             threads: stats.threads,
-            busy_s: stats.busy_s.clone(),
             peak_rss_bytes: read_peak_rss_bytes(),
         });
         inner.started.push(Instant::now());
@@ -553,7 +550,7 @@ mod tests {
                 attempt.tag("injected", "fail");
                 tel.kernel(
                     "aig:rewrite",
-                    &ParStats { threads: 4, chunks: 8, wall_s: 0.25, busy_s: vec![0.2; 4] },
+                    &ParStats { threads: 4, chunks: 8, wall_s: 0.25, cpu_s: 0.8, critical_s: 0.2 },
                 );
                 tel.count("synth.aig_nodes_after", 123);
             }

@@ -17,10 +17,10 @@
 //!    identical at `threads = 1` and `threads = N`.
 //!
 //! Per DESIGN.md §3 the layer is built directly on [`std::thread::scope`] —
-//! no rayon, no extra runtime. Each dispatch also records per-worker CPU time
-//! ([`ParStats`]) so oversubscribed hosts (this workspace is developed on a
-//! single-core machine) can report the wall clock a real multicore farm
-//! would observe — the same convention the C9 placer established.
+//! no rayon, no extra runtime. Each dispatch also records its workers' total
+//! CPU time and its busiest worker's, the critical path ([`ParStats`]), so a
+//! host with fewer cores than workers can project the wall clock a real
+//! multicore farm would observe. The measured wall clock stays beside it.
 
 use std::ops::Range;
 use std::time::Instant;
@@ -49,11 +49,11 @@ pub fn thread_cpu_seconds() -> f64 {
     ts.tv_sec as f64 + ts.tv_nsec as f64 * 1e-9
 }
 
-/// Execution record of one parallel dispatch.
+/// Execution record of one parallel dispatch, or of many absorbed ones.
 ///
 /// `chunks` is a pure function of the input size, so it is identical at any
-/// thread count; `threads`, `wall_s`, and `busy_s` describe how this host
-/// happened to execute the dispatch. The flow's telemetry layer
+/// thread count; `threads`, `wall_s`, `cpu_s` and `critical_s` describe how
+/// this host happened to execute the work. The flow's telemetry layer
 /// (`eda_core::telemetry`) records each dispatch as a kernel span along the
 /// same split: the chunk count lands in the deterministic section, the
 /// worker timings in the wall section.
@@ -65,41 +65,38 @@ pub struct ParStats {
     pub chunks: usize,
     /// Wall-clock seconds for the dispatch on this host.
     pub wall_s: f64,
-    /// Per-worker busy CPU seconds (`CLOCK_THREAD_CPUTIME_ID`).
-    pub busy_s: Vec<f64>,
+    /// CPU seconds summed over every worker (`CLOCK_THREAD_CPUTIME_ID`).
+    pub cpu_s: f64,
+    /// The busiest worker's CPU seconds: the dispatch's critical path.
+    pub critical_s: f64,
 }
 
 impl ParStats {
     /// An empty record, ready to [`absorb`](Self::absorb) dispatches.
     pub fn empty() -> ParStats {
-        ParStats { threads: 1, chunks: 0, wall_s: 0.0, busy_s: Vec::new() }
+        ParStats { threads: 1, chunks: 0, wall_s: 0.0, cpu_s: 0.0, critical_s: 0.0 }
     }
 
-    /// Accumulates another dispatch's record into this one — for kernels that
-    /// issue many dispatches per run (e.g. one per OPC iteration). Wall time
-    /// adds; per-worker busy time adds slot-wise, so the projected wall of
-    /// the combined record is the sum of the busiest workers.
+    /// Accumulates another record into this one — for kernels that issue
+    /// many dispatches per run (e.g. one per OPC iteration). Dispatches run
+    /// one after another, so wall, CPU and critical path all add.
     pub fn absorb(&mut self, other: &ParStats) {
         self.threads = self.threads.max(other.threads);
         self.chunks += other.chunks;
         self.wall_s += other.wall_s;
-        if self.busy_s.len() < other.busy_s.len() {
-            self.busy_s.resize(other.busy_s.len(), 0.0);
-        }
-        for (a, b) in self.busy_s.iter_mut().zip(&other.busy_s) {
-            *a += b;
-        }
+        self.cpu_s += other.cpu_s;
+        self.critical_s += other.critical_s;
     }
 
     /// Total CPU seconds burned across workers — the serial-equivalent cost.
     pub fn total_cpu_s(&self) -> f64 {
-        self.busy_s.iter().sum()
+        self.cpu_s
     }
 
     /// Wall clock a host with one dedicated core per worker would observe:
-    /// the busiest worker's CPU time.
+    /// the sum over dispatches of the busiest worker's CPU time.
     pub fn projected_wall_s(&self) -> f64 {
-        self.busy_s.iter().cloned().fold(0.0, f64::max).max(1e-12)
+        self.critical_s.max(1e-12)
     }
 
     /// Projected speedup over running the same work serially.
@@ -169,57 +166,52 @@ where
 {
     let ranges = chunk_ranges(len, chunk);
     let workers = resolve_threads(threads).min(ranges.len()).max(1);
-    dispatch(workers, 0, ranges.len(), |c| f(ranges[c].clone()))
+    dispatch(workers, ranges.len(), |c| f(ranges[c].clone()))
 }
 
 /// The one dispatch loop under every `par_*` entry point: runs tasks
-/// `0..n` over `workers` slots, task `c` owned by slot `(c + off) % workers`
-/// (`off < workers`), and returns the results in task order. The record
-/// always reports `workers` threads and one `busy_s` slot per worker (idle
-/// slots read 0.0); a slot that owns no task is never spawned, and one
-/// worker or at most one task runs inline on the caller, credited to slot
-/// `off`.
-fn dispatch<R, F>(workers: usize, off: usize, n: usize, f: F) -> (Vec<R>, ParStats)
+/// `0..n` over `workers <= max(n, 1)` slots, task `c` owned by slot
+/// `c % workers`, and returns the results in task order. One worker or at
+/// most one task runs inline on the caller.
+fn dispatch<R, F>(workers: usize, n: usize, f: F) -> (Vec<R>, ParStats)
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
     let t0 = Instant::now();
-    let mut busy = vec![0.0; workers];
+    let (mut cpu_s, mut critical_s) = (0.0f64, 0.0f64);
     let out: Vec<R> = if workers == 1 || n <= 1 {
         let b0 = thread_cpu_seconds();
         let out = (0..n).map(&f).collect();
-        busy[off] = thread_cpu_seconds() - b0;
+        cpu_s = thread_cpu_seconds() - b0;
+        critical_s = cpu_s;
         out
     } else {
         let mut tagged: Vec<(usize, R)> = Vec::with_capacity(n);
         std::thread::scope(|scope| {
             let f = &f;
             let spawned: Vec<_> = (0..workers)
-                .map(|w| (w, (w + workers - off) % workers))
-                .filter(|&(_, first)| first < n)
-                .map(|(w, first)| {
-                    let worker = scope.spawn(move || {
+                .map(|first| {
+                    scope.spawn(move || {
                         let b0 = thread_cpu_seconds();
                         let local: Vec<(usize, R)> =
                             (first..n).step_by(workers).map(|c| (c, f(c))).collect();
                         (thread_cpu_seconds() - b0, local)
-                    });
-                    (w, worker)
+                    })
                 })
                 .collect();
-            for (w, worker) in spawned {
+            for worker in spawned {
                 let (spent, local) = worker.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
-                busy[w] = spent;
+                cpu_s += spent;
+                critical_s = critical_s.max(spent);
                 tagged.extend(local);
             }
         });
         tagged.sort_unstable_by_key(|&(c, _)| c);
         tagged.into_iter().map(|(_, r)| r).collect()
     };
-    let stats =
-        ParStats { threads: workers, chunks: n, wall_s: t0.elapsed().as_secs_f64(), busy_s: busy };
-    (out, stats)
+    let wall_s = t0.elapsed().as_secs_f64();
+    (out, ParStats { threads: workers, chunks: n, wall_s, cpu_s, critical_s })
 }
 
 /// Parallel map over a slice: `out[i] == f(i, &items[i])` for every `i`,
@@ -268,34 +260,6 @@ where
     par_chunks_stats(threads, items.len(), 1, |range| f(range.start, &items[range.start]))
 }
 
-/// [`par_tasks_stats`] with a rotating stripe offset: task `c` is owned by
-/// worker `(c + offset) % K` instead of `c % K`, and the returned `busy_s`
-/// always spans the full resolved worker count (idle slots read 0.0).
-///
-/// This exists for callers that issue **many tiny dispatches** and
-/// [`absorb`](ParStats::absorb) them into one record. Plain round-robin
-/// pins task 0 of every dispatch to worker 0, so a stream of one- and
-/// two-task dispatches piles its entire CPU bill onto the low worker
-/// slots and the busiest-worker projection collapses. Rotating the offset
-/// across dispatches (the caller picks it — e.g. the least-loaded slot of
-/// a running ledger) spreads that stream evenly. Results still come back
-/// in input order and each task's output is independent of which worker
-/// ran it, so determinism is unaffected.
-pub fn par_tasks_stats_at<T, R, F>(
-    threads: usize,
-    offset: usize,
-    items: &[T],
-    f: F,
-) -> (Vec<R>, ParStats)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let workers = resolve_threads(threads).max(1);
-    dispatch(workers, offset % workers, items.len(), |c| f(c, &items[c]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -310,30 +274,6 @@ mod tests {
                 assert_eq!(v, items[i] * 2 + i as u64);
             }
         }
-    }
-
-    #[test]
-    fn offset_tasks_preserve_order_and_credit_rotated_slots() {
-        let items: Vec<u64> = (0..37).collect();
-        let want: Vec<u64> = items.iter().map(|&v| v * 3 + 1).collect();
-        for threads in [1usize, 2, 4, 8] {
-            for offset in [0usize, 1, 3, 7] {
-                let (out, stats) =
-                    par_tasks_stats_at(threads, offset, &items, |_, &v| v * 3 + 1);
-                assert_eq!(out, want, "threads={threads} offset={offset}");
-                assert_eq!(stats.busy_s.len(), threads, "busy spans all slots");
-            }
-        }
-        // A single-task dispatch must credit the offset slot, not slot 0 —
-        // that crediting is what lets a stream of tiny dispatches rotate
-        // its CPU bill across workers.
-        let one = [42u64];
-        let (_, stats) = par_tasks_stats_at(4, 2, &one, |_, &v| {
-            std::hint::black_box((0..20_000u64).fold(v, |a, x| a.wrapping_mul(31) ^ x))
-        });
-        assert_eq!(stats.busy_s.len(), 4);
-        let hot: Vec<usize> = (0..4).filter(|&w| stats.busy_s[w] > 0.0).collect();
-        assert_eq!(hot, vec![2], "busy credited to the rotated slot");
     }
 
     #[test]
@@ -356,31 +296,55 @@ mod tests {
         });
         assert_eq!(out.len(), items.len());
         assert!(stats.threads >= 1 && stats.threads <= 4);
-        assert_eq!(stats.busy_s.len(), stats.threads);
+        // The busiest worker carries at least the mean and at most the sum.
+        assert!(stats.critical_s <= stats.cpu_s);
+        assert!(stats.critical_s * stats.threads as f64 + 1e-12 >= stats.cpu_s);
         assert!(stats.wall_s >= 0.0);
         assert!(stats.projected_wall_s() > 0.0);
         assert!(stats.projected_speedup() >= 0.5);
     }
 
+    fn record(threads: usize, cpu_s: f64, critical_s: f64) -> ParStats {
+        ParStats { threads, chunks: threads, wall_s: critical_s, cpu_s, critical_s }
+    }
+
+    #[test]
+    fn absorbed_dispatches_project_the_sum_of_their_critical_paths() {
+        // Two one-task dispatches over two workers, each run by a different
+        // one: they still ran one after the other, so the projection is
+        // their sum and nothing was sped up.
+        let mut both = record(2, 0.1, 0.1);
+        both.absorb(&record(2, 0.1, 0.1));
+        assert!((both.projected_wall_s() - 0.2).abs() < 1e-12);
+        assert!((both.projected_speedup() - 1.0).abs() < 1e-12);
+        assert_eq!(both.bounded_speedup(), 1.0);
+
+        // A live one-task dispatch is its own critical path.
+        let (_, one) = par_tasks_stats(4, &[42u64], |_, &v| {
+            std::hint::black_box((0..20_000u64).fold(v, |a, x| a.wrapping_mul(31) ^ x))
+        });
+        assert_eq!(one.critical_s, one.cpu_s);
+    }
+
     #[test]
     fn bounded_speedup_stays_within_wall_clock_bounds() {
         // Under-resolution busy clocks: no evidence of parallelism → 1.0.
-        let tiny = ParStats { threads: 8, chunks: 8, wall_s: 0.0, busy_s: vec![1e-9; 8] };
+        let tiny = record(8, 8e-9, 1e-9);
         assert!(tiny.projected_speedup() > 1.0, "raw projection over-reports");
         assert_eq!(tiny.bounded_speedup(), 1.0);
 
         // All-zero busy clocks (raw projection reads 0.0) also fall back.
-        let zero = ParStats { threads: 8, chunks: 8, wall_s: 0.0, busy_s: vec![0.0; 8] };
+        let zero = record(8, 0.0, 0.0);
         assert_eq!(zero.bounded_speedup(), 1.0);
 
         // A healthy dispatch passes through unchanged…
-        let good = ParStats { threads: 4, chunks: 64, wall_s: 0.1, busy_s: vec![0.1; 4] };
+        let good = record(4, 0.4, 0.1);
         assert!((good.bounded_speedup() - good.projected_speedup()).abs() < 1e-12);
 
-        // …and per-worker speedup never exceeds 1 even if absorbed records
-        // skew the slot accounting.
-        let mut skew = ParStats { threads: 2, chunks: 4, wall_s: 0.1, busy_s: vec![0.05, 0.05] };
-        skew.absorb(&ParStats { threads: 8, chunks: 8, wall_s: 0.1, busy_s: vec![0.01; 8] });
+        // …and per-worker speedup never exceeds 1 even when absorbed records
+        // differ in width.
+        let mut skew = record(2, 0.1, 0.05);
+        skew.absorb(&record(8, 0.08, 0.01));
         assert!(skew.bounded_speedup() <= skew.threads as f64);
         assert!(skew.bounded_speedup() >= 1.0);
     }

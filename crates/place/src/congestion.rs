@@ -55,11 +55,6 @@ impl CongestionMap {
         CongestionMap { bins, demand, capacity }
     }
 
-    /// Demand in bin `(x, y)`.
-    pub fn demand_at(&self, x: usize, y: usize) -> f64 {
-        self.demand[y * self.bins + x]
-    }
-
     /// Maximum bin demand.
     pub fn max_demand(&self) -> f64 {
         self.demand.iter().copied().fold(0.0, f64::max)
@@ -68,11 +63,6 @@ impl CongestionMap {
     /// Mean bin demand.
     pub fn avg_demand(&self) -> f64 {
         self.demand.iter().sum::<f64>() / self.demand.len() as f64
-    }
-
-    /// Number of bins whose demand exceeds capacity.
-    pub fn overflowed_bins(&self) -> usize {
-        self.demand.iter().filter(|&&d| d > self.capacity).count()
     }
 
     /// Total demand above capacity, summed over bins.
@@ -104,9 +94,7 @@ mod tests {
     fn demand_is_conserved() {
         let (n, p) = setup();
         let m = CongestionMap::build(&n, &p, 8, 1e9);
-        let total: f64 = (0..8).flat_map(|y| (0..8).map(move |x| (x, y)))
-            .map(|(x, y)| m.demand_at(x, y))
-            .sum();
+        let total: f64 = m.demand.iter().sum();
         assert!((total - p.total_hpwl(&n)).abs() / total < 1e-6, "demand equals HPWL");
     }
 
@@ -115,8 +103,9 @@ mod tests {
         let (n, p) = setup();
         let loose = CongestionMap::build(&n, &p, 8, 1e9);
         let tight = CongestionMap::build(&n, &p, 8, loose.avg_demand() * 0.5);
-        assert_eq!(loose.overflowed_bins(), 0);
-        assert!(tight.overflowed_bins() > 0);
+        let overflowed = |m: &CongestionMap| m.demand.iter().filter(|&&d| d > m.capacity).count();
+        assert_eq!(overflowed(&loose), 0);
+        assert!(overflowed(&tight) > 0);
         assert!(tight.total_overflow() > 0.0);
     }
 

@@ -60,15 +60,11 @@ pub struct ParallelOutcome {
     pub hpwl_final: f64,
     /// Wall-clock seconds spent in the parallel refinement phase.
     pub refine_seconds: f64,
-    /// Projected refinement seconds on a true multicore host: the sum over
-    /// passes of the busiest worker's *CPU* time (per-thread
-    /// `CLOCK_THREAD_CPUTIME_ID`). On dedicated cores a thread's wall clock
-    /// equals its CPU time, so this is what a real farm would observe even
-    /// when this host oversubscribes its cores.
-    pub projected_refine_seconds: f64,
     /// Instances refined per second of wall clock.
     pub instances_per_second: f64,
-    /// Accumulated parallel-execution record across all stripe dispatches.
+    /// Accumulated parallel-execution record across all stripe dispatches;
+    /// its projected wall is the refinement a true multicore host would
+    /// observe.
     pub par_stats: eda_par::ParStats,
     /// Annealing moves accepted across all stripes and passes. Each stripe
     /// anneals a private seeded copy, so the sum is thread-invariant.
@@ -83,7 +79,7 @@ impl ParallelOutcome {
 
     /// Projected throughput on a true multicore host, instances per second.
     pub fn projected_instances_per_second(&self, total_refined: f64) -> f64 {
-        total_refined / self.projected_refine_seconds.max(1e-9)
+        total_refined / self.par_stats.projected_wall_s().max(1e-9)
     }
 }
 
@@ -107,7 +103,6 @@ pub fn place_parallel(netlist: &Netlist, die: Die, cfg: &ParallelConfig) -> Para
     let n = netlist.num_instances();
 
     let start = Instant::now();
-    let mut projected = 0.0f64;
     let mut par_stats = eda_par::ParStats::empty();
     let mut moves_accepted = 0usize;
     for pass in 0..cfg.passes {
@@ -170,7 +165,6 @@ pub fn place_parallel(netlist: &Netlist, die: Die, cfg: &ParallelConfig) -> Para
                 (positions, accepted)
             })
         };
-        projected += stats.projected_wall_s();
         par_stats.absorb(&stats);
         for (stripe, accepted) in moved {
             moves_accepted += accepted;
@@ -186,7 +180,6 @@ pub fn place_parallel(netlist: &Netlist, die: Die, cfg: &ParallelConfig) -> Para
         hpwl_final: index.pins.total_hpwl(&placement),
         placement,
         refine_seconds,
-        projected_refine_seconds: projected.max(1e-9),
         instances_per_second: refined / refine_seconds,
         par_stats,
         moves_accepted,

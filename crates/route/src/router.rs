@@ -472,10 +472,6 @@ fn parse_route_outcome(text: &str, start: Instant) -> Option<RouteOutcome> {
     Some(o)
 }
 
-/// One task's routed connections: `(queue item, (path, used line-search
-/// fallback, cells expanded, peak window cells))`, in task order.
-type TaskResults = Vec<(u32, (Path, bool, u64, u64))>;
-
 /// Running totals across all wave passes of one route.
 #[derive(Default)]
 struct WaveTally {
@@ -521,89 +517,12 @@ fn run_wave_pass(
         })
         .collect();
     let mut sched = RegionScheduler::new(map, &windows);
-    // Dispatch balancing: `par_tasks_stats_at` pins dispatch position p to
-    // worker (p + offset) mod K, so the permutation and offset we dispatch
-    // with decide the per-worker CPU split. Waves are small (a handful of
-    // tasks) and the scheduler emits the heavy interior batches first, so
-    // naive order piles every wave's big task onto worker 0. Instead we
-    // keep a per-worker ledger of *measured* busy seconds, greedily hand
-    // each wave's costliest task to the least-loaded worker with a free
-    // stripe slot, and re-anchor the ledger to the measured per-worker
-    // clocks after every wave, so cost-model error never accumulates.
-    // This is pure execution placement: the commit loop below still walks
-    // `wave` in canonical order, so QoR is bit-identical regardless of
-    // which worker ran what.
-    let workers = eda_par::resolve_threads(cfg.threads).max(1);
-    // Measured busy seconds per worker slot, across all waves so far.
-    let mut measured = vec![0.0f64; workers];
-    // Conversion from cost-proxy units to seconds, re-fit every wave.
-    let mut est_dispatched = 0u64;
-    let mut busy_total = 0.0f64;
     while sched.remaining() > 0 {
         let wave = sched.next_wave();
         if wave.is_empty() {
             break;
         }
         tally.waves += 1;
-        // Cost proxy per connection: window perimeter, ~ the path length a
-        // successful line search walks. Window *area* (the A*-fallback
-        // bound) overweights long connections quadratically and skews the
-        // ledger when most connections line-search-route.
-        let est = |item: u32| -> u64 {
-            let w = &windows[item as usize];
-            (w.width() + w.height()) as u64
-        };
-        let cost = |task: &RegionTask| -> u64 {
-            match *task {
-                RegionTask::Interior { region, start, len } => sched.queue(region)
-                    [start as usize..(start + len) as usize]
-                    .iter()
-                    .map(|&item| est(item))
-                    .sum(),
-                RegionTask::Seam { item } => est(item),
-            }
-        };
-        let n = wave.len();
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&t| std::cmp::Reverse(cost(&wave[t])));
-        // Rotate the stripe so position 0 of this wave lands on the
-        // least-loaded worker (small waves would otherwise always hit
-        // slot 0), then greedily fill: worker w owns positions p with
-        // (p + o) % K == w, a fixed slot count per wave; within that
-        // constraint hand each task (costliest first) to the least-loaded
-        // worker with a free slot. `load` starts from the measured clocks
-        // and grows by predicted task seconds as the wave fills.
-        let calib = if est_dispatched > 0 { busy_total / est_dispatched as f64 } else { 0.0 };
-        let mut load = measured.clone();
-        let min_slot = |load: &[f64], free: &dyn Fn(usize) -> bool| -> usize {
-            let mut best = usize::MAX;
-            for w in 0..workers {
-                if free(w) && (best == usize::MAX || load[w] < load[best]) {
-                    best = w;
-                }
-            }
-            best
-        };
-        let o = min_slot(&load, &|_| true).min(workers - 1);
-        let mut assigned: Vec<Vec<usize>> = vec![Vec::new(); workers];
-        for &t in &order {
-            let w = min_slot(&load, &|w| {
-                let first = (w + workers - o) % workers;
-                assigned[w].len() < (n + workers - 1).saturating_sub(first) / workers
-            });
-            let w = if w == usize::MAX { o } else { w };
-            load[w] += cost(&wave[t]) as f64 * calib;
-            assigned[w].push(t);
-        }
-        let mut dispatch = vec![0usize; n];
-        for (w, tasks) in assigned.iter().enumerate() {
-            let first = (w + workers - o) % workers;
-            for (q, &t) in tasks.iter().enumerate() {
-                dispatch[first + q * workers] = t;
-            }
-        }
-        est_dispatched += dispatch.iter().map(|&t| cost(&wave[t])).sum::<u64>();
-        let jobs: Vec<&RegionTask> = dispatch.iter().map(|&t| &wave[t]).collect();
         let (results, s) = {
             let grid: &RoutingGrid = grid;
             let sched = &sched;
@@ -663,22 +582,13 @@ fn run_wave_pass(
             };
             // One scratch checkout per task: an interior run amortises it
             // over every connection of the run.
-            eda_par::par_tasks_stats_at(cfg.threads, o, &jobs, |_, task| {
+            eda_par::par_tasks_stats(cfg.threads, &wave, |_, task| {
                 pool.with(|scratch| run_task(task, scratch))
             })
         };
         stats.absorb(&s);
-        for (w, b) in s.busy_s.iter().enumerate().take(workers) {
-            measured[w] += b;
-            busy_total += b;
-        }
-        let mut by_task: Vec<Option<TaskResults>> = wave.iter().map(|_| None).collect();
-        for (j, r) in results.into_iter().enumerate() {
-            by_task[dispatch[j]] = Some(r);
-        }
-        for (task, routed) in wave.iter().zip(by_task) {
+        for (task, routed) in wave.iter().zip(results) {
             let seam = matches!(task, RegionTask::Seam { .. });
-            let routed = routed.unwrap_or_default();
             for (item, (p, fb, ex, sc)) in routed {
                 tally.fallbacks += fb as usize;
                 tally.expanded += ex;

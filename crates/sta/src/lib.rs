@@ -259,24 +259,6 @@ impl TimingAnalysis {
     pub fn met(&self) -> bool {
         self.failing_endpoints == 0
     }
-
-    /// The minimum clock period this netlist could run at, ps.
-    pub fn min_period_ps(&self, config: &TimingConfig) -> f64 {
-        self.critical_path_ps + config.setup_ps
-    }
-}
-
-/// Returns the maximum clock frequency in MHz implied by an analysis.
-pub fn fmax_mhz(analysis: &TimingAnalysis, config: &TimingConfig) -> f64 {
-    1e6 / analysis.min_period_ps(config)
-}
-
-/// Inverse-delay "performance" figure used by the C3 synthesis comparison.
-pub fn performance_score(analysis: &TimingAnalysis) -> f64 {
-    if analysis.critical_path_ps <= 0.0 {
-        return 0.0;
-    }
-    1000.0 / analysis.critical_path_ps
 }
 
 #[cfg(test)]
@@ -369,15 +351,6 @@ mod tests {
         )
         .unwrap();
         assert!((shifted.critical_path_ps - base.critical_path_ps - 100.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn fmax_inverse_of_period() {
-        let n = generate::parity_tree(8).unwrap();
-        let cfg = TimingConfig::default();
-        let t = TimingAnalysis::run(&n, &cfg).unwrap();
-        let f = fmax_mhz(&t, &cfg);
-        assert!((f * t.min_period_ps(&cfg) - 1e6).abs() < 1.0);
     }
 
     #[test]
