@@ -1,9 +1,9 @@
 //! Criterion bench for claim C2: technology mapping onto CMOS vs
-//! controlled-polarity libraries, area and delay goals.
+//! controlled-polarity libraries.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eda_bench::{median_seconds, scaling_threads};
-use eda_logic::{map_aig, map_naive, optimize_aig, Aig, MapGoal, DEFAULT_REWRITE_PASSES};
+use eda_logic::{map_aig, map_naive, optimize_aig, Aig, DEFAULT_REWRITE_PASSES};
 use eda_netlist::{generate, Library};
 use std::hint::black_box;
 use std::time::Instant;
@@ -25,16 +25,9 @@ fn bench_map(c: &mut Criterion) {
     {
         let lib_ref = lib.clone();
         group.bench_with_input(BenchmarkId::from_parameter(name), &lib_ref, |b, l| {
-            b.iter(|| {
-                black_box(map_aig(&aig, &bnd, l.clone(), MapGoal::Area, 1).unwrap().area_um2)
-            })
+            b.iter(|| black_box(map_aig(&aig, &bnd, l.clone(), 1).unwrap().area_um2))
         });
     }
-    group.bench_function("generic_delay", |b| {
-        b.iter(|| {
-            black_box(map_aig(&aig, &bnd, Library::generic(), MapGoal::Delay, 1).unwrap().delay_ps)
-        })
-    });
     group.finish();
 }
 
@@ -43,18 +36,10 @@ fn bench_xor_rich(c: &mut Criterion) {
     let (aig, bnd) = Aig::from_netlist(&parity).unwrap();
     let mut group = c.benchmark_group("map_parity64");
     group.bench_function("cmos", |b| {
-        b.iter(|| {
-            black_box(map_aig(&aig, &bnd, Library::generic(), MapGoal::Area, 1).unwrap().cells)
-        })
+        b.iter(|| black_box(map_aig(&aig, &bnd, Library::generic(), 1).unwrap().cells))
     });
     group.bench_function("polarity", |b| {
-        b.iter(|| {
-            black_box(
-                map_aig(&aig, &bnd, Library::controlled_polarity(), MapGoal::Area, 1)
-                    .unwrap()
-                    .cells,
-            )
-        })
+        b.iter(|| black_box(map_aig(&aig, &bnd, Library::controlled_polarity(), 1).unwrap().cells))
     });
     group.finish();
 }
@@ -72,7 +57,7 @@ fn bench_map_scaling(_c: &mut Criterion) {
     let (aig, bnd) = Aig::from_netlist(&design).unwrap();
     for threads in scaling_threads() {
         let s = median_seconds(5, || {
-            map_aig(&aig, &bnd, Library::generic(), MapGoal::Area, threads)
+            map_aig(&aig, &bnd, Library::generic(), threads)
                 .unwrap()
                 .par
                 .projected_wall_s()
@@ -88,7 +73,7 @@ fn bench_map_scale(_c: &mut Criterion) {
     let design = generate::scale_mesh(10_000, 1).unwrap();
     let (aig, bnd) = Aig::from_netlist(&design).unwrap();
     let (opt, _) = optimize_aig(&aig, DEFAULT_REWRITE_PASSES, None);
-    let map = || map_aig(&opt, &bnd, Library::generic(), MapGoal::Area, 1).unwrap();
+    let map = || map_aig(&opt, &bnd, Library::generic(), 1).unwrap();
     let s = median_seconds(5, || {
         let t = Instant::now();
         black_box(map().cells);

@@ -7,8 +7,8 @@ use eda_core::FlowConfig;
 use eda_netlist::generate;
 use eda_place::{place_global, place_multilevel, Die, GlobalConfig, MultilevelConfig};
 use eda_route::{
-    astar, lee_bfs, mikami_tabuchi, route, route_stats, GCell, RouteAlgorithm, RouteConfig,
-    RoutingGrid, RuleDeck, SearchScratch, SearchWindow,
+    probe_window, route, route_stats, GCell, RouteAlgorithm, RouteConfig, RoutingGrid, RuleDeck,
+    SearchScratch, SearchWindow,
 };
 use eda_tech::Node;
 use std::hint::black_box;
@@ -46,15 +46,26 @@ fn bench_single_connection(c: &mut Criterion) {
     let grid = RoutingGrid::new(64, 64, &RuleDeck::simple(6));
     let src = GCell::new(3, 5);
     let dst = GCell::new(58, 60);
+    let (full, probe) = (SearchWindow::full(&grid), probe_window(&grid, src, dst));
+    // One-shot searches: each iteration pays for a fresh scratch.
     let mut group = c.benchmark_group("route_2pin_64x64");
     group.bench_function("lee_bfs", |b| {
-        b.iter(|| black_box(lee_bfs(&grid, src, dst).unwrap().0.len()))
+        b.iter(|| {
+            let found = SearchScratch::new().lee_bfs_in(&grid, src, dst, full);
+            black_box(found.unwrap().0.len())
+        })
     });
     group.bench_function("astar", |b| {
-        b.iter(|| black_box(astar(&grid, src, dst, 1.0).unwrap().0.len()))
+        b.iter(|| {
+            let found = SearchScratch::new().astar_in(&grid, src, dst, 1.0, full);
+            black_box(found.unwrap().0.len())
+        })
     });
     group.bench_function("mikami_tabuchi", |b| {
-        b.iter(|| black_box(mikami_tabuchi(&grid, src, dst, 10).unwrap().0.len()))
+        b.iter(|| {
+            let found = SearchScratch::new().mikami_tabuchi_in(&grid, src, dst, 10, probe);
+            black_box(found.unwrap().0.len())
+        })
     });
     group.finish();
 }

@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eda_bench::median_seconds;
 use eda_logic::{
-    optimize_aig, synthesize, Aig, MapGoal, SynthesisEffort, SynthesisOptions,
+    optimize_aig, synthesize, Aig, SynthesisEffort, SynthesisOptions,
     DEFAULT_REWRITE_PASSES,
 };
 use eda_netlist::{generate, Library};
@@ -28,7 +28,6 @@ fn bench_synthesis(c: &mut Criterion) {
                         d,
                         Library::nand_inv_2006(),
                         SynthesisEffort::Baseline2006,
-                        MapGoal::Area,
                         &opts,
                     )
                     .unwrap()
@@ -43,7 +42,6 @@ fn bench_synthesis(c: &mut Criterion) {
                         d,
                         Library::generic(),
                         SynthesisEffort::Advanced2016,
-                        MapGoal::Area,
                         &opts,
                     )
                     .unwrap()

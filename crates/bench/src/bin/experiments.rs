@@ -30,7 +30,7 @@ use eda_dft::{
     scan_wirelength, AtpgConfig, CombView, TestAccess,
 };
 use eda_litho::{required_masks, run_opc, Layout, OpcConfig, OpticalModel};
-use eda_logic::{synthesize, MapGoal, SynthesisEffort, SynthesisOptions};
+use eda_logic::{synthesize, SynthesisEffort, SynthesisOptions};
 use eda_netlist::{generate, Library, Netlist};
 use eda_place::{
     anneal, place_global, place_hierarchical, place_parallel, plan_buffers, AnnealConfig,
@@ -40,7 +40,7 @@ use eda_power::{
     analyze, dark_silicon_sweep, insert_decaps, node_power_sweep, Activity, ActivityConfig,
     PowerConfig, PowerGrid,
 };
-use eda_route::{layer_sweep, route, RouteAlgorithm, RouteConfig};
+use eda_route::{route, RouteAlgorithm, RouteConfig, RuleDeck};
 use eda_smart::{best_iot_node, codesign_flow, node_selection_sweep, sequential_flow, DutyCycle};
 use eda_sta::{TimingAnalysis, TimingConfig};
 use eda_tech::{CostModel, DesignStartModel, Node, PatterningPlan};
@@ -951,14 +951,12 @@ fn b1() -> CliResult {
         &design,
         liberty::parse_liberty(&as_liberty)?,
         SynthesisEffort::Advanced2016,
-        MapGoal::Area,
         &SynthesisOptions::default(),
     )?;
     let b = synthesize(
         &design,
         liberty::parse_clf(&as_clf)?,
         SynthesisEffort::Advanced2016,
-        MapGoal::Area,
         &SynthesisOptions::default(),
     )?;
     let ec = check_equivalence(&design, &a.netlist, &[], &[], 1 << 20)?;
@@ -1035,13 +1033,11 @@ fn c2() -> CliResult {
     println!("{:>12} {:>12} {:>14} {:>8}", "design", "CMOS um2", "polarity um2", "gain");
     let opts = SynthesisOptions::default();
     for (name, d) in &designs {
-        let cmos =
-            synthesize(d, Library::generic(), SynthesisEffort::Advanced2016, MapGoal::Area, &opts)?;
+        let cmos = synthesize(d, Library::generic(), SynthesisEffort::Advanced2016, &opts)?;
         let pol = synthesize(
             d,
             Library::controlled_polarity(),
             SynthesisEffort::Advanced2016,
-            MapGoal::Area,
             &opts,
         )?;
         println!(
@@ -1084,11 +1080,9 @@ fn c3() -> CliResult {
             d,
             Library::nand_inv_2006(),
             SynthesisEffort::Baseline2006,
-            MapGoal::Area,
             &opts,
         )?;
-        let adv =
-            synthesize(d, Library::generic(), SynthesisEffort::Advanced2016, MapGoal::Area, &opts)?;
+        let adv = synthesize(d, Library::generic(), SynthesisEffort::Advanced2016, &opts)?;
         let tb = TimingAnalysis::run(&base.netlist, &TimingConfig::default())?;
         let ta = TimingAnalysis::run(&adv.netlist, &TimingConfig::default())?;
         let act = ActivityConfig::default();
@@ -1203,14 +1197,11 @@ fn c5() -> CliResult {
     );
     let mut min_clean = None;
     for layers in [6u32, 5, 4, 3] {
-        let lee = layer_sweep(&amsd, &ams_place, [layers], RouteAlgorithm::LeeBfs)
-            .pop()
-            .ok_or(CliError("layer_sweep returned no entry".into()))?
-            .1;
-        let adv = layer_sweep(&amsd, &ams_place, [layers], RouteAlgorithm::AStar)
-            .pop()
-            .ok_or(CliError("layer_sweep returned no entry".into()))?
-            .1;
+        let with = |algorithm| {
+            let deck = RuleDeck::simple(layers);
+            route(&amsd, &ams_place, &RouteConfig { algorithm, deck, ..Default::default() })
+        };
+        let (lee, adv) = (with(RouteAlgorithm::LeeBfs), with(RouteAlgorithm::AStar));
         if adv.overflow == 0 {
             min_clean = Some(layers);
         }

@@ -40,7 +40,7 @@ use crate::store::{FlowStore, Lookup, QorRow, StageRow, Store, Table};
 use crate::telemetry::{SpanKind, Telemetry};
 use eda_dft::{fault_list, fault_sim, insert_scan, random_patterns, reorder_chains, scan_wirelength, CombView};
 use eda_litho::{decompose, run_opc, Layout, OpcConfig, OpticalModel};
-use eda_logic::{check_equivalence, synthesize, EcVerdict, MapGoal, SynthesisOptions};
+use eda_logic::{check_equivalence, synthesize, EcVerdict, SynthesisOptions};
 use eda_netlist::memo::fnv1a;
 use eda_netlist::{Netlist, NetlistStats, SubstageMemo};
 use eda_par::ParStats;
@@ -284,16 +284,15 @@ fn region_size(cfg: &FlowConfig) -> u32 {
 const TABLE: [Stage; 11] = [
     Stage {
         name: "1_synthesis",
-        // `Area` fills the slot of the removed mapping-goal knob, so keys
-        // written before it went still replay.
+        // The literal `Area` fills the slot of the removed mapping goal, so
+        // keys written before it went still replay.
         knobs: |design, cfg| {
             format!(
-                "|{}|{}|{:?}|{:?}|{:?}|{}|{}",
+                "|{}|{}|{:?}|{:?}|Area|{}|{}",
                 design.name(),
                 design.num_instances(),
                 cfg.library,
                 cfg.synthesis,
-                MapGoal::Area,
                 cfg.aig_rewrite_passes,
                 cfg.verify_synthesis,
             )
@@ -598,7 +597,7 @@ fn synthesis(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut S
             rewrite_passes: cfg.aig_rewrite_passes,
             memo: env.memo(),
         };
-        let synth = synthesize(design, lib.clone(), cfg.synthesis, MapGoal::Area, &opts)
+        let synth = synthesize(design, lib.clone(), cfg.synthesis, &opts)
             .map_err(StageFailure::Synthesis)?;
         let par = synth.par;
         ctx.tel.count("synth.aig_nodes_before", synth.aig_nodes_before as u64);

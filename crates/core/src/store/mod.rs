@@ -20,7 +20,7 @@
 //! # Examples
 //!
 //! ```
-//! use eda_core::store::{FlowStore, Query, QorQuery, Store, StoreConfig, Table};
+//! use eda_core::store::{FlowStore, Lookup, Query, QorQuery, Store, StoreConfig, Table};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let dir = std::env::temp_dir().join(format!("eda-store-doc-{}", std::process::id()));
@@ -28,7 +28,7 @@
 //! let cfg = StoreConfig::at(dir.join("flow.store"));
 //! let store = FlowStore::open(&cfg)?;
 //! store.put(Table::Sub, 7, "payload")?;
-//! assert_eq!(store.get(Table::Sub, 7).into_payload().as_deref(), Some("payload"));
+//! assert_eq!(store.get(Table::Sub, 7), Lookup::Hit("payload".into()));
 //! store.append(Table::Qor, "run demo generic 0 0 0 0 0 0 0")?;
 //! let rows = store.qor_history(&QorQuery { design: Some("demo".into()), ..Default::default() })?;
 //! assert_eq!(rows.len(), 1);
@@ -132,16 +132,6 @@ pub enum Lookup {
     /// The entry's bytes are present but fail validation (checksum or
     /// framing). The reason string feeds diagnostics, never control flow.
     Corrupt(String),
-}
-
-impl Lookup {
-    /// The payload if this is a hit.
-    pub fn into_payload(self) -> Option<String> {
-        match self {
-            Lookup::Hit(p) => Some(p),
-            _ => None,
-        }
-    }
 }
 
 /// Errors from store operations. Cache layers treat every one of these as

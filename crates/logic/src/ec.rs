@@ -314,7 +314,6 @@ fn simulate_fallback(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::map::MapGoal;
     use crate::synth::{synthesize, SynthesisEffort, SynthesisOptions};
     use eda_netlist::{generate, Library};
 
@@ -324,7 +323,7 @@ mod tests {
     fn synthesis_formally_verified() {
         let d = generate::ripple_carry_adder(8).unwrap();
         let adv =
-            synthesize(&d, Library::generic(), SynthesisEffort::Advanced2016, MapGoal::Area, &SynthesisOptions::default())
+            synthesize(&d, Library::generic(), SynthesisEffort::Advanced2016, &SynthesisOptions::default())
                 .unwrap();
         let verdict = check_equivalence(&d, &adv.netlist, &[], &[], LIMIT).unwrap();
         assert_eq!(verdict, EcVerdict::Equivalent);
@@ -384,7 +383,7 @@ mod tests {
     fn sequential_next_state_checked() {
         let d = generate::switch_fabric(3, 2).unwrap();
         let adv =
-            synthesize(&d, Library::generic(), SynthesisEffort::Advanced2016, MapGoal::Area, &SynthesisOptions::default())
+            synthesize(&d, Library::generic(), SynthesisEffort::Advanced2016, &SynthesisOptions::default())
                 .unwrap();
         assert_eq!(
             check_equivalence(&d, &adv.netlist, &[], &[], LIMIT).unwrap(),
@@ -396,7 +395,7 @@ mod tests {
     fn tiny_budget_falls_back_to_simulation() {
         let d = generate::parity_tree(8).unwrap();
         let adv =
-            synthesize(&d, Library::generic(), SynthesisEffort::Advanced2016, MapGoal::Area, &SynthesisOptions::default())
+            synthesize(&d, Library::generic(), SynthesisEffort::Advanced2016, &SynthesisOptions::default())
                 .unwrap();
         // 32-node budget is hopeless for BDDs; 8 inputs are enumerable.
         let verdict = check_equivalence(&d, &adv.netlist, &[], &[], 32).unwrap();

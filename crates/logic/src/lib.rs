@@ -10,13 +10,13 @@
 //! # Examples
 //!
 //! ```
-//! use eda_logic::{synthesize, MapGoal, SynthesisEffort, SynthesisOptions};
+//! use eda_logic::{synthesize, SynthesisEffort, SynthesisOptions};
 //! use eda_netlist::{generate, Library};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let design = generate::parity_tree(16)?;
 //! let out = synthesize(&design, Library::generic(), SynthesisEffort::Advanced2016,
-//!                      MapGoal::Area, &SynthesisOptions::default())?;
+//!                      &SynthesisOptions::default())?;
 //! assert!(out.area_um2 > 0.0);
 //! # Ok(())
 //! # }
@@ -37,7 +37,7 @@ pub use bdd::{BddManager, BddRef};
 pub use ec::{check_equivalence, EcError, EcVerdict};
 pub use cube::{Cover, Cube};
 pub use isop::isop;
-pub use map::{map_aig, map_naive, MapError, MapGoal, MapOutcome};
+pub use map::{map_aig, map_naive, MapError, MapOutcome};
 pub use synth::{
     optimize_aig, synthesize, AigPass, SynthesisEffort, SynthesisError, SynthesisOptions,
     SynthesisOutcome, AIG_MEMO_KINDS, DEFAULT_REWRITE_PASSES,

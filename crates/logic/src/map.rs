@@ -18,15 +18,6 @@ use eda_par::ParStats;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Mapping objective.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MapGoal {
-    /// Minimize total cell area (area-flow selection).
-    Area,
-    /// Minimize the critical path (arrival-time selection).
-    Delay,
-}
-
 /// Errors from technology mapping.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MapError {
@@ -268,7 +259,8 @@ pub(crate) fn level_waves(nodes: &[AigNode]) -> Vec<Vec<usize>> {
 /// Best matches for both phases of one node, reading only `best` entries of
 /// strictly lower levels (cut leaves live in the node's fanin cone). Pure in
 /// `i`, so one wave's nodes can be matched on any worker in any order.
-#[allow(clippy::too_many_arguments)]
+/// Selection is area flow: the lower `cost` wins and `arrival` breaks ties;
+/// a phase goes through an inverter only when that is strictly cheaper.
 fn match_node(
     nodes: &[AigNode],
     cuts: &CutSet,
@@ -276,7 +268,6 @@ fn match_node(
     refs: &[u32],
     table: &PatternTable,
     lib: &Library,
-    goal: MapGoal,
     i: usize,
 ) -> [Best; 2] {
     match nodes[i] {
@@ -330,15 +321,7 @@ fn match_node(
                             continue;
                         }
                         let arrival = arr + def.delay_ps;
-                        let better = match goal {
-                            MapGoal::Area => {
-                                cost < b.cost || (cost == b.cost && arrival < b.arrival)
-                            }
-                            MapGoal::Delay => {
-                                arrival < b.arrival || (arrival == b.arrival && cost < b.cost)
-                            }
-                        };
-                        if better {
+                        if cost < b.cost || (cost == b.cost && arrival < b.arrival) {
                             b = Best {
                                 cost,
                                 arrival,
@@ -360,11 +343,7 @@ fn match_node(
                 }
                 let cost = other.cost + table.inv_area;
                 let arrival = other.arrival + table.inv_delay;
-                let better = match goal {
-                    MapGoal::Area => cost < out[ph].cost,
-                    MapGoal::Delay => arrival < out[ph].arrival,
-                };
-                if better {
+                if cost < out[ph].cost {
                     out[ph] = Best { cost, arrival, via_inverter: true, ..Best::UNSET };
                 }
             }
@@ -637,7 +616,6 @@ fn choose_matches(
     nodes: &[AigNode],
     table: &PatternTable,
     lib: &Library,
-    goal: MapGoal,
     threads: usize,
     par: &mut ParStats,
 ) -> (Vec<[Best; 2]>, u64) {
@@ -653,7 +631,7 @@ fn choose_matches(
     let mut best: Vec<[Best; 2]> = vec![[Best::UNSET; 2]; nodes.len()];
     for wave in &waves {
         let (results, stats) = eda_par::par_map_stats(threads, wave, |_, &i| {
-            match_node(nodes, &cuts, &best, &refs, table, lib, goal, i)
+            match_node(nodes, &cuts, &best, &refs, table, lib, i)
         });
         par.absorb(&stats);
         for (&i, r) in wave.iter().zip(results) {
@@ -714,7 +692,6 @@ pub fn map_aig(
     aig: &Aig,
     boundary: &SeqBoundary,
     lib: Arc<Library>,
-    goal: MapGoal,
     threads: usize,
 ) -> Result<MapOutcome, MapError> {
     if lib.find_function(CellFunction::Nand(2)).is_none()
@@ -726,7 +703,7 @@ pub fn map_aig(
     let table = PatternTable::build(&lib, threads, &mut par)?;
     let nodes = aig.nodes();
     let n = nodes.len();
-    let (best, cuts_enumerated) = choose_matches(nodes, &table, &lib, goal, threads, &mut par);
+    let (best, cuts_enumerated) = choose_matches(nodes, &table, &lib, threads, &mut par);
 
     // ---- construct the mapped netlist ----
     let mut out = Netlist::with_library("mapped", lib.clone());
@@ -1073,16 +1050,7 @@ mod tests {
     fn area_map_preserves_adder() {
         let n = generate::ripple_carry_adder(8).unwrap();
         let (aig, bnd) = Aig::from_netlist(&n).unwrap();
-        let m = map_aig(&aig, &bnd, Library::generic(), MapGoal::Area, 1).unwrap();
-        m.netlist.validate().unwrap();
-        check_equiv(&n, &m.netlist);
-    }
-
-    #[test]
-    fn delay_map_preserves_parity() {
-        let n = generate::parity_tree(16).unwrap();
-        let (aig, bnd) = Aig::from_netlist(&n).unwrap();
-        let m = map_aig(&aig, &bnd, Library::generic(), MapGoal::Delay, 1).unwrap();
+        let m = map_aig(&aig, &bnd, Library::generic(), 1).unwrap();
         m.netlist.validate().unwrap();
         check_equiv(&n, &m.netlist);
     }
@@ -1091,7 +1059,7 @@ mod tests {
     fn map_handles_sequential() {
         let n = generate::switch_fabric(3, 2).unwrap();
         let (aig, bnd) = Aig::from_netlist(&n).unwrap();
-        let m = map_aig(&aig, &bnd, Library::generic(), MapGoal::Area, 1).unwrap();
+        let m = map_aig(&aig, &bnd, Library::generic(), 1).unwrap();
         m.netlist.validate().unwrap();
         assert_eq!(m.netlist.flops().len(), n.flops().len());
         check_equiv(&n, &m.netlist);
@@ -1106,7 +1074,7 @@ mod tests {
         })
         .unwrap();
         let (aig, bnd) = Aig::from_netlist(&n).unwrap();
-        let m = map_aig(&aig, &bnd, Library::nand_inv_2006(), MapGoal::Area, 1).unwrap();
+        let m = map_aig(&aig, &bnd, Library::nand_inv_2006(), 1).unwrap();
         m.netlist.validate().unwrap();
         check_equiv(&n, &m.netlist);
     }
@@ -1123,7 +1091,7 @@ mod tests {
         let naive = map_naive(&aig, &bnd, Library::nand_inv_2006()).unwrap();
         naive.netlist.validate().unwrap();
         check_equiv(&n, &naive.netlist);
-        let advanced = map_aig(&aig.rewrite(), &bnd, Library::generic(), MapGoal::Area, 1).unwrap();
+        let advanced = map_aig(&aig.rewrite(), &bnd, Library::generic(), 1).unwrap();
         check_equiv(&n, &advanced.netlist);
         assert!(
             advanced.area_um2 < naive.area_um2,
@@ -1141,7 +1109,7 @@ mod tests {
         let x = g.xor(a, b);
         g.add_po("y", x);
         let bnd = SeqBoundary { real_pis: 2, real_pos: 1, flops: vec![] };
-        let m = map_aig(&g, &bnd, Library::generic(), MapGoal::Area, 1).unwrap();
+        let m = map_aig(&g, &bnd, Library::generic(), 1).unwrap();
         assert_eq!(m.cells, 1, "one XOR2 cell suffices");
         let pats = vec![0xF0F0u64, 0xCCCC];
         let (mo, _) = m.netlist.simulate64(&pats, &[]);
@@ -1152,8 +1120,8 @@ mod tests {
     fn polarity_library_wins_on_parity() {
         let n = generate::parity_tree(16).unwrap();
         let (aig, bnd) = Aig::from_netlist(&n).unwrap();
-        let cmos = map_aig(&aig, &bnd, Library::generic(), MapGoal::Area, 1).unwrap();
-        let pol = map_aig(&aig, &bnd, Library::controlled_polarity(), MapGoal::Area, 1).unwrap();
+        let cmos = map_aig(&aig, &bnd, Library::generic(), 1).unwrap();
+        let pol = map_aig(&aig, &bnd, Library::controlled_polarity(), 1).unwrap();
         check_equiv(&n, &pol.netlist);
         assert!(
             pol.area_um2 < cmos.area_um2,
@@ -1172,20 +1140,18 @@ mod tests {
         })
         .unwrap();
         let (aig, bnd) = Aig::from_netlist(&n).unwrap();
-        for goal in [MapGoal::Area, MapGoal::Delay] {
-            let serial = map_aig(&aig, &bnd, Library::generic(), goal, 1).unwrap();
-            for threads in [2usize, 4, 8] {
-                let t = map_aig(&aig, &bnd, Library::generic(), goal, threads).unwrap();
-                assert_eq!(
-                    serial.area_um2.to_bits(),
-                    t.area_um2.to_bits(),
-                    "area must be bit-identical at {threads} threads"
-                );
-                assert_eq!(serial.delay_ps.to_bits(), t.delay_ps.to_bits());
-                assert_eq!(serial.cells, t.cells);
-                assert!(t.par.chunks > 0, "the threaded path must dispatch work");
-                check_equiv(&n, &t.netlist);
-            }
+        let serial = map_aig(&aig, &bnd, Library::generic(), 1).unwrap();
+        for threads in [2usize, 4, 8] {
+            let t = map_aig(&aig, &bnd, Library::generic(), threads).unwrap();
+            assert_eq!(
+                serial.area_um2.to_bits(),
+                t.area_um2.to_bits(),
+                "area must be bit-identical at {threads} threads"
+            );
+            assert_eq!(serial.delay_ps.to_bits(), t.delay_ps.to_bits());
+            assert_eq!(serial.cells, t.cells);
+            assert!(t.par.chunks > 0, "the threaded path must dispatch work");
+            check_equiv(&n, &t.netlist);
         }
     }
 
@@ -1206,7 +1172,7 @@ mod tests {
                 })
                 .collect()
         };
-        let serial = map_aig(&aig, &bnd, Library::generic(), MapGoal::Area, 1).unwrap();
+        let serial = map_aig(&aig, &bnd, Library::generic(), 1).unwrap();
         serial.netlist.validate().unwrap();
         check_equiv(&n, &serial.netlist);
         let want = fingerprint(&serial);
@@ -1215,7 +1181,7 @@ mod tests {
         let labelled = want.iter().filter(|(_, _, b)| b.is_some()).count();
         assert!(labelled * 2 > want.len(), "block cones dominate a mesh netlist");
         for threads in [2usize, 4, 8] {
-            let t = map_aig(&aig, &bnd, Library::generic(), MapGoal::Area, threads).unwrap();
+            let t = map_aig(&aig, &bnd, Library::generic(), threads).unwrap();
             assert_eq!(want, fingerprint(&t), "netlist must be bit-identical at {threads} threads");
             assert_eq!(serial.area_um2.to_bits(), t.area_um2.to_bits());
             assert_eq!(serial.delay_ps.to_bits(), t.delay_ps.to_bits());
@@ -1287,7 +1253,7 @@ mod tests {
             let mut par = ParStats::empty();
             let table = PatternTable::build(&lib, 1, &mut par).unwrap();
             let nodes = aig.nodes();
-            let (best, _) = choose_matches(nodes, &table, &lib, MapGoal::Area, 1, &mut par);
+            let (best, _) = choose_matches(nodes, &table, &lib, 1, &mut par);
             let (blocks, tail) = group_outputs(&bnd);
             assert!(blocks.len() > 1, "hierarchical design");
             // Blocks first, the tail cones as one last pseudo-block.
@@ -1348,7 +1314,7 @@ mod tests {
             }
             g.add_po("y", acc);
             let bnd = SeqBoundary { real_pis: DEPTH + 1, real_pos: 1, flops: vec![] };
-            let m = map_aig(&g, &bnd, Library::generic(), MapGoal::Area, 1).unwrap();
+            let m = map_aig(&g, &bnd, Library::generic(), 1).unwrap();
             (m.cells, m.cone_visits)
         };
         let (cells, visits) = std::thread::Builder::new()
@@ -1376,7 +1342,7 @@ mod tests {
         let g = Aig::new();
         let bnd = SeqBoundary { real_pis: 0, real_pos: 0, flops: vec![] };
         assert!(matches!(
-            map_aig(&g, &bnd, Arc::new(l), MapGoal::Area, 1),
+            map_aig(&g, &bnd, Arc::new(l), 1),
             Err(MapError::MissingInverter)
         ));
     }
@@ -1388,7 +1354,7 @@ mod tests {
         let f = g.and(a, !a); // constant false
         g.add_po("y", f);
         let bnd = SeqBoundary { real_pis: 1, real_pos: 1, flops: vec![] };
-        let m = map_aig(&g, &bnd, Library::generic(), MapGoal::Area, 1).unwrap();
+        let m = map_aig(&g, &bnd, Library::generic(), 1).unwrap();
         let (o, _) = m.netlist.simulate64(&[0xFFFF], &[]);
         assert_eq!(o, vec![0]);
     }

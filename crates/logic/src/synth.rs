@@ -8,10 +8,10 @@
 //!   Domic says the industry has improved on by ~30 %.
 //! * [`SynthesisEffort::Advanced2016`] — balance + iterated cut-based
 //!   refactoring on the AIG, then phase-complete cut mapping onto the full
-//!   library (area or delay goal).
+//!   library for area.
 
 use crate::aig::{Aig, AigError};
-use crate::map::{map_aig, map_naive, MapError, MapGoal};
+use crate::map::{map_aig, map_naive, MapError};
 use eda_netlist::memo::fnv1a;
 use eda_netlist::{Library, Netlist, SubstageMemo};
 use eda_par::ParStats;
@@ -109,7 +109,8 @@ impl Default for SynthesisOptions<'_> {
     }
 }
 
-/// Synthesizes `input` onto `lib` at the given effort and goal.
+/// Synthesizes `input` onto `lib` at the given effort. The advanced effort
+/// maps for area ([`map_aig`]'s area-flow selection).
 ///
 /// # Errors
 ///
@@ -120,7 +121,7 @@ impl Default for SynthesisOptions<'_> {
 /// # Examples
 ///
 /// ```
-/// use eda_logic::{synthesize, MapGoal, SynthesisEffort, SynthesisOptions};
+/// use eda_logic::{synthesize, SynthesisEffort, SynthesisOptions};
 /// use eda_netlist::{generate, Library};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -130,14 +131,12 @@ impl Default for SynthesisOptions<'_> {
 ///     &design,
 ///     Library::nand_inv_2006(),
 ///     SynthesisEffort::Baseline2006,
-///     MapGoal::Area,
 ///     &opts,
 /// )?;
 /// let advanced = synthesize(
 ///     &design,
 ///     Library::generic(),
 ///     SynthesisEffort::Advanced2016,
-///     MapGoal::Area,
 ///     &SynthesisOptions { threads: 2, ..opts },
 /// )?;
 /// assert!(advanced.area_um2 < baseline.area_um2);
@@ -148,7 +147,6 @@ pub fn synthesize(
     input: &Netlist,
     lib: Arc<Library>,
     effort: SynthesisEffort,
-    goal: MapGoal,
     opts: &SynthesisOptions<'_>,
 ) -> Result<SynthesisOutcome, SynthesisError> {
     let (aig, boundary) = Aig::from_netlist(input)?;
@@ -160,7 +158,7 @@ pub fn synthesize(
         }
         SynthesisEffort::Advanced2016 => {
             let (opt, passes) = optimize_aig(&aig, opts.rewrite_passes, opts.memo);
-            let m = map_aig(&opt, &boundary, lib, goal, opts.threads)?;
+            let m = map_aig(&opt, &boundary, lib, opts.threads)?;
             (opt, m, passes)
         }
     };
@@ -322,9 +320,9 @@ mod tests {
     use super::*;
     use eda_netlist::generate;
 
-    fn advanced(d: &Netlist, goal: MapGoal) -> SynthesisOutcome {
+    fn advanced(d: &Netlist) -> SynthesisOutcome {
         let opts = SynthesisOptions::default();
-        synthesize(d, Library::generic(), SynthesisEffort::Advanced2016, goal, &opts).unwrap()
+        synthesize(d, Library::generic(), SynthesisEffort::Advanced2016, &opts).unwrap()
     }
 
     fn check_equiv(a: &Netlist, b: &Netlist) {
@@ -360,11 +358,10 @@ mod tests {
                 d,
                 Library::nand_inv_2006(),
                 SynthesisEffort::Baseline2006,
-                MapGoal::Area,
                 &opts,
             )
             .unwrap();
-            let adv = advanced(d, MapGoal::Area);
+            let adv = advanced(d);
             check_equiv(d, &base.netlist);
             check_equiv(d, &adv.netlist);
             total_base += base.area_um2;
@@ -390,15 +387,6 @@ mod tests {
         let pats: Vec<u64> =
             (0..aig.num_pis()).map(|i| 0xCBF2_9CE4_8422_2325u64.rotate_left(i as u32)).collect();
         assert_eq!(aig.simulate64(&pats), opt.simulate64(&pats));
-    }
-
-    #[test]
-    fn delay_goal_shortens_critical_path() {
-        let d = generate::ripple_carry_adder(16).unwrap();
-        let area = advanced(&d, MapGoal::Area);
-        let delay = advanced(&d, MapGoal::Delay);
-        check_equiv(&d, &delay.netlist);
-        assert!(delay.delay_ps <= area.delay_ps, "delay mapping must not be slower");
     }
 
     struct CountingMemo {
@@ -493,7 +481,6 @@ mod tests {
                     &design,
                     Library::generic(),
                     SynthesisEffort::Advanced2016,
-                    MapGoal::Area,
                     &opts,
                 )
                 .unwrap();
@@ -506,7 +493,7 @@ mod tests {
     #[test]
     fn sequential_designs_synthesize() {
         let d = generate::switch_fabric(4, 3).unwrap();
-        let adv = advanced(&d, MapGoal::Area);
+        let adv = advanced(&d);
         assert_eq!(adv.netlist.flops().len(), d.flops().len());
         check_equiv(&d, &adv.netlist);
     }

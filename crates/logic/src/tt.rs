@@ -150,16 +150,6 @@ impl TruthTable {
         self.cofactor0(i) != self.cofactor1(i)
     }
 
-    /// The set of variables the function actually depends on.
-    pub fn support(&self) -> Vec<usize> {
-        (0..self.num_vars()).filter(|&i| self.depends_on(i)).collect()
-    }
-
-    /// Whether the function is constant (0 or 1).
-    pub fn is_constant(&self) -> bool {
-        self.bits == 0 || self.bits == Self::row_mask(self.num_vars())
-    }
-
     /// Number of ON-set rows.
     pub fn count_ones(&self) -> u32 {
         self.bits.count_ones()
@@ -227,8 +217,8 @@ mod tests {
     fn support_detects_dependencies() {
         let n = 4;
         let f = TruthTable::var(n, 1).xor(&TruthTable::var(n, 3));
-        assert_eq!(f.support(), vec![1, 3]);
-        assert!(TruthTable::one(4).support().is_empty());
+        assert_eq!((0..n).map(|i| f.depends_on(i)).collect::<Vec<_>>(), [false, true, false, true]);
+        assert!((0..n).all(|i| !TruthTable::one(n).depends_on(i)));
     }
 
     #[test]
@@ -240,14 +230,14 @@ mod tests {
             let a: Vec<bool> = (0..4).map(|k| row >> k & 1 == 1).collect();
             assert_eq!(g.eval(&a), a[0] ^ a[1]);
         }
-        assert_eq!(g.support(), vec![0, 1]);
+        assert_eq!((0..4).map(|i| g.depends_on(i)).collect::<Vec<_>>(), [true, true, false, false]);
     }
 
     #[test]
     fn constants() {
-        assert!(TruthTable::zero(4).is_constant());
-        assert!(TruthTable::one(6).is_constant());
-        assert!(!TruthTable::var(2, 0).is_constant());
+        assert_eq!(TruthTable::zero(4).count_ones(), 0);
+        assert_eq!(TruthTable::one(6).count_ones(), 64);
+        assert_eq!(TruthTable::var(2, 0).count_ones(), 2);
         assert_eq!(TruthTable::one(2).count_ones(), 4);
     }
 

@@ -299,13 +299,8 @@ fn build_cell(name: String, attrs: &[(String, String, usize)]) -> Result<CellDef
     Ok(CellDef { name, function, area_um2, delay_ps, drive_ps_per_ff, input_cap_ff, leakage_nw })
 }
 
-/// Converts between the two dialects losslessly (Rossi's point: one data
-/// model should serve every syntax).
-pub fn liberty_to_clf(text: &str) -> Result<String, ParseLibError> {
-    Ok(write_clf(&parse_liberty(text)?.as_ref().clone()))
-}
-
-/// Converts the `clf` dialect to the `liberty`-like dialect.
+/// Converts the `clf` dialect to the `liberty`-like dialect losslessly
+/// (Rossi's point: one data model should serve every syntax).
 ///
 /// # Errors
 ///
@@ -347,7 +342,7 @@ mod tests {
     fn cross_format_conversion_is_lossless() {
         let lib = Library::generic();
         let liberty = write_liberty(&lib);
-        let clf = liberty_to_clf(&liberty).unwrap();
+        let clf = write_clf(&parse_liberty(&liberty).unwrap());
         let back = clf_to_liberty(&clf).unwrap();
         assert_eq!(liberty, back, "liberty -> clf -> liberty is the identity");
     }

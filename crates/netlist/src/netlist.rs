@@ -627,24 +627,6 @@ impl Netlist {
         let next = flops.iter().map(|&flop| eval(&self.instances[flop.index()], &value)).collect();
         (outs, next)
     }
-
-    /// Rebinds the netlist to a different library by cell-function matching.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::UnknownName`] if some instance's function has
-    /// no equivalent in the new library.
-    pub fn rebind(&self, library: Arc<Library>) -> Result<Netlist, NetlistError> {
-        let mut out = self.clone();
-        for inst in &mut out.instances {
-            let f = self.library.cell(inst.cell).function;
-            inst.cell = library
-                .find_function(f)
-                .ok_or_else(|| NetlistError::UnknownName(format!("{f:?}")))?;
-        }
-        out.library = library;
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -752,18 +734,6 @@ mod tests {
         }
         n.add_output("y", x);
         assert_eq!(n.logic_depth(), 10);
-    }
-
-    #[test]
-    fn rebind_preserves_function() {
-        let n = full_adder();
-        let p = n.rebind(Library::controlled_polarity()).unwrap();
-        for pat in 0u32..8 {
-            let ins = [(pat & 1) != 0, (pat & 2) != 0, (pat & 4) != 0];
-            assert_eq!(n.simulate(&ins, &[]).0, p.simulate(&ins, &[]).0);
-        }
-        // Rebinding to the XOR-less 2006 library must fail.
-        assert!(n.rebind(Library::nand_inv_2006()).is_err());
     }
 
     #[test]

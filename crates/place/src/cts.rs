@@ -69,16 +69,6 @@ impl ClockTree {
             max - min
         }
     }
-
-    /// Worst insertion delay, ps.
-    pub fn insertion_delay_ps(&self) -> f64 {
-        self.sink_delays_ps.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// Total switched clock capacitance, fF (wire only).
-    pub fn wire_cap_ff(&self, cfg: &CtsConfig) -> f64 {
-        self.wirelength_um * cfg.wire_cap_ff_per_um
-    }
 }
 
 /// Builds a buffered clock tree over the netlist's flops.
@@ -293,6 +283,6 @@ mod tests {
         let (tree, sinks) = synthesize_clock_tree(&n, &p, &CtsConfig::default());
         assert!(sinks.is_empty());
         assert_eq!(tree.skew_ps(), 0.0);
-        assert_eq!(tree.wire_cap_ff(&CtsConfig::default()), 0.0);
+        assert_eq!(tree.wirelength_um, 0.0);
     }
 }

@@ -72,11 +72,6 @@ pub struct ParallelOutcome {
 }
 
 impl ParallelOutcome {
-    /// Throughput extrapolated to instances per day — the unit Rossi quotes.
-    pub fn instances_per_day(&self) -> f64 {
-        self.instances_per_second * 86_400.0
-    }
-
     /// Projected throughput on a true multicore host, instances per second.
     pub fn projected_instances_per_second(&self, total_refined: f64) -> f64 {
         total_refined / self.par_stats.projected_wall_s().max(1e-9)
@@ -203,7 +198,6 @@ mod tests {
         let out = place_parallel(&n, die, &ParallelConfig { threads: 4, ..Default::default() });
         assert!(out.hpwl_final < out.hpwl_global);
         assert!(out.instances_per_second > 0.0);
-        assert!(out.instances_per_day() > out.instances_per_second);
     }
 
     #[test]

@@ -99,11 +99,6 @@ impl PowerIntent {
     pub fn domain_of(&self, inst: InstId) -> usize {
         self.assignment.get(&inst.index()).copied().unwrap_or(self.default_domain)
     }
-
-    /// Number of domains — the figure Domic quotes in "scores of domains".
-    pub fn domain_count(&self) -> usize {
-        self.domains.len()
-    }
 }
 
 /// Checks a netlist against an intent, reporting every unprotected crossing.
@@ -323,7 +318,7 @@ mod tests {
                 })
             })
             .collect();
-        assert!(intent.domain_count() >= 20);
+        assert!(intent.domains.len() >= 20);
         let blocks = n.block_names();
         assert_eq!(blocks.len(), 8);
         for (b, name) in blocks.iter().enumerate() {

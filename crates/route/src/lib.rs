@@ -36,10 +36,10 @@ pub mod scratch;
 
 pub use grid::{DemandGrid, GCell, RoutingGrid};
 pub use region::{OverlayGrid, RegionMap, RegionScheduler, RegionTask};
-pub use linesearch::{mikami_tabuchi, mikami_tabuchi_in};
-pub use maze::{astar, astar_in, count_bends, lee_bfs, lee_bfs_in, Path, SearchStats, SearchWindow};
+pub use linesearch::probe_window;
+pub use maze::{count_bends, Path, SearchStats, SearchWindow};
 pub use router::{
-    layer_sweep, route, route_audited, route_stats, route_stats_memo, RouteAlgorithm, RouteConfig,
+    route, route_audited, route_stats, route_stats_memo, RouteAlgorithm, RouteConfig,
     RouteOutcome, ROUTE_OUTCOME_KIND, SCHEDULE_REV,
 };
 pub use rules::RuleDeck;

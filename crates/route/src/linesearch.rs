@@ -4,7 +4,8 @@
 //! horizontal/vertical probe lines from both pins, alternating levels until
 //! a source line crosses a target line. On sparse ("simpler") rule decks it
 //! explores far fewer cells and produces paths with very few bends — the
-//! behaviour behind Domic's claim C5.
+//! behaviour behind Domic's claim C5. The one public way in is
+//! [`SearchScratch::mikami_tabuchi_in`](crate::SearchScratch::mikami_tabuchi_in).
 
 use crate::grid::{DemandGrid, GCell};
 use crate::maze::{Path, SearchStats, SearchWindow as Window};
@@ -159,41 +160,12 @@ fn push_segment(from: GCell, to: GCell, out: &mut Vec<GCell>) {
     }
 }
 
-/// Mikami–Tabuchi search between two cells.
-///
-/// Returns the path and the number of line-cells generated (the analogue of
-/// "cells expanded"), or `None` when the expansion level limit is hit —
-/// callers fall back to maze routing. Probes are clipped to
-/// [`probe_window`]: the connection's own extent.
-pub fn mikami_tabuchi<G: DemandGrid>(
-    grid: &G,
-    src: GCell,
-    dst: GCell,
-    max_levels: usize,
-) -> Option<(Path, SearchStats)> {
-    mikami_tabuchi_in(grid, src, dst, max_levels, probe_window(grid, src, dst))
-}
-
-/// The window [`mikami_tabuchi`] clips its probes to: the pins' bounding
-/// box with margin `3 + distance/2`.
-pub(crate) fn probe_window<G: DemandGrid>(grid: &G, src: GCell, dst: GCell) -> Window {
+/// The default window a line search clips its probes to: the pins'
+/// bounding box with margin `3 + distance/2`, the connection's own extent.
+/// The router uses it when it routes without search windows.
+pub fn probe_window<G: DemandGrid>(grid: &G, src: GCell, dst: GCell) -> Window {
     let margin = 3 + src.manhattan(&dst) / 2;
     Window::around_dims(src, dst, margin, grid.width(), grid.height())
-}
-
-/// [`mikami_tabuchi`] with an explicit clipping [`Window`](SearchWindow) —
-/// the bounded-memory entry point: probes never leave the window. A
-/// tighter window fails (returns `None`) more often; callers fall back to
-/// windowed maze routing. One-shot form of
-/// [`SearchScratch::mikami_tabuchi_in`](crate::SearchScratch::mikami_tabuchi_in).
-pub fn mikami_tabuchi_in<G: DemandGrid>(
-    grid: &G,
-    src: GCell,
-    dst: GCell,
-    max_levels: usize,
-    win: Window,
-) -> Option<(Path, SearchStats)> {
-    LineScratch::default().search(grid, src, dst, max_levels, win)
 }
 
 /// How a search ended: where the two probe trees met.
@@ -235,7 +207,7 @@ impl LineScratch {
             + self.path.capacity() * size_of::<GCell>()
     }
 
-    /// See [`mikami_tabuchi_in`].
+    /// See [`SearchScratch::mikami_tabuchi_in`](crate::SearchScratch::mikami_tabuchi_in).
     pub(crate) fn search<G: DemandGrid>(
         &mut self,
         grid: &G,
@@ -407,9 +379,15 @@ mod tests {
     use crate::grid::RoutingGrid;
     use crate::maze::count_bends;
     use crate::rules::RuleDeck;
+    use crate::scratch::SearchScratch;
 
     fn grid() -> RoutingGrid {
         RoutingGrid::new(24, 24, &RuleDeck::simple(6))
+    }
+
+    /// Line search in the default probe window on a fresh scratch.
+    fn line(g: &RoutingGrid, src: GCell, dst: GCell, levels: usize) -> Option<(Path, SearchStats)> {
+        SearchScratch::new().mikami_tabuchi_in(g, src, dst, levels, probe_window(g, src, dst))
     }
 
     fn check_path(path: &[GCell], src: GCell, dst: GCell) {
@@ -425,7 +403,7 @@ mod tests {
         let g = grid();
         let src = GCell::new(2, 3);
         let dst = GCell::new(18, 15);
-        let (path, stats) = mikami_tabuchi(&g, src, dst, 10).unwrap();
+        let (path, stats) = line(&g, src, dst, 10).unwrap();
         check_path(&path, src, dst);
         assert!(count_bends(&path) <= 1, "level-0 crossing gives an L route");
         assert!(stats.expanded > 0);
@@ -436,7 +414,7 @@ mod tests {
         let g = grid();
         let src = GCell::new(2, 7);
         let dst = GCell::new(20, 7);
-        let (path, _) = mikami_tabuchi(&g, src, dst, 10).unwrap();
+        let (path, _) = line(&g, src, dst, 10).unwrap();
         check_path(&path, src, dst);
         assert_eq!(count_bends(&path), 0);
         assert_eq!(path.len(), 19);
@@ -457,7 +435,7 @@ mod tests {
         }
         let src = GCell::new(2, 3);
         let dst = GCell::new(20, 3);
-        let (path, _) = mikami_tabuchi(&g, src, dst, 20).unwrap();
+        let (path, _) = line(&g, src, dst, 20).unwrap();
         check_path(&path, src, dst);
         assert!(path.iter().any(|c| c.y == 10), "must pass through the gap");
     }
@@ -467,8 +445,8 @@ mod tests {
         let g = grid();
         let src = GCell::new(1, 1);
         let dst = GCell::new(22, 22);
-        let (_, ls) = mikami_tabuchi(&g, src, dst, 10).unwrap();
-        let (_, bfs) = crate::maze::lee_bfs(&g, src, dst).unwrap();
+        let (_, ls) = line(&g, src, dst, 10).unwrap();
+        let (_, bfs) = SearchScratch::new().lee_bfs_in(&g, src, dst, Window::full(&g)).unwrap();
         assert!(
             ls.expanded < bfs.expanded / 2,
             "line search ({}) should explore far less than BFS ({})",
@@ -492,14 +470,14 @@ mod tests {
                 g.add_usage(src.min(nb), src.max(nb), 1);
             }
         }
-        let out = mikami_tabuchi(&g, src, GCell::new(20, 20), 8);
+        let out = line(&g, src, GCell::new(20, 20), 8);
         assert!(out.is_none(), "boxed-in pin cannot be line-routed");
     }
 
     #[test]
     fn single_cell_route() {
         let g = grid();
-        let (p, _) = mikami_tabuchi(&g, GCell::new(3, 3), GCell::new(3, 3), 4).unwrap();
+        let (p, _) = line(&g, GCell::new(3, 3), GCell::new(3, 3), 4).unwrap();
         assert_eq!(p.len(), 1);
     }
 }

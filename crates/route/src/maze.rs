@@ -1,5 +1,7 @@
 //! Maze routing: Lee's breadth-first wavefront and congestion-aware A*,
-//! both on a reusable [`MazeScratch`].
+//! both on a reusable [`MazeScratch`]. Their one public way in is
+//! [`SearchScratch::lee_bfs_in`](crate::SearchScratch::lee_bfs_in) /
+//! [`SearchScratch::astar_in`](crate::SearchScratch::astar_in).
 
 use crate::grid::{neighbours4, DemandGrid, GCell, RoutingGrid};
 use std::cmp::Reverse;
@@ -99,54 +101,6 @@ impl SearchWindow {
     }
 }
 
-/// Lee's algorithm: uniform-cost BFS ignoring congestion weights (the
-/// decade-old baseline). Returns the path and expansion count, or `None` if
-/// target is unreachable (cannot happen on a connected grid).
-pub fn lee_bfs(grid: &RoutingGrid, src: GCell, dst: GCell) -> Option<(Path, SearchStats)> {
-    lee_bfs_in(grid, src, dst, SearchWindow::full(grid))
-}
-
-/// [`lee_bfs`] restricted to a [`SearchWindow`]: the wavefront never leaves
-/// the window. With [`SearchWindow::full`] this is exactly the classic
-/// search. The grid has no hard obstacles, so any window containing both
-/// pins always yields a path — a window only trades detour room for memory.
-/// One-shot form of [`SearchScratch::lee_bfs_in`](crate::SearchScratch::lee_bfs_in).
-pub fn lee_bfs_in<G: DemandGrid>(
-    grid: &G,
-    src: GCell,
-    dst: GCell,
-    win: SearchWindow,
-) -> Option<(Path, SearchStats)> {
-    MazeScratch::default().lee_bfs(grid, src, dst, win)
-}
-
-/// Congestion-aware A*: edge costs from [`RoutingGrid::step_cost`] plus a
-/// via (bend) penalty, with Manhattan-distance admissible heuristic. Costs
-/// are quantized to 1/64ths.
-pub fn astar(
-    grid: &RoutingGrid,
-    src: GCell,
-    dst: GCell,
-    via_cost: f64,
-) -> Option<(Path, SearchStats)> {
-    astar_in(grid, src, dst, via_cost, SearchWindow::full(grid))
-}
-
-/// [`astar`] restricted to a [`SearchWindow`]: expansion never leaves it.
-/// With [`SearchWindow::full`] this is exactly the classic search; with a
-/// bounded window the route may accept congestion it cannot detour around,
-/// which rip-up negotiation then repairs. One-shot form of
-/// [`SearchScratch::astar_in`](crate::SearchScratch::astar_in).
-pub fn astar_in<G: DemandGrid>(
-    grid: &G,
-    src: GCell,
-    dst: GCell,
-    via_cost: f64,
-    win: SearchWindow,
-) -> Option<(Path, SearchStats)> {
-    MazeScratch::default().astar(grid, src, dst, via_cost, win)
-}
-
 /// Fixed-point scale for quantized search costs: [`RoutingGrid::step_cost`]
 /// is at least 1.0, so every quantized edge weighs at least `COST_SCALE` and
 /// the `COST_SCALE × manhattan` heuristic never overestimates.
@@ -234,7 +188,7 @@ impl MazeScratch {
         found.then(|| self.path.to_vec())
     }
 
-    /// See [`lee_bfs_in`].
+    /// See [`SearchScratch::lee_bfs_in`](crate::SearchScratch::lee_bfs_in).
     pub(crate) fn lee_bfs<G: DemandGrid>(
         &mut self,
         grid: &G,
@@ -266,7 +220,7 @@ impl MazeScratch {
         Some((path, SearchStats { expanded, scratch_cells }))
     }
 
-    /// See [`astar_in`].
+    /// See [`SearchScratch::astar_in`](crate::SearchScratch::astar_in).
     pub(crate) fn astar<G: DemandGrid>(
         &mut self,
         grid: &G,
@@ -345,15 +299,26 @@ pub fn count_bends(path: &[GCell]) -> u32 {
 mod tests {
     use super::*;
     use crate::rules::RuleDeck;
+    use crate::scratch::SearchScratch;
 
     fn grid() -> RoutingGrid {
         RoutingGrid::new(16, 16, &RuleDeck::simple(6))
     }
 
+    /// Full-grid Lee search on a fresh scratch.
+    fn lee(g: &RoutingGrid, src: GCell, dst: GCell) -> Option<(Path, SearchStats)> {
+        SearchScratch::new().lee_bfs_in(g, src, dst, SearchWindow::full(g))
+    }
+
+    /// Full-grid A* on a fresh scratch.
+    fn astar(g: &RoutingGrid, src: GCell, dst: GCell, via: f64) -> Option<(Path, SearchStats)> {
+        SearchScratch::new().astar_in(g, src, dst, via, SearchWindow::full(g))
+    }
+
     #[test]
     fn bfs_finds_shortest_path() {
         let g = grid();
-        let (path, _) = lee_bfs(&g, GCell::new(0, 0), GCell::new(5, 7)).unwrap();
+        let (path, _) = lee(&g, GCell::new(0, 0), GCell::new(5, 7)).unwrap();
         assert_eq!(path.len() as u32, 5 + 7 + 1, "BFS path must be shortest");
         assert_eq!(path[0], GCell::new(0, 0));
         assert_eq!(*path.last().unwrap(), GCell::new(5, 7));
@@ -362,7 +327,7 @@ mod tests {
     #[test]
     fn astar_matches_bfs_length_on_empty_grid() {
         let g = grid();
-        let (p1, _) = lee_bfs(&g, GCell::new(2, 3), GCell::new(12, 9)).unwrap();
+        let (p1, _) = lee(&g, GCell::new(2, 3), GCell::new(12, 9)).unwrap();
         let (p2, _) = astar(&g, GCell::new(2, 3), GCell::new(12, 9), 0.0).unwrap();
         assert_eq!(p1.len(), p2.len());
     }
@@ -370,7 +335,7 @@ mod tests {
     #[test]
     fn astar_expands_fewer_cells_than_bfs() {
         let g = grid();
-        let (_, s1) = lee_bfs(&g, GCell::new(0, 0), GCell::new(15, 15)).unwrap();
+        let (_, s1) = lee(&g, GCell::new(0, 0), GCell::new(15, 15)).unwrap();
         let (_, s2) = astar(&g, GCell::new(0, 0), GCell::new(15, 15), 1.0).unwrap();
         assert!(s2.expanded <= s1.expanded, "A* must not expand more than BFS");
     }
@@ -417,21 +382,28 @@ mod tests {
     #[test]
     fn degenerate_single_cell() {
         let g = grid();
-        let (p, s) = lee_bfs(&g, GCell::new(4, 4), GCell::new(4, 4)).unwrap();
+        let (p, s) = lee(&g, GCell::new(4, 4), GCell::new(4, 4)).unwrap();
         assert_eq!(p, vec![GCell::new(4, 4)]);
         assert_eq!(s.expanded, 0);
     }
 
     #[test]
-    fn full_window_matches_classic_search_exactly() {
+    fn full_window_search_on_a_grown_scratch_matches_a_fresh_one() {
+        // A scratch that searched a small window first grows to the full
+        // grid and answers exactly like a fresh one.
         let g = grid();
-        let full = SearchWindow::full(&g);
-        let (p1, s1) = lee_bfs(&g, GCell::new(1, 2), GCell::new(13, 11)).unwrap();
-        let (p2, s2) = lee_bfs_in(&g, GCell::new(1, 2), GCell::new(13, 11), full).unwrap();
+        let (src, dst) = (GCell::new(1, 2), GCell::new(13, 11));
+        let (near, full) = (GCell::new(2, 3), SearchWindow::full(&g));
+        let small = SearchWindow::around(src, near, 0, &g);
+        let mut grown = SearchScratch::new();
+        grown.lee_bfs_in(&g, src, near, small);
+        let (p1, s1) = lee(&g, src, dst).unwrap();
+        let (p2, s2) = grown.lee_bfs_in(&g, src, dst, full).unwrap();
         assert_eq!(p1, p2);
         assert_eq!(s1, s2);
-        let (p3, s3) = astar(&g, GCell::new(1, 2), GCell::new(13, 11), 1.0).unwrap();
-        let (p4, s4) = astar_in(&g, GCell::new(1, 2), GCell::new(13, 11), 1.0, full).unwrap();
+        grown.astar_in(&g, src, near, 1.0, small);
+        let (p3, s3) = astar(&g, src, dst, 1.0).unwrap();
+        let (p4, s4) = grown.astar_in(&g, src, dst, 1.0, full).unwrap();
         assert_eq!(p3, p4);
         assert_eq!(s3, s4);
         assert_eq!(s2.scratch_cells, 16 * 16);
@@ -444,11 +416,13 @@ mod tests {
         let dst = GCell::new(6, 5);
         let win = SearchWindow::around(src, dst, 1, &g);
         assert_eq!((win.x0, win.y0, win.x1, win.y1), (1, 2, 7, 6));
-        type Search = fn(&RoutingGrid, GCell, GCell, SearchWindow) -> Option<(Path, SearchStats)>;
-        let searches: [Search; 2] =
-            [|g, s, d, w| lee_bfs_in(g, s, d, w), |g, s, d, w| astar_in(g, s, d, 1.0, w)];
-        for f in searches {
-            let (path, stats) = f(&g, src, dst, win).unwrap();
+        let mut scratch = SearchScratch::new();
+        let searches = [
+            scratch.lee_bfs_in(&g, src, dst, win),
+            scratch.astar_in(&g, src, dst, 1.0, win),
+        ];
+        for found in searches {
+            let (path, stats) = found.unwrap();
             assert_eq!(path[0], src);
             assert_eq!(*path.last().unwrap(), dst);
             assert!(path.iter().all(|&c| win.contains(c)), "path stays inside the window");

@@ -122,7 +122,7 @@ fn segment(from: GCell, to: GCell) -> Vec<GCell> {
 }
 
 
-pub fn mikami_tabuchi_in<G: DemandGrid>(
+fn mikami_tabuchi_in<G: DemandGrid>(
     grid: &G,
     src: GCell,
     dst: GCell,
@@ -258,7 +258,7 @@ pub fn dedup_path(path: &mut Vec<GCell>) {
     }
 }
 
-pub fn lee_bfs_in<G: DemandGrid>(
+fn lee_bfs_in<G: DemandGrid>(
     grid: &G,
     src: GCell,
     dst: GCell,
@@ -341,7 +341,7 @@ impl BucketQueue {
     }
 }
 
-pub fn astar_in<G: DemandGrid>(
+fn astar_in<G: DemandGrid>(
     grid: &G,
     src: GCell,
     dst: GCell,

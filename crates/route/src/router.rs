@@ -711,28 +711,6 @@ fn route_decomposed(
     (outcome, stats)
 }
 
-/// Routes the same placement across a sweep of layer counts, reporting which
-/// stacks close overflow-free — the data behind the 6-layer → 4-layer cost
-/// claim (C5).
-pub fn layer_sweep(
-    netlist: &Netlist,
-    placement: &Placement,
-    layers: impl IntoIterator<Item = u32>,
-    algorithm: RouteAlgorithm,
-) -> Vec<(u32, RouteOutcome)> {
-    layers
-        .into_iter()
-        .map(|l| {
-            let cfg = RouteConfig {
-                algorithm,
-                deck: RuleDeck::simple(l),
-                ..Default::default()
-            };
-            (l, route(netlist, placement, &cfg))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -997,8 +975,10 @@ mod tests {
     #[test]
     fn more_layers_reduce_overflow() {
         let (n, p) = placed(600, 12);
-        let sweep = layer_sweep(&n, &p, [2u32, 4, 8], RouteAlgorithm::AStar);
-        let overflow: Vec<u64> = sweep.iter().map(|(_, o)| o.overflow).collect();
+        let overflow = [2u32, 4, 8].map(|l| {
+            let cfg = RouteConfig { algorithm: RouteAlgorithm::AStar, ..Default::default() };
+            route(&n, &p, &RouteConfig { deck: RuleDeck::simple(l), ..cfg }).overflow
+        });
         assert!(overflow[0] >= overflow[1] && overflow[1] >= overflow[2]);
     }
 

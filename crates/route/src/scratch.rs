@@ -1,5 +1,8 @@
 //! Search scratch: the reusable working memory of the three per-connection
-//! searches, and the pool a route call hands it out from.
+//! searches, and the pool a route call hands it out from. One entry per
+//! search: [`SearchScratch::mikami_tabuchi_in`], [`SearchScratch::astar_in`]
+//! and [`SearchScratch::lee_bfs_in`] are the only public way into the
+//! kernels; a one-shot search is a method call on [`SearchScratch::new`].
 //!
 //! A search needs window-sized per-cell state — per probe tree a row-major
 //! and a column-major seen map for line search, `best_g` / `prev` for the
@@ -26,14 +29,8 @@ use crate::maze::{MazeScratch, Path, SearchStats, SearchWindow};
 use crate::region::OverlayBuffers;
 use std::sync::Mutex;
 
-/// Reusable working memory for [`mikami_tabuchi_in`], [`astar_in`] and
-/// [`lee_bfs_in`]: each free function is the method of the same name on a
-/// fresh scratch. Results never depend on what a scratch was used for
-/// before.
-///
-/// [`mikami_tabuchi_in`]: crate::mikami_tabuchi_in
-/// [`astar_in`]: crate::astar_in
-/// [`lee_bfs_in`]: crate::lee_bfs_in
+/// Reusable working memory for the line search and the two maze searches.
+/// Results never depend on what a scratch was used for before.
 #[derive(Default)]
 pub struct SearchScratch {
     line: LineScratch,
@@ -56,7 +53,13 @@ impl SearchScratch {
         self.line.heap_bytes() + self.maze.heap_bytes() + self.overlay.heap_bytes()
     }
 
-    /// [`mikami_tabuchi_in`](crate::mikami_tabuchi_in) on this scratch.
+    /// Mikami–Tabuchi line search between two cells, its probes clipped to
+    /// `win` ([`probe_window`](crate::probe_window) is the default clip).
+    ///
+    /// Returns the path and the number of line-cells generated (the
+    /// analogue of "cells expanded"), or `None` when the expansion level
+    /// limit is hit or a tighter window leaves no crossing — callers fall
+    /// back to maze routing.
     pub fn mikami_tabuchi_in<G: DemandGrid>(
         &mut self,
         grid: &G,
@@ -68,7 +71,12 @@ impl SearchScratch {
         self.line.search(grid, src, dst, max_levels, win)
     }
 
-    /// [`astar_in`](crate::astar_in) on this scratch.
+    /// Congestion-aware A* inside `win`: edge costs from
+    /// [`DemandGrid::step_cost`] plus a via (bend) penalty, with the
+    /// Manhattan-distance admissible heuristic; costs are quantized to
+    /// 1/64ths. With [`SearchWindow::full`] this is the classic full-grid
+    /// search; with a bounded window the route may accept congestion it
+    /// cannot detour around, which rip-up negotiation then repairs.
     pub fn astar_in<G: DemandGrid>(
         &mut self,
         grid: &G,
@@ -80,7 +88,10 @@ impl SearchScratch {
         self.maze.astar(grid, src, dst, via_cost, win)
     }
 
-    /// [`lee_bfs_in`](crate::lee_bfs_in) on this scratch.
+    /// Lee's algorithm inside `win`: uniform-cost BFS ignoring congestion
+    /// weights (the decade-old baseline). The grid has no hard obstacles,
+    /// so any window containing both pins yields a path — a window only
+    /// trades detour room for memory.
     pub fn lee_bfs_in<G: DemandGrid>(
         &mut self,
         grid: &G,

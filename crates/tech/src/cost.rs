@@ -64,11 +64,6 @@ impl CostModel {
         self.node
     }
 
-    /// Baseline wafer cost at the node's typical metal stack.
-    pub fn wafer_cost(&self) -> f64 {
-        self.node.spec().wafer_cost_usd
-    }
-
     /// Wafer cost if the design uses `layers` metal layers instead of the
     /// node-typical stack. Each layer added/removed shifts cost by the
     /// per-layer fraction of the baseline.

@@ -264,9 +264,13 @@ cargo test --release -q --test signoff_pins
 # method keep the names; then the per-slot busy clocks, the rotated-stripe
 # dispatch, the route wave ledger and the placer's private projection, which
 # one critical-path rule in `ParStats` replaced, and a second tranche of
-# accessors only their own unit tests called) must not reappear anywhere in
-# the workspace, its tests or its examples.
-deleted_names='StageBudgets?|soft_deadline_s|npn_canon|npn_equivalent|NpnCanon|collapse_faults|CollapseOutcome|request_retry|retry_queue_full|fault_sim_threaded|run_opc_stats|image_threaded|print_threaded|edge_placement_errors_threaded|FlowConfigBuilder|map_goal|route_region_size|RegionWithoutWindow|NoLayers|open_shared|server_snapshot|QUEUE_DEPTH_EDGES|count_sat|is_xor_like|peak_density|serve_demo|scale_demo|SERVLINE|SCALELINE|cross_hit_rate|usage_h_row|usage_v_col|free_run_scan|set_seen|^struct Span|^fn any_unseen|par_tasks_stats_at|projected_refine_seconds|est_dispatched|busy_s|performance_score|fmax_mhz|min_period_ps|with_arms|demand_at|overflowed_bins'
+# accessors only their own unit tests called; then the mapper's
+# single-valued `MapGoal`, the route searches' one-shot free-function twins
+# — anchored as top-level `pub fn`s, since the `MazeScratch` /
+# `SearchScratch` methods keep the names — the one-caller `layer_sweep`, and
+# a third tranche of items only their own unit tests called) must not
+# reappear anywhere in the workspace, its tests or its examples.
+deleted_names='StageBudgets?|soft_deadline_s|npn_canon|npn_equivalent|NpnCanon|collapse_faults|CollapseOutcome|request_retry|retry_queue_full|fault_sim_threaded|run_opc_stats|image_threaded|print_threaded|edge_placement_errors_threaded|FlowConfigBuilder|map_goal|route_region_size|RegionWithoutWindow|NoLayers|open_shared|server_snapshot|QUEUE_DEPTH_EDGES|count_sat|is_xor_like|peak_density|serve_demo|scale_demo|SERVLINE|SCALELINE|cross_hit_rate|usage_h_row|usage_v_col|free_run_scan|set_seen|^struct Span|^fn any_unseen|par_tasks_stats_at|projected_refine_seconds|est_dispatched|busy_s|performance_score|fmax_mhz|min_period_ps|with_arms|demand_at|overflowed_bins|MapGoal|layer_sweep|into_payload|insertion_delay_ps|wire_cap_ff|wafer_cost|liberty_to_clf|instances_per_day|domain_count|rebind|^pub fn (lee_bfs|astar|mikami_tabuchi)(_in)?'
 if grep -rnwE "$deleted_names" crates src tests examples; then
     echo "check: FAIL a deleted name is back (census above)" >&2; exit 1
 fi
@@ -283,5 +287,5 @@ fi
 awk '/^test result:/ { passed += $4; failed += $6 }
      END { printf "check: %d tests passed, %d failed across all binaries\n", passed, failed
            exit (failed > 0) }' "$test_log"
-echo "check: $(find crates src tests examples benchmark -name '*.rs' -print0 | xargs -0 cat | wc -l) lines of Rust (the count ROADMAP quotes); clippy --workspace --all-targets clean; deleted-name census empty (budgets, NPN / collapse, retry, twins, config builder, derived knobs, shared-store open, server snapshot, test-only accessors, serve / scale harnesses, per-edge probe helpers, per-slot busy clocks and the route wave ledger); run_flow_shared called from flow.rs + engine.rs only"
+echo "check: $(find crates src tests examples benchmark -name '*.rs' -print0 | xargs -0 cat | wc -l) lines of Rust (the count ROADMAP quotes); clippy --workspace --all-targets clean; deleted-name census empty (budgets, NPN / collapse, retry, twins, config builder, derived knobs, shared-store open, server snapshot, test-only accessors, serve / scale harnesses, per-edge probe helpers, per-slot busy clocks and the route wave ledger, mapping goal, one-shot search twins and layer sweep); run_flow_shared called from flow.rs + engine.rs only"
 echo "check: tier-1 + clippy --workspace --all-targets + unwrap gates + inject smoke + trace + all 18 claims + daemon + facade docs + incremental + sub-stage record budget + cross-process resume + mini-tier pins + golden + route pins + route audit + place pins + place audit + sign-off pins + deleted-name census + one-engine gate green"

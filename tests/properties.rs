@@ -4,7 +4,7 @@ use eda::litho::{decompose, ConflictGraph, Layout};
 use eda::logic::{isop, Aig, Cube, TruthTable};
 use eda::netlist::generate;
 use eda::place::{anneal, place_global, AnnealConfig, Die, GlobalConfig};
-use eda::route::{mikami_tabuchi, GCell, RoutingGrid, RuleDeck};
+use eda::route::{probe_window, GCell, RoutingGrid, RuleDeck, SearchScratch};
 use proptest::prelude::*;
 
 proptest! {
@@ -99,7 +99,8 @@ proptest! {
         let grid = RoutingGrid::new(20, 20, &RuleDeck::simple(6));
         let src = GCell::new(sx, sy);
         let dst = GCell::new(dx, dy);
-        if let Some((path, _)) = mikami_tabuchi(&grid, src, dst, 8) {
+        let win = probe_window(&grid, src, dst);
+        if let Some((path, _)) = SearchScratch::new().mikami_tabuchi_in(&grid, src, dst, 8, win) {
             prop_assert_eq!(path[0], src);
             prop_assert_eq!(*path.last().unwrap(), dst);
             for w in path.windows(2) {

@@ -12,7 +12,7 @@
 use eda::core::{
     read_peak_rss_bytes, run_flow, FlowConfig, FlowReport, Metric, SpanKind, StoreConfig, STAGES,
 };
-use eda::logic::{synthesize, MapGoal, SynthesisOptions};
+use eda::logic::{synthesize, SynthesisOptions};
 use eda::netlist::{generate, CellFunction, Netlist};
 use eda::tech::Node;
 use std::path::PathBuf;
@@ -170,7 +170,7 @@ fn mini_scale_tier_is_bit_identical_and_bounded() {
 fn assert_claim_walk_is_linear(design: &Netlist, report: &FlowReport) {
     let cfg = FlowConfig::scale_2016(Node::N28, MINI);
     let opts = SynthesisOptions { rewrite_passes: cfg.aig_rewrite_passes, ..Default::default() };
-    let synth = synthesize(design, cfg.library.library(), cfg.synthesis, MapGoal::Area, &opts)
+    let synth = synthesize(design, cfg.library.library(), cfg.synthesis, &opts)
         .expect("mini mesh synthesizes");
     let lib = synth.netlist.library();
     let gates = synth

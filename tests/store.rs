@@ -15,7 +15,7 @@ use eda::{
 use eda::netlist::generate;
 use eda::tech::Node;
 use proptest::prelude::*;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A scratch store directory, unique per test case and per process.
@@ -277,4 +277,63 @@ fn provenance_row_format_is_golden() {
         "stage smoke%20design 7_route degraded%20(2%20attempts) 2 3fd0000000000000"
     );
     assert_eq!(StageRow::parse(43, &payload), Some(srow));
+}
+
+/// The cache records a fresh store holds after one flow run: every `stage`
+/// and `sub` header (table, key, payload length, FNV-1a of the payload) in
+/// file order. Keys pin every cache-key input and sums pin every body byte,
+/// so a change to either — or to what the flow writes when — moves a row.
+const RIPPLE4_N28_RECORDS: [&str; 17] = [
+    "%rec sub 802f354155aa6518 29 edcf7f821b553a8b",
+    "%rec sub 934998a1090ec98a 607 b1e9b05f621afe23",
+    "%rec sub 39e773cb90bbaa87 585 1b696f1e0683eaa6",
+    "%rec sub 6514b9990e3c9008 29 90aa82934b008524",
+    "%rec sub 09149b15af0f25b8 640 ab580e0e023c4f86",
+    "%rec stage 019da46f7d313095 3869 c0b96183ac654729",
+    "%rec stage 7eb895334bb03eed 3893 a0c2b88deb16a772",
+    "%rec stage e3149552ef84f986 3972 c59a0837e318a4e7",
+    "%rec stage 577d415a2f593aaf 6652 490be47825c9b46f",
+    "%rec stage d5b7a3db520b5831 6680 aedc3d323744bc73",
+    "%rec stage b99122f8c5461435 6683 1f73f8a137f18c6d",
+    "%rec stage d639f8a30fba69f2 6695 a23e316f08a9eb8c",
+    "%rec sub 95c22d504ed4ffa6 66 b9f2e93a20d28060",
+    "%rec stage 96a62d6ee5468fd2 6715 e18506667c382189",
+    "%rec stage d5d1e77e30ecbde5 6793 642ed69fa7c2ba7d",
+    "%rec stage 3be749c72d8de931 6809 d9195f044747c877",
+    "%rec stage 16325f8a716d6807 6821 881554782251a7e8",
+];
+
+/// Walks a store file record by record (header line, `payload_len` bytes,
+/// `\n`) and returns the `stage` and `sub` header lines in file order; the
+/// provenance rows carry wall clocks and are left out.
+fn cache_record_headers(path: &Path) -> Vec<String> {
+    let bytes = std::fs::read(path).unwrap();
+    let line_end = |from: usize| from + bytes[from..].iter().position(|&b| b == b'\n').unwrap();
+    let mut pos = line_end(0) + 1;
+    let mut headers = Vec::new();
+    while pos < bytes.len() {
+        let end = line_end(pos);
+        let header = std::str::from_utf8(&bytes[pos..end]).unwrap().to_string();
+        let payload_len: usize = header.split(' ').nth(3).unwrap().parse().unwrap();
+        pos = end + 1 + payload_len + 1;
+        if header.starts_with("%rec stage ") || header.starts_with("%rec sub ") {
+            headers.push(header);
+        }
+    }
+    headers
+}
+
+/// A fresh store written by one serial N28 run of a 4-bit ripple adder holds
+/// exactly the pinned cache records.
+#[test]
+fn a_fresh_store_holds_the_pinned_cache_records() {
+    let dir = scratch("record_headers");
+    let cfg = FlowConfig {
+        threads: 1,
+        store: Some(StoreConfig::at(dir.join("flow.store"))),
+        ..FlowConfig::advanced_2016(Node::N28)
+    };
+    run_flow(&generate::ripple_carry_adder(4).unwrap(), &cfg).unwrap();
+    assert_eq!(cache_record_headers(&dir.join("flow.store")), RIPPLE4_N28_RECORDS);
+    let _ = std::fs::remove_dir_all(&dir);
 }
