@@ -101,7 +101,7 @@ pub fn run_opc(
         // fragment reads only its own mask interval plus the shared printed
         // contours, so fragments are independent and the corrected mask is
         // bit-identical for any thread count.
-        let new_mask = eda_par::par_map(cfg.threads, target, |fi, &(t0, t1)| {
+        let (new_mask, s) = eda_par::par_map_stats(cfg.threads, target, |fi, &(t0, t1)| {
             // Printed edge nearest each target edge.
             let p0 = printed
                 .iter()
@@ -134,6 +134,7 @@ pub fn run_opc(
             }
             (a, b)
         });
+        stats.absorb(&s);
         fragment_moves += new_mask
             .iter()
             .zip(&mask)
@@ -223,6 +224,21 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "threads={threads}");
             }
             assert!(stats.total_cpu_s() >= 0.0);
+        }
+    }
+
+    #[test]
+    fn stats_cover_every_print_and_fragment_dispatch() {
+        // 2 × iterations + 1 prints (one per measurement, one per correction
+        // step) plus one fragment-correction dispatch per iteration, which
+        // splits a target this small into one chunk per fragment.
+        let model = OpticalModel::default();
+        let (target, extent) = dense_target(110.0, 8, 300.0);
+        let cfg = OpcConfig { iterations: 5, ..Default::default() };
+        let print_chunks = model.print(&target, extent, 1).1.chunks;
+        for threads in [1, 2] {
+            let stats = run_opc(&model, &target, extent, &OpcConfig { threads, ..cfg }).1;
+            assert_eq!(stats.chunks, 11 * print_chunks + 5 * target.len(), "threads={threads}");
         }
     }
 

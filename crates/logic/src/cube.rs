@@ -74,12 +74,6 @@ impl Cube {
         *self == Cube::full(self.num_vars())
     }
 
-    /// Set intersection; may be empty.
-    pub fn intersect(&self, other: &Cube) -> Cube {
-        assert_eq!(self.num_vars, other.num_vars, "mixed variable counts");
-        Cube { bits: self.bits & other.bits, num_vars: self.num_vars }
-    }
-
     /// Whether `self` covers `other` (as sets of minterms).
     pub fn contains(&self, other: &Cube) -> bool {
         assert_eq!(self.num_vars, other.num_vars, "mixed variable counts");
@@ -237,13 +231,20 @@ mod tests {
         assert_eq!(c.to_string(), "-1-0");
     }
 
+    /// The cube with variable 0's field `00` (a contradiction) and every
+    /// other variable a don't-care.
+    fn contradiction(num_vars: usize) -> Cube {
+        let full = Cube::full(num_vars);
+        Cube { bits: full.bits & !0b11, ..full }
+    }
+
     #[test]
     fn empty_detection() {
         let a = Cube::full(3).with_literal(0, true);
-        let b = Cube::full(3).with_literal(0, false);
         assert!(!a.is_empty());
-        assert!(a.intersect(&b).is_empty());
-        assert!(!a.intersect(&a).is_empty());
+        assert!(!Cube::full(3).is_empty());
+        assert!(contradiction(3).is_empty());
+        assert!(contradiction(32).is_empty());
     }
 
     #[test]
@@ -268,9 +269,7 @@ mod tests {
     #[test]
     fn push_drops_empty() {
         let mut f = Cover::new(2);
-        let a = Cube::full(2).with_literal(0, true);
-        let b = Cube::full(2).with_literal(0, false);
-        f.push(a.intersect(&b));
+        f.push(contradiction(2));
         assert!(f.is_empty());
     }
 

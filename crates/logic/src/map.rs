@@ -10,6 +10,11 @@
 //! Matching is phase-complete: every cell is tabulated under all input
 //! permutations *and* input complementations, and both output phases of every
 //! node are costed, so inverters appear only where they pay for themselves.
+//!
+//! The matches become a netlist through one serial routine: a claim walk
+//! gives each gate to the first output cone that needs it, and each claimed
+//! run — a hierarchical block's flop cones, then the tail of everything left —
+//! is realized in claim order with the run's names, labels and tie cells.
 
 use crate::aig::{Aig, AigNode, Lit, SeqBoundary};
 use crate::cuts::{CutSet, K};
@@ -436,152 +441,58 @@ impl<'a> ClaimWalk<'a> {
     }
 }
 
-/// One gate of a hierarchical block's netlist fragment: named and wired
-/// off-thread, spliced into the shared [`Netlist`] serially in block order.
-struct GateSpec {
-    /// `(node << 1) | phase` for memoized gates; `None` for block-local ties.
-    key: Option<u32>,
-    name: String,
-    kind: SpecKind,
-    ins: Vec<SpecRef>,
-}
-
-enum SpecKind {
-    Cell(CellId),
-    Inv,
-    Tie(bool),
-}
-
-/// How a fragment gate input is resolved when the fragment is spliced in.
-enum SpecRef {
-    /// Combinational input `k` (real PI or flop Q), positive phase.
-    Pi(usize),
-    /// An earlier gate of the same fragment, by fragment index.
-    Local(u32),
-    /// `(node << 1) | phase` realized by an earlier block; first-owner
-    /// claiming in fixed block order guarantees it is never a later one.
-    Foreign(u32),
-}
-
-/// A fragment gate's reference to `(node, phase)`: a boundary net, a tie, an
-/// earlier gate of this fragment, or a gate owned by an earlier block.
-fn fragment_ref(
-    nodes: &[AigNode],
-    bi: usize,
-    specs: &mut Vec<GateSpec>,
-    ties: &mut [Option<u32>; 2],
-    local: &HashMap<u32, u32>,
-    node: u32,
-    phase: bool,
-) -> SpecRef {
-    match nodes[node as usize] {
-        AigNode::Const => {
-            let idx = phase as usize;
-            let at = *ties[idx].get_or_insert_with(|| {
-                specs.push(GateSpec {
-                    key: None,
-                    name: format!("u_b{bi}_t{idx}"),
-                    kind: SpecKind::Tie(phase),
-                    ins: Vec::new(),
-                });
-                specs.len() as u32 - 1
-            });
-            SpecRef::Local(at)
-        }
-        AigNode::Pi(k) if !phase => SpecRef::Pi(k),
-        _ => {
-            let key = key_of(node, phase);
-            match local.get(&key) {
-                Some(&i) => SpecRef::Local(i),
-                None => SpecRef::Foreign(key),
-            }
-        }
-    }
-}
-
-/// Realizes block `bi`'s owned gates as a detached fragment: deterministic
-/// block-scoped names (`u_b{bi}_…`), inputs as symbolic [`SpecRef`]s. Runs
-/// off-thread — nothing here touches the shared netlist.
+/// Where a claimed run is realized: one hierarchical block or the tail.
 ///
-/// Returns the fragment plus one [`SpecRef`] per block PO (its D-input).
-fn build_fragment(
-    nodes: &[AigNode],
-    best: &[[Best; 2]],
-    bi: usize,
-    owned: &[u32],
-    pos: &[Lit],
-) -> Result<(Vec<GateSpec>, Vec<SpecRef>), MapError> {
-    let mut specs: Vec<GateSpec> = Vec::with_capacity(owned.len());
-    let mut local: HashMap<u32, u32> = HashMap::with_capacity(owned.len());
-    let mut ties: [Option<u32>; 2] = [None, None];
-    for &key in owned {
-        let (node, phase) = (key >> 1, key & 1 == 1);
-        let spec = match nodes[node as usize] {
-            AigNode::Const => return Err(MapError::Internal("const node claimed by a block")),
-            AigNode::Pi(k) => GateSpec {
-                key: Some(key),
-                name: format!("u_b{bi}_i{}", specs.len()),
-                kind: SpecKind::Inv,
-                ins: vec![SpecRef::Pi(k)],
-            },
-            AigNode::And(..) => {
-                let b = &best[node as usize][phase as usize];
-                if b.via_inverter {
-                    let src = fragment_ref(nodes, bi, &mut specs, &mut ties, &local, node, !phase);
-                    GateSpec {
-                        key: Some(key),
-                        name: format!("u_b{bi}_i{}", specs.len()),
-                        kind: SpecKind::Inv,
-                        ins: vec![src],
-                    }
-                } else {
-                    let cell = b.cell.ok_or(MapError::Internal("direct match lost its cell"))?;
-                    let ins = b
-                        .leaves()
-                        .iter()
-                        .map(|&(leaf, ph)| {
-                            fragment_ref(nodes, bi, &mut specs, &mut ties, &local, leaf, ph)
-                        })
-                        .collect();
-                    GateSpec {
-                        key: Some(key),
-                        name: format!("u_b{bi}_c{}", specs.len()),
-                        kind: SpecKind::Cell(cell),
-                        ins,
-                    }
-                }
-            }
-        };
-        local.insert(key, specs.len() as u32);
-        specs.push(spec);
-    }
-    let po_refs = pos
-        .iter()
-        .map(|lit| {
-            fragment_ref(
-                nodes,
-                bi,
-                &mut specs,
-                &mut ties,
-                &local,
-                lit.node() as u32,
-                lit.is_complemented(),
-            )
-        })
-        .collect();
-    Ok((specs, po_refs))
+/// A block names its gates `u_b{bi}_i{n}` / `u_b{bi}_c{n}`, where `n` counts
+/// the block's gates ties included, labels every gate with the block, and
+/// creates its own tie `u_b{bi}_t{phase}` on the first reference to a
+/// constant. The tail names its gates `u_inv{n}` / `u_c{n}` (`n` from 1, ties
+/// not counted); its ties `u_tie{phase}` are claimed by the claim walk and
+/// shared netlist-wide.
+struct Scope<'a> {
+    /// `(block index, label)`; `None` for the tail.
+    block: Option<(usize, &'a str)>,
+    /// The naming counter `n` described above.
+    gates: usize,
+    /// The scope's tie net per phase, once created.
+    ties: [Option<NetId>; 2],
 }
 
-/// The nets of everything realized so far: boundary nets for positive PI
-/// references, one slot per `(node, phase)` key for gates and shared ties.
-struct Nets<'a> {
+impl Scope<'_> {
+    /// The name of the scope's next inverter (`inv`) or cell.
+    fn gate_name(&mut self, inv: bool) -> String {
+        self.gates += 1;
+        match self.block {
+            Some((bi, _)) => format!("u_b{bi}_{}{}", if inv { "i" } else { "c" }, self.gates - 1),
+            None => format!("u_{}{}", if inv { "inv" } else { "c" }, self.gates),
+        }
+    }
+
+    fn tie_name(&mut self, phase: bool) -> String {
+        match self.block {
+            Some((bi, _)) => {
+                self.gates += 1;
+                format!("u_b{bi}_t{}", phase as usize)
+            }
+            None => format!("u_tie{}", phase as usize),
+        }
+    }
+}
+
+/// The mapped netlist under construction, with the net of everything
+/// realized so far: boundary nets for positive PI references, one slot per
+/// `(node, phase)` key for gates.
+struct Builder<'a> {
+    out: Netlist,
     nodes: &'a [AigNode],
-    pi_nets: &'a [NetId],
-    flop_q_nets: &'a [NetId],
+    best: &'a [[Best; 2]],
+    inv: CellId,
+    pi_nets: Vec<NetId>,
+    flop_q_nets: Vec<NetId>,
     of_key: Vec<Option<NetId>>,
 }
 
-impl Nets<'_> {
+impl Builder<'_> {
     fn of_pi(&self, k: usize) -> NetId {
         if k < self.pi_nets.len() {
             self.pi_nets[k]
@@ -590,22 +501,93 @@ impl Nets<'_> {
         }
     }
 
-    /// The net carrying `key`, which must have been realized already.
-    fn of(&self, key: u32) -> Result<NetId, MapError> {
+    /// The net carrying `key` in `scope`: a constant is the scope's tie, any
+    /// other gate must have been realized already.
+    fn input(&mut self, scope: &mut Scope, key: u32) -> Result<NetId, MapError> {
         match self.nodes[(key >> 1) as usize] {
+            AigNode::Const => self.tie(scope, key & 1 == 1),
             AigNode::Pi(k) if key & 1 == 0 => Ok(self.of_pi(k)),
             _ => self.of_key[key as usize]
                 .ok_or(MapError::Internal("gate input realized out of order")),
         }
     }
 
-    /// Resolves a fragment's [`SpecRef`] against the nets spliced in so far.
-    fn of_ref(&self, r: &SpecRef, local_nets: &[NetId]) -> Result<NetId, MapError> {
-        match *r {
-            SpecRef::Pi(k) => Ok(self.of_pi(k)),
-            SpecRef::Local(i) => Ok(local_nets[i as usize]),
-            SpecRef::Foreign(key) => self.of(key),
+    /// The scope's tie cell of `phase`, created on first use.
+    fn tie(&mut self, scope: &mut Scope, phase: bool) -> Result<NetId, MapError> {
+        if let Some(net) = scope.ties[phase as usize] {
+            return Ok(net);
         }
+        let f = if phase { CellFunction::Const1 } else { CellFunction::Const0 };
+        let net = self.out.add_gate_fn(scope.tie_name(phase), f, &[])?;
+        self.label(scope);
+        scope.ties[phase as usize] = Some(net);
+        Ok(net)
+    }
+
+    /// Adds the scope's next gate: `cell`, or the inverter when `None`.
+    fn gate(
+        &mut self,
+        scope: &mut Scope,
+        cell: Option<CellId>,
+        ins: &[NetId],
+    ) -> Result<NetId, MapError> {
+        let name = scope.gate_name(cell.is_none());
+        let net = self.out.add_gate(name, cell.unwrap_or(self.inv), ins)?;
+        self.label(scope);
+        Ok(net)
+    }
+
+    fn label(&mut self, scope: &Scope) {
+        if let Some((_, label)) = scope.block {
+            self.out.assign_block(InstId::from_index(self.out.num_instances() - 1), label);
+        }
+    }
+
+    /// Realizes one claimed run: claims the unclaimed part of `roots`' cones,
+    /// adds those gates in claim order under `scope`'s names, and returns the
+    /// net of each root.
+    fn realize(
+        &mut self,
+        walk: &mut ClaimWalk,
+        scope: &mut Scope,
+        roots: &[Lit],
+    ) -> Result<Vec<NetId>, MapError> {
+        let mut order = Vec::new();
+        for &root in roots {
+            walk.claim(root, scope.block.is_none(), &mut order);
+        }
+        let best = self.best;
+        let mut ins: Vec<NetId> = Vec::with_capacity(K);
+        for &key in &order {
+            let (node, phase) = ((key >> 1) as usize, key & 1 == 1);
+            let net = match self.nodes[node] {
+                AigNode::Const => self.tie(scope, phase)?,
+                AigNode::Pi(k) => {
+                    let pi = self.of_pi(k);
+                    self.gate(scope, None, &[pi])?
+                }
+                AigNode::And(..) => {
+                    let b = &best[node][phase as usize];
+                    if b.via_inverter {
+                        let src = self.input(scope, key ^ 1)?;
+                        self.gate(scope, None, &[src])?
+                    } else {
+                        let cell =
+                            b.cell.ok_or(MapError::Internal("direct match lost its cell"))?;
+                        ins.clear();
+                        for &(leaf, ph) in b.leaves() {
+                            ins.push(self.input(scope, key_of(leaf, ph))?);
+                        }
+                        self.gate(scope, Some(cell), &ins)?
+                    }
+                }
+            };
+            self.of_key[key as usize] = Some(net);
+        }
+        roots
+            .iter()
+            .map(|l| self.input(scope, key_of(l.node() as u32, l.is_complemented())))
+            .collect()
     }
 }
 
@@ -674,13 +656,12 @@ fn group_outputs(boundary: &SeqBoundary) -> (Vec<(&str, Vec<usize>)>, Vec<usize>
 /// Cut enumeration and matching parallelize by **topological wave**: all
 /// nodes of one logic level are independent given the finished levels below
 /// them, so each wave is one deterministic dispatch and the result is
-/// bit-identical for any `threads`. Netlist construction starts with one
-/// serial [`ClaimWalk`] that hands every `(node, phase)` to the first output
-/// cone that needs it; on hierarchical designs each block's claimed gates are
-/// then built as a detached fragment in parallel ([`build_fragment`]) and
-/// spliced in fixed block order, so the output is bit-identical at any worker
-/// count. [`MapOutcome::par`] accumulates every dispatch for telemetry and
-/// speedup projection.
+/// bit-identical for any `threads`. Netlist construction is serial: one
+/// [`ClaimWalk`] hands every `(node, phase)` to the first output cone that
+/// needs it, and [`Builder::realize`] adds each claimed run's gates in claim
+/// order — every hierarchical block in block order, then the tail — under the
+/// run's [`Scope`]. [`MapOutcome::par`] accumulates every dispatch for
+/// telemetry and speedup projection.
 ///
 /// Flops recorded in `boundary` are re-inserted using the library's DFF.
 ///
@@ -707,133 +688,47 @@ pub fn map_aig(
 
     // ---- construct the mapped netlist ----
     let mut out = Netlist::with_library("mapped", lib.clone());
-    let pi_names = aig.pi_names();
-    let mut pi_nets: Vec<NetId> = Vec::with_capacity(boundary.real_pis);
-    for name in pi_names.iter().take(boundary.real_pis) {
-        pi_nets.push(out.add_input(name.clone()));
-    }
-    let mut flop_q_nets: Vec<NetId> = Vec::with_capacity(boundary.flops.len());
-    for fb in &boundary.flops {
-        flop_q_nets.push(out.add_net(format!("{}__q", fb.name)));
-    }
-    let mut nets =
-        Nets { nodes, pi_nets: &pi_nets, flop_q_nets: &flop_q_nets, of_key: vec![None; 2 * n] };
+    let pi_nets: Vec<NetId> = aig
+        .pi_names()
+        .iter()
+        .take(boundary.real_pis)
+        .map(|name| out.add_input(name.clone()))
+        .collect();
+    let flop_q_nets: Vec<NetId> =
+        boundary.flops.iter().map(|fb| out.add_net(format!("{}__q", fb.name))).collect();
+    let mut build = Builder {
+        out,
+        nodes,
+        best: &best,
+        inv: table.inv,
+        pi_nets,
+        flop_q_nets,
+        of_key: vec![None; 2 * n],
+    };
     let mut walk = ClaimWalk::new(nodes, &best);
 
-    // Realize the chosen matches as library gates. Hierarchical designs go
-    // block by block: the claim walk (serial, block order) decides which
-    // block owns which gate, each block's fragment is built in parallel, and
-    // a serial pass splices the fragments in block order, so the mapped
-    // netlist is bit-identical at any thread count. Logic shared between
-    // blocks stays with the first block that needs it, and every gate a
-    // block realizes carries that block's label. Whatever is left — all of
-    // a flat design — is realized by the tail walk below.
+    // Realize the chosen matches as library gates, one claimed run at a
+    // time: every block in block order, then the tail. The claim walk hands
+    // logic shared between blocks to the first block that needs it; the tail
+    // takes what the blocks left over — all of a flat design.
     let hierarchical = boundary.flops.iter().any(|fb| fb.block.is_some());
-    let mut po_nets: Vec<Option<NetId>> = vec![None; aig.pos().len()];
-    let tail: Vec<usize> = if hierarchical {
-        let (blocks, tail) = group_outputs(boundary);
-
-        // Phase A (serial): first-owner claiming in block order.
-        let lits: Vec<Vec<Lit>> = blocks
-            .iter()
-            .map(|(_, pois)| pois.iter().map(|&poi| aig.pos()[poi].1).collect())
-            .collect();
-        let owned: Vec<Vec<u32>> = lits
-            .iter()
-            .map(|roots| {
-                let mut order = Vec::new();
-                for &root in roots {
-                    walk.claim(root, false, &mut order);
-                }
-                order
-            })
-            .collect();
-
-        // Phase B (parallel): realize each block's owned gates as a detached
-        // fragment with block-scoped names and symbolic input references.
-        let jobs: Vec<usize> = (0..blocks.len()).collect();
-        let (frags, stats) = eda_par::par_tasks_stats(threads, &jobs, |_, &bi| {
-            build_fragment(nodes, &best, bi, &owned[bi], &lits[bi])
-        });
-        par.absorb(&stats);
-
-        // Phase C (serial): splice fragments in block order. Foreign refs
-        // always point at an earlier block, so one pass resolves everything.
-        for ((bname, pois), frag) in blocks.iter().zip(frags) {
-            let (specs, po_refs) = frag?;
-            let mut local_nets: Vec<NetId> = Vec::with_capacity(specs.len());
-            for spec in specs {
-                let mut ins = Vec::with_capacity(spec.ins.len());
-                for r in &spec.ins {
-                    ins.push(nets.of_ref(r, &local_nets)?);
-                }
-                let net = match spec.kind {
-                    SpecKind::Tie(phase) => {
-                        let f = if phase { CellFunction::Const1 } else { CellFunction::Const0 };
-                        out.add_gate_fn(spec.name, f, &[]).map_err(MapError::Netlist)?
-                    }
-                    SpecKind::Inv => {
-                        out.add_gate(spec.name, table.inv, &ins).map_err(MapError::Netlist)?
-                    }
-                    SpecKind::Cell(c) => {
-                        out.add_gate(spec.name, c, &ins).map_err(MapError::Netlist)?
-                    }
-                };
-                out.assign_block(InstId::from_index(out.num_instances() - 1), bname);
-                if let Some(key) = spec.key {
-                    nets.of_key[key as usize] = Some(net);
-                }
-                local_nets.push(net);
-            }
-            for (&poi, r) in pois.iter().zip(&po_refs) {
-                po_nets[poi] = Some(nets.of_ref(r, &local_nets)?);
-            }
-        }
-        tail
+    let (blocks, tail) = if hierarchical {
+        group_outputs(boundary)
     } else {
-        (0..aig.pos().len()).collect()
+        (Vec::new(), (0..aig.pos().len()).collect())
     };
-
-    // The tail: claim what the blocks left over (everything, on a flat
-    // design) and realize it in claim order, ties shared netlist-wide.
-    let mut order = Vec::new();
-    for &poi in &tail {
-        walk.claim(aig.pos()[poi].1, true, &mut order);
-    }
-    let mut counter = 0usize;
-    let mut ins: Vec<NetId> = Vec::with_capacity(K);
-    for &key in &order {
-        let (node, phase) = ((key >> 1) as usize, key & 1 == 1);
-        let net = match nodes[node] {
-            AigNode::Const => {
-                let f = if phase { CellFunction::Const1 } else { CellFunction::Const0 };
-                out.add_gate_fn(format!("u_tie{}", phase as usize), f, &[])
-            }
-            AigNode::Pi(k) => {
-                counter += 1;
-                out.add_gate(format!("u_inv{counter}"), table.inv, &[nets.of_pi(k)])
-            }
-            AigNode::And(..) => {
-                let b = &best[node][phase as usize];
-                counter += 1;
-                if b.via_inverter {
-                    out.add_gate(format!("u_inv{counter}"), table.inv, &[nets.of(key ^ 1)?])
-                } else {
-                    let cell = b.cell.ok_or(MapError::Internal("direct match lost its cell"))?;
-                    ins.clear();
-                    for &(leaf, ph) in b.leaves() {
-                        ins.push(nets.of(key_of(leaf, ph))?);
-                    }
-                    out.add_gate(format!("u_c{counter}"), cell, &ins)
-                }
-            }
+    let runs = blocks
+        .iter()
+        .enumerate()
+        .map(|(bi, (label, pois))| (Some((bi, *label)), pois))
+        .chain(std::iter::once((None, &tail)));
+    let mut po_nets: Vec<Option<NetId>> = vec![None; aig.pos().len()];
+    for (block, pois) in runs {
+        let roots: Vec<Lit> = pois.iter().map(|&poi| aig.pos()[poi].1).collect();
+        let mut scope = Scope { block, gates: 0, ties: [None; 2] };
+        for (&poi, net) in pois.iter().zip(build.realize(&mut walk, &mut scope, &roots)?) {
+            po_nets[poi] = Some(net);
         }
-        .map_err(MapError::Netlist)?;
-        nets.of_key[key as usize] = Some(net);
-    }
-    for &poi in &tail {
-        let lit = aig.pos()[poi].1;
-        po_nets[poi] = Some(nets.of(key_of(lit.node() as u32, lit.is_complemented()))?);
     }
 
     let po_nets: Vec<NetId> = po_nets
@@ -841,19 +736,20 @@ pub fn map_aig(
         .map(|n| n.ok_or(MapError::Internal("primary output cone never realized")))
         .collect::<Result<_, _>>()?;
     for (i, (name, _)) in aig.pos().iter().take(boundary.real_pos).enumerate() {
-        out.add_output(name.clone(), po_nets[i]);
+        build.out.add_output(name.clone(), po_nets[i]);
     }
     if !boundary.flops.is_empty() {
         let dff = lib.find_function(CellFunction::Dff).ok_or(MapError::MissingFlop)?;
         for (fi, fb) in boundary.flops.iter().enumerate() {
-            let d = po_nets[boundary.real_pos + fi];
-            let ck = nets.of_pi(fb.clock_pi);
-            out.add_gate_with_output(fb.name.clone(), dff, &[d, ck], flop_q_nets[fi])?;
+            let (d, ck) = (po_nets[boundary.real_pos + fi], build.of_pi(fb.clock_pi));
+            let q = build.flop_q_nets[fi];
+            build.out.add_gate_with_output(fb.name.clone(), dff, &[d, ck], q)?;
             if let Some(b) = fb.block.as_deref() {
-                out.assign_block(InstId::from_index(out.num_instances() - 1), b);
+                build.out.assign_block(InstId::from_index(build.out.num_instances() - 1), b);
             }
         }
     }
+    let out = build.out;
 
     let area = out.area_um2();
     let cells = out
@@ -1157,9 +1053,10 @@ mod tests {
 
     #[test]
     fn hierarchical_block_realization_is_thread_invariant() {
-        // The per-block fan-out (claim walk / build_fragment) must produce the
-        // exact same netlist — instance names, cells, wiring, block labels —
-        // at every worker count, and stay functionally equivalent.
+        // Block-by-block realization must produce the exact same netlist —
+        // instance names, cells, wiring, block labels — at every worker
+        // count, stay functionally equivalent, and match the netlist the
+        // per-block fragment pipeline built (its codec text, pinned).
         let n = generate::mesh_fabric(3, 3, 25, 4, 7).unwrap();
         let (aig, bnd) = Aig::from_netlist(&n).unwrap();
         assert!(bnd.flops.iter().any(|fb| fb.block.is_some()), "mesh flops carry block labels");
@@ -1175,6 +1072,8 @@ mod tests {
         let serial = map_aig(&aig, &bnd, Library::generic(), 1).unwrap();
         serial.netlist.validate().unwrap();
         check_equiv(&n, &serial.netlist);
+        let text = eda_netlist::codec::to_text(&serial.netlist);
+        assert_eq!(eda_netlist::memo::fnv1a(text.bytes()), 0x814f_2399_bc2b_e453);
         let want = fingerprint(&serial);
         // Every block-fragment gate carries its block's label; only the
         // unlabelled tail (real-PO cones) may go without one.
@@ -1345,6 +1244,38 @@ mod tests {
             map_aig(&g, &bnd, Arc::new(l), 1),
             Err(MapError::MissingInverter)
         ));
+    }
+
+    #[test]
+    fn a_constant_cone_maps_to_its_scopes_tie() {
+        // AND(a, INV(a)) folds to constant 0 in a flop's D-cone. Labelled,
+        // the cone is its block's: the block creates its own labelled tie.
+        // Unlabelled, it is the tail's: the shared, unlabelled one.
+        for (label, want) in [(Some("blk0"), "u_b0_t0"), (None, "u_tie0")] {
+            let mut n = Netlist::new("fold");
+            let a = n.add_input("a");
+            let ck = n.add_input("clk");
+            let na = n.add_gate_fn("na", CellFunction::Inv, &[a]).unwrap();
+            let d = n.add_gate_fn("d", CellFunction::And(2), &[a, na]).unwrap();
+            let q = n.add_gate_fn("ff", CellFunction::Dff, &[d, ck]).unwrap();
+            n.add_output("q", q);
+            if let Some(b) = label {
+                for i in 0..3 {
+                    n.assign_block(InstId::from_index(i), b);
+                }
+            }
+            let (aig, bnd) = Aig::from_netlist(&n).unwrap();
+            let m = map_aig(&aig, &bnd, Library::generic(), 1).unwrap();
+            let cells: Vec<(&str, Option<&str>)> = m
+                .netlist
+                .instances()
+                .map(|(_, i)| {
+                    (i.name(), i.block().map(|b| m.netlist.block_names()[b as usize].as_str()))
+                })
+                .collect();
+            assert_eq!(cells, [(want, label), ("ff", label)]);
+            check_equiv(&n, &m.netlist);
+        }
     }
 
     #[test]

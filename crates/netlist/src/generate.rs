@@ -377,48 +377,6 @@ pub fn hierarchical_design(
     Ok(n)
 }
 
-/// Generates a Fibonacci LFSR of the given width with taps at the listed
-/// bit positions (XOR feedback into bit 0).
-///
-/// # Errors
-///
-/// Propagates [`NetlistError`] from construction.
-///
-/// # Panics
-///
-/// Panics if `width < 2`, taps are empty, or a tap is out of range.
-pub fn lfsr(width: usize, taps: &[usize]) -> Result<Netlist, NetlistError> {
-    assert!(width >= 2, "LFSR width must be at least 2");
-    assert!(!taps.is_empty(), "LFSR needs at least one tap");
-    assert!(taps.iter().all(|&t| t < width), "tap out of range");
-    let mut n = Netlist::new(format!("lfsr{width}"));
-    let ck = n.add_input("clk");
-    // Stage outputs (flop Qs) wired in a ring; create the flops' output nets
-    // first, then their D logic, using add_gate_with_output.
-    let lib = n.library().clone();
-    let dff = lib.find_function(CellFunction::Dff).expect("generic library has DFF");
-    let q_nets: Vec<NetId> = (0..width).map(|i| n.add_net(format!("q{i}"))).collect();
-    // Feedback = XOR of tapped stages.
-    let mut fb = q_nets[taps[0]];
-    for (k, &t) in taps.iter().enumerate().skip(1) {
-        fb = n.add_gate_fn(format!("fb{k}"), CellFunction::Xor2, &[fb, q_nets[t]])?;
-    }
-    // If only one tap, feedback is just that stage buffered (keeps a driver
-    // chain shape similar to multi-tap LFSRs).
-    if taps.len() == 1 {
-        fb = n.add_gate_fn("fb_buf", CellFunction::Buf, &[fb])?;
-    }
-    // Stage 0 captures feedback; stage i captures stage i-1.
-    n.add_gate_with_output("ff0", dff, &[fb, ck], q_nets[0])?;
-    for i in 1..width {
-        n.add_gate_with_output(format!("ff{i}"), dff, &[q_nets[i - 1], ck], q_nets[i])?;
-    }
-    for (i, &q) in q_nets.iter().enumerate() {
-        n.add_output(format!("state{i}"), q);
-    }
-    Ok(n)
-}
-
 /// Generates a `width`-bit synchronous binary counter with enable.
 ///
 /// # Errors
@@ -814,23 +772,6 @@ mod tests {
         assert_eq!(n.block_names().len(), 4);
         let labeled = n.instances().filter(|(_, i)| i.block().is_some()).count();
         assert_eq!(labeled, n.num_instances(), "every instance is labeled");
-    }
-
-    #[test]
-    fn lfsr_cycles_with_maximal_period_taps() {
-        // x^4 + x^3 + 1 (taps 3,2) is maximal: period 15.
-        let n = lfsr(4, &[3, 2]).unwrap();
-        n.validate().unwrap();
-        let mut state = vec![1u64, 0, 0, 0];
-        let mut seen = std::collections::HashSet::new();
-        for _ in 0..15 {
-            let key: Vec<u64> = state.iter().map(|&v| v & 1).collect();
-            assert!(seen.insert(key), "state repeated before the full period");
-            let (_, next) = n.simulate64(&[0], &state);
-            state = next;
-        }
-        let key: Vec<u64> = state.iter().map(|&v| v & 1).collect();
-        assert!(seen.contains(&key), "period-15 LFSR returns to a seen state");
     }
 
     #[test]

@@ -145,14 +145,6 @@ impl Activity {
         self.density[net.index()]
     }
 
-    /// Mean toggle density over all nets (the design's "switching activity").
-    pub fn mean_density(&self) -> f64 {
-        if self.density.is_empty() {
-            return 0.0;
-        }
-        self.density.iter().sum::<f64>() / self.density.len() as f64
-    }
-
     /// Scales every density by a factor (used to model workload classes like
     /// Rossi's 5× networking traffic).
     pub fn scaled(&self, factor: f64) -> Activity {
@@ -242,7 +234,10 @@ mod tests {
         let n = generate::parity_tree(8).unwrap();
         let act = Activity::estimate(&n, &ActivityConfig::default()).unwrap();
         let hot = act.scaled(5.0);
-        assert!((hot.mean_density() - 5.0 * act.mean_density()).abs() < 1e-9);
+        for (net, _) in n.nets() {
+            assert!((hot.density(net) - 5.0 * act.density(net)).abs() < 1e-9);
+            assert_eq!(hot.prob(net).to_bits(), act.prob(net).to_bits());
+        }
     }
 
     #[test]

@@ -75,6 +75,32 @@ fn warm_run_skips_every_stage_with_identical_qor() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The store an earlier build of the flow wrote for one serial N28 advanced
+/// run of the smoke design, committed as it came off the disk.
+const COMMITTED_STORE: &str =
+    concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/xbar3x3_n28.store");
+
+#[test]
+fn a_committed_store_replays_every_stage() {
+    // Cache keys and stage bodies must stay readable across builds: a store
+    // file written before this build replays whole, at any thread count,
+    // with the QoR an uncached run computes. A format or key change that
+    // means to break it re-records the file.
+    let design = smoke_design();
+    for threads in [1usize, 4] {
+        let dir = scratch("committed");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::copy(COMMITTED_STORE, dir.join("flow.store")).unwrap();
+        let cfg = cached_cfg_at(Node::N28, &dir, threads);
+        let warm = run_flow(&design, &cfg).unwrap();
+        assert_eq!(counter(&warm, "cache.hits"), 11, "at {threads} threads");
+        assert_eq!(counter(&warm, "cache.errors"), 0, "at {threads} threads");
+        let uncached = run_flow(&design, &FlowConfig { store: None, ..cfg }).unwrap();
+        assert!(warm.same_qor(&uncached), "replayed QoR at {threads} threads");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 #[test]
 fn warm_qor_is_thread_invariant() {
     // One cache dir, filled at 1 thread, replayed at 2/4/8: every warm run
