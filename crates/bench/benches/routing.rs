@@ -201,7 +201,6 @@ fn bench_region_route(_c: &mut Criterion) {
         Die::for_netlist(&design, cfg.utilization),
         &MultilevelConfig {
             cluster_size: cfg.place.cluster_gates,
-            coarse_iterations: cfg.place.global_iterations,
             refine_moves_per_cell: cfg.place.anneal_moves_per_cell,
             seed: cfg.seed,
         },

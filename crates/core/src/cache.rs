@@ -97,7 +97,7 @@ pub(crate) fn load(
         let got: Vec<&str> = text.lines().take(3).collect();
         return Err(corrupt(format!("entry is headed {got:?}, its address wants {head:?}")));
     };
-    let loaded = state::read_body(body).map_err(corrupt)?;
+    let loaded = state::read_body(body).map_err(|e| corrupt(e.to_string()))?;
     // Parses but stopped at the wrong cursor: replaying it would derail the
     // stage sequence.
     if loaded.state.cursor != position {

@@ -34,7 +34,9 @@ impl LibraryChoice {
 /// Placement effort knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlaceEffort {
-    /// Global-placement smoothing iterations.
+    /// Global-placement smoothing iterations of the flat path. The
+    /// multilevel path does not read it; it stays in `4_place`'s cache key
+    /// (which hashes this whole struct) so that existing keys replay.
     pub global_iterations: usize,
     /// Annealing moves per cell.
     pub anneal_moves_per_cell: usize,
@@ -43,10 +45,10 @@ pub struct PlaceEffort {
     /// come from [`FlowConfig::threads`] and never change the result.
     pub stripes: usize,
     /// Target instances per cluster for the multilevel
-    /// (cluster → coarse-place → refine) pass the scale tier places with.
+    /// (cluster → serpentine seed → refine) pass the scale tier places with.
     /// `0` (the default) keeps the flat global + anneal path; when positive
-    /// it replaces both the flat pass and striped refinement, and
-    /// `anneal_moves_per_cell` becomes the refinement budget.
+    /// it replaces both the flat pass and striped refinement, and the pass
+    /// reads only this and `anneal_moves_per_cell` (its refinement budget).
     pub cluster_gates: usize,
 }
 
@@ -311,7 +313,7 @@ impl FlowConfig {
     /// 10⁵–10⁶-instance mesh fabrics (see
     /// [`scale_mesh`](eda_netlist::generate::scale_mesh)).
     ///
-    /// Placement goes multilevel (cluster → coarse-place → refine), routing
+    /// Placement goes multilevel (cluster → serpentine seed → refine), routing
     /// negotiates on a finer grid but confines every maze search to its
     /// connection's bounding box plus an 8-g-cell margin (which also routes
     /// region-partitioned in parallel), and the two
@@ -340,6 +342,7 @@ impl FlowConfig {
             name: "scale-2016".into(),
             node,
             place: PlaceEffort {
+                // Unread on the multilevel path; kept so `4_place` keys replay.
                 global_iterations: 8,
                 anneal_moves_per_cell: 1,
                 stripes: 1,

@@ -573,6 +573,18 @@ impl FromStr for DesignSpec {
                 "design spec `{s}` out of range (1..={MAX_DESIGN_UNITS} units)"
             )));
         }
+        // Each generator's own floor: it asserts below it, and `build` runs
+        // on the connection's reader thread.
+        let below_floor = match spec {
+            DesignSpec::Fabric { rows, .. } => rows < 2,
+            DesignSpec::Parity(n) | DesignSpec::Mult(n) => n < 2,
+            DesignSpec::Adder(_) | DesignSpec::Rand { .. } => false,
+        };
+        if below_floor {
+            return Err(FrameError(format!(
+                "design spec `{s}` below its generator's minimum (fabric needs 2 ports, parity and mult width 2)"
+            )));
+        }
         Ok(spec)
     }
 }
@@ -848,13 +860,21 @@ mod tests {
             ("fabric:3x3", "fabric_3x3"),
             ("adder:16", "rca16"),
             ("parity:32", "parity32"),
+            // Each generator's floor builds.
+            ("fabric:2x1", "fabric_2x1"),
+            ("parity:2", "parity2"),
+            ("mult:2", "mul2"),
+            ("adder:1", "rca1"),
         ] {
             let spec: DesignSpec = s.parse().expect("parses");
             assert_eq!(spec.to_string(), s);
             let net = spec.build().expect("builds");
             assert!(!net.name().is_empty(), "{s} → {name}");
         }
-        for bad in ["fabric:3", "adder:x", "rand:100", "nope:1", "adder:0", "rand:99999999:1", "adder:4:4"] {
+        for bad in [
+            "fabric:3", "adder:x", "rand:100", "nope:1", "adder:0", "rand:99999999:1", "adder:4:4",
+            "fabric:1x8", "parity:1", "mult:1",
+        ] {
             assert!(bad.parse::<DesignSpec>().is_err(), "{bad} should fail");
         }
     }

@@ -73,6 +73,9 @@ pub enum StageFailure {
     Synthesis(eda_logic::SynthesisError),
     /// A netlist transformation or traversal failed.
     Netlist(eda_netlist::NetlistError),
+    /// The design mapped to no instances, so there is nothing to floorplan
+    /// or place (a netlist of bare wires from inputs to outputs).
+    NoInstances,
 }
 
 impl std::fmt::Display for StageFailure {
@@ -81,6 +84,7 @@ impl std::fmt::Display for StageFailure {
             StageFailure::Config(e) => write!(f, "{e}"),
             StageFailure::Synthesis(e) => write!(f, "{e}"),
             StageFailure::Netlist(e) => write!(f, "{e}"),
+            StageFailure::NoInstances => write!(f, "the netlist has no instances to place"),
         }
     }
 }
@@ -91,6 +95,7 @@ impl std::error::Error for StageFailure {
             StageFailure::Config(e) => Some(e),
             StageFailure::Synthesis(e) => Some(e),
             StageFailure::Netlist(e) => Some(e),
+            StageFailure::NoInstances => None,
         }
     }
 }
@@ -706,17 +711,20 @@ fn scan(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Superv
 fn place(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Supervisor<'_>) -> StageResult {
     let cfg = env.cfg;
     let cur = current_netlist(st);
-    let die = Die::for_netlist(cur, cfg.utilization);
     let (placement, hpwl_final, par) = sup.run_stage(stage, |ctx: StageCtx<'_>| {
+        if cur.num_instances() == 0 {
+            return Err(StageFailure::NoInstances);
+        }
+        let die = Die::for_netlist(cur, cfg.utilization);
         if cfg.place.cluster_gates > 0 {
-            // Scale tier: multilevel cluster → coarse-place → refine.
+            // Scale tier: multilevel cluster → serpentine seed → refine.
             // Serial by construction, so thread-invariance is trivial.
+            // `global_iterations` is not read here.
             let out = place_multilevel(
                 cur,
                 die,
                 &MultilevelConfig {
                     cluster_size: cfg.place.cluster_gates,
-                    coarse_iterations: cfg.place.global_iterations,
                     refine_moves_per_cell: cfg.place.anneal_moves_per_cell,
                     seed: cfg.seed,
                 },

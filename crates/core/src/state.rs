@@ -16,8 +16,8 @@
 //! addressed and what happens when they are damaged is the store's business.
 
 use crate::harness::{StageOutcome, StageStatus};
-use eda_netlist::codec::{escape, unescape};
-use eda_netlist::{codec, InstId, Netlist};
+use eda_netlist::codec::{escape, unescape, Lines};
+use eda_netlist::{codec, CodecError, InstId, Netlist};
 use eda_place::{Placement, PlacementSnapshot, Point};
 use std::collections::BTreeMap;
 
@@ -162,53 +162,10 @@ pub(crate) fn write_body(st: &FlowState, statuses: &BTreeMap<String, StageStatus
     }
 }
 
-struct Lines<'a> {
-    rest: &'a str,
-    num: usize,
-}
-
-impl<'a> Lines<'a> {
-    fn next(&mut self) -> Result<&'a str, String> {
-        self.num += 1;
-        if self.rest.is_empty() {
-            return Err(format!("line {}: unexpected end of body", self.num));
-        }
-        let (line, rest) = self.rest.split_once('\n').unwrap_or((self.rest, ""));
-        self.rest = rest;
-        Ok(line)
-    }
-
-    fn err(&self, reason: impl std::fmt::Display) -> String {
-        format!("line {}: {reason}", self.num)
-    }
-}
-
-fn parse_f64(lines: &Lines<'_>, tok: &str) -> Result<f64, String> {
+fn parse_f64(lines: &Lines<'_>, tok: &str) -> Result<f64, CodecError> {
     u64::from_str_radix(tok, 16)
         .map(f64::from_bits)
         .map_err(|_| lines.err(format!("bad f64 bits {tok:?}")))
-}
-
-fn parse_num<T: std::str::FromStr>(lines: &Lines<'_>, tok: &str, what: &str) -> Result<T, String> {
-    tok.parse().map_err(|_| lines.err(format!("bad {what}: {tok:?}")))
-}
-
-fn tagged_count(lines: &mut Lines<'_>, tag: &str) -> Result<usize, String> {
-    let line = lines.next()?;
-    let rest = line
-        .strip_prefix(tag)
-        .and_then(|r| r.strip_prefix(' '))
-        .ok_or_else(|| lines.err(format!("expected `{tag} <count>`, got {line:?}")))?;
-    parse_num(lines, rest, "count")
-}
-
-fn toks<'a>(lines: &Lines<'_>, line: &'a str, tag: &str) -> Result<Vec<&'a str>, String> {
-    let mut parts: Vec<&str> = line.split(' ').collect();
-    if parts.first() != Some(&tag) {
-        return Err(lines.err(format!("expected `{tag} ...`, got {line:?}")));
-    }
-    parts.remove(0);
-    Ok(parts)
 }
 
 /// A body read back from a stage-cache entry: the state, the statuses of the
@@ -223,12 +180,12 @@ pub(crate) struct Loaded {
 
 /// Parses a body (everything after an entry's head lines) — the inverse of
 /// [`write_body`]. The error is the parse problem and the line it is on.
-pub(crate) fn read_body(body: &str) -> Result<Loaded, String> {
-    let lines = &mut Lines { rest: body, num: 0 };
+pub(crate) fn read_body(body: &str) -> Result<Loaded, CodecError> {
+    let lines = &mut Lines::new(body);
     let mut st = FlowState::fresh();
     let mut statuses = BTreeMap::new();
-    st.cursor = tagged_count(lines, "cursor")?;
-    let v_line = lines.next()?;
+    st.cursor = lines.count("cursor")?;
+    let v_line = lines.next_line()?;
     st.synthesis_verified = match v_line.strip_prefix("verified ") {
         Some("-") => None,
         Some("0") => Some(false),
@@ -236,25 +193,23 @@ pub(crate) fn read_body(body: &str) -> Result<Loaded, String> {
         _ => return Err(lines.err(format!("bad verified line {v_line:?}"))),
     };
 
-    let u_line = lines.next()?;
-    let u = toks(lines, u_line, "u")?;
+    let u: Vec<&str> = lines.tagged("u")?.collect();
     if u.len() != 11 {
         return Err(lines.err("wrong integer field count"));
     }
-    st.cells = parse_num(lines, u[0], "cells")?;
-    st.flops = parse_num(lines, u[1], "flops")?;
-    st.hold_violations = parse_num(lines, u[2], "hold")?;
-    st.routed_wirelength = parse_num(lines, u[3], "wirelength")?;
-    st.routed_vias = parse_num(lines, u[4], "vias")?;
-    st.routed_overflow = parse_num(lines, u[5], "overflow")?;
-    st.masks = parse_num(lines, u[6], "masks")?;
-    st.stitches = parse_num(lines, u[7], "stitches")?;
-    st.decaps = parse_num(lines, u[8], "decaps")?;
-    st.hotspots = parse_num(lines, u[9], "hotspots")?;
+    st.cells = lines.parse(u[0], "cells")?;
+    st.flops = lines.parse(u[1], "flops")?;
+    st.hold_violations = lines.parse(u[2], "hold")?;
+    st.routed_wirelength = lines.parse(u[3], "wirelength")?;
+    st.routed_vias = lines.parse(u[4], "vias")?;
+    st.routed_overflow = lines.parse(u[5], "overflow")?;
+    st.masks = lines.parse(u[6], "masks")?;
+    st.stitches = lines.parse(u[7], "stitches")?;
+    st.decaps = lines.parse(u[8], "decaps")?;
+    st.hotspots = lines.parse(u[9], "hotspots")?;
     st.litho_legal = u[10] == "1";
 
-    let f_line = lines.next()?;
-    let fl = toks(lines, f_line, "f")?;
+    let fl: Vec<&str> = lines.tagged("f")?.collect();
     if fl.len() != 10 {
         return Err(lines.err("wrong float field count"));
     }
@@ -269,60 +224,56 @@ pub(crate) fn read_body(body: &str) -> Result<Loaded, String> {
     st.ir_drop_mv = parse_f64(lines, fl[8])?;
     st.test_coverage = parse_f64(lines, fl[9])?;
 
-    let n_chains = tagged_count(lines, "chains")?;
+    let n_chains = lines.count("chains")?;
     for _ in 0..n_chains {
-        let line = lines.next()?;
-        let c = toks(lines, line, "c")?;
-        let len: usize = parse_num(lines, c.first().copied().unwrap_or(""), "chain length")?;
+        let c: Vec<&str> = lines.tagged("c")?.collect();
+        let len: usize = lines.parse(c.first().copied().unwrap_or(""), "chain length")?;
         if c.len() != len + 1 {
             return Err(lines.err("chain length mismatch"));
         }
         let mut chain = Vec::with_capacity(len);
         for t in &c[1..] {
-            let i: usize = parse_num(lines, t, "chain element")?;
+            let i: usize = lines.parse(t, "chain element")?;
             chain.push(InstId::from_index(i));
         }
         st.chains.push(chain);
     }
 
-    let n_status = tagged_count(lines, "status")?;
+    let n_status = lines.count("status")?;
     for _ in 0..n_status {
-        let line = lines.next()?;
-        let s = toks(lines, line, "s")?;
+        let s: Vec<&str> = lines.tagged("s")?.collect();
         if s.len() < 3 {
-            return Err(lines.err(format!("bad status line {line:?}")));
+            return Err(lines.err("bad status line"));
         }
         let stage = unescape(s[0]).map_err(|e| lines.err(e))?;
-        let attempts: usize = parse_num(lines, s[1], "attempts")?;
+        let attempts: usize = lines.parse(s[1], "attempts")?;
         let outcome = match (s[2], s.get(3)) {
             ("C", None) => StageOutcome::Completed,
-            ("R", Some(n)) => StageOutcome::Recovered { attempts: parse_num(lines, n, "recovered attempts")? },
+            ("R", Some(n)) => StageOutcome::Recovered { attempts: lines.parse(n, "recovered attempts")? },
             ("D", Some(r)) => StageOutcome::Degraded { reason: unescape(r).map_err(|e| lines.err(e))? },
             ("S", Some(c)) => StageOutcome::Skipped { cause: unescape(c).map_err(|e| lines.err(e))? },
-            _ => return Err(lines.err(format!("bad status line {line:?}"))),
+            _ => return Err(lines.err("bad status line")),
         };
         statuses.insert(stage, StageStatus { outcome, attempts });
     }
 
-    let has_placement = tagged_count(lines, "placement")?;
+    let has_placement = lines.count("placement")?;
     if has_placement == 1 {
-        let die_line = lines.next()?;
-        let d = toks(lines, die_line, "die")?;
+        let d: Vec<&str> = lines.tagged("die")?.collect();
         if d.len() != 5 {
-            return Err(lines.err(format!("bad die line {die_line:?}")));
+            return Err(lines.err("bad die line"));
         }
         let die = eda_place::Die {
             width_um: parse_f64(lines, d[0])?,
             height_um: parse_f64(lines, d[1])?,
             site_um: parse_f64(lines, d[2])?,
-            cols: parse_num(lines, d[3], "cols")?,
-            rows: parse_num(lines, d[4], "rows")?,
+            cols: lines.parse(d[3], "cols")?,
+            rows: lines.parse(d[4], "rows")?,
         };
         let mut vecs: [Vec<Point>; 3] = [Vec::new(), Vec::new(), Vec::new()];
         for (tag, slot) in ["pos", "pip", "pop"].into_iter().zip(vecs.iter_mut()) {
-            let line = lines.next()?;
-            let p = toks(lines, line, tag)?;
-            let len: usize = parse_num(lines, p.first().copied().unwrap_or(""), "point count")?;
+            let p: Vec<&str> = lines.tagged(tag)?.collect();
+            let len: usize = lines.parse(p.first().copied().unwrap_or(""), "point count")?;
             if p.len() != 1 + 2 * len {
                 return Err(lines.err(format!("point count mismatch in `{tag}`")));
             }
@@ -334,18 +285,19 @@ pub(crate) fn read_body(body: &str) -> Result<Loaded, String> {
         st.placement = Some(Placement::from_snapshot(PlacementSnapshot { die, positions, pi_pins, po_pins }));
     }
 
-    let n_netlist_lines = tagged_count(lines, "netlist")?;
+    // The netlist section is parsed in place and must end exactly where its
+    // count says.
+    let n_netlist_lines = lines.count("netlist")?;
     if n_netlist_lines > 0 {
-        let mut text = String::new();
-        for _ in 0..n_netlist_lines {
-            text.push_str(lines.next()?);
-            text.push('\n');
+        let first = lines.line_number();
+        st.netlist = Some(codec::from_lines(lines)?);
+        let read = lines.line_number() - first;
+        if read != n_netlist_lines {
+            return Err(lines.err(format!("netlist section is {read} lines, not {n_netlist_lines}")));
         }
-        let netlist = codec::from_text(&text).map_err(|e| e.to_string())?;
-        st.netlist = Some(netlist);
     }
 
-    let body = body[..body.len() - lines.rest.len()].to_owned();
+    let body = body[..body.len() - lines.rest().len()].to_owned();
     Ok(Loaded { state: st, statuses, body })
 }
 
@@ -395,5 +347,13 @@ mod tests {
 
         // A cut body is a message, never a panic or a partial state.
         assert!(read_body(&body[..body.len() / 2]).is_err());
+        // The netlist must end exactly where its line count says.
+        let text = codec::to_text(&design);
+        let n = text.lines().count();
+        for wrong in [n - 1, n + 1] {
+            let skewed = body.replace(&format!("\nnetlist {n}\n"), &format!("\nnetlist {wrong}\n"));
+            assert!(read_body(&skewed).is_err(), "a netlist counted as {wrong} of {n} lines parsed");
+            assert!(read_body(&format!("{skewed}o extra 0\n")).is_err());
+        }
     }
 }

@@ -17,7 +17,7 @@ use crate::cell::Library;
 use crate::netlist::{BlockTable, InstId, Instance, Net, NetDriver, NetId, Netlist};
 use std::collections::HashMap;
 
-/// Errors from [`from_text`].
+/// Errors from [`from_text`] and the [`Lines`] reader.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodecError {
     /// A line did not parse.
@@ -36,7 +36,7 @@ pub enum CodecError {
 impl std::fmt::Display for CodecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CodecError::Parse { line, reason } => write!(f, "netlist codec: line {line}: {reason}"),
+            CodecError::Parse { line, reason } => write!(f, "line {line}: {reason}"),
             CodecError::UnknownLibrary(n) => write!(f, "netlist codec: unknown library `{n}`"),
             CodecError::UnknownCell(n) => write!(f, "netlist codec: unknown cell `{n}`"),
         }
@@ -152,34 +152,110 @@ pub fn to_text(n: &Netlist) -> String {
     out
 }
 
-struct Lines<'a> {
-    iter: std::str::Lines<'a>,
+/// A cursor over the `\n`-separated lines of a text, numbering them for
+/// error messages. It walks a slice, not an iterator, so [`Lines::rest`] is
+/// exactly what it has not consumed. A `\r` before a `\n` stays in its line.
+pub struct Lines<'a> {
+    rest: &'a str,
     num: usize,
 }
 
 impl<'a> Lines<'a> {
-    fn next(&mut self) -> Result<&'a str, CodecError> {
-        self.num += 1;
-        self.iter
-            .next()
-            .ok_or(CodecError::Parse { line: self.num, reason: "unexpected end of input".into() })
+    /// A cursor at the start of `text`.
+    pub fn new(text: &'a str) -> Lines<'a> {
+        Lines { rest: text, num: 0 }
     }
 
-    fn err(&self, reason: impl Into<String>) -> CodecError {
+    /// The number of the line last read (0 before the first).
+    pub fn line_number(&self) -> usize {
+        self.num
+    }
+
+    /// The input not yet read.
+    pub fn rest(&self) -> &'a str {
+        self.rest
+    }
+
+    /// Reads the next line, without its `\n`; an error at the end.
+    pub fn next_line(&mut self) -> Result<&'a str, CodecError> {
+        self.num += 1;
+        if self.rest.is_empty() {
+            return Err(self.err("unexpected end of input"));
+        }
+        let (line, rest) = self.rest.split_once('\n').unwrap_or((self.rest, ""));
+        self.rest = rest;
+        Ok(line)
+    }
+
+    /// A parse error on the line last read.
+    pub fn err(&self, reason: impl Into<String>) -> CodecError {
         CodecError::Parse { line: self.num, reason: reason.into() }
+    }
+
+    /// Reads a `tag <count>` line and returns the count.
+    pub fn count(&mut self, tag: &str) -> Result<usize, CodecError> {
+        let line = self.next_line()?;
+        let rest = line
+            .strip_prefix(tag)
+            .and_then(|r| r.strip_prefix(' '))
+            .ok_or_else(|| self.err(format!("expected `{tag} <count>`, got {line:?}")))?;
+        self.parse(rest, "count")
+    }
+
+    /// Reads a line of space-separated tokens led by `tag`; returns the
+    /// tokens after it.
+    pub fn tagged(&mut self, tag: &str) -> Result<std::str::Split<'a, char>, CodecError> {
+        let mut toks = self.next_line()?.split(' ');
+        let t = self.tok(&mut toks, "tag")?;
+        if t != tag {
+            return Err(self.err(format!("expected tag `{tag}`, got {t:?}")));
+        }
+        Ok(toks)
+    }
+
+    /// Parses one token; the error names `what`.
+    pub fn parse<T: std::str::FromStr>(&self, tok: &str, what: &str) -> Result<T, CodecError> {
+        tok.parse().map_err(|_| self.err(format!("bad {what}: {tok:?}")))
+    }
+
+    fn tok(&self, toks: &mut std::str::Split<'a, char>, what: &str) -> Result<&'a str, CodecError> {
+        toks.next().ok_or_else(|| self.err(format!("missing {what}")))
+    }
+
+    fn parse_tok<T: std::str::FromStr>(
+        &self,
+        toks: &mut std::str::Split<'a, char>,
+        what: &str,
+    ) -> Result<T, CodecError> {
+        self.parse(self.tok(toks, what)?, what)
+    }
+
+    /// Reads a `tag <escaped name>` line and returns the name.
+    fn field(&mut self, tag: &str) -> Result<String, CodecError> {
+        let line = self.next_line()?;
+        let rest = line
+            .strip_prefix(tag)
+            .and_then(|r| r.strip_prefix(' '))
+            .ok_or_else(|| self.err(format!("expected `{tag} ...`, got {line:?}")))?;
+        unescape(rest).map_err(|e| self.err(e))
     }
 }
 
 /// Deserializes a netlist written by [`to_text`].
 pub fn from_text(text: &str) -> Result<Netlist, CodecError> {
-    let mut lines = Lines { iter: text.lines(), num: 0 };
-    let header = lines.next()?;
+    from_lines(&mut Lines::new(text))
+}
+
+/// Deserializes a netlist written by [`to_text`] from the cursor on, leaving
+/// it on the netlist's last line: how a larger text embeds one.
+pub fn from_lines(lines: &mut Lines<'_>) -> Result<Netlist, CodecError> {
+    let header = lines.next_line()?;
     if header != "eda-netlist v1" {
         return Err(lines.err(format!("bad header {header:?}")));
     }
 
-    let name = field(&mut lines, "design")?;
-    let lib_name = field(&mut lines, "library")?;
+    let name = lines.field("design")?;
+    let lib_name = lines.field("library")?;
     let library = match lib_name.as_str() {
         "generic" => Library::generic(),
         "nand_inv_2006" => Library::nand_inv_2006(),
@@ -187,21 +263,19 @@ pub fn from_text(text: &str) -> Result<Netlist, CodecError> {
         other => return Err(CodecError::UnknownLibrary(other.to_string())),
     };
 
-    let n_blocks = count(&mut lines, "blocks")?;
+    let n_blocks = lines.count("blocks")?;
     let mut block_names = Vec::with_capacity(n_blocks);
     for _ in 0..n_blocks {
-        block_names.push(field(&mut lines, "b")?);
+        block_names.push(lines.field("b")?);
     }
 
-    let n_nets = count(&mut lines, "nets")?;
+    let n_nets = lines.count("nets")?;
     let mut nets = Vec::with_capacity(n_nets);
     let mut net_by_name = HashMap::with_capacity(n_nets);
     for idx in 0..n_nets {
-        let line = lines.next()?;
-        let mut toks = line.split(' ');
-        expect_tag(&lines, &mut toks, "n")?;
-        let net_name = unescape(tok(&lines, &mut toks, "net name")?).map_err(|e| lines.err(e))?;
-        let driver_tok = tok(&lines, &mut toks, "driver")?;
+        let mut toks = lines.tagged("n")?;
+        let net_name = unescape(lines.tok(&mut toks, "net name")?).map_err(|e| lines.err(e))?;
+        let driver_tok = lines.tok(&mut toks, "driver")?;
         let driver = match driver_tok {
             "-" => None,
             t => {
@@ -217,10 +291,10 @@ pub fn from_text(text: &str) -> Result<Netlist, CodecError> {
                 }
             }
         };
-        let n_sinks: usize = parse_tok(&lines, &mut toks, "sink count")?;
+        let n_sinks: usize = lines.parse_tok(&mut toks, "sink count")?;
         let mut sinks = Vec::with_capacity(n_sinks);
         for _ in 0..n_sinks {
-            let s = tok(&lines, &mut toks, "sink")?;
+            let s = lines.tok(&mut toks, "sink")?;
             let (inst, pin) = s
                 .split_once(':')
                 .ok_or_else(|| lines.err(format!("bad sink {s:?}")))?;
@@ -232,50 +306,44 @@ pub fn from_text(text: &str) -> Result<Netlist, CodecError> {
         nets.push(Net { name: net_name, driver, sinks });
     }
 
-    let n_insts = count(&mut lines, "insts")?;
+    let n_insts = lines.count("insts")?;
     let mut instances = Vec::with_capacity(n_insts);
     for _ in 0..n_insts {
-        let line = lines.next()?;
-        let mut toks = line.split(' ');
-        expect_tag(&lines, &mut toks, "i")?;
-        let inst_name = unescape(tok(&lines, &mut toks, "instance name")?).map_err(|e| lines.err(e))?;
-        let cell_name = unescape(tok(&lines, &mut toks, "cell name")?).map_err(|e| lines.err(e))?;
+        let mut toks = lines.tagged("i")?;
+        let inst_name = unescape(lines.tok(&mut toks, "instance name")?).map_err(|e| lines.err(e))?;
+        let cell_name = unescape(lines.tok(&mut toks, "cell name")?).map_err(|e| lines.err(e))?;
         let cell = library
             .find(&cell_name)
             .ok_or_else(|| CodecError::UnknownCell(cell_name.clone()))?;
-        let block_tok = tok(&lines, &mut toks, "block")?;
+        let block_tok = lines.tok(&mut toks, "block")?;
         let block = match block_tok {
             "-" => None,
             t => Some(t.parse().map_err(|_| lines.err(format!("bad block {t:?}")))?),
         };
-        let output: usize = parse_tok(&lines, &mut toks, "output net")?;
-        let n_inputs: usize = parse_tok(&lines, &mut toks, "input count")?;
+        let output: usize = lines.parse_tok(&mut toks, "output net")?;
+        let n_inputs: usize = lines.parse_tok(&mut toks, "input count")?;
         let mut inputs = Vec::with_capacity(n_inputs);
         for _ in 0..n_inputs {
-            let i: usize = parse_tok(&lines, &mut toks, "input net")?;
+            let i: usize = lines.parse_tok(&mut toks, "input net")?;
             inputs.push(NetId(i as u32));
         }
         instances.push(Instance { name: inst_name, cell, inputs, output: NetId(output as u32), block });
     }
 
-    let pis_line = lines.next()?;
-    let mut toks = pis_line.split(' ');
-    expect_tag(&lines, &mut toks, "pis")?;
-    let n_pis: usize = parse_tok(&lines, &mut toks, "pi count")?;
+    let mut toks = lines.tagged("pis")?;
+    let n_pis: usize = lines.parse_tok(&mut toks, "pi count")?;
     let mut inputs = Vec::with_capacity(n_pis);
     for _ in 0..n_pis {
-        let i: usize = parse_tok(&lines, &mut toks, "pi net")?;
+        let i: usize = lines.parse_tok(&mut toks, "pi net")?;
         inputs.push(NetId(i as u32));
     }
 
-    let n_pos = count(&mut lines, "pos")?;
+    let n_pos = lines.count("pos")?;
     let mut outputs = Vec::with_capacity(n_pos);
     for _ in 0..n_pos {
-        let line = lines.next()?;
-        let mut toks = line.split(' ');
-        expect_tag(&lines, &mut toks, "o")?;
-        let po_name = unescape(tok(&lines, &mut toks, "output name")?).map_err(|e| lines.err(e))?;
-        let net: usize = parse_tok(&lines, &mut toks, "output net")?;
+        let mut toks = lines.tagged("o")?;
+        let po_name = unescape(lines.tok(&mut toks, "output name")?).map_err(|e| lines.err(e))?;
+        let net: usize = lines.parse_tok(&mut toks, "output net")?;
         outputs.push((po_name, NetId(net as u32)));
     }
 
@@ -301,53 +369,6 @@ pub fn from_text(text: &str) -> Result<Netlist, CodecError> {
         return Err(CodecError::Parse { line: 0, reason: "index out of bounds".into() });
     }
     Ok(netlist)
-}
-
-fn field(lines: &mut Lines<'_>, tag: &str) -> Result<String, CodecError> {
-    let line = lines.next()?;
-    let rest = line
-        .strip_prefix(tag)
-        .and_then(|r| r.strip_prefix(' '))
-        .ok_or_else(|| lines.err(format!("expected `{tag} ...`, got {line:?}")))?;
-    unescape(rest).map_err(|e| lines.err(e))
-}
-
-fn count(lines: &mut Lines<'_>, tag: &str) -> Result<usize, CodecError> {
-    let line = lines.next()?;
-    let rest = line
-        .strip_prefix(tag)
-        .and_then(|r| r.strip_prefix(' '))
-        .ok_or_else(|| lines.err(format!("expected `{tag} <count>`, got {line:?}")))?;
-    rest.parse().map_err(|_| lines.err(format!("bad count in {line:?}")))
-}
-
-fn tok<'a>(
-    lines: &Lines<'_>,
-    toks: &mut std::str::Split<'a, char>,
-    what: &str,
-) -> Result<&'a str, CodecError> {
-    toks.next().ok_or_else(|| lines.err(format!("missing {what}")))
-}
-
-fn parse_tok<T: std::str::FromStr>(
-    lines: &Lines<'_>,
-    toks: &mut std::str::Split<'_, char>,
-    what: &str,
-) -> Result<T, CodecError> {
-    let t = tok(lines, toks, what)?;
-    t.parse().map_err(|_| lines.err(format!("bad {what}: {t:?}")))
-}
-
-fn expect_tag(
-    lines: &Lines<'_>,
-    toks: &mut std::str::Split<'_, char>,
-    tag: &str,
-) -> Result<(), CodecError> {
-    let t = tok(lines, toks, "tag")?;
-    if t != tag {
-        return Err(lines.err(format!("expected tag `{tag}`, got {t:?}")));
-    }
-    Ok(())
 }
 
 #[cfg(test)]

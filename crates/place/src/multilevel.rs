@@ -1,50 +1,35 @@
-//! Multilevel placement for the scale tier: cluster → coarse-place → refine.
+//! Multilevel placement for the scale tier: cluster → serpentine seed → refine.
 //!
 //! Flat force-directed placement iterates over every net touching every
 //! instance, which at 10⁵–10⁶ instances is both slow and memory-hungry. The
 //! multilevel pass first contracts the netlist into hierarchy-guided
-//! clusters of bounded size, seeds the much smaller cluster graph along a
-//! space-filling curve and improves it with centroid-plus-spreading sweeps,
-//! then expands each cluster into a compact block around its center and
-//! polishes with a short serial anneal. Every
-//! step is seeded and iteration order is fixed by instance/net index, so the
-//! result is a pure function of `(netlist, die, config)` — the flow's
-//! bit-identical-at-any-thread-count contract holds trivially.
+//! clusters of bounded size, lays the clusters along a space-filling curve,
+//! expands each cluster into a compact block around its center, legalizes
+//! once and polishes with a short serial anneal. Iteration order is fixed by
+//! instance index and the anneal is seeded, so the result is a pure function
+//! of `(netlist, die, config)` — the flow's bit-identical-at-any-thread-count
+//! contract holds trivially.
 
 use crate::anneal::{anneal_on, AnnealConfig, AnnealIndex, AnnealStats};
 use crate::floorplan::{Die, Point};
 use crate::global::legalize;
 use crate::placement::Placement;
-use eda_netlist::{InstId, NetDriver, Netlist};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-/// Nets wider than this are ignored while clustering and coarse-placing:
-/// clock spines and other high-fanout trees say nothing about locality and
-/// would glue unrelated logic into one giant cluster.
-const MAX_CLUSTER_NET_FANOUT: usize = 48;
+use eda_netlist::{InstId, Netlist};
 
 /// Configuration for [`place_multilevel`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MultilevelConfig {
     /// Target instances per cluster (clusters never exceed this).
     pub cluster_size: usize,
-    /// Centroid/spreading iterations on the coarse cluster graph.
-    pub coarse_iterations: usize,
     /// Annealing moves per cell in the final refinement (0 skips it).
     pub refine_moves_per_cell: usize,
-    /// RNG seed for the coarse scatter/spread and the refinement anneal.
+    /// RNG seed for the refinement anneal, the pass's only random step.
     pub seed: u64,
 }
 
 impl Default for MultilevelConfig {
     fn default() -> Self {
-        MultilevelConfig {
-            cluster_size: 64,
-            coarse_iterations: 8,
-            refine_moves_per_cell: 4,
-            seed: 1,
-        }
+        MultilevelConfig { cluster_size: 64, refine_moves_per_cell: 4, seed: 1 }
     }
 }
 
@@ -61,8 +46,8 @@ pub struct MultilevelOutcome {
     pub refine: AnnealStats,
 }
 
-/// Places a netlist by clustering, coarse placement, expansion, and a short
-/// refinement anneal. Deterministic for a fixed `(netlist, die, cfg)`.
+/// Places a netlist by clustering, a serpentine cluster seed, expansion, and
+/// a short refinement anneal. Deterministic for a fixed `(netlist, die, cfg)`.
 ///
 /// # Panics
 ///
@@ -85,10 +70,9 @@ pub fn place_multilevel(
     // first-appearance order, a pure function of the netlist.
     // (Connectivity BFS was tried here and loses: it greedily leaks across
     // block seams and shreds the hierarchy into ragged fragments.)
-    let mut cluster_of: Vec<u32> = vec![0; n];
     let mut clusters: Vec<Vec<InstId>> = Vec::new();
     let mut open: std::collections::HashMap<Option<u32>, usize> = std::collections::HashMap::new();
-    for (i, slot) in cluster_of.iter_mut().enumerate() {
+    for i in 0..n {
         let b = netlist.instance(InstId::from_index(i)).block();
         let ci = match open.get(&b) {
             Some(&c) if clusters[c].len() < cfg.cluster_size => c,
@@ -98,106 +82,40 @@ pub fn place_multilevel(
                 clusters.len() - 1
             }
         };
-        *slot = ci as u32;
         clusters[ci].push(InstId::from_index(i));
     }
     let k = clusters.len();
 
-    // Coarse nets: each netlist net contracted to the distinct clusters it
-    // touches (single-cluster nets vanish — that is the point of level 1).
-    let mut coarse_nets: Vec<Vec<u32>> = Vec::new();
-    for (_, net) in netlist.nets() {
-        if net.fanout() == 0 || net.fanout() > MAX_CLUSTER_NET_FANOUT {
-            continue;
-        }
-        let mut cs: Vec<u32> = Vec::new();
-        if let Some(NetDriver::Instance(d)) = net.driver() {
-            cs.push(cluster_of[d.index()]);
-        }
-        for &(s, _) in net.sinks() {
-            cs.push(cluster_of[s.index()]);
-        }
-        cs.sort_unstable();
-        cs.dedup();
-        if cs.len() >= 2 {
-            coarse_nets.push(cs);
-        }
-    }
-
-    // --- Level 2: serpentine seed, then centroid + weighted spreading. ----
-    // The seed lays clusters along a boustrophedon curve in index order, so
-    // hierarchy neighbours start as geometric neighbours. Each centroid +
-    // spreading sweep is then scored by the real objective — the HPWL of
-    // the expanded, legalized placement it induces — and only a sweep that
-    // improves on the best seen so far is kept. A coarse-only proxy is not
-    // good enough here: centroids happily pile clusters on top of each
-    // other, which shrinks cluster-graph spans while the legalizer scatters
-    // the physical overlap into worse wirelength.
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    // --- Level 2: serpentine seed, each cluster expanded around its spot. -
+    // Clusters are laid along a boustrophedon curve in index order, so
+    // hierarchy neighbours start as geometric neighbours; each cluster's
+    // members fill a compact block around its center. Nothing improves the
+    // seed before legalization: centroid-plus-spreading sweeps scored on the
+    // expanded, legalized HPWL never beat it on a scale-preset flow.
     let side = (k as f64).sqrt().ceil() as usize;
-    let mut pos: Vec<Point> = (0..k)
-        .map(|c| {
-            let row = c / side;
-            let col = if row.is_multiple_of(2) { c % side } else { side - 1 - c % side };
-            Point::new(
-                (col as f64 + 0.5) / side as f64 * die.width_um,
-                (row as f64 + 0.5) / side as f64 * die.height_um,
-            )
-        })
-        .collect();
-    let weight: Vec<usize> = clusters.iter().map(Vec::len).collect();
-
-    // --- Level 3: expand members into a block around each center. ---------
-    let expand = |placement: &mut Placement, pos: &[Point]| {
-        for (c, members) in clusters.iter().enumerate() {
-            let block_side = (members.len() as f64).sqrt().ceil().max(1.0) as usize;
-            let half = block_side as f64 / 2.0;
-            for (j, &id) in members.iter().enumerate() {
-                let dx = ((j % block_side) as f64 + 0.5 - half) * die.site_um;
-                let dy = ((j / block_side) as f64 + 0.5 - half) * die.site_um;
-                let p = Point::new(
-                    (pos[c].x + dx).clamp(0.0, die.width_um),
-                    (pos[c].y + dy).clamp(0.0, die.height_um),
-                );
-                placement.set_position(id, p);
-            }
-        }
-        legalize(placement, netlist);
-    };
-    // One index for the stage: every sweep's score and the refinement.
-    let index = AnnealIndex::build(netlist);
     let mut placement = Placement::new(netlist, die);
-    expand(&mut placement, &pos);
-    let mut best_pos = pos.clone();
-    let mut best_cost = index.pins.total_hpwl(&placement);
-    for _ in 0..cfg.coarse_iterations {
-        let mut sum = vec![(0.0f64, 0.0f64, 0usize); k];
-        for cs in &coarse_nets {
-            let cx: f64 = cs.iter().map(|&c| pos[c as usize].x).sum::<f64>() / cs.len() as f64;
-            let cy: f64 = cs.iter().map(|&c| pos[c as usize].y).sum::<f64>() / cs.len() as f64;
-            for &c in cs {
-                let s = &mut sum[c as usize];
-                s.0 += cx;
-                s.1 += cy;
-                s.2 += 1;
-            }
-        }
-        for (c, &(sx, sy, m)) in sum.iter().enumerate() {
-            if m > 0 {
-                pos[c] = Point::new(sx / m as f64, sy / m as f64);
-            }
-        }
-        spread_clusters(&mut pos, &weight, n, die, &mut rng);
-        expand(&mut placement, &pos);
-        let cost = index.pins.total_hpwl(&placement);
-        if cost < best_cost {
-            best_cost = cost;
-            best_pos = pos.clone();
+    for (c, members) in clusters.iter().enumerate() {
+        let row = c / side;
+        let col = if row.is_multiple_of(2) { c % side } else { side - 1 - c % side };
+        let center = Point::new(
+            (col as f64 + 0.5) / side as f64 * die.width_um,
+            (row as f64 + 0.5) / side as f64 * die.height_um,
+        );
+        let block_side = (members.len() as f64).sqrt().ceil().max(1.0) as usize;
+        let half = block_side as f64 / 2.0;
+        for (j, &id) in members.iter().enumerate() {
+            let dx = ((j % block_side) as f64 + 0.5 - half) * die.site_um;
+            let dy = ((j / block_side) as f64 + 0.5 - half) * die.site_um;
+            let p = Point::new(
+                (center.x + dx).clamp(0.0, die.width_um),
+                (center.y + dy).clamp(0.0, die.height_um),
+            );
+            placement.set_position(id, p);
         }
     }
-    expand(&mut placement, &best_pos);
-
-    let hpwl_expanded = best_cost;
+    legalize(&mut placement, netlist);
+    let index = AnnealIndex::build(netlist);
+    let hpwl_expanded = index.pins.total_hpwl(&placement);
 
     // --- Refinement: short serial anneal over everything. -----------------
     let refine = if cfg.refine_moves_per_cell > 0 {
@@ -212,42 +130,6 @@ pub fn place_multilevel(
     };
 
     MultilevelOutcome { placement, clusters: k, hpwl_expanded, refine }
-}
-
-/// Pushes clusters out of overloaded coarse bins. Capacity is measured in
-/// instances (clusters are weighted by member count), overflow evicts the
-/// most recently binned clusters first — a pure function of cluster order
-/// and the seeded RNG.
-fn spread_clusters(
-    pos: &mut [Point],
-    weight: &[usize],
-    total_instances: usize,
-    die: Die,
-    rng: &mut StdRng,
-) {
-    let k = pos.len();
-    let bins = ((k as f64).sqrt().ceil() as usize).clamp(2, 64);
-    let bw = die.width_um / bins as f64;
-    let bh = die.height_um / bins as f64;
-    let cap = (total_instances as f64 / (bins * bins) as f64).ceil() as usize + 1;
-    let mut bin_members: Vec<Vec<usize>> = vec![Vec::new(); bins * bins];
-    for (c, p) in pos.iter().enumerate() {
-        let bx = ((p.x / bw) as usize).min(bins - 1);
-        let by = ((p.y / bh) as usize).min(bins - 1);
-        bin_members[by * bins + bx].push(c);
-    }
-    for (b, members) in bin_members.iter_mut().enumerate() {
-        let mut load: usize = members.iter().map(|&c| weight[c]).sum();
-        while load > cap && members.len() > 1 {
-            let c = members.pop().expect("len > 1");
-            load -= weight[c];
-            let bx = b % bins;
-            let by = b / bins;
-            let nx = (bx as i64 + rng.gen_range(-1..=1)).clamp(0, bins as i64 - 1) as f64;
-            let ny = (by as i64 + rng.gen_range(-1..=1)).clamp(0, bins as i64 - 1) as f64;
-            pos[c] = Point::new((nx + rng.gen::<f64>()) * bw, (ny + rng.gen::<f64>()) * bh);
-        }
-    }
 }
 
 #[cfg(test)]

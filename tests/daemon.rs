@@ -133,7 +133,10 @@ fn round_trip_matches_solo_runs_and_streams_progress() {
 fn bad_requests_are_rejected_without_occupying_the_queue() {
     let daemon = Flowd::spawn(DaemonConfig::new(sock("badreq")));
     let mut client = daemon.client();
-    for (id, design) in [(1u64, "bogus:9"), (2, "fabric:0x0"), (3, "rand:no:seed")] {
+    // The last three parse but sit below their generator's minimum, which
+    // asserts: they must be shed, not kill the connection's reader thread.
+    let designs = ["bogus:9", "fabric:0x0", "rand:no:seed", "parity:1", "mult:1", "fabric:1x8"];
+    for (id, design) in (1u64..).zip(designs) {
         let outcome = client.request(&SubmitSpec::new(id, design)).expect("terminal frame");
         assert!(
             outcome.rejected_with(RejectReason::BadRequest),
@@ -143,7 +146,7 @@ fn bad_requests_are_rejected_without_occupying_the_queue() {
         assert!(!outcome.accepted, "a bad request is never admitted");
     }
     let stats = daemon.finish();
-    assert_eq!(stats.rejected_bad, 3);
+    assert_eq!(stats.rejected_bad, 6);
     assert_eq!(stats.accepted, 0);
 }
 
@@ -216,6 +219,33 @@ fn deadline_overrun_is_a_typed_error_and_the_daemon_stays_healthy() {
 
     // The worker survived: the same connection immediately serves a
     // deadline-free request with correct QoR.
+    let ok = client.request(&SubmitSpec::new(2, "parity:16")).expect("terminal frame");
+    assert_eq!(fp_of(&ok), solo_fp("parity:16"));
+
+    let stats = daemon.finish();
+    assert_eq!(stats.failed, 1);
+    assert_eq!(stats.completed, 1);
+}
+
+/// `rand:1:2` maps to no instances. `4_place` answers that with a typed
+/// error instead of a panic that would end the only flow worker.
+#[test]
+fn a_design_with_no_instances_is_a_typed_error_and_the_worker_survives() {
+    let mut cfg = DaemonConfig::new(sock("noinst"));
+    cfg.workers = 1;
+    let daemon = Flowd::spawn(cfg);
+    let mut client = daemon.client();
+
+    let outcome = client.request(&SubmitSpec::new(1, "rand:1:2")).expect("terminal frame");
+    assert!(outcome.accepted, "the spec is valid; placement finds it empty");
+    match &outcome.terminal {
+        Terminal::Done { ok: false, error: Some(err), .. } => {
+            assert!(err.contains("4_place"), "the error names the stage, got: {err}");
+        }
+        other => panic!("expected a typed 4_place failure, got {other:?}"),
+    }
+
+    // The one worker survived: the same connection is served next.
     let ok = client.request(&SubmitSpec::new(2, "parity:16")).expect("terminal frame");
     assert_eq!(fp_of(&ok), solo_fp("parity:16"));
 

@@ -44,14 +44,13 @@ fn row(netlist: &Netlist, p: &Placement, hpwl_final: f64, rest: String) -> Strin
 }
 
 /// `place_multilevel` with the scale preset's effort on the 10⁴ mesh — the
-/// `mesh_t1` placer path (legalize × 10, whole-netlist HPWL × 12, one
-/// refinement move per cell).
+/// `mesh_t1` placer path (serpentine cluster seed, one expansion and
+/// legalize, one refinement move per cell).
 fn multilevel_mesh() -> String {
     let n = generate::scale_mesh(10_000, 3).unwrap();
     let die = Die::for_netlist(&n, 0.7);
     let cfg = MultilevelConfig {
         cluster_size: 64,
-        coarse_iterations: 8,
         refine_moves_per_cell: 1,
         seed: 1,
     };

@@ -3,7 +3,10 @@
 //! QoR of untouched stages). Resuming a killed flow is the store's contract:
 //! `tests/incremental.rs`.
 
-use eda::core::{run_flow, Fault, FaultPlan, FlowConfig, FlowError, FlowReport, StageOutcome, STAGES};
+use eda::core::{
+    run_flow, DesignSpec, Fault, FaultPlan, FlowConfig, FlowError, FlowReport, StageFailure,
+    StageOutcome, STAGES,
+};
 use eda::netlist::{generate, Netlist};
 use eda::tech::Node;
 use proptest::prelude::*;
@@ -85,6 +88,43 @@ fn persistent_failure_exhausts_the_budget() {
             assert!(!partial.statuses.contains_key("4_place"));
         }
         other => panic!("expected BudgetExhausted, got {other}"),
+    }
+}
+
+/// A design that maps to no instances fails `4_place` with a typed error,
+/// never the floorplanner's panic: a bare input-to-output wire under every
+/// preset, and `rand:1:2` (one gate that synthesis folds into wires; the
+/// 2006 NAND/INV library keeps four cells of it) under the two 2016 presets,
+/// at one and two threads.
+#[test]
+fn a_design_with_no_instances_fails_placement_with_a_typed_error() {
+    let mut wire = Netlist::new("wire");
+    let a = wire.add_input("a");
+    wire.add_output("y", a);
+    let rand: Netlist = "rand:1:2".parse::<DesignSpec>().unwrap().build().unwrap();
+    let basic = FlowConfig::basic_2006(Node::N28);
+    let advanced = FlowConfig::advanced_2016(Node::N28);
+    let scale = FlowConfig::scale_2016(Node::N28, 1_000);
+    let runs = [
+        (&wire, &basic),
+        (&wire, &advanced),
+        (&wire, &scale),
+        (&rand, &advanced),
+        (&rand, &scale),
+    ];
+    for (design, preset) in runs {
+        for threads in [1, 2] {
+            let cfg = FlowConfig { threads, ..preset.clone() };
+            let label = format!("{} under {} at {threads} threads", design.name(), cfg.name);
+            match run_flow(design, &cfg) {
+                Err(FlowError::Stage { stage, source: StageFailure::NoInstances, partial }) => {
+                    assert_eq!(stage, "4_place", "{label}");
+                    assert!(partial.statuses.contains_key("1_synthesis"), "{label}");
+                }
+                Err(other) => panic!("{label}: expected a 4_place NoInstances error, got {other}"),
+                Ok(_) => panic!("{label}: placed a design with no instances"),
+            }
+        }
     }
 }
 
