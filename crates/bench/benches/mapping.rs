@@ -2,7 +2,7 @@
 //! controlled-polarity libraries.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use eda_bench::{median_seconds, scaling_threads};
+use eda_bench::median_seconds;
 use eda_logic::{map_aig, map_naive, optimize_aig, Aig, DEFAULT_REWRITE_PASSES};
 use eda_netlist::{generate, Library};
 use std::hint::black_box;
@@ -25,7 +25,7 @@ fn bench_map(c: &mut Criterion) {
     {
         let lib_ref = lib.clone();
         group.bench_with_input(BenchmarkId::from_parameter(name), &lib_ref, |b, l| {
-            b.iter(|| black_box(map_aig(&aig, &bnd, l.clone(), 1).unwrap().area_um2))
+            b.iter(|| black_box(map_aig(&aig, &bnd, l.clone()).unwrap().area_um2))
         });
     }
     group.finish();
@@ -36,34 +36,12 @@ fn bench_xor_rich(c: &mut Criterion) {
     let (aig, bnd) = Aig::from_netlist(&parity).unwrap();
     let mut group = c.benchmark_group("map_parity64");
     group.bench_function("cmos", |b| {
-        b.iter(|| black_box(map_aig(&aig, &bnd, Library::generic(), 1).unwrap().cells))
+        b.iter(|| black_box(map_aig(&aig, &bnd, Library::generic()).unwrap().cells))
     });
     group.bench_function("polarity", |b| {
-        b.iter(|| black_box(map_aig(&aig, &bnd, Library::controlled_polarity(), 1).unwrap().cells))
+        b.iter(|| black_box(map_aig(&aig, &bnd, Library::controlled_polarity()).unwrap().cells))
     });
     group.finish();
-}
-
-/// Thread-scaling row, a labelled PROJECTION (busiest worker's CPU seconds,
-/// not a wall clock): cut-based mapping with library tabulation, cut
-/// enumeration, and match selection fanned out in topological waves.
-fn bench_map_scaling(_c: &mut Criterion) {
-    let design = generate::random_logic(generate::RandomLogicConfig {
-        gates: 600,
-        seed: 2,
-        ..Default::default()
-    })
-    .unwrap();
-    let (aig, bnd) = Aig::from_netlist(&design).unwrap();
-    for threads in scaling_threads() {
-        let s = median_seconds(5, || {
-            map_aig(&aig, &bnd, Library::generic(), threads)
-                .unwrap()
-                .par
-                .projected_wall_s()
-        });
-        println!("BENCHLINE map_par/{threads} {s:.9e}");
-    }
 }
 
 /// The hierarchical mapper on the optimized 10⁴ mesh: serial wall clock plus
@@ -73,7 +51,7 @@ fn bench_map_scale(_c: &mut Criterion) {
     let design = generate::scale_mesh(10_000, 1).unwrap();
     let (aig, bnd) = Aig::from_netlist(&design).unwrap();
     let (opt, _) = optimize_aig(&aig, DEFAULT_REWRITE_PASSES, None);
-    let map = || map_aig(&opt, &bnd, Library::generic(), 1).unwrap();
+    let map = || map_aig(&opt, &bnd, Library::generic()).unwrap();
     let s = median_seconds(5, || {
         let t = Instant::now();
         black_box(map().cells);
@@ -85,5 +63,5 @@ fn bench_map_scale(_c: &mut Criterion) {
     println!("BENCHLINE map:claim/mesh10k {}", m.cone_visits);
 }
 
-criterion_group!(benches, bench_map, bench_xor_rich, bench_map_scaling, bench_map_scale);
+criterion_group!(benches, bench_map, bench_xor_rich, bench_map_scale);
 criterion_main!(benches);

@@ -124,8 +124,9 @@ pub struct FlowConfig {
     /// RNG seed for all stochastic stages.
     pub seed: u64,
     /// Worker threads for every parallel kernel — partitioned placement,
-    /// wave-scheduled routing, fault simulation (`0` = all available
-    /// cores). The deterministic parallel layer (`eda-par`) guarantees every QoR output
+    /// wave-scheduled routing, OPC and fault simulation (`0` = all available
+    /// cores); synthesis runs serially. The deterministic parallel layer
+    /// (`eda-par`) guarantees every QoR output
     /// is bit-identical for any value of this knob — including the
     /// deterministic section of [`FlowReport::telemetry`], which records
     /// worker counts and wall clocks only in its separate `wall` section.

@@ -471,7 +471,10 @@ enum FrameRead {
 }
 
 fn read_frame(r: &mut BufReader<Stream>, buf: &mut Vec<u8>) -> FrameRead {
-    match r.read_until(b'\n', buf) {
+    // Never buffer past the cap plus a CRLF: a peer that sends no newline is
+    // cut off there, however long it keeps writing.
+    let room = (FRAME_CAP + 2).saturating_sub(buf.len()) as u64;
+    match r.by_ref().take(room).read_until(b'\n', buf) {
         Ok(0) => FrameRead::Eof,
         Ok(_) => {
             if buf.last() == Some(&b'\n') {
@@ -484,8 +487,10 @@ fn read_frame(r: &mut BufReader<Stream>, buf: &mut Vec<u8>) -> FrameRead {
                 } else {
                     FrameRead::Line
                 }
+            } else if buf.len() >= FRAME_CAP + 2 {
+                FrameRead::TooLong
             } else {
-                // Data without a newline only happens at EOF.
+                // Data without a newline short of the cap only happens at EOF.
                 FrameRead::Eof
             }
         }
@@ -495,11 +500,7 @@ fn read_frame(r: &mut BufReader<Stream>, buf: &mut Vec<u8>) -> FrameRead {
                 io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
             ) =>
         {
-            if buf.len() > FRAME_CAP {
-                FrameRead::TooLong
-            } else {
-                FrameRead::Pending
-            }
+            FrameRead::Pending
         }
         Err(_) => FrameRead::Eof,
     }

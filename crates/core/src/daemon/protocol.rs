@@ -532,7 +532,9 @@ pub enum DesignSpec {
 
 /// Generated designs are capped so a hostile `rand:999999999:1` submit
 /// cannot balloon daemon memory; real designs in this workspace are far
-/// smaller.
+/// smaller. A unit tracks generated instances: the width for the linear
+/// generators, N² for `mult:N` and R²·C for `fabric:RxC`, whose generators
+/// build about 4N² and 2R²C instances.
 const MAX_DESIGN_UNITS: usize = 1 << 16;
 
 impl FromStr for DesignSpec {
@@ -564,8 +566,9 @@ impl FromStr for DesignSpec {
             return Err(bad());
         }
         let units = match spec {
-            DesignSpec::Fabric { rows, cols } => rows.saturating_mul(cols),
-            DesignSpec::Adder(n) | DesignSpec::Parity(n) | DesignSpec::Mult(n) => n,
+            DesignSpec::Fabric { rows, cols } => rows.saturating_mul(rows).saturating_mul(cols),
+            DesignSpec::Mult(n) => n.saturating_mul(n),
+            DesignSpec::Adder(n) | DesignSpec::Parity(n) => n,
             DesignSpec::Rand { gates, .. } => gates,
         };
         if units == 0 || units > MAX_DESIGN_UNITS {
@@ -874,8 +877,14 @@ mod tests {
         for bad in [
             "fabric:3", "adder:x", "rand:100", "nope:1", "adder:0", "rand:99999999:1", "adder:4:4",
             "fabric:1x8", "parity:1", "mult:1",
+            // The quadratic generators are bounded by size, not width.
+            "mult:257", "mult:65536", "fabric:256x256", "fabric:65536x1",
         ] {
             assert!(bad.parse::<DesignSpec>().is_err(), "{bad} should fail");
+        }
+        // The largest legal quadratic specs: parsed only, never built here.
+        for edge in ["mult:256", "fabric:16x256"] {
+            assert_eq!(edge.parse::<DesignSpec>().expect("at the cap").to_string(), edge);
         }
     }
 

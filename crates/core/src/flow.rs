@@ -596,15 +596,10 @@ pub(crate) fn run_flow_shared(
 fn synthesis(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Supervisor<'_>) -> StageResult {
     let (cfg, design) = (env.cfg, env.design);
     let lib = cfg.library.library();
-    let (netlist, verified, par) = sup.run_stage(stage, |ctx: StageCtx<'_>| {
-        let opts = SynthesisOptions {
-            threads: cfg.threads,
-            rewrite_passes: cfg.aig_rewrite_passes,
-            memo: env.memo(),
-        };
+    let (netlist, verified) = sup.run_stage(stage, |ctx: StageCtx<'_>| {
+        let opts = SynthesisOptions { rewrite_passes: cfg.aig_rewrite_passes, memo: env.memo() };
         let synth = synthesize(design, lib.clone(), cfg.synthesis, &opts)
             .map_err(StageFailure::Synthesis)?;
-        let par = synth.par;
         ctx.tel.count("synth.aig_nodes_before", synth.aig_nodes_before as u64);
         ctx.tel.count("synth.aig_nodes_after", synth.aig_nodes_after as u64);
         ctx.tel.count("synth.cells", synth.cells as u64);
@@ -616,47 +611,40 @@ fn synthesis(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut S
             span.tag("nodes_after", pass.nodes_after);
             span.tag("kept", pass.kept);
         }
-        // The 2006 baseline maps serially and dispatches nothing.
-        if par.chunks > 0 {
-            ctx.tel.kernel("map:waves", &par);
-        }
         let netlist = synth.netlist;
         if !cfg.verify_synthesis {
-            return Ok(StageTry::Done((netlist, None, par)));
+            return Ok(StageTry::Done((netlist, None)));
         }
         let budget = if ctx.adapt == 0 { EC_BUDGET } else { EC_BUDGET_ESCALATED };
         ctx.tel.count("synth.ec_sim_budget", budget as u64);
         match check_equivalence(design, &netlist, &[], &[], budget) {
-            Ok(EcVerdict::Equivalent) => Ok(StageTry::Done((netlist, Some(true), par))),
+            Ok(EcVerdict::Equivalent) => Ok(StageTry::Done((netlist, Some(true)))),
             Ok(EcVerdict::Counterexample(_)) => Ok(StageTry::Degraded(
-                (netlist, Some(false), par),
+                (netlist, Some(false)),
                 "equivalence counterexample found against the input design".into(),
             )),
             Ok(EcVerdict::Inconclusive) => {
                 if ctx.adapt == 0 {
                     Ok(StageTry::Retry {
                         reason: format!("equivalence inconclusive at the {budget}-node budget"),
-                        salvage: Some((
-                            (netlist, None, par),
-                            "equivalence unresolved".to_string(),
-                        )),
+                        salvage: Some(((netlist, None), "equivalence unresolved".to_string())),
                     })
                 } else {
                     Ok(StageTry::Degraded(
-                        (netlist, None, par),
+                        (netlist, None),
                         "equivalence still inconclusive after budget escalation".into(),
                     ))
                 }
             }
             Err(e) => Ok(StageTry::Degraded(
-                (netlist, None, par),
+                (netlist, None),
                 format!("equivalence check failed: {e}"),
             )),
         }
     })?;
     st.netlist = Some(netlist);
     st.synthesis_verified = verified;
-    Ok(Some(par))
+    Ok(None)
 }
 
 /// `2_clock_gating`: before scan, so gates see plain flops.

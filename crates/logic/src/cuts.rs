@@ -21,7 +21,6 @@
 //! filters are exact: the lists are the ones the plain crossing yields.
 
 use crate::aig::{AigNode, Lit};
-use eda_par::ParStats;
 
 /// Maximum leaves per cut.
 pub(crate) const K: usize = 4;
@@ -60,10 +59,9 @@ impl Cut {
     }
 }
 
-/// The cuts of one node, by value: what [`CutSet::node_cuts`] hands back from
-/// a worker before the arena takes them.
-#[derive(Clone, Copy)]
-pub(crate) struct CutList {
+/// The cuts of one node, by value: what [`CutSet::node_cuts`] builds before
+/// the arena takes them.
+struct CutList {
     cuts: [Cut; MAX_CUTS],
     len: u8,
 }
@@ -156,8 +154,7 @@ impl CutSet {
     }
 
     /// Computes the cut list of node `i` from the stored lists of its
-    /// fanins. Pure in `i` given the lower levels of the arena, so the nodes
-    /// of one topological wave can run on any worker in any order.
+    /// fanins, which index order has already filled.
     fn node_cuts(&self, nodes: &[AigNode], i: usize) -> CutList {
         let mut list = CutList { cuts: [Cut::EMPTY; MAX_CUTS], len: 0 };
         // The trivial cut lets parents treat this node as a leaf.
@@ -210,28 +207,6 @@ impl CutSet {
         for i in 0..nodes.len() {
             let list = set.node_cuts(nodes, i);
             set.store(i, &list);
-        }
-        set
-    }
-
-    /// [`CutSet::enumerate`] wave by wave: within a logic level every node's
-    /// cut list depends only on finished lower levels, so each wave fans out
-    /// across `threads` workers and is stored back in wave order — the same
-    /// lists at any thread count.
-    pub(crate) fn enumerate_waves(
-        nodes: &[AigNode],
-        waves: &[Vec<usize>],
-        threads: usize,
-        par: &mut ParStats,
-    ) -> CutSet {
-        let mut set = CutSet::with_nodes(nodes.len());
-        for wave in waves {
-            let (lists, stats) =
-                eda_par::par_map_stats(threads, wave, |_, &i| set.node_cuts(nodes, i));
-            par.absorb(&stats);
-            for (&i, list) in wave.iter().zip(&lists) {
-                set.store(i, list);
-            }
         }
         set
     }
@@ -445,23 +420,6 @@ mod tests {
                         cut.leaves()
                     );
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn wave_enumeration_equals_index_order_at_any_thread_count() {
-        let n = generate::array_multiplier(6).unwrap();
-        let (aig, _) = Aig::from_netlist(&n).unwrap();
-        let nodes = aig.nodes();
-        let serial = CutSet::enumerate(nodes);
-        let waves = crate::map::level_waves(nodes);
-        for threads in [1usize, 2, 4] {
-            let mut par = ParStats::empty();
-            let waved = CutSet::enumerate_waves(nodes, &waves, threads, &mut par);
-            assert_eq!(waved.total(), serial.total());
-            for i in 0..nodes.len() {
-                assert_eq!(waved.of(i), serial.of(i), "node {i} at {threads} threads");
             }
         }
     }

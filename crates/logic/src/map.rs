@@ -19,7 +19,6 @@
 use crate::aig::{Aig, AigNode, Lit, SeqBoundary};
 use crate::cuts::{CutSet, K};
 use eda_netlist::{CellFunction, CellId, InstId, Library, NetId, Netlist, NetlistError};
-use eda_par::ParStats;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -102,29 +101,24 @@ fn permutations(n: usize) -> Vec<Vec<usize>> {
 }
 
 impl PatternTable {
-    /// Tabulates the library across `threads` workers: each worker handles
-    /// whole cells (every permutation × complementation of one cell is
-    /// independent of every other cell), and the per-cell candidate lists
-    /// are merged back **in library order**, so the table — including the
-    /// one-pattern-per-cell rule and the 6-alternative cap — is identical
-    /// at any thread count.
-    fn build(lib: &Library, threads: usize, par: &mut ParStats) -> Result<PatternTable, MapError> {
+    /// Tabulates the library in library order: every permutation ×
+    /// complementation of each cell, keeping one pattern per cell per truth
+    /// table (the first `(perm, mask)` hit) and at most six alternatives per
+    /// truth table.
+    fn build(lib: &Library) -> Result<PatternTable, MapError> {
         let inv = lib.find_function(CellFunction::Inv).ok_or(MapError::MissingInverter)?;
         let inv_def = lib.cell(inv);
-        let cells: Vec<_> = lib
-            .iter()
-            .filter(|(_, def)| {
-                let arity = def.function.num_inputs();
-                arity > 0
-                    && arity <= K
-                    && !def.function.is_sequential()
-                    && !matches!(def.function, CellFunction::ClockGate | CellFunction::Decap)
-            })
-            .collect();
-        let (lists, stats) = eda_par::par_map_stats(threads, &cells, |_, &(id, def)| {
+        let mut slot = vec![0u16; 1 << (1 << K)];
+        let mut groups: Vec<Vec<Pattern>> = Vec::new();
+        for (id, def) in lib.iter() {
             let arity = def.function.num_inputs();
-            // First (perm, mask) hit wins per truth table — the same
-            // one-pattern-per-cell rule the serial loop enforced globally.
+            if arity == 0
+                || arity > K
+                || def.function.is_sequential()
+                || matches!(def.function, CellFunction::ClockGate | CellFunction::Decap)
+            {
+                continue;
+            }
             let mut found: Vec<(u16, Pattern)> = Vec::new();
             for perm in permutations(arity) {
                 for mask in 0..(1u32 << arity) {
@@ -149,22 +143,18 @@ impl PatternTable {
                     }
                 }
             }
-            found
-        });
-        par.absorb(&stats);
-        let mut slot = vec![0u16; 1 << (1 << K)];
-        let mut groups: Vec<Vec<Pattern>> = Vec::new();
-        for (bits, pat) in lists.into_iter().flatten() {
-            let at = &mut slot[bits as usize];
-            if *at == 0 {
-                groups.push(Vec::new());
-                *at = u16::try_from(groups.len())
-                    .map_err(|_| MapError::Internal("library realizes too many functions"))?;
-            }
-            // Bound the alternatives per function.
-            let group = &mut groups[*at as usize - 1];
-            if group.len() < 6 {
-                group.push(pat);
+            for (bits, pat) in found {
+                let at = &mut slot[bits as usize];
+                if *at == 0 {
+                    groups.push(Vec::new());
+                    *at = u16::try_from(groups.len())
+                        .map_err(|_| MapError::Internal("library realizes too many functions"))?;
+                }
+                // Bound the alternatives per function.
+                let group = &mut groups[*at as usize - 1];
+                if group.len() < 6 {
+                    group.push(pat);
+                }
             }
         }
         Ok(PatternTable {
@@ -196,9 +186,6 @@ pub struct MapOutcome {
     pub delay_ps: f64,
     /// Number of mapped combinational cell instances.
     pub cells: usize,
-    /// Every parallel dispatch of the run, accumulated for telemetry and
-    /// speedup projection (`chunks == 0` for [`map_naive`], which has none).
-    pub par: ParStats,
     /// `(node, phase)` keys the netlist-construction walk expanded. Each
     /// becomes exactly one gate, so this equals the mapped cell count less
     /// tie cells; a larger number means cones are being re-walked.
@@ -241,29 +228,9 @@ fn key_of(node: u32, phase: bool) -> u32 {
     node << 1 | phase as u32
 }
 
-/// Groups node indices into topological waves by logic level (constants and
-/// PIs at level 0, an AND at `1 + max(fanin levels)`). A node's cuts and its
-/// match selection read only nodes of strictly lower level, so every wave is
-/// an independent unit of parallel work; within a wave, indices stay in
-/// ascending order so results are written back deterministically.
-pub(crate) fn level_waves(nodes: &[AigNode]) -> Vec<Vec<usize>> {
-    let mut level = vec![0usize; nodes.len()];
-    let mut waves: Vec<Vec<usize>> = Vec::new();
-    for (i, node) in nodes.iter().enumerate() {
-        if let AigNode::And(a, b) = node {
-            level[i] = 1 + level[a.node()].max(level[b.node()]);
-        }
-        if waves.len() <= level[i] {
-            waves.resize_with(level[i] + 1, Vec::new);
-        }
-        waves[level[i]].push(i);
-    }
-    waves
-}
-
-/// Best matches for both phases of one node, reading only `best` entries of
-/// strictly lower levels (cut leaves live in the node's fanin cone). Pure in
-/// `i`, so one wave's nodes can be matched on any worker in any order.
+/// Best matches for both phases of one node, reading only the `best`
+/// entries of its cut leaves, which live in its fanin cone and so precede it
+/// in index order.
 /// Selection is area flow: the lower `cost` wins and `arrival` breaks ties;
 /// a phase goes through an inverter only when that is strictly cheaper.
 fn match_node(
@@ -591,18 +558,15 @@ impl Builder<'_> {
     }
 }
 
-/// Enumerates cuts and selects the best match for both phases of every node,
-/// wave by wave across `threads` workers. Returns the matches plus the number
-/// of cuts the kernel kept.
+/// Enumerates cuts and selects the best match for both phases of every node
+/// in index (= topological) order. Returns the matches plus the number of
+/// cuts the kernel kept.
 fn choose_matches(
     nodes: &[AigNode],
     table: &PatternTable,
     lib: &Library,
-    threads: usize,
-    par: &mut ParStats,
 ) -> (Vec<[Best; 2]>, u64) {
-    let waves = level_waves(nodes);
-    let cuts = CutSet::enumerate_waves(nodes, &waves, threads, par);
+    let cuts = CutSet::enumerate(nodes);
     let mut refs = vec![1u32; nodes.len()];
     for node in nodes {
         if let AigNode::And(a, b) = node {
@@ -611,14 +575,8 @@ fn choose_matches(
         }
     }
     let mut best: Vec<[Best; 2]> = vec![[Best::UNSET; 2]; nodes.len()];
-    for wave in &waves {
-        let (results, stats) = eda_par::par_map_stats(threads, wave, |_, &i| {
-            match_node(nodes, &cuts, &best, &refs, table, lib, i)
-        });
-        par.absorb(&stats);
-        for (&i, r) in wave.iter().zip(results) {
-            best[i] = r;
-        }
+    for i in 0..nodes.len() {
+        best[i] = match_node(nodes, &cuts, &best, &refs, table, lib, i);
     }
     (best, cuts.total() as u64)
 }
@@ -649,19 +607,13 @@ fn group_outputs(boundary: &SeqBoundary) -> (Vec<(&str, Vec<usize>)>, Vec<usize>
     (blocks, tail)
 }
 
-/// Maps an AIG onto `lib` with phase-complete cut matching, the hot phases —
-/// library tabulation, cut enumeration, and match selection — fanned out
-/// across `threads` workers via `eda-par` (`0` = all cores, `1` = serial).
-///
-/// Cut enumeration and matching parallelize by **topological wave**: all
-/// nodes of one logic level are independent given the finished levels below
-/// them, so each wave is one deterministic dispatch and the result is
-/// bit-identical for any `threads`. Netlist construction is serial: one
-/// [`ClaimWalk`] hands every `(node, phase)` to the first output cone that
-/// needs it, and [`Builder::realize`] adds each claimed run's gates in claim
-/// order — every hierarchical block in block order, then the tail — under the
-/// run's [`Scope`]. [`MapOutcome::par`] accumulates every dispatch for
-/// telemetry and speedup projection.
+/// Maps an AIG onto `lib` with phase-complete cut matching, serially: the
+/// library is tabulated, then every node's cuts are enumerated and its
+/// matches selected in index (= topological) order. Netlist construction
+/// follows: one [`ClaimWalk`] hands every `(node, phase)` to the first output
+/// cone that needs it, and [`Builder::realize`] adds each claimed run's gates
+/// in claim order — every hierarchical block in block order, then the tail —
+/// under the run's [`Scope`].
 ///
 /// Flops recorded in `boundary` are re-inserted using the library's DFF.
 ///
@@ -673,18 +625,16 @@ pub fn map_aig(
     aig: &Aig,
     boundary: &SeqBoundary,
     lib: Arc<Library>,
-    threads: usize,
 ) -> Result<MapOutcome, MapError> {
     if lib.find_function(CellFunction::Nand(2)).is_none()
         && lib.find_function(CellFunction::And(2)).is_none()
     {
         return Err(MapError::MissingAnd2);
     }
-    let mut par = ParStats::empty();
-    let table = PatternTable::build(&lib, threads, &mut par)?;
+    let table = PatternTable::build(&lib)?;
     let nodes = aig.nodes();
     let n = nodes.len();
-    let (best, cuts_enumerated) = choose_matches(nodes, &table, &lib, threads, &mut par);
+    let (best, cuts_enumerated) = choose_matches(nodes, &table, &lib);
 
     // ---- construct the mapped netlist ----
     let mut out = Netlist::with_library("mapped", lib.clone());
@@ -766,7 +716,6 @@ pub fn map_aig(
         area_um2: area,
         delay_ps: delay,
         cells,
-        par,
         cone_visits: walk.visits,
         cuts_enumerated,
     })
@@ -917,7 +866,6 @@ pub fn map_naive(
         area_um2: area,
         delay_ps: delay,
         cells,
-        par: ParStats::empty(),
         cone_visits: 0,
         cuts_enumerated: 0,
     })
@@ -944,18 +892,20 @@ mod tests {
 
     #[test]
     fn area_map_preserves_adder() {
-        let n = generate::ripple_carry_adder(8).unwrap();
-        let (aig, bnd) = Aig::from_netlist(&n).unwrap();
-        let m = map_aig(&aig, &bnd, Library::generic(), 1).unwrap();
-        m.netlist.validate().unwrap();
-        check_equiv(&n, &m.netlist);
+        let random = generate::RandomLogicConfig { gates: 250, seed: 11, ..Default::default() };
+        for n in [generate::ripple_carry_adder(8).unwrap(), generate::random_logic(random).unwrap()] {
+            let (aig, bnd) = Aig::from_netlist(&n).unwrap();
+            let m = map_aig(&aig, &bnd, Library::generic()).unwrap();
+            m.netlist.validate().unwrap();
+            check_equiv(&n, &m.netlist);
+        }
     }
 
     #[test]
     fn map_handles_sequential() {
         let n = generate::switch_fabric(3, 2).unwrap();
         let (aig, bnd) = Aig::from_netlist(&n).unwrap();
-        let m = map_aig(&aig, &bnd, Library::generic(), 1).unwrap();
+        let m = map_aig(&aig, &bnd, Library::generic()).unwrap();
         m.netlist.validate().unwrap();
         assert_eq!(m.netlist.flops().len(), n.flops().len());
         check_equiv(&n, &m.netlist);
@@ -970,7 +920,7 @@ mod tests {
         })
         .unwrap();
         let (aig, bnd) = Aig::from_netlist(&n).unwrap();
-        let m = map_aig(&aig, &bnd, Library::nand_inv_2006(), 1).unwrap();
+        let m = map_aig(&aig, &bnd, Library::nand_inv_2006()).unwrap();
         m.netlist.validate().unwrap();
         check_equiv(&n, &m.netlist);
     }
@@ -987,7 +937,7 @@ mod tests {
         let naive = map_naive(&aig, &bnd, Library::nand_inv_2006()).unwrap();
         naive.netlist.validate().unwrap();
         check_equiv(&n, &naive.netlist);
-        let advanced = map_aig(&aig.rewrite(), &bnd, Library::generic(), 1).unwrap();
+        let advanced = map_aig(&aig.rewrite(), &bnd, Library::generic()).unwrap();
         check_equiv(&n, &advanced.netlist);
         assert!(
             advanced.area_um2 < naive.area_um2,
@@ -1005,7 +955,7 @@ mod tests {
         let x = g.xor(a, b);
         g.add_po("y", x);
         let bnd = SeqBoundary { real_pis: 2, real_pos: 1, flops: vec![] };
-        let m = map_aig(&g, &bnd, Library::generic(), 1).unwrap();
+        let m = map_aig(&g, &bnd, Library::generic()).unwrap();
         assert_eq!(m.cells, 1, "one XOR2 cell suffices");
         let pats = vec![0xF0F0u64, 0xCCCC];
         let (mo, _) = m.netlist.simulate64(&pats, &[]);
@@ -1016,8 +966,8 @@ mod tests {
     fn polarity_library_wins_on_parity() {
         let n = generate::parity_tree(16).unwrap();
         let (aig, bnd) = Aig::from_netlist(&n).unwrap();
-        let cmos = map_aig(&aig, &bnd, Library::generic(), 1).unwrap();
-        let pol = map_aig(&aig, &bnd, Library::controlled_polarity(), 1).unwrap();
+        let cmos = map_aig(&aig, &bnd, Library::generic()).unwrap();
+        let pol = map_aig(&aig, &bnd, Library::controlled_polarity()).unwrap();
         check_equiv(&n, &pol.netlist);
         assert!(
             pol.area_um2 < cmos.area_um2,
@@ -1028,63 +978,23 @@ mod tests {
     }
 
     #[test]
-    fn threaded_mapping_is_bit_identical_to_serial() {
-        let n = generate::random_logic(generate::RandomLogicConfig {
-            gates: 250,
-            seed: 11,
-            ..Default::default()
-        })
-        .unwrap();
-        let (aig, bnd) = Aig::from_netlist(&n).unwrap();
-        let serial = map_aig(&aig, &bnd, Library::generic(), 1).unwrap();
-        for threads in [2usize, 4, 8] {
-            let t = map_aig(&aig, &bnd, Library::generic(), threads).unwrap();
-            assert_eq!(
-                serial.area_um2.to_bits(),
-                t.area_um2.to_bits(),
-                "area must be bit-identical at {threads} threads"
-            );
-            assert_eq!(serial.delay_ps.to_bits(), t.delay_ps.to_bits());
-            assert_eq!(serial.cells, t.cells);
-            assert!(t.par.chunks > 0, "the threaded path must dispatch work");
-            check_equiv(&n, &t.netlist);
-        }
-    }
-
-    #[test]
-    fn hierarchical_block_realization_is_thread_invariant() {
-        // Block-by-block realization must produce the exact same netlist —
-        // instance names, cells, wiring, block labels — at every worker
-        // count, stay functionally equivalent, and match the netlist the
-        // per-block fragment pipeline built (its codec text, pinned).
+    fn hierarchical_block_realization_is_pinned() {
+        // Block-by-block realization must stay functionally equivalent and
+        // produce the exact netlist — instance names, cells, wiring, block
+        // labels — the per-block fragment pipeline built (its codec text,
+        // pinned).
         let n = generate::mesh_fabric(3, 3, 25, 4, 7).unwrap();
         let (aig, bnd) = Aig::from_netlist(&n).unwrap();
         assert!(bnd.flops.iter().any(|fb| fb.block.is_some()), "mesh flops carry block labels");
-        let fingerprint = |m: &MapOutcome| -> Vec<(String, CellId, Option<String>)> {
-            m.netlist
-                .instances()
-                .map(|(_, i)| {
-                    let block = i.block().map(|b| m.netlist.block_names()[b as usize].clone());
-                    (i.name().to_string(), i.cell(), block)
-                })
-                .collect()
-        };
-        let serial = map_aig(&aig, &bnd, Library::generic(), 1).unwrap();
-        serial.netlist.validate().unwrap();
-        check_equiv(&n, &serial.netlist);
-        let text = eda_netlist::codec::to_text(&serial.netlist);
+        let m = map_aig(&aig, &bnd, Library::generic()).unwrap();
+        m.netlist.validate().unwrap();
+        check_equiv(&n, &m.netlist);
+        let text = eda_netlist::codec::to_text(&m.netlist);
         assert_eq!(eda_netlist::memo::fnv1a(text.bytes()), 0x814f_2399_bc2b_e453);
-        let want = fingerprint(&serial);
         // Every block-fragment gate carries its block's label; only the
         // unlabelled tail (real-PO cones) may go without one.
-        let labelled = want.iter().filter(|(_, _, b)| b.is_some()).count();
-        assert!(labelled * 2 > want.len(), "block cones dominate a mesh netlist");
-        for threads in [2usize, 4, 8] {
-            let t = map_aig(&aig, &bnd, Library::generic(), threads).unwrap();
-            assert_eq!(want, fingerprint(&t), "netlist must be bit-identical at {threads} threads");
-            assert_eq!(serial.area_um2.to_bits(), t.area_um2.to_bits());
-            assert_eq!(serial.delay_ps.to_bits(), t.delay_ps.to_bits());
-        }
+        let labelled = m.netlist.instances().filter(|(_, i)| i.block().is_some()).count();
+        assert!(labelled * 2 > m.netlist.num_instances(), "block cones dominate a mesh netlist");
     }
 
     /// The definition the claim walk replaced: each block walks the *full*
@@ -1149,10 +1059,9 @@ mod tests {
         ] {
             let (aig, bnd) = Aig::from_netlist(&design).unwrap();
             let lib = Library::generic();
-            let mut par = ParStats::empty();
-            let table = PatternTable::build(&lib, 1, &mut par).unwrap();
+            let table = PatternTable::build(&lib).unwrap();
             let nodes = aig.nodes();
-            let (best, _) = choose_matches(nodes, &table, &lib, 1, &mut par);
+            let (best, _) = choose_matches(nodes, &table, &lib);
             let (blocks, tail) = group_outputs(&bnd);
             assert!(blocks.len() > 1, "hierarchical design");
             // Blocks first, the tail cones as one last pseudo-block.
@@ -1213,7 +1122,7 @@ mod tests {
             }
             g.add_po("y", acc);
             let bnd = SeqBoundary { real_pis: DEPTH + 1, real_pos: 1, flops: vec![] };
-            let m = map_aig(&g, &bnd, Library::generic(), 1).unwrap();
+            let m = map_aig(&g, &bnd, Library::generic()).unwrap();
             (m.cells, m.cone_visits)
         };
         let (cells, visits) = std::thread::Builder::new()
@@ -1241,7 +1150,7 @@ mod tests {
         let g = Aig::new();
         let bnd = SeqBoundary { real_pis: 0, real_pos: 0, flops: vec![] };
         assert!(matches!(
-            map_aig(&g, &bnd, Arc::new(l), 1),
+            map_aig(&g, &bnd, Arc::new(l)),
             Err(MapError::MissingInverter)
         ));
     }
@@ -1265,7 +1174,7 @@ mod tests {
                 }
             }
             let (aig, bnd) = Aig::from_netlist(&n).unwrap();
-            let m = map_aig(&aig, &bnd, Library::generic(), 1).unwrap();
+            let m = map_aig(&aig, &bnd, Library::generic()).unwrap();
             let cells: Vec<(&str, Option<&str>)> = m
                 .netlist
                 .instances()
@@ -1285,7 +1194,7 @@ mod tests {
         let f = g.and(a, !a); // constant false
         g.add_po("y", f);
         let bnd = SeqBoundary { real_pis: 1, real_pos: 1, flops: vec![] };
-        let m = map_aig(&g, &bnd, Library::generic(), 1).unwrap();
+        let m = map_aig(&g, &bnd, Library::generic()).unwrap();
         let (o, _) = m.netlist.simulate64(&[0xFFFF], &[]);
         assert_eq!(o, vec![0]);
     }

@@ -14,7 +14,6 @@ use crate::aig::{Aig, AigError};
 use crate::map::{map_aig, map_naive, MapError};
 use eda_netlist::memo::fnv1a;
 use eda_netlist::{Library, Netlist, SubstageMemo};
-use eda_par::ParStats;
 use std::sync::Arc;
 
 /// Default bound on the rewrite fixpoint iteration in the advanced script.
@@ -79,22 +78,18 @@ pub struct SynthesisOutcome {
     /// Per-pass AIG optimization trace (empty for the 2006 baseline, which
     /// maps the raw AIG).
     pub passes: Vec<AigPass>,
-    /// The mapper's parallel dispatches, for telemetry and speedup
-    /// projection. The 2006 baseline has no parallel kernel (`chunks == 0`).
-    pub par: ParStats,
     /// The mapper's [`MapOutcome::cone_visits`](crate::MapOutcome::cone_visits).
     pub cone_visits: u64,
     /// The mapper's [`MapOutcome::cuts_enumerated`](crate::MapOutcome::cuts_enumerated).
     pub cuts_enumerated: u64,
 }
 
-/// How a synthesis run executes, beyond what it optimizes for. None of the
-/// three changes what a given `rewrite_passes` produces: the outcome is
-/// bit-identical at any thread count and with or without a memo.
+/// How much the advanced script rewrites, and where its AIG passes may
+/// replay from. The memo never changes what a given `rewrite_passes`
+/// produces: the outcome is bit-identical with or without one. Synthesis
+/// runs serially.
 #[derive(Clone, Copy)]
 pub struct SynthesisOptions<'a> {
-    /// Mapping-kernel workers (`0` = all cores, `1` = serial).
-    pub threads: usize,
     /// Bound on the rewrite fixpoint iteration of the advanced script.
     pub rewrite_passes: usize,
     /// Persistent sub-stage store each AIG pass may replay from — a hit is
@@ -103,9 +98,9 @@ pub struct SynthesisOptions<'a> {
 }
 
 impl Default for SynthesisOptions<'_> {
-    /// Serial, [`DEFAULT_REWRITE_PASSES`], no memo.
+    /// [`DEFAULT_REWRITE_PASSES`], no memo.
     fn default() -> Self {
-        SynthesisOptions { threads: 1, rewrite_passes: DEFAULT_REWRITE_PASSES, memo: None }
+        SynthesisOptions { rewrite_passes: DEFAULT_REWRITE_PASSES, memo: None }
     }
 }
 
@@ -137,7 +132,7 @@ impl Default for SynthesisOptions<'_> {
 ///     &design,
 ///     Library::generic(),
 ///     SynthesisEffort::Advanced2016,
-///     &SynthesisOptions { threads: 2, ..opts },
+///     &opts,
 /// )?;
 /// assert!(advanced.area_um2 < baseline.area_um2);
 /// # Ok(())
@@ -158,7 +153,7 @@ pub fn synthesize(
         }
         SynthesisEffort::Advanced2016 => {
             let (opt, passes) = optimize_aig(&aig, opts.rewrite_passes, opts.memo);
-            let m = map_aig(&opt, &boundary, lib, opts.threads)?;
+            let m = map_aig(&opt, &boundary, lib)?;
             (opt, m, passes)
         }
     };
@@ -170,7 +165,6 @@ pub fn synthesize(
         delay_ps: outcome.delay_ps,
         cells: outcome.cells,
         passes,
-        par: outcome.par,
         cone_visits: outcome.cone_visits,
         cuts_enumerated: outcome.cuts_enumerated,
     })
@@ -462,11 +456,11 @@ mod tests {
     }
 
     #[test]
-    fn rewrite_and_mapped_netlist_are_pinned_at_every_thread_count() {
+    fn rewrite_and_mapped_netlist_are_pinned() {
         // Recorded at the commit before the shared cut kernel and the serial
         // claim walk replaced the two private enumerators and the per-block
         // cone closures: the rewritten graph and the mapped netlist text must
-        // not move by a byte, flat or hierarchical, at any thread count.
+        // not move by a byte, flat or hierarchical.
         let pinned = [
             (generate::switch_fabric(4, 3).unwrap(), 0xb926_fdf7_4b6f_2fa0u64, 0x48bc_cd27_0ecd_b5cbu64),
             (generate::array_multiplier(8).unwrap(), 0x1c6f_9971_3761_d53b, 0x9b7a_9074_84e3_fd8e),
@@ -475,18 +469,9 @@ mod tests {
         for (design, rewritten, mapped) in pinned {
             let (aig, _) = Aig::from_netlist(&design).unwrap();
             assert_eq!(aig.rewrite().digest(), rewritten, "{} rewrite", design.name());
-            for threads in [1usize, 2, 4] {
-                let opts = SynthesisOptions { threads, ..Default::default() };
-                let out = synthesize(
-                    &design,
-                    Library::generic(),
-                    SynthesisEffort::Advanced2016,
-                    &opts,
-                )
-                .unwrap();
-                let text = eda_netlist::codec::to_text(&out.netlist);
-                assert_eq!(fnv1a(text.bytes()), mapped, "{} at {threads} threads", design.name());
-            }
+            let out = advanced(&design);
+            let text = eda_netlist::codec::to_text(&out.netlist);
+            assert_eq!(fnv1a(text.bytes()), mapped, "{} mapped", design.name());
         }
     }
 

@@ -9,14 +9,14 @@
 //! runs it on a plain thread — `Daemon::bind` happens on the test thread so
 //! the socket exists before any client connects.
 
-use eda_core::daemon::protocol::{ClientFrame, ServerFrame};
+use eda_core::daemon::protocol::{parse_server_frame, ClientFrame, ServerFrame};
 use eda_core::{
     run_flow, Daemon, DaemonClient, DaemonConfig, DaemonStats, DesignSpec, Endpoint, RejectReason,
     RetryPolicy, SubmitSpec, Terminal, TransportFaultPlan,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
-use std::io::Write;
+use std::io::{BufRead, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -292,6 +292,41 @@ fn malformed_frames_cost_only_the_offending_connection() {
     );
     assert_eq!(stats.completed, 1);
     assert_eq!(stats.failed, 0);
+}
+
+#[test]
+fn a_frame_without_a_newline_is_cut_off_at_the_cap() {
+    // The frame cap bounds what the daemon buffers, not only what it
+    // parses: a peer streaming bytes with no newline loses its connection
+    // once the cap trips, long before it has sent 8 MiB.
+    let daemon = Flowd::spawn(DaemonConfig::new(sock("endless")));
+    let Endpoint::Unix(path) = &daemon.endpoint else { unreachable!() };
+
+    // A frame of exactly the cap, CRLF-terminated, is still served.
+    let mut at_cap = br#"{"type":"ping"}"#.to_vec();
+    at_cap.resize(1 << 20, b' ');
+    at_cap.extend_from_slice(b"\r\n");
+    let mut edge = UnixStream::connect(path).expect("connect raw");
+    edge.write_all(&at_cap).expect("write an at-cap frame");
+    let mut reply = String::new();
+    std::io::BufReader::new(&edge).read_line(&mut reply).expect("read the reply");
+    assert!(
+        matches!(parse_server_frame(reply.trim_end()), Ok(ServerFrame::Pong(_))),
+        "an at-cap frame is answered, got {reply:?}"
+    );
+
+    let mut raw = UnixStream::connect(path).expect("connect raw");
+    raw.set_write_timeout(Some(std::time::Duration::from_secs(10))).expect("write timeout");
+    let chunk = vec![b'x'; 64 << 10];
+    let mut sent = 0usize;
+    while sent < 64 << 20 && raw.write_all(&chunk).is_ok() {
+        sent += chunk.len();
+    }
+    assert!(sent < 8 << 20, "the daemon kept reading: {sent} bytes went through");
+    drop(raw);
+
+    let stats = daemon.finish();
+    assert!(stats.protocol_errors >= 1, "the endless frame is counted, got {stats:?}");
 }
 
 #[test]
