@@ -1,24 +1,29 @@
 //! The independent pass auditor: after a routing pass, is the grid the sum
-//! of the committed paths, and is every path a legal walk?
+//! of the committed paths, and is every path a legal polyline in canonical
+//! corner form?
 //!
 //! Bit-identity across thread counts proves the schedule deterministic, not
 //! right — a router that double-counts an edge or leaves a rip-up victim's
 //! old demand behind does so identically at 1 and 8 threads. This check
 //! shares no code with the bookkeeping it audits (`commit`,
-//! [`OverlayGrid`](crate::OverlayGrid) commit/uncommit, the canonical commit
-//! loop): demand is rebuilt from the paths into fresh vectors with its own
-//! edge indexing, the search window is recomputed from the pins, and
-//! overflow is re-summed from the rebuilt demand.
+//! [`RoutingGrid::add_run`], [`OverlayGrid`](crate::OverlayGrid)
+//! commit/uncommit, the canonical commit loop): demand is rebuilt edge by
+//! edge from each run into fresh vectors with its own edge indexing, the
+//! search window is recomputed from the pins, and overflow is re-summed from
+//! the rebuilt demand.
 
 use crate::grid::{GCell, RoutingGrid};
 use crate::maze::Path;
 use crate::router::TwoPin;
 
 /// Checks one pass: every connection has a path that starts at its source,
-/// ends at its target, moves by unit Manhattan steps and stays inside its
-/// search window (the pins' bounding box grown by `window_margin`, or the
-/// whole grid when that is `0`); and per-edge demand recomputed from all
-/// paths equals the grid's usage, total usage and total overflow.
+/// ends at its target and is a canonical corner list — each consecutive
+/// pair of corners on one row or column and apart, no two consecutive runs
+/// heading the same way — with every corner inside its search window (the
+/// pins' bounding box grown by `window_margin`, or the whole grid when that
+/// is `0`; a run between two corners inside a rectangle stays inside it);
+/// and per-edge demand recomputed edge by edge from all paths equals the
+/// grid's usage, total usage and total overflow.
 pub(crate) fn audit_pass(
     grid: &RoutingGrid,
     pairs: &[TwoPin],
@@ -46,12 +51,30 @@ pub(crate) fn audit_pass(
         if let Some(c) = path.iter().find(outside) {
             return Err(format!("connection {i}: {c:?} is outside its search window"));
         }
-        for step in path.windows(2) {
-            let (a, b) = (step[0], step[1]);
-            match (a.x.abs_diff(b.x), a.y.abs_diff(b.y)) {
-                (1, 0) => across[(a.y * (w - 1) + a.x.min(b.x)) as usize] += 1,
-                (0, 1) => up[(a.y.min(b.y) * w + a.x) as usize] += 1,
-                _ => return Err(format!("connection {i}: {a:?} -> {b:?} is not a unit step")),
+        // The previous run's heading: (horizontal, increasing).
+        let mut last: Option<(bool, bool)> = None;
+        for run in path.windows(2) {
+            let (a, b) = (run[0], run[1]);
+            let heading = match (a.x == b.x, a.y == b.y) {
+                (true, true) => return Err(format!("connection {i}: zero-length run at {a:?}")),
+                (false, true) => (true, b.x > a.x),
+                (true, false) => (false, b.y > a.y),
+                (false, false) => {
+                    return Err(format!("connection {i}: {a:?} -> {b:?} is not axis-aligned"))
+                }
+            };
+            if last == Some(heading) {
+                return Err(format!("connection {i}: runs into and out of {a:?} head the same way"));
+            }
+            last = Some(heading);
+            if heading.0 {
+                for x in a.x.min(b.x)..a.x.max(b.x) {
+                    across[(a.y * (w - 1) + x) as usize] += 1;
+                }
+            } else {
+                for y in a.y.min(b.y)..a.y.max(b.y) {
+                    up[(y * w + a.x) as usize] += 1;
+                }
             }
         }
     }
@@ -101,12 +124,11 @@ mod tests {
     /// turns to break it.
     fn fixture() -> (RoutingGrid, Vec<TwoPin>, Vec<Option<Path>>) {
         let mut grid = RoutingGrid::new(8, 8, &RuleDeck::simple(2));
-        let path = vec![cell(1, 1), cell(2, 1), cell(3, 1), cell(3, 2)];
-        for s in path.windows(2) {
-            grid.add_usage(s[0], s[1], 1);
+        for (a, b) in [(cell(1, 1), cell(2, 1)), (cell(2, 1), cell(3, 1)), (cell(3, 1), cell(3, 2))] {
+            grid.add_usage(a, b, 1);
         }
         let pair = TwoPin { src: cell(1, 1), dst: cell(3, 2), fanout: 2 };
-        (grid, vec![pair], vec![Some(path)])
+        (grid, vec![pair], vec![Some(vec![cell(1, 1), cell(3, 1), cell(3, 2)])])
     }
 
     #[test]
@@ -130,27 +152,47 @@ mod tests {
 
     #[test]
     fn illegal_paths_are_caught() {
+        let broken = |edit: fn(&mut Path)| {
+            let (grid, pairs, mut paths) = fixture();
+            edit(paths[0].as_mut().unwrap());
+            audit_pass(&grid, &pairs, &paths, 0).unwrap_err()
+        };
         let (grid, pairs, mut paths) = fixture();
         paths[0] = None;
         assert!(audit_pass(&grid, &pairs, &paths, 0).unwrap_err().contains("no path"));
-        let (grid, pairs, mut paths) = fixture();
-        paths[0].as_mut().unwrap().pop();
-        assert!(audit_pass(&grid, &pairs, &paths, 0).unwrap_err().contains("does not join"));
-        let (grid, pairs, mut paths) = fixture();
-        paths[0].as_mut().unwrap().remove(1);
-        assert!(audit_pass(&grid, &pairs, &paths, 0).unwrap_err().contains("not a unit step"));
+        assert!(broken(|p| {
+            p.pop();
+        }).contains("does not join"));
+        // (1,1) -> (3,2) in one step.
+        assert!(broken(|p| {
+            p.remove(1);
+        }).contains("not axis-aligned"));
+        let err = broken(|p| p.insert(1, cell(3, 1)));
+        assert!(err.contains("zero-length run at GCell { x: 3, y: 1 }"), "{err}");
+        // The same edges, but (2,1) is no corner: the wire is not canonical.
+        let err = broken(|p| p.insert(1, cell(2, 1)));
+        assert!(err.contains("runs into and out of GCell { x: 2, y: 1 } head the same way"), "{err}");
+    }
+
+    #[test]
+    fn a_reversal_is_a_corner() {
+        // (1,1) -> (3,1) -> (2,1) -> (2,2): right, back left, then up.
+        let mut grid = RoutingGrid::new(8, 8, &RuleDeck::simple(2));
+        grid.add_run(cell(1, 1), cell(3, 1), 1);
+        grid.add_run(cell(3, 1), cell(2, 1), 1);
+        grid.add_run(cell(2, 1), cell(2, 2), 1);
+        let pairs = vec![TwoPin { src: cell(1, 1), dst: cell(2, 2), fanout: 2 }];
+        let paths = vec![Some(vec![cell(1, 1), cell(3, 1), cell(2, 1), cell(2, 2)])];
+        assert_eq!(audit_pass(&grid, &pairs, &paths, 0), Ok(()));
     }
 
     #[test]
     fn a_detour_outside_the_window_is_caught() {
         let mut grid = RoutingGrid::new(8, 8, &RuleDeck::simple(2));
         // (1,1) -> (3,1) by way of row 4: three rows beyond the pins.
-        let path = vec![
-            cell(1, 1), cell(1, 2), cell(1, 3), cell(1, 4), cell(2, 4), cell(3, 4), cell(3, 3),
-            cell(3, 2), cell(3, 1),
-        ];
-        for s in path.windows(2) {
-            grid.add_usage(s[0], s[1], 1);
+        let path = vec![cell(1, 1), cell(1, 4), cell(3, 4), cell(3, 1)];
+        for r in path.windows(2) {
+            grid.add_run(r[0], r[1], 1);
         }
         let pairs = vec![TwoPin { src: cell(1, 1), dst: cell(3, 1), fanout: 2 }];
         let paths = vec![Some(path)];

@@ -183,7 +183,7 @@ fn lowest_set(word: &impl Fn(usize) -> u64, from: u32, to: u32) -> Option<u32> {
 
 /// The routing grid with per-edge usage tracking and PathFinder-style
 /// history costs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoutingGrid {
     /// Grid width in g-cells.
     pub width: u32,
@@ -277,29 +277,60 @@ impl RoutingGrid {
         self.usage_v[self.v_index(x, y)]
     }
 
-    /// Adds (or removes, `delta < 0`) usage on the edge between two adjacent
-    /// cells. The only usage mutator, so it keeps the full-edge bits.
+    /// Adds (or removes, `delta < 0`) usage on every edge of the straight
+    /// run between two cells on one row or column — the contiguous
+    /// `usage_h` row (or `usage_v` column) slice and its full-edge bits.
+    /// The only usage mutator, so it keeps the full-edge bits. A run from a
+    /// cell to itself has no edges.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cells share neither a row nor a column, or usage would
+    /// underflow.
+    pub fn add_run(&mut self, a: GCell, b: GCell, delta: i32) {
+        let apply = |u: &mut u32| {
+            *u = u32::try_from(*u as i64 + delta as i64).expect("usage underflow");
+            *u
+        };
+        if a.y == b.y {
+            let (lo, len) = (a.x.min(b.x), a.x.abs_diff(b.x) as usize);
+            let (i, bit) = (self.h_index(lo, a.y), self.h_bit(lo, a.y));
+            for (k, u) in self.usage_h[i..i + len].iter_mut().enumerate() {
+                put_bit(&mut self.full_h, bit + k, apply(u) >= self.cap_h);
+            }
+        } else if a.x == b.x {
+            let (lo, len) = (a.y.min(b.y), a.y.abs_diff(b.y) as usize);
+            let (i, bit) = (self.v_index(a.x, lo), self.v_bit(a.x, lo));
+            for (k, u) in self.usage_v[i..i + len].iter_mut().enumerate() {
+                put_bit(&mut self.full_v, bit + k, apply(u) >= self.cap_v);
+            }
+        } else {
+            panic!("cells {a:?} and {b:?} share no row or column");
+        }
+    }
+
+    /// [`RoutingGrid::add_run`] on the one edge between two adjacent cells.
     ///
     /// # Panics
     ///
     /// Panics if the cells are not 4-neighbours or usage would underflow.
     pub fn add_usage(&mut self, a: GCell, b: GCell, delta: i32) {
-        let apply = |u: &mut u32| {
-            *u = u32::try_from(*u as i64 + delta as i64).expect("usage underflow");
-            *u
-        };
-        if a.y == b.y && a.x.abs_diff(b.x) == 1 {
-            let x = a.x.min(b.x);
-            let (i, bit) = (self.h_index(x, a.y), self.h_bit(x, a.y));
-            let full = apply(&mut self.usage_h[i]) >= self.cap_h;
-            put_bit(&mut self.full_h, bit, full);
-        } else if a.x == b.x && a.y.abs_diff(b.y) == 1 {
-            let y = a.y.min(b.y);
-            let (i, bit) = (self.v_index(a.x, y), self.v_bit(a.x, y));
-            let full = apply(&mut self.usage_v[i]) >= self.cap_v;
-            put_bit(&mut self.full_v, bit, full);
+        assert!(a.manhattan(&b) == 1, "cells {a:?} and {b:?} are not adjacent");
+        self.add_run(a, b, delta);
+    }
+
+    /// Whether any edge of the straight run between two cells on one row or
+    /// column carries at least its capacity plus `excess`: `0` asks for an
+    /// at-capacity edge, `1` for a strictly overflowed one. Scans the run's
+    /// contiguous usage slice.
+    pub fn run_reaches(&self, a: GCell, b: GCell, excess: u32) -> bool {
+        if a.y == b.y {
+            let (i, len) = (self.h_index(a.x.min(b.x), a.y), a.x.abs_diff(b.x) as usize);
+            self.usage_h[i..i + len].iter().any(|&u| u >= self.cap_h + excess)
         } else {
-            panic!("cells {a:?} and {b:?} are not adjacent");
+            debug_assert_eq!(a.x, b.x, "a run lies on one row or column");
+            let (i, len) = (self.v_index(a.x, a.y.min(b.y)), a.y.abs_diff(b.y) as usize);
+            self.usage_v[i..i + len].iter().any(|&u| u >= self.cap_v + excess)
         }
     }
 
@@ -330,17 +361,6 @@ impl RoutingGrid {
         } else {
             let y = a.y.min(b.y);
             self.usage_v(a.x, y) >= self.cap_v
-        }
-    }
-
-    /// Whether the edge between adjacent cells is strictly over capacity.
-    pub fn is_overflowed(&self, a: GCell, b: GCell) -> bool {
-        if a.y == b.y {
-            let x = a.x.min(b.x);
-            self.usage_h(x, a.y) > self.cap_h
-        } else {
-            let y = a.y.min(b.y);
-            self.usage_v(a.x, y) > self.cap_v
         }
     }
 

@@ -8,7 +8,10 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::mem::size_of;
 
-/// A routed 2-pin path (sequence of adjacent g-cells).
+/// A routed 2-pin path: an axis-aligned polyline from the source to the
+/// target, each consecutive pair of cells on one row or column. A search
+/// returns every cell it walks (a polyline of unit steps); the router keeps
+/// each routed connection as its canonical corner list ([`corners`]).
 pub type Path = Vec<GCell>;
 
 /// Statistics from one search.
@@ -280,19 +283,36 @@ impl MazeScratch {
     }
 }
 
-/// Number of bends in a path (proxy for via count in the 2-D model).
+/// Number of bends in a path (proxy for via count in the 2-D model): the
+/// interior points whose two neighbours share neither a row nor a column.
+/// Equal on a unit-step path and on its [`corners`], where it is O(corners).
 pub fn count_bends(path: &[GCell]) -> u32 {
-    if path.len() < 3 {
-        return 0;
-    }
-    let mut bends = 0;
-    for w in path.windows(3) {
-        let straight = (w[0].x == w[2].x) || (w[0].y == w[2].y);
-        if !straight {
-            bends += 1;
+    path.windows(3).filter(|w| w[0].x != w[2].x && w[0].y != w[2].y).count() as u32
+}
+
+/// The canonical corner list of a polyline, in place and with exact
+/// capacity: its first cell, every cell where the step direction changes
+/// (reversals included) and its last cell. Walking straight runs between
+/// consecutive corners visits the same edges in the same order as walking
+/// the polyline.
+pub(crate) fn corners(mut path: Path) -> Path {
+    let step = |a: GCell, b: GCell| (b.x.cmp(&a.x), b.y.cmp(&a.y));
+    if path.len() > 2 {
+        let mut kept = 1;
+        let mut heading = step(path[0], path[1]);
+        for at in 1..path.len() - 1 {
+            let next = step(path[at], path[at + 1]);
+            if next != heading {
+                path[kept] = path[at];
+                kept += 1;
+                heading = next;
+            }
         }
+        path[kept] = path[path.len() - 1];
+        path.truncate(kept + 1);
+        path.shrink_to_fit();
     }
-    bends
+    path
 }
 
 #[cfg(test)]

@@ -410,10 +410,27 @@ fn astar_in<G: DemandGrid>(
 
 /// Differential oracles: the shipping kernels must return exactly what the
 /// kernels above return — path *and* stats — on every input.
+/// Every cell of a polyline, one unit step at a time: the cells a search
+/// returns for the path the router stores as its corners.
+pub(crate) fn expand(path: &[GCell]) -> Path {
+    let toward = |v: u32, to: u32| if v < to { v + 1 } else if v > to { v - 1 } else { v };
+    let mut cells: Path = path.first().into_iter().copied().collect();
+    for run in path.windows(2) {
+        let (mut at, to) = (run[0], run[1]);
+        debug_assert!(at.x == to.x || at.y == to.y, "{at:?} -> {to:?} is not a run");
+        while at != to {
+            at = GCell::new(toward(at.x, to.x), toward(at.y, to.y));
+            cells.push(at);
+        }
+    }
+    cells
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::grid::{free_run_by_edge, RoutingGrid};
+    use crate::maze::{corners, count_bends};
     use crate::region::OverlayGrid;
     use crate::rules::RuleDeck;
     use crate::scratch::SearchScratch;
@@ -819,6 +836,83 @@ mod tests {
             dedup_path(&mut old);
             crate::linesearch::dedup_path(&mut new);
             assert_eq!(new, old, "{path:?}");
+        }
+    }
+
+    /// The router stores a search's path as its corners: walking their runs
+    /// gives back every cell the search returned, with the same bends, on
+    /// every demand regime the searches see.
+    #[test]
+    fn corner_lists_expand_to_the_search_paths() {
+        let mut rng = StdRng::seed_from_u64(38);
+        let mut scratch = SearchScratch::new();
+        let mut bent = 0;
+        for case in 0..200 {
+            let (w, h) = (rng.gen_range(2..28), rng.gen_range(2..28));
+            let grid = random_grid(&mut rng, w, h, DEMANDS[case % DEMANDS.len()]);
+            let all = (0, 0, w - 1, h - 1);
+            for _ in 0..6 {
+                let (src, dst) = (random_cell(&mut rng, all), random_cell(&mut rng, all));
+                let win = SearchWindow::around(src, dst, rng.gen_range(0..10), &grid);
+                let line = scratch.mikami_tabuchi_in(&grid, src, dst, 12, win);
+                let maze = scratch.astar_in(&grid, src, dst, 1.0, win);
+                for (path, _) in line.into_iter().chain(maze) {
+                    let stored = corners(path.clone());
+                    assert_eq!(expand(&stored), path, "{src:?}->{dst:?} in {win:?}");
+                    assert_eq!(count_bends(&stored), count_bends(&path));
+                    assert_eq!(stored.capacity(), stored.len(), "stored paths carry no slack");
+                    bent += (count_bends(&stored) > 1) as usize;
+                }
+            }
+        }
+        assert!(bent > 200, "{bent} paths with two bends or more");
+    }
+
+    /// Committing random polylines run by run equals committing them edge
+    /// by edge, usage and full-edge bits alike — also when some are then
+    /// taken out again.
+    #[test]
+    fn add_run_over_corners_equals_the_per_edge_loop() {
+        let mut rng = StdRng::seed_from_u64(381);
+        for case in 0..300 {
+            let (w, h) = (rng.gen_range(2..40), rng.gen_range(2..40));
+            let mut by_run = random_grid(&mut rng, w, h, DEMANDS[case % 4]);
+            let mut by_edge = by_run.clone();
+            let mut walks: Vec<(Path, i32)> = Vec::new();
+            for _ in 0..rng.gen_range(1..6) {
+                let walk = random_walk(&mut rng, (0, 0, w - 1, h - 1), 30);
+                walks.push((walk, rng.gen_range(1..4)));
+            }
+            let removed = rng.gen_range(0..=walks.len());
+            let signed = walks.iter().map(|(p, d)| (p, *d)).chain(walks[..removed].iter().map(|(p, d)| (p, -d)));
+            for (walk, delta) in signed {
+                for run in corners(walk.clone()).windows(2) {
+                    by_run.add_run(run[0], run[1], delta);
+                }
+                for e in walk.windows(2) {
+                    by_edge.add_usage(e[0], e[1], delta);
+                }
+            }
+            assert_eq!(by_run, by_edge, "case {case}");
+        }
+    }
+
+    /// An overlay that commits and uncommits corner lists holds the deltas
+    /// and masks of one that does the same with their cells.
+    #[test]
+    fn overlay_commits_of_corners_equal_those_of_their_cells() {
+        let mut rng = StdRng::seed_from_u64(382);
+        for case in 0..300 {
+            let (w, h) = (rng.gen_range(2..40), rng.gen_range(2..40));
+            let oc = OverlayCase::random(&mut rng, w, h, DEMANDS[case % 4]);
+            let mut by_run = OverlayGrid::new(&oc.base, oc.rect);
+            for v in &oc.victims {
+                by_run.uncommit(&corners(v.clone()));
+            }
+            for l in &oc.locals {
+                by_run.commit(&corners(l.clone()));
+            }
+            assert!(by_run.into_buffers() == oc.overlay().into_buffers(), "case {case}");
         }
     }
 }

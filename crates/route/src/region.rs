@@ -145,7 +145,7 @@ impl RegionSpan {
 /// holds it, so a route task can lend it to one overlay after another —
 /// sized to the largest rectangle seen — without allocating or zeroing a
 /// region per task.
-#[derive(Default)]
+#[derive(Default, PartialEq)]
 pub(crate) struct OverlayBuffers {
     dh: Vec<i32>,
     dv: Vec<i32>,
@@ -291,34 +291,42 @@ impl<'a> OverlayGrid<'a> {
         plus_delta(usage, self.delta(a, b))
     }
 
+    /// Adds `sign` to every edge of the polyline, one straight run at a
+    /// time: a run's deltas and mask bits are contiguous.
     fn apply(&mut self, path: &Path, sign: i32) {
         for w in path.windows(2) {
             let (a, b) = (w[0], w[1]);
             if a.y == b.y {
-                let x = a.x.min(b.x);
-                debug_assert!(x >= self.x0 && x < self.x1 && a.y >= self.y0 && a.y <= self.y1);
-                let (i, bit) = (self.h_at(x, a.y), self.h_bit(x, a.y));
-                self.buf.dh[i] += sign;
-                let d = self.buf.dh[i];
-                let over = d != 0 && plus_delta(self.base.usage_h(x, a.y), d) >= self.base.cap_h;
-                put_bit(&mut self.buf.dirty_h, bit, d != 0);
-                put_bit(&mut self.buf.over_h, bit, over);
+                let (lo, hi) = (a.x.min(b.x), a.x.max(b.x));
+                debug_assert!(lo >= self.x0 && hi <= self.x1 && a.y >= self.y0 && a.y <= self.y1);
+                let (i, bit) = (self.h_at(lo, a.y), self.h_bit(lo, a.y));
+                for (k, x) in (lo..hi).enumerate() {
+                    self.buf.dh[i + k] += sign;
+                    let d = self.buf.dh[i + k];
+                    let over = d != 0 && plus_delta(self.base.usage_h(x, a.y), d) >= self.base.cap_h;
+                    put_bit(&mut self.buf.dirty_h, bit + k, d != 0);
+                    put_bit(&mut self.buf.over_h, bit + k, over);
+                }
             } else {
-                let y = a.y.min(b.y);
-                debug_assert!(a.x >= self.x0 && a.x <= self.x1 && y >= self.y0 && y < self.y1);
-                let (i, bit) = (self.v_at(a.x, y), self.v_bit(a.x, y));
-                self.buf.dv[i] += sign;
-                let d = self.buf.dv[i];
-                let over = d != 0 && plus_delta(self.base.usage_v(a.x, y), d) >= self.base.cap_v;
-                put_bit(&mut self.buf.dirty_v, bit, d != 0);
-                put_bit(&mut self.buf.over_v, bit, over);
+                debug_assert_eq!(a.x, b.x, "a run lies on one row or column");
+                let (lo, hi) = (a.y.min(b.y), a.y.max(b.y));
+                debug_assert!(a.x >= self.x0 && a.x <= self.x1 && lo >= self.y0 && hi <= self.y1);
+                let (i, bit) = (self.v_at(a.x, lo), self.v_bit(a.x, lo));
+                for (k, y) in (lo..hi).enumerate() {
+                    self.buf.dv[i + k] += sign;
+                    let d = self.buf.dv[i + k];
+                    let over = d != 0 && plus_delta(self.base.usage_v(a.x, y), d) >= self.base.cap_v;
+                    put_bit(&mut self.buf.dirty_v, bit + k, d != 0);
+                    put_bit(&mut self.buf.over_v, bit + k, over);
+                }
             }
         }
     }
 
-    /// Records one routed path in the overlay (every edge must lie inside
-    /// the rectangle — guaranteed for interior connections, whose windows
-    /// the rectangle contains).
+    /// Records one routed path — any axis-aligned polyline, a search's
+    /// unit steps or the router's corner list — in the overlay (every edge
+    /// must lie inside the rectangle — guaranteed for interior connections,
+    /// whose windows the rectangle contains).
     pub fn commit(&mut self, path: &Path) {
         self.apply(path, 1);
     }

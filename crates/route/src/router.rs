@@ -3,7 +3,7 @@
 
 use crate::grid::{DemandGrid, GCell, RoutingGrid};
 use crate::linesearch::probe_window;
-use crate::maze::{count_bends, Path, SearchWindow};
+use crate::maze::{corners, count_bends, Path, SearchWindow};
 use crate::region::{OverlayGrid, RegionMap, RegionScheduler, RegionTask};
 use crate::rules::RuleDeck;
 use crate::scratch::{ScratchPool, SearchScratch};
@@ -218,18 +218,21 @@ fn prim_pairs(pins: &[GCell]) -> Vec<TwoPin> {
     pairs
 }
 
+/// Adds `delta` to every edge of a path, one straight run at a time.
 fn commit(grid: &mut RoutingGrid, path: &Path, delta: i32) {
     for w in path.windows(2) {
-        grid.add_usage(w[0], w[1], delta);
+        grid.add_run(w[0], w[1], delta);
     }
 }
 
 /// Pure per-connection search against an immutable demand view — the only
 /// route computation, shared by interior runs (where the view is a private
 /// [`OverlayGrid`]), seam singletons and the rip-up re-routes. Returns
-/// `(path, linesearch_fell_back, expanded, scratch)`. The result depends
-/// only on the demand values and the window, so any wave execution that
-/// presents the canonical demand state gets the canonical path.
+/// `(path, linesearch_fell_back, expanded, scratch)`, the path as its
+/// [`corners`]: every routed connection is stored, committed and scanned
+/// as straight runs. The result depends only on the demand values and the
+/// window, so any wave execution that presents the canonical demand state
+/// gets the canonical path.
 fn route_one_in<G: DemandGrid>(
     grid: &G,
     tp: &TwoPin,
@@ -238,7 +241,7 @@ fn route_one_in<G: DemandGrid>(
     scratch: &mut SearchScratch,
 ) -> (Path, bool, u64, u64) {
     let via_cost = cfg.deck.via_cost;
-    match cfg.algorithm {
+    let (p, fell_back, expanded, scratch_cells) = match cfg.algorithm {
         RouteAlgorithm::LeeBfs => {
             let (p, s) = scratch.lee_bfs_in(grid, tp.src, tp.dst, win).expect("grid is connected");
             (p, false, s.expanded as u64, s.scratch_cells as u64)
@@ -263,7 +266,8 @@ fn route_one_in<G: DemandGrid>(
                 }
             }
         }
-    }
+    };
+    (corners(p), fell_back, expanded, scratch_cells)
 }
 
 /// Routes a placed netlist.
@@ -278,8 +282,9 @@ pub fn route(netlist: &Netlist, placement: &Placement, cfg: &RouteConfig) -> Rou
 /// [`route`] with the independent pass auditor of [`crate::audit`] forced on
 /// in every build profile (debug builds run it on every route anyway): after
 /// the initial pass and after every rip-up round, per-edge demand rebuilt
-/// from the committed paths must equal the grid's, and every path must be a
-/// unit-step walk from its source to its target inside its search window.
+/// edge by edge from the committed paths must equal the grid's, and every
+/// path must be a canonical corner list — straight runs, each turning from
+/// the last — from its source to its target inside its search window.
 ///
 /// # Panics
 ///
@@ -367,11 +372,11 @@ fn route_with(
         {
             return (out, eda_par::ParStats::empty(), true);
         }
-        let (outcome, stats) = route_decomposed(grid, decomposed, stats, cfg, start, audit, &pool);
+        let (outcome, stats, _) = route_decomposed(grid, decomposed, stats, cfg, start, audit, &pool);
         m.store(ROUTE_OUTCOME_KIND, key, &route_outcome_text(&outcome));
         return (outcome, stats, false);
     }
-    let (outcome, stats) = route_decomposed(grid, decomposed, stats, cfg, start, audit, &pool);
+    let (outcome, stats, _) = route_decomposed(grid, decomposed, stats, cfg, start, audit, &pool);
     (outcome, stats, false)
 }
 
@@ -614,7 +619,8 @@ fn run_wave_pass(
 /// wave-scheduled initial pass, then negotiated rip-up rounds through the
 /// same waves — see [`route_stats`] for the schedule and the victim rule.
 /// `stats` arrives holding the decompose dispatch; every wave task checks
-/// its scratch out of `pool`.
+/// its scratch out of `pool`. Also returns the stored paths, one corner
+/// list per connection.
 fn route_decomposed(
     mut grid: RoutingGrid,
     pairs: Vec<TwoPin>,
@@ -623,7 +629,7 @@ fn route_decomposed(
     start: Instant,
     audit: bool,
     pool: &ScratchPool,
-) -> (RouteOutcome, eda_par::ParStats) {
+) -> (RouteOutcome, eda_par::ParStats, Vec<Option<Path>>) {
     let (w, h) = (grid.width, grid.height);
     // Full-grid windows overlap every region, so a partition could only
     // turn each connection into a seam singleton: one region instead.
@@ -656,13 +662,7 @@ fn route_decomposed(
     // opens room. At-capacity victims at scale cost time and move QoR: most
     // edges sit near capacity by design, so the rule churns thousands of
     // paths per residual overflow unit (50 k mesh route 1.58 → 2.01 s).
-    let victim_edge = |grid: &RoutingGrid, a: GCell, b: GCell| {
-        if cfg.window_margin == 0 {
-            grid.is_full(a, b)
-        } else {
-            grid.is_overflowed(a, b)
-        }
-    };
+    let victim_excess = if cfg.window_margin == 0 { 0 } else { 1 };
     let negotiate = cfg.algorithm != RouteAlgorithm::LeeBfs;
     let mut iterations = 1usize;
     let mut ripup_overflow = vec![grid.total_overflow()];
@@ -679,7 +679,9 @@ fn route_decomposed(
                 .filter(|&i| {
                     paths[i as usize]
                         .as_ref()
-                        .is_some_and(|p| p.windows(2).any(|e| victim_edge(&grid, e[0], e[1])))
+                        .is_some_and(|p| {
+                            p.windows(2).any(|r| grid.run_reaches(r[0], r[1], victim_excess))
+                        })
                 })
                 .collect();
             run_wave_pass(
@@ -708,7 +710,7 @@ fn route_decomposed(
         seam_conflicts: tally.seam_conflicts,
         negotiation_waves: tally.waves,
     };
-    (outcome, stats)
+    (outcome, stats, paths)
 }
 
 #[cfg(test)]
@@ -1076,7 +1078,7 @@ mod tests {
             let cfg = RouteConfig { threads, ..cfg.clone() };
             let (pairs, stats) = decompose(&n, &p, cfg.grid_cells, cfg.grid_cells, threads);
             let grid = RoutingGrid::new(cfg.grid_cells, cfg.grid_cells, &cfg.deck);
-            let (out, _) = route_decomposed(grid, pairs, stats, &cfg, Instant::now(), true, &pool);
+            let (out, ..) = route_decomposed(grid, pairs, stats, &cfg, Instant::now(), true, &pool);
             same_outcome(&out, &fresh);
         }
         let scratches = pool.into_idle();
@@ -1133,5 +1135,32 @@ mod tests {
                 same_qor(&route(&n, &p, &cfg), &serial, &tag);
             }
         }
+    }
+
+    /// A search never turns back on itself, so every stored wire of a
+    /// negotiated mesh route — first routes and rip-up re-routes alike — is
+    /// its source, one corner per bend and its target.
+    #[test]
+    fn stored_wires_are_one_corner_per_bend() {
+        let n = generate::scale_mesh(1_000, 3).unwrap();
+        let p = place_global(&n, Die::for_netlist(&n, 0.7), &GlobalConfig::default());
+        let cfg = RouteConfig {
+            deck: RuleDeck::simple(2),
+            grid_cells: 24,
+            window_margin: 4,
+            region_size: 8,
+            ..Default::default()
+        };
+        let (pairs, stats) = decompose(&n, &p, cfg.grid_cells, cfg.grid_cells, 1);
+        let grid = RoutingGrid::new(cfg.grid_cells, cfg.grid_cells, &cfg.deck);
+        let pool = ScratchPool::default();
+        let (out, _, paths) = route_decomposed(grid, pairs, stats, &cfg, Instant::now(), true, &pool);
+        assert!(out.iterations > 1 && out.local_commits > 0 && out.seam_conflicts > 0, "{out:?}");
+        let mut corners = 0;
+        for path in paths.iter().flatten() {
+            assert_eq!(path.len() as u32, count_bends(path) + 2, "{path:?}");
+            corners += path.len() as u64;
+        }
+        assert!(corners < out.wirelength, "{corners} corners for {} edges", out.wirelength);
     }
 }

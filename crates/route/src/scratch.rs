@@ -14,7 +14,8 @@
 //! path. It also holds the delta buffers and masks the router lends to each
 //! interior wave task's region overlay and to each seam victim's window
 //! overlay, handed back all-zero by undoing the task's commits and
-//! uncommits — O(path cells), not O(region).
+//! uncommits — O(path edges, walked as straight runs between the stored
+//! corners), not O(region).
 //!
 //! Ownership: a scratch belongs to one *route call*. [`ScratchPool`] is
 //! created by the router when routing starts and dropped when it returns;
