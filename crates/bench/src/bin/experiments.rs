@@ -37,7 +37,7 @@ use eda_place::{
     CongestionMap, Die, GlobalConfig, ParallelConfig,
 };
 use eda_power::{
-    analyze, dark_silicon_sweep, insert_decaps, node_power_sweep, Activity, ActivityConfig,
+    analyze, dark_silicon_sweep, node_power_sweep, plan_decaps, Activity, ActivityConfig,
     PowerConfig, PowerGrid,
 };
 use eda_route::{route, RouteAlgorithm, RouteConfig, RuleDeck};
@@ -1515,14 +1515,15 @@ fn c12() -> CliResult {
         let power = analyze(&d, &act, &pcfg);
         let mut grid = PowerGrid::build(&d, &p, &act, &pcfg, 8);
         let before = grid.hotspots(Node::N28, limit).len();
-        let out = insert_decaps(&d, &mut grid, Node::N28, limit)?;
+        // Only the counts are printed, so the plan is never applied.
+        let plan = plan_decaps(d.library(), &mut grid, Node::N28, limit)?;
         println!(
             "{:>9.0}x {:>12.2} {:>10} {:>9} {:>8}",
             factor,
             power.total_mw(),
             before,
-            out.decaps_inserted,
-            out.hotspots_after
+            plan.decaps(),
+            plan.hotspots_after
         );
     }
     Ok(())

@@ -45,7 +45,7 @@ use eda_netlist::memo::fnv1a;
 use eda_netlist::{Netlist, NetlistStats, SubstageMemo};
 use eda_par::ParStats;
 use eda_place::{anneal, place_global, place_multilevel, plan_buffers, synthesize_clock_tree, AnnealConfig, CtsConfig, Die, GlobalConfig, MultilevelConfig, ParallelConfig};
-use eda_power::{analyze, insert_clock_gating, insert_decaps, solve_ir_drop, Activity, ActivityConfig, MeshConfig, PowerConfig, PowerGrid};
+use eda_power::{analyze, plan_clock_gating, plan_decaps, solve_ir_drop, Activity, ActivityConfig, DecapPlan, MeshConfig, PowerConfig, PowerGrid};
 use eda_route::{route_stats_memo, RouteConfig, RuleDeck};
 use eda_sta::{TimingAnalysis, TimingConfig};
 use eda_tech::PatterningPlan;
@@ -655,21 +655,26 @@ fn clock_gating(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mu
         sup.skip(stage, "clock gating disabled", ());
         return Ok(None);
     }
+    // The body only plans, from a borrow; the one netlist is edited after
+    // the supervisor settles, so a retried or salvaged attempt never applies
+    // a plan twice and a failed one leaves the netlist untouched.
     let cur = current_netlist(st);
-    let gated = sup.run_stage(stage, |ctx: StageCtx<'_>| {
-        match insert_clock_gating(cur, cfg.power.clock_gating_group) {
-            Ok(g) => {
-                ctx.tel.count("gating.gates_inserted", g.gates_inserted as u64);
-                ctx.tel.count("gating.flops_gated", g.flops_gated as u64);
-                Ok(StageTry::Done(g.netlist))
+    let plan = sup.run_stage(stage, |ctx: StageCtx<'_>| {
+        match plan_clock_gating(cur, cfg.power.clock_gating_group) {
+            Ok(plan) => {
+                ctx.tel.count("gating.gates_inserted", plan.gates() as u64);
+                ctx.tel.count("gating.flops_gated", plan.flops_gated() as u64);
+                Ok(StageTry::Done(Some(plan)))
             }
             Err(e) => Ok(StageTry::Degraded(
-                cur.clone(),
+                None,
                 format!("clock gating failed, keeping the ungated netlist: {e}"),
             )),
         }
     })?;
-    st.netlist = Some(gated);
+    if let Some(plan) = plan {
+        plan.apply(current_netlist_mut(st));
+    }
     Ok(None)
 }
 
@@ -976,11 +981,12 @@ fn power(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Super
     let cur = current_netlist(st);
     let placement = current_placement(st);
     let pcfg = PowerConfig { node: cfg.node, freq_mhz: cfg.clock_mhz, ..Default::default() };
-    let (powered, dynamic_mw, leakage_mw, decaps, hotspots, ir_mv) = sup.run_stage(stage, |ctx: StageCtx<'_>| {
+    // As in `2_clock_gating`: the body plans the decaps from a borrow and
+    // the stage applies the kept plan once, after the supervisor settles.
+    let (plan, dynamic_mw, leakage_mw, hotspots, ir_mv) = sup.run_stage(stage, |ctx: StageCtx<'_>| {
         let activity = Activity::estimate(cur, &ActivityConfig::default()).map_err(StageFailure::Netlist)?;
         let power = analyze(cur, &activity, &pcfg);
-        let mut netlist = cur.clone();
-        let mut decaps = 0usize;
+        let mut plan = None;
         let mut hotspots = 0usize;
         let mut notes: Vec<String> = Vec::new();
         // One power map, over the netlist `activity` and `placement`
@@ -988,15 +994,15 @@ fn power(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Super
         // bin, not power, so the IR solve below reads this same map.
         let mut grid = PowerGrid::build(cur, placement, &activity, &pcfg, 8);
         if let Some(limit) = cfg.power.decap_droop_limit_mv {
-            match insert_decaps(cur, &mut grid, cfg.node, limit) {
-                Ok(out) => {
-                    decaps = out.decaps_inserted;
-                    hotspots = out.hotspots_after;
-                    netlist = out.netlist;
+            match plan_decaps(cur.library(), &mut grid, cfg.node, limit) {
+                Ok(p) => {
+                    hotspots = p.hotspots_after;
+                    plan = Some(p);
                 }
                 Err(e) => notes.push(format!("decap insertion failed, continuing without decaps: {e}")),
             }
         }
+        let decaps = plan.as_ref().map_or(0, DecapPlan::decaps);
         // Static IR drop of the power map. Recovery: a stalled Gauss–Seidel
         // relaxation retries with a relaxed tolerance.
         let mesh = if ctx.adapt == 0 { MeshConfig::default() } else { MeshConfig::default().relaxed() };
@@ -1008,7 +1014,7 @@ fn power(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Super
         ctx.tel.gauge("power.dynamic_mw", power.dynamic_mw);
         ctx.tel.gauge("power.leakage_mw", power.leakage_mw);
         ctx.tel.gauge("power.ir_drop_mv", ir.worst_drop_mv());
-        let value = (netlist, power.dynamic_mw, power.leakage_mw, decaps, hotspots, ir.worst_drop_mv());
+        let value = (plan, power.dynamic_mw, power.leakage_mw, hotspots, ir.worst_drop_mv());
         if converged {
             if notes.is_empty() {
                 Ok(StageTry::Done(value))
@@ -1027,10 +1033,12 @@ fn power(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Super
             Ok(StageTry::Degraded(value, notes.join("; ")))
         }
     })?;
-    st.netlist = Some(powered);
+    st.decaps = plan.as_ref().map_or(0, DecapPlan::decaps);
+    if let Some(plan) = plan {
+        plan.apply(current_netlist_mut(st));
+    }
     st.dynamic_mw = dynamic_mw;
     st.leakage_mw = leakage_mw;
-    st.decaps = decaps;
     st.hotspots = hotspots;
     st.ir_drop_mv = ir_mv;
     Ok(None)
@@ -1147,6 +1155,11 @@ impl SubstageMemo for SubMemo {
 /// stage past `1_synthesis` has one.
 fn current_netlist(st: &FlowState) -> &Netlist {
     st.netlist.as_ref().expect("netlist exists after synthesis")
+}
+
+/// The netlist a stage edits in place, after its supervisor has settled.
+fn current_netlist_mut(st: &mut FlowState) -> &mut Netlist {
+    st.netlist.as_mut().expect("netlist exists after synthesis")
 }
 
 /// The placement as of the last completed stage. Internal invariant: every

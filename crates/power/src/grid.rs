@@ -5,11 +5,11 @@
 //! critical situations and the on-the-fly introduction of decoupling cells as
 //! well as the management of power crowding should be one of the key
 //! parameters the tool itself should take care of". [`PowerGrid`] finds the
-//! hot spots; [`insert_decaps`] fixes them automatically.
+//! hot spots; [`plan_decaps`] fixes them automatically.
 
 use crate::activity::Activity;
 use crate::analysis::PowerConfig;
-use eda_netlist::{CellFunction, Netlist};
+use eda_netlist::{CellFunction, CellId, Library, Netlist, NetlistError};
 use eda_place::Placement;
 use eda_tech::Node;
 
@@ -109,50 +109,73 @@ impl PowerGrid {
     }
 }
 
-/// Result of automatic decap insertion.
+/// Decap cells to insert, planned against a power map: the decap cell and,
+/// per hotspot bin in scan order, how many cells fill it.
+/// [`DecapPlan::apply`] appends them to the netlist in place.
 #[derive(Debug, Clone)]
-pub struct DecapOutcome {
-    /// Netlist with decap cells appended (physical-only instances).
-    pub netlist: Netlist,
-    /// Decap cells inserted.
-    pub decaps_inserted: usize,
+pub struct DecapPlan {
+    cell: CellId,
+    /// `(x, y, count)` per bin that receives decaps.
+    bins: Vec<(usize, usize, usize)>,
     /// Hotspot count before insertion.
     pub hotspots_before: usize,
     /// Hotspot count after insertion.
     pub hotspots_after: usize,
 }
 
-/// Inserts decap cells into every hotspot bin until its droop meets
-/// `limit_mv` (or the per-bin budget runs out).
+/// Decap cells a bin may receive.
+const DECAP_BUDGET_PER_BIN: usize = 200;
+
+/// Fills every hotspot bin of `grid` with decap capacitance until its droop
+/// meets `limit_mv` (or the per-bin budget runs out), and plans the decap
+/// cells that carry it. The grid is updated; the netlist is not read.
 ///
 /// # Errors
 ///
-/// Fails if the library has no decap cell.
-pub fn insert_decaps(
-    netlist: &Netlist,
+/// Fails, before the grid is touched, if the library has no decap cell.
+pub fn plan_decaps(
+    lib: &Library,
     grid: &mut PowerGrid,
     node: Node,
     limit_mv: f64,
-) -> Result<DecapOutcome, eda_netlist::NetlistError> {
-    let lib = netlist.library();
-    let decap = lib
-        .find_function(CellFunction::Decap)
-        .ok_or_else(|| eda_netlist::NetlistError::UnknownName("Decap".into()))?;
+) -> Result<DecapPlan, NetlistError> {
+    let cell = lib.find_function(CellFunction::Decap).ok_or_else(|| NetlistError::UnknownName("Decap".into()))?;
     let decap_ff_per_cell = 100.0;
-    let hotspots_before = grid.hotspots(node, limit_mv).len();
-    let mut out = netlist.clone();
-    let mut inserted = 0usize;
-    for (x, y) in grid.hotspots(node, limit_mv) {
-        let mut budget = 200; // cells per bin
-        while grid.droop_mv(x, y, node) > limit_mv && budget > 0 {
+    let hotspots = grid.hotspots(node, limit_mv);
+    let hotspots_before = hotspots.len();
+    let mut bins = Vec::new();
+    for (x, y) in hotspots {
+        let mut count = 0;
+        while grid.droop_mv(x, y, node) > limit_mv && count < DECAP_BUDGET_PER_BIN {
             grid.add_decap(x, y, decap_ff_per_cell);
-            out.add_gate(format!("decap_{x}_{y}_{budget}"), decap, &[])?;
-            inserted += 1;
-            budget -= 1;
+            count += 1;
+        }
+        if count > 0 {
+            bins.push((x, y, count));
         }
     }
     let hotspots_after = grid.hotspots(node, limit_mv).len();
-    Ok(DecapOutcome { netlist: out, decaps_inserted: inserted, hotspots_before, hotspots_after })
+    Ok(DecapPlan { cell, bins, hotspots_before, hotspots_after })
+}
+
+impl DecapPlan {
+    /// Decap cells the plan inserts.
+    pub fn decaps(&self) -> usize {
+        self.bins.iter().map(|&(_, _, count)| count).sum()
+    }
+
+    /// Appends the planned decaps to `netlist` as physical-only instances,
+    /// bin by bin, named `decap_<x>_<y>_<budget left>`.
+    pub fn apply(&self, netlist: &mut Netlist) {
+        for &(x, y, count) in &self.bins {
+            for k in 0..count {
+                let budget = DECAP_BUDGET_PER_BIN - k;
+                netlist
+                    .add_gate(format!("decap_{x}_{y}_{budget}"), self.cell, &[])
+                    .expect("a decap cell has no pins");
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -197,20 +220,19 @@ mod tests {
         let cfg = PowerConfig { freq_mhz: 2000.0, ..Default::default() };
         let mut g = PowerGrid::build(&n, &p, &a.scaled(5.0), &cfg, 8);
         let lim = g.peak_droop(Node::N28) * 0.3;
-        let out = insert_decaps(&n, &mut g, Node::N28, lim).unwrap();
-        assert!(out.hotspots_before > 0, "the scenario must start hot");
-        assert!(out.decaps_inserted > 0);
+        let plan = plan_decaps(n.library(), &mut g, Node::N28, lim).unwrap();
+        assert!(plan.hotspots_before > 0, "the scenario must start hot");
+        assert!(plan.decaps() > 0);
         assert!(
-            out.hotspots_after < out.hotspots_before,
+            plan.hotspots_after < plan.hotspots_before,
             "decaps must clear hotspots: {} -> {}",
-            out.hotspots_before,
-            out.hotspots_after
+            plan.hotspots_before,
+            plan.hotspots_after
         );
-        out.netlist.validate().unwrap();
-        assert_eq!(
-            out.netlist.num_instances(),
-            n.num_instances() + out.decaps_inserted
-        );
+        let mut decapped = n.clone();
+        plan.apply(&mut decapped);
+        decapped.validate().unwrap();
+        assert_eq!(decapped.num_instances(), n.num_instances() + plan.decaps());
     }
 
     #[test]

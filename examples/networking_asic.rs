@@ -9,7 +9,7 @@
 use eda::dft::{insert_scan, reorder_chains, scan_wirelength};
 use eda::netlist::generate;
 use eda::place::{place_global, CongestionMap, Die, GlobalConfig};
-use eda::power::{analyze, insert_decaps, Activity, ActivityConfig, PowerConfig, PowerGrid};
+use eda::power::{analyze, plan_decaps, Activity, ActivityConfig, PowerConfig, PowerGrid};
 use eda::tech::Node;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -39,10 +39,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let placement = place_global(&fabric, die, &GlobalConfig::default());
     let mut grid = PowerGrid::build(&fabric, &placement, &traffic, &pcfg, 8);
     let limit = grid.peak_droop(Node::N28) * 0.4;
-    let fixed = insert_decaps(&fabric, &mut grid, Node::N28, limit)?;
+    let decaps = plan_decaps(fabric.library(), &mut grid, Node::N28, limit)?;
+    let mut fixed = fabric.clone();
+    decaps.apply(&mut fixed);
     println!(
-        "pgrid:    {} hotspots -> {} after inserting {} decaps automatically",
-        fixed.hotspots_before, fixed.hotspots_after, fixed.decaps_inserted
+        "pgrid:    {} hotspots -> {} after inserting {} decaps automatically ({} instances)",
+        decaps.hotspots_before,
+        decaps.hotspots_after,
+        decaps.decaps(),
+        fixed.num_instances()
     );
 
     // --- scan chains: front-end order vs placement-aware reorder ---

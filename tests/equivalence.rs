@@ -5,7 +5,7 @@
 use eda::dft::insert_scan;
 use eda::logic::{check_equivalence, synthesize, EcVerdict, SynthesisEffort, SynthesisOptions};
 use eda::netlist::{generate, verilog, CellFunction, InstId, Library, NetId, Netlist};
-use eda::power::{implement, insert_clock_gating, PowerDomain, PowerIntent};
+use eda::power::{implement, plan_clock_gating, PowerDomain, PowerIntent};
 
 /// Compares two netlists on pseudo-random stimulus; `extra_ones` PIs of `b`
 /// beyond `a`'s count are driven high (enables), `extra_zeros` driven low.
@@ -57,11 +57,13 @@ fn synthesis_then_scan_then_gating_chain() {
         synthesize(&d, Library::generic(), SynthesisEffort::Advanced2016, &SynthesisOptions::default()).unwrap();
     equivalent(&d, &synth.netlist, 0, 0);
     // Clock gating adds enable PIs (high = transparent).
-    let gated = insert_clock_gating(&synth.netlist, 4).unwrap();
-    equivalent(&synth.netlist, &gated.netlist, gated.gates_inserted, 0);
+    let plan = plan_clock_gating(&synth.netlist, 4).unwrap();
+    let mut gated = synth.netlist.clone();
+    plan.apply(&mut gated);
+    equivalent(&synth.netlist, &gated, plan.gates(), 0);
     // Scan adds scan_en + scan_ins (low = mission mode).
-    let scanned = insert_scan(&gated.netlist, 2).unwrap();
-    equivalent(&gated.netlist, &scanned.netlist, 0, 3);
+    let scanned = insert_scan(&gated, 2).unwrap();
+    equivalent(&gated, &scanned.netlist, 0, 3);
 }
 
 #[test]
@@ -99,18 +101,20 @@ fn formal_ec_verifies_transformation_chain() {
         check_equivalence(&d, &synth.netlist, &[], &[], 1 << 20).unwrap(),
         EcVerdict::Equivalent
     );
-    let gated = insert_clock_gating(&synth.netlist, 4).unwrap();
+    let plan = plan_clock_gating(&synth.netlist, 4).unwrap();
+    let mut gated = synth.netlist.clone();
+    plan.apply(&mut gated);
     let base_pis = synth.netlist.primary_inputs().len();
-    let ties_high: Vec<usize> = (base_pis..base_pis + gated.gates_inserted).collect();
+    let ties_high: Vec<usize> = (base_pis..base_pis + plan.gates()).collect();
     assert_eq!(
-        check_equivalence(&synth.netlist, &gated.netlist, &ties_high, &[], 1 << 20).unwrap(),
+        check_equivalence(&synth.netlist, &gated, &ties_high, &[], 1 << 20).unwrap(),
         EcVerdict::Equivalent
     );
-    let scanned = insert_scan(&gated.netlist, 2).unwrap();
-    let gated_pis = gated.netlist.primary_inputs().len();
+    let scanned = insert_scan(&gated, 2).unwrap();
+    let gated_pis = gated.primary_inputs().len();
     let ties_low: Vec<usize> = (gated_pis..gated_pis + 3).collect(); // scan_en + 2 scan_in
     assert_eq!(
-        check_equivalence(&gated.netlist, &scanned.netlist, &[], &ties_low, 1 << 20).unwrap(),
+        check_equivalence(&gated, &scanned.netlist, &[], &ties_low, 1 << 20).unwrap(),
         EcVerdict::Equivalent
     );
 }

@@ -4,8 +4,8 @@
 //! `tests/incremental.rs`.
 
 use eda::core::{
-    run_flow, DesignSpec, Fault, FaultPlan, FlowConfig, FlowError, FlowReport, StageFailure,
-    StageOutcome, STAGES,
+    run_flow, DesignSpec, Fault, FaultPlan, FlowConfig, FlowError, FlowReport, LibraryChoice,
+    PowerOptions, StageFailure, StageOutcome, STAGES,
 };
 use eda::netlist::{generate, Netlist};
 use eda::tech::Node;
@@ -70,6 +70,38 @@ fn fault_matrix_covers_litho_at_ten_nanometres() {
             "litho must actually run at 10nm"
         );
     }
+}
+
+/// The 2006 NAND/INV library has neither a clock-gate nor a decap cell, so
+/// both netlist-editing stages fail their plan and degrade with a typed
+/// note. A failed plan edits nothing: the flow ends with the cells, flops
+/// and area of the same config with both edits switched off.
+#[test]
+fn gating_and_decaps_degrade_without_their_cells_and_leave_the_netlist_alone() {
+    let d = generate::switch_fabric(4, 4).unwrap();
+    let cfg = FlowConfig { library: LibraryChoice::NandInv2006, ..FlowConfig::advanced_2016(Node::N28) };
+    let degraded = run_flow(&d, &cfg).unwrap();
+    let reason = |stage: &str| match &degraded.stage_status[stage].outcome {
+        StageOutcome::Degraded { reason } => reason.clone(),
+        other => panic!("{stage} must degrade without its cell, got {other}"),
+    };
+    assert_eq!(
+        reason("2_clock_gating"),
+        "clock gating failed, keeping the ungated netlist: unknown name `ClockGate`"
+    );
+    assert_eq!(
+        reason("9_power"),
+        "decap insertion failed, continuing without decaps: unknown name `Decap`"
+    );
+    let off = FlowConfig {
+        power: PowerOptions { clock_gating_group: 0, decap_droop_limit_mv: None },
+        ..cfg
+    };
+    let clean = run_flow(&d, &off).unwrap();
+    assert_eq!(degraded.cells, clean.cells);
+    assert_eq!(degraded.flops, clean.flops);
+    assert_eq!(degraded.cell_area_um2.to_bits(), clean.cell_area_um2.to_bits());
+    assert_eq!(degraded.decaps, 0);
 }
 
 /// A stage that fails on every attempt exhausts its budget and surfaces a

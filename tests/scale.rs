@@ -10,7 +10,8 @@
 //! small-mesh checks.
 
 use eda::core::{
-    read_peak_rss_bytes, run_flow, FlowConfig, FlowReport, Metric, SpanKind, StoreConfig, STAGES,
+    read_peak_rss_bytes, run_flow, Fault, FaultPlan, FlowConfig, FlowReport, Metric, SpanKind,
+    StageOutcome, StoreConfig, STAGES,
 };
 use eda::logic::{synthesize, SynthesisOptions};
 use eda::netlist::{generate, CellFunction, Netlist};
@@ -213,20 +214,42 @@ fn peak_rss_is_excluded_from_qor() {
 /// density cannot hold, the stage adds decap cells and still solves IR drop —
 /// on the one power map built before them, over the only netlist its
 /// `Activity` and `Placement` can index — bit-identically at 1 and 4 worker
-/// threads.
+/// threads. A stage that recovers from a failed attempt, or keeps a timed-out
+/// attempt's result, applies its decaps exactly once.
 #[test]
 fn decap_insertion_completes_and_is_thread_invariant() {
     let design = generate::scale_mesh(DECAP_MESH, 3).unwrap();
-    let run = |threads: usize| {
+    let run = |threads: usize, fault: Option<Fault>| {
         let mut cfg = FlowConfig::scale_2016(Node::N28, DECAP_MESH);
         cfg.clock_mhz = 50_000.0;
         cfg.threads = threads;
+        cfg.fault_plan = fault.map(|f| FaultPlan::new(7).with("9_power", Some(0), f));
         run_flow(&design, &cfg).unwrap_or_else(|e| panic!("decap flow at {threads} threads: {e}"))
     };
-    let serial = run(1);
+    let serial = run(1, None);
     assert!(serial.decaps > 0, "50 GHz on the mesh must trip the decap path");
     assert_eq!(counter(&serial, "power.decaps_inserted"), serial.decaps as u64);
-    assert!(serial.same_qor(&run(4)), "decap flow QoR diverged between 1 and 4 threads");
+    assert!(serial.same_qor(&run(4, None)), "decap flow QoR diverged between 1 and 4 threads");
+    for (fault, outcome) in [
+        (Fault::Fail, StageOutcome::Recovered { attempts: 2 }),
+        (
+            Fault::Timeout,
+            StageOutcome::Degraded {
+                reason: "soft deadline exceeded (injected timeout, invocation 0)".into(),
+            },
+        ),
+    ] {
+        let faulted = run(1, Some(fault));
+        assert_eq!(faulted.stage_status["9_power"].outcome, outcome, "9_power under {fault}@0");
+        assert_eq!(faulted.decaps, serial.decaps, "decaps under {fault}@0");
+        assert_eq!(faulted.cells, serial.cells, "cells under {fault}@0");
+        assert_eq!(
+            faulted.cell_area_um2.to_bits(),
+            serial.cell_area_um2.to_bits(),
+            "cell area under {fault}@0: decaps applied other than once"
+        );
+        assert_eq!(counter(&faulted, "power.decaps_inserted"), faulted.decaps as u64);
+    }
 }
 
 /// The 10⁵ tier: all 11 stages, overflow-free, bit-identical at 1 and 4
