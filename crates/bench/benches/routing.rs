@@ -2,13 +2,13 @@
 //! multi-patterned rule decks.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use eda_bench::{median_seconds, scaling_threads};
+use eda_bench::median_seconds;
 use eda_core::FlowConfig;
 use eda_netlist::generate;
 use eda_place::{place_global, place_multilevel, Die, GlobalConfig, MultilevelConfig};
 use eda_route::{
-    probe_window, route, route_stats, GCell, RouteAlgorithm, RouteConfig, RoutingGrid, RuleDeck,
-    SearchScratch, SearchWindow,
+    probe_window, route, GCell, RouteAlgorithm, RouteConfig, RoutingGrid, RuleDeck, SearchScratch,
+    SearchWindow,
 };
 use eda_tech::Node;
 use std::hint::black_box;
@@ -68,36 +68,6 @@ fn bench_single_connection(c: &mut Criterion) {
         })
     });
     group.finish();
-}
-
-/// Thread-scaling row, a labelled PROJECTION: the busiest worker's CPU
-/// seconds per dispatch, summed over the route's waves
-/// (`ParStats::projected_wall_s`), not a wall clock —
-/// measured walls live in `benchmark/`. Routed on the partitioned wave
-/// schedule (`window_margin: 8, region_size: 16`), the only configuration
-/// where `threads` matters: a dense route is one serial task per pass.
-fn bench_route_scaling(_c: &mut Criterion) {
-    let design = generate::random_logic(generate::RandomLogicConfig {
-        gates: 800,
-        seed: 9,
-        ..Default::default()
-    })
-    .unwrap();
-    let die = Die::for_netlist(&design, 0.7);
-    let placement = place_global(&design, die, &GlobalConfig::default());
-    for threads in scaling_threads() {
-        let cfg = RouteConfig {
-            grid_cells: 48,
-            threads,
-            window_margin: 8,
-            region_size: 16,
-            ..Default::default()
-        };
-        let s = median_seconds(5, || {
-            route_stats(&design, &placement, &cfg).1.projected_wall_s()
-        });
-        println!("BENCHLINE route_par/{threads} {s:.9e}");
-    }
 }
 
 /// Wall-clock rows for the two search kernels in the regimes the flow
@@ -189,8 +159,8 @@ fn bench_search_kernels(_c: &mut Criterion) {
 }
 
 /// The scale tier's route on its own: the 10⁴ mesh, multilevel-placed with
-/// the scale preset's placer knobs, routed serially with the preset's
-/// windowed, region-partitioned config (seconds per route), plus the cells
+/// the scale preset's placer knobs, routed with the preset's windowed
+/// config (seconds per route), plus the cells
 /// the searches expanded — a count that must not move under performance
 /// work.
 fn bench_region_route(_c: &mut Criterion) {
@@ -211,10 +181,7 @@ fn bench_region_route(_c: &mut Criterion) {
         deck: RuleDeck::simple(cfg.node.spec().typical_metal_layers),
         grid_cells: cfg.route_grid_cells,
         ripup_iterations: cfg.ripup_iterations,
-        threads: 1,
         window_margin: cfg.route_window_margin,
-        // The flow's derived region size (`flow.rs`'s `region_size`).
-        region_size: (cfg.route_grid_cells / 8).max(16),
     };
     let s = median_seconds(5, || {
         let t = Instant::now();
@@ -230,7 +197,6 @@ criterion_group!(
     benches,
     bench_full_route,
     bench_single_connection,
-    bench_route_scaling,
     bench_search_kernels,
     bench_region_route
 );

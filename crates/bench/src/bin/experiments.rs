@@ -1168,7 +1168,7 @@ fn c5() -> CliResult {
         let out = route(
             &d,
             &placement,
-            &RouteConfig { algorithm: alg, grid_cells: 48, threads: threads(), ..Default::default() },
+            &RouteConfig { algorithm: alg, grid_cells: 48, ..Default::default() },
         );
         println!(
             "{:>11} {:>10} {:>8} {:>10} {:>10} {:>9.3}",
@@ -1305,7 +1305,6 @@ fn c8() -> CliResult {
 /// C9 — multicore P&R throughput, and the deterministic parallel kernels.
 fn c9() -> CliResult {
     use eda_dft::{fault_sim, random_patterns};
-    use eda_route::route_stats;
 
     header("c9", "P&R throughput ~1M instances/day on multicore farms (Rossi)");
     // Scale-tier mesh, not the old 3k-gate random design: per-stripe refine
@@ -1404,26 +1403,6 @@ fn c9() -> CliResult {
         row("opc", threads, &stats, format!("{:.2}nm rms epe", out.final_rms_epe()));
     }
 
-    // Routing on the partitioned wave schedule — the configuration where
-    // `threads` matters (dense routes are serial by construction).
-    let route_design = generate::random_logic(generate::RandomLogicConfig {
-        gates: 800,
-        seed: 9,
-        ..Default::default()
-    })?;
-    let rdie = Die::for_netlist(&route_design, 0.7);
-    let rplace = place_global(&route_design, rdie, &GlobalConfig::default());
-    for threads in [1usize, 2, 4, 8] {
-        let cfg = RouteConfig {
-            grid_cells: 48,
-            threads,
-            window_margin: 8,
-            region_size: 16,
-            ..Default::default()
-        };
-        let (out, stats) = route_stats(&route_design, &rplace, &cfg);
-        row("route", threads, &stats, format!("wl {} ovfl {}", out.wirelength, out.overflow));
-    }
     println!("every row's QoR output is bit-identical across thread counts (eda-par contract)");
     Ok(())
 }

@@ -124,8 +124,8 @@ pub struct FlowConfig {
     /// RNG seed for all stochastic stages.
     pub seed: u64,
     /// Worker threads for every parallel kernel — partitioned placement,
-    /// wave-scheduled routing, OPC and fault simulation (`0` = all available
-    /// cores); synthesis runs serially. The deterministic parallel layer
+    /// OPC and fault simulation (`0` = all available cores); synthesis and
+    /// routing run serially. The deterministic parallel layer
     /// (`eda-par`) guarantees every QoR output
     /// is bit-identical for any value of this knob — including the
     /// deterministic section of [`FlowReport::telemetry`], which records
@@ -316,23 +316,25 @@ impl FlowConfig {
     ///
     /// Placement goes multilevel (cluster → serpentine seed → refine), routing
     /// negotiates on a finer grid but confines every maze search to its
-    /// connection's bounding box plus an 8-g-cell margin (which also routes
-    /// region-partitioned in parallel), and the two
+    /// connection's bounding box plus an 8-g-cell margin, and the two
     /// verification passes whose cost is super-linear in design size — the
     /// BDD/simulation equivalence check and random-pattern fault
     /// simulation (with the scan stages that only exist to feed it) — are
-    /// off. Every stage that remains is near-linear in instances, which is
-    /// what lets the same 11-stage supervised flow finish at a million
-    /// gates. Still bit-identical at any thread count.
+    /// off. Every stage that remains is meant to be near-linear in
+    /// instances; 10⁵ is the largest run recorded so far. Still
+    /// bit-identical at any thread count.
     ///
     /// `instances` is the expected design size and only sizes the routing
     /// grid. Per-edge track capacity is a constant of the rule deck, so
     /// total capacity grows as `grid²` while demand (tile-local wirelength
     /// measured in g-cells) grows as `grid·√instances`: holding the grid
     /// fixed would saturate it, and *coarsening* concentrates the same wires
-    /// onto fewer edges and makes congestion strictly worse. Scaling the
-    /// grid side as √instances keeps
-    /// edge utilization roughly constant from 10⁴ to 10⁶.
+    /// onto fewer edges and makes congestion strictly worse. So the grid
+    /// side scales as √instances. That holds utilization constant only while
+    /// nets stay tile-local, and as measured they do not: with the seed
+    /// placement, routed wirelength per connection grows from 34 g-cells at
+    /// 2.5·10⁴ to 56 at 10⁵, and at 1.25·10⁵ negotiation no longer closes
+    /// (overflow on three seeds).
     pub fn scale_2016(node: Node, instances: usize) -> FlowConfig {
         // ~3.25·√n: with this family of meshes the constant pins steady-state
         // edge utilization (demand/capacity ∝ 1/constant) near 70%, enough

@@ -272,12 +272,9 @@ fn scan_knobs(_: &Netlist, cfg: &FlowConfig) -> String {
     format!("|{:?}", cfg.scan)
 }
 
-/// Side of the router's wave-schedule regions, in g-cells. With bounded
-/// windows, ~8 regions per side (at least 16 g-cells, twice the scale
-/// preset's margin, so most connections are region-interior) give workers
-/// parallel grain at a low seam fraction. Without windows every full-grid
-/// search overlaps every region, so `0`: one region, routed serially.
-/// Shapes parallelism, never QoR.
+/// The region side the removed route wave scheduler derived: it fills that
+/// knob's slot in the `7_route` key, so keys written before it went still
+/// replay. It never shaped QoR.
 fn region_size(cfg: &FlowConfig) -> u32 {
     if cfg.route_window_margin > 0 {
         (cfg.route_grid_cells / 8).max(16)
@@ -327,8 +324,9 @@ const TABLE: [Stage; 11] = [
         name: "7_route",
         // The schedule revision keeps a store written by an older router
         // from replaying that router's results under this one. The derived
-        // layer count and region size fill the slots of the knobs they
-        // replaced, so keys written before those went still replay.
+        // layer count and the removed scheduler's region size fill the slots
+        // of the knobs they replaced, so keys written before those went
+        // still replay.
         knobs: |_, cfg| {
             format!(
                 "|rev{}|{:?}|{}|{}|{}|{}|{}",
@@ -856,26 +854,15 @@ fn route(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Super
     // comes from the deck alone, so halving the grid quarters total
     // capacity while the same wires cross half as many cut lines
     // (DESIGN.md §7).
-    let (routed, par) = sup.run_stage(stage, |ctx: StageCtx<'_>| {
+    let routed = sup.run_stage(stage, |ctx: StageCtx<'_>| {
         let rcfg = RouteConfig {
             algorithm: cfg.router,
             deck: deck.clone(),
             grid_cells: cfg.route_grid_cells,
             ripup_iterations: cfg.ripup_iterations,
-            threads: cfg.threads,
             window_margin: cfg.route_window_margin,
-            region_size: region_size(cfg),
         };
-        let (out, stats, replayed) = route_stats_memo(cur, placement, &rcfg, env.memo());
-        // A replayed outcome ran no parallel kernel: no kernel span,
-        // exactly like a stage-cache hit records no attempt spans.
-        if !replayed {
-            ctx.tel.kernel("route:waves", &stats);
-        }
-        ctx.tel.gauge("route.regions", out.regions as f64);
-        ctx.tel.count("route.local_commits", out.local_commits);
-        ctx.tel.count("route.seam_conflicts", out.seam_conflicts);
-        ctx.tel.count("route.negotiation_waves", out.negotiation_waves);
+        let out = route_stats_memo(cur, placement, &rcfg, env.memo());
         ctx.tel.count("route.ripup_iterations", out.iterations as u64);
         ctx.tel.count("route.connections", out.connections as u64);
         ctx.tel.count("route.cells_expanded", out.cells_expanded);
@@ -890,15 +877,15 @@ fn route(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Super
             );
         }
         if out.is_clean() || cfg.ripup_iterations == 0 {
-            return Ok(StageTry::Done((out, stats)));
+            return Ok(StageTry::Done(out));
         }
         let overflow = out.overflow;
-        Ok(StageTry::Degraded((out, stats), format!("partial routes ({overflow} overflow)")))
+        Ok(StageTry::Degraded(out, format!("partial routes ({overflow} overflow)")))
     })?;
     st.routed_wirelength = routed.wirelength;
     st.routed_vias = routed.vias;
     st.routed_overflow = routed.overflow;
-    Ok(Some(par))
+    Ok(None)
 }
 
 /// `8_litho`: lithography decomposition + OPC of the critical layer.
@@ -1299,12 +1286,6 @@ mod tests {
         let edited = FlowConfig { node: Node::N10, ..FlowConfig::default() };
         let preset = FlowConfig::advanced_2016(Node::N10);
         assert_eq!(stage_fp("7_route", &design, &edited), stage_fp("7_route", &design, &preset));
-
-        // Regions exist only under bounded windows, and the scale preset's
-        // dwarf its window margin or everything would be a seam.
-        assert_eq!(region_size(&preset), 0);
-        let scale = FlowConfig::scale_2016(Node::N28, 100_000);
-        assert!(region_size(&scale) >= 2 * scale.route_window_margin);
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Deterministic parallel execution for the eda workspace.
 //!
-//! Every hot kernel in the flow — fault simulation, OPC, routing, the
+//! Every parallel kernel in the flow — fault simulation, OPC, the
 //! partitioned placer, the experiments harness — funnels its parallelism
-//! through this crate so that one `threads` knob controls the whole flow and
-//! every kernel is **bit-identical for any thread count**.
+//! through this crate so that one `threads` knob controls them all and
+//! every kernel is **bit-identical for any thread count**. Synthesis and
+//! routing run serially: their parallel schedules never beat one worker on
+//! the hosts measured.
 //!
 //! The determinism contract rests on two rules:
 //!
@@ -243,23 +245,6 @@ where
     (out, stats)
 }
 
-/// Parallel map over **coarse, uneven tasks**: one chunk per task, so a
-/// heavy task never serializes the light tasks that the default `len/64`
-/// chunking would glue onto it. This is the region router's dispatch
-/// shape — one routing wave is a handful of region-sized batches of
-/// wildly different weight. Determinism is inherited from
-/// [`par_chunks_stats`]: task results come back in input order for any
-/// thread count, and workers own tasks round-robin (worker `w` takes
-/// tasks `w`, `w + K`, `w + 2K`, …).
-pub fn par_tasks_stats<T, R, F>(threads: usize, items: &[T], f: F) -> (Vec<R>, ParStats)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_chunks_stats(threads, items.len(), 1, |range| f(range.start, &items[range.start]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -320,8 +305,8 @@ mod tests {
         assert_eq!(both.bounded_speedup(), 1.0);
 
         // A live one-task dispatch is its own critical path.
-        let (_, one) = par_tasks_stats(4, &[42u64], |_, &v| {
-            std::hint::black_box((0..20_000u64).fold(v, |a, x| a.wrapping_mul(31) ^ x))
+        let (_, one) = par_chunks_stats(4, 1, 1, |_| {
+            std::hint::black_box((0..20_000u64).fold(42u64, |a, x| a.wrapping_mul(31) ^ x))
         });
         assert_eq!(one.critical_s, one.cpu_s);
     }
@@ -347,23 +332,6 @@ mod tests {
         skew.absorb(&record(8, 0.08, 0.01));
         assert!(skew.bounded_speedup() <= skew.threads as f64);
         assert!(skew.bounded_speedup() >= 1.0);
-    }
-
-    #[test]
-    fn tasks_dispatch_one_chunk_per_item_in_order() {
-        let items: Vec<usize> = (0..37).collect();
-        let serial: Vec<usize> = items.iter().map(|&v| v * 3).collect();
-        for threads in [1, 2, 4, 8] {
-            let (out, stats) = par_tasks_stats(threads, &items, |i, &v| {
-                assert_eq!(i, v);
-                v * 3
-            });
-            assert_eq!(out, serial, "threads={threads}");
-            assert_eq!(stats.chunks, items.len());
-        }
-        let (empty, stats) = par_tasks_stats(4, &[] as &[u32], |_, &v| v);
-        assert!(empty.is_empty());
-        assert_eq!(stats.chunks, 0);
     }
 
     #[test]

@@ -2,15 +2,13 @@
 //! of the committed paths, and is every path a legal polyline in canonical
 //! corner form?
 //!
-//! Bit-identity across thread counts proves the schedule deterministic, not
-//! right — a router that double-counts an edge or leaves a rip-up victim's
-//! old demand behind does so identically at 1 and 8 threads. This check
-//! shares no code with the bookkeeping it audits (`commit`,
-//! [`RoutingGrid::add_run`], [`OverlayGrid`](crate::OverlayGrid)
-//! commit/uncommit, the canonical commit loop): demand is rebuilt edge by
-//! edge from each run into fresh vectors with its own edge indexing, the
-//! search window is recomputed from the pins, and overflow is re-summed from
-//! the rebuilt demand.
+//! Bit-identity across runs proves the schedule deterministic, not right —
+//! a router that double-counts an edge or leaves a rip-up victim's old
+//! demand behind does so identically every time. This check shares no code
+//! with the bookkeeping it audits (`commit`, [`RoutingGrid::add_run`], the
+//! canonical commit loop): demand is rebuilt edge by edge from each run into
+//! fresh vectors with its own edge indexing, the search window is recomputed
+//! from the pins, and overflow is re-summed from the rebuilt demand.
 
 use crate::grid::{GCell, RoutingGrid};
 use crate::maze::Path;

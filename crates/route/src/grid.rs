@@ -25,10 +25,7 @@ impl GCell {
 }
 
 /// 4-neighbours of a cell on a `width × height` grid, in the fixed
-/// left/right/down/up order every search expands in. Shared by the dense
-/// grid and region overlays so expansion order — and therefore every
-/// routed path — is identical whichever demand view a search runs
-/// against.
+/// left/right/down/up order every search expands in.
 pub fn neighbours4(width: u32, height: u32, c: GCell) -> impl Iterator<Item = GCell> {
     [
         (c.x > 0).then(|| GCell::new(c.x - 1, c.y)),
@@ -40,26 +37,12 @@ pub fn neighbours4(width: u32, height: u32, c: GCell) -> impl Iterator<Item = GC
     .flatten()
 }
 
-/// PathFinder cost of one edge from its raw demand parts: base 1 plus
-/// history and congestion penalties. Factored out so the dense grid and
-/// region overlays compute bit-identical `f64` costs from the same
-/// expression.
-#[inline]
-pub fn step_cost_from(usage: u32, cap: u32, hist: f32) -> f64 {
-    let over = if usage >= cap { 1.0 + (usage - cap) as f64 } else { 0.0 };
-    let density = usage as f64 / cap.max(1) as f64;
-    1.0 + hist as f64 + 4.0 * over + 0.5 * density
-}
-
 /// A read-only congestion-demand view a search can cost edges against.
 ///
-/// Implemented by [`RoutingGrid`] (the committed global picture) and by
-/// the region router's private overlays (committed picture + the region's
-/// uncommitted local routes). Searches are generic over this trait, and
-/// both implementations derive costs from [`step_cost_from`], so a search
-/// result depends only on the demand values — never on which view served
-/// them.
-pub trait DemandGrid: Sync {
+/// Implemented by [`RoutingGrid`] (the committed picture every route
+/// searches against). Searches are generic over this trait so tests can
+/// hand them a synthetic view.
+pub trait DemandGrid {
     /// Grid width in g-cells.
     fn width(&self) -> u32;
     /// Grid height in g-cells.
@@ -334,23 +317,19 @@ impl RoutingGrid {
         }
     }
 
-    /// Raw demand parts `(usage, capacity, history)` of the edge between
-    /// two adjacent cells — what overlays add their local deltas to.
-    pub fn edge_parts(&self, a: GCell, b: GCell) -> (u32, u32, f32) {
-        if a.y == b.y {
+    /// PathFinder cost of stepping from `a` to adjacent `b`: base 1 plus
+    /// congestion and history penalties.
+    pub fn step_cost(&self, a: GCell, b: GCell) -> f64 {
+        let (usage, cap, hist) = if a.y == b.y {
             let x = a.x.min(b.x);
             (self.usage_h(x, a.y), self.cap_h, self.history_h[self.h_index(x, a.y)])
         } else {
             let y = a.y.min(b.y);
             (self.usage_v(a.x, y), self.cap_v, self.history_v[self.v_index(a.x, y)])
-        }
-    }
-
-    /// PathFinder cost of stepping from `a` to adjacent `b`: base 1 plus
-    /// congestion and history penalties.
-    pub fn step_cost(&self, a: GCell, b: GCell) -> f64 {
-        let (usage, cap, hist) = self.edge_parts(a, b);
-        step_cost_from(usage, cap, hist)
+        };
+        let over = if usage >= cap { 1.0 + (usage - cap) as f64 } else { 0.0 };
+        let density = usage as f64 / cap.max(1) as f64;
+        1.0 + hist as f64 + 4.0 * over + 0.5 * density
     }
 
     /// Whether the edge between adjacent cells is at or over capacity.

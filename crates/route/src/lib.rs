@@ -1,6 +1,8 @@
 //! Global routing for the `eda` workspace: a capacitated g-cell grid, Lee
 //! BFS and congestion-aware A* maze routing, Mikami–Tabuchi line search, and
-//! PathFinder-style negotiated rip-up and re-route.
+//! PathFinder-style negotiated rip-up and re-route. There is one schedule
+//! and it is serial: connections in one canonical order, routed one at a
+//! time against one grid (see [`route`]).
 //!
 //! The crate carries Domic's routing claims (C5): line-search routers doing
 //! less work under simpler rule decks, negotiation closing designs on fewer
@@ -29,18 +31,16 @@ pub mod linesearch;
 pub mod maze;
 #[cfg(test)]
 mod reference;
-pub mod region;
 pub mod router;
 pub mod rules;
 pub mod scratch;
 
 pub use grid::{DemandGrid, GCell, RoutingGrid};
-pub use region::{OverlayGrid, RegionMap, RegionScheduler, RegionTask};
 pub use linesearch::probe_window;
 pub use maze::{count_bends, Path, SearchStats, SearchWindow};
 pub use router::{
-    route, route_audited, route_stats, route_stats_memo, RouteAlgorithm, RouteConfig,
-    RouteOutcome, ROUTE_OUTCOME_KIND, SCHEDULE_REV,
+    route, route_audited, route_stats_memo, RouteAlgorithm, RouteConfig, RouteOutcome,
+    ROUTE_OUTCOME_KIND, SCHEDULE_REV,
 };
 pub use rules::RuleDeck;
 pub use scratch::SearchScratch;

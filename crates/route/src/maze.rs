@@ -32,9 +32,7 @@ pub struct SearchStats {
 /// Per-cell scratch arrays are sized to the window, not the grid, so a
 /// search over a small window never materializes the full grid — the
 /// bounded-memory mode the scale tier routes in. A window is always a
-/// pure function of the connection (bbox plus a fixed margin), never of
-/// the thread count, so windowed outcomes stay bit-identical under any
-/// parallel schedule.
+/// pure function of the connection (bbox plus a fixed margin).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SearchWindow {
     /// Inclusive low column.
@@ -60,8 +58,8 @@ impl SearchWindow {
     }
 
     /// [`SearchWindow::around`] from raw grid dimensions — the window is a
-    /// pure function of the connection and dims, usable without a grid
-    /// reference (the region scheduler computes windows before any search).
+    /// pure function of the connection and dims, usable on any
+    /// [`DemandGrid`](crate::DemandGrid) view (line-search probe windows).
     pub fn around_dims(src: GCell, dst: GCell, margin: u32, w: u32, h: u32) -> SearchWindow {
         SearchWindow {
             x0: src.x.min(dst.x).saturating_sub(margin),

@@ -431,12 +431,11 @@ mod tests {
     use super::*;
     use crate::grid::{free_run_by_edge, RoutingGrid};
     use crate::maze::{corners, count_bends};
-    use crate::region::OverlayGrid;
     use crate::rules::RuleDeck;
     use crate::scratch::SearchScratch;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::cell::Cell;
 
     #[derive(Debug, Clone, Copy)]
     enum Demand {
@@ -484,11 +483,6 @@ mod tests {
 
     type Rect = (u32, u32, u32, u32);
 
-    fn random_rect(rng: &mut StdRng, w: u32, h: u32) -> Rect {
-        let (x0, y0) = (rng.gen_range(0..w - 1), rng.gen_range(0..h - 1));
-        (x0, y0, rng.gen_range(x0 + 1..w), rng.gen_range(y0 + 1..h))
-    }
-
     fn random_cell(rng: &mut StdRng, (x0, y0, x1, y1): Rect) -> GCell {
         GCell::new(rng.gen_range(x0..=x1), rng.gen_range(y0..=y1))
     }
@@ -509,45 +503,6 @@ mod tests {
             at = next;
         }
         path
-    }
-
-    /// A base grid plus the rectangle, victims (already committed in the
-    /// base, to be `uncommit`ted) and local routes of an overlay over it.
-    struct OverlayCase {
-        base: RoutingGrid,
-        rect: Rect,
-        victims: Vec<Path>,
-        locals: Vec<Path>,
-    }
-
-    impl OverlayCase {
-        fn random(rng: &mut StdRng, w: u32, h: u32, demand: Demand) -> OverlayCase {
-            let mut base = random_grid(rng, w, h, demand);
-            let rect = random_rect(rng, w, h);
-            let victims: Vec<Path> = (0..rng.gen_range(0..4)).map(|_| random_walk(rng, rect, 12)).collect();
-            for v in &victims {
-                for e in v.windows(2) {
-                    base.add_usage(e[0], e[1], 1);
-                }
-            }
-            let locals = (0..rng.gen_range(0..6)).map(|_| random_walk(rng, rect, 12)).collect();
-            OverlayCase { base, rect, victims, locals }
-        }
-
-        fn overlay(&self) -> OverlayGrid<'_> {
-            let mut o = OverlayGrid::new(&self.base, self.rect);
-            for v in &self.victims {
-                o.uncommit(v);
-            }
-            for l in &self.locals {
-                o.commit(l);
-            }
-            o
-        }
-    }
-
-    fn clip(win: SearchWindow, (x0, y0, x1, y1): Rect) -> SearchWindow {
-        SearchWindow { x0: win.x0.max(x0), y0: win.y0.max(y0), x1: win.x1.min(x1), y1: win.y1.min(y1) }
     }
 
     /// A wide (even `case`) or tall grid: its long rows (columns) take two
@@ -652,43 +607,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn kernels_match_the_reference_on_overlays_inside_and_across_the_rectangle() {
-        let mut rng = StdRng::seed_from_u64(1601);
-        let mut scratch = SearchScratch::new();
-        let mut tally = Tally::default();
-        let (mut inside, mut straddling) = (0, 0);
-        // Rectangles and interior clips crossing a word of full-edge bits.
-        let (mut rects, mut clips) = ([0; 2], [0; 2]);
-        for case in 0..140 {
-            let (w, h) = if case < 120 {
-                (rng.gen_range(4..26), rng.gen_range(4..26))
-            } else {
-                long_dims(&mut rng, case)
-            };
-            let oc = OverlayCase::random(&mut rng, w, h, DEMANDS[case % DEMANDS.len()]);
-            count_crossings(oc.rect, &mut rects);
-            let overlay = oc.overlay();
-            for _ in 0..3 {
-                // An interior connection: window inside the rectangle.
-                let (src, dst) = (random_cell(&mut rng, oc.rect), random_cell(&mut rng, oc.rect));
-                let win = clip(SearchWindow::around(src, dst, rng.gen_range(0..8), &oc.base), oc.rect);
-                count_crossings((win.x0, win.y0, win.x1, win.y1), &mut clips);
-                assert_same(&overlay, src, dst, win, &mut scratch, &mut tally);
-                inside += 1;
-                // Any connection: the window may straddle or miss it.
-                let all = (0, 0, w - 1, h - 1);
-                let (src, dst) = (random_cell(&mut rng, all), random_cell(&mut rng, all));
-                let win = SearchWindow::around(src, dst, rng.gen_range(0..8), &oc.base);
-                straddling += (clip(win, oc.rect) != win) as usize;
-                assert_same(&overlay, src, dst, win, &mut scratch, &mut tally);
-            }
-        }
-        assert!(inside > 300 && straddling > 200, "{inside} inside, {straddling} straddling");
-        assert!(rects[0] > 6 && rects[1] > 5 && clips[0] > 10 && clips[1] > 6, "{rects:?} {clips:?}");
-        assert!(tally.level1 > 30 && tally.deeper > 30 && tally.failed > 30, "{tally:?}");
-    }
-
     /// A view every edge of which fills up after a number of `is_full`
     /// queries. Probes are symmetric on a fixed view — a source line reaches
     /// the target pin only if the target's own line reaches back, which the
@@ -696,7 +614,7 @@ mod tests {
     /// to the "source line through the target pin" ending.
     struct ClosingGrid {
         open_for: usize,
-        queries: AtomicUsize,
+        queries: Cell<usize>,
     }
 
     impl DemandGrid for ClosingGrid {
@@ -710,7 +628,9 @@ mod tests {
             1.0
         }
         fn is_full(&self, _: GCell, _: GCell) -> bool {
-            self.queries.fetch_add(1, Ordering::Relaxed) >= self.open_for
+            let q = self.queries.get();
+            self.queries.set(q + 1);
+            q >= self.open_for
         }
     }
 
@@ -732,7 +652,7 @@ mod tests {
         // Source line through the target pin: the same pins on a view that
         // closes once the source's two probes (23 + 23 edges) are grown, so
         // the target's probes are single cells.
-        let closing = || ClosingGrid { open_for: 46, queries: AtomicUsize::new(0) };
+        let closing = || ClosingGrid { open_for: 46, queries: Cell::new(0) };
         let through_dst = scratch.mikami_tabuchi_in(&closing(), src, dst, 4, win);
         assert_eq!(through_dst, mikami_tabuchi_in(&closing(), src, dst, 4, win));
         let (path, stats) = through_dst.unwrap();
@@ -776,53 +696,34 @@ mod tests {
     }
 
     #[test]
-    fn free_run_equals_the_edge_by_edge_walk_on_both_views() {
+    fn free_run_equals_the_edge_by_edge_walk() {
         let mut rng = StdRng::seed_from_u64(1600);
-        // Rectangles crossing bit 64 and 128, and ones starting past bit 64
-        // (their masks' first word is the base row's second or third).
-        let (mut rects, mut late, mut inside) = ([0; 2], 0, [0; 2]);
+        // Clips crossing bit 64 and 128 of a long row's (column's) words.
+        let mut crossed = [0; 2];
         for case in 0..80 {
             let (w, h) =
                 if case < 60 { (rng.gen_range(3..20), rng.gen_range(3..20)) } else { long_dims(&mut rng, case) };
-            let oc = OverlayCase::random(&mut rng, w, h, DEMANDS[1 + case % 3]);
-            let (x0, y0, x1, y1) = oc.rect;
-            count_crossings(oc.rect, &mut rects);
-            late += (x0 >= 64 || y0 >= 64) as usize;
-            let overlay = oc.overlay();
+            let grid = random_grid(&mut rng, w, h, DEMANDS[1 + case % 3]);
             for y in 0..h {
                 for x in 0..w {
                     let c = GCell::new(x, y);
                     for horizontal in [true, false] {
                         let (at, end) = if horizontal { (x, w - 1) } else { (y, h - 1) };
-                        // The whole axis, a random clip around the cell
-                        // (inside, across and outside the overlay rectangle),
-                        // and for a cell in the rectangle a clip inside it.
-                        let mut runs = vec![(0, end), (rng.gen_range(0..=at), rng.gen_range(at..=end))];
-                        if (x0..=x1).contains(&x) && (y0..=y1).contains(&y) {
-                            let (lo, hi) = if horizontal { (x0, x1) } else { (y0, y1) };
-                            let (min, max) = (rng.gen_range(lo..=at), rng.gen_range(at..=hi));
-                            count_crossings((min, 0, max, 0), &mut inside);
-                            runs.push((min, max));
-                        }
-                        for (min, max) in runs {
+                        // The whole axis and a random clip around the cell.
+                        let (min, max) = (rng.gen_range(0..=at), rng.gen_range(at..=end));
+                        count_crossings((min, 0, max, 0), &mut crossed);
+                        for (min, max) in [(0, end), (min, max)] {
                             assert_eq!(
-                                oc.base.free_run(c, horizontal, min, max),
-                                free_run_by_edge(&oc.base, c, horizontal, min, max),
-                                "grid {c:?} h={horizontal} {min}..={max}"
-                            );
-                            assert_eq!(
-                                overlay.free_run(c, horizontal, min, max),
-                                free_run_by_edge(&overlay, c, horizontal, min, max),
-                                "overlay {:?} {c:?} h={horizontal} {min}..={max}",
-                                oc.rect
+                                grid.free_run(c, horizontal, min, max),
+                                free_run_by_edge(&grid, c, horizontal, min, max),
+                                "{c:?} h={horizontal} {min}..={max}"
                             );
                         }
                     }
                 }
             }
         }
-        assert!(rects[0] > 6 && rects[1] > 3 && late > 8, "rects {rects:?}, {late} past bit 64");
-        assert!(inside[0] > 800 && inside[1] > 200, "in-rectangle clips crossing 64, 128: {inside:?}");
+        assert!(crossed[0] > 800 && crossed[1] > 200, "clips crossing 64, 128: {crossed:?}");
     }
 
     #[test]
@@ -894,25 +795,6 @@ mod tests {
                 }
             }
             assert_eq!(by_run, by_edge, "case {case}");
-        }
-    }
-
-    /// An overlay that commits and uncommits corner lists holds the deltas
-    /// and masks of one that does the same with their cells.
-    #[test]
-    fn overlay_commits_of_corners_equal_those_of_their_cells() {
-        let mut rng = StdRng::seed_from_u64(382);
-        for case in 0..300 {
-            let (w, h) = (rng.gen_range(2..40), rng.gen_range(2..40));
-            let oc = OverlayCase::random(&mut rng, w, h, DEMANDS[case % 4]);
-            let mut by_run = OverlayGrid::new(&oc.base, oc.rect);
-            for v in &oc.victims {
-                by_run.uncommit(&corners(v.clone()));
-            }
-            for l in &oc.locals {
-                by_run.commit(&corners(l.clone()));
-            }
-            assert!(by_run.into_buffers() == oc.overlay().into_buffers(), "case {case}");
         }
     }
 }

@@ -1,8 +1,8 @@
 //! Search scratch: the reusable working memory of the three per-connection
-//! searches, and the pool a route call hands it out from. One entry per
-//! search: [`SearchScratch::mikami_tabuchi_in`], [`SearchScratch::astar_in`]
-//! and [`SearchScratch::lee_bfs_in`] are the only public way into the
-//! kernels; a one-shot search is a method call on [`SearchScratch::new`].
+//! searches. One entry per search: [`SearchScratch::mikami_tabuchi_in`],
+//! [`SearchScratch::astar_in`] and [`SearchScratch::lee_bfs_in`] are the
+//! only public way into the kernels; a one-shot search is a method call on
+//! [`SearchScratch::new`].
 //!
 //! A search needs window-sized per-cell state — per probe tree a row-major
 //! and a column-major seen map for line search, `best_g` / `prev` for the
@@ -11,24 +11,15 @@
 //! owns all of it once, grows lazily to the largest window actually
 //! searched, and is reset by each kernel in time proportional to what the
 //! search touched. The only heap allocation per connection is the returned
-//! path. It also holds the delta buffers and masks the router lends to each
-//! interior wave task's region overlay and to each seam victim's window
-//! overlay, handed back all-zero by undoing the task's commits and
-//! uncommits — O(path edges, walked as straight runs between the stored
-//! corners), not O(region).
+//! path.
 //!
-//! Ownership: a scratch belongs to one *route call*. [`ScratchPool`] is
-//! created by the router when routing starts and dropped when it returns;
-//! every parallel task checks one scratch out for its duration. Nothing is
-//! `static` or thread-local, so a long-lived daemon worker holds no routing
-//! memory between requests, and the per-dispatch worker threads of
-//! `eda-par` reuse what earlier dispatches grew.
+//! Ownership: a scratch belongs to one *route call*, created when routing
+//! starts and dropped when it returns. Nothing is `static` or thread-local,
+//! so a long-lived daemon worker holds no routing memory between requests.
 
 use crate::grid::{DemandGrid, GCell};
 use crate::linesearch::LineScratch;
 use crate::maze::{MazeScratch, Path, SearchStats, SearchWindow};
-use crate::region::OverlayBuffers;
-use std::sync::Mutex;
 
 /// Reusable working memory for the line search and the two maze searches.
 /// Results never depend on what a scratch was used for before.
@@ -36,9 +27,6 @@ use std::sync::Mutex;
 pub struct SearchScratch {
     line: LineScratch,
     maze: MazeScratch,
-    /// Delta buffers the router lends to one overlay at a time (a region's,
-    /// or a seam victim's window); all-zero between tasks.
-    pub(crate) overlay: OverlayBuffers,
 }
 
 impl SearchScratch {
@@ -51,7 +39,7 @@ impl SearchScratch {
     /// and the most lines / open entries one search generated — never by
     /// the magnitude of edge costs.
     pub fn heap_bytes(&self) -> usize {
-        self.line.heap_bytes() + self.maze.heap_bytes() + self.overlay.heap_bytes()
+        self.line.heap_bytes() + self.maze.heap_bytes()
     }
 
     /// Mikami–Tabuchi line search between two cells, its probes clipped to
@@ -101,31 +89,6 @@ impl SearchScratch {
         win: SearchWindow,
     ) -> Option<(Path, SearchStats)> {
         self.maze.lee_bfs(grid, src, dst, win)
-    }
-}
-
-/// The scratches of one route call: at most one per concurrently running
-/// task, created on demand and reused by later tasks.
-#[derive(Default)]
-pub(crate) struct ScratchPool {
-    idle: Mutex<Vec<SearchScratch>>,
-}
-
-impl ScratchPool {
-    /// Runs `task` with a scratch checked out of the pool.
-    pub(crate) fn with<R>(&self, task: impl FnOnce(&mut SearchScratch) -> R) -> R {
-        let idle = || self.idle.lock().expect("no task panics while holding the pool lock");
-        let mut scratch = idle().pop().unwrap_or_default();
-        let out = task(&mut scratch);
-        idle().push(scratch);
-        out
-    }
-
-    /// The scratches the pool holds, for tests that inspect them after a
-    /// route.
-    #[cfg(test)]
-    pub(crate) fn into_idle(self) -> Vec<SearchScratch> {
-        self.idle.into_inner().expect("no task panics while holding the pool lock")
     }
 }
 

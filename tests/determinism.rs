@@ -1,14 +1,12 @@
 //! Serial-vs-parallel determinism for every kernel behind the `eda-par`
-//! layer: fault simulation, OPC, routing, and the full flow must be
-//! bit-identical for any thread count (the contract in DESIGN.md's
-//! "Parallel execution" section).
+//! layer: fault simulation, OPC, and the full flow must be bit-identical
+//! for any thread count (the contract in DESIGN.md's "Parallel execution"
+//! section).
 
 use eda::core::{run_flow, FlowConfig};
 use eda::dft::{fault_list, fault_sim, random_patterns, CombView};
 use eda::litho::{run_opc, OpcConfig, OpticalModel};
 use eda::netlist::generate;
-use eda::place::{place_global, Die, GlobalConfig};
-use eda::route::{route, route_stats, RouteConfig};
 use eda::tech::Node;
 use proptest::prelude::*;
 
@@ -94,32 +92,6 @@ proptest! {
             for (a, b) in serial.rms_epe_history.iter().zip(&par.rms_epe_history) {
                 prop_assert_eq!(a.to_bits(), b.to_bits(), "threads={}", threads);
             }
-        }
-    }
-
-    /// Routing outcomes (wirelength, vias, overflow, work counters) are
-    /// thread-invariant on arbitrary placed designs.
-    #[test]
-    fn route_outcome_is_thread_invariant(gates in 100usize..220, seed in 0u64..15) {
-        let d = generate::random_logic(generate::RandomLogicConfig {
-            gates,
-            seed,
-            ..Default::default()
-        })
-        .unwrap();
-        let die = Die::for_netlist(&d, 0.7);
-        let placement = place_global(&d, die, &GlobalConfig::default());
-        let serial = route(&d, &placement, &RouteConfig::default());
-        for threads in [2usize, 8] {
-            let cfg = RouteConfig { threads, ..Default::default() };
-            let (par, _) = route_stats(&d, &placement, &cfg);
-            prop_assert_eq!(par.wirelength, serial.wirelength, "threads={}", threads);
-            prop_assert_eq!(par.vias, serial.vias, "threads={}", threads);
-            prop_assert_eq!(par.overflow, serial.overflow, "threads={}", threads);
-            prop_assert_eq!(par.connections, serial.connections);
-            prop_assert_eq!(par.linesearch_fallbacks, serial.linesearch_fallbacks);
-            prop_assert_eq!(par.cells_expanded, serial.cells_expanded);
-            prop_assert_eq!(par.iterations, serial.iterations);
         }
     }
 }

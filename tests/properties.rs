@@ -140,54 +140,6 @@ proptest! {
         prop_assert!(h.validate().is_ok());
     }
 
-    /// Region-partitioned routing is schedule-invariant: perturbing the
-    /// region size (and the worker count) never changes any QoR bit — the
-    /// wirelength, vias, overflow trajectory, and search work all match the
-    /// canonical single-region serial schedule exactly. Only the partition
-    /// diagnostics (`regions`, `local_commits`, `seam_conflicts`,
-    /// `negotiation_waves`) are allowed to depend on the region shape.
-    #[test]
-    fn region_partition_never_changes_route_qor(
-        seed in 0u64..10, gates in 60usize..140,
-        region in 2u32..24, threads in 1usize..5,
-    ) {
-        use eda::route::{route, RouteAlgorithm, RouteConfig};
-        let d = generate::random_logic(generate::RandomLogicConfig {
-            gates,
-            seed,
-            ..Default::default()
-        }).unwrap();
-        let die = Die::for_netlist(&d, 0.7);
-        let p = place_global(&d, die, &GlobalConfig { iterations: 3, seed });
-        let base = RouteConfig {
-            algorithm: RouteAlgorithm::AStar,
-            deck: RuleDeck::simple(6),
-            grid_cells: 24,
-            ripup_iterations: 4,
-            threads: 1,
-            window_margin: 6,
-            // One region spanning the whole grid: the canonical serial
-            // schedule every partition must reproduce.
-            region_size: 4096,
-        };
-        let want = route(&d, &p, &base);
-        prop_assert_eq!(want.regions, 1);
-        let cfg = RouteConfig { region_size: region, threads, ..base };
-        let got = route(&d, &p, &cfg);
-        prop_assert_eq!(got.wirelength, want.wirelength);
-        prop_assert_eq!(got.vias, want.vias);
-        prop_assert_eq!(got.overflow, want.overflow);
-        prop_assert_eq!(got.iterations, want.iterations);
-        prop_assert_eq!(got.cells_expanded, want.cells_expanded);
-        prop_assert_eq!(got.linesearch_fallbacks, want.linesearch_fallbacks);
-        prop_assert_eq!(&got.ripup_overflow, &want.ripup_overflow);
-        prop_assert_eq!(
-            got.local_commits + got.seam_conflicts,
-            want.local_commits + want.seam_conflicts,
-            "total routings are partition-invariant"
-        );
-    }
-
     /// Hierarchical mesh fabrics are DAG-legal (validate() proves no
     /// combinational cycle and every connection in-bounds) at every shape
     /// and seed, and every instance carries its tile's block label.

@@ -1,16 +1,18 @@
 //! Pinned route outcomes. Every deterministic `RouteOutcome` field the
 //! searches feed — including `cells_expanded` and `peak_window_cells`, which
 //! any change of visit order or window would move — must equal the recorded
-//! value at 1, 2 and 4 threads: dense, saturated coarse-grid and partitioned
-//! configurations. The `lee` and `region16` rows date from before the search
-//! kernels were rebuilt (PR 16) and have never moved; the negotiated dense
-//! rows were re-recorded once, when the batched dense passes were folded into
-//! the wave schedule (each ends at overflow ≤ its old value; table in
-//! CHANGES.md). After an *intended* QoR change the failure message is the
-//! whole table as the code now computes it, ready to paste over `PINS`.
+//! value: dense, saturated coarse-grid and windowed configurations. The `lee`
+//! and `region16` rows date from before the search kernels were rebuilt and
+//! have never moved — `region16` not even when the region partition it was
+//! named for went, since the partition never shaped QoR;
+//! the negotiated dense rows were re-recorded once, when the batched dense
+//! passes were folded into the one schedule (each ends at overflow ≤ its old
+//! value; table in CHANGES.md). After an *intended* QoR change the failure
+//! message is the whole table as the code now computes it, ready to paste
+//! over `PINS`.
 //!
-//! What the single schedule makes equal by construction is asserted as
-//! structure instead of pinned: see `assert_one_audited_schedule`.
+//! The independent pass auditor runs over the windowed and dense routes in
+//! `assert_one_audited_schedule`.
 
 use eda::netlist::{generate, Netlist};
 use eda::place::{place_global, Die, GlobalConfig, Placement};
@@ -41,7 +43,7 @@ fn configs() -> Vec<(&'static str, RouteConfig)> {
             "coarse16x3",
             RouteConfig { deck: RuleDeck::simple(3), grid_cells: 16, ..Default::default() },
         ),
-        ("region16", RouteConfig { window_margin: 8, region_size: 16, ..Default::default() }),
+        ("region16", RouteConfig { window_margin: 8, ..Default::default() }),
     ]
 }
 
@@ -61,8 +63,8 @@ fn fingerprint(o: &RouteOutcome) -> String {
 }
 
 /// `(design, config, fingerprint)`: `lee` and `region16` rows recorded at
-/// commit 65098fd, the rest at the commit that made the wave schedule the
-/// only one.
+/// commit 65098fd, the rest at the commit that made one schedule the only
+/// one.
 const PINS: &[(&str, &str, &str)] = &[
     ("random300", "linesearch", "wl=8029 vias=591 ovfl=0 conns=701 fallbacks=3 expanded=112731 iters=2 ripup=[3, 0] peak=1024"),
     ("random300", "astar", "wl=7499 vias=604 ovfl=0 conns=701 fallbacks=0 expanded=43942 iters=2 ripup=[6, 0] peak=1024"),
@@ -92,19 +94,14 @@ fn assert_pinned(designs: &[(&str, (Netlist, Placement))]) {
     for (dname, (netlist, placement)) in designs {
         for (cname, cfg) in configs() {
             let want = PINS.iter().find(|(d, c, _)| d == dname && *c == cname).map(|p| p.2);
-            for threads in [1, 2, 4] {
-                let out = route(netlist, placement, &RouteConfig { threads, ..cfg.clone() });
-                let got = fingerprint(&out);
-                if threads == 1 {
-                    table.push_str(&format!("    (\"{dname}\", \"{cname}\", \"{got}\"),\n"));
-                }
-                if want != Some(got.as_str()) {
-                    stale.push(format!("{dname}/{cname} threads={threads}"));
-                }
+            let got = fingerprint(&route(netlist, placement, &cfg));
+            table.push_str(&format!("    (\"{dname}\", \"{cname}\", \"{got}\"),\n"));
+            if want != Some(got.as_str()) {
+                stale.push(format!("{dname}/{cname}"));
             }
         }
     }
-    assert!(stale.is_empty(), "pins differ for {stale:?}; table at 1 thread now:\n{table}");
+    assert!(stale.is_empty(), "pins differ for {stale:?}; table now:\n{table}");
 }
 
 fn random_designs() -> Vec<(&'static str, (Netlist, Placement))> {
@@ -121,56 +118,29 @@ fn saturated_designs() -> Vec<(&'static str, (Netlist, Placement))> {
 }
 
 #[test]
-fn random_logic_outcomes_match_the_parent_at_1_2_4_threads() {
+fn random_logic_outcomes_match_the_pins() {
     assert_pinned(&random_designs());
 }
 
 #[test]
-#[cfg_attr(debug_assertions, ignore = "60 saturated routes are minutes unoptimized; run in release")]
-fn saturated_design_outcomes_match_the_parent_at_1_2_4_threads() {
+#[cfg_attr(debug_assertions, ignore = "10 saturated routes are minutes unoptimized; run in release")]
+fn saturated_design_outcomes_match_the_pins() {
     assert_pinned(&saturated_designs());
 }
 
-/// What used to be pinned as a separate "windowed batched" schedule:
-/// `window_margin 8` with no partition is the wave schedule's one-region
-/// case, so it equals every partition of the same route on every field
-/// except the partition diagnostics (`regions`, `local_commits`,
-/// `seam_conflicts`, `negotiation_waves`) — and a dense route, one serial
-/// task per pass, cannot see `threads` at all.
-///
 /// Every route here goes through `route_audited`, which forces the
 /// independent pass auditor on (release builds compile its `debug_assert`
-/// form out): dense, unpartitioned and partitioned routes all run through
-/// `OverlayGrid` commit/uncommit, and after every pass the grid must be
-/// exactly the sum of the committed paths.
+/// form out): on the windowed and the dense route, after every pass the grid
+/// must be exactly the sum of the committed paths. Auditing observes and
+/// never steers, so each audited route equals the plain one.
 fn assert_one_audited_schedule(designs: &[(&str, (Netlist, Placement))]) {
     for (dname, (netlist, placement)) in designs {
         for algorithm in [RouteAlgorithm::LineSearch, RouteAlgorithm::AStar] {
-            let unpartitioned = RouteConfig { algorithm, window_margin: 8, ..Default::default() };
-            let reference = route_audited(netlist, placement, &unpartitioned);
-            assert_eq!(reference.regions, 1, "{dname}/{algorithm:?}");
-            for region_size in [5, 16, 64] {
-                let cfg = RouteConfig { region_size, ..unpartitioned.clone() };
-                let out = route_audited(netlist, placement, &cfg);
-                let tag = format!("{dname}/{algorithm:?} region_size={region_size}");
-                assert_eq!(fingerprint(&out), fingerprint(&reference), "{tag}");
-                assert_eq!(
-                    out.local_commits + out.seam_conflicts,
-                    reference.local_commits,
-                    "{tag}: every routing is local or seam-arbitrated"
-                );
-            }
-            let dense = RouteConfig { algorithm, ..Default::default() };
-            let serial = route_audited(netlist, placement, &dense);
-            for threads in [2, 4, 8] {
-                let out = route_audited(netlist, placement, &RouteConfig { threads, ..dense.clone() });
-                let tag = format!("{dname}/{algorithm:?} dense threads={threads}");
-                assert_eq!(fingerprint(&out), fingerprint(&serial), "{tag}");
-                assert_eq!(
-                    (out.regions, out.local_commits, out.seam_conflicts, out.negotiation_waves),
-                    (1, serial.local_commits, 0, serial.iterations as u64),
-                    "{tag}"
-                );
+            for (shape, window_margin) in [("windowed", 8), ("dense", 0)] {
+                let cfg = RouteConfig { algorithm, window_margin, ..Default::default() };
+                let audited = route_audited(netlist, placement, &cfg);
+                let tag = format!("{dname}/{algorithm:?} {shape}");
+                assert_eq!(fingerprint(&audited), fingerprint(&route(netlist, placement, &cfg)), "{tag}");
             }
         }
     }

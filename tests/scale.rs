@@ -118,15 +118,11 @@ fn assert_rss_profile(report: &FlowReport, budget_mb: u64, label: &str) {
 const MINI_QOR_FP: u64 = 0xccce_77bb_4372_6f4f;
 
 /// The mini tier's work counts from the same recording: the cut kernel's
-/// output size, the rewritten graph, and the router's search work and
-/// schedule shape.
-const MINI_WORK: [(&str, u64); 6] = [
+/// output size, the rewritten graph, and the router's search work.
+const MINI_WORK: [(&str, u64); 3] = [
     ("synth.cuts_enumerated", 83_323),
     ("synth.aig_nodes_after", 11_310),
     ("route.cells_expanded", 5_362_390),
-    ("route.local_commits", 6_312),
-    ("route.seam_conflicts", 24_310),
-    ("route.negotiation_waves", 9_544),
 ];
 
 fn assert_mini_pins(report: &FlowReport, threads: usize) {
@@ -137,11 +133,10 @@ fn assert_mini_pins(report: &FlowReport, threads: usize) {
 
 /// The mini tier (10⁴ instances) completes all 11 stages overflow-free with
 /// bit-identical QoR at 1, 2, 4, and 8 worker threads, within a conservative
-/// RSS budget, on the pinned fingerprint and work counts at 1 and 4. The
-/// thread sweep is the region-partitioned router's seam contract under real
-/// load: worker count changes which regions route concurrently but never the
-/// canonical commit order. Release-only: `scripts/check.sh` runs it in
-/// release.
+/// RSS budget, on the pinned fingerprint and work counts at 1 and 4. No
+/// stage of the scale preset dispatches through `eda-par`, so the thread
+/// sweep holds that `threads` reaches no result at this size.
+/// Release-only: `scripts/check.sh` runs it in release.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "10^4 flow is minutes unoptimized; run in release")]
 fn mini_scale_tier_is_bit_identical_and_bounded() {

@@ -296,7 +296,8 @@ const RIPPLE4_N28_RECORDS: [&str; 17] = [
     "%rec stage d5b7a3db520b5831 6680 aedc3d323744bc73",
     "%rec stage b99122f8c5461435 6683 1f73f8a137f18c6d",
     "%rec stage d639f8a30fba69f2 6695 a23e316f08a9eb8c",
-    "%rec sub 95c22d504ed4ffa6 66 b9f2e93a20d28060",
+    // The route outcome: `routeout v2`, keyed without a region-size slot.
+    "%rec sub ec332a02eab44d8e 56 3e4cb3c2b12d42f6",
     "%rec stage 96a62d6ee5468fd2 6715 e18506667c382189",
     "%rec stage d5d1e77e30ecbde5 6793 642ed69fa7c2ba7d",
     "%rec stage 3be749c72d8de931 6809 d9195f044747c877",
