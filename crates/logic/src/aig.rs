@@ -301,10 +301,11 @@ impl Aig {
         netlist.validate().map_err(|e| AigError::Invalid(e.to_string()))?;
         let lib = netlist.library();
         let mut aig = Aig::new();
-        let mut net_lit: HashMap<usize, Lit> = HashMap::new();
+        // The literal of each net, by net index, once its driver is built.
+        let mut net_lit: Vec<Option<Lit>> = vec![None; netlist.num_nets()];
         for &pi in netlist.primary_inputs() {
             let lit = aig.add_pi(netlist.net(pi).name());
-            net_lit.insert(pi.index(), lit);
+            net_lit[pi.index()] = Some(lit);
         }
         let real_pis = aig.num_pis();
         // Pseudo-PIs for flop outputs.
@@ -321,7 +322,7 @@ impl Aig {
                 )));
             }
             let q = aig.add_pi(format!("{}__q", inst.name()));
-            net_lit.insert(inst.output().index(), q);
+            net_lit[inst.output().index()] = Some(q);
             // The clock must resolve to a primary input net, possibly
             // through a chain of plain buffers: scale-tier fabrics arrive
             // with a buffered clock spine (root → row → tile) to keep net
@@ -361,7 +362,7 @@ impl Aig {
             let ins: Vec<Lit> = inst
                 .inputs()
                 .iter()
-                .map(|n| net_lit.get(&n.index()).copied().expect("topo order guarantees inputs"))
+                .map(|n| net_lit[n.index()].expect("topo order guarantees inputs"))
                 .collect();
             let lit = match func {
                 CellFunction::Const0 => Lit::FALSE,
@@ -392,12 +393,10 @@ impl Aig {
                 }
                 other => return Err(AigError::UnsupportedCell(format!("{:?}", other))),
             };
-            net_lit.insert(inst.output().index(), lit);
+            net_lit[inst.output().index()] = Some(lit);
         }
         for (name, net) in netlist.primary_outputs() {
-            let lit = net_lit
-                .get(&net.index())
-                .copied()
+            let lit = net_lit[net.index()]
                 .ok_or_else(|| AigError::Invalid(format!("output `{name}` undriven")))?;
             aig.add_po(name.clone(), lit);
         }
@@ -405,9 +404,7 @@ impl Aig {
         for &f in &flops {
             let inst = netlist.instance(f);
             let d = inst.inputs()[0];
-            let lit = net_lit
-                .get(&d.index())
-                .copied()
+            let lit = net_lit[d.index()]
                 .ok_or_else(|| AigError::Invalid(format!("flop `{}` D undriven", inst.name())))?;
             aig.add_po(format!("{}__d", inst.name()), lit);
         }

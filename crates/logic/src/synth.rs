@@ -14,6 +14,7 @@ use crate::aig::{Aig, AigError};
 use crate::map::{map_aig, map_naive, MapError};
 use eda_netlist::memo::fnv1a;
 use eda_netlist::{Library, Netlist, SubstageMemo};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Default bound on the rewrite fixpoint iteration in the advanced script.
@@ -146,21 +147,24 @@ pub fn synthesize(
 ) -> Result<SynthesisOutcome, SynthesisError> {
     let (aig, boundary) = Aig::from_netlist(input)?;
     let before = aig.num_ands();
-    let (optimized, outcome, passes) = match effort {
+    let (after, outcome, passes) = match effort {
         SynthesisEffort::Baseline2006 => {
             let m = map_naive(&aig, &boundary, lib)?;
-            (aig, m, Vec::new())
+            (before, m, Vec::new())
         }
         SynthesisEffort::Advanced2016 => {
             let (opt, passes) = optimize_aig(&aig, opts.rewrite_passes, opts.memo);
+            // Only the input graph's node count outlives the script: the
+            // mapper runs with one graph live, not two.
+            drop(aig);
             let m = map_aig(&opt, &boundary, lib)?;
-            (opt, m, passes)
+            (opt.num_ands(), m, passes)
         }
     };
     Ok(SynthesisOutcome {
         netlist: outcome.netlist,
         aig_nodes_before: before,
-        aig_nodes_after: optimized.num_ands(),
+        aig_nodes_after: after,
         area_um2: outcome.area_um2,
         delay_ps: outcome.delay_ps,
         cells: outcome.cells,
@@ -207,14 +211,15 @@ pub fn optimize_aig(
     memo: Option<&dyn SubstageMemo>,
 ) -> (Aig, Vec<AigPass>) {
     let mut passes = Vec::with_capacity(rewrite_passes + 2);
-    let mut cur = aig.clone();
+    // The input is borrowed until a pass result is kept.
+    let mut cur = Cow::Borrowed(aig);
 
     let (pass, next) = run_pass(memo, "aig.balpre", "balance", &cur, Aig::balance, |cur, cand| {
         !(cand.num_ands() > cur.num_ands() && cand.depth() >= cur.depth())
     });
     passes.push(pass);
     if let Some(n) = next {
-        cur = n;
+        cur = Cow::Owned(n);
     }
 
     // Rewrite to a fixpoint (bounded), keeping only non-regressing passes.
@@ -224,7 +229,7 @@ pub fn optimize_aig(
         });
         passes.push(pass);
         match next {
-            Some(n) => cur = n,
+            Some(n) => cur = Cow::Owned(n),
             None => break,
         }
     }
@@ -234,9 +239,9 @@ pub fn optimize_aig(
     });
     passes.push(pass);
     if let Some(n) = next {
-        cur = n;
+        cur = Cow::Owned(n);
     }
-    (cur, passes)
+    (cur.into_owned(), passes)
 }
 
 /// One script pass over `cur`: replays the memoized result for this input

@@ -14,8 +14,7 @@
 //! custom library is rejected with [`CodecError::UnknownLibrary`].
 
 use crate::cell::Library;
-use crate::netlist::{BlockTable, InstId, Instance, Net, NetDriver, NetId, Netlist};
-use std::collections::HashMap;
+use crate::netlist::{BlockTable, InstId, Instance, Net, NetDriver, NetId, NetIndex, Netlist};
 
 /// Errors from [`from_text`] and the [`Lines`] reader.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,6 +30,13 @@ pub enum CodecError {
     UnknownLibrary(String),
     /// A cell name was not found in the library.
     UnknownCell(String),
+    /// A net name repeats an earlier net's, which no built netlist can hold.
+    RepeatedNetName {
+        /// 1-based line number of the repeat.
+        line: usize,
+        /// The repeated name.
+        name: String,
+    },
 }
 
 impl std::fmt::Display for CodecError {
@@ -39,6 +45,9 @@ impl std::fmt::Display for CodecError {
             CodecError::Parse { line, reason } => write!(f, "line {line}: {reason}"),
             CodecError::UnknownLibrary(n) => write!(f, "netlist codec: unknown library `{n}`"),
             CodecError::UnknownCell(n) => write!(f, "netlist codec: unknown cell `{n}`"),
+            CodecError::RepeatedNetName { line, name } => {
+                write!(f, "line {line}: net name `{name}` repeats an earlier net's")
+            }
         }
     }
 }
@@ -271,7 +280,7 @@ pub fn from_lines(lines: &mut Lines<'_>) -> Result<Netlist, CodecError> {
 
     let n_nets = lines.count("nets")?;
     let mut nets = Vec::with_capacity(n_nets);
-    let mut net_by_name = HashMap::with_capacity(n_nets);
+    let mut net_index = NetIndex::with_capacity(n_nets);
     for idx in 0..n_nets {
         let mut toks = lines.tagged("n")?;
         let net_name = unescape(lines.tok(&mut toks, "net name")?).map_err(|e| lines.err(e))?;
@@ -299,11 +308,14 @@ pub fn from_lines(lines: &mut Lines<'_>) -> Result<Netlist, CodecError> {
                 .split_once(':')
                 .ok_or_else(|| lines.err(format!("bad sink {s:?}")))?;
             let inst: usize = inst.parse().map_err(|_| lines.err(format!("bad sink {s:?}")))?;
-            let pin: usize = pin.parse().map_err(|_| lines.err(format!("bad sink {s:?}")))?;
+            let pin: u32 = pin.parse().map_err(|_| lines.err(format!("bad sink {s:?}")))?;
             sinks.push((InstId(inst as u32), pin));
         }
-        net_by_name.insert(net_name.clone(), NetId(idx as u32));
-        nets.push(Net { name: net_name, driver, sinks });
+        nets.push(Net { name: net_name.into_boxed_str(), driver, sinks });
+        if net_index.insert(&nets, NetId(idx as u32)).is_err() {
+            let name = nets[idx].name.to_string();
+            return Err(CodecError::RepeatedNetName { line: lines.line_number(), name });
+        }
     }
 
     let n_insts = lines.count("insts")?;
@@ -327,7 +339,13 @@ pub fn from_lines(lines: &mut Lines<'_>) -> Result<Netlist, CodecError> {
             let i: usize = lines.parse_tok(&mut toks, "input net")?;
             inputs.push(NetId(i as u32));
         }
-        instances.push(Instance { name: inst_name, cell, inputs, output: NetId(output as u32), block });
+        instances.push(Instance {
+            name: inst_name.into_boxed_str(),
+            cell,
+            inputs: inputs.into_boxed_slice(),
+            output: NetId(output as u32),
+            block,
+        });
     }
 
     let mut toks = lines.tagged("pis")?;
@@ -348,7 +366,7 @@ pub fn from_lines(lines: &mut Lines<'_>) -> Result<Netlist, CodecError> {
     }
 
     let blocks = BlockTable::from_names(block_names);
-    let netlist = Netlist { name, library, instances, nets, inputs, outputs, blocks, net_by_name };
+    let netlist = Netlist { name, library, instances, nets, inputs, outputs, blocks, net_index };
 
     // Bounds sanity so later index accesses cannot panic on corrupt input.
     let n_nets = netlist.nets.len();
@@ -384,7 +402,12 @@ mod tests {
         assert_eq!(a.inputs, b.inputs);
         assert_eq!(a.outputs, b.outputs);
         assert_eq!(a.block_names(), b.block_names());
-        assert_eq!(a.net_by_name, b.net_by_name);
+        // The decoded name index answers every lookup the built one does.
+        for (id, net) in a.nets() {
+            assert_eq!(a.find_net(net.name()), Some(id), "net {:?}", net.name());
+            assert_eq!(b.find_net(net.name()), Some(id), "net {:?}", net.name());
+        }
+        assert_eq!(b.find_net("no_such_net"), None);
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! validation, topological ordering and bit-parallel simulation.
 
 use crate::cell::{CellFunction, CellId, Library};
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 use std::sync::Arc;
 
 /// Index of a net inside a [`Netlist`].
@@ -48,10 +50,10 @@ pub enum NetDriver {
 /// output.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Net {
-    pub(crate) name: String,
+    pub(crate) name: Box<str>,
     pub(crate) driver: Option<NetDriver>,
     /// `(instance, input-pin-position)` pairs fed by this net.
-    pub(crate) sinks: Vec<(InstId, usize)>,
+    pub(crate) sinks: Vec<(InstId, u32)>,
 }
 
 impl Net {
@@ -65,8 +67,8 @@ impl Net {
         self.driver
     }
 
-    /// Instance input pins fed by this net.
-    pub fn sinks(&self) -> &[(InstId, usize)] {
+    /// Instance input pins fed by this net, as `(instance, pin position)`.
+    pub fn sinks(&self) -> &[(InstId, u32)] {
         &self.sinks
     }
 
@@ -79,9 +81,11 @@ impl Net {
 /// A cell instance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Instance {
-    pub(crate) name: String,
+    pub(crate) name: Box<str>,
     pub(crate) cell: CellId,
-    pub(crate) inputs: Vec<NetId>,
+    /// Input nets in pin order; the arity is fixed when the instance is
+    /// created, so there is no spare capacity to carry.
+    pub(crate) inputs: Box<[NetId]>,
     pub(crate) output: NetId,
     /// Hierarchy label: which named block this instance belongs to
     /// (`None` = top level). Used by hierarchical placement and the panel's
@@ -182,7 +186,7 @@ pub struct Netlist {
     pub(crate) inputs: Vec<NetId>,
     pub(crate) outputs: Vec<(String, NetId)>,
     pub(crate) blocks: BlockTable,
-    pub(crate) net_by_name: HashMap<String, NetId>,
+    pub(crate) net_index: NetIndex,
 }
 
 /// Hierarchy block names in creation order — a block's index is its
@@ -217,6 +221,85 @@ impl BlockTable {
     }
 }
 
+/// The net-name index: an insert-only open-addressing table of net ids.
+///
+/// A lookup compares against the name the [`Net`] itself holds, so each net
+/// name is stored once. Slots are a power of two, at most half full, probed
+/// linearly from the name's hash; [`EMPTY_SLOT`] marks a free one. The hash
+/// is std's randomly keyed one, as in a `HashMap`, because names arrive from
+/// parsed text. Nets are never renamed or removed, so there is no deletion.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct NetIndex {
+    slots: Vec<u32>,
+    len: usize,
+    hasher: RandomState,
+}
+
+const EMPTY_SLOT: u32 = u32::MAX;
+
+impl NetIndex {
+    /// An empty index with room for `n` names before it grows.
+    pub(crate) fn with_capacity(n: usize) -> NetIndex {
+        let slots = if n == 0 { Vec::new() } else { vec![EMPTY_SLOT; (2 * n).next_power_of_two()] };
+        NetIndex { slots, len: 0, hasher: RandomState::new() }
+    }
+
+    fn hash(&self, name: &str) -> usize {
+        self.hasher.hash_one(name) as usize
+    }
+
+    /// The net named `name`, or the free slot where it would go.
+    fn probe(&self, nets: &[Net], name: &str) -> Result<NetId, usize> {
+        let mask = self.slots.len() - 1;
+        let mut i = self.hash(name) & mask;
+        loop {
+            match self.slots[i] {
+                EMPTY_SLOT => return Err(i),
+                id if *nets[id as usize].name == *name => return Ok(NetId(id)),
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    /// The net named `name`, if any.
+    pub(crate) fn find(&self, nets: &[Net], name: &str) -> Option<NetId> {
+        if self.len == 0 {
+            return None;
+        }
+        self.probe(nets, name).ok()
+    }
+
+    /// Indexes net `id` under its name. If another net already holds that
+    /// name, nothing is inserted and that net's id comes back as the error.
+    pub(crate) fn insert(&mut self, nets: &[Net], id: NetId) -> Result<(), NetId> {
+        if 2 * (self.len + 1) > self.slots.len() {
+            self.grow(nets);
+        }
+        let slot = match self.probe(nets, &nets[id.index()].name) {
+            Ok(held) => return Err(held),
+            Err(slot) => slot,
+        };
+        self.slots[slot] = id.0;
+        self.len += 1;
+        Ok(())
+    }
+
+    /// Doubles the slot array and re-places every id; names are distinct,
+    /// so each one only needs a free slot.
+    fn grow(&mut self, nets: &[Net]) {
+        let size = (2 * self.slots.len()).max(8);
+        let old = std::mem::replace(&mut self.slots, vec![EMPTY_SLOT; size]);
+        let mask = size - 1;
+        for id in old.into_iter().filter(|&id| id != EMPTY_SLOT) {
+            let mut i = self.hash(&nets[id as usize].name) & mask;
+            while self.slots[i] != EMPTY_SLOT {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = id;
+        }
+    }
+}
+
 impl Netlist {
     /// Creates an empty netlist bound to [`Library::generic`].
     pub fn new(name: impl Into<String>) -> Netlist {
@@ -233,7 +316,7 @@ impl Netlist {
             inputs: Vec::new(),
             outputs: Vec::new(),
             blocks: BlockTable::default(),
-            net_by_name: HashMap::new(),
+            net_index: NetIndex::default(),
         }
     }
 
@@ -250,16 +333,17 @@ impl Netlist {
     /// Adds a fresh net. Names are made unique by suffixing if needed.
     pub fn add_net(&mut self, name: impl Into<String>) -> NetId {
         let mut name = name.into();
-        if self.net_by_name.contains_key(&name) {
+        if self.find_net(&name).is_some() {
             let mut i = 1;
-            while self.net_by_name.contains_key(&format!("{name}_{i}")) {
+            while self.find_net(&format!("{name}_{i}")).is_some() {
                 i += 1;
             }
             name = format!("{name}_{i}");
         }
         let id = NetId(self.nets.len() as u32);
-        self.net_by_name.insert(name.clone(), id);
-        self.nets.push(Net { name, driver: None, sinks: Vec::new() });
+        self.nets.push(Net { name: name.into_boxed_str(), driver: None, sinks: Vec::new() });
+        let fresh = self.net_index.insert(&self.nets, id);
+        debug_assert!(fresh.is_ok(), "add_net made a name unique first");
         id
     }
 
@@ -298,10 +382,16 @@ impl Netlist {
         let out = self.add_net(format!("{name}_out"));
         let inst = InstId(self.instances.len() as u32);
         for (pin, &n) in inputs.iter().enumerate() {
-            self.nets[n.index()].sinks.push((inst, pin));
+            self.nets[n.index()].sinks.push((inst, pin as u32));
         }
         self.nets[out.index()].driver = Some(NetDriver::Instance(inst));
-        self.instances.push(Instance { name, cell, inputs: inputs.to_vec(), output: out, block: None });
+        self.instances.push(Instance {
+            name: name.into_boxed_str(),
+            cell,
+            inputs: inputs.into(),
+            output: out,
+            block: None,
+        });
         Ok(out)
     }
 
@@ -326,14 +416,14 @@ impl Netlist {
             return Err(NetlistError::ArityMismatch { instance: name, expected, got: inputs.len() });
         }
         if self.nets[output.index()].driver.is_some() {
-            return Err(NetlistError::MultipleDrivers(self.nets[output.index()].name.clone()));
+            return Err(NetlistError::MultipleDrivers(self.nets[output.index()].name.to_string()));
         }
         let inst = InstId(self.instances.len() as u32);
         for (pin, &n) in inputs.iter().enumerate() {
-            self.nets[n.index()].sinks.push((inst, pin));
+            self.nets[n.index()].sinks.push((inst, pin as u32));
         }
         self.nets[output.index()].driver = Some(NetDriver::Instance(inst));
-        self.instances.push(Instance { name, cell, inputs: inputs.to_vec(), output, block: None });
+        self.instances.push(Instance { name: name.into_boxed_str(), cell, inputs: inputs.into(), output, block: None });
         Ok(inst)
     }
 
@@ -369,10 +459,10 @@ impl Netlist {
             return;
         }
         let sinks = &mut self.nets[old.index()].sinks;
-        if let Some(pos) = sinks.iter().position(|&(s, p)| s == inst && p == pin) {
+        if let Some(pos) = sinks.iter().position(|&(s, p)| s == inst && p as usize == pin) {
             sinks.remove(pos);
         }
-        self.nets[net.index()].sinks.push((inst, pin));
+        self.nets[net.index()].sinks.push((inst, pin as u32));
         self.instances[inst.index()].inputs[pin] = net;
     }
 
@@ -409,7 +499,7 @@ impl Netlist {
 
     /// Finds a net by name.
     pub fn find_net(&self, name: &str) -> Option<NetId> {
-        self.net_by_name.get(name).copied()
+        self.net_index.find(&self.nets, name)
     }
 
     /// Number of instances.
@@ -461,7 +551,7 @@ impl Netlist {
             let expected = self.library.cell(inst.cell).function.num_inputs();
             if inst.inputs.len() != expected {
                 return Err(NetlistError::ArityMismatch {
-                    instance: inst.name.clone(),
+                    instance: inst.name.to_string(),
                     expected,
                     got: inst.inputs.len(),
                 });
@@ -469,7 +559,7 @@ impl Netlist {
         }
         for net in &self.nets {
             if net.driver.is_none() && (!net.sinks.is_empty() || self.outputs.iter().any(|(_, o)| self.nets[o.index()].name == net.name)) {
-                return Err(NetlistError::UndrivenNet(net.name.clone()));
+                return Err(NetlistError::UndrivenNet(net.name.to_string()));
             }
         }
         self.topo_order().map(|_| ())
@@ -526,7 +616,7 @@ impl Netlist {
             let cyclic: Vec<String> = (0..n)
                 .filter(|&i| is_comb(i) && indeg[i] > 0)
                 .take(8)
-                .map(|i| self.instances[i].name.clone())
+                .map(|i| self.instances[i].name.to_string())
                 .collect();
             return Err(NetlistError::CombinationalCycle(cyclic));
         }
@@ -669,10 +759,34 @@ mod tests {
 
     #[test]
     fn net_names_deduplicated() {
+        // A repeated name takes the first free `_<k>` suffix.
         let mut n = Netlist::new("t");
-        let a = n.add_net("x");
-        let b = n.add_net("x");
-        assert_ne!(n.net(a).name(), n.net(b).name());
+        let names: Vec<String> = ["a", "a_1", "a", "a", "a_2", "b"]
+            .iter()
+            .map(|&name| {
+                let id = n.add_net(name);
+                n.net(id).name().to_string()
+            })
+            .collect();
+        assert_eq!(names, ["a", "a_1", "a_2", "a_3", "a_2_1", "b"]);
+        for (i, name) in names.iter().enumerate() {
+            assert_eq!(n.find_net(name), Some(NetId(i as u32)));
+        }
+        assert_eq!(n.find_net("a_4"), None);
+        assert_eq!(Netlist::new("empty").find_net("a"), None);
+    }
+
+    #[test]
+    fn name_lookups_hold_at_ten_to_the_fifth_names() {
+        let mut n = Netlist::new("big");
+        let ids: Vec<NetId> = (0..100_000).map(|i| n.add_net(format!("w{i}"))).collect();
+        for (i, &id) in ids.iter().enumerate() {
+            assert_eq!(n.find_net(&format!("w{i}")), Some(id));
+        }
+        assert_eq!(n.find_net("w100000"), None);
+        let again = n.add_net("w7");
+        assert_eq!(n.net(again).name(), "w7_1");
+        assert_eq!(n.find_net("w7_1"), Some(again));
     }
 
     #[test]

@@ -208,7 +208,7 @@ pub fn implement(netlist: &Netlist, intent: &PowerIntent) -> Result<ImplementOut
             let needs_ls = (from.vdd_v - to.vdd_v).abs() > 1e-9;
             let needs_iso = from.switchable;
             if needs_ls || needs_iso {
-                crossings.push(Crossing { sink, pin, needs_ls, needs_iso, sink_domain: s_dom });
+                crossings.push(Crossing { sink, pin: pin as usize, needs_ls, needs_iso, sink_domain: s_dom });
             }
         }
     }

@@ -299,6 +299,13 @@ if awk '/^fn (clock_gating|power)\(/{body=1} body{print FILENAME":"FNR": "$0} bo
     echo "check: FAIL a netlist-editing stage body copies the netlist again (above)" >&2; exit 1
 fi
 
+# One copy of each net name: the netlist's name index holds net ids and
+# compares against the name each net stores, so no map keyed by a cloned
+# name may come back beside it.
+if grep -rn 'HashMap<String, NetId>' crates/netlist/src; then
+    echo "check: FAIL a name-keyed net map is back in crates/netlist/src (above)" >&2; exit 1
+fi
+
 # Serial kernels: synthesis and routing run serially, so neither crate may
 # depend on eda-par again (a dev-dependency, for a test's CPU clock, is fine).
 for manifest in crates/logic/Cargo.toml crates/route/Cargo.toml; do
@@ -319,5 +326,5 @@ fi
 awk '/^test result:/ { passed += $4; failed += $6 }
      END { printf "check: %d tests passed, %d failed across all binaries\n", passed, failed
            exit (failed > 0) }' "$test_log"
-echo "check: $(find crates src tests examples benchmark -name '*.rs' -print0 | xargs -0 cat | wc -l) lines of Rust (the count ROADMAP quotes); clippy --workspace --all-targets clean; deleted-name census empty (budgets, NPN / collapse, retry, twins, config builder, derived knobs, shared-store open, server snapshot, test-only accessors, serve / scale harnesses, per-edge probe helpers, per-slot busy clocks and the route wave ledger, mapping goal, one-shot search twins and layer sweep, mapper fragment pipeline and fourth test-only tranche, multilevel coarse sweeps and state tagged-count reader, mapper wave dispatch, per-edge overflow probe, clock-gating / decap copy-returning entry points and outcome types, route wave scheduler); no eda-par under eda-logic / eda-route [dependencies]; no netlist copy in the 2_clock_gating / 9_power bodies; run_flow_shared called from flow.rs + engine.rs only"
-echo "check: tier-1 + clippy --workspace --all-targets + unwrap gates + inject smoke + trace + all 18 claims + daemon + facade docs + incremental + sub-stage record budget + cross-process resume + mini-tier pins + golden + route pins + route audit + place pins + place audit + sign-off pins + deleted-name census (incl. multilevel coarse sweeps, state tagged-count reader, mapper wave dispatch, per-edge overflow probe and the copy-returning insert_clock_gating / insert_decaps / GatingOutcome / DecapOutcome, and the route wave scheduler) + serial-kernel dependency gate + one-netlist gate + one-engine gate green"
+echo "check: $(find crates src tests examples benchmark -name '*.rs' -print0 | xargs -0 cat | wc -l) lines of Rust (the count ROADMAP quotes); clippy --workspace --all-targets clean; deleted-name census empty (budgets, NPN / collapse, retry, twins, config builder, derived knobs, shared-store open, server snapshot, test-only accessors, serve / scale harnesses, per-edge probe helpers, per-slot busy clocks and the route wave ledger, mapping goal, one-shot search twins and layer sweep, mapper fragment pipeline and fourth test-only tranche, multilevel coarse sweeps and state tagged-count reader, mapper wave dispatch, per-edge overflow probe, clock-gating / decap copy-returning entry points and outcome types, route wave scheduler); no eda-par under eda-logic / eda-route [dependencies]; no netlist copy in the 2_clock_gating / 9_power bodies; no name-keyed net map in eda-netlist; run_flow_shared called from flow.rs + engine.rs only"
+echo "check: tier-1 + clippy --workspace --all-targets + unwrap gates + inject smoke + trace + all 18 claims + daemon + facade docs + incremental + sub-stage record budget + cross-process resume + mini-tier pins + golden + route pins + route audit + place pins + place audit + sign-off pins + deleted-name census (incl. multilevel coarse sweeps, state tagged-count reader, mapper wave dispatch, per-edge overflow probe and the copy-returning insert_clock_gating / insert_decaps / GatingOutcome / DecapOutcome, and the route wave scheduler) + serial-kernel dependency gate + one-netlist gate + net-name index gate + one-engine gate green"

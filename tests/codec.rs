@@ -132,6 +132,24 @@ fn unknown_library_and_cell_are_typed_errors() {
 }
 
 #[test]
+fn a_repeated_net_name_is_a_typed_error() {
+    // `add_net` never builds two nets of one name, so only a hand-edited
+    // body holds one: give the second net record the first one's name.
+    let n = arb_netlist(11, 40, true);
+    let text = codec::to_text(&n);
+    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+    let first = lines.iter().position(|l| l.starts_with("n ")).expect("a net record");
+    let name = lines[first].split(' ').nth(1).expect("net name").to_string();
+    let after_name = lines[first + 1].splitn(3, ' ').nth(2).expect("driver and sinks").to_string();
+    lines[first + 1] = format!("n {name} {after_name}");
+    let edited: String = lines.iter().map(|l| format!("{l}\n")).collect();
+    assert_eq!(
+        codec::from_text(&edited).err(),
+        Some(CodecError::RepeatedNetName { line: first + 2, name: codec::unescape(&name).unwrap() })
+    );
+}
+
+#[test]
 fn truncation_dropping_whole_records_is_an_error() {
     let n = arb_netlist(3, 30, true);
     let text = codec::to_text(&n);

@@ -171,10 +171,10 @@ fn polarity_library_mapping_is_equivalent() {
 
 /// Feeds `sinks` of `net` through a fresh inverter: the function of a
 /// one-gate polarity bug.
-fn invert_at(n: &mut Netlist, net: NetId, sinks: &[(InstId, usize)]) {
+fn invert_at(n: &mut Netlist, net: NetId, sinks: &[(InstId, u32)]) {
     let inv = n.add_gate_fn("bug_inv", CellFunction::Inv, &[net]).unwrap();
     for &(inst, pin) in sinks {
-        n.replace_input(inst, pin, inv);
+        n.replace_input(inst, pin as usize, inv);
     }
 }
 
