@@ -1,7 +1,6 @@
 //! Criterion bench for claim C14's substrate: fault simulation and ATPG.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use eda_bench::{median_seconds, scaling_threads};
 use eda_dft::{
     compressed_fault_sim, fault_list, fault_sim, insert_scan, random_patterns,
     run_atpg, AtpgConfig, CombView, TestAccess,
@@ -17,7 +16,7 @@ fn bench_fault_sim(c: &mut Criterion) {
     for patterns in [32usize, 64, 128] {
         let pats = random_patterns(&view, patterns, 7);
         group.bench_with_input(BenchmarkId::from_parameter(patterns), &pats, |b, p| {
-            b.iter(|| black_box(fault_sim(&design, &view, &faults, p, 1).0.num_detected))
+            b.iter(|| black_box(fault_sim(&design, &view, &faults, p).num_detected))
         });
     }
     group.finish();
@@ -34,7 +33,7 @@ fn bench_fault_sim_flow_sized(c: &mut Criterion) {
     let mut group = c.benchmark_group("fault_sim");
     group.sample_size(10);
     group.bench_function("fabric8x16_96", |b| {
-        b.iter(|| black_box(fault_sim(&design, &view, &faults, &pats, 1).0.num_detected))
+        b.iter(|| black_box(fault_sim(&design, &view, &faults, &pats).num_detected))
     });
     group.finish();
 }
@@ -78,33 +77,11 @@ fn bench_compression(c: &mut Criterion) {
     });
 }
 
-/// Thread-scaling row, a labelled PROJECTION (busiest worker's CPU seconds,
-/// not a wall clock): the parallel fault simulator at `EDA_BENCH_THREADS`
-/// workers (bit-identical coverage at any thread count).
-fn bench_fault_sim_scaling(_c: &mut Criterion) {
-    let design = generate::random_logic(generate::RandomLogicConfig {
-        gates: 600,
-        seed: 8,
-        ..Default::default()
-    })
-    .unwrap();
-    let view = CombView::new(&design).unwrap();
-    let faults = fault_list(&design);
-    let pats = random_patterns(&view, 128, 4);
-    for threads in scaling_threads() {
-        let s = median_seconds(5, || {
-            fault_sim(&design, &view, &faults, &pats, threads).1.projected_wall_s()
-        });
-        println!("BENCHLINE fault_sim_par/{threads} {s:.9e}");
-    }
-}
-
 criterion_group!(
     benches,
     bench_fault_sim,
     bench_fault_sim_flow_sized,
     bench_atpg,
-    bench_compression,
-    bench_fault_sim_scaling
+    bench_compression
 );
 criterion_main!(benches);

@@ -63,7 +63,7 @@ type CliResult = Result<(), CliError>;
 /// A claim id paired with the function that regenerates it.
 type Claim = (&'static str, fn() -> CliResult);
 
-/// Worker threads for every parallel kernel (`0` = all cores), set once from
+/// Worker threads for the flows the claims run (`0` = all cores), set once from
 /// `--threads` before any claim runs.
 static THREADS: AtomicUsize = AtomicUsize::new(0);
 
@@ -1302,10 +1302,8 @@ fn c8() -> CliResult {
     Ok(())
 }
 
-/// C9 — multicore P&R throughput, and the deterministic parallel kernels.
+/// C9 — multicore P&R throughput.
 fn c9() -> CliResult {
-    use eda_dft::{fault_sim, random_patterns};
-
     header("c9", "P&R throughput ~1M instances/day on multicore farms (Rossi)");
     // Scale-tier mesh, not the old 3k-gate random design: per-stripe refine
     // passes at this size run well past the 1 µs clock floor, so the
@@ -1317,7 +1315,7 @@ fn c9() -> CliResult {
         "{:>8} {:>12} {:>14} {:>16} {:>10}",
         "threads", "core-sec", "inst/sec", "inst/day", "hpwl"
     );
-    // Projected timing: every kernel measures each worker's busy time and
+    // Projected timing: the placer measures each worker's busy time and
     // takes the per-dispatch maximum, i.e. the wall clock a real multicore
     // farm would see (this host may have fewer cores than workers). The
     // stripe partition is fixed at 8, so the placement itself is identical
@@ -1346,64 +1344,6 @@ fn c9() -> CliResult {
         );
     }
     println!("shape: throughput scales with cores; absolute numbers reflect the simulator substrate");
-
-    // Per-kernel scaling of the other deterministic parallel kernels: the
-    // same work dispatched at 1/2/4/8 workers, with bit-identical outputs.
-    println!("\nper-kernel scaling (measured wall, then the projection from per-worker CPU clocks):");
-    println!(
-        "{:>10} {:>8} {:>8} {:>12} {:>9} {:>18}",
-        "kernel", "threads", "wall s", "proj wall s", "speedup", "output"
-    );
-    // The speedup column is projected, over the kernel's 1-thread row.
-    let mut proj1 = 0.0;
-    let mut row = |kernel: &str, threads: usize, stats: &eda_par::ParStats, output: String| {
-        let proj = stats.projected_wall_s();
-        if threads == 1 {
-            proj1 = proj;
-        }
-        println!(
-            "{:>10} {:>8} {:>8.3} {:>12.3} {:>8.2}x {:>17}",
-            kernel,
-            threads,
-            stats.wall_s,
-            proj,
-            proj1 / proj,
-            output
-        );
-    };
-
-    // Fault simulation: fault list partitioned across workers.
-    let dft_design = generate::random_logic(generate::RandomLogicConfig {
-        gates: 600,
-        seed: 8,
-        ..Default::default()
-    })?;
-    let view = CombView::new(&dft_design)?;
-    let faults = fault_list(&dft_design);
-    let pats = random_patterns(&view, 128, 4);
-    for threads in [1usize, 2, 4, 8] {
-        let (out, stats) = fault_sim(&dft_design, &view, &faults, &pats, threads);
-        row("fault-sim", threads, &stats, format!("{}/{} detected", out.num_detected, out.total));
-    }
-
-    // OPC: row-chunked convolution + per-fragment correction.
-    let model = OpticalModel::default();
-    let pitch = 110.0;
-    let lines = 24;
-    let target: Vec<(f64, f64)> = (0..lines)
-        .map(|i| {
-            let x = 300.0 + i as f64 * pitch;
-            (x, x + pitch / 2.0)
-        })
-        .collect();
-    let extent = 600.0 + pitch * lines as f64;
-    for threads in [1usize, 2, 4, 8] {
-        let cfg = OpcConfig { threads, ..Default::default() };
-        let (out, stats) = run_opc(&model, &target, extent, &cfg);
-        row("opc", threads, &stats, format!("{:.2}nm rms epe", out.final_rms_epe()));
-    }
-
-    println!("every row's QoR output is bit-identical across thread counts (eda-par contract)");
     Ok(())
 }
 
@@ -1591,8 +1531,8 @@ fn c15() -> CliResult {
             })
             .collect();
         let extent = offset * 2.0 + pitch * lines as f64;
-        let cfg = OpcConfig { threads: threads(), ..Default::default() };
-        let out = run_opc(&model, &target, extent, &cfg).0;
+        let cfg = OpcConfig::default();
+        let out = run_opc(&model, &target, extent, &cfg);
         println!(
             "{:>10.0} {:>12.2} {:>12.2} {:>12}",
             pitch,

@@ -123,10 +123,10 @@ pub struct FlowConfig {
     pub verify_synthesis: bool,
     /// RNG seed for all stochastic stages.
     pub seed: u64,
-    /// Worker threads for every parallel kernel — partitioned placement,
-    /// OPC and fault simulation (`0` = all available cores); synthesis and
-    /// routing run serially. The deterministic parallel layer
-    /// (`eda-par`) guarantees every QoR output
+    /// Worker threads for the one parallel kernel, the partitioned
+    /// placer's stripe refinement (`0` = all available cores); synthesis,
+    /// routing, OPC and fault simulation run serially. The deterministic
+    /// parallel layer (`eda-par`) guarantees every QoR output
     /// is bit-identical for any value of this knob — including the
     /// deterministic section of [`FlowReport::telemetry`], which records
     /// worker counts and wall clocks only in its separate `wall` section.

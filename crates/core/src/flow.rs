@@ -220,7 +220,7 @@ struct Env<'a> {
     plan: PatterningPlan,
     /// The sub-stage memo: per-AIG-pass and route-outcome entries that
     /// survive edits which invalidate a whole stage. Probed only from this
-    /// (orchestrating) thread; misses still fan out to the parallel kernels.
+    /// (orchestrating) thread.
     sub: Option<SubMemo>,
 }
 
@@ -910,8 +910,7 @@ fn litho(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Super
             let deco = decompose(&layout, plan.total_exposures(), eda_tech::SINGLE_EXPOSURE_PITCH_NM, stitch_budget);
             ctx.tel.count("litho.masks", u64::from(deco.masks));
             ctx.tel.count("litho.stitches", deco.stitches as u64);
-            let ocfg = OpcConfig { threads: cfg.threads, ..Default::default() };
-            let ocfg = if ctx.adapt == 0 { ocfg } else { ocfg.backoff() };
+            let ocfg = if ctx.adapt == 0 { OpcConfig::default() } else { OpcConfig::default().backoff() };
             let target: Vec<(f64, f64)> = (0..6)
                 .map(|i| {
                     let x = 200.0 + i as f64 * relaxed_pitch;
@@ -919,8 +918,7 @@ fn litho(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Super
                 })
                 .collect();
             let extent = 400.0 + relaxed_pitch * 6.0;
-            let (opc, opc_par) = run_opc(&model, &target, extent, &ocfg);
-            ctx.tel.kernel("opc:fragments", &opc_par);
+            let opc = run_opc(&model, &target, extent, &ocfg);
             ctx.tel.count("opc.fragment_moves", opc.fragment_moves as u64);
             ctx.tel
                 .count("opc.iterations", opc.rms_epe_history.len().saturating_sub(1) as u64);
@@ -1039,20 +1037,18 @@ fn dft(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Supervi
         return Ok(None);
     }
     let cur = current_netlist(st);
-    let (coverage, par) = sup.run_stage(stage, |ctx: StageCtx<'_>| {
+    st.test_coverage = sup.run_stage(stage, |ctx: StageCtx<'_>| {
         let view = CombView::new(cur).map_err(StageFailure::Netlist)?;
         let faults = fault_list(cur);
         let pats = random_patterns(&view, 96, cfg.seed);
-        let (sim, dft_par) = fault_sim(cur, &view, &faults, &pats, cfg.threads);
-        ctx.tel.kernel("fault_sim:faults", &dft_par);
+        let sim = fault_sim(cur, &view, &faults, &pats);
         ctx.tel.count("dft.faults", sim.total as u64);
         ctx.tel.count("dft.detected", sim.num_detected as u64);
         ctx.tel.count("dft.pattern_blocks", sim.pattern_blocks as u64);
         ctx.tel.gauge("dft.coverage", sim.coverage());
-        Ok(StageTry::Done((sim.coverage(), dft_par)))
+        Ok(StageTry::Done(sim.coverage()))
     })?;
-    st.test_coverage = coverage;
-    Ok(Some(par))
+    Ok(None)
 }
 
 /// Appends one `qor` row plus per-stage `qstage` rows for a completed flow,

@@ -5,7 +5,7 @@
 //! (counters, gauges, and histograms with fixed bucket edges) capturing
 //! per-stage QoR provenance: AIG node counts around every rewrite pass,
 //! router rip-up iterations, OPC fragment moves, fault-sim pattern blocks,
-//! and the parallel-kernel dispatch shapes from `eda-par`.
+//! and the placer's parallel dispatch shape from `eda-par`.
 //!
 //! The design splits hard along the determinism boundary:
 //!

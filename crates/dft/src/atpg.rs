@@ -336,7 +336,7 @@ pub fn run_atpg(netlist: &Netlist, view: &CombView, faults: &[Fault], cfg: &Atpg
     use rand::{Rng, SeedableRng};
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xD1F7);
     let mut patterns = random_patterns(view, cfg.random_patterns, cfg.seed);
-    let sim: FaultSimOutcome = fault_sim(netlist, view, faults, &patterns, 1).0;
+    let sim: FaultSimOutcome = fault_sim(netlist, view, faults, &patterns);
     let mut detected = sim.detected;
     let mut untestable = 0usize;
     let mut aborted = 0usize;
@@ -357,7 +357,7 @@ pub fn run_atpg(netlist: &Netlist, view: &CombView, faults: &[Fault], cfg: &Atpg
                     .map(|(i, &f)| (i, f))
                     .collect();
                 let rem_faults: Vec<Fault> = remaining.iter().map(|&(_, f)| f).collect();
-                let out = fault_sim(netlist, view, &rem_faults, std::slice::from_ref(&pattern), 1).0;
+                let out = fault_sim(netlist, view, &rem_faults, std::slice::from_ref(&pattern));
                 for (k, &(orig, _)) in remaining.iter().enumerate() {
                     if out.detected[k] {
                         detected[orig] = true;
@@ -432,7 +432,7 @@ mod tests {
         let n = generate::equality_comparator(10).unwrap();
         let view = CombView::new(&n).unwrap();
         let faults = fault_list(&n);
-        let rand_only = fault_sim(&n, &view, &faults, &random_patterns(&view, 16, 1), 1).0;
+        let rand_only = fault_sim(&n, &view, &faults, &random_patterns(&view, 16, 1));
         let full = run_atpg(&n, &view, &faults, &AtpgConfig { random_patterns: 16, ..Default::default() });
         assert!(
             full.coverage > rand_only.coverage(),

@@ -43,18 +43,6 @@ impl TestAccess {
     }
 }
 
-/// The XOR spreader: expands `pins` seed bits into `chains` chain heads.
-/// Chain `c` receives the XOR of seed bits `{c, c + 1, 2c} mod pins` — a
-/// fixed, invertible-enough phase-shifter network.
-pub fn spread(seed_bits: &[bool], chains: usize) -> Vec<bool> {
-    let pins = seed_bits.len().max(1);
-    (0..chains)
-        .map(|c| {
-            seed_bits[c % pins] ^ seed_bits[(c + 1) % pins] ^ seed_bits[(2 * c) % pins]
-        })
-        .collect()
-}
-
 /// The XOR compactor: folds `chains` observed bits onto `pins` outputs.
 pub fn compact(chain_bits: &[bool], pins: usize) -> Vec<bool> {
     let pins = pins.max(1);
@@ -135,7 +123,7 @@ pub fn bypass_fault_sim(
     seed: u64,
 ) -> CompressionOutcome {
     let pats = crate::faults::random_patterns(view, num_patterns, seed);
-    let out: FaultSimOutcome = fault_sim(netlist, view, faults, &pats, 1).0;
+    let out: FaultSimOutcome = fault_sim(netlist, view, faults, &pats);
     // Bypass: the whole register is one chain per pin pair.
     let serial = TestAccess {
         scan_pins: access.scan_pins,
@@ -165,9 +153,8 @@ mod tests {
     }
 
     #[test]
-    fn spreader_and_compactor_shapes() {
-        let s = spread(&[true, false, true], 8);
-        assert_eq!(s.len(), 8);
+    fn compactor_preserves_parity() {
+        let s = [true, true, false, true, false, false, true, true];
         let c = compact(&s, 3);
         assert_eq!(c.len(), 3);
         // Compaction XOR-folds: parity preserved.

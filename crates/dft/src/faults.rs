@@ -194,7 +194,7 @@ struct PatternBlock {
 }
 
 /// Packs `patterns` into 64-lane blocks and simulates the good circuit once
-/// per block. The blocks are shared read-only across fault-sim workers.
+/// per block.
 fn pattern_blocks(netlist: &Netlist, view: &CombView, patterns: &[Vec<bool>]) -> Vec<PatternBlock> {
     patterns
         .chunks(64)
@@ -218,7 +218,7 @@ struct ConeSim<'a> {
     observed: Vec<bool>,
 }
 
-/// One worker's scratch, reused across faults and blocks. A net's faulty
+/// The detection scratch, reused across faults and blocks. A net's faulty
 /// value and an instance's place on the worklist count only while their
 /// stamp equals `epoch`, so starting the next (fault, block) is one
 /// increment instead of a clear.
@@ -326,33 +326,15 @@ impl<'a> ConeSim<'a> {
 /// are dropped once detected.
 ///
 /// `patterns[k]` is one test: a vector of bits per [`CombView::inputs`]
-/// position. The fault list is partitioned across `threads` workers (`0` =
-/// all cores). Pattern blocks and good-circuit responses are computed once
-/// and shared; each fault is an independent detection query, so the
-/// `detected` map is **bit-identical for any thread count** — detections
-/// merge as an order-independent union reassembled in fault-list order.
-pub fn fault_sim(
-    netlist: &Netlist,
-    view: &CombView,
-    faults: &[Fault],
-    patterns: &[Vec<bool>],
-    threads: usize,
-) -> (FaultSimOutcome, eda_par::ParStats) {
+/// position. Pattern blocks and good-circuit responses are computed once;
+/// each fault is then an independent detection query, run in fault-list
+/// order on one reused scratch.
+pub fn fault_sim(netlist: &Netlist, view: &CombView, faults: &[Fault], patterns: &[Vec<bool>]) -> FaultSimOutcome {
     let sim = ConeSim::new(netlist, view, patterns);
-    let chunk = eda_par::default_chunk(faults.len());
-    let (chunks, stats) = eda_par::par_chunks_stats(threads, faults.len(), chunk, |range| {
-        let mut scratch = sim.scratch();
-        faults[range].iter().map(|f| sim.detects(f, &mut scratch)).collect::<Vec<bool>>()
-    });
-    let detected = chunks.concat();
+    let mut scratch = sim.scratch();
+    let detected: Vec<bool> = faults.iter().map(|f| sim.detects(f, &mut scratch)).collect();
     let num_detected = detected.iter().filter(|&&d| d).count();
-    let outcome = FaultSimOutcome {
-        detected,
-        num_detected,
-        total: faults.len(),
-        pattern_blocks: sim.blocks.len(),
-    };
-    (outcome, stats)
+    FaultSimOutcome { detected, num_detected, total: faults.len(), pattern_blocks: sim.blocks.len() }
 }
 
 /// Generates `count` seeded random patterns for a view.
@@ -369,6 +351,7 @@ pub fn random_patterns(view: &CombView, count: usize, seed: u64) -> Vec<Vec<bool
 mod tests {
     use super::*;
     use eda_netlist::generate;
+    use eda_netlist::memo::fnv1a;
 
     #[test]
     fn comb_view_matches_netlist_simulation() {
@@ -399,7 +382,7 @@ mod tests {
         let view = CombView::new(&n).unwrap();
         let faults = fault_list(&n);
         let pats = random_patterns(&view, 64, 11);
-        let out = fault_sim(&n, &view, &faults, &pats, 1).0;
+        let out = fault_sim(&n, &view, &faults, &pats);
         assert!(
             out.coverage() > 0.99,
             "XOR trees are random-testable, got {:.3}",
@@ -417,14 +400,17 @@ mod tests {
         .unwrap();
         let view = CombView::new(&n).unwrap();
         let faults = fault_list(&n);
-        let few = fault_sim(&n, &view, &faults, &random_patterns(&view, 8, 4), 1).0;
-        let many = fault_sim(&n, &view, &faults, &random_patterns(&view, 128, 4), 1).0;
+        let few = fault_sim(&n, &view, &faults, &random_patterns(&view, 8, 4));
+        let many = fault_sim(&n, &view, &faults, &random_patterns(&view, 128, 4));
         assert!(many.num_detected >= few.num_detected);
         assert!(many.coverage() > 0.5);
     }
 
+    /// The `detected` map of a 150-gate random design, recorded while the
+    /// fault list was still chunked over worker threads (each fault was an
+    /// independent query, merged in fault-list order).
     #[test]
-    fn threaded_fault_sim_matches_serial_exactly() {
+    fn fault_sim_is_pinned() {
         let n = generate::random_logic(generate::RandomLogicConfig {
             gates: 150,
             seed: 5,
@@ -433,14 +419,9 @@ mod tests {
         .unwrap();
         let view = CombView::new(&n).unwrap();
         let faults = fault_list(&n);
-        let pats = random_patterns(&view, 96, 3);
-        let serial = fault_sim(&n, &view, &faults, &pats, 1).0;
-        for threads in [2, 4, 8] {
-            let (par, stats) = fault_sim(&n, &view, &faults, &pats, threads);
-            assert_eq!(par.detected, serial.detected, "threads={threads}");
-            assert_eq!(par.num_detected, serial.num_detected);
-            assert!(stats.threads >= 1);
-        }
+        let out = fault_sim(&n, &view, &faults, &random_patterns(&view, 96, 3));
+        assert_eq!((out.total, out.num_detected), (404, 278));
+        assert_eq!(fnv1a(out.detected.iter().map(|&d| u8::from(d))), 0xdb5a_c2cf_35f8_62ed);
     }
 
     /// The kernel the cone walk replaced, kept as its oracle: re-simulate the
@@ -478,7 +459,7 @@ mod tests {
             // 70 and 96 patterns: the last block is partial both times.
             for count in [70, 96] {
                 let pats = random_patterns(&view, count, 17);
-                let got = fault_sim(n, &view, &faults, &pats, 1).0;
+                let got = fault_sim(n, &view, &faults, &pats);
                 for (f, &detected) in faults.iter().zip(&got.detected) {
                     assert_eq!(
                         detected,
@@ -508,7 +489,7 @@ mod tests {
         let view = CombView::new(&n).unwrap();
         let faults = [Fault { net: y, stuck_at: false }, Fault { net: y, stuck_at: true }];
         let pats = random_patterns(&view, 70, 2);
-        let got = fault_sim(&n, &view, &faults, &pats, 1).0;
+        let got = fault_sim(&n, &view, &faults, &pats);
         assert_eq!(got.detected, [false, true]);
         for (f, &d) in faults.iter().zip(&got.detected) {
             assert_eq!(d, detects_by_full_resim(&n, &view, f, &pats));
@@ -531,7 +512,7 @@ mod tests {
         let faults: Vec<Fault> =
             ins.iter().chain(&[ab, abc, y, z]).map(|&net| Fault { net, stuck_at: true }).collect();
         let pats: Vec<Vec<bool>> = (1..71usize).map(|k| (0..4).map(|i| (k % 15 + 1) >> i & 1 == 1).collect()).collect();
-        let got = fault_sim(&n, &view, &faults, &pats, 1).0;
+        let got = fault_sim(&n, &view, &faults, &pats);
         assert_eq!(got.detected, vec![false; faults.len()]);
         assert!(faults.iter().all(|f| !detects_by_full_resim(&n, &view, f, &pats)));
     }

@@ -29,9 +29,7 @@ pub mod faults;
 pub mod scan;
 
 pub use atpg::{generate_test, run_atpg, AtpgConfig, AtpgOutcome, AtpgResult};
-pub use compress::{
-    bypass_fault_sim, compact, compressed_fault_sim, spread, CompressionOutcome, TestAccess,
-};
+pub use compress::{bypass_fault_sim, compact, compressed_fault_sim, CompressionOutcome, TestAccess};
 pub use faults::{
     fault_list, fault_sim, random_patterns, CombView, Fault, FaultSimOutcome,
 };

@@ -37,28 +37,14 @@ impl OpticalModel {
     /// Simulates printing of a 1-D mask.
     ///
     /// `mask` gives `(start, end)` transparent intervals in nm over
-    /// `[0, extent_nm]`. Returns the printed intervals after thresholding;
-    /// the convolution is spread over `threads` workers (`0` = all cores).
-    pub fn print(
-        &self,
-        mask: &[(f64, f64)],
-        extent_nm: f64,
-        threads: usize,
-    ) -> (Vec<(f64, f64)>, eda_par::ParStats) {
-        let (image, stats) = self.image(mask, extent_nm, threads);
-        (self.threshold_image(&image), stats)
+    /// `[0, extent_nm]`. Returns the printed intervals after thresholding.
+    pub fn print(&self, mask: &[(f64, f64)], extent_nm: f64) -> Vec<(f64, f64)> {
+        self.threshold_image(&self.image(mask, extent_nm))
     }
 
-    /// The sampled aerial image for a mask, the sample axis chunked across
-    /// `threads` workers. Each output sample is an independent kernel dot
-    /// product over the shared rasterized mask, and chunks reassemble in
-    /// sample order, so the image is bit-identical for any thread count.
-    pub fn image(
-        &self,
-        mask: &[(f64, f64)],
-        extent_nm: f64,
-        threads: usize,
-    ) -> (Vec<f64>, eda_par::ParStats) {
+    /// The sampled aerial image for a mask: one kernel dot product over the
+    /// rasterized mask per output sample, in sample order.
+    pub fn image(&self, mask: &[(f64, f64)], extent_nm: f64) -> Vec<f64> {
         let n = (extent_nm / self.step_nm).ceil() as usize + 1;
         let sigma = self.sigma_nm();
         let half = (4.0 * sigma / self.step_nm).ceil() as i64;
@@ -84,27 +70,18 @@ impl OpticalModel {
                 *s = 1.0;
             }
         }
-        // Convolve, chunked over the sample axis.
-        let (chunks, stats) =
-            eda_par::par_chunks_stats(threads, n, eda_par::default_chunk(n), |range| {
-                range
-                    .map(|i| {
-                        let mut acc = 0.0;
-                        for (ki, k) in (-half..=half).enumerate() {
-                            let j = i as i64 + k;
-                            if j >= 0 && (j as usize) < n {
-                                acc += m[j as usize] * kernel[ki];
-                            }
-                        }
-                        acc
-                    })
-                    .collect::<Vec<f64>>()
-            });
-        let mut img = Vec::with_capacity(n);
-        for c in chunks {
-            img.extend(c);
-        }
-        (img, stats)
+        (0..n)
+            .map(|i| {
+                let mut acc = 0.0;
+                for (ki, k) in (-half..=half).enumerate() {
+                    let j = i as i64 + k;
+                    if j >= 0 && (j as usize) < n {
+                        acc += m[j as usize] * kernel[ki];
+                    }
+                }
+                acc
+            })
+            .collect()
     }
 
     /// Thresholds a sampled image into printed intervals.
@@ -136,7 +113,7 @@ impl OpticalModel {
         let mask: Vec<(f64, f64)> = (0..lines)
             .map(|i| (i as f64 * pitch_nm, i as f64 * pitch_nm + pitch_nm / 2.0))
             .collect();
-        let (img, _) = self.image(&mask, extent, 1);
+        let img = self.image(&mask, extent);
         // Ignore the boundary third on each side.
         let lo = img.len() / 3;
         let hi = 2 * img.len() / 3;
@@ -154,38 +131,38 @@ impl OpticalModel {
 }
 
 /// Edge-placement errors of printed intervals against target intervals, in
-/// nm. Each target edge is matched to the nearest printed edge; unmatched
-/// targets get an error equal to half the target width (missing feature).
-///
-/// The per-fragment evaluation is partitioned across `threads` workers. Each
-/// fragment's two edge errors depend only on that fragment and the shared
-/// printed contours, and the flattened result keeps fragment order, so the
-/// field is bit-identical for any thread count.
-pub fn edge_placement_errors(
-    target: &[(f64, f64)],
-    printed: &[(f64, f64)],
-    threads: usize,
-) -> Vec<f64> {
-    let per_fragment = eda_par::par_map(threads, target, |_, &(t0, t1)| {
-        let miss = (t1 - t0) / 2.0;
-        let e0 = printed
-            .iter()
-            .map(|&(p0, _)| (p0 - t0).abs())
-            .fold(f64::INFINITY, f64::min);
-        let e1 = printed
-            .iter()
-            .map(|&(_, p1)| (p1 - t1).abs())
-            .fold(f64::INFINITY, f64::min);
-        [
-            if e0.is_finite() { e0.min(miss) } else { miss },
-            if e1.is_finite() { e1.min(miss) } else { miss },
-        ]
-    });
-    let mut errors = Vec::with_capacity(target.len() * 2);
-    for pair in per_fragment {
-        errors.extend(pair);
-    }
-    errors
+/// nm, two per target fragment in fragment order. Each target edge is
+/// matched to the nearest printed edge; unmatched targets get an error equal
+/// to half the target width (missing feature).
+pub fn edge_placement_errors(target: &[(f64, f64)], printed: &[(f64, f64)]) -> Vec<f64> {
+    target
+        .iter()
+        .flat_map(|&(t0, t1)| {
+            let miss = (t1 - t0) / 2.0;
+            let e0 = printed
+                .iter()
+                .map(|&(p0, _)| (p0 - t0).abs())
+                .fold(f64::INFINITY, f64::min);
+            let e1 = printed
+                .iter()
+                .map(|&(_, p1)| (p1 - t1).abs())
+                .fold(f64::INFINITY, f64::min);
+            [
+                if e0.is_finite() { e0.min(miss) } else { miss },
+                if e1.is_finite() { e1.min(miss) } else { miss },
+            ]
+        })
+        .collect()
+}
+
+/// FNV-1a over the little-endian bits of `values`: the digest the pinned
+/// tests compare.
+#[cfg(test)]
+pub(crate) fn fnv_bits(values: impl IntoIterator<Item = f64>) -> u64 {
+    values
+        .into_iter()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
 }
 
 /// Root-mean-square of a set of EPEs.
@@ -204,9 +181,9 @@ mod tests {
     fn isolated_big_feature_prints_accurately() {
         let m = OpticalModel::default();
         let target = vec![(200.0, 600.0)];
-        let printed = m.print(&target, 800.0, 1).0;
+        let printed = m.print(&target, 800.0);
         assert_eq!(printed.len(), 1);
-        let epe = edge_placement_errors(&target, &printed, 1);
+        let epe = edge_placement_errors(&target, &printed);
         assert!(rms(&epe) < 5.0, "large isolated feature should print true, rms={}", rms(&epe));
     }
 
@@ -229,7 +206,7 @@ mod tests {
             let x = 200.0 + i as f64 * pitch;
             (x, x + pitch / 2.0)
         }).collect();
-        let printed = m.print(&mask, 1000.0, 1).0;
+        let printed = m.print(&mask, 1000.0);
         assert!(
             printed.len() < 10,
             "40nm-pitch lines must merge/vanish in a single exposure, got {}",
@@ -240,7 +217,7 @@ mod tests {
     #[test]
     fn epe_of_perfect_print_is_zero() {
         let target = vec![(100.0, 200.0), (300.0, 400.0)];
-        let epe = edge_placement_errors(&target, &target, 1);
+        let epe = edge_placement_errors(&target, &target);
         assert!(epe.iter().all(|&e| e == 0.0));
         assert_eq!(rms(&epe), 0.0);
     }
@@ -248,12 +225,15 @@ mod tests {
     #[test]
     fn missing_feature_charged_half_width() {
         let target = vec![(100.0, 160.0)];
-        let epe = edge_placement_errors(&target, &[], 1);
+        let epe = edge_placement_errors(&target, &[]);
         assert_eq!(epe, vec![30.0, 30.0]);
     }
 
+    /// The image and EPE field of a 20-line mask, recorded while the sample
+    /// axis and the fragments were still chunked over worker threads (each
+    /// sample and each fragment was an independent query, merged in order).
     #[test]
-    fn threaded_image_is_bit_identical() {
+    fn image_is_pinned() {
         let m = OpticalModel::default();
         let mask: Vec<(f64, f64)> = (0..20)
             .map(|i| {
@@ -261,23 +241,12 @@ mod tests {
                 (x, x + 65.0)
             })
             .collect();
-        let serial = m.image(&mask, 3000.0, 1).0;
-        for threads in [2, 4, 8] {
-            let (par, _) = m.image(&mask, 3000.0, threads);
-            assert_eq!(par.len(), serial.len());
-            for (i, (a, b)) in serial.iter().zip(&par).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "sample {i}, threads={threads}");
-            }
-        }
-        let printed = m.print(&mask, 3000.0, 1).0;
-        let epe_serial = edge_placement_errors(&mask, &printed, 1);
-        for threads in [2, 8] {
-            let epe_par = edge_placement_errors(&mask, &printed, threads);
-            assert_eq!(epe_serial.len(), epe_par.len());
-            for (a, b) in epe_serial.iter().zip(&epe_par) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
+        let image = m.image(&mask, 3000.0);
+        assert_eq!(image.len(), 3001);
+        assert_eq!(fnv_bits(image.iter().copied()), 0xef63_7dc2_f0a5_103d);
+        let epe = edge_placement_errors(&mask, &m.print(&mask, 3000.0));
+        assert_eq!(epe.len(), 40);
+        assert_eq!(fnv_bits(epe.iter().copied()), 0xf05e_74aa_1eda_9c25);
     }
 
     #[test]

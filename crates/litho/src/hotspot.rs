@@ -61,13 +61,13 @@ impl Default for HotspotConfig {
     }
 }
 
-/// The 1-D cross-section of a feature perpendicular to its long axis,
-/// `(position, width)` along the section line.
-fn cross_section(r: &Rect) -> (f64, f64) {
+/// The width of a feature's 1-D cross-section perpendicular to its long
+/// axis.
+fn cross_section(r: &Rect) -> f64 {
     if r.width() >= r.height() {
-        (r.y0, r.height())
+        r.height()
     } else {
-        (r.x0, r.width())
+        r.width()
     }
 }
 
@@ -82,11 +82,10 @@ pub fn find_hotspots(layout: &Layout, model: &OpticalModel, cfg: &HotspotConfig)
     let n = layout.features.len();
     // Per-feature isolated print check (necking/missing).
     for (i, r) in layout.features.iter().enumerate() {
-        let (pos, width) = cross_section(r);
+        let width = cross_section(r);
         let margin = 4.0 * model.sigma_nm() + 50.0;
         let mask = vec![(margin, margin + width)];
-        let printed = model.print(&mask, 2.0 * margin + width, 1).0;
-        let _ = pos;
+        let printed = model.print(&mask, 2.0 * margin + width);
         match printed.first() {
             None => out.push(Hotspot::Missing { index: i }),
             Some(&(p0, p1)) => {
@@ -105,15 +104,14 @@ pub fn find_hotspots(layout: &Layout, model: &OpticalModel, cfg: &HotspotConfig)
             if gap <= 0.0 || gap > cfg.search_radius_nm || !parallel(a, b) {
                 continue;
             }
-            let (_, wa) = cross_section(a);
-            let (_, wb) = cross_section(b);
+            let (wa, wb) = (cross_section(a), cross_section(b));
             let margin = 4.0 * model.sigma_nm() + 50.0;
             let mask = vec![
                 (margin, margin + wa),
                 (margin + wa + gap, margin + wa + gap + wb),
             ];
             let extent = 2.0 * margin + wa + gap + wb;
-            let printed = model.print(&mask, extent, 1).0;
+            let printed = model.print(&mask, extent);
             // Fewer than two printed intervals means the pair merged (one
             // blob) or proximity destroyed both — either way, a bridge-class
             // failure between these neighbours.

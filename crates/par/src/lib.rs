@@ -1,11 +1,12 @@
 //! Deterministic parallel execution for the eda workspace.
 //!
-//! Every parallel kernel in the flow — fault simulation, OPC, the
-//! partitioned placer, the experiments harness — funnels its parallelism
-//! through this crate so that one `threads` knob controls them all and
-//! every kernel is **bit-identical for any thread count**. Synthesis and
-//! routing run serially: their parallel schedules never beat one worker on
-//! the hosts measured.
+//! One kernel in the flow dispatches through this crate: the partitioned
+//! placer's stripe refinement (`eda_place::place_parallel`), driven by the
+//! flow's `threads` knob and bit-identical for any thread count. Synthesis,
+//! routing, OPC and fault simulation run serially: their parallel
+//! dispatches never beat one worker on the hosts measured. The request
+//! engine reads [`resolve_threads`] to split its thread budget, and a
+//! router test reads [`thread_cpu_seconds`] as a load-proof clock.
 //!
 //! The determinism contract rests on two rules:
 //!
@@ -14,8 +15,8 @@
 //!    workers take chunks round-robin (worker `w` gets chunks `w`, `w + K`,
 //!    `w + 2K`, …), and which worker computes a chunk cannot affect its
 //!    result.
-//! 2. **Results are reassembled in chunk order.** Callers merge the chunk
-//!    results sequentially, so any floating-point reduction over them is
+//! 2. **Results are reassembled in chunk order.** The chunk results are
+//!    merged sequentially, so any floating-point reduction over them is
 //!    identical at `threads = 1` and `threads = N`.
 //!
 //! Per DESIGN.md §3 the layer is built directly on [`std::thread::scope`] —
@@ -90,11 +91,6 @@ impl ParStats {
         self.critical_s += other.critical_s;
     }
 
-    /// Total CPU seconds burned across workers — the serial-equivalent cost.
-    pub fn total_cpu_s(&self) -> f64 {
-        self.cpu_s
-    }
-
     /// Wall clock a host with one dedicated core per worker would observe:
     /// the sum over dispatches of the busiest worker's CPU time.
     pub fn projected_wall_s(&self) -> f64 {
@@ -103,7 +99,7 @@ impl ParStats {
 
     /// Projected speedup over running the same work serially.
     pub fn projected_speedup(&self) -> f64 {
-        self.total_cpu_s() / self.projected_wall_s()
+        self.cpu_s / self.projected_wall_s()
     }
 
     /// [`projected_speedup`](Self::projected_speedup) clamped to what the
@@ -133,45 +129,21 @@ impl ParStats {
 /// Picks a chunk size from the input length alone (never the thread count),
 /// aiming for enough chunks to balance load while keeping per-chunk overhead
 /// negligible.
-pub fn default_chunk(len: usize) -> usize {
+fn default_chunk(len: usize) -> usize {
     // ~64 chunks across the input, at least 1 item each.
     (len / 64).max(1)
 }
 
 /// Splits `len` items into contiguous chunks of `chunk` items (the last may
 /// be short). The partition depends only on `len` and `chunk`.
-pub fn chunk_ranges(len: usize, chunk: usize) -> Vec<Range<usize>> {
+fn chunk_ranges(len: usize, chunk: usize) -> Vec<Range<usize>> {
     assert!(chunk > 0, "chunk size must be positive");
     (0..len.div_ceil(chunk))
         .map(|c| c * chunk..((c + 1) * chunk).min(len))
         .collect()
 }
 
-/// Applies `f` to every fixed-size chunk of `0..len`, returning the chunk
-/// results **in chunk order** together with execution stats.
-///
-/// This is the layer's core primitive: `f` sees a contiguous index range and
-/// must depend only on that range (plus captured shared state), never on
-/// which worker runs it. Chunks are assigned round-robin so each worker's
-/// measured busy time reflects its share of the work even when the host has
-/// fewer cores than workers (dynamic stealing would let one time-sliced
-/// worker drain a short dispatch and skew the projection).
-pub fn par_chunks_stats<R, F>(
-    threads: usize,
-    len: usize,
-    chunk: usize,
-    f: F,
-) -> (Vec<R>, ParStats)
-where
-    R: Send,
-    F: Fn(Range<usize>) -> R + Sync,
-{
-    let ranges = chunk_ranges(len, chunk);
-    let workers = resolve_threads(threads).min(ranges.len()).max(1);
-    dispatch(workers, ranges.len(), |c| f(ranges[c].clone()))
-}
-
-/// The one dispatch loop under every `par_*` entry point: runs tasks
+/// The one dispatch loop under [`par_map_stats`]: runs tasks
 /// `0..n` over `workers <= max(n, 1)` slots, task `c` owned by slot
 /// `c % workers`, and returns the results in task order. One worker or at
 /// most one task runs inline on the caller.
@@ -217,32 +189,26 @@ where
 }
 
 /// Parallel map over a slice: `out[i] == f(i, &items[i])` for every `i`,
-/// in input order, for any thread count.
-pub fn par_map<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map_stats(threads, items, f).0
-}
-
-/// [`par_map`] with execution stats.
+/// in input order, for any thread count, with execution stats.
+///
+/// The items are split into `default_chunk`-sized chunks, assigned
+/// round-robin so each worker's measured busy time reflects its share of
+/// the work even when the host has fewer cores than workers (dynamic
+/// stealing would let one time-sliced worker drain a short dispatch and
+/// skew the projection). `f` must depend only on its item (plus captured
+/// shared state), never on which worker runs it.
 pub fn par_map_stats<T, R, F>(threads: usize, items: &[T], f: F) -> (Vec<R>, ParStats)
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let chunk = default_chunk(items.len());
-    let (chunks, stats) = par_chunks_stats(threads, items.len(), chunk, |range| {
-        range.map(|i| f(i, &items[i])).collect::<Vec<R>>()
+    let ranges = chunk_ranges(items.len(), default_chunk(items.len()));
+    let workers = resolve_threads(threads).min(ranges.len()).max(1);
+    let (chunks, stats) = dispatch(workers, ranges.len(), |c| {
+        ranges[c].clone().map(|i| f(i, &items[i])).collect::<Vec<R>>()
     });
-    let mut out = Vec::with_capacity(items.len());
-    for c in chunks {
-        out.extend(c);
-    }
-    (out, stats)
+    (chunks.into_iter().flatten().collect(), stats)
 }
 
 #[cfg(test)]
@@ -253,7 +219,7 @@ mod tests {
     fn map_preserves_input_order() {
         let items: Vec<u64> = (0..1000).collect();
         for threads in [1, 2, 3, 8] {
-            let out = par_map(threads, &items, |i, &v| v * 2 + i as u64);
+            let out = par_map_stats(threads, &items, |i, &v| v * 2 + i as u64).0;
             assert_eq!(out.len(), items.len());
             for (i, &v) in out.iter().enumerate() {
                 assert_eq!(v, items[i] * 2 + i as u64);
@@ -305,8 +271,8 @@ mod tests {
         assert_eq!(both.bounded_speedup(), 1.0);
 
         // A live one-task dispatch is its own critical path.
-        let (_, one) = par_chunks_stats(4, 1, 1, |_| {
-            std::hint::black_box((0..20_000u64).fold(42u64, |a, x| a.wrapping_mul(31) ^ x))
+        let (_, one) = par_map_stats(4, &[42u64], |_, &v| {
+            std::hint::black_box((0..20_000u64).fold(v, |a, x| a.wrapping_mul(31) ^ x))
         });
         assert_eq!(one.critical_s, one.cpu_s);
     }
@@ -338,13 +304,13 @@ mod tests {
     fn zero_threads_means_available() {
         assert_eq!(resolve_threads(0), available_threads());
         assert_eq!(resolve_threads(3), 3);
-        let out = par_map(0, &[1, 2, 3], |_, &v| v + 1);
+        let out = par_map_stats(0, &[1, 2, 3], |_, &v| v + 1).0;
         assert_eq!(out, vec![2, 3, 4]);
     }
 
     #[test]
     fn empty_input_is_fine() {
-        let out: Vec<u32> = par_map(4, &[] as &[u32], |_, &v| v);
+        let out: Vec<u32> = par_map_stats(4, &[] as &[u32], |_, &v| v).0;
         assert!(out.is_empty());
     }
 
