@@ -132,8 +132,11 @@ pub(crate) struct CutSet {
 }
 
 impl CutSet {
+    /// Reserves the arena at its bound, `MAX_CUTS` per node, so it never
+    /// doubles and copies itself (the 50 k mesh stores more than 6 cuts
+    /// per node). Pages past the used part are never touched.
     fn with_nodes(n: usize) -> CutSet {
-        CutSet { cuts: Vec::with_capacity(n * (MAX_CUTS - 2)), span: vec![(0, 0); n] }
+        CutSet { cuts: Vec::with_capacity(n * MAX_CUTS), span: vec![(0, 0); n] }
     }
 
     fn store(&mut self, node: usize, list: &CutList) {

@@ -6,13 +6,13 @@
 //! a router that double-counts an edge or leaves a rip-up victim's old
 //! demand behind does so identically every time. This check shares no code
 //! with the bookkeeping it audits (`commit`, [`RoutingGrid::add_run`], the
-//! canonical commit loop): demand is rebuilt edge by edge from each run into
-//! fresh vectors with its own edge indexing, the search window is recomputed
-//! from the pins, and overflow is re-summed from the rebuilt demand.
+//! canonical commit loop) beyond reading each wire through [`Wires::get`]:
+//! demand is rebuilt edge by edge from each run into fresh vectors with its
+//! own edge indexing, the search window is recomputed from the pins, and
+//! overflow is re-summed from the rebuilt demand.
 
 use crate::grid::{GCell, RoutingGrid};
-use crate::maze::Path;
-use crate::router::TwoPin;
+use crate::router::{TwoPin, Wires};
 
 /// Checks one pass: every connection has a path that starts at its source,
 /// ends at its target and is a canonical corner list — each consecutive
@@ -25,19 +25,19 @@ use crate::router::TwoPin;
 pub(crate) fn audit_pass(
     grid: &RoutingGrid,
     pairs: &[TwoPin],
-    paths: &[Option<Path>],
+    wires: &Wires,
     window_margin: u32,
 ) -> Result<(), String> {
     let (w, h) = (grid.width, grid.height);
-    if paths.len() != pairs.len() {
-        return Err(format!("{} paths for {} connections", paths.len(), pairs.len()));
+    if wires.len() != pairs.len() {
+        return Err(format!("{} wires for {} connections", wires.len(), pairs.len()));
     }
     let reach = if window_margin == 0 { w.max(h) } else { window_margin };
     // Edge (x, y)→(x+1, y) at `y * (w - 1) + x`; (x, y)→(x, y+1) at `y * w + x`.
     let mut across = vec![0u32; ((w - 1) * h) as usize];
     let mut up = vec![0u32; (w * (h - 1)) as usize];
-    for (i, (tp, path)) in pairs.iter().zip(paths).enumerate() {
-        let path = path.as_ref().ok_or_else(|| format!("connection {i} has no path"))?;
+    for (i, tp) in pairs.iter().enumerate() {
+        let path = wires.get(i).ok_or_else(|| format!("connection {i} has no path"))?;
         if path.first() != Some(&tp.src) || path.last() != Some(&tp.dst) {
             return Err(format!("connection {i}: path does not join {:?} to {:?}", tp.src, tp.dst));
         }
@@ -112,52 +112,59 @@ pub(crate) fn audit_pass(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::maze::Path;
     use crate::rules::RuleDeck;
 
     fn cell(x: u32, y: u32) -> GCell {
         GCell::new(x, y)
     }
 
+    /// A one-connection store holding `path` as given, canonical or not.
+    fn stored(path: &[GCell]) -> Wires {
+        let mut wires = Wires::new(1);
+        wires.set(0, path.iter().copied());
+        wires
+    }
+
     /// An L-shaped connection committed by hand, plus the knobs each test
     /// turns to break it.
-    fn fixture() -> (RoutingGrid, Vec<TwoPin>, Vec<Option<Path>>) {
+    fn fixture() -> (RoutingGrid, Vec<TwoPin>, Path) {
         let mut grid = RoutingGrid::new(8, 8, &RuleDeck::simple(2));
         for (a, b) in [(cell(1, 1), cell(2, 1)), (cell(2, 1), cell(3, 1)), (cell(3, 1), cell(3, 2))] {
             grid.add_usage(a, b, 1);
         }
         let pair = TwoPin { src: cell(1, 1), dst: cell(3, 2), fanout: 2 };
-        (grid, vec![pair], vec![Some(vec![cell(1, 1), cell(3, 1), cell(3, 2)])])
+        (grid, vec![pair], vec![cell(1, 1), cell(3, 1), cell(3, 2)])
     }
 
     #[test]
     fn a_consistent_pass_is_accepted() {
-        let (grid, pairs, paths) = fixture();
-        assert_eq!(audit_pass(&grid, &pairs, &paths, 0), Ok(()));
-        assert_eq!(audit_pass(&grid, &pairs, &paths, 1), Ok(()));
+        let (grid, pairs, path) = fixture();
+        assert_eq!(audit_pass(&grid, &pairs, &stored(&path), 0), Ok(()));
+        assert_eq!(audit_pass(&grid, &pairs, &stored(&path), 1), Ok(()));
     }
 
     #[test]
     fn leaked_and_missing_demand_are_caught() {
-        let (mut grid, pairs, paths) = fixture();
+        let (mut grid, pairs, path) = fixture();
         grid.add_usage(cell(5, 5), cell(5, 6), 1);
-        let err = audit_pass(&grid, &pairs, &paths, 0).unwrap_err();
+        let err = audit_pass(&grid, &pairs, &stored(&path), 0).unwrap_err();
         assert!(err.contains("paths demand 0, grid holds 1"), "{err}");
-        let (mut grid, pairs, paths) = fixture();
+        let (mut grid, pairs, path) = fixture();
         grid.add_usage(cell(1, 1), cell(2, 1), -1);
-        let err = audit_pass(&grid, &pairs, &paths, 0).unwrap_err();
+        let err = audit_pass(&grid, &pairs, &stored(&path), 0).unwrap_err();
         assert!(err.contains("paths demand 1, grid holds 0"), "{err}");
     }
 
     #[test]
     fn illegal_paths_are_caught() {
         let broken = |edit: fn(&mut Path)| {
-            let (grid, pairs, mut paths) = fixture();
-            edit(paths[0].as_mut().unwrap());
-            audit_pass(&grid, &pairs, &paths, 0).unwrap_err()
+            let (grid, pairs, mut path) = fixture();
+            edit(&mut path);
+            audit_pass(&grid, &pairs, &stored(&path), 0).unwrap_err()
         };
-        let (grid, pairs, mut paths) = fixture();
-        paths[0] = None;
-        assert!(audit_pass(&grid, &pairs, &paths, 0).unwrap_err().contains("no path"));
+        let (grid, pairs, _) = fixture();
+        assert!(audit_pass(&grid, &pairs, &Wires::new(1), 0).unwrap_err().contains("no path"));
         assert!(broken(|p| {
             p.pop();
         }).contains("does not join"));
@@ -180,8 +187,8 @@ mod tests {
         grid.add_run(cell(3, 1), cell(2, 1), 1);
         grid.add_run(cell(2, 1), cell(2, 2), 1);
         let pairs = vec![TwoPin { src: cell(1, 1), dst: cell(2, 2), fanout: 2 }];
-        let paths = vec![Some(vec![cell(1, 1), cell(3, 1), cell(2, 1), cell(2, 2)])];
-        assert_eq!(audit_pass(&grid, &pairs, &paths, 0), Ok(()));
+        let wires = stored(&[cell(1, 1), cell(3, 1), cell(2, 1), cell(2, 2)]);
+        assert_eq!(audit_pass(&grid, &pairs, &wires, 0), Ok(()));
     }
 
     #[test]
@@ -193,10 +200,10 @@ mod tests {
             grid.add_run(r[0], r[1], 1);
         }
         let pairs = vec![TwoPin { src: cell(1, 1), dst: cell(3, 1), fanout: 2 }];
-        let paths = vec![Some(path)];
-        assert_eq!(audit_pass(&grid, &pairs, &paths, 0), Ok(()), "margin 0 is the whole grid");
-        assert_eq!(audit_pass(&grid, &pairs, &paths, 3), Ok(()));
-        let err = audit_pass(&grid, &pairs, &paths, 2).unwrap_err();
+        let wires = stored(&path);
+        assert_eq!(audit_pass(&grid, &pairs, &wires, 0), Ok(()), "margin 0 is the whole grid");
+        assert_eq!(audit_pass(&grid, &pairs, &wires, 3), Ok(()));
+        let err = audit_pass(&grid, &pairs, &wires, 2).unwrap_err();
         assert!(err.contains("outside its search window"), "{err}");
     }
 }

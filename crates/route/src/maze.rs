@@ -288,29 +288,19 @@ pub fn count_bends(path: &[GCell]) -> u32 {
     path.windows(3).filter(|w| w[0].x != w[2].x && w[0].y != w[2].y).count() as u32
 }
 
-/// The canonical corner list of a polyline, in place and with exact
-/// capacity: its first cell, every cell where the step direction changes
-/// (reversals included) and its last cell. Walking straight runs between
-/// consecutive corners visits the same edges in the same order as walking
-/// the polyline.
-pub(crate) fn corners(mut path: Path) -> Path {
+/// The canonical corner list of a polyline: its first cell, every cell
+/// where the step direction changes (reversals included) and its last
+/// cell. Walking straight runs between consecutive corners visits the same
+/// edges in the same order as walking the polyline.
+pub(crate) fn corners(path: &[GCell]) -> impl Iterator<Item = GCell> + Clone + '_ {
     let step = |a: GCell, b: GCell| (b.x.cmp(&a.x), b.y.cmp(&a.y));
-    if path.len() > 2 {
-        let mut kept = 1;
-        let mut heading = step(path[0], path[1]);
-        for at in 1..path.len() - 1 {
-            let next = step(path[at], path[at + 1]);
-            if next != heading {
-                path[kept] = path[at];
-                kept += 1;
-                heading = next;
-            }
-        }
-        path[kept] = path[path.len() - 1];
-        path.truncate(kept + 1);
-        path.shrink_to_fit();
-    }
-    path
+    let last = path.len().saturating_sub(1);
+    path.iter()
+        .enumerate()
+        .filter(move |&(at, _)| {
+            at == 0 || at == last || step(path[at - 1], path[at]) != step(path[at], path[at + 1])
+        })
+        .map(|(_, &c)| c)
 }
 
 #[cfg(test)]

@@ -248,6 +248,11 @@ cargo test --release -q --test place_pins
 # bit) in release: eight full flows, minutes unoptimized.
 cargo test --release -q --test signoff_pins
 
+# Heap pins in release: the netlist layout (also run by the debug suite
+# above) and the route's peak heap blocks and bytes per connection on the
+# 10^4 mesh, which the debug suite skips — minutes unoptimized.
+cargo test --release -q --test netlist_memory
+
 # Census: names deleted for having no caller (PR 24 — the per-stage budget
 # types, the NPN / fault-collapse kernels, the client's queue-full retry, the
 # `_threaded` / `_stats` twin entry points; PR 25 — the config builder, the
@@ -312,6 +317,28 @@ if grep -rn 'HashMap<String, NetId>' crates/netlist/src; then
     echo "check: FAIL a name-keyed net map is back in crates/netlist/src (above)" >&2; exit 1
 fi
 
+# Paged wire store: the router keeps every routed wire in fixed-capacity
+# pages, so a heap block per connection must not come back under
+# crates/route/src.
+if grep -rn 'Vec<Option<Path>>' crates/route/src; then
+    echo "check: FAIL a per-connection path vector is back in crates/route/src (above)" >&2; exit 1
+fi
+
+# Untouched benchmark: a change to the program leaves benchmark/ and
+# BENCHMARK.json alone (a change to the benchmark itself adjusts this gate
+# in that change). A local benchmark build rewrites benchmark/Cargo.lock;
+# restore it before committing. Outside a git checkout there is nothing to
+# compare against.
+bench_status=""
+if git rev-parse --is-inside-work-tree > /dev/null 2>&1; then
+    bench_status="$(git status --porcelain -- benchmark BENCHMARK.json)"
+fi
+if [ -n "$bench_status" ]; then
+    printf '%s\n' "$bench_status" >&2
+    echo "check: FAIL benchmark/ or BENCHMARK.json changed (above); if only benchmark/Cargo.lock, run: git checkout -- benchmark/Cargo.lock" >&2
+    exit 1
+fi
+
 # Serial kernels: synthesis, routing, OPC and fault simulation run serially,
 # so none of their crates may depend on eda-par again (a dev-dependency, for
 # a test's CPU clock, is fine).
@@ -333,5 +360,5 @@ fi
 awk '/^test result:/ { passed += $4; failed += $6 }
      END { printf "check: %d tests passed, %d failed across all binaries\n", passed, failed
            exit (failed > 0) }' "$test_log"
-echo "check: $(find crates src tests examples benchmark -name '*.rs' -print0 | xargs -0 cat | wc -l) lines of Rust (the count ROADMAP quotes); clippy --workspace --all-targets clean; deleted-name census empty (budgets, NPN / collapse, retry, twins, config builder, derived knobs, shared-store open, server snapshot, test-only accessors, serve / scale harnesses, per-edge probe helpers, per-slot busy clocks and the route wave ledger, mapping goal, one-shot search twins and layer sweep, mapper fragment pipeline and fourth test-only tranche, multilevel coarse sweeps and state tagged-count reader, mapper wave dispatch, per-edge overflow probe, clock-gating / decap copy-returning entry points and outcome types, route wave scheduler, OPC / fault-sim dispatch and its scaling rows); no eda-par under eda-logic / eda-route / eda-litho / eda-dft [dependencies]; no netlist copy in the 2_clock_gating / 9_power bodies; no name-keyed net map in eda-netlist; run_flow_shared called from flow.rs + engine.rs only"
-echo "check: tier-1 + clippy --workspace --all-targets + unwrap gates + inject smoke + trace + all 18 claims + daemon + facade docs + incremental + sub-stage record budget + cross-process resume + mini-tier pins + golden + route pins + route audit + place pins + place audit + sign-off pins + deleted-name census (incl. multilevel coarse sweeps, state tagged-count reader, mapper wave dispatch, per-edge overflow probe and the copy-returning insert_clock_gating / insert_decaps / GatingOutcome / DecapOutcome, the route wave scheduler, and the OPC / fault-sim dispatch, its kernel spans and scaling rows) + serial-kernel dependency gate + one-netlist gate + net-name index gate + one-engine gate green"
+echo "check: $(find crates src tests examples benchmark -name '*.rs' -print0 | xargs -0 cat | wc -l) lines of Rust (the count ROADMAP quotes); clippy --workspace --all-targets clean; deleted-name census empty (budgets, NPN / collapse, retry, twins, config builder, derived knobs, shared-store open, server snapshot, test-only accessors, serve / scale harnesses, per-edge probe helpers, per-slot busy clocks and the route wave ledger, mapping goal, one-shot search twins and layer sweep, mapper fragment pipeline and fourth test-only tranche, multilevel coarse sweeps and state tagged-count reader, mapper wave dispatch, per-edge overflow probe, clock-gating / decap copy-returning entry points and outcome types, route wave scheduler, OPC / fault-sim dispatch and its scaling rows); no eda-par under eda-logic / eda-route / eda-litho / eda-dft [dependencies]; no netlist copy in the 2_clock_gating / 9_power bodies; no name-keyed net map in eda-netlist; no per-connection path vector in eda-route; benchmark/ and BENCHMARK.json untouched; run_flow_shared called from flow.rs + engine.rs only"
+echo "check: tier-1 + clippy --workspace --all-targets + unwrap gates + inject smoke + trace + all 18 claims + daemon + facade docs + incremental + sub-stage record budget + cross-process resume + mini-tier pins + golden + route pins + route audit + place pins + place audit + sign-off pins + deleted-name census (incl. multilevel coarse sweeps, state tagged-count reader, mapper wave dispatch, per-edge overflow probe and the copy-returning insert_clock_gating / insert_decaps / GatingOutcome / DecapOutcome, the route wave scheduler, and the OPC / fault-sim dispatch, its kernel spans and scaling rows) + heap pins (netlist layout, route wire store) + serial-kernel dependency gate + one-netlist gate + net-name index gate + paged wire-store gate + untouched-benchmark gate + one-engine gate green"

@@ -1,33 +1,50 @@
-//! Heap pin for the netlist layout: bytes per instance of the 10⁴ scale mesh
-//! and of its synthesized netlist, counted by this binary's own global
-//! allocator.
+//! Heap pins for the netlist layout and the router's wire store, counted by
+//! this binary's own global allocator: bytes per instance of the 10⁴ scale
+//! mesh and of its synthesized netlist, then, routing that netlist placed
+//! as the scale tier places it, the peak heap blocks and bytes per
+//! connection the route adds.
 //!
-//! The counts are requested bytes, so they are the same in debug and release
-//! builds and on every run. A layout change that stores a name twice, widens
-//! a sink pin or carries spare `String` / `Vec` capacity again moves them
-//! past the bounds below. This file holds exactly one `#[test]`: a second
-//! test running in parallel would allocate into the same counter.
+//! The counts are requested bytes and live blocks, so they repeat exactly
+//! on every run. The netlist counts are the same in debug and release
+//! builds. The route part runs in release only (`scripts/check.sh` runs
+//! this binary again with `--release`): the 10⁴ route takes over a minute
+//! unoptimized, and debug builds audit every pass, whose demand vectors
+//! would count too. A layout change that stores a name twice, widens a
+//! sink pin or carries spare `String` / `Vec` capacity again, or a router
+//! that keeps one heap block per routed connection again, moves them past
+//! the bounds below. This file holds exactly one `#[test]`: a second test
+//! running in parallel would allocate into the same counters.
 
 use eda::core::FlowConfig;
 use eda::logic::{synthesize, SynthesisOptions, SynthesisOutcome};
 use eda::netlist::generate;
+use eda::place::{place_multilevel, Die, MultilevelConfig};
+use eda::route::{route, RouteConfig, RuleDeck};
 use eda::tech::Node;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Live heap bytes, as requested from the allocator.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
+/// Live heap blocks.
+static BLOCKS: AtomicUsize = AtomicUsize::new(0);
+/// Highest `LIVE` and `BLOCKS` since the last [`reset_peaks`].
+static PEAK_LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK_BLOCKS: AtomicUsize = AtomicUsize::new(0);
 
 struct Counting;
 
-// SAFETY: both calls forward to `System` unchanged; the counter only
-// observes the layouts. The trait's default `alloc_zeroed` and `realloc`
-// go through these two, so every byte is counted once.
+// SAFETY: both calls forward to `System` unchanged; the counters only
+// observe the layouts. The trait's default `alloc_zeroed` and `realloc`
+// go through these two, so every byte and block is counted once.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let p = System.alloc(layout);
         if !p.is_null() {
-            LIVE.fetch_add(layout.size(), Ordering::Relaxed);
+            let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
+            PEAK_LIVE.fetch_max(live, Ordering::Relaxed);
+            let blocks = BLOCKS.fetch_add(1, Ordering::Relaxed) + 1;
+            PEAK_BLOCKS.fetch_max(blocks, Ordering::Relaxed);
         }
         p
     }
@@ -35,6 +52,7 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
         System.dealloc(p, layout);
         LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        BLOCKS.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -45,6 +63,16 @@ fn live() -> usize {
     LIVE.load(Ordering::Relaxed)
 }
 
+fn blocks() -> usize {
+    BLOCKS.load(Ordering::Relaxed)
+}
+
+/// Starts the peaks afresh from what is live now.
+fn reset_peaks() {
+    PEAK_LIVE.store(live(), Ordering::Relaxed);
+    PEAK_BLOCKS.store(blocks(), Ordering::Relaxed);
+}
+
 /// Heap bytes per instance of `scale_mesh(10_000, 1)` (9 911 instances),
 /// library included: 243.1 measured, bound 1.05× that. The layout before it
 /// — a `HashMap<String, NetId>` name index beside each net's own name,
@@ -53,6 +81,13 @@ const DESIGN_BYTES_PER_INSTANCE: f64 = 255.0;
 /// Heap bytes per instance of that mesh's synthesized netlist (15 605
 /// instances): 186.4 measured, bound 1.05× that; the layout above held 333.5.
 const MAPPED_BYTES_PER_INSTANCE: f64 = 196.0;
+/// Heap blocks routing that netlist adds at its peak (31 972 connections):
+/// 30 measured, in the wire store's pages. One `Option<Path>` per
+/// connection held 31 990.
+const ROUTE_PEAK_BLOCKS: usize = 256;
+/// Heap bytes per connection routing adds at its peak: 131.5 measured,
+/// bound 1.05× that; one `Option<Path>` per connection held 141.6.
+const ROUTE_PEAK_BYTES_PER_CONNECTION: f64 = 138.0;
 
 #[test]
 fn netlist_heap_per_instance_is_pinned() {
@@ -81,5 +116,45 @@ fn netlist_heap_per_instance_is_pinned() {
     assert!(
         mapped_bytes <= MAPPED_BYTES_PER_INSTANCE,
         "mapped netlist holds {mapped_bytes:.1} heap bytes per instance (bound {MAPPED_BYTES_PER_INSTANCE})"
+    );
+    if cfg!(debug_assertions) {
+        println!("route pin skipped: it runs in release");
+        return;
+    }
+
+    let die = Die::for_netlist(&mapped, cfg.utilization);
+    let placed = place_multilevel(
+        &mapped,
+        die,
+        &MultilevelConfig {
+            cluster_size: cfg.place.cluster_gates,
+            refine_moves_per_cell: cfg.place.anneal_moves_per_cell,
+            seed: cfg.seed,
+        },
+    );
+    let rcfg = RouteConfig {
+        algorithm: cfg.router,
+        deck: RuleDeck::simple(cfg.node.spec().typical_metal_layers),
+        grid_cells: cfg.route_grid_cells,
+        ripup_iterations: cfg.ripup_iterations,
+        window_margin: cfg.route_window_margin,
+    };
+    let (at, blocks_at) = (live(), blocks());
+    reset_peaks();
+    let routed = route(&mapped, &placed.placement, &rcfg);
+    let route_blocks = PEAK_BLOCKS.load(Ordering::Relaxed) - blocks_at;
+    let route_bytes = (PEAK_LIVE.load(Ordering::Relaxed) - at) as f64 / routed.connections as f64;
+
+    println!(
+        "route {} connections, peak +{route_blocks} blocks, {route_bytes:.1} B each",
+        routed.connections
+    );
+    assert!(
+        route_blocks <= ROUTE_PEAK_BLOCKS,
+        "route holds {route_blocks} more heap blocks at its peak (bound {ROUTE_PEAK_BLOCKS})"
+    );
+    assert!(
+        route_bytes <= ROUTE_PEAK_BYTES_PER_CONNECTION,
+        "route peaks at {route_bytes:.1} heap bytes per connection (bound {ROUTE_PEAK_BYTES_PER_CONNECTION})"
     );
 }
