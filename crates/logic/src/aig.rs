@@ -411,9 +411,16 @@ impl Aig {
         Ok((aig, SeqBoundary { real_pis, real_pos, flops: flop_records }))
     }
 
-    /// Depth-oriented balancing: re-associates maximal AND trees so the
-    /// deepest input feeds the shallowest position.
+    /// Depth-oriented balancing: re-associates each supergate so the deepest
+    /// input feeds the shallowest position.
+    ///
+    /// A supergate is the AND tree one step re-associates: from its root it
+    /// descends through non-complemented AND edges, and stops at any other
+    /// node with more than one reference (AND fanins plus PO references).
+    /// A shared node is a leaf of every supergate that reaches it and is
+    /// balanced once, as its own root, so no logic is duplicated.
     pub fn balance(&self) -> Aig {
+        let refs = self.refcounts();
         let mut out = Aig::new();
         let mut map: Vec<Lit> = vec![Lit::FALSE; self.nodes.len()];
         // Levels of nodes in `out`, kept in lockstep with out.nodes.
@@ -434,13 +441,13 @@ impl Aig {
                 AigNode::Const => map[0] = Lit::FALSE,
                 AigNode::Pi(k) => map[i] = out.add_pi(self.pi_names[k].clone()),
                 AigNode::And(..) => {
-                    // Gather conjunction leaves of the maximal AND tree rooted
-                    // here (descending through non-complemented AND edges;
-                    // strash re-shares any duplicated sub-structure).
+                    // Gather the leaves of the supergate rooted here: the
+                    // root always expands, a shared node never does.
                     let mut leaves: Vec<Lit> = Vec::new();
                     let mut stack = vec![Lit::new(i as u32, false)];
                     while let Some(l) = stack.pop() {
-                        let expandable = leaves.len() + stack.len() < 64;
+                        let expandable = leaves.len() + stack.len() < 64
+                            && (l.node() == i || refs[l.node()] <= 1);
                         match (l.is_complemented() || !expandable, self.nodes[l.node()]) {
                             (false, AigNode::And(a, b)) => {
                                 stack.push(a);
@@ -718,6 +725,8 @@ impl IsopCosts {
 mod tests {
     use super::*;
     use eda_netlist::generate;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn strash_shares_structure() {
@@ -809,6 +818,79 @@ mod tests {
         assert_eq!(b.depth(), 3, "balanced 8-input AND tree has depth 3");
         let pats: Vec<u64> = (0..8).map(|i| 0x0123_4567_89AB_CDEFu64.rotate_left(i * 8)).collect();
         assert_eq!(g.simulate64(&pats), b.simulate64(&pats));
+    }
+
+    /// ANDs reachable from the primary outputs.
+    fn reachable_ands(g: &Aig) -> usize {
+        let mut seen = vec![false; g.nodes.len()];
+        let mut stack: Vec<usize> = g.pos.iter().map(|(_, l)| l.node()).collect();
+        let mut count = 0;
+        while let Some(i) = stack.pop() {
+            if std::mem::replace(&mut seen[i], true) {
+                continue;
+            }
+            if let AigNode::And(a, b) = g.nodes[i] {
+                count += 1;
+                stack.extend([a.node(), b.node()]);
+            }
+        }
+        count
+    }
+
+    /// A random graph of `pis` inputs and `ands` ANDs whose fanins come
+    /// mostly from the last 16 nodes, ~40 % of them complemented, with
+    /// `pos` outputs drawn the same way.
+    fn random_aig(rng: &mut StdRng, pis: usize, ands: usize, pos: usize) -> Aig {
+        let mut g = Aig::new();
+        let mut lits: Vec<Lit> = (0..pis).map(|k| g.add_pi(format!("i{k}"))).collect();
+        let pick = |rng: &mut StdRng, lits: &[Lit]| {
+            let from = if rng.gen_bool(0.8) { lits.len().saturating_sub(16) } else { 0 };
+            let lit = lits[rng.gen_range(from..lits.len())];
+            if rng.gen_bool(0.4) { !lit } else { lit }
+        };
+        while g.num_ands() < ands {
+            let (a, b) = (pick(rng, &lits), pick(rng, &lits));
+            let f = g.and(a, b);
+            if f.node() != 0 {
+                lits.push(f);
+            }
+        }
+        for k in 0..pos {
+            let lit = pick(rng, &lits);
+            g.add_po(format!("o{k}"), lit);
+        }
+        g
+    }
+
+    /// Balance's specification: the output computes the input's function,
+    /// and neither the ANDs the outputs reach nor the output depth grows —
+    /// a supergate stops at shared nodes, so no logic is duplicated. The
+    /// earlier rule, which descended through shared nodes, grows the
+    /// reachable count in 1 109 of these 2 000 cases and on the 2 k mesh
+    /// (1 231 ANDs → 2 155).
+    #[test]
+    fn balance_never_duplicates_logic_or_deepens_outputs() {
+        let mut rng = StdRng::seed_from_u64(46);
+        let mut graphs: Vec<Aig> = (0..2_000)
+            .map(|_| {
+                let (pis, ands, pos) =
+                    (rng.gen_range(2..=9), rng.gen_range(3..=199), rng.gen_range(1..=5));
+                random_aig(&mut rng, pis, ands, pos)
+            })
+            .collect();
+        graphs.push(Aig::from_netlist(&generate::scale_mesh(2_000, 3).unwrap()).unwrap().0);
+        for (case, g) in graphs.iter().enumerate() {
+            let b = g.balance();
+            for _ in 0..4 {
+                let pats: Vec<u64> = (0..g.num_pis()).map(|_| rng.gen()).collect();
+                assert_eq!(b.simulate64(&pats), g.simulate64(&pats), "case {case}: function");
+            }
+            let (before, after) = (reachable_ands(g), reachable_ands(&b));
+            assert!(after <= before, "case {case}: reachable ANDs {before} -> {after}");
+            assert!(b.depth() <= g.depth(), "case {case}: depth {} -> {}", g.depth(), b.depth());
+        }
+        let mesh = graphs.last().expect("the mesh is the last case");
+        assert_eq!((reachable_ands(mesh), reachable_ands(&mesh.balance())), (1_231, 1_222));
     }
 
     #[test]

@@ -191,10 +191,20 @@ pub struct AigPass {
 
 /// The memo kinds the optimization script stores pass results under: the
 /// opening balance, the bounded rewrite fixpoint, and the closing balance.
-/// Each entry is keyed on the FNV of `"<kind>|<input aig digest>"`, so a
+/// A rewrite entry is keyed on the FNV of `"aig.rw|<input aig digest>"`, a
+/// balance entry on `"<kind>|rev<BALANCE_REV>|<input aig digest>"`, so a
 /// pass hits whenever its *own* input recurs — across runs, designs, and
 /// script lengths.
 pub const AIG_MEMO_KINDS: [&str; 3] = ["aig.balpre", "aig.rw", "aig.balpost"];
+
+/// Revision of [`Aig::balance`], folded into every cache key that addresses
+/// a balance result (the `aig.balpre` / `aig.balpost` memo entries here, the
+/// `1_synthesis` stage entries in `eda-core`). Bump it whenever the same
+/// input graph can balance differently than under the previous revision, so
+/// a store written before the change recomputes instead of replaying the
+/// old results. Revision 1 (implicit, no field in the key) let a supergate
+/// descend through shared nodes and so duplicated them.
+pub const BALANCE_REV: u32 = 2;
 
 /// The advanced-flow AIG script: `balance; rewrite*; balance` with the
 /// rewrite fixpoint bounded by `rewrite_passes` (the default script uses
@@ -257,8 +267,7 @@ fn run_pass(
     transform: impl FnOnce(&Aig) -> Aig,
     keep: impl FnOnce(&Aig, &Aig) -> bool,
 ) -> (AigPass, Option<Aig>) {
-    // Memo key: FNV of the kind joined with the input graph's digest.
-    let memo = memo.map(|m| (m, fnv1a(format!("{kind}|{:016x}", cur.digest()).bytes())));
+    let memo = memo.map(|m| (m, pass_key(kind, cur.digest())));
     if let Some(hit) = memo.and_then(|(m, key)| load_pass(&m.load(kind, key)?)) {
         return hit;
     }
@@ -271,6 +280,17 @@ fn run_pass(
         m.store(kind, key, &pass_payload(&pass, result.as_ref()));
     }
     (pass, result)
+}
+
+/// Memo key of a `kind` pass over an input graph with `digest`: FNV of the
+/// kind, [`BALANCE_REV`] for the two balance kinds, and the digest. Rewrite
+/// keys carry no revision: rewrite computes what it always did.
+fn pass_key(kind: &str, digest: u64) -> u64 {
+    let text = match kind {
+        "aig.rw" => format!("{kind}|{digest:016x}"),
+        _ => format!("{kind}|rev{BALANCE_REV}|{digest:016x}"),
+    };
+    fnv1a(text.bytes())
 }
 
 /// Parses and validates one memoized pass payload. `None` means malformed —
@@ -460,16 +480,52 @@ mod tests {
         assert!(edited_passes.len() <= full_passes.len());
     }
 
+    /// The pass key as revision 1 computed it for every kind: no balance
+    /// revision field.
+    fn pass_key_rev1(kind: &str, digest: u64) -> u64 {
+        fnv1a(format!("{kind}|{digest:016x}").bytes())
+    }
+
+    #[test]
+    fn balance_entries_of_the_duplicating_revision_are_never_addressed() {
+        let (aig, _) = Aig::from_netlist(&generate::array_multiplier(4).unwrap()).unwrap();
+        let digest = aig.digest();
+        let balanced = aig.balance();
+        // A store the parent filled: each entry sits under the old address
+        // and would parse. A balance lookup never reaches it.
+        let stale = AigPass { name: "balance", nodes_before: aig.num_ands(), nodes_after: 1, kept: true };
+        for kind in ["aig.balpre", "aig.balpost"] {
+            assert_ne!(pass_key(kind, digest), pass_key_rev1(kind, digest));
+            let memo = CountingMemo::new();
+            memo.store(kind, pass_key_rev1(kind, digest), &pass_payload(&stale, Some(&aig)));
+            let (pass, kept) =
+                run_pass(Some(&memo), kind, "balance", &aig, Aig::balance, |_, _| true);
+            assert_eq!(memo.hits.get(), 0, "{kind}: the old address is never read");
+            assert_eq!(pass.nodes_after, balanced.num_ands(), "{kind}");
+            assert_eq!(kept.map(|g| g.digest()), Some(balanced.digest()), "{kind}");
+        }
+        // Rewrite computes what it always did, so its entries keep their
+        // address and still replay.
+        let stale = AigPass { name: "rewrite", ..stale };
+        let memo = CountingMemo::new();
+        memo.store("aig.rw", pass_key_rev1("aig.rw", digest), &pass_payload(&stale, Some(&aig)));
+        let (pass, _) = run_pass(Some(&memo), "aig.rw", "rewrite", &aig, Aig::rewrite, |_, _| true);
+        assert_eq!((memo.hits.get(), pass), (1, stale), "a rewrite entry replays");
+    }
+
     #[test]
     fn rewrite_and_mapped_netlist_are_pinned() {
-        // Recorded at the commit before the shared cut kernel and the serial
-        // claim walk replaced the two private enumerators and the per-block
-        // cone closures: the rewritten graph and the mapped netlist text must
-        // not move by a byte, flat or hierarchical.
+        // The rewritten graphs were recorded at the commit before the shared
+        // cut kernel and the serial claim walk replaced the two private
+        // enumerators and the per-block cone closures. The mapped netlists
+        // of the multiplier and the mesh were re-recorded once when balance
+        // stopped duplicating shared nodes (revision 2); the fabric has no
+        // shared supergate and kept its digest. Neither may move by a byte,
+        // flat or hierarchical.
         let pinned = [
             (generate::switch_fabric(4, 3).unwrap(), 0xb926_fdf7_4b6f_2fa0u64, 0x48bc_cd27_0ecd_b5cbu64),
-            (generate::array_multiplier(8).unwrap(), 0x1c6f_9971_3761_d53b, 0x9b7a_9074_84e3_fd8e),
-            (generate::scale_mesh(2_000, 1).unwrap(), 0x2d2b_d6bd_0b60_1949, 0xcea9_77af_cc35_3dd3),
+            (generate::array_multiplier(8).unwrap(), 0x1c6f_9971_3761_d53b, 0xcd3e_5c95_6eba_3ef5),
+            (generate::scale_mesh(2_000, 1).unwrap(), 0x2d2b_d6bd_0b60_1949, 0xf99b_aaa6_aa65_6778),
         ];
         for (design, rewritten, mapped) in pinned {
             let (aig, _) = Aig::from_netlist(&design).unwrap();

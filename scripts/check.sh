@@ -43,7 +43,23 @@ PY
 
 # Claims smoke: all 18 panel claims (C1-C16, B1, B2) regenerated in claim
 # order, in one process; any claim that errors fails the script.
-./target/release/experiments run
+claims_log="$(./target/release/experiments run)"
+printf '%s\n' "$claims_log"
+
+# C3's direction: over the suite, the advanced flow must beat the 2006
+# baseline on area, delay and power alike. Each axis prints as `-<saving>%`,
+# so an axis worse than the baseline prints `--<loss>%`.
+c3_suite="$(printf '%s\n' "$claims_log" | grep -m1 '^suite: area ' || true)"
+python3 - "$c3_suite" <<'PY'
+import re, sys
+m = re.match(r"suite: area (\S+)%, delay (\S+)%, power (\S+)%", sys.argv[1])
+if not m:
+    sys.exit(f"check: FAIL no C3 suite line in the claims output ({sys.argv[1]!r})")
+savings = dict(zip(("area", "delay", "power"), (float(v[1:]) for v in m.groups())))
+if not all(s > 0 for s in savings.values()):
+    sys.exit(f"check: FAIL C3 suite is not below the 2006 baseline on every axis ({savings})")
+print("check: C3 below the 2006 baseline on every axis (" + ", ".join(f"{k} -{v}%" for k, v in savings.items()) + ")")
+PY
 
 # Daemon smoke: serve on a temp socket (with a flow store bound), push a
 # 4-request batch (one with an injected per-request stage fault) through the
@@ -224,8 +240,10 @@ echo "check: store smoke green (cold run wrote $cold_sub sub-stage entries, edit
 # Scale tests in release: the mini tier (10^4 instances through all 11
 # stages with zero overflow and the routing window below the dense grid,
 # bit-identical at 1/2/4/8 threads, its QoR fingerprint and work counts
-# pinned at 1 and 4, inside a 512 MB RSS profile), the decap path and the
-# RSS-exclusion check; the debug suite above ignores the mini tier.
+# pinned at 1 and 4, inside a 512 MB RSS profile), the 10^5 tier (the same
+# invariants at 1 and 4 threads, warm-cache replay and resume from a store
+# cut mid-flow; seconds of release wall clock), the decap path and the
+# RSS-exclusion check; the debug suite above ignores both tiers.
 cargo test --release -q --test scale
 
 # Golden snapshot in release: QoR + telemetry byte-stable across threads
@@ -360,5 +378,5 @@ fi
 awk '/^test result:/ { passed += $4; failed += $6 }
      END { printf "check: %d tests passed, %d failed across all binaries\n", passed, failed
            exit (failed > 0) }' "$test_log"
-echo "check: $(find crates src tests examples benchmark -name '*.rs' -print0 | xargs -0 cat | wc -l) lines of Rust (the count ROADMAP quotes); clippy --workspace --all-targets clean; deleted-name census empty (budgets, NPN / collapse, retry, twins, config builder, derived knobs, shared-store open, server snapshot, test-only accessors, serve / scale harnesses, per-edge probe helpers, per-slot busy clocks and the route wave ledger, mapping goal, one-shot search twins and layer sweep, mapper fragment pipeline and fourth test-only tranche, multilevel coarse sweeps and state tagged-count reader, mapper wave dispatch, per-edge overflow probe, clock-gating / decap copy-returning entry points and outcome types, route wave scheduler, OPC / fault-sim dispatch and its scaling rows); no eda-par under eda-logic / eda-route / eda-litho / eda-dft [dependencies]; no netlist copy in the 2_clock_gating / 9_power bodies; no name-keyed net map in eda-netlist; no per-connection path vector in eda-route; benchmark/ and BENCHMARK.json untouched; run_flow_shared called from flow.rs + engine.rs only"
-echo "check: tier-1 + clippy --workspace --all-targets + unwrap gates + inject smoke + trace + all 18 claims + daemon + facade docs + incremental + sub-stage record budget + cross-process resume + mini-tier pins + golden + route pins + route audit + place pins + place audit + sign-off pins + deleted-name census (incl. multilevel coarse sweeps, state tagged-count reader, mapper wave dispatch, per-edge overflow probe and the copy-returning insert_clock_gating / insert_decaps / GatingOutcome / DecapOutcome, the route wave scheduler, and the OPC / fault-sim dispatch, its kernel spans and scaling rows) + heap pins (netlist layout, route wire store) + serial-kernel dependency gate + one-netlist gate + net-name index gate + paged wire-store gate + untouched-benchmark gate + one-engine gate green"
+echo "check: $(find crates src tests examples benchmark -name '*.rs' -print0 | xargs -0 cat | wc -l) lines of Rust (the count ROADMAP quotes); clippy --workspace --all-targets clean; deleted-name census empty (budgets, NPN / collapse, retry, twins, config builder, derived knobs, shared-store open, server snapshot, test-only accessors, serve / scale harnesses, per-edge probe helpers, per-slot busy clocks and the route wave ledger, mapping goal, one-shot search twins and layer sweep, mapper fragment pipeline and fourth test-only tranche, multilevel coarse sweeps and state tagged-count reader, mapper wave dispatch, per-edge overflow probe, clock-gating / decap copy-returning entry points and outcome types, route wave scheduler, OPC / fault-sim dispatch and its scaling rows); no eda-par under eda-logic / eda-route / eda-litho / eda-dft [dependencies]; no netlist copy in the 2_clock_gating / 9_power bodies; no name-keyed net map in eda-netlist; no per-connection path vector in eda-route; benchmark/ and BENCHMARK.json untouched; run_flow_shared called from flow.rs + engine.rs only; C3 suite below the 2006 baseline on area, delay and power"
+echo "check: tier-1 + clippy --workspace --all-targets + unwrap gates + inject smoke + trace + all 18 claims + C3 direction gate + daemon + facade docs + incremental + sub-stage record budget + cross-process resume + mini-tier pins + 10^5 tier + golden + route pins + route audit + place pins + place audit + sign-off pins + deleted-name census (incl. multilevel coarse sweeps, state tagged-count reader, mapper wave dispatch, per-edge overflow probe and the copy-returning insert_clock_gating / insert_decaps / GatingOutcome / DecapOutcome, the route wave scheduler, and the OPC / fault-sim dispatch, its kernel spans and scaling rows) + heap pins (netlist layout, route wire store) + serial-kernel dependency gate + one-netlist gate + net-name index gate + paged wire-store gate + untouched-benchmark gate + one-engine gate green"

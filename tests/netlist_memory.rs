@@ -78,16 +78,23 @@ fn reset_peaks() {
 /// — a `HashMap<String, NetId>` name index beside each net's own name,
 /// `String` names, `Vec` inputs and `usize` sink pins — held 369.3.
 const DESIGN_BYTES_PER_INSTANCE: f64 = 255.0;
-/// Heap bytes per instance of that mesh's synthesized netlist (15 605
-/// instances): 186.4 measured, bound 1.05× that; the layout above held 333.5.
-const MAPPED_BYTES_PER_INSTANCE: f64 = 196.0;
-/// Heap blocks routing that netlist adds at its peak (31 972 connections):
-/// 30 measured, in the wire store's pages. One `Option<Path>` per
-/// connection held 31 990.
+/// Heap bytes per instance of that mesh's synthesized netlist (8 273
+/// instances): 288.8 measured, bound 1.05× that, 2.51 MB in all. Flops keep
+/// their long names while gates carry short ones, so the mean rose when
+/// balance stopped duplicating shared logic: the duplicating balance mapped
+/// the mesh to 15 605 instances of 186.4 B (2.91 MB, bound 196.0 or
+/// 3.06 MB). The layout above held 333.5 B each of those 15 605.
+const MAPPED_BYTES_PER_INSTANCE: f64 = 303.0;
+/// Heap blocks routing that netlist adds at its peak (16 524 connections):
+/// 25 measured, in the wire store's pages. One `Option<Path>` per
+/// connection held 31 990 of the duplicating balance's 31 972 connections.
 const ROUTE_PEAK_BLOCKS: usize = 256;
-/// Heap bytes per connection routing adds at its peak: 131.5 measured,
-/// bound 1.05× that; one `Option<Path>` per connection held 141.6.
-const ROUTE_PEAK_BYTES_PER_CONNECTION: f64 = 138.0;
+/// Heap bytes per connection routing adds at its peak: 185.8 measured,
+/// bound 1.05× that, 3.22 MB in all. The grid's share is sized for the
+/// input design, so it spreads over fewer connections now: the duplicating
+/// balance's 31 972 connections peaked at 131.5 B each (4.20 MB, bound
+/// 138.0 or 4.41 MB), and one `Option<Path>` per connection at 141.6.
+const ROUTE_PEAK_BYTES_PER_CONNECTION: f64 = 195.0;
 
 #[test]
 fn netlist_heap_per_instance_is_pinned() {

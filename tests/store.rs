@@ -284,24 +284,26 @@ fn provenance_row_format_is_golden() {
 /// file order. Keys pin every cache-key input and sums pin every body byte,
 /// so a change to either — or to what the flow writes when — moves a row.
 const RIPPLE4_N28_RECORDS: [&str; 17] = [
-    "%rec sub 802f354155aa6518 29 edcf7f821b553a8b",
+    // The two balance entries carry the balance revision in their keys; the
+    // two rewrite entries between them kept theirs.
+    "%rec sub edc8ac62722e7786 29 3a9e41fcb7ecb64c",
     "%rec sub 934998a1090ec98a 607 b1e9b05f621afe23",
     "%rec sub 39e773cb90bbaa87 585 1b696f1e0683eaa6",
     "%rec sub 6514b9990e3c9008 29 90aa82934b008524",
-    "%rec sub 09149b15af0f25b8 640 ab580e0e023c4f86",
-    "%rec stage 019da46f7d313095 3869 c0b96183ac654729",
-    "%rec stage 7eb895334bb03eed 3893 a0c2b88deb16a772",
-    "%rec stage e3149552ef84f986 3972 c59a0837e318a4e7",
-    "%rec stage 577d415a2f593aaf 6652 490be47825c9b46f",
-    "%rec stage d5b7a3db520b5831 6680 aedc3d323744bc73",
-    "%rec stage b99122f8c5461435 6683 1f73f8a137f18c6d",
-    "%rec stage d639f8a30fba69f2 6695 a23e316f08a9eb8c",
+    "%rec sub 2721760b5f00ce66 585 ba0c1422d16ff99c",
+    "%rec stage a61355c597f5e240 3873 c2e53ebc8a4c2ae8",
+    "%rec stage c29449c2eac6b9ea 3897 f18e56a2717a019c",
+    "%rec stage 1832201a8483a52b 3976 887a096b5153daea",
+    "%rec stage 7310547a76694a27 6656 2c5eff82ac42215d",
+    "%rec stage 2f57a85489c6f2d9 6684 56a1bf055fef9e15",
+    "%rec stage 5ca8a839b6f757bc 6687 ac70ee39f326f8bc",
+    "%rec stage 72575016640d4809 6699 8929e3efd302b822",
     // The route outcome: `routeout v2`, keyed without a region-size slot.
-    "%rec sub ec332a02eab44d8e 56 3e4cb3c2b12d42f6",
-    "%rec stage 96a62d6ee5468fd2 6715 e18506667c382189",
-    "%rec stage d5d1e77e30ecbde5 6793 642ed69fa7c2ba7d",
-    "%rec stage 3be749c72d8de931 6809 d9195f044747c877",
-    "%rec stage 16325f8a716d6807 6821 881554782251a7e8",
+    "%rec sub c74acb0df47cfe0c 56 1d350444beeca4e4",
+    "%rec stage c84fd65a2d3c0faa 6719 c2b127206fec9929",
+    "%rec stage 6df5a5303a6ab10a 6797 916c1e2f6c86d505",
+    "%rec stage 79b4511140d79f21 6813 8277e36e9b093543",
+    "%rec stage 4484c4aa4cdb61a0 6825 7fb2cfeb3b4e18a6",
 ];
 
 /// Walks a store file record by record (header line, `payload_len` bytes,
