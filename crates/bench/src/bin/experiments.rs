@@ -1310,37 +1310,42 @@ fn c9() -> CliResult {
     // projected speedups are measurement, not noise.
     let d = generate::scale_mesh(20_000, 5)?;
     let die = Die::for_netlist(&d, 0.7);
-    println!("design: {} instances", d.num_instances());
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
-        "{:>8} {:>12} {:>14} {:>16} {:>10}",
-        "threads", "core-sec", "inst/sec", "inst/day", "hpwl"
+        "design: {} instances; host: {cores} cores, so rows above {cores} workers are projection only",
+        d.num_instances()
     );
-    // Projected timing: the placer measures each worker's busy time and
-    // takes the per-dispatch maximum, i.e. the wall clock a real multicore
-    // farm would see (this host may have fewer cores than workers). The
-    // stripe partition is fixed at 8, so the placement itself is identical
-    // on every row — only the worker count changes.
+    // Measured first: the stripe dispatches' wall clock on this host.
+    // Projected second: the summed per-dispatch busiest worker's CPU time,
+    // the wall a farm with a core per worker would see. The stripe
+    // partition is fixed at 8, so every row places identically.
+    println!("{:>8} {:>17} | {:>34}", "", "measured", "projected");
+    println!(
+        "{:>8} {:>8} {:>8} | {:>9} {:>13} {:>10} {:>8}",
+        "threads", "wall-s", "speedup", "core-sec", "inst/day", "speedup", "hpwl"
+    );
     let refined = (d.num_instances() * 2) as f64;
-    let mut t1 = 0.0;
+    let (mut wall1, mut proj1) = (0.0, 0.0);
     for threads in [1usize, 2, 4, 8] {
         let out = place_parallel(
             &d,
             die,
             &ParallelConfig { threads, stripes: 8, moves_per_cell: 20, passes: 2, seed: 3 },
         );
-        let proj = out.par_stats.projected_wall_s();
+        let (wall, proj) = (out.stats.wall_s, out.stats.projected_wall_s());
         if threads == 1 {
-            t1 = proj;
+            (wall1, proj1) = (wall, proj);
         }
-        let ips = out.projected_instances_per_second(refined);
+        let measured = if threads <= cores {
+            format!("{wall:>8.3} {:>7.2}x", wall1 / wall)
+        } else {
+            format!("{:>8} {:>8}", "-", "-")
+        };
         println!(
-            "{:>8} {:>12.2} {:>14.0} {:>16.2e} {:>10.0}  (speedup {:.2}x)",
-            threads,
-            proj,
-            ips,
-            ips * 86_400.0,
+            "{threads:>8} {measured} | {proj:>9.3} {:>13.2e} {:>9.2}x {:>8.0}",
+            refined / proj * 86_400.0,
+            proj1 / proj,
             out.hpwl_final,
-            t1 / proj
         );
     }
     println!("shape: throughput scales with cores; absolute numbers reflect the simulator substrate");

@@ -125,8 +125,9 @@ pub struct FlowConfig {
     pub seed: u64,
     /// Worker threads for the one parallel kernel, the partitioned
     /// placer's stripe refinement (`0` = all available cores); synthesis,
-    /// routing, OPC and fault simulation run serially. The deterministic
-    /// parallel layer (`eda-par`) guarantees every QoR output
+    /// routing, OPC and fault simulation run serially. The stripe partition
+    /// never depends on the worker count and stripes merge in stripe order
+    /// (`eda_place::parallel`), so every QoR output
     /// is bit-identical for any value of this knob — including the
     /// deterministic section of [`FlowReport::telemetry`], which records
     /// worker counts and wall clocks only in its separate `wall` section.

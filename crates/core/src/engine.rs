@@ -24,7 +24,6 @@ use crate::report::FlowReport;
 use crate::store::{FlowStore, StoreConfig};
 use crate::telemetry::ProgressFn;
 use eda_netlist::Netlist;
-use eda_par::resolve_threads;
 use std::collections::VecDeque;
 use std::io;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -115,7 +114,7 @@ impl<T> Scheduler<T> {
 /// request's kernels get. `workers == 0` spends half the budget on workers;
 /// `cap` bounds them (a batch has no use for more workers than requests).
 fn split_budget(threads: usize, workers: usize, cap: usize) -> (usize, usize) {
-    let budget = resolve_threads(threads);
+    let budget = if threads > 0 { threads } else { std::thread::available_parallelism().map_or(1, |n| n.get()) };
     let workers = if workers == 0 { budget / 2 } else { workers }.clamp(1, cap.max(1));
     (workers, (budget / workers).max(1))
 }

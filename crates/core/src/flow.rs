@@ -43,7 +43,6 @@ use eda_litho::{decompose, run_opc, Layout, OpcConfig, OpticalModel};
 use eda_logic::{check_equivalence, synthesize, EcVerdict, SynthesisOptions};
 use eda_netlist::memo::fnv1a;
 use eda_netlist::{Netlist, NetlistStats, SubstageMemo};
-use eda_par::ParStats;
 use eda_place::{anneal, place_global, place_multilevel, plan_buffers, synthesize_clock_tree, AnnealConfig, CtsConfig, Die, GlobalConfig, MultilevelConfig, ParallelConfig};
 use eda_power::{analyze, plan_clock_gating, plan_decaps, solve_ir_drop, Activity, ActivityConfig, DecapPlan, MeshConfig, PowerConfig, PowerGrid};
 use eda_route::{route_stats_memo, RouteConfig, RuleDeck};
@@ -230,9 +229,9 @@ impl Env<'_> {
     }
 }
 
-/// What a stage body hands back to the driver: the record of its parallel
-/// kernel, if it dispatched one.
-type StageResult = Result<Option<ParStats>, FlowError>;
+/// What a stage body hands back to the driver: its outputs live in the flow
+/// state, so only the failure is left to return.
+type StageResult = Result<(), FlowError>;
 
 /// One row of the stage table — the single definition of a stage. Its
 /// position in [`TABLE`] is its position in the flow.
@@ -362,8 +361,9 @@ const TABLE: [Stage; 11] = [
 /// Fingerprint of every QoR-relevant config field plus the design identity:
 /// the fold of every stage's own fingerprint, so the table is the one list
 /// of knobs. Labels provenance rows. Fields that cannot change the result
-/// are no stage's knob: `name`, `threads` (bit-identical by the eda-par
-/// contract), `store`, `fault_plan`, and `deadline_s`.
+/// are no stage's knob: `name`, `threads` (the placer's stripe partition
+/// never depends on it, `eda_place::parallel`), `store`, `fault_plan`, and
+/// `deadline_s`.
 fn fingerprint(design: &Netlist, cfg: &FlowConfig) -> u64 {
     fnv1a(TABLE.iter().flat_map(|s| s.config_fp(design, cfg).to_le_bytes()))
 }
@@ -476,8 +476,6 @@ pub(crate) fn run_flow_shared(
     // What this run observed about itself: a replayed stage reports what
     // replaying it took, never the clock of the run that computed it.
     let mut stage_seconds = BTreeMap::new();
-    let mut stage_threads = BTreeMap::new();
-    let mut stage_speedup = BTreeMap::new();
     let mut lap = Instant::now();
     let flow_span = tel.span(SpanKind::Flow, "flow");
     flow_span.tag("flow", &cfg.name);
@@ -512,13 +510,7 @@ pub(crate) fn run_flow_shared(
                 image = hit.body;
             }
             None => {
-                let par = (stage.body)(stage.name, &env, &mut st, &mut sup)?;
-                // Worker accounting only exists where workers ran: a serial
-                // stage, or a sub-stage replay, dispatched no parallel work.
-                if let Some(par) = par.filter(|p| p.chunks > 0) {
-                    stage_threads.insert(stage.name.to_string(), par.threads);
-                    stage_speedup.insert(stage.name.to_string(), par.bounded_speedup());
-                }
+                (stage.body)(stage.name, &env, &mut st, &mut sup)?;
                 st.cursor = position;
                 // The image is kept current only when something reads it;
                 // a failed store never fails the flow.
@@ -582,8 +574,6 @@ pub(crate) fn run_flow_shared(
         synthesis_verified: st.synthesis_verified,
         stage_status: sup.statuses,
         stage_seconds,
-        stage_threads,
-        stage_speedup,
         telemetry: tel.snapshot(),
     };
     if let Some(store) = &store {
@@ -644,7 +634,7 @@ fn synthesis(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut S
     })?;
     st.netlist = Some(netlist);
     st.synthesis_verified = verified;
-    Ok(None)
+    Ok(())
 }
 
 /// `2_clock_gating`: before scan, so gates see plain flops.
@@ -653,7 +643,7 @@ fn clock_gating(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mu
     if cfg.power.clock_gating_group == 0 {
         // The netlist stays where it is: a skip copies nothing.
         sup.skip(stage, "clock gating disabled", ());
-        return Ok(None);
+        return Ok(());
     }
     // The body only plans, from a borrow; the one netlist is edited after
     // the supervisor settles, so a retried or salvaged attempt never applies
@@ -675,7 +665,7 @@ fn clock_gating(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mu
     if let Some(plan) = plan {
         plan.apply(current_netlist_mut(st));
     }
-    Ok(None)
+    Ok(())
 }
 
 /// `3_scan`: scan insertion.
@@ -697,14 +687,14 @@ fn scan(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Superv
         None => st.chains = sup.skip(stage, "scan insertion disabled", Vec::new()),
     }
     (st.cells, st.flops) = NetlistStats::cell_counts(current_netlist(st));
-    Ok(None)
+    Ok(())
 }
 
 /// `4_place`: placement.
 fn place(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Supervisor<'_>) -> StageResult {
     let cfg = env.cfg;
     let cur = current_netlist(st);
-    let (placement, hpwl_final, par) = sup.run_stage(stage, |ctx: StageCtx<'_>| {
+    let (placement, hpwl_final) = sup.run_stage(stage, |ctx: StageCtx<'_>| {
         if cur.num_instances() == 0 {
             return Err(StageFailure::NoInstances);
         }
@@ -727,7 +717,7 @@ fn place(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Super
             ctx.tel.count("place.moves_accepted", out.refine.accepted as u64);
             ctx.tel.gauge("place.hpwl_global_um", out.hpwl_expanded);
             ctx.tel.gauge("place.hpwl_final_um", out.refine.hpwl_after);
-            Ok(StageTry::Done((out.placement, out.refine.hpwl_after, None)))
+            Ok(StageTry::Done((out.placement, out.refine.hpwl_after)))
         } else if cfg.place.stripes > 1 {
             let out = eda_place::place_parallel(
                 cur,
@@ -740,11 +730,11 @@ fn place(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Super
                     seed: cfg.seed,
                 },
             );
-            ctx.tel.kernel("place:stripe_refine", &out.par_stats);
+            ctx.tel.kernel("place:stripe_refine", &out.stats);
             ctx.tel.count("place.moves_accepted", out.moves_accepted as u64);
             ctx.tel.gauge("place.hpwl_global_um", out.hpwl_global);
             ctx.tel.gauge("place.hpwl_final_um", out.hpwl_final);
-            Ok(StageTry::Done((out.placement, out.hpwl_final, Some(out.par_stats))))
+            Ok(StageTry::Done((out.placement, out.hpwl_final)))
         } else {
             let mut p = place_global(
                 cur,
@@ -766,7 +756,7 @@ fn place(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Super
             ctx.tel.count("place.moves_accepted", stats.accepted as u64);
             ctx.tel.gauge("place.hpwl_global_um", stats.hpwl_before);
             ctx.tel.gauge("place.hpwl_final_um", stats.hpwl_after);
-            Ok(StageTry::Done((p, stats.hpwl_after, None)))
+            Ok(StageTry::Done((p, stats.hpwl_after)))
         }
     })?;
     // The independent auditor: legal sites, one cell per site, and the
@@ -777,7 +767,7 @@ fn place(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Super
         "place audit failed"
     );
     st.placement = Some(placement);
-    Ok(par)
+    Ok(())
 }
 
 /// `5_scan_reorder`: placement-aware scan reordering.
@@ -801,7 +791,7 @@ fn scan_reorder(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mu
     };
     st.chains = chains;
     st.scan_wirelength_um = scan_wl;
-    Ok(None)
+    Ok(())
 }
 
 /// `6_cts`: clock-tree synthesis.
@@ -817,7 +807,7 @@ fn cts(stage: &'static str, _: &Env<'_>, st: &mut FlowState, sup: &mut Superviso
     })?;
     st.clock_skew_ps = skew_ps;
     st.clock_tree_um = tree_um;
-    Ok(None)
+    Ok(())
 }
 
 /// `6_sta`: timing — setup at nominal, hold at the fast corner.
@@ -837,7 +827,7 @@ fn sta(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Supervi
     st.wns_ps = wns;
     st.critical_path_ps = cp;
     st.hold_violations = holds;
-    Ok(None)
+    Ok(())
 }
 
 /// `7_route`: routing.
@@ -887,7 +877,7 @@ fn route(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Super
     st.routed_wirelength = routed.wirelength;
     st.routed_vias = routed.vias;
     st.routed_overflow = routed.overflow;
-    Ok(None)
+    Ok(())
 }
 
 /// `8_litho`: lithography decomposition + OPC of the critical layer.
@@ -959,7 +949,7 @@ fn litho(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Super
     st.stitches = stitches;
     st.litho_legal = legal;
     st.opc_rms_epe_nm = epe;
-    Ok(None)
+    Ok(())
 }
 
 /// `9_power`: power analysis, decap insertion, IR signoff.
@@ -1028,7 +1018,7 @@ fn power(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Super
     st.leakage_mw = leakage_mw;
     st.hotspots = hotspots;
     st.ir_drop_mv = ir_mv;
-    Ok(None)
+    Ok(())
 }
 
 /// `10_dft`: test coverage (random-pattern estimate).
@@ -1036,7 +1026,7 @@ fn dft(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Supervi
     let cfg = env.cfg;
     if cfg.scan.is_none() {
         st.test_coverage = sup.skip(stage, "scan insertion disabled", 0.0);
-        return Ok(None);
+        return Ok(());
     }
     let cur = current_netlist(st);
     st.test_coverage = sup.run_stage(stage, |ctx: StageCtx<'_>| {
@@ -1050,7 +1040,7 @@ fn dft(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Supervi
         ctx.tel.gauge("dft.coverage", sim.coverage());
         Ok(StageTry::Done(sim.coverage()))
     })?;
-    Ok(None)
+    Ok(())
 }
 
 /// Appends one `qor` row plus per-stage `qstage` rows for a completed flow,

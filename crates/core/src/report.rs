@@ -75,12 +75,6 @@ pub struct FlowReport {
     /// computed the entry. Every stage has an entry: it either ran or was
     /// replayed, and reports that cost.
     pub stage_seconds: BTreeMap<String, f64>,
-    /// Worker threads actually used per parallel stage (absent for stages
-    /// that ran serially, have no parallel kernel, or were replayed).
-    pub stage_threads: BTreeMap<String, usize>,
-    /// Projected speedup over a one-thread run per parallel stage, from
-    /// per-worker CPU clocks (see `eda-par`); same keys as `stage_threads`.
-    pub stage_speedup: BTreeMap<String, f64>,
     /// Span tree and metric registry recorded during the run. Its
     /// deterministic section is part of [`FlowReport::golden_text`];
     /// excluded from [`FlowReport::same_qor`] because a replayed stage
@@ -111,9 +105,8 @@ impl FlowReport {
     }
 
     /// Bit-exact QoR equality: every deterministic field matches, including
-    /// stage statuses. Wall-clock- and thread-shaped fields
-    /// (`stage_seconds`, `stage_speedup`, `stage_threads`) are excluded —
-    /// they differ run to run by nature, and a warm cached run at 8 threads
+    /// stage statuses. The wall-clock-shaped `stage_seconds` is excluded —
+    /// it differs run to run by nature, and a warm cached run at 8 threads
     /// must match a cold run at 1. This is both the resume contract (a flow
     /// killed after any stage and rerun against its store satisfies
     /// `same_qor` against an uninterrupted run) and the stage-cache
@@ -126,8 +119,8 @@ impl FlowReport {
     /// The canonical golden-snapshot text: every deterministic QoR field
     /// (`f64` as bit-exact hex, with a human-readable echo) followed by the
     /// telemetry's deterministic section. Excludes everything wall-clock- or
-    /// thread-count-shaped (`stage_seconds`, `stage_speedup`,
-    /// `stage_threads`, telemetry wall section), so the text is
+    /// thread-count-shaped (`stage_seconds`, the telemetry wall section,
+    /// which holds the placer's worker count and speedup), so the text is
     /// byte-identical across runs and thread counts — `tests/golden.rs`
     /// asserts exactly that.
     pub fn golden_text(&self) -> String {
@@ -236,14 +229,6 @@ impl std::fmt::Display for FlowReport {
         if !exceptions.is_empty() {
             writeln!(f, "  stages:    {}", exceptions.join("; "))?;
         }
-        if !self.stage_threads.is_empty() {
-            let mut parts = Vec::new();
-            for (stage, &t) in &self.stage_threads {
-                let sp = self.stage_speedup.get(stage).copied().unwrap_or(1.0);
-                parts.push(format!("{stage} x{t} ({sp:.1}x)"));
-            }
-            writeln!(f, "  threads:   {}", parts.join(", "))?;
-        }
         write!(f, "  runtime:   {:.2} s, score {:.1}", self.total_seconds(), self.score())
     }
 }
@@ -251,6 +236,7 @@ impl std::fmt::Display for FlowReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::WallSpan;
 
     fn dummy() -> FlowReport {
         FlowReport {
@@ -283,8 +269,6 @@ mod tests {
             synthesis_verified: Some(true),
             stage_status: BTreeMap::new(),
             stage_seconds: BTreeMap::new(),
-            stage_threads: BTreeMap::new(),
-            stage_speedup: BTreeMap::new(),
             telemetry: TelemetrySnapshot::default(),
         }
     }
@@ -306,8 +290,7 @@ mod tests {
         a.stage_seconds.insert("1_synthesis".into(), 1.0);
         let mut b = dummy();
         b.stage_seconds.insert("1_synthesis".into(), 9.0);
-        b.stage_threads.insert("7_route".into(), 8);
-        b.stage_speedup.insert("7_route".into(), 3.5);
+        b.telemetry.wall.push(WallSpan { threads: 8, speedup: 3.5, ..WallSpan::default() });
         assert_eq!(a.golden_text(), b.golden_text());
         assert!(a.golden_text().contains("f cell_area_um2"));
         assert!(a.golden_text().contains("telemetry v1"));
@@ -318,7 +301,6 @@ mod tests {
         let a = dummy();
         let mut b = dummy();
         b.stage_seconds.insert("1_synthesis".into(), 9.0);
-        b.stage_threads.insert("7_route".into(), 8);
         assert!(a.same_qor(&b));
         assert_eq!(a.qor_fingerprint(), b.qor_fingerprint());
         let mut c = dummy();

@@ -5,7 +5,8 @@
 //! (counters, gauges, and histograms with fixed bucket edges) capturing
 //! per-stage QoR provenance: AIG node counts around every rewrite pass,
 //! router rip-up iterations, OPC fragment moves, fault-sim pattern blocks,
-//! and the placer's parallel dispatch shape from `eda-par`.
+//! and the shape of the placer's stripe dispatch, the flow's one parallel
+//! kernel.
 //!
 //! The design splits hard along the determinism boundary:
 //!
@@ -15,19 +16,20 @@
 //!   lets `tests/golden.rs` pin it byte-for-byte
 //!   ([`TelemetrySnapshot::deterministic_text`]);
 //! * the **wall section** ([`TelemetrySnapshot::wall`]) holds everything
-//!   clock- or thread-shaped: span start/duration, resolved worker counts
-//!   and peak RSS. It feeds the Chrome-trace and folded-stack exports and
-//!   is excluded from golden comparison.
+//!   clock- or thread-shaped: span start/duration, the stripe dispatch's
+//!   resolved worker count and projected speedup, and peak RSS. It feeds
+//!   the Chrome-trace and folded-stack exports and is excluded from golden
+//!   comparison.
 //!
 //! The collector uses interior mutability (`RefCell`) because flow
 //! orchestration is single-threaded: stage bodies borrow the collector
 //! through a shared [`Telemetry`] handle on
 //! [`StageCtx`](crate::harness::StageCtx) while the supervisor holds its
-//! own reference. Parallel kernels never touch the collector from worker
-//! threads — they return [`ParStats`] which the orchestrator records.
+//! own reference. The placer's stripe workers never touch the collector —
+//! the placer returns a [`StripeStats`] which the orchestrator records.
 
 use eda_netlist::codec::escape;
-use eda_par::ParStats;
+use eda_place::StripeStats;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -90,6 +92,10 @@ pub struct WallSpan {
     /// Resolved worker count for kernel dispatches (0 = not a parallel
     /// dispatch).
     pub threads: usize,
+    /// A parallel dispatch's projected speedup over one worker, bounded to
+    /// `[1, threads]` ([`StripeStats::bounded_speedup`]); 0 where
+    /// `threads` is.
+    pub speedup: f64,
     /// Process peak resident-set size (`VmHWM`) in bytes, sampled when the
     /// span closed; 0 while a span is open or where `/proc` is
     /// unavailable. A high-water mark, so the sequence over successive
@@ -266,21 +272,22 @@ impl Telemetry {
     }
 
     /// Records a finished parallel-kernel dispatch as a closed child span
-    /// of the innermost open span. The deterministic side carries the chunk
-    /// count (a pure function of the input size); worker count and wall
-    /// clock go to the wall section.
-    pub fn kernel(&self, name: &str, stats: &ParStats) {
+    /// of the innermost open span. The deterministic side carries the stripe
+    /// count as `chunks` (a pure function of the input and config); worker
+    /// count, projected speedup and wall clock go to the wall section.
+    pub fn kernel(&self, name: &str, stats: &StripeStats) {
         let mut inner = self.inner.borrow_mut();
         let id = inner.spans.len();
         let parent = inner.stack.last().copied();
         let now_s = Instant::now().duration_since(inner.epoch).as_secs_f64();
         let mut tags = BTreeMap::new();
-        tags.insert("chunks".to_string(), stats.chunks.to_string());
+        tags.insert("chunks".to_string(), stats.stripes.to_string());
         inner.spans.push(Span { id, parent, kind: SpanKind::Kernel, name: name.to_string(), tags });
         inner.wall.push(WallSpan {
             start_s: (now_s - stats.wall_s).max(0.0),
             dur_s: stats.wall_s,
             threads: stats.threads,
+            speedup: stats.bounded_speedup(),
             peak_rss_bytes: read_peak_rss_bytes(),
         });
         inner.started.push(Instant::now());
@@ -463,7 +470,7 @@ impl TelemetrySnapshot {
                 if !first {
                     out.push(',');
                 }
-                out.push_str(&format!("\"threads\":\"{}\"", w.threads));
+                out.push_str(&format!("\"threads\":\"{}\",\"speedup\":\"{:.2}\"", w.threads, w.speedup));
             }
             out.push_str("}}");
         }
@@ -550,7 +557,7 @@ mod tests {
                 attempt.tag("injected", "fail");
                 tel.kernel(
                     "aig:rewrite",
-                    &ParStats { threads: 4, chunks: 8, wall_s: 0.25, cpu_s: 0.8, critical_s: 0.2 },
+                    &StripeStats { threads: 4, stripes: 8, wall_s: 0.25, cpu_s: 0.8, critical_s: 0.2 },
                 );
                 tel.count("synth.aig_nodes_after", 123);
             }
@@ -575,6 +582,7 @@ mod tests {
         assert_eq!(snap.spans[3].tags["chunks"], "8");
         assert_eq!(snap.wall.len(), snap.spans.len());
         assert_eq!(snap.wall[3].threads, 4);
+        assert_eq!(snap.wall[3].speedup, 4.0);
     }
 
     #[test]
@@ -607,6 +615,7 @@ mod tests {
         assert!(trace.starts_with('{') && trace.trim_end().ends_with('}'));
         assert!(trace.contains("\"ph\":\"X\""));
         assert!(trace.contains("\"cat\":\"attempt\""));
+        assert!(trace.contains("\"chunks\":\"8\",\"threads\":\"4\",\"speedup\":\"4.00\""));
         let metrics = snap.metrics_json();
         assert!(metrics.contains("\"synth.aig_nodes_after\": 123"));
         assert!(metrics.contains("\"samples\":2"));

@@ -47,6 +47,6 @@ pub use floorplan::{Die, Point};
 pub use global::{legalize, place_global, GlobalConfig};
 pub use hier::{place_hierarchical, HierOutcome};
 pub use multilevel::{place_multilevel, MultilevelConfig, MultilevelOutcome};
-pub use parallel::{place_parallel, ParallelConfig, ParallelOutcome};
+pub use parallel::{place_parallel, thread_cpu_seconds, ParallelConfig, ParallelOutcome, StripeStats};
 pub use pins::NetPins;
 pub use placement::{Placement, PlacementSnapshot};

@@ -9,10 +9,13 @@
 //! (claim C9).
 //!
 //! The stripe **partition** (how many stripes, which cells, which seeds) is
-//! set by [`ParallelConfig::stripes`] and never by the thread count, and the
-//! stripe dispatch runs through [`eda_par`], so the final placement is
-//! bit-identical for any [`ParallelConfig::threads`] value — workers only
-//! change how fast the same stripes are annealed.
+//! set by [`ParallelConfig::stripes`] and never by the thread count; stripe
+//! `j` runs on worker `j % workers` and the stripes merge back in stripe
+//! order, so the final placement is bit-identical for any
+//! [`ParallelConfig::threads`] value — workers only change how fast the same
+//! stripes are annealed. The dispatch is the flow's only parallel one, on
+//! [`std::thread::scope`]; its [`StripeStats`] project the wall clock a
+//! host with a core per worker would observe, beside the measured one.
 
 use crate::anneal::{anneal_moves, AnnealConfig, AnnealIndex, Region};
 use crate::floorplan::{Die, Point};
@@ -40,12 +43,50 @@ pub struct ParallelConfig {
 impl Default for ParallelConfig {
     fn default() -> Self {
         ParallelConfig {
-            threads: eda_par::available_threads(),
+            threads: available_threads(),
             stripes: 4,
             moves_per_cell: 30,
             passes: 2,
             seed: 1,
         }
+    }
+}
+
+/// Execution record of a run's stripe dispatches, one per pass, summed.
+/// `stripes` depends on the input and config only; the rest describes how
+/// this host ran them.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct StripeStats {
+    /// Most workers any dispatch ran on.
+    pub threads: usize,
+    /// Stripe tasks run, over every pass.
+    pub stripes: usize,
+    /// Wall-clock seconds inside the dispatches.
+    pub wall_s: f64,
+    /// CPU seconds summed over every worker (`CLOCK_THREAD_CPUTIME_ID`).
+    pub cpu_s: f64,
+    /// The busiest worker's CPU seconds, summed over dispatches: the
+    /// critical path.
+    pub critical_s: f64,
+}
+
+impl StripeStats {
+    /// Wall clock a host with one dedicated core per worker would observe.
+    pub fn projected_wall_s(&self) -> f64 {
+        self.critical_s.max(1e-12)
+    }
+
+    /// Projected speedup over one worker, clamped to `[1, threads]`: a
+    /// dispatch cannot beat its worker count, and when the busiest worker
+    /// burned less CPU than the clock credibly resolves (`< 1 µs`, where the
+    /// raw ratio reports super-unity per-worker speedups no hardware
+    /// produced) the projection falls back to 1.0.
+    pub fn bounded_speedup(&self) -> f64 {
+        const MIN_MEASURABLE_BUSY_S: f64 = 1e-6;
+        if self.projected_wall_s() < MIN_MEASURABLE_BUSY_S {
+            return 1.0;
+        }
+        (self.cpu_s / self.projected_wall_s()).clamp(1.0, self.threads.max(1) as f64)
     }
 }
 
@@ -58,24 +99,56 @@ pub struct ParallelOutcome {
     pub hpwl_global: f64,
     /// Final HPWL.
     pub hpwl_final: f64,
-    /// Wall-clock seconds spent in the parallel refinement phase.
-    pub refine_seconds: f64,
-    /// Instances refined per second of wall clock.
-    pub instances_per_second: f64,
-    /// Accumulated parallel-execution record across all stripe dispatches;
-    /// its projected wall is the refinement a true multicore host would
-    /// observe.
-    pub par_stats: eda_par::ParStats,
+    /// The stripe dispatches' timing, summed over passes; its projected
+    /// wall is the refinement a true multicore host would observe.
+    pub stats: StripeStats,
     /// Annealing moves accepted across all stripes and passes. Each stripe
     /// anneals a private seeded copy, so the sum is thread-invariant.
     pub moves_accepted: usize,
 }
 
-impl ParallelOutcome {
-    /// Projected throughput on a true multicore host, instances per second.
-    pub fn projected_instances_per_second(&self, total_refined: f64) -> f64 {
-        total_refined / self.par_stats.projected_wall_s().max(1e-9)
+/// CPU time consumed by the calling thread, in seconds.
+pub fn thread_cpu_seconds() -> f64 {
+    let mut ts = libc::timespec { tv_sec: 0, tv_nsec: 0 };
+    // SAFETY: clock_gettime with a valid clock id and out-pointer.
+    unsafe {
+        libc::clock_gettime(libc::CLOCK_THREAD_CPUTIME_ID, &mut ts);
     }
+    ts.tv_sec as f64 + ts.tv_nsec as f64 * 1e-9
+}
+
+/// Hardware threads available to this process.
+fn available_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Runs `f` over `jobs` on `workers` scoped threads, job `j` on worker
+/// `j % workers` (round-robin rather than stealing, so each worker's busy
+/// time stays its fair share on a host with fewer cores than workers), and
+/// returns the results in job order. One worker runs inline on the caller.
+fn dispatch<T: Sync, R: Send>(workers: usize, jobs: &[T], f: impl Fn(&T) -> R + Sync) -> (Vec<R>, StripeStats) {
+    let t0 = Instant::now();
+    let run = |first: usize| {
+        let b0 = thread_cpu_seconds();
+        let local: Vec<(usize, R)> = (first..jobs.len()).step_by(workers).map(|j| (j, f(&jobs[j]))).collect();
+        (thread_cpu_seconds() - b0, local)
+    };
+    let done: Vec<(f64, Vec<(usize, R)>)> = if workers == 1 {
+        vec![run(0)]
+    } else {
+        std::thread::scope(|scope| {
+            let run = &run;
+            let spawned: Vec<_> = (0..workers).map(|w| scope.spawn(move || run(w))).collect();
+            spawned.into_iter().map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))).collect()
+        })
+    };
+    let cpu_s = done.iter().map(|(spent, _)| spent).sum();
+    let critical_s = done.iter().map(|&(spent, _)| spent).fold(0.0, f64::max);
+    let mut tagged: Vec<(usize, R)> = done.into_iter().flat_map(|(_, local)| local).collect();
+    tagged.sort_unstable_by_key(|&(j, _)| j);
+    let out = tagged.into_iter().map(|(_, r)| r).collect();
+    let wall_s = t0.elapsed().as_secs_f64();
+    (out, StripeStats { threads: workers, stripes: jobs.len(), wall_s, cpu_s, critical_s })
 }
 
 /// Places a netlist using multi-threaded stripe refinement.
@@ -97,8 +170,8 @@ pub fn place_parallel(netlist: &Netlist, die: Die, cfg: &ParallelConfig) -> Para
     let hpwl_global = index.pins.total_hpwl(&placement);
     let n = netlist.num_instances();
 
-    let start = Instant::now();
-    let mut par_stats = eda_par::ParStats::empty();
+    let threads = if cfg.threads == 0 { available_threads() } else { cfg.threads };
+    let mut stats = StripeStats::default();
     let mut moves_accepted = 0usize;
     for pass in 0..cfg.passes {
         // Partition cells into stripes by x (even pass) or y (odd pass).
@@ -137,11 +210,10 @@ pub fn place_parallel(netlist: &Netlist, die: Die, cfg: &ParallelConfig) -> Para
         // plus its accepted-move count (summed into
         // `ParallelOutcome::moves_accepted`).
         type StripeResult = (Vec<(InstId, Point)>, usize);
-        let workers = eda_par::resolve_threads(cfg.threads).min(stripe_jobs.len());
-        let (moved, stats): (Vec<StripeResult>, eda_par::ParStats) = {
+        let (moved, pass): (Vec<StripeResult>, StripeStats) = {
             let placement_ref = &placement;
             let net_cost = index.pins.net_costs(placement_ref);
-            eda_par::par_map_stats(workers, &stripe_jobs, |_, (cells, region, seed)| {
+            dispatch(threads.min(stripe_jobs.len()), &stripe_jobs, |(cells, region, seed)| {
                 let mut local = placement_ref.clone();
                 let accepted = anneal_moves(
                     &index,
@@ -160,7 +232,12 @@ pub fn place_parallel(netlist: &Netlist, die: Die, cfg: &ParallelConfig) -> Para
                 (positions, accepted)
             })
         };
-        par_stats.absorb(&stats);
+        // Passes run one after another, so wall, CPU and critical path add.
+        stats.threads = stats.threads.max(pass.threads);
+        stats.stripes += pass.stripes;
+        stats.wall_s += pass.wall_s;
+        stats.cpu_s += pass.cpu_s;
+        stats.critical_s += pass.critical_s;
         for (stripe, accepted) in moved {
             moves_accepted += accepted;
             for (id, p) in stripe {
@@ -168,15 +245,11 @@ pub fn place_parallel(netlist: &Netlist, die: Die, cfg: &ParallelConfig) -> Para
             }
         }
     }
-    let refine_seconds = start.elapsed().as_secs_f64().max(1e-9);
-    let refined = (n * cfg.passes) as f64;
     ParallelOutcome {
         hpwl_global,
         hpwl_final: index.pins.total_hpwl(&placement),
         placement,
-        refine_seconds,
-        instances_per_second: refined / refine_seconds,
-        par_stats,
+        stats,
         moves_accepted,
     }
 }
@@ -197,7 +270,7 @@ mod tests {
         let die = Die::for_netlist(&n, 0.7);
         let out = place_parallel(&n, die, &ParallelConfig { threads: 4, ..Default::default() });
         assert!(out.hpwl_final < out.hpwl_global);
-        assert!(out.instances_per_second > 0.0);
+        assert!(out.stats.wall_s > 0.0);
     }
 
     #[test]
@@ -222,13 +295,6 @@ mod tests {
     }
 
     #[test]
-    fn default_threads_track_available_cores() {
-        let d = ParallelConfig::default();
-        assert_eq!(d.threads, eda_par::available_threads());
-        assert!(d.stripes >= 1);
-    }
-
-    #[test]
     fn placement_is_identical_for_any_thread_count() {
         let n = generate::random_logic(generate::RandomLogicConfig {
             gates: 300,
@@ -245,7 +311,7 @@ mod tests {
             )
         };
         let one = mk(1);
-        for threads in [2, 8] {
+        for threads in [0, 2, 8] {
             let par = mk(threads);
             assert_eq!(one.hpwl_final.to_bits(), par.hpwl_final.to_bits(), "threads={threads}");
             for i in 0..n.num_instances() {
@@ -256,6 +322,70 @@ mod tests {
                 assert_eq!(a.y.to_bits(), b.y.to_bits());
             }
         }
+    }
+
+    #[test]
+    fn dispatch_returns_results_in_stripe_order() {
+        let jobs: Vec<u64> = (0..37).collect();
+        let want: Vec<u64> = jobs.iter().map(|&v| v * 2 + 1).collect();
+        for workers in [1, 2, 3, 8] {
+            let (out, stats) = dispatch(workers, &jobs, |&v| v * 2 + 1);
+            assert_eq!(out, want, "workers={workers}");
+            assert_eq!((stats.threads, stats.stripes), (workers, jobs.len()));
+        }
+    }
+
+    /// `place_parallel`'s timing record on a 600-gate design, two passes.
+    fn stats_of(threads: usize, stripes: usize) -> StripeStats {
+        let cfg = generate::RandomLogicConfig { gates: 600, seed: 7, ..Default::default() };
+        let n = generate::random_logic(cfg).unwrap();
+        let cfg = ParallelConfig { threads, stripes, moves_per_cell: 20, passes: 2, seed: 3 };
+        place_parallel(&n, Die::for_netlist(&n, 0.7), &cfg).stats
+    }
+
+    #[test]
+    fn stats_account_all_workers() {
+        let stats = stats_of(4, 8);
+        assert_eq!((stats.threads, stats.stripes), (4, 16), "8 stripes in each of 2 passes");
+        // The busiest worker carries at least the mean and at most the sum.
+        assert!(stats.critical_s <= stats.cpu_s);
+        assert!(stats.critical_s * stats.threads as f64 + 1e-12 >= stats.cpu_s);
+        assert!(stats.wall_s > 0.0 && stats.projected_wall_s() > 0.0);
+        assert!((1.0..=4.0).contains(&stats.bounded_speedup()));
+    }
+
+    #[test]
+    fn absorbed_dispatches_project_the_sum_of_their_critical_paths() {
+        // Two one-stripe passes with two workers granted: each dispatch runs
+        // its stripe inline, the passes run one after the other, so the
+        // projection is the sum of both and nothing was sped up.
+        let stats = stats_of(2, 1);
+        assert_eq!((stats.threads, stats.stripes), (1, 2));
+        assert_eq!(stats.critical_s, stats.cpu_s);
+        assert_eq!(stats.bounded_speedup(), 1.0);
+    }
+
+    #[test]
+    fn bounded_speedup_stays_within_wall_clock_bounds() {
+        let record =
+            |threads, cpu_s, critical_s| StripeStats { threads, stripes: threads, wall_s: critical_s, cpu_s, critical_s };
+        // Under-resolution busy clocks: no evidence of parallelism → 1.0,
+        // and all-zero ones (raw projection 0.0) too.
+        let tiny = record(8, 8e-9, 1e-9);
+        assert!(tiny.cpu_s / tiny.projected_wall_s() > 1.0, "raw projection over-reports");
+        assert_eq!(tiny.bounded_speedup(), 1.0);
+        assert_eq!(record(8, 0.0, 0.0).bounded_speedup(), 1.0);
+        // A healthy record passes through unchanged; a raw ratio above the
+        // worker count is clamped to it, one below 1 is raised to 1.
+        assert!((record(4, 0.4, 0.1).bounded_speedup() - 4.0).abs() < 1e-12);
+        assert_eq!(record(2, 0.5, 0.1).bounded_speedup(), 2.0);
+        assert_eq!(record(4, 0.05, 0.1).bounded_speedup(), 1.0);
+    }
+
+    #[test]
+    fn zero_threads_means_available() {
+        assert_eq!(ParallelConfig::default().threads, available_threads());
+        assert_eq!(stats_of(0, 4).threads, available_threads().min(4));
     }
 
     #[test]

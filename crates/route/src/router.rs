@@ -701,9 +701,9 @@ mod tests {
         // An un-buffered enable/reset net: 3 000 distinct g-cells.
         let pins: Vec<GCell> = (0..3_000u32).map(|i| GCell::new(i / 40, i % 40)).collect();
         // This thread's CPU seconds, so a loaded test host cannot fail it.
-        let t0 = eda_par::thread_cpu_seconds();
+        let t0 = eda_place::thread_cpu_seconds();
         let pairs = prim_pairs(&pins);
-        let took = eda_par::thread_cpu_seconds() - t0;
+        let took = eda_place::thread_cpu_seconds() - t0;
         assert_eq!(pairs.len(), 2_999);
         assert!(pairs.iter().all(|tp| tp.src.manhattan(&tp.dst) == 1), "a full block spans at unit cost");
         assert!(took < 1.0, "3 000-pin Prim took {took:.2} s");

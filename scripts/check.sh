@@ -239,8 +239,9 @@ echo "check: store smoke green (cold run wrote $cold_sub sub-stage entries, edit
 
 # Scale tests in release: the mini tier (10^4 instances through all 11
 # stages with zero overflow and the routing window below the dense grid,
-# bit-identical at 1/2/4/8 threads, its QoR fingerprint and work counts
-# pinned at 1 and 4, inside a 512 MB RSS profile), the 10^5 tier (the same
+# its QoR fingerprint and work counts pinned at 1 and 2 threads — the scale
+# preset's placer is serial, so `threads` reaches no kernel there — inside a
+# 512 MB RSS profile), the 10^5 tier (the same
 # invariants at 1 and 4 threads, warm-cache replay and resume from a store
 # cut mid-flow; seconds of release wall clock), the decap path and the
 # RSS-exclusion check; the debug suite above ignores both tiers.
@@ -312,10 +313,14 @@ cargo test --release -q --test netlist_memory
 # kernel spans, eda-par's range-chunk entry point only they called, the
 # `opc_par` / `fault_sim_par` projection rows and the `scaling_threads`
 # helper with its `EDA_BENCH_THREADS` variable — which serial loops in
-# sample, fragment and fault-list order replaced, bit for bit; and the
-# test-only XOR `spread`er of the compression model)
+# sample, fragment and fault-list order replaced, bit for bit; the
+# test-only XOR `spread`er of the compression model; and the eda-par crate —
+# its chunked map, chunk partition and `ParStats` — with the flow report's
+# per-stage worker maps and the placer outcome's test-only throughput
+# fields, which the placer's own stripe dispatch and `StripeStats`
+# replaced)
 # must not reappear anywhere in the workspace, its tests or its examples.
-deleted_names='StageBudgets?|soft_deadline_s|npn_canon|npn_equivalent|NpnCanon|collapse_faults|CollapseOutcome|request_retry|retry_queue_full|fault_sim_threaded|run_opc_stats|image_threaded|print_threaded|edge_placement_errors_threaded|FlowConfigBuilder|map_goal|route_region_size|RegionWithoutWindow|NoLayers|open_shared|server_snapshot|QUEUE_DEPTH_EDGES|count_sat|is_xor_like|peak_density|serve_demo|scale_demo|SERVLINE|SCALELINE|cross_hit_rate|usage_h_row|usage_v_col|free_run_scan|set_seen|^struct Span|^fn any_unseen|par_tasks_stats_at|projected_refine_seconds|est_dispatched|busy_s|performance_score|fmax_mhz|min_period_ps|with_arms|demand_at|overflowed_bins|MapGoal|layer_sweep|into_payload|insertion_delay_ps|wire_cap_ff|wafer_cost|liberty_to_clf|instances_per_day|domain_count|rebind|^pub fn (lee_bfs|astar|mikami_tabuchi)(_in)?|GateSpec|SpecKind|SpecRef|build_fragment|fragment_ref|of_ref|mean_density|lfsr|fn intersect|spread_clusters|coarse_iterations|MAX_CLUSTER_NET_FANOUT|coarse_nets|tagged_count|enumerate_waves|level_waves|map_par|is_overflowed|insert_clock_gating|insert_decaps|GatingOutcome|DecapOutcome|RegionMap|RegionSpan|RegionScheduler|RegionTask|OverlayGrid|OverlayBuffers|ScratchPool|route_stats|negotiation_waves|seam_conflicts|local_commits|route_par|par_tasks_stats|scaling_threads|EDA_BENCH_THREADS|opc_par|fault_sim_par|par_chunks_stats|fn spread\(seed_bits|opc:fragments|fault_sim:faults'
+deleted_names='StageBudgets?|soft_deadline_s|npn_canon|npn_equivalent|NpnCanon|collapse_faults|CollapseOutcome|request_retry|retry_queue_full|fault_sim_threaded|run_opc_stats|image_threaded|print_threaded|edge_placement_errors_threaded|FlowConfigBuilder|map_goal|route_region_size|RegionWithoutWindow|NoLayers|open_shared|server_snapshot|QUEUE_DEPTH_EDGES|count_sat|is_xor_like|peak_density|serve_demo|scale_demo|SERVLINE|SCALELINE|cross_hit_rate|usage_h_row|usage_v_col|free_run_scan|set_seen|^struct Span|^fn any_unseen|par_tasks_stats_at|projected_refine_seconds|est_dispatched|busy_s|performance_score|fmax_mhz|min_period_ps|with_arms|demand_at|overflowed_bins|MapGoal|layer_sweep|into_payload|insertion_delay_ps|wire_cap_ff|wafer_cost|liberty_to_clf|instances_per_day|domain_count|rebind|^pub fn (lee_bfs|astar|mikami_tabuchi)(_in)?|GateSpec|SpecKind|SpecRef|build_fragment|fragment_ref|of_ref|mean_density|lfsr|fn intersect|spread_clusters|coarse_iterations|MAX_CLUSTER_NET_FANOUT|coarse_nets|tagged_count|enumerate_waves|level_waves|map_par|is_overflowed|insert_clock_gating|insert_decaps|GatingOutcome|DecapOutcome|RegionMap|RegionSpan|RegionScheduler|RegionTask|OverlayGrid|OverlayBuffers|ScratchPool|route_stats|negotiation_waves|seam_conflicts|local_commits|route_par|par_tasks_stats|scaling_threads|EDA_BENCH_THREADS|opc_par|fault_sim_par|par_chunks_stats|fn spread\(seed_bits|opc:fragments|fault_sim:faults|par_map_stats|chunk_ranges|default_chunk|stage_threads|stage_speedup|eda_par|ParStats|projected_instances_per_second|refine_seconds'
 if grep -rnwE "$deleted_names" crates src tests examples; then
     echo "check: FAIL a deleted name is back (census above)" >&2; exit 1
 fi
@@ -358,13 +363,12 @@ if [ -n "$bench_status" ]; then
 fi
 
 # Serial kernels: synthesis, routing, OPC and fault simulation run serially,
-# so none of their crates may depend on eda-par again (a dev-dependency, for
-# a test's CPU clock, is fine).
-for manifest in crates/logic/Cargo.toml crates/route/Cargo.toml crates/litho/Cargo.toml crates/dft/Cargo.toml; do
-    if awk '/^\[/{deps = ($0 == "[dependencies]")} deps' "$manifest" | grep -q '^eda-par'; then
-        echo "check: FAIL $manifest lists eda-par under [dependencies]" >&2; exit 1
-    fi
-done
+# so no thread may be scoped or spawned in their crates' sources again (the
+# placer's stripe dispatch and the request engine are the flow's threads;
+# `thread::Builder` for a test's stack size does not match).
+if grep -rnE 'thread::(scope|spawn)' crates/logic/src crates/route/src crates/litho/src crates/dft/src; then
+    echo "check: FAIL a serial kernel crate scopes or spawns threads again (above)" >&2; exit 1
+fi
 
 # One engine: the request engine is the only way a request reaches the
 # flow driver, so `run_flow_shared(` is called in eda-core from `flow.rs`
@@ -378,5 +382,5 @@ fi
 awk '/^test result:/ { passed += $4; failed += $6 }
      END { printf "check: %d tests passed, %d failed across all binaries\n", passed, failed
            exit (failed > 0) }' "$test_log"
-echo "check: $(find crates src tests examples benchmark -name '*.rs' -print0 | xargs -0 cat | wc -l) lines of Rust (the count ROADMAP quotes); clippy --workspace --all-targets clean; deleted-name census empty (budgets, NPN / collapse, retry, twins, config builder, derived knobs, shared-store open, server snapshot, test-only accessors, serve / scale harnesses, per-edge probe helpers, per-slot busy clocks and the route wave ledger, mapping goal, one-shot search twins and layer sweep, mapper fragment pipeline and fourth test-only tranche, multilevel coarse sweeps and state tagged-count reader, mapper wave dispatch, per-edge overflow probe, clock-gating / decap copy-returning entry points and outcome types, route wave scheduler, OPC / fault-sim dispatch and its scaling rows); no eda-par under eda-logic / eda-route / eda-litho / eda-dft [dependencies]; no netlist copy in the 2_clock_gating / 9_power bodies; no name-keyed net map in eda-netlist; no per-connection path vector in eda-route; benchmark/ and BENCHMARK.json untouched; run_flow_shared called from flow.rs + engine.rs only; C3 suite below the 2006 baseline on area, delay and power"
-echo "check: tier-1 + clippy --workspace --all-targets + unwrap gates + inject smoke + trace + all 18 claims + C3 direction gate + daemon + facade docs + incremental + sub-stage record budget + cross-process resume + mini-tier pins + 10^5 tier + golden + route pins + route audit + place pins + place audit + sign-off pins + deleted-name census (incl. multilevel coarse sweeps, state tagged-count reader, mapper wave dispatch, per-edge overflow probe and the copy-returning insert_clock_gating / insert_decaps / GatingOutcome / DecapOutcome, the route wave scheduler, and the OPC / fault-sim dispatch, its kernel spans and scaling rows) + heap pins (netlist layout, route wire store) + serial-kernel dependency gate + one-netlist gate + net-name index gate + paged wire-store gate + untouched-benchmark gate + one-engine gate green"
+echo "check: $(find crates src tests examples benchmark -name '*.rs' -print0 | xargs -0 cat | wc -l) lines of Rust (the count ROADMAP quotes); clippy --workspace --all-targets clean; deleted-name census empty (budgets, NPN / collapse, retry, twins, config builder, derived knobs, shared-store open, server snapshot, test-only accessors, serve / scale harnesses, per-edge probe helpers, per-slot busy clocks and the route wave ledger, mapping goal, one-shot search twins and layer sweep, mapper fragment pipeline and fourth test-only tranche, multilevel coarse sweeps and state tagged-count reader, mapper wave dispatch, per-edge overflow probe, clock-gating / decap copy-returning entry points and outcome types, route wave scheduler, OPC / fault-sim dispatch and its scaling rows, eda-par and the per-stage worker maps); no thread::scope / thread::spawn under eda-logic / eda-route / eda-litho / eda-dft sources; no netlist copy in the 2_clock_gating / 9_power bodies; no name-keyed net map in eda-netlist; no per-connection path vector in eda-route; benchmark/ and BENCHMARK.json untouched; run_flow_shared called from flow.rs + engine.rs only; C3 suite below the 2006 baseline on area, delay and power"
+echo "check: tier-1 + clippy --workspace --all-targets + unwrap gates + inject smoke + trace + all 18 claims + C3 direction gate + daemon + facade docs + incremental + sub-stage record budget + cross-process resume + mini-tier pins + 10^5 tier + golden + route pins + route audit + place pins + place audit + sign-off pins + deleted-name census (incl. multilevel coarse sweeps, state tagged-count reader, mapper wave dispatch, per-edge overflow probe and the copy-returning insert_clock_gating / insert_decaps / GatingOutcome / DecapOutcome, the route wave scheduler, the OPC / fault-sim dispatch, its kernel spans and scaling rows, and eda-par with the per-stage worker maps) + heap pins (netlist layout, route wire store) + serial-kernel source gate + one-netlist gate + net-name index gate + paged wire-store gate + untouched-benchmark gate + one-engine gate green"

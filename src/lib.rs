@@ -91,7 +91,6 @@
 
 pub use eda_core as core;
 pub use eda_dft as dft;
-pub use eda_par as par;
 pub use eda_litho as litho;
 pub use eda_logic as logic;
 pub use eda_netlist as netlist;

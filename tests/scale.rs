@@ -133,11 +133,15 @@ fn assert_mini_pins(report: &FlowReport, threads: usize) {
     assert_eq!(work, MINI_WORK, "mini tier work counts at {threads} threads");
 }
 
-/// The mini tier (10⁴ instances) completes all 11 stages overflow-free with
-/// bit-identical QoR at 1, 2, 4, and 8 worker threads, within a conservative
-/// RSS budget, on the pinned fingerprint and work counts at 1 and 4. No
-/// stage of the scale preset dispatches through `eda-par`, so the thread
-/// sweep holds that `threads` reaches no result at this size.
+/// The mini tier (10⁴ instances) completes all 11 stages overflow-free
+/// within a conservative RSS budget, on the pinned fingerprint and work
+/// counts at 1 and 2 worker threads. `FlowConfig::threads` reaches one
+/// place in the flow, the stripe branch of `4_place` (`cfg.threads` has no
+/// other reader under `crates/core/src`); the scale preset sets
+/// `cluster_gates > 0`, so `4_place` takes the serial multilevel branch and
+/// the knob reaches nothing here. One rerun at 2 threads holds that; more
+/// would rerun the same serial flow. `tests/determinism.rs` holds QoR at
+/// 1/2/8 threads on presets that do reach the stripe dispatch.
 /// Release-only: `scripts/check.sh` runs it in release.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "10^4 flow is minutes unoptimized; run in release")]
@@ -146,16 +150,7 @@ fn mini_scale_tier_is_bit_identical_and_bounded() {
     let serial = run_tier(&design, MINI, 1);
     assert_scale_invariants(&serial, "mini serial");
     assert_mini_pins(&serial, 1);
-    for threads in [2usize, 4, 8] {
-        let par = run_tier(&design, MINI, threads);
-        assert!(
-            serial.same_qor(&par),
-            "mini tier QoR diverged between 1 and {threads} threads"
-        );
-        if threads == 4 {
-            assert_mini_pins(&par, threads);
-        }
-    }
+    assert_mini_pins(&run_tier(&design, MINI, 2), 2);
     assert_rss_profile(&serial, 512, "mini serial");
     assert_claim_walk_is_linear(&design, &serial);
 }

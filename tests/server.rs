@@ -11,7 +11,7 @@
 
 use eda_core::{
     run_flow, Fault, FaultPlan, FlowConfig, FlowError, FlowReport, FlowRequest, FlowServer,
-    Metric, StoreConfig, STAGES,
+    Metric, Span, SpanKind, StoreConfig, WallSpan, STAGES,
 };
 use eda_netlist::{generate, Netlist};
 use eda_tech::Node;
@@ -189,18 +189,25 @@ fn repeated_request_replays_the_shared_cache() {
 #[test]
 fn stage_speedups_stay_within_wall_clock_bounds() {
     // Regression for the placer's 8+-worker super-unity projections: every
-    // reported per-stage speedup must sit inside [1, threads granted to the
-    // stage] — a projection can never beat the workers it ran on.
+    // parallel dispatch's recorded speedup must sit inside [1, the workers it
+    // ran on] — a projection can never beat the workers it ran on. Kernel
+    // spans with `threads == 0` (synthesis passes and the like) dispatched
+    // no workers and record no speedup.
     let design = generate::switch_fabric(3, 3).unwrap();
     let mut cfg = FlowConfig::advanced_2016(Node::N10);
     cfg.threads = 8;
     let report = run_flow(&design, &cfg).unwrap();
-    assert!(!report.stage_speedup.is_empty(), "parallel stages report speedups");
-    for (stage, speedup) in &report.stage_speedup {
-        let granted = report.stage_threads.get(stage).copied().unwrap_or(8) as f64;
+    let tel = &report.telemetry;
+    let is_dispatch = |(span, wall): &(&Span, &WallSpan)| span.kind == SpanKind::Kernel && wall.threads > 0;
+    let dispatches: Vec<_> = tel.spans.iter().zip(&tel.wall).filter(is_dispatch).collect();
+    assert!(!dispatches.is_empty(), "the placer's stripe dispatch reports a speedup");
+    for (span, wall) in dispatches {
+        let granted = wall.threads as f64;
         assert!(
-            (1.0..=granted).contains(speedup),
-            "{stage}: projected speedup {speedup:.3} outside [1, {granted}]"
+            (1.0..=granted).contains(&wall.speedup),
+            "{}: projected speedup {:.3} outside [1, {granted}]",
+            span.name,
+            wall.speedup
         );
     }
 }
