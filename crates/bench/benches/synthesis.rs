@@ -83,5 +83,20 @@ fn bench_rewrite_scale(_c: &mut Criterion) {
     println!("BENCHLINE rewrite/mesh10k {s:.9e}");
 }
 
-criterion_group!(benches, bench_synthesis, bench_aig_passes, bench_rewrite_scale);
+/// One `Aig::rewrite` pass over the balanced 50 k mesh — the graph the
+/// first rewrite of `mesh_t1`'s synthesis sees — so a cut-kernel or
+/// structural-hash change can be judged without running the flow.
+fn bench_rewrite_mesh50k(_c: &mut Criterion) {
+    let design = generate::scale_mesh(50_000, 1).unwrap();
+    let balanced = Aig::from_netlist(&design).unwrap().0.balance();
+    drop(design);
+    let s = median_seconds(5, || {
+        let t = Instant::now();
+        black_box(balanced.rewrite().num_ands());
+        t.elapsed().as_secs_f64()
+    });
+    println!("BENCHLINE rewrite/mesh50k {s:.9e}");
+}
+
+criterion_group!(benches, bench_synthesis, bench_aig_passes, bench_rewrite_scale, bench_rewrite_mesh50k);
 criterion_main!(benches);

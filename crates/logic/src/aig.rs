@@ -12,8 +12,10 @@ use crate::tt::TruthTable;
 use eda_netlist::codec::{unescape, write_token};
 use eda_netlist::memo::Fnv1a;
 use eda_netlist::{CellFunction, NetDriver, Netlist};
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
 use std::fmt::Write;
+use std::hash::BuildHasher;
+use std::sync::OnceLock;
 
 /// A literal: an AIG node with an optional complement flag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -111,6 +113,76 @@ pub struct FlopBoundary {
     pub block: Option<String>,
 }
 
+/// The structural hash: the ids of the AND nodes in an open-addressed
+/// table, probed linearly from the operand pair's hash and at most half
+/// full; 0 marks a free slot (node 0 is the constant, never an AND). A pair
+/// hashes by one multiply-xorshift under a random per-process key, as in a
+/// `HashMap`, because the graphs are built from netlists clients send. The
+/// key only places entries: which node a pair finds never depends on it.
+#[derive(Debug, Clone)]
+struct Strash {
+    slots: Vec<u32>,
+    /// Occupied slots.
+    len: usize,
+    key: u64,
+}
+
+/// The per-process key of [`Strash`], drawn once from std's hasher keys.
+fn strash_key() -> u64 {
+    static KEY: OnceLock<u64> = OnceLock::new();
+    *KEY.get_or_init(|| RandomState::new().hash_one(0x5354_5241_5348u64))
+}
+
+impl Strash {
+    /// A table with room for `ands` AND nodes before it grows.
+    fn with_capacity(ands: usize, key: u64) -> Strash {
+        Strash { slots: vec![0; (2 * ands).next_power_of_two().max(16)], len: 0, key }
+    }
+
+    fn hash(&self, a: Lit, b: Lit) -> usize {
+        let m = ((u64::from(a.0) << 32 | u64::from(b.0)) ^ self.key).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        (m ^ m >> 32) as usize
+    }
+
+    /// The slot holding the AND of `(a, b)`, or the free slot where it
+    /// belongs.
+    fn probe(&self, nodes: &[AigNode], a: Lit, b: Lit) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.hash(a, b) & mask;
+        while self.slots[slot] != 0 && nodes[self.slots[slot] as usize] != AigNode::And(a, b) {
+            slot = (slot + 1) & mask;
+        }
+        slot
+    }
+
+    /// Makes `nodes[id]`, an AND whose pair probed to `slot`, that pair's
+    /// entry, growing the table when it would pass half full.
+    fn set(&mut self, nodes: &[AigNode], slot: usize, id: u32) {
+        if self.slots[slot] == 0 {
+            if 2 * (self.len + 1) > self.slots.len() {
+                self.rebuild(nodes, 2 * self.slots.len());
+                return;
+            }
+            self.len += 1;
+        }
+        self.slots[slot] = id;
+    }
+
+    /// Re-indexes every AND of `nodes` into `size` slots, a later node
+    /// taking over the entry of an earlier one with the same pair.
+    fn rebuild(&mut self, nodes: &[AigNode], size: usize) {
+        self.slots = vec![0; size];
+        self.len = 0;
+        for (id, node) in nodes.iter().enumerate() {
+            if let AigNode::And(a, b) = *node {
+                let slot = self.probe(nodes, a, b);
+                self.len += (self.slots[slot] == 0) as usize;
+                self.slots[slot] = id as u32;
+            }
+        }
+    }
+}
+
 /// An and-inverter graph with structural hashing.
 ///
 /// # Examples
@@ -128,7 +200,7 @@ pub struct FlopBoundary {
 #[derive(Debug, Clone)]
 pub struct Aig {
     nodes: Vec<AigNode>,
-    strash: HashMap<(Lit, Lit), u32>,
+    strash: Strash,
     pi_names: Vec<String>,
     pos: Vec<(String, Lit)>,
 }
@@ -142,7 +214,19 @@ impl Default for Aig {
 impl Aig {
     /// Creates an empty graph (just the constant node).
     pub fn new() -> Aig {
-        Aig { nodes: vec![AigNode::Const], strash: HashMap::new(), pi_names: Vec::new(), pos: Vec::new() }
+        Aig::sized(0, strash_key())
+    }
+
+    /// An empty graph whose structural hash, under `key`, has room for
+    /// `ands` AND nodes. Only the table is sized: reserving the node array
+    /// too raises `mesh_t1`'s peak RSS by 8 %.
+    fn sized(ands: usize, key: u64) -> Aig {
+        Aig {
+            nodes: vec![AigNode::Const],
+            strash: Strash::with_capacity(ands, key),
+            pi_names: Vec::new(),
+            pos: Vec::new(),
+        }
     }
 
     /// Adds a primary input and returns its literal.
@@ -169,13 +253,14 @@ impl Aig {
         if b == Lit::TRUE || a == b {
             return a;
         }
-        let key = if a <= b { (a, b) } else { (b, a) };
-        if let Some(&id) = self.strash.get(&key) {
-            return Lit::new(id, false);
+        let (a, b) = if a <= b { (a, b) } else { (b, a) };
+        let slot = self.strash.probe(&self.nodes, a, b);
+        if self.strash.slots[slot] != 0 {
+            return Lit::new(self.strash.slots[slot], false);
         }
         let id = self.nodes.len() as u32;
-        self.nodes.push(AigNode::And(key.0, key.1));
-        self.strash.insert(key, id);
+        self.nodes.push(AigNode::And(a, b));
+        self.strash.set(&self.nodes, slot, id);
         Lit::new(id, false)
     }
 
@@ -298,9 +383,16 @@ impl Aig {
     /// flop clocks that do not resolve to a primary input through at most a
     /// chain of plain buffers, or on invalid netlists.
     pub fn from_netlist(netlist: &Netlist) -> Result<(Aig, SeqBoundary), AigError> {
-        netlist.validate().map_err(|e| AigError::Invalid(e.to_string()))?;
+        Aig::from_netlist_keyed(netlist, strash_key())
+    }
+
+    /// [`Aig::from_netlist`] with the structural hash under `key`.
+    fn from_netlist_keyed(netlist: &Netlist, key: u64) -> Result<(Aig, SeqBoundary), AigError> {
+        // Validation ends in the topological order the build walks.
+        let order = netlist.validate().map_err(|e| AigError::Invalid(e.to_string()))?;
         let lib = netlist.library();
-        let mut aig = Aig::new();
+        // About one AND per instance: 44 915 for the 49 221 of the 50 k mesh.
+        let mut aig = Aig::sized(netlist.num_instances(), key);
         // The literal of each net, by net index, once its driver is built.
         let mut net_lit: Vec<Option<Lit>> = vec![None; netlist.num_nets()];
         for &pi in netlist.primary_inputs() {
@@ -352,7 +444,6 @@ impl Aig {
             flop_records.push(FlopBoundary { name: inst.name().to_string(), clock_pi, block });
         }
         // Combinational instances in topo order.
-        let order = netlist.topo_order().map_err(|e| AigError::Invalid(e.to_string()))?;
         for id in order {
             let inst = netlist.instance(id);
             let func = lib.cell(inst.cell()).function;
@@ -421,7 +512,7 @@ impl Aig {
     /// balanced once, as its own root, so no logic is duplicated.
     pub fn balance(&self) -> Aig {
         let refs = self.refcounts();
-        let mut out = Aig::new();
+        let mut out = Aig::sized(self.nodes.len(), self.strash.key);
         let mut map: Vec<Lit> = vec![Lit::FALSE; self.nodes.len()];
         // Levels of nodes in `out`, kept in lockstep with out.nodes.
         let mut out_levels: Vec<u32> = vec![0];
@@ -493,7 +584,7 @@ impl Aig {
         let n_nodes = self.nodes.len();
         let refs = self.refcounts();
         let cuts = CutSet::enumerate(&self.nodes);
-        let mut cone_costs = IsopCosts::new();
+        let mut covers = IsopCovers::new();
         // Choice per AND node: None = direct AND of children, Some(k) = cut k.
         let mut choice: Vec<Option<usize>> = vec![None; n_nodes];
         let mut flow: Vec<f64> = vec![0.0; n_nodes];
@@ -509,7 +600,7 @@ impl Aig {
                     continue;
                 }
                 let leaf_flow: f64 = c.leaves().iter().map(|&l| flow[l as usize]).sum();
-                let cost = cone_costs.of(c.tt) as f64 + leaf_flow;
+                let cost = covers.cost(c.tt) as f64 + leaf_flow;
                 if cost < best {
                     best = cost;
                     choice[i] = Some(k);
@@ -539,7 +630,7 @@ impl Aig {
         }
 
         // Rebuild.
-        let mut out = Aig::new();
+        let mut out = Aig::sized(n_nodes, self.strash.key);
         let mut map: Vec<Lit> = vec![Lit::FALSE; n_nodes];
         for i in 0..n_nodes {
             match self.nodes[i] {
@@ -557,14 +648,13 @@ impl Aig {
                         }
                         Some(k) => {
                             let cut = &cuts.of(i)[k];
-                            let f = TruthTable::from_bits(K, cut.tt as u64);
-                            let cover = isop(&f, &f);
-                            let mut terms: Vec<Lit> = Vec::with_capacity(cover.len());
-                            for cube in cover.cubes() {
-                                let mut lits = Vec::new();
+                            let cubes = covers.cubes(cut.tt);
+                            let mut terms: Vec<Lit> = Vec::with_capacity(cubes.len());
+                            for &cube in cubes {
+                                let mut lits = Vec::with_capacity(K);
                                 for (v, &l) in cut.leaves().iter().enumerate() {
                                     let leaf = map[l as usize];
-                                    match cube.literal(v) {
+                                    match cube >> (2 * v) & 0b11 {
                                         0b01 => lits.push(leaf),
                                         0b10 => lits.push(!leaf),
                                         _ => {}
@@ -643,7 +733,14 @@ impl Aig {
         let n_nodes: usize = hf.next()?.parse().ok()?;
         let n_pis: usize = hf.next()?.parse().ok()?;
         let n_pos: usize = hf.next()?.parse().ok()?;
-        let mut g = Aig { nodes: Vec::with_capacity(n_nodes), strash: HashMap::new(), pi_names: Vec::with_capacity(n_pis), pos: Vec::with_capacity(n_pos) };
+        // Each node row takes at least four bytes of the text.
+        let room = n_nodes.min(text.len() / 4);
+        let mut g = Aig {
+            nodes: Vec::with_capacity(room),
+            strash: Strash::with_capacity(room, strash_key()),
+            pi_names: Vec::with_capacity(n_pis.min(text.len())),
+            pos: Vec::with_capacity(n_pos.min(text.len())),
+        };
         for _ in 0..n_nodes {
             let line = lines.next()?;
             let mut f = line.split(' ');
@@ -659,12 +756,15 @@ impl Aig {
                     if a.node() >= g.nodes.len() || b.node() >= g.nodes.len() || a > b {
                         return None;
                     }
-                    g.strash.insert((a, b), g.nodes.len() as u32);
                     AigNode::And(a, b)
                 }
                 _ => return None,
             };
             g.nodes.push(node);
+            if let AigNode::And(a, b) = node {
+                let slot = g.strash.probe(&g.nodes, a, b);
+                g.strash.set(&g.nodes, slot, g.nodes.len() as u32 - 1);
+            }
         }
         for _ in 0..n_pis {
             let line = lines.next()?;
@@ -697,27 +797,53 @@ impl Aig {
     }
 }
 
-/// ISOP structural cost of every 4-input function a rewrite pass meets,
-/// filled on first use: one [`isop`] per distinct function instead of one per
-/// candidate cut.
-struct IsopCosts(Vec<u8>);
+/// The ISOP cover of every 4-input function a rewrite pass meets, and its
+/// structural cost, filled on first use: one [`isop`] per distinct function
+/// instead of one per candidate cut and one more per chosen cut.
+struct IsopCovers {
+    /// Per truth table, `1 +` its index in `covers`, or 0 before first use.
+    slot: Vec<u32>,
+    covers: Vec<IsopCover>,
+}
 
-impl IsopCosts {
-    /// No cover of a 4-input function reaches this many AIG nodes.
-    const UNSET: u8 = u8::MAX;
+/// One function's cover: its cost and cubes, each cube the 2-bit positional
+/// fields of variables 0–3 (`01` positive, `10` negative, `11` absent).
+struct IsopCover {
+    cost: u8,
+    len: u8,
+    cubes: [u8; 1 << (K - 1)],
+}
 
-    fn new() -> IsopCosts {
-        IsopCosts(vec![Self::UNSET; 1 << (1 << K)])
+impl IsopCovers {
+    fn new() -> IsopCovers {
+        IsopCovers { slot: vec![0; 1 << (1 << K)], covers: Vec::new() }
+    }
+
+    fn get(&mut self, tt: u16) -> &IsopCover {
+        if self.slot[tt as usize] == 0 {
+            let f = TruthTable::from_bits(K, tt as u64);
+            let cover = isop(&f, &f);
+            let mut cubes = [0; 1 << (K - 1)];
+            for (fields, cube) in cubes.iter_mut().zip(cover.cubes()) {
+                *fields = (0..K).map(|v| (cube.literal(v) as u8) << (2 * v)).sum();
+            }
+            let entry = IsopCover { cost: sop_aig_cost(&cover) as u8, len: cover.len() as u8, cubes };
+            self.covers.push(entry);
+            self.slot[tt as usize] = self.covers.len() as u32;
+        }
+        &self.covers[self.slot[tt as usize] as usize - 1]
     }
 
     /// `sop_aig_cost(&isop(f, f))` for the function with truth table `tt`.
-    fn of(&mut self, tt: u16) -> u32 {
-        let slot = &mut self.0[tt as usize];
-        if *slot == Self::UNSET {
-            let f = TruthTable::from_bits(K, tt as u64);
-            *slot = sop_aig_cost(&isop(&f, &f)) as u8;
-        }
-        *slot as u32
+    fn cost(&mut self, tt: u16) -> u32 {
+        self.get(tt).cost as u32
+    }
+
+    /// The cubes of `isop(f, f)`, in order, for the function with truth
+    /// table `tt`.
+    fn cubes(&mut self, tt: u16) -> &[u8] {
+        let c = self.get(tt);
+        &c.cubes[..c.len as usize]
     }
 }
 
@@ -737,6 +863,70 @@ mod tests {
         let y = g.and(b, a);
         assert_eq!(x, y, "commutative inputs hash to one node");
         assert_eq!(g.num_ands(), 1);
+    }
+
+    impl Aig {
+        /// An empty graph whose structural hash runs under `key`.
+        fn with_key(key: u64) -> Aig {
+            Aig::sized(0, key)
+        }
+    }
+
+    /// The key places table entries and nothing else: the 2 k mesh builds,
+    /// balances and rewrites to the same graphs under two fixed keys (and
+    /// under the process key), while the tables themselves differ.
+    #[test]
+    fn graphs_do_not_depend_on_the_strash_key() {
+        let mesh = generate::scale_mesh(2_000, 3).unwrap();
+        let run = |key: Option<u64>| {
+            let (g, _) = match key {
+                Some(key) => Aig::from_netlist_keyed(&mesh, key).unwrap(),
+                None => Aig::from_netlist(&mesh).unwrap(),
+            };
+            let b = g.balance();
+            let r = b.rewrite();
+            assert!(key.is_none_or(|k| [&g, &b, &r].iter().all(|x| x.strash.key == k)), "passes keep the key");
+            ([g.digest(), b.digest(), r.digest()], g.strash.slots)
+        };
+        let (one, slots_one) = run(Some(0x0123_4567_89AB_CDEF));
+        let (two, slots_two) = run(Some(0xFEDC_BA98_7654_3210));
+        assert_eq!(one, two);
+        assert_eq!(one, run(None).0);
+        assert_ne!(slots_one, slots_two, "the keys place entries differently");
+    }
+
+    /// Pairs whose hashes share the table's top slot fill it, wrap past its
+    /// end and keep probing from slot 0; every lookup still finds its node,
+    /// before and after the table doubles.
+    #[test]
+    fn probing_wraps_past_the_end_of_the_table() {
+        let mut g = Aig::with_key(0x5EED);
+        let pis: Vec<Lit> = (0..16).map(|i| g.add_pi(format!("x{i}"))).collect();
+        let mask = g.strash.slots.len() - 1;
+        let lits: Vec<Lit> = pis.iter().flat_map(|&p| [p, !p]).collect();
+        let last_slot: Vec<(Lit, Lit)> = lits
+            .iter()
+            .flat_map(|&a| lits.iter().map(move |&b| (a, b)))
+            .filter(|&(a, b)| a < b && a.node() != b.node() && g.strash.hash(a, b) & mask == mask)
+            .take(6)
+            .collect();
+        assert_eq!(last_slot.len(), 6);
+        let made: Vec<Lit> = last_slot.iter().map(|&(a, b)| g.and(a, b)).collect();
+        assert_eq!(g.strash.slots.len(), mask + 1, "six entries fit without growing");
+        assert!(g.strash.slots[..5].iter().all(|&id| id != 0), "probing wrapped to slots 0-4");
+        let ands = g.num_ands();
+        for (&(a, b), &f) in last_slot.iter().zip(&made) {
+            assert_eq!((g.and(a, b), g.and(b, a)), (f, f));
+        }
+        // Three more entries pass half full: the table doubles.
+        for k in 0..3 {
+            g.and(pis[k], pis[k + 8]);
+        }
+        assert!(g.strash.slots.len() > mask + 1);
+        for (&(a, b), &f) in last_slot.iter().zip(&made) {
+            assert_eq!(g.and(a, b), f);
+        }
+        assert_eq!(g.num_ands(), ands + 3);
     }
 
     #[test]
@@ -958,7 +1148,10 @@ mod tests {
         // must not allocate a new node.
         let mut b2 = back.clone();
         let nodes_before = b2.nodes.len();
-        if let Some((&(a, b), _)) = b2.strash.clone().iter().next() {
+        let ands: Vec<(Lit, Lit)> =
+            b2.nodes.iter().filter_map(|n| if let AigNode::And(a, b) = *n { Some((a, b)) } else { None }).collect();
+        assert!(!ands.is_empty());
+        for (a, b) in ands {
             b2.and(a, b);
             assert_eq!(b2.nodes.len(), nodes_before, "strash survives the roundtrip");
         }
@@ -1010,14 +1203,22 @@ mod tests {
     }
 
     #[test]
-    fn isop_cost_table_matches_isop_for_every_function() {
-        let mut costs = IsopCosts::new();
+    fn isop_cover_table_matches_isop_for_every_function() {
+        let mut covers = IsopCovers::new();
         for tt in 0..=u16::MAX {
             let f = TruthTable::from_bits(K, tt as u64);
-            let want = sop_aig_cost(&isop(&f, &f));
-            assert!(want < IsopCosts::UNSET as u32);
-            assert_eq!(costs.of(tt), want, "tt {tt:04x}");
-            assert_eq!(costs.of(tt), want, "tt {tt:04x}, cached");
+            let cover = isop(&f, &f);
+            let want = sop_aig_cost(&cover);
+            assert!(want <= u8::MAX as u32);
+            let cubes: Vec<u8> = cover
+                .cubes()
+                .iter()
+                .map(|c| (0..K).map(|v| (c.literal(v) as u8) << (2 * v)).sum())
+                .collect();
+            for pass in ["first", "cached"] {
+                assert_eq!(covers.cost(tt), want, "tt {tt:04x}, {pass}");
+                assert_eq!(covers.cubes(tt), &cubes[..], "tt {tt:04x}, {pass}");
+            }
         }
     }
 

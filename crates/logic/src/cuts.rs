@@ -17,8 +17,17 @@
 //! leaf). Distinct leaves can share a bit but never add one, so a pair whose
 //! OR'd signature has more than [`K`] bits set cannot merge and is dropped
 //! before the union; equal leaf sets have equal signatures, so the
-//! first-appearance test compares leaves only where signatures agree. Both
-//! filters are exact: the lists are the ones the plain crossing yields.
+//! first-appearance test compares leaves only where signatures agree.
+//!
+//! Merged cuts are kept in one bucket per leaf count, each in generation
+//! order, so the stable sort is a concatenation and the first-appearance
+//! test only looks inside the candidate's own bucket (equal leaf sets have
+//! equal counts). Once the kept cuts with no more leaves than a candidate
+//! fill the `MAX_CUTS - 1` merged slots, the candidate could only land past
+//! the truncation and is dropped — before the union when its signature's
+//! bit count already says so, so neither the union nor the truth table is
+//! computed for it. All three filters are exact: the lists are the ones the
+//! plain crossing yields.
 
 use crate::aig::{AigNode, Lit};
 
@@ -59,17 +68,48 @@ impl Cut {
     }
 }
 
-/// The cuts of one node, by value: what [`CutSet::node_cuts`] builds before
-/// the arena takes them.
-struct CutList {
-    cuts: [Cut; MAX_CUTS],
-    len: u8,
+/// The merged cuts of one node, bucketed by leaf count (bucket `s` holds
+/// the `s + 1`-leaf cuts), each bucket in generation order with the leaf
+/// signatures alongside: the scratch [`CutSet::node_cuts`] fills and
+/// [`CutSet::store`] drains, reused from node to node so nothing is
+/// zero-filled per node. A bucket never holds more than `MAX_CUTS - 1` cuts:
+/// one is only added while fewer than that many have as few leaves.
+struct Buckets {
+    cuts: [[Cut; MAX_CUTS - 1]; K],
+    sigs: [[u64; MAX_CUTS - 1]; K],
+    len: [u8; K],
 }
 
-impl CutList {
-    fn push(&mut self, cut: Cut) {
-        self.cuts[self.len as usize] = cut;
-        self.len += 1;
+impl Buckets {
+    fn new() -> Buckets {
+        Buckets { cuts: [[Cut::EMPTY; MAX_CUTS - 1]; K], sigs: [[0; MAX_CUTS - 1]; K], len: [0; K] }
+    }
+
+    /// Whether the kept cuts with at most `leaves` leaves already fill the
+    /// merged slots, so that no cut with that many leaves or more can make
+    /// the truncated list.
+    fn full(&self, leaves: usize) -> bool {
+        self.len[..leaves].iter().map(|&n| n as usize).sum::<usize>() >= MAX_CUTS - 1
+    }
+
+    /// Whether `cut` (signature `sig`) is already kept.
+    fn holds(&self, cut: &Cut, sig: u64) -> bool {
+        let b = cut.len as usize - 1;
+        let n = self.len[b] as usize;
+        self.sigs[b][..n].iter().zip(&self.cuts[b][..n]).any(|(&s, c)| s == sig && c.leaves == cut.leaves)
+    }
+
+    fn push(&mut self, cut: Cut, sig: u64) {
+        let b = cut.len as usize - 1;
+        let n = self.len[b] as usize;
+        self.cuts[b][n] = cut;
+        self.sigs[b][n] = sig;
+        self.len[b] += 1;
+    }
+
+    /// The kept cuts by ascending leaf count, each count in generation order.
+    fn sorted(&self) -> impl Iterator<Item = &Cut> {
+        self.cuts.iter().zip(self.len).flat_map(|(bucket, n)| &bucket[..n as usize])
     }
 }
 
@@ -139,9 +179,13 @@ impl CutSet {
         CutSet { cuts: Vec::with_capacity(n * MAX_CUTS), span: vec![(0, 0); n] }
     }
 
-    fn store(&mut self, node: usize, list: &CutList) {
-        self.span[node] = (self.cuts.len() as u32, list.len);
-        self.cuts.extend_from_slice(&list.cuts[..list.len as usize]);
+    /// Stores `node`'s list: its trivial cut, then the kept merged cuts by
+    /// leaf count, truncated to the per-node budget.
+    fn store(&mut self, node: usize, merged: &Buckets) {
+        let start = self.cuts.len();
+        self.cuts.push(Cut::trivial(node));
+        self.cuts.extend(merged.sorted().take(MAX_CUTS - 1));
+        self.span[node] = (start as u32, (self.cuts.len() - start) as u8);
     }
 
     /// The cuts of `node`: its trivial cut, then the merged cuts by
@@ -156,60 +200,52 @@ impl CutSet {
         self.cuts.len()
     }
 
-    /// Computes the cut list of node `i` from the stored lists of its
-    /// fanins, which index order has already filled.
-    fn node_cuts(&self, nodes: &[AigNode], i: usize) -> CutList {
-        let mut list = CutList { cuts: [Cut::EMPTY; MAX_CUTS], len: 0 };
-        // The trivial cut lets parents treat this node as a leaf.
-        list.push(Cut::trivial(i));
-        let AigNode::And(a, b) = nodes[i] else { return list };
+    /// Fills `merged` with the merged cuts of node `i` from the stored
+    /// lists of its fanins, which index order has already filled; a node
+    /// that is no AND gets none and keeps only its trivial cut.
+    ///
+    /// The count bound (module header) is met before the union on the
+    /// signature's bit count, a lower bound on the leaf count, and after it
+    /// on the count itself. Those cuts all precede the candidate in the
+    /// stable order, so dropping it moves no cut that is kept, and the
+    /// counts only grow, so a later candidate with the same leaves meets
+    /// the same bound.
+    fn node_cuts(&self, nodes: &[AigNode], i: usize, merged: &mut Buckets) {
+        merged.len = [0; K];
+        let AigNode::And(a, b) = nodes[i] else { return };
         let cuts_b = self.of(b.node());
         let mut sigs_b = [0u64; MAX_CUTS];
         for (sig, cb) in sigs_b.iter_mut().zip(cuts_b) {
             *sig = cb.signature();
         }
-        let mut merged = [Cut::EMPTY; MAX_CUTS * MAX_CUTS];
-        let mut merged_sigs = [0u64; MAX_CUTS * MAX_CUTS];
-        let mut n = 0;
         let phase = |l: Lit, tt: u16| if l.is_complemented() { !tt } else { tt };
         for ca in self.of(a.node()) {
             let sig_a = ca.signature();
             for (cb, &sig_b) in cuts_b.iter().zip(&sigs_b) {
                 let sig = sig_a | sig_b;
-                if sig.count_ones() > K as u32 {
+                let bits = sig.count_ones() as usize;
+                if bits > K || merged.full(bits) {
                     continue;
                 }
                 let Some((mut cut, pa, pb)) = union(ca, cb) else { continue };
-                let same = |(&s, c): (&u64, &Cut)| s == sig && c.len == cut.len && c.leaves == cut.leaves;
-                if merged_sigs[..n].iter().zip(&merged[..n]).any(same) {
+                if (cut.len as usize > bits && merged.full(cut.len as usize)) || merged.holds(&cut, sig) {
                     continue;
                 }
                 let ta = expand(ca.tt, &pa[..ca.len as usize]);
                 let tb = expand(cb.tt, &pb[..cb.len as usize]);
                 cut.tt = phase(a, ta) & phase(b, tb);
-                merged[n] = cut;
-                merged_sigs[n] = sig;
-                n += 1;
+                merged.push(cut, sig);
             }
         }
-        // Stable order by leaf count, truncated to the per-node budget.
-        for size in 1..=K as u8 {
-            for cut in merged[..n].iter().filter(|c| c.len == size) {
-                if list.len as usize == MAX_CUTS {
-                    return list;
-                }
-                list.push(*cut);
-            }
-        }
-        list
     }
 
     /// Enumerates every node's cuts in index (= topological) order.
     pub(crate) fn enumerate(nodes: &[AigNode]) -> CutSet {
         let mut set = CutSet::with_nodes(nodes.len());
+        let mut merged = Buckets::new();
         for i in 0..nodes.len() {
-            let list = set.node_cuts(nodes, i);
-            set.store(i, &list);
+            set.node_cuts(nodes, i, &mut merged);
+            set.store(i, &merged);
         }
         set
     }
@@ -321,21 +357,42 @@ mod tests {
         assert_tables_match_simulation(nodes, &CutSet::enumerate(nodes));
     }
 
-    /// The module header written out with sets: every child-cut pair crossed
-    /// left-outer / right-inner, the leaf union kept at ≤ [`K`] leaves on its
-    /// first appearance, then stably sorted by size and truncated behind the
-    /// trivial cut. Leaves only; tables are checked by simulation.
-    fn cuts_by_definition(nodes: &[AigNode]) -> Vec<Vec<Vec<u32>>> {
-        let mut lists: Vec<Vec<Vec<u32>>> = Vec::with_capacity(nodes.len());
+    /// One node's cuts as the module header defines them (leaves only;
+    /// tables are checked by simulation).
+    struct Defined {
+        /// Every child-cut pair crossed left-outer / right-inner, the leaf
+        /// union kept at ≤ [`K`] leaves on its first appearance, then stably
+        /// sorted by size and truncated behind the trivial cut.
+        list: Vec<Vec<u32>>,
+        /// The merged leaf sets the count bound keeps, stably sorted by
+        /// size: those first seen while fewer than `MAX_CUTS - 1` kept sets
+        /// have at most as many leaves.
+        kept: Vec<Vec<u32>>,
+        /// Whether the bound dropped a union.
+        bounded: bool,
+    }
+
+    /// The module header written out with sets, node by node.
+    fn cuts_by_definition(nodes: &[AigNode]) -> Vec<Defined> {
+        let mut defined: Vec<Defined> = Vec::with_capacity(nodes.len());
         for (i, node) in nodes.iter().enumerate() {
-            let mut merged: Vec<Vec<u32>> = Vec::new();
+            let (mut merged, mut kept) = (Vec::<Vec<u32>>::new(), Vec::<Vec<u32>>::new());
+            let mut bounded = false;
             if let AigNode::And(a, b) = *node {
-                for ca in &lists[a.node()] {
-                    for cb in &lists[b.node()] {
+                for ca in &defined[a.node()].list {
+                    for cb in &defined[b.node()].list {
                         let union: BTreeSet<u32> = ca.iter().chain(cb).copied().collect();
                         let union: Vec<u32> = union.into_iter().collect();
-                        if union.len() <= K && !merged.contains(&union) {
-                            merged.push(union);
+                        if union.len() > K {
+                            continue;
+                        }
+                        if !merged.contains(&union) {
+                            merged.push(union.clone());
+                        }
+                        if kept.iter().filter(|m| m.len() <= union.len()).count() >= MAX_CUTS - 1 {
+                            bounded = true;
+                        } else if !kept.contains(&union) {
+                            kept.push(union);
                         }
                     }
                 }
@@ -343,9 +400,10 @@ mod tests {
             merged.sort_by_key(Vec::len);
             merged.truncate(MAX_CUTS - 1);
             merged.insert(0, vec![i as u32]);
-            lists.push(merged);
+            kept.sort_by_key(Vec::len);
+            defined.push(Defined { list: merged, kept, bounded });
         }
-        lists
+        defined
     }
 
     /// A random graph of `ands` AND nodes over `pis` inputs, drawing fanins
@@ -370,27 +428,40 @@ mod tests {
 
     /// The specification oracle: on random graphs of 200–400 ANDs — node ids
     /// far past 64, so leaf signatures collide — the kernel's lists are the
-    /// definition's, cut for cut, and every table matches simulation.
+    /// definition's, cut for cut, every table matches simulation, and the
+    /// merge keeps exactly the cuts its count bound admits.
     #[test]
     fn enumeration_equals_the_definition_on_random_graphs() {
         let mut rng = StdRng::seed_from_u64(28);
-        let mut colliding_lists = 0;
+        let (mut colliding_lists, mut bounded_lists) = (0, 0);
         for case in 0..40 {
             let (pis, ands) = (rng.gen_range(6..=24), rng.gen_range(200..=400));
             let aig = random_aig(&mut rng, pis, ands);
             let nodes = aig.nodes();
-            let set = CutSet::enumerate(nodes);
+            // `CutSet::enumerate`, with each node's merge looked at before
+            // it is truncated.
+            let mut set = CutSet::with_nodes(nodes.len());
+            let mut merged = Buckets::new();
             for (i, want) in cuts_by_definition(nodes).iter().enumerate() {
+                let tag = format!("case {case} ({pis} inputs, {ands} ands) node {i}");
+                set.node_cuts(nodes, i, &mut merged);
+                let kept: Vec<Vec<u32>> = merged.sorted().map(|c| c.leaves().to_vec()).collect();
+                assert_eq!(kept, want.kept, "{tag}: kept by the count bound");
+                set.store(i, &merged);
                 let got: Vec<Vec<u32>> = set.of(i).iter().map(|c| c.leaves().to_vec()).collect();
-                assert_eq!(&got, want, "case {case} ({pis} inputs, {ands} ands) node {i}");
+                assert_eq!(got, want.list, "{tag}");
                 let sigs: Vec<u64> = set.of(i).iter().map(Cut::signature).collect();
                 colliding_lists += (1..sigs.len()).any(|k| sigs[..k].contains(&sigs[k])) as usize;
+                bounded_lists += want.bounded as usize;
             }
             assert_tables_match_simulation(nodes, &set);
         }
         // Two distinct leaf sets under one signature in one list: a
         // signature-only first-appearance test would drop one of them.
         assert!(colliding_lists > 0, "no list holds a signature collision");
+        // Lists where the merge dropped a candidate on the count bound, which
+        // the lists above show changes nothing.
+        assert!(bounded_lists > 0, "the count bound never fires");
     }
 
     fn assert_tables_match_simulation(nodes: &[AigNode], set: &CutSet) {

@@ -541,12 +541,14 @@ impl Netlist {
     }
 
     /// Checks structural sanity: single drivers, correct arity, no
-    /// combinational cycles, outputs driven.
+    /// combinational cycles, outputs driven. The cycle check is
+    /// [`Netlist::topo_order`], and a valid netlist returns the order it
+    /// computed, so a caller that walks the design need not order it again.
     ///
     /// # Errors
     ///
     /// Returns the first violation found.
-    pub fn validate(&self) -> Result<(), NetlistError> {
+    pub fn validate(&self) -> Result<Vec<InstId>, NetlistError> {
         for inst in &self.instances {
             let expected = self.library.cell(inst.cell).function.num_inputs();
             if inst.inputs.len() != expected {
@@ -562,7 +564,7 @@ impl Netlist {
                 return Err(NetlistError::UndrivenNet(net.name.to_string()));
             }
         }
-        self.topo_order().map(|_| ())
+        self.topo_order()
     }
 
     /// Topological order of the combinational instances (flip-flop outputs

@@ -122,7 +122,7 @@ mod tests {
     /// A one-connection store holding `path` as given, canonical or not.
     fn stored(path: &[GCell]) -> Wires {
         let mut wires = Wires::new(1);
-        wires.set(0, path.iter().copied());
+        wires.set(0, path);
         wires
     }
 

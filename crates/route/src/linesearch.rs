@@ -8,7 +8,7 @@
 //! [`SearchScratch::mikami_tabuchi_in`](crate::SearchScratch::mikami_tabuchi_in).
 
 use crate::grid::{DemandGrid, GCell};
-use crate::maze::{Path, SearchStats, SearchWindow as Window};
+use crate::maze::{SearchStats, SearchWindow as Window};
 use std::mem::size_of;
 
 /// `parent` of a level-0 line.
@@ -126,38 +126,45 @@ impl Seen {
     }
 }
 
-/// Walks from `cell` on line `li` back to the search root, appending the
-/// cells after `cell` up to and including the root pin.
-fn trace(arena: &[Line], mut li: u32, mut cell: GCell, out: &mut Vec<GCell>) {
+/// Walks from the last corner of `path`, a cell of line `li`, back to the
+/// search root through each line's origin, reducing as it goes (see
+/// [`push_corner`]).
+fn trace(arena: &[Line], mut li: u32, path: &mut Vec<GCell>) {
     loop {
         let line = arena[li as usize];
-        push_segment(cell, line.origin, out);
+        push_corner(path, line.origin);
         if line.parent == NO_PARENT {
             break;
         }
-        cell = line.origin;
         li = line.parent;
     }
 }
 
-/// Appends the cells strictly after `from` up to and including `to`, along
-/// one axis.
-fn push_segment(from: GCell, to: GCell, out: &mut Vec<GCell>) {
-    if from.x == to.x {
-        let (a, b) = (from.y, to.y);
-        if a < b {
-            out.extend((a + 1..=b).map(|y| GCell::new(from.x, y)));
-        } else {
-            out.extend((b..a).rev().map(|y| GCell::new(from.x, y)));
-        }
-    } else {
-        let (a, b) = (from.x, to.x);
-        if a < b {
-            out.extend((a + 1..=b).map(|x| GCell::new(x, from.y)));
-        } else {
-            out.extend((b..a).rev().map(|x| GCell::new(x, from.y)));
+/// Extends the canonical corner list `path` by the straight run from its
+/// last corner to `c`, which shares a row or column with it. A run that
+/// continues or backs up along the last one merges into it, and one that
+/// cancels it exactly removes its corner; runs that turn add `c`. So the
+/// list stays the corners of the unit-step walk with every A-B-A stutter
+/// cancelled (the walk's free reduction, which does not depend on the
+/// order its cancellations are made in) without visiting a cell in
+/// between, and after each push no two consecutive runs share an axis.
+pub(crate) fn push_corner(path: &mut Vec<GCell>, c: GCell) {
+    let n = path.len();
+    if path[n - 1] == c {
+        return;
+    }
+    if n >= 2 {
+        let (a, b) = (path[n - 2], path[n - 1]);
+        if (a.x == b.x && b.x == c.x) || (a.y == b.y && b.y == c.y) {
+            if a == c {
+                path.pop();
+            } else {
+                path[n - 1] = c;
+            }
+            return;
         }
     }
+    path.push(c);
 }
 
 /// The default window a line search clips its probes to: the pins'
@@ -207,7 +214,8 @@ impl LineScratch {
             + self.path.capacity() * size_of::<GCell>()
     }
 
-    /// See [`SearchScratch::mikami_tabuchi_in`](crate::SearchScratch::mikami_tabuchi_in).
+    /// See [`SearchScratch::mikami_tabuchi_in`](crate::SearchScratch::mikami_tabuchi_in);
+    /// the corners are read in place.
     pub(crate) fn search<G: DemandGrid>(
         &mut self,
         grid: &G,
@@ -215,9 +223,11 @@ impl LineScratch {
         dst: GCell,
         max_levels: usize,
         win: Window,
-    ) -> Option<(Path, SearchStats)> {
+    ) -> Option<(&[GCell], SearchStats)> {
         if src == dst {
-            return Some((vec![src], SearchStats { expanded: 0, scratch_cells: 0 }));
+            self.path.clear();
+            self.path.push(src);
+            return Some((&self.path, SearchStats { expanded: 0, scratch_cells: 0 }));
         }
         debug_assert!(win.contains(src) && win.contains(dst));
         // Probes are clipped to `win`, so the seen maps only need the
@@ -233,9 +243,7 @@ impl LineScratch {
             }
         }
         self.arena.clear();
-        // `to_vec` sizes the committed path exactly: the router keeps
-        // every path alive until it returns.
-        expanded.map(|expanded| (self.path.to_vec(), SearchStats { expanded, scratch_cells: n }))
+        expanded.map(|expanded| (&self.path[..], SearchStats { expanded, scratch_cells: n }))
     }
 
     /// Runs the search proper; on success leaves the route in `self.path`
@@ -319,65 +327,40 @@ impl LineScratch {
         None
     }
 
-    /// Assembles the route for `hit` in `self.path`.
+    /// Assembles the route for `hit` in `self.path` as its canonical corner
+    /// list. The route walks from `src` through the origins of the source
+    /// lines to the meeting cell and on through the target lines' origins
+    /// to `dst`; a source half is reduced from the meeting cell back to
+    /// `src` and turned around, which reduces the same walk reversed.
     fn build_path(&mut self, hit: Hit, src: GCell, dst: GCell) {
         let (arena, path) = (&self.arena, &mut self.path);
         path.clear();
-        // The source half: trace from the meeting cell back to `src`, then
-        // turn it around so it reads `src → meet`. The trace ends on `src`
-        // (possibly more than once through degenerate pivots) unless the
-        // meeting cell is `src` itself; normalise to exactly one.
-        let source_half = |path: &mut Vec<GCell>, si: u32, meet: GCell| {
-            trace(arena, si, meet, path);
-            while path.last() == Some(&src) {
-                path.pop();
-            }
-            path.push(src);
-            path.reverse();
-            if path.last() != Some(&meet) {
-                path.push(meet);
-            }
-        };
         match hit {
             Hit::Cross(si, di, x) => {
-                source_half(path, si, x);
-                trace(arena, di, x, path);
+                path.push(x);
+                trace(arena, si, path);
+                path.reverse();
+                trace(arena, di, path);
             }
             Hit::TargetThroughSrc(di) => {
                 path.push(src);
-                trace(arena, di, src, path);
+                trace(arena, di, path);
             }
-            Hit::SourceThroughDst(si) => source_half(path, si, dst),
+            Hit::SourceThroughDst(si) => {
+                path.push(dst);
+                trace(arena, si, path);
+                path.reverse();
+            }
         }
-        dedup_path(path);
     }
-}
-
-/// Removes consecutive duplicates and immediate backtracks (A-B-A stutters
-/// introduced by pivot tracing), in one in-place pass: `kept` is a stack,
-/// and a cell that equals the one two below the top cancels the top.
-pub(crate) fn dedup_path(path: &mut Vec<GCell>) {
-    let mut kept = 0;
-    for at in 0..path.len() {
-        let c = path[at];
-        if kept >= 1 && path[kept - 1] == c {
-            continue;
-        }
-        if kept >= 2 && path[kept - 2] == c {
-            kept -= 1;
-            continue;
-        }
-        path[kept] = c;
-        kept += 1;
-    }
-    path.truncate(kept);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::grid::RoutingGrid;
-    use crate::maze::count_bends;
+    use crate::maze::{count_bends, Path};
+    use crate::reference::{assert_corner_form, expand};
     use crate::rules::RuleDeck;
     use crate::scratch::SearchScratch;
 
@@ -390,21 +373,13 @@ mod tests {
         SearchScratch::new().mikami_tabuchi_in(g, src, dst, levels, probe_window(g, src, dst))
     }
 
-    fn check_path(path: &[GCell], src: GCell, dst: GCell) {
-        assert_eq!(path[0], src, "path starts at source");
-        assert_eq!(*path.last().unwrap(), dst, "path ends at target");
-        for w in path.windows(2) {
-            assert_eq!(w[0].manhattan(&w[1]), 1, "adjacent steps: {:?} -> {:?}", w[0], w[1]);
-        }
-    }
-
     #[test]
     fn routes_on_empty_grid_with_one_bend() {
         let g = grid();
         let src = GCell::new(2, 3);
         let dst = GCell::new(18, 15);
         let (path, stats) = line(&g, src, dst, 10).unwrap();
-        check_path(&path, src, dst);
+        assert_corner_form(&path, src, dst, &Window::full(&g));
         assert!(count_bends(&path) <= 1, "level-0 crossing gives an L route");
         assert!(stats.expanded > 0);
     }
@@ -415,9 +390,8 @@ mod tests {
         let src = GCell::new(2, 7);
         let dst = GCell::new(20, 7);
         let (path, _) = line(&g, src, dst, 10).unwrap();
-        check_path(&path, src, dst);
-        assert_eq!(count_bends(&path), 0);
-        assert_eq!(path.len(), 19);
+        assert_corner_form(&path, src, dst, &Window::full(&g));
+        assert_eq!(path, vec![src, dst], "one run, no bend");
     }
 
     #[test]
@@ -436,8 +410,8 @@ mod tests {
         let src = GCell::new(2, 3);
         let dst = GCell::new(20, 3);
         let (path, _) = line(&g, src, dst, 20).unwrap();
-        check_path(&path, src, dst);
-        assert!(path.iter().any(|c| c.y == 10), "must pass through the gap");
+        assert_corner_form(&path, src, dst, &Window::full(&g));
+        assert!(expand(&path).iter().any(|c| c.y == 10), "must pass through the gap");
     }
 
     #[test]

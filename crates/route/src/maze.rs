@@ -8,10 +8,12 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::mem::size_of;
 
-/// A routed 2-pin path: an axis-aligned polyline from the source to the
-/// target, each consecutive pair of cells on one row or column. A search
-/// returns every cell it walks (a polyline of unit steps); the router keeps
-/// each routed connection as its canonical corner list ([`corners`]).
+/// A routed 2-pin path as its canonical corner list: the source, every cell
+/// where the route changes direction, and the target (a single cell when
+/// they coincide). Each consecutive pair of corners shares a row or column
+/// and is a non-empty straight run; consecutive runs turn. Every search
+/// returns this form, and the router stores, commits and scans it run by
+/// run.
 pub type Path = Vec<GCell>;
 
 /// Statistics from one search.
@@ -136,6 +138,7 @@ pub(crate) struct MazeScratch {
     /// list, and Lee's FIFO wavefront.
     reached: Vec<u32>,
     open: BinaryHeap<Open>,
+    /// The corners of the latest route found.
     path: Vec<GCell>,
 }
 
@@ -169,37 +172,55 @@ impl MazeScratch {
         self.prev[cell as usize] = from;
     }
 
-    /// Walks `prev` back from `dst` (if it was reached), resets the scratch
-    /// for the next search, and returns the path with exact capacity.
-    fn finish(&mut self, win: SearchWindow, dst: u32) -> Option<Path> {
+    /// Walks `prev` back from `dst` (if it was reached), leaving the
+    /// route's corners in `path`, and resets the scratch for the next
+    /// search. Returns whether `dst` was reached. A `prev` chain never
+    /// revisits a cell, so it never reverses, and a cell is a corner where
+    /// the steps into and out of it differ — as window-index differences,
+    /// ±1 along a row and ±width along a column.
+    fn finish(&mut self, win: SearchWindow, dst: u32) -> bool {
         let found = self.best_g[dst as usize] != UNREACHED;
         if found {
             self.path.clear();
-            let mut cur = dst;
-            while cur != NO_PREV {
-                self.path.push(win.cell_at(cur));
-                cur = self.prev[cur as usize];
+            self.path.push(win.cell_at(dst));
+            let (mut at, mut out_step) = (dst, None);
+            while self.prev[at as usize] != NO_PREV {
+                let from = self.prev[at as usize];
+                let step = at.wrapping_sub(from);
+                if out_step.is_some_and(|s| s != step) {
+                    self.path.push(win.cell_at(at));
+                }
+                (at, out_step) = (from, Some(step));
             }
+            self.path.push(win.cell_at(at));
             self.path.reverse();
         }
         for cell in self.reached.drain(..) {
             self.best_g[cell as usize] = UNREACHED;
         }
         self.open.clear();
-        found.then(|| self.path.to_vec())
+        found
     }
 
-    /// See [`SearchScratch::lee_bfs_in`](crate::SearchScratch::lee_bfs_in).
+    /// The single-cell route of a search whose pins coincide.
+    fn same_cell(&mut self, c: GCell) -> (&[GCell], SearchStats) {
+        self.path.clear();
+        self.path.push(c);
+        (&self.path, SearchStats { expanded: 0, scratch_cells: 0 })
+    }
+
+    /// See [`SearchScratch::lee_bfs_in`](crate::SearchScratch::lee_bfs_in);
+    /// the corners are read in place.
     pub(crate) fn lee_bfs<G: DemandGrid>(
         &mut self,
         grid: &G,
         src: GCell,
         dst: GCell,
         win: SearchWindow,
-    ) -> Option<(Path, SearchStats)> {
+    ) -> Option<(&[GCell], SearchStats)> {
         debug_assert!(win.contains(src) && win.contains(dst));
         if src == dst {
-            return Some((vec![src], SearchStats { expanded: 0, scratch_cells: 0 }));
+            return Some(self.same_cell(src));
         }
         let scratch_cells = self.begin(win);
         let dst = win.local_index(dst) as u32;
@@ -217,11 +238,11 @@ impl MazeScratch {
                 }
             }
         }
-        let path = self.finish(win, dst)?;
-        Some((path, SearchStats { expanded, scratch_cells }))
+        self.finish(win, dst).then(|| (&self.path[..], SearchStats { expanded, scratch_cells }))
     }
 
-    /// See [`SearchScratch::astar_in`](crate::SearchScratch::astar_in).
+    /// See [`SearchScratch::astar_in`](crate::SearchScratch::astar_in); the
+    /// corners are read in place.
     pub(crate) fn astar<G: DemandGrid>(
         &mut self,
         grid: &G,
@@ -229,10 +250,10 @@ impl MazeScratch {
         dst: GCell,
         via_cost: f64,
         win: SearchWindow,
-    ) -> Option<(Path, SearchStats)> {
+    ) -> Option<(&[GCell], SearchStats)> {
         debug_assert!(win.contains(src) && win.contains(dst));
         if src == dst {
-            return Some((vec![src], SearchStats { expanded: 0, scratch_cells: 0 }));
+            return Some(self.same_cell(src));
         }
         let scratch_cells = self.begin(win);
         let quant = |c: f64| (c * COST_SCALE).round() as u64;
@@ -276,36 +297,22 @@ impl MazeScratch {
                 }
             }
         }
-        let path = self.finish(win, dst)?;
-        Some((path, SearchStats { expanded, scratch_cells }))
+        self.finish(win, dst).then(|| (&self.path[..], SearchStats { expanded, scratch_cells }))
     }
 }
 
 /// Number of bends in a path (proxy for via count in the 2-D model): the
 /// interior points whose two neighbours share neither a row nor a column.
-/// Equal on a unit-step path and on its [`corners`], where it is O(corners).
+/// Equal on a unit-step polyline and on its canonical corner list, where it
+/// is O(corners).
 pub fn count_bends(path: &[GCell]) -> u32 {
     path.windows(3).filter(|w| w[0].x != w[2].x && w[0].y != w[2].y).count() as u32
-}
-
-/// The canonical corner list of a polyline: its first cell, every cell
-/// where the step direction changes (reversals included) and its last
-/// cell. Walking straight runs between consecutive corners visits the same
-/// edges in the same order as walking the polyline.
-pub(crate) fn corners(path: &[GCell]) -> impl Iterator<Item = GCell> + Clone + '_ {
-    let step = |a: GCell, b: GCell| (b.x.cmp(&a.x), b.y.cmp(&a.y));
-    let last = path.len().saturating_sub(1);
-    path.iter()
-        .enumerate()
-        .filter(move |&(at, _)| {
-            at == 0 || at == last || step(path[at - 1], path[at]) != step(path[at], path[at + 1])
-        })
-        .map(|(_, &c)| c)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{assert_corner_form, expand};
     use crate::rules::RuleDeck;
     use crate::scratch::SearchScratch;
 
@@ -326,10 +333,10 @@ mod tests {
     #[test]
     fn bfs_finds_shortest_path() {
         let g = grid();
-        let (path, _) = lee(&g, GCell::new(0, 0), GCell::new(5, 7)).unwrap();
-        assert_eq!(path.len() as u32, 5 + 7 + 1, "BFS path must be shortest");
-        assert_eq!(path[0], GCell::new(0, 0));
-        assert_eq!(*path.last().unwrap(), GCell::new(5, 7));
+        let (src, dst) = (GCell::new(0, 0), GCell::new(5, 7));
+        let (path, _) = lee(&g, src, dst).unwrap();
+        assert_corner_form(&path, src, dst, &SearchWindow::full(&g));
+        assert_eq!(expand(&path).len() as u32, 5 + 7 + 1, "BFS path must be shortest");
     }
 
     #[test]
@@ -337,7 +344,7 @@ mod tests {
         let g = grid();
         let (p1, _) = lee(&g, GCell::new(2, 3), GCell::new(12, 9)).unwrap();
         let (p2, _) = astar(&g, GCell::new(2, 3), GCell::new(12, 9), 0.0).unwrap();
-        assert_eq!(p1.len(), p2.len());
+        assert_eq!(expand(&p1).len(), expand(&p2).len());
     }
 
     #[test]
@@ -363,12 +370,11 @@ mod tests {
     }
 
     #[test]
-    fn paths_are_connected() {
+    fn paths_are_canonical_corner_lists() {
         let g = grid();
-        let (path, _) = astar(&g, GCell::new(3, 3), GCell::new(10, 12), 1.0).unwrap();
-        for w in path.windows(2) {
-            assert_eq!(w[0].manhattan(&w[1]), 1, "path must step between neighbours");
-        }
+        let (src, dst) = (GCell::new(3, 3), GCell::new(10, 12));
+        let (path, _) = astar(&g, src, dst, 1.0).unwrap();
+        assert_corner_form(&path, src, dst, &SearchWindow::full(&g));
     }
 
     #[test]
@@ -431,13 +437,11 @@ mod tests {
         ];
         for found in searches {
             let (path, stats) = found.unwrap();
-            assert_eq!(path[0], src);
-            assert_eq!(*path.last().unwrap(), dst);
-            assert!(path.iter().all(|&c| win.contains(c)), "path stays inside the window");
+            assert_corner_form(&path, src, dst, &win);
             assert_eq!(stats.scratch_cells, win.area());
             assert!(stats.scratch_cells < (g.width * g.height) as usize);
             // Shortest path is still found: the window contains the bbox.
-            assert_eq!(path.len() as u32, src.manhattan(&dst) + 1);
+            assert_eq!(expand(&path).len() as u32, src.manhattan(&dst) + 1);
         }
     }
 

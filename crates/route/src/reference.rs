@@ -3,7 +3,9 @@
 //! materialised by `Line::cells()`, the full `src_lines × dst_lines`
 //! crossing scan every level, and a Dial bucket array indexed by absolute
 //! quantised `f`. This is the code the router ran up to commit 65098fd,
-//! verbatim. Test-only; nothing ships from here.
+//! verbatim: it returns every cell of the route, one unit step at a time,
+//! and the shipping kernels must return the [`corners`] of exactly that
+//! path. Test-only; nothing ships from here.
 
 use crate::grid::{neighbours4, DemandGrid, GCell};
 use crate::maze::{Path, SearchStats, SearchWindow, SearchWindow as Window};
@@ -408,10 +410,23 @@ fn astar_in<G: DemandGrid>(
     Some((path, SearchStats { expanded, scratch_cells: n }))
 }
 
-/// Differential oracles: the shipping kernels must return exactly what the
-/// kernels above return — path *and* stats — on every input.
-/// Every cell of a polyline, one unit step at a time: the cells a search
-/// returns for the path the router stores as its corners.
+/// The canonical corner list of a polyline: its first cell, every cell
+/// where the step direction changes (reversals included) and its last
+/// cell. Walking straight runs between consecutive corners visits the same
+/// edges in the same order as walking the polyline.
+pub(crate) fn corners(path: &[GCell]) -> impl Iterator<Item = GCell> + Clone + '_ {
+    let step = |a: GCell, b: GCell| (b.x.cmp(&a.x), b.y.cmp(&a.y));
+    let last = path.len().saturating_sub(1);
+    path.iter()
+        .enumerate()
+        .filter(move |&(at, _)| {
+            at == 0 || at == last || step(path[at - 1], path[at]) != step(path[at], path[at + 1])
+        })
+        .map(|(_, &c)| c)
+}
+
+/// Every cell of a polyline, one unit step at a time: the inverse of
+/// [`corners`] on a path of unit steps.
 pub(crate) fn expand(path: &[GCell]) -> Path {
     let toward = |v: u32, to: u32| if v < to { v + 1 } else if v > to { v - 1 } else { v };
     let mut cells: Path = path.first().into_iter().copied().collect();
@@ -426,11 +441,33 @@ pub(crate) fn expand(path: &[GCell]) -> Path {
     cells
 }
 
+/// Asserts the canonical corner form of a search result from `src` to
+/// `dst` inside `win`: first corner `src`, last `dst`, every run on one row
+/// or column and non-empty, consecutive runs turning, every corner inside
+/// the window.
+pub(crate) fn assert_corner_form(path: &[GCell], src: GCell, dst: GCell, win: &SearchWindow) {
+    assert_eq!(path.first(), Some(&src), "{path:?} starts at the source");
+    assert_eq!(path.last(), Some(&dst), "{path:?} ends at the target");
+    assert!(path.iter().all(|&c| win.contains(c)), "{path:?} leaves {win:?}");
+    let axes: Vec<bool> = path
+        .windows(2)
+        .map(|r| {
+            let (a, b) = (r[0], r[1]);
+            assert!(a != b && (a.x == b.x || a.y == b.y), "{a:?} -> {b:?} is no run of {path:?}");
+            a.y == b.y
+        })
+        .collect();
+    assert!(axes.windows(2).all(|r| r[0] != r[1]), "{path:?} has consecutive runs on one axis");
+}
+
+/// Differential oracles: the shipping kernels must return exactly the
+/// corners of what the kernels above return, and the same stats, on every
+/// input.
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::grid::{free_run_by_edge, RoutingGrid};
-    use crate::maze::{corners, count_bends};
+    use crate::maze::count_bends;
     use crate::rules::RuleDeck;
     use crate::scratch::SearchScratch;
     use rand::rngs::StdRng;
@@ -534,6 +571,11 @@ mod tests {
         failed: usize,
     }
 
+    /// A reference result as the shipping kernels return it: its corners.
+    fn cornered(found: Option<(Path, SearchStats)>) -> Option<(Path, SearchStats)> {
+        found.map(|(path, stats)| (corners(&path).collect(), stats))
+    }
+
     /// Every search, new against old, for one connection on one view.
     fn assert_same<G: DemandGrid>(
         grid: &G,
@@ -547,7 +589,8 @@ mod tests {
         let mut solved_at = None;
         for levels in [1, 2, 3, 5, 12] {
             let new = scratch.mikami_tabuchi_in(grid, src, dst, levels, win);
-            assert_eq!(new, mikami_tabuchi_in(grid, src, dst, levels, win), "line search x{levels} {tag}");
+            let old = cornered(mikami_tabuchi_in(grid, src, dst, levels, win));
+            assert_eq!(new, old, "line search x{levels} {tag}");
             if let Some((path, _)) = &new {
                 assert_eq!(path.capacity(), path.len(), "committed paths carry no slack");
                 solved_at.get_or_insert(levels);
@@ -561,11 +604,12 @@ mod tests {
         }
         for via_cost in [0.0, 1.0, 2.5] {
             let new = scratch.astar_in(grid, src, dst, via_cost, win);
-            assert_eq!(new, astar_in(grid, src, dst, via_cost, win), "A* via {via_cost} {tag}");
+            assert_eq!(new, cornered(astar_in(grid, src, dst, via_cost, win)), "A* via {via_cost} {tag}");
             let (path, _) = new.expect("no hard obstacles");
             assert_eq!(path.capacity(), path.len(), "committed paths carry no slack");
         }
-        assert_eq!(scratch.lee_bfs_in(grid, src, dst, win), lee_bfs_in(grid, src, dst, win), "Lee {tag}");
+        let new = scratch.lee_bfs_in(grid, src, dst, win);
+        assert_eq!(new, cornered(lee_bfs_in(grid, src, dst, win)), "Lee {tag}");
     }
 
     #[test]
@@ -642,21 +686,21 @@ mod tests {
         let (src, dst) = (GCell::new(2, 3), GCell::new(18, 15));
         let win = SearchWindow::full(&grid);
         let cross = scratch.mikami_tabuchi_in(&grid, src, dst, 4, win);
-        assert_eq!(cross, mikami_tabuchi_in(&grid, src, dst, 4, win));
-        assert_eq!(cross.unwrap().0.len(), 16 + 12 + 1);
+        assert_eq!(cross, cornered(mikami_tabuchi_in(&grid, src, dst, 4, win)));
+        assert_eq!(expand(&cross.unwrap().0).len(), 16 + 12 + 1);
         // Target line through the source pin: collinear pins.
         let (src, dst) = (GCell::new(2, 7), GCell::new(20, 7));
         let through_src = scratch.mikami_tabuchi_in(&grid, src, dst, 4, win);
-        assert_eq!(through_src, mikami_tabuchi_in(&grid, src, dst, 4, win));
-        assert_eq!(through_src.unwrap().0.len(), 19);
+        assert_eq!(through_src, cornered(mikami_tabuchi_in(&grid, src, dst, 4, win)));
+        assert_eq!(through_src.unwrap().0, [src, dst]);
         // Source line through the target pin: the same pins on a view that
         // closes once the source's two probes (23 + 23 edges) are grown, so
         // the target's probes are single cells.
         let closing = || ClosingGrid { open_for: 46, queries: Cell::new(0) };
         let through_dst = scratch.mikami_tabuchi_in(&closing(), src, dst, 4, win);
-        assert_eq!(through_dst, mikami_tabuchi_in(&closing(), src, dst, 4, win));
+        assert_eq!(through_dst, cornered(mikami_tabuchi_in(&closing(), src, dst, 4, win)));
         let (path, stats) = through_dst.unwrap();
-        assert_eq!((path.len(), stats.expanded), (19, 24 + 24 + 1 + 1));
+        assert_eq!((path, stats.expanded), (vec![src, dst], 24 + 24 + 1 + 1));
     }
 
     #[test]
@@ -726,23 +770,41 @@ mod tests {
         assert!(crossed[0] > 800 && crossed[1] > 200, "clips crossing 64, 128: {crossed:?}");
     }
 
+    /// The line search reduces its probe-line walk on a stack of corners;
+    /// the reduction is the corners of the deduplicated unit-step walk, on
+    /// random walks of axis-aligned runs over a few rows and columns, where
+    /// merges, cancellations and overshoots abound.
     #[test]
-    fn one_pass_dedup_equals_the_remove_loop() {
+    fn corner_stack_equals_the_deduplicated_unit_walk() {
         let mut rng = StdRng::seed_from_u64(161);
-        for _ in 0..2000 {
-            // Few distinct cells, so duplicates and A-B-A stutters abound.
-            let len = rng.gen_range(0..14);
-            let path: Path = (0..len).map(|_| GCell::new(rng.gen_range(0..3), 0)).collect();
-            let (mut old, mut new) = (path.clone(), path.clone());
-            dedup_path(&mut old);
-            crate::linesearch::dedup_path(&mut new);
-            assert_eq!(new, old, "{path:?}");
+        let (mut cancelled, mut shortened) = (0, 0);
+        for _ in 0..4000 {
+            let mut at = GCell::new(rng.gen_range(0..4), rng.gen_range(0..4));
+            let mut walk = vec![at];
+            for _ in 0..rng.gen_range(0..10) {
+                at = if rng.gen_bool(0.5) {
+                    GCell::new(rng.gen_range(0..4), at.y)
+                } else {
+                    GCell::new(at.x, rng.gen_range(0..4))
+                };
+                walk.push(at);
+            }
+            let mut want = expand(&walk);
+            dedup_path(&mut want);
+            let want: Path = corners(&want).collect();
+            let mut got = vec![walk[0]];
+            for &c in &walk[1..] {
+                crate::linesearch::push_corner(&mut got, c);
+            }
+            assert_eq!(got, want, "{walk:?}");
+            cancelled += (got.len() == 1 && walk.len() > 2) as usize;
+            shortened += (got.len() < walk.len()) as usize;
         }
+        assert!(cancelled > 100 && shortened > 1000, "{cancelled} walks cancelled, {shortened} shortened");
     }
 
-    /// The router stores a search's path as its corners: walking their runs
-    /// gives back every cell the search returned, with the same bends, on
-    /// every demand regime the searches see.
+    /// The shipping searches' corners expand to every cell the verbatim
+    /// searches walk, with the same bends, on every demand regime.
     #[test]
     fn corner_lists_expand_to_the_search_paths() {
         let mut rng = StdRng::seed_from_u64(38);
@@ -755,12 +817,14 @@ mod tests {
             for _ in 0..6 {
                 let (src, dst) = (random_cell(&mut rng, all), random_cell(&mut rng, all));
                 let win = SearchWindow::around(src, dst, rng.gen_range(0..10), &grid);
-                let line = scratch.mikami_tabuchi_in(&grid, src, dst, 12, win);
-                let maze = scratch.astar_in(&grid, src, dst, 1.0, win);
-                for (path, _) in line.into_iter().chain(maze) {
-                    let stored: Path = corners(&path).collect();
-                    assert_eq!(expand(&stored), path, "{src:?}->{dst:?} in {win:?}");
-                    assert_eq!(count_bends(&stored), count_bends(&path));
+                let line = scratch
+                    .mikami_tabuchi_in(&grid, src, dst, 12, win)
+                    .zip(mikami_tabuchi_in(&grid, src, dst, 12, win));
+                let maze = scratch.astar_in(&grid, src, dst, 1.0, win).zip(astar_in(&grid, src, dst, 1.0, win));
+                for ((stored, _), (walked, _)) in line.into_iter().chain(maze) {
+                    assert_corner_form(&stored, src, dst, &win);
+                    assert_eq!(expand(&stored), walked, "{src:?}->{dst:?} in {win:?}");
+                    assert_eq!(count_bends(&stored), count_bends(&walked));
                     bent += (count_bends(&stored) > 1) as usize;
                 }
             }

@@ -3,7 +3,7 @@
 
 use crate::grid::{DemandGrid, GCell, RoutingGrid};
 use crate::linesearch::probe_window;
-use crate::maze::{corners, count_bends, Path, SearchWindow};
+use crate::maze::{count_bends, SearchStats, SearchWindow};
 use crate::rules::RuleDeck;
 use crate::scratch::SearchScratch;
 use eda_place::{NetPins, Placement};
@@ -221,10 +221,10 @@ impl Wires {
         (s.len > 0).then(|| &self.pages[s.page as usize][s.offset as usize..][..s.len as usize])
     }
 
-    /// Makes `wire` connection `i`'s corners, written straight into a page,
-    /// and returns them as stored.
-    pub(crate) fn set(&mut self, i: usize, wire: impl Iterator<Item = GCell> + Clone) -> &[GCell] {
-        let len = wire.clone().count();
+    /// Makes `wire` connection `i`'s corners, copied into a page, and
+    /// returns them as stored.
+    pub(crate) fn set(&mut self, i: usize, wire: &[GCell]) -> &[GCell] {
+        let len = wire.len();
         let page = if len > PAGE {
             self.pages.push(Vec::with_capacity(len));
             self.pages.len() - 1
@@ -237,7 +237,7 @@ impl Wires {
         };
         let stored = &mut self.pages[page];
         let offset = stored.len();
-        stored.extend(wire);
+        stored.extend_from_slice(wire);
         self.spans[i] = WireSpan { page: page as u32, offset: offset as u32, len: len as u32 };
         &stored[offset..]
     }
@@ -245,44 +245,42 @@ impl Wires {
 
 /// Pure per-connection search against the committed grid — the only route
 /// computation, shared by the initial pass and the rip-up re-routes.
-/// Returns `(path, linesearch_fell_back, expanded, scratch)`, the path as
-/// the search walked it; the router stores, commits and scans its
-/// [`corners`] as straight runs.
-fn route_one_in<G: DemandGrid>(
+/// Returns `(corners, linesearch_fell_back, stats)`, the corners read in
+/// place from the scratch; the router stores, commits and scans them as
+/// straight runs.
+fn route_one_in<'s, G: DemandGrid>(
     grid: &G,
     tp: &TwoPin,
     win: SearchWindow,
     cfg: &RouteConfig,
-    scratch: &mut SearchScratch,
-) -> (Path, bool, u64, u64) {
+    scratch: &'s mut SearchScratch,
+) -> (&'s [GCell], bool, SearchStats) {
     let via_cost = cfg.deck.via_cost;
-    let (p, fell_back, expanded, scratch_cells) = match cfg.algorithm {
+    let maze = &mut scratch.maze;
+    match cfg.algorithm {
         RouteAlgorithm::LeeBfs => {
-            let (p, s) = scratch.lee_bfs_in(grid, tp.src, tp.dst, win).expect("grid is connected");
-            (p, false, s.expanded as u64, s.scratch_cells as u64)
+            let (p, s) = maze.lee_bfs(grid, tp.src, tp.dst, win).expect("grid is connected");
+            (p, false, s)
         }
         RouteAlgorithm::AStar => {
-            let (p, s) =
-                scratch.astar_in(grid, tp.src, tp.dst, via_cost, win).expect("grid is connected");
-            (p, false, s.expanded as u64, s.scratch_cells as u64)
+            let (p, s) = maze.astar(grid, tp.src, tp.dst, via_cost, win).expect("grid is connected");
+            (p, false, s)
         }
         RouteAlgorithm::LineSearch => {
             // A bounded search clips the probes to the window the maze
             // fallback searches; margin 0 probes the connection's extent.
             let probe_win =
                 if cfg.window_margin > 0 { win } else { probe_window(grid, tp.src, tp.dst) };
-            match scratch.mikami_tabuchi_in(grid, tp.src, tp.dst, 12, probe_win) {
-                Some((p, s)) => (p, false, s.expanded as u64, s.scratch_cells as u64),
+            match scratch.line.search(grid, tp.src, tp.dst, 12, probe_win) {
+                Some((p, s)) => (p, false, s),
                 None => {
-                    let (p, s) = scratch
-                        .astar_in(grid, tp.src, tp.dst, via_cost, win)
-                        .expect("grid is connected");
-                    (p, true, s.expanded as u64, s.scratch_cells as u64)
+                    let (p, s) =
+                        maze.astar(grid, tp.src, tp.dst, via_cost, win).expect("grid is connected");
+                    (p, true, s)
                 }
             }
         }
-    };
-    (p, fell_back, expanded, scratch_cells)
+    }
 }
 
 /// Routes a placed netlist.
@@ -489,11 +487,11 @@ fn run_pass(
         if let Some(old) = wires.get(i) {
             commit(grid, old, -1);
         }
-        let (p, fell_back, expanded, scratch_cells) = route_one_in(grid, tp, win, cfg, scratch);
+        let (wire, fell_back, stats) = route_one_in(grid, tp, win, cfg, scratch);
         tally.fallbacks += fell_back as usize;
-        tally.expanded += expanded;
-        tally.peak_window = tally.peak_window.max(scratch_cells);
-        commit(grid, wires.set(i, corners(&p)), 1);
+        tally.expanded += stats.expanded as u64;
+        tally.peak_window = tally.peak_window.max(stats.scratch_cells as u64);
+        commit(grid, wires.set(i, wire), 1);
     }
 }
 

@@ -10,8 +10,9 @@
 //! that per call costs more than most searches do, so a [`SearchScratch`]
 //! owns all of it once, grows lazily to the largest window actually
 //! searched, and is reset by each kernel in time proportional to what the
-//! search touched. The only heap allocation per connection is the returned
-//! path.
+//! search touched. Each kernel leaves the route's corners in the scratch:
+//! the router reads them in place, so a connection allocates nothing, and
+//! the public entries below return an exactly sized copy.
 //!
 //! Ownership: a scratch belongs to one *route call*, created when routing
 //! starts and dropped when it returns. Nothing is `static` or thread-local,
@@ -25,8 +26,8 @@ use crate::maze::{MazeScratch, Path, SearchStats, SearchWindow};
 /// Results never depend on what a scratch was used for before.
 #[derive(Default)]
 pub struct SearchScratch {
-    line: LineScratch,
-    maze: MazeScratch,
+    pub(crate) line: LineScratch,
+    pub(crate) maze: MazeScratch,
 }
 
 impl SearchScratch {
@@ -45,10 +46,10 @@ impl SearchScratch {
     /// Mikami–Tabuchi line search between two cells, its probes clipped to
     /// `win` ([`probe_window`](crate::probe_window) is the default clip).
     ///
-    /// Returns the path and the number of line-cells generated (the
-    /// analogue of "cells expanded"), or `None` when the expansion level
-    /// limit is hit or a tighter window leaves no crossing — callers fall
-    /// back to maze routing.
+    /// Returns the path's corners and the number of line-cells generated
+    /// (the analogue of "cells expanded"), or `None` when the expansion
+    /// level limit is hit or a tighter window leaves no crossing — callers
+    /// fall back to maze routing.
     pub fn mikami_tabuchi_in<G: DemandGrid>(
         &mut self,
         grid: &G,
@@ -57,7 +58,7 @@ impl SearchScratch {
         max_levels: usize,
         win: SearchWindow,
     ) -> Option<(Path, SearchStats)> {
-        self.line.search(grid, src, dst, max_levels, win)
+        self.line.search(grid, src, dst, max_levels, win).map(|(p, s)| (p.to_vec(), s))
     }
 
     /// Congestion-aware A* inside `win`: edge costs from
@@ -74,7 +75,7 @@ impl SearchScratch {
         via_cost: f64,
         win: SearchWindow,
     ) -> Option<(Path, SearchStats)> {
-        self.maze.astar(grid, src, dst, via_cost, win)
+        self.maze.astar(grid, src, dst, via_cost, win).map(|(p, s)| (p.to_vec(), s))
     }
 
     /// Lee's algorithm inside `win`: uniform-cost BFS ignoring congestion
@@ -88,7 +89,7 @@ impl SearchScratch {
         dst: GCell,
         win: SearchWindow,
     ) -> Option<(Path, SearchStats)> {
-        self.maze.lee_bfs(grid, src, dst, win)
+        self.maze.lee_bfs(grid, src, dst, win).map(|(p, s)| (p.to_vec(), s))
     }
 }
 

@@ -4,7 +4,7 @@ use eda::litho::{decompose, ConflictGraph, Layout};
 use eda::logic::{isop, Aig, Cube, TruthTable};
 use eda::netlist::generate;
 use eda::place::{anneal, place_global, AnnealConfig, Die, GlobalConfig};
-use eda::route::{probe_window, GCell, RoutingGrid, RuleDeck, SearchScratch};
+use eda::route::{probe_window, GCell, RoutingGrid, RuleDeck, SearchScratch, SearchWindow};
 use proptest::prelude::*;
 
 proptest! {
@@ -91,7 +91,11 @@ proptest! {
         }
     }
 
-    /// Line-search paths, when found, are connected and end-to-end.
+    /// Every search returns its route as a canonical corner list: first
+    /// corner the source, last the target, every run on one row or column
+    /// and non-empty, consecutive runs turning, every corner inside the
+    /// search window. Line search in its probe window, A* and Lee on the
+    /// whole grid.
     #[test]
     fn linesearch_paths_well_formed(
         sx in 0u32..20, sy in 0u32..20, dx in 0u32..20, dy in 0u32..20,
@@ -99,16 +103,28 @@ proptest! {
         let grid = RoutingGrid::new(20, 20, &RuleDeck::simple(6));
         let src = GCell::new(sx, sy);
         let dst = GCell::new(dx, dy);
-        let win = probe_window(&grid, src, dst);
-        if let Some((path, _)) = SearchScratch::new().mikami_tabuchi_in(&grid, src, dst, 8, win) {
-            prop_assert_eq!(path[0], src);
-            prop_assert_eq!(*path.last().unwrap(), dst);
-            for w in path.windows(2) {
-                prop_assert_eq!(w[0].manhattan(&w[1]), 1);
+        let (probe, full) = (probe_window(&grid, src, dst), SearchWindow::full(&grid));
+        let mut scratch = SearchScratch::new();
+        // On an empty grid level-0 probes always cross.
+        let line = scratch.mikami_tabuchi_in(&grid, src, dst, 8, probe);
+        prop_assert!(line.is_some(), "line search must succeed on an empty grid");
+        let astar = scratch.astar_in(&grid, src, dst, 1.0, full);
+        let lee = scratch.lee_bfs_in(&grid, src, dst, full);
+        for (name, found, win) in [("line", line, probe), ("A*", astar, full), ("Lee", lee, full)] {
+            let (path, _) = found.expect("the grid has no hard obstacles");
+            prop_assert_eq!(path[0], src, "{}", name);
+            prop_assert_eq!(*path.last().unwrap(), dst, "{}", name);
+            prop_assert!(path.iter().all(|&c| win.contains(c)), "{}: {:?} leaves {:?}", name, path, win);
+            for run in path.windows(2) {
+                let (a, b) = (run[0], run[1]);
+                prop_assert!(a != b && (a.x == b.x || a.y == b.y), "{}: {:?} -> {:?} is no run", name, a, b);
             }
-        } else {
-            // On an empty grid level-0 probes always cross.
-            prop_assert!(false, "line search must succeed on an empty grid");
+            for turn in path.windows(3) {
+                let (a, b, c) = (turn[0], turn[1], turn[2]);
+                prop_assert!((a.y == b.y) != (b.y == c.y), "{}: runs through {:?} do not turn", name, b);
+            }
+            let length: u32 = path.windows(2).map(|r| r[0].manhattan(&r[1])).sum();
+            prop_assert_eq!(length, src.manhattan(&dst), "{}: a detour on an empty grid", name);
         }
     }
 
