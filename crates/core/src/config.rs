@@ -34,9 +34,11 @@ impl LibraryChoice {
 /// Placement effort knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlaceEffort {
-    /// Global-placement smoothing iterations of the flat path. The
-    /// multilevel path does not read it; it stays in `4_place`'s cache key
-    /// (which hashes this whole struct) so that existing keys replay.
+    /// Global-placement smoothing iterations of the flat path (`stripes <= 1`
+    /// and `cluster_gates == 0`). The multilevel and striped paths do not
+    /// read it (the striped placer fixes its own global pass); it stays in
+    /// `4_place`'s cache key (which hashes this whole struct) so that
+    /// existing keys replay.
     pub global_iterations: usize,
     /// Annealing moves per cell.
     pub anneal_moves_per_cell: usize,
@@ -108,9 +110,8 @@ pub struct FlowConfig {
     /// grid — and rip-up takes only paths on strictly overflowed edges as
     /// victims instead of every path on an at-capacity edge. QoR-relevant
     /// (detour room and victim rule), so it folds into the config
-    /// fingerprint; still bit-identical at any thread count. A positive
-    /// margin also switches the router to its region-partitioned parallel
-    /// schedule, with the region size derived from the grid.
+    /// fingerprint; still bit-identical at any thread count (the router is
+    /// serial).
     pub route_window_margin: u32,
     /// Scan insertion (None = no DFT).
     pub scan: Option<ScanOptions>,
@@ -333,9 +334,9 @@ impl FlowConfig {
     /// onto fewer edges and makes congestion strictly worse. So the grid
     /// side scales as √instances. That holds utilization constant only while
     /// nets stay tile-local, and as measured they do not: with the seed
-    /// placement, routed wirelength per connection grows from 34 g-cells at
-    /// 2.5·10⁴ to 56 at 10⁵, and at 1.25·10⁵ negotiation no longer closes
-    /// (overflow on three seeds).
+    /// placement, routed wirelength per connection grows from 41 g-cells at
+    /// 2.5·10⁴ to 74 at 10⁵. Negotiation still closes overflow-free at
+    /// 1.25·10⁵, but not on every seed at 2·10⁵.
     pub fn scale_2016(node: Node, instances: usize) -> FlowConfig {
         // ~3.25·√n: with this family of meshes the constant pins steady-state
         // edge utilization (demand/capacity ∝ 1/constant) near 70%, enough

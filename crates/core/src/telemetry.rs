@@ -92,8 +92,8 @@ pub struct WallSpan {
     /// Resolved worker count for kernel dispatches (0 = not a parallel
     /// dispatch).
     pub threads: usize,
-    /// A parallel dispatch's projected speedup over one worker, bounded to
-    /// `[1, threads]` ([`StripeStats::bounded_speedup`]); 0 where
+    /// A parallel dispatch's projected speedup over one worker, in
+    /// `[1, threads]` ([`StripeStats::projected_speedup`]); 0 where
     /// `threads` is.
     pub speedup: f64,
     /// Process peak resident-set size (`VmHWM`) in bytes, sampled when the
@@ -287,7 +287,7 @@ impl Telemetry {
             start_s: (now_s - stats.wall_s).max(0.0),
             dur_s: stats.wall_s,
             threads: stats.threads,
-            speedup: stats.bounded_speedup(),
+            speedup: stats.projected_speedup(),
             peak_rss_bytes: read_peak_rss_bytes(),
         });
         inner.started.push(Instant::now());

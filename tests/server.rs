@@ -188,9 +188,10 @@ fn repeated_request_replays_the_shared_cache() {
 
 #[test]
 fn stage_speedups_stay_within_wall_clock_bounds() {
-    // Regression for the placer's 8+-worker super-unity projections: every
-    // parallel dispatch's recorded speedup must sit inside [1, the workers it
-    // ran on] — a projection can never beat the workers it ran on. Kernel
+    // Every parallel dispatch's recorded speedup must sit inside [1, the
+    // workers it ran on]. The projection is total CPU over the busiest
+    // worker's, unclamped, so this checks the dispatch's CPU accounting: a
+    // worker's time counted twice, or missing from the total, leaves it. Kernel
     // spans with `threads == 0` (synthesis passes and the like) dispatched
     // no workers and record no speedup.
     let design = generate::switch_fabric(3, 3).unwrap();
