@@ -170,8 +170,9 @@ fn bench_region_route(_c: &mut Criterion) {
         &design,
         Die::for_netlist(&design, cfg.utilization),
         &MultilevelConfig {
-            cluster_size: cfg.place.cluster_gates,
-            refine_moves_per_cell: cfg.place.anneal_moves_per_cell,
+            // `4_place`'s multilevel cluster size.
+            cluster_size: 64,
+            refine_moves_per_cell: cfg.anneal_moves_per_cell,
             seed: cfg.seed,
         },
     )

@@ -20,10 +20,11 @@
 //! the flow's stage table (`crate::flow`). The payoff is prefix reuse:
 //! changing `ripup_iterations` leaves the synthesis-through-STA keys
 //! untouched, so a warm rerun replays seven stages and recomputes only
-//! routing and what follows. Design identity is folded in only for
-//! `1_synthesis` — every later stage's input netlist arrives through the
-//! pre-stage body, so two designs that converge to the same intermediate
-//! state share downstream entries.
+//! routing and what follows. The design's content digest (FNV-1a of its
+//! codec text, not its name) is folded in only for `1_synthesis` — every
+//! later stage's input netlist arrives through the pre-stage body, so two
+//! designs that converge to the same intermediate state share downstream
+//! entries.
 //!
 //! The body holds state only — no wall clock, no worker count — so how long
 //! an earlier stage took, or how many workers computed it, can never

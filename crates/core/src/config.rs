@@ -31,27 +31,19 @@ impl LibraryChoice {
     }
 }
 
-/// Placement effort knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PlaceEffort {
-    /// Global-placement smoothing iterations of the flat path (`stripes <= 1`
-    /// and `cluster_gates == 0`). The multilevel and striped paths do not
-    /// read it (the striped placer fixes its own global pass); it stays in
-    /// `4_place`'s cache key (which hashes this whole struct) so that
-    /// existing keys replay.
-    pub global_iterations: usize,
-    /// Annealing moves per cell.
-    pub anneal_moves_per_cell: usize,
-    /// Stripe partitions for partitioned refinement (`<= 1` = monolithic
-    /// serial annealing). Determines the placement result; worker threads
-    /// come from [`FlowConfig::threads`] and never change the result.
-    pub stripes: usize,
-    /// Target instances per cluster for the multilevel
-    /// (cluster → serpentine seed → refine) pass the scale tier places with.
-    /// `0` (the default) keeps the flat global + anneal path; when positive
-    /// it replaces both the flat pass and striped refinement, and the pass
-    /// reads only this and `anneal_moves_per_cell` (its refinement budget).
-    pub cluster_gates: usize,
+/// Placement algorithm selection.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum PlaceAlgorithm {
+    /// Force-directed global placement, then one serial anneal over the
+    /// whole die (decade-old baseline).
+    Flat,
+    /// Global placement, then annealing refinement over stripe partitions,
+    /// the one placement path [`FlowConfig::threads`] reaches. The stripe
+    /// partition, not the worker count, determines the result.
+    Striped,
+    /// Cluster → serpentine seed → refine, serial; the scale tier's
+    /// placer.
+    Multilevel,
 }
 
 /// DFT options.
@@ -93,8 +85,11 @@ pub struct FlowConfig {
     pub aig_rewrite_passes: usize,
     /// Core utilization for floorplanning.
     pub utilization: f64,
-    /// Placement effort.
-    pub place: PlaceEffort,
+    /// Placer algorithm.
+    pub placer: PlaceAlgorithm,
+    /// Annealing moves per cell: the refinement budget of every
+    /// [`PlaceAlgorithm`].
+    pub anneal_moves_per_cell: usize,
     /// Router algorithm. It routes on the node's typical metal stack.
     pub router: RouteAlgorithm,
     /// Rip-up and re-route iterations.
@@ -125,7 +120,8 @@ pub struct FlowConfig {
     /// RNG seed for all stochastic stages.
     pub seed: u64,
     /// Worker threads for the one parallel kernel, the partitioned
-    /// placer's stripe refinement (`0` = all available cores); synthesis,
+    /// placer's stripe refinement (`0` = all available cores). It reaches
+    /// only [`PlaceAlgorithm::Striped`]; the other placers, synthesis,
     /// routing, OPC and fault simulation run serially. The stripe partition
     /// never depends on the worker count and stripes merge in stripe order
     /// (`eda_place::parallel`), so every QoR output
@@ -173,12 +169,8 @@ impl Default for FlowConfig {
             synthesis: SynthesisEffort::Advanced2016,
             aig_rewrite_passes: DEFAULT_REWRITE_PASSES,
             utilization: 0.7,
-            place: PlaceEffort {
-                global_iterations: 10,
-                anneal_moves_per_cell: 40,
-                stripes: 4,
-                cluster_gates: 0,
-            },
+            placer: PlaceAlgorithm::Striped,
+            anneal_moves_per_cell: 40,
             router: RouteAlgorithm::LineSearch,
             ripup_iterations: 6,
             route_grid_cells: 32,
@@ -289,12 +281,8 @@ impl FlowConfig {
             library: LibraryChoice::NandInv2006,
             synthesis: SynthesisEffort::Baseline2006,
             utilization: 0.6,
-            place: PlaceEffort {
-                global_iterations: 4,
-                anneal_moves_per_cell: 10,
-                stripes: 1,
-                cluster_gates: 0,
-            },
+            placer: PlaceAlgorithm::Flat,
+            anneal_moves_per_cell: 10,
             router: RouteAlgorithm::LeeBfs,
             ripup_iterations: 0,
             scan: Some(ScanOptions { chains: 1, placement_aware_reorder: false }),
@@ -346,13 +334,8 @@ impl FlowConfig {
         FlowConfig {
             name: "scale-2016".into(),
             node,
-            place: PlaceEffort {
-                // Unread on the multilevel path; kept so `4_place` keys replay.
-                global_iterations: 8,
-                anneal_moves_per_cell: 1,
-                stripes: 1,
-                cluster_gates: 64,
-            },
+            placer: PlaceAlgorithm::Multilevel,
+            anneal_moves_per_cell: 1,
             route_grid_cells: grid,
             route_window_margin: 8,
             ripup_iterations: 5,
@@ -375,7 +358,7 @@ mod tests {
         assert_ne!(b.router, a.router);
         assert_eq!(b.power.clock_gating_group, 0);
         assert!(a.power.clock_gating_group > 0);
-        assert!(a.place.stripes > b.place.stripes);
+        assert_eq!((b.placer, a.placer), (PlaceAlgorithm::Flat, PlaceAlgorithm::Striped));
         // 2006 ran single-threaded; 2016 uses every core (0 = auto).
         assert_eq!(b.threads, 1);
         assert_eq!(a.threads, 0);
@@ -392,8 +375,7 @@ mod tests {
     #[test]
     fn scale_preset_is_memory_lean() {
         let s = FlowConfig::scale_2016(Node::N28, 100_000);
-        assert!(s.place.cluster_gates > 0, "scale places multilevel");
-        assert_eq!(s.place.stripes, 1);
+        assert_eq!(s.placer, PlaceAlgorithm::Multilevel, "scale places multilevel");
         assert!(s.route_window_margin > 0, "scale routes in bounded windows");
         assert!(s.route_grid_cells > FlowConfig::default().route_grid_cells);
         assert!(!s.verify_synthesis && s.scan.is_none(), "super-linear passes are off");

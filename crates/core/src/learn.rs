@@ -19,8 +19,6 @@ pub struct Arm {
     pub name: String,
     /// Annealing moves per cell.
     pub anneal_moves_per_cell: usize,
-    /// Global placement iterations.
-    pub global_iterations: usize,
     /// Rip-up iterations for the router.
     pub ripup_iterations: usize,
 }
@@ -29,8 +27,7 @@ impl Arm {
     /// Applies the arm to a config.
     pub fn apply(&self, cfg: &FlowConfig) -> FlowConfig {
         let mut out = cfg.clone();
-        out.place.anneal_moves_per_cell = self.anneal_moves_per_cell;
-        out.place.global_iterations = self.global_iterations;
+        out.anneal_moves_per_cell = self.anneal_moves_per_cell;
         out.ripup_iterations = self.ripup_iterations;
         out
     }
@@ -60,10 +57,10 @@ impl FlowTuner {
     /// too-lazy to overkill; the interesting middle must be *learned*).
     pub fn new(seed: u64) -> FlowTuner {
         let arms = vec![
-            Arm { name: "lazy".into(), anneal_moves_per_cell: 5, global_iterations: 2, ripup_iterations: 1 },
-            Arm { name: "light".into(), anneal_moves_per_cell: 20, global_iterations: 6, ripup_iterations: 3 },
-            Arm { name: "standard".into(), anneal_moves_per_cell: 40, global_iterations: 10, ripup_iterations: 6 },
-            Arm { name: "heavy".into(), anneal_moves_per_cell: 80, global_iterations: 14, ripup_iterations: 8 },
+            Arm { name: "lazy".into(), anneal_moves_per_cell: 5, ripup_iterations: 1 },
+            Arm { name: "light".into(), anneal_moves_per_cell: 20, ripup_iterations: 3 },
+            Arm { name: "standard".into(), anneal_moves_per_cell: 40, ripup_iterations: 6 },
+            Arm { name: "heavy".into(), anneal_moves_per_cell: 80, ripup_iterations: 8 },
         ];
         let n = arms.len();
         FlowTuner { arms, stats: vec![ArmStats::default(); n], epsilon: 0.2, rng: StdRng::seed_from_u64(seed) }
@@ -170,9 +167,9 @@ mod tests {
     fn arm_applies_overrides() {
         use eda_tech::Node;
         let cfg = FlowConfig::advanced_2016(Node::N28);
-        let arm = Arm { name: "x".into(), anneal_moves_per_cell: 7, global_iterations: 3, ripup_iterations: 2 };
+        let arm = Arm { name: "x".into(), anneal_moves_per_cell: 7, ripup_iterations: 2 };
         let out = arm.apply(&cfg);
-        assert_eq!(out.place.anneal_moves_per_cell, 7);
+        assert_eq!(out.anneal_moves_per_cell, 7);
         assert_eq!(out.ripup_iterations, 2);
         assert_eq!(out.library, cfg.library);
     }

@@ -40,7 +40,7 @@ mod state;
 pub mod store;
 pub mod telemetry;
 
-pub use config::{ConfigError, FlowConfig, LibraryChoice, PlaceEffort, PowerOptions, ScanOptions};
+pub use config::{ConfigError, FlowConfig, LibraryChoice, PlaceAlgorithm, PowerOptions, ScanOptions};
 pub use daemon::client::{DaemonClient, Endpoint, RequestOutcome, RetryPolicy, Terminal};
 pub use daemon::protocol::{
     flow_config_for, DaemonStats, DesignSpec, QuerySpec, RejectReason, SubmitSpec,

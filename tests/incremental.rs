@@ -13,8 +13,8 @@
 //! it completed and computes the rest.
 
 use eda_core::{
-    run_flow, Fault, FaultPlan, FlowConfig, FlowReport, FlowStore, LibraryChoice, QorQuery, Query,
-    SpanKind, StoreConfig, STAGES,
+    run_flow, Fault, FaultPlan, FlowConfig, FlowReport, FlowStore, LibraryChoice, PlaceAlgorithm,
+    QorQuery, Query, SpanKind, StoreConfig, STAGES,
 };
 use eda_logic::SynthesisEffort;
 use eda_netlist::{generate, Netlist};
@@ -183,6 +183,19 @@ fn cache_invalidates_on_netlist_config_and_seed_change() {
     let r = run_flow(&other, &warm_cfg()).unwrap();
     assert_eq!(counter(&r, "cache.hits"), 0, "a different netlist must miss");
 
+    // Identity is the design's content, not its name: these two share the
+    // name `rand_120g_s1` and 133 instances, and must not share entries.
+    let rand = |inputs| {
+        generate::random_logic(generate::RandomLogicConfig { gates: 120, inputs, ..Default::default() }).unwrap()
+    };
+    let (wide, narrow) = (rand(32), rand(12));
+    assert_eq!((wide.name(), wide.num_instances()), (narrow.name(), narrow.num_instances()));
+    let _ = run_flow(&wide, &warm_cfg()).unwrap();
+    let r = run_flow(&narrow, &warm_cfg()).unwrap();
+    assert_eq!(cache_tags(&r)[0], "miss", "a same-named design must miss at 1_synthesis");
+    let uncached = run_flow(&narrow, &FlowConfig { store: None, ..warm_cfg() }).unwrap();
+    assert!(r.same_qor(&uncached), "a same-named design replayed another's flow");
+
     // Every QoR-relevant knob — the union of the stage table's `knobs` —
     // edited on the warm store, one at a time. Per-stage fingerprints scope
     // the invalidation to the stages that read the knob: the edit misses at
@@ -192,7 +205,7 @@ fn cache_invalidates_on_netlist_config_and_seed_change() {
     // replay state computed under the old value — caught by the comparison
     // against an uncached run of the edited config.
     type Edit = fn(&mut FlowConfig);
-    let knobs: [(&str, &str, Edit); 16] = [
+    let knobs: [(&str, &str, Edit); 17] = [
         ("node", "1_synthesis", |c| c.node = Node::N10),
         ("seed", "1_synthesis", |c| c.seed = 99),
         ("library", "1_synthesis", |c| c.library = LibraryChoice::NandInv2006),
@@ -202,7 +215,8 @@ fn cache_invalidates_on_netlist_config_and_seed_change() {
         ("power.clock_gating_group", "2_clock_gating", |c| c.power.clock_gating_group = 4),
         ("scan", "3_scan", |c| c.scan.as_mut().unwrap().chains += 1),
         ("utilization", "4_place", |c| c.utilization = 0.6),
-        ("place", "4_place", |c| c.place.anneal_moves_per_cell += 1),
+        ("placer", "4_place", |c| c.placer = PlaceAlgorithm::Flat),
+        ("anneal_moves_per_cell", "4_place", |c| c.anneal_moves_per_cell += 1),
         ("clock_mhz", "6_sta", |c| c.clock_mhz = 250.0),
         ("router", "7_route", |c| c.router = RouteAlgorithm::AStar),
         ("ripup_iterations", "7_route", |c| c.ripup_iterations += 1),

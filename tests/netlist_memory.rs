@@ -134,8 +134,9 @@ fn netlist_heap_per_instance_is_pinned() {
         &mapped,
         die,
         &MultilevelConfig {
-            cluster_size: cfg.place.cluster_gates,
-            refine_moves_per_cell: cfg.place.anneal_moves_per_cell,
+            // `4_place`'s multilevel cluster size.
+            cluster_size: 64,
+            refine_moves_per_cell: cfg.anneal_moves_per_cell,
             seed: cfg.seed,
         },
     );

@@ -137,10 +137,10 @@ fn assert_mini_pins(report: &FlowReport, threads: usize) {
 /// within a conservative RSS budget, on the pinned fingerprint and work
 /// counts at 1 and 2 worker threads. `FlowConfig::threads` reaches one
 /// place in the flow, the stripe branch of `4_place` (`cfg.threads` has no
-/// other reader under `crates/core/src`); the scale preset sets
-/// `cluster_gates > 0`, so `4_place` takes the serial multilevel branch and
-/// the knob reaches nothing here. One rerun at 2 threads holds that; more
-/// would rerun the same serial flow. `tests/determinism.rs` holds QoR at
+/// other reader under `crates/core/src`); the scale preset places with
+/// `PlaceAlgorithm::Multilevel`, so `4_place` takes the serial multilevel
+/// branch and the knob reaches nothing here. One rerun at 2 threads holds
+/// that; more would rerun the same serial flow. `tests/determinism.rs` holds QoR at
 /// 1/2/8 threads on presets that do reach the stripe dispatch.
 /// Release-only: `scripts/check.sh` runs it in release.
 #[test]

@@ -291,16 +291,16 @@ const RIPPLE4_N28_RECORDS: [&str; 17] = [
     "%rec sub 39e773cb90bbaa87 585 1b696f1e0683eaa6",
     "%rec sub 6514b9990e3c9008 29 90aa82934b008524",
     "%rec sub 2721760b5f00ce66 585 ba0c1422d16ff99c",
-    "%rec stage a61355c597f5e240 3873 c2e53ebc8a4c2ae8",
+    "%rec stage da7127549d3c4125 3873 6ab1db0f975bd595",
     "%rec stage c29449c2eac6b9ea 3897 f18e56a2717a019c",
     "%rec stage 1832201a8483a52b 3976 887a096b5153daea",
-    "%rec stage 7310547a76694a27 6656 2c5eff82ac42215d",
+    "%rec stage 3ab144ccfaf5bed8 6656 9c6e1c47ced4614d",
     "%rec stage 2f57a85489c6f2d9 6684 56a1bf055fef9e15",
     "%rec stage 5ca8a839b6f757bc 6687 ac70ee39f326f8bc",
     "%rec stage 72575016640d4809 6699 8929e3efd302b822",
     // The route outcome: `routeout v2`, keyed without a region-size slot.
     "%rec sub c74acb0df47cfe0c 56 1d350444beeca4e4",
-    "%rec stage c84fd65a2d3c0faa 6719 c2b127206fec9929",
+    "%rec stage ced3e34ddeacfbdd 6719 e64b6ab9b0907270",
     "%rec stage 6df5a5303a6ab10a 6797 916c1e2f6c86d505",
     "%rec stage 79b4511140d79f21 6813 8277e36e9b093543",
     "%rec stage 4484c4aa4cdb61a0 6825 7fb2cfeb3b4e18a6",
