@@ -50,7 +50,7 @@ fn bench_xor_rich(c: &mut Criterion) {
 fn bench_map_scale(_c: &mut Criterion) {
     let design = generate::scale_mesh(10_000, 1).unwrap();
     let (aig, bnd) = Aig::from_netlist(&design).unwrap();
-    let (opt, _) = optimize_aig(&aig, DEFAULT_REWRITE_PASSES, None);
+    let (opt, _) = optimize_aig(&aig, DEFAULT_REWRITE_PASSES);
     let map = || map_aig(&opt, &bnd, Library::generic()).unwrap();
     let s = median_seconds(5, || {
         let t = Instant::now();

@@ -65,7 +65,7 @@ fn bench_aig_passes(c: &mut Criterion) {
     group.bench_function("balance", |b| b.iter(|| black_box(aig.balance().num_ands())));
     group.bench_function("rewrite", |b| b.iter(|| black_box(aig.rewrite().num_ands())));
     group.bench_function("optimize_script", |b| {
-        b.iter(|| black_box(optimize_aig(&aig, DEFAULT_REWRITE_PASSES, None).0.num_ands()))
+        b.iter(|| black_box(optimize_aig(&aig, DEFAULT_REWRITE_PASSES).0.num_ands()))
     });
     group.finish();
 }

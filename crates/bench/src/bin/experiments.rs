@@ -125,8 +125,9 @@ SUBCOMMANDS:
                        order, in this process
     incremental        cold + warm + edited smoke flow against the flow
                        store; fails unless the warm run skips >= 8 of 11
-                       stages and a one-AIG-pass edit replays >= 1 sub-stage
-                       memo entry, both with bit-identical QoR
+                       stages and an unmeetable-clock edit replays its route
+                       from the one sub-stage memo entry, both with
+                       bit-identical QoR
     query              read QoR / stage provenance history out of the flow
                        store (--store, with --design / --stage / --metric /
                        --last filters) and print QUERYLINE rows newest-first
@@ -150,7 +151,8 @@ OPTIONS (shared by every subcommand; `--flag V` and `--flag=V` both work):
     --store-max-bytes N
                        store size bound in bytes; LRU compaction keeps the
                        file under it (default 0 = 64 MiB)
-    --design NAME      query: only rows for this design
+    --design NAME      query: only rows for this design (its name, or for
+                       QoR rows its 16-hex content digest)
     --stage STAGE      query: per-stage history rows for STAGE instead of
                        whole-run QoR rows
     --metric M         query: value column, one of wns|overflow|hpwl|wall|
@@ -314,14 +316,17 @@ fn run_claims(ids: &[String], threads: usize, store: Option<&StoreConfig>) -> Cl
 ///
 /// Runs the smoke flow twice against `--store` (or a fresh temp store),
 /// prints both wall clocks, the fraction of stages replayed from the store,
-/// and the QoR comparison; then
-/// re-runs with one AIG rewrite pass dropped — the sub-stage memo must
-/// replay at least one per-pass entry even though the synthesis stage entry
-/// itself misses. Fails unless the warm run skipped at least 8 of the 11
-/// stages and the edited run's QoR matches an uncached reference,
-/// bit-identically. Unreadable (poisoned) entries are recomputed and
+/// and the QoR comparison; then re-runs at a clock the design cannot meet —
+/// the `7_route` stage entry misses (its pre-stage state carries the new
+/// slack), but the router's input did not move, so the `route.outcome`
+/// sub-stage entry must replay. Fails unless the warm run skipped at least
+/// 8 of the 11 stages and the edited run's QoR matches an uncached
+/// reference, bit-identically. Unreadable (poisoned) entries are recomputed and
 /// counted, never fatal, so a partially damaged store still passes as long
 /// as enough stages replay.
+/// A clock `incremental`'s smoke design cannot meet.
+const UNMEETABLE_MHZ: f64 = 50_000.0;
+
 fn incremental_demo(opts: &Options) -> CliResult {
     let sc = store_config(opts).unwrap_or_else(|| {
         StoreConfig::at(
@@ -364,12 +369,11 @@ fn incremental_demo(opts: &Options) -> CliResult {
     );
     println!("warm speedup: {:.1}x, QoR bit-identical: {same}", cold_s / warm_s.max(1e-9));
 
-    // Edit-replay: drop one AIG rewrite pass. The synthesis stage entry
-    // misses (its config fingerprint covers the pass count), but the
-    // per-pass sub-stage memo replays every pass the edit didn't remove.
+    // Edit-replay: a clock no smoke design meets (their critical paths are
+    // 40-80 ps). `6_sta` and `7_route` miss, the route outcome replays.
     // QoR is judged against an uncached run of the edited config.
     let mut edited = cfg.clone();
-    edited.aig_rewrite_passes = cfg.aig_rewrite_passes.saturating_sub(1);
+    edited.clock_mhz = UNMEETABLE_MHZ;
     let t = Instant::now();
     let edit =
         run_flow(&design, &edited).map_err(|e| CliError(format!("edited run failed: {e}")))?;
@@ -383,7 +387,7 @@ fn incremental_demo(opts: &Options) -> CliResult {
     let edit_hits = counter(&edit, "cache.hits");
     let edit_same = reference.same_qor(&edit);
     println!(
-        "edit run: {edit_s:>8.3}s  (one rewrite pass dropped: {edit_hits} stage hits, \
+        "edit run: {edit_s:>8.3}s  (unmeetable clock: {edit_hits} stage hits, \
          {sub_hits} sub-stage hits / {sub_misses} misses, QoR vs uncached: {edit_same})"
     );
 
@@ -415,11 +419,11 @@ fn incremental_demo(opts: &Options) -> CliResult {
     }
     // A store pre-filled by an earlier edited run replays the whole edited
     // flow from the stage cache (never consulting the memo), so the
-    // sub-stage gate only binds when synthesis actually recomputed.
-    if sub_hits < 1 && edit_hits < total {
-        return Err(CliError(
-            "edited run replayed no sub-stage entries (expected >= 1 per-pass memo hit)".into(),
-        ));
+    // sub-stage gate only binds when the route stage actually recomputed.
+    if sub_hits != 1 && edit_hits < total {
+        return Err(CliError(format!(
+            "edited run replayed {sub_hits} sub-stage entries (expected the one route outcome)"
+        )));
     }
     if !edit_same {
         return Err(CliError("edited QoR diverged from the uncached reference".into()));
@@ -437,7 +441,10 @@ fn incremental_demo(opts: &Options) -> CliResult {
 /// Prints a human table plus stable machine-readable rows:
 ///
 /// * `QUERYLINE qor <seq> <design> <node> <cfg_fp> <qor_fp> <wns_ps>
-///   <overflow> <hpwl_um> <wall_s> <peak_rss_bytes>` (with `--metric all`),
+///   <overflow> <hpwl_um> <wall_s> <peak_rss_bytes> <digest>` (with
+///   `--metric all`; `digest` is the design's content digest, `-` on rows
+///   written before rows carried it, and `--design` matches it as well as
+///   the name),
 /// * `QUERYLINE <metric> <seq> <design> <value>` for a single metric,
 /// * `QUERYLINE stage <seq> <design> <stage> <attempts> <wall_s> <outcome>`
 ///   with `--stage`,
@@ -498,8 +505,9 @@ fn print_qor_rows(rows: &[QorRow], metric: &str) {
     };
     for row in rows {
         if metric == "all" {
+            let digest = row.design_digest.map_or("-".to_string(), |d| format!("{d:016x}"));
             println!(
-                "QUERYLINE qor {} {} {} {:016x} {:016x} {:.3} {} {:.3} {:.6} {}",
+                "QUERYLINE qor {} {} {} {:016x} {:016x} {:.3} {} {:.3} {:.6} {} {digest}",
                 row.seq,
                 row.design,
                 row.node,

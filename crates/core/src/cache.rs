@@ -15,12 +15,13 @@
 //! computes the rest.
 //!
 //! The per-stage fingerprint covers only the config fields the stage's body
-//! actually reads (plus node and seed, which almost every stage consumes),
-//! not the whole config; each stage declares its knobs next to its body, in
-//! the flow's stage table (`crate::flow`). The payoff is prefix reuse:
-//! changing `ripup_iterations` leaves the synthesis-through-STA keys
-//! untouched, so a warm rerun replays seven stages and recomputes only
-//! routing and what follows. The design's content digest (FNV-1a of its
+//! actually reads — the node and the seed included, and only where a body
+//! reads them — not the whole config; each stage declares its knobs next to
+//! its body, in the flow's stage table (`crate::flow`). The payoff is prefix
+//! reuse: changing `ripup_iterations` or the node leaves the
+//! synthesis-through-STA keys untouched, so a warm rerun replays seven
+//! stages and recomputes only routing and what follows; a new seed replays
+//! synthesis, clock gating and scan and recomputes from placement on. The design's content digest (FNV-1a of its
 //! codec text, not its name) is folded in only for `1_synthesis` — every
 //! later stage's input netlist arrives through the pre-stage body, so two
 //! designs that converge to the same intermediate state share downstream

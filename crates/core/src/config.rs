@@ -78,10 +78,8 @@ pub struct FlowConfig {
     pub synthesis: SynthesisEffort,
     /// AIG rewrite passes in the advanced synthesis script (the
     /// balance–rewriteⁿ–balance recipe; ignored by the 2006 baseline).
-    /// QoR-relevant, so it folds into the config fingerprint — and it is
-    /// the canonical "small edit" of the incremental demo: changing it
-    /// invalidates the synthesis *stage* entry while the per-pass sub-stage
-    /// entries of the unchanged prefix still replay from the store.
+    /// QoR-relevant, so it is a `1_synthesis` knob: changing it misses that
+    /// stage and, through its output, every stage after it.
     pub aig_rewrite_passes: usize,
     /// Core utilization for floorplanning.
     pub utilization: f64,

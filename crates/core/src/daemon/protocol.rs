@@ -351,8 +351,9 @@ impl ServerFrame {
 /// 16-digit hex strings (u64s do not survive a JSON `f64` round trip);
 /// floats use Rust's shortest round-trip formatting.
 fn qor_row_json(r: &QorRow) -> String {
+    let digest = r.design_digest.map_or(String::new(), |d| format!(",\"design_digest\":\"{d:016x}\""));
     format!(
-        "{{\"seq\":{},\"design\":\"{}\",\"node\":\"{}\",\"cfg_fp\":\"{:016x}\",\"qor_fp\":\"{:016x}\",\"wns_ps\":{},\"overflow\":{},\"hpwl_um\":{},\"wall_s\":{},\"peak_rss_bytes\":{}}}",
+        "{{\"seq\":{},\"design\":\"{}\"{digest},\"node\":\"{}\",\"cfg_fp\":\"{:016x}\",\"qor_fp\":\"{:016x}\",\"wns_ps\":{},\"overflow\":{},\"hpwl_um\":{},\"wall_s\":{},\"peak_rss_bytes\":{}}}",
         r.seq,
         wire::escape(&r.design),
         wire::escape(&r.node),
@@ -372,6 +373,7 @@ fn qor_row_from_json(v: &Json) -> Option<QorRow> {
     Some(QorRow {
         seq: v.get("seq").and_then(Json::as_u64)?,
         design: v.get("design").and_then(Json::as_str)?.to_string(),
+        design_digest: hex("design_digest"),
         node: v.get("node").and_then(Json::as_str).unwrap_or("").to_string(),
         cfg_fp: hex("cfg_fp")?,
         qor_fp: hex("qor_fp")?,
@@ -782,6 +784,7 @@ mod tests {
         let row = QorRow {
             seq: 12,
             design: "daemon-adder:8".into(),
+            design_digest: Some(0x00d1_6e57_0000_0001),
             node: "10nm".into(),
             cfg_fp: u64::MAX - 3,
             qor_fp: 0x0123_4567_89ab_cdef,
@@ -792,7 +795,8 @@ mod tests {
             peak_rss_bytes: 1 << 20,
         };
         let frames = [
-            ServerFrame::QueryResult { rows: vec![row] },
+            // A row written before rows carried the design digest has none.
+            ServerFrame::QueryResult { rows: vec![row.clone(), QorRow { design_digest: None, ..row }] },
             ServerFrame::QueryResult { rows: Vec::new() },
         ];
         for f in frames {

@@ -224,16 +224,10 @@ struct Env<'a> {
     cfg: &'a FlowConfig,
     design: &'a Netlist,
     plan: PatterningPlan,
-    /// The sub-stage memo: per-AIG-pass and route-outcome entries that
-    /// survive edits which invalidate a whole stage. Probed only from this
-    /// (orchestrating) thread.
+    /// The sub-stage memo: the route-outcome entry that survives edits which
+    /// invalidate the `7_route` stage. Probed only from this (orchestrating)
+    /// thread.
     sub: Option<SubMemo>,
-}
-
-impl Env<'_> {
-    fn memo(&self) -> Option<&dyn SubstageMemo> {
-        self.sub.as_ref().map(|s| s as &dyn SubstageMemo)
-    }
 }
 
 /// What a stage body hands back to the driver: its outputs live in the flow
@@ -246,15 +240,15 @@ struct Stage {
     /// The stage key: span name, status key, fault-plan target,
     /// wire-protocol stage id.
     name: &'static str,
-    /// The config knobs `body` reads beyond node and seed, rendered for the
-    /// stage's cache key. Knobs the body never looks at must not be here
-    /// (they would invalidate its entries for nothing); every knob it does
-    /// read must be, or a warm run could replay state computed under a
-    /// different effective config — `tests/incremental.rs` edits each knob
-    /// of the whole-config fingerprint in turn to hold that. The first
-    /// argument is the design's content digest ([`design_digest`]); it
-    /// appears only in `1_synthesis`: downstream stages see the design
-    /// through their pre-stage body.
+    /// The config knobs `body` reads, rendered for the stage's cache key —
+    /// `node` and `seed` included, and only where the body reads them. Knobs
+    /// the body never looks at must not be here (they would invalidate its
+    /// entries for nothing); every knob it does read must be, or a warm run
+    /// could replay state computed under a different effective config —
+    /// `tests/incremental.rs` edits each knob of the whole-config
+    /// fingerprint in turn to hold that. The first argument is the design's
+    /// content digest ([`design_digest`]); it appears only in `1_synthesis`:
+    /// downstream stages see the design through their pre-stage body.
     knobs: fn(u64, &FlowConfig) -> String,
     /// Runs the stage under the supervisor: reads its inputs from the flow
     /// state, writes its outputs back. Everything else a stage needs — cache
@@ -264,11 +258,9 @@ struct Stage {
 }
 
 impl Stage {
-    /// The per-stage config fingerprint: node and seed (consumed nearly
-    /// everywhere) plus the stage's own knobs.
+    /// The per-stage config fingerprint: the stage's name and its knobs.
     fn config_fp(&self, design: u64, cfg: &FlowConfig) -> u64 {
-        let knobs = (self.knobs)(design, cfg);
-        fnv1a(format!("{}|{:?}|{}{knobs}", self.name, cfg.node, cfg.seed).bytes())
+        fnv1a(format!("{}{}", self.name, (self.knobs)(design, cfg)).bytes())
     }
 }
 
@@ -312,7 +304,13 @@ const TABLE: [Stage; 11] = [
     Stage {
         name: "4_place",
         knobs: |_, cfg| {
-            format!("|{:016x}|{:?}|{}", cfg.utilization.to_bits(), cfg.placer, cfg.anneal_moves_per_cell)
+            format!(
+                "|{}|{:016x}|{:?}|{}",
+                cfg.seed,
+                cfg.utilization.to_bits(),
+                cfg.placer,
+                cfg.anneal_moves_per_cell
+            )
         },
         body: place,
     },
@@ -327,13 +325,13 @@ const TABLE: [Stage; 11] = [
     Stage {
         name: "7_route",
         // The schedule revision keeps a store written by an older router
-        // from replaying that router's results under this one. The metal
-        // stack derives from the node, which the common part of the key
-        // already holds.
+        // from replaying that router's results under this one. The node
+        // gives the metal stack and the patterning plan's rule deck.
         knobs: |_, cfg| {
             format!(
-                "|rev{}|{:?}|{}|{}|{}",
+                "|rev{}|{:?}|{:?}|{}|{}|{}",
                 eda_route::SCHEDULE_REV,
+                cfg.node,
                 cfg.router,
                 cfg.ripup_iterations,
                 cfg.route_grid_cells,
@@ -342,20 +340,23 @@ const TABLE: [Stage; 11] = [
         },
         body: route,
     },
-    // Litho derives everything from the node and the routed state.
-    Stage { name: "8_litho", knobs: |_, _| String::new(), body: litho },
+    // Litho derives its plan and pitch from the node, and its wire
+    // population from the seed and the routed state.
+    Stage { name: "8_litho", knobs: |_, cfg| format!("|{:?}|{}", cfg.node, cfg.seed), body: litho },
     Stage {
         name: "9_power",
         knobs: |_, cfg| {
             format!(
-                "|{:016x}|{:016x}",
+                "|{:?}|{:016x}|{:016x}",
+                cfg.node,
                 cfg.clock_mhz.to_bits(),
                 cfg.power.decap_droop_limit_mv.map(f64::to_bits).unwrap_or(u64::MAX),
             )
         },
         body: power,
     },
-    Stage { name: "10_dft", knobs: scan_knobs, body: dft },
+    // The random test patterns come from the seed.
+    Stage { name: "10_dft", knobs: |d, cfg| format!("|{}{}", cfg.seed, scan_knobs(d, cfg)), body: dft },
 ];
 
 /// Fingerprint of every QoR-relevant config field plus the design's content
@@ -426,6 +427,7 @@ pub(crate) fn run_flow_shared(
     observer: Option<crate::telemetry::ProgressFn>,
     shared_store: Option<Arc<FlowStore>>,
 ) -> Result<FlowReport, FlowError> {
+    let started = Instant::now();
     // Every path into the flow (struct literals, field edits, the server,
     // the daemon) is checked here, before a kernel can trip over a knob.
     cfg.validate().map_err(|e| FlowError::Stage {
@@ -441,7 +443,7 @@ pub(crate) fn run_flow_shared(
     if let Some(obs) = observer {
         tel.set_observer(obs);
     }
-    let mut sup = Supervisor::new(cfg.fault_plan.as_ref(), &tel, cfg.deadline_s);
+    let mut sup = Supervisor::new(cfg.fault_plan.as_ref(), &tel);
     let mut st = FlowState::fresh();
     // `st` and `sup.statuses` in the body codec: the input the next stage's
     // cache key hashes, and what its entry stores.
@@ -487,6 +489,17 @@ pub(crate) fn run_flow_shared(
 
     for (i, stage) in TABLE.iter().enumerate() {
         let position = i + 1;
+        // The deadline trips at stage boundaries only, before the stage is
+        // computed, replayed or skipped: an attempt that is already running
+        // always finishes (its result never depends on the clock), so a
+        // worker is never left hung mid-stage.
+        if let Some(deadline_s) = cfg.deadline_s {
+            let elapsed_s = started.elapsed().as_secs_f64();
+            if elapsed_s > deadline_s {
+                let partial = Box::new(PartialFlow { statuses: sup.statuses });
+                return Err(FlowError::DeadlineExceeded { stage: stage.name, elapsed_s, deadline_s, partial });
+            }
+        }
         // The key's config component is the *per-stage* fingerprint, not the
         // whole-config one: a knob change invalidates exactly the stages
         // that read the knob, and the unchanged prefix keeps hitting.
@@ -579,7 +592,7 @@ pub(crate) fn run_flow_shared(
         telemetry: tel.snapshot(),
     };
     if let Some((store, digest)) = keyed {
-        record_provenance(store, &report, fingerprint(digest, cfg));
+        record_provenance(store, &report, digest, fingerprint(digest, cfg));
     }
     Ok(report)
 }
@@ -589,7 +602,7 @@ fn synthesis(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut S
     let (cfg, design) = (env.cfg, env.design);
     let lib = cfg.library.library();
     let (netlist, verified) = sup.run_stage(stage, |ctx: StageCtx<'_>| {
-        let opts = SynthesisOptions { rewrite_passes: cfg.aig_rewrite_passes, memo: env.memo() };
+        let opts = SynthesisOptions { rewrite_passes: cfg.aig_rewrite_passes };
         let synth = synthesize(design, lib.clone(), cfg.synthesis, &opts)
             .map_err(StageFailure::Synthesis)?;
         ctx.tel.count("synth.aig_nodes_before", synth.aig_nodes_before as u64);
@@ -859,7 +872,7 @@ fn route(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Super
             ripup_iterations: cfg.ripup_iterations,
             window_margin: cfg.route_window_margin,
         };
-        let out = route_stats_memo(cur, placement, &rcfg, env.memo());
+        let out = route_stats_memo(cur, placement, &rcfg, env.sub.as_ref().map(|s| s as &dyn SubstageMemo));
         ctx.tel.count("route.ripup_iterations", out.iterations as u64);
         ctx.tel.count("route.connections", out.connections as u64);
         ctx.tel.count("route.cells_expanded", out.cells_expanded);
@@ -1049,12 +1062,15 @@ fn dft(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Supervi
 }
 
 /// Appends one `qor` row plus per-stage `qstage` rows for a completed flow,
-/// feeding `experiments query`. Best-effort by design: a full or locked
-/// store must never fail a flow that already produced its report.
-fn record_provenance(store: &FlowStore, report: &FlowReport, cfg_fp: u64) {
+/// feeding `experiments query`. The row names the design by its name and by
+/// `design_digest`, the content digest `1_synthesis` keys on. Best-effort by
+/// design: a full or locked store must never fail a flow that already
+/// produced its report.
+fn record_provenance(store: &FlowStore, report: &FlowReport, design_digest: u64, cfg_fp: u64) {
     let row = QorRow {
         seq: 0,
         design: report.design.clone(),
+        design_digest: Some(design_digest),
         node: report.node.clone(),
         cfg_fp,
         qor_fp: report.qor_fingerprint(),
@@ -1080,10 +1096,10 @@ fn record_provenance(store: &FlowStore, report: &FlowReport, cfg_fp: u64) {
 
 /// Adapter exposing the store's sub-stage table through the engine crates'
 /// [`SubstageMemo`] trait. The store key folds the kind into the engine's
-/// key so `aig.rw` and `route.outcome` entries can never collide. Every
-/// probe and store is one store round trip, so an entry must replace work
-/// that costs more than a store round trip; per-item entries do not (a
-/// cold run writes at most nine, whatever the design size). Counters are
+/// key, so entries of different kinds can never collide. Every probe and
+/// store is one store round trip, so an entry must replace work that costs
+/// more than a store round trip; per-item entries do not (a cold run writes
+/// one, the `route.outcome` entry, whatever the design size). Counters are
 /// interior-mutable `Cell`s because the memo contract is single-threaded:
 /// probes and stores happen only on the orchestrating thread.
 struct SubMemo {
@@ -1209,10 +1225,19 @@ mod tests {
         );
         assert_eq!(stage_fp("7_route", &design, &base), stage_fp("7_route", &design, &scripted));
 
-        // The seed feeds nearly every stage: it lives in the common part.
+        // The seed and the node key exactly the stages whose bodies read
+        // them, so a seed or node sweep replays the prefix before those.
         let mut reseeded = base.clone();
         reseeded.seed += 1;
-        assert_ne!(stage_fp("4_place", &design, &base), stage_fp("4_place", &design, &reseeded));
+        let mut renoded = base.clone();
+        renoded.node = Node::N10;
+        let readers = [(&reseeded, ["4_place", "8_litho", "10_dft"]), (&renoded, ["7_route", "8_litho", "9_power"])];
+        for (edited, readers) in readers {
+            for stage in STAGES {
+                let moved = stage_fp(stage, &design, &base) != stage_fp(stage, &design, edited);
+                assert_eq!(moved, readers.contains(&stage), "{stage}: seed {} node {:?}", edited.seed, edited.node);
+            }
+        }
 
         // Design identity binds only the first stage; downstream stages key
         // on their pre-stage state instead.
@@ -1224,7 +1249,7 @@ mod tests {
         // moves it, fields that cannot change QoR do not.
         let digest = design_digest(&design);
         let fp = fingerprint(digest, &base);
-        for edited in [&routed, &scripted, &reseeded] {
+        for edited in [&routed, &scripted, &reseeded, &renoded] {
             assert_ne!(fingerprint(digest, edited), fp);
         }
         assert_ne!(fingerprint(design_digest(&other), &base), fp);
@@ -1243,25 +1268,25 @@ mod tests {
     fn preset_keys_are_pinned() {
         let design = design_digest(&generate::ripple_carry_adder(4).unwrap());
         let rows: [(FlowConfig, u64, [u64; 11]); 5] = [
-            (FlowConfig::basic_2006(Node::N90), 0x26d5536ff61bf2b8, [
-                0x0589083821a65cbc, 0x627130d3f5b1abb1, 0x55ac81558fda0e28, 0xeaa9cf5cf011e530, 0xcf26b0d743fab81a, 0x85dc064b3b000886,
-                0x30951bf8c7c3df0d, 0xed49b6c8519a1b91, 0x79c0af0c3138c53c, 0x349af152ad92e4a1, 0x31bae846d6dbb193,
+            (FlowConfig::basic_2006(Node::N90), 0x29bdf46987c2997b, [
+                0x44d21dd81d0fb83c, 0xd40f4275fad65bc9, 0xb65c1c1aa3edab84, 0xdc1fea19585b3f65, 0x363807b9a346a252, 0xd98c9f314d347122,
+                0x08d4c07f5147ad0d, 0xed8b14301ed02f12, 0x79c0af0c3138c53c, 0x48910909d4ba049e, 0xce4f276e35e6d15c,
             ]),
-            (FlowConfig::advanced_2016(Node::N28), 0x57a1bed61cf7007c, [
-                0xc528f02293ec33dd, 0x64c8366194ed833a, 0xbe4b7592e6432f3f, 0x1c64b180f608b1ab, 0x026366cd691febd1, 0xcb673c957ed214dd,
-                0xe3b16816c408b660, 0x22e83e1f8dee2131, 0x56439535baa5492f, 0x02e8ab5c345ab089, 0xc469e4d0daf3a86a,
+            (FlowConfig::advanced_2016(Node::N28), 0x7cf875575790e19c, [
+                0x11d461fa33b8d99a, 0xd40f4a75fad66961, 0x144025e6bf92623a, 0x33f81b6bdca06873, 0x53785f128c9f0c2c, 0xd98c9f314d347122,
+                0x08d4c07f5147ad0d, 0xb8e8c5bed1ec67fc, 0x56439535baa5492f, 0xab881f2500de6196, 0x303847bb2153f132,
             ]),
-            (FlowConfig::advanced_2016(Node::N10), 0xb01af74b7341981d, [
-                0xb95b5a5dd8121252, 0xd221c5bdfb1a2061, 0x0f5d74b333e5cb3e, 0x5b33823515f7808c, 0xe735b6aee52233fc, 0x5b1c068cb27fa2fe,
-                0x908b84c0ea8722d5, 0x4fa3e1b61344fbd4, 0xa724af501f9bb7b4, 0x8dea75354a9cddfe, 0xcec3b460d839f13b,
+            (FlowConfig::advanced_2016(Node::N10), 0x67aa2c718f70bf43, [
+                0x11d461fa33b8d99a, 0xd40f4a75fad66961, 0x144025e6bf92623a, 0x33f81b6bdca06873, 0x53785f128c9f0c2c, 0xd98c9f314d347122,
+                0x08d4c07f5147ad0d, 0xd3dd6427e239f0b7, 0xa724af501f9bb7b4, 0x49f25f8743f1b431, 0x303847bb2153f132,
             ]),
-            (FlowConfig::scale_2016(Node::N28, 10_000), 0x8bd34560a87c9524, [
-                0x9fb44484b4a12790, 0x64c8366194ed833a, 0x2f7841b1a481f4f9, 0x80ffc12a68d603a8, 0x77439cca92ff887b, 0xcb673c957ed214dd,
-                0xe3b16816c408b660, 0xaf07c92737427e79, 0x56439535baa5492f, 0x02e8ab5c345ab089, 0x529218707125f13c,
+            (FlowConfig::scale_2016(Node::N28, 10_000), 0x01934fdf19d8de9a, [
+                0x779b5fc3c60a266d, 0xd40f4a75fad66961, 0x085d31939f0080ec, 0x60a3da63cf6a7f90, 0xdadf2c9caea7bee6, 0xd98c9f314d347122,
+                0x08d4c07f5147ad0d, 0x9da92e0a3778d9a2, 0x56439535baa5492f, 0xab881f2500de6196, 0x384a5a720163d0e4,
             ]),
-            (FlowConfig::scale_2016(Node::N28, 50_000), 0x2b9d1dee556b7377, [
-                0x9fb44484b4a12790, 0x64c8366194ed833a, 0x2f7841b1a481f4f9, 0x80ffc12a68d603a8, 0x77439cca92ff887b, 0xcb673c957ed214dd,
-                0xe3b16816c408b660, 0x37f78f8872c78867, 0x56439535baa5492f, 0x02e8ab5c345ab089, 0x529218707125f13c,
+            (FlowConfig::scale_2016(Node::N28, 50_000), 0xce8d94546269d0e8, [
+                0x779b5fc3c60a266d, 0xd40f4a75fad66961, 0x085d31939f0080ec, 0x60a3da63cf6a7f90, 0xdadf2c9caea7bee6, 0xd98c9f314d347122,
+                0x08d4c07f5147ad0d, 0xc75bd361980af098, 0x56439535baa5492f, 0xab881f2500de6196, 0x384a5a720163d0e4,
             ]),
         ];
         for (cfg, whole, per_stage) in rows {
@@ -1344,6 +1369,21 @@ mod tests {
                 cache::entry_key("7_route", old, "pre-route body")
             );
         }
+    }
+
+    #[test]
+    fn the_deadline_is_checked_before_every_stage_a_skip_included() {
+        // A `1_synthesis` far longer than the deadline (an EC-verified 8-bit
+        // multiplier against 5 ms), then a stage that only skips: the flow
+        // stops before the skip, not at the next stage that computes.
+        let design = generate::array_multiplier(8).unwrap();
+        let mut cfg = FlowConfig::advanced_2016(Node::N10);
+        cfg.threads = 1;
+        cfg.power.clock_gating_group = 0;
+        cfg.deadline_s = Some(0.005);
+        let err = run_flow(&design, &cfg).expect_err("the deadline must trip");
+        assert!(matches!(err, FlowError::DeadlineExceeded { stage: "2_clock_gating", .. }), "{err}");
+        assert_eq!(err.partial().statuses.keys().collect::<Vec<_>>(), ["1_synthesis"]);
     }
 
     #[test]

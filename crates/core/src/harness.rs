@@ -12,12 +12,12 @@
 //! Fault injection is deterministic by construction: a [`FaultPlan`] keys
 //! faults on `(stage name, invocation count)` — never on wall-clock time or
 //! thread identity — so an injected failure reproduces bit-identically at
-//! any thread count. The flow-level deadline is the one wall-clock input,
-//! and it only gates *whether the next stage starts*; it never alters the
+//! any thread count. The flow-level deadline is the one wall-clock input;
+//! the flow's driver loop, not the harness, checks it before each stage, so
+//! it only gates *whether the next stage starts* and never alters the
 //! result of an attempt that ran.
 
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 use crate::flow::{FlowError, PartialFlow, StageFailure, STAGES};
 use crate::telemetry::{SpanKind, Telemetry};
@@ -359,25 +359,11 @@ pub(crate) struct Supervisor<'p> {
     /// unreadable entry is noted here, then consumed when the recomputing
     /// stage opens its span.
     cache_note: Option<&'static str>,
-    /// Flow-level wall-clock deadline: when the flow has already run longer
-    /// than this, the next stage boundary surfaces a typed
-    /// [`FlowError::DeadlineExceeded`] instead of starting the stage. It
-    /// never interrupts a running attempt — a worker is never left hung
-    /// mid-stage, and the partial state is carried on the error.
-    deadline_s: Option<f64>,
-    flow_started: Instant,
 }
 
 impl<'p> Supervisor<'p> {
-    pub fn new(plan: Option<&'p FaultPlan>, tel: &'p Telemetry, deadline_s: Option<f64>) -> Supervisor<'p> {
-        Supervisor {
-            plan,
-            tel,
-            statuses: BTreeMap::new(),
-            cache_note: None,
-            deadline_s,
-            flow_started: Instant::now(),
-        }
+    pub fn new(plan: Option<&'p FaultPlan>, tel: &'p Telemetry) -> Supervisor<'p> {
+        Supervisor { plan, tel, statuses: BTreeMap::new(), cache_note: None }
     }
 
     /// Records a stage-cache hit: the cached statuses replace the current
@@ -435,20 +421,6 @@ impl<'p> Supervisor<'p> {
         stage: &'static str,
         body: impl FnMut(StageCtx<'_>) -> Result<StageTry<T>, StageFailure>,
     ) -> Result<T, FlowError> {
-        // The flow deadline trips at stage boundaries only: an attempt that
-        // is already running always finishes (determinism — its result never
-        // depends on the clock), but no new stage starts past the deadline.
-        if let Some(limit) = self.deadline_s {
-            let elapsed = self.flow_started.elapsed().as_secs_f64();
-            if elapsed > limit {
-                return Err(FlowError::DeadlineExceeded {
-                    stage,
-                    elapsed_s: elapsed,
-                    deadline_s: limit,
-                    partial: self.partial(),
-                });
-            }
-        }
         let span = self.tel.span(SpanKind::Stage, stage);
         if let Some(note) = self.cache_note.take() {
             span.tag("cache", note);
@@ -703,7 +675,7 @@ mod tests {
         tel.set_observer(Box::new(move |stage, outcome, attempts| {
             sink.lock().unwrap().push(format!("{stage} {attempts} {outcome}"));
         }));
-        let mut sup = Supervisor::new(plan, &tel, None);
+        let mut sup = Supervisor::new(plan, &tel);
         let mut adapts = Vec::new();
         let result = sup.run_stage("7_route", |ctx| {
             let call = adapts.len();

@@ -557,7 +557,7 @@ impl Query for FlowStore {
     fn qor_history(&self, q: &QorQuery) -> Result<Vec<QorRow>, StoreError> {
         let design = q.design.clone();
         self.history(Table::Qor, q.last, QorRow::parse, move |r: &QorRow| {
-            design.as_deref().is_none_or(|d| d == r.design)
+            design.as_deref().is_none_or(|d| r.is_design(d))
         })
     }
 
@@ -759,6 +759,9 @@ mod tests {
             let row = QorRow {
                 seq: 0,
                 design: if i % 2 == 0 { "even".into() } else { "odd".into() },
+                // Odd rows name their content too; even rows are as written
+                // before rows carried a digest.
+                design_digest: (i % 2 == 1).then_some(0xd16e_0000 + i),
                 node: "generic".into(),
                 cfg_fp: i,
                 qor_fp: i,
@@ -779,8 +782,13 @@ mod tests {
         assert_eq!(even.len(), 2);
         assert_eq!(even[0].cfg_fp, 4);
         assert_eq!(even[1].cfg_fp, 2);
-        let row = &all[0];
-        assert_eq!(QorRow::parse(row.seq, &row.to_payload()).as_ref(), Some(row));
+        let by_digest = s
+            .qor_history(&QorQuery { design: Some(format!("{:016x}", 0xd16e_0003u64)), ..Default::default() })
+            .unwrap();
+        assert_eq!(by_digest.iter().map(|r| r.cfg_fp).collect::<Vec<_>>(), [3]);
+        for row in &all[..2] {
+            assert_eq!(QorRow::parse(row.seq, &row.to_payload()).as_ref(), Some(row));
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The embedded flow store: one schema'd, append-friendly file holding the
-//! stage cache, the sub-stage memo entries, and the QoR provenance history
-//! (DESIGN.md §14).
+//! stage cache, the sub-stage memo entries (one kind: `route.outcome`), and
+//! the QoR provenance history (DESIGN.md §14).
 //!
 //! The store replaces the loose directory of `.stage` files the PR-4 cache
 //! wrote: a single file of length-framed, checksummed records over four
@@ -81,7 +81,8 @@ impl StoreConfig {
 pub enum Table {
     /// Whole-stage cache entries: serialized post-stage flow state.
     Stage,
-    /// Sub-stage memo entries: per-AIG-pass and per-route payloads.
+    /// Sub-stage memo entries: one whole-outcome payload per route
+    /// (`route.outcome`).
     Sub,
     /// One row per completed flow run (QoR + config fingerprints).
     Qor,
@@ -203,7 +204,9 @@ pub trait Store {
 /// `last = 0` means unlimited.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct QorQuery {
-    /// Match rows of this design only.
+    /// Match rows of this design only: rows whose design name equals it, and
+    /// [`Query::qor_history`] rows whose 16-hex [`QorRow::design_digest`]
+    /// does (which tells apart two designs that share a name).
     pub design: Option<String>,
     /// Match stage rows of this stage only (ignored by [`Query::qor_history`]).
     pub stage: Option<String>,
@@ -219,6 +222,9 @@ pub struct QorRow {
     pub seq: u64,
     /// Design name.
     pub design: String,
+    /// The design's content digest — the one `1_synthesis` keys on (FNV-1a
+    /// of its codec text). `None` on rows written before rows carried it.
+    pub design_digest: Option<u64>,
     /// Process node label.
     pub node: String,
     /// Config fingerprint the run executed under.
@@ -292,9 +298,16 @@ fn parse_field(s: &str) -> Option<String> {
 }
 
 impl QorRow {
-    /// Serializes to the store's `qor` row payload.
+    /// Whether the row is of `design`: its name, or its content digest as
+    /// 16 hex digits.
+    pub fn is_design(&self, design: &str) -> bool {
+        self.design == design || self.design_digest.is_some_and(|d| format!("{d:016x}") == design)
+    }
+
+    /// Serializes to the store's `qor` row payload; the design digest, when
+    /// there is one, is the trailing field.
     pub fn to_payload(&self) -> String {
-        format!(
+        let mut payload = format!(
             "run {} {} {:016x} {:016x} {:016x} {} {:016x} {:016x} {}",
             field(&self.design),
             field(&self.node),
@@ -305,19 +318,25 @@ impl QorRow {
             self.hpwl_um.to_bits(),
             self.wall_s.to_bits(),
             self.peak_rss_bytes,
-        )
+        );
+        if let Some(d) = self.design_digest {
+            payload.push_str(&format!(" {d:016x}"));
+        }
+        payload
     }
 
     /// Parses a `qor` row payload (the sequence number comes from the
-    /// record key). `None` on malformed rows — queries skip them.
+    /// record key), with or without the trailing design digest. `None` on
+    /// malformed rows — queries skip them.
     pub fn parse(seq: u64, payload: &str) -> Option<QorRow> {
         let mut f = payload.split(' ');
         if f.next()? != "run" {
             return None;
         }
-        let row = QorRow {
+        let mut row = QorRow {
             seq,
             design: parse_field(f.next()?)?,
+            design_digest: None,
             node: parse_field(f.next()?)?,
             cfg_fp: u64::from_str_radix(f.next()?, 16).ok()?,
             qor_fp: u64::from_str_radix(f.next()?, 16).ok()?,
@@ -327,6 +346,9 @@ impl QorRow {
             wall_s: f64::from_bits(u64::from_str_radix(f.next()?, 16).ok()?),
             peak_rss_bytes: f.next()?.parse().ok()?,
         };
+        if let Some(digest) = f.next() {
+            row.design_digest = Some(u64::from_str_radix(digest, 16).ok()?);
+        }
         if f.next().is_some() {
             return None;
         }

@@ -9,7 +9,7 @@
 use crate::cuts::{CutSet, K};
 use crate::isop::{isop, sop_aig_cost};
 use crate::tt::TruthTable;
-use eda_netlist::codec::{unescape, write_token};
+use eda_netlist::codec::write_token;
 use eda_netlist::memo::Fnv1a;
 use eda_netlist::{CellFunction, NetDriver, Netlist};
 use std::collections::hash_map::RandomState;
@@ -676,27 +676,18 @@ impl Aig {
     }
 
     /// Stable 64-bit content digest of the exact graph structure (nodes,
-    /// strash-canonical AND operands, PI names, PO bindings). Two AIGs with
-    /// equal digests are structurally identical, so a memoized pass result
-    /// keyed on its input digest replays bit-identically.
+    /// strash-canonical AND operands, PI names, PO bindings): FNV-1a of the
+    /// line-oriented text [`Aig::write_structure`] streams into it. Two AIGs
+    /// with equal digests are structurally identical.
     pub fn digest(&self) -> u64 {
         let mut h = Fnv1a::new();
-        self.write_store_text(&mut h).expect("hashing never fails");
+        self.write_structure(&mut h).expect("hashing never fails");
         h.finish()
     }
 
-    /// Serializes the graph to the line-oriented store text used by the
-    /// sub-stage memo (`aig v1` header, `n` node rows, `p`/`o` boundary
-    /// rows). [`Aig::from_store_text`] restores the identical structure.
-    pub fn to_store_text(&self) -> String {
-        let mut out = String::with_capacity(16 * self.nodes.len() + 64);
-        self.write_store_text(&mut out).expect("writing to a String never fails");
-        out
-    }
-
-    /// The one definition of the store text: [`Aig::to_store_text`] collects
-    /// it, [`Aig::digest`] hashes it as it streams by.
-    fn write_store_text(&self, out: &mut impl Write) -> std::fmt::Result {
+    /// The text [`Aig::digest`] hashes: an `aig v1` header, `n` node rows,
+    /// `p`/`o` boundary rows and an `end` terminator.
+    fn write_structure(&self, out: &mut impl Write) -> std::fmt::Result {
         writeln!(out, "aig v1 {} {} {}", self.nodes.len(), self.pi_names.len(), self.pos.len())?;
         for n in &self.nodes {
             match *n {
@@ -715,79 +706,7 @@ impl Aig {
             write_token(out, name)?;
             writeln!(out, " {}", l.0)?;
         }
-        // Explicit terminator so a truncated tail can never parse as a
-        // complete (shorter) graph.
         out.write_str("end\n")
-    }
-
-    /// Parses the store text written by [`Aig::to_store_text`], rebuilding
-    /// the structural-hash table. Returns `None` on any malformed input —
-    /// memo callers treat that as a miss and recompute.
-    pub fn from_store_text(text: &str) -> Option<Aig> {
-        let mut lines = text.lines();
-        let header = lines.next()?;
-        let mut hf = header.split(' ');
-        if hf.next()? != "aig" || hf.next()? != "v1" {
-            return None;
-        }
-        let n_nodes: usize = hf.next()?.parse().ok()?;
-        let n_pis: usize = hf.next()?.parse().ok()?;
-        let n_pos: usize = hf.next()?.parse().ok()?;
-        // Each node row takes at least four bytes of the text.
-        let room = n_nodes.min(text.len() / 4);
-        let mut g = Aig {
-            nodes: Vec::with_capacity(room),
-            strash: Strash::with_capacity(room, strash_key()),
-            pi_names: Vec::with_capacity(n_pis.min(text.len())),
-            pos: Vec::with_capacity(n_pos.min(text.len())),
-        };
-        for _ in 0..n_nodes {
-            let line = lines.next()?;
-            let mut f = line.split(' ');
-            if f.next()? != "n" {
-                return None;
-            }
-            let node = match f.next()? {
-                "c" => AigNode::Const,
-                "i" => AigNode::Pi(f.next()?.parse().ok()?),
-                "a" => {
-                    let a = Lit(f.next()?.parse().ok()?);
-                    let b = Lit(f.next()?.parse().ok()?);
-                    if a.node() >= g.nodes.len() || b.node() >= g.nodes.len() || a > b {
-                        return None;
-                    }
-                    AigNode::And(a, b)
-                }
-                _ => return None,
-            };
-            g.nodes.push(node);
-            if let AigNode::And(a, b) = node {
-                let slot = g.strash.probe(&g.nodes, a, b);
-                g.strash.set(&g.nodes, slot, g.nodes.len() as u32 - 1);
-            }
-        }
-        for _ in 0..n_pis {
-            let line = lines.next()?;
-            let name = line.strip_prefix("p ")?;
-            g.pi_names.push(unescape(name).ok()?);
-        }
-        for _ in 0..n_pos {
-            let line = lines.next()?;
-            let mut f = line.strip_prefix("o ")?.rsplitn(2, ' ');
-            let lit = Lit(f.next()?.parse().ok()?);
-            let name = unescape(f.next()?).ok()?;
-            if lit.node() >= g.nodes.len() {
-                return None;
-            }
-            g.pos.push((name, lit));
-        }
-        if lines.next()? != "end"
-            || lines.next().is_some()
-            || g.nodes.first() != Some(&AigNode::Const)
-        {
-            return None;
-        }
-        Some(g)
     }
 
     /// The node array, in topological order, for sibling modules (the cut
@@ -1131,62 +1050,9 @@ mod tests {
     }
 
     #[test]
-    fn store_text_roundtrips_structure_and_digest() {
-        let n = generate::switch_fabric(3, 2).unwrap();
-        let (aig, _) = Aig::from_netlist(&n).unwrap();
-        let opt = aig.rewrite().balance();
-        let text = opt.to_store_text();
-        let back = Aig::from_store_text(&text).expect("well-formed text parses");
-        assert_eq!(back.to_store_text(), text, "serialization is a fixed point");
-        assert_eq!(back.digest(), opt.digest());
-        assert_eq!(back.num_ands(), opt.num_ands());
-        assert_eq!(back.pi_names(), opt.pi_names());
-        assert_eq!(back.pos(), opt.pos());
-        let pats: Vec<u64> = (0..opt.num_pis()).map(|i| 0xA5A5_5A5A_1234_9876u64.rotate_left(i as u32)).collect();
-        assert_eq!(back.simulate64(&pats), opt.simulate64(&pats));
-        // The restored strash keeps sharing live: AND-ing an existing pair
-        // must not allocate a new node.
-        let mut b2 = back.clone();
-        let nodes_before = b2.nodes.len();
-        let ands: Vec<(Lit, Lit)> =
-            b2.nodes.iter().filter_map(|n| if let AigNode::And(a, b) = *n { Some((a, b)) } else { None }).collect();
-        assert!(!ands.is_empty());
-        for (a, b) in ands {
-            b2.and(a, b);
-            assert_eq!(b2.nodes.len(), nodes_before, "strash survives the roundtrip");
-        }
-    }
-
-    #[test]
-    fn store_text_escapes_hostile_names() {
-        let mut g = Aig::new();
-        let a = g.add_pi("a b%c\nd");
-        g.add_po("y z%", !a);
-        let back = Aig::from_store_text(&g.to_store_text()).unwrap();
-        assert_eq!(back.pi_names(), g.pi_names());
-        assert_eq!(back.pos(), g.pos());
-        assert_eq!(back.digest(), g.digest());
-    }
-
-    #[test]
-    fn malformed_store_text_is_rejected() {
-        let n = generate::ripple_carry_adder(3).unwrap();
-        let (aig, _) = Aig::from_netlist(&n).unwrap();
-        let text = aig.to_store_text();
-        assert!(Aig::from_store_text("").is_none());
-        assert!(Aig::from_store_text("aig v2 1 0 0\nn c\n").is_none());
-        // Truncation anywhere must fail, never panic.
-        for cut in [text.len() / 4, text.len() / 2, text.len() - 2] {
-            assert!(Aig::from_store_text(&text[..cut]).is_none(), "cut at {cut}");
-        }
-        // Trailing garbage is rejected too.
-        assert!(Aig::from_store_text(&format!("{text}junk\n")).is_none());
-    }
-
-    #[test]
-    fn digests_are_pinned_and_equal_the_hashed_store_text() {
-        // Values recorded before `digest` stopped materialising the text:
-        // sub-stage store keys derive from them and must not move.
+    fn digests_are_pinned() {
+        // Values recorded before `digest` stopped materialising its text;
+        // the rewrite pins below compare against digests too.
         let pinned = [
             (generate::switch_fabric(4, 3).unwrap(), 0xb926_fdf7_4b6f_2fa0u64),
             (generate::array_multiplier(8).unwrap(), 0xea93_69bb_85cf_bddf),
@@ -1194,12 +1060,7 @@ mod tests {
         for (design, want) in pinned {
             let (aig, _) = Aig::from_netlist(&design).unwrap();
             assert_eq!(aig.digest(), want, "{}", design.name());
-            assert_eq!(aig.digest(), eda_netlist::memo::fnv1a(aig.to_store_text().bytes()));
         }
-        let mut hostile = Aig::new();
-        let a = hostile.add_pi("a b%c\nd\u{e9}");
-        hostile.add_po("y z%", !a);
-        assert_eq!(hostile.digest(), eda_netlist::memo::fnv1a(hostile.to_store_text().bytes()));
     }
 
     #[test]

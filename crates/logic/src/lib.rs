@@ -40,6 +40,6 @@ pub use isop::isop;
 pub use map::{map_aig, map_naive, MapError, MapOutcome};
 pub use synth::{
     optimize_aig, synthesize, AigPass, SynthesisEffort, SynthesisError, SynthesisOptions,
-    SynthesisOutcome, AIG_MEMO_KINDS, BALANCE_REV, DEFAULT_REWRITE_PASSES,
+    SynthesisOutcome, BALANCE_REV, DEFAULT_REWRITE_PASSES,
 };
 pub use tt::TruthTable;

@@ -71,7 +71,7 @@ pub fn escape(s: &str) -> String {
 
 /// Writes `s` with spaces, `%` and every control byte (below 0x20, and DEL)
 /// percent-escaped, so a value stays one token on a space-split row: the rule
-/// of the store's provenance rows and the AIG sub-stage payload, stricter
+/// of the store's provenance rows and the AIG digest text, stricter
 /// than [`escape`]. Decoded by [`unescape`].
 pub fn write_token(out: &mut impl std::fmt::Write, s: &str) -> std::fmt::Result {
     for b in s.bytes() {

@@ -2,13 +2,12 @@
 //! expose so a persistent store can cache results *below* stage granularity.
 //!
 //! The flow layer's stage cache memoizes whole stage executions; the
-//! sub-stage hooks let individual kernels inside a stage — an AIG rewrite
-//! pass in synthesis, the routing of a decomposed connection list — replay
-//! from a prior run even when the stage-level key misses (for example after
-//! a config edit that leaves the kernel's own input untouched). Engine
-//! crates (`eda-logic`, `eda-route`) take an optional `&dyn SubstageMemo`
-//! and look up `(kind, key)` pairs; the flow layer implements the trait over
-//! its embedded store.
+//! sub-stage hook lets a kernel inside a stage — the routing of a decomposed
+//! connection list — replay from a prior run even when the stage-level key
+//! misses (for example after a config edit that leaves the kernel's own
+//! input untouched). The engine crate (`eda-route`) takes an optional
+//! `&dyn SubstageMemo` and looks up `(kind, key)` pairs; the flow layer
+//! implements the trait over its embedded store.
 //!
 //! Contract: a payload stored under `(kind, key)` must be a pure function of
 //! the key's preimage, and a `load` hit must replay bit-identically to the
@@ -17,9 +16,10 @@
 //! fail the kernel.
 //!
 //! Granularity rule: an entry must replace work that costs more than a store
-//! round trip; per-item entries do not. One entry per rewrite pass or per
-//! route qualifies; one per net (measured: slower than the Prim scan it
-//! replaced even on a full hit) does not.
+//! round trip; per-item entries do not. One entry per route qualifies; one
+//! per net (measured: slower than the Prim scan it replaced even on a full
+//! hit) does not, and neither did one per AIG optimization pass (measured:
+//! `1_synthesis` took as long with it as without).
 
 /// A key-value memo for kernel-level (sub-stage) results. Implementations
 /// must tolerate concurrent use from one thread at a time per kernel; the

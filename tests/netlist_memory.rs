@@ -100,7 +100,7 @@ const ROUTE_PEAK_BYTES_PER_CONNECTION: f64 = 195.0;
 fn netlist_heap_per_instance_is_pinned() {
     let cfg = FlowConfig::scale_2016(Node::N28, 10_000);
     let lib = cfg.library.library();
-    let opts = SynthesisOptions { rewrite_passes: cfg.aig_rewrite_passes, ..Default::default() };
+    let opts = SynthesisOptions { rewrite_passes: cfg.aig_rewrite_passes };
 
     let at = live();
     let design = generate::scale_mesh(10_000, 1).expect("mini mesh builds");

@@ -28,8 +28,8 @@ const STRESS: usize = 100_000;
 /// Measured ~0.6 GB on Linux; the bar catches superlinear regressions
 /// (a dense per-search grid or an AoS netlist blows well past it).
 const STRESS_RSS_BUDGET_MB: u64 = 1536;
-/// Store bound for the 10⁵ tier. One cold run writes 232 MB of stage and
-/// sub-stage records; under the 64 MiB default each append evicts the oldest
+/// Store bound for the 10⁵ tier. One cold run writes 94 MB of stage
+/// records; under the 64 MiB default each append evicts the oldest
 /// entry — the one the next stage of a replay is about to ask for — and a
 /// warm run hits nothing.
 const STRESS_STORE_BYTES: u64 = 512 << 20;
@@ -162,7 +162,7 @@ fn mini_scale_tier_is_bit_identical_and_bounded() {
 /// mesh; a count cannot drift with the host the way a timing bound does.
 fn assert_claim_walk_is_linear(design: &Netlist, report: &FlowReport) {
     let cfg = FlowConfig::scale_2016(Node::N28, MINI);
-    let opts = SynthesisOptions { rewrite_passes: cfg.aig_rewrite_passes, ..Default::default() };
+    let opts = SynthesisOptions { rewrite_passes: cfg.aig_rewrite_passes };
     let synth = synthesize(design, cfg.library.library(), cfg.synthesis, &opts)
         .expect("mini mesh synthesizes");
     let lib = synth.netlist.library();

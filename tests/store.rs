@@ -13,6 +13,7 @@ use eda::{
     QorRow, Query, StageRow, Store, StoreConfig, Table,
 };
 use eda::netlist::generate;
+use eda::netlist::memo::fnv1a;
 use eda::tech::Node;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -241,12 +242,41 @@ fn provenance_queries_answer_run_history() {
 }
 
 #[test]
+fn provenance_rows_name_a_design_by_its_content() {
+    // Two designs that share the name `rand_120g_s1` (and 133 instances):
+    // a query by name returns both runs, a query by either run's content
+    // digest — the one `1_synthesis` keys on — returns that run alone.
+    let dir = scratch("digest");
+    let store = StoreConfig::at(dir.join("flow.store"));
+    let rand = |inputs| {
+        generate::random_logic(generate::RandomLogicConfig { gates: 120, inputs, ..Default::default() }).unwrap()
+    };
+    let designs = [rand(32), rand(12)];
+    assert_eq!(designs[0].name(), designs[1].name());
+    let cfg = FlowConfig { threads: 1, store: Some(store.clone()), ..FlowConfig::advanced_2016(Node::N28) };
+    let reports: Vec<_> = designs.iter().map(|d| run_flow(d, &cfg).unwrap()).collect();
+
+    let handle = FlowStore::open(&store).unwrap();
+    let query = |design: String| handle.qor_history(&QorQuery { design: Some(design), ..QorQuery::default() }).unwrap();
+    assert_eq!(query(designs[0].name().to_string()).len(), 2);
+    for (design, report) in designs.iter().zip(&reports) {
+        let digest = fnv1a(eda::netlist::codec::to_text(design).bytes());
+        let rows = query(format!("{digest:016x}"));
+        assert_eq!(rows.len(), 1, "{digest:016x}");
+        assert_eq!(rows[0].design_digest, Some(digest));
+        assert_eq!(rows[0].qor_fp, report.qor_fingerprint());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn provenance_row_format_is_golden() {
     // The row payload is an on-disk format shared across runs and tools:
     // pin it byte-for-byte so accidental format drift fails loudly.
     let row = QorRow {
         seq: 42,
         design: "smoke design".into(),
+        design_digest: None,
         node: "10nm".into(),
         cfg_fp: 0x0123_4567_89ab_cdef,
         qor_fp: 0xfedc_ba98_7654_3210,
@@ -261,7 +291,16 @@ fn provenance_row_format_is_golden() {
         payload,
         "run smoke%20design 10nm 0123456789abcdef fedcba9876543210 c029000000000000 3 4090010000000000 3fe0000000000000 1048576"
     );
-    assert_eq!(QorRow::parse(42, &payload), Some(row));
+    assert_eq!(QorRow::parse(42, &payload), Some(row.clone()));
+    // A row that names the design's content carries the digest last; a row
+    // written before rows carried it parses as above, with none.
+    let named = QorRow { design_digest: Some(0x0f1e_2d3c_4b5a_6978), ..row };
+    let payload = named.to_payload();
+    assert_eq!(
+        payload,
+        "run smoke%20design 10nm 0123456789abcdef fedcba9876543210 c029000000000000 3 4090010000000000 3fe0000000000000 1048576 0f1e2d3c4b5a6978"
+    );
+    assert_eq!(QorRow::parse(42, &payload), Some(named));
 
     let srow = StageRow {
         seq: 43,
@@ -283,27 +322,21 @@ fn provenance_row_format_is_golden() {
 /// and `sub` header (table, key, payload length, FNV-1a of the payload) in
 /// file order. Keys pin every cache-key input and sums pin every body byte,
 /// so a change to either — or to what the flow writes when — moves a row.
-const RIPPLE4_N28_RECORDS: [&str; 17] = [
-    // The two balance entries carry the balance revision in their keys; the
-    // two rewrite entries between them kept theirs.
-    "%rec sub edc8ac62722e7786 29 3a9e41fcb7ecb64c",
-    "%rec sub 934998a1090ec98a 607 b1e9b05f621afe23",
-    "%rec sub 39e773cb90bbaa87 585 1b696f1e0683eaa6",
-    "%rec sub 6514b9990e3c9008 29 90aa82934b008524",
-    "%rec sub 2721760b5f00ce66 585 ba0c1422d16ff99c",
-    "%rec stage da7127549d3c4125 3873 6ab1db0f975bd595",
-    "%rec stage c29449c2eac6b9ea 3897 f18e56a2717a019c",
-    "%rec stage 1832201a8483a52b 3976 887a096b5153daea",
-    "%rec stage 3ab144ccfaf5bed8 6656 9c6e1c47ced4614d",
-    "%rec stage 2f57a85489c6f2d9 6684 56a1bf055fef9e15",
-    "%rec stage 5ca8a839b6f757bc 6687 ac70ee39f326f8bc",
-    "%rec stage 72575016640d4809 6699 8929e3efd302b822",
-    // The route outcome: `routeout v2`, keyed without a region-size slot.
+const RIPPLE4_N28_RECORDS: [&str; 12] = [
+    "%rec stage ceeb312180e8c13e 3873 ab0d3b982bce914c",
+    "%rec stage e6cd94cdf28369dc 3897 1c8266bdd329b1bd",
+    "%rec stage 96227ac37824f57e 3976 a4f9a0015b3f12f4",
+    "%rec stage 7c3f7021350e078e 6656 d776e996b5fd63bf",
+    "%rec stage 52520a8ce8f2d120 6684 b1ff6b7297ac4824",
+    "%rec stage 877d5016b427cd3d 6687 98f8321783d21837",
+    "%rec stage 28ece0731a116ea2 6699 2c995bfbd74d1f15",
+    // The route outcome: `routeout v2`, keyed without a region-size slot;
+    // the one sub-stage record a run writes.
     "%rec sub c74acb0df47cfe0c 56 1d350444beeca4e4",
-    "%rec stage ced3e34ddeacfbdd 6719 e64b6ab9b0907270",
+    "%rec stage 9e9ad47135f2baa5 6719 51fbfbcd9a643907",
     "%rec stage 6df5a5303a6ab10a 6797 916c1e2f6c86d505",
-    "%rec stage 79b4511140d79f21 6813 8277e36e9b093543",
-    "%rec stage 4484c4aa4cdb61a0 6825 7fb2cfeb3b4e18a6",
+    "%rec stage 942509141a80dc95 6813 48a517ab4146ea81",
+    "%rec stage 39c732f9141b2129 6825 42f19560a908a900",
 ];
 
 /// Walks a store file record by record (header line, `payload_len` bytes,
