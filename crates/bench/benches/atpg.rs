@@ -51,7 +51,7 @@ fn bench_atpg(c: &mut Criterion) {
                     &design,
                     &view,
                     &faults,
-                    &AtpgConfig { random_patterns: 16, ..Default::default() },
+                    &AtpgConfig { random_patterns: 16 },
                 )
                 .coverage,
             )

@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use eda_bench::median_seconds;
-use eda_logic::{check_equivalence, synthesize, SynthesisEffort, SynthesisOptions};
+use eda_logic::{check_equivalence, synthesize, SynthesisEffort};
 use eda_netlist::{generate, Library, Netlist};
 use std::hint::black_box;
 use std::time::Instant;
@@ -13,7 +13,7 @@ use std::time::Instant;
 const FLOW_BUDGET: usize = 1 << 19;
 
 fn mapped(design: &Netlist) -> Netlist {
-    synthesize(design, Library::generic(), SynthesisEffort::Advanced2016, &SynthesisOptions::default())
+    synthesize(design, Library::generic(), SynthesisEffort::Advanced2016)
         .unwrap()
         .netlist
 }

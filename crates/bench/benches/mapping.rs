@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eda_bench::median_seconds;
-use eda_logic::{map_aig, map_naive, optimize_aig, Aig, DEFAULT_REWRITE_PASSES};
+use eda_logic::{map_aig, map_naive, optimize_aig, Aig};
 use eda_netlist::{generate, Library};
 use std::hint::black_box;
 use std::time::Instant;
@@ -50,7 +50,7 @@ fn bench_xor_rich(c: &mut Criterion) {
 fn bench_map_scale(_c: &mut Criterion) {
     let design = generate::scale_mesh(10_000, 1).unwrap();
     let (aig, bnd) = Aig::from_netlist(&design).unwrap();
-    let (opt, _) = optimize_aig(&aig, DEFAULT_REWRITE_PASSES);
+    let (opt, _) = optimize_aig(&aig);
     let map = || map_aig(&opt, &bnd, Library::generic()).unwrap();
     let s = median_seconds(5, || {
         let t = Instant::now();

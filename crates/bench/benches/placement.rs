@@ -30,7 +30,6 @@ fn bench_parallel_placement(c: &mut Criterion) {
                             threads: t,
                             stripes: 4,
                             moves_per_cell: 10,
-                            passes: 1,
                             seed: 3,
                         },
                     )

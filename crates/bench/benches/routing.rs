@@ -169,12 +169,7 @@ fn bench_region_route(_c: &mut Criterion) {
     let placement = place_multilevel(
         &design,
         Die::for_netlist(&design, cfg.utilization),
-        &MultilevelConfig {
-            // `4_place`'s multilevel cluster size.
-            cluster_size: 64,
-            refine_moves_per_cell: cfg.anneal_moves_per_cell,
-            seed: cfg.seed,
-        },
+        &MultilevelConfig { refine_moves_per_cell: cfg.anneal_moves_per_cell, seed: cfg.seed },
     )
     .placement;
     let rcfg = RouteConfig {

@@ -3,16 +3,12 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eda_bench::median_seconds;
-use eda_logic::{
-    optimize_aig, synthesize, Aig, SynthesisEffort, SynthesisOptions,
-    DEFAULT_REWRITE_PASSES,
-};
+use eda_logic::{optimize_aig, synthesize, Aig, SynthesisEffort};
 use eda_netlist::{generate, Library};
 use std::hint::black_box;
 use std::time::Instant;
 
 fn bench_synthesis(c: &mut Criterion) {
-    let opts = SynthesisOptions::default();
     let mut group = c.benchmark_group("synthesis");
     for gates in [200usize, 500, 1000] {
         let design = generate::random_logic(generate::RandomLogicConfig {
@@ -24,12 +20,7 @@ fn bench_synthesis(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("baseline2006", gates), &design, |b, d| {
             b.iter(|| {
                 black_box(
-                    synthesize(
-                        d,
-                        Library::nand_inv_2006(),
-                        SynthesisEffort::Baseline2006,
-                        &opts,
-                    )
+                    synthesize(d, Library::nand_inv_2006(), SynthesisEffort::Baseline2006)
                     .unwrap()
                     .area_um2,
                 )
@@ -38,12 +29,7 @@ fn bench_synthesis(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("advanced2016", gates), &design, |b, d| {
             b.iter(|| {
                 black_box(
-                    synthesize(
-                        d,
-                        Library::generic(),
-                        SynthesisEffort::Advanced2016,
-                        &opts,
-                    )
+                    synthesize(d, Library::generic(), SynthesisEffort::Advanced2016)
                     .unwrap()
                     .area_um2,
                 )
@@ -65,7 +51,7 @@ fn bench_aig_passes(c: &mut Criterion) {
     group.bench_function("balance", |b| b.iter(|| black_box(aig.balance().num_ands())));
     group.bench_function("rewrite", |b| b.iter(|| black_box(aig.rewrite().num_ands())));
     group.bench_function("optimize_script", |b| {
-        b.iter(|| black_box(optimize_aig(&aig, DEFAULT_REWRITE_PASSES).0.num_ands()))
+        b.iter(|| black_box(optimize_aig(&aig).0.num_ands()))
     });
     group.finish();
 }

@@ -23,7 +23,7 @@
 use eda_bench::{claims, Table};
 use eda_core::{
     run_flow, Daemon, DaemonClient, DaemonConfig, DesignSpec, Endpoint, FaultPlan, FlowConfig,
-    FlowStore, QorQuery, QorRow, Query, QuerySpec, RejectReason, RetryPolicy, StageRow, StoreConfig,
+    FlowStore, QorQuery, QorRow, QuerySpec, RejectReason, RetryPolicy, StageRow, StoreConfig,
     SubmitSpec, Terminal, TransportFaultPlan,
 };
 use eda_netlist::generate;

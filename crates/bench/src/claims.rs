@@ -13,7 +13,7 @@ use eda_dft::{
     scan_wirelength, AtpgConfig, CombView, TestAccess,
 };
 use eda_litho::{required_masks, run_opc, Layout, OpcConfig, OpticalModel};
-use eda_logic::{synthesize, SynthesisEffort, SynthesisOptions};
+use eda_logic::{synthesize, SynthesisEffort};
 use eda_netlist::{generate, Library, Netlist, NetlistError};
 use eda_place::{
     anneal, place_global, place_hierarchical, place_parallel, plan_buffers, AnnealConfig,
@@ -149,11 +149,10 @@ pub fn c2() -> ClaimResult {
         ("comparator8", generate::equality_comparator(8)?),
         ("random", random_logic(300, 2)?),
     ];
-    let opts = SynthesisOptions::default();
     let mut t = Table::new(&["design", "CMOS um2", "polarity um2", "gain"]);
     let mut gains = Vec::new();
     for (name, d) in &designs {
-        let area = |lib| synthesize(d, lib, SynthesisEffort::Advanced2016, &opts).map(|s| s.area_um2);
+        let area = |lib| synthesize(d, lib, SynthesisEffort::Advanced2016).map(|s| s.area_um2);
         let (cmos, pol) = (area(Library::generic())?, area(Library::controlled_polarity())?);
         gains.push(1.0 - pol / cmos);
         t.row([name.to_string(), fx(cmos, 1), fx(pol, 1), pct(1.0 - pol / cmos, 1)]);
@@ -185,10 +184,9 @@ pub fn c3() -> ClaimResult {
     let mut t = Table::new(&["design", "2006 um2", "2016 um2", "area", "2006 ps", "2016 ps", "perf"]);
     // Suite totals, [2006, 2016]: area, critical path, power.
     let (mut area, mut delay, mut power) = ([0.0; 2], [0.0; 2], [0.0; 2]);
-    let opts = SynthesisOptions::default();
     for (name, d) in &designs {
-        let base = synthesize(d, Library::nand_inv_2006(), SynthesisEffort::Baseline2006, &opts)?;
-        let adv = synthesize(d, Library::generic(), SynthesisEffort::Advanced2016, &opts)?;
+        let base = synthesize(d, Library::nand_inv_2006(), SynthesisEffort::Baseline2006)?;
+        let adv = synthesize(d, Library::generic(), SynthesisEffort::Advanced2016)?;
         let mut ps = [0.0; 2];
         for (i, out) in [&base, &adv].into_iter().enumerate() {
             let activity = Activity::estimate(&out.netlist, &ActivityConfig::default())?;
@@ -398,7 +396,7 @@ pub fn c9() -> ClaimResult {
     let mut fastest: Vec<(usize, eda_place::ParallelOutcome)> = Vec::new();
     let mut hpwl = Vec::new();
     for threads in [1usize, 2, 1, 2, 1, 2, 4, 8] {
-        let cfg = ParallelConfig { threads, stripes: 8, moves_per_cell: 20, passes: 2, seed: 3 };
+        let cfg = ParallelConfig { threads, stripes: 8, moves_per_cell: 20, seed: 3 };
         let out = place_parallel(&d, die, &cfg);
         hpwl.push(out.hpwl_final);
         match fastest.iter_mut().find(|(t, _)| *t == threads) {
@@ -499,7 +497,7 @@ pub fn c12() -> ClaimResult {
     let d = generate::switch_fabric(8, 4)?;
     let p = place_global(&d, Die::for_netlist(&d, 0.7), &GlobalConfig::default());
     let base = Activity::estimate(&d, &ActivityConfig::default())?;
-    let pcfg = PowerConfig { node: Node::N28, freq_mhz: 1000.0, ..Default::default() };
+    let pcfg = PowerConfig { node: Node::N28, freq_mhz: 1000.0 };
     let limit = PowerGrid::build(&d, &p, &base, &pcfg, 8).peak_droop(Node::N28) * 1.2;
     let mut t = Table::new(&["activity", "power mW", "hotspots", "decaps", "after"]);
     let mut wrong = Vec::new();
@@ -658,8 +656,8 @@ pub fn b1() -> ClaimResult {
     let identical = as_liberty == liberty::clf_to_liberty(&as_clf)?;
     let design = generate::alu(4)?;
     let effort = SynthesisEffort::Advanced2016;
-    let a = synthesize(&design, liberty::parse_liberty(&as_liberty)?, effort, &SynthesisOptions::default())?;
-    let b = synthesize(&design, liberty::parse_clf(&as_clf)?, effort, &SynthesisOptions::default())?;
+    let a = synthesize(&design, liberty::parse_liberty(&as_liberty)?, effort)?;
+    let b = synthesize(&design, liberty::parse_clf(&as_clf)?, effort)?;
     let equivalent = matches!(check_equivalence(&design, &a.netlist, &[], &[], 1 << 20)?, EcVerdict::Equivalent);
     Ok(Claim {
         id: "b1",

@@ -3,7 +3,7 @@
 
 use crate::harness::FaultPlan;
 use crate::store::StoreConfig;
-use eda_logic::{SynthesisEffort, DEFAULT_REWRITE_PASSES};
+use eda_logic::SynthesisEffort;
 use eda_netlist::Library;
 use eda_route::RouteAlgorithm;
 use eda_tech::Node;
@@ -16,8 +16,6 @@ pub enum LibraryChoice {
     Generic,
     /// The impoverished NAND2/INV/DFF baseline library.
     NandInv2006,
-    /// De Micheli's controlled-polarity device library.
-    ControlledPolarity,
 }
 
 impl LibraryChoice {
@@ -26,7 +24,6 @@ impl LibraryChoice {
         match self {
             LibraryChoice::Generic => Library::generic(),
             LibraryChoice::NandInv2006 => Library::nand_inv_2006(),
-            LibraryChoice::ControlledPolarity => Library::controlled_polarity(),
         }
     }
 }
@@ -66,6 +63,15 @@ pub struct PowerOptions {
 }
 
 /// The complete flow configuration.
+///
+/// A QoR-relevant field is here because a preset, a front door or a claim
+/// sets it to more than one value, and each is some stage's cache knob
+/// (`name`, `threads`, `store`, `fault_plan` and `deadline_s` are run
+/// settings no stage reads). A value that no caller varies is a constant
+/// of the kernel that reads it instead (the rewrite bound, the multilevel
+/// cluster size, the CTS, STA, power, OPC and ATPG model constants), so the
+/// knob space a tuner searches holds only what the decade comparison
+/// varies.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlowConfig {
     /// Preset name (for reports).
@@ -74,13 +80,9 @@ pub struct FlowConfig {
     pub node: Node,
     /// Library to map onto.
     pub library: LibraryChoice,
-    /// Synthesis preset. Mapping always targets area.
+    /// Synthesis preset. Mapping always targets area, and the advanced
+    /// script's rewrite bound is [`eda_logic::REWRITE_PASSES`].
     pub synthesis: SynthesisEffort,
-    /// AIG rewrite passes in the advanced synthesis script (the
-    /// balance–rewriteⁿ–balance recipe; ignored by the 2006 baseline).
-    /// QoR-relevant, so it is a `1_synthesis` knob: changing it misses that
-    /// stage and, through its output, every stage after it.
-    pub aig_rewrite_passes: usize,
     /// Core utilization for floorplanning.
     pub utilization: f64,
     /// Placer algorithm.
@@ -165,7 +167,6 @@ impl Default for FlowConfig {
             node: Node::N28,
             library: LibraryChoice::Generic,
             synthesis: SynthesisEffort::Advanced2016,
-            aig_rewrite_passes: DEFAULT_REWRITE_PASSES,
             utilization: 0.7,
             placer: PlaceAlgorithm::Striped,
             anneal_moves_per_cell: 40,
@@ -426,6 +427,5 @@ mod tests {
     fn library_choices_resolve() {
         assert!(LibraryChoice::Generic.library().find("XOR2_X1").is_some());
         assert!(LibraryChoice::NandInv2006.library().find("XOR2_X1").is_none());
-        assert!(LibraryChoice::ControlledPolarity.library().find("XOR2_P").is_some());
     }
 }

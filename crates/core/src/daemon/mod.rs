@@ -52,7 +52,7 @@ use eda_netlist::Netlist;
 
 use crate::config::FlowConfig;
 use crate::engine::{Engine, Popped, Refused};
-use crate::store::{QorQuery, Query, StoreConfig};
+use crate::store::{QorQuery, StoreConfig};
 
 use protocol::{
     flow_config_for, parse_client_frame, ClientFrame, DaemonStats, DesignSpec, QuerySpec,

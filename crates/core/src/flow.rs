@@ -40,7 +40,7 @@ use crate::store::{FlowStore, Lookup, QorRow, StageRow, Store, Table};
 use crate::telemetry::{SpanKind, Telemetry};
 use eda_dft::{fault_list, fault_sim, insert_scan, random_patterns, reorder_chains, scan_wirelength, CombView};
 use eda_litho::{decompose, run_opc, Layout, OpcConfig, OpticalModel};
-use eda_logic::{check_equivalence, synthesize, EcVerdict, SynthesisOptions};
+use eda_logic::{check_equivalence, synthesize, EcVerdict};
 use eda_netlist::memo::fnv1a;
 use eda_netlist::{codec, Netlist, NetlistStats, SubstageMemo};
 use eda_place::{anneal, place_global, place_multilevel, plan_buffers, synthesize_clock_tree, AnnealConfig, CtsConfig, Die, GlobalConfig, MultilevelConfig, ParallelConfig};
@@ -63,11 +63,10 @@ const EC_BUDGET: usize = 1 << 19;
 const EC_BUDGET_ESCALATED: usize = 1 << 22;
 
 /// `4_place`'s fixed per-algorithm parameters: the flat placer's
-/// global-smoothing iterations, the striped placer's partitions per pass,
-/// and the multilevel placer's target instances per cluster.
+/// global-smoothing iterations and the striped placer's partitions per pass
+/// (the multilevel placer's cluster size is `eda_place::CLUSTER_SIZE`).
 const FLAT_GLOBAL_ITERATIONS: usize = 4;
 const PLACE_STRIPES: usize = 4;
-const CLUSTER_GATES: usize = 64;
 
 /// A hard failure inside one stage that no recovery policy can absorb.
 #[derive(Debug)]
@@ -281,15 +280,15 @@ fn design_digest(design: &Netlist) -> u64 {
 const TABLE: [Stage; 11] = [
     Stage {
         name: "1_synthesis",
-        // The balance revision keeps a store written by an older balance
-        // from replaying its netlists under this one.
+        // The balance revision keeps a store written by an older script
+        // (balance or rewrite bound) from replaying its netlists under this
+        // one.
         knobs: |design, cfg| {
             format!(
-                "|rev{}|{design:016x}|{:?}|{:?}|{}|{}",
+                "|rev{}|{design:016x}|{:?}|{:?}|{}",
                 eda_logic::BALANCE_REV,
                 cfg.library,
                 cfg.synthesis,
-                cfg.aig_rewrite_passes,
                 cfg.verify_synthesis,
             )
         },
@@ -602,9 +601,7 @@ fn synthesis(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut S
     let (cfg, design) = (env.cfg, env.design);
     let lib = cfg.library.library();
     let (netlist, verified) = sup.run_stage(stage, |ctx: StageCtx<'_>| {
-        let opts = SynthesisOptions { rewrite_passes: cfg.aig_rewrite_passes };
-        let synth = synthesize(design, lib.clone(), cfg.synthesis, &opts)
-            .map_err(StageFailure::Synthesis)?;
+        let synth = synthesize(design, lib.clone(), cfg.synthesis).map_err(StageFailure::Synthesis)?;
         ctx.tel.count("synth.aig_nodes_before", synth.aig_nodes_before as u64);
         ctx.tel.count("synth.aig_nodes_after", synth.aig_nodes_after as u64);
         ctx.tel.count("synth.cells", synth.cells as u64);
@@ -721,11 +718,7 @@ fn place(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Super
                 let out = place_multilevel(
                     cur,
                     die,
-                    &MultilevelConfig {
-                        cluster_size: CLUSTER_GATES,
-                        refine_moves_per_cell: cfg.anneal_moves_per_cell,
-                        seed: cfg.seed,
-                    },
+                    &MultilevelConfig { refine_moves_per_cell: cfg.anneal_moves_per_cell, seed: cfg.seed },
                 );
                 ctx.tel.count("place.clusters", out.clusters as u64);
                 ctx.tel.count("place.moves_proposed", out.refine.proposed as u64);
@@ -742,7 +735,6 @@ fn place(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Super
                         threads: cfg.threads,
                         stripes: PLACE_STRIPES,
                         moves_per_cell: cfg.anneal_moves_per_cell,
-                        passes: 2,
                         seed: cfg.seed,
                     },
                 );
@@ -761,11 +753,7 @@ fn place(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Super
                 let stats = anneal(
                     cur,
                     &mut p,
-                    &AnnealConfig {
-                        moves_per_cell: cfg.anneal_moves_per_cell,
-                        seed: cfg.seed,
-                        ..Default::default()
-                    },
+                    &AnnealConfig { moves_per_cell: cfg.anneal_moves_per_cell, seed: cfg.seed },
                     None,
                     None,
                 );
@@ -975,7 +963,7 @@ fn power(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Super
     let cfg = env.cfg;
     let cur = current_netlist(st);
     let placement = current_placement(st);
-    let pcfg = PowerConfig { node: cfg.node, freq_mhz: cfg.clock_mhz, ..Default::default() };
+    let pcfg = PowerConfig { node: cfg.node, freq_mhz: cfg.clock_mhz };
     // As in `2_clock_gating`: the body plans the decaps from a borrow and
     // the stage applies the kept plan once, after the supervisor settles.
     let (plan, dynamic_mw, leakage_mw, hotspots, ir_mv) = sup.run_stage(stage, |ctx: StageCtx<'_>| {
@@ -1062,8 +1050,8 @@ fn dft(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Supervi
 }
 
 /// Appends one `qor` row plus per-stage `qstage` rows for a completed flow,
-/// feeding `experiments query`. The row names the design by its name and by
-/// `design_digest`, the content digest `1_synthesis` keys on. Best-effort by
+/// feeding `experiments query`. Every row names the design by its name and
+/// by `design_digest`, the content digest `1_synthesis` keys on. Best-effort by
 /// design: a full or locked store must never fail a flow that already
 /// produced its report.
 fn record_provenance(store: &FlowStore, report: &FlowReport, design_digest: u64, cfg_fp: u64) {
@@ -1085,6 +1073,7 @@ fn record_provenance(store: &FlowStore, report: &FlowReport, design_digest: u64,
         let srow = StageRow {
             seq: 0,
             design: report.design.clone(),
+            design_digest: Some(design_digest),
             stage: stage.clone(),
             outcome: status.outcome.to_string(),
             attempts: status.attempts as u32,
@@ -1216,15 +1205,6 @@ mod tests {
         }
         assert_ne!(stage_fp("7_route", &design, &base), stage_fp("7_route", &design, &routed));
 
-        // The synthesis script length is a synthesis-only concern.
-        let mut scripted = base.clone();
-        scripted.aig_rewrite_passes -= 1;
-        assert_ne!(
-            stage_fp("1_synthesis", &design, &base),
-            stage_fp("1_synthesis", &design, &scripted)
-        );
-        assert_eq!(stage_fp("7_route", &design, &base), stage_fp("7_route", &design, &scripted));
-
         // The seed and the node key exactly the stages whose bodies read
         // them, so a seed or node sweep replays the prefix before those.
         let mut reseeded = base.clone();
@@ -1249,7 +1229,7 @@ mod tests {
         // moves it, fields that cannot change QoR do not.
         let digest = design_digest(&design);
         let fp = fingerprint(digest, &base);
-        for edited in [&routed, &scripted, &reseeded, &renoded] {
+        for edited in [&routed, &reseeded, &renoded] {
             assert_ne!(fingerprint(digest, edited), fp);
         }
         assert_ne!(fingerprint(design_digest(&other), &base), fp);
@@ -1268,24 +1248,24 @@ mod tests {
     fn preset_keys_are_pinned() {
         let design = design_digest(&generate::ripple_carry_adder(4).unwrap());
         let rows: [(FlowConfig, u64, [u64; 11]); 5] = [
-            (FlowConfig::basic_2006(Node::N90), 0x29bdf46987c2997b, [
-                0x44d21dd81d0fb83c, 0xd40f4275fad65bc9, 0xb65c1c1aa3edab84, 0xdc1fea19585b3f65, 0x363807b9a346a252, 0xd98c9f314d347122,
+            (FlowConfig::basic_2006(Node::N90), 0xe02babb99cab0b0d, [
+                0x6ff30c39bb6364c2, 0xd40f4275fad65bc9, 0xb65c1c1aa3edab84, 0xdc1fea19585b3f65, 0x363807b9a346a252, 0xd98c9f314d347122,
                 0x08d4c07f5147ad0d, 0xed8b14301ed02f12, 0x79c0af0c3138c53c, 0x48910909d4ba049e, 0xce4f276e35e6d15c,
             ]),
-            (FlowConfig::advanced_2016(Node::N28), 0x7cf875575790e19c, [
-                0x11d461fa33b8d99a, 0xd40f4a75fad66961, 0x144025e6bf92623a, 0x33f81b6bdca06873, 0x53785f128c9f0c2c, 0xd98c9f314d347122,
+            (FlowConfig::advanced_2016(Node::N28), 0xd50c6eaefb3d264e, [
+                0x10181f9d49bc2dbc, 0xd40f4a75fad66961, 0x144025e6bf92623a, 0x33f81b6bdca06873, 0x53785f128c9f0c2c, 0xd98c9f314d347122,
                 0x08d4c07f5147ad0d, 0xb8e8c5bed1ec67fc, 0x56439535baa5492f, 0xab881f2500de6196, 0x303847bb2153f132,
             ]),
-            (FlowConfig::advanced_2016(Node::N10), 0x67aa2c718f70bf43, [
-                0x11d461fa33b8d99a, 0xd40f4a75fad66961, 0x144025e6bf92623a, 0x33f81b6bdca06873, 0x53785f128c9f0c2c, 0xd98c9f314d347122,
+            (FlowConfig::advanced_2016(Node::N10), 0xb642b59b2f8ddc59, [
+                0x10181f9d49bc2dbc, 0xd40f4a75fad66961, 0x144025e6bf92623a, 0x33f81b6bdca06873, 0x53785f128c9f0c2c, 0xd98c9f314d347122,
                 0x08d4c07f5147ad0d, 0xd3dd6427e239f0b7, 0xa724af501f9bb7b4, 0x49f25f8743f1b431, 0x303847bb2153f132,
             ]),
-            (FlowConfig::scale_2016(Node::N28, 10_000), 0x01934fdf19d8de9a, [
-                0x779b5fc3c60a266d, 0xd40f4a75fad66961, 0x085d31939f0080ec, 0x60a3da63cf6a7f90, 0xdadf2c9caea7bee6, 0xd98c9f314d347122,
+            (FlowConfig::scale_2016(Node::N28, 10_000), 0x5fcb3b5262e4b3c7, [
+                0x11e28602a0f71d8f, 0xd40f4a75fad66961, 0x085d31939f0080ec, 0x60a3da63cf6a7f90, 0xdadf2c9caea7bee6, 0xd98c9f314d347122,
                 0x08d4c07f5147ad0d, 0x9da92e0a3778d9a2, 0x56439535baa5492f, 0xab881f2500de6196, 0x384a5a720163d0e4,
             ]),
-            (FlowConfig::scale_2016(Node::N28, 50_000), 0xce8d94546269d0e8, [
-                0x779b5fc3c60a266d, 0xd40f4a75fad66961, 0x085d31939f0080ec, 0x60a3da63cf6a7f90, 0xdadf2c9caea7bee6, 0xd98c9f314d347122,
+            (FlowConfig::scale_2016(Node::N28, 50_000), 0xdee9fb77b213a039, [
+                0x11e28602a0f71d8f, 0xd40f4a75fad66961, 0x085d31939f0080ec, 0x60a3da63cf6a7f90, 0xdadf2c9caea7bee6, 0xd98c9f314d347122,
                 0x08d4c07f5147ad0d, 0xc75bd361980af098, 0x56439535baa5492f, 0xab881f2500de6196, 0x384a5a720163d0e4,
             ]),
         ];

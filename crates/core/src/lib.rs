@@ -52,8 +52,5 @@ pub use harness::{Fault, FaultPlan, FaultRule, FaultSpecError, StageOutcome, Sta
 pub use learn::{Arm, ArmStats, FlowTuner};
 pub use report::FlowReport;
 pub use server::{FlowRequest, FlowResponse, FlowServer, FlowServerBuilder, ServerReport};
-pub use store::{
-    FlowStore, Lookup, QorQuery, QorRow, Query, StageRow, Store, StoreConfig,
-    StoreError, Table,
-};
+pub use store::{FlowStore, Lookup, QorQuery, QorRow, StageRow, Store, StoreConfig, StoreError, Table};
 pub use telemetry::{read_peak_rss_bytes, Histogram, Metric, Span, SpanKind, Telemetry, TelemetrySnapshot, WallSpan};

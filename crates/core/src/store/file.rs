@@ -29,7 +29,7 @@
 //! [`Lookup::Evicted`] — an expected race that downgrades to recompute, not
 //! an I/O error.
 
-use super::{Lookup, QorQuery, QorRow, Query, StageRow, Store, StoreConfig, StoreError, Table};
+use super::{Lookup, QorQuery, QorRow, StageRow, Store, StoreConfig, StoreError, Table};
 use eda_netlist::memo::fnv1a;
 use std::collections::HashMap;
 use std::fs::{self, OpenOptions};
@@ -553,20 +553,28 @@ impl Store for FlowStore {
     }
 }
 
-impl Query for FlowStore {
-    fn qor_history(&self, q: &QorQuery) -> Result<Vec<QorRow>, StoreError> {
-        let design = q.design.clone();
-        self.history(Table::Qor, q.last, QorRow::parse, move |r: &QorRow| {
-            design.as_deref().is_none_or(|d| r.is_design(d))
+// The read side over the provenance tables.
+impl FlowStore {
+    /// Whole-run QoR history matching `q`, newest first.
+    ///
+    /// # Errors
+    ///
+    /// Fails only on I/O; malformed rows are skipped, never fatal.
+    pub fn qor_history(&self, q: &QorQuery) -> Result<Vec<QorRow>, StoreError> {
+        self.history(Table::Qor, q.last, QorRow::parse, |r: &QorRow| {
+            q.design.as_deref().is_none_or(|d| r.is_design(d))
         })
     }
 
-    fn stage_history(&self, q: &QorQuery) -> Result<Vec<StageRow>, StoreError> {
-        let design = q.design.clone();
-        let stage = q.stage.clone();
-        self.history(Table::QStage, q.last, StageRow::parse, move |r: &StageRow| {
-            design.as_deref().is_none_or(|d| d == r.design)
-                && stage.as_deref().is_none_or(|s| s == r.stage)
+    /// Per-stage history matching `q` (design and stage filters), newest
+    /// first.
+    ///
+    /// # Errors
+    ///
+    /// Fails only on I/O; malformed rows are skipped, never fatal.
+    pub fn stage_history(&self, q: &QorQuery) -> Result<Vec<StageRow>, StoreError> {
+        self.history(Table::QStage, q.last, StageRow::parse, |r: &StageRow| {
+            q.design.as_deref().is_none_or(|d| r.is_design(d)) && q.stage.as_deref().is_none_or(|s| s == r.stage)
         })
     }
 }
@@ -799,6 +807,7 @@ mod tests {
             let row = StageRow {
                 seq: 0,
                 design: "demo design".into(),
+                design_digest: None,
                 stage: stage.into(),
                 outcome: "ok".into(),
                 attempts: 1,

@@ -5,13 +5,14 @@
 //! The store replaces the loose directory of `.stage` files the PR-4 cache
 //! wrote: a single file of length-framed, checksummed records over four
 //! typed tables ([`Table`]), with size-bounded LRU compaction and
-//! corruption-always-downgrades-to-recompute semantics. Two trait surfaces
-//! expose it:
+//! corruption-always-downgrades-to-recompute semantics. It is reached
+//! through:
 //!
 //! * [`Store`] — typed key-value access for cache layers (stage entries,
 //!   sub-stage memo payloads) plus append-only provenance rows;
-//! * [`Query`] — the read side `experiments query` and the daemon `query`
-//!   frame answer from: QoR history per design, stage history per run.
+//! * [`FlowStore::qor_history`] and [`FlowStore::stage_history`] — the read
+//!   side `experiments query` and the daemon `query` frame answer from: QoR
+//!   history per design, stage history per run.
 //!
 //! [`StoreConfig`] is the user-facing knob bundle ([`crate::FlowConfig`]
 //! threads it through the flow, server, and daemon); [`FlowStore`] is the
@@ -20,7 +21,7 @@
 //! # Examples
 //!
 //! ```
-//! use eda_core::store::{FlowStore, Lookup, Query, QorQuery, Store, StoreConfig, Table};
+//! use eda_core::store::{FlowStore, Lookup, QorQuery, Store, StoreConfig, Table};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let dir = std::env::temp_dir().join(format!("eda-store-doc-{}", std::process::id()));
@@ -204,11 +205,12 @@ pub trait Store {
 /// `last = 0` means unlimited.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct QorQuery {
-    /// Match rows of this design only: rows whose design name equals it, and
-    /// [`Query::qor_history`] rows whose 16-hex [`QorRow::design_digest`]
-    /// does (which tells apart two designs that share a name).
+    /// Match rows of this design only: rows whose design name equals it, or
+    /// whose 16-hex design digest does (which tells apart two designs that
+    /// share a name).
     pub design: Option<String>,
-    /// Match stage rows of this stage only (ignored by [`Query::qor_history`]).
+    /// Match stage rows of this stage only (ignored by
+    /// [`FlowStore::qor_history`]).
     pub stage: Option<String>,
     /// Keep only the newest N rows (after filtering).
     pub last: usize,
@@ -250,6 +252,9 @@ pub struct StageRow {
     pub seq: u64,
     /// Design name.
     pub design: String,
+    /// The design's content digest, as in [`QorRow::design_digest`]. `None`
+    /// on rows written before stage rows carried it.
+    pub design_digest: Option<u64>,
     /// Stage name (for example `7_route`).
     pub stage: String,
     /// Final stage status (`ok`, `degraded:<policy>`, `cached`, ...).
@@ -258,24 +263,6 @@ pub struct StageRow {
     pub attempts: u32,
     /// Stage wall-clock seconds.
     pub wall_s: f64,
-}
-
-/// Read surface over the provenance tables.
-pub trait Query {
-    /// Whole-run QoR history matching `q`, newest first.
-    ///
-    /// # Errors
-    ///
-    /// Fails only on I/O; malformed rows are skipped, never fatal.
-    fn qor_history(&self, q: &QorQuery) -> Result<Vec<QorRow>, StoreError>;
-
-    /// Per-stage history matching `q` (design and stage filters), newest
-    /// first.
-    ///
-    /// # Errors
-    ///
-    /// Fails only on I/O; malformed rows are skipped, never fatal.
-    fn stage_history(&self, q: &QorQuery) -> Result<Vec<StageRow>, StoreError>;
 }
 
 /// One row field: [`codec::write_token`]'s escaping, plus `%00` for the
@@ -297,11 +284,35 @@ fn parse_field(s: &str) -> Option<String> {
     codec::unescape(s).ok()
 }
 
+/// Whether a provenance row naming `name`, with content digest `digest`, is
+/// of `design`: its name, or its content digest as 16 hex digits.
+fn is_design(name: &str, digest: Option<u64>, design: &str) -> bool {
+    name == design || digest.is_some_and(|d| format!("{d:016x}") == design)
+}
+
+/// Appends a row's optional trailing field, the design digest.
+fn push_digest(payload: &mut String, digest: Option<u64>) {
+    if let Some(d) = digest {
+        payload.push_str(&format!(" {d:016x}"));
+    }
+}
+
+/// Parses what is left of a row after its fixed fields: nothing (a row
+/// written before rows carried the digest) or the design digest alone.
+/// `None` when it is malformed or followed by more.
+fn parse_digest<'a>(mut rest: impl Iterator<Item = &'a str>) -> Option<Option<u64>> {
+    let digest = match rest.next() {
+        Some(d) => Some(u64::from_str_radix(d, 16).ok()?),
+        None => None,
+    };
+    rest.next().is_none().then_some(digest)
+}
+
 impl QorRow {
     /// Whether the row is of `design`: its name, or its content digest as
     /// 16 hex digits.
     pub fn is_design(&self, design: &str) -> bool {
-        self.design == design || self.design_digest.is_some_and(|d| format!("{d:016x}") == design)
+        is_design(&self.design, self.design_digest, design)
     }
 
     /// Serializes to the store's `qor` row payload; the design digest, when
@@ -319,9 +330,7 @@ impl QorRow {
             self.wall_s.to_bits(),
             self.peak_rss_bytes,
         );
-        if let Some(d) = self.design_digest {
-            payload.push_str(&format!(" {d:016x}"));
-        }
+        push_digest(&mut payload, self.design_digest);
         payload
     }
 
@@ -346,46 +355,49 @@ impl QorRow {
             wall_s: f64::from_bits(u64::from_str_radix(f.next()?, 16).ok()?),
             peak_rss_bytes: f.next()?.parse().ok()?,
         };
-        if let Some(digest) = f.next() {
-            row.design_digest = Some(u64::from_str_radix(digest, 16).ok()?);
-        }
-        if f.next().is_some() {
-            return None;
-        }
+        row.design_digest = parse_digest(f)?;
         Some(row)
     }
 }
 
 impl StageRow {
-    /// Serializes to the store's `qstage` row payload.
+    /// Whether the row is of `design`, by the rule of [`QorRow::is_design`].
+    pub fn is_design(&self, design: &str) -> bool {
+        is_design(&self.design, self.design_digest, design)
+    }
+
+    /// Serializes to the store's `qstage` row payload; the design digest,
+    /// when there is one, is the trailing field.
     pub fn to_payload(&self) -> String {
-        format!(
+        let mut payload = format!(
             "stage {} {} {} {} {:016x}",
             field(&self.design),
             field(&self.stage),
             field(&self.outcome),
             self.attempts,
             self.wall_s.to_bits(),
-        )
+        );
+        push_digest(&mut payload, self.design_digest);
+        payload
     }
 
-    /// Parses a `qstage` row payload; `None` on malformed rows.
+    /// Parses a `qstage` row payload, with or without the trailing design
+    /// digest; `None` on malformed rows.
     pub fn parse(seq: u64, payload: &str) -> Option<StageRow> {
         let mut f = payload.split(' ');
         if f.next()? != "stage" {
             return None;
         }
-        let row = StageRow {
+        let mut row = StageRow {
             seq,
             design: parse_field(f.next()?)?,
+            design_digest: None,
             stage: parse_field(f.next()?)?,
             outcome: parse_field(f.next()?)?,
             attempts: f.next()?.parse().ok()?,
             wall_s: f64::from_bits(u64::from_str_radix(f.next()?, 16).ok()?),
         };
-        if f.next().is_some() {
-            return None;
-        }
+        row.design_digest = parse_digest(f)?;
         Some(row)
     }
 }

@@ -43,20 +43,21 @@ pub enum AtpgResult {
     Aborted,
 }
 
+/// PODEM's backtrack limit per fault.
+const BACKTRACK_LIMIT: usize = 2000;
+/// Seed for random-phase patterns and X-fill.
+const SEED: u64 = 1;
+
 /// ATPG configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AtpgConfig {
     /// Random patterns applied before deterministic search.
     pub random_patterns: usize,
-    /// Backtrack limit per fault.
-    pub backtrack_limit: usize,
-    /// Seed for random-phase patterns and X-fill.
-    pub seed: u64,
 }
 
 impl Default for AtpgConfig {
     fn default() -> Self {
-        AtpgConfig { random_patterns: 64, backtrack_limit: 2000, seed: 1 }
+        AtpgConfig { random_patterns: 64 }
     }
 }
 
@@ -319,13 +320,8 @@ impl<'a> Podem<'a> {
 }
 
 /// Generates a test for one fault.
-pub fn generate_test(
-    netlist: &Netlist,
-    view: &CombView,
-    fault: Fault,
-    cfg: &AtpgConfig,
-) -> AtpgResult {
-    let mut podem = Podem::new(netlist, view, cfg.backtrack_limit);
+pub fn generate_test(netlist: &Netlist, view: &CombView, fault: Fault) -> AtpgResult {
+    let mut podem = Podem::new(netlist, view, BACKTRACK_LIMIT);
     let mut assignment = vec![None; view.inputs.len()];
     podem.run(fault, &mut assignment)
 }
@@ -334,8 +330,8 @@ pub fn generate_test(
 pub fn run_atpg(netlist: &Netlist, view: &CombView, faults: &[Fault], cfg: &AtpgConfig) -> AtpgOutcome {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xD1F7);
-    let mut patterns = random_patterns(view, cfg.random_patterns, cfg.seed);
+    let mut rng = StdRng::seed_from_u64(SEED ^ 0xD1F7);
+    let mut patterns = random_patterns(view, cfg.random_patterns, SEED);
     let sim: FaultSimOutcome = fault_sim(netlist, view, faults, &patterns);
     let mut detected = sim.detected;
     let mut untestable = 0usize;
@@ -344,7 +340,7 @@ pub fn run_atpg(netlist: &Netlist, view: &CombView, faults: &[Fault], cfg: &Atpg
         if detected[fi] {
             continue;
         }
-        match generate_test(netlist, view, fault, cfg) {
+        match generate_test(netlist, view, fault) {
             AtpgResult::Test(t) => {
                 // X-fill randomly, then fault-simulate the new pattern against
                 // all remaining faults (test compaction for free).
@@ -394,7 +390,7 @@ mod tests {
         n.add_output("y", y);
         let view = CombView::new(&n).unwrap();
         // SA0 on the output: need a=b=1.
-        let r = generate_test(&n, &view, Fault { net: y, stuck_at: false }, &AtpgConfig::default());
+        let r = generate_test(&n, &view, Fault { net: y, stuck_at: false });
         match r {
             AtpgResult::Test(t) => {
                 assert_eq!(t[0], Some(true));
@@ -414,7 +410,7 @@ mod tests {
         let y = n.add_gate_fn("u2", CellFunction::Or(2), &[a, ab]).unwrap();
         n.add_output("y", y);
         let view = CombView::new(&n).unwrap();
-        let r = generate_test(&n, &view, Fault { net: ab, stuck_at: false }, &AtpgConfig::default());
+        let r = generate_test(&n, &view, Fault { net: ab, stuck_at: false });
         assert_eq!(r, AtpgResult::Untestable, "a|(a&b) = a, the AND is redundant");
     }
 
@@ -423,7 +419,7 @@ mod tests {
         let n = generate::ripple_carry_adder(6).unwrap();
         let view = CombView::new(&n).unwrap();
         let faults = fault_list(&n);
-        let out = run_atpg(&n, &view, &faults, &AtpgConfig { random_patterns: 16, ..Default::default() });
+        let out = run_atpg(&n, &view, &faults, &AtpgConfig { random_patterns: 16 });
         assert!(out.coverage > 0.95, "adders are fully testable, got {:.3}", out.coverage);
     }
 
@@ -433,7 +429,7 @@ mod tests {
         let view = CombView::new(&n).unwrap();
         let faults = fault_list(&n);
         let rand_only = fault_sim(&n, &view, &faults, &random_patterns(&view, 16, 1));
-        let full = run_atpg(&n, &view, &faults, &AtpgConfig { random_patterns: 16, ..Default::default() });
+        let full = run_atpg(&n, &view, &faults, &AtpgConfig { random_patterns: 16 });
         assert!(
             full.coverage > rand_only.coverage(),
             "PODEM should top up random coverage: {:.3} vs {:.3}",

@@ -46,18 +46,19 @@ pub enum Hotspot {
     },
 }
 
+/// A printed width below this fraction of drawn width is a neck.
+const NECK_FRACTION: f64 = 0.6;
+
 /// Hotspot-scan configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HotspotConfig {
     /// Neighbour search radius, nm (pairs farther apart are safe).
     pub search_radius_nm: f64,
-    /// A printed width below this fraction of drawn width is a neck.
-    pub neck_fraction: f64,
 }
 
 impl Default for HotspotConfig {
     fn default() -> Self {
-        HotspotConfig { search_radius_nm: 200.0, neck_fraction: 0.6 }
+        HotspotConfig { search_radius_nm: 200.0 }
     }
 }
 
@@ -90,7 +91,7 @@ pub fn find_hotspots(layout: &Layout, model: &OpticalModel, cfg: &HotspotConfig)
             None => out.push(Hotspot::Missing { index: i }),
             Some(&(p0, p1)) => {
                 let w = p1 - p0;
-                if w < cfg.neck_fraction * width {
+                if w < NECK_FRACTION * width {
                     out.push(Hotspot::Neck { index: i, printed_nm: w, drawn_nm: width });
                 }
             }
@@ -217,7 +218,7 @@ mod tests {
     #[test]
     fn search_radius_limits_pairs() {
         let layout = Layout::line_array(3, 500.0, 1000.0);
-        let tight = HotspotConfig { search_radius_nm: 10.0, ..Default::default() };
+        let tight = HotspotConfig { search_radius_nm: 10.0 };
         let hs = find_hotspots(&layout, &model(), &tight);
         assert!(hs.is_empty());
     }

@@ -8,6 +8,9 @@
 
 use crate::aerial::{edge_placement_errors, rms, OpticalModel};
 
+/// Rule-based pre-bias per edge in nm (applied outward).
+const PREBIAS_NM: f64 = 2.0;
+
 /// OPC configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpcConfig {
@@ -15,13 +18,11 @@ pub struct OpcConfig {
     pub iterations: usize,
     /// Feedback gain on the edge correction (0 < gain ≤ 1).
     pub gain: f64,
-    /// Rule-based pre-bias per edge in nm (applied outward).
-    pub prebias_nm: f64,
 }
 
 impl Default for OpcConfig {
     fn default() -> Self {
-        OpcConfig { iterations: 8, gain: 0.6, prebias_nm: 2.0 }
+        OpcConfig { iterations: 8, gain: 0.6 }
     }
 }
 
@@ -31,7 +32,7 @@ impl OpcConfig {
     /// pass fails to converge — a large gain can oscillate around the target
     /// edge, and halving it trades speed for stability.
     pub fn backoff(&self) -> OpcConfig {
-        OpcConfig { gain: self.gain / 2.0, iterations: self.iterations * 2, ..*self }
+        OpcConfig { gain: self.gain / 2.0, iterations: self.iterations * 2 }
     }
 }
 
@@ -76,7 +77,7 @@ pub fn run_opc(model: &OpticalModel, target: &[(f64, f64)], extent_nm: f64, cfg:
     // Rule-based pre-bias: expand every feature.
     let mut mask: Vec<(f64, f64)> = target
         .iter()
-        .map(|&(a, b)| (a - cfg.prebias_nm, b + cfg.prebias_nm))
+        .map(|&(a, b)| (a - PREBIAS_NM, b + PREBIAS_NM))
         .collect();
     let mut printed = model.print(&mask, extent_nm);
     let mut history = Vec::with_capacity(cfg.iterations + 1);

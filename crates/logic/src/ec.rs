@@ -314,7 +314,7 @@ fn simulate_fallback(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::synth::{synthesize, SynthesisEffort, SynthesisOptions};
+    use crate::synth::{synthesize, SynthesisEffort};
     use eda_netlist::{generate, Library};
 
     const LIMIT: usize = 1 << 20;
@@ -322,9 +322,7 @@ mod tests {
     #[test]
     fn synthesis_formally_verified() {
         let d = generate::ripple_carry_adder(8).unwrap();
-        let adv =
-            synthesize(&d, Library::generic(), SynthesisEffort::Advanced2016, &SynthesisOptions::default())
-                .unwrap();
+        let adv = synthesize(&d, Library::generic(), SynthesisEffort::Advanced2016).unwrap();
         let verdict = check_equivalence(&d, &adv.netlist, &[], &[], LIMIT).unwrap();
         assert_eq!(verdict, EcVerdict::Equivalent);
     }
@@ -382,9 +380,7 @@ mod tests {
     #[test]
     fn sequential_next_state_checked() {
         let d = generate::switch_fabric(3, 2).unwrap();
-        let adv =
-            synthesize(&d, Library::generic(), SynthesisEffort::Advanced2016, &SynthesisOptions::default())
-                .unwrap();
+        let adv = synthesize(&d, Library::generic(), SynthesisEffort::Advanced2016).unwrap();
         assert_eq!(
             check_equivalence(&d, &adv.netlist, &[], &[], LIMIT).unwrap(),
             EcVerdict::Equivalent
@@ -394,9 +390,7 @@ mod tests {
     #[test]
     fn tiny_budget_falls_back_to_simulation() {
         let d = generate::parity_tree(8).unwrap();
-        let adv =
-            synthesize(&d, Library::generic(), SynthesisEffort::Advanced2016, &SynthesisOptions::default())
-                .unwrap();
+        let adv = synthesize(&d, Library::generic(), SynthesisEffort::Advanced2016).unwrap();
         // 32-node budget is hopeless for BDDs; 8 inputs are enumerable.
         let verdict = check_equivalence(&d, &adv.netlist, &[], &[], 32).unwrap();
         assert_eq!(verdict, EcVerdict::Equivalent);

@@ -10,13 +10,12 @@
 //! # Examples
 //!
 //! ```
-//! use eda_logic::{synthesize, SynthesisEffort, SynthesisOptions};
+//! use eda_logic::{synthesize, SynthesisEffort};
 //! use eda_netlist::{generate, Library};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let design = generate::parity_tree(16)?;
-//! let out = synthesize(&design, Library::generic(), SynthesisEffort::Advanced2016,
-//!                      &SynthesisOptions::default())?;
+//! let out = synthesize(&design, Library::generic(), SynthesisEffort::Advanced2016)?;
 //! assert!(out.area_um2 > 0.0);
 //! # Ok(())
 //! # }
@@ -39,7 +38,7 @@ pub use cube::{Cover, Cube};
 pub use isop::isop;
 pub use map::{map_aig, map_naive, MapError, MapOutcome};
 pub use synth::{
-    optimize_aig, synthesize, AigPass, SynthesisEffort, SynthesisError, SynthesisOptions,
-    SynthesisOutcome, BALANCE_REV, DEFAULT_REWRITE_PASSES,
+    optimize_aig, synthesize, AigPass, SynthesisEffort, SynthesisError, SynthesisOutcome,
+    BALANCE_REV, REWRITE_PASSES,
 };
 pub use tt::TruthTable;

@@ -16,8 +16,10 @@ use eda_netlist::{Library, Netlist};
 use std::borrow::Cow;
 use std::sync::Arc;
 
-/// Default bound on the rewrite fixpoint iteration in the advanced script.
-pub const DEFAULT_REWRITE_PASSES: usize = 6;
+/// Bound on the rewrite fixpoint iteration in the advanced script. What
+/// [`optimize_aig`] returns depends on it, and the `1_synthesis` key holds
+/// it only through [`BALANCE_REV`]: changing it must bump that revision.
+pub const REWRITE_PASSES: usize = 6;
 
 /// Synthesis preset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -84,20 +86,6 @@ pub struct SynthesisOutcome {
     pub cuts_enumerated: u64,
 }
 
-/// How much the advanced script rewrites. Synthesis runs serially.
-#[derive(Clone, Copy)]
-pub struct SynthesisOptions {
-    /// Bound on the rewrite fixpoint iteration of the advanced script.
-    pub rewrite_passes: usize,
-}
-
-impl Default for SynthesisOptions {
-    /// [`DEFAULT_REWRITE_PASSES`].
-    fn default() -> Self {
-        SynthesisOptions { rewrite_passes: DEFAULT_REWRITE_PASSES }
-    }
-}
-
 /// Synthesizes `input` onto `lib` at the given effort. The advanced effort
 /// maps for area ([`map_aig`]'s area-flow selection).
 ///
@@ -110,24 +98,13 @@ impl Default for SynthesisOptions {
 /// # Examples
 ///
 /// ```
-/// use eda_logic::{synthesize, SynthesisEffort, SynthesisOptions};
+/// use eda_logic::{synthesize, SynthesisEffort};
 /// use eda_netlist::{generate, Library};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let design = generate::ripple_carry_adder(8)?;
-/// let opts = SynthesisOptions::default();
-/// let baseline = synthesize(
-///     &design,
-///     Library::nand_inv_2006(),
-///     SynthesisEffort::Baseline2006,
-///     &opts,
-/// )?;
-/// let advanced = synthesize(
-///     &design,
-///     Library::generic(),
-///     SynthesisEffort::Advanced2016,
-///     &opts,
-/// )?;
+/// let baseline = synthesize(&design, Library::nand_inv_2006(), SynthesisEffort::Baseline2006)?;
+/// let advanced = synthesize(&design, Library::generic(), SynthesisEffort::Advanced2016)?;
 /// assert!(advanced.area_um2 < baseline.area_um2);
 /// # Ok(())
 /// # }
@@ -136,7 +113,6 @@ pub fn synthesize(
     input: &Netlist,
     lib: Arc<Library>,
     effort: SynthesisEffort,
-    opts: &SynthesisOptions,
 ) -> Result<SynthesisOutcome, SynthesisError> {
     let (aig, boundary) = Aig::from_netlist(input)?;
     let before = aig.num_ands();
@@ -146,7 +122,7 @@ pub fn synthesize(
             (before, m, Vec::new())
         }
         SynthesisEffort::Advanced2016 => {
-            let (opt, passes) = optimize_aig(&aig, opts.rewrite_passes);
+            let (opt, passes) = optimize_aig(&aig);
             // Only the input graph's node count outlives the script: the
             // mapper runs with one graph live, not two.
             drop(aig);
@@ -182,22 +158,22 @@ pub struct AigPass {
     pub kept: bool,
 }
 
-/// Revision of [`Aig::balance`], folded into the cache key that addresses
-/// a balance result (the `1_synthesis` stage entries in `eda-core`). Bump it
-/// whenever the same input graph can balance differently than under the
-/// previous revision, so a store written before the change recomputes
+/// Revision of the advanced script's result, folded into the cache key that
+/// addresses it (the `1_synthesis` stage entries in `eda-core`). Bump it
+/// whenever the same input graph can optimize differently than under the
+/// previous revision — a change to [`Aig::balance`] or to
+/// [`REWRITE_PASSES`] — so a store written before the change recomputes
 /// instead of replaying the old results. Revision 1 (implicit, no field in
 /// the key) let a supergate descend through shared nodes and so duplicated
 /// them.
 pub const BALANCE_REV: u32 = 2;
 
 /// The advanced-flow AIG script: `balance; rewrite*; balance` with the
-/// rewrite fixpoint bounded by `rewrite_passes` (the default script uses
-/// [`DEFAULT_REWRITE_PASSES`]), keeping each pass only if it does not
-/// regress node count. Returns the optimized graph plus a per-pass
-/// provenance trace; both are pure functions of the input and the bound.
-pub fn optimize_aig(aig: &Aig, rewrite_passes: usize) -> (Aig, Vec<AigPass>) {
-    let mut passes = Vec::with_capacity(rewrite_passes + 2);
+/// rewrite fixpoint bounded by [`REWRITE_PASSES`], keeping each pass only if
+/// it does not regress node count. Returns the optimized graph plus a
+/// per-pass provenance trace; both are pure functions of the input.
+pub fn optimize_aig(aig: &Aig) -> (Aig, Vec<AigPass>) {
+    let mut passes = Vec::with_capacity(REWRITE_PASSES + 2);
     // The input is borrowed until a pass result is kept.
     let mut cur = Cow::Borrowed(aig);
 
@@ -210,7 +186,7 @@ pub fn optimize_aig(aig: &Aig, rewrite_passes: usize) -> (Aig, Vec<AigPass>) {
     }
 
     // Rewrite to a fixpoint (bounded), keeping only non-regressing passes.
-    for _ in 0..rewrite_passes {
+    for _ in 0..REWRITE_PASSES {
         let (pass, next) = run_pass("rewrite", &cur, Aig::rewrite, |cur, cand| {
             cand.num_ands() < cur.num_ands()
         });
@@ -254,8 +230,7 @@ mod tests {
     use eda_netlist::memo::fnv1a;
 
     fn advanced(d: &Netlist) -> SynthesisOutcome {
-        let opts = SynthesisOptions::default();
-        synthesize(d, Library::generic(), SynthesisEffort::Advanced2016, &opts).unwrap()
+        synthesize(d, Library::generic(), SynthesisEffort::Advanced2016).unwrap()
     }
 
     fn check_equiv(a: &Netlist, b: &Netlist) {
@@ -283,17 +258,10 @@ mod tests {
             })
             .unwrap(),
         ];
-        let opts = SynthesisOptions::default();
         let mut total_base = 0.0;
         let mut total_adv = 0.0;
         for d in &designs {
-            let base = synthesize(
-                d,
-                Library::nand_inv_2006(),
-                SynthesisEffort::Baseline2006,
-                &opts,
-            )
-            .unwrap();
+            let base = synthesize(d, Library::nand_inv_2006(), SynthesisEffort::Baseline2006).unwrap();
             let adv = advanced(d);
             check_equiv(d, &base.netlist);
             check_equiv(d, &adv.netlist);
@@ -315,7 +283,7 @@ mod tests {
         })
         .unwrap();
         let (aig, _) = Aig::from_netlist(&d).unwrap();
-        let (opt, _) = optimize_aig(&aig, DEFAULT_REWRITE_PASSES);
+        let (opt, _) = optimize_aig(&aig);
         assert!(opt.num_ands() <= aig.num_ands() + aig.num_ands() / 10);
         let pats: Vec<u64> =
             (0..aig.num_pis()).map(|i| 0xCBF2_9CE4_8422_2325u64.rotate_left(i as u32)).collect();

@@ -40,7 +40,7 @@ pub mod verilog;
 pub use cell::{CellDef, CellFunction, CellId, Library};
 pub use memo::SubstageMemo;
 pub use codec::CodecError;
-pub use netlist::{InstId, Instance, Net, NetDriver, NetId, Netlist, NetlistError};
+pub use netlist::{InstId, Instance, Net, NetDriver, NetId, Netlist, NetlistError, WIRE_CAP_PER_FANOUT_FF};
 pub use liberty::{parse_clf, parse_liberty, write_clf, write_liberty, ParseLibError};
 pub use stats::NetlistStats;
 pub use verilog::{parse_verilog, write_verilog, ParseVerilogError};

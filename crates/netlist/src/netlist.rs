@@ -7,6 +7,11 @@ use std::collections::HashMap;
 use std::hash::BuildHasher;
 use std::sync::Arc;
 
+/// Pre-route wire capacitance per fanout pin, fF: the wire-load estimate
+/// timing and power both add to a net's pin caps. One constant, so the
+/// two analyses cannot price the same net differently.
+pub const WIRE_CAP_PER_FANOUT_FF: f64 = 0.5;
+
 /// Index of a net inside a [`Netlist`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NetId(pub(crate) u32);

@@ -7,20 +7,21 @@ use eda_netlist::{InstId, Netlist};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// Initial temperature as a fraction of die half-perimeter.
+const T0_FRACTION: f64 = 0.05;
+
 /// Annealer configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnnealConfig {
     /// Proposed moves per cell (total moves = cells × this).
     pub moves_per_cell: usize,
-    /// Initial temperature as a fraction of die half-perimeter.
-    pub t0_fraction: f64,
     /// RNG seed.
     pub seed: u64,
 }
 
 impl Default for AnnealConfig {
     fn default() -> Self {
-        AnnealConfig { moves_per_cell: 60, t0_fraction: 0.05, seed: 1 }
+        AnnealConfig { moves_per_cell: 60, seed: 1 }
     }
 }
 
@@ -204,7 +205,7 @@ pub(crate) fn anneal_moves(
     }
 
     let total_moves = cells.len() * cfg.moves_per_cell;
-    let mut t = cfg.t0_fraction * (die.width_um + die.height_um);
+    let mut t = T0_FRACTION * (die.width_um + die.height_um);
     let t_final = t * 1e-3;
     let alpha = if total_moves > 0 {
         (t_final / t).powf(1.0 / total_moves as f64)
@@ -337,7 +338,7 @@ mod tests {
         }
         let hpwl_before = oracle::total_hpwl(placement, netlist);
         let total_moves = cells.len() * cfg.moves_per_cell;
-        let mut t = cfg.t0_fraction * (die.width_um + die.height_um);
+        let mut t = T0_FRACTION * (die.width_um + die.height_um);
         let t_final = t * 1e-3;
         let alpha =
             if total_moves > 0 { (t_final / t).powf(1.0 / total_moves as f64) } else { 1.0 };
@@ -411,7 +412,7 @@ mod tests {
             let n = generate::switch_fabric(2, 3).unwrap();
             let die = Die::for_netlist(&n, 0.7);
             let start = place_global(&n, die, &GlobalConfig { iterations: 3, seed });
-            let cfg = AnnealConfig { moves_per_cell: 12, seed: seed ^ 0x5eed, ..Default::default() };
+            let cfg = AnnealConfig { moves_per_cell: 12, seed: seed ^ 0x5eed };
             let region = Region { c0: 0, c1: die.cols.div_ceil(2), r0: 0, r1: die.rows };
             let cells: Vec<InstId> = (0..n.num_instances())
                 .map(InstId::from_index)

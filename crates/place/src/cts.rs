@@ -12,27 +12,23 @@ use crate::floorplan::Point;
 use crate::placement::Placement;
 use eda_netlist::{InstId, Netlist};
 
+/// Buffer intrinsic delay, ps.
+const BUFFER_DELAY_PS: f64 = 12.0;
+/// Wire delay per µm, ps (lumped RC approximation).
+const WIRE_DELAY_PS_PER_UM: f64 = 0.05;
+/// Wire capacitance per µm, fF.
+const WIRE_CAP_FF_PER_UM: f64 = 0.2;
+
 /// CTS parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CtsConfig {
     /// Maximum sinks (or subtrees) a buffer may drive.
     pub max_fanout: usize,
-    /// Buffer intrinsic delay, ps.
-    pub buffer_delay_ps: f64,
-    /// Wire delay per µm, ps (lumped RC approximation).
-    pub wire_delay_ps_per_um: f64,
-    /// Wire capacitance per µm, fF.
-    pub wire_cap_ff_per_um: f64,
 }
 
 impl Default for CtsConfig {
     fn default() -> Self {
-        CtsConfig {
-            max_fanout: 8,
-            buffer_delay_ps: 12.0,
-            wire_delay_ps_per_um: 0.05,
-            wire_cap_ff_per_um: 0.2,
-        }
+        CtsConfig { max_fanout: 8 }
     }
 }
 
@@ -130,13 +126,13 @@ fn build(
         )
     };
     buffers.push(ClockBuffer { location: centroid, level });
-    let here = arrival_ps + cfg.buffer_delay_ps;
+    let here = arrival_ps + BUFFER_DELAY_PS;
 
     if group.len() <= cfg.max_fanout {
         for &i in &group {
             let d = centroid.manhattan(&pts[i]);
             *wirelength += d;
-            delays[i] = here + d * cfg.wire_delay_ps_per_um;
+            delays[i] = here + d * WIRE_DELAY_PS_PER_UM;
         }
         return level + 1;
     }
@@ -161,7 +157,7 @@ fn build(
         );
         let d = centroid.manhattan(&child);
         *wirelength += d;
-        let child_arrival = here + d * cfg.wire_delay_ps_per_um;
+        let child_arrival = here + d * WIRE_DELAY_PS_PER_UM;
         depth = depth.max(build(
             pts,
             half,
@@ -178,11 +174,7 @@ fn build(
 }
 
 /// The naive comparison: one root driver wired directly to every sink.
-pub fn star_distribution(
-    netlist: &Netlist,
-    placement: &Placement,
-    cfg: &CtsConfig,
-) -> ClockTree {
+pub fn star_distribution(netlist: &Netlist, placement: &Placement) -> ClockTree {
     let sinks = netlist.flops();
     if sinks.is_empty() {
         return ClockTree {
@@ -201,12 +193,11 @@ pub fn star_distribution(
         .iter()
         .map(|&f| root.manhattan(&placement.position(f)))
         .sum();
-    let driver_delay = cfg.buffer_delay_ps
-        + total_wire * cfg.wire_cap_ff_per_um * 0.05; // cap-load slowdown
+    let driver_delay = BUFFER_DELAY_PS + total_wire * WIRE_CAP_FF_PER_UM * 0.05; // cap-load slowdown
     for &f in &sinks {
         let d = root.manhattan(&placement.position(f));
         wirelength += d;
-        delays.push(driver_delay + d * cfg.wire_delay_ps_per_um);
+        delays.push(driver_delay + d * WIRE_DELAY_PS_PER_UM);
     }
     ClockTree {
         buffers: vec![ClockBuffer { location: root, level: 0 }],
@@ -244,9 +235,8 @@ mod tests {
     #[test]
     fn tree_skew_beats_star() {
         let (n, p) = placed();
-        let cfg = CtsConfig::default();
-        let (tree, _) = synthesize_clock_tree(&n, &p, &cfg);
-        let star = star_distribution(&n, &p, &cfg);
+        let (tree, _) = synthesize_clock_tree(&n, &p, &CtsConfig::default());
+        let star = star_distribution(&n, &p);
         assert!(
             tree.skew_ps() < star.skew_ps(),
             "balanced tree skew {:.1} must beat star {:.1}",
@@ -258,7 +248,7 @@ mod tests {
     #[test]
     fn fanout_bound_respected() {
         let (n, p) = placed();
-        let cfg = CtsConfig { max_fanout: 4, ..Default::default() };
+        let cfg = CtsConfig { max_fanout: 4 };
         let (tree, sinks) = synthesize_clock_tree(&n, &p, &cfg);
         // Leaf buffers drive at most max_fanout sinks: with 24 flops and
         // fanout 4 the tree needs at least 6 leaf buffers.
@@ -269,8 +259,8 @@ mod tests {
     #[test]
     fn deeper_trees_for_smaller_fanout() {
         let (n, p) = placed();
-        let wide = synthesize_clock_tree(&n, &p, &CtsConfig { max_fanout: 16, ..Default::default() }).0;
-        let narrow = synthesize_clock_tree(&n, &p, &CtsConfig { max_fanout: 2, ..Default::default() }).0;
+        let wide = synthesize_clock_tree(&n, &p, &CtsConfig { max_fanout: 16 }).0;
+        let narrow = synthesize_clock_tree(&n, &p, &CtsConfig { max_fanout: 2 }).0;
         assert!(narrow.depth > wide.depth);
         assert!(narrow.buffers.len() > wide.buffers.len());
     }

@@ -81,7 +81,7 @@ pub fn place_hierarchical(netlist: &Netlist, die: Die, seed: u64) -> HierOutcome
             &index,
             &mut placement,
             &mut net_cost,
-            &AnnealConfig { moves_per_cell: 40, seed: seed ^ (blk as u64 + 1), ..Default::default() },
+            &AnnealConfig { moves_per_cell: 40, seed: seed ^ (blk as u64 + 1) },
             Some(&cells),
             Some(region_of(blk)),
         );

@@ -46,7 +46,7 @@ pub use cts::{star_distribution, synthesize_clock_tree, ClockBuffer, ClockTree, 
 pub use floorplan::{Die, Point};
 pub use global::{legalize, place_global, GlobalConfig};
 pub use hier::{place_hierarchical, HierOutcome};
-pub use multilevel::{place_multilevel, MultilevelConfig, MultilevelOutcome};
+pub use multilevel::{place_multilevel, MultilevelConfig, MultilevelOutcome, CLUSTER_SIZE};
 pub use parallel::{place_parallel, thread_cpu_seconds, ParallelConfig, ParallelOutcome, StripeStats};
 pub use pins::NetPins;
 pub use placement::{Placement, PlacementSnapshot};

@@ -16,11 +16,12 @@ use crate::global::legalize;
 use crate::placement::Placement;
 use eda_netlist::{InstId, Netlist};
 
+/// Target instances per cluster (clusters never exceed this).
+pub const CLUSTER_SIZE: usize = 64;
+
 /// Configuration for [`place_multilevel`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MultilevelConfig {
-    /// Target instances per cluster (clusters never exceed this).
-    pub cluster_size: usize,
     /// Annealing moves per cell in the final refinement (0 skips it).
     pub refine_moves_per_cell: usize,
     /// RNG seed for the refinement anneal, the pass's only random step.
@@ -29,7 +30,7 @@ pub struct MultilevelConfig {
 
 impl Default for MultilevelConfig {
     fn default() -> Self {
-        MultilevelConfig { cluster_size: 64, refine_moves_per_cell: 4, seed: 1 }
+        MultilevelConfig { refine_moves_per_cell: 4, seed: 1 }
     }
 }
 
@@ -51,19 +52,18 @@ pub struct MultilevelOutcome {
 ///
 /// # Panics
 ///
-/// Panics if `cfg.cluster_size` is zero or the netlist has no instances.
+/// Panics if the netlist has no instances.
 pub fn place_multilevel(
     netlist: &Netlist,
     die: Die,
     cfg: &MultilevelConfig,
 ) -> MultilevelOutcome {
-    assert!(cfg.cluster_size > 0, "cluster_size must be positive");
     let n = netlist.num_instances();
     assert!(n > 0, "cannot place an empty netlist");
 
     // --- Level 1: hierarchy-label clustering. -----------------------------
     // Instances sharing a hierarchy block label are pooled into the same
-    // cluster (chunked at `cluster_size`) regardless of index position, so
+    // cluster (chunked at [`CLUSTER_SIZE`]) regardless of index position, so
     // a block's flops rejoin its logic cones even when the mapper emitted
     // them far apart. Unlabelled instances fall back to index chunking,
     // which still captures emission-order locality. Cluster order is
@@ -75,7 +75,7 @@ pub fn place_multilevel(
     for i in 0..n {
         let b = netlist.instance(InstId::from_index(i)).block();
         let ci = match open.get(&b) {
-            Some(&c) if clusters[c].len() < cfg.cluster_size => c,
+            Some(&c) if clusters[c].len() < CLUSTER_SIZE => c,
             _ => {
                 clusters.push(Vec::new());
                 open.insert(b, clusters.len() - 1);
@@ -119,11 +119,7 @@ pub fn place_multilevel(
 
     // --- Refinement: short serial anneal over everything. -----------------
     let refine = if cfg.refine_moves_per_cell > 0 {
-        let acfg = AnnealConfig {
-            moves_per_cell: cfg.refine_moves_per_cell,
-            seed: cfg.seed,
-            ..Default::default()
-        };
+        let acfg = AnnealConfig { moves_per_cell: cfg.refine_moves_per_cell, seed: cfg.seed };
         anneal_on(&index, &mut placement, &acfg, None, None)
     } else {
         AnnealStats { hpwl_before: hpwl_expanded, hpwl_after: hpwl_expanded, proposed: 0, accepted: 0 }
@@ -186,13 +182,13 @@ mod tests {
 
     #[test]
     fn clusters_are_bounded_and_cover_the_netlist() {
-        let n = mesh();
-        let die = Die::for_netlist(&n, 0.7);
-        for cluster_size in [1, 16, 256] {
-            let cfg = MultilevelConfig { cluster_size, ..Default::default() };
-            let ml = place_multilevel(&n, die, &cfg);
-            assert!(ml.clusters >= n.num_instances().div_ceil(cluster_size));
-            assert!(ml.clusters <= n.num_instances());
+        // One tile below the cluster size, then meshes of many clusters.
+        for (side, tile_gates) in [(1, 20), (3, 120), (4, 200)] {
+            let n = generate::mesh_fabric(side, side, tile_gates, 6, 7).unwrap();
+            let die = Die::for_netlist(&n, 0.7);
+            let ml = place_multilevel(&n, die, &MultilevelConfig::default());
+            assert!(ml.clusters >= n.num_instances().div_ceil(CLUSTER_SIZE), "{side}x{side}");
+            assert!(ml.clusters <= n.num_instances(), "{side}x{side}");
         }
     }
 

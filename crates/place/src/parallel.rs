@@ -24,6 +24,9 @@ use crate::placement::Placement;
 use eda_netlist::{InstId, Netlist};
 use std::time::Instant;
 
+/// Stripe passes, alternating vertical and horizontal.
+const PASSES: usize = 2;
+
 /// Configuration for [`place_parallel`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ParallelConfig {
@@ -34,8 +37,6 @@ pub struct ParallelConfig {
     pub stripes: usize,
     /// Annealing moves per cell within each stripe pass.
     pub moves_per_cell: usize,
-    /// Stripe passes (alternating vertical/horizontal).
-    pub passes: usize,
     /// RNG seed.
     pub seed: u64,
 }
@@ -46,7 +47,6 @@ impl Default for ParallelConfig {
             threads: available_threads(),
             stripes: 4,
             moves_per_cell: 30,
-            passes: 2,
             seed: 1,
         }
     }
@@ -173,7 +173,7 @@ pub fn place_parallel(netlist: &Netlist, die: Die, cfg: &ParallelConfig) -> Para
     let threads = if cfg.threads == 0 { available_threads() } else { cfg.threads };
     let mut stats = StripeStats::default();
     let mut moves_accepted = 0usize;
-    for pass in 0..cfg.passes {
+    for pass in 0..PASSES {
         // Partition cells into stripes by x (even pass) or y (odd pass).
         // The stripe count is input/config-determined — never thread-count-
         // determined — so the refinement result is reproducible on any host.
@@ -219,11 +219,7 @@ pub fn place_parallel(netlist: &Netlist, die: Die, cfg: &ParallelConfig) -> Para
                     &index,
                     &mut local,
                     &mut net_cost.clone(),
-                    &AnnealConfig {
-                        moves_per_cell: cfg.moves_per_cell,
-                        seed: *seed,
-                        ..Default::default()
-                    },
+                    &AnnealConfig { moves_per_cell: cfg.moves_per_cell, seed: *seed },
                     Some(cells),
                     Some(*region),
                 );
@@ -307,7 +303,7 @@ mod tests {
             place_parallel(
                 &n,
                 die,
-                &ParallelConfig { threads, stripes: 4, moves_per_cell: 10, passes: 2, seed: 9 },
+                &ParallelConfig { threads, stripes: 4, moves_per_cell: 10, seed: 9 },
             )
         };
         let one = mk(1);
@@ -339,7 +335,7 @@ mod tests {
     fn stats_of(threads: usize, stripes: usize) -> StripeStats {
         let cfg = generate::RandomLogicConfig { gates: 600, seed: 7, ..Default::default() };
         let n = generate::random_logic(cfg).unwrap();
-        let cfg = ParallelConfig { threads, stripes, moves_per_cell: 20, passes: 2, seed: 3 };
+        let cfg = ParallelConfig { threads, stripes, moves_per_cell: 20, seed: 3 };
         place_parallel(&n, Die::for_netlist(&n, 0.7), &cfg).stats
     }
 

@@ -8,7 +8,7 @@
 //! a real netlist at a node.
 
 use crate::activity::Activity;
-use eda_netlist::Netlist;
+use eda_netlist::{Netlist, WIRE_CAP_PER_FANOUT_FF};
 use eda_tech::Node;
 
 /// Library characterization reference node (cell caps/leakages in the
@@ -33,20 +33,19 @@ impl PowerReport {
     }
 }
 
-/// Analysis knobs.
+/// Analysis knobs. Each net's wire load is
+/// [`WIRE_CAP_PER_FANOUT_FF`] per fanout, added to its pin caps.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerConfig {
     /// Target technology node.
     pub node: Node,
     /// Clock frequency in MHz.
     pub freq_mhz: f64,
-    /// Wire capacitance per fanout, fF (added to pin caps).
-    pub wire_cap_per_fanout_ff: f64,
 }
 
 impl Default for PowerConfig {
     fn default() -> Self {
-        PowerConfig { node: Node::N28, freq_mhz: 500.0, wire_cap_per_fanout_ff: 0.5 }
+        PowerConfig { node: Node::N28, freq_mhz: 500.0 }
     }
 }
 
@@ -71,7 +70,7 @@ pub fn analyze(netlist: &Netlist, activity: &Activity, cfg: &PowerConfig) -> Pow
             .map(|&(s, _)| lib.cell(netlist.instance(s).cell()).input_cap_ff)
             .sum::<f64>()
             * cap_scale;
-        let wire_ff = net.fanout() as f64 * cfg.wire_cap_per_fanout_ff * cap_scale;
+        let wire_ff = net.fanout() as f64 * WIRE_CAP_PER_FANOUT_FF * cap_scale;
         let c_f = (pin_cap_ff + wire_ff) * 1e-15;
         let toggles_per_s = activity.density(net_id) * f_hz;
         let p = 0.5 * c_f * vdd * vdd * toggles_per_s;
@@ -112,7 +111,7 @@ pub fn node_power_sweep(netlist: &Netlist, activity: &Activity, freq_mhz: f64) -
             let r = analyze(
                 netlist,
                 activity,
-                &PowerConfig { node, freq_mhz, ..Default::default() },
+                &PowerConfig { node, freq_mhz },
             );
             NodePowerRow { node, dynamic_mw: r.dynamic_mw, leakage_mw: r.leakage_mw }
         })

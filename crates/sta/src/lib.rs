@@ -27,32 +27,25 @@
 //! # }
 //! ```
 
-use eda_netlist::{InstId, NetId, Netlist, NetlistError};
+use eda_netlist::{InstId, NetId, Netlist, NetlistError, WIRE_CAP_PER_FANOUT_FF};
+
+/// Flop setup time in picoseconds.
+const SETUP_PS: f64 = 20.0;
 
 /// Analysis parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimingConfig {
     /// Clock period in picoseconds (constraint for slack).
     pub clock_period_ps: f64,
-    /// Flop setup time in picoseconds.
-    pub setup_ps: f64,
     /// Flop hold time in picoseconds.
     pub hold_ps: f64,
-    /// Estimated wire capacitance added per fanout pin, in femtofarads.
-    pub wire_cap_per_fanout_ff: f64,
     /// Arrival time of primary inputs, in picoseconds.
     pub input_arrival_ps: f64,
 }
 
 impl Default for TimingConfig {
     fn default() -> Self {
-        TimingConfig {
-            clock_period_ps: 1000.0,
-            setup_ps: 20.0,
-            hold_ps: 15.0,
-            wire_cap_per_fanout_ff: 0.5,
-            input_arrival_ps: 0.0,
-        }
+        TimingConfig { clock_period_ps: 1000.0, hold_ps: 15.0, input_arrival_ps: 0.0 }
     }
 }
 
@@ -122,7 +115,7 @@ impl TimingAnalysis {
                 .iter()
                 .map(|&(s, _)| lib.cell(netlist.instance(s).cell()).input_cap_ff)
                 .sum();
-            pin_caps + n.fanout() as f64 * config.wire_cap_per_fanout_ff
+            pin_caps + n.fanout() as f64 * WIRE_CAP_PER_FANOUT_FF
         };
 
         // Min (early) arrivals for hold analysis run in the same pass.
@@ -187,7 +180,7 @@ impl TimingAnalysis {
             let inst = netlist.instance(f);
             endpoints.push(Endpoint {
                 net: inst.inputs()[0],
-                required: config.clock_period_ps - config.setup_ps,
+                required: config.clock_period_ps - SETUP_PS,
             });
         }
 

@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- activity: networking traffic at 5x the standard workload ---
     let base = Activity::estimate(&fabric, &ActivityConfig::default())?;
     let traffic = base.scaled(5.0);
-    let pcfg = PowerConfig { node: Node::N28, freq_mhz: 1000.0, ..Default::default() };
+    let pcfg = PowerConfig { node: Node::N28, freq_mhz: 1000.0 };
     let p_std = analyze(&fabric, &base, &pcfg);
     let p_net = analyze(&fabric, &traffic, &pcfg);
     println!(

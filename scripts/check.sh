@@ -314,9 +314,15 @@ cargo test --release -q --test netlist_memory
 # body's per-algorithm constants replaced; then the per-AIG-pass memo — its
 # kinds, keys, payload format and the AIG store text it alone read and
 # wrote — which saved no synthesis time and which the stage cache, keyed on
-# node and seed only where a stage reads them, replaced)
+# node and seed only where a stage reads them, replaced; then the knobs no
+# caller set to more than one value — the synthesis options struct, the
+# flow's rewrite-pass field and its default constant, the place body's copy
+# of the multilevel cluster size, the annealer's start temperature, the
+# hotspot neck fraction, OPC's pre-bias, ATPG's backtrack limit, the CTS
+# buffer and wire delays and the controlled-polarity library choice — which
+# constants of the kernels that read them replaced)
 # must not reappear anywhere in the workspace, its tests or its examples.
-deleted_names='StageBudgets?|soft_deadline_s|npn_canon|npn_equivalent|NpnCanon|collapse_faults|CollapseOutcome|request_retry|retry_queue_full|fault_sim_threaded|run_opc_stats|image_threaded|print_threaded|edge_placement_errors_threaded|FlowConfigBuilder|map_goal|route_region_size|RegionWithoutWindow|NoLayers|open_shared|server_snapshot|QUEUE_DEPTH_EDGES|count_sat|is_xor_like|peak_density|serve_demo|scale_demo|SERVLINE|SCALELINE|cross_hit_rate|usage_h_row|usage_v_col|free_run_scan|set_seen|^struct Span|^fn any_unseen|par_tasks_stats_at|projected_refine_seconds|est_dispatched|busy_s|performance_score|fmax_mhz|min_period_ps|with_arms|demand_at|overflowed_bins|MapGoal|layer_sweep|into_payload|insertion_delay_ps|wire_cap_ff|wafer_cost|liberty_to_clf|instances_per_day|domain_count|rebind|^pub fn (lee_bfs|astar|mikami_tabuchi)(_in)?|GateSpec|SpecKind|SpecRef|build_fragment|fragment_ref|of_ref|mean_density|lfsr|fn intersect|spread_clusters|coarse_iterations|MAX_CLUSTER_NET_FANOUT|coarse_nets|tagged_count|enumerate_waves|level_waves|map_par|is_overflowed|insert_clock_gating|insert_decaps|GatingOutcome|DecapOutcome|RegionMap|RegionSpan|RegionScheduler|RegionTask|OverlayGrid|OverlayBuffers|ScratchPool|route_stats|negotiation_waves|seam_conflicts|local_commits|route_par|par_tasks_stats|scaling_threads|EDA_BENCH_THREADS|opc_par|fault_sim_par|par_chunks_stats|fn spread\(seed_bits|opc:fragments|fault_sim:faults|par_map_stats|chunk_ranges|default_chunk|stage_threads|stage_speedup|eda_par|ParStats|projected_instances_per_second|refine_seconds|push_segment|global_iterations|cluster_gates|PlaceEffort|to_store_text|from_store_text|AIG_MEMO_KINDS|aigpass|pass_key'
+deleted_names='StageBudgets?|soft_deadline_s|npn_canon|npn_equivalent|NpnCanon|collapse_faults|CollapseOutcome|request_retry|retry_queue_full|fault_sim_threaded|run_opc_stats|image_threaded|print_threaded|edge_placement_errors_threaded|FlowConfigBuilder|map_goal|route_region_size|RegionWithoutWindow|NoLayers|open_shared|server_snapshot|QUEUE_DEPTH_EDGES|count_sat|is_xor_like|peak_density|serve_demo|scale_demo|SERVLINE|SCALELINE|cross_hit_rate|usage_h_row|usage_v_col|free_run_scan|set_seen|^struct Span|^fn any_unseen|par_tasks_stats_at|projected_refine_seconds|est_dispatched|busy_s|performance_score|fmax_mhz|min_period_ps|with_arms|demand_at|overflowed_bins|MapGoal|layer_sweep|into_payload|insertion_delay_ps|wire_cap_ff|wafer_cost|liberty_to_clf|instances_per_day|domain_count|rebind|^pub fn (lee_bfs|astar|mikami_tabuchi)(_in)?|GateSpec|SpecKind|SpecRef|build_fragment|fragment_ref|of_ref|mean_density|lfsr|fn intersect|spread_clusters|coarse_iterations|MAX_CLUSTER_NET_FANOUT|coarse_nets|tagged_count|enumerate_waves|level_waves|map_par|is_overflowed|insert_clock_gating|insert_decaps|GatingOutcome|DecapOutcome|RegionMap|RegionSpan|RegionScheduler|RegionTask|OverlayGrid|OverlayBuffers|ScratchPool|route_stats|negotiation_waves|seam_conflicts|local_commits|route_par|par_tasks_stats|scaling_threads|EDA_BENCH_THREADS|opc_par|fault_sim_par|par_chunks_stats|fn spread\(seed_bits|opc:fragments|fault_sim:faults|par_map_stats|chunk_ranges|default_chunk|stage_threads|stage_speedup|eda_par|ParStats|projected_instances_per_second|refine_seconds|push_segment|global_iterations|cluster_gates|PlaceEffort|to_store_text|from_store_text|AIG_MEMO_KINDS|aigpass|pass_key|SynthesisOptions|aig_rewrite_passes|DEFAULT_REWRITE_PASSES|CLUSTER_GATES|t0_fraction|neck_fraction|prebias_nm|backtrack_limit|buffer_delay_ps|wire_delay_ps_per_um|wire_cap_ff_per_um|LibraryChoice::ControlledPolarity'
 if grep -rnwE "$deleted_names" crates src tests examples; then
     echo "check: FAIL a deleted name is back (census above)" >&2; exit 1
 fi
@@ -392,5 +398,5 @@ fi
 awk '/^test result:/ { passed += $4; failed += $6 }
      END { printf "check: %d tests passed, %d failed across all binaries\n", passed, failed
            exit (failed > 0) }' "$test_log"
-echo "check: $(find crates src tests examples benchmark -name '*.rs' -print0 | xargs -0 cat | wc -l) lines of Rust (the count ROADMAP quotes); clippy --workspace --all-targets clean; deleted-name census empty (budgets, NPN / collapse, retry, twins, config builder, derived knobs, shared-store open, server snapshot, test-only accessors, serve / scale harnesses, per-edge probe helpers, per-slot busy clocks and the route wave ledger, mapping goal, one-shot search twins and layer sweep, mapper fragment pipeline and fourth test-only tranche, multilevel coarse sweeps and state tagged-count reader, mapper wave dispatch, per-edge overflow probe, clock-gating / decap copy-returning entry points and outcome types, route wave scheduler, OPC / fault-sim dispatch and its scaling rows, eda-par and the per-stage worker maps, the unit-step segment writer, PlaceEffort with its global_iterations / cluster_gates sentinels, the per-AIG-pass memo and its store text); no thread::scope / thread::spawn under eda-logic / eda-route / eda-litho / eda-dft sources; no netlist copy in the 2_clock_gating / 9_power bodies; no name-keyed net map in eda-netlist; no per-connection path vector in eda-route; unit-step path helpers only in the route test oracle; no pair-keyed strash map; benchmark/ and BENCHMARK.json untouched; run_flow_shared called from flow.rs + engine.rs only; every claim's shape held (experiments run + tests/claims.rs)"
-echo "check: tier-1 + clippy --workspace --all-targets + unwrap gates + inject smoke + trace + all 18 claims with their shapes (experiments run + release tests/claims.rs) + daemon + facade docs + incremental + sub-stage record budget (<= 1) + cross-process resume + mini-tier pins + 10^5 tier + golden + route pins + route audit + place pins + place audit + sign-off pins + deleted-name census (incl. multilevel coarse sweeps, state tagged-count reader, mapper wave dispatch, per-edge overflow probe and the copy-returning insert_clock_gating / insert_decaps / GatingOutcome / DecapOutcome, the route wave scheduler, the OPC / fault-sim dispatch, its kernel spans and scaling rows, and eda-par with the per-stage worker maps, and PlaceEffort with its global_iterations / cluster_gates sentinels) + heap pins (netlist layout, route wire store) + serial-kernel source gate + one-netlist gate + net-name index gate + paged wire-store gate + corner-search gate + strash gate + untouched-benchmark gate + one-engine gate green"
+echo "check: $(find crates src tests examples benchmark -name '*.rs' -print0 | xargs -0 cat | wc -l) lines of Rust (the count ROADMAP quotes); clippy --workspace --all-targets clean; deleted-name census empty (budgets, NPN / collapse, retry, twins, config builder, derived knobs, shared-store open, server snapshot, test-only accessors, serve / scale harnesses, per-edge probe helpers, per-slot busy clocks and the route wave ledger, mapping goal, one-shot search twins and layer sweep, mapper fragment pipeline and fourth test-only tranche, multilevel coarse sweeps and state tagged-count reader, mapper wave dispatch, per-edge overflow probe, clock-gating / decap copy-returning entry points and outcome types, route wave scheduler, OPC / fault-sim dispatch and its scaling rows, eda-par and the per-stage worker maps, the unit-step segment writer, PlaceEffort with its global_iterations / cluster_gates sentinels, the per-AIG-pass memo and its store text, the knobs no caller set: SynthesisOptions, aig_rewrite_passes, the rewrite and cluster-size copies, the anneal, hotspot, OPC, ATPG and CTS model fields and LibraryChoice::ControlledPolarity); no thread::scope / thread::spawn under eda-logic / eda-route / eda-litho / eda-dft sources; no netlist copy in the 2_clock_gating / 9_power bodies; no name-keyed net map in eda-netlist; no per-connection path vector in eda-route; unit-step path helpers only in the route test oracle; no pair-keyed strash map; benchmark/ and BENCHMARK.json untouched; run_flow_shared called from flow.rs + engine.rs only; every claim's shape held (experiments run + tests/claims.rs)"
+echo "check: tier-1 + clippy --workspace --all-targets + unwrap gates + inject smoke + trace + all 18 claims with their shapes (experiments run + release tests/claims.rs) + daemon + facade docs + incremental + sub-stage record budget (<= 1) + cross-process resume + mini-tier pins + 10^5 tier + golden + route pins + route audit + place pins + place audit + sign-off pins + deleted-name census (incl. multilevel coarse sweeps, state tagged-count reader, mapper wave dispatch, per-edge overflow probe and the copy-returning insert_clock_gating / insert_decaps / GatingOutcome / DecapOutcome, the route wave scheduler, the OPC / fault-sim dispatch, its kernel spans and scaling rows, and eda-par with the per-stage worker maps, and PlaceEffort with its global_iterations / cluster_gates sentinels, and the knobs no caller set) + heap pins (netlist layout, route wire store) + serial-kernel source gate + one-netlist gate + net-name index gate + paged wire-store gate + corner-search gate + strash gate + untouched-benchmark gate + one-engine gate green"

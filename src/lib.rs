@@ -51,12 +51,11 @@
 //! ```
 //!
 //! Run a flow against a persistent store, then query its QoR provenance —
-//! the [`Store`] and [`Query`] traits are the typed surface over one
-//! append-friendly file holding the stage cache, the sub-stage memo, and
-//! the run history:
+//! [`FlowStore`] is the typed surface over one append-friendly file holding
+//! the stage cache, the sub-stage memo, and the run history:
 //!
 //! ```
-//! use eda::{run_flow, FlowConfig, FlowStore, QorQuery, Query, StoreConfig};
+//! use eda::{run_flow, FlowConfig, FlowStore, QorQuery, StoreConfig};
 //! use eda::netlist::generate;
 //! use eda::tech::Node;
 //!
@@ -103,7 +102,7 @@ pub use eda_tech as tech;
 
 pub use eda_core::{
     run_flow, ConfigError, Fault, FaultPlan, FlowConfig, FlowError, FlowReport, FlowRequest,
-    FlowResponse, FlowServer, FlowServerBuilder, FlowStore, FlowTuner, Lookup, Metric, PartialFlow, QorQuery, QorRow, Query, ServerReport, Span, SpanKind,
+    FlowResponse, FlowServer, FlowServerBuilder, FlowStore, FlowTuner, Lookup, Metric, PartialFlow, QorQuery, QorRow, ServerReport, Span, SpanKind,
     StageRow, StageStatus, Store, StoreConfig, StoreError, Table, Telemetry, TelemetrySnapshot,
     STAGES,
 };

@@ -3,7 +3,7 @@
 //! bit-parallel co-simulation across transformation pipelines.
 
 use eda::dft::insert_scan;
-use eda::logic::{check_equivalence, synthesize, EcVerdict, SynthesisEffort, SynthesisOptions};
+use eda::logic::{check_equivalence, synthesize, EcVerdict, SynthesisEffort};
 use eda::netlist::{generate, verilog, CellFunction, InstId, Library, NetId, Netlist};
 use eda::power::{implement, plan_clock_gating, PowerDomain, PowerIntent};
 
@@ -35,16 +35,9 @@ fn synthesis_pipeline_preserves_function() {
             ..Default::default()
         })
         .unwrap();
-        let adv =
-            synthesize(&d, Library::generic(), SynthesisEffort::Advanced2016, &SynthesisOptions::default())
-                .unwrap();
+        let adv = synthesize(&d, Library::generic(), SynthesisEffort::Advanced2016).unwrap();
         equivalent(&d, &adv.netlist, 0, 0);
-        let base = synthesize(
-            &d,
-            Library::nand_inv_2006(),
-            SynthesisEffort::Baseline2006,
-            &SynthesisOptions::default(),
-        )
+        let base = synthesize(&d, Library::nand_inv_2006(), SynthesisEffort::Baseline2006)
         .unwrap();
         equivalent(&d, &base.netlist, 0, 0);
     }
@@ -54,7 +47,7 @@ fn synthesis_pipeline_preserves_function() {
 fn synthesis_then_scan_then_gating_chain() {
     let d = generate::switch_fabric(3, 3).unwrap();
     let synth =
-        synthesize(&d, Library::generic(), SynthesisEffort::Advanced2016, &SynthesisOptions::default()).unwrap();
+        synthesize(&d, Library::generic(), SynthesisEffort::Advanced2016).unwrap();
     equivalent(&d, &synth.netlist, 0, 0);
     // Clock gating adds enable PIs (high = transparent).
     let plan = plan_clock_gating(&synth.netlist, 4).unwrap();
@@ -70,7 +63,7 @@ fn synthesis_then_scan_then_gating_chain() {
 fn verilog_roundtrip_after_synthesis() {
     let d = generate::array_multiplier(4).unwrap();
     let synth =
-        synthesize(&d, Library::generic(), SynthesisEffort::Advanced2016, &SynthesisOptions::default()).unwrap();
+        synthesize(&d, Library::generic(), SynthesisEffort::Advanced2016).unwrap();
     let text = verilog::write_verilog(&synth.netlist);
     let parsed = verilog::parse_verilog(&text, synth.netlist.library().clone()).unwrap();
     equivalent(&synth.netlist, &parsed, 0, 0);
@@ -96,7 +89,7 @@ fn formal_ec_verifies_transformation_chain() {
     // with tied-low scan controls.
     let d = generate::switch_fabric(3, 2).unwrap();
     let synth =
-        synthesize(&d, Library::generic(), SynthesisEffort::Advanced2016, &SynthesisOptions::default()).unwrap();
+        synthesize(&d, Library::generic(), SynthesisEffort::Advanced2016).unwrap();
     assert_eq!(
         check_equivalence(&d, &synth.netlist, &[], &[], 1 << 20).unwrap(),
         EcVerdict::Equivalent
@@ -159,12 +152,7 @@ fn formal_ec_catches_an_injected_bug() {
 #[test]
 fn polarity_library_mapping_is_equivalent() {
     let d = generate::parity_tree(24).unwrap();
-    let pol = synthesize(
-        &d,
-        Library::controlled_polarity(),
-        SynthesisEffort::Advanced2016,
-        &SynthesisOptions::default(),
-    )
+    let pol = synthesize(&d, Library::controlled_polarity(), SynthesisEffort::Advanced2016)
     .unwrap();
     equivalent(&d, &pol.netlist, 0, 0);
 }
@@ -213,9 +201,7 @@ fn flowd_pairs_designs_verify_at_the_flow_budget() {
     // The designs `flowd_pairs` sends, against the advanced-2016 netlist at
     // `1_synthesis`'s first-attempt budget of 2^19 nodes.
     for d in [generate::array_multiplier(8).unwrap(), generate::switch_fabric(8, 16).unwrap()] {
-        let synth =
-            synthesize(&d, Library::generic(), SynthesisEffort::Advanced2016, &SynthesisOptions::default())
-                .unwrap();
+        let synth = synthesize(&d, Library::generic(), SynthesisEffort::Advanced2016).unwrap();
         assert_eq!(check_equivalence(&d, &synth.netlist, &[], &[], 1 << 19).unwrap(), EcVerdict::Equivalent, "{}", d.name());
     }
 }

@@ -16,7 +16,7 @@
 //! running in parallel would allocate into the same counters.
 
 use eda::core::FlowConfig;
-use eda::logic::{synthesize, SynthesisOptions, SynthesisOutcome};
+use eda::logic::{synthesize, SynthesisOutcome};
 use eda::netlist::generate;
 use eda::place::{place_multilevel, Die, MultilevelConfig};
 use eda::route::{route, RouteConfig, RuleDeck};
@@ -100,7 +100,6 @@ const ROUTE_PEAK_BYTES_PER_CONNECTION: f64 = 195.0;
 fn netlist_heap_per_instance_is_pinned() {
     let cfg = FlowConfig::scale_2016(Node::N28, 10_000);
     let lib = cfg.library.library();
-    let opts = SynthesisOptions { rewrite_passes: cfg.aig_rewrite_passes };
 
     let at = live();
     let design = generate::scale_mesh(10_000, 1).expect("mini mesh builds");
@@ -108,7 +107,7 @@ fn netlist_heap_per_instance_is_pinned() {
 
     let at = live();
     let SynthesisOutcome { netlist: mapped, .. } =
-        synthesize(&design, lib, cfg.synthesis, &opts).expect("mini mesh synthesizes");
+        synthesize(&design, lib, cfg.synthesis).expect("mini mesh synthesizes");
     let mapped_bytes = (live() - at) as f64 / mapped.num_instances() as f64;
 
     println!(
@@ -133,12 +132,7 @@ fn netlist_heap_per_instance_is_pinned() {
     let placed = place_multilevel(
         &mapped,
         die,
-        &MultilevelConfig {
-            // `4_place`'s multilevel cluster size.
-            cluster_size: 64,
-            refine_moves_per_cell: cfg.anneal_moves_per_cell,
-            seed: cfg.seed,
-        },
+        &MultilevelConfig { refine_moves_per_cell: cfg.anneal_moves_per_cell, seed: cfg.seed },
     );
     let rcfg = RouteConfig {
         algorithm: cfg.router,

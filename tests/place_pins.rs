@@ -50,7 +50,6 @@ fn multilevel_mesh() -> String {
     let n = generate::scale_mesh(10_000, 3).unwrap();
     let die = Die::for_netlist(&n, 0.7);
     let cfg = MultilevelConfig {
-        cluster_size: 64,
         refine_moves_per_cell: 1,
         seed: 1,
     };
@@ -88,7 +87,6 @@ fn global_anneal_mult() -> String {
         &AnnealConfig {
             moves_per_cell: 40,
             seed: 1,
-            ..Default::default()
         },
         None,
         None,
@@ -115,7 +113,6 @@ fn parallel_fabric(threads: usize) -> String {
         threads,
         stripes: 4,
         moves_per_cell: 40,
-        passes: 2,
         seed: 1,
     };
     let out = place_parallel(&n, die, &cfg);

@@ -134,7 +134,7 @@ proptest! {
         let d = generate::parity_tree(32).unwrap();
         let die = Die::for_netlist(&d, 0.7);
         let mut p = place_global(&d, die, &GlobalConfig { iterations: 3, seed });
-        anneal(&d, &mut p, &AnnealConfig { moves_per_cell: 20, seed, ..Default::default() }, None, None);
+        anneal(&d, &mut p, &AnnealConfig { moves_per_cell: 20, seed }, None, None);
         let mut seen = std::collections::HashSet::new();
         for i in 0..d.num_instances() {
             let pos = p.position(eda::netlist::InstId::from_index(i));

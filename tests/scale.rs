@@ -12,7 +12,7 @@ use eda::core::{
     read_peak_rss_bytes, run_flow, Fault, FaultPlan, FlowConfig, FlowReport, Metric, SpanKind,
     StageOutcome, StoreConfig, STAGES,
 };
-use eda::logic::{synthesize, SynthesisOptions};
+use eda::logic::synthesize;
 use eda::netlist::{generate, CellFunction, Netlist};
 use eda::tech::Node;
 use std::path::PathBuf;
@@ -162,9 +162,7 @@ fn mini_scale_tier_is_bit_identical_and_bounded() {
 /// mesh; a count cannot drift with the host the way a timing bound does.
 fn assert_claim_walk_is_linear(design: &Netlist, report: &FlowReport) {
     let cfg = FlowConfig::scale_2016(Node::N28, MINI);
-    let opts = SynthesisOptions { rewrite_passes: cfg.aig_rewrite_passes };
-    let synth = synthesize(design, cfg.library.library(), cfg.synthesis, &opts)
-        .expect("mini mesh synthesizes");
+    let synth = synthesize(design, cfg.library.library(), cfg.synthesis).expect("mini mesh synthesizes");
     let lib = synth.netlist.library();
     let gates = synth
         .netlist

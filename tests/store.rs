@@ -9,10 +9,10 @@
 //! provenance queries with a stable row format.
 
 use eda::{
-    run_flow, FlowConfig, FlowRequest, FlowServer, FlowStore, Lookup, QorQuery,
-    QorRow, Query, StageRow, Store, StoreConfig, Table,
+    run_flow, FlowConfig, FlowReport, FlowRequest, FlowServer, FlowStore, Lookup, QorQuery,
+    QorRow, StageRow, Store, StoreConfig, Table,
 };
-use eda::netlist::generate;
+use eda::netlist::{generate, Netlist};
 use eda::netlist::memo::fnv1a;
 use eda::tech::Node;
 use proptest::prelude::*;
@@ -241,12 +241,9 @@ fn provenance_queries_answer_run_history() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn provenance_rows_name_a_design_by_its_content() {
-    // Two designs that share the name `rand_120g_s1` (and 133 instances):
-    // a query by name returns both runs, a query by either run's content
-    // digest — the one `1_synthesis` keys on — returns that run alone.
-    let dir = scratch("digest");
+/// Two designs that share the name `rand_120g_s1` (and 133 instances), run
+/// one after the other on a fresh store at `dir`, with their reports.
+fn same_named_runs(dir: &Path) -> (StoreConfig, [Netlist; 2], Vec<FlowReport>) {
     let store = StoreConfig::at(dir.join("flow.store"));
     let rand = |inputs| {
         generate::random_logic(generate::RandomLogicConfig { gates: 120, inputs, ..Default::default() }).unwrap()
@@ -254,18 +251,59 @@ fn provenance_rows_name_a_design_by_its_content() {
     let designs = [rand(32), rand(12)];
     assert_eq!(designs[0].name(), designs[1].name());
     let cfg = FlowConfig { threads: 1, store: Some(store.clone()), ..FlowConfig::advanced_2016(Node::N28) };
-    let reports: Vec<_> = designs.iter().map(|d| run_flow(d, &cfg).unwrap()).collect();
+    let reports = designs.iter().map(|d| run_flow(d, &cfg).unwrap()).collect();
+    (store, designs, reports)
+}
+
+fn content_digest(design: &Netlist) -> u64 {
+    fnv1a(eda::netlist::codec::to_text(design).bytes())
+}
+
+#[test]
+fn provenance_rows_name_a_design_by_its_content() {
+    // A query by the shared name returns both runs, a query by either run's
+    // content digest — the one `1_synthesis` keys on — returns that run
+    // alone.
+    let dir = scratch("digest");
+    let (store, designs, reports) = same_named_runs(&dir);
 
     let handle = FlowStore::open(&store).unwrap();
     let query = |design: String| handle.qor_history(&QorQuery { design: Some(design), ..QorQuery::default() }).unwrap();
     assert_eq!(query(designs[0].name().to_string()).len(), 2);
     for (design, report) in designs.iter().zip(&reports) {
-        let digest = fnv1a(eda::netlist::codec::to_text(design).bytes());
+        let digest = content_digest(design);
         let rows = query(format!("{digest:016x}"));
         assert_eq!(rows.len(), 1, "{digest:016x}");
         assert_eq!(rows[0].design_digest, Some(digest));
         assert_eq!(rows[0].qor_fp, report.qor_fingerprint());
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn stage_rows_name_a_design_by_its_content() {
+    // The per-stage history selects by content digest as the run history
+    // does: each digest's `7_route` history is its own run's row alone.
+    let dir = scratch("stage_digest");
+    let (store, designs, _) = same_named_runs(&dir);
+    let handle = FlowStore::open(&store).unwrap();
+    let routes = |design: String| {
+        let q = QorQuery { design: Some(design), stage: Some("7_route".into()), last: 0 };
+        handle.stage_history(&q).unwrap()
+    };
+    assert_eq!(routes(designs[0].name().to_string()).len(), 2);
+    let seqs: Vec<u64> = designs
+        .iter()
+        .map(|d| {
+            let rows = routes(format!("{:016x}", content_digest(d)));
+            assert_eq!(rows.len(), 1, "{}: {rows:?}", d.name());
+            assert_eq!(rows[0].stage, "7_route");
+            rows[0].seq
+        })
+        .collect();
+    // The runs appended their stage rows in order, so the first design's
+    // row is the older one.
+    assert!(seqs[0] < seqs[1], "{seqs:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -305,6 +343,7 @@ fn provenance_row_format_is_golden() {
     let srow = StageRow {
         seq: 43,
         design: "smoke design".into(),
+        design_digest: None,
         stage: "7_route".into(),
         outcome: "degraded (2 attempts)".into(),
         attempts: 2,
@@ -315,7 +354,16 @@ fn provenance_row_format_is_golden() {
         payload,
         "stage smoke%20design 7_route degraded%20(2%20attempts) 2 3fd0000000000000"
     );
-    assert_eq!(StageRow::parse(43, &payload), Some(srow));
+    assert_eq!(StageRow::parse(43, &payload), Some(srow.clone()));
+    // Stage rows carry the digest last too, and a row written before they
+    // did still parses.
+    let named = StageRow { design_digest: Some(0x0f1e_2d3c_4b5a_6978), ..srow };
+    let payload = named.to_payload();
+    assert_eq!(
+        payload,
+        "stage smoke%20design 7_route degraded%20(2%20attempts) 2 3fd0000000000000 0f1e2d3c4b5a6978"
+    );
+    assert_eq!(StageRow::parse(43, &payload), Some(named));
 }
 
 /// The cache records a fresh store holds after one flow run: every `stage`
@@ -323,7 +371,7 @@ fn provenance_row_format_is_golden() {
 /// file order. Keys pin every cache-key input and sums pin every body byte,
 /// so a change to either — or to what the flow writes when — moves a row.
 const RIPPLE4_N28_RECORDS: [&str; 12] = [
-    "%rec stage ceeb312180e8c13e 3873 ab0d3b982bce914c",
+    "%rec stage 8b1d288827fb3e6e 3873 ecfa43855d419a88",
     "%rec stage e6cd94cdf28369dc 3897 1c8266bdd329b1bd",
     "%rec stage 96227ac37824f57e 3976 a4f9a0015b3f12f4",
     "%rec stage 7c3f7021350e078e 6656 d776e996b5fd63bf",
