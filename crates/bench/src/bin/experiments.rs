@@ -400,6 +400,7 @@ fn incremental_demo(opts: &Options) -> CliResult {
     println!("INCRLINE cold_errors {}", counter(&cold, "cache.errors"));
     println!("INCRLINE cold_substage_misses {}", counter(&cold, "cache.substage_misses"));
     println!("INCRLINE warm_s {warm_s:.6}");
+    println!("INCRLINE warm_body_parses {}", counter(&warm, "cache.body_parses"));
     println!("INCRLINE stages_total {total}");
     println!("INCRLINE stages_skipped {hits}");
     println!("INCRLINE cache_errors {errors}");

@@ -32,9 +32,19 @@
 //! invalidate a downstream entry: a recomputed stage still yields
 //! downstream hits, and a warm run at 8 threads hits entries written at 1.
 //!
+//! A hit costs a lookup, not a parse: [`load`] checks the store record's
+//! checksum, the head (stage name and key against the address) and the
+//! body's cursor, reads the statuses, and hands the body bytes over
+//! unparsed. The flow loop adopts them as the next stage's key input and parses
+//! the state once, before the first stage it computes or at the end of the
+//! run, so a warm run of eleven hits parses one body, not eleven.
+//!
 //! Failures are contained by design: a corrupt or truncated entry is a
 //! typed [`CacheError`] that `run_flow` downgrades to a recompute (counted
-//! in the `cache.errors` metric), never a flow error and never a panic. An
+//! in the `cache.errors` metric), never a flow error and never a panic. A
+//! body that passes those checks but whose state does not parse is caught
+//! by that deferred parse, counted the same way, and recomputed from the
+//! last state that did parse. An
 //! entry that vanishes between the index probe and the record read — the
 //! store compacted under a concurrent writer — is [`CacheError::Evicted`],
 //! its own variant precisely so the flow can count it as an expected
@@ -43,7 +53,7 @@
 //! daemon workers, or separate CLI processes, sharing one store — can race
 //! on the same entry and both land on identical bytes.
 
-use crate::state::{self, Loaded};
+use crate::state::{self, Statuses};
 use crate::store::{FlowStore, Lookup, Store, StoreError, Table};
 use eda_netlist::memo::fnv1a;
 
@@ -75,19 +85,25 @@ fn entry_head(stage: &str, key: u64) -> String {
     format!("eda-stagecache v1\nstage {stage}\nkey {key:016x}\n")
 }
 
-/// Loads the post-stage state for `(stage, key)`, where `stage` is the
-/// `position`-th of the flow.
+/// A stage-cache hit: the entry's body, and the statuses of the stages that
+/// produced it. The body's state is not parsed here — the flow loop adopts the
+/// bytes as the next stage's key input and parses them once, when a stage
+/// body or the report first needs the state ([`state::read_body`]).
+pub(crate) struct Hit {
+    pub statuses: Statuses,
+    pub body: String,
+}
+
+/// Looks up the entry for `(stage, key)`, where `stage` is the `position`-th
+/// of the flow. Every check but the state's parse runs here: the store's
+/// record checksum, the head (format, stage name, key) against the address,
+/// and the body's cursor against `position`.
 ///
 /// `Ok(None)` = no entry (cold). `Err(Corrupt)` = an entry exists but cannot
 /// be trusted; `Err(Evicted)` = it vanished under a concurrent compaction.
 /// The caller recomputes in every `Err` case.
-pub(crate) fn load(
-    store: &FlowStore,
-    stage: &str,
-    position: usize,
-    key: u64,
-) -> Result<Option<Loaded>, CacheError> {
-    let text = match store.get(Table::Stage, key) {
+pub(crate) fn load(store: &FlowStore, stage: &str, position: usize, key: u64) -> Result<Option<Hit>, CacheError> {
+    let mut text = match store.get(Table::Stage, key) {
         Lookup::Miss => return Ok(None),
         Lookup::Evicted => return Err(CacheError::Evicted),
         Lookup::Corrupt(m) => return Err(CacheError::Corrupt(m)),
@@ -99,14 +115,14 @@ pub(crate) fn load(
         let got: Vec<&str> = text.lines().take(3).collect();
         return Err(corrupt(format!("entry is headed {got:?}, its address wants {head:?}")));
     };
-    let loaded = state::read_body(body).map_err(|e| corrupt(e.to_string()))?;
-    // Parses but stopped at the wrong cursor: replaying it would derail the
-    // stage sequence.
-    if loaded.state.cursor != position {
-        let cursor = loaded.state.cursor;
+    let (cursor, statuses) = state::read_head(body).map_err(|e| corrupt(e.to_string()))?;
+    // Stops at the wrong cursor: replaying it would derail the stage
+    // sequence.
+    if cursor != position {
         return Err(corrupt(format!("entry stops at cursor {cursor}, the stage at {position}")));
     }
-    Ok(Some(loaded))
+    text.drain(..head.len());
+    Ok(Some(Hit { statuses, body: text }))
 }
 
 /// Writes `body`, the post-stage state, for `(stage, key)` — atomic at
@@ -154,11 +170,12 @@ mod tests {
         let key = entry_key("3_scan", 0xdead_beef, "pre-stage body");
         store(&cache, "3_scan", key, &body).unwrap();
         let back = load(&cache, "3_scan", 3, key).unwrap().unwrap();
-        assert_eq!(back.state.cursor, st.cursor);
-        assert_eq!(back.state.cells, st.cells);
-        assert_eq!(back.state.wns_ps.to_bits(), st.wns_ps.to_bits());
         assert_eq!(back.statuses, statuses);
         assert_eq!(back.body, body, "the loaded body is the stored body, byte for byte");
+        let (state, _) = state::read_body(&back.body).unwrap();
+        assert_eq!(state.cursor, st.cursor);
+        assert_eq!(state.cells, st.cells);
+        assert_eq!(state.wns_ps.to_bits(), st.wns_ps.to_bits());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -22,7 +22,8 @@
 //! The flow is one stage table (`TABLE`: per stage its name, the config
 //! knobs its cache key covers, and its body) and one driver loop
 //! (`run_flow_shared`) that alone runs the per-stage protocol — cache probe,
-//! body or replay, cursor, one serialization, cache store, clock.
+//! body or replay, cursor, one serialization, cache store, clock — and
+//! parses a replayed state only when a body or the report reads it.
 //!
 //! With `FlowConfig::store` set, the driver stores the serialized flow state
 //! after every stage it computes; a killed flow rerun against the same store
@@ -35,13 +36,13 @@ use crate::cache::{self, CacheError};
 use crate::config::{ConfigError, FlowConfig, PlaceAlgorithm};
 use crate::harness::{StageCtx, StageStatus, StageTry, Supervisor};
 use crate::report::FlowReport;
-use crate::state::{self, FlowState};
+use crate::state::{self, FlowState, Statuses};
 use crate::store::{FlowStore, Lookup, QorRow, StageRow, Store, Table};
 use crate::telemetry::{SpanKind, Telemetry};
 use eda_dft::{fault_list, fault_sim, insert_scan, random_patterns, reorder_chains, scan_wirelength, CombView};
 use eda_litho::{decompose, run_opc, Layout, OpcConfig, OpticalModel};
 use eda_logic::{check_equivalence, synthesize, EcVerdict};
-use eda_netlist::memo::fnv1a;
+use eda_netlist::memo::{fnv1a, Fnv1a};
 use eda_netlist::{codec, Netlist, NetlistStats, SubstageMemo};
 use eda_place::{anneal, place_global, place_multilevel, plan_buffers, synthesize_clock_tree, AnnealConfig, CtsConfig, Die, GlobalConfig, MultilevelConfig, ParallelConfig};
 use eda_power::{analyze, plan_clock_gating, plan_decaps, solve_ir_drop, Activity, ActivityConfig, DecapPlan, MeshConfig, PowerConfig, PowerGrid};
@@ -274,7 +275,9 @@ fn scan_knobs(_: u64, cfg: &FlowConfig) -> String {
 /// text, so two designs key alike only when their content is alike. A run
 /// computes it once, and only when a store is open.
 fn design_digest(design: &Netlist) -> u64 {
-    fnv1a(codec::to_text(design).bytes())
+    let mut h = Fnv1a::new();
+    codec::write_text(design, &mut h).expect("hashing never fails");
+    h.finish()
 }
 
 const TABLE: [Stage; 11] = [
@@ -416,10 +419,11 @@ pub fn run_flow_observed(
 ///
 /// This is the driver: the one place the per-stage protocol is written. For
 /// each row of [`TABLE`], in order: probe the stage cache; on a hit adopt the
-/// loaded state, statuses and body, else run the body, record its worker
-/// accounting, advance the cursor, serialize the state once and store those
-/// bytes; lap the clock. Resuming a killed run is this loop and nothing
-/// else: the stages it completed hit, the rest compute.
+/// entry's statuses and body bytes, else parse the state the hits before it
+/// replayed (once per chain of hits), run the body, advance the cursor,
+/// serialize the state once and store those bytes; lap the clock. Resuming a
+/// killed run is this loop and nothing else: the stages it completed hit,
+/// the rest compute.
 pub(crate) fn run_flow_shared(
     design: &Netlist,
     cfg: &FlowConfig,
@@ -486,8 +490,26 @@ pub(crate) fn run_flow_shared(
     flow_span.tag("design", design.name());
     flow_span.tag("node", cfg.node);
 
-    for (i, stage) in TABLE.iter().enumerate() {
-        let position = i + 1;
+    // After a hit the loop adopts the entry's body as `image` and its
+    // statuses, but leaves `st` where it was: the state is parsed once, when
+    // a stage body is about to read it or the run ends, so a chain of hits
+    // costs one parse. While `st` lags, `lag` holds the statuses that go
+    // with it.
+    let mut lag: Option<Statuses> = None;
+    // The stage index the loop probes from: a replayed image that did not
+    // parse rewinds the loop to `st`, and the stages up to where it was are
+    // recomputed unprobed, so the damaged entry is rewritten, not replayed.
+    let mut probe_from = 0;
+    let mut next = 0;
+    loop {
+        let Some(stage) = TABLE.get(next) else {
+            if catch_up(&mut st, &mut lag, &mut sup.statuses, &mut image, &tel) {
+                break;
+            }
+            (probe_from, next) = (next, st.cursor);
+            continue;
+        };
+        let position = next + 1;
         // The deadline trips at stage boundaries only, before the stage is
         // computed, replayed or skipped: an attempt that is already running
         // always finishes (its result never depends on the clock), so a
@@ -504,26 +526,31 @@ pub(crate) fn run_flow_shared(
         // that read the knob, and the unchanged prefix keeps hitting.
         let probe = keyed
             .map(|(s, digest)| (s, cache::entry_key(stage.name, stage.config_fp(digest, cfg), &image)));
-        let hit = probe.and_then(|(store, key)| {
-            let (metric, note) = match cache::load(store, stage.name, position, key) {
-                Ok(Some(hit)) => return Some(hit),
-                Ok(None) => ("cache.misses", "miss"),
-                Err(CacheError::Evicted) => ("cache.evicted_miss", "evicted"),
-                Err(CacheError::Corrupt(_)) => ("cache.errors", "error"),
-            };
-            sup.cache_cold(metric, note);
-            None
+        let looked = probe.filter(|_| next >= probe_from).map(|(store, key)| {
+            match cache::load(store, stage.name, position, key) {
+                Ok(Some(hit)) => Ok(hit),
+                Ok(None) => Err(("cache.misses", "miss")),
+                Err(CacheError::Evicted) => Err(("cache.evicted_miss", "evicted")),
+                Err(CacheError::Corrupt(_)) => Err(("cache.errors", "error")),
+            }
         });
-        match hit {
+        match looked {
             // The content address covers the pre-stage body including the
             // status prefix, so the cached state agrees with this run on
             // everything before the stage and replaces it wholesale.
-            Some(hit) => {
-                sup.cache_hit(stage.name, hit.statuses);
-                st = hit.state;
+            Some(Ok(hit)) => {
+                let prior = sup.cache_hit(stage.name, hit.statuses);
+                lag.get_or_insert(prior);
                 image = hit.body;
             }
-            None => {
+            cold => {
+                if !catch_up(&mut st, &mut lag, &mut sup.statuses, &mut image, &tel) {
+                    (probe_from, next) = (next, st.cursor);
+                    continue;
+                }
+                if let Some(Err((metric, note))) = cold {
+                    sup.cache_cold(metric, note);
+                }
                 (stage.body)(stage.name, &env, &mut st, &mut sup)?;
                 st.cursor = position;
                 // The image is kept current only when something reads it;
@@ -540,6 +567,7 @@ pub(crate) fn run_flow_shared(
         let now = Instant::now();
         stage_seconds.insert(stage.name.to_string(), now.duration_since(lap).as_secs_f64());
         lap = now;
+        next += 1;
     }
 
     // Long-net buffering is part of area accounting.
@@ -594,6 +622,37 @@ pub(crate) fn run_flow_shared(
         record_provenance(store, &report, digest, fingerprint(digest, cfg));
     }
     Ok(report)
+}
+
+/// Brings `st` up to `image` after the hits that replayed it: parses the
+/// image once (counted in `cache.body_parses`, so only a run with a store
+/// open records it) and clears `lag`. `false`
+/// when the image does not parse — an entry with an intact record and head
+/// but a damaged state, counted in `cache.errors` — after putting `statuses`
+/// and `image` back to go with `st`, the last state that parsed, from where
+/// the caller recomputes. A no-op when `st` does not lag.
+fn catch_up(
+    st: &mut FlowState,
+    lag: &mut Option<Statuses>,
+    statuses: &mut Statuses,
+    image: &mut String,
+    tel: &Telemetry,
+) -> bool {
+    let Some(prior) = lag.take() else { return true };
+    tel.count("cache.body_parses", 1);
+    match state::read_body(image) {
+        Ok((parsed, _)) => {
+            *st = parsed;
+            true
+        }
+        Err(_) => {
+            tel.count("cache.errors", 1);
+            *statuses = prior;
+            image.clear();
+            state::write_body(st, statuses, image);
+            false
+        }
+    }
 }
 
 /// `1_synthesis`: synthesis, plus the optional equivalence check.

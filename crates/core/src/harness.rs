@@ -369,8 +369,13 @@ impl<'p> Supervisor<'p> {
     /// Records a stage-cache hit: the cached statuses replace the current
     /// map (the content address covers the status prefix, so they agree for
     /// every earlier stage), and the stage gets a span tagged `cache=hit`
-    /// in place of attempt spans — the body never ran.
-    pub fn cache_hit(&mut self, stage: &'static str, statuses: BTreeMap<String, StageStatus>) {
+    /// in place of attempt spans — the body never ran. Returns the map it
+    /// replaced.
+    pub fn cache_hit(
+        &mut self,
+        stage: &'static str,
+        statuses: BTreeMap<String, StageStatus>,
+    ) -> BTreeMap<String, StageStatus> {
         let span = self.tel.span(SpanKind::Stage, stage);
         span.tag("cache", "hit");
         if let Some(status) = statuses.get(stage) {
@@ -378,8 +383,8 @@ impl<'p> Supervisor<'p> {
             span.tag("attempts", status.attempts);
             self.tel.progress(stage, &status.outcome.to_string(), status.attempts);
         }
-        self.statuses = statuses;
         self.tel.count("cache.hits", 1);
+        std::mem::replace(&mut self.statuses, statuses)
     }
 
     /// Counts a stage-cache probe that found nothing to replay — `metric`

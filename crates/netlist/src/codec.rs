@@ -15,6 +15,7 @@
 
 use crate::cell::Library;
 use crate::netlist::{BlockTable, InstId, Instance, Net, NetDriver, NetId, NetIndex, Netlist};
+use std::borrow::Cow;
 
 /// Errors from [`from_text`] and the [`Lines`] reader.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,18 +55,32 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// Percent-escapes a name so it contains no whitespace and no `%`.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for b in s.bytes() {
-        match b {
-            b'%' | b' ' | b'\n' | b'\r' | b'\t' => {
-                out.push('%');
-                out.push_str(&format!("{b:02x}"));
-            }
-            _ => out.push(b as char),
+/// Whether [`write_name`] percent-escapes byte `b`: the ones that would
+/// split a name across tokens or lines, and the escape byte itself.
+fn needs_escape(b: u8) -> bool {
+    matches!(b, b'%' | b' ' | b'\n' | b'\r' | b'\t')
+}
+
+/// Writes `s` with `%`, spaces, tabs, `\r` and `\n` percent-escaped, so it
+/// stays one token on a space-split line. A name that holds none of them —
+/// nearly every name — is written as it is, in one call.
+pub fn write_name(out: &mut impl std::fmt::Write, s: &str) -> std::fmt::Result {
+    if !s.bytes().any(needs_escape) {
+        return out.write_str(s);
+    }
+    for c in s.chars() {
+        match u8::try_from(c) {
+            Ok(b) if needs_escape(b) => write!(out, "%{b:02x}")?,
+            _ => out.write_char(c)?,
         }
     }
+    Ok(())
+}
+
+/// [`write_name`] into a new string.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    write_name(&mut out, s).expect("writing to a String never fails");
     out
 }
 
@@ -84,8 +99,16 @@ pub fn write_token(out: &mut impl std::fmt::Write, s: &str) -> std::fmt::Result 
     Ok(())
 }
 
-/// Inverse of [`escape`] and [`write_token`].
+/// Inverse of [`write_name`] and [`write_token`].
 pub fn unescape(s: &str) -> Result<String, String> {
+    unescaped(s).map(Cow::into_owned)
+}
+
+/// [`unescape`], borrowing `s` when it holds no escape.
+fn unescaped(s: &str) -> Result<Cow<'_, str>, String> {
+    if !s.contains('%') {
+        return Ok(Cow::Borrowed(s));
+    }
     let bytes = s.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
@@ -103,62 +126,77 @@ pub fn unescape(s: &str) -> Result<String, String> {
             i += 1;
         }
     }
-    String::from_utf8(out).map_err(|_| format!("non-utf8 name in {s:?}"))
+    String::from_utf8(out).map(Cow::Owned).map_err(|_| format!("non-utf8 name in {s:?}"))
 }
 
 /// Serializes a netlist to the exact text form.
 pub fn to_text(n: &Netlist) -> String {
     let mut out = String::new();
-    out.push_str("eda-netlist v1\n");
-    out.push_str(&format!("design {}\n", escape(&n.name)));
-    out.push_str(&format!("library {}\n", escape(n.library.name())));
-    out.push_str(&format!("blocks {}\n", n.block_names().len()));
-    for b in n.block_names() {
-        out.push_str(&format!("b {}\n", escape(b)));
-    }
-    out.push_str(&format!("nets {}\n", n.nets.len()));
-    for net in &n.nets {
-        let driver = match net.driver {
-            None => "-".to_string(),
-            Some(NetDriver::PrimaryInput(i)) => format!("p{i}"),
-            Some(NetDriver::Instance(id)) => format!("i{}", id.index()),
-        };
-        out.push_str(&format!("n {} {} {}", escape(&net.name), driver, net.sinks.len()));
-        for (inst, pin) in &net.sinks {
-            out.push_str(&format!(" {}:{}", inst.index(), pin));
-        }
-        out.push('\n');
-    }
-    out.push_str(&format!("insts {}\n", n.instances.len()));
-    for inst in &n.instances {
-        let cell_name = n.library.cell(inst.cell).name.as_str();
-        let block = match inst.block {
-            None => "-".to_string(),
-            Some(b) => b.to_string(),
-        };
-        out.push_str(&format!(
-            "i {} {} {} {} {}",
-            escape(&inst.name),
-            escape(cell_name),
-            block,
-            inst.output.index(),
-            inst.inputs.len()
-        ));
-        for net in &inst.inputs {
-            out.push_str(&format!(" {}", net.index()));
-        }
-        out.push('\n');
-    }
-    out.push_str(&format!("pis {}", n.inputs.len()));
-    for net in &n.inputs {
-        out.push_str(&format!(" {}", net.index()));
-    }
-    out.push('\n');
-    out.push_str(&format!("pos {}\n", n.outputs.len()));
-    for (name, net) in &n.outputs {
-        out.push_str(&format!("o {} {}\n", escape(name), net.index()));
-    }
+    write_text(n, &mut out).expect("writing to a String never fails");
     out
+}
+
+/// Streams the exact text form of a netlist into `out`: [`to_text`] without
+/// the string, for a caller that embeds or hashes it.
+pub fn write_text(n: &Netlist, out: &mut impl std::fmt::Write) -> std::fmt::Result {
+    out.write_str("eda-netlist v1\ndesign ")?;
+    write_name(out, &n.name)?;
+    out.write_str("\nlibrary ")?;
+    write_name(out, n.library.name())?;
+    writeln!(out, "\nblocks {}", n.block_names().len())?;
+    for b in n.block_names() {
+        out.write_str("b ")?;
+        write_name(out, b)?;
+        out.write_char('\n')?;
+    }
+    writeln!(out, "nets {}", n.nets.len())?;
+    for net in &n.nets {
+        out.write_str("n ")?;
+        write_name(out, &net.name)?;
+        match net.driver {
+            None => out.write_str(" -")?,
+            Some(NetDriver::PrimaryInput(i)) => write!(out, " p{i}")?,
+            Some(NetDriver::Instance(id)) => write!(out, " i{}", id.index())?,
+        }
+        write!(out, " {}", net.sinks.len())?;
+        for (inst, pin) in &net.sinks {
+            write!(out, " {}:{pin}", inst.index())?;
+        }
+        out.write_char('\n')?;
+    }
+    writeln!(out, "insts {}", n.instances.len())?;
+    for inst in &n.instances {
+        out.write_str("i ")?;
+        write_name(out, &inst.name)?;
+        out.write_char(' ')?;
+        write_name(out, n.library.cell(inst.cell).name.as_str())?;
+        match inst.block {
+            None => out.write_str(" -")?,
+            Some(b) => write!(out, " {b}")?,
+        }
+        write!(out, " {} {}", inst.output.index(), inst.inputs.len())?;
+        for net in &inst.inputs {
+            write!(out, " {}", net.index())?;
+        }
+        out.write_char('\n')?;
+    }
+    write!(out, "pis {}", n.inputs.len())?;
+    for net in &n.inputs {
+        write!(out, " {}", net.index())?;
+    }
+    writeln!(out, "\npos {}", n.outputs.len())?;
+    for (name, net) in &n.outputs {
+        out.write_str("o ")?;
+        write_name(out, name)?;
+        writeln!(out, " {}", net.index())?;
+    }
+    Ok(())
+}
+
+/// The number of lines [`write_text`] emits for `n`, from its lengths: eight
+/// header and count lines, then one per block, net, instance and output.
+pub fn text_lines(n: &Netlist) -> usize {
+    8 + n.block_names().len() + n.nets.len() + n.instances.len() + n.outputs.len()
 }
 
 /// A cursor over the `\n`-separated lines of a text, numbering them for
@@ -248,6 +286,11 @@ impl<'a> Lines<'a> {
             .ok_or_else(|| self.err(format!("expected `{tag} ...`, got {line:?}")))?;
         unescape(rest).map_err(|e| self.err(e))
     }
+
+    /// Reads the next token as a name written by [`write_name`].
+    fn name(&self, toks: &mut std::str::Split<'a, char>, what: &str) -> Result<Cow<'a, str>, CodecError> {
+        unescaped(self.tok(toks, what)?).map_err(|e| self.err(e))
+    }
 }
 
 /// Deserializes a netlist written by [`to_text`].
@@ -283,7 +326,7 @@ pub fn from_lines(lines: &mut Lines<'_>) -> Result<Netlist, CodecError> {
     let mut net_index = NetIndex::with_capacity(n_nets);
     for idx in 0..n_nets {
         let mut toks = lines.tagged("n")?;
-        let net_name = unescape(lines.tok(&mut toks, "net name")?).map_err(|e| lines.err(e))?;
+        let net_name = lines.name(&mut toks, "net name")?;
         let driver_tok = lines.tok(&mut toks, "driver")?;
         let driver = match driver_tok {
             "-" => None,
@@ -311,7 +354,7 @@ pub fn from_lines(lines: &mut Lines<'_>) -> Result<Netlist, CodecError> {
             let pin: u32 = pin.parse().map_err(|_| lines.err(format!("bad sink {s:?}")))?;
             sinks.push((InstId(inst as u32), pin));
         }
-        nets.push(Net { name: net_name.into_boxed_str(), driver, sinks });
+        nets.push(Net { name: net_name.into(), driver, sinks });
         if net_index.insert(&nets, NetId(idx as u32)).is_err() {
             let name = nets[idx].name.to_string();
             return Err(CodecError::RepeatedNetName { line: lines.line_number(), name });
@@ -322,11 +365,11 @@ pub fn from_lines(lines: &mut Lines<'_>) -> Result<Netlist, CodecError> {
     let mut instances = Vec::with_capacity(n_insts);
     for _ in 0..n_insts {
         let mut toks = lines.tagged("i")?;
-        let inst_name = unescape(lines.tok(&mut toks, "instance name")?).map_err(|e| lines.err(e))?;
-        let cell_name = unescape(lines.tok(&mut toks, "cell name")?).map_err(|e| lines.err(e))?;
+        let inst_name = lines.name(&mut toks, "instance name")?;
+        let cell_name = lines.name(&mut toks, "cell name")?;
         let cell = library
             .find(&cell_name)
-            .ok_or_else(|| CodecError::UnknownCell(cell_name.clone()))?;
+            .ok_or_else(|| CodecError::UnknownCell(cell_name.into_owned()))?;
         let block_tok = lines.tok(&mut toks, "block")?;
         let block = match block_tok {
             "-" => None,
@@ -340,7 +383,7 @@ pub fn from_lines(lines: &mut Lines<'_>) -> Result<Netlist, CodecError> {
             inputs.push(NetId(i as u32));
         }
         instances.push(Instance {
-            name: inst_name.into_boxed_str(),
+            name: inst_name.into(),
             cell,
             inputs: inputs.into_boxed_slice(),
             output: NetId(output as u32),
@@ -360,7 +403,7 @@ pub fn from_lines(lines: &mut Lines<'_>) -> Result<Netlist, CodecError> {
     let mut outputs = Vec::with_capacity(n_pos);
     for _ in 0..n_pos {
         let mut toks = lines.tagged("o")?;
-        let po_name = unescape(lines.tok(&mut toks, "output name")?).map_err(|e| lines.err(e))?;
+        let po_name = lines.name(&mut toks, "output name")?.into_owned();
         let net: usize = lines.parse_tok(&mut toks, "output net")?;
         outputs.push((po_name, NetId(net as u32)));
     }
@@ -443,8 +486,57 @@ mod tests {
 
     #[test]
     fn names_with_specials_survive() {
+        assert_eq!(escape("a b%c\nd\te\r"), "a%20b%25c%0ad%09e%0d");
         assert_eq!(unescape(&escape("a b%c\nd\te")).unwrap(), "a b%c\nd\te");
         assert_eq!(unescape(&escape("plain_name[3]")).unwrap(), "plain_name[3]");
+        // Non-ASCII text is written as it is, escaped neighbours or not.
+        assert_eq!(escape("µ%"), "µ%25");
+        assert_eq!(unescape(&escape("µ x")).unwrap(), "µ x");
+    }
+
+    /// The text form, written out by hand from the format rules: a netlist
+    /// whose design, block, net, instance and output names hold a space, `%`,
+    /// `\t`, `\r`, `\n` and non-ASCII text.
+    const PINNED_TEXT: &str = "eda-netlist v1\n\
+        design top%201%25\n\
+        library generic\n\
+        blocks 1\n\
+        b blk%200%0d\n\
+        nets 4\n\
+        n in%09a p0 1 0:0\n\
+        n in%20b p1 1 0:1\n\
+        n g%0a1_out i0 1 1:0\n\
+        n µ%25_out i1 0\n\
+        insts 2\n\
+        i g%0a1 NAND2_X1 - 2 2 0 1\n\
+        i µ%25 INV_X1 0 3 1 2\n\
+        pis 2 0 1\n\
+        pos 2\n\
+        o out%09y 2\n\
+        o z 3\n";
+
+    fn pinned_netlist() -> Netlist {
+        use crate::cell::CellFunction;
+        let mut n = Netlist::new("top 1%");
+        let a = n.add_input("in\ta");
+        let b = n.add_input("in b");
+        let y = n.add_gate_fn("g\n1", CellFunction::Nand(2), &[a, b]).unwrap();
+        let z = n.add_gate_fn("µ%", CellFunction::Inv, &[y]).unwrap();
+        n.assign_block(InstId::from_index(1), "blk 0\r");
+        n.add_output("out\ty", y);
+        n.add_output("z", z);
+        n
+    }
+
+    #[test]
+    fn text_form_is_pinned() {
+        let n = pinned_netlist();
+        assert_eq!(to_text(&n), PINNED_TEXT);
+        assert_eq!(text_lines(&n), PINNED_TEXT.lines().count());
+        // Both round trips: the netlist through the text, the text through
+        // the netlist.
+        assert_identical(&from_text(&to_text(&n)).unwrap(), &n);
+        assert_eq!(to_text(&from_text(PINNED_TEXT).unwrap()), PINNED_TEXT);
     }
 
     #[test]

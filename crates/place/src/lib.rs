@@ -49,4 +49,4 @@ pub use hier::{place_hierarchical, HierOutcome};
 pub use multilevel::{place_multilevel, MultilevelConfig, MultilevelOutcome, CLUSTER_SIZE};
 pub use parallel::{place_parallel, thread_cpu_seconds, ParallelConfig, ParallelOutcome, StripeStats};
 pub use pins::NetPins;
-pub use placement::{Placement, PlacementSnapshot};
+pub use placement::Placement;

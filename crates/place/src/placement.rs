@@ -34,23 +34,28 @@ impl Placement {
         }
     }
 
-    /// Snapshots the raw geometry for serialization. Together with
-    /// [`Placement::from_snapshot`] this round-trips a placement exactly,
-    /// without re-deriving anything from a netlist (whose instance count may
-    /// since have changed, e.g. after decap insertion).
-    pub fn snapshot(&self) -> PlacementSnapshot {
-        PlacementSnapshot {
-            die: self.die,
-            positions: self.positions.clone(),
-            pi_pins: self.pi_pins.clone(),
-            po_pins: self.po_pins.clone(),
-        }
+    /// Rebuilds a placement from its raw geometry — the die and the slices
+    /// [`Placement::positions`], [`Placement::pi_pins`] and
+    /// [`Placement::po_pins`] return — bit-identically, without re-deriving
+    /// anything from a netlist (whose instance count may since have changed,
+    /// e.g. after decap insertion).
+    pub fn from_parts(die: Die, positions: Vec<Point>, pi_pins: Vec<Point>, po_pins: Vec<Point>) -> Placement {
+        Placement { die, positions, pi_pins, po_pins }
     }
 
-    /// Rebuilds a placement from a [`snapshot`](Placement::snapshot),
-    /// bit-identically.
-    pub fn from_snapshot(s: PlacementSnapshot) -> Placement {
-        Placement { die: s.die, positions: s.positions, pi_pins: s.pi_pins, po_pins: s.po_pins }
+    /// Every instance position, in instance storage order.
+    pub fn positions(&self) -> &[Point] {
+        &self.positions
+    }
+
+    /// Every primary-input pin position, in PI order.
+    pub fn pi_pins(&self) -> &[Point] {
+        &self.pi_pins
+    }
+
+    /// Every primary-output pin position, in PO order.
+    pub fn po_pins(&self) -> &[Point] {
+        &self.po_pins
     }
 
     /// Position of an instance.
@@ -85,20 +90,6 @@ impl Placement {
     pub fn total_hpwl(&self, netlist: &Netlist) -> f64 {
         NetPins::build(netlist).total_hpwl(self)
     }
-}
-
-/// The raw geometry of a [`Placement`], exposed for exact serialization in
-/// the flow's persisted stage state.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlacementSnapshot {
-    /// The die.
-    pub die: Die,
-    /// Instance positions in storage order.
-    pub positions: Vec<Point>,
-    /// Primary-input pin positions in PI order.
-    pub pi_pins: Vec<Point>,
-    /// Primary-output pin positions in PO order.
-    pub po_pins: Vec<Point>,
 }
 
 #[cfg(test)]

@@ -74,6 +74,10 @@ fn warm_run_skips_every_stage_with_identical_qor() {
     assert_eq!(counter(&warm, "cache.hits"), 11, "warm run must hit every stage");
     assert_eq!(counter(&warm, "cache.misses"), 0);
     assert!(cold.same_qor(&warm), "warm QoR must be bit-identical to cold");
+    // Eleven hits, one parse: the state is read once, after the last hit,
+    // and a cold run never reads one back.
+    assert_eq!(counter(&warm, "cache.body_parses"), 1);
+    assert_eq!(counter(&cold, "cache.body_parses"), 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -342,6 +346,54 @@ fn poisoned_entries_fall_back_to_recompute() {
     assert_eq!(counter(&again, "cache.hits"), 11);
     assert!(cold.same_qor(&again));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_replayed_state_that_does_not_parse_is_recomputed() {
+    // A record with an intact checksum, head and cursor passes every check a
+    // hit makes; its state is read only when the hits end. One whose netlist
+    // section is damaged, planted mid-chain (`6_cts`: the next stage's key
+    // hashes the damaged body and misses) or last (`10_dft`: the run ends on
+    // it), must be counted and recomputed — the flow neither fails nor
+    // panics, and lands on the uncached QoR.
+    use eda_core::{Store, Table};
+    let design = smoke_design();
+    let cold_dir = scratch("deferred_cold");
+    let cfg = cached_cfg_at(Node::N28, &cold_dir, 1);
+    let _ = run_flow(&design, &cfg).unwrap();
+    let whole = std::fs::read(cold_dir.join("flow.store")).unwrap();
+    let records = stage_payloads(&whole);
+    assert_eq!(records.len(), STAGES.len(), "one record per stage");
+    let uncached = run_flow(&design, &FlowConfig { store: None, ..cfg }).unwrap();
+
+    for (k, want_parses) in [(5usize, 2u64), (10, 1)] {
+        let dir = scratch("deferred");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("flow.store"), &whole).unwrap();
+        let entry = std::str::from_utf8(&whole[records[k].clone()]).unwrap();
+        let key_line = entry.lines().nth(2).unwrap();
+        let key = u64::from_str_radix(key_line.strip_prefix("key ").unwrap(), 16).unwrap();
+        let broken = entry.replacen("\neda-netlist v1\n", "\neda-netlist v0\n", 1);
+        assert_ne!(broken, entry, "{}: the entry carries a netlist", STAGES[k]);
+        FlowStore::open(&StoreConfig::at(dir.join("flow.store")))
+            .unwrap()
+            .put(Table::Stage, key, &broken)
+            .unwrap();
+
+        let cfg = cached_cfg_at(Node::N28, &dir, 1);
+        let warm = run_flow(&design, &cfg).unwrap();
+        assert_eq!(counter(&warm, "cache.errors"), 1, "{}", STAGES[k]);
+        assert_eq!(counter(&warm, "cache.body_parses"), want_parses, "{}", STAGES[k]);
+        assert!(warm.same_qor(&uncached), "damaged {} replayed", STAGES[k]);
+
+        // The recompute rewrote the entry: the next run replays whole.
+        let again = run_flow(&design, &cfg).unwrap();
+        assert_eq!(counter(&again, "cache.hits"), 11, "{}", STAGES[k]);
+        assert_eq!(counter(&again, "cache.errors"), 0, "{}", STAGES[k]);
+        assert!(again.same_qor(&uncached));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    let _ = std::fs::remove_dir_all(&cold_dir);
 }
 
 /// The resume contract: a run that dies after any stage and is rerun against

@@ -242,6 +242,31 @@ fn decap_insertion_completes_and_is_thread_invariant() {
     }
 }
 
+/// A store-bound flow whose `9_power` inserts decaps — cells and nets added
+/// after placement, the one edit whose body the store carries with more
+/// instances than placement saw — completes the stage and replays it: the
+/// warm run hits every stage and lands on the cold run's QoR, which is the
+/// storeless run's. At 2·10⁴ instances and 50 GHz this flow once indexed past
+/// the pre-decap activity map and panicked.
+#[test]
+fn decap_bodies_replay_from_the_store() {
+    const MESH: usize = 2_000;
+    let design = generate::scale_mesh(MESH, 3).unwrap();
+    let dir = scratch_dir("decap_store");
+    let mut cfg = FlowConfig::scale_2016(Node::N28, MESH);
+    cfg.clock_mhz = 500_000.0;
+    cfg.store = Some(StoreConfig::at(dir.join("flow.store")));
+    let cold = run_flow(&design, &cfg).unwrap_or_else(|e| panic!("cold decap flow: {e}"));
+    assert_eq!(cold.stage_status["9_power"].outcome, StageOutcome::Completed);
+    assert!(cold.decaps > 0, "500 GHz on the mesh must trip the decap path");
+    let warm = run_flow(&design, &cfg).unwrap_or_else(|e| panic!("warm decap flow: {e}"));
+    assert_eq!(counter(&warm, "cache.hits"), STAGES.len() as u64);
+    assert!(warm.same_qor(&cold), "the replayed decap flow drifted from the cold run");
+    let storeless = run_flow(&design, &FlowConfig { store: None, ..cfg }).unwrap();
+    assert!(storeless.same_qor(&cold), "the store changed the decap flow's QoR");
+    cleanup(&dir);
+}
+
 /// The 10⁵ tier: all 11 stages, overflow-free, bit-identical at 1 and 4
 /// worker threads, peak RSS inside the blessed budget.
 #[test]
