@@ -44,30 +44,27 @@
 //! in the `cache.errors` metric), never a flow error and never a panic. A
 //! body that passes those checks but whose state does not parse is caught
 //! by that deferred parse, counted the same way, and recomputed from the
-//! last state that did parse. An
-//! entry that vanishes between the index probe and the record read — the
-//! store compacted under a concurrent writer — is [`CacheError::Evicted`],
-//! its own variant precisely so the flow can count it as an expected
-//! `cache.evicted_miss` instead of a scary I/O error. Store writes are
-//! serialized by the store's sidecar lock, so concurrent flows — server or
+//! last state that did parse. A probe never races a compaction: the store
+//! reads an indexed entry from the version of the file it indexed, so an
+//! entry another writer evicts after the probe found it is still a hit
+//! (its bytes are checksummed and content-addressed), and only a miss
+//! looks at the newer file. Store writes are serialized by the kernel's
+//! lock on the store's sidecar file, so concurrent flows — server or
 //! daemon workers, or separate CLI processes, sharing one store — can race
-//! on the same entry and both land on identical bytes.
+//! on the same entry and both land on identical bytes, and a writer killed
+//! mid-append never blocks the next.
 
 use crate::state::{self, Statuses};
 use crate::store::{FlowStore, Lookup, Store, StoreError, Table};
 use eda_netlist::memo::fnv1a;
 
-/// Why a cache entry could not be read. Never fatal to the flow: every
-/// variant downgrades to a recompute.
+/// Why a cache entry could not be read. Never fatal to the flow: it
+/// downgrades to a recompute.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum CacheError {
     /// The entry exists but is truncated, unparseable, or was written for a
     /// different stage/key than its address claims.
     Corrupt(String),
-    /// The entry was present at probe time but evicted (LRU compaction by
-    /// a concurrent writer) before it could be read. An expected race, not
-    /// a fault: the caller recomputes and counts `cache.evicted_miss`.
-    Evicted,
 }
 
 /// The content address of one stage execution: `(body format revision,
@@ -100,12 +97,10 @@ pub(crate) struct Hit {
 /// and the body's cursor against `position`.
 ///
 /// `Ok(None)` = no entry (cold). `Err(Corrupt)` = an entry exists but cannot
-/// be trusted; `Err(Evicted)` = it vanished under a concurrent compaction.
-/// The caller recomputes in every `Err` case.
+/// be trusted, and the caller recomputes.
 pub(crate) fn load(store: &FlowStore, stage: &str, position: usize, key: u64) -> Result<Option<Hit>, CacheError> {
     let mut text = match store.get(Table::Stage, key) {
         Lookup::Miss => return Ok(None),
-        Lookup::Evicted => return Err(CacheError::Evicted),
         Lookup::Corrupt(m) => return Err(CacheError::Corrupt(m)),
         Lookup::Hit(text) => text,
     };

@@ -530,7 +530,6 @@ pub(crate) fn run_flow_shared(
             match cache::load(store, stage.name, position, key) {
                 Ok(Some(hit)) => Ok(hit),
                 Ok(None) => Err(("cache.misses", "miss")),
-                Err(CacheError::Evicted) => Err(("cache.evicted_miss", "evicted")),
                 Err(CacheError::Corrupt(_)) => Err(("cache.errors", "error")),
             }
         });
@@ -1174,10 +1173,7 @@ impl SubstageMemo for SubMemo {
                 self.hits.set(self.hits.get() + 1);
                 Some(payload)
             }
-            // Evicted and cold are the same to a memo: recompute. The
-            // engine-side parsers reject any payload that does not match
-            // their versioned format, so Corrupt cannot replay either.
-            Lookup::Miss | Lookup::Evicted => {
+            Lookup::Miss => {
                 self.misses.set(self.misses.get() + 1);
                 None
             }

@@ -388,12 +388,11 @@ impl<'p> Supervisor<'p> {
     }
 
     /// Counts a stage-cache probe that found nothing to replay — `metric`
-    /// says why: a plain miss (`cache.misses`), an unreadable entry
-    /// (`cache.errors`: corrupt, truncated, misaddressed), or one evicted
-    /// between the index probe and the record read (`cache.evicted_miss`: an
-    /// expected race under a size-bounded store with concurrent writers, not
-    /// a fault). The stage recomputes as if cold and its span is tagged
-    /// `cache=<note>`.
+    /// says why: a plain miss (`cache.misses`) or an unreadable entry
+    /// (`cache.errors`: corrupt, truncated, misaddressed). An entry that
+    /// another writer compacts away after the run's store indexed it still
+    /// hits: the store reads it from the version it indexed. The stage
+    /// recomputes as if cold and its span is tagged `cache=<note>`.
     pub fn cache_cold(&mut self, metric: &str, note: &'static str) {
         self.tel.count(metric, 1);
         self.cache_note = Some(note);

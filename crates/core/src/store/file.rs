@@ -11,33 +11,36 @@
 //! ```
 //!
 //! Records are length-framed and checksummed (FNV-1a over the payload);
-//! writes append under a sidecar file lock, so the file is valid at every
-//! record boundary. A crashed writer leaves at worst a broken tail, which
-//! the scanner skips (lost entries read as misses — recompute, never
-//! failure) and the next append cuts off before it writes, so its record
-//! starts on a record boundary. Re-`put`ting a key appends a newer record;
-//! the scan's later-wins rule keeps point lookups on the newest version and
-//! compaction drops the dead bytes.
+//! writes append under a kernel lock (`flock` on the sidecar
+//! `<store>.lock`), so the file is valid at every record boundary. The
+//! kernel drops the lock when its holder exits, however it exits, so a
+//! killed writer never stalls the next one. A crashed writer leaves at
+//! worst a broken tail, which the scanner skips (lost entries read as
+//! misses — recompute, never failure) and the next append cuts off before
+//! it writes, so its record starts on a record boundary. Re-`put`ting a key
+//! appends a newer record; the scan's later-wins rule keeps point lookups
+//! on the newest version and compaction drops the dead bytes.
 //!
 //! ## Eviction
 //!
 //! When an append would push the file past [`StoreConfig::max_bytes`] the
 //! store compacts: provenance rows ([`Table::is_provenance`]) are always
 //! kept, cache entries are kept newest-touched-first while they fit, and the
-//! survivors are rewritten through a temp file + atomic rename. A reader
-//! holding a stale index entry across a compaction observes
-//! [`Lookup::Evicted`] — an expected race that downgrades to recompute, not
-//! an I/O error.
+//! survivors are rewritten through a temp file + atomic rename. Each handle
+//! holds open the version of the file it indexed and reads every indexed
+//! entry from it, so a compaction by another handle or process never moves
+//! an entry under a reader: a hit reads its own version (checksummed and
+//! content-addressed, so still valid), and only a miss looks for a newer
+//! version at the path.
 
 use super::{Lookup, QorQuery, QorRow, StageRow, Store, StoreConfig, StoreError, Table};
 use eda_netlist::memo::fnv1a;
 use std::collections::HashMap;
-use std::fs::{self, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::os::unix::fs::MetadataExt;
+use std::fs::{self, File, OpenOptions};
+use std::io::{ErrorKind, Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::{FileExt, MetadataExt};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::sync::{Mutex, MutexGuard};
 
 const HEADER: &[u8] = b"eda-store v1\n";
 const REC_MAGIC: &[u8] = b"%rec ";
@@ -65,10 +68,13 @@ impl Entry {
     }
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Inner {
-    /// Inode of the file the index was built against (0 = unknown).
-    ino: u64,
+    /// The version of the file the index was built against, held open.
+    /// Its inode cannot be reused while it is, so a path with the same
+    /// inode is this very file; and whatever is renamed over the path,
+    /// every indexed entry is still read from here.
+    file: File,
     /// File size as of the last scan.
     file_len: u64,
     /// One past the last record the scan accepted — where the next append
@@ -81,59 +87,65 @@ struct Inner {
     next_qstage: u64,
 }
 
-/// Why a point read at an indexed offset did not produce a payload.
-enum ReadFail {
-    /// The bytes at the offset are not the expected record: the file was
-    /// compacted or replaced under us.
-    Stale,
-    /// The record is where the index says, but its content fails
-    /// validation.
-    Corrupt(String),
-}
-
-/// Sidecar lock guarding cross-process writes. Dropping releases it.
-struct FileLock {
-    path: PathBuf,
-}
-
-impl Drop for FileLock {
-    fn drop(&mut self) {
-        let _ = fs::remove_file(&self.path);
-    }
-}
-
-fn acquire_lock(path: &Path) -> Result<FileLock, StoreError> {
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        match OpenOptions::new().write(true).create_new(true).open(path) {
-            Ok(mut f) => {
-                let _ = write!(f, "{}", std::process::id());
-                return Ok(FileLock { path: path.to_path_buf() });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                // A lock abandoned by a dead writer goes stale after 30 s.
-                let stale = fs::metadata(path)
-                    .ok()
-                    .and_then(|m| m.modified().ok())
-                    .and_then(|m| m.elapsed().ok())
-                    .is_some_and(|age| age > Duration::from_secs(30));
-                if stale {
-                    let _ = fs::remove_file(path);
-                    continue;
-                }
-                if Instant::now() >= deadline {
-                    return Err(StoreError::LockTimeout(path.to_path_buf()));
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(e) => return Err(e.into()),
+/// Opens the version of the store file now at `path` — first creating it,
+/// holding just the header, when there is none — and indexes all of it.
+/// Only `create_new` creates, so a file another handle has just made is
+/// never truncated; and the header is appended, so it never overwrites a
+/// record another handle got in first (the scan then drops it as a torn
+/// tail).
+fn open_version(path: &Path) -> Result<Inner, StoreError> {
+    let file = match OpenOptions::new().read(true).append(true).create_new(true).open(path) {
+        Ok(mut f) => {
+            f.write_all(HEADER)?;
+            f
         }
+        Err(e) if e.kind() == ErrorKind::AlreadyExists => File::open(path)?,
+        Err(e) => return Err(e.into()),
+    };
+    let mut bytes = Vec::new();
+    (&file).read_to_end(&mut bytes)?;
+    let mut inner = Inner {
+        file,
+        file_len: bytes.len() as u64,
+        tail: 0,
+        touch: 0,
+        index: HashMap::new(),
+        next_qor: 0,
+        next_qstage: 0,
+    };
+    inner.tail = FlowStore::scan(&mut inner, &bytes, 0);
+    Ok(inner)
+}
+
+/// Reads and validates one record at its indexed offset in `file`, the
+/// version that indexed it. A version's indexed bytes never change —
+/// writers only append past them, and compaction writes a new version — so
+/// every `Err`, the reason why the bytes there are not the record, is
+/// damage.
+fn read_entry(file: &File, table: Table, key: u64, e: &Entry) -> Result<String, String> {
+    let expected = encode_header(table, key, e.payload_len as usize, e.sum);
+    let total = e.record_len() as usize;
+    let mut buf = vec![0u8; total];
+    file.read_exact_at(&mut buf, e.offset).map_err(|_| "record cut short".to_string())?;
+    if &buf[..e.header_len as usize] != expected.as_bytes() {
+        return Err("record header".to_string());
     }
+    let payload = &buf[e.header_len as usize..total - 1];
+    if buf[total - 1] != b'\n' {
+        return Err("record framing".to_string());
+    }
+    if fnv1a(payload.iter().copied()) != e.sum {
+        return Err("checksum mismatch".to_string());
+    }
+    String::from_utf8(payload.to_vec()).map_err(|_| "non-utf8 payload".to_string())
 }
 
 /// The file-backed flow store. Cheap to share: in-process callers clone an
-/// `Arc<FlowStore>`; separate processes open the same path and coordinate
-/// through the sidecar write lock and stale-tolerant reads.
+/// `Arc<FlowStore>`; separate processes open the same path. Writers
+/// exclude each other through the kernel's lock on the sidecar
+/// `<store>.lock`; readers take no lock, and each handle reads the version
+/// of the file it indexed until a miss sends it to the path for a newer
+/// one.
 #[derive(Debug)]
 pub struct FlowStore {
     cfg: StoreConfig,
@@ -159,15 +171,8 @@ impl FlowStore {
         let mut lock_name = cfg.path.file_name().map(|n| n.to_os_string()).unwrap_or_default();
         lock_name.push(".lock");
         let lock_path = cfg.path.with_file_name(lock_name);
-        let store = FlowStore { cfg: cfg.clone(), lock_path, inner: Mutex::new(Inner::default()) };
-        {
-            let mut inner = store.lock_inner();
-            if fs::metadata(&store.cfg.path).is_err() {
-                fs::write(&store.cfg.path, HEADER)?;
-            }
-            store.rescan(&mut inner)?;
-        }
-        Ok(store)
+        let inner = Mutex::new(open_version(&cfg.path)?);
+        Ok(FlowStore { cfg: cfg.clone(), lock_path, inner })
     }
 
     /// The store file path.
@@ -180,58 +185,59 @@ impl FlowStore {
         &self.cfg
     }
 
-    fn lock_inner(&self) -> std::sync::MutexGuard<'_, Inner> {
+    fn lock_inner(&self) -> MutexGuard<'_, Inner> {
         self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    fn stat(&self) -> Option<(u64, u64)> {
-        fs::metadata(&self.cfg.path).ok().map(|m| (m.ino(), m.len()))
+    /// Takes the write lock — `flock` on the sidecar, released when the
+    /// returned handle drops or its holder dies, however it dies — and
+    /// brings the index up to date under it. Each holder opens the sidecar
+    /// afresh: the kernel excludes holders by open file description, so two
+    /// handles in one process exclude each other as two processes do. Bytes
+    /// past the last whole record, looked at again now that the lock is
+    /// held, are a dead writer's torn append (a live one would hold the
+    /// lock).
+    fn lock_for_write(&self) -> Result<(File, MutexGuard<'_, Inner>), StoreError> {
+        let lock = OpenOptions::new().write(true).create(true).truncate(false).open(&self.lock_path)?;
+        lock.lock()?;
+        let mut inner = self.lock_inner();
+        self.refresh(&mut inner)?;
+        if inner.tail < inner.file_len {
+            Self::scan_tail(&mut inner)?;
+        }
+        Ok((lock, inner))
     }
 
-    /// Rebuilds the index from the file (full scan).
-    fn rescan(&self, inner: &mut Inner) -> Result<(), StoreError> {
-        let bytes = fs::read(&self.cfg.path)?;
-        let (ino, _) = self.stat().unwrap_or((0, 0));
-        inner.ino = ino;
-        inner.index.clear();
-        inner.next_qor = 0;
-        inner.next_qstage = 0;
-        inner.tail = Self::scan(inner, &bytes, 0);
-        inner.file_len = bytes.len() as u64;
-        Ok(())
-    }
-
-    /// Brings the index up to date if the file changed since the last scan:
-    /// appended-to files are scanned incrementally from the last accepted
-    /// record (a record that was still being written last time is whole
-    /// now), replaced or shrunk files from scratch. Missing files are
-    /// recreated empty.
+    /// Brings the index up to date if the file at the path changed since
+    /// the last scan: the held version, appended to, is scanned
+    /// incrementally from the last accepted record (a record that was still
+    /// being written last time is whole now); another file at the path, a
+    /// shrunk one or none is opened — or created — and scanned from
+    /// scratch.
     fn refresh(&self, inner: &mut Inner) -> Result<(), StoreError> {
-        match self.stat() {
-            None => {
-                fs::write(&self.cfg.path, HEADER)?;
-                self.rescan(inner)
-            }
-            Some((ino, len)) => {
-                if ino != inner.ino || len < inner.tail {
-                    self.rescan(inner)
-                } else if len != inner.file_len {
-                    self.scan_tail(inner)
-                } else {
-                    Ok(())
+        let held = inner.file.metadata()?;
+        match fs::metadata(&self.cfg.path) {
+            Ok(m) if (m.dev(), m.ino()) == (held.dev(), held.ino()) && m.len() >= inner.tail => {
+                if m.len() != inner.file_len {
+                    Self::scan_tail(inner)?;
                 }
+                Ok(())
+            }
+            _ => {
+                *inner = open_version(&self.cfg.path)?;
+                Ok(())
             }
         }
     }
 
-    /// Indexes what follows the last accepted record. Same-inode writers
-    /// only append, or cut a torn tail and append, so everything before
-    /// `tail` is as it was scanned.
-    fn scan_tail(&self, inner: &mut Inner) -> Result<(), StoreError> {
-        let mut f = fs::File::open(&self.cfg.path)?;
-        f.seek(SeekFrom::Start(inner.tail))?;
+    /// Indexes what follows the last accepted record of the held version.
+    /// Writers only append to it, or cut a torn tail and append, so
+    /// everything before `tail` is as it was scanned.
+    fn scan_tail(inner: &mut Inner) -> Result<(), StoreError> {
         let mut bytes = Vec::new();
-        f.read_to_end(&mut bytes)?;
+        let mut file = &inner.file;
+        file.seek(SeekFrom::Start(inner.tail))?;
+        file.read_to_end(&mut bytes)?;
         let base = inner.tail;
         inner.tail = Self::scan(inner, &bytes, base);
         inner.file_len = base + bytes.len() as u64;
@@ -312,38 +318,10 @@ impl FlowStore {
         base + accepted as u64
     }
 
-    /// Reads and validates one record at its indexed location.
-    fn read_entry(&self, table: Table, key: u64, e: &Entry) -> Result<String, ReadFail> {
-        let expected = encode_header(table, key, e.payload_len as usize, e.sum);
-        let total = e.record_len() as usize;
-        let mut buf = vec![0u8; total];
-        let read = fs::File::open(&self.cfg.path)
-            .and_then(|mut f| {
-                f.seek(SeekFrom::Start(e.offset))?;
-                f.read_exact(&mut buf)
-            });
-        if read.is_err() {
-            return Err(ReadFail::Stale);
-        }
-        if &buf[..e.header_len as usize] != expected.as_bytes() {
-            return Err(ReadFail::Stale);
-        }
-        let payload = &buf[e.header_len as usize..total - 1];
-        if buf[total - 1] != b'\n' {
-            return Err(ReadFail::Corrupt("record framing".to_string()));
-        }
-        if fnv1a(payload.iter().copied()) != e.sum {
-            return Err(ReadFail::Corrupt("checksum mismatch".to_string()));
-        }
-        String::from_utf8(payload.to_vec())
-            .map_err(|_| ReadFail::Corrupt("non-utf8 payload".to_string()))
-    }
-
-    /// Appends one record under the already-held write lock. Bytes past the
-    /// last whole record — looked at again now that the lock is held — are
-    /// a dead writer's torn append (a live one would hold the lock): they
-    /// are cut off first, or the new header would sit mid-line where no
-    /// later scan resyncs to it.
+    /// Appends one record under the write lock, to the index
+    /// [`FlowStore::lock_for_write`] brought up to date. A torn tail is cut
+    /// off first, or the new header would sit mid-line where no later scan
+    /// resyncs to it.
     fn append_record(
         &self,
         inner: &mut Inner,
@@ -351,10 +329,6 @@ impl FlowStore {
         key: u64,
         payload: &str,
     ) -> Result<(), StoreError> {
-        self.refresh(inner)?;
-        if inner.tail < inner.file_len {
-            self.scan_tail(inner)?;
-        }
         let sum = fnv1a(payload.bytes());
         let header = encode_header(table, key, payload.len(), sum);
         let rec_len = header.len() as u64 + payload.len() as u64 + 1;
@@ -384,11 +358,15 @@ impl FlowStore {
         Ok(())
     }
 
-    /// Rewrites the file keeping all provenance rows plus the
+    /// Rewrites the held version keeping all provenance rows plus the
     /// most-recently-touched cache entries that fit under
-    /// `max_bytes - reserve`, through a temp file and atomic rename.
+    /// `max_bytes - reserve`, through a temp file and atomic rename; the
+    /// temp file, still open, becomes the held version.
     fn compact(&self, inner: &mut Inner, reserve: u64) -> Result<(), StoreError> {
-        let bytes = fs::read(&self.cfg.path)?;
+        let mut bytes = Vec::new();
+        let mut file = &inner.file;
+        file.seek(SeekFrom::Start(0))?;
+        file.read_to_end(&mut bytes)?;
         let budget = self.cfg.max_bytes.saturating_sub(reserve);
         let in_file = |e: &Entry| (e.offset + e.record_len()) as usize <= bytes.len();
         let payload_ok = |e: &Entry| {
@@ -430,12 +408,13 @@ impl FlowStore {
             out.extend_from_slice(&bytes[start..start + e.record_len() as usize]);
             new_index.insert(k, Entry { offset: new_offset, ..e });
         }
-        fs::write(&tmp, &out)?;
+        let mut version = OpenOptions::new().read(true).write(true).create(true).truncate(true).open(&tmp)?;
+        version.write_all(&out)?;
         fs::rename(&tmp, &self.cfg.path)?;
+        inner.file = version;
         inner.index = new_index;
         inner.file_len = out.len() as u64;
         inner.tail = inner.file_len;
-        inner.ino = self.stat().map(|(ino, _)| ino).unwrap_or(0);
         Ok(())
     }
 
@@ -456,8 +435,8 @@ impl FlowStore {
         keys.sort_unstable_by_key(|&k| std::cmp::Reverse(k));
         let mut rows = Vec::new();
         for k in keys {
-            let Some(e) = inner.index.get(&(table, k)).copied() else { continue };
-            let Ok(payload) = self.read_entry(table, k, &e) else { continue };
+            let Some(e) = inner.index.get(&(table, k)) else { continue };
+            let Ok(payload) = read_entry(&inner.file, table, k, e) else { continue };
             if let Some(row) = parse(k, &payload) {
                 if keep(&row) {
                     rows.push(row);
@@ -473,65 +452,35 @@ impl FlowStore {
 
 impl Store for FlowStore {
     fn put(&self, table: Table, key: u64, payload: &str) -> Result<(), StoreError> {
-        let _lk = acquire_lock(&self.lock_path)?;
-        let mut inner = self.lock_inner();
+        let (_lock, mut inner) = self.lock_for_write()?;
         self.append_record(&mut inner, table, key, payload)
     }
 
     fn get(&self, table: Table, key: u64) -> Lookup {
-        let mut inner = self.lock_inner();
-        let mut entry = inner.index.get(&(table, key)).copied();
-        if entry.is_none() {
-            // Another process may have appended since our last scan; a miss
-            // is the cheap moment to find out.
-            if self.refresh(&mut inner).is_err() {
+        let mut guard = self.lock_inner();
+        if !guard.index.contains_key(&(table, key)) {
+            // Another process may have appended, or compacted, since our
+            // last scan; a miss is the cheap moment to find out.
+            if self.refresh(&mut guard).is_err() {
                 return Lookup::Miss;
             }
-            entry = inner.index.get(&(table, key)).copied();
         }
-        let Some(e) = entry else {
+        let inner = &mut *guard;
+        let Some(e) = inner.index.get_mut(&(table, key)) else {
             return Lookup::Miss;
         };
-        match self.read_entry(table, key, &e) {
+        match read_entry(&inner.file, table, key, e) {
             Ok(p) => {
                 inner.touch += 1;
-                let now = inner.touch;
-                if let Some(slot) = inner.index.get_mut(&(table, key)) {
-                    slot.touched = now;
-                }
+                e.touched = inner.touch;
                 Lookup::Hit(p)
             }
-            Err(ReadFail::Corrupt(reason)) => Lookup::Corrupt(reason),
-            Err(ReadFail::Stale) => {
-                // The file was compacted or replaced between probe and
-                // read. Rebuild the index and try once more; a key that is
-                // gone was evicted — an expected race, not an error.
-                if self.rescan(&mut inner).is_err() {
-                    return Lookup::Evicted;
-                }
-                match inner.index.get(&(table, key)).copied() {
-                    None => Lookup::Evicted,
-                    Some(e2) => match self.read_entry(table, key, &e2) {
-                        Ok(p) => {
-                            inner.touch += 1;
-                            let now = inner.touch;
-                            if let Some(slot) = inner.index.get_mut(&(table, key)) {
-                                slot.touched = now;
-                            }
-                            Lookup::Hit(p)
-                        }
-                        Err(ReadFail::Corrupt(reason)) => Lookup::Corrupt(reason),
-                        Err(ReadFail::Stale) => Lookup::Evicted,
-                    },
-                }
-            }
+            Err(reason) => Lookup::Corrupt(reason),
         }
     }
 
     fn append(&self, table: Table, payload: &str) -> Result<u64, StoreError> {
-        let _lk = acquire_lock(&self.lock_path)?;
-        let mut inner = self.lock_inner();
-        self.refresh(&mut inner)?;
+        let (_lock, mut inner) = self.lock_for_write()?;
         let key = match table {
             Table::Qor => inner.next_qor,
             Table::QStage => inner.next_qstage,
@@ -549,7 +498,7 @@ impl Store for FlowStore {
     }
 
     fn len_bytes(&self) -> u64 {
-        self.stat().map(|(_, len)| len).unwrap_or(0)
+        fs::metadata(&self.cfg.path).map(|m| m.len()).unwrap_or(0)
     }
 }
 
@@ -727,8 +676,8 @@ mod tests {
     }
 
     #[test]
-    fn stale_reader_sees_evicted_not_an_error() {
-        let path = scratch("evicted");
+    fn a_stale_reader_hits_its_own_version_then_sees_new_keys_after_a_miss() {
+        let path = scratch("stale");
         let cfg = StoreConfig::at(path).with_max_bytes(4096);
         let writer = FlowStore::open(&cfg).unwrap();
         let blob = "z".repeat(900);
@@ -741,11 +690,80 @@ mod tests {
             writer.put(Table::Stage, k, &blob).unwrap();
         }
         assert_eq!(writer.get(Table::Stage, 1), Lookup::Miss);
-        // The reader's index still points at the pre-compaction offset: the
-        // probe-then-read race resolves to Evicted, never an I/O error.
-        assert_eq!(reader.get(Table::Stage, 1), Lookup::Evicted);
-        // And the reader recovers fully for live keys.
+        // The reader still holds the version it indexed: entry 1 hits there.
+        assert_eq!(reader.get(Table::Stage, 1), Lookup::Hit(blob.clone()));
+        // A key only the writer's file has is a miss in the reader's
+        // version, which sends the reader to the file now at the path.
         assert_eq!(reader.get(Table::Stage, 19), Lookup::Hit(blob));
+        assert_eq!(reader.get(Table::Stage, 1), Lookup::Miss);
+    }
+
+    /// The store path a child process given this variable holds the write
+    /// lock of; see [`hold_the_write_lock_until_killed`].
+    const HOLDER_STORE: &str = "EDA_STORE_TEST_LOCK_HOLDER";
+
+    /// Not a test on its own: the child [`a_writer_killed_holding_the_lock_blocks_no_one`]
+    /// spawns. It takes the write lock of the store the variable names,
+    /// tears an append half-way, says so on stdout and sleeps until killed.
+    #[test]
+    #[ignore = "helper process for a_writer_killed_holding_the_lock_blocks_no_one"]
+    fn hold_the_write_lock_until_killed() {
+        let Some(path) = std::env::var_os(HOLDER_STORE) else { return };
+        let store = FlowStore::open(&StoreConfig::at(PathBuf::from(path))).unwrap();
+        let (_lock, _inner) = store.lock_for_write().unwrap();
+        let header = encode_header(Table::Stage, 9, 64, 0);
+        let mut f = OpenOptions::new().append(true).open(store.path()).unwrap();
+        f.write_all(format!("{header}{}", "t".repeat(20)).as_bytes()).unwrap();
+        println!("holding the write lock");
+        std::thread::sleep(std::time::Duration::from_secs(60));
+    }
+
+    #[test]
+    fn a_writer_killed_holding_the_lock_blocks_no_one() {
+        use std::io::BufRead;
+        use std::process::{Command, Stdio};
+        let cfg = StoreConfig::at(scratch("killed"));
+        let s = FlowStore::open(&cfg).unwrap();
+        s.put(Table::Stage, 1, "before the kill").unwrap();
+
+        struct Child(std::process::Child);
+        impl Drop for Child {
+            fn drop(&mut self) {
+                let _ = self.0.kill();
+                let _ = self.0.wait();
+            }
+        }
+        let mut child = Child(
+            Command::new(std::env::current_exe().unwrap())
+                .args(["--ignored", "--exact", "--nocapture"])
+                .arg("store::file::tests::hold_the_write_lock_until_killed")
+                .env(HOLDER_STORE, &cfg.path)
+                .stdout(Stdio::piped())
+                .spawn()
+                .unwrap(),
+        );
+        let stdout = child.0.stdout.take().unwrap();
+        let held = std::io::BufReader::new(stdout)
+            .lines()
+            .map_while(Result::ok)
+            .any(|line| line == "holding the write lock");
+        assert!(held, "the child never took the lock");
+        let sidecar = File::open(&s.lock_path).unwrap();
+        assert!(sidecar.try_lock().is_err(), "the child holds the write lock");
+
+        child.0.kill().unwrap(); // SIGKILL: no destructor, no unwinding
+        child.0.wait().unwrap();
+        let started = std::time::Instant::now();
+        s.put(Table::Stage, 2, "after the kill").unwrap();
+        assert_eq!(s.append(Table::Qor, "run d generic 0 0 0 0 0 0 0").unwrap(), 0);
+        let took = started.elapsed();
+        assert!(took < std::time::Duration::from_secs(1), "the dead writer's lock stalled writes for {took:?}");
+
+        let s = FlowStore::open(&cfg).unwrap();
+        assert_eq!(s.get(Table::Stage, 1), Lookup::Hit("before the kill".into()));
+        assert_eq!(s.get(Table::Stage, 2), Lookup::Hit("after the kill".into()));
+        assert_eq!(s.get(Table::Stage, 9), Lookup::Miss, "the torn record is lost, not corrupt");
+        assert_eq!(s.qor_history(&QorQuery::default()).unwrap().len(), 1);
     }
 
     #[test]

@@ -119,18 +119,18 @@ impl Table {
 }
 
 /// The outcome of a point lookup. Every non-`Hit` variant downgrades to a
-/// recompute in cache layers — the distinctions exist for telemetry
-/// (`cache.misses` vs `cache.evicted_miss` vs `cache.errors`).
+/// recompute in cache layers — the distinction exists for telemetry
+/// (`cache.misses` vs `cache.errors`).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Lookup {
-    /// The entry's payload, checksum-verified.
+    /// The entry's payload, checksum-verified. It is read from the version
+    /// of the file the handle indexed, so it is valid even if another
+    /// handle has compacted the entry away since: entries are
+    /// content-addressed.
     Hit(String),
-    /// No such entry.
+    /// No such entry, in the version the handle indexed or in the file now
+    /// at the path.
     Miss,
-    /// The entry was indexed but gone by read time — evicted (or the file
-    /// compacted) between probe and read. The PR-4 cache surfaced this
-    /// window as an I/O error; it is an expected race, not a fault.
-    Evicted,
     /// The entry's bytes are present but fail validation (checksum or
     /// framing). The reason string feeds diagnostics, never control flow.
     Corrupt(String),
@@ -142,8 +142,6 @@ pub enum Lookup {
 pub enum StoreError {
     /// Underlying I/O failure (message carries the `std::io::Error`).
     Io(String),
-    /// The cross-process lock could not be acquired in time.
-    LockTimeout(PathBuf),
     /// A record would push the file past `max_bytes` and compaction cannot
     /// make room (callers treat that as "not cached").
     TooLarge {
@@ -158,9 +156,6 @@ impl std::fmt::Display for StoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             StoreError::Io(m) => write!(f, "store i/o: {m}"),
-            StoreError::LockTimeout(p) => {
-                write!(f, "store lock timeout: {}", p.display())
-            }
             StoreError::TooLarge { need, max } => {
                 write!(f, "record needs {need} B but the store is bounded at {max} B")
             }
@@ -182,8 +177,7 @@ pub trait Store {
     ///
     /// # Errors
     ///
-    /// Fails on I/O, lock timeout, or when the record cannot fit under the
-    /// size bound.
+    /// Fails on I/O, or when the record cannot fit under the size bound.
     fn put(&self, table: Table, key: u64, payload: &str) -> Result<(), StoreError>;
 
     /// Point lookup of `(table, key)`.

@@ -84,16 +84,16 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-/// Writes `s` with spaces, `%` and every control byte (below 0x20, and DEL)
-/// percent-escaped, so a value stays one token on a space-split row: the rule
-/// of the store's provenance rows and the AIG digest text, stricter
-/// than [`escape`]. Decoded by [`unescape`].
+/// Writes `s` with spaces, `%` and every ASCII control character (below
+/// 0x20, and DEL) percent-escaped, so a value stays one token on a
+/// space-split row: the rule of the store's provenance rows and the AIG
+/// digest text, stricter than [`escape`]. Every other character, non-ASCII
+/// text included, is written as it is. Decoded by [`unescape`].
 pub fn write_token(out: &mut impl std::fmt::Write, s: &str) -> std::fmt::Result {
-    for b in s.bytes() {
-        if b == b' ' || b == b'%' || b < 0x20 || b == 0x7f {
-            write!(out, "%{b:02x}")?;
-        } else {
-            out.write_char(b as char)?;
+    for c in s.chars() {
+        match u8::try_from(c) {
+            Ok(b) if b == b' ' || b == b'%' || b < 0x20 || b == 0x7f => write!(out, "%{b:02x}")?,
+            _ => out.write_char(c)?,
         }
     }
     Ok(())
@@ -492,6 +492,19 @@ mod tests {
         // Non-ASCII text is written as it is, escaped neighbours or not.
         assert_eq!(escape("µ%"), "µ%25");
         assert_eq!(unescape(&escape("µ x")).unwrap(), "µ x");
+    }
+
+    #[test]
+    fn tokens_escape_ascii_specials_and_keep_other_text() {
+        let token = |s: &str| {
+            let mut out = String::new();
+            write_token(&mut out, s).unwrap();
+            out
+        };
+        assert_eq!(token("µ x"), "µ%20x");
+        assert_eq!(unescape(&token("µ x")).unwrap(), "µ x");
+        assert_eq!(token("a%\u{1}\u{7f}\u{85}行"), "a%25%01%7f\u{85}行");
+        assert_eq!(unescape(&token("a%\u{1}\u{7f}\u{85}行")).unwrap(), "a%\u{1}\u{7f}\u{85}行");
     }
 
     /// The text form, written out by hand from the format rules: a netlist
