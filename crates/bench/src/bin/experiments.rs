@@ -23,8 +23,8 @@
 use eda_bench::{claims, Table};
 use eda_core::{
     run_flow, Daemon, DaemonClient, DaemonConfig, DesignSpec, Endpoint, FaultPlan, FlowConfig,
-    FlowStore, QorQuery, QorRow, QuerySpec, RejectReason, RetryPolicy, StageRow, StoreConfig,
-    SubmitSpec, Terminal, TransportFaultPlan,
+    FlowStore, QorQuery, QorRow, QuerySpec, RejectReason, RetryPolicy, SpanKind, StageRow,
+    StoreConfig, SubmitSpec, Terminal, TransportFaultPlan,
 };
 use eda_netlist::generate;
 use eda_tech::Node;
@@ -72,8 +72,8 @@ struct Options {
     /// `--threads N`: global budget for every parallel kernel. `0` = all
     /// cores.
     threads: usize,
-    /// `--store PATH`: the persistent flow store file (stage + sub-stage
-    /// cache and QoR provenance, DESIGN.md §14).
+    /// `--store PATH`: the persistent flow store file (stage cache and QoR
+    /// provenance, DESIGN.md §14).
     store: Option<String>,
     /// `--store-max-bytes N`: size bound for the store (0 = default 64 MiB).
     store_max_bytes: u64,
@@ -125,9 +125,8 @@ SUBCOMMANDS:
                        order, in this process
     incremental        cold + warm + edited smoke flow against the flow
                        store; fails unless the warm run skips >= 8 of 11
-                       stages and an unmeetable-clock edit replays its route
-                       from the one sub-stage memo entry, both with
-                       bit-identical QoR
+                       stages and an unmeetable-clock edit replays its
+                       7_route stage, both with bit-identical QoR
     query              read QoR / stage provenance history out of the flow
                        store (--store, with --design / --stage / --metric /
                        --last filters) and print QUERYLINE rows newest-first
@@ -146,8 +145,8 @@ SUBCOMMANDS:
 OPTIONS (shared by every subcommand; `--flag V` and `--flag=V` both work):
     --threads N        global thread budget, 0 = all cores (default 0);
                        results are bit-identical for any value
-    --store PATH       persistent flow store file: stage + sub-stage cache
-                       and QoR provenance (DESIGN.md section 14)
+    --store PATH       persistent flow store file: stage cache and QoR
+                       provenance (DESIGN.md section 14)
     --store-max-bytes N
                        store size bound in bytes; LRU compaction keeps the
                        file under it (default 0 = 64 MiB)
@@ -317,11 +316,11 @@ fn run_claims(ids: &[String], threads: usize, store: Option<&StoreConfig>) -> Cl
 /// Runs the smoke flow twice against `--store` (or a fresh temp store),
 /// prints both wall clocks, the fraction of stages replayed from the store,
 /// and the QoR comparison; then re-runs at a clock the design cannot meet —
-/// the `7_route` stage entry misses (its pre-stage state carries the new
-/// slack), but the router's input did not move, so the `route.outcome`
-/// sub-stage entry must replay. Fails unless the warm run skipped at least
-/// 8 of the 11 stages and the edited run's QoR matches an uncached
-/// reference, bit-identically. Unreadable (poisoned) entries are recomputed and
+/// `6_sta` and `9_power` miss (their bodies read the clock), but the
+/// netlist and the placement `7_route` reads did not move, so its stage
+/// entry must replay. Fails unless the warm run skipped at least 8 of the 11
+/// stages, the edited run replayed `7_route`, and its QoR matches an
+/// uncached reference, bit-identically. Unreadable (poisoned) entries are recomputed and
 /// counted, never fatal, so a partially damaged store still passes as long
 /// as enough stages replay.
 /// A clock `incremental`'s smoke design cannot meet.
@@ -370,8 +369,8 @@ fn incremental_demo(opts: &Options) -> CliResult {
     println!("warm speedup: {:.1}x, QoR bit-identical: {same}", cold_s / warm_s.max(1e-9));
 
     // Edit-replay: a clock no smoke design meets (their critical paths are
-    // 40-80 ps). `6_sta` and `7_route` miss, the route outcome replays.
-    // QoR is judged against an uncached run of the edited config.
+    // 40-80 ps). `6_sta` and `9_power` miss, `7_route` replays. QoR is
+    // judged against an uncached run of the edited config.
     let mut edited = cfg.clone();
     edited.clock_mhz = UNMEETABLE_MHZ;
     let t = Instant::now();
@@ -382,13 +381,14 @@ fn incremental_demo(opts: &Options) -> CliResult {
     uncached.store = None;
     let reference = run_flow(&design, &uncached)
         .map_err(|e| CliError(format!("uncached reference run failed: {e}")))?;
-    let sub_hits = counter(&edit, "cache.substage_hits");
-    let sub_misses = counter(&edit, "cache.substage_misses");
+    let route_hit = edit.telemetry.spans.iter().any(|s| {
+        s.kind == SpanKind::Stage && s.name == "7_route" && s.tags.get("cache").is_some_and(|t| t == "hit")
+    });
     let edit_hits = counter(&edit, "cache.hits");
     let edit_same = reference.same_qor(&edit);
     println!(
         "edit run: {edit_s:>8.3}s  (unmeetable clock: {edit_hits} stage hits, \
-         {sub_hits} sub-stage hits / {sub_misses} misses, QoR vs uncached: {edit_same})"
+         7_route replayed: {route_hit}, QoR vs uncached: {edit_same})"
     );
 
     // Machine-readable rows for scripts/check.sh. The `cold_*` rows
@@ -398,7 +398,6 @@ fn incremental_demo(opts: &Options) -> CliResult {
     println!("INCRLINE cold_s {cold_s:.6}");
     println!("INCRLINE cold_hits {}", counter(&cold, "cache.hits"));
     println!("INCRLINE cold_errors {}", counter(&cold, "cache.errors"));
-    println!("INCRLINE cold_substage_misses {}", counter(&cold, "cache.substage_misses"));
     println!("INCRLINE warm_s {warm_s:.6}");
     println!("INCRLINE warm_body_parses {}", counter(&warm, "cache.body_parses"));
     println!("INCRLINE stages_total {total}");
@@ -407,8 +406,7 @@ fn incremental_demo(opts: &Options) -> CliResult {
     println!("INCRLINE same_qor {}", same as u32);
     println!("INCRLINE edit_s {edit_s:.6}");
     println!("INCRLINE edit_stage_hits {edit_hits}");
-    println!("INCRLINE edit_substage_hits {sub_hits}");
-    println!("INCRLINE edit_substage_misses {sub_misses}");
+    println!("INCRLINE edit_route_hit {}", route_hit as u32);
     println!("INCRLINE edit_same_qor {}", edit_same as u32);
     if hits < 8 {
         return Err(CliError(format!(
@@ -418,20 +416,15 @@ fn incremental_demo(opts: &Options) -> CliResult {
     if !same {
         return Err(CliError("warm QoR diverged from the cold run".into()));
     }
-    // A store pre-filled by an earlier edited run replays the whole edited
-    // flow from the stage cache (never consulting the memo), so the
-    // sub-stage gate only binds when the route stage actually recomputed.
-    if sub_hits != 1 && edit_hits < total {
-        return Err(CliError(format!(
-            "edited run replayed {sub_hits} sub-stage entries (expected the one route outcome)"
-        )));
+    if !route_hit {
+        return Err(CliError("edited run recomputed 7_route, whose reads it left alone".into()));
     }
     if !edit_same {
         return Err(CliError("edited QoR diverged from the uncached reference".into()));
     }
     println!(
         "incremental: warm run skipped {hits}/{total} stages, \
-         edit replayed {sub_hits} sub-stage entries, QoR identical"
+         edit replayed 7_route, QoR identical"
     );
     Ok(())
 }

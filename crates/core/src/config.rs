@@ -132,7 +132,7 @@ pub struct FlowConfig {
     /// [`FlowReport::telemetry`]: crate::report::FlowReport::telemetry
     pub threads: usize,
     /// The persistent flow store (`None` = no caching, no resume, no
-    /// provenance): stage cache, sub-stage cache and QoR provenance in one
+    /// provenance): stage cache and QoR provenance in one
     /// file (DESIGN.md §9, §14). A warm rerun, or the rerun of a killed
     /// flow, replays every stage that completed, bit-identically; its traffic
     /// lands in the `cache.*` metrics. Ignored while a

@@ -96,8 +96,8 @@ pub struct DaemonConfig {
     /// are already queued (not yet running) are rejected with `queue-full`.
     /// At least 1: [`Daemon::bind`] refuses 0, which would reject every submit.
     pub queue_high_water: usize,
-    /// Shared flow store handed to every request: stage + sub-stage cache
-    /// plus the QoR provenance tables the `query` frame reads.
+    /// Shared flow store handed to every request: the stage cache plus the
+    /// QoR provenance tables the `query` frame reads.
     pub store: Option<StoreConfig>,
     /// Install a SIGTERM handler that triggers graceful drain. Opt-in
     /// because signal dispositions are process-wide: the CLI enables it,

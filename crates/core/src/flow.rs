@@ -20,36 +20,38 @@
 //! * clock gating that fails keeps the ungated netlist and degrades.
 //!
 //! The flow is one stage table (`TABLE`: per stage its name, the config
-//! knobs its cache key covers, and its body) and one driver loop
+//! knobs its cache key covers, the parts of the flow state it reads and
+//! writes, its scalar outputs, and its body) and one driver loop
 //! (`run_flow_shared`) that alone runs the per-stage protocol — cache probe,
-//! body or replay, cursor, one serialization, cache store, clock — and
-//! parses a replayed state only when a body or the report reads it.
+//! body or replay, cache store, clock. The driver enforces the declarations:
+//! a body runs with every part it does not read taken out of the state, and
+//! every taken-out part it does not write must still be empty afterwards.
 //!
-//! With `FlowConfig::store` set, the driver stores the serialized flow state
-//! after every stage it computes; a killed flow rerun against the same store
-//! replays every stage that completed, restarts from the first one that did
-//! not, and produces bit-identical QoR ([`FlowReport::same_qor`]). The store
-//! is the only resume mechanism: without one, or under a fault plan (which
-//! bypasses it), nothing is persisted and a rerun starts over.
+//! With `FlowConfig::store` set, the driver stores what every stage it
+//! computes wrote, keyed on what the stage read; a killed flow rerun against
+//! the same store replays every stage that completed, restarts from the
+//! first one that did not, and produces bit-identical QoR
+//! ([`FlowReport::same_qor`]). The store is the only resume mechanism:
+//! without one, or under a fault plan (which bypasses it), nothing is
+//! persisted or serialized and a rerun starts over.
 
-use crate::cache::{self, CacheError};
+use crate::cache::{self, CacheError, Entry};
 use crate::config::{ConfigError, FlowConfig, PlaceAlgorithm};
 use crate::harness::{StageCtx, StageStatus, StageTry, Supervisor};
 use crate::report::FlowReport;
-use crate::state::{self, FlowState, Statuses};
-use crate::store::{FlowStore, Lookup, QorRow, StageRow, Store, Table};
+use crate::state::{self, FlowState, Part, Scalar};
+use crate::store::{FlowStore, QorRow, StageRow, Store, Table};
 use crate::telemetry::{SpanKind, Telemetry};
 use eda_dft::{fault_list, fault_sim, insert_scan, random_patterns, reorder_chains, scan_wirelength, CombView};
 use eda_litho::{decompose, run_opc, Layout, OpcConfig, OpticalModel};
 use eda_logic::{check_equivalence, synthesize, EcVerdict};
 use eda_netlist::memo::{fnv1a, Fnv1a};
-use eda_netlist::{codec, Netlist, NetlistStats, SubstageMemo};
+use eda_netlist::{codec, Netlist, NetlistStats};
 use eda_place::{anneal, place_global, place_multilevel, plan_buffers, synthesize_clock_tree, AnnealConfig, CtsConfig, Die, GlobalConfig, MultilevelConfig, ParallelConfig};
 use eda_power::{analyze, plan_clock_gating, plan_decaps, solve_ir_drop, Activity, ActivityConfig, DecapPlan, MeshConfig, PowerConfig, PowerGrid};
-use eda_route::{route_stats_memo, RouteConfig, RuleDeck};
+use eda_route::{RouteConfig, RuleDeck};
 use eda_sta::{TimingAnalysis, TimingConfig};
 use eda_tech::PatterningPlan;
-use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -224,10 +226,6 @@ struct Env<'a> {
     cfg: &'a FlowConfig,
     design: &'a Netlist,
     plan: PatterningPlan,
-    /// The sub-stage memo: the route-outcome entry that survives edits which
-    /// invalidate the `7_route` stage. Probed only from this (orchestrating)
-    /// thread.
-    sub: Option<SubMemo>,
 }
 
 /// What a stage body hands back to the driver: its outputs live in the flow
@@ -248,12 +246,21 @@ struct Stage {
     /// `tests/incremental.rs` edits each knob of the whole-config
     /// fingerprint in turn to hold that. The first argument is the design's
     /// content digest ([`design_digest`]); it appears only in `1_synthesis`:
-    /// downstream stages see the design through their pre-stage body.
+    /// downstream stages see the design through the parts they read.
     knobs: fn(u64, &FlowConfig) -> String,
+    /// The parts of the flow state `body` reads: the stage's cache key
+    /// hashes their digests. The body runs with every other part taken out.
+    reads: &'static [Part],
+    /// The parts `body` writes besides its own outputs, in entry order
+    /// (chains, placement, netlist): the stage's entry holds them.
+    writes: &'static [Part],
+    /// The stage's own scalar outputs, [`Part::Outputs`] of its position:
+    /// the fields of the state only its body writes.
+    outputs: fn(&mut FlowState) -> Vec<&mut dyn Scalar>,
     /// Runs the stage under the supervisor: reads its inputs from the flow
     /// state, writes its outputs back. Everything else a stage needs — cache
-    /// probe and store, cursor, clocks — is the driver's
-    /// ([`run_flow_shared`]), never the body's.
+    /// probe and store, clocks — is the driver's ([`run_flow_shared`]),
+    /// never the body's.
     body: fn(&'static str, &Env<'_>, &mut FlowState, &mut Supervisor<'_>) -> StageResult,
 }
 
@@ -263,6 +270,14 @@ impl Stage {
         fnv1a(format!("{}{}", self.name, (self.knobs)(design, cfg)).bytes())
     }
 }
+
+/// The netlist and the placement: the parts a stage that places, times,
+/// routes or powers the design reads.
+const PHYSICAL: &[Part] = &[Part::Netlist, Part::Placement];
+const NETLIST: &[Part] = &[Part::Netlist];
+
+/// The position of `7_route`, whose outputs `8_litho` reads.
+const ROUTE: usize = 7;
 
 /// Scan insertion, reordering, and fault simulation all key on the scan
 /// options (chains and reorder flag both change their results or their skip
@@ -295,14 +310,27 @@ const TABLE: [Stage; 11] = [
                 cfg.verify_synthesis,
             )
         },
+        reads: &[],
+        writes: NETLIST,
+        outputs: |st| vec![&mut st.synthesis_verified],
         body: synthesis,
     },
     Stage {
         name: "2_clock_gating",
         knobs: |_, cfg| format!("|{}", cfg.power.clock_gating_group),
+        reads: NETLIST,
+        writes: NETLIST,
+        outputs: |_| Vec::new(),
         body: clock_gating,
     },
-    Stage { name: "3_scan", knobs: scan_knobs, body: scan },
+    Stage {
+        name: "3_scan",
+        knobs: scan_knobs,
+        reads: NETLIST,
+        writes: &[Part::Chains, Part::Netlist],
+        outputs: |st| vec![&mut st.cells, &mut st.flops],
+        body: scan,
+    },
     Stage {
         name: "4_place",
         knobs: |_, cfg| {
@@ -314,14 +342,34 @@ const TABLE: [Stage; 11] = [
                 cfg.anneal_moves_per_cell
             )
         },
+        reads: NETLIST,
+        writes: &[Part::Placement],
+        outputs: |_| Vec::new(),
         body: place,
     },
-    Stage { name: "5_scan_reorder", knobs: scan_knobs, body: scan_reorder },
+    Stage {
+        name: "5_scan_reorder",
+        knobs: scan_knobs,
+        reads: &[Part::Placement, Part::Chains],
+        writes: &[Part::Chains],
+        outputs: |st| vec![&mut st.scan_wirelength_um],
+        body: scan_reorder,
+    },
     // CTS runs on defaults.
-    Stage { name: "6_cts", knobs: |_, _| String::new(), body: cts },
+    Stage {
+        name: "6_cts",
+        knobs: |_, _| String::new(),
+        reads: PHYSICAL,
+        writes: &[],
+        outputs: |st| vec![&mut st.clock_skew_ps, &mut st.clock_tree_um],
+        body: cts,
+    },
     Stage {
         name: "6_sta",
         knobs: |_, cfg| format!("|{:016x}", cfg.clock_mhz.to_bits()),
+        reads: NETLIST,
+        writes: &[],
+        outputs: |st| vec![&mut st.wns_ps, &mut st.critical_path_ps, &mut st.hold_violations],
         body: sta,
     },
     Stage {
@@ -340,11 +388,21 @@ const TABLE: [Stage; 11] = [
                 cfg.route_window_margin,
             )
         },
+        reads: PHYSICAL,
+        writes: &[],
+        outputs: |st| vec![&mut st.routed_wirelength, &mut st.routed_vias, &mut st.routed_overflow],
         body: route,
     },
     // Litho derives its plan and pitch from the node, and its wire
-    // population from the seed and the routed state.
-    Stage { name: "8_litho", knobs: |_, cfg| format!("|{:?}|{}", cfg.node, cfg.seed), body: litho },
+    // population from the seed and the routed wirelength.
+    Stage {
+        name: "8_litho",
+        knobs: |_, cfg| format!("|{:?}|{}", cfg.node, cfg.seed),
+        reads: &[Part::Outputs(ROUTE)],
+        writes: &[],
+        outputs: |st| vec![&mut st.masks, &mut st.stitches, &mut st.litho_legal, &mut st.opc_rms_epe_nm],
+        body: litho,
+    },
     Stage {
         name: "9_power",
         knobs: |_, cfg| {
@@ -355,10 +413,23 @@ const TABLE: [Stage; 11] = [
                 cfg.power.decap_droop_limit_mv.map(f64::to_bits).unwrap_or(u64::MAX),
             )
         },
+        reads: PHYSICAL,
+        // The netlist with its decaps applied.
+        writes: NETLIST,
+        outputs: |st| {
+            vec![&mut st.decaps, &mut st.dynamic_mw, &mut st.leakage_mw, &mut st.hotspots, &mut st.ir_drop_mv]
+        },
         body: power,
     },
     // The random test patterns come from the seed.
-    Stage { name: "10_dft", knobs: |d, cfg| format!("|{}{}", cfg.seed, scan_knobs(d, cfg)), body: dft },
+    Stage {
+        name: "10_dft",
+        knobs: |d, cfg| format!("|{}{}", cfg.seed, scan_knobs(d, cfg)),
+        reads: NETLIST,
+        writes: &[],
+        outputs: |st| vec![&mut st.test_coverage],
+        body: dft,
+    },
 ];
 
 /// Fingerprint of every QoR-relevant config field plus the design's content
@@ -418,12 +489,13 @@ pub fn run_flow_observed(
 /// file; `None` opens [`FlowConfig::store`] per run.
 ///
 /// This is the driver: the one place the per-stage protocol is written. For
-/// each row of [`TABLE`], in order: probe the stage cache; on a hit adopt the
-/// entry's statuses and body bytes, else parse the state the hits before it
-/// replayed (once per chain of hits), run the body, advance the cursor,
-/// serialize the state once and store those bytes; lap the clock. Resuming a
-/// killed run is this loop and nothing else: the stages it completed hit,
-/// the rest compute.
+/// each row of [`TABLE`], in order: key the stage on the digests of the
+/// parts it reads and probe the stage cache; on a hit install what the entry
+/// holds — the status, the outputs and the chains parsed, the netlist and
+/// placement texts deferred — else parse the deferred texts the stage reads,
+/// run the body, and store what it wrote; lap the clock. Resuming a killed
+/// run is this loop and nothing else: the stages it completed hit, the rest
+/// compute.
 pub(crate) fn run_flow_shared(
     design: &Netlist,
     cfg: &FlowConfig,
@@ -447,17 +519,12 @@ pub(crate) fn run_flow_shared(
         tel.set_observer(obs);
     }
     let mut sup = Supervisor::new(cfg.fault_plan.as_ref(), &tel);
-    let mut st = FlowState::fresh();
-    // `st` and `sup.statuses` in the body codec: the input the next stage's
-    // cache key hashes, and what its entry stores.
-    let mut image = String::new();
-    state::write_body(&st, &sup.statuses, &mut image);
 
-    // The persistent flow store (DESIGN.md §14): stage cache, sub-stage
-    // cache, and QoR provenance in one file. Disabled while a fault plan is
-    // active: injected faults must exercise the real stage bodies, not
-    // replay cached results. An unopenable store downgrades to an uncached
-    // run (counted, never fatal).
+    // The persistent flow store (DESIGN.md §14): stage cache and QoR
+    // provenance in one file. Disabled while a fault plan is active:
+    // injected faults must exercise the real stage bodies, not replay cached
+    // results. An unopenable store downgrades to an uncached run (counted,
+    // never fatal).
     let store: Option<Arc<FlowStore>> = if cfg.fault_plan.is_some() {
         None
     } else {
@@ -474,12 +541,7 @@ pub(crate) fn run_flow_shared(
     // The design's digest is the one key input that costs a pass over the
     // design, so a storeless run never pays for it.
     let keyed = store.as_deref().map(|s| (s, design_digest(design)));
-    let env = Env {
-        cfg,
-        design,
-        plan: PatterningPlan::for_node(cfg.node),
-        sub: store.as_ref().map(|s| SubMemo::new(s.clone())),
-    };
+    let env = Env { cfg, design, plan: PatterningPlan::for_node(cfg.node) };
 
     // What this run observed about itself: a replayed stage reports what
     // replaying it took, never the clock of the run that computed it.
@@ -490,26 +552,28 @@ pub(crate) fn run_flow_shared(
     flow_span.tag("design", design.name());
     flow_span.tag("node", cfg.node);
 
-    // After a hit the loop adopts the entry's body as `image` and its
-    // statuses, but leaves `st` where it was: the state is parsed once, when
-    // a stage body is about to read it or the run ends, so a chain of hits
-    // costs one parse. While `st` lags, `lag` holds the statuses that go
-    // with it.
-    let mut lag: Option<Statuses> = None;
-    // The stage index the loop probes from: a replayed image that did not
-    // parse rewinds the loop to `st`, and the stages up to where it was are
-    // recomputed unprobed, so the damaged entry is rewritten, not replayed.
-    let mut probe_from = 0;
+    let mut st = FlowState::fresh();
+    // Per part, the digest of its text as the stage that last wrote it
+    // stored it: what the keys of the stages that read the part hash. Kept
+    // only while a store is open; a storeless run serializes nothing.
+    let mut digests = [0u64; Part::COUNT];
+    let mut deferred = Deferred::default();
+    // Stages recomputed without a probe: a deferred text that does not
+    // parse restarts the loop, and the stage that wrote it and those after
+    // it, up to where it surfaced, are recomputed, so the damaged entry is
+    // rewritten rather than replayed.
+    let mut unprobed = 0u32;
+    let mut text = String::new();
     let mut next = 0;
     loop {
         let Some(stage) = TABLE.get(next) else {
-            if catch_up(&mut st, &mut lag, &mut sup.statuses, &mut image, &tel) {
-                break;
-            }
-            (probe_from, next) = (next, st.cursor);
+            // The report reads the netlist and the placement.
+            let Err(writer) = deferred.parse(&mut st, PHYSICAL, &tel) else { break };
+            unprobed |= (1 << next) - (1 << writer);
+            (st, digests, deferred, next) = (FlowState::fresh(), [0; Part::COUNT], Deferred::default(), 0);
+            sup.statuses.clear();
             continue;
         };
-        let position = next + 1;
         // The deadline trips at stage boundaries only, before the stage is
         // computed, replayed or skipped: an attempt that is already running
         // always finishes (its result never depends on the clock), so a
@@ -521,43 +585,65 @@ pub(crate) fn run_flow_shared(
                 return Err(FlowError::DeadlineExceeded { stage: stage.name, elapsed_s, deadline_s, partial });
             }
         }
-        // The key's config component is the *per-stage* fingerprint, not the
-        // whole-config one: a knob change invalidates exactly the stages
-        // that read the knob, and the unchanged prefix keeps hitting.
-        let probe = keyed
-            .map(|(s, digest)| (s, cache::entry_key(stage.name, stage.config_fp(digest, cfg), &image)));
-        let looked = probe.filter(|_| next >= probe_from).map(|(store, key)| {
-            match cache::load(store, stage.name, position, key) {
+        // The key's config component is the *per-stage* fingerprint and its
+        // state component the digests of the parts the stage reads: an edit
+        // misses exactly the stages that read a knob or a part it moved.
+        let probe = keyed.map(|(store, design)| {
+            let reads = stage.reads.iter().map(|part| digests[part.index()]);
+            (store, cache::entry_key(stage.name, stage.config_fp(design, cfg), reads))
+        });
+        let written: Vec<Part> = std::iter::once(Part::Outputs(next)).chain(stage.writes.iter().copied()).collect();
+        let looked = probe.filter(|_| unprobed & 1 << next == 0).map(|(store, key)| {
+            match cache::load(store, stage.name, key, &written, (stage.outputs)(&mut st).len()) {
                 Ok(Some(hit)) => Ok(hit),
                 Ok(None) => Err(("cache.misses", "miss")),
                 Err(CacheError::Corrupt(_)) => Err(("cache.errors", "error")),
             }
         });
         match looked {
-            // The content address covers the pre-stage body including the
-            // status prefix, so the cached state agrees with this run on
-            // everything before the stage and replaces it wholesale.
             Some(Ok(hit)) => {
-                let prior = sup.cache_hit(stage.name, hit.statuses);
-                lag.get_or_insert(prior);
-                image = hit.body;
+                sup.cache_hit(stage.name, hit.status);
+                for (field, bits) in (stage.outputs)(&mut st).into_iter().zip(hit.outputs) {
+                    field.set_bits(bits);
+                }
+                if let Some(chains) = hit.chains {
+                    st.chains = chains;
+                }
+                for (part, text) in hit.texts {
+                    // A text the state already holds — `9_power` inserting
+                    // no decap stores the netlist it read — is not parsed
+                    // again.
+                    if !hit.digests.contains(&(part, digests[part.index()])) {
+                        deferred.defer(&mut st, part, next, text);
+                    }
+                }
+                for (part, digest) in hit.digests {
+                    digests[part.index()] = digest;
+                }
             }
             cold => {
-                if !catch_up(&mut st, &mut lag, &mut sup.statuses, &mut image, &tel) {
-                    (probe_from, next) = (next, st.cursor);
+                if let Err(writer) = deferred.parse(&mut st, stage.reads, &tel) {
+                    unprobed |= (1 << next) - (1 << writer);
+                    (st, digests, deferred, next) = (FlowState::fresh(), [0; Part::COUNT], Deferred::default(), 0);
+                    sup.statuses.clear();
                     continue;
                 }
                 if let Some(Err((metric, note))) = cold {
                     sup.cache_cold(metric, note);
                 }
-                (stage.body)(stage.name, &env, &mut st, &mut sup)?;
-                st.cursor = position;
-                // The image is kept current only when something reads it;
+                deferred.forget(stage.writes);
+                run_body(next, &env, &mut st, &mut sup)?;
+                // Only the parts the stage wrote are serialized and hashed;
                 // a failed store never fails the flow.
                 if let Some((store, key)) = probe {
-                    image.clear();
-                    state::write_body(&st, &sup.statuses, &mut image);
-                    if cache::store(store, stage.name, key, &image).is_err() {
+                    let outputs: Vec<u64> = (stage.outputs)(&mut st).iter().map(|field| field.bits()).collect();
+                    let mut entry = Entry::new(stage.name, key, &sup.statuses[stage.name]);
+                    for &part in &written {
+                        text.clear();
+                        state::write_part(&st, part, &outputs, &mut text);
+                        digests[part.index()] = entry.section(part, &text);
+                    }
+                    if entry.store(store, key).is_err() {
                         tel.count("cache.errors", 1);
                     }
                 }
@@ -573,16 +659,6 @@ pub(crate) fn run_flow_shared(
     let netlist = current_netlist(&st);
     let placement = current_placement(&st);
     let buffers = plan_buffers(netlist, placement, placement.die.width_um / 2.0, &[]);
-
-    // Sub-stage traffic lands in the metric registry only when a store is
-    // enabled, so the storeless golden snapshot stays byte-stable.
-    if let Some(sub) = &env.sub {
-        tel.count("cache.substage_hits", sub.hits.get());
-        tel.count("cache.substage_misses", sub.misses.get());
-        if sub.errors.get() > 0 {
-            tel.count("cache.errors", sub.errors.get());
-        }
-    }
 
     drop(flow_span);
     let report = FlowReport {
@@ -623,35 +699,100 @@ pub(crate) fn run_flow_shared(
     Ok(report)
 }
 
-/// Brings `st` up to `image` after the hits that replayed it: parses the
-/// image once (counted in `cache.body_parses`, so only a run with a store
-/// open records it) and clears `lag`. `false`
-/// when the image does not parse — an entry with an intact record and head
-/// but a damaged state, counted in `cache.errors` — after putting `statuses`
-/// and `image` back to go with `st`, the last state that parsed, from where
-/// the caller recomputes. A no-op when `st` does not lag.
-fn catch_up(
-    st: &mut FlowState,
-    lag: &mut Option<Statuses>,
-    statuses: &mut Statuses,
-    image: &mut String,
-    tel: &Telemetry,
-) -> bool {
-    let Some(prior) = lag.take() else { return true };
-    tel.count("cache.body_parses", 1);
-    match state::read_body(image) {
-        Ok((parsed, _)) => {
-            *st = parsed;
-            true
+/// The netlist and placement texts the last hits that wrote those parts
+/// replayed, each with the position of the stage that wrote it. A text is
+/// parsed when a computed stage or the report reads its part, and dropped
+/// unparsed when a later stage writes the part; while it waits, the part's
+/// slot in the state is empty.
+#[derive(Default)]
+struct Deferred([Option<(usize, String)>; 2]);
+
+impl Deferred {
+    /// Defers `text`, `part` as the stage at `writer` stored it.
+    fn defer(&mut self, st: &mut FlowState, part: Part, writer: usize, text: String) {
+        match part {
+            Part::Netlist => st.netlist = None,
+            _ => st.placement = None,
         }
-        Err(_) => {
-            tel.count("cache.errors", 1);
-            *statuses = prior;
-            image.clear();
-            state::write_body(st, statuses, image);
-            false
+        self.0[part.index()] = Some((writer, text));
+    }
+
+    /// Drops the texts of `parts`: a stage is about to write them.
+    fn forget(&mut self, parts: &[Part]) {
+        for part in parts {
+            if let Some(slot) = self.0.get_mut(part.index()) {
+                *slot = None;
+            }
         }
     }
+
+    /// Parses the deferred texts of `parts` into `st`, each counted in
+    /// `cache.body_parses` (so only a run with a store open records one).
+    /// A text that does not parse — an entry with an intact record and head
+    /// but a damaged part — is counted in `cache.errors`, and the position
+    /// of the stage that wrote it is the error.
+    fn parse(&mut self, st: &mut FlowState, parts: &[Part], tel: &Telemetry) -> Result<(), usize> {
+        for &part in parts {
+            let Some((writer, text)) = self.0.get_mut(part.index()).and_then(Option::take) else { continue };
+            tel.count("cache.body_parses", 1);
+            let parsed = match part {
+                Part::Netlist => state::read_netlist(&text).map(|n| st.netlist = Some(n)),
+                _ => state::read_placement(&text).map(|p| st.placement = Some(p)),
+            };
+            if parsed.is_err() {
+                tel.count("cache.errors", 1);
+                return Err(writer);
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Runs the body of the stage at `position` with every part of `st` it does
+/// not read taken out, then puts back each taken-out part it does not
+/// write, asserting the body left that slot empty: an undeclared read finds
+/// nothing there, and an undeclared write is caught.
+fn run_body(position: usize, env: &Env<'_>, st: &mut FlowState, sup: &mut Supervisor<'_>) -> StageResult {
+    let stage = &TABLE[position];
+    let reads = |part| stage.reads.contains(&part);
+    let writes = |part| part == Part::Outputs(position) || stage.writes.contains(&part);
+    let netlist = (!reads(Part::Netlist)).then(|| st.netlist.take());
+    let placement = (!reads(Part::Placement)).then(|| st.placement.take());
+    let chains = (!reads(Part::Chains)).then(|| std::mem::take(&mut st.chains));
+    let outputs: Vec<(usize, Vec<u64>)> = (0..TABLE.len())
+        .filter(|&i| !reads(Part::Outputs(i)))
+        .map(|i| {
+            let taken = (TABLE[i].outputs)(st).into_iter().map(|field| {
+                let bits = field.bits();
+                field.set_bits(0);
+                bits
+            });
+            (i, taken.collect())
+        })
+        .collect();
+
+    let result = (stage.body)(stage.name, env, st, sup);
+
+    let undeclared = |part: Part, empty: bool| {
+        assert!(empty || writes(part), "{} writes {part:?}, which its row does not declare", stage.name);
+        !writes(part)
+    };
+    if let Some(taken) = netlist.filter(|_| undeclared(Part::Netlist, st.netlist.is_none())) {
+        st.netlist = taken;
+    }
+    if let Some(taken) = placement.filter(|_| undeclared(Part::Placement, st.placement.is_none())) {
+        st.placement = taken;
+    }
+    if let Some(taken) = chains.filter(|_| undeclared(Part::Chains, st.chains.is_empty())) {
+        st.chains = taken;
+    }
+    for (i, taken) in outputs {
+        let mut fields = (TABLE[i].outputs)(st);
+        if undeclared(Part::Outputs(i), fields.iter().all(|field| field.bits() == 0)) {
+            fields.iter_mut().zip(taken).for_each(|(field, bits)| field.set_bits(bits));
+        }
+    }
+    result
 }
 
 /// `1_synthesis`: synthesis, plus the optional equivalence check.
@@ -918,7 +1059,7 @@ fn route(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Super
             ripup_iterations: cfg.ripup_iterations,
             window_margin: cfg.route_window_margin,
         };
-        let out = route_stats_memo(cur, placement, &rcfg, env.sub.as_ref().map(|s| s as &dyn SubstageMemo));
+        let out = eda_route::route(cur, placement, &rcfg);
         ctx.tel.count("route.ripup_iterations", out.iterations as u64);
         ctx.tel.count("route.connections", out.connections as u64);
         ctx.tel.count("route.cells_expanded", out.cells_expanded);
@@ -1141,56 +1282,6 @@ fn record_provenance(store: &FlowStore, report: &FlowReport, design_digest: u64,
     }
 }
 
-/// Adapter exposing the store's sub-stage table through the engine crates'
-/// [`SubstageMemo`] trait. The store key folds the kind into the engine's
-/// key, so entries of different kinds can never collide. Every probe and
-/// store is one store round trip, so an entry must replace work that costs
-/// more than a store round trip; per-item entries do not (a cold run writes
-/// one, the `route.outcome` entry, whatever the design size). Counters are
-/// interior-mutable `Cell`s because the memo contract is single-threaded:
-/// probes and stores happen only on the orchestrating thread.
-struct SubMemo {
-    inner: Arc<FlowStore>,
-    hits: Cell<u64>,
-    misses: Cell<u64>,
-    errors: Cell<u64>,
-}
-
-impl SubMemo {
-    fn new(inner: Arc<FlowStore>) -> SubMemo {
-        SubMemo { inner, hits: Cell::new(0), misses: Cell::new(0), errors: Cell::new(0) }
-    }
-
-    fn store_key(kind: &str, key: u64) -> u64 {
-        fnv1a(format!("{kind}|{key:016x}").bytes())
-    }
-}
-
-impl SubstageMemo for SubMemo {
-    fn load(&self, kind: &str, key: u64) -> Option<String> {
-        match self.inner.get(Table::Sub, Self::store_key(kind, key)) {
-            Lookup::Hit(payload) => {
-                self.hits.set(self.hits.get() + 1);
-                Some(payload)
-            }
-            Lookup::Miss => {
-                self.misses.set(self.misses.get() + 1);
-                None
-            }
-            Lookup::Corrupt(_) => {
-                self.errors.set(self.errors.get() + 1);
-                None
-            }
-        }
-    }
-
-    fn store(&self, kind: &str, key: u64, payload: &str) {
-        if self.inner.put(Table::Sub, Self::store_key(kind, key), payload).is_err() {
-            self.errors.set(self.errors.get() + 1);
-        }
-    }
-}
-
 /// The netlist as of the last completed stage. Internal invariant: every
 /// stage past `1_synthesis` has one.
 fn current_netlist(st: &FlowState) -> &Netlist {
@@ -1275,7 +1366,7 @@ mod tests {
         }
 
         // Design identity binds only the first stage; downstream stages key
-        // on their pre-stage state instead.
+        // on the digests of the parts they read instead.
         let other = generate::ripple_carry_adder(8).unwrap();
         assert_ne!(stage_fp("1_synthesis", &design, &base), stage_fp("1_synthesis", &other, &base));
         assert_eq!(stage_fp("4_place", &design, &base), stage_fp("4_place", &other, &base));
@@ -1398,10 +1489,10 @@ mod tests {
         ] {
             let old = route_stage_fp_rev1(&cfg);
             assert_ne!(stage_fp("7_route", &design, &cfg), old, "{}", cfg.name);
-            // Same pre-stage body, old fingerprint: a different address.
+            // Same read digests, old fingerprint: a different address.
             assert_ne!(
-                cache::entry_key("7_route", stage_fp("7_route", &design, &cfg), "pre-route body"),
-                cache::entry_key("7_route", old, "pre-route body")
+                cache::entry_key("7_route", stage_fp("7_route", &design, &cfg), [1, 2]),
+                cache::entry_key("7_route", old, [1, 2])
             );
         }
     }

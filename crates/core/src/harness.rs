@@ -366,25 +366,17 @@ impl<'p> Supervisor<'p> {
         Supervisor { plan, tel, statuses: BTreeMap::new(), cache_note: None }
     }
 
-    /// Records a stage-cache hit: the cached statuses replace the current
-    /// map (the content address covers the status prefix, so they agree for
-    /// every earlier stage), and the stage gets a span tagged `cache=hit`
-    /// in place of attempt spans — the body never ran. Returns the map it
-    /// replaced.
-    pub fn cache_hit(
-        &mut self,
-        stage: &'static str,
-        statuses: BTreeMap<String, StageStatus>,
-    ) -> BTreeMap<String, StageStatus> {
+    /// Records a stage-cache hit: the cached status becomes the stage's, and
+    /// the stage gets a span tagged `cache=hit` in place of attempt spans —
+    /// the body never ran.
+    pub fn cache_hit(&mut self, stage: &'static str, status: StageStatus) {
         let span = self.tel.span(SpanKind::Stage, stage);
         span.tag("cache", "hit");
-        if let Some(status) = statuses.get(stage) {
-            span.tag("outcome", &status.outcome);
-            span.tag("attempts", status.attempts);
-            self.tel.progress(stage, &status.outcome.to_string(), status.attempts);
-        }
+        span.tag("outcome", &status.outcome);
+        span.tag("attempts", status.attempts);
+        self.tel.progress(stage, &status.outcome.to_string(), status.attempts);
         self.tel.count("cache.hits", 1);
-        std::mem::replace(&mut self.statuses, statuses)
+        self.statuses.insert(stage.to_string(), status);
     }
 
     /// Counts a stage-cache probe that found nothing to replay — `metric`

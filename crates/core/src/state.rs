@@ -1,9 +1,15 @@
-//! The flow state and its body codec: exact serialization of everything the
-//! flow has computed (and the statuses of the stages that produced it) after
-//! a stage, as the stage cache stores it ([`crate::cache`]) and as the next
-//! stage's cache key hashes it. A flow that is killed and rerun against the
-//! same store replays these bytes stage by stage, so it resumes from the
-//! last good stage with bit-identical QoR.
+//! The flow state, its parts, and their codec: exact text for each part a
+//! stage writes, as its stage-cache entry stores it ([`crate::cache`]), and
+//! the bytes whose digests the cache keys of the stages that read the part
+//! hash. A flow that is killed and rerun against the same store replays these
+//! parts stage by stage, so it resumes from the last good stage with
+//! bit-identical QoR.
+//!
+//! The state is cut into [`Part`]s: the netlist, the placement, the scan
+//! chains, and each stage's own scalar outputs. Every stage of the flow's
+//! table declares the parts it reads and the parts it writes; the driver
+//! keys a stage on the digests of its reads and stores what it wrote, so an
+//! edit misses only at the stages whose reads it moved.
 //!
 //! The format is line-oriented text. Everything that influences QoR
 //! round-trips exactly: `f64` values are written as `to_bits()` hex (never
@@ -11,32 +17,26 @@
 //! placement is stored as raw geometry ([`eda_place::Placement::from_parts`])
 //! rather than being re-derived from the netlist — whose instance count may
 //! legitimately differ from placement time once decaps are inserted.
-//!
-//! Both directions are on the store path of every stage, so both are lean.
-//! [`write_body`] streams into one reused `String` — the netlist included,
+//! [`write_part`] streams into one reused `String` — the netlist included,
 //! and borrowing the placement — and allocates nothing per point, sink or
-//! name. Reading is split: [`read_head`] is what a cache hit checks (the
-//! cursor and the statuses), and [`read_body`], the full parse, runs once per
-//! chain of hits, when the flow loop next needs the state.
+//! name.
 //!
 //! Nothing here touches the file system: where the bytes live, how they are
 //! addressed and what happens when they are damaged is the store's business.
 
+use crate::flow::STAGES;
 use crate::harness::{StageOutcome, StageStatus};
 use eda_netlist::codec::{unescape, write_name, Lines};
 use eda_netlist::{codec, CodecError, InstId, Netlist};
 use eda_place::{Placement, Point};
-use std::collections::BTreeMap;
 use std::fmt::{self, Write};
 
-/// Everything the flow has computed so far. `cursor` counts completed stage
-/// positions (0..=11); each stage reads its inputs from here and writes its
-/// outputs back, so the struct doubles as the replay image. It holds state
-/// only: what one run observed about itself (seconds, workers, speedups)
-/// belongs to that run's driver and report, never to the persisted image.
+/// Everything the flow has computed so far. Each stage reads its inputs
+/// from here and writes its outputs back, part by part ([`Part`]). It holds
+/// state only: what one run observed about itself (seconds, workers,
+/// speedups) belongs to that run's driver and report, never to an entry.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FlowState {
-    pub cursor: usize,
     pub netlist: Option<Netlist>,
     pub placement: Option<Placement>,
     pub chains: Vec<Vec<InstId>>,
@@ -70,120 +70,149 @@ impl FlowState {
     }
 }
 
-/// Revision of the body format [`write_body`] emits. Folded into every
-/// stage-cache address ([`crate::cache::entry_key`]), so a store written
-/// under an older revision is never addressed — its entries read as misses
-/// and age out — instead of failing to parse. Bump it when the emitted bytes
-/// change; a writer that emits the same bytes faster keeps it. Revision 2
-/// dropped the wall-clock maps.
-pub(crate) const BODY_REV: u32 = 2;
-
-/// Serializes the flow state and the statuses of the stages that produced it
-/// in the line-oriented body format: what a stage-cache entry stores after
-/// its head lines (`crate::cache`), and the same bytes the next stage's
-/// cache key hashes. Everything is written straight into `out`, the netlist
-/// too, so a stage's serialization allocates nothing past `out`'s growth.
-pub(crate) fn write_body(st: &FlowState, statuses: &BTreeMap<String, StageStatus>, out: &mut String) {
-    emit_body(st, statuses, out).expect("writing to a String never fails");
+/// A part of the flow state: the unit a stage declares it reads or writes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Part {
+    Netlist,
+    Placement,
+    Chains,
+    /// The scalar outputs of the stage at this position of the flow.
+    Outputs(usize),
 }
 
-fn emit_body(st: &FlowState, statuses: &BTreeMap<String, StageStatus>, out: &mut String) -> fmt::Result {
-    let v = match st.synthesis_verified {
-        None => "-",
-        Some(false) => "0",
-        Some(true) => "1",
-    };
-    writeln!(
-        out,
-        "cursor {}\nverified {v}\nu {} {} {} {} {} {} {} {} {} {} {}",
-        st.cursor,
-        st.cells,
-        st.flops,
-        st.hold_violations,
-        st.routed_wirelength,
-        st.routed_vias,
-        st.routed_overflow,
-        st.masks,
-        st.stitches,
-        st.decaps,
-        st.hotspots,
-        u8::from(st.litho_legal),
-    )?;
-    out.push('f');
-    for v in [
-        st.scan_wirelength_um,
-        st.clock_skew_ps,
-        st.clock_tree_um,
-        st.wns_ps,
-        st.critical_path_ps,
-        st.opc_rms_epe_nm,
-        st.dynamic_mw,
-        st.leakage_mw,
-        st.ir_drop_mv,
-        st.test_coverage,
-    ] {
-        write_f64(out, v);
-    }
-    writeln!(out, "\nchains {}", st.chains.len())?;
-    for chain in &st.chains {
-        write!(out, "c {}", chain.len())?;
-        for inst in chain {
-            write!(out, " {}", inst.index())?;
+impl Part {
+    /// The number of parts: three shared ones and each stage's outputs.
+    pub const COUNT: usize = 3 + STAGES.len();
+
+    /// The part's slot in a per-part array.
+    pub fn index(self) -> usize {
+        match self {
+            Part::Netlist => 0,
+            Part::Placement => 1,
+            Part::Chains => 2,
+            Part::Outputs(stage) => 3 + stage,
         }
-        out.push('\n');
     }
-    writeln!(out, "status {}", statuses.len())?;
-    for (stage, s) in statuses {
-        out.push_str("s ");
-        write_name(out, stage)?;
-        write!(out, " {} ", s.attempts)?;
-        match &s.outcome {
-            StageOutcome::Completed => out.push('C'),
-            StageOutcome::Recovered { attempts } => write!(out, "R {attempts}")?,
-            StageOutcome::Degraded { reason } => {
-                out.push_str("D ");
-                write_name(out, reason)?;
+
+    /// The tag of the part's section in an entry.
+    pub fn tag(self) -> &'static str {
+        match self {
+            Part::Netlist => "netlist",
+            Part::Placement => "placement",
+            Part::Chains => "chains",
+            Part::Outputs(_) => "outputs",
+        }
+    }
+}
+
+/// A scalar output of a stage as the codec and the driver see it: 64 bits,
+/// all of them zero while the output is taken out of the state.
+pub(crate) trait Scalar {
+    fn bits(&self) -> u64;
+    fn set_bits(&mut self, bits: u64);
+}
+
+impl Scalar for f64 {
+    fn bits(&self) -> u64 {
+        self.to_bits()
+    }
+    fn set_bits(&mut self, bits: u64) {
+        *self = f64::from_bits(bits);
+    }
+}
+
+macro_rules! int_scalar {
+    ($($t:ty),*) => {$(
+        impl Scalar for $t {
+            fn bits(&self) -> u64 {
+                *self as u64
             }
-            StageOutcome::Skipped { cause } => {
-                out.push_str("S ");
-                write_name(out, cause)?;
+            fn set_bits(&mut self, bits: u64) {
+                *self = bits as $t;
             }
         }
-        out.push('\n');
+    )*};
+}
+int_scalar!(u64, usize, u32);
+
+impl Scalar for bool {
+    fn bits(&self) -> u64 {
+        u64::from(*self)
     }
-    match &st.placement {
-        None => out.push_str("placement 0\n"),
-        Some(p) => {
-            out.push_str("placement 1\ndie");
+    fn set_bits(&mut self, bits: u64) {
+        *self = bits != 0;
+    }
+}
+
+impl Scalar for Option<bool> {
+    fn bits(&self) -> u64 {
+        self.map_or(0, |v| 1 + u64::from(v))
+    }
+    fn set_bits(&mut self, bits: u64) {
+        *self = bits.checked_sub(1).map(|v| v != 0);
+    }
+}
+
+/// Revision of the entry format: the parts' texts, their sections, and the
+/// key over the digests of a stage's reads. Folded into every stage-cache
+/// address ([`crate::cache::entry_key`]), so a store written under an older
+/// revision is never addressed — its entries read as misses and age out —
+/// instead of failing to parse. Bump it when the emitted bytes change; a
+/// writer that emits the same bytes faster keeps it. Revision 2 dropped the
+/// wall-clock maps; revision 3 keys on read digests and stores writes only.
+pub(crate) const BODY_REV: u32 = 3;
+
+/// Writes the text of `part` of `st`: the netlist in its codec, the
+/// placement's die and points, one line per scan chain, or — for
+/// [`Part::Outputs`] — `outputs`, the stage's own scalar outputs' bits, on
+/// one line.
+pub(crate) fn write_part(st: &FlowState, part: Part, outputs: &[u64], out: &mut String) {
+    emit_part(st, part, outputs, out).expect("writing to a String never fails");
+}
+
+fn emit_part(st: &FlowState, part: Part, outputs: &[u64], out: &mut String) -> fmt::Result {
+    match part {
+        Part::Outputs(_) => {
+            out.push('o');
+            outputs.iter().for_each(|&bits| write_hex(out, bits));
+            out.push('\n');
+        }
+        Part::Chains => {
+            for chain in &st.chains {
+                write!(out, "c {}", chain.len())?;
+                for inst in chain {
+                    write!(out, " {}", inst.index())?;
+                }
+                out.push('\n');
+            }
+        }
+        Part::Placement => {
+            let p = st.placement.as_ref().expect("a placement writer leaves a placement");
+            out.push_str("die");
             for v in [p.die.width_um, p.die.height_um, p.die.site_um] {
-                write_f64(out, v);
+                write_hex(out, v.to_bits());
             }
             writeln!(out, " {} {}", p.die.cols, p.die.rows)?;
             for (tag, pts) in [("pos", p.positions()), ("pip", p.pi_pins()), ("pop", p.po_pins())] {
                 write!(out, "{tag} {}", pts.len())?;
                 for pt in pts {
-                    write_f64(out, pt.x);
-                    write_f64(out, pt.y);
+                    write_hex(out, pt.x.to_bits());
+                    write_hex(out, pt.y.to_bits());
                 }
                 out.push('\n');
             }
         }
-    }
-    match &st.netlist {
-        None => out.push_str("netlist 0\n"),
-        Some(n) => {
-            writeln!(out, "netlist {}", codec::text_lines(n))?;
-            codec::write_text(n, out)?;
+        Part::Netlist => {
+            codec::write_text(st.netlist.as_ref().expect("a netlist writer leaves a netlist"), out)?;
         }
     }
     Ok(())
 }
 
-/// Writes a space and the 16 lowercase hex digits of `v`'s bits: exact for
-/// every value, `-0.0`, subnormals and NaN payloads included.
-fn write_f64(out: &mut String, v: f64) {
+/// Writes a space and the 16 lowercase hex digits of `bits`: exact for every
+/// `f64`'s bits, `-0.0`, subnormals and NaN payloads included.
+fn write_hex(out: &mut String, bits: u64) {
     const HEX: &[u8; 16] = b"0123456789abcdef";
-    let bits = v.to_bits();
     let mut text = [b' '; 17];
     for (i, digit) in text[1..].iter_mut().enumerate() {
         *digit = HEX[(bits >> (60 - 4 * i)) as usize & 0xf];
@@ -191,160 +220,126 @@ fn write_f64(out: &mut String, v: f64) {
     out.push_str(std::str::from_utf8(&text).expect("hex digits are ASCII"));
 }
 
+fn parse_hex(lines: &Lines<'_>, tok: &str) -> Result<u64, CodecError> {
+    u64::from_str_radix(tok, 16).map_err(|_| lines.err(format!("bad bits {tok:?}")))
+}
+
 fn parse_f64(lines: &Lines<'_>, tok: &str) -> Result<f64, CodecError> {
-    u64::from_str_radix(tok, 16)
-        .map(f64::from_bits)
-        .map_err(|_| lines.err(format!("bad f64 bits {tok:?}")))
+    parse_hex(lines, tok).map(f64::from_bits)
 }
 
-/// The stage statuses a body carries, keyed by stage name.
-pub(crate) type Statuses = BTreeMap<String, StageStatus>;
-
-/// Reads what a stage-cache hit needs of a body without parsing the rest:
-/// the cursor it stops at and the statuses of the stages that produced it.
-/// The sections between them are skipped line by line, unparsed; a body
-/// whose state turns out not to parse is [`read_body`]'s to report.
-pub(crate) fn read_head(body: &str) -> Result<(usize, Statuses), CodecError> {
-    let lines = &mut Lines::new(body);
-    let cursor = lines.count("cursor")?;
-    // `verified`, `u` and `f`, then the chains.
-    for _ in 0..3 {
-        lines.next_line()?;
+/// Fails unless `lines` read all of its text.
+fn at_end(lines: &Lines<'_>) -> Result<(), CodecError> {
+    if lines.rest().is_empty() {
+        Ok(())
+    } else {
+        Err(lines.err("text past the end of the part"))
     }
-    for _ in 0..lines.count("chains")? {
-        lines.next_line()?;
-    }
-    Ok((cursor, read_statuses(lines)?))
 }
 
-fn read_statuses(lines: &mut Lines<'_>) -> Result<Statuses, CodecError> {
-    let mut statuses = BTreeMap::new();
-    for _ in 0..lines.count("status")? {
-        let s: Vec<&str> = lines.tagged("s")?.collect();
-        if s.len() < 3 {
-            return Err(lines.err("bad status line"));
-        }
-        let stage = unescape(s[0]).map_err(|e| lines.err(e))?;
-        let attempts: usize = lines.parse(s[1], "attempts")?;
-        let outcome = match (s[2], s.get(3)) {
-            ("C", None) => StageOutcome::Completed,
-            ("R", Some(n)) => StageOutcome::Recovered { attempts: lines.parse(n, "recovered attempts")? },
-            ("D", Some(r)) => StageOutcome::Degraded { reason: unescape(r).map_err(|e| lines.err(e))? },
-            ("S", Some(c)) => StageOutcome::Skipped { cause: unescape(c).map_err(|e| lines.err(e))? },
-            _ => return Err(lines.err("bad status line")),
-        };
-        statuses.insert(stage, StageStatus { outcome, attempts });
+/// Reads a [`Part::Outputs`] text: the bits of `count` scalar outputs.
+pub(crate) fn read_outputs(text: &str, count: usize) -> Result<Vec<u64>, CodecError> {
+    let lines = &mut Lines::new(text);
+    let toks: Vec<&str> = lines.tagged("o")?.collect();
+    if toks.len() != count {
+        return Err(lines.err(format!("{} outputs, the stage has {count}", toks.len())));
     }
-    Ok(statuses)
+    let bits = toks.iter().map(|t| parse_hex(lines, t)).collect::<Result<_, _>>()?;
+    at_end(lines)?;
+    Ok(bits)
 }
 
-/// Parses a body (everything after an entry's head lines) — the inverse of
-/// [`write_body`], which must have written all of it: text past the netlist
-/// section is an error too. The error is the parse problem and the line it
-/// is on.
-pub(crate) fn read_body(body: &str) -> Result<(FlowState, Statuses), CodecError> {
-    let lines = &mut Lines::new(body);
-    let mut st = FlowState::fresh();
-    st.cursor = lines.count("cursor")?;
-    let v_line = lines.next_line()?;
-    st.synthesis_verified = match v_line.strip_prefix("verified ") {
-        Some("-") => None,
-        Some("0") => Some(false),
-        Some("1") => Some(true),
-        _ => return Err(lines.err(format!("bad verified line {v_line:?}"))),
-    };
-
-    let u: Vec<&str> = lines.tagged("u")?.collect();
-    if u.len() != 11 {
-        return Err(lines.err("wrong integer field count"));
-    }
-    st.cells = lines.parse(u[0], "cells")?;
-    st.flops = lines.parse(u[1], "flops")?;
-    st.hold_violations = lines.parse(u[2], "hold")?;
-    st.routed_wirelength = lines.parse(u[3], "wirelength")?;
-    st.routed_vias = lines.parse(u[4], "vias")?;
-    st.routed_overflow = lines.parse(u[5], "overflow")?;
-    st.masks = lines.parse(u[6], "masks")?;
-    st.stitches = lines.parse(u[7], "stitches")?;
-    st.decaps = lines.parse(u[8], "decaps")?;
-    st.hotspots = lines.parse(u[9], "hotspots")?;
-    st.litho_legal = u[10] == "1";
-
-    let fl: Vec<&str> = lines.tagged("f")?.collect();
-    if fl.len() != 10 {
-        return Err(lines.err("wrong float field count"));
-    }
-    st.scan_wirelength_um = parse_f64(lines, fl[0])?;
-    st.clock_skew_ps = parse_f64(lines, fl[1])?;
-    st.clock_tree_um = parse_f64(lines, fl[2])?;
-    st.wns_ps = parse_f64(lines, fl[3])?;
-    st.critical_path_ps = parse_f64(lines, fl[4])?;
-    st.opc_rms_epe_nm = parse_f64(lines, fl[5])?;
-    st.dynamic_mw = parse_f64(lines, fl[6])?;
-    st.leakage_mw = parse_f64(lines, fl[7])?;
-    st.ir_drop_mv = parse_f64(lines, fl[8])?;
-    st.test_coverage = parse_f64(lines, fl[9])?;
-
-    let n_chains = lines.count("chains")?;
-    for _ in 0..n_chains {
+/// Reads a [`Part::Chains`] text.
+pub(crate) fn read_chains(text: &str) -> Result<Vec<Vec<InstId>>, CodecError> {
+    let lines = &mut Lines::new(text);
+    let mut chains = Vec::new();
+    while !lines.rest().is_empty() {
         let c: Vec<&str> = lines.tagged("c")?.collect();
         let len: usize = lines.parse(c.first().copied().unwrap_or(""), "chain length")?;
         if c.len() != len + 1 {
             return Err(lines.err("chain length mismatch"));
         }
-        let mut chain = Vec::with_capacity(len);
-        for t in &c[1..] {
-            let i: usize = lines.parse(t, "chain element")?;
-            chain.push(InstId::from_index(i));
-        }
-        st.chains.push(chain);
+        chains.push(c[1..].iter().map(|t| lines.parse(t, "chain element").map(InstId::from_index)).collect::<Result<_, _>>()?);
     }
+    Ok(chains)
+}
 
-    let statuses = read_statuses(lines)?;
+/// Reads a [`Part::Placement`] text.
+pub(crate) fn read_placement(text: &str) -> Result<Placement, CodecError> {
+    let lines = &mut Lines::new(text);
+    let d: Vec<&str> = lines.tagged("die")?.collect();
+    if d.len() != 5 {
+        return Err(lines.err("bad die line"));
+    }
+    let die = eda_place::Die {
+        width_um: parse_f64(lines, d[0])?,
+        height_um: parse_f64(lines, d[1])?,
+        site_um: parse_f64(lines, d[2])?,
+        cols: lines.parse(d[3], "cols")?,
+        rows: lines.parse(d[4], "rows")?,
+    };
+    let mut vecs: [Vec<Point>; 3] = [Vec::new(), Vec::new(), Vec::new()];
+    for (tag, slot) in ["pos", "pip", "pop"].into_iter().zip(vecs.iter_mut()) {
+        let p: Vec<&str> = lines.tagged(tag)?.collect();
+        let len: usize = lines.parse(p.first().copied().unwrap_or(""), "point count")?;
+        if p.len() != 1 + 2 * len {
+            return Err(lines.err(format!("point count mismatch in `{tag}`")));
+        }
+        for pair in p[1..].chunks(2) {
+            slot.push(Point::new(parse_f64(lines, pair[0])?, parse_f64(lines, pair[1])?));
+        }
+    }
+    at_end(lines)?;
+    let [positions, pi_pins, po_pins] = vecs;
+    Ok(Placement::from_parts(die, positions, pi_pins, po_pins))
+}
 
-    let has_placement = lines.count("placement")?;
-    if has_placement == 1 {
-        let d: Vec<&str> = lines.tagged("die")?.collect();
-        if d.len() != 5 {
-            return Err(lines.err("bad die line"));
-        }
-        let die = eda_place::Die {
-            width_um: parse_f64(lines, d[0])?,
-            height_um: parse_f64(lines, d[1])?,
-            site_um: parse_f64(lines, d[2])?,
-            cols: lines.parse(d[3], "cols")?,
-            rows: lines.parse(d[4], "rows")?,
-        };
-        let mut vecs: [Vec<Point>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-        for (tag, slot) in ["pos", "pip", "pop"].into_iter().zip(vecs.iter_mut()) {
-            let p: Vec<&str> = lines.tagged(tag)?.collect();
-            let len: usize = lines.parse(p.first().copied().unwrap_or(""), "point count")?;
-            if p.len() != 1 + 2 * len {
-                return Err(lines.err(format!("point count mismatch in `{tag}`")));
-            }
-            for pair in p[1..].chunks(2) {
-                slot.push(Point::new(parse_f64(lines, pair[0])?, parse_f64(lines, pair[1])?));
-            }
-        }
-        let [positions, pi_pins, po_pins] = vecs;
-        st.placement = Some(Placement::from_parts(die, positions, pi_pins, po_pins));
-    }
+/// Reads a [`Part::Netlist`] text, which must end where the netlist does.
+pub(crate) fn read_netlist(text: &str) -> Result<Netlist, CodecError> {
+    let lines = &mut Lines::new(text);
+    let netlist = codec::from_lines(lines)?;
+    at_end(lines)?;
+    Ok(netlist)
+}
 
-    // The netlist section is parsed in place and must end exactly where its
-    // count says, and the body with it.
-    let n_netlist_lines = lines.count("netlist")?;
-    if n_netlist_lines > 0 {
-        let first = lines.line_number();
-        st.netlist = Some(codec::from_lines(lines)?);
-        let read = lines.line_number() - first;
-        if read != n_netlist_lines {
-            return Err(lines.err(format!("netlist section is {read} lines, not {n_netlist_lines}")));
+/// Writes a stage's status as one line: its attempts and its outcome.
+pub(crate) fn write_status(s: &StageStatus, out: &mut String) {
+    emit_status(s, out).expect("writing to a String never fails");
+}
+
+fn emit_status(s: &StageStatus, out: &mut String) -> fmt::Result {
+    write!(out, "s {} ", s.attempts)?;
+    match &s.outcome {
+        StageOutcome::Completed => out.push('C'),
+        StageOutcome::Recovered { attempts } => write!(out, "R {attempts}")?,
+        StageOutcome::Degraded { reason } => {
+            out.push_str("D ");
+            write_name(out, reason)?;
+        }
+        StageOutcome::Skipped { cause } => {
+            out.push_str("S ");
+            write_name(out, cause)?;
         }
     }
-    if !lines.rest().is_empty() {
-        return Err(lines.err("text past the end of the body"));
+    out.push('\n');
+    Ok(())
+}
+
+/// Reads the status line [`write_status`] wrote from `lines`.
+pub(crate) fn read_status(lines: &mut Lines<'_>) -> Result<StageStatus, CodecError> {
+    let s: Vec<&str> = lines.tagged("s")?.collect();
+    if s.len() < 2 {
+        return Err(lines.err("bad status line"));
     }
-    Ok((st, statuses))
+    let attempts: usize = lines.parse(s[0], "attempts")?;
+    let outcome = match (s[1], s.get(2), s.len()) {
+        ("C", None, _) => StageOutcome::Completed,
+        ("R", Some(n), 3) => StageOutcome::Recovered { attempts: lines.parse(n, "recovered attempts")? },
+        ("D", Some(r), 3) => StageOutcome::Degraded { reason: unescape(r).map_err(|e| lines.err(e))? },
+        ("S", Some(c), 3) => StageOutcome::Skipped { cause: unescape(c).map_err(|e| lines.err(e))? },
+        _ => return Err(lines.err("bad status line")),
+    };
+    Ok(StageStatus { outcome, attempts })
 }
 
 #[cfg(test)]
@@ -352,54 +347,26 @@ mod tests {
     use super::*;
     use eda_netlist::generate;
 
-    /// A body written out by hand from the format rules: a placement holding
-    /// `-0.0`, the least subnormal and `f64::MAX`, every status outcome, and
-    /// a one-gate netlist.
-    const PINNED_BODY: &str = "cursor 4\n\
-        verified 1\n\
-        u 1 0 0 0 0 0 0 0 0 0 1\n\
-        f 0000000000000000 0000000000000000 0000000000000000 c029000000000000 0000000000000000 \
-        0000000000000000 0000000000000000 0000000000000000 0000000000000000 3ff0000000000000\n\
-        chains 1\n\
-        c 1 0\n\
-        status 4\n\
-        s 1_synthesis 1 C\n\
-        s 2_clock_gating 2 D no%20flops%20%25%20here\n\
-        s 3_scan 0 S no%09scan\n\
-        s 4_place 2 R 2\n\
-        placement 1\n\
-        die 4024000000000000 4010000000000000 3fe0000000000000 20 8\n\
+    /// Part texts written out by hand from the format rules: outputs holding
+    /// `-12.5` and `true`, two chains, and a placement holding `-0.0`, the
+    /// least subnormal and `f64::MAX`.
+    const PINNED_OUTPUTS: &str = "o c029000000000000 0000000000000001\n";
+    const PINNED_CHAINS: &str = "c 1 0\nc 2 3 1\n";
+    const PINNED_PLACEMENT: &str = "die 4024000000000000 4010000000000000 3fe0000000000000 20 8\n\
         pos 1 8000000000000000 0000000000000001\n\
         pip 1 7fefffffffffffff 3ff8000000000000\n\
-        pop 1 0000000000000000 c002000000000000\n\
-        netlist 12\n\
-        eda-netlist v1\n\
-        design t\n\
-        library generic\n\
-        blocks 0\n\
-        nets 2\n\
-        n a p0 1 0:0\n\
-        n g_out i0 0\n\
-        insts 1\n\
-        i g INV_X1 - 1 1 0\n\
-        pis 1 0\n\
-        pos 1\n\
-        o y 1\n";
+        pop 1 0000000000000000 c002000000000000\n";
+
+    fn text(st: &FlowState, part: Part, outputs: &[u64]) -> String {
+        let mut out = String::new();
+        write_part(st, part, outputs, &mut out);
+        out
+    }
 
     #[test]
-    fn body_form_is_pinned() {
-        let mut design = Netlist::new("t");
-        let a = design.add_input("a");
-        let y = design.add_gate_fn("g", eda_netlist::CellFunction::Inv, &[a]).unwrap();
-        design.add_output("y", y);
-
+    fn part_texts_are_pinned() {
         let mut st = FlowState::fresh();
-        st.cursor = 4;
-        st.synthesis_verified = Some(true);
-        st.cells = 1;
-        st.wns_ps = -12.5;
-        st.test_coverage = 1.0;
-        st.chains = vec![vec![InstId::from_index(0)]];
+        st.chains = vec![vec![InstId::from_index(0)], vec![InstId::from_index(3), InstId::from_index(1)]];
         let die = eda_place::Die { width_um: 10.0, height_um: 4.0, site_um: 0.5, cols: 20, rows: 8 };
         let subnormal = f64::from_bits(1);
         assert!(subnormal > 0.0 && subnormal < f64::MIN_POSITIVE);
@@ -409,80 +376,73 @@ mod tests {
             vec![Point::new(f64::MAX, 1.5)],
             vec![Point::new(0.0, -2.25)],
         ));
-        st.netlist = Some(design);
-        let status = |outcome, attempts| StageStatus { outcome, attempts };
-        let statuses: Statuses = [
-            ("1_synthesis", status(StageOutcome::Completed, 1)),
-            ("2_clock_gating", status(StageOutcome::Degraded { reason: "no flops % here".into() }, 2)),
-            ("3_scan", status(StageOutcome::Skipped { cause: "no\tscan".into() }, 0)),
-            ("4_place", status(StageOutcome::Recovered { attempts: 2 }, 2)),
-        ]
-        .into_iter()
-        .map(|(k, v)| (k.to_string(), v))
-        .collect();
+        let outputs = [(-12.5f64).bits(), true.bits()];
+        assert_eq!(text(&st, Part::Outputs(6), &outputs), PINNED_OUTPUTS);
+        assert_eq!(text(&st, Part::Chains, &[]), PINNED_CHAINS);
+        assert_eq!(text(&st, Part::Placement, &[]), PINNED_PLACEMENT);
 
-        let mut body = String::new();
-        write_body(&st, &statuses, &mut body);
-        assert_eq!(body, PINNED_BODY);
-        // Both round trips, and the sign of zero survives the placement's.
-        let (back, back_statuses) = read_body(PINNED_BODY).unwrap();
-        assert_eq!(back_statuses, statuses);
-        assert_eq!(back.placement.as_ref().unwrap().positions()[0].x.to_bits(), (-0.0f64).to_bits());
-        let mut again = String::new();
-        write_body(&back, &back_statuses, &mut again);
-        assert_eq!(again, PINNED_BODY);
+        // Each round trip, and the sign of zero survives the placement's.
+        assert_eq!(read_outputs(PINNED_OUTPUTS, 2).unwrap(), outputs);
+        assert_eq!(read_chains(PINNED_CHAINS).unwrap(), st.chains);
+        let back = read_placement(PINNED_PLACEMENT).unwrap();
+        assert_eq!(back.positions()[0].x.to_bits(), (-0.0f64).to_bits());
+        assert_eq!(Some(back), st.placement);
     }
 
     #[test]
-    fn state_roundtrip_is_exact() {
-        let design = generate::switch_fabric(3, 2).unwrap();
+    fn scalars_round_trip_through_their_bits() {
+        for v in [None, Some(false), Some(true)] {
+            let mut back = Some(true);
+            back.set_bits(v.bits());
+            assert_eq!(back, v);
+        }
+        let mut x = 0.0f64;
+        x.set_bits(f64::NAN.bits());
+        assert_eq!(x.to_bits(), f64::NAN.to_bits());
+        // A taken-out output is all zero bits.
+        assert_eq!((false.bits(), None::<bool>.bits(), 0.0f64.bits(), 0usize.bits()), (0, 0, 0, 0));
+    }
 
+    #[test]
+    fn statuses_round_trip() {
+        let status = |outcome, attempts| StageStatus { outcome, attempts };
+        for (s, pinned) in [
+            (status(StageOutcome::Completed, 1), "s 1 C\n"),
+            (status(StageOutcome::Degraded { reason: "no flops % here".into() }, 2), "s 2 D no%20flops%20%25%20here\n"),
+            (status(StageOutcome::Skipped { cause: "no\tscan".into() }, 0), "s 0 S no%09scan\n"),
+            (status(StageOutcome::Recovered { attempts: 2 }, 2), "s 2 R 2\n"),
+        ] {
+            let mut line = String::new();
+            write_status(&s, &mut line);
+            assert_eq!(line, pinned);
+            assert_eq!(read_status(&mut Lines::new(&line)).unwrap(), s, "{line:?}");
+        }
+        for bad in ["s 1 C extra\n", "s 1 R\n", "s x C\n", "t 1 C\n"] {
+            assert!(read_status(&mut Lines::new(bad)).is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn parts_round_trip_exactly_and_reject_damage() {
+        let design = generate::switch_fabric(3, 2).unwrap();
         let mut st = FlowState::fresh();
-        st.cursor = 7;
-        st.netlist = Some(design.clone());
         let die = eda_place::Die::for_netlist(&design, 0.7);
         st.placement = Some(Placement::new(&design, die));
-        st.chains = vec![vec![InstId::from_index(0), InstId::from_index(3)]];
-        st.synthesis_verified = Some(true);
-        st.wns_ps = -12.345678901;
-        st.test_coverage = 0.87654321;
-        let mut statuses = BTreeMap::new();
-        statuses.insert(
-            "7_route".to_string(),
-            StageStatus { outcome: StageOutcome::Degraded { reason: "partial routes %& spaces".into() }, attempts: 2 },
-        );
+        st.netlist = Some(design);
 
-        let mut body = String::new();
-        write_body(&st, &statuses, &mut body);
-        let (back, back_statuses) = read_body(&body).unwrap();
+        let netlist = text(&st, Part::Netlist, &[]);
+        let back = read_netlist(&netlist).unwrap();
+        assert_eq!(codec::to_text(&back), netlist);
+        let placement = text(&st, Part::Placement, &[]);
+        assert_eq!(Some(read_placement(&placement).unwrap()), st.placement);
 
-        assert_eq!(back.cursor, st.cursor);
-        assert_eq!(back.synthesis_verified, st.synthesis_verified);
-        assert_eq!(back.wns_ps.to_bits(), st.wns_ps.to_bits());
-        assert_eq!(back.test_coverage.to_bits(), st.test_coverage.to_bits());
-        assert_eq!(back.chains, st.chains);
-        assert_eq!(back_statuses, statuses);
-        assert_eq!(back.placement, st.placement);
-        // The head a cache hit reads says what the whole parse does.
-        assert_eq!(read_head(&body).unwrap(), (st.cursor, statuses.clone()));
-        // The parsed state, netlist included, re-serializes to the read
-        // bytes: what the next stage's key hashes on a replaying run is what
-        // it hashed on the run that stored.
-        let mut again = String::new();
-        write_body(&back, &back_statuses, &mut again);
-        assert_eq!(again, body);
-
-        // A cut body is a message, never a panic or a partial state; so is
+        // A cut part is a message, never a panic or a partial state; so is
         // one with text past its end.
-        assert!(read_body(&body[..body.len() / 2]).is_err());
-        assert!(read_body(&format!("{body}o extra 0\n")).is_err());
-        // The netlist must end exactly where its line count says.
-        let text = codec::to_text(&design);
-        let n = text.lines().count();
-        for wrong in [n - 1, n + 1] {
-            let skewed = body.replace(&format!("\nnetlist {n}\n"), &format!("\nnetlist {wrong}\n"));
-            assert!(read_body(&skewed).is_err(), "a netlist counted as {wrong} of {n} lines parsed");
-            assert!(read_body(&format!("{skewed}o extra 0\n")).is_err());
-        }
+        assert!(read_netlist(&netlist[..netlist.len() / 2]).is_err());
+        assert!(read_netlist(&format!("{netlist}o extra 0\n")).is_err());
+        assert!(read_placement(&placement[..placement.len() / 2]).is_err());
+        assert!(read_placement(&format!("{placement}pos 0\n")).is_err());
+        assert!(read_outputs(PINNED_OUTPUTS, 3).is_err(), "a wrong output count");
+        assert!(read_chains("c 2 1\n").is_err());
     }
 }

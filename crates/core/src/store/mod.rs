@@ -1,6 +1,7 @@
 //! The embedded flow store: one schema'd, append-friendly file holding the
-//! stage cache, the sub-stage memo entries (one kind: `route.outcome`), and
-//! the QoR provenance history (DESIGN.md §14).
+//! stage cache and the QoR provenance history (DESIGN.md §14). The flow
+//! writes nothing into [`Table::Sub`] any more; the table stays only as the
+//! key-value probe the standalone benchmark's replay workload writes.
 //!
 //! The store replaces the loose directory of `.stage` files the PR-4 cache
 //! wrote: a single file of length-framed, checksummed records over four
@@ -8,8 +9,8 @@
 //! corruption-always-downgrades-to-recompute semantics. It is reached
 //! through:
 //!
-//! * [`Store`] — typed key-value access for cache layers (stage entries,
-//!   sub-stage memo payloads) plus append-only provenance rows;
+//! * [`Store`] — typed key-value access for cache entries plus append-only
+//!   provenance rows;
 //! * [`FlowStore::qor_history`] and [`FlowStore::stage_history`] — the read
 //!   side `experiments query` and the daemon `query` frame answer from: QoR
 //!   history per design, stage history per run.
@@ -28,8 +29,8 @@
 //! std::fs::create_dir_all(&dir)?;
 //! let cfg = StoreConfig::at(dir.join("flow.store"));
 //! let store = FlowStore::open(&cfg)?;
-//! store.put(Table::Sub, 7, "payload")?;
-//! assert_eq!(store.get(Table::Sub, 7), Lookup::Hit("payload".into()));
+//! store.put(Table::Stage, 7, "payload")?;
+//! assert_eq!(store.get(Table::Stage, 7), Lookup::Hit("payload".into()));
 //! store.append(Table::Qor, "run demo generic 0 0 0 0 0 0 0")?;
 //! let rows = store.qor_history(&QorQuery { design: Some("demo".into()), ..Default::default() })?;
 //! assert_eq!(rows.len(), 1);
@@ -80,10 +81,11 @@ impl StoreConfig {
 /// evicted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Table {
-    /// Whole-stage cache entries: serialized post-stage flow state.
+    /// Stage cache entries: what one stage wrote, keyed on what it read.
     Stage,
-    /// Sub-stage memo entries: one whole-outcome payload per route
-    /// (`route.outcome`).
+    /// A key-value table no flow reads or writes: the standalone
+    /// benchmark writes its store probe here, and records an older build
+    /// left here are never addressed and age out.
     Sub,
     /// One row per completed flow run (QoR + config fingerprints).
     Qor,

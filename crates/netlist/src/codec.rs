@@ -193,12 +193,6 @@ pub fn write_text(n: &Netlist, out: &mut impl std::fmt::Write) -> std::fmt::Resu
     Ok(())
 }
 
-/// The number of lines [`write_text`] emits for `n`, from its lengths: eight
-/// header and count lines, then one per block, net, instance and output.
-pub fn text_lines(n: &Netlist) -> usize {
-    8 + n.block_names().len() + n.nets.len() + n.instances.len() + n.outputs.len()
-}
-
 /// A cursor over the `\n`-separated lines of a text, numbering them for
 /// error messages. It walks a slice, not an iterator, so [`Lines::rest`] is
 /// exactly what it has not consumed. A `\r` before a `\n` stays in its line.
@@ -545,7 +539,6 @@ mod tests {
     fn text_form_is_pinned() {
         let n = pinned_netlist();
         assert_eq!(to_text(&n), PINNED_TEXT);
-        assert_eq!(text_lines(&n), PINNED_TEXT.lines().count());
         // Both round trips: the netlist through the text, the text through
         // the netlist.
         assert_identical(&from_text(&to_text(&n)).unwrap(), &n);

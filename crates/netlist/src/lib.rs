@@ -9,8 +9,7 @@
 //! * [`generate`] — seeded synthetic design generators (adders, multipliers,
 //!   parity trees, switch fabrics, hierarchical SoCs, random logic, and the
 //!   scale-tier mesh fabrics);
-//! * [`memo`] — the storage-agnostic [`SubstageMemo`] hook engine crates use
-//!   to replay kernel-level results from a persistent store;
+//! * [`memo`] — the FNV-1a content hash the flow's cache keys derive from;
 //! * [`stats`] — structural statistics;
 //! * [`verilog`] — a structural-Verilog writer/parser for interchange.
 //!
@@ -38,7 +37,6 @@ pub mod stats;
 pub mod verilog;
 
 pub use cell::{CellDef, CellFunction, CellId, Library};
-pub use memo::SubstageMemo;
 pub use codec::CodecError;
 pub use netlist::{InstId, Instance, Net, NetDriver, NetId, Netlist, NetlistError, WIRE_CAP_PER_FANOUT_FF};
 pub use liberty::{parse_clf, parse_liberty, write_clf, write_liberty, ParseLibError};

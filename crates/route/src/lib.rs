@@ -38,9 +38,6 @@ pub mod scratch;
 pub use grid::{DemandGrid, GCell, RoutingGrid};
 pub use linesearch::probe_window;
 pub use maze::{count_bends, Path, SearchStats, SearchWindow};
-pub use router::{
-    route, route_audited, route_stats_memo, RouteAlgorithm, RouteConfig, RouteOutcome,
-    ROUTE_OUTCOME_KIND, SCHEDULE_REV,
-};
+pub use router::{route, route_audited, RouteAlgorithm, RouteConfig, RouteOutcome, SCHEDULE_REV};
 pub use rules::RuleDeck;
 pub use scratch::SearchScratch;

@@ -7,8 +7,7 @@ use crate::maze::{count_bends, SearchStats, SearchWindow};
 use crate::rules::RuleDeck;
 use crate::scratch::SearchScratch;
 use eda_place::{NetPins, Placement};
-use eda_netlist::memo::fnv1a;
-use eda_netlist::{Netlist, SubstageMemo};
+use eda_netlist::Netlist;
 use std::time::Instant;
 
 /// Routing algorithm selection.
@@ -142,8 +141,8 @@ fn decompose(netlist: &Netlist, placement: &Placement, width: u32, height: u32) 
 /// the key `(distance, i)`, refreshed against each pin as it joins the
 /// tree. Each step takes the smallest `(distance, i, j)`, which is the pair
 /// a scan of all in-tree × out-of-tree pairs in index order with a strict
-/// `<` would stop at — the emitted sequence is part of `route_outcome_key`,
-/// so ties must not move.
+/// `<` would stop at — the emitted sequence is the router's connection
+/// list, and every routed bit depends on it, so ties must not move.
 fn prim_pairs(pins: &[GCell]) -> Vec<TwoPin> {
     if pins.len() < 2 {
         return Vec::new();
@@ -302,7 +301,7 @@ fn route_one_in<'s, G: DemandGrid>(
 /// with `window_margin == 0` every path on an *at-capacity* edge is a
 /// victim, otherwise only paths on *strictly overflowed* edges.
 pub fn route(netlist: &Netlist, placement: &Placement, cfg: &RouteConfig) -> RouteOutcome {
-    route_stats_memo(netlist, placement, cfg, None)
+    route_with(netlist, placement, cfg, cfg!(debug_assertions))
 }
 
 /// [`route`] with the independent pass auditor of [`crate::audit`] forced on
@@ -316,144 +315,27 @@ pub fn route(netlist: &Netlist, placement: &Placement, cfg: &RouteConfig) -> Rou
 ///
 /// Panics with the auditor's message on the first pass that fails.
 pub fn route_audited(netlist: &Netlist, placement: &Placement, cfg: &RouteConfig) -> RouteOutcome {
-    route_with(netlist, placement, cfg, None, true)
-}
-
-/// Memo kind for whole-outcome route replay entries.
-pub const ROUTE_OUTCOME_KIND: &str = "route.outcome";
-
-/// [`route`] with an optional sub-stage memo holding one entry per route
-/// ([`ROUTE_OUTCOME_KIND`]): the final [`RouteOutcome`], keyed on the
-/// decomposed connection list plus every route-relevant config field,
-/// replays without touching the grid at all.
-///
-/// Nothing finer is memoized. An entry must replace work that costs more
-/// than a store round trip; per-item entries do not — a net's Prim MST is
-/// cheaper to recompute than to look up, and a connection's path depends on
-/// the demand committed by every previously routed connection, so it could
-/// not replay out of context anyway. A replayed outcome's `seconds` is the
-/// replay's own, near-zero, elapsed time.
-pub fn route_stats_memo(
-    netlist: &Netlist,
-    placement: &Placement,
-    cfg: &RouteConfig,
-    memo: Option<&dyn SubstageMemo>,
-) -> RouteOutcome {
-    route_with(netlist, placement, cfg, memo, cfg!(debug_assertions))
+    route_with(netlist, placement, cfg, true)
 }
 
 /// The one route entry point behind the public wrappers; `audit` runs the
 /// pass auditor after every pass.
-fn route_with(
-    netlist: &Netlist,
-    placement: &Placement,
-    cfg: &RouteConfig,
-    memo: Option<&dyn SubstageMemo>,
-    audit: bool,
-) -> RouteOutcome {
+fn route_with(netlist: &Netlist, placement: &Placement, cfg: &RouteConfig, audit: bool) -> RouteOutcome {
     let start = Instant::now();
     let w = cfg.grid_cells.max(2);
     let h = cfg.grid_cells.max(2);
     let grid = RoutingGrid::new(w, h, &cfg.deck);
-    let decomposed = decompose(netlist, placement, w, h);
-    let Some(m) = memo else {
-        return route_decomposed(grid, decomposed, cfg, start, audit).0;
-    };
-    let key = route_outcome_key(cfg, &decomposed);
-    if let Some(out) = m.load(ROUTE_OUTCOME_KIND, key).and_then(|p| parse_route_outcome(&p, start)) {
-        return out;
-    }
-    let (outcome, _) = route_decomposed(grid, decomposed, cfg, start, audit);
-    m.store(ROUTE_OUTCOME_KIND, key, &route_outcome_text(&outcome));
-    outcome
+    route_decomposed(grid, decompose(netlist, placement, w, h), cfg, start, audit).0
 }
 
 /// Revision of the route schedule, folded into every cache key that
-/// addresses a route result ([`ROUTE_OUTCOME_KIND`] entries here, the
-/// `7_route` stage entries in `eda-core`). Bump it whenever the same config
-/// and connection list can produce a different [`RouteOutcome`] than the
-/// previous revision did, so a store written before the change recomputes
-/// instead of replaying the old schedule's results. Revision 1 (implicit,
-/// no field in the key) had the batched dense passes.
+/// addresses a route result (the `7_route` stage entries in `eda-core`).
+/// Bump it whenever the same config and connection list can produce a
+/// different [`RouteOutcome`] than the previous revision did, so a store
+/// written before the change recomputes instead of replaying the old
+/// schedule's results. Revision 1 (implicit, no field in the key) had the
+/// batched dense passes.
 pub const SCHEDULE_REV: u32 = 2;
-
-/// Memo key for the whole-outcome entry: FNV over [`SCHEDULE_REV`], the
-/// route config (algorithm, deck, grid, budgets, window margin) and the
-/// decomposed connection list.
-fn route_outcome_key(cfg: &RouteConfig, pairs: &[TwoPin]) -> u64 {
-    let mut text = format!(
-        "route|rev{SCHEDULE_REV}|{:?}|{}|{}|{}|{:016x}|{:016x}|{}|{}|{}\n",
-        cfg.algorithm,
-        cfg.deck.name,
-        cfg.deck.layers,
-        cfg.deck.tracks_per_layer,
-        cfg.deck.track_derating.to_bits(),
-        cfg.deck.via_cost.to_bits(),
-        cfg.grid_cells,
-        cfg.ripup_iterations,
-        cfg.window_margin,
-    );
-    for tp in pairs {
-        text.push_str(&format!("{} {} {} {} {}\n", tp.src.x, tp.src.y, tp.dst.x, tp.dst.y, tp.fanout));
-    }
-    fnv1a(text.bytes())
-}
-
-/// Serializes every deterministic [`RouteOutcome`] field (`seconds` is wall
-/// clock and excluded — a replay reports its own, near-zero, elapsed time).
-fn route_outcome_text(o: &RouteOutcome) -> String {
-    let mut out = format!(
-        "routeout v2 {} {} {} {} {} {} {} {} {}\n",
-        o.wirelength,
-        o.vias,
-        o.overflow,
-        o.connections,
-        o.linesearch_fallbacks,
-        o.cells_expanded,
-        o.iterations,
-        o.peak_window_cells,
-        o.dense_grid_cells,
-    );
-    out.push_str(&format!("ro {}\n", o.ripup_overflow.len()));
-    for v in &o.ripup_overflow {
-        out.push_str(&format!("{v}\n"));
-    }
-    out.push_str("end\n");
-    out
-}
-
-fn parse_route_outcome(text: &str, start: Instant) -> Option<RouteOutcome> {
-    let mut lines = text.lines();
-    let mut f = lines.next()?.split(' ');
-    if f.next()? != "routeout" || f.next()? != "v2" {
-        return None;
-    }
-    let mut o = RouteOutcome {
-        wirelength: f.next()?.parse().ok()?,
-        vias: f.next()?.parse().ok()?,
-        overflow: f.next()?.parse().ok()?,
-        connections: f.next()?.parse().ok()?,
-        linesearch_fallbacks: f.next()?.parse().ok()?,
-        cells_expanded: f.next()?.parse().ok()?,
-        seconds: 0.0,
-        iterations: f.next()?.parse().ok()?,
-        ripup_overflow: Vec::new(),
-        peak_window_cells: f.next()?.parse().ok()?,
-        dense_grid_cells: f.next()?.parse().ok()?,
-    };
-    if f.next().is_some() {
-        return None;
-    }
-    let n: usize = lines.next()?.strip_prefix("ro ")?.parse().ok()?;
-    for _ in 0..n {
-        o.ripup_overflow.push(lines.next()?.parse().ok()?);
-    }
-    if lines.next()? != "end" || lines.next().is_some() {
-        return None;
-    }
-    o.seconds = start.elapsed().as_secs_f64();
-    Some(o)
-}
 
 /// Running totals across all passes of one route.
 #[derive(Default)]
@@ -597,37 +479,6 @@ mod tests {
         (n, p)
     }
 
-    /// A sub-stage memo that counts the entries it hands out and takes in.
-    struct MapMemo {
-        map: std::cell::RefCell<std::collections::HashMap<(String, u64), String>>,
-        hits: std::cell::Cell<usize>,
-        stores: std::cell::Cell<usize>,
-    }
-
-    impl MapMemo {
-        fn new() -> MapMemo {
-            MapMemo {
-                map: std::cell::RefCell::new(std::collections::HashMap::new()),
-                hits: std::cell::Cell::new(0),
-                stores: std::cell::Cell::new(0),
-            }
-        }
-    }
-
-    impl SubstageMemo for MapMemo {
-        fn load(&self, kind: &str, key: u64) -> Option<String> {
-            let hit = self.map.borrow().get(&(kind.to_string(), key)).cloned();
-            if hit.is_some() {
-                self.hits.set(self.hits.get() + 1);
-            }
-            hit
-        }
-        fn store(&self, kind: &str, key: u64, payload: &str) {
-            self.stores.set(self.stores.get() + 1);
-            self.map.borrow_mut().insert((kind.to_string(), key), payload.to_string());
-        }
-    }
-
     /// Every deterministic field (all but `seconds`).
     fn same_outcome(a: &RouteOutcome, b: &RouteOutcome, tag: &str) {
         assert_eq!(a.wirelength, b.wirelength, "{tag}");
@@ -705,95 +556,6 @@ mod tests {
         assert_eq!(pairs.len(), 2_999);
         assert!(pairs.iter().all(|tp| tp.src.manhattan(&tp.dst) == 1), "a full block spans at unit cost");
         assert!(took < 1.0, "3 000-pin Prim took {took:.2} s");
-    }
-
-    /// A `routeout v1` payload: the v2 fields plus the four partition
-    /// diagnostics the region wave scheduler reported.
-    fn route_outcome_text_v1(o: &RouteOutcome) -> String {
-        let v2 = route_outcome_text(o);
-        let (head, rest) = v2.split_once('\n').expect("a header line");
-        format!("{} 1 {} 0 {}\n{rest}", head.replace("routeout v2", "routeout v1"), o.connections, o.iterations)
-    }
-
-    #[test]
-    fn memoized_route_replays_bit_identically() {
-        let (n, p) = placed(300, 11);
-        for cfg in [RouteConfig::default(), RouteConfig { window_margin: 4, ..Default::default() }] {
-            let plain = route(&n, &p, &cfg);
-            let memo = MapMemo::new();
-            // An entry the previous payload format wrote under this key reads
-            // as a miss and is overwritten by the recomputed outcome.
-            let pairs = decompose(&n, &p, cfg.grid_cells, cfg.grid_cells);
-            let key = route_outcome_key(&cfg, &pairs);
-            memo.store(ROUTE_OUTCOME_KIND, key, &route_outcome_text_v1(&plain));
-            let cold = route_stats_memo(&n, &p, &cfg, Some(&memo));
-            same_outcome(&cold, &plain, "cold");
-            assert_eq!(memo.hits.get(), 1, "the cold run reads the v1 entry once");
-            assert_eq!(memo.stores.get(), 2, "a v1 payload must not replay: the cold run recomputes and stores");
-            let warm = route_stats_memo(&n, &p, &cfg, Some(&memo));
-            same_outcome(&warm, &plain, "warm");
-            assert_eq!(memo.hits.get(), 2, "the outcome entry is the only one addressed");
-            assert_eq!(memo.stores.get(), 2, "identical input replays the whole outcome");
-            assert_eq!(memo.map.borrow().len(), 1, "one entry per route, whatever the net count");
-            assert!(memo.map.borrow()[&(ROUTE_OUTCOME_KIND.to_string(), key)].starts_with("routeout v2 "));
-        }
-    }
-
-    /// The outcome key as the batched-schedule revision computed it: no
-    /// schedule revision field, and the region size the config then held.
-    fn route_outcome_key_rev1(cfg: &RouteConfig, region_size: u32, pairs: &[TwoPin]) -> u64 {
-        let mut text = format!(
-            "route|{:?}|{}|{}|{}|{:016x}|{:016x}|{}|{}|{}|{}\n",
-            cfg.algorithm,
-            cfg.deck.name,
-            cfg.deck.layers,
-            cfg.deck.tracks_per_layer,
-            cfg.deck.track_derating.to_bits(),
-            cfg.deck.via_cost.to_bits(),
-            cfg.grid_cells,
-            cfg.ripup_iterations,
-            cfg.window_margin,
-            region_size,
-        );
-        for tp in pairs {
-            text.push_str(&format!("{} {} {} {} {}\n", tp.src.x, tp.src.y, tp.dst.x, tp.dst.y, tp.fanout));
-        }
-        fnv1a(text.bytes())
-    }
-
-    #[test]
-    fn outcome_entries_of_the_batched_revision_are_never_addressed() {
-        let (n, p) = placed(200, 4);
-        let pairs = decompose(&n, &p, 32, 32);
-        for (cfg, region_size) in [
-            (RouteConfig::default(), 0),
-            (RouteConfig { algorithm: RouteAlgorithm::AStar, ..Default::default() }, 0),
-            (RouteConfig { window_margin: 8, ..Default::default() }, 16),
-        ] {
-            assert_ne!(route_outcome_key(&cfg, &pairs), route_outcome_key_rev1(&cfg, region_size, &pairs));
-            assert_ne!(route_outcome_key(&cfg, &[]), route_outcome_key_rev1(&cfg, region_size, &[]));
-        }
-        // A store the parent filled: the entry sits under the old address and
-        // would parse, but the lookup never reaches it.
-        let memo = MapMemo::new();
-        let cfg = RouteConfig::default();
-        let stale = RouteOutcome { wirelength: 1, ..route(&n, &p, &cfg) };
-        memo.store(ROUTE_OUTCOME_KIND, route_outcome_key_rev1(&cfg, 0, &pairs), &route_outcome_text(&stale));
-        let out = route_stats_memo(&n, &p, &cfg, Some(&memo));
-        assert_eq!(memo.hits.get(), 0, "the old address is never read");
-        assert_ne!(out.wirelength, 1);
-    }
-
-    #[test]
-    fn route_memo_misses_on_config_change() {
-        let (n, p) = placed(200, 4);
-        let memo = MapMemo::new();
-        let cfg = RouteConfig::default();
-        route_stats_memo(&n, &p, &cfg, Some(&memo));
-        let edited = RouteConfig { ripup_iterations: 3, ..cfg };
-        let out = route_stats_memo(&n, &p, &edited, Some(&memo));
-        assert_eq!(memo.hits.get(), 0, "ripup budget is part of the outcome key");
-        same_outcome(&out, &route(&n, &p, &edited), "edited");
     }
 
     #[test]

@@ -52,7 +52,7 @@
 //!
 //! Run a flow against a persistent store, then query its QoR provenance —
 //! [`FlowStore`] is the typed surface over one append-friendly file holding
-//! the stage cache, the sub-stage memo, and the run history:
+//! the stage cache and the run history:
 //!
 //! ```
 //! use eda::{run_flow, FlowConfig, FlowStore, QorQuery, StoreConfig};

@@ -3,16 +3,17 @@
 //! damaged entries as cold — never as errors — and is how a killed flow
 //! resumes.
 //!
-//! The cache key is `(stage kind, the config knobs that stage reads, hash of
-//! the serialized pre-stage state)` — the design's content digest keys
+//! The cache key is `(stage kind, the config knobs that stage reads, the
+//! digests of the state parts it reads)` — the design's content digest keys
 //! `1_synthesis` only, the seed and the node only the stages that read
 //! them — so these tests pin the four
 //! behaviors the flow depends on: a warm re-run of an unchanged flow skips
 //! every stage with `same_qor` against the cold run at any thread count;
-//! changing the design, the seed, or any QoR-relevant config knob misses;
-//! a poisoned entry silently falls back to a recompute; and a run cut off
-//! after any stage, rerun on what it left in the store, replays the stages
-//! it completed and computes the rest.
+//! changing the design, the seed, or any QoR-relevant config knob misses
+//! exactly where a stage reads what it moved; a poisoned entry silently
+//! falls back to a recompute; and a run cut off after any stage, rerun on
+//! what it left in the store, replays the stages it completed and computes
+//! the rest.
 
 use eda_core::{
     run_flow, Fault, FaultPlan, FlowConfig, FlowReport, FlowStore, LibraryChoice, PlaceAlgorithm,
@@ -74,9 +75,10 @@ fn warm_run_skips_every_stage_with_identical_qor() {
     assert_eq!(counter(&warm, "cache.hits"), 11, "warm run must hit every stage");
     assert_eq!(counter(&warm, "cache.misses"), 0);
     assert!(cold.same_qor(&warm), "warm QoR must be bit-identical to cold");
-    // Eleven hits, one parse: the state is read once, after the last hit,
-    // and a cold run never reads one back.
-    assert_eq!(counter(&warm, "cache.body_parses"), 1);
+    // Eleven hits, two parses: the report reads the netlist and the
+    // placement, each parsed once from the last entry that wrote it, and a
+    // cold run never reads one back.
+    assert_eq!(counter(&warm, "cache.body_parses"), 2);
     assert_eq!(counter(&cold, "cache.body_parses"), 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -86,25 +88,44 @@ fn warm_run_skips_every_stage_with_identical_qor() {
 const COMMITTED_STORE: &str =
     concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/xbar3x3_n28.store");
 
+/// The same run's store as entry revision 2 wrote it: whole pre- and
+/// post-stage bodies, and the route outcome in the sub-stage table.
+const REV2_STORE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/xbar3x3_n28.rev2.store");
+
+/// Runs the N28 smoke flow at `threads` over a copy of `store`.
+fn run_over_copy(store: &str, threads: usize) -> (FlowReport, FlowConfig) {
+    let dir = scratch("committed");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::copy(store, dir.join("flow.store")).unwrap();
+    let cfg = cached_cfg_at(Node::N28, &dir, threads);
+    let report = run_flow(&smoke_design(), &cfg).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    (report, FlowConfig { store: None, ..cfg })
+}
+
 #[test]
 fn a_committed_store_replays_every_stage() {
-    // Cache keys and stage bodies must stay readable across builds: a store
+    // Cache keys and entries must stay readable across builds: a store
     // file written before this build replays whole, at any thread count,
     // with the QoR an uncached run computes. A format or key change that
     // means to break it re-records the file.
-    let design = smoke_design();
     for threads in [1usize, 4] {
-        let dir = scratch("committed");
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::copy(COMMITTED_STORE, dir.join("flow.store")).unwrap();
-        let cfg = cached_cfg_at(Node::N28, &dir, threads);
-        let warm = run_flow(&design, &cfg).unwrap();
+        let (warm, uncached) = run_over_copy(COMMITTED_STORE, threads);
         assert_eq!(counter(&warm, "cache.hits"), 11, "at {threads} threads");
         assert_eq!(counter(&warm, "cache.errors"), 0, "at {threads} threads");
-        let uncached = run_flow(&design, &FlowConfig { store: None, ..cfg }).unwrap();
-        assert!(warm.same_qor(&uncached), "replayed QoR at {threads} threads");
-        let _ = std::fs::remove_dir_all(&dir);
+        assert!(warm.same_qor(&run_flow(&smoke_design(), &uncached).unwrap()), "replayed QoR at {threads} threads");
     }
+}
+
+#[test]
+fn a_store_of_the_previous_entry_revision_reads_as_clean_misses() {
+    // Its keys hash whole bodies under revision 2, so none is addressed:
+    // every stage misses, nothing counts as damage, and its route outcome
+    // record is never read.
+    let (cold, uncached) = run_over_copy(REV2_STORE, 1);
+    assert_eq!(counter(&cold, "cache.misses"), 11);
+    assert_eq!(counter(&cold, "cache.errors"), 0);
+    assert!(cold.same_qor(&run_flow(&smoke_design(), &uncached).unwrap()));
 }
 
 #[test]
@@ -207,9 +228,11 @@ fn cache_invalidates_on_netlist_config_and_seed_change() {
     // the invalidation to the stages that read the knob: the edit misses at
     // the first stage that reads it and the whole prefix before that still
     // replays (`ripup_iterations` is a 7_route input, so 1_synthesis through
-    // 6_sta hit). A knob missing from its stage's key would hit there and
-    // replay state computed under the old value — caught by the comparison
-    // against an uncached run of the edited config.
+    // 6_sta hit). Past it, a stage whose reads the edit left alone hits too
+    // (the must-hit column: `6_sta` reads the netlist, which a seed does not
+    // move). A knob missing from its stage's key would hit there and replay
+    // state computed under the old value — caught by the comparison against
+    // an uncached run of the edited config.
     //
     // Every field of `FlowConfig`, named without `..`: a new field does not
     // compile here until it gets a row below or joins the fields that
@@ -238,25 +261,28 @@ fn cache_invalidates_on_netlist_config_and_seed_change() {
         deadline_s: _,
     } = warm_cfg();
     type Edit = fn(&mut FlowConfig);
-    let knobs: [(&str, &str, Edit); 16] = [
-        ("node", "7_route", |c| c.node = Node::N10),
-        ("seed", "4_place", |c| c.seed = 99),
-        ("library", "1_synthesis", |c| c.library = LibraryChoice::NandInv2006),
-        ("synthesis", "1_synthesis", |c| c.synthesis = SynthesisEffort::Baseline2006),
-        ("verify_synthesis", "1_synthesis", |c| c.verify_synthesis = false),
-        ("power.clock_gating_group", "2_clock_gating", |c| c.power.clock_gating_group = 4),
-        ("scan", "3_scan", |c| c.scan.as_mut().unwrap().chains += 1),
-        ("utilization", "4_place", |c| c.utilization = 0.6),
-        ("placer", "4_place", |c| c.placer = PlaceAlgorithm::Flat),
-        ("anneal_moves_per_cell", "4_place", |c| c.anneal_moves_per_cell += 1),
-        ("clock_mhz", "6_sta", |c| c.clock_mhz = 250.0),
-        ("router", "7_route", |c| c.router = RouteAlgorithm::AStar),
-        ("ripup_iterations", "7_route", |c| c.ripup_iterations += 1),
-        ("route_grid_cells", "7_route", |c| c.route_grid_cells = 24),
-        ("route_window_margin", "7_route", |c| c.route_window_margin = 4),
-        ("power.decap_droop_limit_mv", "9_power", |c| c.power.decap_droop_limit_mv = Some(40.0)),
+    const PLACED: &[&str] = &["6_sta"];
+    const ROUTED: &[&str] = &["9_power", "10_dft"];
+    let knobs: [(&str, &str, &[&str], Edit); 16] = [
+        ("node", "7_route", &[], |c| c.node = Node::N10),
+        ("seed", "4_place", PLACED, |c| c.seed = 99),
+        ("library", "1_synthesis", &[], |c| c.library = LibraryChoice::NandInv2006),
+        ("synthesis", "1_synthesis", &[], |c| c.synthesis = SynthesisEffort::Baseline2006),
+        // The check never changes the netlist it checks.
+        ("verify_synthesis", "1_synthesis", &STAGES[1..], |c| c.verify_synthesis = false),
+        ("power.clock_gating_group", "2_clock_gating", &[], |c| c.power.clock_gating_group = 4),
+        ("scan", "3_scan", &[], |c| c.scan.as_mut().unwrap().chains += 1),
+        ("utilization", "4_place", PLACED, |c| c.utilization = 0.6),
+        ("placer", "4_place", PLACED, |c| c.placer = PlaceAlgorithm::Flat),
+        ("anneal_moves_per_cell", "4_place", PLACED, |c| c.anneal_moves_per_cell += 1),
+        ("clock_mhz", "6_sta", &["7_route", "8_litho"], |c| c.clock_mhz = 250.0),
+        ("router", "7_route", ROUTED, |c| c.router = RouteAlgorithm::AStar),
+        ("ripup_iterations", "7_route", ROUTED, |c| c.ripup_iterations += 1),
+        ("route_grid_cells", "7_route", ROUTED, |c| c.route_grid_cells = 24),
+        ("route_window_margin", "7_route", ROUTED, |c| c.route_window_margin = 4),
+        ("power.decap_droop_limit_mv", "9_power", &[], |c| c.power.decap_droop_limit_mv = Some(40.0)),
     ];
-    for (knob, first_reader, edit) in knobs {
+    for (knob, first_reader, must_hit, edit) in knobs {
         let mut cfg = warm_cfg();
         edit(&mut cfg);
         let edited = run_flow(&design, &cfg).unwrap();
@@ -266,6 +292,10 @@ fn cache_invalidates_on_netlist_config_and_seed_change() {
             tags[..reader].iter().all(|t| *t == "hit") && tags[reader] == "miss",
             "{knob}: want {reader} hits then a miss at {first_reader}, got {tags:?}"
         );
+        for stage in must_hit {
+            let k = STAGES.iter().position(|s| s == stage).unwrap();
+            assert_eq!(tags[k], "hit", "{knob}: {stage} reads nothing the edit moved, got {tags:?}");
+        }
         cfg.store = None;
         let uncached = run_flow(&design, &cfg).unwrap();
         assert!(edited.same_qor(&uncached), "{knob}: the edited warm run replayed stale state");
@@ -348,14 +378,23 @@ fn poisoned_entries_fall_back_to_recompute() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The stage position of each named stage.
+fn position(stage: &str) -> usize {
+    STAGES.iter().position(|s| *s == stage).unwrap()
+}
+
 #[test]
 fn a_replayed_state_that_does_not_parse_is_recomputed() {
-    // A record with an intact checksum, head and cursor passes every check a
-    // hit makes; its state is read only when the hits end. One whose netlist
-    // section is damaged, planted mid-chain (`6_cts`: the next stage's key
-    // hashes the damaged body and misses) or last (`10_dft`: the run ends on
-    // it), must be counted and recomputed — the flow neither fails nor
-    // panics, and lands on the uncached QoR.
+    // A record with an intact checksum, head and sections passes every check
+    // a hit makes; its netlist or placement text is parsed only when a stage
+    // the run computes, or the report, reads the part. A damaged text read
+    // at the end (`3_scan`'s netlist, `4_place`'s placement) or mid-run
+    // (`3_scan`'s netlist, read by the `4_place` a seed edit recomputes)
+    // must be counted and recomputed from the stage that wrote it — the flow
+    // neither fails nor panics, and lands on the uncached QoR. One that a
+    // later hit overwrote (`2_clock_gating`'s netlist), or whose digest
+    // names the text the state already holds (`9_power`'s, which inserts
+    // no decap here), is never parsed, so it is no error at all.
     use eda_core::{Store, Table};
     let design = smoke_design();
     let cold_dir = scratch("deferred_cold");
@@ -364,32 +403,44 @@ fn a_replayed_state_that_does_not_parse_is_recomputed() {
     let whole = std::fs::read(cold_dir.join("flow.store")).unwrap();
     let records = stage_payloads(&whole);
     assert_eq!(records.len(), STAGES.len(), "one record per stage");
-    let uncached = run_flow(&design, &FlowConfig { store: None, ..cfg }).unwrap();
-
-    for (k, want_parses) in [(5usize, 2u64), (10, 1)] {
+    let netlist = ("\neda-netlist v1\n", "\neda-netlist v0\n");
+    let placement = ("\ndie ", "\ndxe ");
+    let reseed: fn(&mut FlowConfig) = |c| c.seed = 99;
+    let cases = [
+        ("3_scan", netlist, None, 1),
+        ("4_place", placement, None, 1),
+        ("3_scan", netlist, Some(reseed), 1),
+        ("2_clock_gating", netlist, None, 0),
+        ("9_power", netlist, None, 0),
+    ];
+    for (stage, (from, to), edit, errors) in cases {
         let dir = scratch("deferred");
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("flow.store"), &whole).unwrap();
-        let entry = std::str::from_utf8(&whole[records[k].clone()]).unwrap();
+        let entry = std::str::from_utf8(&whole[records[position(stage)].clone()]).unwrap();
         let key_line = entry.lines().nth(2).unwrap();
         let key = u64::from_str_radix(key_line.strip_prefix("key ").unwrap(), 16).unwrap();
-        let broken = entry.replacen("\neda-netlist v1\n", "\neda-netlist v0\n", 1);
-        assert_ne!(broken, entry, "{}: the entry carries a netlist", STAGES[k]);
+        let broken = entry.replacen(from, to, 1);
+        assert_ne!(broken, entry, "{stage}: the entry carries the part");
         FlowStore::open(&StoreConfig::at(dir.join("flow.store")))
             .unwrap()
             .put(Table::Stage, key, &broken)
             .unwrap();
 
-        let cfg = cached_cfg_at(Node::N28, &dir, 1);
+        let mut cfg = cached_cfg_at(Node::N28, &dir, 1);
+        if let Some(edit) = edit {
+            edit(&mut cfg);
+        }
+        let uncached = run_flow(&design, &FlowConfig { store: None, ..cfg.clone() }).unwrap();
         let warm = run_flow(&design, &cfg).unwrap();
-        assert_eq!(counter(&warm, "cache.errors"), 1, "{}", STAGES[k]);
-        assert_eq!(counter(&warm, "cache.body_parses"), want_parses, "{}", STAGES[k]);
-        assert!(warm.same_qor(&uncached), "damaged {} replayed", STAGES[k]);
+        assert_eq!(counter(&warm, "cache.errors"), errors, "{stage}");
+        assert!(warm.same_qor(&uncached), "damaged {stage} replayed");
 
-        // The recompute rewrote the entry: the next run replays whole.
+        // The next run replays whole: a damaged text that was read was
+        // rewritten by its recompute, and one that was not is never read.
         let again = run_flow(&design, &cfg).unwrap();
-        assert_eq!(counter(&again, "cache.hits"), 11, "{}", STAGES[k]);
-        assert_eq!(counter(&again, "cache.errors"), 0, "{}", STAGES[k]);
+        assert_eq!(counter(&again, "cache.hits"), 11, "{stage}");
+        assert_eq!(counter(&again, "cache.errors"), 0, "{stage}");
         assert!(again.same_qor(&uncached));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -450,8 +501,8 @@ fn a_run_cut_off_after_any_stage_resumes_from_the_store() {
 }
 
 /// A clock no test design can meet (their critical paths are 40–80 ps): the
-/// edit that changes the slack in `7_route`'s pre-state — and so its stage
-/// key — while leaving netlist and placement, all the router reads, alone.
+/// edit that moves `6_sta` and `9_power`, which read the clock, while
+/// leaving the netlist and the placement, all `7_route` reads, alone.
 const UNMEETABLE_MHZ: f64 = 50_000.0;
 
 /// `(stage, sub)` record counts of a store file, read off its framing.
@@ -463,10 +514,8 @@ fn record_counts(path: &Path) -> (usize, usize) {
 
 #[test]
 fn store_traffic_is_per_stage_not_per_net() {
-    // An entry must replace work that costs more than a store round trip,
-    // so a cold run's record count is a function of the stage table, not of
-    // the design: eleven stage bodies and one sub-stage entry, the route
-    // outcome — here on a design with > 2 000 nets.
+    // A cold run writes one record per stage, whatever the design size —
+    // here one with > 2 000 nets — and nothing into the sub-stage table.
     let dir = scratch("budget");
     let design = generate::switch_fabric(8, 16).unwrap();
     let mut plain = FlowConfig::advanced_2016(Node::N10);
@@ -474,16 +523,24 @@ fn store_traffic_is_per_stage_not_per_net() {
     let storeless = run_flow(&design, &plain).unwrap();
     let cold = run_flow(&design, &cached_cfg(&dir, 1)).unwrap();
     assert!(storeless.same_qor(&cold));
-    assert!(counter(&cold, "cache.substage_misses") <= 1, "{}", counter(&cold, "cache.substage_misses"));
-    let (stage, sub) = record_counts(&dir.join("flow.store"));
-    assert_eq!(stage, 11);
-    assert!(sub <= 1, "{sub} sub records: a per-item memo is back");
+    assert_eq!(record_counts(&dir.join("flow.store")), (11, 0));
 
-    // The narrowing the route entry is for.
+    // An entry holds what its stage writes: only the netlist writers carry
+    // a netlist section, and only `4_place` a placement.
+    let whole = std::fs::read(dir.join("flow.store")).unwrap();
+    for (stage, payload) in STAGES.iter().zip(stage_payloads(&whole)) {
+        let entry = std::str::from_utf8(&whole[payload]).unwrap();
+        assert!(entry.contains(&format!("\nstage {stage}\n")), "records come in stage order");
+        let netlist = ["1_synthesis", "2_clock_gating", "3_scan", "9_power"].contains(stage);
+        assert_eq!(entry.contains("\nnetlist "), netlist, "{stage}: netlist section");
+        assert_eq!(entry.contains("\nplacement "), *stage == "4_place", "{stage}: placement section");
+    }
+
+    // A clock edit misses the stages that read the clock and replays the
+    // route, whose reads it left alone, at any thread count.
     plain.clock_mhz = UNMEETABLE_MHZ;
     let reference = run_flow(&design, &plain).unwrap();
     assert!(reference.wns_ps < cold.wns_ps);
-    let route = STAGES.iter().position(|s| *s == "7_route").unwrap();
     for threads in [1usize, 4] {
         let copy = scratch("budget_edit");
         std::fs::create_dir_all(&copy).unwrap();
@@ -491,9 +548,8 @@ fn store_traffic_is_per_stage_not_per_net() {
         let mut cfg = cached_cfg(&copy, threads);
         cfg.clock_mhz = UNMEETABLE_MHZ;
         let edited = run_flow(&design, &cfg).unwrap();
-        assert_eq!(cache_tags(&edited)[route], "miss", "threads={threads}");
-        assert_eq!(counter(&edited, "cache.substage_hits"), 1, "route.outcome replays, threads={threads}");
-        assert_eq!(counter(&edited, "cache.substage_misses"), 0, "threads={threads}");
+        let tags = cache_tags(&edited);
+        assert_eq!((tags[position("6_sta")], tags[position("7_route")]), ("miss", "hit"), "threads={threads}");
         assert!(reference.same_qor(&edited), "threads={threads}");
         let _ = std::fs::remove_dir_all(&copy);
     }
@@ -502,9 +558,9 @@ fn store_traffic_is_per_stage_not_per_net() {
 
 #[test]
 fn substage_replay_is_thread_invariant() {
-    // Sub-stage replay must be as thread-proof as stage replay: fill the
-    // store at one thread count, force a partial (sub-stage-only) replay at
-    // the same count, and demand the exact QoR an uncached run produces.
+    // Partial replay must be as thread-proof as a full warm run: fill the
+    // store at one thread count, edit the clock so only the stages that
+    // read it recompute, and demand the exact QoR an uncached run produces.
     let design = smoke_design();
     let mut ref_cfg = FlowConfig::advanced_2016(Node::N10);
     ref_cfg.threads = 1;
@@ -517,13 +573,15 @@ fn substage_replay_is_thread_invariant() {
         let mut cfg = cached_cfg(&dir, threads);
         cfg.clock_mhz = UNMEETABLE_MHZ;
         let replay = run_flow(&design, &cfg).unwrap();
-        assert!(
-            counter(&replay, "cache.substage_hits") >= 1,
-            "sub-stage replay must engage at {threads} threads"
+        let tags = cache_tags(&replay);
+        assert_eq!(
+            (tags[position("6_sta")], tags[position("7_route")]),
+            ("miss", "hit"),
+            "partial replay must engage at {threads} threads"
         );
         assert!(
             reference.same_qor(&replay),
-            "sub-stage replay at {threads} threads must be bit-identical to uncached"
+            "partial replay at {threads} threads must be bit-identical to uncached"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -531,9 +589,10 @@ fn substage_replay_is_thread_invariant() {
 
 #[test]
 fn orphaned_per_net_records_of_an_older_store_are_inert() {
-    // A store the parent wrote is full of per-net MST records. Nothing
-    // addresses them any more: they must neither replay nor count as
-    // damage, and the stage entries beside them must still hit.
+    // A store an older build wrote holds per-net MST records and a route
+    // outcome in its sub-stage table. Nothing addresses them any more: they
+    // must neither replay nor count as damage, and the stage entries beside
+    // them must still hit.
     let dir = scratch("orphans");
     let design = smoke_design();
     let cold = run_flow(&design, &cached_cfg(&dir, 1)).unwrap();
@@ -541,28 +600,31 @@ fn orphaned_per_net_records_of_an_older_store_are_inert() {
         use eda_core::{Store, Table};
         use eda_netlist::memo::fnv1a;
         let store = FlowStore::open(&StoreConfig::at(dir.join("flow.store"))).unwrap();
-        // The deleted key formula: `<kind>|<fnv of "net|x,y;x,y;">`. The kind
-        // is spelled in pieces so a grep for it finds no live user.
-        let kind = concat!("route", ".", "net");
+        // The deleted key formula: `<kind>|<fnv of the kind's input>`. The
+        // kinds are spelled in pieces so a grep for them finds no live user.
+        let key = |kind: &str, input: &str| fnv1a(format!("{kind}|{:016x}", fnv1a(input.bytes())).bytes());
         for x in 0..40u32 {
-            let net = fnv1a(format!("net|{x},3;{},7;", x + 2).bytes());
-            let key = fnv1a(format!("{kind}|{net:016x}").bytes());
             let payload = format!("netmst v1 1\ntp {x} 3 {} 7 2\nend\n", x + 2);
-            store.put(Table::Sub, key, &payload).unwrap();
+            let input = format!("net|{x},3;{},7;", x + 2);
+            store.put(Table::Sub, key(concat!("route", ".", "net"), &input), &payload).unwrap();
         }
+        let outcome = "routeout v2 1 2 0 3 0 40 1 0 1024\nro 0\nend\n";
+        store.put(Table::Sub, key(concat!("route", ".", "outcome"), "route|rev2"), outcome).unwrap();
     }
     let warm = run_flow(&design, &cached_cfg(&dir, 1)).unwrap();
     assert_eq!(counter(&warm, "cache.hits"), 11);
     assert_eq!(counter(&warm, "cache.errors"), 0);
     assert!(cold.same_qor(&warm));
 
-    // Past the stage cache too: the edit recomputes `7_route`, whose one
-    // memo probe is the outcome entry.
+    // Past the stage cache too: the clock edit recomputes what reads the
+    // clock and replays the route from its stage entry.
     let mut cfg = cached_cfg(&dir, 1);
     cfg.clock_mhz = UNMEETABLE_MHZ;
     let edited = run_flow(&design, &cfg).unwrap();
-    assert_eq!(counter(&edited, "cache.substage_hits"), 1);
+    assert_eq!(cache_tags(&edited)[position("7_route")], "hit");
     assert_eq!(counter(&edited, "cache.errors"), 0);
+    let uncached = run_flow(&design, &FlowConfig { store: None, ..cfg }).unwrap();
+    assert!(edited.same_qor(&uncached));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -17,22 +17,22 @@ use eda::netlist::{codec, generate, Netlist};
 use eda::tech::{Node, PatterningPlan, SINGLE_EXPOSURE_PITCH_NM};
 use eda::{run_flow, FlowConfig, FlowReport, StoreConfig};
 
-/// The netlist `10_dft` reads: the last section of the body the flow stored
-/// for `9_power`. The report does not carry it; the store does.
+/// The netlist `10_dft` reads: the netlist section of the entry the flow
+/// stored for `9_power` (`netlist <len> <digest>`, then `len` bytes). The
+/// report does not carry it; the store does.
 fn post_power_netlist(store: &std::path::Path) -> Netlist {
     let bytes = std::fs::read(store).expect("the flow wrote its store");
     let text = String::from_utf8_lossy(&bytes);
     let entry = text
-        .split("eda-stagecache v1\nstage 9_power\n")
+        .split("eda-stagecache v2\nstage 9_power\n")
         .nth(1)
         .expect("a 9_power stage entry");
-    let (count, rest) = entry
+    let (len, rest) = entry
         .split_once("\nnetlist ")
         .and_then(|(_, tail)| tail.split_once('\n'))
-        .expect("the body ends with its netlist");
-    let count: usize = count.parse().expect("netlist line count");
-    let lines: String = rest.split_inclusive('\n').take(count).collect();
-    codec::from_text(&lines).expect("the stored netlist parses")
+        .expect("the entry holds its netlist");
+    let len: usize = len.split(' ').next().and_then(|n| n.parse().ok()).expect("netlist section length");
+    codec::from_text(&rest[..len]).expect("the stored netlist parses")
 }
 
 fn flow(design: &Netlist, seed: u64, threads: usize, store: Option<StoreConfig>) -> FlowReport {

@@ -147,7 +147,7 @@ proptest! {
 #[test]
 fn eviction_holds_the_bound_under_concurrent_server_writers() {
     // Many designs, several workers, one small store: every write path
-    // (stage cache, sub-stage memo, provenance) runs concurrently, and the
+    // (stage cache, provenance) runs concurrently, and the
     // file must end under `max_bytes` with every request's QoR intact.
     let dir = scratch("server_lru");
     let max_bytes = 48 * 1024;
@@ -371,21 +371,20 @@ fn provenance_row_format_is_golden() {
 /// and `sub` header (table, key, payload length, FNV-1a of the payload) in
 /// file order. Keys pin every cache-key input and sums pin every body byte,
 /// so a change to either — or to what the flow writes when — moves a row.
-const RIPPLE4_N28_RECORDS: [&str; 12] = [
-    "%rec stage 8b1d288827fb3e6e 3873 ecfa43855d419a88",
-    "%rec stage e6cd94cdf28369dc 3897 1c8266bdd329b1bd",
-    "%rec stage 96227ac37824f57e 3976 a4f9a0015b3f12f4",
-    "%rec stage 7c3f7021350e078e 6656 d776e996b5fd63bf",
-    "%rec stage 52520a8ce8f2d120 6684 b1ff6b7297ac4824",
-    "%rec stage 877d5016b427cd3d 6687 98f8321783d21837",
-    "%rec stage 28ece0731a116ea2 6699 2c995bfbd74d1f15",
-    // The route outcome: `routeout v2`, keyed without a region-size slot;
-    // the one sub-stage record a run writes.
-    "%rec sub c74acb0df47cfe0c 56 1d350444beeca4e4",
-    "%rec stage 9e9ad47135f2baa5 6719 51fbfbcd9a643907",
-    "%rec stage 6df5a5303a6ab10a 6797 916c1e2f6c86d505",
-    "%rec stage 942509141a80dc95 6813 48a517ab4146ea81",
-    "%rec stage 39c732f9141b2129 6825 42f19560a908a900",
+const RIPPLE4_N28_RECORDS: [&str; 11] = [
+    // The netlist writers' entries carry the netlist; `4_place`'s the
+    // placement; every other entry holds only its status and outputs.
+    "%rec stage d569ce49d2a925eb 3680 257bbf8dd38c5c7e",
+    "%rec stage b113bea2b53444b3 3665 81983a24e8e6567d",
+    "%rec stage 6cd744842661323a 3791 c30cecf6c17c7464",
+    "%rec stage 13907a157d713fee 2785 6fbb376da74f94e9",
+    "%rec stage b7d370d1199d759b 147 85c1e7559d3890a3",
+    "%rec stage b64c1501ed007e54 121 540d039d19b21ec1",
+    "%rec stage d44c262837d8428c 138 e7d88d3ff265684f",
+    "%rec stage 0d3dbc0d854cb365 140 d8ca98c9a0b64c8b",
+    "%rec stage 54a67d55aa2ca510 221 ce4fd27405b5e5b7",
+    "%rec stage de68caa4362e6cf6 3809 826bd46c863b6747",
+    "%rec stage d211e5a860a0314f 105 5f87805304e54524",
 ];
 
 /// Walks a store file record by record (header line, `payload_len` bytes,
