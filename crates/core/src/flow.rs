@@ -563,6 +563,11 @@ pub(crate) fn run_flow_shared(
     // it, up to where it surfaced, are recomputed, so the damaged entry is
     // rewritten rather than replayed.
     let mut unprobed = 0u32;
+    // Stages whose replay stands, counted in `cache.hits` once the loop
+    // ends: a restart drops the stages it recomputes. The stages before the
+    // restart's writer replay a second time; `spanned` keeps that second
+    // replay out of the trace.
+    let (mut hits, mut spanned) = (0u32, 0u32);
     let mut text = String::new();
     let mut next = 0;
     loop {
@@ -570,6 +575,7 @@ pub(crate) fn run_flow_shared(
             // The report reads the netlist and the placement.
             let Err(writer) = deferred.parse(&mut st, PHYSICAL, &tel) else { break };
             unprobed |= (1 << next) - (1 << writer);
+            hits &= (1 << writer) - 1;
             (st, digests, deferred, next) = (FlowState::fresh(), [0; Part::COUNT], Deferred::default(), 0);
             sup.statuses.clear();
             continue;
@@ -602,7 +608,12 @@ pub(crate) fn run_flow_shared(
         });
         match looked {
             Some(Ok(hit)) => {
-                sup.cache_hit(stage.name, hit.status);
+                if spanned & 1 << next == 0 {
+                    sup.cache_hit(stage.name, hit.status);
+                } else {
+                    sup.statuses.insert(stage.name.to_string(), hit.status);
+                }
+                (hits, spanned) = (hits | 1 << next, spanned | 1 << next);
                 for (field, bits) in (stage.outputs)(&mut st).into_iter().zip(hit.outputs) {
                     field.set_bits(bits);
                 }
@@ -624,6 +635,7 @@ pub(crate) fn run_flow_shared(
             cold => {
                 if let Err(writer) = deferred.parse(&mut st, stage.reads, &tel) {
                     unprobed |= (1 << next) - (1 << writer);
+                    hits &= (1 << writer) - 1;
                     (st, digests, deferred, next) = (FlowState::fresh(), [0; Part::COUNT], Deferred::default(), 0);
                     sup.statuses.clear();
                     continue;
@@ -653,6 +665,9 @@ pub(crate) fn run_flow_shared(
         stage_seconds.insert(stage.name.to_string(), now.duration_since(lap).as_secs_f64());
         lap = now;
         next += 1;
+    }
+    if hits != 0 {
+        tel.count("cache.hits", hits.count_ones().into());
     }
 
     // Long-net buffering is part of area accounting.

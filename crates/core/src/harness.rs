@@ -368,14 +368,14 @@ impl<'p> Supervisor<'p> {
 
     /// Records a stage-cache hit: the cached status becomes the stage's, and
     /// the stage gets a span tagged `cache=hit` in place of attempt spans —
-    /// the body never ran.
+    /// the body never ran. The driver counts `cache.hits` once the flow
+    /// ends, so a replay that a restart recomputes is no hit.
     pub fn cache_hit(&mut self, stage: &'static str, status: StageStatus) {
         let span = self.tel.span(SpanKind::Stage, stage);
         span.tag("cache", "hit");
         span.tag("outcome", &status.outcome);
         span.tag("attempts", status.attempts);
         self.tel.progress(stage, &status.outcome.to_string(), status.attempts);
-        self.tel.count("cache.hits", 1);
         self.statuses.insert(stage.to_string(), status);
     }
 

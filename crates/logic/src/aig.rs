@@ -581,10 +581,16 @@ impl Aig {
     /// resynthesizes each chosen cone from its truth table via ISOP, and
     /// rebuilds. Usually reduces AND count substantially on redundant logic.
     pub fn rewrite(&self) -> Aig {
+        self.rewrite_with(&mut IsopCovers::new())
+    }
+
+    /// [`Aig::rewrite`] reading and filling `covers`: a cover is a pure
+    /// function of its truth table, so one table serves every pass of a
+    /// script.
+    pub(crate) fn rewrite_with(&self, covers: &mut IsopCovers) -> Aig {
         let n_nodes = self.nodes.len();
         let refs = self.refcounts();
         let cuts = CutSet::enumerate(&self.nodes);
-        let mut covers = IsopCovers::new();
         // Choice per AND node: None = direct AND of children, Some(k) = cut k.
         let mut choice: Vec<Option<usize>> = vec![None; n_nodes];
         let mut flow: Vec<f64> = vec![0.0; n_nodes];
@@ -716,10 +722,11 @@ impl Aig {
     }
 }
 
-/// The ISOP cover of every 4-input function a rewrite pass meets, and its
-/// structural cost, filled on first use: one [`isop`] per distinct function
-/// instead of one per candidate cut and one more per chosen cut.
-struct IsopCovers {
+/// The ISOP cover of every 4-input function the rewrite passes of one
+/// script meet, and its structural cost, filled on first use: one [`isop`]
+/// per distinct function instead of one per candidate cut, one more per
+/// chosen cut, and again in every pass.
+pub(crate) struct IsopCovers {
     /// Per truth table, `1 +` its index in `covers`, or 0 before first use.
     slot: Vec<u32>,
     covers: Vec<IsopCover>,
@@ -734,7 +741,7 @@ struct IsopCover {
 }
 
 impl IsopCovers {
-    fn new() -> IsopCovers {
+    pub(crate) fn new() -> IsopCovers {
         IsopCovers { slot: vec![0; 1 << (1 << K)], covers: Vec::new() }
     }
 

@@ -10,7 +10,7 @@
 //!   refactoring on the AIG, then phase-complete cut mapping onto the full
 //!   library for area.
 
-use crate::aig::{Aig, AigError};
+use crate::aig::{Aig, AigError, IsopCovers};
 use crate::map::{map_aig, map_naive, MapError};
 use eda_netlist::{Library, Netlist};
 use std::borrow::Cow;
@@ -185,9 +185,12 @@ pub fn optimize_aig(aig: &Aig) -> (Aig, Vec<AigPass>) {
         cur = Cow::Owned(n);
     }
 
-    // Rewrite to a fixpoint (bounded), keeping only non-regressing passes.
+    // Rewrite to a fixpoint (bounded), keeping only non-regressing passes;
+    // the passes share one cover table.
+    let mut covers = IsopCovers::new();
     for _ in 0..REWRITE_PASSES {
-        let (pass, next) = run_pass("rewrite", &cur, Aig::rewrite, |cur, cand| {
+        let rewrite = |aig: &Aig| aig.rewrite_with(&mut covers);
+        let (pass, next) = run_pass("rewrite", &cur, rewrite, |cur, cand| {
             cand.num_ands() < cur.num_ands()
         });
         passes.push(pass);

@@ -1,6 +1,7 @@
 //! The global-routing grid: g-cells with directed edge capacities derived
 //! from the metal stack and rule deck.
 
+use crate::maze::COST_SCALE;
 use crate::rules::RuleDeck;
 
 /// A cell coordinate on the routing grid.
@@ -49,6 +50,12 @@ pub trait DemandGrid {
     fn height(&self) -> u32;
     /// PathFinder cost of stepping between two adjacent cells.
     fn step_cost(&self, a: GCell, b: GCell) -> f64;
+    /// [`DemandGrid::step_cost`] in 1/[`COST_SCALE`] units, rounded: the
+    /// edge weight A* adds. Always equal to this definition; views override
+    /// it only to price the edge in integers.
+    fn step_units(&self, a: GCell, b: GCell) -> u64 {
+        (self.step_cost(a, b) * COST_SCALE as f64).round() as u64
+    }
     /// Whether the edge between adjacent cells is at or over capacity.
     fn is_full(&self, a: GCell, b: GCell) -> bool;
     /// The maximal run of cells through `origin` along one axis that can be
@@ -189,9 +196,10 @@ pub struct RoutingGrid {
     /// The same for vertical edges, column-major: column `x` takes
     /// `words_for(height - 1)` words, edge `y` is bit `y % 64` of word `y / 64`.
     full_v: Vec<u64>,
-    /// Congestion history (same indexing as usage).
-    history_h: Vec<f32>,
-    history_v: Vec<f32>,
+    /// Congestion history: how many rip-up rounds found the edge
+    /// overflowed (same indexing as usage).
+    history_h: Vec<u32>,
+    history_v: Vec<u32>,
 }
 
 impl RoutingGrid {
@@ -213,8 +221,8 @@ impl RoutingGrid {
             usage_v: vec![0; (width * (height - 1)) as usize],
             full_h: vec![0; words_for(width - 1) * height as usize],
             full_v: vec![0; words_for(height - 1) * width as usize],
-            history_h: vec![0.0; ((width - 1) * height) as usize],
-            history_v: vec![0.0; (width * (height - 1)) as usize],
+            history_h: vec![0; ((width - 1) * height) as usize],
+            history_v: vec![0; (width * (height - 1)) as usize],
         }
     }
 
@@ -317,16 +325,22 @@ impl RoutingGrid {
         }
     }
 
-    /// PathFinder cost of stepping from `a` to adjacent `b`: base 1 plus
-    /// congestion and history penalties.
-    pub fn step_cost(&self, a: GCell, b: GCell) -> f64 {
-        let (usage, cap, hist) = if a.y == b.y {
-            let x = a.x.min(b.x);
-            (self.usage_h(x, a.y), self.cap_h, self.history_h[self.h_index(x, a.y)])
+    /// Usage, capacity and history of the edge between adjacent cells.
+    fn edge(&self, a: GCell, b: GCell) -> (u32, u32, u32) {
+        if a.y == b.y {
+            let i = self.h_index(a.x.min(b.x), a.y);
+            (self.usage_h[i], self.cap_h, self.history_h[i])
         } else {
-            let y = a.y.min(b.y);
-            (self.usage_v(a.x, y), self.cap_v, self.history_v[self.v_index(a.x, y)])
-        };
+            let i = self.v_index(a.x, a.y.min(b.y));
+            (self.usage_v[i], self.cap_v, self.history_v[i])
+        }
+    }
+
+    /// PathFinder cost of stepping from `a` to adjacent `b`: base 1 plus
+    /// congestion and history penalties. The definition that
+    /// [`DemandGrid::step_units`] prices in integers.
+    pub fn step_cost(&self, a: GCell, b: GCell) -> f64 {
+        let (usage, cap, hist) = self.edge(a, b);
         let over = if usage >= cap { 1.0 + (usage - cap) as f64 } else { 0.0 };
         let density = usage as f64 / cap.max(1) as f64;
         1.0 + hist as f64 + 4.0 * over + 0.5 * density
@@ -348,12 +362,12 @@ impl RoutingGrid {
     pub fn bump_history(&mut self) {
         for (i, &u) in self.usage_h.iter().enumerate() {
             if u > self.cap_h {
-                self.history_h[i] += 1.0;
+                self.history_h[i] += 1;
             }
         }
         for (i, &u) in self.usage_v.iter().enumerate() {
             if u > self.cap_v {
-                self.history_v[i] += 1.0;
+                self.history_v[i] += 1;
             }
         }
     }
@@ -392,6 +406,19 @@ impl DemandGrid for RoutingGrid {
         RoutingGrid::step_cost(self, a, b)
     }
 
+    /// In integers: `S + S·history + 4S·over + ⌊(S·usage + cap) / (2·cap)⌋`
+    /// with `S = COST_SCALE`. History and overflow are integral, so only the
+    /// density term `S·usage / (2·cap)` has a fraction, and the floor of it
+    /// plus one half is the rounding — the same value bit for bit
+    /// (`integer_step_weights_equal_the_rounded_float_cost` holds it over
+    /// every deck's capacities).
+    fn step_units(&self, a: GCell, b: GCell) -> u64 {
+        let (usage, cap, hist) = self.edge(a, b);
+        let over = if usage >= cap { 1 + (usage - cap) as u64 } else { 0 };
+        let (usage, cap) = (usage as u64, cap.max(1) as u64);
+        COST_SCALE * (1 + hist as u64 + 4 * over) + (COST_SCALE * usage + cap) / (2 * cap)
+    }
+
     fn is_full(&self, a: GCell, b: GCell) -> bool {
         RoutingGrid::is_full(self, a, b)
     }
@@ -410,6 +437,7 @@ impl DemandGrid for RoutingGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::maze::via_units;
     use crate::rules::RuleDeck;
 
     fn grid() -> RoutingGrid {
@@ -466,6 +494,53 @@ mod tests {
         let cd_before = g.step_cost(c, d);
         g.bump_history();
         assert_eq!(g.step_cost(c, d), cd_before);
+    }
+
+    /// The integer step weight plus the bend's equals what A* paid when it
+    /// priced steps in `f64` — `round(64 × (step_cost + via))` — on every
+    /// capacity a deck yields, usage up to 45 × capacity, history up to 8
+    /// bumps, and every via cost a deck has (0 is the unweighted case).
+    #[test]
+    fn integer_step_weights_equal_the_rounded_float_cost() {
+        let simple = (2..=8).map(RuleDeck::simple);
+        let patterned = (2..=8).flat_map(|l| (1..=4).map(move |e| RuleDeck::multi_patterned(l, e)));
+        let mut checked = 0usize;
+        for deck in simple.chain(patterned) {
+            let (src, right, up) = (GCell::new(0, 0), GCell::new(1, 0), GCell::new(0, 1));
+            for bumps in 0..=8 {
+                let mut g = RoutingGrid::new(2, 2, &deck);
+                for (nb, cap) in [(right, g.cap_h), (up, g.cap_v)] {
+                    g.add_usage(src, nb, cap as i32 + 1);
+                }
+                for _ in 0..bumps {
+                    g.bump_history();
+                }
+                for (nb, cap) in [(right, g.cap_h), (up, g.cap_v)] {
+                    g.add_usage(src, nb, -(cap as i32 + 1));
+                    for usage in 0..=45 * cap {
+                        for via in [0.0, 1.0, 1.5, 2.0, 2.5] {
+                            for bend in [false, true] {
+                                let mut cost = g.step_cost(src, nb);
+                                let mut units = g.step_units(src, nb);
+                                if bend {
+                                    cost += via;
+                                    units += via_units(via);
+                                }
+                                let want = (cost * 64.0).round() as u64;
+                                assert_eq!(
+                                    units, want,
+                                    "{} cap {cap} usage {usage} history {bumps} via {via} bend {bend}",
+                                    deck.name
+                                );
+                                checked += 1;
+                            }
+                        }
+                        g.add_usage(src, nb, 1);
+                    }
+                }
+            }
+        }
+        assert!(checked > 1_000_000, "{checked} weights checked");
     }
 
     #[test]

@@ -106,12 +106,25 @@ impl Seen {
         (across * own + along, along * other + across, other)
     }
 
-    /// Whether some cell of `l` is in neither map: each cell is tested
-    /// against `l`'s own map first, then against the other one.
+    /// Whether a line of orientation `horizontal` holds `c` — then that
+    /// line is the maximal run through `c`.
+    fn holds(&self, c: GCell, horizontal: bool, win: &Window) -> bool {
+        let (x, y) = ((c.x - win.x0) as usize, (c.y - win.y0) as usize);
+        if horizontal {
+            self.rows[y * win.width() as usize + x]
+        } else {
+            self.cols[x * win.height() as usize + y]
+        }
+    }
+
+    /// Whether some cell of `l` is in neither map. `l` is a maximal run that
+    /// [`Seen::holds`] found in no line of its orientation, so its own map
+    /// holds none of its cells, and only the other map is tested.
     fn any_unseen(&self, l: &Line, win: &Window) -> bool {
         let (own, other) = if l.horizontal { (&self.rows, &self.cols) } else { (&self.cols, &self.rows) };
         let (at, other_at, stride) = Seen::place(l, win);
-        own[at..at + l.len()].iter().enumerate().any(|(k, &seen)| !seen && !other[other_at + k * stride])
+        debug_assert!(!own[at..at + l.len()].contains(&true), "{l:?} overlaps a line of its own orientation");
+        (0..l.len()).any(|k| !other[other_at + k * stride])
     }
 
     /// Marks (or clears) `l`'s run of its own map.
@@ -248,6 +261,20 @@ impl LineScratch {
 
     /// Runs the search proper; on success leaves the route in `self.path`
     /// and returns the line-cells generated.
+    ///
+    /// The search fails as soon as one tree's expansion spawns no line,
+    /// which is exact — it returns `None` in exactly the cases that
+    /// expanding the other tree on to the level limit would:
+    /// - the perpendicular run through every cell of an exhausted tree's
+    ///   lines is covered by the tree (grown and admitted, grown and found
+    ///   seen, or skipped as one of its lines), and the cell's parallel
+    ///   neighbours across free edges lie on its own line, so the tree
+    ///   covers its pin's whole free-edge component inside the window;
+    /// - every one of its lines has been offered to [`Self::first_hit`]
+    ///   (the latest ones at the start of this level), so none contains the
+    ///   other pin, which is therefore outside that component;
+    /// - so no line of the other tree, connected to the other pin, can ever
+    ///   reach a cell of it: no crossing can occur.
     fn probe<G: DemandGrid>(
         &mut self,
         grid: &G,
@@ -278,16 +305,24 @@ impl LineScratch {
                     let li = self.lines[tree][at];
                     let parent = self.arena[li as usize];
                     for v in parent.lo..=parent.hi {
-                        let l = grow(grid, parent.cell(v), !parent.horizontal, win, li);
+                        let (c, horizontal) = (parent.cell(v), !parent.horizontal);
+                        // Maximal runs of one orientation are equal or
+                        // disjoint: a line of the tree through `c` is the
+                        // run this probe would grow.
+                        if self.seen[tree].holds(c, horizontal, &win) {
+                            continue;
+                        }
+                        let l = grow(grid, c, horizontal, win, li);
                         // Skip degenerate or fully-seen lines.
                         if self.seen[tree].any_unseen(&l, &win) {
                             self.admit(tree, l, &win, &mut expanded);
                         }
                     }
                 }
-            }
-            if fresh[SRC] == self.lines[SRC].len() && fresh[DST] == self.lines[DST].len() {
-                break;
+                // An exhausted tree ends the search: see `probe`'s doc.
+                if fresh[tree] == self.lines[tree].len() {
+                    return None;
+                }
             }
         }
         None
@@ -446,6 +481,50 @@ mod tests {
         }
         let out = line(&g, src, GCell::new(20, 20), 8);
         assert!(out.is_none(), "boxed-in pin cannot be line-routed");
+    }
+
+    /// A fixed view of a grid that counts the probes grown on it.
+    struct Counting {
+        grid: RoutingGrid,
+        free_runs: std::cell::Cell<usize>,
+    }
+
+    impl DemandGrid for Counting {
+        fn width(&self) -> u32 {
+            self.grid.width
+        }
+        fn height(&self) -> u32 {
+            self.grid.height
+        }
+        fn step_cost(&self, _: GCell, _: GCell) -> f64 {
+            unreachable!("line search prices no edge")
+        }
+        fn is_full(&self, a: GCell, b: GCell) -> bool {
+            self.grid.is_full(a, b)
+        }
+        fn free_run(&self, origin: GCell, horizontal: bool, min: u32, max: u32) -> (u32, u32) {
+            self.free_runs.set(self.free_runs.get() + 1);
+            self.grid.free_run(origin, horizontal, min, max)
+        }
+    }
+
+    #[test]
+    fn a_walled_in_pin_ends_the_search_without_flooding_the_other_tree() {
+        // The source's tree is exhausted by its first expansion. Waiting for
+        // the target's tree to run out too floods the whole open grid (1 195
+        // probes) with lines that can never meet the source.
+        let mut grid = RoutingGrid::new(28, 28, &RuleDeck::simple(6));
+        let src = GCell::new(9, 13);
+        for nb in grid.neighbours(src).collect::<Vec<_>>() {
+            let cap = if nb.y == src.y { grid.cap_h } else { grid.cap_v };
+            grid.add_usage(src, nb, cap as i32);
+        }
+        let view = Counting { grid, free_runs: std::cell::Cell::new(0) };
+        let win = Window::full(&view.grid);
+        let mut scratch = LineScratch::default();
+        assert!(scratch.search(&view, src, GCell::new(21, 4), 12, win).is_none());
+        let probes = view.free_runs.get();
+        assert!(probes < 100, "{probes} probes grown for a walled-in pin");
     }
 
     #[test]

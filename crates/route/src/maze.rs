@@ -4,7 +4,6 @@
 //! [`SearchScratch::astar_in`](crate::SearchScratch::astar_in).
 
 use crate::grid::{neighbours4, DemandGrid, GCell, RoutingGrid};
-use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::mem::size_of;
 
@@ -104,23 +103,47 @@ impl SearchWindow {
     }
 }
 
-/// Fixed-point scale for quantized search costs: [`RoutingGrid::step_cost`]
-/// is at least 1.0, so every quantized edge weighs at least `COST_SCALE` and
-/// the `COST_SCALE × manhattan` heuristic never overestimates.
-const COST_SCALE: f64 = 64.0;
+/// Fixed-point scale of A*'s integer costs: a step weighs
+/// [`DemandGrid::step_units`] — [`RoutingGrid::step_cost`] in
+/// 1/`COST_SCALE` units, rounded, priced without floating point — plus
+/// [`via_units`] on a bend. `step_cost` is at least 1.0, so every step
+/// weighs at least `COST_SCALE` and the `COST_SCALE × manhattan` heuristic
+/// never overestimates. The sum is `round(COST_SCALE × (step_cost + via))`,
+/// the weight the reference kernel pays, bit for bit, whenever
+/// `COST_SCALE × via` is whole: every deck's via cost is a multiple of 0.5.
+pub(crate) const COST_SCALE: u64 = 64;
+
+/// A bend's extra weight in 1/[`COST_SCALE`] units: the via cost, rounded
+/// on its own (exact for every deck's via cost).
+pub(crate) fn via_units(via_cost: f64) -> u64 {
+    (via_cost * COST_SCALE as f64).round() as u64
+}
 
 /// `best_g` of a cell the running search has not reached.
 const UNREACHED: u64 = u64::MAX;
 /// `prev` of the source cell.
 const NO_PREV: u32 = u32::MAX;
 
-/// One A* open-list entry: `(Reverse(f), push number, window-local cell)`.
-/// The order contract — rip-up trajectories and every QoR golden depend on
-/// it — is *smallest `f` first, and among equal `f` the entry pushed last*
-/// (what a Dial bucket popped from its tail does). On the max-heap that is
-/// exactly this tuple's derived order; push numbers are unique, so the cell
-/// index never decides. `g` is not stored: it is `f − h(cell)`.
-type Open = (Reverse<u64>, u32, u32);
+/// One A* open-list entry, packed into one integer so that the heap
+/// compares entries in one step: `!f` in the high 64 bits, then the push
+/// number, then the window-local cell (see [`open_entry`]). The order
+/// contract — rip-up trajectories and every QoR golden depend on it — is
+/// *smallest `f` first, and among equal `f` the entry pushed last* (what a
+/// Dial bucket popped from its tail does). On the max-heap that is exactly
+/// this integer's order, the order the tuple `(Reverse(f), push, cell)`
+/// derives; push numbers are unique, so the cell index never decides. `g`
+/// is not stored: it is `f − h(cell)`.
+type Open = u128;
+
+/// The open-list entry of `cell`, pushed as number `push` with estimate `f`.
+fn open_entry(f: u64, push: u32, cell: u32) -> Open {
+    (!f as u128) << 64 | (push as u128) << 32 | cell as u128
+}
+
+/// The estimate and the cell of an open-list entry.
+fn open_parts(entry: Open) -> (u64, u32) {
+    (!((entry >> 64) as u64), entry as u32)
+}
 
 /// Reusable per-cell state of the maze searches, indexed by window-local
 /// cell. Sized to the largest window searched so far and reset by walking
@@ -256,15 +279,16 @@ impl MazeScratch {
             return Some(self.same_cell(src));
         }
         let scratch_cells = self.begin(win);
-        let quant = |c: f64| (c * COST_SCALE).round() as u64;
-        let h = |c: GCell| c.manhattan(&dst) as u64 * COST_SCALE as u64;
+        let via = via_units(via_cost);
+        let h = |c: GCell| c.manhattan(&dst) as u64 * COST_SCALE;
         let dst = win.local_index(dst) as u32;
         let start = win.local_index(src) as u32;
         self.reach(start, 0, NO_PREV);
         let mut pushes = 0u32;
-        self.open.push((Reverse(h(src)), pushes, start));
+        self.open.push(open_entry(h(src), pushes, start));
         let mut expanded = 0usize;
-        while let Some((Reverse(f), _, at)) = self.open.pop() {
+        while let Some(entry) = self.open.pop() {
+            let (f, at) = open_parts(entry);
             let cell = win.cell_at(at);
             let g = f - h(cell);
             if g > self.best_g[at as usize] {
@@ -280,20 +304,19 @@ impl MazeScratch {
                 if !win.contains(nb) {
                     continue;
                 }
-                let mut cost = grid.step_cost(cell, nb);
+                let mut ng = g + grid.step_units(cell, nb);
                 // Bend penalty: direction change relative to the incoming edge.
                 if let Some(p) = came_from {
                     let straight = (p.x == nb.x) || (p.y == nb.y);
                     if !straight {
-                        cost += via_cost;
+                        ng += via;
                     }
                 }
-                let ng = g + quant(cost);
                 let to = win.local_index(nb) as u32;
                 if ng < self.best_g[to as usize] {
                     self.reach(to, ng, at);
                     pushes = pushes.checked_add(1).expect("fewer than 2^32 pushes per search");
-                    self.open.push((Reverse(ng + h(nb)), pushes, to));
+                    self.open.push(open_entry(ng + h(nb), pushes, to));
                 }
             }
         }
@@ -375,6 +398,34 @@ mod tests {
         let (src, dst) = (GCell::new(3, 3), GCell::new(10, 12));
         let (path, _) = astar(&g, src, dst, 1.0).unwrap();
         assert_corner_form(&path, src, dst, &SearchWindow::full(&g));
+    }
+
+    /// The packed entries pop in the order the tuple `(Reverse(f), push,
+    /// cell)` derives: smallest `f` first, the last pushed first among
+    /// equal `f` — also at the ends of each field's range.
+    #[test]
+    fn open_entries_order_like_the_tuple_they_pack() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::cmp::Reverse;
+        let mut rng = StdRng::seed_from_u64(123);
+        let edge_f = [0, 1, 63, 64, u64::MAX - 1, u64::MAX];
+        let edge_u = [0, 1, u32::MAX - 1, u32::MAX];
+        let mut parts: Vec<(u64, u32, u32)> = Vec::new();
+        for &f in &edge_f {
+            for &push in &edge_u {
+                parts.push((f, push, edge_u[(f % 4) as usize]));
+            }
+        }
+        // Small ranges, so equal estimates and equal pushes are common.
+        parts.extend((0..300).map(|_| (rng.gen_range(0..8), rng.gen_range(0..8), rng.gen())));
+        for &(fa, pa, ca) in &parts {
+            assert_eq!(open_parts(open_entry(fa, pa, ca)), (fa, ca));
+            for &(fb, pb, cb) in &parts {
+                let tuple = (Reverse(fa), pa, ca).cmp(&(Reverse(fb), pb, cb));
+                assert_eq!(open_entry(fa, pa, ca).cmp(&open_entry(fb, pb, cb)), tuple);
+            }
+        }
     }
 
     #[test]

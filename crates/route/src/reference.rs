@@ -483,14 +483,21 @@ mod tests {
         /// The coarse-retry regime: every edge at 20–40 × capacity, history
         /// bumped six times.
         Saturated,
+        /// Pins walled into small pockets: the grid is tiled with square
+        /// blocks of side 1–4, and the edges around every block with even
+        /// block coordinates are at capacity, so a quarter of the pins sit
+        /// in a pocket the open rest of the grid cannot reach. The other
+        /// edges are below capacity.
+        Pocket,
     }
 
-    const DEMANDS: [Demand; 5] = [
+    const DEMANDS: [Demand; 6] = [
         Demand::Empty,
         Demand::Walls(0.1),
         Demand::Walls(0.25),
         Demand::Walls(0.4),
         Demand::Saturated,
+        Demand::Pocket,
     ];
 
     fn edges(w: u32, h: u32) -> impl Iterator<Item = (GCell, GCell)> {
@@ -501,12 +508,19 @@ mod tests {
 
     fn random_grid(rng: &mut StdRng, w: u32, h: u32, demand: Demand) -> RoutingGrid {
         let mut g = RoutingGrid::new(w, h, &RuleDeck::simple(rng.gen_range(2..=6)));
+        let side = if matches!(demand, Demand::Pocket) { rng.gen_range(1..=4) } else { 1 };
+        let block = |c: GCell| (c.x / side, c.y / side);
+        let pocket = |(bx, by): (u32, u32)| bx.is_multiple_of(2) && by.is_multiple_of(2);
         for (a, b) in edges(w, h) {
             let cap = if a.y == b.y { g.cap_h } else { g.cap_v } as i32;
             let usage = match demand {
                 Demand::Empty => 0,
                 Demand::Walls(p) => cap - 1 + rng.gen_bool(p) as i32,
                 Demand::Saturated => cap * rng.gen_range(20..=40),
+                Demand::Pocket => {
+                    let wall = block(a) != block(b) && (pocket(block(a)) || pocket(block(b)));
+                    if wall { cap } else { rng.gen_range(0..cap) }
+                }
             };
             g.add_usage(a, b, usage);
         }

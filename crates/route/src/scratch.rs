@@ -61,12 +61,15 @@ impl SearchScratch {
         self.line.search(grid, src, dst, max_levels, win).map(|(p, s)| (p.to_vec(), s))
     }
 
-    /// Congestion-aware A* inside `win`: edge costs from
-    /// [`DemandGrid::step_cost`] plus a via (bend) penalty, with the
-    /// Manhattan-distance admissible heuristic; costs are quantized to
-    /// 1/64ths. With [`SearchWindow::full`] this is the classic full-grid
-    /// search; with a bounded window the route may accept congestion it
-    /// cannot detour around, which rip-up negotiation then repairs.
+    /// Congestion-aware A* inside `win`: each step weighs
+    /// [`DemandGrid::step_cost`] plus `via_cost` on a bend (direction
+    /// change), with the Manhattan-distance admissible heuristic. Costs are
+    /// integers in 1/64ths: a step is [`DemandGrid::step_units`] plus the via
+    /// cost rounded on its own, which is the rounded sum whenever 64 ×
+    /// `via_cost` is whole — every deck's via cost is a multiple of 0.5.
+    /// With [`SearchWindow::full`] this is the classic full-grid search;
+    /// with a bounded window the route may accept congestion it cannot
+    /// detour around, which rip-up negotiation then repairs.
     pub fn astar_in<G: DemandGrid>(
         &mut self,
         grid: &G,
@@ -120,8 +123,8 @@ mod tests {
         for _ in 0..6 {
             grid.bump_history();
         }
-        let step = grid.step_cost(GCell::new(0, 0), GCell::new(1, 0));
-        assert!(step * 64.0 * 10.0 > 1e5, "ten steps span > 10^5 quantised cost units ({step}/step)");
+        let step = grid.step_units(GCell::new(0, 0), GCell::new(1, 0));
+        assert!(step * 10 > 100_000, "ten steps span > 10^5 quantised cost units ({step}/step)");
         let win = SearchWindow::full(&grid);
         let mut scratch = SearchScratch::new();
         for i in 0..1_000u32 {

@@ -24,6 +24,7 @@ use eda_netlist::{generate, Netlist};
 use eda_route::RouteAlgorithm;
 use eda_tech::Node;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -435,6 +436,17 @@ fn a_replayed_state_that_does_not_parse_is_recomputed() {
         let warm = run_flow(&design, &cfg).unwrap();
         assert_eq!(counter(&warm, "cache.errors"), errors, "{stage}");
         assert!(warm.same_qor(&uncached), "damaged {stage} replayed");
+        // Every stage ends replayed or recomputed, once: the restart from
+        // the damaged text's writer replays the stages before it a second
+        // time without counting or tracing them again, and the replays it
+        // recomputes are no hits.
+        let spans = warm.telemetry.spans.iter().filter(|s| s.kind == SpanKind::Stage);
+        let (replays, computed): (Vec<_>, Vec<_>) =
+            spans.partition(|s| s.tags.get("cache").is_some_and(|c| c == "hit"));
+        let names = |spans: &[&eda_core::Span]| spans.iter().map(|s| s.name.clone()).collect::<BTreeSet<_>>();
+        assert_eq!(names(&replays).len(), replays.len(), "{stage}: a replay traced twice");
+        let hits = counter(&warm, "cache.hits") as usize;
+        assert_eq!(hits + names(&computed).len(), STAGES.len(), "{stage}: hits plus recomputed stages");
 
         // The next run replays whole: a damaged text that was read was
         // rewritten by its recompute, and one that was not is never read.
