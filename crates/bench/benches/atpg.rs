@@ -3,9 +3,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eda_dft::{
     compressed_fault_sim, fault_list, fault_sim, insert_scan, random_patterns,
-    run_atpg, AtpgConfig, CombView, TestAccess,
+    run_atpg, AtpgConfig, TestAccess,
 };
-use eda_netlist::generate;
+use eda_netlist::{generate, CombView};
 use std::hint::black_box;
 
 fn bench_fault_sim(c: &mut Criterion) {

@@ -34,7 +34,8 @@ fn bench_ec(_c: &mut Criterion) {
     println!("BENCHLINE ec/mult8 {:.9e}", median_check(&mult, &mult_mapped, FLOW_BUDGET));
     println!("BENCHLINE ec/fabric8x16 {:.9e}", median_check(&fabric, &fabric_mapped, FLOW_BUDGET));
     // A 32-node budget cannot hold mult:8, so its 16 inputs are enumerated by
-    // the 64-lane simulation fallback (2^10 `simulate64` calls per side).
+    // the 64-lane simulation fallback: one `CombView` per side, built once,
+    // and 2^10 `eval64` calls on each.
     println!("BENCHLINE ec/fallback_mult8 {:.9e}", median_check(&mult, &mult_mapped, 32));
 }
 

@@ -10,11 +10,11 @@ use crate::Table;
 use eda_core::{run_flow, FlowConfig, FlowTuner, StoreConfig};
 use eda_dft::{
     bypass_fault_sim, compressed_fault_sim, fault_list, insert_scan, reorder_chains, run_atpg,
-    scan_wirelength, AtpgConfig, CombView, TestAccess,
+    scan_wirelength, AtpgConfig, TestAccess,
 };
 use eda_litho::{required_masks, run_opc, Layout, OpcConfig, OpticalModel};
 use eda_logic::{synthesize, SynthesisEffort};
-use eda_netlist::{generate, Library, Netlist, NetlistError};
+use eda_netlist::{generate, CombView, Library, Netlist, NetlistError};
 use eda_place::{
     anneal, place_global, place_hierarchical, place_parallel, plan_buffers, AnnealConfig,
     CongestionMap, Die, GlobalConfig, ParallelConfig,

@@ -42,11 +42,11 @@ use crate::report::FlowReport;
 use crate::state::{self, FlowState, Part, Scalar};
 use crate::store::{FlowStore, QorRow, StageRow, Store, Table};
 use crate::telemetry::{SpanKind, Telemetry};
-use eda_dft::{fault_list, fault_sim, insert_scan, random_patterns, reorder_chains, scan_wirelength, CombView};
+use eda_dft::{fault_list, fault_sim, insert_scan, random_patterns, reorder_chains, scan_wirelength};
 use eda_litho::{decompose, run_opc, Layout, OpcConfig, OpticalModel};
 use eda_logic::{check_equivalence, synthesize, EcVerdict};
 use eda_netlist::memo::{fnv1a, Fnv1a};
-use eda_netlist::{codec, Netlist, NetlistStats};
+use eda_netlist::{codec, CombView, Netlist, NetlistStats};
 use eda_place::{anneal, place_global, place_multilevel, plan_buffers, synthesize_clock_tree, AnnealConfig, CtsConfig, Die, GlobalConfig, MultilevelConfig, ParallelConfig};
 use eda_power::{analyze, plan_clock_gating, plan_decaps, solve_ir_drop, Activity, ActivityConfig, DecapPlan, MeshConfig, PowerConfig, PowerGrid};
 use eda_route::{RouteConfig, RuleDeck};

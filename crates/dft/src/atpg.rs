@@ -5,8 +5,8 @@
 //! good/faulty three-valued pair simulation, objective/backtrace on primary
 //! inputs, and a backtrack budget per fault.
 
-use crate::faults::{fault_sim, random_patterns, CombView, Fault, FaultSimOutcome};
-use eda_netlist::{NetDriver, NetId, Netlist};
+use crate::faults::{fault_sim, random_patterns, Fault, FaultSimOutcome};
+use eda_netlist::{CombView, NetDriver, NetId, Netlist};
 use std::collections::HashMap;
 
 /// Three-valued logic.
@@ -120,9 +120,6 @@ impl<'a> Podem<'a> {
         for &id in self.view.order() {
             let inst = self.netlist.instance(id);
             let f = lib.cell(inst.cell()).function;
-            if f.is_sequential() || f.is_physical_only() {
-                continue;
-            }
             let out = inst.output().index();
             let eval = |values: &[V]| -> V {
                 // Three-valued evaluation by trying both completions when few

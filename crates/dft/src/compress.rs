@@ -7,8 +7,8 @@
 //! the chain outputs onto few scan-out pins. Fewer pins + shorter chains =
 //! less tester time per pattern — the cheap-package enabler.
 
-use crate::faults::{fault_sim, CombView, Fault, FaultSimOutcome};
-use eda_netlist::Netlist;
+use crate::faults::{fault_sim, Fault, FaultSimOutcome};
+use eda_netlist::{CombView, Netlist};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

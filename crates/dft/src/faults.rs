@@ -1,12 +1,12 @@
 //! Stuck-at fault model and bit-parallel fault simulation over the full-scan
-//! combinational view.
+//! combinational view ([`CombView`], from `eda_netlist`).
 //!
 //! Under full scan every flop is controllable/observable, so test generation
 //! and fault simulation work on the combinational core: inputs are the
 //! primary inputs plus flop outputs, outputs are the primary outputs plus
 //! flop D pins.
 
-use eda_netlist::{CellFunction, InstId, NetDriver, NetId, Netlist, NetlistError};
+use eda_netlist::{CellFunction, CombView, NetDriver, NetId, Netlist};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -22,90 +22,6 @@ pub struct Fault {
 impl std::fmt::Display for Fault {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "net#{} SA{}", self.net.index(), self.stuck_at as u8)
-    }
-}
-
-/// The full-scan combinational view of a netlist.
-#[derive(Debug, Clone)]
-pub struct CombView {
-    order: Vec<InstId>,
-    /// Controllable nets: primary inputs then flop outputs.
-    pub inputs: Vec<NetId>,
-    /// Observable nets: primary outputs then flop D nets.
-    pub outputs: Vec<NetId>,
-}
-
-impl CombView {
-    /// Builds the view.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`NetlistError`] for cyclic netlists.
-    pub fn new(netlist: &Netlist) -> Result<CombView, NetlistError> {
-        let order = netlist.topo_order()?;
-        let mut inputs: Vec<NetId> = netlist.primary_inputs().to_vec();
-        let mut outputs: Vec<NetId> =
-            netlist.primary_outputs().iter().map(|&(_, n)| n).collect();
-        for f in netlist.flops() {
-            let inst = netlist.instance(f);
-            inputs.push(inst.output());
-            outputs.push(inst.inputs()[0]);
-        }
-        Ok(CombView { order, inputs, outputs })
-    }
-
-    /// Topological order of the combinational instances.
-    pub fn order(&self) -> &[InstId] {
-        &self.order
-    }
-
-    /// Evaluates the combinational core on 64 parallel patterns, optionally
-    /// forcing one net to a constant lane value (fault injection).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pattern.len() != self.inputs.len()`.
-    pub fn eval64(
-        &self,
-        netlist: &Netlist,
-        pattern: &[u64],
-        force: Option<(NetId, u64)>,
-    ) -> Vec<u64> {
-        let value = self.eval_nets(netlist, pattern, force);
-        self.outputs.iter().map(|n| value[n.index()]).collect()
-    }
-
-    /// [`CombView::eval64`] before the observable nets are picked out: the
-    /// value of every net, indexed by net.
-    fn eval_nets(&self, netlist: &Netlist, pattern: &[u64], force: Option<(NetId, u64)>) -> Vec<u64> {
-        assert_eq!(pattern.len(), self.inputs.len(), "pattern width mismatch");
-        let lib = netlist.library();
-        let mut value = vec![0u64; netlist.num_nets()];
-        for (i, &net) in self.inputs.iter().enumerate() {
-            value[net.index()] = pattern[i];
-        }
-        if let Some((net, v)) = force {
-            value[net.index()] = v;
-        }
-        let mut ins: Vec<u64> = Vec::new();
-        for &id in &self.order {
-            let inst = netlist.instance(id);
-            let f = lib.cell(inst.cell()).function;
-            if f.is_sequential() || f.is_physical_only() {
-                continue;
-            }
-            let out = inst.output();
-            if let Some((fnet, v)) = force {
-                if fnet == out {
-                    value[out.index()] = v;
-                    continue;
-                }
-            }
-            ins.clear();
-            ins.extend(inst.inputs().iter().map(|n| value[n.index()]));
-            value[out.index()] = f.eval64(&ins);
-        }
-        value
     }
 }
 
@@ -234,13 +150,9 @@ struct Scratch {
 
 impl<'a> ConeSim<'a> {
     fn new(netlist: &'a Netlist, view: &'a CombView, patterns: &[Vec<bool>]) -> ConeSim<'a> {
-        let lib = netlist.library();
         let mut rank = vec![u32::MAX; netlist.num_instances()];
-        for (pos, &id) in view.order.iter().enumerate() {
-            let f = lib.cell(netlist.instance(id).cell()).function;
-            if !f.is_sequential() && !f.is_physical_only() {
-                rank[id.index()] = pos as u32;
-            }
+        for (pos, &id) in view.order().iter().enumerate() {
+            rank[id.index()] = pos as u32;
         }
         let mut observed = vec![false; netlist.num_nets()];
         for net in &view.outputs {
@@ -287,7 +199,7 @@ impl<'a> ConeSim<'a> {
             s.net_stamp[site.index()] = s.epoch;
             self.enqueue_sinks(site, s);
             while let Some(Reverse(rank)) = s.worklist.pop() {
-                let inst = self.netlist.instance(self.view.order[rank as usize]);
+                let inst = self.netlist.instance(self.view.order()[rank as usize]);
                 let Scratch { epoch, faulty, net_stamp, ins, .. } = &mut *s;
                 ins.clear();
                 ins.extend(inst.inputs().iter().map(|n| {
@@ -352,17 +264,6 @@ mod tests {
     use super::*;
     use eda_netlist::generate;
     use eda_netlist::memo::fnv1a;
-
-    #[test]
-    fn comb_view_matches_netlist_simulation() {
-        let n = generate::ripple_carry_adder(6).unwrap();
-        let view = CombView::new(&n).unwrap();
-        let pats: Vec<u64> =
-            (0..view.inputs.len()).map(|i| 0x6C62_272E_07BB_0142u64.rotate_left(i as u32)).collect();
-        let from_view = view.eval64(&n, &pats, None);
-        let (outs, _) = n.simulate64(&pats, &[]);
-        assert_eq!(&from_view[..outs.len()], &outs[..]);
-    }
 
     #[test]
     fn fault_injection_changes_outputs() {

@@ -1,9 +1,12 @@
 //! Combinational equivalence checking.
 //!
-//! Builds BDDs for both netlists over the shared input space (primary inputs
-//! plus flop outputs, matched by position) and compares outputs and
-//! next-state functions canonically. Where a BDD blows past its node budget,
-//! the checker falls back to exhaustive bit-parallel simulation for up to 20
+//! Both netlists are read through their [`CombView`]s: the shared input
+//! space is `a`'s primary inputs plus its flop outputs, matched by position,
+//! and the observables are each view's outputs — the primary outputs and the
+//! flop D functions. A scan flop's scan-enable is a primary input like any
+//! other, which the caller ties. The checker builds BDDs of the observables
+//! and compares them canonically; where a BDD blows past its node budget, it
+//! enumerates the same observables by bit-parallel simulation for up to 20
 //! inputs, and reports [`EcVerdict::Inconclusive`] beyond that.
 //!
 //! This is the formal backbone for the panel's "consistently verified
@@ -12,7 +15,7 @@
 //! against its input netlist.
 
 use crate::bdd::{BddError, BddManager, BddRef};
-use eda_netlist::{CellFunction, Netlist, NetlistError};
+use eda_netlist::{CellFunction, CombView, Netlist, NetlistError};
 
 /// The checker's answer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,81 +54,76 @@ impl From<NetlistError> for EcError {
     }
 }
 
-/// Builds BDDs for every output + flop-D function of a netlist.
+/// Where one input of a netlist's [`CombView`] takes its value from.
+#[derive(Debug, Clone, Copy)]
+enum Source {
+    /// Tied to a constant.
+    Tie(bool),
+    /// Shared variable `v`.
+    Var(usize),
+}
+
+/// Resolves every input of `view`: primary input `i` is tied when a tie list
+/// names it (`tie_high` wins over `tie_low`), else it is shared variable `i`;
+/// flop `k`'s output is variable `shared + k`.
 ///
-/// Input variable `i` corresponds to the netlist's `i`-th primary input,
-/// followed by flop outputs in [`Netlist::flops`] order. `tie_high` lists PI
-/// positions to constrain to constant 1 (enable pins added by
-/// transformations); `tie_low` likewise to 0.
+/// # Errors
+///
+/// [`EcError::InterfaceMismatch`] for an untied primary input beyond the
+/// shared space.
+fn sources(
+    netlist: &Netlist,
+    view: &CombView,
+    shared: usize,
+    tie_high: &[usize],
+    tie_low: &[usize],
+) -> Result<Vec<Source>, EcError> {
+    let pis = netlist.primary_inputs().len();
+    (0..view.inputs.len())
+        .map(|i| {
+            if i >= pis {
+                Ok(Source::Var(shared + i - pis))
+            } else if tie_high.contains(&i) {
+                Ok(Source::Tie(true))
+            } else if tie_low.contains(&i) {
+                Ok(Source::Tie(false))
+            } else if i < shared {
+                Ok(Source::Var(i))
+            } else {
+                Err(EcError::InterfaceMismatch(format!(
+                    "primary input {i} ({}) is beyond the shared space and not tied",
+                    netlist.net(view.inputs[i]).name()
+                )))
+            }
+        })
+        .collect()
+}
+
+/// Builds BDDs for every output of `view` (primary outputs, then flop D
+/// functions), its inputs driven as `sources` resolves them.
 fn build_functions(
     m: &mut BddManager,
     netlist: &Netlist,
-    shared_inputs: usize,
-    tie_high: &[usize],
-    tie_low: &[usize],
-) -> Result<Result<Vec<BddRef>, BddError>, EcError> {
+    view: &CombView,
+    sources: &[Source],
+) -> Result<Vec<BddRef>, BddError> {
     let lib = netlist.library();
-    let mut net_fn: Vec<Option<BddRef>> = vec![None; netlist.num_nets()];
-    // Tied PI positions resolved once; tie_high wins over tie_low.
-    let mut tied = vec![None; netlist.primary_inputs().len()];
-    for (ties, value) in [(tie_low, BddRef::ZERO), (tie_high, BddRef::ONE)] {
-        for &i in ties {
-            if let Some(t) = tied.get_mut(i) {
-                *t = Some(value);
-            }
-        }
-    }
-    // Primary inputs: shared space first, then ties.
-    for (i, &pi) in netlist.primary_inputs().iter().enumerate() {
-        let f = if let Some(t) = tied[i] {
-            t
-        } else if i < shared_inputs {
-            match m.var(i as u32) {
-                Ok(v) => v,
-                Err(e) => return Ok(Err(e)),
-            }
-        } else {
-            return Err(EcError::InterfaceMismatch(format!(
-                "primary input {i} ({}) is beyond the shared space and not tied",
-                netlist.net(pi).name()
-            )));
+    let mut net_fn = vec![BddRef::ZERO; netlist.num_nets()];
+    for (&net, &source) in view.inputs.iter().zip(sources) {
+        net_fn[net.index()] = match source {
+            Source::Tie(true) => BddRef::ONE,
+            Source::Tie(false) => BddRef::ZERO,
+            Source::Var(v) => m.var(v as u32)?,
         };
-        net_fn[pi.index()] = Some(f);
     }
-    // Flop outputs are pseudo-inputs after the PIs.
-    let flops = netlist.flops();
-    for (k, &flop) in flops.iter().enumerate() {
-        let v = match m.var((shared_inputs + k) as u32) {
-            Ok(v) => v,
-            Err(e) => return Ok(Err(e)),
-        };
-        net_fn[netlist.instance(flop).output().index()] = Some(v);
-    }
-    let order = netlist.topo_order()?;
     let mut ins: Vec<BddRef> = Vec::new();
-    for id in order {
+    for &id in view.order() {
         let inst = netlist.instance(id);
-        let func = lib.cell(inst.cell()).function;
-        if func.is_sequential() || func.is_physical_only() {
-            continue;
-        }
         ins.clear();
-        ins.extend(inst.inputs().iter().map(|n| net_fn[n.index()].expect("topo order")));
-        let f = match eval_cell(m, func, &ins) {
-            Ok(f) => f,
-            Err(e) => return Ok(Err(e)),
-        };
-        net_fn[inst.output().index()] = Some(f);
+        ins.extend(inst.inputs().iter().map(|n| net_fn[n.index()]));
+        net_fn[inst.output().index()] = eval_cell(m, lib.cell(inst.cell()).function, &ins)?;
     }
-    let mut out = Vec::new();
-    for (_, net) in netlist.primary_outputs() {
-        out.push(net_fn[net.index()].expect("outputs are driven"));
-    }
-    for &flop in &flops {
-        let d = netlist.instance(flop).inputs()[0];
-        out.push(net_fn[d.index()].expect("flop D driven"));
-    }
-    Ok(Ok(out))
+    Ok(view.outputs.iter().map(|n| net_fn[n.index()]).collect())
 }
 
 fn eval_cell(m: &mut BddManager, f: CellFunction, ins: &[BddRef]) -> Result<BddRef, BddError> {
@@ -195,9 +193,9 @@ fn eval_cell(m: &mut BddManager, f: CellFunction, ins: &[BddRef]) -> Result<BddR
 ///
 /// The shared input space is `a`'s primary inputs plus its flops; `b` may
 /// have extra primary inputs provided every extra position appears in
-/// `b_tie_high`/`b_tie_low` (enables/scan pins added by transformations).
-/// Extra primary *outputs* of `b` (e.g. scan-out) are ignored; the flop
-/// counts must match.
+/// `b_tie_high`/`b_tie_low` (enables/scan pins added by transformations), and
+/// a tie inside the shared range pins that input of `b` alone. Extra primary
+/// *outputs* of `b` (e.g. scan-out) are ignored; the flop counts must match.
 ///
 /// # Errors
 ///
@@ -222,93 +220,74 @@ pub fn check_equivalence(
     if b.primary_outputs().len() < a.primary_outputs().len() {
         return Err(EcError::InterfaceMismatch("b has fewer outputs than a".into()));
     }
-    let num_vars = shared + a_flops;
+    let (va, vb) = (CombView::new(a)?, CombView::new(b)?);
+    let sa = sources(a, &va, shared, &[], &[])?;
+    let sb = sources(b, &vb, shared, b_tie_high, b_tie_low)?;
+    // a's observable `i` pairs with b's `pair(i)`: the primary outputs by
+    // position, then the flop D functions, which sit after all of b's
+    // primary outputs (extra b outputs sit after a's per construction order).
+    let checks = a.primary_outputs().len();
+    let b_outputs = b.primary_outputs().len();
+    let pair = |i: usize| if i < checks { i } else { b_outputs + (i - checks) };
 
     let mut m = BddManager::new(node_limit);
-    let fa = build_functions(&mut m, a, shared, &[], &[])?;
-    let fb = build_functions(&mut m, b, shared, b_tie_high, b_tie_low)?;
-    match (fa, fb) {
-        (Ok(fa), Ok(fb)) => {
-            let checks = a.primary_outputs().len();
-            for (i, &x) in fa.iter().enumerate().take(checks + a_flops) {
-                // Map: a's output i ↔ b's output i (extra b outputs sit after
-                // a's outputs per construction order) — align flop functions.
-                let bi = if i < checks { i } else { b.primary_outputs().len() + (i - checks) };
-                let y = fb[bi];
-                if x != y {
-                    let diff = match m.xor(x, y) {
-                        Ok(d) => d,
-                        Err(_) => return simulate_fallback(a, b, b_tie_high, b_tie_low),
-                    };
-                    if let Some(cex) = m.satisfy(diff, num_vars) {
-                        return Ok(EcVerdict::Counterexample(cex));
-                    }
+    let formal = (|| {
+        let fa = build_functions(&mut m, a, &va, &sa)?;
+        let fb = build_functions(&mut m, b, &vb, &sb)?;
+        for (i, &x) in fa.iter().enumerate() {
+            let y = fb[pair(i)];
+            if x != y {
+                let diff = m.xor(x, y)?;
+                if let Some(cex) = m.satisfy(diff, va.inputs.len()) {
+                    return Ok(EcVerdict::Counterexample(cex));
                 }
             }
-            Ok(EcVerdict::Equivalent)
         }
-        _ => simulate_fallback(a, b, b_tie_high, b_tie_low),
-    }
+        Ok(EcVerdict::Equivalent)
+    })();
+    Ok(formal.unwrap_or_else(|_: BddError| simulate_fallback(a, b, (&va, &sa), (&vb, &sb), pair)))
 }
 
-/// Exhaustive simulation for small input spaces (≤ 20 shared variables).
+/// Exhaustive simulation for small input spaces (≤ 20 shared variables):
+/// each view evaluates 64 assignments per call, and the observables compare
+/// pairwise as the BDD path compares them.
 fn simulate_fallback(
     a: &Netlist,
     b: &Netlist,
-    b_tie_high: &[usize],
-    b_tie_low: &[usize],
-) -> Result<EcVerdict, EcError> {
-    let shared = a.primary_inputs().len();
-    let vars = shared + a.flops().len();
+    (va, sa): (&CombView, &[Source]),
+    (vb, sb): (&CombView, &[Source]),
+    pair: impl Fn(usize) -> usize,
+) -> EcVerdict {
+    let vars = va.inputs.len();
     if vars > 20 {
-        return Ok(EcVerdict::Inconclusive);
+        return EcVerdict::Inconclusive;
     }
     let total = 1usize << vars;
+    let lanes_of = |sources: &[Source], var_lanes: &[u64]| -> Vec<u64> {
+        sources
+            .iter()
+            .map(|&s| match s {
+                Source::Tie(t) => if t { !0 } else { 0 },
+                Source::Var(v) => var_lanes[v],
+            })
+            .collect()
+    };
     for base in (0..total).step_by(64) {
         // Pack 64 consecutive assignments into lanes.
-        let mut a_pis = vec![0u64; shared];
-        let mut state = vec![0u64; a.flops().len()];
-        for lane in 0..64.min(total - base) {
-            let bits = base + lane;
-            for (v, pi) in a_pis.iter_mut().enumerate() {
-                if bits >> v & 1 == 1 {
-                    *pi |= 1 << lane;
-                }
-            }
-            for (k, s) in state.iter_mut().enumerate() {
-                if bits >> (shared + k) & 1 == 1 {
-                    *s |= 1 << lane;
-                }
-            }
-        }
-        let mut b_pis = a_pis.clone();
-        for i in shared..b.primary_inputs().len() {
-            if b_tie_high.contains(&i) {
-                b_pis.push(!0);
-            } else if b_tie_low.contains(&i) {
-                b_pis.push(0);
-            } else {
-                return Err(EcError::InterfaceMismatch(format!("untied extra input {i}")));
-            }
-        }
-        let (oa, sa) = a.simulate64(&a_pis, &state);
-        let (ob, sb) = b.simulate64(&b_pis, &state);
         let lanes = 64.min(total - base);
-        for lane in 0..lanes {
-            let mask = 1u64 << lane;
-            let mismatch = oa
-                .iter()
-                .zip(ob.iter())
-                .any(|(&x, &y)| (x ^ y) & mask != 0)
-                || sa.iter().zip(sb.iter()).any(|(&x, &y)| (x ^ y) & mask != 0);
-            if mismatch {
-                let bits = base + lane;
-                let cex = (0..vars).map(|v| bits >> v & 1 == 1).collect();
-                return Ok(EcVerdict::Counterexample(cex));
-            }
+        let var_lanes: Vec<u64> = (0..vars)
+            .map(|v| (0..lanes).filter(|&lane| (base + lane) >> v & 1 == 1).fold(0, |w, lane| w | 1 << lane))
+            .collect();
+        let oa = va.eval64(a, &lanes_of(sa, &var_lanes), None);
+        let ob = vb.eval64(b, &lanes_of(sb, &var_lanes), None);
+        let live = if lanes == 64 { !0 } else { (1u64 << lanes) - 1 };
+        let mismatch = oa.iter().enumerate().fold(0u64, |acc, (i, &x)| acc | (x ^ ob[pair(i)])) & live;
+        if mismatch != 0 {
+            let bits = base + mismatch.trailing_zeros() as usize;
+            return EcVerdict::Counterexample((0..vars).map(|v| bits >> v & 1 == 1).collect());
         }
     }
-    Ok(EcVerdict::Equivalent)
+    EcVerdict::Equivalent
 }
 
 #[cfg(test)]
@@ -407,6 +386,100 @@ mod tests {
             check_equivalence(&a, &b, &[], &[], LIMIT),
             Err(EcError::InterfaceMismatch(_)) | Ok(EcVerdict::Counterexample(_))
         ));
+    }
+
+    /// Appends inputs `p0..p11` and a `parity` output over them: more
+    /// variables than a 16-node budget holds, so that budget runs the
+    /// simulation fallback.
+    fn add_parity(n: &mut Netlist) {
+        let ps: Vec<_> = (0..12).map(|i| n.add_input(format!("p{i}"))).collect();
+        let mut acc = ps[0];
+        for (i, &p) in ps.iter().enumerate().skip(1) {
+            acc = n.add_gate_fn(format!("px{i}"), CellFunction::Xor2, &[acc, p]).unwrap();
+        }
+        n.add_output("parity", acc);
+    }
+
+    /// Whether `cex` (over `a`'s inputs, then its flops) drives `a` and `b`
+    /// apart, `b`'s inputs tied as the check ties them.
+    fn distinguishes(a: &Netlist, b: &Netlist, high: &[usize], low: &[usize], cex: &[bool]) -> bool {
+        let shared = a.primary_inputs().len();
+        let b_pis: Vec<bool> = (0..b.primary_inputs().len())
+            .map(|i| if high.contains(&i) { true } else if low.contains(&i) { false } else { cex[i] })
+            .collect();
+        let (oa, sa) = a.simulate(&cex[..shared], &cex[shared..]);
+        let (ob, sb) = b.simulate(&b_pis, &cex[shared..]);
+        oa[..] != ob[..oa.len()] || sa != sb
+    }
+
+    /// One pair of netlists per way the simulation fallback used to answer a
+    /// different question than the BDD path: 2^16 nodes run the BDD path,
+    /// 16 nodes the fallback, and both must give the row's verdict kind.
+    #[test]
+    fn the_fallback_answers_what_the_bdd_path_answers() {
+        use eda_netlist::{codec, Netlist};
+        let parity = || {
+            let mut n = Netlist::new("parity");
+            add_parity(&mut n);
+            n
+        };
+        let mut parity_and_unused = parity();
+        parity_and_unused.add_input("unused");
+        // g = x0 & x1 (& en, at input 14): x0, x1 are inputs 0 and 1.
+        let and = |enable: bool| {
+            let mut n = Netlist::new("and");
+            let x0 = n.add_input("x0");
+            let x1 = n.add_input("x1");
+            add_parity(&mut n);
+            let mut g = n.add_gate_fn("g", CellFunction::And(2), &[x0, x1]).unwrap();
+            if enable {
+                let en = n.add_input("en");
+                g = n.add_gate_fn("ge", CellFunction::And(2), &[g, en]).unwrap();
+            }
+            n.add_output("g", g);
+            n
+        };
+        // Two scan flops, both Q's observed; `chained` feeds flop 1's SI from
+        // flop 0's Q instead of `si`. Scan-enable is left untied.
+        let scan = |chained: bool| {
+            let mut n = Netlist::new("scan");
+            let [d0, d1, si, se, ck] = ["d0", "d1", "si", "se", "ck"].map(|p| n.add_input(p));
+            add_parity(&mut n);
+            let q0 = n.add_gate_fn("ff0", CellFunction::ScanDff, &[d0, si, se, ck]).unwrap();
+            let si1 = if chained { q0 } else { si };
+            let q1 = n.add_gate_fn("ff1", CellFunction::ScanDff, &[d1, si1, se, ck]).unwrap();
+            n.add_output("q0", q0);
+            n.add_output("q1", q1);
+            n
+        };
+        let mut mult = generate::array_multiplier(4).unwrap();
+        add_parity(&mut mult);
+        let text = codec::to_text(&mult);
+        let mutant = codec::from_text(&text.replacen(" XOR2_X1 ", " XNOR2_X1 ", 1)).unwrap();
+        assert_ne!(codec::to_text(&mutant), text, "one XOR2 became an XNOR2");
+
+        // (row, a, b, b's inputs tied high, tied low, want Equivalent)
+        type Row = (&'static str, Netlist, Netlist, &'static [usize], &'static [usize], bool);
+        let rows: [Row; 6] = [
+            ("fewer PIs", parity_and_unused, parity(), &[], &[], true),
+            ("extra PI tied high", and(false), and(true), &[14], &[], true),
+            ("extra PI tied low", and(false), and(true), &[], &[14], false),
+            ("tie inside the shared range", and(false), and(false), &[1], &[], false),
+            ("scan-enable untied", scan(true), scan(false), &[], &[], true),
+            ("mult:4 with an XNOR2", mult, mutant, &[], &[], false),
+        ];
+        for (name, a, b, high, low, equivalent) in &rows {
+            for budget in [1 << 16, 16] {
+                match check_equivalence(a, b, high, low, budget).unwrap() {
+                    EcVerdict::Equivalent => assert!(equivalent, "{name}, {budget} nodes: Equivalent"),
+                    EcVerdict::Counterexample(cex) => {
+                        assert!(!equivalent, "{name}, {budget} nodes: Counterexample {cex:?}");
+                        assert!(distinguishes(a, b, high, low, &cex), "{name}, {budget} nodes: {cex:?} distinguishes nothing");
+                    }
+                    EcVerdict::Inconclusive => panic!("{name}, {budget} nodes: Inconclusive"),
+                }
+            }
+        }
     }
 
     use eda_netlist::CellFunction;

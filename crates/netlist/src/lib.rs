@@ -6,6 +6,9 @@
 //!   [`Library`] flavours the panel's comparisons need;
 //! * [`netlist`] — the flat netlist graph with validation, topological
 //!   ordering and bit-parallel simulation;
+//! * [`view`] — [`CombView`], the full-scan combinational core sorted once:
+//!   the one 64-lane evaluator that simulation, equivalence checking, fault
+//!   simulation and test generation all run through;
 //! * [`generate`] — seeded synthetic design generators (adders, multipliers,
 //!   parity trees, switch fabrics, hierarchical SoCs, random logic, and the
 //!   scale-tier mesh fabrics);
@@ -35,6 +38,7 @@ pub mod memo;
 pub mod netlist;
 pub mod stats;
 pub mod verilog;
+pub mod view;
 
 pub use cell::{CellDef, CellFunction, CellId, Library};
 pub use codec::CodecError;
@@ -42,3 +46,4 @@ pub use netlist::{InstId, Instance, Net, NetDriver, NetId, Netlist, NetlistError
 pub use liberty::{parse_clf, parse_liberty, write_clf, write_liberty, ParseLibError};
 pub use stats::NetlistStats;
 pub use verilog::{parse_verilog, write_verilog, ParseVerilogError};
+pub use view::CombView;

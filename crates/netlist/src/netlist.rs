@@ -2,6 +2,7 @@
 //! validation, topological ordering and bit-parallel simulation.
 
 use crate::cell::{CellFunction, CellId, Library};
+use crate::view::CombView;
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::hash::BuildHasher;
@@ -682,6 +683,10 @@ impl Netlist {
 
     /// Bit-parallel simulation: 64 patterns per call, one per bit lane.
     ///
+    /// Evaluates through a [`CombView`] of the netlist. The next state is
+    /// each flop's cell function: D for a `Dff`, the scan mux for a
+    /// `ScanDff`.
+    ///
     /// # Panics
     ///
     /// Panics if `inputs.len()` differs from the primary-input count, if
@@ -696,32 +701,25 @@ impl Netlist {
             state.len(),
             flops.len()
         );
-        let mut value = vec![0u64; self.nets.len()];
-        for (pi, &net) in self.inputs.iter().enumerate() {
-            value[net.index()] = inputs[pi];
+        let view = CombView::new(self).expect("simulate requires an acyclic netlist");
+        let mut pattern = inputs.to_vec();
+        if state.is_empty() {
+            pattern.resize(view.inputs.len(), 0);
+        } else {
+            pattern.extend_from_slice(state);
         }
-        for (fi, &flop) in flops.iter().enumerate() {
-            let out = self.instances[flop.index()].output;
-            value[out.index()] = if state.is_empty() { 0 } else { state[fi] };
-        }
-        // One fan-in buffer for every gate: no allocation per evaluation.
-        let mut ins: Vec<u64> = Vec::with_capacity(4);
-        let mut eval = |inst: &Instance, value: &[u64]| {
-            ins.clear();
-            ins.extend(inst.inputs.iter().map(|n| value[n.index()]));
-            self.library.cell(inst.cell).function.eval64(&ins)
-        };
-        let order = self.topo_order().expect("simulate requires an acyclic netlist");
-        for id in order {
-            let inst = &self.instances[id.index()];
-            let f = self.library.cell(inst.cell).function;
-            if f.is_sequential() || f.is_physical_only() {
-                continue;
-            }
-            value[inst.output.index()] = eval(inst, &value);
-        }
+        let value = view.eval_nets(self, &pattern, None);
         let outs = self.outputs.iter().map(|(_, n)| value[n.index()]).collect();
-        let next = flops.iter().map(|&flop| eval(&self.instances[flop.index()], &value)).collect();
+        let mut ins: Vec<u64> = Vec::with_capacity(4);
+        let next = flops
+            .iter()
+            .map(|&flop| {
+                let inst = &self.instances[flop.index()];
+                ins.clear();
+                ins.extend(inst.inputs.iter().map(|n| value[n.index()]));
+                self.library.cell(inst.cell).function.eval64(&ins)
+            })
+            .collect();
         (outs, next)
     }
 }

@@ -410,9 +410,22 @@ if grep -rn 'run_flow_shared(' crates/core/src | grep -vE '^crates/core/src/(flo
     echo "check: FAIL run_flow_shared is called outside flow.rs / engine.rs (above)" >&2; exit 1
 fi
 
+# One evaluator: `eda_netlist::CombView` levelizes a netlist's
+# combinational core once, and simulation, the equivalence check, fault
+# simulation and PODEM all evaluate through it. So the view is defined once,
+# under crates/netlist/src, and neither eda-dft nor the equivalence check
+# sorts a netlist of its own again.
+view_defs="$(grep -rnw 'struct CombView' crates src tests examples benchmark | cut -d: -f1 | paste -sd' ' || true)"
+if [[ "$view_defs" == *' '* || "$view_defs" != crates/netlist/src/* ]]; then
+    echo "check: FAIL struct CombView is defined ${view_defs:+in }${view_defs:-nowhere}, want once under crates/netlist/src" >&2; exit 1
+fi
+if grep -rn 'topo_order(' crates/dft/src crates/logic/src/ec.rs; then
+    echo "check: FAIL eda-dft or the equivalence check orders a netlist itself again (above); evaluate through CombView" >&2; exit 1
+fi
+
 # Tally: sum the "test result:" lines from the debug suite run above.
 awk '/^test result:/ { passed += $4; failed += $6 }
      END { printf "check: %d tests passed, %d failed across all binaries\n", passed, failed
            exit (failed > 0) }' "$test_log"
-echo "check: $(find crates src tests examples benchmark -name '*.rs' -print0 | xargs -0 cat | wc -l) lines of Rust (the count ROADMAP quotes); clippy --workspace --all-targets clean; deleted-name census empty (budgets, NPN / collapse, retry, twins, config builder, derived knobs, shared-store open, server snapshot, test-only accessors, serve / scale harnesses, per-edge probe helpers, per-slot busy clocks and the route wave ledger, mapping goal, one-shot search twins and layer sweep, mapper fragment pipeline and fourth test-only tranche, multilevel coarse sweeps and state tagged-count reader, mapper wave dispatch, per-edge overflow probe, clock-gating / decap copy-returning entry points and outcome types, route wave scheduler, OPC / fault-sim dispatch and its scaling rows, eda-par and the per-stage worker maps, the unit-step segment writer, PlaceEffort with its global_iterations / cluster_gates sentinels, the per-AIG-pass memo and its store text, the knobs no caller set: SynthesisOptions, aig_rewrite_passes, the rewrite and cluster-size copies, the anneal, hotspot, OPC, ATPG and CTS model fields and LibraryChoice::ControlledPolarity, the per-value f64 formatter fmt_f64 and the cloning PlacementSnapshot, the store's lock-file protocol acquire_lock / LockTimeout and its stale-read race path ReadFail / Lookup::Evicted / CacheError::Evicted / evicted_miss, the sub-stage memo tier SubstageMemo / SubMemo / route_stats_memo / the route-outcome kind, key and codec / the substage counters); no thread::scope / thread::spawn under eda-logic / eda-route / eda-litho / eda-dft sources; no netlist copy in the 2_clock_gating / 9_power bodies; no name-keyed net map in eda-netlist; no per-connection path vector in eda-route; unit-step path helpers only in the route test oracle; searches price edges in integers (step_cost called only in grid.rs / reference.rs); no pair-keyed strash map; benchmark/ and BENCHMARK.json untouched; run_flow_shared called from flow.rs + engine.rs only; every claim's shape held (experiments run + tests/claims.rs)"
-echo "check: tier-1 + clippy --workspace --all-targets + unwrap gates + inject smoke + trace + all 18 claims with their shapes (experiments run + release tests/claims.rs) + daemon + facade docs + incremental + warm text-parse count (2) + 7_route stage hit on the clock edit + cross-process resume + mini-tier pins + 10^5 tier + golden + route pins + route audit + place pins + place audit + sign-off pins + deleted-name census (incl. multilevel coarse sweeps, state tagged-count reader, mapper wave dispatch, per-edge overflow probe and the copy-returning insert_clock_gating / insert_decaps / GatingOutcome / DecapOutcome, the route wave scheduler, the OPC / fault-sim dispatch, its kernel spans and scaling rows, and eda-par with the per-stage worker maps, and PlaceEffort with its global_iterations / cluster_gates sentinels, and the knobs no caller set, and the per-value f64 formatter with the cloning placement snapshot, and the store's lock-file protocol and stale-read race path, and the sub-stage memo tier) + heap pins (netlist layout, route wire store) + serial-kernel source gate + one-netlist gate + net-name index gate + paged wire-store gate + corner-search gate + integer-cost gate + strash gate + untouched-benchmark gate + one-engine gate green"
+echo "check: $(find crates src tests examples benchmark -name '*.rs' -print0 | xargs -0 cat | wc -l) lines of Rust (the count ROADMAP quotes); clippy --workspace --all-targets clean; deleted-name census empty (budgets, NPN / collapse, retry, twins, config builder, derived knobs, shared-store open, server snapshot, test-only accessors, serve / scale harnesses, per-edge probe helpers, per-slot busy clocks and the route wave ledger, mapping goal, one-shot search twins and layer sweep, mapper fragment pipeline and fourth test-only tranche, multilevel coarse sweeps and state tagged-count reader, mapper wave dispatch, per-edge overflow probe, clock-gating / decap copy-returning entry points and outcome types, route wave scheduler, OPC / fault-sim dispatch and its scaling rows, eda-par and the per-stage worker maps, the unit-step segment writer, PlaceEffort with its global_iterations / cluster_gates sentinels, the per-AIG-pass memo and its store text, the knobs no caller set: SynthesisOptions, aig_rewrite_passes, the rewrite and cluster-size copies, the anneal, hotspot, OPC, ATPG and CTS model fields and LibraryChoice::ControlledPolarity, the per-value f64 formatter fmt_f64 and the cloning PlacementSnapshot, the store's lock-file protocol acquire_lock / LockTimeout and its stale-read race path ReadFail / Lookup::Evicted / CacheError::Evicted / evicted_miss, the sub-stage memo tier SubstageMemo / SubMemo / route_stats_memo / the route-outcome kind, key and codec / the substage counters); no thread::scope / thread::spawn under eda-logic / eda-route / eda-litho / eda-dft sources; no netlist copy in the 2_clock_gating / 9_power bodies; no name-keyed net map in eda-netlist; no per-connection path vector in eda-route; unit-step path helpers only in the route test oracle; searches price edges in integers (step_cost called only in grid.rs / reference.rs); no pair-keyed strash map; benchmark/ and BENCHMARK.json untouched; run_flow_shared called from flow.rs + engine.rs only; one evaluator (struct CombView defined once, under crates/netlist/src; no topo_order( call under crates/dft/src or in crates/logic/src/ec.rs); every claim's shape held (experiments run + tests/claims.rs)"
+echo "check: tier-1 + clippy --workspace --all-targets + unwrap gates + inject smoke + trace + all 18 claims with their shapes (experiments run + release tests/claims.rs) + daemon + facade docs + incremental + warm text-parse count (2) + 7_route stage hit on the clock edit + cross-process resume + mini-tier pins + 10^5 tier + golden + route pins + route audit + place pins + place audit + sign-off pins + deleted-name census (incl. multilevel coarse sweeps, state tagged-count reader, mapper wave dispatch, per-edge overflow probe and the copy-returning insert_clock_gating / insert_decaps / GatingOutcome / DecapOutcome, the route wave scheduler, the OPC / fault-sim dispatch, its kernel spans and scaling rows, and eda-par with the per-stage worker maps, and PlaceEffort with its global_iterations / cluster_gates sentinels, and the knobs no caller set, and the per-value f64 formatter with the cloning placement snapshot, and the store's lock-file protocol and stale-read race path, and the sub-stage memo tier) + heap pins (netlist layout, route wire store) + serial-kernel source gate + one-netlist gate + net-name index gate + paged wire-store gate + corner-search gate + integer-cost gate + strash gate + untouched-benchmark gate + one-engine gate + one-evaluator gate green"

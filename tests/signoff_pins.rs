@@ -10,10 +10,10 @@
 //! change. After an *intended* QoR change the failure message is the whole
 //! table as the code now computes it, ready to paste over `PINS`.
 
-use eda::dft::{fault_list, fault_sim, random_patterns, CombView};
+use eda::dft::{fault_list, fault_sim, random_patterns};
 use eda::litho::{decompose, Layout};
 use eda::netlist::memo::fnv1a;
-use eda::netlist::{codec, generate, Netlist};
+use eda::netlist::{codec, generate, CombView, Netlist};
 use eda::tech::{Node, PatterningPlan, SINGLE_EXPOSURE_PITCH_NM};
 use eda::{run_flow, FlowConfig, FlowReport, StoreConfig};
 
