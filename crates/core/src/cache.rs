@@ -209,9 +209,11 @@ mod tests {
 
     /// A `3_scan` entry: its status, two outputs, its chains and a netlist.
     fn sample(key: u64) -> (Entry, Vec<u64>) {
-        let mut st = FlowState::fresh();
-        st.chains = vec![vec![InstId::from_index(1), InstId::from_index(0)]];
-        st.netlist = Some(eda_netlist::generate::ripple_carry_adder(2).unwrap());
+        let st = FlowState {
+            chains: vec![vec![InstId::from_index(1), InstId::from_index(0)]],
+            netlist: Some(eda_netlist::generate::ripple_carry_adder(2).unwrap()),
+            ..FlowState::default()
+        };
         let status = StageStatus { outcome: StageOutcome::Completed, attempts: 1 };
         let mut entry = Entry::new("3_scan", key, &status);
         let outputs = vec![42, 7];

@@ -9,8 +9,8 @@
 //! report, and a recovery policy (see DESIGN.md §7 for the full table):
 //!
 //! * an inconclusive equivalence check escalates the simulation budget once
-//!   (2²² nodes), then records `Degraded` instead of silently reporting
-//!   "not verified";
+//!   (2²² nodes) and re-checks the netlist the first attempt synthesized,
+//!   then records `Degraded` instead of silently reporting "not verified";
 //! * routing that still overflows after its rip-up budget degrades to
 //!   partial routes (no escalation: a coarser grid has less capacity);
 //! * a decomposition that stays illegal or an OPC pass that misses its EPE
@@ -26,6 +26,13 @@
 //! body or replay, cache store, clock. The driver enforces the declarations:
 //! a body runs with every part it does not read taken out of the state, and
 //! every taken-out part it does not write must still be empty afterwards.
+//!
+//! A stage's scalar outputs are fields of the [`FlowReport`] under
+//! construction: a body writes them there, a replay installs them there, and
+//! the driver returns that record with the run-level fields filled in. There
+//! is no second copy of a result: telemetry counts a stage's work and
+//! diagnostics (`synth.*`, `route.*`, `cache.*`, …), never a figure the
+//! report holds.
 //!
 //! With `FlowConfig::store` set, the driver stores what every stage it
 //! computes wrote, keyed on what the stage read; a killed flow rerun against
@@ -228,8 +235,9 @@ struct Env<'a> {
     plan: PatterningPlan,
 }
 
-/// What a stage body hands back to the driver: its outputs live in the flow
-/// state, so only the failure is left to return.
+/// What a stage body hands back to the driver: its parts live in the flow
+/// state and its outputs in the report under construction, so only the
+/// failure is left to return.
 type StageResult = Result<(), FlowError>;
 
 /// One row of the stage table — the single definition of a stage. Its
@@ -255,12 +263,12 @@ struct Stage {
     /// (chains, placement, netlist): the stage's entry holds them.
     writes: &'static [Part],
     /// The stage's own scalar outputs, [`Part::Outputs`] of its position:
-    /// the fields of the state only its body writes.
-    outputs: fn(&mut FlowState) -> Vec<&mut dyn Scalar>,
+    /// the fields of the report only its body writes.
+    outputs: fn(&mut FlowReport) -> Vec<&mut dyn Scalar>,
     /// Runs the stage under the supervisor: reads its inputs from the flow
-    /// state, writes its outputs back. Everything else a stage needs — cache
-    /// probe and store, clocks — is the driver's ([`run_flow_shared`]),
-    /// never the body's.
+    /// state, writes its parts back and its outputs into the report.
+    /// Everything else a stage needs — cache probe and store, clocks — is
+    /// the driver's ([`run_flow_shared`]), never the body's.
     body: fn(&'static str, &Env<'_>, &mut FlowState, &mut Supervisor<'_>) -> StageResult,
 }
 
@@ -312,7 +320,7 @@ const TABLE: [Stage; 11] = [
         },
         reads: &[],
         writes: NETLIST,
-        outputs: |st| vec![&mut st.synthesis_verified],
+        outputs: |r| vec![&mut r.synthesis_verified],
         body: synthesis,
     },
     Stage {
@@ -328,7 +336,7 @@ const TABLE: [Stage; 11] = [
         knobs: scan_knobs,
         reads: NETLIST,
         writes: &[Part::Chains, Part::Netlist],
-        outputs: |st| vec![&mut st.cells, &mut st.flops],
+        outputs: |r| vec![&mut r.cells, &mut r.flops],
         body: scan,
     },
     Stage {
@@ -352,7 +360,7 @@ const TABLE: [Stage; 11] = [
         knobs: scan_knobs,
         reads: &[Part::Placement, Part::Chains],
         writes: &[Part::Chains],
-        outputs: |st| vec![&mut st.scan_wirelength_um],
+        outputs: |r| vec![&mut r.scan_wirelength_um],
         body: scan_reorder,
     },
     // CTS runs on defaults.
@@ -361,7 +369,7 @@ const TABLE: [Stage; 11] = [
         knobs: |_, _| String::new(),
         reads: PHYSICAL,
         writes: &[],
-        outputs: |st| vec![&mut st.clock_skew_ps, &mut st.clock_tree_um],
+        outputs: |r| vec![&mut r.clock_skew_ps, &mut r.clock_tree_um],
         body: cts,
     },
     Stage {
@@ -369,7 +377,7 @@ const TABLE: [Stage; 11] = [
         knobs: |_, cfg| format!("|{:016x}", cfg.clock_mhz.to_bits()),
         reads: NETLIST,
         writes: &[],
-        outputs: |st| vec![&mut st.wns_ps, &mut st.critical_path_ps, &mut st.hold_violations],
+        outputs: |r| vec![&mut r.wns_ps, &mut r.critical_path_ps, &mut r.hold_violations],
         body: sta,
     },
     Stage {
@@ -390,7 +398,7 @@ const TABLE: [Stage; 11] = [
         },
         reads: PHYSICAL,
         writes: &[],
-        outputs: |st| vec![&mut st.routed_wirelength, &mut st.routed_vias, &mut st.routed_overflow],
+        outputs: |r| vec![&mut r.routed_wirelength, &mut r.vias, &mut r.overflow],
         body: route,
     },
     // Litho derives its plan and pitch from the node, and its wire
@@ -400,7 +408,7 @@ const TABLE: [Stage; 11] = [
         knobs: |_, cfg| format!("|{:?}|{}", cfg.node, cfg.seed),
         reads: &[Part::Outputs(ROUTE)],
         writes: &[],
-        outputs: |st| vec![&mut st.masks, &mut st.stitches, &mut st.litho_legal, &mut st.opc_rms_epe_nm],
+        outputs: |r| vec![&mut r.masks, &mut r.stitches, &mut r.litho_legal, &mut r.opc_rms_epe_nm],
         body: litho,
     },
     Stage {
@@ -416,9 +424,7 @@ const TABLE: [Stage; 11] = [
         reads: PHYSICAL,
         // The netlist with its decaps applied.
         writes: NETLIST,
-        outputs: |st| {
-            vec![&mut st.decaps, &mut st.dynamic_mw, &mut st.leakage_mw, &mut st.hotspots, &mut st.ir_drop_mv]
-        },
+        outputs: |r| vec![&mut r.decaps, &mut r.dynamic_mw, &mut r.leakage_mw, &mut r.hotspots, &mut r.ir_drop_mv],
         body: power,
     },
     // The random test patterns come from the seed.
@@ -427,7 +433,7 @@ const TABLE: [Stage; 11] = [
         knobs: |d, cfg| format!("|{}{}", cfg.seed, scan_knobs(d, cfg)),
         reads: NETLIST,
         writes: &[],
-        outputs: |st| vec![&mut st.test_coverage],
+        outputs: |r| vec![&mut r.test_coverage],
         body: dft,
     },
 ];
@@ -552,7 +558,7 @@ pub(crate) fn run_flow_shared(
     flow_span.tag("design", design.name());
     flow_span.tag("node", cfg.node);
 
-    let mut st = FlowState::fresh();
+    let mut st = FlowState::default();
     // Per part, the digest of its text as the stage that last wrote it
     // stored it: what the keys of the stages that read the part hash. Kept
     // only while a store is open; a storeless run serializes nothing.
@@ -570,101 +576,109 @@ pub(crate) fn run_flow_shared(
     let (mut hits, mut spanned) = (0u32, 0u32);
     let mut text = String::new();
     let mut next = 0;
-    loop {
-        let Some(stage) = TABLE.get(next) else {
-            // The report reads the netlist and the placement.
-            let Err(writer) = deferred.parse(&mut st, PHYSICAL, &tel) else { break };
-            unprobed |= (1 << next) - (1 << writer);
-            hits &= (1 << writer) - 1;
-            (st, digests, deferred, next) = (FlowState::fresh(), [0; Part::COUNT], Deferred::default(), 0);
-            sup.statuses.clear();
-            continue;
+    'flow: loop {
+        // A step replays or computes the stage at `next` and moves on, or
+        // ends the flow. When a deferred text it must parse does not, the
+        // step yields the position of the stage that wrote the text instead,
+        // and the loop restarts below — the one restart path.
+        let writer = 'step: {
+            let Some(stage) = TABLE.get(next) else {
+                // The report reads the netlist and the placement.
+                match deferred.parse(&mut st, PHYSICAL, &tel) {
+                    Ok(()) => break 'flow,
+                    Err(writer) => break 'step writer,
+                }
+            };
+            // The deadline trips at stage boundaries only, before the stage
+            // is computed, replayed or skipped: an attempt that is already
+            // running always finishes (its result never depends on the
+            // clock), so a worker is never left hung mid-stage.
+            if let Some(deadline_s) = cfg.deadline_s {
+                let elapsed_s = started.elapsed().as_secs_f64();
+                if elapsed_s > deadline_s {
+                    let partial = Box::new(PartialFlow { statuses: sup.statuses });
+                    return Err(FlowError::DeadlineExceeded { stage: stage.name, elapsed_s, deadline_s, partial });
+                }
+            }
+            // The key's config component is the *per-stage* fingerprint and
+            // its state component the digests of the parts the stage reads:
+            // an edit misses exactly the stages that read a knob or a part it
+            // moved.
+            let probe = keyed.map(|(store, design)| {
+                let reads = stage.reads.iter().map(|part| digests[part.index()]);
+                (store, cache::entry_key(stage.name, stage.config_fp(design, cfg), reads))
+            });
+            let written: Vec<Part> = std::iter::once(Part::Outputs(next)).chain(stage.writes.iter().copied()).collect();
+            let looked = probe.filter(|_| unprobed & 1 << next == 0).map(|(store, key)| {
+                match cache::load(store, stage.name, key, &written, (stage.outputs)(&mut st.report).len()) {
+                    Ok(Some(hit)) => Ok(hit),
+                    Ok(None) => Err(("cache.misses", "miss")),
+                    Err(CacheError::Corrupt(_)) => Err(("cache.errors", "error")),
+                }
+            });
+            match looked {
+                Some(Ok(hit)) => {
+                    if spanned & 1 << next == 0 {
+                        sup.cache_hit(stage.name, hit.status);
+                    } else {
+                        sup.statuses.insert(stage.name.to_string(), hit.status);
+                    }
+                    (hits, spanned) = (hits | 1 << next, spanned | 1 << next);
+                    for (field, bits) in (stage.outputs)(&mut st.report).into_iter().zip(hit.outputs) {
+                        field.set_bits(bits);
+                    }
+                    if let Some(chains) = hit.chains {
+                        st.chains = chains;
+                    }
+                    for (part, text) in hit.texts {
+                        // A text the state already holds — `9_power`
+                        // inserting no decap stores the netlist it read — is
+                        // not parsed again.
+                        if !hit.digests.contains(&(part, digests[part.index()])) {
+                            deferred.defer(&mut st, part, next, text);
+                        }
+                    }
+                    for (part, digest) in hit.digests {
+                        digests[part.index()] = digest;
+                    }
+                }
+                cold => {
+                    if let Err(writer) = deferred.parse(&mut st, stage.reads, &tel) {
+                        break 'step writer;
+                    }
+                    if let Some(Err((metric, note))) = cold {
+                        sup.cache_cold(metric, note);
+                    }
+                    deferred.forget(stage.writes);
+                    run_body(next, &env, &mut st, &mut sup)?;
+                    // Only the parts the stage wrote are serialized and
+                    // hashed; a failed store never fails the flow.
+                    if let Some((store, key)) = probe {
+                        let outputs: Vec<u64> = (stage.outputs)(&mut st.report).iter().map(|field| field.bits()).collect();
+                        let mut entry = Entry::new(stage.name, key, &sup.statuses[stage.name]);
+                        for &part in &written {
+                            text.clear();
+                            state::write_part(&st, part, &outputs, &mut text);
+                            digests[part.index()] = entry.section(part, &text);
+                        }
+                        if entry.store(store, key).is_err() {
+                            tel.count("cache.errors", 1);
+                        }
+                    }
+                }
+            }
+            let now = Instant::now();
+            stage_seconds.insert(stage.name.to_string(), now.duration_since(lap).as_secs_f64());
+            lap = now;
+            next += 1;
+            continue 'flow;
         };
-        // The deadline trips at stage boundaries only, before the stage is
-        // computed, replayed or skipped: an attempt that is already running
-        // always finishes (its result never depends on the clock), so a
-        // worker is never left hung mid-stage.
-        if let Some(deadline_s) = cfg.deadline_s {
-            let elapsed_s = started.elapsed().as_secs_f64();
-            if elapsed_s > deadline_s {
-                let partial = Box::new(PartialFlow { statuses: sup.statuses });
-                return Err(FlowError::DeadlineExceeded { stage: stage.name, elapsed_s, deadline_s, partial });
-            }
-        }
-        // The key's config component is the *per-stage* fingerprint and its
-        // state component the digests of the parts the stage reads: an edit
-        // misses exactly the stages that read a knob or a part it moved.
-        let probe = keyed.map(|(store, design)| {
-            let reads = stage.reads.iter().map(|part| digests[part.index()]);
-            (store, cache::entry_key(stage.name, stage.config_fp(design, cfg), reads))
-        });
-        let written: Vec<Part> = std::iter::once(Part::Outputs(next)).chain(stage.writes.iter().copied()).collect();
-        let looked = probe.filter(|_| unprobed & 1 << next == 0).map(|(store, key)| {
-            match cache::load(store, stage.name, key, &written, (stage.outputs)(&mut st).len()) {
-                Ok(Some(hit)) => Ok(hit),
-                Ok(None) => Err(("cache.misses", "miss")),
-                Err(CacheError::Corrupt(_)) => Err(("cache.errors", "error")),
-            }
-        });
-        match looked {
-            Some(Ok(hit)) => {
-                if spanned & 1 << next == 0 {
-                    sup.cache_hit(stage.name, hit.status);
-                } else {
-                    sup.statuses.insert(stage.name.to_string(), hit.status);
-                }
-                (hits, spanned) = (hits | 1 << next, spanned | 1 << next);
-                for (field, bits) in (stage.outputs)(&mut st).into_iter().zip(hit.outputs) {
-                    field.set_bits(bits);
-                }
-                if let Some(chains) = hit.chains {
-                    st.chains = chains;
-                }
-                for (part, text) in hit.texts {
-                    // A text the state already holds — `9_power` inserting
-                    // no decap stores the netlist it read — is not parsed
-                    // again.
-                    if !hit.digests.contains(&(part, digests[part.index()])) {
-                        deferred.defer(&mut st, part, next, text);
-                    }
-                }
-                for (part, digest) in hit.digests {
-                    digests[part.index()] = digest;
-                }
-            }
-            cold => {
-                if let Err(writer) = deferred.parse(&mut st, stage.reads, &tel) {
-                    unprobed |= (1 << next) - (1 << writer);
-                    hits &= (1 << writer) - 1;
-                    (st, digests, deferred, next) = (FlowState::fresh(), [0; Part::COUNT], Deferred::default(), 0);
-                    sup.statuses.clear();
-                    continue;
-                }
-                if let Some(Err((metric, note))) = cold {
-                    sup.cache_cold(metric, note);
-                }
-                deferred.forget(stage.writes);
-                run_body(next, &env, &mut st, &mut sup)?;
-                // Only the parts the stage wrote are serialized and hashed;
-                // a failed store never fails the flow.
-                if let Some((store, key)) = probe {
-                    let outputs: Vec<u64> = (stage.outputs)(&mut st).iter().map(|field| field.bits()).collect();
-                    let mut entry = Entry::new(stage.name, key, &sup.statuses[stage.name]);
-                    for &part in &written {
-                        text.clear();
-                        state::write_part(&st, part, &outputs, &mut text);
-                        digests[part.index()] = entry.section(part, &text);
-                    }
-                    if entry.store(store, key).is_err() {
-                        tel.count("cache.errors", 1);
-                    }
-                }
-            }
-        }
-        let now = Instant::now();
-        stage_seconds.insert(stage.name.to_string(), now.duration_since(lap).as_secs_f64());
-        lap = now;
-        next += 1;
+        // The stages from the text's writer up to here recompute without a
+        // probe, and their replays no longer count as hits.
+        unprobed |= (1 << next) - (1 << writer);
+        hits &= (1 << writer) - 1;
+        (st, digests, deferred, next) = (FlowState::default(), [0; Part::COUNT], Deferred::default(), 0);
+        sup.statuses.clear();
     }
     if hits != 0 {
         tel.count("cache.hits", hits.count_ones().into());
@@ -674,39 +688,21 @@ pub(crate) fn run_flow_shared(
     let netlist = current_netlist(&st);
     let placement = current_placement(&st);
     let buffers = plan_buffers(netlist, placement, placement.die.width_um / 2.0, &[]);
+    let (cell_area_um2, hpwl_um) = (netlist.area_um2() + buffers.added_area_um2, placement.total_hpwl(netlist));
 
     drop(flow_span);
+    // The stages wrote their outputs into `st.report`; the run adds what
+    // only the whole run knows.
     let report = FlowReport {
         flow: cfg.name.clone(),
         design: design.name().to_string(),
         node: cfg.node.to_string(),
-        cell_area_um2: netlist.area_um2() + buffers.added_area_um2,
-        cells: st.cells,
-        flops: st.flops,
-        wns_ps: st.wns_ps,
-        critical_path_ps: st.critical_path_ps,
-        hpwl_um: placement.total_hpwl(netlist),
-        routed_wirelength: st.routed_wirelength,
-        vias: st.routed_vias,
-        overflow: st.routed_overflow,
-        masks: st.masks,
-        stitches: st.stitches,
-        litho_legal: st.litho_legal,
-        opc_rms_epe_nm: st.opc_rms_epe_nm,
-        dynamic_mw: st.dynamic_mw,
-        leakage_mw: st.leakage_mw,
-        test_coverage: st.test_coverage,
-        scan_wirelength_um: st.scan_wirelength_um,
-        decaps: st.decaps,
-        hotspots: st.hotspots,
-        clock_skew_ps: st.clock_skew_ps,
-        clock_tree_um: st.clock_tree_um,
-        ir_drop_mv: st.ir_drop_mv,
-        hold_violations: st.hold_violations,
-        synthesis_verified: st.synthesis_verified,
+        cell_area_um2,
+        hpwl_um,
         stage_status: sup.statuses,
         stage_seconds,
         telemetry: tel.snapshot(),
+        ..st.report
     };
     if let Some((store, digest)) = keyed {
         record_provenance(store, &report, digest, fingerprint(digest, cfg));
@@ -777,7 +773,7 @@ fn run_body(position: usize, env: &Env<'_>, st: &mut FlowState, sup: &mut Superv
     let outputs: Vec<(usize, Vec<u64>)> = (0..TABLE.len())
         .filter(|&i| !reads(Part::Outputs(i)))
         .map(|i| {
-            let taken = (TABLE[i].outputs)(st).into_iter().map(|field| {
+            let taken = (TABLE[i].outputs)(&mut st.report).into_iter().map(|field| {
                 let bits = field.bits();
                 field.set_bits(0);
                 bits
@@ -802,7 +798,7 @@ fn run_body(position: usize, env: &Env<'_>, st: &mut FlowState, sup: &mut Superv
         st.chains = taken;
     }
     for (i, taken) in outputs {
-        let mut fields = (TABLE[i].outputs)(st);
+        let mut fields = (TABLE[i].outputs)(&mut st.report);
         if undeclared(Part::Outputs(i), fields.iter().all(|field| field.bits() == 0)) {
             fields.iter_mut().zip(taken).for_each(|(field, bits)| field.set_bits(bits));
         }
@@ -810,56 +806,59 @@ fn run_body(position: usize, env: &Env<'_>, st: &mut FlowState, sup: &mut Superv
     result
 }
 
-/// `1_synthesis`: synthesis, plus the optional equivalence check.
+/// `1_synthesis`: synthesis, plus the optional equivalence check. The first
+/// attempt that runs synthesizes; a retry after an inconclusive check
+/// re-checks that netlist at the escalated budget (synthesis is
+/// deterministic, so running it again would only count its work twice).
 fn synthesis(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Supervisor<'_>) -> StageResult {
     let (cfg, design) = (env.cfg, env.design);
     let lib = cfg.library.library();
-    let (netlist, verified) = sup.run_stage(stage, |ctx: StageCtx<'_>| {
-        let synth = synthesize(design, lib.clone(), cfg.synthesis).map_err(StageFailure::Synthesis)?;
-        ctx.tel.count("synth.aig_nodes_before", synth.aig_nodes_before as u64);
-        ctx.tel.count("synth.aig_nodes_after", synth.aig_nodes_after as u64);
-        ctx.tel.count("synth.cells", synth.cells as u64);
-        ctx.tel.count("synth.cone_visits", synth.cone_visits);
-        ctx.tel.count("synth.cuts_enumerated", synth.cuts_enumerated);
-        for pass in &synth.passes {
-            let span = ctx.tel.span(SpanKind::Kernel, &format!("aig:{}", pass.name));
-            span.tag("nodes_before", pass.nodes_before);
-            span.tag("nodes_after", pass.nodes_after);
-            span.tag("kept", pass.kept);
-        }
-        let netlist = synth.netlist;
+    let mut synthesized: Option<Netlist> = None;
+    let verified = sup.run_stage(stage, |ctx: StageCtx<'_>| {
+        let netlist = match &synthesized {
+            Some(netlist) => netlist,
+            None => {
+                let synth = synthesize(design, lib.clone(), cfg.synthesis).map_err(StageFailure::Synthesis)?;
+                ctx.tel.count("synth.aig_nodes_before", synth.aig_nodes_before as u64);
+                ctx.tel.count("synth.aig_nodes_after", synth.aig_nodes_after as u64);
+                ctx.tel.count("synth.cells", synth.cells as u64);
+                ctx.tel.count("synth.cone_visits", synth.cone_visits);
+                ctx.tel.count("synth.cuts_enumerated", synth.cuts_enumerated);
+                for pass in &synth.passes {
+                    let span = ctx.tel.span(SpanKind::Kernel, &format!("aig:{}", pass.name));
+                    span.tag("nodes_before", pass.nodes_before);
+                    span.tag("nodes_after", pass.nodes_after);
+                    span.tag("kept", pass.kept);
+                }
+                synthesized.insert(synth.netlist)
+            }
+        };
         if !cfg.verify_synthesis {
-            return Ok(StageTry::Done((netlist, None)));
+            return Ok(StageTry::Done(None));
         }
         let budget = if ctx.adapt == 0 { EC_BUDGET } else { EC_BUDGET_ESCALATED };
         ctx.tel.count("synth.ec_sim_budget", budget as u64);
-        match check_equivalence(design, &netlist, &[], &[], budget) {
-            Ok(EcVerdict::Equivalent) => Ok(StageTry::Done((netlist, Some(true)))),
+        match check_equivalence(design, netlist, &[], &[], budget) {
+            Ok(EcVerdict::Equivalent) => Ok(StageTry::Done(Some(true))),
             Ok(EcVerdict::Counterexample(_)) => Ok(StageTry::Degraded(
-                (netlist, Some(false)),
+                Some(false),
                 "equivalence counterexample found against the input design".into(),
             )),
             Ok(EcVerdict::Inconclusive) => {
                 if ctx.adapt == 0 {
                     Ok(StageTry::Retry {
                         reason: format!("equivalence inconclusive at the {budget}-node budget"),
-                        salvage: Some(((netlist, None), "equivalence unresolved".to_string())),
+                        salvage: Some((None, "equivalence unresolved".to_string())),
                     })
                 } else {
-                    Ok(StageTry::Degraded(
-                        (netlist, None),
-                        "equivalence still inconclusive after budget escalation".into(),
-                    ))
+                    Ok(StageTry::Degraded(None, "equivalence still inconclusive after budget escalation".into()))
                 }
             }
-            Err(e) => Ok(StageTry::Degraded(
-                (netlist, None),
-                format!("equivalence check failed: {e}"),
-            )),
+            Err(e) => Ok(StageTry::Degraded(None, format!("equivalence check failed: {e}"))),
         }
     })?;
-    st.netlist = Some(netlist);
-    st.synthesis_verified = verified;
+    st.netlist = synthesized;
+    st.report.synthesis_verified = verified;
     Ok(())
 }
 
@@ -912,7 +911,7 @@ fn scan(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Superv
         // The netlist stays where it is: a skip copies nothing.
         None => st.chains = sup.skip(stage, "scan insertion disabled", Vec::new()),
     }
-    (st.cells, st.flops) = NetlistStats::cell_counts(current_netlist(st));
+    (st.report.cells, st.report.flops) = NetlistStats::cell_counts(current_netlist(st));
     Ok(())
 }
 
@@ -1001,7 +1000,6 @@ fn scan_reorder(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mu
             let reordered = reorder_chains(chains0, placement);
             let wl = scan_wirelength(&reordered, placement);
             ctx.tel.gauge("scan.wirelength_before_um", before);
-            ctx.tel.gauge("scan.wirelength_um", wl);
             Ok(StageTry::Done((reordered, wl)))
         })?
     } else {
@@ -1010,7 +1008,7 @@ fn scan_reorder(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mu
         sup.skip(stage, cause, (st.chains.clone(), wl))
     };
     st.chains = chains;
-    st.scan_wirelength_um = scan_wl;
+    st.report.scan_wirelength_um = scan_wl;
     Ok(())
 }
 
@@ -1021,12 +1019,9 @@ fn cts(stage: &'static str, _: &Env<'_>, st: &mut FlowState, sup: &mut Superviso
     let (skew_ps, tree_um) = sup.run_stage(stage, |ctx: StageCtx<'_>| {
         let (tree, sinks) = synthesize_clock_tree(cur, placement, &CtsConfig::default());
         ctx.tel.count("cts.sinks", sinks.len() as u64);
-        ctx.tel.gauge("cts.skew_ps", tree.skew_ps());
-        ctx.tel.gauge("cts.wirelength_um", tree.wirelength_um);
         Ok(StageTry::Done((tree.skew_ps(), tree.wirelength_um)))
     })?;
-    st.clock_skew_ps = skew_ps;
-    st.clock_tree_um = tree_um;
+    (st.report.clock_skew_ps, st.report.clock_tree_um) = (skew_ps, tree_um);
     Ok(())
 }
 
@@ -1039,14 +1034,11 @@ fn sta(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Supervi
         ctx.tel.count("sta.arcs_timed", timing.arcs_timed as u64);
         ctx.tel.count("sta.endpoints", timing.endpoints as u64);
         ctx.tel.count("sta.failing_endpoints", timing.failing_endpoints as u64);
-        ctx.tel.count("sta.hold_violations", timing.hold_violations as u64);
-        ctx.tel.gauge("sta.wns_ps", timing.wns_ps);
         ctx.tel.gauge("sta.tns_ps", timing.tns_ps);
         Ok(StageTry::Done((timing.wns_ps, timing.critical_path_ps, timing.hold_violations)))
     })?;
-    st.wns_ps = wns;
-    st.critical_path_ps = cp;
-    st.hold_violations = holds;
+    let r = &mut st.report;
+    (r.wns_ps, r.critical_path_ps, r.hold_violations) = (wns, cp, holds);
     Ok(())
 }
 
@@ -1094,9 +1086,8 @@ fn route(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Super
         let overflow = out.overflow;
         Ok(StageTry::Degraded(out, format!("partial routes ({overflow} overflow)")))
     })?;
-    st.routed_wirelength = routed.wirelength;
-    st.routed_vias = routed.vias;
-    st.routed_overflow = routed.overflow;
+    let r = &mut st.report;
+    (r.routed_wirelength, r.vias, r.overflow) = (routed.wirelength, routed.vias, routed.overflow);
     Ok(())
 }
 
@@ -1107,11 +1098,12 @@ fn route(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Super
 /// wirelength at the node's minimum pitch (see DESIGN.md).
 fn litho(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Supervisor<'_>) -> StageResult {
     let (cfg, plan) = (env.cfg, &env.plan);
-    let (masks, stitches, legal, epe) = if !plan.needs_decomposition() {
+    let r = &mut st.report;
+    (r.masks, r.stitches, r.litho_legal, r.opc_rms_epe_nm) = if !plan.needs_decomposition() {
         sup.skip(stage, "single-patterned node needs no decomposition or OPC", (1u32, 0usize, true, 0.0f64))
     } else {
         let pitch = cfg.node.spec().metal_pitch_nm;
-        let wires = (st.routed_wirelength / 4).clamp(24, 160) as usize;
+        let wires = (r.routed_wirelength / 4).clamp(24, 160) as usize;
         let layout = Layout::random_wires(wires, pitch, pitch * 40.0, cfg.seed);
         let model = OpticalModel::default();
         // After decomposition each mask prints at the relaxed pitch.
@@ -1120,8 +1112,6 @@ fn litho(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Super
             // Recovery: double the stitch budget and halve the OPC gain.
             let stitch_budget = if ctx.adapt == 0 { wires / 2 } else { wires };
             let deco = decompose(&layout, plan.total_exposures(), eda_tech::SINGLE_EXPOSURE_PITCH_NM, stitch_budget);
-            ctx.tel.count("litho.masks", u64::from(deco.masks));
-            ctx.tel.count("litho.stitches", deco.stitches as u64);
             let ocfg = if ctx.adapt == 0 { OpcConfig::default() } else { OpcConfig::default().backoff() };
             let target: Vec<(f64, f64)> = (0..6)
                 .map(|i| {
@@ -1165,10 +1155,6 @@ fn litho(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Super
             }
         })?
     };
-    st.masks = masks;
-    st.stitches = stitches;
-    st.litho_legal = legal;
-    st.opc_rms_epe_nm = epe;
     Ok(())
 }
 
@@ -1199,18 +1185,12 @@ fn power(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Super
                 Err(e) => notes.push(format!("decap insertion failed, continuing without decaps: {e}")),
             }
         }
-        let decaps = plan.as_ref().map_or(0, DecapPlan::decaps);
         // Static IR drop of the power map. Recovery: a stalled Gauss–Seidel
         // relaxation retries with a relaxed tolerance.
         let mesh = if ctx.adapt == 0 { MeshConfig::default() } else { MeshConfig::default().relaxed() };
         let ir = solve_ir_drop(&grid, cfg.node, &mesh);
         let converged = ir.converged(&mesh);
-        ctx.tel.count("power.decaps_inserted", decaps as u64);
-        ctx.tel.count("power.hotspots_after", hotspots as u64);
         ctx.tel.count("power.ir_iterations", ir.iterations as u64);
-        ctx.tel.gauge("power.dynamic_mw", power.dynamic_mw);
-        ctx.tel.gauge("power.leakage_mw", power.leakage_mw);
-        ctx.tel.gauge("power.ir_drop_mv", ir.worst_drop_mv());
         let value = (plan, power.dynamic_mw, power.leakage_mw, hotspots, ir.worst_drop_mv());
         if converged {
             if notes.is_empty() {
@@ -1230,14 +1210,12 @@ fn power(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Super
             Ok(StageTry::Degraded(value, notes.join("; ")))
         }
     })?;
-    st.decaps = plan.as_ref().map_or(0, DecapPlan::decaps);
+    let decaps = plan.as_ref().map_or(0, DecapPlan::decaps);
     if let Some(plan) = plan {
         plan.apply(current_netlist_mut(st));
     }
-    st.dynamic_mw = dynamic_mw;
-    st.leakage_mw = leakage_mw;
-    st.hotspots = hotspots;
-    st.ir_drop_mv = ir_mv;
+    let r = &mut st.report;
+    (r.decaps, r.dynamic_mw, r.leakage_mw, r.hotspots, r.ir_drop_mv) = (decaps, dynamic_mw, leakage_mw, hotspots, ir_mv);
     Ok(())
 }
 
@@ -1245,11 +1223,11 @@ fn power(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Super
 fn dft(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Supervisor<'_>) -> StageResult {
     let cfg = env.cfg;
     if cfg.scan.is_none() {
-        st.test_coverage = sup.skip(stage, "scan insertion disabled", 0.0);
+        st.report.test_coverage = sup.skip(stage, "scan insertion disabled", 0.0);
         return Ok(());
     }
     let cur = current_netlist(st);
-    st.test_coverage = sup.run_stage(stage, |ctx: StageCtx<'_>| {
+    st.report.test_coverage = sup.run_stage(stage, |ctx: StageCtx<'_>| {
         let view = CombView::new(cur).map_err(StageFailure::Netlist)?;
         let faults = fault_list(cur);
         let pats = random_patterns(&view, 96, cfg.seed);
@@ -1257,7 +1235,6 @@ fn dft(stage: &'static str, env: &Env<'_>, st: &mut FlowState, sup: &mut Supervi
         ctx.tel.count("dft.faults", sim.total as u64);
         ctx.tel.count("dft.detected", sim.num_detected as u64);
         ctx.tel.count("dft.pattern_blocks", sim.pattern_blocks as u64);
-        ctx.tel.gauge("dft.coverage", sim.coverage());
         Ok(StageTry::Done(sim.coverage()))
     })?;
     Ok(())
@@ -1320,6 +1297,7 @@ mod tests {
     use crate::config::ScanOptions;
     use crate::harness::StageOutcome;
     use crate::server::{FlowRequest, FlowServer};
+    use crate::telemetry::Metric;
     use eda_netlist::generate;
     use eda_tech::Node;
 
@@ -1525,6 +1503,30 @@ mod tests {
         let err = run_flow(&design, &cfg).expect_err("the deadline must trip");
         assert!(matches!(err, FlowError::DeadlineExceeded { stage: "2_clock_gating", .. }), "{err}");
         assert_eq!(err.partial().statuses.keys().collect::<Vec<_>>(), ["1_synthesis"]);
+    }
+
+    /// `alu(14)`'s equivalence check is inconclusive at the first budget and
+    /// escalates: the retry re-checks the netlist the first attempt
+    /// synthesized, so the synthesis work is counted once — what one
+    /// `synthesize` call reports — while both attempts' budgets are.
+    #[test]
+    fn an_escalated_check_re_checks_the_kept_netlist() {
+        let design = generate::alu(14).unwrap();
+        let cfg = FlowConfig { threads: 1, ..FlowConfig::advanced_2016(Node::N28) };
+        let report = run_flow(&design, &cfg).unwrap();
+        assert_eq!(report.stage_status["1_synthesis"].outcome, StageOutcome::Recovered { attempts: 2 });
+        assert_eq!(report.synthesis_verified, Some(true));
+        let once = synthesize(&design, cfg.library.library(), cfg.synthesis).unwrap();
+        let tel = &report.telemetry;
+        let counter = |name: &str| match tel.metrics.get(name) {
+            Some(Metric::Counter(n)) => *n,
+            _ => 0,
+        };
+        assert_eq!(counter("synth.cells"), once.cells as u64);
+        assert_eq!(counter("synth.aig_nodes_after"), once.aig_nodes_after as u64);
+        assert_eq!(counter("synth.ec_sim_budget"), (EC_BUDGET + EC_BUDGET_ESCALATED) as u64);
+        let aig_spans = tel.spans.iter().filter(|s| s.name.starts_with("aig:")).count();
+        assert_eq!(aig_spans, once.passes.len());
     }
 
     #[test]

@@ -341,8 +341,10 @@ pub(crate) struct StageCtx<'t> {
     /// QoR — of the retry.
     pub adapt: usize,
     /// The flow's telemetry collector: stage bodies record kernel spans and
-    /// QoR-provenance metrics through this. Recording is observation-only —
-    /// nothing a body reads back from it may influence control flow.
+    /// the work and diagnostic metrics of each attempt through this. A
+    /// stage's results go into the report, never here. Recording is
+    /// observation-only — nothing a body reads back from it may influence
+    /// control flow.
     pub tel: &'t Telemetry,
 }
 

@@ -5,8 +5,12 @@ use crate::telemetry::TelemetrySnapshot;
 use eda_netlist::memo::fnv1a;
 use std::collections::BTreeMap;
 
-/// End-to-end QoR for one flow run.
-#[derive(Debug, Clone, PartialEq)]
+/// End-to-end QoR for one flow run: the one record of every stage's
+/// results. The stages write their scalar outputs into it as they run (the
+/// default is the empty record they start from); the driver fills the
+/// run-level fields — names, area, wirelength, statuses, clocks and
+/// telemetry — once the last stage is done.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FlowReport {
     /// Flow preset name.
     pub flow: String,

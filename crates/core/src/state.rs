@@ -6,7 +6,8 @@
 //! bit-identical QoR.
 //!
 //! The state is cut into [`Part`]s: the netlist, the placement, the scan
-//! chains, and each stage's own scalar outputs. Every stage of the flow's
+//! chains, and each stage's own scalar outputs — fields of the
+//! [`FlowReport`] the run returns. Every stage of the flow's
 //! table declares the parts it reads and the parts it writes; the driver
 //! keys a stage on the digests of its reads and stores what it wrote, so an
 //! edit misses only at the stages whose reads it moved.
@@ -26,48 +27,25 @@
 
 use crate::flow::STAGES;
 use crate::harness::{StageOutcome, StageStatus};
+use crate::report::FlowReport;
 use eda_netlist::codec::{unescape, write_name, Lines};
 use eda_netlist::{codec, CodecError, InstId, Netlist};
 use eda_place::{Placement, Point};
 use std::fmt::{self, Write};
 
 /// Everything the flow has computed so far. Each stage reads its inputs
-/// from here and writes its outputs back, part by part ([`Part`]). It holds
-/// state only: what one run observed about itself (seconds, workers,
-/// speedups) belongs to that run's driver and report, never to an entry.
+/// from here and writes its outputs back, part by part ([`Part`]): the
+/// netlist, the placement and the scan chains are state; a stage's scalar
+/// outputs are fields of the report under construction, the one record of
+/// them the run returns. It holds nothing else: what one run observed about
+/// itself (seconds, workers, speedups) belongs to that run's driver and the
+/// report's run-level fields, never to an entry.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FlowState {
     pub netlist: Option<Netlist>,
     pub placement: Option<Placement>,
     pub chains: Vec<Vec<InstId>>,
-    pub synthesis_verified: Option<bool>,
-    pub cells: usize,
-    pub flops: usize,
-    pub hold_violations: usize,
-    pub routed_wirelength: u64,
-    pub routed_vias: u64,
-    pub routed_overflow: u64,
-    pub masks: u32,
-    pub stitches: usize,
-    pub litho_legal: bool,
-    pub decaps: usize,
-    pub hotspots: usize,
-    pub scan_wirelength_um: f64,
-    pub clock_skew_ps: f64,
-    pub clock_tree_um: f64,
-    pub wns_ps: f64,
-    pub critical_path_ps: f64,
-    pub opc_rms_epe_nm: f64,
-    pub dynamic_mw: f64,
-    pub leakage_mw: f64,
-    pub ir_drop_mv: f64,
-    pub test_coverage: f64,
-}
-
-impl FlowState {
-    pub fn fresh() -> FlowState {
-        FlowState { litho_legal: true, ..FlowState::default() }
-    }
+    pub report: FlowReport,
 }
 
 /// A part of the flow state: the unit a stage declares it reads or writes.
@@ -365,17 +343,19 @@ mod tests {
 
     #[test]
     fn part_texts_are_pinned() {
-        let mut st = FlowState::fresh();
-        st.chains = vec![vec![InstId::from_index(0)], vec![InstId::from_index(3), InstId::from_index(1)]];
         let die = eda_place::Die { width_um: 10.0, height_um: 4.0, site_um: 0.5, cols: 20, rows: 8 };
         let subnormal = f64::from_bits(1);
         assert!(subnormal > 0.0 && subnormal < f64::MIN_POSITIVE);
-        st.placement = Some(Placement::from_parts(
-            die,
-            vec![Point::new(-0.0, subnormal)],
-            vec![Point::new(f64::MAX, 1.5)],
-            vec![Point::new(0.0, -2.25)],
-        ));
+        let st = FlowState {
+            chains: vec![vec![InstId::from_index(0)], vec![InstId::from_index(3), InstId::from_index(1)]],
+            placement: Some(Placement::from_parts(
+                die,
+                vec![Point::new(-0.0, subnormal)],
+                vec![Point::new(f64::MAX, 1.5)],
+                vec![Point::new(0.0, -2.25)],
+            )),
+            ..FlowState::default()
+        };
         let outputs = [(-12.5f64).bits(), true.bits()];
         assert_eq!(text(&st, Part::Outputs(6), &outputs), PINNED_OUTPUTS);
         assert_eq!(text(&st, Part::Chains, &[]), PINNED_CHAINS);
@@ -425,7 +405,7 @@ mod tests {
     #[test]
     fn parts_round_trip_exactly_and_reject_damage() {
         let design = generate::switch_fabric(3, 2).unwrap();
-        let mut st = FlowState::fresh();
+        let mut st = FlowState::default();
         let die = eda_place::Die::for_netlist(&design, 0.7);
         st.placement = Some(Placement::new(&design, die));
         st.netlist = Some(design);

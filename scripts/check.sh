@@ -423,9 +423,26 @@ if grep -rn 'topo_order(' crates/dft/src crates/logic/src/ec.rs; then
     echo "check: FAIL eda-dft or the equivalence check orders a netlist itself again (above); evaluate through CombView" >&2; exit 1
 fi
 
+# One record: a stage's results live in the flow report alone. The flow
+# state holds the netlist, the placement, the scan chains and the report the
+# stages write into — no scalar field beside them — and no telemetry metric
+# restates a report field (such a metric summed a retried stage's attempts or
+# kept the last one's, and was absent whenever the stage replayed).
+state_fields="$(awk '/^pub\(crate\) struct FlowState \{/{body=1; next}
+                     body && /^\}/{body=0}
+                     body && /^ *(pub[^ ]* )?[a-z_][a-z_0-9]*:/{sub(/^ *(pub[^ ]* )?/, ""); sub(/:.*/, ""); print}' \
+                 crates/core/src/state.rs | paste -sd' ')"
+if [ "$state_fields" != "netlist placement chains report" ]; then
+    echo "check: FAIL struct FlowState declares '$state_fields', want 'netlist placement chains report' (a stage's scalar result is a FlowReport field)" >&2; exit 1
+fi
+restated='"(litho\.(masks|stitches)|power\.(decaps_inserted|hotspots_after|dynamic_mw|leakage_mw|ir_drop_mv)|cts\.(skew_ps|wirelength_um)|sta\.(wns_ps|hold_violations)|dft\.coverage|scan\.wirelength_um)"'
+if grep -rnE "$restated" crates src tests examples; then
+    echo "check: FAIL a telemetry metric restates a FlowReport field again (above); results live in the report" >&2; exit 1
+fi
+
 # Tally: sum the "test result:" lines from the debug suite run above.
 awk '/^test result:/ { passed += $4; failed += $6 }
      END { printf "check: %d tests passed, %d failed across all binaries\n", passed, failed
            exit (failed > 0) }' "$test_log"
-echo "check: $(find crates src tests examples benchmark -name '*.rs' -print0 | xargs -0 cat | wc -l) lines of Rust (the count ROADMAP quotes); clippy --workspace --all-targets clean; deleted-name census empty (budgets, NPN / collapse, retry, twins, config builder, derived knobs, shared-store open, server snapshot, test-only accessors, serve / scale harnesses, per-edge probe helpers, per-slot busy clocks and the route wave ledger, mapping goal, one-shot search twins and layer sweep, mapper fragment pipeline and fourth test-only tranche, multilevel coarse sweeps and state tagged-count reader, mapper wave dispatch, per-edge overflow probe, clock-gating / decap copy-returning entry points and outcome types, route wave scheduler, OPC / fault-sim dispatch and its scaling rows, eda-par and the per-stage worker maps, the unit-step segment writer, PlaceEffort with its global_iterations / cluster_gates sentinels, the per-AIG-pass memo and its store text, the knobs no caller set: SynthesisOptions, aig_rewrite_passes, the rewrite and cluster-size copies, the anneal, hotspot, OPC, ATPG and CTS model fields and LibraryChoice::ControlledPolarity, the per-value f64 formatter fmt_f64 and the cloning PlacementSnapshot, the store's lock-file protocol acquire_lock / LockTimeout and its stale-read race path ReadFail / Lookup::Evicted / CacheError::Evicted / evicted_miss, the sub-stage memo tier SubstageMemo / SubMemo / route_stats_memo / the route-outcome kind, key and codec / the substage counters); no thread::scope / thread::spawn under eda-logic / eda-route / eda-litho / eda-dft sources; no netlist copy in the 2_clock_gating / 9_power bodies; no name-keyed net map in eda-netlist; no per-connection path vector in eda-route; unit-step path helpers only in the route test oracle; searches price edges in integers (step_cost called only in grid.rs / reference.rs); no pair-keyed strash map; benchmark/ and BENCHMARK.json untouched; run_flow_shared called from flow.rs + engine.rs only; one evaluator (struct CombView defined once, under crates/netlist/src; no topo_order( call under crates/dft/src or in crates/logic/src/ec.rs); every claim's shape held (experiments run + tests/claims.rs)"
-echo "check: tier-1 + clippy --workspace --all-targets + unwrap gates + inject smoke + trace + all 18 claims with their shapes (experiments run + release tests/claims.rs) + daemon + facade docs + incremental + warm text-parse count (2) + 7_route stage hit on the clock edit + cross-process resume + mini-tier pins + 10^5 tier + golden + route pins + route audit + place pins + place audit + sign-off pins + deleted-name census (incl. multilevel coarse sweeps, state tagged-count reader, mapper wave dispatch, per-edge overflow probe and the copy-returning insert_clock_gating / insert_decaps / GatingOutcome / DecapOutcome, the route wave scheduler, the OPC / fault-sim dispatch, its kernel spans and scaling rows, and eda-par with the per-stage worker maps, and PlaceEffort with its global_iterations / cluster_gates sentinels, and the knobs no caller set, and the per-value f64 formatter with the cloning placement snapshot, and the store's lock-file protocol and stale-read race path, and the sub-stage memo tier) + heap pins (netlist layout, route wire store) + serial-kernel source gate + one-netlist gate + net-name index gate + paged wire-store gate + corner-search gate + integer-cost gate + strash gate + untouched-benchmark gate + one-engine gate + one-evaluator gate green"
+echo "check: $(find crates src tests examples benchmark -name '*.rs' -print0 | xargs -0 cat | wc -l) lines of Rust (the count ROADMAP quotes); clippy --workspace --all-targets clean; deleted-name census empty (budgets, NPN / collapse, retry, twins, config builder, derived knobs, shared-store open, server snapshot, test-only accessors, serve / scale harnesses, per-edge probe helpers, per-slot busy clocks and the route wave ledger, mapping goal, one-shot search twins and layer sweep, mapper fragment pipeline and fourth test-only tranche, multilevel coarse sweeps and state tagged-count reader, mapper wave dispatch, per-edge overflow probe, clock-gating / decap copy-returning entry points and outcome types, route wave scheduler, OPC / fault-sim dispatch and its scaling rows, eda-par and the per-stage worker maps, the unit-step segment writer, PlaceEffort with its global_iterations / cluster_gates sentinels, the per-AIG-pass memo and its store text, the knobs no caller set: SynthesisOptions, aig_rewrite_passes, the rewrite and cluster-size copies, the anneal, hotspot, OPC, ATPG and CTS model fields and LibraryChoice::ControlledPolarity, the per-value f64 formatter fmt_f64 and the cloning PlacementSnapshot, the store's lock-file protocol acquire_lock / LockTimeout and its stale-read race path ReadFail / Lookup::Evicted / CacheError::Evicted / evicted_miss, the sub-stage memo tier SubstageMemo / SubMemo / route_stats_memo / the route-outcome kind, key and codec / the substage counters); no thread::scope / thread::spawn under eda-logic / eda-route / eda-litho / eda-dft sources; no netlist copy in the 2_clock_gating / 9_power bodies; no name-keyed net map in eda-netlist; no per-connection path vector in eda-route; unit-step path helpers only in the route test oracle; searches price edges in integers (step_cost called only in grid.rs / reference.rs); no pair-keyed strash map; benchmark/ and BENCHMARK.json untouched; run_flow_shared called from flow.rs + engine.rs only; one evaluator (struct CombView defined once, under crates/netlist/src; no topo_order( call under crates/dft/src or in crates/logic/src/ec.rs); one record (struct FlowState holds netlist / placement / chains / report only; no metric name restating a FlowReport field); every claim's shape held (experiments run + tests/claims.rs)"
+echo "check: tier-1 + clippy --workspace --all-targets + unwrap gates + inject smoke + trace + all 18 claims with their shapes (experiments run + release tests/claims.rs) + daemon + facade docs + incremental + warm text-parse count (2) + 7_route stage hit on the clock edit + cross-process resume + mini-tier pins + 10^5 tier + golden + route pins + route audit + place pins + place audit + sign-off pins + deleted-name census (incl. multilevel coarse sweeps, state tagged-count reader, mapper wave dispatch, per-edge overflow probe and the copy-returning insert_clock_gating / insert_decaps / GatingOutcome / DecapOutcome, the route wave scheduler, the OPC / fault-sim dispatch, its kernel spans and scaling rows, and eda-par with the per-stage worker maps, and PlaceEffort with its global_iterations / cluster_gates sentinels, and the knobs no caller set, and the per-value f64 formatter with the cloning placement snapshot, and the store's lock-file protocol and stale-read race path, and the sub-stage memo tier) + heap pins (netlist layout, route wire store) + serial-kernel source gate + one-netlist gate + net-name index gate + paged wire-store gate + corner-search gate + integer-cost gate + strash gate + untouched-benchmark gate + one-engine gate + one-evaluator gate + one-record gate green"

@@ -213,7 +213,6 @@ fn decap_insertion_completes_and_is_thread_invariant() {
     };
     let serial = run(1, None);
     assert!(serial.decaps > 0, "50 GHz on the mesh must trip the decap path");
-    assert_eq!(counter(&serial, "power.decaps_inserted"), serial.decaps as u64);
     assert!(serial.same_qor(&run(4, None)), "decap flow QoR diverged between 1 and 4 threads");
     for (fault, outcome) in [
         (Fault::Fail, StageOutcome::Recovered { attempts: 2 }),
@@ -233,7 +232,6 @@ fn decap_insertion_completes_and_is_thread_invariant() {
             serial.cell_area_um2.to_bits(),
             "cell area under {fault}@0: decaps applied other than once"
         );
-        assert_eq!(counter(&faulted, "power.decaps_inserted"), faulted.decaps as u64);
     }
 }
 
